@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet bench bench-json bench-sim-json bench-net-json bench-engine-json bench-acs-json bench-admit-json bench-explore-json bench-scale-json bench-svc-json bench-all profile explore chaos-smoke svc-smoke experiments examples fuzz cover clean
+.PHONY: all build test test-short test-race vet bench bench-engine-json bench-acs-json bench-explore-json bench-scale-json bench-all profile explore chaos-smoke svc-smoke experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -26,30 +26,6 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the verification fast-path A/B baseline (BENCH_crypto.json):
-# an Ed25519 aggregate-certificate sweep run with the cache on and off,
-# asserting byte-identical CSVs and recording the wall-clock speedup.
-bench-json:
-	$(GO) run ./cmd/adaptiveba-bench -bench-json BENCH_crypto.json \
-		-protocol bb -ns 21,41 -fs 0,1,2,4 -ed25519 -certmode aggregate
-
-# Regenerate the tick-engine A/B baseline (BENCH_sim.json): the largest
-# EXPERIMENTS sweep run serially (tick-workers=1) and in parallel
-# (tick-workers=GOMAXPROCS), asserting byte-identical CSVs and recording
-# the wall-clock speedup. Speedup reflects the host's core count —
-# regenerate on a multi-core machine for a representative number.
-bench-sim-json:
-	$(GO) run ./cmd/adaptiveba-bench -bench-sim-json BENCH_sim.json \
-		-protocol bb -ns 11,21,41,81,161 -fs 0 -ed25519
-
-# Regenerate the transport data-plane A/B baseline (BENCH_net.json):
-# the batched send path (encode-once + per-peer coalescing outboxes)
-# vs -legacy-send over loopback TCP at n in {9,17,33}, asserting
-# byte-identical cluster CSVs/decisions and ~0 allocs/message steady
-# state on the pooled path.
-bench-net-json:
-	$(GO) run ./cmd/adaptiveba-bench -bench-net-json BENCH_net.json
-
 # Regenerate the multi-session engine A/B baseline (BENCH_engine.json):
 # a 64-slot replicated log over BB at n in {9,17,33}, run serially
 # (inflight=1) and pipelined (inflight 4/16/64), asserting per-session
@@ -65,14 +41,6 @@ bench-engine-json:
 # and >= n/2x committed requests per slot at f=0.
 bench-acs-json:
 	$(GO) run ./cmd/adaptiveba-bench -bench-acs-json BENCH_acs.json
-
-# Regenerate the session-scheduling A/B baseline (BENCH_admit.json):
-# the decision-driven eager schedule vs the static stride over the
-# 64-slot BB log at n in {9,17,33} x f in {0,t} x inflight in {4,16},
-# asserting byte-identical decisions/words/state per cell and recording
-# the commit-throughput multiple in simulated (δ-bound) time.
-bench-admit-json:
-	$(GO) run ./cmd/adaptiveba-bench -bench-admit-json BENCH_admit.json
 
 # Regenerate the adversarial schedule-search baseline
 # (BENCH_explore.json): genetic search for the worst adversary schedule
@@ -92,19 +60,10 @@ bench-explore-json:
 bench-scale-json:
 	$(GO) run ./cmd/adaptiveba-bench -bench-scale-json BENCH_scale.json
 
-# Regenerate the replicated-KV-service baseline (BENCH_svc.json):
-# requests/sec and words/request over a live server+client loopback
-# session at payload sizes 16B..32KiB, anchored (triangle architecture:
-# only the 32-byte digest enters agreement) vs inline (the payload rides
-# the committed command). Anchored wire-words/request must stay within a
-# constant factor of the small-value baseline; inline grows linearly.
-bench-svc-json:
-	$(GO) run ./cmd/adaptiveba-bench -bench-svc-json BENCH_svc.json
-
 # Run every bench-*-json mode, then sweep the regenerated reports'
 # determinism flags in one pass: any decisions_identical=false or
 # csv_identical=false fails the target.
-bench-all: bench-json bench-sim-json bench-net-json bench-engine-json bench-acs-json bench-admit-json bench-explore-json bench-scale-json bench-svc-json
+bench-all: bench-engine-json bench-acs-json bench-explore-json bench-scale-json
 	@echo "— determinism flags across BENCH_*.json —"
 	@grep -c '"decisions_identical": true\|"csv_identical": true' BENCH_*.json || true
 	@if grep -l '"decisions_identical": false\|"csv_identical": false' BENCH_*.json; then \
@@ -112,11 +71,11 @@ bench-all: bench-json bench-sim-json bench-net-json bench-engine-json bench-acs-
 	fi
 	@echo "bench-all: every determinism flag is true"
 
-# CPU/heap-profile the heaviest deterministic bench (the scheduling A/B)
-# and print the hottest functions — flame-graph evidence for perf PRs.
-# Profiles land in cpu.pprof / mem.pprof for `go tool pprof -http`.
+# CPU/heap-profile a deterministic bench (the batched-ACS A/B) and print
+# the hottest functions — flame-graph evidence for perf PRs. Profiles
+# land in cpu.pprof / mem.pprof for `go tool pprof -http`.
 profile:
-	$(GO) run ./cmd/adaptiveba-bench -bench-admit-json /tmp/BENCH_admit.profile.json \
+	$(GO) run ./cmd/adaptiveba-bench -bench-acs-json /tmp/BENCH_acs.profile.json \
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	$(GO) tool pprof -top -nodecount 15 cpu.pprof
 

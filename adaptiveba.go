@@ -18,10 +18,6 @@
 // are typed sentinels (ErrBadN, ErrTooManyFaults, ErrNoQuorum,
 // ErrCanceled) matched with errors.Is.
 //
-// The earlier Options-struct entry points (Broadcast, WeakAgree,
-// StrongAgreeBinary, StrongAgree, ReplicateLog) remain as thin
-// wrappers and keep working; new code should prefer the context forms.
-//
 // For networked deployments, lower-level building blocks (the protocol
 // state machines, the TCP runtime, the adversary library, and the
 // experiment harness) live under internal/; the cmd/ binaries expose them
@@ -29,9 +25,9 @@
 package adaptiveba
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"io"
 
 	"adaptiveba/internal/harness"
 	"adaptiveba/internal/types"
@@ -52,37 +48,6 @@ const (
 	// traffic from their identities.
 	FaultReplay FaultPattern = "replay"
 )
-
-// Options configures a run.
-type Options struct {
-	// N is the number of processes (n = 2t+1; even n tolerates the same
-	// t as n-1). Required, at least 3.
-	N int
-	// Faults is the number of corrupted processes f (0 ≤ f ≤ t).
-	Faults int
-	// Pattern selects the corruption behaviour (default FaultCrash).
-	Pattern FaultPattern
-	// Seed drives randomized fault patterns.
-	Seed int64
-	// RealSignatures switches from fast HMAC authenticators to Ed25519.
-	RealSignatures bool
-	// Trace, if non-nil, receives a per-message trace of the run.
-	Trace io.Writer
-	// Threshold overrides the corruption threshold t (default
-	// floor((n-1)/2), the paper's optimal n = 2t+1). N < 2t+1 fails
-	// with ErrNoQuorum.
-	Threshold int
-	// Inflight bounds how many sessions a multi-session run (RunMany,
-	// the replicated log) keeps in flight concurrently; 1 is strictly
-	// serial, 0 pipelines as deeply as the workload allows.
-	Inflight int
-	// Batch is the per-proposer batch size of a batched log run
-	// (ReplicateBatchContext); 0 means 1.
-	Batch int
-	// Sched selects the session scheduling policy of a multi-session
-	// run (Static or Eager; nil = Static). See WithScheduler.
-	Sched Scheduler
-}
 
 // Result reports a completed run.
 type Result struct {
@@ -112,140 +77,102 @@ type Result struct {
 
 // Errors returned by the public API.
 var (
-	// ErrOptions reports invalid Options.
+	// ErrOptions reports invalid options.
 	ErrOptions = errors.New("adaptiveba: invalid options")
 	// ErrInputs reports invalid protocol inputs.
 	ErrInputs = errors.New("adaptiveba: invalid inputs")
 )
 
-// Broadcast runs the adaptive Byzantine Broadcast (paper Algorithms 1–2)
-// with process 0 as the designated sender broadcasting value. When the
-// sender stays correct, the decision is value at every correct process;
-// with a corrupted sender the decision is some common value or ⊥.
-//
-// Deprecated: Use BroadcastContext, which adds cancellation and
-// functional options; this struct form is kept for existing callers
-// and pinned byte-identical by TestAPIParityBroadcast.
-func Broadcast(opts Options, value []byte) (*Result, error) {
-	return broadcastRun(opts, nil, value)
-}
-
-func broadcastRun(opts Options, halt func(types.Tick) bool, value []byte) (*Result, error) {
-	spec, err := baseSpec(opts)
+// BroadcastContext runs the adaptive Byzantine Broadcast (paper
+// Algorithms 1–2) with process 0 as the designated sender broadcasting
+// value. When the sender stays correct, the decision is value at every
+// correct process; with a corrupted sender the decision is some common
+// value or ⊥. The context cancels the run promptly (at tick
+// granularity) with ErrCanceled.
+func BroadcastContext(ctx context.Context, n int, value []byte, opts ...Option) (*Result, error) {
+	spec, err := baseSpec(buildOptions(n, opts))
 	if err != nil {
 		return nil, err
 	}
 	spec.Protocol = harness.ProtocolBB
 	spec.Value = types.Value(value).Clone()
-	spec.Halt = halt
-	return runSpec(spec)
+	return runSpec(ctx, spec)
 }
 
-// WeakAgree runs the adaptive weak Byzantine Agreement (Algorithms 3–4)
-// with one input per process (inputs[i] is process i's proposal) and the
-// given validity predicate; a nil predicate accepts any non-empty value.
-// Unique validity guarantees the decision satisfies the predicate or is ⊥,
-// and ⊥ only when several valid values existed in the run.
-//
-// Deprecated: Use WeakAgreeContext, which adds cancellation and
-// functional options; this struct form is kept for existing callers
-// and pinned byte-identical by TestAPIParityWeakAgree.
-func WeakAgree(opts Options, inputs [][]byte, predicate func([]byte) bool) (*Result, error) {
-	return weakAgreeRun(opts, nil, inputs, predicate)
-}
-
-func weakAgreeRun(opts Options, halt func(types.Tick) bool, inputs [][]byte, predicate func([]byte) bool) (*Result, error) {
-	spec, err := baseSpec(opts)
+// WeakAgreeContext runs the adaptive weak Byzantine Agreement
+// (Algorithms 3–4) with one input per process (inputs[i] is process i's
+// proposal) and the given validity predicate; a nil predicate accepts
+// any non-empty value. Unique validity guarantees the decision satisfies
+// the predicate or is ⊥, and ⊥ only when several valid values existed
+// in the run. The context cancels the run promptly with ErrCanceled.
+func WeakAgreeContext(ctx context.Context, n int, inputs [][]byte, predicate func([]byte) bool, opts ...Option) (*Result, error) {
+	spec, err := baseSpec(buildOptions(n, opts))
 	if err != nil {
 		return nil, err
 	}
-	spec.Halt = halt
-	if len(inputs) != opts.N {
-		return nil, fmt.Errorf("%w: need %d inputs, got %d", ErrInputs, opts.N, len(inputs))
-	}
 	spec.Protocol = harness.ProtocolWBA
-	spec.PerProcessInputs = make([]types.Value, len(inputs))
-	for i, in := range inputs {
-		if len(in) == 0 {
-			return nil, fmt.Errorf("%w: process %d has an empty input", ErrInputs, i)
-		}
-		spec.PerProcessInputs[i] = types.Value(in).Clone()
+	if spec.PerProcessInputs, err = nonEmptyInputs(n, inputs); err != nil {
+		return nil, err
 	}
 	if predicate != nil {
 		spec.Predicate = func(v types.Value) bool { return predicate([]byte(v)) }
 	}
-	return runSpec(spec)
+	return runSpec(ctx, spec)
 }
 
-// StrongAgreeBinary runs the binary strong BA (Algorithm 5): inputs[i] is
-// process i's bit. If all correct processes propose the same bit, that
-// bit is the decision; the cost is O(n) words when no process fails.
-//
-// Deprecated: Use StrongAgreeBinaryContext, which adds cancellation
-// and functional options; this struct form is kept for existing
-// callers and pinned byte-identical by TestAPIParityStrongAgreeBinary.
-func StrongAgreeBinary(opts Options, inputs []bool) (*Result, error) {
-	return strongAgreeBinaryRun(opts, nil, inputs)
-}
-
-func strongAgreeBinaryRun(opts Options, halt func(types.Tick) bool, inputs []bool) (*Result, error) {
-	spec, err := baseSpec(opts)
+// StrongAgreeBinaryContext runs the binary strong BA (Algorithm 5):
+// inputs[i] is process i's bit. If all correct processes propose the
+// same bit, that bit is the decision; the cost is O(n) words when no
+// process fails. The context cancels the run promptly with ErrCanceled.
+func StrongAgreeBinaryContext(ctx context.Context, n int, inputs []bool, opts ...Option) (*Result, error) {
+	spec, err := baseSpec(buildOptions(n, opts))
 	if err != nil {
 		return nil, err
 	}
-	spec.Halt = halt
-	if len(inputs) != opts.N {
-		return nil, fmt.Errorf("%w: need %d inputs, got %d", ErrInputs, opts.N, len(inputs))
+	if len(inputs) != n {
+		return nil, fmt.Errorf("%w: need %d inputs, got %d", ErrInputs, n, len(inputs))
 	}
 	spec.Protocol = harness.ProtocolStrongBA
 	spec.PerProcessInputs = make([]types.Value, len(inputs))
 	for i, b := range inputs {
 		spec.PerProcessInputs[i] = types.BinaryValue(b)
 	}
-	return runSpec(spec)
+	return runSpec(ctx, spec)
 }
 
-// StrongAgree runs multivalued strong Byzantine Agreement: if all correct
-// processes propose the same value, that value is decided. Unlike the
-// adaptive protocols, its cost does not adapt to f — it is the quadratic
-// A_fallback (n parallel authenticated broadcasts and a plurality vote)
-// run directly, provided for completeness of the problem family (the
-// paper's Table 1 cites Momose–Ren for this row).
-//
-// Deprecated: Use StrongAgreeContext, which adds cancellation and
-// functional options; this struct form is kept for existing callers
-// and pinned byte-identical by TestAPIParityStrongAgree.
-func StrongAgree(opts Options, inputs [][]byte) (*Result, error) {
-	return strongAgreeRun(opts, nil, inputs)
-}
-
-// AgreeStrong is the former name of StrongAgree, kept as an alias so
-// existing callers compile unchanged.
-//
-// Deprecated: Use StrongAgree (or StrongAgreeContext). The name now
-// matches its siblings StrongAgreeBinary / StrongAgreeBinaryContext.
-func AgreeStrong(opts Options, inputs [][]byte) (*Result, error) {
-	return StrongAgree(opts, inputs)
-}
-
-func strongAgreeRun(opts Options, halt func(types.Tick) bool, inputs [][]byte) (*Result, error) {
-	spec, err := baseSpec(opts)
+// StrongAgreeContext runs multivalued strong Byzantine Agreement: if all
+// correct processes propose the same value, that value is decided.
+// Unlike the adaptive protocols, its cost does not adapt to f — it is
+// the quadratic A_fallback (n parallel authenticated broadcasts and a
+// plurality vote) run directly, provided for completeness of the problem
+// family (the paper's Table 1 cites Momose–Ren for this row). The
+// context cancels the run promptly with ErrCanceled.
+func StrongAgreeContext(ctx context.Context, n int, inputs [][]byte, opts ...Option) (*Result, error) {
+	spec, err := baseSpec(buildOptions(n, opts))
 	if err != nil {
 		return nil, err
 	}
-	spec.Halt = halt
-	if len(inputs) != opts.N {
-		return nil, fmt.Errorf("%w: need %d inputs, got %d", ErrInputs, opts.N, len(inputs))
-	}
 	spec.Protocol = harness.ProtocolFallback
-	spec.PerProcessInputs = make([]types.Value, len(inputs))
+	if spec.PerProcessInputs, err = nonEmptyInputs(n, inputs); err != nil {
+		return nil, err
+	}
+	return runSpec(ctx, spec)
+}
+
+// nonEmptyInputs validates one non-empty input per process and clones
+// them into protocol values.
+func nonEmptyInputs(n int, inputs [][]byte) ([]types.Value, error) {
+	if len(inputs) != n {
+		return nil, fmt.Errorf("%w: need %d inputs, got %d", ErrInputs, n, len(inputs))
+	}
+	vals := make([]types.Value, len(inputs))
 	for i, in := range inputs {
 		if len(in) == 0 {
 			return nil, fmt.Errorf("%w: process %d has an empty input", ErrInputs, i)
 		}
-		spec.PerProcessInputs[i] = types.Value(in).Clone()
+		vals[i] = types.Value(in).Clone()
 	}
-	return runSpec(spec)
+	return vals, nil
 }
 
 // Bit converts a binary decision back to a bool. ok is false for ⊥ or
@@ -260,34 +187,34 @@ func (r *Result) Bit() (bit, ok bool) {
 
 // baseSpec validates options into a harness spec. Failures carry the
 // typed sentinels (ErrBadN, ErrTooManyFaults, ErrNoQuorum), each of
-// which also matches the legacy ErrOptions class.
-func baseSpec(opts Options) (harness.Spec, error) {
-	if opts.N < 3 {
-		return harness.Spec{}, fmt.Errorf("%w: n=%d (need at least 3)", ErrBadN, opts.N)
+// which also matches the broad ErrOptions class.
+func baseSpec(opts options) (harness.Spec, error) {
+	if opts.n < 3 {
+		return harness.Spec{}, fmt.Errorf("%w: n=%d (need at least 3)", ErrBadN, opts.n)
 	}
 	var params types.Params
 	var err error
-	if opts.Threshold != 0 {
-		params, err = types.Custom(opts.N, opts.Threshold)
+	if opts.threshold != 0 {
+		params, err = types.Custom(opts.n, opts.threshold)
 		if err != nil {
 			return harness.Spec{}, fmt.Errorf("%w: n=%d cannot tolerate t=%d (%v)",
-				ErrNoQuorum, opts.N, opts.Threshold, err)
+				ErrNoQuorum, opts.n, opts.threshold, err)
 		}
-	} else if params, err = types.NewParams(opts.N); err != nil {
+	} else if params, err = types.NewParams(opts.n); err != nil {
 		return harness.Spec{}, fmt.Errorf("%w: %v", ErrBadN, err)
 	}
-	if opts.Faults < 0 || opts.Faults > params.T {
-		return harness.Spec{}, fmt.Errorf("%w: f=%d with t=%d", ErrTooManyFaults, opts.Faults, params.T)
+	if opts.faults < 0 || opts.faults > params.T {
+		return harness.Spec{}, fmt.Errorf("%w: f=%d with t=%d", ErrTooManyFaults, opts.faults, params.T)
 	}
 	spec := harness.Spec{
-		N:       opts.N,
-		T:       opts.Threshold,
-		F:       opts.Faults,
-		Seed:    opts.Seed,
-		Ed25519: opts.RealSignatures,
-		Trace:   opts.Trace,
+		N:       opts.n,
+		T:       opts.threshold,
+		F:       opts.faults,
+		Seed:    opts.seed,
+		Ed25519: opts.realSignatures,
+		Trace:   opts.trace,
 	}
-	switch opts.Pattern {
+	switch opts.pattern {
 	case "", FaultCrash:
 		spec.Fault = harness.FaultCrash
 	case FaultCrashLeader:
@@ -295,16 +222,17 @@ func baseSpec(opts Options) (harness.Spec, error) {
 	case FaultReplay:
 		spec.Fault = harness.FaultReplay
 	default:
-		return harness.Spec{}, fmt.Errorf("%w: unknown fault pattern %q", ErrOptions, opts.Pattern)
+		return harness.Spec{}, fmt.Errorf("%w: unknown fault pattern %q", ErrOptions, opts.pattern)
 	}
 	return spec, nil
 }
 
-// runSpec executes and converts the outcome.
-func runSpec(spec harness.Spec) (*Result, error) {
+// runSpec executes the spec under ctx and converts the outcome.
+func runSpec(ctx context.Context, spec harness.Spec) (*Result, error) {
+	spec.Halt = haltFrom(ctx)
 	o, err := harness.Run(spec)
 	if err != nil {
-		return nil, err
+		return nil, mapCanceled(ctx, err)
 	}
 	res := &Result{
 		Bottom:            o.Decision.IsBottom(),

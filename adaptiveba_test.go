@@ -2,14 +2,18 @@ package adaptiveba
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"testing"
 )
 
+// bg is the context of every test run that exercises no cancellation.
+var bg = context.Background()
+
 func TestBroadcastFailureFree(t *testing.T) {
-	res, err := Broadcast(Options{N: 9}, []byte("block-42"))
+	res, err := BroadcastContext(bg, 9, []byte("block-42"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +32,7 @@ func TestBroadcastFailureFree(t *testing.T) {
 }
 
 func TestBroadcastWithCrashes(t *testing.T) {
-	res, err := Broadcast(Options{N: 9, Faults: 2}, []byte("v"))
+	res, err := BroadcastContext(bg, 9, []byte("v"), WithFaults(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +45,7 @@ func TestBroadcastWithCrashes(t *testing.T) {
 }
 
 func TestBroadcastCrashedSender(t *testing.T) {
-	res, err := Broadcast(Options{N: 9, Faults: 1, Pattern: FaultCrashLeader}, []byte("v"))
+	res, err := BroadcastContext(bg, 9, []byte("v"), WithFaults(1), WithPattern(FaultCrashLeader))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +62,7 @@ func TestWeakAgreeUnanimous(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = []byte("same")
 	}
-	res, err := WeakAgree(Options{N: 9}, inputs, nil)
+	res, err := WeakAgreeContext(bg, 9, inputs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +77,7 @@ func TestWeakAgreePredicate(t *testing.T) {
 		inputs[i] = []byte(fmt.Sprintf("tx:%d", i))
 	}
 	pred := func(v []byte) bool { return bytes.HasPrefix(v, []byte("tx:")) }
-	res, err := WeakAgree(Options{N: 5}, inputs, pred)
+	res, err := WeakAgreeContext(bg, 5, inputs, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +90,11 @@ func TestWeakAgreePredicate(t *testing.T) {
 }
 
 func TestWeakAgreeInputValidation(t *testing.T) {
-	if _, err := WeakAgree(Options{N: 5}, make([][]byte, 3), nil); !errors.Is(err, ErrInputs) {
+	if _, err := WeakAgreeContext(bg, 5, make([][]byte, 3), nil); !errors.Is(err, ErrInputs) {
 		t.Errorf("wrong input count: %v", err)
 	}
 	inputs := [][]byte{[]byte("a"), nil, []byte("c"), []byte("d"), []byte("e")}
-	if _, err := WeakAgree(Options{N: 5}, inputs, nil); !errors.Is(err, ErrInputs) {
+	if _, err := WeakAgreeContext(bg, 5, inputs, nil); !errors.Is(err, ErrInputs) {
 		t.Errorf("empty input: %v", err)
 	}
 }
@@ -100,7 +104,7 @@ func TestStrongAgreeBinaryUnanimous(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = true
 	}
-	res, err := StrongAgreeBinary(Options{N: 9}, inputs)
+	res, err := StrongAgreeBinaryContext(bg, 9, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestStrongAgreeBinarySplit(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = i%2 == 0
 	}
-	res, err := StrongAgreeBinary(Options{N: 9, Faults: 1}, inputs)
+	res, err := StrongAgreeBinaryContext(bg, 9, inputs, WithFaults(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,26 +135,26 @@ func TestStrongAgreeBinarySplit(t *testing.T) {
 }
 
 func TestStrongAgreeInputValidation(t *testing.T) {
-	if _, err := StrongAgreeBinary(Options{N: 5}, []bool{true}); !errors.Is(err, ErrInputs) {
+	if _, err := StrongAgreeBinaryContext(bg, 5, []bool{true}); !errors.Is(err, ErrInputs) {
 		t.Errorf("wrong input count: %v", err)
 	}
 }
 
 func TestOptionsValidation(t *testing.T) {
-	if _, err := Broadcast(Options{N: 1}, []byte("v")); !errors.Is(err, ErrOptions) {
+	if _, err := BroadcastContext(bg, 1, []byte("v")); !errors.Is(err, ErrOptions) {
 		t.Errorf("tiny n: %v", err)
 	}
-	if _, err := Broadcast(Options{N: 5, Faults: 3}, []byte("v")); !errors.Is(err, ErrOptions) {
+	if _, err := BroadcastContext(bg, 5, []byte("v"), WithFaults(3)); !errors.Is(err, ErrOptions) {
 		t.Errorf("f > t: %v", err)
 	}
-	if _, err := Broadcast(Options{N: 5, Pattern: "weird"}, []byte("v")); !errors.Is(err, ErrOptions) {
+	if _, err := BroadcastContext(bg, 5, []byte("v"), WithPattern("weird")); !errors.Is(err, ErrOptions) {
 		t.Errorf("bad pattern: %v", err)
 	}
 }
 
 func TestTraceOption(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Broadcast(Options{N: 5, Trace: &buf}, []byte("v")); err != nil {
+	if _, err := BroadcastContext(bg, 5, []byte("v"), WithTrace(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "bb/sender") {
@@ -159,7 +163,7 @@ func TestTraceOption(t *testing.T) {
 }
 
 func TestLayerWordsExposed(t *testing.T) {
-	res, err := Broadcast(Options{N: 9, Faults: 1}, []byte("v"))
+	res, err := BroadcastContext(bg, 9, []byte("v"), WithFaults(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +179,7 @@ func TestLayerWordsExposed(t *testing.T) {
 }
 
 func TestRealSignatures(t *testing.T) {
-	res, err := Broadcast(Options{N: 5, RealSignatures: true}, []byte("v"))
+	res, err := BroadcastContext(bg, 5, []byte("v"), WithRealSignatures())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +189,7 @@ func TestRealSignatures(t *testing.T) {
 }
 
 func TestReplayPattern(t *testing.T) {
-	res, err := Broadcast(Options{N: 9, Faults: 2, Pattern: FaultReplay, Seed: 5}, []byte("v"))
+	res, err := BroadcastContext(bg, 9, []byte("v"), WithFaults(2), WithPattern(FaultReplay), WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +203,7 @@ func TestAgreeStrongMultivalued(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = []byte("ledger-head-7f3a")
 	}
-	res, err := AgreeStrong(Options{N: 9, Faults: 3}, inputs)
+	res, err := StrongAgreeContext(bg, 9, inputs, WithFaults(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +220,11 @@ func TestAgreeStrongMultivalued(t *testing.T) {
 }
 
 func TestAgreeStrongValidation(t *testing.T) {
-	if _, err := AgreeStrong(Options{N: 5}, make([][]byte, 2)); !errors.Is(err, ErrInputs) {
+	if _, err := StrongAgreeContext(bg, 5, make([][]byte, 2)); !errors.Is(err, ErrInputs) {
 		t.Errorf("wrong count: %v", err)
 	}
 	inputs := [][]byte{[]byte("a"), {}, []byte("c"), []byte("d"), []byte("e")}
-	if _, err := AgreeStrong(Options{N: 5}, inputs); !errors.Is(err, ErrInputs) {
+	if _, err := StrongAgreeContext(bg, 5, inputs); !errors.Is(err, ErrInputs) {
 		t.Errorf("empty input: %v", err)
 	}
 }

@@ -11,124 +11,8 @@ import (
 	"time"
 )
 
-// apiGrid is the full fault-pattern grid the parity tests sweep.
-var apiGrid = []struct {
-	pattern FaultPattern
-	faults  []int
-}{
-	{FaultCrash, []int{0, 1, 2}},
-	{FaultCrashLeader, []int{1, 2}},
-	{FaultReplay, []int{1, 2}},
-}
-
-// TestAPIParityBroadcast proves the option-based context entry point
-// and the legacy struct form produce byte-identical Results over the
-// full fault-pattern grid.
-func TestAPIParityBroadcast(t *testing.T) {
-	const n = 5
-	for _, g := range apiGrid {
-		for _, f := range g.faults {
-			legacy, lerr := Broadcast(Options{N: n, Faults: f, Pattern: g.pattern, Seed: 42}, []byte("cmd"))
-			modern, merr := BroadcastContext(context.Background(), n, []byte("cmd"),
-				WithFaults(f), WithPattern(g.pattern), WithSeed(42))
-			if lerr != nil || merr != nil {
-				t.Fatalf("%s f=%d: legacy err %v, modern err %v", g.pattern, f, lerr, merr)
-			}
-			if !reflect.DeepEqual(legacy, modern) {
-				t.Errorf("%s f=%d: results differ\nlegacy: %+v\nmodern: %+v", g.pattern, f, legacy, modern)
-			}
-		}
-	}
-}
-
-func TestAPIParityWeakAgree(t *testing.T) {
-	const n = 5
-	inputs := make([][]byte, n)
-	for i := range inputs {
-		inputs[i] = []byte(fmt.Sprintf("v%d", i))
-	}
-	pred := func(b []byte) bool { return len(b) > 0 }
-	for _, g := range apiGrid {
-		for _, f := range g.faults {
-			legacy, lerr := WeakAgree(Options{N: n, Faults: f, Pattern: g.pattern, Seed: 42}, inputs, pred)
-			modern, merr := WeakAgreeContext(context.Background(), n, inputs, pred,
-				WithFaults(f), WithPattern(g.pattern), WithSeed(42))
-			if lerr != nil || merr != nil {
-				t.Fatalf("%s f=%d: legacy err %v, modern err %v", g.pattern, f, lerr, merr)
-			}
-			if !reflect.DeepEqual(legacy, modern) {
-				t.Errorf("%s f=%d: results differ\nlegacy: %+v\nmodern: %+v", g.pattern, f, legacy, modern)
-			}
-		}
-	}
-}
-
-func TestAPIParityStrongAgreeBinary(t *testing.T) {
-	const n = 5
-	inputs := []bool{true, false, true, false, true}
-	for _, g := range apiGrid {
-		for _, f := range g.faults {
-			legacy, lerr := StrongAgreeBinary(Options{N: n, Faults: f, Pattern: g.pattern, Seed: 42}, inputs)
-			modern, merr := StrongAgreeBinaryContext(context.Background(), n, inputs,
-				WithFaults(f), WithPattern(g.pattern), WithSeed(42))
-			if lerr != nil || merr != nil {
-				t.Fatalf("%s f=%d: legacy err %v, modern err %v", g.pattern, f, lerr, merr)
-			}
-			if !reflect.DeepEqual(legacy, modern) {
-				t.Errorf("%s f=%d: results differ\nlegacy: %+v\nmodern: %+v", g.pattern, f, legacy, modern)
-			}
-		}
-	}
-}
-
-// TestAPIParityStrongAgree covers the naming fix all at once: the
-// canonical StrongAgree, the deprecated AgreeStrong alias, and the
-// context form all agree byte for byte.
-func TestAPIParityStrongAgree(t *testing.T) {
-	const n = 5
-	inputs := make([][]byte, n)
-	for i := range inputs {
-		inputs[i] = []byte("same")
-	}
-	for _, g := range apiGrid {
-		for _, f := range g.faults {
-			opts := Options{N: n, Faults: f, Pattern: g.pattern, Seed: 42}
-			canonical, cerr := StrongAgree(opts, inputs)
-			alias, aerr := AgreeStrong(opts, inputs)
-			modern, merr := StrongAgreeContext(context.Background(), n, inputs,
-				WithFaults(f), WithPattern(g.pattern), WithSeed(42))
-			if cerr != nil || aerr != nil || merr != nil {
-				t.Fatalf("%s f=%d: errs %v / %v / %v", g.pattern, f, cerr, aerr, merr)
-			}
-			if !reflect.DeepEqual(canonical, alias) {
-				t.Errorf("%s f=%d: AgreeStrong alias diverges from StrongAgree", g.pattern, f)
-			}
-			if !reflect.DeepEqual(canonical, modern) {
-				t.Errorf("%s f=%d: results differ\nlegacy: %+v\nmodern: %+v", g.pattern, f, canonical, modern)
-			}
-		}
-	}
-}
-
-func TestAPIParityReplicateLog(t *testing.T) {
-	const n, slots = 5, 5
-	queues := make([][][]byte, n)
-	for i := range queues {
-		queues[i] = [][]byte{[]byte(fmt.Sprintf("SET k%d p%d", i, i))}
-	}
-	legacy, lerr := ReplicateLog(Options{N: n, Faults: 1, Seed: 42}, queues, slots)
-	modern, merr := ReplicateLogContext(context.Background(), n, queues, slots,
-		WithFaults(1), WithSeed(42))
-	if lerr != nil || merr != nil {
-		t.Fatalf("legacy err %v, modern err %v", lerr, merr)
-	}
-	if !reflect.DeepEqual(legacy, modern) {
-		t.Errorf("results differ\nlegacy: %+v\nmodern: %+v", legacy, modern)
-	}
-}
-
 // TestSentinelErrors pins the typed error identities — and that each
-// still matches the legacy broad class existing callers test for.
+// still matches the broad class it refines.
 func TestSentinelErrors(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -148,12 +32,8 @@ func TestSentinelErrors(t *testing.T) {
 			_, err := BroadcastContext(ctx, 5, []byte("v"), WithThreshold(3))
 			return err
 		}, []error{ErrNoQuorum, ErrOptions}},
-		{"legacy bad n", func() error {
-			_, err := Broadcast(Options{N: 2}, []byte("v"))
-			return err
-		}, []error{ErrBadN, ErrOptions}},
-		{"legacy too many faults", func() error {
-			_, err := WeakAgree(Options{N: 5, Faults: 9}, nil, nil)
+		{"too many faults before inputs", func() error {
+			_, err := WeakAgreeContext(ctx, 5, nil, nil, WithFaults(9))
 			return err
 		}, []error{ErrTooManyFaults, ErrOptions}},
 		{"run many bad pattern", func() error {
@@ -254,15 +134,15 @@ func TestRunManyMatchesSolo(t *testing.T) {
 	}
 	bits := []bool{true, true, true, true, true}
 
-	soloBB, err := Broadcast(Options{N: n, Faults: 1}, []byte("cmd"))
+	soloBB, err := BroadcastContext(bg, n, []byte("cmd"), WithFaults(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	soloWBA, err := WeakAgree(Options{N: n, Faults: 1}, wbaInputs, nil)
+	soloWBA, err := WeakAgreeContext(bg, n, wbaInputs, nil, WithFaults(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	soloSBA, err := StrongAgreeBinary(Options{N: n, Faults: 1}, bits)
+	soloSBA, err := StrongAgreeBinaryContext(bg, n, bits, WithFaults(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // batch for ReplicateBatchContext (default 1). Larger batches amortize
 // the round's word cost over more commands without changing which
 // proposers' batches commit.
-func WithBatch(b int) Option { return func(o *Options) { o.Batch = b } }
+func WithBatch(b int) Option { return func(o *options) { o.batch = b } }
 
 // BatchRound summarizes one committed ACS round of a batched log run.
 type BatchRound struct {
@@ -79,15 +79,15 @@ func ReplicateBatchContext(ctx context.Context, n int, queues [][][]byte, rounds
 		return nil, err
 	}
 	var leader bool
-	switch merged.Pattern {
+	switch merged.pattern {
 	case "", FaultCrash:
 	case FaultCrashLeader:
 		leader = true
 	default:
 		return nil, fmt.Errorf("%w: pattern %q is not supported by batched runs (crash patterns only)",
-			ErrOptions, merged.Pattern)
+			ErrOptions, merged.pattern)
 	}
-	batch := merged.Batch
+	batch := merged.batch
 	if batch == 0 {
 		batch = 1
 	}
@@ -110,10 +110,10 @@ func ReplicateBatchContext(ctx context.Context, n int, queues [][][]byte, rounds
 	}
 
 	rep, err := engine.RunACSLog(engine.Config{
-		N: n, T: merged.Threshold, F: spec.F, LeaderFault: leader,
-		Inflight: merged.Inflight, Seed: merged.Seed,
-		Ed25519: merged.RealSignatures, Trace: merged.Trace,
-		Halt: haltFrom(ctx), Scheduler: merged.Sched,
+		N: n, T: merged.threshold, F: spec.F, LeaderFault: leader,
+		Inflight: merged.inflight, Seed: merged.seed,
+		Ed25519: merged.realSignatures, Trace: merged.trace,
+		Halt: haltFrom(ctx), Scheduler: merged.sched,
 	}, qs, rounds, batch)
 	if err != nil {
 		return nil, mapCanceled(ctx, err)

@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 
+	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/harness"
 	"adaptiveba/internal/plot"
 )
@@ -46,21 +47,14 @@ func run(args []string, out io.Writer) error {
 		certmode   = fs.String("certmode", "compact", "sweep threshold certificate encoding: compact | aggregate")
 		nocache    = fs.Bool("no-verify-cache", false, "sweep with the verification fast path disabled")
 		tickW      = fs.Int("tick-workers", 0, "per-tick worker count inside one run (0 = one per CPU, 1 = serial); any value yields identical output")
-		benchOut   = fs.String("bench-json", "", "run the sweep cached AND uncached, write a machine-readable A/B report to this path")
-		benchSim   = fs.String("bench-sim-json", "", "run the sweep serial AND parallel (tick workers 1 vs GOMAXPROCS), write a machine-readable A/B report to this path")
-		benchNet   = fs.String("bench-net-json", "", "A/B the transport send paths (batched vs -legacy-send) over loopback TCP, write a machine-readable report to this path")
 		benchEng   = fs.String("bench-engine-json", "", "A/B the multi-session engine's pipelined replicated log against serial slot-at-a-time execution, write a machine-readable report to this path")
 		sessions   = fs.Int("sessions", 64, "engine A/B: total log slots per run")
 		inflight   = fs.String("inflight", "1,4,16,64", "engine A/B: admission windows to measure (comma-separated; serial baseline first)")
-		benchAdmit = fs.String("bench-admit-json", "", "A/B the eager (decision-driven) session schedule against the static stride over the (n, f, inflight) grid, write a machine-readable report to this path")
 		benchACS   = fs.String("bench-acs-json", "", "A/B the batched ACS log against the single-proposer pipelined log over the (n, batch, f) grid, write a machine-readable report to this path")
 		batchesFl  = fs.String("batches", "1,16,64", "acs A/B: per-proposer batch sizes to measure (comma-separated)")
 		benchExp   = fs.String("bench-explore-json", "", "run the adversarial schedule search over the full (n, 0..t) grid, write worst-words-vs-envelope to this path")
 		benchScale = fs.String("bench-scale-json", "", "sweep the large-n grid (adaptive BB vs committee sampling vs floodset over n ∈ -scale-ns × f ∈ {0,1,√n,t}), write a machine-readable report to this path")
 		scaleNs    = fs.String("scale-ns", "64,256,1024,4096", "scale sweep: n values (comma-separated)")
-		benchSvc   = fs.String("bench-svc-json", "", "measure the replicated KV service (req/s and words/request, anchored vs inline, over -svc-sizes), write a machine-readable report to this path")
-		svcSizes   = fs.String("svc-sizes", "16,256,4096,32768", "service bench: payload sizes in bytes (comma-separated, ascending)")
-		svcReqs    = fs.Int("svc-requests", 24, "service bench: requests per cell")
 		expSeed    = fs.Int64("seed", 1, "explore sweep: search seed (whole report is a pure function of it)")
 		expGens    = fs.Int("generations", 3, "explore sweep: generations per grid point")
 		expPop     = fs.Int("population", 6, "explore sweep: population per generation")
@@ -100,24 +94,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *benchOut != "" {
-		ns, err := parseInts(*nsFlag)
-		if err != nil {
-			return fmt.Errorf("-ns: %w", err)
-		}
-		fvals, err := parseInts(*fsFlag)
-		if err != nil {
-			return fmt.Errorf("-fs: %w", err)
-		}
-		return runBenchJSON(out, *benchOut, pool, harness.Spec{
-			Protocol:    harness.Protocol(*protocol),
-			Fault:       harness.Fault(*fault),
-			Ed25519:     *ed25519,
-			CertMode:    mode,
-			CountOps:    true,
-			TickWorkers: *tickW,
-		}, ns, fvals)
-	}
 	if *benchEng != "" {
 		// The engine A/B has its own default mesh sizes; -ns overrides.
 		nsStr, explicit := "9,17,33", false
@@ -138,28 +114,6 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-inflight: %w", err)
 		}
 		return runBenchEngineJSON(out, *benchEng, ns, *sessions, windows)
-	}
-	if *benchAdmit != "" {
-		// The admission A/B has its own default mesh sizes and window list
-		// (the ISSUE's X-ADMIT grid); -ns and -inflight override.
-		nsStr, winStr := "9,17,33", "4,16"
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "ns":
-				nsStr = *nsFlag
-			case "inflight":
-				winStr = *inflight
-			}
-		})
-		ns, err := parseInts(nsStr)
-		if err != nil {
-			return fmt.Errorf("-ns: %w", err)
-		}
-		windows, err := parseInts(winStr)
-		if err != nil {
-			return fmt.Errorf("-inflight: %w", err)
-		}
-		return runBenchAdmitJSON(out, *benchAdmit, ns, *sessions, windows)
 	}
 	if *benchACS != "" {
 		// The ACS A/B has its own default mesh sizes and round count; -ns
@@ -201,56 +155,12 @@ func run(args []string, out io.Writer) error {
 		}
 		return runBenchExploreJSON(out, *benchExp, proto, ns, *expSeed, *expGens, *expPop, *workers)
 	}
-	if *benchNet != "" {
-		// The network A/B has its own default mesh sizes; -ns overrides.
-		nsStr, explicit := "9,17,33", false
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "ns" {
-				explicit = true
-			}
-		})
-		if explicit {
-			nsStr = *nsFlag
-		}
-		ns, err := parseInts(nsStr)
-		if err != nil {
-			return fmt.Errorf("-ns: %w", err)
-		}
-		return runBenchNetJSON(out, *benchNet, ns)
-	}
-	if *benchSim != "" {
-		ns, err := parseInts(*nsFlag)
-		if err != nil {
-			return fmt.Errorf("-ns: %w", err)
-		}
-		fvals, err := parseInts(*fsFlag)
-		if err != nil {
-			return fmt.Errorf("-fs: %w", err)
-		}
-		return runBenchSimJSON(out, *benchSim, harness.Spec{
-			Protocol:      harness.Protocol(*protocol),
-			Fault:         harness.Fault(*fault),
-			Ed25519:       *ed25519,
-			CertMode:      mode,
-			NoVerifyCache: *nocache,
-		}, ns, fvals)
-	}
 	if *benchScale != "" {
 		ns, err := parseInts(*scaleNs)
 		if err != nil {
 			return fmt.Errorf("-scale-ns: %w", err)
 		}
 		return runBenchScaleJSON(out, *benchScale, ns)
-	}
-	if *benchSvc != "" {
-		sizes, err := parseInts(*svcSizes)
-		if err != nil {
-			return fmt.Errorf("-svc-sizes: %w", err)
-		}
-		if *svcReqs < 1 {
-			return fmt.Errorf("-svc-requests: need at least 1")
-		}
-		return runBenchSvcJSON(out, *benchSvc, sizes, *svcReqs)
 	}
 	switch {
 	case *list:
@@ -328,6 +238,18 @@ func renderSweep(protocol string, outcomes []harness.Outcome) string {
 		YLabel: "words",
 		LogY:   true,
 	}, series...)
+}
+
+// parseCertMode maps the -certmode flag to a threshold encoding.
+func parseCertMode(s string) (threshold.Mode, error) {
+	switch s {
+	case "compact":
+		return threshold.ModeCompact, nil
+	case "aggregate":
+		return threshold.ModeAggregate, nil
+	default:
+		return 0, fmt.Errorf("-certmode: unknown mode %q (compact | aggregate)", s)
+	}
 }
 
 // parseInts parses a comma-separated integer list.

@@ -86,79 +86,6 @@ func TestSweepPlot(t *testing.T) {
 	}
 }
 
-func TestBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var out bytes.Buffer
-	err := run([]string{
-		"-bench-json", path, "-protocol", "bb",
-		"-ns", "5,9", "-fs", "0,1", "-certmode", "aggregate",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "csv_identical=true") {
-		t.Errorf("summary missing determinism check:\n%s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep cryptoBench
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if !rep.CSVIdentical {
-		t.Error("cached and uncached CSVs differ")
-	}
-	if rep.Cached.Words != rep.Uncached.Words || rep.Cached.Messages != rep.Uncached.Messages {
-		t.Errorf("word/message counts differ across cache modes: %+v vs %+v", rep.Cached, rep.Uncached)
-	}
-	if rep.Cached.VerifyOps >= rep.Uncached.VerifyOps {
-		t.Errorf("cache saved no verifications: %d vs %d", rep.Cached.VerifyOps, rep.Uncached.VerifyOps)
-	}
-	if rep.Cached.CacheHits == 0 {
-		t.Error("no cache hits recorded")
-	}
-	if rep.Scheme != "hmac" || rep.CertMode != "aggregate" {
-		t.Errorf("metadata wrong: scheme=%q cert_mode=%q", rep.Scheme, rep.CertMode)
-	}
-}
-
-func TestBenchSimJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench_sim.json")
-	var out bytes.Buffer
-	err := run([]string{
-		"-bench-sim-json", path, "-protocol", "bb",
-		"-ns", "5,9", "-fs", "0,1",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "csv_identical=true") {
-		t.Errorf("summary missing determinism check:\n%s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep simBench
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if !rep.CSVIdentical {
-		t.Error("serial and parallel CSVs differ")
-	}
-	if rep.Serial.TickWorkers != 1 || rep.Parallel.TickWorkers < 2 {
-		t.Errorf("arm worker counts wrong: serial=%d parallel=%d", rep.Serial.TickWorkers, rep.Parallel.TickWorkers)
-	}
-	if rep.Serial.Words != rep.Parallel.Words || rep.Serial.Messages != rep.Parallel.Messages || rep.Serial.Ticks != rep.Parallel.Ticks {
-		t.Errorf("measurements differ across tick-worker counts: %+v vs %+v", rep.Serial, rep.Parallel)
-	}
-	if rep.PoolWorkers != 1 {
-		t.Errorf("pool workers not pinned to 1: %d", rep.PoolWorkers)
-	}
-}
-
 func TestBenchACSJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench_acs.json")
 	var out bytes.Buffer
@@ -242,51 +169,5 @@ func TestBadCertMode(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-sweep", "-ns", "5", "-fs", "0", "-certmode", "bogus"}, &out); err == nil {
 		t.Error("bogus certmode accepted")
-	}
-}
-
-func TestBenchSvcJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench_svc.json")
-	var out bytes.Buffer
-	err := run([]string{
-		"-bench-svc-json", path, "-svc-sizes", "16,2048", "-svc-requests", "4",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep svcBench
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(rep.Cells) != 4 { // 2 sizes × {inline, anchored}
-		t.Fatalf("got %d cells, want 4", len(rep.Cells))
-	}
-	for _, c := range rep.Cells {
-		if c.Requests != 4 || c.ReqPerSec <= 0 || c.WireWordsPerRequest <= 0 {
-			t.Errorf("degenerate cell: %+v", c)
-		}
-	}
-	// The acceptance property: anchored cost is payload-size-independent,
-	// inline grows with the payload.
-	if rep.AnchoredLargeOverSmall <= 0 || rep.AnchoredLargeOverSmall > 2 {
-		t.Errorf("anchored large/small ratio %.2f not within constant factor", rep.AnchoredLargeOverSmall)
-	}
-	if rep.InlineLargeOverSmall <= rep.AnchoredLargeOverSmall {
-		t.Errorf("inline ratio %.2f not above anchored %.2f",
-			rep.InlineLargeOverSmall, rep.AnchoredLargeOverSmall)
-	}
-}
-
-func TestBenchSvcBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-bench-svc-json", "x.json", "-svc-sizes", "nope"}, &out); err == nil {
-		t.Error("bad -svc-sizes accepted")
-	}
-	if err := run([]string{"-bench-svc-json", "x.json", "-svc-requests", "0"}, &out); err == nil {
-		t.Error("zero -svc-requests accepted")
 	}
 }

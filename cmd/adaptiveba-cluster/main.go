@@ -48,7 +48,6 @@ func run(args []string, out io.Writer) error {
 		dial       = fs.Duration("dial", 3*time.Second, "per-peer connection deadline (crashed peers are written off after it)")
 		timeout    = fs.Duration("timeout", 60*time.Second, "overall deadline")
 		flushEvery = fs.Int("flush-every", 0, "per-peer outbox bound in bytes before backpressure drops (0 = default 4MiB)")
-		legacySend = fs.Bool("legacy-send", false, "use the synchronous per-message send path instead of batched outboxes")
 
 		chaosSeed      = fs.Int64("chaos-seed", 1, "seed for the chaos fault schedule (per-node streams are derived from it)")
 		chaosDrop      = fs.Float64("chaos-drop", 0, "per-frame chaos loss probability (0..1); enables chaos injection")
@@ -126,7 +125,6 @@ func run(args []string, out io.Writer) error {
 			DialTimeout:  *dial,
 			Recorder:     rec,
 			FlushBytes:   *flushEvery,
-			LegacySend:   *legacySend,
 			Chaos:        nodeChaos,
 			// The crashed peers never answer the barrier; nodes proceed
 			// when the live ones are ready.

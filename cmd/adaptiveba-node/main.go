@@ -52,7 +52,6 @@ func run(args []string) error {
 		seed       = fs.String("seed", "cluster-seed", "shared trusted-setup seed")
 		tick       = fs.Duration("tick", 25*time.Millisecond, "tick interval (δ)")
 		flushEvery = fs.Int("flush-every", 0, "per-peer outbox bound in bytes before backpressure drops (0 = default 4MiB)")
-		legacySend = fs.Bool("legacy-send", false, "use the synchronous per-message send path instead of batched outboxes")
 		verbose    = fs.Bool("v", false, "verbose transport logging")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -88,7 +87,6 @@ func run(args []string) error {
 		TickInterval: *tick,
 		Recorder:     rec,
 		FlushBytes:   *flushEvery,
-		LegacySend:   *legacySend,
 	}
 	if *verbose {
 		cfg.Logf = func(format string, a ...any) {

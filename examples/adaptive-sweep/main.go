@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 	fmt.Printf("%4s %16s %16s %18s\n", "f", "words (crash)", "words (worst)", "quadratic baseline")
 
 	for _, f := range []int{0, 1, 2, 4, 6, 8, 10} {
-		crash, err := adaptiveba.Broadcast(adaptiveba.Options{N: n, Faults: f}, []byte("v"))
+		crash, err := adaptiveba.BroadcastContext(context.Background(), n, []byte("v"), adaptiveba.WithFaults(f))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	check := func(name string, cond bool) {
 		status := "ok"
 		if !cond {
@@ -31,9 +33,8 @@ func main() {
 	for i := range inputs {
 		inputs[i] = []byte(fmt.Sprintf("proposal-%d", i))
 	}
-	res, err := adaptiveba.WeakAgree(adaptiveba.Options{
-		N: 9, Faults: 2, Pattern: adaptiveba.FaultReplay, Seed: 99,
-	}, inputs, nil)
+	res, err := adaptiveba.WeakAgreeContext(ctx, 9, inputs, nil,
+		adaptiveba.WithFaults(2), adaptiveba.WithPattern(adaptiveba.FaultReplay), adaptiveba.WithSeed(99))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,9 +43,8 @@ func main() {
 	check("decision is a real proposal or ⊥", res.Bottom || bytes.HasPrefix(res.Decision, []byte("proposal-")))
 
 	fmt.Println("\nByzantine Broadcast, n=9, crashed sender:")
-	res, err = adaptiveba.Broadcast(adaptiveba.Options{
-		N: 9, Faults: 1, Pattern: adaptiveba.FaultCrashLeader,
-	}, []byte("never sent"))
+	res, err = adaptiveba.BroadcastContext(ctx, 9, []byte("never sent"),
+		adaptiveba.WithFaults(1), adaptiveba.WithPattern(adaptiveba.FaultCrashLeader))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func main() {
 	for i := range bits {
 		bits[i] = true
 	}
-	res, err = adaptiveba.StrongAgreeBinary(adaptiveba.Options{N: 9, Faults: 4}, bits)
+	res, err = adaptiveba.StrongAgreeBinaryContext(ctx, 9, bits, adaptiveba.WithFaults(4))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,8 +13,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
+
 	// A failure-free run: the adaptive protocol pays O(n) words.
-	res, err := adaptiveba.Broadcast(adaptiveba.Options{N: 9}, []byte("block #4921"))
+	res, err := adaptiveba.BroadcastContext(ctx, 9, []byte("block #4921"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -23,7 +26,7 @@ func main() {
 
 	// The same broadcast with two crashed processes: the vetting phases
 	// wake up, costing ~O(n) extra words per failure — not O(n²).
-	res2, err := adaptiveba.Broadcast(adaptiveba.Options{N: 9, Faults: 2}, []byte("block #4921"))
+	res2, err := adaptiveba.BroadcastContext(ctx, 9, []byte("block #4921"), adaptiveba.WithFaults(2))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -521,29 +521,36 @@ func expSMR(Pool) (string, error) {
 			}
 			adv = adversary.NewCrash(ids...)
 		}
-		var budget types.Tick
+		cfgFor := func(id types.ProcessID) smr.Config {
+			return smr.Config{
+				Params: params, Crypto: crypto, ID: id, Tag: "exp", Slots: 9,
+				Stride: stride,
+				Queue: []types.Value{
+					types.Value(fmt.Sprintf("cmd-%d-0", id)),
+					types.Value(fmt.Sprintf("cmd-%d-1", id)),
+				},
+			}
+		}
+		// The tick budget comes from a probe replica: the factory below
+		// only runs inside sim.Run, after the config has been read.
+		probe, err := smr.NewMachine(cfgFor(0))
+		if err != nil {
+			return err
+		}
 		machines := make(map[types.ProcessID]*smr.Machine)
 		res, err := sim.Run(sim.Config{
 			Params: params,
 			Crypto: crypto,
 			Factory: func(id types.ProcessID) proto.Machine {
-				m, err := smr.NewMachine(smr.Config{
-					Params: params, Crypto: crypto, ID: id, Tag: "exp", Slots: 9,
-					Stride: stride,
-					Queue: []types.Value{
-						types.Value(fmt.Sprintf("cmd-%d-0", id)),
-						types.Value(fmt.Sprintf("cmd-%d-1", id)),
-					},
-				})
+				m, err := smr.NewMachine(cfgFor(id))
 				if err != nil {
 					panic(err)
 				}
 				machines[id] = m
-				budget = m.MaxTicks()
 				return m
 			},
 			Adversary: adv,
-			MaxTicks:  budget * 2,
+			MaxTicks:  probe.MaxTicks() * 2,
 		})
 		if err != nil {
 			return err

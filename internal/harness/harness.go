@@ -110,12 +110,8 @@ const (
 	InputsDistinct Inputs = "distinct"
 )
 
-// Spec describes one run. It is the composed form the runner consumes:
-// prefer building it from the three orthogonal descriptors via Compose
-// (Workload × Deployment × FaultPlan, see descriptor.go) or running
-// them directly with RunWorkload — filling a flat 25-field literal is
-// the deprecated style, kept working for instrumentation-heavy callers
-// and pinned byte-identical to the descriptor path by the parity tests.
+// Spec describes one run: what is agreed on, on which cluster, under
+// which failures, and how the run is instrumented.
 type Spec struct {
 	Protocol Protocol
 	N        int

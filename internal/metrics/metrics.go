@@ -257,8 +257,7 @@ type Report struct {
 	CacheHits   int64
 	CacheMisses int64
 	CacheWaits  int64
-	// Transport data-plane counters (0 on the simulator and on the
-	// transport's legacy synchronous send path).
+	// Transport data-plane counters (0 on the simulator).
 	NetFlushes       int64
 	NetFlushedFrames int64
 	NetFlushedBytes  int64

@@ -1,12 +1,10 @@
 package transport
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -20,11 +18,10 @@ import (
 	"adaptiveba/internal/types"
 )
 
-// This file is the measurement harness behind `adaptiveba-bench
-// -bench-net-json` and the batching determinism tests: a sender whose
-// Node.send is driven directly against loopback TCP sinks (SendBench),
-// and a full in-process loopback cluster whose metrics are rendered to a
-// canonical CSV (RunLoopbackCluster).
+// This file is the harness behind the data-plane and chaos tests: a
+// sender whose Node.send is driven directly against loopback TCP sinks
+// (SendBench), and a full in-process loopback cluster reporting every
+// node's decision and metrics (RunCluster).
 
 // idleMachine satisfies proto.Machine for harnesses that drive the data
 // plane directly and never tick a real protocol.
@@ -37,9 +34,8 @@ func (idleMachine) Done() bool                                         { return 
 
 // SendBench wires one Node's send path to n real loopback TCP
 // connections drained by discard sinks, so the data plane — encode-once
-// framing, outbox enqueue, coalesced writer flushes (or the legacy
-// synchronous writes) — can be measured in isolation from protocol
-// logic and tick pacing.
+// framing, outbox enqueue, coalesced writer flushes — can be measured in
+// isolation from protocol logic and tick pacing.
 type SendBench struct {
 	node      *Node
 	rec       *metrics.Recorder
@@ -49,9 +45,8 @@ type SendBench struct {
 }
 
 // NewSendBench builds a sender for an n-process mesh broadcasting one
-// signed BB sender-message per Broadcast call. legacy selects the
-// synchronous pre-batching path.
-func NewSendBench(n int, legacy bool) (*SendBench, error) {
+// signed BB sender-message per Broadcast call.
+func NewSendBench(n int) (*SendBench, error) {
 	params, err := types.NewParams(n)
 	if err != nil {
 		return nil, err
@@ -79,10 +74,9 @@ func NewSendBench(n int, legacy bool) (*SendBench, error) {
 		Addrs:    addrs,
 		Registry: NewFullRegistry(),
 		Recorder: rec,
-		// A large bound so the benchmark measures throughput, not the
-		// drop policy: the arms must deliver identical message counts.
+		// A large bound so the harness measures throughput, not the
+		// drop policy: every queued message must be delivered.
 		FlushBytes: 64 << 20,
-		LegacySend: legacy,
 	}, idleMachine{})
 	if err != nil {
 		return nil, err
@@ -118,9 +112,7 @@ func NewSendBench(n int, legacy bool) (*SendBench, error) {
 		}
 		node.outbound[i] = conn
 	}
-	if !legacy {
-		node.startOutboxes()
-	}
+	node.startOutboxes()
 	return sb, nil
 }
 
@@ -132,7 +124,7 @@ func (sb *SendBench) Broadcast() { sb.node.send(sb.outs) }
 func (sb *SendBench) MessagesPerBroadcast() int { return sb.node.cfg.Params.N - 1 }
 
 // Drain blocks until every outbox has flushed its queued bytes to the
-// kernel (no-op on the legacy path, which writes inline).
+// kernel.
 func (sb *SendBench) Drain() {
 	for _, ob := range sb.node.outboxes {
 		if ob == nil {
@@ -161,13 +153,14 @@ func (sb *SendBench) Close() {
 	sb.sinkWG.Wait()
 }
 
-// ClusterResult is one loopback cluster run, reduced to the observables
-// the batched and legacy data planes must agree on byte-for-byte.
+// ClusterResult is one loopback cluster run.
 type ClusterResult struct {
 	// Decisions[i] is process i's decided value.
 	Decisions []types.Value
-	// CSV is the canonical per-node metrics rendering (see MetricsCSV).
-	CSV []byte
+	// Reports[i] is the snapshot of process i's recorder. Messages and
+	// words (totals and per layer) are network-independent: they must
+	// equal what the simulator charges the same machines.
+	Reports []metrics.Report
 	// Drops is the backpressure total across nodes (0 on healthy runs).
 	Drops int64
 	// ChaosDrops / ChaosDelays total the chaos layer's injections across
@@ -178,9 +171,8 @@ type ClusterResult struct {
 
 // ClusterOpts configures one in-process loopback cluster run.
 type ClusterOpts struct {
-	N      int
-	Legacy bool // pre-batching synchronous data plane (A/B baseline)
-	Tick   time.Duration
+	N    int
+	Tick time.Duration
 	// Protocol selects the machines: "bb" (default, a broadcast from
 	// process 0) or "wba" (weak BA on a unanimous input) — wba is the
 	// chaos workhorse because its help round and fallback certificate
@@ -191,29 +183,15 @@ type ClusterOpts struct {
 	Chaos ChaosConfig
 }
 
-// RunLoopbackCluster runs an n-process BB broadcast over real localhost
-// TCP and renders each node's recorder into the canonical CSV. With
-// identical inputs, the batched and legacy data planes must produce
-// byte-identical CSVs and decisions — the golden-trace determinism
-// pattern applied to the TCP stack.
-func RunLoopbackCluster(n int, legacy bool, tick time.Duration) (*ClusterResult, error) {
-	return RunCluster(ClusterOpts{N: n, Legacy: legacy, Tick: tick})
-}
-
 // RunCluster runs an in-process loopback cluster per opts: n real TCP
 // nodes on localhost, each driving one protocol machine, with optional
 // chaos injection on every node's send path. It returns the decisions,
-// the canonical metrics CSV, and the fault-injection totals.
+// every node's metrics, and the fault-injection totals.
 func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
-	params, err := types.NewParams(opts.N)
+	params, crypto, err := clusterSetup(opts.N)
 	if err != nil {
 		return nil, err
 	}
-	ring, err := sig.NewHMACRing(opts.N, []byte("net-cluster"))
-	if err != nil {
-		return nil, err
-	}
-	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("net-cluster-dealer"))
 	addrs, err := reserveLoopbackAddrs(opts.N)
 	if err != nil {
 		return nil, err
@@ -232,21 +210,9 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 	for i := 0; i < opts.N; i++ {
 		id := types.ProcessID(i)
 		recs[i] = metrics.NewRecorder()
-		var machine proto.Machine
-		switch opts.Protocol {
-		case "", "bb":
-			machine = bb.NewMachine(bb.Config{
-				Params: params, Crypto: crypto, ID: id,
-				Sender: 0, Input: types.Value("net-bench-broadcast"), Tag: "netbench",
-			})
-		case "wba":
-			machine = wba.NewMachine(wba.Config{
-				Params: params, Crypto: crypto, ID: id,
-				Input: types.Value("net-bench-agree"), Predicate: valid.NonBottom(),
-				Tag: "netbench",
-			})
-		default:
-			return nil, fmt.Errorf("transport: unknown cluster protocol %q", opts.Protocol)
+		machine, err := clusterMachine(opts.Protocol, params, crypto, id)
+		if err != nil {
+			return nil, err
 		}
 		chaosCfg := opts.Chaos
 		if chaosCfg.Enabled() {
@@ -261,7 +227,6 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 			Registry:     NewFullRegistry(),
 			TickInterval: opts.Tick,
 			Recorder:     recs[i],
-			LegacySend:   opts.Legacy,
 			Chaos:        chaosCfg,
 		}, machine)
 		if err != nil {
@@ -284,9 +249,10 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	res := &ClusterResult{Decisions: decisions, CSV: MetricsCSV(recs)}
-	for _, r := range recs {
+	res := &ClusterResult{Decisions: decisions, Reports: make([]metrics.Report, opts.N)}
+	for i, r := range recs {
 		rep := r.Snapshot()
+		res.Reports[i] = rep
 		res.Drops += rep.NetDrops
 		res.ChaosDrops += rep.ChaosDrops
 		res.ChaosDelays += rep.ChaosDelays
@@ -294,29 +260,36 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 	return res, nil
 }
 
-// MetricsCSV renders per-node recorders into a canonical CSV: one totals
-// row per node followed by its per-layer breakdown, sorted by layer.
-// Only transport-independent observables appear (messages, words, bytes,
-// signatures) — flush and drop counters are data-plane internals and
-// legitimately differ between send paths.
-func MetricsCSV(recs []*metrics.Recorder) []byte {
-	var buf bytes.Buffer
-	fmt.Fprintln(&buf, "node,layer,msgs,words,bytes,sigs")
-	for i, r := range recs {
-		rep := r.Snapshot()
-		fmt.Fprintf(&buf, "%d,TOTAL,%d,%d,%d,%d\n", i,
-			rep.Honest.Messages, rep.Honest.Words, rep.Honest.Bytes, rep.Honest.Signatures)
-		layers := make([]string, 0, len(rep.ByLayer))
-		for l := range rep.ByLayer {
-			layers = append(layers, l)
-		}
-		sort.Strings(layers)
-		for _, l := range layers {
-			s := rep.ByLayer[l]
-			fmt.Fprintf(&buf, "%d,%s,%d,%d,%d,%d\n", i, l, s.Messages, s.Words, s.Bytes, s.Signatures)
-		}
+// clusterSetup builds the trusted setup every RunCluster node shares.
+func clusterSetup(n int) (types.Params, *proto.Crypto, error) {
+	params, err := types.NewParams(n)
+	if err != nil {
+		return types.Params{}, nil, err
 	}
-	return buf.Bytes()
+	ring, err := sig.NewHMACRing(n, []byte("net-cluster"))
+	if err != nil {
+		return types.Params{}, nil, err
+	}
+	return params, proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("net-cluster-dealer")), nil
+}
+
+// clusterMachine builds process id's machine for a RunCluster protocol.
+func clusterMachine(protocol string, params types.Params, crypto *proto.Crypto, id types.ProcessID) (proto.Machine, error) {
+	switch protocol {
+	case "", "bb":
+		return bb.NewMachine(bb.Config{
+			Params: params, Crypto: crypto, ID: id,
+			Sender: 0, Input: types.Value("net-bench-broadcast"), Tag: "netbench",
+		}), nil
+	case "wba":
+		return wba.NewMachine(wba.Config{
+			Params: params, Crypto: crypto, ID: id,
+			Input: types.Value("net-bench-agree"), Predicate: valid.NonBottom(),
+			Tag: "netbench",
+		}), nil
+	default:
+		return nil, fmt.Errorf("transport: unknown cluster protocol %q", protocol)
+	}
 }
 
 // reserveLoopbackAddrs picks n free localhost ports.

@@ -18,9 +18,8 @@ import (
 // 2δ fallback windows are supposed to absorb bounded violations, and the
 // chaos tests pin where they do.
 //
-// Self-deliveries are never touched (they are local, not network), and
-// the chaos layer requires the batched data plane (it defers frames into
-// peer outboxes; the legacy synchronous path has none).
+// Self-deliveries are never touched (they are local, not network).
+// Delayed frames are deferred into the peer outboxes.
 //
 // Determinism: all verdicts are drawn from one rand.Rand seeded with
 // Seed on the tick goroutine, so a node's verdict *sequence* is a pure

@@ -82,26 +82,6 @@ func TestChaosBBJitterDecidesLikeBaseline(t *testing.T) {
 	t.Logf("chaos injected delays=%d; decisions match baseline", got.ChaosDelays)
 }
 
-// TestChaosRequiresBatchedPath pins the config invariant: chaos defers
-// frames into peer outboxes, which the legacy synchronous path lacks.
-func TestChaosRequiresBatchedPath(t *testing.T) {
-	params, err := types.NewParams(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = NewNode(Config{
-		Params:     params,
-		ID:         0,
-		Addrs:      []string{"a", "b", "c", "d"},
-		Registry:   NewFullRegistry(),
-		LegacySend: true,
-		Chaos:      ChaosConfig{DropRate: 0.1},
-	}, idleMachine{})
-	if err == nil {
-		t.Fatal("NewNode accepted chaos on the legacy send path")
-	}
-}
-
 // TestChaosVerdictDeterminism: a node's verdict sequence is a pure
 // function of (seed, tick schedule, destination sequence).
 func TestChaosVerdictDeterminism(t *testing.T) {

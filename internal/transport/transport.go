@@ -112,16 +112,11 @@ type Config struct {
 	// it closes every connection and returns ErrCrashed — fault injection
 	// for real-network runs.
 	CrashAfter types.Tick
-	// SessionHook, if set, is consulted for every authenticated inbound
+	// SessionHookV2, if set, is consulted for every authenticated inbound
 	// message frame after the session path is parsed but before the
-	// payload is decoded: return false to drop the frame (counted as a
-	// net drop). Session-demuxing hosts use it to shed traffic for
-	// sessions they have not admitted or have already retired, so a
-	// node does not pay payload decoding and signature checks for words
-	// it will never read. Ignored when SessionHookV2 is set.
-	SessionHook func(from types.ProcessID, session string) bool
-	// SessionHookV2, if set, replaces SessionHook with a tri-state
-	// verdict: SessionAccept decodes the frame, SessionDrop sheds it (a
+	// payload is decoded, so a node does not pay payload decoding and
+	// signature checks for words it will never read. The verdict is
+	// tri-state: SessionAccept decodes the frame, SessionDrop sheds it (a
 	// net drop), and SessionDefer parks the raw frame — undecoded, so a
 	// deferred word costs no signature work — and re-offers it to the
 	// hook at each subsequent tick until it is accepted or dropped.
@@ -131,29 +126,23 @@ type Config struct {
 	SessionHookV2 func(from types.ProcessID, session string) SessionVerdict
 	// DeferMax bounds the parked-frame buffer behind SessionDefer
 	// (default 1024). When full, the oldest parked frame is shed as a
-	// net drop — deferral degrades to the V1 behaviour, never blocks.
+	// net drop — deferral degrades to dropping, never blocks.
 	DeferMax int
 	// Recorder, if set, accounts for sent messages.
 	Recorder *metrics.Recorder
 	// Logf, if set, receives debug lines.
 	Logf func(format string, args ...any)
-	// LegacySend restores the pre-batching synchronous data plane: every
-	// outgoing message encoded per recipient and written inline on the
-	// tick goroutine. For A/B baselines (-bench-net-json) and bisection
-	// only; the batched path is semantically identical on healthy links.
-	LegacySend bool
 	// FlushBytes bounds the bytes buffered per peer between coalesced
 	// flushes. An enqueue that would exceed it drops the frame
 	// (ErrBackpressure, surfaced through metrics) instead of blocking
 	// the tick loop behind a slow peer. Default 4 MiB.
 	FlushBytes int
-	// WriteDeadline bounds each coalesced flush write (and each legacy
-	// synchronous write), so a dead link fails fast. Default 10s.
+	// WriteDeadline bounds each coalesced flush write, so a dead link
+	// fails fast. Default 10s.
 	WriteDeadline time.Duration
-	// Chaos, when any knob is set, injects seeded faults into the batched
-	// send path: per-frame drops, latency jitter (which reorders), parity
-	// partitions, and peer flaps. See ChaosConfig. Incompatible with
-	// LegacySend (the synchronous path has no outboxes to defer into).
+	// Chaos, when any knob is set, injects seeded faults into the send
+	// path: per-frame drops, latency jitter (which reorders), parity
+	// partitions, and peer flaps. See ChaosConfig.
 	Chaos ChaosConfig
 }
 
@@ -194,8 +183,8 @@ type Node struct {
 	inbound  map[net.Conn]struct{}
 
 	// outboxes[i] is the coalescing writer for outbound[i] (nil for
-	// crashed peers and on the legacy path). Built once after the start
-	// barrier and only read by the tick goroutine thereafter.
+	// crashed peers). Built once after the start barrier and only read
+	// by the tick goroutine thereafter.
 	outboxes []*peerOutbox
 	scratch  sendScratch
 	chaos    *chaos // nil unless Config.Chaos is enabled
@@ -248,9 +237,6 @@ func NewNode(cfg Config, machine proto.Machine) (*Node, error) {
 	}
 	if cfg.WriteDeadline <= 0 {
 		cfg.WriteDeadline = 10 * time.Second
-	}
-	if cfg.Chaos.Enabled() && cfg.LegacySend {
-		return nil, fmt.Errorf("%w: chaos injection requires the batched send path", ErrConfig)
 	}
 	n := &Node{
 		cfg:     cfg,
@@ -334,12 +320,10 @@ func (n *Node) Run(ctx context.Context) (types.Value, error) {
 	if err := n.barrier(ctx); err != nil {
 		return nil, err
 	}
-	if !n.cfg.LegacySend {
-		// The hello and ready frames went out synchronously above, so the
-		// writers own their connections from the first tick onward.
-		n.startOutboxes()
-		defer n.stopOutboxes()
-	}
+	// The hello and ready frames went out synchronously above, so the
+	// writers own their connections from the first tick onward.
+	n.startOutboxes()
+	defer n.stopOutboxes()
 	return n.tickLoop(ctx)
 }
 
@@ -602,14 +586,11 @@ func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 	}
 }
 
-// sessionVerdict runs the configured session hook (V2 wins over V1) for
-// one parsed-but-undecoded frame.
+// sessionVerdict runs the configured session hook for one
+// parsed-but-undecoded frame.
 func (n *Node) sessionVerdict(from types.ProcessID, session string) SessionVerdict {
 	if n.cfg.SessionHookV2 != nil {
 		return n.cfg.SessionHookV2(from, session)
-	}
-	if n.cfg.SessionHook != nil && !n.cfg.SessionHook(from, session) {
-		return SessionDrop
 	}
 	return SessionAccept
 }
@@ -617,7 +598,7 @@ func (n *Node) sessionVerdict(from types.ProcessID, session string) SessionVerdi
 // park defers one raw frame for later re-offering. The payload bytes are
 // copied: the reader's frame buffer is reused for the next frame. When
 // the buffer is at DeferMax the oldest parked frame is shed as a net
-// drop, so a hook that never accepts degrades to V1 dropping.
+// drop, so a hook that never accepts degrades to dropping.
 func (n *Node) park(from types.ProcessID, session string, payload []byte) {
 	n.mu.Lock()
 	if len(n.deferred) >= n.cfg.DeferMax {
@@ -693,23 +674,13 @@ func keyOf(p proto.Payload) payloadKey {
 	return *(*payloadKey)(unsafe.Pointer(&p))
 }
 
-// send frames and transmits outgoing messages on the configured data
-// plane. Both paths record identical metrics per delivered message.
-func (n *Node) send(outs []proto.Outgoing) {
-	if n.cfg.LegacySend {
-		n.sendLegacy(outs)
-		return
-	}
-	n.sendBatched(outs)
-}
-
-// sendBatched is the encode-once data plane: each distinct (session,
-// payload) is framed exactly once into the node's scratch writers and the
+// send is the encode-once data plane: each distinct (session, payload)
+// is framed exactly once into the node's scratch writers and the
 // resulting bytes are enqueued on every recipient's outbox. A broadcast —
 // n copies of one boxed payload, as proto.Broadcast emits — costs one
 // registry encoding and n buffer appends; the steady-state path performs
 // zero allocations (guarded by TestSendAllocCeiling).
-func (n *Node) sendBatched(outs []proto.Outgoing) {
+func (n *Node) send(outs []proto.Outgoing) {
 	s := &n.scratch
 	s.valid = false // keys are only meaningful within one outs slice
 	for i := range outs {
@@ -767,51 +738,7 @@ func (n *Node) sendBatched(outs []proto.Outgoing) {
 				From:   n.cfg.ID,
 				To:     o.To,
 				Words:  s.words,
-				Bytes:  len(body) + 5, // frame header counted once, as on the legacy path
-				Layer:  o.Session,
-				Honest: true,
-			})
-		}
-	}
-}
-
-// sendLegacy is the pre-batching synchronous path: encode and write per
-// recipient, inline on the tick goroutine.
-func (n *Node) sendLegacy(outs []proto.Outgoing) {
-	for _, o := range outs {
-		// Skip crashed peers and out-of-range IDs before spending any
-		// encoding work (or logging spurious encode errors) on them.
-		if n.cfg.Params.CheckProcess(o.To) != nil || o.Payload == nil {
-			continue
-		}
-		conn := n.outbound[o.To]
-		if conn == nil {
-			continue // crashed peer
-		}
-		payloadFrame, err := n.cfg.Registry.EncodePayload(o.Payload)
-		if err != nil {
-			n.logf("encode %s: %v", o.Payload.Type(), err)
-			continue
-		}
-		w := wire.GetWriter()
-		w.PutString(o.Session)
-		w.PutBytes(payloadFrame)
-		if n.cfg.WriteDeadline > 0 {
-			conn.SetWriteDeadline(time.Now().Add(n.cfg.WriteDeadline))
-		}
-		err = writeFrame(conn, frameMsg, w.Bytes())
-		frameBytes := w.Len() + 5
-		wire.PutWriter(w)
-		if err != nil {
-			n.logf("send to %v: %v", o.To, err)
-			continue
-		}
-		if n.cfg.Recorder != nil && o.To != n.cfg.ID {
-			n.cfg.Recorder.RecordSend(metrics.SendEvent{
-				From:   n.cfg.ID,
-				To:     o.To,
-				Words:  o.Payload.Words(),
-				Bytes:  frameBytes,
+				Bytes:  len(body) + 5, // frame header counted once
 				Layer:  o.Session,
 				Honest: true,
 			})
@@ -837,8 +764,8 @@ func (n *Node) logf(format string, args ...any) {
 }
 
 // frameBufPool recycles the scratch buffers behind writeFrame, so the
-// synchronous framing path (hello/ready, legacy sends) stops allocating
-// per frame.
+// synchronous framing path (hello/ready, service frames) stops
+// allocating per frame.
 var frameBufPool = sync.Pool{
 	New: func() any { return new([]byte) },
 }

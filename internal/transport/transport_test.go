@@ -538,16 +538,16 @@ func TestSessionHookFiltersFrames(t *testing.T) {
 		}
 		if id == 0 {
 			cfg.Recorder = rec
-			cfg.SessionHook = func(from types.ProcessID, session string) bool {
+			cfg.SessionHookV2 = func(from types.ProcessID, session string) SessionVerdict {
 				head, _ := proto.SplitSession(session)
 				hookMu.Lock()
 				defer hookMu.Unlock()
 				if head == "spam" {
 					hookDrops++
-					return false
+					return SessionDrop
 				}
 				hookPassed++
-				return true
+				return SessionAccept
 			}
 		}
 		m := &spamMachine{
@@ -648,8 +648,7 @@ func (r *earlyReceiver) Done() bool { return r.now > 60 }
 
 // TestSessionHookV2DefersFrames pins the tri-state hook: frames for a
 // session the host has not admitted yet are parked undecoded and
-// delivered once the hook starts accepting — never silently dropped, as
-// the boolean V1 hook would have done.
+// delivered once the hook starts accepting — never silently dropped.
 func TestSessionHookV2DefersFrames(t *testing.T) {
 	crypto, params := setup(t, 3)
 	addrs := freeAddrs(t, 3)

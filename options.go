@@ -1,8 +1,5 @@
-// Public API, option/context surface: functional options, typed
-// sentinel errors, context-aware entry points, and the multi-session
-// RunMany fan-out over the engine. This is the documented default
-// surface; the Options-struct entry points in adaptiveba.go remain as
-// deprecated wrappers.
+// Functional options, typed sentinel errors, context plumbing, and the
+// multi-session RunMany fan-out over the engine.
 package adaptiveba
 
 import (
@@ -19,36 +16,50 @@ import (
 // Option configures a run. Options compose left to right:
 //
 //	BroadcastContext(ctx, 9, value, adaptiveba.WithFaults(2), adaptiveba.WithSeed(7))
-type Option func(*Options)
+type Option func(*options)
+
+// options is the folded form of a run's Option list.
+type options struct {
+	n              int
+	faults         int
+	pattern        FaultPattern
+	seed           int64
+	realSignatures bool
+	trace          io.Writer
+	threshold      int
+	inflight       int
+	batch          int
+	sched          Scheduler
+}
 
 // WithFaults corrupts f processes (0 ≤ f ≤ t).
-func WithFaults(f int) Option { return func(o *Options) { o.Faults = f } }
+func WithFaults(f int) Option { return func(o *options) { o.faults = f } }
 
 // WithPattern selects how the corrupted processes misbehave (default
 // FaultCrash).
-func WithPattern(p FaultPattern) Option { return func(o *Options) { o.Pattern = p } }
+func WithPattern(p FaultPattern) Option { return func(o *options) { o.pattern = p } }
 
 // WithSeed drives randomized fault patterns.
-func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
+func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 
 // WithRealSignatures switches from fast HMAC authenticators to Ed25519.
-func WithRealSignatures() Option { return func(o *Options) { o.RealSignatures = true } }
+func WithRealSignatures() Option { return func(o *options) { o.realSignatures = true } }
 
 // WithTrace streams a per-message trace of the run to w.
-func WithTrace(w io.Writer) Option { return func(o *Options) { o.Trace = w } }
+func WithTrace(w io.Writer) Option { return func(o *options) { o.trace = w } }
 
 // WithThreshold overrides the corruption threshold t (default
 // floor((n-1)/2), the paper's optimal n = 2t+1). A threshold the
 // process count cannot support — n < 2t+1 leaves no honest quorum —
 // fails with ErrNoQuorum.
-func WithThreshold(t int) Option { return func(o *Options) { o.Threshold = t } }
+func WithThreshold(t int) Option { return func(o *options) { o.threshold = t } }
 
 // WithInflight bounds how many sessions a multi-session run (RunMany,
 // the pipelined replicated log) keeps in flight concurrently: 1 runs
 // them strictly serially, 0 (the default) pipelines as deeply as the
 // workload allows. Per-session decisions and word counts are identical
 // at every window size; only wall time and tick count change.
-func WithInflight(w int) Option { return func(o *Options) { o.Inflight = w } }
+func WithInflight(w int) Option { return func(o *options) { o.inflight = w } }
 
 // Scheduler selects the session admission/retirement policy of a
 // multi-session run (RunMany, the replicated log). It re-exports
@@ -72,15 +83,15 @@ var (
 
 // WithScheduler selects the session scheduling policy of a
 // multi-session run (Static or Eager; the default is Static).
-func WithScheduler(s Scheduler) Option { return func(o *Options) { o.Sched = s } }
+func WithScheduler(s Scheduler) Option { return func(o *options) { o.sched = s } }
 
 // WithEager is shorthand for WithScheduler(Eager): decision-driven
 // session retirement and the early-stopping ACS vote boundary.
-func WithEager() Option { return func(o *Options) { o.Sched = Eager } }
+func WithEager() Option { return func(o *options) { o.sched = Eager } }
 
-// sentinel is a typed API error chained onto the broad legacy class, so
-// errors.Is matches both the precise identity (ErrBadN) and the legacy
-// one (ErrOptions) that existing callers test for.
+// sentinel is a typed API error chained onto its broad class, so
+// errors.Is matches both the precise identity (ErrBadN) and the class
+// (ErrOptions).
 type sentinel struct {
 	msg  string
 	base error
@@ -90,8 +101,8 @@ func (e *sentinel) Error() string { return e.msg }
 func (e *sentinel) Unwrap() error { return e.base }
 
 // Typed sentinel errors returned by validation and cancellation paths.
-// Each chains to the legacy class it refines: errors.Is(err, ErrBadN)
-// implies errors.Is(err, ErrOptions).
+// Each chains to the class it refines: errors.Is(err, ErrBadN) implies
+// errors.Is(err, ErrOptions).
 var (
 	// ErrBadN reports an unusable process count (n < 3).
 	ErrBadN error = &sentinel{"adaptiveba: invalid process count", ErrOptions}
@@ -105,9 +116,9 @@ var (
 	ErrCanceled = errors.New("adaptiveba: run canceled")
 )
 
-// buildOptions folds functional options into the legacy struct.
-func buildOptions(n int, opts []Option) Options {
-	o := Options{N: n}
+// buildOptions folds functional options into one options value.
+func buildOptions(n int, opts []Option) options {
+	o := options{n: n}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -138,51 +149,6 @@ func mapCanceled(ctx context.Context, err error) error {
 		return fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
 	}
 	return err
-}
-
-// BroadcastContext runs the adaptive Byzantine Broadcast (paper
-// Algorithms 1–2) with process 0 as the designated sender broadcasting
-// value. The context cancels the run promptly (at tick granularity)
-// with ErrCanceled. See Broadcast for the protocol's guarantees.
-func BroadcastContext(ctx context.Context, n int, value []byte, opts ...Option) (*Result, error) {
-	res, err := broadcastRun(buildOptions(n, opts), haltFrom(ctx), value)
-	return res, mapCanceled(ctx, err)
-}
-
-// WeakAgreeContext runs the adaptive weak Byzantine Agreement
-// (Algorithms 3–4): inputs[i] is process i's proposal, predicate the
-// validity predicate (nil accepts any non-empty value). The context
-// cancels the run promptly with ErrCanceled. See WeakAgree.
-func WeakAgreeContext(ctx context.Context, n int, inputs [][]byte, predicate func([]byte) bool, opts ...Option) (*Result, error) {
-	res, err := weakAgreeRun(buildOptions(n, opts), haltFrom(ctx), inputs, predicate)
-	return res, mapCanceled(ctx, err)
-}
-
-// StrongAgreeBinaryContext runs the binary strong BA (Algorithm 5):
-// inputs[i] is process i's bit. The context cancels the run promptly
-// with ErrCanceled. See StrongAgreeBinary.
-func StrongAgreeBinaryContext(ctx context.Context, n int, inputs []bool, opts ...Option) (*Result, error) {
-	res, err := strongAgreeBinaryRun(buildOptions(n, opts), haltFrom(ctx), inputs)
-	return res, mapCanceled(ctx, err)
-}
-
-// StrongAgreeContext runs multivalued strong Byzantine Agreement (the
-// non-adaptive A_fallback row of the problem family). The context
-// cancels the run promptly with ErrCanceled. See StrongAgree.
-func StrongAgreeContext(ctx context.Context, n int, inputs [][]byte, opts ...Option) (*Result, error) {
-	res, err := strongAgreeRun(buildOptions(n, opts), haltFrom(ctx), inputs)
-	return res, mapCanceled(ctx, err)
-}
-
-// ReplicateLogContext runs the totally-ordered replicated log with
-// rotating proposers (see ReplicateLog). WithInflight(w) pipelines the
-// log: slot s+1's broadcast starts while slot s may still be running
-// its fallback, multiplying commit throughput by up to w without
-// changing any committed entry. The context cancels the run promptly
-// with ErrCanceled.
-func ReplicateLogContext(ctx context.Context, n int, queues [][][]byte, slots int, opts ...Option) (*LogResult, error) {
-	res, err := replicateLogRun(buildOptions(n, opts), haltFrom(ctx), queues, slots)
-	return res, mapCanceled(ctx, err)
 }
 
 // Request describes one agreement instance for RunMany. Build requests
@@ -255,25 +221,25 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 			return nil, fmt.Errorf("%w: request %d wants n=%d, batch has n=%d", ErrBadN, i, reqs[i].N, n)
 		}
 	}
-	merged := Options{N: n}
+	merged := options{n: n}
 	for i := range reqs {
 		for _, opt := range reqs[i].Opts {
 			opt(&merged)
 		}
 	}
-	// Reuse the legacy validation so every sentinel behaves identically
+	// Reuse the solo-run validation so every sentinel behaves identically
 	// across entry points.
 	if _, err := baseSpec(merged); err != nil {
 		return nil, err
 	}
 	var leader bool
-	switch merged.Pattern {
+	switch merged.pattern {
 	case "", FaultCrash:
 	case FaultCrashLeader:
 		leader = true
 	default:
 		return nil, fmt.Errorf("%w: pattern %q is not supported by multi-session runs (crash patterns only)",
-			ErrOptions, merged.Pattern)
+			ErrOptions, merged.pattern)
 	}
 
 	ereqs := make([]engine.Request, len(reqs))
@@ -317,10 +283,10 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 	}
 
 	rep, err := engine.Run(engine.Config{
-		N: n, T: merged.Threshold, F: merged.Faults, LeaderFault: leader,
-		Inflight: merged.Inflight, Seed: merged.Seed,
-		Ed25519: merged.RealSignatures, Trace: merged.Trace,
-		Halt: haltFrom(ctx), Scheduler: merged.Sched,
+		N: n, T: merged.threshold, F: merged.faults, LeaderFault: leader,
+		Inflight: merged.inflight, Seed: merged.seed,
+		Ed25519: merged.realSignatures, Trace: merged.trace,
+		Halt: haltFrom(ctx), Scheduler: merged.sched,
 	}, ereqs)
 	if err != nil {
 		return nil, mapCanceled(ctx, err)

@@ -1,6 +1,7 @@
 package adaptiveba
 
 import (
+	"context"
 	"crypto/rand"
 	"fmt"
 
@@ -39,27 +40,25 @@ type LogResult struct {
 	WordsPerCommit float64
 }
 
-// ReplicateLog runs a totally-ordered replicated log over the adaptive
-// Byzantine Broadcast: `slots` consecutive slots with rotating proposers,
-// where replica i proposes the commands of queues[i] in its own slots.
-// It demonstrates the paper's payoff at the system level — a failure-free
-// deployment commits each command for O(n) words instead of Θ(n²).
+// ReplicateLogContext runs a totally-ordered replicated log over the
+// adaptive Byzantine Broadcast: `slots` consecutive slots with rotating
+// proposers, where replica i proposes the commands of queues[i] in its
+// own slots. It demonstrates the paper's payoff at the system level — a
+// failure-free deployment commits each command for O(n) words instead
+// of Θ(n²).
 //
-// Deprecated: Use ReplicateLogContext, which adds cancellation,
-// functional options, and pipelined slots (WithInflight); this struct
-// form is kept for existing callers and pinned byte-identical by
-// TestAPIParityReplicateLog.
-func ReplicateLog(opts Options, queues [][][]byte, slots int) (*LogResult, error) {
-	return replicateLogRun(opts, nil, queues, slots)
-}
-
-func replicateLogRun(opts Options, halt func(types.Tick) bool, queues [][][]byte, slots int) (*LogResult, error) {
-	spec, err := baseSpec(opts)
+// WithInflight(w) pipelines the log: slot s+1's broadcast starts while
+// slot s may still be running its fallback, multiplying commit
+// throughput by up to w without changing any committed entry. The
+// context cancels the run promptly with ErrCanceled.
+func ReplicateLogContext(ctx context.Context, n int, queues [][][]byte, slots int, opts ...Option) (*LogResult, error) {
+	merged := buildOptions(n, opts)
+	spec, err := baseSpec(merged)
 	if err != nil {
 		return nil, err
 	}
-	if len(queues) != opts.N {
-		return nil, fmt.Errorf("%w: need %d queues, got %d", ErrInputs, opts.N, len(queues))
+	if len(queues) != n {
+		return nil, fmt.Errorf("%w: need %d queues, got %d", ErrInputs, n, len(queues))
 	}
 	if slots < 1 {
 		return nil, fmt.Errorf("%w: need at least one slot", ErrInputs)
@@ -67,43 +66,28 @@ func replicateLogRun(opts Options, halt func(types.Tick) bool, queues [][][]byte
 
 	var params types.Params
 	if spec.T > 0 {
-		params, err = types.Custom(opts.N, spec.T)
+		params, err = types.Custom(n, spec.T)
 	} else {
-		params, err = types.NewParams(opts.N)
+		params, err = types.NewParams(n)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrOptions, err)
 	}
 	var scheme sig.Scheme
-	if opts.RealSignatures {
-		scheme, err = sig.NewEd25519Ring(opts.N, rand.Reader)
+	if merged.realSignatures {
+		scheme, err = sig.NewEd25519Ring(n, rand.Reader)
 	} else {
-		scheme, err = sig.NewHMACRing(opts.N, []byte(fmt.Sprintf("log-%d", opts.Seed)))
+		scheme, err = sig.NewHMACRing(n, []byte(fmt.Sprintf("log-%d", merged.seed)))
 	}
 	if err != nil {
 		return nil, err
 	}
 	crypto := proto.NewCrypto(params, scheme, threshold.ModeCompact, []byte("log-dealer"))
 
-	// WithInflight(w) pipelines the slots: consecutive broadcasts start
-	// every ceil(SlotTicks/w) ticks instead of back to back, keeping up
-	// to w instances live. Unset (0) preserves the strictly sequential
-	// schedule byte for byte.
-	var stride types.Tick
-	if opts.Inflight > 0 {
-		probe, err := smr.NewMachine(smr.Config{
-			Params: params, Crypto: crypto, ID: 0, Tag: "log", Slots: slots,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("adaptiveba: %w", err)
-		}
-		w := types.Tick(opts.Inflight)
-		if stride = (probe.SlotTicks() + w - 1) / w; stride < 1 {
-			stride = 1
-		}
+	stride, budget, err := logSchedule(params, crypto, slots, merged.inflight)
+	if err != nil {
+		return nil, err
 	}
-
-	var budget types.Tick
 	rec := metrics.NewRecorder()
 	res, err := sim.Run(sim.Config{
 		Params: params,
@@ -120,16 +104,18 @@ func replicateLogRun(opts Options, halt func(types.Tick) bool, queues [][][]byte
 			if err != nil {
 				panic("adaptiveba: smr config validated above: " + err.Error())
 			}
-			budget = m.MaxTicks()
 			return m
 		},
 		Adversary: logAdversary(spec),
-		MaxTicks:  budget * 2,
+		MaxTicks:  budget,
 		Recorder:  rec,
-		Halt:      halt,
+		Halt:      haltFrom(ctx),
 	})
 	if err != nil {
-		return nil, err
+		return nil, mapCanceled(ctx, err)
+	}
+	if res.TimedOut {
+		return nil, fmt.Errorf("adaptiveba: replicated log of %d slots did not finish within its %d-tick budget", slots, budget)
 	}
 
 	logEnc, agreement := res.Agreement()
@@ -157,6 +143,27 @@ func replicateLogRun(opts Options, halt func(types.Tick) bool, queues [][][]byte
 		}
 	}
 	return out, nil
+}
+
+// logSchedule derives the slot stride and the simulator's tick budget
+// from a probe replica, before the run's sim.Config is built.
+// inflight = w > 0 pipelines the slots: consecutive broadcasts start
+// every ceil(SlotTicks/w) ticks instead of back to back, keeping up to w
+// instances live; 0 keeps the strictly sequential schedule (stride 0 is
+// the machine's default, one slot length). The budget is twice the
+// sequential log's worst case, which bounds every pipelined one too.
+func logSchedule(params types.Params, crypto *proto.Crypto, slots, inflight int) (stride, budget types.Tick, err error) {
+	probe, err := smr.NewMachine(smr.Config{
+		Params: params, Crypto: crypto, ID: 0, Tag: "log", Slots: slots,
+	})
+	if err != nil {
+		return 0, 0, fmt.Errorf("adaptiveba: %w", err)
+	}
+	if inflight > 0 {
+		w := types.Tick(inflight)
+		stride = (probe.SlotTicks() + w - 1) / w
+	}
+	return stride, probe.MaxTicks() * 2, nil
 }
 
 // logAdversary converts the validated spec's fault settings into a crash
