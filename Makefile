@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet bench bench-engine-json bench-acs-json bench-explore-json bench-scale-json bench-all profile explore chaos-smoke svc-smoke experiments examples fuzz cover clean
+.PHONY: all build test test-short test-race vet bench bench-engine-json bench-acs-json bench-explore-json bench-scale-json bench-all profile profile-commit explore chaos-smoke svc-smoke experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -79,6 +79,25 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof
 	$(GO) tool pprof -top -nodecount 15 cpu.pprof
 
+# Profile one commit on the real crypto path and print where its
+# allocations and its CPU go: BenchmarkRunACSLogCommit's n4r1 shape is
+# the engine.RunACSLog call behind a serial put (one command, n=4, one
+# round), n9f1 the batched library call of lib-acs-crash1. The first pass
+# samples every allocation (-memprofilerate 1), which distorts timing, so
+# CPU is a second pass. This is the command that regenerates the
+# attribution table of ROADMAP item 2 / EXPERIMENTS X-WORDCOST. Profiles
+# and the test binary land in $(PROFILE_DIR) (git-ignored) for
+# `go tool pprof -http`.
+PROFILE_DIR := profiles
+profile-commit:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkRunACSLogCommit/n4r1$$' -benchtime 200x \
+		-memprofile $(PROFILE_DIR)/commit.mem.pprof -memprofilerate 1 -o $(PROFILE_DIR)/engine.test
+	$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkRunACSLogCommit/n4r1$$' -benchtime 2000x \
+		-cpuprofile $(PROFILE_DIR)/commit.cpu.pprof -o $(PROFILE_DIR)/engine.test
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.mem.pprof
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.cpu.pprof
+
 # Interactive single-grid-point search with a full report.
 explore:
 	$(GO) run ./cmd/adaptiveba-sim -explore -protocol wba -n 9 -f 4 -generations 4 -population 8
@@ -128,3 +147,4 @@ cover:
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt cpu.pprof mem.pprof
+	rm -rf $(PROFILE_DIR)

@@ -197,7 +197,7 @@ func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
 	if m.cfg.ID != m.cfg.Sender {
 		return nil
 	}
-	s, err := m.signer.Sign(senderBase(m.cfg.Tag, m.cfg.Sender, m.cfg.Input))
+	s, err := m.signer.Sign(m.validator.senderBase(m.cfg.Input))
 	if err != nil {
 		m.fail(err)
 		return nil
@@ -278,7 +278,7 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 		if m.cfg.Params.Leader(p.Phase) != m.cfg.ID {
 			return
 		}
-		if !m.small.VerifyShare(idkBase(m.cfg.Tag, p.Phase), threshold.Share{Signer: in.From, Sig: p.Share}) {
+		if !m.small.VerifyShare(m.validator.idkBase(p.Phase), threshold.Share{Signer: in.From, Sig: p.Share}) {
 			return
 		}
 		if m.idkShares[p.Phase] == nil {
@@ -329,7 +329,7 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 		if m.vi != nil {
 			return proto.Unicast(leader, "", Reply{Phase: phase, Val: m.vi})
 		}
-		share, err := m.signer.Sign(idkBase(m.cfg.Tag, phase))
+		share, err := m.signer.Sign(m.validator.idkBase(phase))
 		if err != nil {
 			m.fail(err)
 			return nil
@@ -367,7 +367,7 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 				list = append(list, threshold.Share{Signer: id, Sig: s})
 			}
 		}
-		cert, err := m.small.Combine(idkBase(m.cfg.Tag, phase), list)
+		cert, err := m.small.Combine(m.validator.idkBase(phase), list)
 		if err != nil {
 			return nil
 		}

@@ -27,21 +27,28 @@ const (
 // ErrBadBBValue reports a value that is not a well-formed BB envelope.
 var ErrBadBBValue = errors.New("bb: malformed value envelope")
 
+// Sign-base domains.
+const (
+	senderDomain = "bb/sender"
+	idkDomain    = "bb/idk"
+)
+
 // senderBase is the byte string the designated sender signs over its
-// input value.
+// input value, encoded in one exact-size allocation.
 func senderBase(tag string, sender types.ProcessID, v types.Value) []byte {
-	w := wire.NewWriter()
-	w.PutString("bb/sender")
+	w := wire.NewWriterSize(wire.SizeBytes(len(senderDomain)) + wire.SizeBytes(len(tag)) + wire.SizeInt + wire.SizeBytes(len(v)))
+	w.PutString(senderDomain)
 	w.PutString(tag)
 	w.PutProcess(sender)
 	w.PutValue(v)
 	return w.Bytes()
 }
 
-// idkBase is the byte string idk shares sign in phase j (⟨idk, j⟩_p).
+// idkBase is the byte string idk shares sign in phase j (⟨idk, j⟩_p),
+// encoded in one exact-size allocation.
 func idkBase(tag string, phase int) []byte {
-	w := wire.NewWriter()
-	w.PutString("bb/idk")
+	w := wire.NewWriterSize(wire.SizeBytes(len(idkDomain)) + wire.SizeBytes(len(tag)) + wire.SizeInt)
+	w.PutString(idkDomain)
 	w.PutString(tag)
 	w.PutInt(phase)
 	return w.Bytes()
@@ -105,12 +112,21 @@ func DecodeValue(v types.Value) (*SenderValue, *IDKCert, error) {
 
 // Validator evaluates BB_valid (Section 5): a value is valid iff it is
 // signed by the designated sender, or carries t+1 unique idk signatures.
+//
+// A Validator belongs to one BB machine (and the weak BA nested in it) and,
+// like the machine, is not safe for concurrent use: it remembers the last
+// sign base it encoded, because a run validates the same envelope — the
+// sender's value, then the vetted value, then the weak BA proposal — many
+// times over.
 type Validator struct {
 	crypto *proto.Crypto
 	tag    string
 	sender types.ProcessID
 	phases int
 	small  *threshold.Scheme
+
+	lastSender wire.LastEncoding // senderBase, keyed by value
+	lastIDK    wire.LastEncoding // idkBase, keyed by phase
 }
 
 var _ valid.Predicate = (*Validator)(nil)
@@ -137,12 +153,24 @@ func (bv *Validator) Validate(v types.Value) bool {
 		return false
 	}
 	if sv != nil {
-		return bv.crypto.Scheme.Verify(bv.sender, senderBase(bv.tag, bv.sender, sv.V), sv.Sig)
+		return bv.crypto.Scheme.Verify(bv.sender, bv.senderBase(sv.V), sv.Sig)
 	}
 	if idk.Phase < 1 || idk.Phase > bv.phases {
 		return false
 	}
-	return bv.small.Verify(idkBase(bv.tag, idk.Phase), idk.Cert)
+	return bv.small.Verify(bv.idkBase(idk.Phase), idk.Cert)
+}
+
+// senderBase returns senderBase(tag, sender, v), re-encoding only when v
+// differs from the previous call's.
+func (bv *Validator) senderBase(v types.Value) []byte {
+	return bv.lastSender.Get(0, v, func() []byte { return senderBase(bv.tag, bv.sender, v) })
+}
+
+// idkBase returns idkBase(tag, phase), re-encoding only when the phase
+// differs from the previous call's.
+func (bv *Validator) idkBase(phase int) []byte {
+	return bv.lastIDK.Get(phase, nil, func() []byte { return idkBase(bv.tag, phase) })
 }
 
 // SenderBase exposes the sender's sign base so the adversary library can

@@ -38,22 +38,41 @@ const fbSession = "fb"
 // preRounds is the number of lock-step rounds before the fallback window.
 const preRounds = 5
 
-// inputBase is what input shares sign (round 1).
-func inputBase(tag string, v types.Value) []byte {
-	w := wire.NewWriter()
-	w.PutString("sba/input")
+// Sign-base domains.
+const (
+	inputDomain  = "sba/input"
+	decideDomain = "sba/decide"
+)
+
+// valueBase encodes (domain, tag, v) in one exact-size allocation.
+func valueBase(domain, tag string, v types.Value) []byte {
+	w := wire.NewWriterSize(wire.SizeBytes(len(domain)) + wire.SizeBytes(len(tag)) + wire.SizeBytes(len(v)))
+	w.PutString(domain)
 	w.PutString(tag)
 	w.PutValue(v)
 	return w.Bytes()
 }
 
+// inputBase is what input shares sign (round 1).
+func inputBase(tag string, v types.Value) []byte { return valueBase(inputDomain, tag, v) }
+
 // decideBase is what decide shares sign (round 3).
-func decideBase(tag string, v types.Value) []byte {
-	w := wire.NewWriter()
-	w.PutString("sba/decide")
-	w.PutString(tag)
-	w.PutValue(v)
-	return w.Bytes()
+func decideBase(tag string, v types.Value) []byte { return valueBase(decideDomain, tag, v) }
+
+// binaryBases holds one kind's sign bases for the two binary values,
+// each encoded on first use: the protocol only ever signs or checks a
+// base after v.IsBinary(), so two slots cover a whole run — the n shares
+// a leader ingests, its certificate, and every process's check of it.
+type binaryBases [2][]byte
+
+func (b *binaryBases) get(domain, tag string, v types.Value) []byte {
+	if !v.IsBinary() {
+		return valueBase(domain, tag, v)
+	}
+	if b[v[0]] == nil {
+		b[v[0]] = valueBase(domain, tag, v)
+	}
+	return b[v[0]]
 }
 
 // InputShare is the round-1 message ⟨v_i⟩_pi.
@@ -163,10 +182,20 @@ type Machine struct {
 	decidedAtTick   types.Tick
 	nowTick         types.Tick
 
+	inputBases, decideBases binaryBases // sign bases under cfg.Tag
+
 	err error
 }
 
 var _ proto.Machine = (*Machine)(nil)
+
+func (m *Machine) inputBase(v types.Value) []byte {
+	return m.inputBases.get(inputDomain, m.cfg.Tag, v)
+}
+
+func (m *Machine) decideBase(v types.Value) []byte {
+	return m.decideBases.get(decideDomain, m.cfg.Tag, v)
+}
 
 // NewMachine builds the strong BA machine.
 func NewMachine(cfg Config) (*Machine, error) {
@@ -207,7 +236,7 @@ func (m *Machine) Failed() error { return m.err }
 func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
 	m.nowTick = now
 	m.clock = proto.NewRoundClock(now, 1)
-	share, err := m.signer.Sign(inputBase(m.cfg.Tag, m.cfg.Input))
+	share, err := m.signer.Sign(m.inputBase(m.cfg.Input))
 	if err != nil {
 		m.fail(err)
 		return nil
@@ -280,7 +309,7 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 		if m.cfg.ID != m.leader || !p.V.IsBinary() {
 			return
 		}
-		if !m.small.VerifyShare(inputBase(m.cfg.Tag, p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
+		if !m.small.VerifyShare(m.inputBase(p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
 			return
 		}
 		key := string(p.V)
@@ -292,7 +321,7 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 		if in.From != m.leader || m.proposal != nil {
 			return
 		}
-		if !p.V.IsBinary() || !m.small.Verify(inputBase(m.cfg.Tag, p.V), p.Cert) {
+		if !p.V.IsBinary() || !m.small.Verify(m.inputBase(p.V), p.Cert) {
 			return
 		}
 		cp := p
@@ -301,7 +330,7 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 		if m.cfg.ID != m.leader || !p.V.IsBinary() {
 			return
 		}
-		if !m.full.VerifyShare(decideBase(m.cfg.Tag, p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
+		if !m.full.VerifyShare(m.decideBase(p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
 			return
 		}
 		key := string(p.V)
@@ -311,7 +340,7 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 		m.decideShares[key][in.From] = p.Share
 	case DecideMsg:
 		// Certificate-backed: accept whenever it arrives.
-		if !p.V.IsBinary() || !m.full.Verify(decideBase(m.cfg.Tag, p.V), p.Cert) {
+		if !p.V.IsBinary() || !m.full.Verify(m.decideBase(p.V), p.Cert) {
 			return
 		}
 		m.setDecision(p.V, p.Cert)
@@ -324,7 +353,7 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 func (m *Machine) onFallback(now types.Tick, p Fallback) {
 	// Adopt decision evidence while undecided.
 	if !m.decided && p.Proof != nil && p.V.IsBinary() &&
-		m.full.Verify(decideBase(m.cfg.Tag, p.V), p.Proof) {
+		m.full.Verify(m.decideBase(p.V), p.Proof) {
 		m.buDecision = p.V.Clone()
 		m.buProof = p.Proof
 	}
@@ -348,7 +377,7 @@ func (m *Machine) boundary(now types.Tick, r int) []proto.Outgoing {
 				continue
 			}
 			v := types.Value(key)
-			cert, err := m.small.Combine(inputBase(m.cfg.Tag, v), m.shareList(shares))
+			cert, err := m.small.Combine(m.inputBase(v), m.shareList(shares))
 			if err != nil {
 				continue
 			}
@@ -358,7 +387,7 @@ func (m *Machine) boundary(now types.Tick, r int) []proto.Outgoing {
 		if m.proposal == nil {
 			return nil
 		}
-		share, err := m.signer.Sign(decideBase(m.cfg.Tag, m.proposal.V))
+		share, err := m.signer.Sign(m.decideBase(m.proposal.V))
 		if err != nil {
 			m.fail(err)
 			return nil
@@ -374,7 +403,7 @@ func (m *Machine) boundary(now types.Tick, r int) []proto.Outgoing {
 				continue
 			}
 			v := types.Value(key)
-			cert, err := m.full.Combine(decideBase(m.cfg.Tag, v), m.shareList(shares))
+			cert, err := m.full.Combine(m.decideBase(v), m.shareList(shares))
 			if err != nil {
 				continue
 			}

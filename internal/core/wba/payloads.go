@@ -12,33 +12,40 @@ import (
 // or nested instances, and the phase number binds certificates to the
 // phase that produced them (the commit_level mechanism of Algorithm 4).
 
-// voteBase is what vote shares sign: a commit certificate for (v, level j)
-// is a threshold certificate over voteBase(tag, j, v).
-func voteBase(tag string, phase int, v types.Value) []byte {
-	w := wire.NewWriter()
-	w.PutString("wba/vote")
+// Sign-base domains.
+const (
+	voteDomain    = "wba/vote"
+	decideDomain  = "wba/decide"
+	helpReqDomain = "wba/help_req"
+)
+
+// phaseBase encodes (domain, tag, phase, v) in one exact-size allocation.
+func phaseBase(domain, tag string, phase int, v types.Value) []byte {
+	w := wire.NewWriterSize(wire.SizeBytes(len(domain)) + wire.SizeBytes(len(tag)) + wire.SizeInt + wire.SizeBytes(len(v)))
+	w.PutString(domain)
 	w.PutString(tag)
 	w.PutInt(phase)
 	w.PutValue(v)
 	return w.Bytes()
+}
+
+// voteBase is what vote shares sign: a commit certificate for (v, level j)
+// is a threshold certificate over voteBase(tag, j, v).
+func voteBase(tag string, phase int, v types.Value) []byte {
+	return phaseBase(voteDomain, tag, phase, v)
 }
 
 // decideBase is what decide shares sign: a finalize certificate for (v, j)
 // is a threshold certificate over decideBase(tag, j, v).
 func decideBase(tag string, phase int, v types.Value) []byte {
-	w := wire.NewWriter()
-	w.PutString("wba/decide")
-	w.PutString(tag)
-	w.PutInt(phase)
-	w.PutValue(v)
-	return w.Bytes()
+	return phaseBase(decideDomain, tag, phase, v)
 }
 
 // helpReqBase is what help_req shares sign: the fallback certificate is a
 // (t+1, n)-threshold certificate over it.
 func helpReqBase(tag string) []byte {
-	w := wire.NewWriter()
-	w.PutString("wba/help_req")
+	w := wire.NewWriterSize(wire.SizeBytes(len(helpReqDomain)) + wire.SizeBytes(len(tag)))
+	w.PutString(helpReqDomain)
 	w.PutString(tag)
 	return w.Bytes()
 }

@@ -29,6 +29,7 @@ import (
 	"adaptiveba/internal/fallback"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/types"
+	"adaptiveba/internal/wire"
 )
 
 // Config parameterizes weak BA for one process.
@@ -115,6 +116,13 @@ type Machine struct {
 	nowTick        types.Tick
 	ranFallback    bool
 
+	// Sign bases already encoded under cfg.Tag: the last vote and decide
+	// base (the n shares a leader ingests in one pass, the certificate it
+	// combines from them and the one every process then verifies all
+	// cover the same (phase, value)) and the constant help_req base.
+	lastVote, lastDecide wire.LastEncoding
+	helpBase             []byte
+
 	err error // first internal error (signing); surfaces via Failed
 }
 
@@ -150,6 +158,26 @@ func NewMachine(cfg Config) *Machine {
 		helpReqShares: make(map[types.ProcessID]sig.Signature),
 	}
 	return m
+}
+
+// voteBase returns voteBase(tag, phase, v), re-encoding only when
+// (phase, v) differ from the previous call's.
+func (m *Machine) voteBase(phase int, v types.Value) []byte {
+	return m.lastVote.Get(phase, v, func() []byte { return voteBase(m.cfg.Tag, phase, v) })
+}
+
+// decideBase is voteBase's counterpart for decide shares.
+func (m *Machine) decideBase(phase int, v types.Value) []byte {
+	return m.lastDecide.Get(phase, v, func() []byte { return decideBase(m.cfg.Tag, phase, v) })
+}
+
+// helpReqBase returns the instance's one help_req base, encoded on first
+// use (a run in which everybody decides never needs it).
+func (m *Machine) helpReqBase() []byte {
+	if m.helpBase == nil {
+		m.helpBase = helpReqBase(m.cfg.Tag)
+	}
+	return m.helpBase
 }
 
 // Rounds returns the number of lock-step rounds before the fallback may
@@ -284,7 +312,7 @@ func (m *Machine) verifyFinalize(v types.Value, phase int, cert *threshold.Cert)
 	if cert == nil || phase < 1 || phase > m.phases || v.IsBottom() {
 		return false
 	}
-	return m.quorum.Verify(decideBase(m.cfg.Tag, phase, v), cert)
+	return m.quorum.Verify(m.decideBase(phase, v), cert)
 }
 
 // verifyCommit checks a commit certificate for (v, level).
@@ -292,7 +320,7 @@ func (m *Machine) verifyCommit(v types.Value, level int, cert *threshold.Cert) b
 	if cert == nil || level < 1 || level > m.phases || v.IsBottom() {
 		return false
 	}
-	return m.quorum.Verify(voteBase(m.cfg.Tag, level, v), cert)
+	return m.quorum.Verify(m.voteBase(level, v), cert)
 }
 
 // ingest handles one incoming message: certificate-backed messages take
@@ -309,7 +337,7 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 		if m.leaderOf(p.Phase) != m.cfg.ID {
 			return
 		}
-		if !m.quorum.VerifyShare(voteBase(m.cfg.Tag, p.Phase, p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
+		if !m.quorum.VerifyShare(m.voteBase(p.Phase, p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
 			return
 		}
 		if m.votes[p.Phase] == nil {
@@ -335,7 +363,7 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 		if m.leaderOf(p.Phase) != m.cfg.ID {
 			return
 		}
-		if !m.quorum.VerifyShare(decideBase(m.cfg.Tag, p.Phase, p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
+		if !m.quorum.VerifyShare(m.decideBase(p.Phase, p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
 			return
 		}
 		if m.decideShares[p.Phase] == nil {
@@ -351,7 +379,7 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 			m.setDecision(p.V, p.Cert, p.Phase)
 		}
 	case HelpReq:
-		if !m.small.VerifyShare(helpReqBase(m.cfg.Tag), threshold.Share{Signer: in.From, Sig: p.Share}) {
+		if !m.small.VerifyShare(m.helpReqBase(), threshold.Share{Signer: in.From, Sig: p.Share}) {
 			return
 		}
 		if _, seen := m.helpReqShares[in.From]; !seen {
@@ -369,7 +397,7 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 
 // onFallbackCert handles lines 16–23 of Algorithm 3.
 func (m *Machine) onFallbackCert(now types.Tick, p FallbackCert) {
-	if p.Cert == nil || !m.small.Verify(helpReqBase(m.cfg.Tag), p.Cert) {
+	if p.Cert == nil || !m.small.Verify(m.helpReqBase(), p.Cert) {
 		return
 	}
 	// Adopt attached decision evidence while undecided.
@@ -400,7 +428,7 @@ func (m *Machine) boundary(now types.Tick, r int) []proto.Outgoing {
 	switch r - m.phases*roundsPerPhase {
 	case 1: // round A: help requests
 		if !m.decided {
-			share, err := m.signer.Sign(helpReqBase(m.cfg.Tag))
+			share, err := m.signer.Sign(m.helpReqBase())
 			if err != nil {
 				m.fail(err)
 				return outs
@@ -439,7 +467,7 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 		}
 		if !m.votedPhase[phase] && m.cfg.Predicate.Validate(p.V) {
 			m.votedPhase[phase] = true
-			share, err := m.signer.Sign(voteBase(m.cfg.Tag, phase, p.V))
+			share, err := m.signer.Sign(m.voteBase(phase, p.V))
 			if err != nil {
 				m.fail(err)
 				return nil
@@ -469,7 +497,7 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 				continue
 			}
 			v := types.Value(key)
-			cert, err := m.quorum.Combine(voteBase(m.cfg.Tag, phase, v), shares)
+			cert, err := m.quorum.Combine(m.voteBase(phase, v), shares)
 			if err != nil {
 				continue
 			}
@@ -496,7 +524,7 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 		m.commit = best.V.Clone()
 		m.commitProof = best.Cert
 		m.commitLevel = best.Level
-		share, err := m.signer.Sign(decideBase(m.cfg.Tag, phase, best.V))
+		share, err := m.signer.Sign(m.decideBase(phase, best.V))
 		if err != nil {
 			m.fail(err)
 			return nil
@@ -512,7 +540,7 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 				continue
 			}
 			v := types.Value(key)
-			cert, err := m.quorum.Combine(decideBase(m.cfg.Tag, phase, v), shares)
+			cert, err := m.quorum.Combine(m.decideBase(phase, v), shares)
 			if err != nil {
 				continue
 			}
@@ -546,7 +574,7 @@ func (m *Machine) helpRoundB(now types.Tick) []proto.Outgoing {
 		for _, from := range m.helpReqFrom {
 			shares = append(shares, threshold.Share{Signer: from, Sig: m.helpReqShares[from]})
 		}
-		cert, err := m.small.Combine(helpReqBase(m.cfg.Tag), shares)
+		cert, err := m.small.Combine(m.helpReqBase(), shares)
 		if err == nil {
 			m.fallbackStart = now + 2
 			var v types.Value

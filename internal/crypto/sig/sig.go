@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 
+	"adaptiveba/internal/crypto/keyedmac"
 	"adaptiveba/internal/types"
 )
 
@@ -112,8 +113,12 @@ func (r *Ed25519Ring) Verify(signer types.ProcessID, msg []byte, s Signature) bo
 // HMACRing is a symmetric "ideal signature" functionality: per-process
 // HMAC-SHA256 keys derived from a master seed. Fast and deterministic;
 // unforgeable only against parties that use the ring through its API.
+//
+// Each identity's keyed MAC states are owned by the ring (one
+// keyedmac.Pool per identity) and reused across calls, so Sign allocates
+// only the tag it returns and Verify allocates nothing.
 type HMACRing struct {
-	keys [][]byte
+	macs []keyedmac.Pool
 }
 
 var _ Scheme = (*HMACRing)(nil)
@@ -127,14 +132,14 @@ func NewHMACRing(n int, seed []byte) (*HMACRing, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("sig: invalid ring size %d", n)
 	}
-	r := &HMACRing{keys: make([][]byte, n)}
+	r := &HMACRing{macs: make([]keyedmac.Pool, n)}
 	for i := 0; i < n; i++ {
 		mac := hmac.New(sha256.New, seed)
 		var idb [8]byte
 		binary.BigEndian.PutUint64(idb[:], uint64(i))
 		mac.Write([]byte("adaptiveba/keyderive"))
 		mac.Write(idb[:])
-		r.keys[i] = mac.Sum(nil)
+		r.macs[i].Init(mac.Sum(nil))
 	}
 	return r, nil
 }
@@ -143,31 +148,35 @@ func NewHMACRing(n int, seed []byte) (*HMACRing, error) {
 func (r *HMACRing) Name() string { return "hmac" }
 
 // N implements Scheme.
-func (r *HMACRing) N() int { return len(r.keys) }
+func (r *HMACRing) N() int { return len(r.macs) }
 
 // SignatureSize implements Scheme.
 func (r *HMACRing) SignatureSize() int { return hmacTagSize }
 
-// Sign implements Scheme.
+// Sign implements Scheme. The tag has exactly hmacTagSize capacity.
 func (r *HMACRing) Sign(signer types.ProcessID, msg []byte) (Signature, error) {
-	if signer < 0 || int(signer) >= len(r.keys) {
+	if signer < 0 || int(signer) >= len(r.macs) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownSigner, signer)
 	}
-	mac := hmac.New(sha256.New, r.keys[signer])
-	mac.Write(msg)
-	return mac.Sum(nil)[:hmacTagSize], nil
+	pool := &r.macs[signer]
+	st := pool.Get()
+	st.Write(msg)
+	tag := st.Tag(hmacTagSize)
+	pool.Put(st)
+	return tag, nil
 }
 
 // Verify implements Scheme.
 func (r *HMACRing) Verify(signer types.ProcessID, msg []byte, s Signature) bool {
-	if signer < 0 || int(signer) >= len(r.keys) {
+	if signer < 0 || int(signer) >= len(r.macs) {
 		return false
 	}
-	want, err := r.Sign(signer, msg)
-	if err != nil {
-		return false
-	}
-	return hmac.Equal(want, s)
+	pool := &r.macs[signer]
+	st := pool.Get()
+	st.Write(msg)
+	ok := st.Equal(s, hmacTagSize)
+	pool.Put(st)
+	return ok
 }
 
 // Signer is a capability binding one identity to a scheme. Honest protocol

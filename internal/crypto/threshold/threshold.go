@@ -23,12 +23,12 @@ package threshold
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
+	"adaptiveba/internal/crypto/keyedmac"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/verifycache"
 	"adaptiveba/internal/types"
@@ -127,11 +127,11 @@ func (c *Cert) Clone() *Cert {
 // Scheme batches and verifies threshold certificates at one fixed
 // threshold K over a base signature scheme.
 type Scheme struct {
-	n         int
-	k         int
-	mode      Mode
-	base      sig.Scheme
-	dealerKey []byte // compact mode only
+	n      int
+	k      int
+	mode   Mode
+	base   sig.Scheme
+	dealer keyedmac.Pool // compact mode only: reusable states keyed with the dealer key
 
 	// Verification fast path (see internal/crypto/verifycache): an
 	// optional content-addressed memo for whole-certificate checks and a
@@ -178,7 +178,7 @@ func New(base sig.Scheme, k int, mode Mode, dealerSeed []byte, opts ...Option) (
 	case ModeCompact:
 		mac := hmac.New(sha256.New, dealerSeed)
 		mac.Write([]byte("adaptiveba/threshold-dealer"))
-		s.dealerKey = mac.Sum(nil)
+		s.dealer.Init(mac.Sum(nil))
 	default:
 		return nil, fmt.Errorf("%w: unknown mode %v", ErrBadParams, mode)
 	}
@@ -238,7 +238,9 @@ func (s *Scheme) Combine(msg []byte, shares []Share) (*Cert, error) {
 			cert.Shares[i] = bySigner[id].Clone()
 		}
 	case ModeCompact:
-		cert.Tag = s.tag(msg, signers)
+		st := s.dealerMAC(msg, signers)
+		cert.Tag = st.Tag(compactTagSize)
+		s.dealer.Put(st)
 	}
 	return cert, nil
 }
@@ -274,10 +276,10 @@ func (s *Scheme) certKey(msg []byte, cert *Cert) verifycache.Key {
 	h.Uint64(uint64(s.k))
 	h.Uint64(uint64(s.n))
 	h.Bytes(msg)
-	words := cert.Signers.Words()
-	h.Uint64(uint64(len(words)))
-	for _, w := range words {
-		h.Uint64(w)
+	nw := cert.Signers.NumWords()
+	h.Uint64(uint64(nw))
+	for i := 0; i < nw; i++ {
+		h.Uint64(cert.Signers.Word(i))
 	}
 	h.Uint64(uint64(len(cert.Shares)))
 	for _, sh := range cert.Shares {
@@ -305,7 +307,10 @@ func (s *Scheme) verifyCert(msg []byte, cert *Cert) bool {
 		}
 		return true
 	case ModeCompact:
-		return hmac.Equal(cert.Tag, s.tag(msg, cert.Signers))
+		st := s.dealerMAC(msg, cert.Signers)
+		ok := st.Equal(cert.Tag, compactTagSize)
+		s.dealer.Put(st)
+		return ok
 	default:
 		return false
 	}
@@ -341,20 +346,19 @@ func (s *Scheme) verifySharesParallel(msg []byte, members []types.ProcessID, sha
 	return !failed.Load()
 }
 
-// tag computes the dealer's compact tag over (k, msg, signer set).
-func (s *Scheme) tag(msg []byte, signers *types.BitSet) []byte {
-	mac := hmac.New(sha256.New, s.dealerKey)
-	var kb [8]byte
-	binary.BigEndian.PutUint64(kb[:], uint64(s.k))
-	mac.Write(kb[:])
-	var lb [8]byte
-	binary.BigEndian.PutUint64(lb[:], uint64(len(msg)))
-	mac.Write(lb[:])
-	mac.Write(msg)
-	for _, w := range signers.Words() {
-		var wb [8]byte
-		binary.BigEndian.PutUint64(wb[:], w)
-		mac.Write(wb[:])
+// compactTagSize is the truncated length of the dealer's tag.
+const compactTagSize = 16
+
+// dealerMAC feeds (k, msg, signer set) to one of the dealer's keyed MAC
+// states. The caller takes the tag (Tag to mint, Equal to check) and
+// returns the state with s.dealer.Put.
+func (s *Scheme) dealerMAC(msg []byte, signers *types.BitSet) *keyedmac.State {
+	st := s.dealer.Get()
+	st.WriteUint64(uint64(s.k))
+	st.WriteUint64(uint64(len(msg)))
+	st.Write(msg)
+	for i, n := 0, signers.NumWords(); i < n; i++ {
+		st.WriteUint64(signers.Word(i))
 	}
-	return mac.Sum(nil)[:16]
+	return st
 }

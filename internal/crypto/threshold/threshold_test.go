@@ -1,7 +1,13 @@
 package threshold
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -270,5 +276,100 @@ func TestQuickCombine(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceCompactTag recomputes the dealer's tag from first principles
+// with fresh hmac.New states, sharing nothing with the scheme under test.
+func referenceCompactTag(dealerSeed []byte, k int, msg []byte, signers *types.BitSet) []byte {
+	kd := hmac.New(sha256.New, dealerSeed)
+	kd.Write([]byte("adaptiveba/threshold-dealer"))
+	mac := hmac.New(sha256.New, kd.Sum(nil))
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], uint64(k))
+	mac.Write(b[:])
+	binary.BigEndian.PutUint64(b[:], uint64(len(msg)))
+	mac.Write(b[:])
+	mac.Write(msg)
+	for _, w := range signers.Words() {
+		binary.BigEndian.PutUint64(b[:], w)
+		mac.Write(b[:])
+	}
+	return mac.Sum(nil)[:16]
+}
+
+// TestCompactTagMatchesFreshHMAC is the dealer-side differential test for
+// the reused keyed state: certificates minted and checked back to back on
+// one scheme — accepted, rejected, over different messages and signer
+// sets, n past one bitset word — always carry the fresh-hmac tag.
+func TestCompactTagMatchesFreshHMAC(t *testing.T) {
+	const n, k = 70, 36
+	s := newScheme(t, n, k, ModeCompact)
+	for round := 0; round < 20; round++ {
+		msg := []byte(fmt.Sprintf("message-%d-%s", round, strings.Repeat("x", round*7)))
+		ids := make([]types.ProcessID, 0, k+round%3)
+		for i := 0; len(ids) < cap(ids); i++ {
+			ids = append(ids, types.ProcessID((i*3+round)%n)) // 3 is coprime to n: distinct
+		}
+		cert, err := s.Combine(msg, collectShares(t, s, msg, ids...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceCompactTag([]byte("dealer"), k, msg, cert.Signers); !bytes.Equal(cert.Tag, want) {
+			t.Fatalf("round %d: dealer tag %x, fresh hmac %x", round, cert.Tag, want)
+		}
+		if !s.Verify(msg, cert) {
+			t.Fatalf("round %d: own certificate rejected", round)
+		}
+		if s.Verify(append(msg, '!'), cert) {
+			t.Fatalf("round %d: certificate verified for a different message", round)
+		}
+		forged := cert.Clone()
+		forged.Tag[round%len(forged.Tag)] ^= 4
+		if s.Verify(msg, forged) {
+			t.Fatalf("round %d: flipped tag accepted", round)
+		}
+		if !s.Verify(msg, cert) {
+			t.Fatalf("round %d: certificate rejected after a rejected forgery", round)
+		}
+	}
+}
+
+// TestCompactTagIsExactCapacity pins that a compact certificate's tag is
+// not a window onto the untruncated dealer MAC.
+func TestCompactTagIsExactCapacity(t *testing.T) {
+	s := newScheme(t, 5, 3, ModeCompact)
+	msg := []byte("m")
+	cert, err := s.Combine(msg, collectShares(t, s, msg, 0, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cert.Tag) != compactTagSize || cap(cert.Tag) != len(cert.Tag) {
+		t.Fatalf("tag len=%d cap=%d, want %d/%d", len(cert.Tag), cap(cert.Tag), compactTagSize, compactTagSize)
+	}
+	for i, sh := range collectShares(t, s, msg, 0, 1, 2) {
+		if cap(sh.Sig) != len(sh.Sig) {
+			t.Errorf("share %d: len=%d cap=%d, want equal", i, len(sh.Sig), cap(sh.Sig))
+		}
+	}
+}
+
+// TestCompactVerifyAllocatesNothing: checking a compact certificate —
+// valid or forged — compares the dealer MAC in place.
+func TestCompactVerifyAllocatesNothing(t *testing.T) {
+	s := newScheme(t, 9, 5, ModeCompact)
+	msg := []byte("a sign base of ordinary length, tag and value included")
+	cert, err := s.Combine(msg, collectShares(t, s, msg, 0, 2, 4, 6, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := cert.Clone()
+	forged.Tag[0] ^= 1
+	if a := testing.AllocsPerRun(200, func() {
+		if !s.Verify(msg, cert) || s.Verify(msg, forged) {
+			t.Fatal("verify gave the wrong answer")
+		}
+	}); a > 0 {
+		t.Errorf("compact Scheme.Verify allocates %.0f, want 0", a)
 	}
 }

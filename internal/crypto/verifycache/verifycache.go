@@ -42,16 +42,34 @@ type Key [sha256.Size]byte
 // Hasher incrementally builds a Key from length-prefixed fields, so
 // callers (e.g. the threshold package for certificates) can commit to
 // structured inputs without ambiguity.
+//
+// Hashers are recycled through a package-level pool — they hold an
+// unkeyed SHA-256 state and nothing of any run — and carry their own
+// integer scratch and digest buffer, so computing a Key leaves no heap
+// garbage: a slice handed to hash.Hash escapes through the interface, and
+// a caller-side array would be heap-allocated on every call.
 type Hasher struct {
 	h   hash.Hash
 	buf [8]byte
+	sum Key
+}
+
+var hasherPool = sync.Pool{
+	New: func() any { return &Hasher{h: sha256.New()} },
 }
 
 // NewHasher starts a Key computation under the given domain-separation
-// tag. Distinct domains ("sig", "cert") can never collide.
+// tag. Distinct domains ("sig", "cert") can never collide. The Hasher is
+// released by Sum.
 func NewHasher(domain string) *Hasher {
-	h := &Hasher{h: sha256.New()}
-	h.Bytes([]byte(domain))
+	h := hasherPool.Get().(*Hasher)
+	h.h.Reset()
+	h.Uint64(uint64(len(domain)))
+	for len(domain) > 0 { // through the scratch: []byte(domain) would escape
+		n := copy(h.buf[:], domain)
+		h.h.Write(h.buf[:n])
+		domain = domain[n:]
+	}
 	return h
 }
 
@@ -68,10 +86,12 @@ func (h *Hasher) Bytes(b []byte) {
 	h.h.Write(b)
 }
 
-// Sum finalizes the key.
+// Sum finalizes the key and releases the Hasher, which must not be used
+// afterwards.
 func (h *Hasher) Sum() Key {
-	var k Key
-	h.h.Sum(k[:0])
+	h.h.Sum(h.sum[:0])
+	k := h.sum
+	hasherPool.Put(h)
 	return k
 }
 

@@ -1,6 +1,9 @@
 package verifycache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -187,5 +190,65 @@ func TestDoSurvivesComputePanic(t *testing.T) {
 	calls := 0
 	if !c.Do(k, func() bool { calls++; return true }) || calls != 1 {
 		t.Errorf("cache wedged after panic: calls=%d", calls)
+	}
+}
+
+// TestSigKeyMatchesReferenceSerialization pins the key derivation bytes
+// against a one-shot SHA-256 of the documented serialization — domain,
+// signer, message and signature, each length-prefixed — across many keys
+// computed back to back, so a recycled Hasher that kept anything of its
+// previous use would show.
+func TestSigKeyMatchesReferenceSerialization(t *testing.T) {
+	put := func(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+	for i := 0; i < 50; i++ {
+		signer := types.ProcessID(i - 3)
+		msg := bytes.Repeat([]byte{byte(i)}, i*5)
+		sg := sig.Signature(bytes.Repeat([]byte{byte(255 - i)}, i%20))
+		var ref []byte
+		ref = append(put(ref, 3), "sig"...)
+		ref = put(ref, uint64(signer))
+		ref = append(put(ref, uint64(len(msg))), msg...)
+		ref = append(put(ref, uint64(len(sg))), sg...)
+		if got, want := SigKey(signer, msg, sg), Key(sha256.Sum256(ref)); got != want {
+			t.Fatalf("key %d: pooled hasher %x, reference %x", i, got, want)
+		}
+	}
+	long := NewHasher("a-domain-longer-than-the-scratch")
+	long.Bytes([]byte("x"))
+	var ref []byte
+	ref = append(put(ref, 32), "a-domain-longer-than-the-scratch"...)
+	ref = append(put(ref, 1), 'x')
+	if got, want := long.Sum(), Key(sha256.Sum256(ref)); got != want {
+		t.Errorf("long domain: pooled hasher %x, reference %x", got, want)
+	}
+}
+
+// TestVerifyHitAllocatesNothing: a verification answered from the cache —
+// key hashing, lookup, answer — leaves no heap garbage, for cached
+// positives and cached negatives alike.
+func TestVerifyHitAllocatesNothing(t *testing.T) {
+	ring := testRing(t, 4)
+	s := WrapScheme(ring, New(64))
+	msg := bytes.Repeat([]byte("sign base "), 9)
+	good, _ := ring.Sign(1, msg)
+	bad := good.Clone()
+	bad[0] ^= 1
+	if !s.Verify(1, msg, good) || s.Verify(1, msg, bad) {
+		t.Fatal("first-sight verification gave the wrong answer")
+	}
+	// One Verify per measured run: under -race sync.Pool drops a quarter
+	// of its Puts, and AllocsPerRun's integer average absorbs that only
+	// while a run expects less than one refill.
+	for name, c := range map[string]struct {
+		sg   sig.Signature
+		want bool
+	}{"positive": {good, true}, "negative": {bad, false}} {
+		if a := testing.AllocsPerRun(200, func() {
+			if s.Verify(1, msg, c.sg) != c.want {
+				t.Fatal("cached verification gave the wrong answer")
+			}
+		}); a > 0 {
+			t.Errorf("verifycache.Scheme.Verify hit (cached %s) allocates %.0f, want 0", name, a)
+		}
 	}
 }

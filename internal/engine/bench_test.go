@@ -1,0 +1,96 @@
+package engine
+
+import (
+	"runtime"
+	"testing"
+
+	"adaptiveba/internal/types"
+)
+
+// commitShapes are the two RunACSLog calls the repo benchmark's write
+// paths reduce to: the one-command flush service.Core.Commit issues for a
+// serial put (n=4, one round — `engine.allocs_per_call.n4r1`) and the
+// batched library call of lib-acs-crash1 (n=9, one crashed proposer, four
+// rounds of batch 16). TickWorkers stays at its default on purpose: that
+// is what the service runs, and what the older guards (Workers: 1, idle
+// ticks) never measured.
+var commitShapes = []struct {
+	name          string
+	cfg           Config
+	rounds, batch int
+	queues        func() [][]types.Value
+	committed     int
+	allocCeiling  float64
+}{
+	{
+		name: "n4r1", cfg: Config{N: 4, T: 1, Inflight: 1}, rounds: 1, batch: 8,
+		queues: func() [][]types.Value {
+			return [][]types.Value{{types.Value("SET a2V5LTAwMDE i:dmFsdWU")}, nil, nil, nil}
+		},
+		committed: 1, allocCeiling: 4100,
+	},
+	{
+		name: "n9f1", cfg: Config{N: 9, F: 1}, rounds: 4, batch: 16,
+		queues:    func() [][]types.Value { return acsQueues(9, 4*16) },
+		committed: 8 * 4 * 16, allocCeiling: 215000,
+	},
+}
+
+// runCommitShape makes shape i's call. queues is s.queues(), built by the
+// caller outside whatever it measures (RunACSLog only reads it).
+func runCommitShape(tb testing.TB, i int, queues [][]types.Value, seed int64) {
+	s := &commitShapes[i]
+	cfg := s.cfg
+	cfg.Seed = seed
+	rep, err := RunACSLog(cfg, queues, s.rounds, s.batch)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if !rep.Converged || rep.Committed != s.committed {
+		tb.Fatalf("%s: converged=%t committed=%d, want %d", s.name, rep.Converged, rep.Committed, s.committed)
+	}
+}
+
+// BenchmarkRunACSLogCommit is the profiling entry point for the cost of a
+// commit (`make profile-commit`): every sign-base encoding, MAC,
+// verify-cache lookup and tick of the real crypto path, nothing of the
+// service around it.
+func BenchmarkRunACSLogCommit(b *testing.B) {
+	for i := range commitShapes {
+		b.Run(commitShapes[i].name, func(b *testing.B) {
+			queues := commitShapes[i].queues()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				runCommitShape(b, i, queues, int64(k))
+			}
+		})
+	}
+}
+
+// TestCommitAllocCeiling is the engine-level alloc guard on the real
+// crypto path at the default TickWorkers: whole-call allocation counts of
+// the two commit shapes (parent commit: 6 597 and ≈ 262 000; this change:
+// ≈ 2 900 and ≈ 129 000). It reads MemStats itself because
+// testing.AllocsPerRun pins GOMAXPROCS to 1, which would turn the default
+// worker count into the serial engine.
+func TestCommitAllocCeiling(t *testing.T) {
+	for i := range commitShapes {
+		s := &commitShapes[i]
+		const runs = 3
+		queues := s.queues()
+		runCommitShape(t, i, queues, 0) // warm the lazily built package state
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := 1; k <= runs; k++ {
+			runCommitShape(t, i, queues, int64(k))
+		}
+		runtime.ReadMemStats(&after)
+		allocs := float64(after.Mallocs-before.Mallocs) / runs
+		t.Logf("%s: %.0f allocs per RunACSLog call (ceiling %.0f, GOMAXPROCS %d)",
+			s.name, allocs, s.allocCeiling, runtime.GOMAXPROCS(0))
+		if allocs > s.allocCeiling {
+			t.Errorf("%s: %.0f allocs per call, ceiling %.0f", s.name, allocs, s.allocCeiling)
+		}
+	}
+}

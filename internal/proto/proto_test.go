@@ -316,3 +316,42 @@ func TestCryptoThresholdConcurrentAccess(t *testing.T) {
 		}
 	}
 }
+
+// TestSubWrapJoinsEachRunOnce: wrap prefixes every send exactly as
+// JoinSession would — across alternating, repeated and empty paths, and
+// from one tick to the next — while a broadcast on one nested path costs
+// one concatenation, not one per recipient.
+func TestSubWrapJoinsEachRunOnce(t *testing.T) {
+	child := &echoMachine{}
+	sub := NewSub("s0", child)
+	sub.Begin(0)
+	rests := []string{"", "", "b0/wba", "b0/wba", "b0/wba", "", "b1", "b0/wba", "b1", "b1"}
+	for tick := types.Tick(1); tick <= 3; tick++ {
+		inbox := make([]Incoming, len(rests))
+		for i, r := range rests {
+			inbox[i] = Incoming{From: types.ProcessID(i), Session: r, Payload: fakePayload{name: "p"}}
+		}
+		outs := sub.Tick(tick, inbox)
+		if len(outs) != len(rests) {
+			t.Fatalf("tick %d: %d outs", tick, len(outs))
+		}
+		for i, r := range rests {
+			if want := JoinSession("s0", r); outs[i].Session != want {
+				t.Errorf("tick %d out %d: session %q, want %q", tick, i, outs[i].Session, want)
+			}
+		}
+	}
+
+	params, err := types.NewParams(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := make([]Outgoing, 0, params.N)
+	if a := testing.AllocsPerRun(50, func() {
+		outs = AppendBroadcast(outs[:0], params, "b3/wba", fakePayload{name: "p"})
+		sub.wrap(outs)
+		sub.lastJoined = "" // next run starts cold: count the join itself
+	}); a > 2 { // the joined string, and the payload boxed into its interface
+		t.Errorf("wrapping a %d-way broadcast on one nested path allocates %.0f, want <= 2", params.N, a)
+	}
+}

@@ -13,6 +13,11 @@ type Sub struct {
 	started bool
 	begun   bool
 	buffer  []Incoming
+
+	// The last child-relative session path wrap prefixed, and the result:
+	// a broadcast is n consecutive sends on one path, and a child mostly
+	// keeps to one path from tick to tick.
+	lastRest, lastJoined string
 }
 
 // NewSub wraps machine under the session segment name.
@@ -80,9 +85,14 @@ func (s *Sub) Done() bool {
 	return s.started && s.machine.Done()
 }
 
+// wrap prefixes the child's sends with the session segment, joining each
+// distinct path once per run of equal paths rather than once per send.
 func (s *Sub) wrap(outs []Outgoing) []Outgoing {
 	for i := range outs {
-		outs[i].Session = JoinSession(s.name, outs[i].Session)
+		if rest := outs[i].Session; s.lastJoined == "" || rest != s.lastRest {
+			s.lastRest, s.lastJoined = rest, JoinSession(s.name, rest)
+		}
+		outs[i].Session = s.lastJoined
 	}
 	return outs
 }

@@ -18,12 +18,14 @@
 // Within one tick, honest machines share no mutable state (they interact
 // only through messages, which the engine delivers between ticks), so the
 // engine fans their Begin/Tick calls out across a bounded worker pool
-// (Config.Workers). Each machine's outputs land in a per-machine slot and
-// are joined in ID order afterwards, so the observable schedule — honest
-// traffic order, the rushing adversary's view, metrics, traces — is
-// byte-identical at every worker count, including 1, which reduces to the
-// strictly serial engine. All engine-side observation (adversary calls,
-// recording, tracing, OnSend) happens post-join on the engine goroutine.
+// (Config.Workers) on every tick heavy enough to repay the fan-out
+// (stepFanOutMin) and steps them inline otherwise. Each machine's outputs
+// land in a per-machine slot and are joined in ID order afterwards, so
+// the observable schedule — honest traffic order, the rushing adversary's
+// view, metrics, traces — is byte-identical at every worker count,
+// including 1, which reduces to the strictly serial engine. All
+// engine-side observation (adversary calls, recording, tracing, OnSend)
+// happens post-join on the engine goroutine.
 package sim
 
 import (
@@ -260,10 +262,12 @@ func Run(cfg Config) (*Result, error) {
 		inboxOff:  make([]int32, n+1),
 		counts:    make([]int32, n),
 		outs:      make([][]proto.Outgoing, n),
-		shufflers: make([]*shuffler, workers),
 	}
-	for w := range e.shufflers {
-		e.shufflers[w] = newShuffler()
+	if cfg.ShuffleSeed != 0 {
+		e.shufflers = make([]*shuffler, workers)
+		for w := range e.shufflers {
+			e.shufflers[w] = newShuffler()
+		}
 	}
 	for i := 0; i < n; i++ {
 		id := types.ProcessID(i)
@@ -317,7 +321,7 @@ type engine struct {
 	// Per-tick scratch, sized once from n and reused for the whole run so
 	// the steady-state tick loop allocates nothing.
 	outs      [][]proto.Outgoing // per-machine step outputs, joined in ID order
-	shufflers []*shuffler        // one reusable shuffle source per worker
+	shufflers []*shuffler        // one reusable shuffle source per worker; nil unless ShuffleSeed != 0
 }
 
 // inbox returns machine i's delivery view for the current tick. The
@@ -425,16 +429,34 @@ func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 	return res, nil
 }
 
+// stepFanOutMin is the delivered-message count below which a tick steps
+// its machines inline on the engine goroutine: the sibling of
+// parallelDeliveryMin, keyed on the same observable, len(e.pending).
+// Spawning and joining the workers costs a fixed 5–100 µs of scheduler
+// and futex traffic per tick, and most ticks of any run are idle or
+// nearly so (886 of the 892 ticks of a failure-free BB at n=161 deliver
+// nothing) — there that overhead is the whole tick. Both paths fill
+// e.outs per machine and join in ID order, so the gate is invisible to
+// the observable schedule. A message count is a coarse proxy for step
+// work: a delivered Ed25519 message costs ~100× an HMAC one, so no one
+// value is the crossover of both. Below 128 messages inline won every
+// HMAC tick measured (1.05–2.2×); the Ed25519 ticks the fan-out wins
+// (every process signing, 0.53–0.68 at n ≥ 81) deliver n or 2n messages,
+// and 256 already gave most of that back at n=161. DESIGN.md, "Engine
+// concurrency model", has the method, the tables, the host and what the
+// gate forgoes.
+const stepFanOutMin = 128
+
 // step shuffles every inbox and runs each honest machine's Begin/Tick,
-// filling e.outs. With one worker it runs serially in the engine's
-// goroutine (the exact pre-parallel path); otherwise the machine indices
-// are work-stolen by e.workers goroutines. Machine panics are re-raised
-// on the engine goroutine.
+// filling e.outs. With one worker, or on a tick lighter than
+// stepFanOutMin, it runs serially in the engine's goroutine; otherwise
+// the machine indices are work-stolen by e.workers goroutines. Machine
+// panics are re-raised on the engine goroutine.
 func (e *engine) step(now types.Tick) {
 	n := e.cfg.Params.N
-	if e.workers == 1 {
+	if e.workers == 1 || len(e.pending) < stepFanOutMin {
 		for i := 0; i < n; i++ {
-			e.stepOne(now, i, e.shufflers[0])
+			e.stepOne(now, i, 0)
 		}
 		return
 	}
@@ -446,7 +468,7 @@ func (e *engine) step(now types.Tick) {
 	)
 	for w := 0; w < e.workers; w++ {
 		wg.Add(1)
-		go func(sh *shuffler) {
+		go func(w int) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -458,9 +480,9 @@ func (e *engine) step(now types.Tick) {
 				if i >= n {
 					return
 				}
-				e.stepOne(now, i, sh)
+				e.stepOne(now, i, w)
 			}
-		}(e.shufflers[w])
+		}(w)
 	}
 	wg.Wait()
 	if panicked != nil {
@@ -468,13 +490,14 @@ func (e *engine) step(now types.Tick) {
 	}
 }
 
-// stepOne shuffles machine i's inbox and, if i is honest, steps it. The
-// shuffle covers corrupted inboxes too: the adversary observes them in
-// permuted order, exactly as the serial engine delivered them.
-func (e *engine) stepOne(now types.Tick, i int, sh *shuffler) {
+// stepOne, run by worker w, shuffles machine i's inbox and, if i is
+// honest, steps it. The shuffle covers corrupted inboxes too: the
+// adversary observes them in permuted order, exactly as the serial engine
+// delivered them.
+func (e *engine) stepOne(now types.Tick, i, w int) {
 	box := e.inbox(i)
 	if e.cfg.ShuffleSeed != 0 {
-		sh.shuffle(e.cfg.ShuffleSeed, now, types.ProcessID(i), box)
+		e.shufflers[w].shuffle(e.cfg.ShuffleSeed, now, types.ProcessID(i), box)
 	}
 	if e.corrupted[i] {
 		return

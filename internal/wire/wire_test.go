@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -268,5 +270,76 @@ func TestRegistryErrors(t *testing.T) {
 	b, _ := reg.EncodePayload(testPayload{N: 1})
 	if _, err := reg.DecodePayload(append(b, 0x00)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+}
+
+// TestNewWriterSizeIsExact: an encoder that sums SizeInt/SizeBytes for
+// its fields gets its encoding in one allocation with no slack, byte for
+// byte what the growing writer produces.
+func TestNewWriterSizeIsExact(t *testing.T) {
+	encode := func(w *Writer) []byte {
+		w.PutString("wba/vote")
+		w.PutString("eng/s0/b1/wba")
+		w.PutInt(3)
+		w.PutProcess(7)
+		w.PutValue(types.Value("a value"))
+		w.PutSig(nil)
+		return w.Bytes()
+	}
+	size := SizeBytes(len("wba/vote")) + SizeBytes(len("eng/s0/b1/wba")) + 2*SizeInt + SizeBytes(len("a value")) + SizeBytes(0)
+	got := encode(NewWriterSize(size))
+	if len(got) != size || cap(got) != size {
+		t.Errorf("len=%d cap=%d, want %d/%d", len(got), cap(got), size, size)
+	}
+	if want := encode(NewWriter()); !bytes.Equal(got, want) {
+		t.Errorf("sized writer encoded %x, growing writer %x", got, want)
+	}
+	if a := testing.AllocsPerRun(100, func() { encode(NewWriterSize(size)) }); a > 1 {
+		t.Errorf("exact-size encoding allocates %.0f, want 1", a)
+	}
+}
+
+// TestLastEncoding: a hit needs both arguments equal (nil and empty byte
+// strings encode alike and compare alike); anything else re-encodes and
+// replaces the single entry.
+func TestLastEncoding(t *testing.T) {
+	var l LastEncoding
+	encodes := 0
+	get := func(n int, v []byte) string {
+		return string(l.Get(n, v, func() []byte {
+			encodes++
+			return []byte(fmt.Sprintf("enc-%d-%s", n, v))
+		}))
+	}
+	for i, c := range []struct {
+		n       int
+		v       []byte
+		encodes int // running total after this call
+	}{
+		{2, []byte("v"), 1}, {2, []byte("v"), 1}, // repeat: remembered
+		{3, []byte("v"), 2}, {3, []byte("w"), 3}, {3, nil, 4}, {3, []byte{}, 4}, // nil == empty
+		{3, []byte("ww"), 5}, {2, []byte("v"), 6}, // the first entry is long gone
+	} {
+		if got, want := get(c.n, c.v), fmt.Sprintf("enc-%d-%s", c.n, c.v); got != want {
+			t.Errorf("call %d: Get(%d, %q) = %q, want %q", i, c.n, c.v, got, want)
+		}
+		if encodes != c.encodes {
+			t.Errorf("call %d: %d encodings so far, want %d", i, encodes, c.encodes)
+		}
+	}
+	a := l.Get(2, []byte("v"), nil) // remembered: encode is not needed
+	if b := l.Get(2, []byte("v"), nil); &a[0] != &b[0] {
+		t.Error("a repeat returned a different slice")
+	}
+
+	// The memo keeps its own copy of v: a buffer changed after Get and
+	// passed again is a miss, not the encoding of what it used to hold.
+	buf := []byte("old")
+	if got := get(7, buf); got != "enc-7-old" {
+		t.Fatalf("Get(7, %q) = %q", buf, got)
+	}
+	copy(buf, "new")
+	if got := get(7, buf); got != "enc-7-new" {
+		t.Errorf("Get after the caller's buffer changed = %q, want enc-7-new", got)
 	}
 }
