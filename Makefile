@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet bench bench-engine-json bench-acs-json bench-explore-json bench-scale-json bench-all profile profile-commit explore chaos-smoke svc-smoke experiments examples fuzz cover clean
+.PHONY: all build test test-short test-race vet bench bench-engine-json bench-acs-json bench-explore-json bench-scale-json bench-all profile profile-commit alloc-guard explore chaos-smoke svc-smoke experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -80,23 +80,49 @@ profile:
 	$(GO) tool pprof -top -nodecount 15 cpu.pprof
 
 # Profile one commit on the real crypto path and print where its
-# allocations and its CPU go: BenchmarkRunACSLogCommit's n4r1 shape is
-# the engine.RunACSLog call behind a serial put (one command, n=4, one
-# round), n9f1 the batched library call of lib-acs-crash1. The first pass
-# samples every allocation (-memprofilerate 1), which distorts timing, so
-# CPU is a second pass. This is the command that regenerates the
-# attribution table of ROADMAP item 2 / EXPERIMENTS X-WORDCOST. Profiles
-# and the test binary land in $(PROFILE_DIR) (git-ignored) for
-# `go tool pprof -http`.
+# allocations (count and bytes) and its CPU go. SHAPE picks the call:
+# n4r1 (default) is the engine.RunACSLog call behind a serial put (one
+# command, n=4, one round), n9f1 the batched library call of
+# lib-acs-crash1 (n=9, one crashed proposer, 4 rounds x batch 16). The
+# first pass samples every allocation (-memprofilerate 1), which distorts
+# timing, so CPU is a second pass of ten times as many calls. This is the
+# command that regenerates
+# the attribution tables of ROADMAP item 2 and EXPERIMENTS X-WORDCOST /
+# X-MSGPATH. Profiles and the test binary land in $(PROFILE_DIR)
+# (git-ignored) for `go tool pprof -http`.
 PROFILE_DIR := profiles
+SHAPE ?= n4r1
+PROFILE_ITERS_n4r1 := 200
+PROFILE_ITERS_n9f1 := 10
 profile-commit:
 	mkdir -p $(PROFILE_DIR)
-	$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkRunACSLogCommit/n4r1$$' -benchtime 200x \
+	$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkRunACSLogCommit/$(SHAPE)$$' -benchtime $(PROFILE_ITERS_$(SHAPE))x \
 		-memprofile $(PROFILE_DIR)/commit.mem.pprof -memprofilerate 1 -o $(PROFILE_DIR)/engine.test
-	$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkRunACSLogCommit/n4r1$$' -benchtime 2000x \
+	$(GO) test ./internal/engine -run '^$$' -bench 'BenchmarkRunACSLogCommit/$(SHAPE)$$' -benchtime $(PROFILE_ITERS_$(SHAPE))0x \
 		-cpuprofile $(PROFILE_DIR)/commit.cpu.pprof -o $(PROFILE_DIR)/engine.test
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.mem.pprof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.mem.pprof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.cpu.pprof
+
+# Every allocation guard, one package at a time, numbers printed (CI's
+# "Alloc guard" step, and again under the race detector as
+# `GOFLAGS=-race make alloc-guard`, where the guards on pooled paths run
+# with race-aware bounds — see internal/testenv). A guard that skips
+# itself, or a pattern that matches no test, fails the target: SKIP exits
+# 0, so a guard silenced by its environment would otherwise read as a pass.
+alloc-guard:
+	@guard() { \
+		out=$$($(GO) test "$$1" -run "$$2" -count=1 -v 2>&1); status=$$?; echo "$$out"; \
+		if [ $$status -ne 0 ] || echo "$$out" | grep -qE -- '--- SKIP|no tests to run'; then \
+			echo "alloc-guard: FAIL $$1 -run '$$2' (failed, skipped itself, or matched no test)"; exit 1; \
+		fi; \
+	}; \
+	guard ./internal/sim 'TestSimTickAllocCeiling'; \
+	guard ./internal/wire 'TestSizeOfZeroAllocs|TestAppendPayloadZeroAllocs'; \
+	guard ./internal/transport 'TestSendAllocCeiling'; \
+	guard ./internal/proto 'TestMuxSteadyStateAllocs'; \
+	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestEagerSteadyStateAllocs|TestCommitAllocCeiling'; \
+	guard ./internal/acs 'TestACSAllocCeiling'
 
 # Interactive single-grid-point search with a full report.
 explore:

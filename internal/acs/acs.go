@@ -37,9 +37,9 @@
 // that never decide. Decisions and word counts are identical in both
 // modes; Early only shortens the round.
 //
-// The BB children are retired at the vote boundary (their bucket
-// returns to the mux free list, mirroring the engine's own session
-// retirement); any batch-dissemination traffic arriving after the
+// The BB children are retired at the vote boundary (mirroring the
+// engine's own session retirement); any batch-dissemination traffic
+// arriving after the
 // boundary — e.g. replayed by an adversary — is counted by Late(), not
 // silently dropped, and surfaces in the engine's EngineLate metric.
 package acs
@@ -165,7 +165,7 @@ func (m *Machine) Failed() error { return m.err }
 
 // Begin implements proto.Machine: all n broadcast instances start at
 // once, each under its own session ("b<i>") and signature domain.
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.start = now
 	m.voteTick = now + m.bbTicks
 	n := m.cfg.Params.N
@@ -173,18 +173,17 @@ func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
 	m.batches = make([]types.Value, n)
 	m.votes = make([]*strongba.Machine, n)
 	m.vsubs = make([]*proto.Sub, n)
-	var outs []proto.Outgoing
 	for i := 0; i < n; i++ {
 		child := bb.NewMachine(m.bbConfig(types.ProcessID(i)))
 		m.bcasts[i] = child
-		outs = append(outs, m.mux.Add(bName(i), child).Begin(now)...)
+		outs = m.mux.Add(bName(i), child).Begin(now, outs)
 	}
 	return outs
 }
 
 // Tick implements proto.Machine.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
-	outs := m.mux.Tick(now, inbox)
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	outs = m.mux.Tick(now, inbox, outs)
 	if !m.voting {
 		if m.cfg.Early {
 			outs = m.startReadyVotes(now, outs)
@@ -204,8 +203,7 @@ func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing 
 // on), and the vote begins anchored at now — the same tick on every
 // honest process, because BB decisions are simultaneous under crash
 // faults. Once all n votes are open the vote stage is sealed early.
-func (m *Machine) startReadyVotes(now types.Tick, prior []proto.Outgoing) []proto.Outgoing {
-	outs := prior
+func (m *Machine) startReadyVotes(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	for i, child := range m.bcasts {
 		if m.vsubs[i] != nil {
 			continue
@@ -235,8 +233,7 @@ func (m *Machine) startReadyVotes(now types.Tick, prior []proto.Outgoing) []prot
 // — the BKR coupling rule applied degenerately, since synchrony
 // guarantees ≥ n−t honest proposers' BBs have delivered by now), the
 // remaining broadcast sessions retire, and the remaining votes begin.
-func (m *Machine) closeVotes(now types.Tick, prior []proto.Outgoing) []proto.Outgoing {
-	outs := prior
+func (m *Machine) closeVotes(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	for i, child := range m.bcasts {
 		if m.vsubs[i] != nil {
 			continue
@@ -257,7 +254,7 @@ func (m *Machine) closeVotes(now types.Tick, prior []proto.Outgoing) []proto.Out
 
 // startVote opens vote i — led by proposer i, input 1 iff b_i delivered
 // a batch — under its own session and signature domain.
-func (m *Machine) startVote(i int, now types.Tick, prior []proto.Outgoing) []proto.Outgoing {
+func (m *Machine) startVote(i int, now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.startedVotes++
 	input := types.Zero
 	if m.batches[i] != nil {
@@ -266,12 +263,12 @@ func (m *Machine) startVote(i int, now types.Tick, prior []proto.Outgoing) []pro
 	child, err := strongba.NewMachine(m.baConfig(types.ProcessID(i), input))
 	if err != nil {
 		m.fail(err)
-		return prior
+		return outs
 	}
 	m.votes[i] = child
 	sub := m.mux.Add(vName(i), child)
 	m.vsubs[i] = sub
-	return append(prior, sub.Begin(now)...)
+	return sub.Begin(now, outs)
 }
 
 // sealVotes marks the vote stage fully open and applies the ≥ n−t

@@ -24,13 +24,13 @@ func runLockstep(t testing.TB, machines []*Machine, budget types.Tick) types.Tic
 		}
 	}
 	for i, m := range machines {
-		route(types.ProcessID(i), m.Begin(0))
+		route(types.ProcessID(i), m.Begin(0, nil))
 	}
 	for now := types.Tick(1); now <= budget; now++ {
 		inboxes := pending
 		pending = make([][]proto.Incoming, n)
 		for i, m := range machines {
-			route(types.ProcessID(i), m.Tick(now, inboxes[i]))
+			route(types.ProcessID(i), m.Tick(now, inboxes[i], nil))
 		}
 		done := true
 		for _, m := range machines {
@@ -51,7 +51,7 @@ func runLockstep(t testing.TB, machines []*Machine, budget types.Tick) types.Tic
 // at n = 33: once a round has quiesced (every broadcast retired, every
 // vote decided), further ticks — including ticks that deliver stale
 // traffic to retired broadcast sessions — must not allocate. This pins
-// the Mux bucket reuse and the machine's own tick path; a regression
+// the Mux's borrowed arena and the machine's own tick path; a regression
 // that allocates per live child costs ≥ 2n per tick here.
 func TestACSAllocCeiling(t *testing.T) {
 	const n = 33
@@ -76,9 +76,11 @@ func TestACSAllocCeiling(t *testing.T) {
 		{From: 2, Session: "b5", Payload: nil},
 	}
 	m := machines[0]
+	frames := make([]proto.Incoming, len(stale))
 	allocs := testing.AllocsPerRun(100, func() {
 		now++
-		m.Tick(now, stale)
+		copy(frames, stale) // routing strips prefixes in place
+		m.Tick(now, frames, nil)
 	})
 	if allocs >= 2 {
 		t.Errorf("steady-state ACS tick allocates %.1f/op, want < 2", allocs)

@@ -143,6 +143,7 @@ type Mimic struct {
 	machines map[types.ProcessID]proto.Machine
 	inboxes  map[types.ProcessID][]proto.Incoming
 	order    []types.ProcessID
+	outs     []proto.Outgoing // the puppets' send buffer, reused every tick
 }
 
 var _ sim.Adversary = (*Mimic)(nil)
@@ -168,16 +169,15 @@ func (m *Mimic) Act(now types.Tick, _ []sim.Message) []sim.Message {
 	var msgs []sim.Message
 	for _, id := range m.order {
 		mach, ok := m.machines[id]
-		var outs []proto.Outgoing
 		if !ok {
 			mach = m.Factory(id)
 			m.machines[id] = mach
-			outs = mach.Begin(now)
+			m.outs = mach.Begin(now, m.outs[:0])
 		} else {
-			outs = mach.Tick(now, m.inboxes[id])
+			m.outs = mach.Tick(now, m.inboxes[id], m.outs[:0])
 		}
-		m.inboxes[id] = nil
-		for _, o := range outs {
+		m.inboxes[id] = m.inboxes[id][:0]
+		for _, o := range m.outs {
 			msgs = append(msgs, sim.Message{From: id, To: o.To, Session: o.Session, Payload: o.Payload})
 		}
 	}

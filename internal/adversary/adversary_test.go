@@ -24,17 +24,17 @@ type countMachine struct {
 	began    types.Tick
 }
 
-func (m *countMachine) Begin(now types.Tick) []proto.Outgoing {
+func (m *countMachine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.began = now
-	return proto.Broadcast(m.params, "", notePayload{n: 1})
+	return proto.AppendBroadcast(outs, m.params, "", notePayload{n: 1})
 }
 
-func (m *countMachine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (m *countMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	m.received += len(inbox)
 	if now >= m.began+3 {
 		m.decided = true
 	}
-	return nil
+	return outs
 }
 
 func (m *countMachine) Output() (types.Value, bool) { return types.Value{1}, m.decided }

@@ -133,8 +133,6 @@ type Machine struct {
 	announced bool
 	decision  types.Value
 	rounds    types.Round // decision round (early-stopping metric)
-
-	outs []proto.Outgoing // reusable output buffer
 }
 
 var _ proto.Machine = (*Machine)(nil)
@@ -180,32 +178,30 @@ func (m *Machine) learn(v types.Value) {
 
 // Begin implements proto.Machine: round 1 ships the input to the
 // committee (n·c words across all processes).
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.clock = proto.NewRoundClock(now, 1)
-	payload := Input{V: m.cfg.Input}
-	m.outs = m.outs[:0]
+	return m.toCommittee(outs, Input{V: m.cfg.Input})
+}
+
+// toCommittee appends one send of payload per committee member.
+func (m *Machine) toCommittee(outs []proto.Outgoing, payload proto.Payload) []proto.Outgoing {
 	for id, ok := m.members.NextSet(0); ok; id, ok = m.members.NextSet(int(id) + 1) {
-		m.outs = append(m.outs, proto.Outgoing{To: id, Session: "", Payload: payload})
+		outs = proto.AppendUnicast(outs, id, "", payload)
 	}
-	return m.outs
+	return outs
 }
 
 // floodCommittee sends the fresh values to every committee member.
-func (m *Machine) floodCommittee() []proto.Outgoing {
+func (m *Machine) floodCommittee(outs []proto.Outgoing) []proto.Outgoing {
 	payload := Flood{Values: m.fresh}
 	m.fresh = nil
-	m.outs = m.outs[:0]
-	for id, ok := m.members.NextSet(0); ok; id, ok = m.members.NextSet(int(id) + 1) {
-		m.outs = append(m.outs, proto.Outgoing{To: id, Session: "", Payload: payload})
-	}
-	return m.outs
+	return m.toCommittee(outs, payload)
 }
 
 // announce broadcasts the decision to all n processes.
-func (m *Machine) announce() []proto.Outgoing {
+func (m *Machine) announce(outs []proto.Outgoing) []proto.Outgoing {
 	m.announced = true
-	m.outs = proto.AppendBroadcast(m.outs[:0], m.cfg.Params, "", Announce{V: m.decision})
-	return m.outs
+	return proto.AppendBroadcast(outs, m.cfg.Params, "", Announce{V: m.decision})
 }
 
 // sendersMark returns the (reset-on-reuse) flood-sender set for round r.
@@ -264,7 +260,7 @@ func (m *Machine) decide(r types.Round, v types.Value) {
 }
 
 // Tick implements proto.Machine.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	r, boundary := m.clock.BoundaryAt(now)
 	prev := m.clock.RoundAt(now) - 1
 	if boundary {
@@ -290,37 +286,37 @@ func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing 
 		}
 	}
 	if !boundary {
-		return nil
+		return outs
 	}
 	if m.decided {
 		if m.isMember && !m.announced {
-			return m.announce()
+			return m.announce(outs)
 		}
-		return nil
+		return outs
 	}
 	if !m.isMember {
 		if m.adopted != nil {
 			m.decide(r, m.adopted)
 		}
-		return nil
+		return outs
 	}
 	// Member at the boundary of round r: round r-1's floods are in.
 	switch {
 	case m.adopted != nil:
 		// Another member decided and announced: its view had converged.
 		m.decide(r, m.adopted)
-		return m.announce()
+		return m.announce(outs)
 	case r >= 4 && m.cleanRound(r-1):
 		m.decide(r, m.minKnown())
-		return m.announce()
+		return m.announce(outs)
 	case int(r) > Size(m.cfg.Params.N)+2:
 		// Worst-case cap: after c rounds of intra-committee flooding
 		// every surviving member's set has converged regardless of the
 		// crash pattern (at most c−1 members can have crashed).
 		m.decide(r, m.minKnown())
-		return m.announce()
+		return m.announce(outs)
 	default:
-		return m.floodCommittee()
+		return m.floodCommittee(outs)
 	}
 }
 

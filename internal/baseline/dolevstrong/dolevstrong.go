@@ -215,34 +215,40 @@ func (m *Machine) Duration() types.Tick {
 
 // Begin implements proto.Machine. The sender broadcasts its signed value
 // in round 1.
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.clock = proto.NewRoundClock(now, m.cfg.RoundDur)
 	if m.cfg.ID != m.cfg.Sender {
-		return nil
+		return outs
 	}
 	chain, err := NewChain(m.signer, m.cfg.Tag, m.cfg.Input)
 	if err != nil {
 		// Signing with own identity cannot fail with validated params.
-		return nil
+		return outs
 	}
 	m.extract(m.cfg.Input)
-	return proto.Broadcast(m.cfg.Params, "", Relay{Sender: m.cfg.Sender, V: m.cfg.Input, Chain: chain})
+	return proto.AppendBroadcast(outs, m.cfg.Params, "", Relay{Sender: m.cfg.Sender, V: m.cfg.Input, Chain: chain})
 }
 
-// Tick implements proto.Machine.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+// Tick implements proto.Machine. A relay the next boundary would skip —
+// the instance has decided, holds two values, or has extracted this one
+// (extracted only grows, so the answer cannot change by then) — is
+// dropped on arrival: a decided instance buffers nothing however long its
+// session stays open, a live one not the n-1 echoes of what it relayed.
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	if m.decided {
+		return outs
+	}
 	for _, in := range inbox {
-		if r, ok := in.Payload.(Relay); ok && r.Sender == m.cfg.Sender {
+		if r, ok := in.Payload.(Relay); ok && r.Sender == m.cfg.Sender && len(m.extracted) < 2 && !m.has(r.V) {
 			m.pending = append(m.pending, r)
 		}
 	}
 	r, boundary := m.clock.BoundaryAt(now)
-	if !boundary || m.decided {
-		return nil
+	if !boundary {
+		return outs
 	}
-	var outs []proto.Outgoing
 	if r >= 2 && int(r) <= m.Rounds() {
-		outs = m.processPending(int(r))
+		outs = m.processPending(int(r), outs)
 	}
 	if int(r) >= m.Rounds() {
 		m.decide()
@@ -251,16 +257,13 @@ func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing 
 }
 
 // processPending validates buffered relays at round boundary b and relays
-// newly extracted values.
-func (m *Machine) processPending(b int) []proto.Outgoing {
-	pending := m.pending
-	m.pending = nil
+// newly extracted values. The buffer's array is kept for the next round.
+func (m *Machine) processPending(b int, outs []proto.Outgoing) []proto.Outgoing {
 	required := b - 1
 	if maxReq := m.cfg.Params.T + 1; required > maxReq {
 		required = maxReq
 	}
-	var outs []proto.Outgoing
-	for _, r := range pending {
+	for _, r := range m.pending {
 		if len(m.extracted) >= 2 {
 			break
 		}
@@ -281,8 +284,9 @@ func (m *Machine) processPending(b int) []proto.Outgoing {
 		if err != nil {
 			continue
 		}
-		outs = append(outs, proto.Broadcast(m.cfg.Params, "", Relay{Sender: m.cfg.Sender, V: r.V, Chain: ext})...)
+		outs = proto.AppendBroadcast(outs, m.cfg.Params, "", Relay{Sender: m.cfg.Sender, V: r.V, Chain: ext})
 	}
+	m.pending = m.pending[:0]
 	return outs
 }
 
@@ -303,6 +307,7 @@ func (m *Machine) extract(v types.Value) {
 
 func (m *Machine) decide() {
 	m.decided = true
+	m.pending = nil
 	if len(m.extracted) == 1 {
 		m.decision = m.extracted[0]
 		return

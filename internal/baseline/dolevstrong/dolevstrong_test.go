@@ -350,3 +350,77 @@ func TestMachineTiming(t *testing.T) {
 		t.Errorf("Duration = %d", m.Duration())
 	}
 }
+
+// TestPendingHoldsOnlyWhatTheBoundaryWillRead pins the ingest filter: a
+// relay the next boundary would skip is never buffered. A live instance
+// that already extracted v drops v's echoes on arrival, a second value is
+// still buffered (it is what turns the decision into ⊥), the buffer's
+// array survives the boundary that drains it, and once the instance has
+// decided — after which processPending never runs again — a flood of
+// perfectly valid relays leaves nothing behind, however long the session
+// stays open.
+func TestPendingHoldsOnlyWhatTheBoundaryWillRead(t *testing.T) {
+	crypto, params := setup(t, 5) // t = 2: the decision comes at the round-4 boundary
+	m := NewMachine(Config{Params: params, Crypto: crypto, ID: 1, Sender: 0, Tag: "test", RoundDur: 2})
+	relay := func(v string, signers ...types.ProcessID) proto.Incoming {
+		chain, err := NewChain(crypto.Signer(signers[0]), "test", types.Value(v))
+		for _, id := range signers[1:] {
+			if err == nil {
+				chain, err = chain.Extend(crypto.Signer(id), "test", 0, types.Value(v))
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return proto.Incoming{From: signers[len(signers)-1], Payload: Relay{Sender: 0, V: types.Value(v), Chain: chain}}
+	}
+	flood := func(in proto.Incoming, k int) []proto.Incoming {
+		inbox := make([]proto.Incoming, k)
+		for i := range inbox {
+			inbox[i] = in
+		}
+		return inbox
+	}
+
+	// Rounds of two ticks: boundaries at ticks 2 and 4, the decision at 6.
+	m.Begin(0, nil)
+	m.Tick(1, []proto.Incoming{relay("a", 0)}, nil)
+	outs := m.Tick(2, nil, nil) // extract a, relay it
+	if len(outs) != params.N || len(m.extracted) != 1 {
+		t.Fatalf("tick 2: %d sends, %d extracted, want a relayed broadcast of the one value", len(outs), len(m.extracted))
+	}
+	if len(m.pending) != 0 || cap(m.pending) == 0 {
+		t.Fatalf("after the boundary: len(pending)=%d cap=%d, want drained with its array kept", len(m.pending), cap(m.pending))
+	}
+	array := &m.pending[:1][0]
+
+	// The other processes' echoes of a, and among them one relay of a
+	// second value b: only b waits for the boundary.
+	inbox := append(flood(relay("a", 0, 2), 3), relay("b", 0, 3))
+	inbox = append(inbox, flood(relay("a", 0, 4), 3)...)
+	m.Tick(3, inbox, nil)
+	if len(m.pending) != 1 || &m.pending[0] != array {
+		t.Fatalf("tick 3: %d relays buffered (array reused: %t), want b alone in the kept array",
+			len(m.pending), len(m.pending) > 0 && &m.pending[0] == array)
+	}
+	m.Tick(4, nil, nil)
+	if len(m.extracted) != 2 {
+		t.Fatalf("tick 4: %d values extracted, want a and b", len(m.extracted))
+	}
+
+	// With two values held nothing more can matter; then the decision.
+	m.Tick(5, flood(relay("c", 0, 2), 100), nil)
+	if len(m.pending) != 0 {
+		t.Errorf("holding two values: %d relays buffered, want 0", len(m.pending))
+	}
+	m.Tick(6, nil, nil)
+	if v, ok := m.Output(); !ok || !v.IsBottom() {
+		t.Fatalf("decision %v %v, want ⊥ for an equivocating sender", v, ok)
+	}
+	for now := types.Tick(7); now < 11; now++ {
+		m.Tick(now, flood(relay("d", 0, 2, 3), 1000), nil)
+	}
+	if len(m.pending) != 0 || cap(m.pending) != 0 {
+		t.Errorf("decided instance buffers relays: len(pending)=%d cap=%d, want 0/0", len(m.pending), cap(m.pending))
+	}
+}

@@ -78,21 +78,20 @@ func NewMachine(cfg Config) *Machine {
 }
 
 // Begin implements proto.Machine.
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.clock = proto.NewRoundClock(now, 1)
 	if m.cfg.ID != m.cfg.Sender {
-		return nil
+		return outs
 	}
 	s, err := m.cfg.Crypto.Signer(m.cfg.ID).Sign(signBase(m.cfg.Tag, m.cfg.Sender, m.cfg.Input))
 	if err != nil {
-		return nil
+		return outs
 	}
-	return proto.Broadcast(m.cfg.Params, "", Echo{V: m.cfg.Input, Sig: s})
+	return proto.AppendBroadcast(outs, m.cfg.Params, "", Echo{V: m.cfg.Input, Sig: s})
 }
 
 // Tick implements proto.Machine.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
-	var outs []proto.Outgoing
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	for _, in := range inbox {
 		e, ok := in.Payload.(Echo)
 		if !ok || m.decided {
@@ -110,7 +109,7 @@ func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing 
 		// Echo the first sender-signed value seen, once.
 		if !m.echoed {
 			m.echoed = true
-			outs = append(outs, proto.Broadcast(m.cfg.Params, "", Echo{V: e.V, Sig: e.Sig})...)
+			outs = proto.AppendBroadcast(outs, m.cfg.Params, "", Echo{V: e.V, Sig: e.Sig})
 		}
 	}
 	if r, ok := m.clock.BoundaryAt(now); ok && r >= 4 && !m.decided {

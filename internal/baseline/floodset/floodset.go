@@ -77,8 +77,6 @@ type Machine struct {
 	sendRound [3]types.Round
 	adopted   types.Value // a decision received from a peer
 
-	outs []proto.Outgoing // reusable flood buffer
-
 	decided   bool
 	announced bool
 	decision  types.Value
@@ -113,18 +111,17 @@ func (m *Machine) learn(v types.Value) {
 }
 
 // Begin implements proto.Machine: round 1 floods the input.
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.clock = proto.NewRoundClock(now, 1)
-	return m.flood(nil)
+	return m.flood(nil, outs)
 }
 
 // flood broadcasts the fresh values (and optionally a decision) and
 // resets the novelty tracker.
-func (m *Machine) flood(decision types.Value) []proto.Outgoing {
+func (m *Machine) flood(decision types.Value, outs []proto.Outgoing) []proto.Outgoing {
 	payload := Flood{Values: m.fresh, Decision: decision}
 	m.fresh = nil
-	m.outs = proto.AppendBroadcast(m.outs[:0], m.cfg.Params, "", payload)
-	return m.outs
+	return proto.AppendBroadcast(outs, m.cfg.Params, "", payload)
 }
 
 // sendersMark returns the (reset-on-reuse) sender set for round r.
@@ -151,7 +148,7 @@ func (m *Machine) sendersAt(r types.Round) *types.BitSet {
 }
 
 // Tick implements proto.Machine.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	r, boundary := m.clock.BoundaryAt(now)
 	for _, in := range inbox {
 		f, ok := in.Payload.(Flood)
@@ -174,31 +171,31 @@ func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing 
 		}
 	}
 	if !boundary {
-		return nil
+		return outs
 	}
 	if m.decided {
 		if !m.announced {
 			m.announced = true
-			return m.flood(m.decision)
+			return m.flood(m.decision, outs)
 		}
-		return nil
+		return outs
 	}
 	// Boundary of round r: round r-1's floods are in.
 	switch {
 	case m.adopted != nil:
 		// A peer decided: its set had converged, adopt its decision.
 		m.decide(r, m.adopted)
-		return m.flood(m.decision)
+		return m.flood(m.decision, outs)
 	case r >= 3 && m.cleanRound(r-1):
 		m.decide(r, m.minKnown())
-		return m.flood(m.decision)
+		return m.flood(m.decision, outs)
 	case int(r) > m.cfg.Params.T+2:
 		// Worst-case cap: after t+1 rounds of flooding every value has
 		// propagated regardless of the failure pattern.
 		m.decide(r, m.minKnown())
-		return m.flood(m.decision)
+		return m.flood(m.decision, outs)
 	default:
-		return m.flood(nil)
+		return m.flood(nil, outs)
 	}
 }
 

@@ -191,49 +191,31 @@ func (m *Machine) Failed() error { return m.err }
 func (m *Machine) DecidedAtTick() types.Tick { return m.decidedAtTick }
 
 // Begin implements proto.Machine.
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.nowTick = now
 	m.clock = proto.NewRoundClock(now, 1)
 	if m.cfg.ID != m.cfg.Sender {
-		return nil
+		return outs
 	}
 	s, err := m.signer.Sign(m.validator.senderBase(m.cfg.Input))
 	if err != nil {
 		m.fail(err)
-		return nil
+		return outs
 	}
-	return proto.Broadcast(m.cfg.Params, "", SenderMsg{V: m.cfg.Input, Sig: s})
+	return proto.AppendBroadcast(outs, m.cfg.Params, "", SenderMsg{V: m.cfg.Input, Sig: s})
 }
 
 // Tick implements proto.Machine.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	m.nowTick = now
-	var outs []proto.Outgoing
-
-	var wbaIn, mine []proto.Incoming
-	for _, in := range inbox {
-		if head, _ := proto.SplitSession(in.Session); head == wbaSession {
-			wbaIn = append(wbaIn, in)
-		} else {
-			mine = append(mine, in)
-		}
-	}
-	for _, in := range mine {
-		m.ingest(now, in)
-	}
+	wbaIn := proto.SplitChild(inbox, wbaSession, func(in proto.Incoming) { m.ingest(now, in) })
 
 	if r, ok := m.clock.BoundaryAt(now); ok {
-		outs = append(outs, m.boundary(int(r))...)
+		outs = m.boundary(int(r), outs)
 	}
 
 	if m.wbaSub != nil {
-		routed := make([]proto.Incoming, 0, len(wbaIn))
-		for _, in := range wbaIn {
-			_, rest := proto.SplitSession(in.Session)
-			in.Session = rest
-			routed = append(routed, in)
-		}
-		outs = append(outs, m.wbaSub.Tick(now, routed)...)
+		outs = m.wbaSub.Tick(now, wbaIn, outs)
 		m.finish()
 	}
 	return outs
@@ -301,43 +283,43 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 }
 
 // boundary performs round-r actions.
-func (m *Machine) boundary(r int) []proto.Outgoing {
+func (m *Machine) boundary(r int, outs []proto.Outgoing) []proto.Outgoing {
 	if r >= 2 && r <= m.Rounds() {
 		phase := (r - 2) / roundsPerPhase
 		w := (r-2)%roundsPerPhase + 1
-		return m.phaseRound(phase+1, w)
+		return m.phaseRound(phase+1, w, outs)
 	}
 	if r == m.Rounds()+1 && m.wbaSub == nil {
-		return m.startWBA()
+		return m.startWBA(outs)
 	}
-	return nil
+	return outs
 }
 
 // phaseRound implements Algorithm 2 for (phase, round w).
-func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
+func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoing {
 	leader := m.cfg.Params.Leader(phase)
 	amLeader := leader == m.cfg.ID
 	switch w {
 	case 1:
 		if amLeader && m.vi == nil {
-			return proto.Broadcast(m.cfg.Params, "", HelpReq{Phase: phase})
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", HelpReq{Phase: phase})
 		}
 	case 2:
 		if !m.helpReqs[phase] {
-			return nil
+			return outs
 		}
 		if m.vi != nil {
-			return proto.Unicast(leader, "", Reply{Phase: phase, Val: m.vi})
+			return proto.AppendUnicast(outs, leader, "", Reply{Phase: phase, Val: m.vi})
 		}
 		share, err := m.signer.Sign(m.validator.idkBase(phase))
 		if err != nil {
 			m.fail(err)
-			return nil
+			return outs
 		}
-		return proto.Unicast(leader, "", IdkShare{Phase: phase, Share: share})
+		return proto.AppendUnicast(outs, leader, "", IdkShare{Phase: phase, Share: share})
 	case 3:
 		if !amLeader || !m.helpReqs[phase] {
-			return nil
+			return outs
 		}
 		// Prefer a sender-signed reply (line 23), then any valid reply,
 		// then an idk certificate from t+1 fresh shares (line 25).
@@ -348,18 +330,18 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 				continue
 			}
 			if sv != nil {
-				return proto.Broadcast(m.cfg.Params, "", Vetted{Phase: phase, Val: val})
+				return proto.AppendBroadcast(outs, m.cfg.Params, "", Vetted{Phase: phase, Val: val})
 			}
 			if fallbackVal == nil {
 				fallbackVal = val
 			}
 		}
 		if fallbackVal != nil {
-			return proto.Broadcast(m.cfg.Params, "", Vetted{Phase: phase, Val: fallbackVal})
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", Vetted{Phase: phase, Val: fallbackVal})
 		}
 		shares := m.idkShares[phase]
 		if len(shares) < m.cfg.Params.SmallQuorum() {
-			return nil
+			return outs
 		}
 		list := make([]threshold.Share, 0, len(shares))
 		for _, id := range m.cfg.Params.AllProcesses() {
@@ -369,12 +351,12 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 		}
 		cert, err := m.small.Combine(m.validator.idkBase(phase), list)
 		if err != nil {
-			return nil
+			return outs
 		}
 		env := EncodeIDKCert(IDKCert{Phase: phase, Cert: cert})
-		return proto.Broadcast(m.cfg.Params, "", Vetted{Phase: phase, Val: env})
+		return proto.AppendBroadcast(outs, m.cfg.Params, "", Vetted{Phase: phase, Val: env})
 	}
-	return nil
+	return outs
 }
 
 // wbaConfig assembles the nested weak BA configuration.
@@ -392,11 +374,11 @@ func (m *Machine) wbaConfig() wba.Config {
 }
 
 // startWBA launches the weak BA with the vetted value (Alg. 1 line 9).
-func (m *Machine) startWBA() []proto.Outgoing {
+func (m *Machine) startWBA(outs []proto.Outgoing) []proto.Outgoing {
 	inner := wba.NewMachine(m.wbaConfig())
 	m.wbaMachine = inner
 	m.wbaSub = proto.NewSub(wbaSession, inner)
-	return m.wbaSub.Begin(m.clock.StartOf(types.Round(m.Rounds() + 1)))
+	return m.wbaSub.Begin(m.clock.StartOf(types.Round(m.Rounds()+1)), outs)
 }
 
 // finish maps the weak BA decision to the BB decision (lines 10–13).

@@ -105,39 +105,33 @@ func (m *Machine) RanFallback() bool { return m.ba != nil && m.ba.RanFallback() 
 func (m *Machine) Failed() error { return m.err }
 
 // Begin implements proto.Machine: the sender disseminates its signed bit.
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.clock = proto.NewRoundClock(now, 1)
 	if m.cfg.ID != m.cfg.Sender {
-		return nil
+		return outs
 	}
 	s, err := m.cfg.Crypto.Signer(m.cfg.ID).Sign(senderBase(m.cfg.Tag, m.cfg.Sender, m.cfg.Input))
 	if err != nil {
 		m.err = err
-		return nil
+		return outs
 	}
 	m.input = m.cfg.Input.Clone()
-	return proto.Broadcast(m.cfg.Params, "", SenderBit{V: m.cfg.Input, Sig: s})
+	return proto.AppendBroadcast(outs, m.cfg.Params, "", SenderBit{V: m.cfg.Input, Sig: s})
 }
 
 // Tick implements proto.Machine.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
-	var outs []proto.Outgoing
-	var baIn []proto.Incoming
-	for _, in := range inbox {
-		if head, _ := proto.SplitSession(in.Session); head == baSession {
-			baIn = append(baIn, in)
-			continue
-		}
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	baIn := proto.SplitChild(inbox, baSession, func(in proto.Incoming) {
 		// Round-1 dissemination: adopt a valid sender bit before the BA
 		// starts.
 		sb, ok := in.Payload.(SenderBit)
 		if !ok || in.From != m.cfg.Sender || m.baSub != nil || !sb.V.IsBinary() {
-			continue
+			return
 		}
 		if m.cfg.Crypto.Scheme.Verify(m.cfg.Sender, senderBase(m.cfg.Tag, m.cfg.Sender, sb.V), sb.Sig) {
 			m.input = sb.V.Clone()
 		}
-	}
+	})
 
 	// The BA starts in round 2 for everyone simultaneously.
 	if r, boundary := m.clock.BoundaryAt(now); boundary && r == 2 && m.baSub == nil {
@@ -151,16 +145,10 @@ func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing 
 		}
 		m.ba = ba
 		m.baSub = proto.NewSub(baSession, ba)
-		outs = append(outs, m.baSub.Begin(now)...)
+		outs = m.baSub.Begin(now, outs)
 	}
 	if m.baSub != nil {
-		routed := make([]proto.Incoming, 0, len(baIn))
-		for _, in := range baIn {
-			_, rest := proto.SplitSession(in.Session)
-			in.Session = rest
-			routed = append(routed, in)
-		}
-		outs = append(outs, m.baSub.Tick(now, routed)...)
+		outs = m.baSub.Tick(now, baIn, outs)
 	}
 	return outs
 }

@@ -233,58 +233,41 @@ func (m *Machine) DecidedAtTick() types.Tick { return m.decidedAtTick }
 func (m *Machine) Failed() error { return m.err }
 
 // Begin implements proto.Machine: round 1 sends the signed input.
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.nowTick = now
 	m.clock = proto.NewRoundClock(now, 1)
 	share, err := m.signer.Sign(m.inputBase(m.cfg.Input))
 	if err != nil {
 		m.fail(err)
-		return nil
+		return outs
 	}
-	return proto.Unicast(m.leader, "", InputShare{V: m.cfg.Input, Share: share})
+	return proto.AppendUnicast(outs, m.leader, "", InputShare{V: m.cfg.Input, Share: share})
 }
 
 // Tick implements proto.Machine.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	m.nowTick = now
-	var outs []proto.Outgoing
-	var fbIn, mine []proto.Incoming
-	for _, in := range inbox {
-		if head, _ := proto.SplitSession(in.Session); head == fbSession {
-			fbIn = append(fbIn, in)
-		} else {
-			mine = append(mine, in)
-		}
-	}
-	for _, in := range mine {
-		m.ingest(now, in)
-	}
+	fbIn := proto.SplitChild(inbox, fbSession, func(in proto.Incoming) { m.ingest(now, in) })
 	if m.pendingAnnounce != nil {
-		outs = append(outs, proto.Broadcast(m.cfg.Params, "", *m.pendingAnnounce)...)
+		outs = proto.AppendBroadcast(outs, m.cfg.Params, "", *m.pendingAnnounce)
 		m.pendingAnnounce = nil
 	}
 	if r, ok := m.clock.BoundaryAt(now); ok && int(r) >= 2 && int(r) <= preRounds {
-		outs = append(outs, m.boundary(now, int(r))...)
+		outs = m.boundary(now, int(r), outs)
 	}
 	if m.fallbackStart >= 0 && m.fbSub == nil && now >= m.fallbackStart {
-		outs = append(outs, m.startFallback(now)...)
+		outs = m.startFallback(now, outs)
 	}
-	if m.fbSub != nil {
-		if len(m.fbBuffer) > 0 {
-			fbIn = append(m.fbBuffer, fbIn...)
-			m.fbBuffer = nil
-		}
-		routed := make([]proto.Incoming, 0, len(fbIn))
-		for _, in := range fbIn {
-			_, rest := proto.SplitSession(in.Session)
-			in.Session = rest
-			routed = append(routed, in)
-		}
-		outs = append(outs, m.fbSub.Tick(now, routed)...)
-		m.finishFallback()
-	} else {
+	if m.fbSub == nil {
 		m.fbBuffer = append(m.fbBuffer, fbIn...)
+		return outs
 	}
+	if len(m.fbBuffer) > 0 {
+		fbIn = append(m.fbBuffer, fbIn...)
+		m.fbBuffer = nil
+	}
+	outs = m.fbSub.Tick(now, fbIn, outs)
+	m.finishFallback()
 	return outs
 }
 
@@ -364,12 +347,12 @@ func (m *Machine) onFallback(now types.Tick, p Fallback) {
 }
 
 // boundary performs round-r actions (r in 2..5).
-func (m *Machine) boundary(now types.Tick, r int) []proto.Outgoing {
+func (m *Machine) boundary(now types.Tick, r int, outs []proto.Outgoing) []proto.Outgoing {
 	amLeader := m.cfg.ID == m.leader
 	switch r {
 	case 2:
 		if !amLeader {
-			return nil
+			return outs
 		}
 		for _, key := range []string{string(types.Zero), string(types.One)} {
 			shares := m.inputShares[key]
@@ -381,21 +364,21 @@ func (m *Machine) boundary(now types.Tick, r int) []proto.Outgoing {
 			if err != nil {
 				continue
 			}
-			return proto.Broadcast(m.cfg.Params, "", Propose{V: v, Cert: cert})
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", Propose{V: v, Cert: cert})
 		}
 	case 3:
 		if m.proposal == nil {
-			return nil
+			return outs
 		}
 		share, err := m.signer.Sign(m.decideBase(m.proposal.V))
 		if err != nil {
 			m.fail(err)
-			return nil
+			return outs
 		}
-		return proto.Unicast(m.leader, "", DecideShare{V: m.proposal.V, Share: share})
+		return proto.AppendUnicast(outs, m.leader, "", DecideShare{V: m.proposal.V, Share: share})
 	case 4:
 		if !amLeader {
-			return nil
+			return outs
 		}
 		for _, key := range []string{string(types.Zero), string(types.One)} {
 			shares := m.decideShares[key]
@@ -407,17 +390,17 @@ func (m *Machine) boundary(now types.Tick, r int) []proto.Outgoing {
 			if err != nil {
 				continue
 			}
-			return proto.Broadcast(m.cfg.Params, "", DecideMsg{V: v, Cert: cert})
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", DecideMsg{V: v, Cert: cert})
 		}
 	case 5:
 		// Line 13–18: holders of QC_decide decided via ingest; everyone
 		// else announces the fallback.
 		if !m.decided && m.fallbackStart < 0 {
 			m.fallbackStart = now + 2
-			return proto.Broadcast(m.cfg.Params, "", Fallback{})
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", Fallback{})
 		}
 	}
-	return nil
+	return outs
 }
 
 // shareList converts a signer-keyed share map to a deterministic slice.
@@ -445,7 +428,7 @@ func (m *Machine) setDecision(v types.Value, proof *threshold.Cert) {
 }
 
 // startFallback launches A_fallback (line 28).
-func (m *Machine) startFallback(now types.Tick) []proto.Outgoing {
+func (m *Machine) startFallback(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.ranFallback = true
 	fb := fallback.NewMachine(fallback.Config{
 		Params:   m.cfg.Params,
@@ -456,7 +439,7 @@ func (m *Machine) startFallback(now types.Tick) []proto.Outgoing {
 		RoundDur: 2,
 	})
 	m.fbSub = proto.NewSub(fbSession, fb)
-	return m.fbSub.Begin(now)
+	return m.fbSub.Begin(now, outs)
 }
 
 // finishFallback adopts the fallback output (lines 29–30).

@@ -60,7 +60,7 @@ func FuzzMachineIngest(f *testing.F) {
 			Params: params, Crypto: crypto, ID: 0,
 			Input: types.Value("own"), Predicate: valid.NonBottom(), Tag: "fz",
 		})
-		m.Begin(0)
+		m.Begin(0, nil)
 		from := types.ProcessID(fromRaw % 5)
 		horizon := types.Tick(tickRaw%40) + 1
 		for now := types.Tick(1); now <= horizon; now++ {
@@ -68,7 +68,7 @@ func FuzzMachineIngest(f *testing.F) {
 			if now == horizon/2+1 {
 				inbox = []proto.Incoming{{From: from, Payload: payload}}
 			}
-			m.Tick(now, inbox) // must not panic
+			m.Tick(now, inbox, nil) // must not panic
 		}
 		// A single injected message can never legitimately decide this
 		// machine: every decision path needs a quorum certificate, and

@@ -36,14 +36,14 @@ func newLevelFixture(t *testing.T) *levelFixture {
 		Params: params, Crypto: crypto, ID: 0,
 		Input: types.Value("own"), Predicate: valid.NonBottom(), Tag: "lv",
 	})
-	f.m.Begin(0)
+	f.m.Begin(0, nil)
 	return f
 }
 
 // step advances one tick delivering the given messages.
 func (f *levelFixture) step(inbox ...proto.Incoming) []proto.Outgoing {
 	f.now++
-	return f.m.Tick(f.now, inbox)
+	return f.m.Tick(f.now, inbox, nil)
 }
 
 // stepTo advances ticks (empty inboxes) until tick target.

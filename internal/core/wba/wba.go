@@ -207,64 +207,46 @@ func (m *Machine) DecidedAtTick() types.Tick { return m.decidedAtTick }
 func (m *Machine) Failed() error { return m.err }
 
 // Begin implements proto.Machine.
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.nowTick = now
 	m.clock = proto.NewRoundClock(now, 1)
-	return m.boundary(now, 1)
+	return m.boundary(now, 1, outs)
 }
 
 // Tick implements proto.Machine.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	m.nowTick = now
-	var outs []proto.Outgoing
 
-	// Route fallback traffic.
-	var fbIn, mine []proto.Incoming
-	for _, in := range inbox {
-		if head, _ := proto.SplitSession(in.Session); head == fbSession {
-			fbIn = append(fbIn, in)
-		} else {
-			mine = append(mine, in)
-		}
-	}
-
-	// Ingest protocol messages (certificate-backed ones take effect
-	// immediately; round-gated ones are stashed).
-	for _, in := range mine {
-		m.ingest(now, in)
-	}
+	// Route fallback traffic and ingest the protocol's own messages
+	// (certificate-backed ones take effect immediately; round-gated ones
+	// are stashed).
+	fbIn := proto.SplitChild(inbox, fbSession, func(in proto.Incoming) { m.ingest(now, in) })
 
 	// Echo a newly learned fallback certificate right away (line 22): the
 	// lock-step rounds may already be over by the time it arrives.
 	if m.pendingAnnounce != nil {
-		outs = append(outs, proto.Broadcast(m.cfg.Params, "", *m.pendingAnnounce)...)
+		outs = proto.AppendBroadcast(outs, m.cfg.Params, "", *m.pendingAnnounce)
 		m.pendingAnnounce = nil
 	}
 
 	if r, ok := m.clock.BoundaryAt(now); ok && int(r) <= m.Rounds() {
-		outs = append(outs, m.boundary(now, int(r))...)
+		outs = m.boundary(now, int(r), outs)
 	}
 
 	// Fallback lifecycle.
 	if m.fallbackStart >= 0 && m.fbSub == nil && now >= m.fallbackStart {
-		outs = append(outs, m.startFallback(now)...)
+		outs = m.startFallback(now, outs)
 	}
-	if m.fbSub != nil {
-		if len(m.fbBuffer) > 0 {
-			fbIn = append(m.fbBuffer, fbIn...)
-			m.fbBuffer = nil
-		}
-		routed := make([]proto.Incoming, 0, len(fbIn))
-		for _, in := range fbIn {
-			_, rest := proto.SplitSession(in.Session)
-			in.Session = rest
-			routed = append(routed, in)
-		}
-		outs = append(outs, m.fbSub.Tick(now, routed)...)
-		m.finishFallback()
-	} else {
+	if m.fbSub == nil {
 		m.fbBuffer = append(m.fbBuffer, fbIn...)
+		return outs
 	}
+	if len(m.fbBuffer) > 0 {
+		fbIn = append(m.fbBuffer, fbIn...)
+		m.fbBuffer = nil
+	}
+	outs = m.fbSub.Tick(now, fbIn, outs)
+	m.finishFallback()
 	return outs
 }
 
@@ -419,11 +401,10 @@ func (m *Machine) onFallbackCert(now types.Tick, p FallbackCert) {
 }
 
 // boundary performs the round-r actions.
-func (m *Machine) boundary(now types.Tick, r int) []proto.Outgoing {
-	var outs []proto.Outgoing
+func (m *Machine) boundary(now types.Tick, r int, outs []proto.Outgoing) []proto.Outgoing {
 	if r <= m.phases*roundsPerPhase {
 		phase, w := m.phaseOf(r)
-		return append(outs, m.phaseRound(phase, w)...)
+		return m.phaseRound(phase, w, outs)
 	}
 	switch r - m.phases*roundsPerPhase {
 	case 1: // round A: help requests
@@ -433,10 +414,10 @@ func (m *Machine) boundary(now types.Tick, r int) []proto.Outgoing {
 				m.fail(err)
 				return outs
 			}
-			outs = append(outs, proto.Broadcast(m.cfg.Params, "", HelpReq{Share: share})...)
+			outs = proto.AppendBroadcast(outs, m.cfg.Params, "", HelpReq{Share: share})
 		}
 	case 2: // round B: help answers + fallback certificate
-		outs = append(outs, m.helpRoundB(now)...)
+		outs = m.helpRoundB(now, outs)
 	case 3: // round C: adoption already happened in ingest; close help phase
 		m.helpDone = true
 		if m.decided {
@@ -447,21 +428,21 @@ func (m *Machine) boundary(now types.Tick, r int) []proto.Outgoing {
 }
 
 // phaseRound implements Algorithm 4 for phase/round (phase, w).
-func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
+func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoing {
 	leader := m.leaderOf(phase)
 	amLeader := leader == m.cfg.ID
 	switch w {
 	case 1:
 		if amLeader && (!m.decided || m.cfg.DisableSilentPhases) {
-			return proto.Broadcast(m.cfg.Params, "", Propose{Phase: phase, V: m.vi})
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", Propose{Phase: phase, V: m.vi})
 		}
 	case 2:
 		p := m.proposals[phase]
 		if p == nil {
-			return nil
+			return outs
 		}
 		if m.commit != nil && m.commitProof != nil {
-			return proto.Unicast(leader, "", CommitInfo{
+			return proto.AppendUnicast(outs, leader, "", CommitInfo{
 				Phase: phase, V: m.commit, Cert: m.commitProof, Level: m.commitLevel,
 			})
 		}
@@ -470,13 +451,13 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 			share, err := m.signer.Sign(m.voteBase(phase, p.V))
 			if err != nil {
 				m.fail(err)
-				return nil
+				return outs
 			}
-			return proto.Unicast(leader, "", Vote{Phase: phase, V: p.V, Share: share})
+			return proto.AppendUnicast(outs, leader, "", Vote{Phase: phase, V: p.V, Share: share})
 		}
 	case 3:
 		if !amLeader || !m.phaseActive(phase) {
-			return nil
+			return outs
 		}
 		// Prefer relaying the highest-level commit heard of (line 39).
 		if infos := m.commitInfos[phase]; len(infos) > 0 {
@@ -486,7 +467,7 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 					best = ci
 				}
 			}
-			return proto.Broadcast(m.cfg.Params, "", Commit{
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", Commit{
 				Phase: phase, V: best.V, Cert: best.Cert, Level: best.Level,
 			})
 		}
@@ -501,11 +482,11 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 			if err != nil {
 				continue
 			}
-			return proto.Broadcast(m.cfg.Params, "", Commit{Phase: phase, V: v, Cert: cert, Level: phase})
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", Commit{Phase: phase, V: v, Cert: cert, Level: phase})
 		}
 	case 4:
 		if m.decidedShare[phase] {
-			return nil
+			return outs
 		}
 		var best *Commit
 		for i := range m.commitMsgs[phase] {
@@ -518,7 +499,7 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 			}
 		}
 		if best == nil {
-			return nil
+			return outs
 		}
 		m.decidedShare[phase] = true
 		m.commit = best.V.Clone()
@@ -527,12 +508,12 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 		share, err := m.signer.Sign(m.decideBase(phase, best.V))
 		if err != nil {
 			m.fail(err)
-			return nil
+			return outs
 		}
-		return proto.Unicast(leader, "", Decide{Phase: phase, V: best.V, Share: share})
+		return proto.AppendUnicast(outs, leader, "", Decide{Phase: phase, V: best.V, Share: share})
 	case 5:
 		if !amLeader || !m.phaseActive(phase) {
-			return nil
+			return outs
 		}
 		for _, key := range sortedKeys(m.decideShares[phase]) {
 			shares := m.decideShares[phase][key]
@@ -544,10 +525,10 @@ func (m *Machine) phaseRound(phase, w int) []proto.Outgoing {
 			if err != nil {
 				continue
 			}
-			return proto.Broadcast(m.cfg.Params, "", Finalized{Phase: phase, V: v, Cert: cert})
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", Finalized{Phase: phase, V: v, Cert: cert})
 		}
 	}
-	return nil
+	return outs
 }
 
 // phaseActive reports whether this process initiated phase as leader (a
@@ -557,16 +538,15 @@ func (m *Machine) phaseActive(phase int) bool {
 }
 
 // helpRoundB answers help requests and forms the fallback certificate.
-func (m *Machine) helpRoundB(now types.Tick) []proto.Outgoing {
-	var outs []proto.Outgoing
+func (m *Machine) helpRoundB(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	if m.decided {
 		for _, from := range m.helpReqFrom {
 			if from == m.cfg.ID {
 				continue
 			}
-			outs = append(outs, proto.Unicast(from, "", Help{
+			outs = proto.AppendUnicast(outs, from, "", Help{
 				V: m.decision, Proof: m.decideProof, ProofPhase: m.decidePhase,
-			})...)
+			})
 		}
 	}
 	if len(m.helpReqShares) >= m.cfg.Params.SmallQuorum() && m.fallbackStart < 0 {
@@ -583,9 +563,9 @@ func (m *Machine) helpRoundB(now types.Tick) []proto.Outgoing {
 			if m.decided {
 				v, proof, phase = m.decision, m.decideProof, m.decidePhase
 			}
-			outs = append(outs, proto.Broadcast(m.cfg.Params, "", FallbackCert{
+			outs = proto.AppendBroadcast(outs, m.cfg.Params, "", FallbackCert{
 				Cert: cert, V: v, Proof: proof, ProofPhase: phase,
-			})...)
+			})
 		}
 	}
 	return outs
@@ -593,7 +573,7 @@ func (m *Machine) helpRoundB(now types.Tick) []proto.Outgoing {
 
 // startFallback launches A_fallback with δ' = 2δ and input bu_decision
 // (Algorithm 3 line 24).
-func (m *Machine) startFallback(now types.Tick) []proto.Outgoing {
+func (m *Machine) startFallback(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.ranFallback = true
 	fb := fallback.NewMachine(fallback.Config{
 		Params:   m.cfg.Params,
@@ -604,7 +584,7 @@ func (m *Machine) startFallback(now types.Tick) []proto.Outgoing {
 		RoundDur: 2,
 	})
 	m.fbSub = proto.NewSub(fbSession, fb)
-	return m.fbSub.Begin(now)
+	return m.fbSub.Begin(now, outs)
 }
 
 // finishFallback adopts the fallback output (lines 25–29): the fallback

@@ -717,7 +717,6 @@ type procMachine struct {
 	children []proto.Machine // retained past retirement for result extraction
 	next     int             // next session index to admit
 	retired  int             // next session index to retire (static FIFO)
-	outs     []proto.Outgoing
 
 	// Eager state: per-session admission ticks, the live set in
 	// admission order, the name→index table for early-frame
@@ -729,14 +728,12 @@ type procMachine struct {
 	nameIdx    map[string]int
 	earlyBuf   []proto.Incoming
 	earlyKeep  []proto.Incoming
-	earlyMine  []proto.Incoming
-	inboxKeep  []proto.Incoming
 	earlyDrops int64
 }
 
 var _ proto.Machine = (*procMachine)(nil)
 
-func (p *procMachine) Begin(now types.Tick) []proto.Outgoing {
+func (p *procMachine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	if p.sched == nil {
 		p.sched = Static
 	}
@@ -744,50 +741,44 @@ func (p *procMachine) Begin(now types.Tick) []proto.Outgoing {
 		if p.admitted == nil {
 			p.admitted = make([]types.Tick, len(p.names))
 		}
-		return p.admitEager(now, nil)
+		return p.admitEager(now, outs)
 	}
-	return p.admit(now, nil)
+	return p.admit(now, outs)
 }
 
 // admit opens every session scheduled at now, appending its Begin
-// traffic after prior (already wrapped and mux-owned) outputs.
-func (p *procMachine) admit(now types.Tick, prior []proto.Outgoing) []proto.Outgoing {
-	if p.next >= len(p.starts) || p.starts[p.next] != now {
-		return prior
-	}
-	outs := append(p.outs[:0], prior...)
+// traffic.
+func (p *procMachine) admit(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	for p.next < len(p.starts) && p.starts[p.next] == now {
 		k := p.next
 		p.next++
 		m := p.build(k, p.id)
 		p.children[k] = m
-		outs = append(outs, p.mux.Add(p.names[k], m).Begin(now)...)
+		outs = p.mux.Add(p.names[k], m).Begin(now, outs)
 	}
-	p.outs = outs
 	return outs
 }
 
-func (p *procMachine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (p *procMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	if p.sched != nil && p.sched.reactive() {
-		return p.tickEager(now, inbox)
+		return p.tickEager(now, inbox, outs)
 	}
 	// Retire sessions whose schedule has elapsed: machines are done (or
-	// out of budget), buckets return to the pool, stragglers count as
-	// late. Newly admitted sessions Begin at now and are first stepped
-	// at now+1 — identical to a solo run beginning at that tick.
+	// out of budget), stragglers count as late. Newly admitted sessions
+	// Begin at now and are first stepped at now+1 — identical to a solo
+	// run beginning at that tick.
 	for p.retired < p.next && now >= p.starts[p.retired]+p.duration {
 		p.mux.Retire(p.names[p.retired])
 		p.retired++
 	}
-	outs := p.mux.Tick(now, inbox)
-	return p.admit(now, outs)
+	return p.admit(now, p.mux.Tick(now, inbox, outs))
 }
 
 // tickEager is the decision-driven schedule: vacate slots whose machine
 // decided by the previous tick (or hit the worst-case deadline), step
 // the live set, then admit queued sessions into the freed slots. Frames
 // addressed to sessions not yet admitted are buffered, not shed.
-func (p *procMachine) tickEager(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (p *procMachine) tickEager(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	if len(p.live) > 0 {
 		keep := p.live[:0]
 		for _, k := range p.live {
@@ -799,30 +790,17 @@ func (p *procMachine) tickEager(now types.Tick, inbox []proto.Incoming) []proto.
 		}
 		p.live = keep
 	}
-	outs := p.mux.Tick(now, p.interceptEarly(inbox))
-	return p.admitEager(now, outs)
+	return p.admitEager(now, p.mux.Tick(now, p.interceptEarly(inbox), outs))
 }
 
-// interceptEarly pulls frames addressed to not-yet-admitted sessions
+// interceptEarly moves frames addressed to not-yet-admitted sessions
 // out of the inbox into the early buffer (bounded by earlyBufMax;
-// overflow counts as late). The common no-early-frame case returns the
-// inbox untouched.
+// overflow counts as late), compacting the rest in place.
 func (p *procMachine) interceptEarly(inbox []proto.Incoming) []proto.Incoming {
 	if p.next >= len(p.names) {
 		return inbox
 	}
-	early := false
-	for i := range inbox {
-		head, _ := proto.SplitSession(inbox[i].Session)
-		if k, ok := p.nameIdx[head]; ok && k >= p.next {
-			early = true
-			break
-		}
-	}
-	if !early {
-		return inbox
-	}
-	keep := p.inboxKeep[:0]
+	keep := inbox[:0]
 	for _, in := range inbox {
 		head, _ := proto.SplitSession(in.Session)
 		if k, ok := p.nameIdx[head]; ok && k >= p.next {
@@ -835,18 +813,13 @@ func (p *procMachine) interceptEarly(inbox []proto.Incoming) []proto.Incoming {
 		}
 		keep = append(keep, in)
 	}
-	p.inboxKeep = keep
 	return keep
 }
 
 // admitEager opens queued sessions while slots are free, handing each
 // new Sub its buffered pre-admission frames (replayed on its first
 // post-Begin tick, exactly as a late-joining solo run would see them).
-func (p *procMachine) admitEager(now types.Tick, prior []proto.Outgoing) []proto.Outgoing {
-	if p.next >= len(p.names) || len(p.live) >= p.window {
-		return prior
-	}
-	outs := append(p.outs[:0], prior...)
+func (p *procMachine) admitEager(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	for p.next < len(p.names) && len(p.live) < p.window {
 		k := p.next
 		p.next++
@@ -856,34 +829,21 @@ func (p *procMachine) admitEager(now types.Tick, prior []proto.Outgoing) []proto
 		p.children[k] = m
 		sub := p.mux.Add(p.names[k], m)
 		p.replayEarly(sub, k, now)
-		outs = append(outs, sub.Begin(now)...)
+		outs = sub.Begin(now, outs)
 	}
-	p.outs = outs
 	return outs
 }
 
 // replayEarly moves session k's buffered frames into its Sub before
-// Begin, compacting the remainder in place.
+// Begin and keeps the remainder, in order, for later admissions.
 func (p *procMachine) replayEarly(sub *proto.Sub, k int, now types.Tick) {
 	if len(p.earlyBuf) == 0 {
 		return
 	}
-	name := p.names[k]
 	keep := p.earlyKeep[:0]
-	mine := p.earlyMine[:0]
-	for _, in := range p.earlyBuf {
-		head, rest := proto.SplitSession(in.Session)
-		if head != name {
-			keep = append(keep, in)
-			continue
-		}
-		in.Session = rest
-		mine = append(mine, in)
-	}
-	if len(mine) > 0 {
-		sub.Tick(now, mine) // pre-Begin: the Sub buffers and replays
-	}
-	p.earlyBuf, p.earlyKeep, p.earlyMine = keep, p.earlyBuf[:0], mine[:0]
+	mine := proto.SplitChild(p.earlyBuf, p.names[k], func(in proto.Incoming) { keep = append(keep, in) })
+	sub.Tick(now, mine, nil) // pre-Begin: the Sub copies them and replays
+	p.earlyBuf, p.earlyKeep = keep, p.earlyBuf[:0]
 }
 
 // Output canonically encodes every session's (decided, value) pair, so

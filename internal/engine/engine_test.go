@@ -7,6 +7,7 @@ import (
 
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/sim"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -178,10 +179,40 @@ func TestEngineConfigErrors(t *testing.T) {
 // reaches steady state immediately.
 type idleMachine struct{}
 
-func (idleMachine) Begin(types.Tick) []proto.Outgoing                  { return nil }
-func (idleMachine) Tick(types.Tick, []proto.Incoming) []proto.Outgoing { return nil }
-func (idleMachine) Output() (types.Value, bool)                        { return nil, false }
-func (idleMachine) Done() bool                                         { return false }
+func (idleMachine) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing { return outs }
+func (idleMachine) Tick(_ types.Tick, _ []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	return outs
+}
+func (idleMachine) Output() (types.Value, bool) { return nil, false }
+func (idleMachine) Done() bool                  { return false }
+
+// checkSteadyTickAllocs asserts that one steady-state tick of p that
+// routes two frames allocates nothing. Routing strips session prefixes in
+// place, so every run gets the frames afresh; the first tick grows the
+// routing arena. Under the race detector sync.Pool drops Puts at random,
+// so there the bound is the one thing a drop can cost — a rebuild of the
+// single Mux's arena, 7 allocations (proto.TestMuxSteadyStateAllocs) —
+// and nothing else.
+func checkSteadyTickAllocs(t *testing.T, what string, p *procMachine, now types.Tick) {
+	t.Helper()
+	pristine := []proto.Incoming{{From: 1, Session: "s0"}, {From: 2, Session: "s3"}}
+	inbox := make([]proto.Incoming, len(pristine))
+	tick := func() {
+		now++
+		copy(inbox, pristine)
+		p.Tick(now, inbox, nil)
+	}
+	tick()
+	var ceiling float64
+	if testenv.Race() {
+		ceiling = 7
+	}
+	allocs := testing.AllocsPerRun(100, tick)
+	t.Logf("steady-state %s tick: %.0f allocs/op (ceiling %.0f)", what, allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("steady-state %s tick allocates %.1f/op, want at most %.0f", what, allocs, ceiling)
+	}
+}
 
 // TestEngineSteadyStateAllocs guards the per-session steady-state path:
 // once its sessions are admitted, a process's per-tick scheduling work —
@@ -197,22 +228,12 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 		mux:      proto.NewMux(),
 		children: make([]proto.Machine, 4),
 	}
-	p.Begin(0)
+	p.Begin(0, nil)
 	var now types.Tick
 	for now = 1; now < 10; now++ {
-		p.Tick(now, nil) // admit everything, warm scratch
+		p.Tick(now, nil, nil) // admit everything
 	}
-	inbox := []proto.Incoming{
-		{From: 1, Session: "s0", Payload: nil},
-		{From: 2, Session: "s3", Payload: nil},
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		now++
-		p.Tick(now, inbox)
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state engine tick allocates %.1f/op, want 0", allocs)
-	}
+	checkSteadyTickAllocs(t, "engine", p, now)
 }
 
 // TestRunLogConvergence drives the pipelined log end to end: identical

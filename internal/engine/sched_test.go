@@ -159,13 +159,13 @@ type recordMachine struct {
 	decided  bool
 }
 
-func (r *recordMachine) Begin(types.Tick) []proto.Outgoing { return nil }
-func (r *recordMachine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (r *recordMachine) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing { return outs }
+func (r *recordMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	r.got = append(r.got, inbox...)
 	if now >= r.decideAt {
 		r.decided = true
 	}
-	return nil
+	return outs
 }
 func (r *recordMachine) Output() (types.Value, bool) {
 	if r.decided {
@@ -203,12 +203,12 @@ func TestEagerEarlyFrameBuffer(t *testing.T) {
 	machines := []*recordMachine{{decideAt: 2}, {decideAt: 1 << 30}}
 	p := eagerProc([]string{"s0", "s1"},
 		func(k int, _ types.ProcessID) proto.Machine { return machines[k] }, 1)
-	p.Begin(0)
+	p.Begin(0, nil)
 	if p.next != 1 || len(p.live) != 1 {
 		t.Fatalf("window-1 Begin admitted %d sessions, %d live", p.next, len(p.live))
 	}
 	// Tick 1: a frame for queued s1 arrives early — buffered.
-	p.Tick(1, []proto.Incoming{{From: 3, Session: "s1/x", Payload: nil}})
+	p.Tick(1, []proto.Incoming{{From: 3, Session: "s1/x", Payload: nil}}, nil)
 	if got := p.mux.Unrouted(); got != 0 {
 		t.Fatalf("early frame counted unrouted (%d)", got)
 	}
@@ -216,14 +216,14 @@ func TestEagerEarlyFrameBuffer(t *testing.T) {
 		t.Fatalf("early buffer holds %d frames, want 1", len(p.earlyBuf))
 	}
 	// Tick 2: s0 decides. Tick 3: s0 retires, s1 admitted, buffer drains.
-	p.Tick(2, nil)
-	p.Tick(3, nil)
+	p.Tick(2, nil, nil)
+	p.Tick(3, nil, nil)
 	if p.next != 2 || len(p.earlyBuf) != 0 {
 		t.Fatalf("after admission: next=%d earlyBuf=%d, want 2/0", p.next, len(p.earlyBuf))
 	}
 	// Tick 4: s1's first step replays the buffered frame (session prefix
 	// stripped); a stale frame for retired s0 counts late.
-	p.Tick(4, []proto.Incoming{{From: 2, Session: "s0/y", Payload: nil}})
+	p.Tick(4, []proto.Incoming{{From: 2, Session: "s0/y", Payload: nil}}, nil)
 	if len(machines[1].got) != 1 || machines[1].got[0].Session != "x" || machines[1].got[0].From != 3 {
 		t.Errorf("s1 received %v, want the replayed early frame", machines[1].got)
 	}
@@ -241,17 +241,20 @@ func TestEagerEarlyFrameBuffer(t *testing.T) {
 func TestEagerEarlyFrameOverflow(t *testing.T) {
 	p := eagerProc([]string{"s0", "s1"},
 		func(int, types.ProcessID) proto.Machine { return &recordMachine{decideAt: 1 << 30} }, 1)
-	p.Begin(0)
-	inbox := make([]proto.Incoming, 64)
-	for i := range inbox {
-		inbox[i] = proto.Incoming{From: 1, Session: "s1/x"}
+	p.Begin(0, nil)
+	early := func() []proto.Incoming { // a fresh inbox per tick: Tick consumes it
+		inbox := make([]proto.Incoming, 64)
+		for i := range inbox {
+			inbox[i] = proto.Incoming{From: 1, Session: "s1/x"}
+		}
+		return inbox
 	}
 	for now := types.Tick(1); len(p.earlyBuf) < earlyBufMax; now++ {
-		p.Tick(now, inbox)
+		p.Tick(now, early(), nil)
 	}
-	p.Tick(1<<20, inbox)
-	if p.earlyDrops != int64(len(inbox)) {
-		t.Errorf("earlyDrops=%d, want %d", p.earlyDrops, len(inbox))
+	p.Tick(1<<20, early(), nil)
+	if p.earlyDrops != 64 {
+		t.Errorf("earlyDrops=%d, want 64", p.earlyDrops)
 	}
 }
 
@@ -262,20 +265,10 @@ func TestEagerEarlyFrameOverflow(t *testing.T) {
 func TestEagerSteadyStateAllocs(t *testing.T) {
 	p := eagerProc([]string{"s0", "s1", "s2", "s3", "s4", "s5"},
 		func(int, types.ProcessID) proto.Machine { return idleMachine{} }, 4)
-	p.Begin(0)
+	p.Begin(0, nil)
 	var now types.Tick
 	for now = 1; now < 10; now++ {
-		p.Tick(now, nil)
+		p.Tick(now, nil, nil)
 	}
-	inbox := []proto.Incoming{
-		{From: 1, Session: "s0", Payload: nil},
-		{From: 2, Session: "s3", Payload: nil},
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		now++
-		p.Tick(now, inbox)
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state eager tick allocates %.1f/op, want 0", allocs)
-	}
+	checkSteadyTickAllocs(t, "eager", p, now)
 }

@@ -23,8 +23,8 @@ package fallback
 
 import (
 	"bytes"
-	"fmt"
 	"sort"
+	"strconv"
 
 	"adaptiveba/internal/baseline/dolevstrong"
 	"adaptiveba/internal/proto"
@@ -76,28 +76,28 @@ func (m *Machine) Duration() types.Tick {
 
 // instanceName names the per-sender Dolev–Strong session.
 func instanceName(sender types.ProcessID) string {
-	return fmt.Sprintf("i%d", int(sender))
+	return "i" + strconv.Itoa(int(sender))
 }
 
 // Begin implements proto.Machine: all n broadcast instances start
 // simultaneously; this process is the designated sender of its own.
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.mux = proto.NewMux()
 	m.instances = make([]*proto.Sub, m.cfg.Params.N)
-	var outs []proto.Outgoing
-	for i := 0; i < m.cfg.Params.N; i++ {
+	for i := range m.instances {
 		sender := types.ProcessID(i)
+		name := instanceName(sender)
 		inst := dolevstrong.NewMachine(dolevstrong.Config{
 			Params:   m.cfg.Params,
 			Crypto:   m.cfg.Crypto,
 			ID:       m.cfg.ID,
 			Sender:   sender,
 			Input:    m.cfg.Input,
-			Tag:      m.cfg.Tag + "/" + instanceName(sender),
+			Tag:      m.cfg.Tag + "/" + name,
 			RoundDur: m.cfg.RoundDur,
 		})
-		m.instances[i] = m.mux.Add(instanceName(sender), inst)
-		outs = append(outs, m.instances[i].Begin(now)...)
+		m.instances[i] = m.mux.Add(name, inst)
+		outs = m.instances[i].Begin(now, outs)
 	}
 	return outs
 }
@@ -106,8 +106,8 @@ func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
 // per-instance routing order (instances stepped in sender order, each
 // seeing its messages in inbox order), so the refactor is invisible to
 // the observable schedule.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
-	outs := m.mux.Tick(now, inbox)
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	outs = m.mux.Tick(now, inbox, outs)
 	if !m.decided && m.mux.Done() {
 		m.decide()
 	}

@@ -1,6 +1,7 @@
 package fallback
 
 import (
+	"fmt"
 	"testing"
 
 	"adaptiveba/internal/baseline/dolevstrong"
@@ -167,9 +168,9 @@ func (a *byzInputAdv) Act(now types.Tick, _ []sim.Message) []sim.Message {
 		m := a.machines[id]
 		var outs []proto.Outgoing
 		if now == 0 {
-			outs = m.Begin(0)
+			outs = m.Begin(0, nil)
 		} else {
-			outs = m.Tick(now, a.inboxes[id])
+			outs = m.Tick(now, a.inboxes[id], nil)
 			a.inboxes[id] = nil
 		}
 		for _, o := range outs {
@@ -216,21 +217,19 @@ func newDelayedStart(inner proto.Machine, delay types.Tick) *delayedStart {
 	return &delayedStart{inner: inner, delay: delay, sub: proto.NewSub("d", inner)}
 }
 
-func (d *delayedStart) Begin(now types.Tick) []proto.Outgoing {
+func (d *delayedStart) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	if d.delay == 0 {
-		return d.sub.Begin(now)
+		return d.sub.Begin(now, outs)
 	}
-	return nil
+	return outs
 }
 
-func (d *delayedStart) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (d *delayedStart) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	mine, _ := d.sub.Route(inbox)
-	var outs []proto.Outgoing
 	if !d.sub.Started() && now >= d.delay {
-		outs = append(outs, d.sub.Begin(now)...)
+		outs = d.sub.Begin(now, outs)
 	}
-	outs = append(outs, d.sub.Tick(now, mine)...)
-	return outs
+	return d.sub.Tick(now, mine, outs)
 }
 
 func (d *delayedStart) Output() (types.Value, bool) { return d.sub.Output() }
@@ -311,27 +310,26 @@ type skewedMachine struct {
 	buf     []proto.Incoming
 }
 
-func (s *skewedMachine) Begin(now types.Tick) []proto.Outgoing {
+func (s *skewedMachine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	if s.delay == 0 {
 		s.started = true
-		return s.inner.Begin(now)
+		return s.inner.Begin(now, outs)
 	}
-	return nil
+	return outs
 }
 
-func (s *skewedMachine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (s *skewedMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	if !s.started {
 		if now < s.delay {
 			s.buf = append(s.buf, inbox...)
-			return nil
+			return outs
 		}
 		s.started = true
-		outs := s.inner.Begin(now)
+		outs = s.inner.Begin(now, outs)
 		inbox = append(s.buf, inbox...)
 		s.buf = nil
-		return append(outs, s.inner.Tick(now, inbox)...)
 	}
-	return s.inner.Tick(now, inbox)
+	return s.inner.Tick(now, inbox, outs)
 }
 
 func (s *skewedMachine) Output() (types.Value, bool) { return s.inner.Output() }
@@ -455,5 +453,96 @@ func TestDurationMatchesDecisionTick(t *testing.T) {
 	inner := dolevstrong.NewMachine(dolevstrong.Config{Params: params, Crypto: crypto, ID: 0, Sender: 0, Tag: "y", RoundDur: 2})
 	if inner.Duration() != m.Duration() {
 		t.Errorf("fallback duration %d != instance duration %d", m.Duration(), inner.Duration())
+	}
+}
+
+// equivAdv corrupts ids; each equivocates in the broadcast instance it
+// is the designated sender of — at tick 0 it signs "a" toward the even
+// processes and "b" toward the odd ones — and stays silent afterwards, so
+// every honest process relays, extracts and holds two values there.
+type equivAdv struct {
+	crashAdv
+	sent bool
+}
+
+func (a *equivAdv) Act(types.Tick, []sim.Message) []sim.Message {
+	if a.sent {
+		return nil
+	}
+	a.sent = true
+	var msgs []sim.Message
+	for _, id := range a.ids {
+		name := instanceName(id)
+		for to := 0; to < a.env.Params.N; to++ {
+			v := types.Value([]string{"a", "b"}[to%2])
+			chain, err := dolevstrong.NewChain(a.env.Crypto.Signer(id), "fb/"+name, v)
+			if err != nil {
+				panic(err)
+			}
+			msgs = append(msgs, sim.Message{
+				From: id, To: types.ProcessID(to), Session: name,
+				Payload: dolevstrong.Relay{Sender: id, V: v, Chain: chain},
+			})
+		}
+	}
+	return msgs
+}
+
+// TestIngestFilterLeavesRunsUnchanged: dropping at ingest what the
+// boundary would have skipped changes nothing a run can show. Decision,
+// honest words and honest messages of A_fallback (δ' = 2δ, unanimous
+// input "v") over n ∈ {4, 9} × f ∈ {0, 1, t}, with the faulty processes
+// crashed or equivocating in their own instance, are pinned to what the
+// buffer-everything version produced (recorded at the parent of the
+// commit that introduced the filter).
+func TestIngestFilterLeavesRunsUnchanged(t *testing.T) {
+	type outcome struct {
+		decision        string
+		words, messages int64
+	}
+	want := map[string]outcome{
+		"n4/f0/crash":      {"v", 132, 48},
+		"n4/f0/equivocate": {"v", 132, 48},
+		"n4/f1/crash":      {"v", 72, 27},
+		"n4/f1/equivocate": {"v", 99, 36},
+		"n9/f0/crash":      {"v", 1872, 648},
+		"n9/f0/equivocate": {"v", 1872, 648},
+		"n9/f1/crash":      {"v", 1472, 512},
+		"n9/f1/equivocate": {"v", 1920, 640},
+		"n9/f4/crash":      {"v", 560, 200},
+		"n9/f4/equivocate": {"v", 1040, 360},
+	}
+	for _, n := range []int{4, 9} {
+		crypto, params := setup(t, n)
+		fs := []int{0, 1, params.T}
+		if params.T == 1 {
+			fs = fs[:2] // n=4: f=1 is f=t
+		}
+		for _, f := range fs {
+			ids := make([]types.ProcessID, f)
+			for i := range ids {
+				ids[i] = types.ProcessID(2*i + 1)
+			}
+			for name, adv := range map[string]sim.Adversary{
+				"crash": &crashAdv{ids: ids}, "equivocate": &equivAdv{crashAdv: crashAdv{ids: ids}},
+			} {
+				cell := fmt.Sprintf("n%d/f%d/%s", n, f, name)
+				res, err := sim.Run(sim.Config{
+					Params: params, Crypto: crypto, Adversary: adv, MaxTicks: 200,
+					Factory: factory(crypto, params, 2, func(types.ProcessID) types.Value { return types.Value("v") }),
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", cell, err)
+				}
+				v, agree := res.Agreement()
+				if !agree || !res.AllDecided() {
+					t.Fatalf("%s: agreement=%t allDecided=%t", cell, agree, res.AllDecided())
+				}
+				got := outcome{string(v), res.Report.Honest.Words, res.Report.Honest.Messages}
+				if got != want[cell] {
+					t.Errorf("%s: decision/words/messages %+v, want %+v", cell, got, want[cell])
+				}
+			}
+		}
 	}
 }

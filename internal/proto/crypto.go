@@ -29,6 +29,7 @@ type Crypto struct {
 	dealerSeed  []byte
 	cache       *verifycache.Cache
 	certWorkers int
+	signers     []sig.Signer // one per identity, then one for NilProcess; bound to Scheme
 
 	mu  sync.RWMutex
 	byK map[int]*threshold.Scheme
@@ -86,6 +87,11 @@ func NewCrypto(params types.Params, scheme sig.Scheme, mode threshold.Mode, deal
 		c.cache = verifycache.New(cfg.cacheCapacity)
 		c.Scheme = verifycache.WrapScheme(scheme, c.cache)
 	}
+	c.signers = make([]sig.Signer, params.N+1)
+	for i := range c.signers[:params.N] {
+		c.signers[i] = *sig.NewSigner(c.Scheme, types.ProcessID(i)) // inlined: the slab is the only allocation
+	}
+	c.signers[params.N] = *sig.NewSigner(c.Scheme, types.NilProcess)
 	return c
 }
 
@@ -120,9 +126,15 @@ func (c *Crypto) Threshold(k int) *threshold.Scheme {
 	return s
 }
 
-// Signer returns the signing capability for id.
+// Signer returns the signing capability for id: the same immutable
+// (scheme, id) pair on every call, shared by all of id's machines. An id
+// outside the run gets the slab's last entry, the signer of NilProcess,
+// whose Sign reports the error.
 func (c *Crypto) Signer(id types.ProcessID) *sig.Signer {
-	return sig.NewSigner(c.Scheme, id)
+	if id < 0 || int(id) >= c.Params.N {
+		id = types.ProcessID(c.Params.N)
+	}
+	return &c.signers[id]
 }
 
 // Mode returns the certificate encoding used in this run.

@@ -1,6 +1,11 @@
 package proto
 
-import "adaptiveba/internal/types"
+import (
+	"slices"
+	"sync"
+
+	"adaptiveba/internal/types"
+)
 
 // Mux hosts many child machines, each under its own session name, and
 // demultiplexes a shared inbox to them in a single pass. It is the
@@ -11,50 +16,49 @@ import "adaptiveba/internal/types"
 // parent no longer owes them service.
 //
 // Compared to calling Sub.Route once per child — O(children × inbox) —
-// Mux buckets the whole inbox by leading session segment in one O(inbox)
-// pass. The buckets are owned by the Mux and recycled every tick, and
-// retired children return their bucket to a free list for reuse by later
-// admissions, so the steady-state tick path allocates nothing.
+// Mux groups the whole inbox by leading session segment with one stable
+// counting sort on the child index, into an arena it borrows for the
+// duration of the Tick (see routeArena), so the steady-state tick path
+// allocates nothing and a Mux owns no message memory between ticks.
 //
 // Message order is preserved exactly as serial per-child routing would
 // deliver it: within one session, messages keep their inbox order, and
 // children are stepped in insertion order.
 type Mux struct {
 	names map[string]int
-	subs  []*Sub
-	state []muxState
-
-	buckets [][]Incoming // per-child delivery bucket, reset each tick
-	free    [][]Incoming // buckets reclaimed from retired children
-	outs    []Outgoing   // reused join buffer returned by Tick
+	subs  []*Sub // insertion order; nil once retired
 
 	unrouted int64
 	late     int64
 }
 
-type muxState uint8
+// routeArena is the scratch of one Mux.Tick. Muxes are short-lived (one
+// per ACS round, one per fallback) and nest, so the arena belongs to the
+// call, not to the Mux: Tick takes one from the pool, every nested Mux
+// stepped underneath takes its own, and each is cleared and returned
+// before its Tick returns. Nothing in it is keyed to a Mux or outlives
+// the call, so a Mux created mid-run routes through an already grown
+// arena and the pool pins no payload.
+type routeArena struct {
+	frames []Incoming // the inbox grouped by child, inbox order kept
+	child  []int32    // per inbox frame: its child's index, -1 if dropped
+	end    []int32    // per child: frame count, then scatter cursor, then region end
+}
 
-const (
-	muxLive muxState = iota
-	muxRetired
-)
+var routeArenas = sync.Pool{New: func() any { return new(routeArena) }}
 
 // NewMux returns an empty multiplexer.
 func NewMux() *Mux {
 	return &Mux{names: make(map[string]int)}
 }
 
-// Len returns the number of children ever added (including retired).
-func (x *Mux) Len() int { return len(x.subs) }
-
 // Get returns the child registered under name (nil if unknown or
 // retired).
 func (x *Mux) Get(name string) *Sub {
-	i, ok := x.names[name]
-	if !ok || x.state[i] == muxRetired {
-		return nil
+	if i, ok := x.names[name]; ok {
+		return x.subs[i]
 	}
-	return x.subs[i]
+	return nil
 }
 
 // Add registers machine under the session segment name and returns its
@@ -68,29 +72,17 @@ func (x *Mux) Add(name string, m Machine) *Sub {
 	sub := NewSub(name, m)
 	x.names[name] = len(x.subs)
 	x.subs = append(x.subs, sub)
-	x.state = append(x.state, muxLive)
-	var bucket []Incoming
-	if n := len(x.free); n > 0 {
-		bucket, x.free = x.free[n-1], x.free[:n-1]
-	}
-	x.buckets = append(x.buckets, bucket)
 	return sub
 }
 
 // Retire drops the child registered under name: it is no longer stepped,
-// later messages addressed to it are counted as late and discarded, its
-// machine reference is released, and its delivery bucket joins the free
-// list for the next Add. Retiring an unknown or already-retired name is
-// a no-op.
+// later messages addressed to it are counted as late and discarded, and
+// its machine reference is released. Retiring an unknown or
+// already-retired name is a no-op.
 func (x *Mux) Retire(name string) {
-	i, ok := x.names[name]
-	if !ok || x.state[i] == muxRetired {
-		return
+	if i, ok := x.names[name]; ok {
+		x.subs[i] = nil
 	}
-	x.state[i] = muxRetired
-	x.subs[i] = nil
-	x.free = append(x.free, x.buckets[i][:0])
-	x.buckets[i] = nil
 }
 
 // Unrouted returns the number of messages addressed to sessions never
@@ -100,35 +92,63 @@ func (x *Mux) Unrouted() int64 { return x.unrouted }
 // Late returns the number of messages addressed to retired sessions.
 func (x *Mux) Late() int64 { return x.late }
 
-// Tick buckets inbox by leading session segment in one pass, then steps
-// every live child in insertion order with its bucket. The returned
-// slice is owned by the Mux and reused on the next call; callers must
-// copy (or forward immediately) rather than retain it — the same
-// contract Machine.Tick already imposes on runtimes.
-func (x *Mux) Tick(now types.Tick, inbox []Incoming) []Outgoing {
-	for _, in := range inbox {
-		head, rest := SplitSession(in.Session)
+// Tick groups inbox by leading session segment (stripped in place: the
+// inbox is the callee's scratch), then steps every live child in
+// insertion order with its group, threading outs through them. An empty
+// inbox skips the sort and the arena.
+func (x *Mux) Tick(now types.Tick, inbox []Incoming, outs []Outgoing) []Outgoing {
+	if len(inbox) == 0 {
+		for _, sub := range x.subs {
+			if sub != nil {
+				outs = sub.Tick(now, nil, outs)
+			}
+		}
+		return outs
+	}
+	a := routeArenas.Get().(*routeArena)
+	child := slices.Grow(a.child[:0], len(inbox))[:len(inbox)]
+	end := slices.Grow(a.end[:0], len(x.subs))[:len(x.subs)]
+	clear(end)
+	for j := range inbox {
+		head, rest := SplitSession(inbox[j].Session)
 		i, ok := x.names[head]
-		if !ok {
+		switch {
+		case !ok:
 			x.unrouted++
-			continue
-		}
-		if x.state[i] == muxRetired {
+			i = -1
+		case x.subs[i] == nil:
 			x.late++
-			continue
+			i = -1
+		default:
+			inbox[j].Session = rest
+			end[i]++
 		}
-		in.Session = rest
-		x.buckets[i] = append(x.buckets[i], in)
+		child[j] = int32(i)
 	}
-	outs := x.outs[:0]
+	var routed int32
+	for i, c := range end {
+		end[i] = routed
+		routed += c
+	}
+	frames := slices.Grow(a.frames[:0], int(routed))[:routed]
+	for j, i := range child {
+		if i >= 0 {
+			frames[end[i]] = inbox[j]
+			end[i]++
+		}
+	}
+	var lo int32
 	for i, sub := range x.subs {
-		if x.state[i] == muxRetired {
-			continue
+		hi := end[i]
+		if sub != nil {
+			// Capacity pinned: a child cannot append into its neighbour.
+			outs = sub.Tick(now, frames[lo:hi:hi], outs)
 		}
-		outs = append(outs, sub.Tick(now, x.buckets[i])...)
-		x.buckets[i] = x.buckets[i][:0]
+		lo = hi
 	}
-	x.outs = outs
+	clear(frames)
+	a.frames, a.child, a.end = frames, child, end
+	routeArenas.Put(a)
 	return outs
 }
 
@@ -136,11 +156,8 @@ func (x *Mux) Tick(now types.Tick, inbox []Incoming) []Outgoing {
 // An empty Mux is done (vacuously); parents typically guard with their
 // own admission bookkeeping.
 func (x *Mux) Done() bool {
-	for i, sub := range x.subs {
-		if x.state[i] == muxRetired {
-			continue
-		}
-		if !sub.Done() {
+	for _, sub := range x.subs {
+		if sub != nil && !sub.Done() {
 			return false
 		}
 	}

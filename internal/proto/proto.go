@@ -7,6 +7,18 @@
 // sessions — "/"-separated paths that let a parent protocol host
 // sub-protocols (BB hosts weak BA, weak BA hosts the fallback) without the
 // runtimes knowing anything about the nesting.
+//
+// # The message path
+//
+// Every message crosses a session tree up to six machines deep, so it is
+// written once on the way in and once on the way out. Outbound, the
+// runtime owns the only send buffer: Begin and Tick append to it, Sub
+// prefixes just the tail its child appended, Mux threads it through its
+// children. Inbound, the inbox is scratch for the call: Mux sorts it by
+// child into an arena borrowed for that call, SplitChild compacts one
+// nested child's frames to its front, and whoever keeps a message copies
+// the value. Machine states the retention contract both sides rely on;
+// DESIGN.md §4, "The message path", says who owns which buffer.
 package proto
 
 import (
@@ -56,16 +68,27 @@ type Outgoing struct {
 // goroutines; all state transitions happen inside these calls. Distinct
 // machines may be stepped concurrently (they share no state), but no
 // single machine ever sees overlapping calls.
+//
+// Messages are written once on the way in and once on the way out, and
+// neither side keeps the other's slice:
+//
+//   - outs is append-only, in the strconv.AppendInt idiom: Begin and Tick
+//     append their sends to the caller's buffer and return it extended.
+//     The callee owns only the tail it appends — it neither reads nor
+//     writes outs[:len(outs)] as given — and any call that is handed outs
+//     may reallocate it, so the returned slice is the only valid one
+//     afterwards. The caller consumes the tail before the next call and
+//     may then reuse the buffer.
+//   - inbox is scratch for the duration of the call: the callee may
+//     overwrite it (routing compacts it in place), and the caller must
+//     not read it afterwards. It is the caller's array again once the
+//     call returns; keep the Incoming values, never the slice.
 type Machine interface {
-	// Begin starts the machine at tick now and returns its initial sends.
-	Begin(now types.Tick) []Outgoing
-	// Tick delivers the messages that arrived at tick now and returns the
-	// sends the machine performs at this tick. The inbox slice is only
-	// valid for the duration of the call — the runtime reuses its backing
-	// array; keep the Incoming values, not the slice. Symmetrically, the
-	// runtime copies the returned sends before the next Tick, so machines
-	// may reuse their output slice across ticks.
-	Tick(now types.Tick, inbox []Incoming) []Outgoing
+	// Begin starts the machine at tick now, appending its initial sends.
+	Begin(now types.Tick, outs []Outgoing) []Outgoing
+	// Tick delivers the messages that arrived at tick now and appends the
+	// sends the machine performs at this tick.
+	Tick(now types.Tick, inbox []Incoming, outs []Outgoing) []Outgoing
 	// Output returns the machine's decision, if reached. For agreement
 	// protocols the value may legitimately be types.Bottom with ok=true.
 	Output() (types.Value, bool)
@@ -75,23 +98,8 @@ type Machine interface {
 	Done() bool
 }
 
-// Broadcast expands a payload into one Outgoing per process, including the
-// sender itself (self-delivery is free: runtimes do not count it).
-func Broadcast(params types.Params, session string, p Payload) []Outgoing {
-	outs := make([]Outgoing, params.N)
-	for i := 0; i < params.N; i++ {
-		outs[i] = Outgoing{To: types.ProcessID(i), Session: session, Payload: p}
-	}
-	return outs
-}
-
-// AppendBroadcast appends one message per process to outs and returns
-// the extended slice. Machines on per-round broadcast cadences use it to
-// recycle their output buffer across ticks — the runtime consumes the
-// returned slice before the machine is stepped again, so reuse is within
-// the Machine.Tick retention contract. At n = 4096 the per-tick
-// Broadcast allocation is the difference between O(1) and O(n) words of
-// garbage per machine per round.
+// AppendBroadcast appends one message per process, including the sender
+// itself (self-delivery is free: runtimes do not count it).
 func AppendBroadcast(outs []Outgoing, params types.Params, session string, p Payload) []Outgoing {
 	for i := 0; i < params.N; i++ {
 		outs = append(outs, Outgoing{To: types.ProcessID(i), Session: session, Payload: p})
@@ -99,9 +107,28 @@ func AppendBroadcast(outs []Outgoing, params types.Params, session string, p Pay
 	return outs
 }
 
-// Unicast is a convenience constructor for a single send.
-func Unicast(to types.ProcessID, session string, p Payload) []Outgoing {
-	return []Outgoing{{To: to, Session: session, Payload: p}}
+// AppendUnicast appends a single send.
+func AppendUnicast(outs []Outgoing, to types.ProcessID, session string, p Payload) []Outgoing {
+	return append(outs, Outgoing{To: to, Session: session, Payload: p})
+}
+
+// SplitChild partitions inbox for a machine that hosts one nested child
+// under the session segment name: frames addressed to the child are
+// compacted to the front of inbox with the segment stripped and returned,
+// every other frame is handed to ingest — both in inbox order. The write
+// index never passes the read index, so the split needs no second slice.
+func SplitChild(inbox []Incoming, name string, ingest func(Incoming)) []Incoming {
+	k := 0
+	for _, in := range inbox {
+		if head, rest := SplitSession(in.Session); head == name {
+			in.Session = rest
+			inbox[k] = in
+			k++
+		} else {
+			ingest(in)
+		}
+	}
+	return inbox[:k]
 }
 
 // JoinSession prefixes child-relative session paths with the child's name.

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -27,15 +28,14 @@ type echoMachine struct {
 	decided bool
 }
 
-func (e *echoMachine) Begin(now types.Tick) []Outgoing {
+func (e *echoMachine) Begin(now types.Tick, outs []Outgoing) []Outgoing {
 	e.begun = now
-	return []Outgoing{{To: 1, Payload: fakePayload{name: "hello", words: 1}}}
+	return AppendUnicast(outs, 1, "", fakePayload{name: "hello", words: 1})
 }
 
-func (e *echoMachine) Tick(now types.Tick, inbox []Incoming) []Outgoing {
+func (e *echoMachine) Tick(now types.Tick, inbox []Incoming, outs []Outgoing) []Outgoing {
 	e.ticks = append(e.ticks, now)
-	e.inboxes = append(e.inboxes, inbox)
-	var outs []Outgoing
+	e.inboxes = append(e.inboxes, append([]Incoming(nil), inbox...)) // the values, never the slice
 	for _, in := range inbox {
 		outs = append(outs, Outgoing{To: in.From, Session: in.Session, Payload: in.Payload})
 	}
@@ -64,12 +64,13 @@ func TestSessionHelpers(t *testing.T) {
 
 func TestBroadcastIncludesSelf(t *testing.T) {
 	p, _ := types.NewParams(5)
-	outs := Broadcast(p, "s", fakePayload{name: "x", words: 2})
-	if len(outs) != 5 {
-		t.Fatalf("broadcast to %d", len(outs))
+	prior := []Outgoing{{To: 9, Session: "prior"}}
+	outs := AppendBroadcast(prior, p, "s", fakePayload{name: "x", words: 2})
+	if len(outs) != 6 || outs[0].To != 9 || outs[0].Session != "prior" {
+		t.Fatalf("broadcast appended to %+v gives %d sends, first %+v", prior, len(outs), outs[0])
 	}
 	seen := map[types.ProcessID]bool{}
-	for _, o := range outs {
+	for _, o := range outs[1:] {
 		seen[o.To] = true
 		if o.Session != "s" {
 			t.Errorf("session = %q", o.Session)
@@ -81,9 +82,35 @@ func TestBroadcastIncludesSelf(t *testing.T) {
 }
 
 func TestUnicast(t *testing.T) {
-	outs := Unicast(3, "", fakePayload{name: "y", words: 1})
-	if len(outs) != 1 || outs[0].To != 3 {
+	outs := AppendUnicast([]Outgoing{{To: 9}}, 3, "", fakePayload{name: "y", words: 1})
+	if len(outs) != 2 || outs[0].To != 9 || outs[1].To != 3 {
 		t.Fatalf("got %+v", outs)
+	}
+}
+
+// TestSplitChild: the nested child's frames come back compacted at the
+// front of the inbox, prefix stripped, in order; everything else reaches
+// ingest, in order; no second slice is involved.
+func TestSplitChild(t *testing.T) {
+	inbox := muxInbox("", "fb", "x", "fb/i3", "fbx", "fb/i3/deep", "")
+	var mine []types.ProcessID
+	child := SplitChild(inbox, "fb", func(in Incoming) { mine = append(mine, in.From) })
+	if len(child) != 3 || &child[0] != &inbox[0] {
+		t.Fatalf("child frames: %d, in place: %v", len(child), len(child) > 0 && &child[0] == &inbox[0])
+	}
+	for i, want := range []struct {
+		from types.ProcessID
+		rest string
+	}{{1, ""}, {3, "i3"}, {5, "i3/deep"}} {
+		if child[i].From != want.from || child[i].Session != want.rest {
+			t.Errorf("child frame %d = %+v, want from %v session %q", i, child[i], want.from, want.rest)
+		}
+	}
+	if want := []types.ProcessID{0, 2, 4, 6}; !reflect.DeepEqual(mine, want) {
+		t.Errorf("ingested %v, want %v", mine, want)
+	}
+	if got := SplitChild(nil, "fb", func(Incoming) { t.Error("ingest called on an empty inbox") }); len(got) != 0 {
+		t.Errorf("empty inbox split into %d frames", len(got))
 	}
 }
 
@@ -153,19 +180,21 @@ func TestSubRoutingAndWrapping(t *testing.T) {
 		t.Errorf("stripped sessions: %q %q", mine[0].Session, mine[1].Session)
 	}
 
-	outs := sub.Begin(5)
+	outs := sub.Begin(5, nil)
 	if child.begun != 5 {
 		t.Errorf("child begun at %d", child.begun)
 	}
 	if len(outs) != 1 || outs[0].Session != "wba" {
 		t.Fatalf("begin outs: %+v", outs)
 	}
-	outs = sub.Tick(6, mine)
-	if len(outs) != 2 {
+	// Only the tail the child appended is wrapped: what the caller already
+	// had in the buffer (a sibling's sends) keeps its path.
+	outs = sub.Tick(6, mine, []Outgoing{{To: 7, Session: "sibling/x"}})
+	if len(outs) != 3 {
 		t.Fatalf("tick outs: %+v", outs)
 	}
-	if outs[0].Session != "wba" || outs[1].Session != "wba/fallback" {
-		t.Errorf("wrapped sessions: %q %q", outs[0].Session, outs[1].Session)
+	if outs[0].Session != "sibling/x" || outs[1].Session != "wba" || outs[2].Session != "wba/fallback" {
+		t.Errorf("wrapped sessions: %q %q %q", outs[0].Session, outs[1].Session, outs[2].Session)
 	}
 }
 
@@ -175,14 +204,15 @@ func TestSubBuffersBeforeBegin(t *testing.T) {
 
 	early := []Incoming{{From: 1, Session: "fb", Payload: fakePayload{name: "early"}}}
 	mine, _ := sub.Route(early)
-	if outs := sub.Tick(1, mine); outs != nil {
+	if outs := sub.Tick(1, mine, nil); outs != nil {
 		t.Fatalf("unstarted child produced sends: %+v", outs)
 	}
+	mine[0].Payload = fakePayload{name: "scribbled"} // the Sub kept the value, not the slice
 	if sub.Done() {
 		t.Error("unstarted child reported done")
 	}
-	sub.Begin(3)
-	outs := sub.Tick(4, nil)
+	sub.Begin(3, nil)
+	outs := sub.Tick(4, nil, nil)
 	if len(outs) != 1 {
 		t.Fatalf("buffered message not replayed: %+v", outs)
 	}
@@ -197,10 +227,11 @@ func TestSubBuffersBeforeBegin(t *testing.T) {
 func TestSubBeginIdempotent(t *testing.T) {
 	child := &echoMachine{}
 	sub := NewSub("x", child)
-	if outs := sub.Begin(0); len(outs) != 1 {
+	outs := sub.Begin(0, nil)
+	if len(outs) != 1 {
 		t.Fatal("first begin")
 	}
-	if outs := sub.Begin(1); outs != nil {
+	if outs = sub.Begin(1, outs); len(outs) != 1 {
 		t.Fatal("second begin produced sends")
 	}
 	if child.begun != 0 {
@@ -230,6 +261,54 @@ func TestCryptoThresholdCaching(t *testing.T) {
 	if s.ID() != 3 {
 		t.Errorf("signer id = %v", s.ID())
 	}
+}
+
+// TestCryptoSignerIsOnePerIdentity: every machine of identity id shares
+// one signer (pointer-identical across calls, built with the Crypto, so
+// Signer itself allocates nothing), it signs through the cache-wrapped
+// Scheme, and it is safe to use from many machines at once (run under
+// -race). An identity outside the run takes the same path to the one
+// NilProcess signer, and fails in Sign, not in Signer.
+func TestCryptoSignerIsOnePerIdentity(t *testing.T) {
+	params, _ := types.NewParams(7)
+	ring, _ := sig.NewHMACRing(7, []byte("s"))
+	c := NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
+	for id := types.ProcessID(0); id < 7; id++ {
+		if a, b := c.Signer(id), c.Signer(id); a != b || a.ID() != id {
+			t.Fatalf("Signer(%v) = %p, %p (id %v): want one shared signer", id, a, b, a.ID())
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { _ = c.Signer(3) }); a != 0 {
+		t.Errorf("Signer allocates %.0f, want 0", a)
+	}
+	for _, id := range []types.ProcessID{-1, 7, 8} {
+		s := c.Signer(id)
+		if s != c.Signer(types.NilProcess) || s.ID() != types.NilProcess {
+			t.Errorf("Signer(%v) has id %v, want the one NilProcess signer", id, s.ID())
+		}
+		if _, err := s.Sign([]byte("m")); err == nil {
+			t.Errorf("Signer(%v).Sign succeeded for an identity outside the run", id)
+		}
+	}
+
+	const goroutines = 8
+	msg := []byte("one signer, many machines")
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id := types.ProcessID((g + i) % 7)
+				sg, err := c.Signer(id).Sign(msg)
+				if err != nil || !c.Scheme.Verify(id, msg, sg) {
+					t.Errorf("goroutine %d: Signer(%v) produced a bad signature (err %v)", g, id, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestCryptoThresholdPanicsOnInvalidK(t *testing.T) {
@@ -324,14 +403,14 @@ func TestCryptoThresholdConcurrentAccess(t *testing.T) {
 func TestSubWrapJoinsEachRunOnce(t *testing.T) {
 	child := &echoMachine{}
 	sub := NewSub("s0", child)
-	sub.Begin(0)
+	sub.Begin(0, nil)
 	rests := []string{"", "", "b0/wba", "b0/wba", "b0/wba", "", "b1", "b0/wba", "b1", "b1"}
 	for tick := types.Tick(1); tick <= 3; tick++ {
 		inbox := make([]Incoming, len(rests))
 		for i, r := range rests {
 			inbox[i] = Incoming{From: types.ProcessID(i), Session: r, Payload: fakePayload{name: "p"}}
 		}
-		outs := sub.Tick(tick, inbox)
+		outs := sub.Tick(tick, inbox, nil)
 		if len(outs) != len(rests) {
 			t.Fatalf("tick %d: %d outs", tick, len(outs))
 		}
@@ -349,7 +428,7 @@ func TestSubWrapJoinsEachRunOnce(t *testing.T) {
 	outs := make([]Outgoing, 0, params.N)
 	if a := testing.AllocsPerRun(50, func() {
 		outs = AppendBroadcast(outs[:0], params, "b3/wba", fakePayload{name: "p"})
-		sub.wrap(outs)
+		sub.wrap(0, outs)
 		sub.lastJoined = "" // next run starts cold: count the join itself
 	}); a > 2 { // the joined string, and the payload boxed into its interface
 		t.Errorf("wrapping a %d-way broadcast on one nested path allocates %.0f, want <= 2", params.N, a)

@@ -31,9 +31,6 @@ func (s *Sub) Name() string { return s.name }
 // Started reports whether Begin has been called.
 func (s *Sub) Started() bool { return s.started }
 
-// Machine exposes the wrapped machine (for Output/Done inspection).
-func (s *Sub) Machine() Machine { return s.machine }
-
 // Route splits inbox into messages addressed to this child (with the
 // session prefix stripped) and the rest. Parents with several children
 // call Route once per child on the remainder.
@@ -50,29 +47,29 @@ func (s *Sub) Route(inbox []Incoming) (mine, rest []Incoming) {
 	return mine, rest
 }
 
-// Begin starts the child at tick now and returns its wrapped sends. It is
-// idempotent: second and later calls return nil.
-func (s *Sub) Begin(now types.Tick) []Outgoing {
+// Begin starts the child at tick now, appending its wrapped sends. It is
+// idempotent: second and later calls append nothing.
+func (s *Sub) Begin(now types.Tick, outs []Outgoing) []Outgoing {
 	if s.started {
-		return nil
+		return outs
 	}
 	s.started = true
-	return s.wrap(s.machine.Begin(now))
+	return s.wrap(len(outs), s.machine.Begin(now, outs))
 }
 
 // Tick forwards child-addressed messages. Before the child starts, the
-// messages are buffered; the buffered backlog is replayed in the first
-// Tick after Begin.
-func (s *Sub) Tick(now types.Tick, mine []Incoming) []Outgoing {
+// messages are buffered (copied: mine is the caller's scratch); the
+// buffered backlog is replayed in the first Tick after Begin.
+func (s *Sub) Tick(now types.Tick, mine []Incoming, outs []Outgoing) []Outgoing {
 	if !s.started {
 		s.buffer = append(s.buffer, mine...)
-		return nil
+		return outs
 	}
 	if len(s.buffer) > 0 {
 		mine = append(s.buffer, mine...)
 		s.buffer = nil
 	}
-	return s.wrap(s.machine.Tick(now, mine))
+	return s.wrap(len(outs), s.machine.Tick(now, mine, outs))
 }
 
 // Output proxies the child's decision.
@@ -85,10 +82,12 @@ func (s *Sub) Done() bool {
 	return s.started && s.machine.Done()
 }
 
-// wrap prefixes the child's sends with the session segment, joining each
-// distinct path once per run of equal paths rather than once per send.
-func (s *Sub) wrap(outs []Outgoing) []Outgoing {
-	for i := range outs {
+// wrap prefixes the sends the child just appended — outs[n0:] of the
+// slice it returned; what lies before belongs to the caller — with the
+// session segment, joining each distinct path once per run of equal paths
+// rather than once per send.
+func (s *Sub) wrap(n0 int, outs []Outgoing) []Outgoing {
+	for i := n0; i < len(outs); i++ {
 		if rest := outs[i].Session; s.lastJoined == "" || rest != s.lastRest {
 			s.lastRest, s.lastJoined = rest, JoinSession(s.name, rest)
 		}

@@ -211,14 +211,16 @@ func newRingChatter(params types.Params, id types.ProcessID, k int, horizon type
 	return &ringChatter{outs: outs, horizon: horizon}
 }
 
-func (c *ringChatter) Begin(now types.Tick) []proto.Outgoing { return c.outs }
+func (c *ringChatter) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing {
+	return append(outs, c.outs...)
+}
 
-func (c *ringChatter) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (c *ringChatter) Tick(now types.Tick, _ []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	c.now = now
 	if now >= c.horizon {
-		return nil
+		return outs
 	}
-	return c.outs
+	return append(outs, c.outs...)
 }
 
 func (c *ringChatter) Output() (types.Value, bool) { return nil, c.now >= c.horizon }
@@ -233,17 +235,19 @@ type quietChatter struct {
 }
 
 func newQuietChatter(params types.Params, horizon types.Tick) *quietChatter {
-	return &quietChatter{outs: proto.Broadcast(params, "", ping{}), horizon: horizon}
+	return &quietChatter{outs: proto.AppendBroadcast(nil, params, "", ping{}), horizon: horizon}
 }
 
-func (c *quietChatter) Begin(now types.Tick) []proto.Outgoing { return c.outs }
+func (c *quietChatter) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing {
+	return append(outs, c.outs...)
+}
 
-func (c *quietChatter) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (c *quietChatter) Tick(now types.Tick, _ []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	c.now = now
 	if now >= c.horizon {
-		return nil
+		return outs
 	}
-	return c.outs
+	return append(outs, c.outs...)
 }
 
 func (c *quietChatter) Output() (types.Value, bool) { return nil, c.now >= c.horizon }
@@ -261,16 +265,16 @@ type ping struct{}
 func (ping) Type() string { return "bench/ping" }
 func (ping) Words() int   { return 1 }
 
-func (c *chatter) Begin(now types.Tick) []proto.Outgoing {
-	return proto.Broadcast(c.params, "", ping{})
+func (c *chatter) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing {
+	return proto.AppendBroadcast(outs, c.params, "", ping{})
 }
 
-func (c *chatter) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (c *chatter) Tick(now types.Tick, _ []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	c.now = now
 	if now >= c.horizon {
-		return nil
+		return outs
 	}
-	return proto.Broadcast(c.params, "", ping{})
+	return proto.AppendBroadcast(outs, c.params, "", ping{})
 }
 
 func (c *chatter) Output() (types.Value, bool) { return nil, c.now >= c.horizon }

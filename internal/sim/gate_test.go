@@ -22,19 +22,19 @@ type pulser struct {
 	now     types.Tick
 }
 
-func (p *pulser) Begin(types.Tick) []proto.Outgoing {
-	return proto.Broadcast(p.params, "pulse", echoPayload{})
+func (p *pulser) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing {
+	return proto.AppendBroadcast(outs, p.params, "pulse", echoPayload{})
 }
 
-func (p *pulser) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (p *pulser) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	p.now = now
 	if now >= p.horizon || len(inbox) == 0 {
-		return nil
+		return outs
 	}
 	if now%2 == 1 {
-		return proto.Unicast(inbox[0].From, "reply", echoPayload{})
+		return proto.AppendUnicast(outs, inbox[0].From, "reply", echoPayload{})
 	}
-	return proto.Broadcast(p.params, "pulse", echoPayload{})
+	return proto.AppendBroadcast(outs, p.params, "pulse", echoPayload{})
 }
 
 func (p *pulser) Output() (types.Value, bool) { return nil, p.now >= p.horizon }

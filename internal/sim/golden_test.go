@@ -39,18 +39,17 @@ type echoer struct {
 	now     types.Tick
 }
 
-func (e *echoer) Begin(now types.Tick) []proto.Outgoing {
-	return proto.Broadcast(e.params, "", echoPayload{})
+func (e *echoer) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing {
+	return proto.AppendBroadcast(outs, e.params, "", echoPayload{})
 }
 
-func (e *echoer) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (e *echoer) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	e.now = now
 	if now >= e.horizon {
-		return nil
+		return outs
 	}
-	outs := make([]proto.Outgoing, 0, len(inbox))
 	for _, in := range inbox {
-		outs = append(outs, proto.Outgoing{To: in.From, Session: "", Payload: echoPayload{}})
+		outs = proto.AppendUnicast(outs, in.From, "", echoPayload{})
 	}
 	return outs
 }

@@ -319,9 +319,11 @@ type engine struct {
 	chunkCounts [][]int32
 
 	// Per-tick scratch, sized once from n and reused for the whole run so
-	// the steady-state tick loop allocates nothing.
-	outs      [][]proto.Outgoing // per-machine step outputs, joined in ID order
-	shufflers []*shuffler        // one reusable shuffle source per worker; nil unless ShuffleSeed != 0
+	// the steady-state tick loop allocates nothing. outs[i] is the one
+	// send buffer machine i's whole session tree appends to: handed over
+	// empty every tick, joined in ID order, kept for the next.
+	outs      [][]proto.Outgoing
+	shufflers []*shuffler // one reusable shuffle source per worker; nil unless ShuffleSeed != 0
 }
 
 // inbox returns machine i's delivery view for the current tick. The
@@ -367,7 +369,6 @@ func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 					From: id, To: o.To, Session: o.Session, Payload: o.Payload,
 				})
 			}
-			e.outs[i] = nil
 		}
 		honestTraffic := traffic
 
@@ -503,9 +504,9 @@ func (e *engine) stepOne(now types.Tick, i, w int) {
 		return
 	}
 	if now == 0 {
-		e.outs[i] = e.machines[i].Begin(0)
+		e.outs[i] = e.machines[i].Begin(0, e.outs[i][:0])
 	} else {
-		e.outs[i] = e.machines[i].Tick(now, box)
+		e.outs[i] = e.machines[i].Tick(now, box, e.outs[i][:0])
 	}
 }
 
@@ -755,10 +756,10 @@ func (e *engine) record(msgs []Message, honest bool, now types.Tick) {
 }
 
 // recordBatched is record's no-observer fast path: runs of messages with
-// one payload instance, sender, and session — the shape proto.Broadcast
-// produces — are charged with a single batched recorder call. The charge
-// is identical to per-message recording because the recorder never
-// distinguishes recipients.
+// one payload instance, sender, and session — the shape
+// proto.AppendBroadcast produces — are charged with a single batched
+// recorder call. The charge is identical to per-message recording because
+// the recorder never distinguishes recipients.
 func (e *engine) recordBatched(msgs []Message, honest bool) {
 	i := 0
 	for i < len(msgs) {

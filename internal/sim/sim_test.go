@@ -36,12 +36,12 @@ func newFloodMax(params types.Params, input types.Value) *floodMax {
 	return &floodMax{params: params, input: input, best: input}
 }
 
-func (m *floodMax) Begin(now types.Tick) []proto.Outgoing {
+func (m *floodMax) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.began = now
-	return proto.Broadcast(m.params, "", valuePayload{v: m.input})
+	return proto.AppendBroadcast(outs, m.params, "", valuePayload{v: m.input})
 }
 
-func (m *floodMax) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
+func (m *floodMax) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	for _, in := range inbox {
 		if p, ok := in.Payload.(valuePayload); ok {
 			if bytes.Compare(p.v, m.best) > 0 {
@@ -52,7 +52,7 @@ func (m *floodMax) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing
 	if now >= m.began+2 {
 		m.decided = true
 	}
-	return nil
+	return outs
 }
 
 func (m *floodMax) Output() (types.Value, bool) { return m.best, m.decided }
@@ -342,9 +342,9 @@ type neverDone struct {
 	params types.Params
 }
 
-func (m *neverDone) Begin(types.Tick) []proto.Outgoing { return nil }
-func (m *neverDone) Tick(types.Tick, []proto.Incoming) []proto.Outgoing {
-	return nil
+func (m *neverDone) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing { return outs }
+func (m *neverDone) Tick(_ types.Tick, _ []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	return outs
 }
 func (m *neverDone) Output() (types.Value, bool) { return nil, false }
 func (m *neverDone) Done() bool                  { return false }

@@ -147,13 +147,13 @@ func (m *Machine) Committed() []types.Value {
 func sessionName(slot int) string { return fmt.Sprintf("s%d", slot) }
 
 // Begin implements proto.Machine.
-func (m *Machine) Begin(now types.Tick) []proto.Outgoing {
+func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.start = now
-	return m.startSlot(0, now)
+	return m.startSlot(0, now, outs)
 }
 
 // startSlot spins up slot s's BB instance.
-func (m *Machine) startSlot(slot int, now types.Tick) []proto.Outgoing {
+func (m *Machine) startSlot(slot int, now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	proposer := m.Proposer(slot)
 	var input types.Value
 	if proposer == m.cfg.ID && m.queuePos < len(m.cfg.Queue) {
@@ -169,30 +169,24 @@ func (m *Machine) startSlot(slot int, now types.Tick) []proto.Outgoing {
 		Tag:    fmt.Sprintf("%s/%s", m.cfg.Tag, sessionName(slot)),
 	})
 	m.subs[slot] = m.mux.Add(sessionName(slot), inst)
-	return m.subs[slot].Begin(now)
+	return m.subs[slot].Begin(now, outs)
 }
 
 // Tick implements proto.Machine.
-func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming) []proto.Outgoing {
-	var outs []proto.Outgoing
-
+func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	// Open the next slot on schedule (with pipelining, several slots may
 	// be live at once; each runs in its own session).
 	elapsed := now - m.start
 	if elapsed%m.stride == 0 {
 		if next := int(elapsed / m.stride); next < m.cfg.Slots && m.subs[next] == nil {
-			outs = append(outs, m.startSlot(next, now)...)
+			outs = m.startSlot(next, now, outs)
 		}
 	}
 
 	// One routing pass over the shared inbox, then every live slot steps
 	// in slot order — exactly the delivery order the old per-Sub Route
 	// chain produced, at O(inbox) instead of O(slots × inbox).
-	if mouts := m.mux.Tick(now, inbox); len(outs) == 0 {
-		outs = mouts
-	} else {
-		outs = append(outs, mouts...)
-	}
+	outs = m.mux.Tick(now, inbox, outs)
 
 	// Commit decided slots in order.
 	for len(m.entries) < m.cfg.Slots {

@@ -27,10 +27,12 @@ import (
 // plane directly and never tick a real protocol.
 type idleMachine struct{}
 
-func (idleMachine) Begin(types.Tick) []proto.Outgoing                  { return nil }
-func (idleMachine) Tick(types.Tick, []proto.Incoming) []proto.Outgoing { return nil }
-func (idleMachine) Output() (types.Value, bool)                        { return nil, false }
-func (idleMachine) Done() bool                                         { return false }
+func (idleMachine) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing { return outs }
+func (idleMachine) Tick(_ types.Tick, _ []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	return outs
+}
+func (idleMachine) Output() (types.Value, bool) { return nil, false }
+func (idleMachine) Done() bool                  { return false }
 
 // SendBench wires one Node's send path to n real loopback TCP
 // connections drained by discard sinks, so the data plane — encode-once
@@ -85,7 +87,7 @@ func NewSendBench(n int) (*SendBench, error) {
 	sb := &SendBench{
 		node: node,
 		rec:  rec,
-		outs: proto.Broadcast(params, "bench/bb", bb.SenderMsg{V: value, Sig: sg}),
+		outs: proto.AppendBroadcast(nil, params, "bench/bb", bb.SenderMsg{V: value, Sig: sg}),
 	}
 	node.outbound = make([]net.Conn, n)
 	for i := 0; i < n; i++ {

@@ -554,7 +554,9 @@ func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 
 	var now types.Tick
 	extra := 0
-	outs := n.machine.Begin(0)
+	// The one send buffer of the node's session tree: the machine appends
+	// to it, send drains it, the next tick starts it empty again.
+	outs := n.machine.Begin(0, nil)
 	n.send(outs)
 	for {
 		select {
@@ -574,8 +576,8 @@ func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 			n.closeOutbound()
 			return nil, ErrCrashed
 		}
-		inbox := n.collectInbox()
-		n.send(n.machine.Tick(now, inbox))
+		outs = n.machine.Tick(now, n.collectInbox(), outs[:0])
+		n.send(outs)
 		if n.machine.Done() {
 			extra++
 			if extra >= n.cfg.ExtraTicks {
@@ -677,7 +679,7 @@ func keyOf(p proto.Payload) payloadKey {
 // send is the encode-once data plane: each distinct (session, payload)
 // is framed exactly once into the node's scratch writers and the
 // resulting bytes are enqueued on every recipient's outbox. A broadcast —
-// n copies of one boxed payload, as proto.Broadcast emits — costs one
+// n copies of one boxed payload, as proto.AppendBroadcast emits — costs one
 // registry encoding and n buffer appends; the steady-state path performs
 // zero allocations (guarded by TestSendAllocCeiling).
 func (n *Node) send(outs []proto.Outgoing) {
