@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet bench bench-engine-json bench-acs-json bench-explore-json bench-scale-json bench-all profile profile-commit alloc-guard explore chaos-smoke svc-smoke experiments examples fuzz cover clean
+.PHONY: all build test test-short test-race vet bench bench-engine-json bench-acs-json bench-explore-json bench-scale-json bench-all profile profile-commit alloc-guard race-guard explore chaos-smoke svc-smoke experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -104,25 +104,56 @@ profile-commit:
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.mem.pprof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.cpu.pprof
 
+# guard <packages> <-run alternation> [go test flags]: run the named
+# tests verbosely and fail the target if they fail, if one skips itself,
+# or if the pattern matches no test — SKIP and "no tests to run" exit 0,
+# so a guard silenced by its environment would otherwise read as a pass.
+# An alternation 'A|B|C' stays green when B no longer exists, so every
+# alternative is first checked on its own against the packages' test
+# names (`go test -list`): a renamed, deleted or misspelt test fails here
+# instead of dropping out of the run unnoticed.
+define GUARD
+guard() { \
+	pkgs=$$1; pat=$$2; shift 2; \
+	names=$$($(GO) test $$pkgs -list '^Test' "$$@") || { echo "$$names"; exit 1; }; \
+	for alt in $$(echo "$$pat" | tr '|' ' '); do \
+		if ! echo "$$names" | grep '^Test' | grep -qE -- "$$alt"; then \
+			echo "$@: FAIL $$pkgs -run '$$pat': '$$alt' matches no test"; exit 1; \
+		fi; \
+	done; \
+	out=$$($(GO) test $$pkgs -run "$$pat" -count=1 -v "$$@" 2>&1); status=$$?; echo "$$out"; \
+	if [ $$status -ne 0 ] || echo "$$out" | grep -qE -- '--- SKIP|no tests to run'; then \
+		echo "$@: FAIL $$pkgs -run '$$pat' (failed, skipped itself, or matched no test)"; exit 1; \
+	fi; \
+}
+endef
+
 # Every allocation guard, one package at a time, numbers printed (CI's
 # "Alloc guard" step, and again under the race detector as
 # `GOFLAGS=-race make alloc-guard`, where the guards on pooled paths run
-# with race-aware bounds — see internal/testenv). A guard that skips
-# itself, or a pattern that matches no test, fails the target: SKIP exits
-# 0, so a guard silenced by its environment would otherwise read as a pass.
+# with race-aware bounds — see internal/testenv).
 alloc-guard:
-	@guard() { \
-		out=$$($(GO) test "$$1" -run "$$2" -count=1 -v 2>&1); status=$$?; echo "$$out"; \
-		if [ $$status -ne 0 ] || echo "$$out" | grep -qE -- '--- SKIP|no tests to run'; then \
-			echo "alloc-guard: FAIL $$1 -run '$$2' (failed, skipped itself, or matched no test)"; exit 1; \
-		fi; \
-	}; \
+	@$(GUARD); \
 	guard ./internal/sim 'TestSimTickAllocCeiling'; \
 	guard ./internal/wire 'TestSizeOfZeroAllocs|TestAppendPayloadZeroAllocs'; \
 	guard ./internal/transport 'TestSendAllocCeiling'; \
 	guard ./internal/proto 'TestMuxSteadyStateAllocs'; \
-	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestEagerSteadyStateAllocs|TestCommitAllocCeiling'; \
+	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling'; \
 	guard ./internal/acs 'TestACSAllocCeiling'
+
+# The named tests of CI's race job, under the race detector (its `go run
+# -race` smokes and whole-package runs stay in ci.yml). The lists live
+# here so the same guard covers them.
+race-guard:
+	@$(GUARD); \
+	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestStepGateDeterminism' -race; \
+	guard './internal/crypto/sig ./internal/crypto/keyedmac' 'Concurrent' -race -count=10; \
+	guard ./internal/transport 'TestClusterMatchesSimulator|TestSendBytesParity|TestOutboxBackpressure' -race; \
+	guard ./internal/transport 'TestChaos' -race; \
+	guard './internal/engine ./internal/harness' 'TestEngineDeterminism|TestRunEngineMatchesSolo' -race; \
+	guard ./internal/acs 'TestACSDeterministicAcrossWorkers|TestACSLateBroadcastTraffic' -race; \
+	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract' -race; \
+	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity' -race
 
 # Interactive single-grid-point search with a full report.
 explore:

@@ -213,35 +213,3 @@ func TestReplicateLogInflight(t *testing.T) {
 		t.Errorf("pipelining changed the cost: serial %d words, piped %d", serial.Words, piped.Words)
 	}
 }
-
-// TestRunManyEagerMatchesStatic pins the public scheduling option:
-// WithEager changes the schedule only — every per-request result is
-// identical to the default static run.
-func TestRunManyEagerMatchesStatic(t *testing.T) {
-	const n = 5
-	wbaInputs := make([][]byte, n)
-	for i := range wbaInputs {
-		wbaInputs[i] = []byte("w")
-	}
-	bits := []bool{true, true, true, true, true}
-	reqs := func(opts ...Option) []Request {
-		return []Request{
-			BroadcastRequest(n, 0, []byte("cmd"), append([]Option{WithFaults(1), WithInflight(2)}, opts...)...),
-			WeakAgreeRequest(n, wbaInputs, nil),
-			StrongAgreeBinaryRequest(n, bits),
-		}
-	}
-	static, err := RunMany(context.Background(), reqs()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager, err := RunMany(context.Background(), reqs(WithEager())...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range static {
-		if !reflect.DeepEqual(static[i], eager[i]) {
-			t.Errorf("request %d diverges under WithEager: %+v vs %+v", i, eager[i], static[i])
-		}
-	}
-}

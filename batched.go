@@ -113,7 +113,7 @@ func ReplicateBatchContext(ctx context.Context, n int, queues [][][]byte, rounds
 		N: n, T: merged.threshold, F: spec.F, LeaderFault: leader,
 		Inflight: merged.inflight, Seed: merged.seed,
 		Ed25519: merged.realSignatures, Trace: merged.trace,
-		Halt: haltFrom(ctx), Scheduler: merged.sched,
+		Halt: haltFrom(ctx),
 	}, qs, rounds, batch)
 	if err != nil {
 		return nil, mapCanceled(ctx, err)

@@ -18,10 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"adaptiveba/internal/core/bb"
-	"adaptiveba/internal/core/strongba"
-	"adaptiveba/internal/core/valid"
-	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
@@ -105,7 +101,7 @@ func run(args []string, out io.Writer) error {
 	alive := *n - *crash
 	for i := 0; i < alive; i++ {
 		id := types.ProcessID(i)
-		machine, err := buildMachine(*protocol, params, crypto, id, types.Value(*value))
+		machine, err := transport.NewProtocolMachine("cluster", *protocol, params, crypto, id, 0, types.Value(*value))
 		if err != nil {
 			return err
 		}
@@ -187,34 +183,4 @@ func reserveAddrs(n int) ([]string, error) {
 		ln.Close()
 	}
 	return addrs, nil
-}
-
-func buildMachine(protocol string, params types.Params, crypto *proto.Crypto, id types.ProcessID, value types.Value) (proto.Machine, error) {
-	switch protocol {
-	case "bb":
-		return bb.NewMachine(bb.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Sender: 0, Input: value, Tag: "cluster/bb",
-		}), nil
-	case "wba":
-		return wba.NewMachine(wba.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Input: value, Predicate: valid.NonBottom(), Tag: "cluster/wba",
-		}), nil
-	case "strongba":
-		var bit types.Value
-		switch string(value) {
-		case "0":
-			bit = types.Zero
-		case "1":
-			bit = types.One
-		default:
-			return nil, fmt.Errorf("strongba input must be 0 or 1, got %q", value)
-		}
-		return strongba.NewMachine(strongba.Config{
-			Params: params, Crypto: crypto, ID: id, Input: bit, Tag: "cluster/sba",
-		})
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", protocol)
-	}
 }

@@ -21,10 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"adaptiveba/internal/core/bb"
-	"adaptiveba/internal/core/strongba"
-	"adaptiveba/internal/core/valid"
-	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
@@ -111,31 +107,5 @@ func run(args []string) error {
 }
 
 func buildMachine(protocol string, params types.Params, crypto *proto.Crypto, id, sender types.ProcessID, input types.Value) (proto.Machine, error) {
-	switch protocol {
-	case "bb":
-		return bb.NewMachine(bb.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Sender: sender, Input: input, Tag: "node/bb",
-		}), nil
-	case "wba":
-		return wba.NewMachine(wba.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Input: input, Predicate: valid.NonBottom(), Tag: "node/wba",
-		}), nil
-	case "strongba":
-		var bit types.Value
-		switch string(input) {
-		case "0":
-			bit = types.Zero
-		case "1":
-			bit = types.One
-		default:
-			return nil, fmt.Errorf("strongba input must be 0 or 1, got %q", input)
-		}
-		return strongba.NewMachine(strongba.Config{
-			Params: params, Crypto: crypto, ID: id, Input: bit, Tag: "node/sba",
-		})
-	default:
-		return nil, fmt.Errorf("unknown protocol %q", protocol)
-	}
+	return transport.NewProtocolMachine("node", protocol, params, crypto, id, sender, input)
 }

@@ -64,7 +64,6 @@ func run(args []string, out io.Writer) error {
 		batch    = fs.Int("batch", 1, "commands per proposer batch (-acs rounds and -protocol acs)")
 		inflight = fs.Int("inflight", 0, "engine admission window: max sessions in flight (0 = all at once, 1 = strictly serial)")
 		maxqueue = fs.Int("maxqueue", 0, "engine queue bound behind the window: 0 = unbounded, > 0 sheds requests beyond inflight+maxqueue, < 0 sheds everything beyond the window")
-		sched    = fs.String("sched", "static", "engine session scheduling policy: static (stride slots) | eager (decision-driven retirement + early ACS vote boundary)")
 		expl     = fs.Bool("explore", false, "search adversary schedules for the worst case instead of running one spec (bb | wba; uses -n, -f, -seed, -parallel)")
 		gens     = fs.Int("generations", 4, "explore: search generations")
 		popsize  = fs.Int("population", 8, "explore: schedules per generation")
@@ -75,10 +74,6 @@ func run(args []string, out io.Writer) error {
 	if *batch < 1 {
 		return fmt.Errorf("-batch: need at least 1, got %d", *batch)
 	}
-	policy, err := engine.SchedulerByName(*sched)
-	if err != nil {
-		return err
-	}
 	if *acsMode {
 		rounds := *sessions
 		if rounds < 1 {
@@ -86,7 +81,7 @@ func run(args []string, out io.Writer) error {
 		}
 		return runACS(out, engine.Config{
 			N: *n, F: *f, Inflight: *inflight, Seed: *seed,
-			Ed25519: *ed25519, TickWorkers: *tickW, Scheduler: policy,
+			Ed25519: *ed25519, TickWorkers: *tickW,
 		}, rounds, *batch)
 	}
 	if *expl {
@@ -118,7 +113,6 @@ func run(args []string, out io.Writer) error {
 		NoVerifyCache: *nocache,
 		TickWorkers:   *tickW,
 		Batch:         *batch,
-		Sched:         policy,
 	}
 	if *trace {
 		spec.Trace = out
@@ -179,15 +173,6 @@ func runExplore(out io.Writer, cfg explore.Config) error {
 	return nil
 }
 
-// strideLabel names the admission cadence: the stride under the static
-// policy, decision-driven under eager (where no stride exists).
-func strideLabel(rep *engine.Report) string {
-	if rep.Scheduler == "eager" {
-		return "decision-driven"
-	}
-	return fmt.Sprintf("stride %d", rep.Stride)
-}
-
 // runEngine pushes the spec through the multi-session engine and prints
 // the admission outcome plus per-session results.
 func runEngine(out io.Writer, spec harness.Spec, sessions, inflight, maxqueue int) error {
@@ -199,8 +184,8 @@ func runEngine(out io.Writer, spec harness.Spec, sessions, inflight, maxqueue in
 	fmt.Fprintf(out, "n, t, f     %d, %d, %d\n", rep.N, rep.T, rep.F)
 	fmt.Fprintf(out, "admission   %d accepted, %d queued, %d rejected (window %d)\n",
 		rep.Accepted, rep.Queued, rep.Rejected, inflight)
-	fmt.Fprintf(out, "schedule    %s, %s, session %d, total %d ticks (δ)\n",
-		rep.Scheduler, strideLabel(rep), rep.SessionTicks, rep.Ticks)
+	fmt.Fprintf(out, "schedule    stride %d, session %d, total %d ticks (δ)\n",
+		rep.Stride, rep.SessionTicks, rep.Ticks)
 	fmt.Fprintf(out, "words       %d total\n", rep.Metrics.Honest.Words)
 	fmt.Fprintln(out, "\nper-session:")
 	violated := false
@@ -239,8 +224,8 @@ func runACS(out io.Writer, cfg engine.Config, rounds, batch int) error {
 	}
 	fmt.Fprintf(out, "protocol    acs × %d rounds, batch %d\n", rounds, batch)
 	fmt.Fprintf(out, "n, t, f     %d, %d, %d\n", rep.Engine.N, rep.Engine.T, rep.Engine.F)
-	fmt.Fprintf(out, "schedule    %s, %s, round %d, total %d ticks (δ)\n",
-		rep.Engine.Scheduler, strideLabel(rep.Engine), rep.Engine.SessionTicks, rep.Engine.Ticks)
+	fmt.Fprintf(out, "schedule    stride %d, round %d, total %d ticks (δ)\n",
+		rep.Engine.Stride, rep.Engine.SessionTicks, rep.Engine.Ticks)
 	fmt.Fprintln(out, "\nper-round:")
 	for _, r := range rep.Rounds {
 		fmt.Fprintf(out, "  round %-3d subset %d/%d   %d commands\n",

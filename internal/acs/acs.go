@@ -29,14 +29,6 @@
 // holding batch i, which is why this port needs no post-vote batch
 // fetch protocol.
 //
-// Config.Early restores the spirit of the asynchronous coupling rule:
-// vote v_i starts the tick b_i decides (BB decisions are simultaneous
-// across honest processes under crash faults — certificate- or
-// fallback-schedule-driven — so the staggered anchors stay lockstep),
-// with the conservative boundary kept as the sweep point for broadcasts
-// that never decide. Decisions and word counts are identical in both
-// modes; Early only shortens the round.
-//
 // The BB children are retired at the vote boundary (mirroring the
 // engine's own session retirement); any batch-dissemination traffic
 // arriving after the
@@ -66,20 +58,6 @@ type Config struct {
 	// Tag domain-separates this round's signatures; child i signs under
 	// Tag+"/b<i>" (broadcast) and Tag+"/v<i>" (vote).
 	Tag string
-	// Early switches to the early-stopping vote boundary: vote v_i
-	// starts the tick broadcast b_i decides (and b_i retires then),
-	// instead of waiting for the conservative bb.MaxTicks boundary.
-	// Under crash faults every honest process observes each b_i's
-	// decision at the same tick (BB decisions are certificate- or
-	// fallback-schedule-driven, both simultaneous), so the staggered
-	// vote anchors stay lockstep-consistent and the BKR coupling rule is
-	// preserved per index: 1 iff b_i delivered a batch. Broadcasts still
-	// undecided at the conservative boundary are swept there with
-	// 0-votes, and the ≥ n−t delivered check fires at whichever point
-	// closes the vote stage. Decisions, words, and messages are
-	// identical to the conservative boundary; only the round's latency
-	// changes. Default off (the engine's Eager scheduler turns it on).
-	Early bool
 }
 
 // Machine implements proto.Machine for one ACS round.
@@ -95,14 +73,13 @@ type Machine struct {
 	bbTicks  types.Tick
 	baTicks  types.Tick
 
-	batches   []types.Value // BB outputs captured when each vote starts
+	batches   []types.Value // BB outputs captured at the vote boundary
 	committed *types.BitSet
 
-	delivered    int  // broadcasts captured non-⊥ (vote input 1)
-	startedVotes int  // votes opened so far
-	voting       bool // every vote started; the broadcast stage is closed
-	decided      bool
-	decision     types.Value
+	delivered int  // broadcasts captured non-⊥ (vote input 1)
+	voting    bool // every vote started; the broadcast stage is closed
+	decided   bool
+	decision  types.Value
 
 	decidedAtTick types.Tick
 	err           error
@@ -184,13 +161,8 @@ func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing 
 // Tick implements proto.Machine.
 func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	outs = m.mux.Tick(now, inbox, outs)
-	if !m.voting {
-		if m.cfg.Early {
-			outs = m.startReadyVotes(now, outs)
-		}
-		if !m.voting && now >= m.voteTick {
-			outs = m.closeVotes(now, outs)
-		}
+	if !m.voting && now >= m.voteTick {
+		outs = m.closeVotes(now, outs)
 	}
 	if m.voting && !m.decided {
 		m.finish(now)
@@ -198,46 +170,14 @@ func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outg
 	return outs
 }
 
-// startReadyVotes (Early mode) opens vote v_i the tick b_i decides: the
-// output is captured, b_i retires (stragglers count as late from here
-// on), and the vote begins anchored at now — the same tick on every
-// honest process, because BB decisions are simultaneous under crash
-// faults. Once all n votes are open the vote stage is sealed early.
-func (m *Machine) startReadyVotes(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
-	for i, child := range m.bcasts {
-		if m.vsubs[i] != nil {
-			continue
-		}
-		v, ok := child.Output()
-		if !ok {
-			continue
-		}
-		if !v.IsBottom() {
-			m.batches[i] = v
-			m.delivered++
-		}
-		if err := child.Failed(); err != nil {
-			m.fail(err)
-		}
-		m.mux.Retire(bName(i))
-		outs = m.startVote(i, now, outs)
-	}
-	if m.startedVotes == m.cfg.Params.N {
-		m.sealVotes()
-	}
-	return outs
-}
-
-// closeVotes closes the broadcast stage at the conservative boundary:
-// every remaining BB output is captured (undecided ones vote 0 outright
-// — the BKR coupling rule applied degenerately, since synchrony
-// guarantees ≥ n−t honest proposers' BBs have delivered by now), the
-// remaining broadcast sessions retire, and the remaining votes begin.
+// closeVotes closes the broadcast stage at the vote boundary: every BB
+// output is captured (undecided ones vote 0 outright — the BKR coupling
+// rule applied degenerately, since synchrony guarantees ≥ n−t honest
+// proposers' BBs have delivered by now), the broadcast sessions retire,
+// and all n votes begin. Fewer than n−t delivered broadcasts is a loud
+// failure.
 func (m *Machine) closeVotes(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	for i, child := range m.bcasts {
-		if m.vsubs[i] != nil {
-			continue
-		}
 		if v, ok := child.Output(); ok && !v.IsBottom() {
 			m.batches[i] = v
 			m.delivered++
@@ -248,14 +188,16 @@ func (m *Machine) closeVotes(now types.Tick, outs []proto.Outgoing) []proto.Outg
 		m.mux.Retire(bName(i))
 		outs = m.startVote(i, now, outs)
 	}
-	m.sealVotes()
+	m.voting = true
+	if min := m.cfg.Params.N - m.cfg.Params.T; m.delivered < min {
+		m.fail(fmt.Errorf("only %d of %d broadcasts delivered by the vote boundary (fault model exceeded)", m.delivered, min))
+	}
 	return outs
 }
 
 // startVote opens vote i — led by proposer i, input 1 iff b_i delivered
 // a batch — under its own session and signature domain.
 func (m *Machine) startVote(i int, now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
-	m.startedVotes++
 	input := types.Zero
 	if m.batches[i] != nil {
 		input = types.One
@@ -269,15 +211,6 @@ func (m *Machine) startVote(i int, now types.Tick, outs []proto.Outgoing) []prot
 	sub := m.mux.Add(vName(i), child)
 	m.vsubs[i] = sub
 	return sub.Begin(now, outs)
-}
-
-// sealVotes marks the vote stage fully open and applies the ≥ n−t
-// loud-failure check on the delivered count.
-func (m *Machine) sealVotes() {
-	m.voting = true
-	if min := m.cfg.Params.N - m.cfg.Params.T; m.delivered < min {
-		m.fail(fmt.Errorf("only %d of %d broadcasts delivered by the vote boundary (fault model exceeded)", m.delivered, min))
-	}
 }
 
 // finish concludes the round once every vote has decided: the committed

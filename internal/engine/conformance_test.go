@@ -195,50 +195,43 @@ func bit(alt bool) types.Value {
 
 // procKind is engine.procMachine over four queued sessions, one of each
 // kind, through a window of two — built field by field as Run does.
-func procKind(sched Scheduler) conformanceKind {
-	return conformanceKind{"engine-" + sched.Name(), "s2/fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
-		batch := func(p int) types.Value {
-			return acs.EncodeBatch([]types.Value{types.Value(fmt.Sprintf("SET k%d %s", p, pick(alt, "v", "w")))})
-		}
-		inputs := make([]types.Value, params.N)
-		for p := range inputs {
-			inputs[p] = batch(p)
-		}
-		b := &builder{params: params, crypto: crypto, tag: "c", earlyACS: sched.reactive(), reqs: []Request{
-			{Kind: KindACS, Inputs: inputs},
-			{Kind: KindBB, Sender: 0, Value: pick(alt, "cmd", "dmc")},
-			{Kind: KindStrongBA, Value: bit(alt)},
-			{Kind: KindWBA, Value: pick(alt, "w", "x")},
-		}}
-		const window = 2
-		var slot types.Tick
-		names := make([]string, len(b.reqs))
-		for k := range b.reqs {
-			d, err := b.duration(k)
-			if err != nil {
-				panic(err)
-			}
-			if d > slot {
-				slot = d
-			}
-			names[k] = fmt.Sprintf("s%d", k)
-		}
-		if sched.reactive() {
-			p := eagerProc(names, b.machine, window)
-			p.id, p.duration = id, slot
-			return p, sched.budget(len(names), window, slot)
-		}
-		stride := (slot + window - 1) / window
-		starts := make([]types.Tick, len(names))
-		for k := range starts {
-			starts[k] = types.Tick(k) * stride
-		}
-		return &procMachine{
-			id: id, build: b.machine, starts: starts, names: names, duration: slot,
-			mux: proto.NewMux(), children: make([]proto.Machine, len(names)),
-		}, starts[len(starts)-1] + 2*slot
+var procKind = conformanceKind{"engine-static", "s2/fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
+	batch := func(p int) types.Value {
+		return acs.EncodeBatch([]types.Value{types.Value(fmt.Sprintf("SET k%d %s", p, pick(alt, "v", "w")))})
+	}
+	inputs := make([]types.Value, params.N)
+	for p := range inputs {
+		inputs[p] = batch(p)
+	}
+	b := &builder{params: params, crypto: crypto, tag: "c", reqs: []Request{
+		{Kind: KindACS, Inputs: inputs},
+		{Kind: KindBB, Sender: 0, Value: pick(alt, "cmd", "dmc")},
+		{Kind: KindStrongBA, Value: bit(alt)},
+		{Kind: KindWBA, Value: pick(alt, "w", "x")},
 	}}
-}
+	const window = 2
+	var slot types.Tick
+	names := make([]string, len(b.reqs))
+	for k := range b.reqs {
+		d, err := b.duration(k)
+		if err != nil {
+			panic(err)
+		}
+		if d > slot {
+			slot = d
+		}
+		names[k] = fmt.Sprintf("s%d", k)
+	}
+	stride := (slot + window - 1) / window
+	starts := make([]types.Tick, len(names))
+	for k := range starts {
+		starts[k] = types.Tick(k) * stride
+	}
+	return &procMachine{
+		id: id, build: b.machine, starts: starts, names: names, duration: slot,
+		mux: proto.NewMux(), children: make([]proto.Machine, len(names)),
+	}, starts[len(starts)-1] + 2*slot
+}}
 
 var conformanceKinds = []conformanceKind{
 	{"bb", "wba/fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
@@ -278,8 +271,7 @@ var conformanceKinds = []conformanceKind{
 		})
 		return m, m.MaxTicks()
 	}},
-	procKind(Static),
-	procKind(Eager),
+	procKind,
 	{"smr", "s0/wba/fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
 		m, err := smr.NewMachine(smr.Config{
 			Params: params, Crypto: crypto, ID: id, Tag: "c", Slots: 3,
@@ -299,7 +291,7 @@ func lateFrames(m proto.Machine) int64 {
 	case *acs.Machine:
 		return m.Late()
 	case *procMachine:
-		late := m.mux.Late() + m.mux.Unrouted() + m.earlyDrops + int64(len(m.earlyBuf))
+		late := m.mux.Late() + m.mux.Unrouted()
 		for _, child := range m.children {
 			if child != nil {
 				late += lateFrames(child)

@@ -107,12 +107,6 @@ type Config struct {
 	// admission window W). 0 admits as many as requested; 1 runs
 	// sessions strictly serially.
 	Inflight int
-	// Scheduler selects the admission/retirement policy (nil = Static,
-	// the stride schedule). Eager retires each session the tick after
-	// its machine decides and admits the next queued session into the
-	// freed slot; per-session decisions and word counts are identical
-	// under both policies (see sched.go).
-	Scheduler Scheduler
 	// MaxQueue bounds how many admitted sessions may wait behind the
 	// window: 0 means an unbounded queue (every request is eventually
 	// served), a positive value sheds requests beyond Inflight+MaxQueue
@@ -194,12 +188,8 @@ type Report struct {
 	Accepted int
 	Rejected int
 	Queued   int
-	// Scheduler names the admission/retirement policy the run used.
-	Scheduler string
-	// Stride is the tick offset between consecutive session starts
-	// under the static schedule (0 under Eager, whose admission ticks
-	// are decision-driven; see each session's Start); SessionTicks is
-	// the per-session worst-case schedule length D.
+	// Stride is the tick offset between consecutive session starts;
+	// SessionTicks is the per-session worst-case schedule length D.
 	Stride       types.Tick
 	SessionTicks types.Tick
 	Ticks        types.Tick
@@ -258,10 +248,6 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	if tag == "" {
 		tag = "eng"
 	}
-	sched := cfg.Scheduler
-	if sched == nil {
-		sched = Static
-	}
 
 	var scheme sig.Scheme
 	if cfg.Ed25519 {
@@ -301,8 +287,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		rec.RecordEngineReject()
 	}
 
-	b := &builder{params: params, crypto: crypto, tag: tag, reqs: reqs[:accepted],
-		earlyACS: sched.reactive()}
+	b := &builder{params: params, crypto: crypto, tag: tag, reqs: reqs[:accepted]}
 	var slotTicks types.Tick
 	for k := range b.reqs {
 		d, err := b.duration(k)
@@ -317,22 +302,15 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	for k := range names {
 		names[k] = "s" + strconv.Itoa(k)
 	}
-	var stride types.Tick
-	var starts []types.Tick
-	var maxTicks types.Tick
-	if sched.reactive() {
-		maxTicks = sched.budget(accepted, window, slotTicks)
-	} else {
-		stride = (slotTicks + types.Tick(window) - 1) / types.Tick(window)
-		if stride < 1 {
-			stride = 1
-		}
-		starts = make([]types.Tick, accepted)
-		for k := range starts {
-			starts[k] = types.Tick(k) * stride
-		}
-		maxTicks = starts[accepted-1] + 2*slotTicks
+	stride := (slotTicks + types.Tick(window) - 1) / types.Tick(window)
+	if stride < 1 {
+		stride = 1
 	}
+	starts := make([]types.Tick, accepted)
+	for k := range starts {
+		starts[k] = types.Tick(k) * stride
+	}
+	maxTicks := starts[accepted-1] + 2*slotTicks
 
 	procs := make([]*procMachine, cfg.N)
 	factory := func(id types.ProcessID) proto.Machine {
@@ -342,18 +320,8 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 			starts:   starts,
 			names:    names,
 			duration: slotTicks,
-			sched:    sched,
-			window:   window,
 			mux:      proto.NewMux(),
 			children: make([]proto.Machine, accepted),
-		}
-		if sched.reactive() {
-			p.admitted = make([]types.Tick, accepted)
-			p.live = make([]int, 0, window)
-			p.nameIdx = make(map[string]int, accepted)
-			for i, nm := range names {
-				p.nameIdx[nm] = i
-			}
 		}
 		procs[id] = p
 		return p
@@ -419,9 +387,6 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 			continue
 		}
 		late += p.mux.Late() + p.mux.Unrouted()
-		// Early-frame buffer losses: frames for never-admitted sessions
-		// still waiting at run end, plus any shed by the buffer bound.
-		late += p.earlyDrops + int64(len(p.earlyBuf))
 		for _, child := range p.children {
 			if m, ok := child.(*acs.Machine); ok && m != nil {
 				late += m.Late()
@@ -438,7 +403,6 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		Accepted:     accepted,
 		Rejected:     total - accepted,
 		Queued:       max(0, accepted-window),
-		Scheduler:    sched.Name(),
 		Stride:       stride,
 		SessionTicks: slotTicks,
 		Ticks:        res.Ticks,
@@ -457,13 +421,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 			continue
 		}
 		s.Queued = k >= window
-		if starts != nil {
-			s.Start = starts[k]
-		} else if len(res.Honest) > 0 {
-			// Eager admission ticks are identical on every honest process
-			// (decision-driven, lockstep); read them off the first one.
-			s.Start = procs[res.Honest[0]].admitted[k]
-		}
+		s.Start = starts[k]
 		s.Decisions = make(map[types.ProcessID]types.Value)
 		s.AllDecided = true
 		for _, id := range res.Honest {
@@ -520,13 +478,6 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	return rep, nil
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // agreementOf mirrors sim.Result.Agreement for one session's decisions.
 func agreementOf(dec map[types.ProcessID]types.Value, honest []types.ProcessID) (types.Value, bool) {
 	var v types.Value
@@ -573,10 +524,7 @@ type builder struct {
 	crypto *proto.Crypto
 	tag    string
 	reqs   []Request
-	// earlyACS switches ACS sessions to the early-stopping vote boundary
-	// (set when the engine runs the Eager scheduler; acs.Config.Early).
-	earlyACS bool
-	err      error
+	err    error
 }
 
 func (b *builder) sessionTag(k int) string {
@@ -689,60 +637,30 @@ func (b *builder) acsConfig(k int, id types.ProcessID) acs.Config {
 	}
 	return acs.Config{
 		Params: b.params, Crypto: b.crypto, ID: id,
-		Input: input, Tag: b.sessionTag(k), Early: b.earlyACS,
+		Input: input, Tag: b.sessionTag(k),
 	}
 }
 
-// earlyBufMax bounds the eager policy's per-process buffer of frames
-// addressed to not-yet-admitted sessions; overflow sheds the frame
-// (counted as late, drop-not-block applied to the receive side).
-const earlyBufMax = 4096
-
 // procMachine is one process's root machine: a Mux of per-session
-// protocol machines driven by the configured scheduling policy. Under
-// Static, admission, service, and retirement are pure functions of the
-// tick; under Eager they are functions of locally observed decisions,
-// which crash-fault simultaneity makes identical on every correct
-// process — either way, all correct processes transition in lockstep.
+// protocol machines on the stride schedule. Admission, service, and
+// retirement are pure functions of the tick, so all correct processes
+// transition in lockstep.
 type procMachine struct {
 	id       types.ProcessID
 	build    func(k int, id types.ProcessID) proto.Machine
-	starts   []types.Tick // static stride starts (nil under Eager)
+	starts   []types.Tick
 	names    []string
 	duration types.Tick
-	sched    Scheduler // nil = Static
-	window   int       // max live sessions (Eager)
 
 	mux      *proto.Mux
 	children []proto.Machine // retained past retirement for result extraction
 	next     int             // next session index to admit
-	retired  int             // next session index to retire (static FIFO)
-
-	// Eager state: per-session admission ticks, the live set in
-	// admission order, the name→index table for early-frame
-	// classification, and the buffered frames for sessions that have
-	// not been admitted yet (replayed through the Sub's pre-Begin
-	// buffer at admission; never silently dropped).
-	admitted   []types.Tick
-	live       []int
-	nameIdx    map[string]int
-	earlyBuf   []proto.Incoming
-	earlyKeep  []proto.Incoming
-	earlyDrops int64
+	retired  int             // next session index to retire (FIFO)
 }
 
 var _ proto.Machine = (*procMachine)(nil)
 
 func (p *procMachine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
-	if p.sched == nil {
-		p.sched = Static
-	}
-	if p.sched.reactive() {
-		if p.admitted == nil {
-			p.admitted = make([]types.Tick, len(p.names))
-		}
-		return p.admitEager(now, outs)
-	}
 	return p.admit(now, outs)
 }
 
@@ -760,9 +678,6 @@ func (p *procMachine) admit(now types.Tick, outs []proto.Outgoing) []proto.Outgo
 }
 
 func (p *procMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
-	if p.sched != nil && p.sched.reactive() {
-		return p.tickEager(now, inbox, outs)
-	}
 	// Retire sessions whose schedule has elapsed: machines are done (or
 	// out of budget), stragglers count as late. Newly admitted sessions
 	// Begin at now and are first stepped at now+1 — identical to a solo
@@ -772,78 +687,6 @@ func (p *procMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.
 		p.retired++
 	}
 	return p.admit(now, p.mux.Tick(now, inbox, outs))
-}
-
-// tickEager is the decision-driven schedule: vacate slots whose machine
-// decided by the previous tick (or hit the worst-case deadline), step
-// the live set, then admit queued sessions into the freed slots. Frames
-// addressed to sessions not yet admitted are buffered, not shed.
-func (p *procMachine) tickEager(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
-	if len(p.live) > 0 {
-		keep := p.live[:0]
-		for _, k := range p.live {
-			if p.sched.retireNow(p.children[k], p.admitted[k], p.duration, now) {
-				p.mux.Retire(p.names[k])
-			} else {
-				keep = append(keep, k)
-			}
-		}
-		p.live = keep
-	}
-	return p.admitEager(now, p.mux.Tick(now, p.interceptEarly(inbox), outs))
-}
-
-// interceptEarly moves frames addressed to not-yet-admitted sessions
-// out of the inbox into the early buffer (bounded by earlyBufMax;
-// overflow counts as late), compacting the rest in place.
-func (p *procMachine) interceptEarly(inbox []proto.Incoming) []proto.Incoming {
-	if p.next >= len(p.names) {
-		return inbox
-	}
-	keep := inbox[:0]
-	for _, in := range inbox {
-		head, _ := proto.SplitSession(in.Session)
-		if k, ok := p.nameIdx[head]; ok && k >= p.next {
-			if len(p.earlyBuf) >= earlyBufMax {
-				p.earlyDrops++
-			} else {
-				p.earlyBuf = append(p.earlyBuf, in)
-			}
-			continue
-		}
-		keep = append(keep, in)
-	}
-	return keep
-}
-
-// admitEager opens queued sessions while slots are free, handing each
-// new Sub its buffered pre-admission frames (replayed on its first
-// post-Begin tick, exactly as a late-joining solo run would see them).
-func (p *procMachine) admitEager(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
-	for p.next < len(p.names) && len(p.live) < p.window {
-		k := p.next
-		p.next++
-		p.admitted[k] = now
-		p.live = append(p.live, k)
-		m := p.build(k, p.id)
-		p.children[k] = m
-		sub := p.mux.Add(p.names[k], m)
-		p.replayEarly(sub, k, now)
-		outs = sub.Begin(now, outs)
-	}
-	return outs
-}
-
-// replayEarly moves session k's buffered frames into its Sub before
-// Begin and keeps the remainder, in order, for later admissions.
-func (p *procMachine) replayEarly(sub *proto.Sub, k int, now types.Tick) {
-	if len(p.earlyBuf) == 0 {
-		return
-	}
-	keep := p.earlyKeep[:0]
-	mine := proto.SplitChild(p.earlyBuf, p.names[k], func(in proto.Incoming) { keep = append(keep, in) })
-	sub.Tick(now, mine, nil) // pre-Begin: the Sub copies them and replays
-	p.earlyBuf, p.earlyKeep = keep, p.earlyBuf[:0]
 }
 
 // Output canonically encodes every session's (decided, value) pair, so
@@ -868,11 +711,5 @@ func (p *procMachine) Output() (types.Value, bool) {
 }
 
 func (p *procMachine) Done() bool {
-	if p.sched != nil && p.sched.reactive() {
-		// Eager: every session admitted and retired. Retirement happens
-		// only after a decision (or the worst-case deadline), so the run
-		// quiesces the tick after the last session decides.
-		return p.next == len(p.names) && len(p.live) == 0 && p.mux.Done()
-	}
 	return p.next == len(p.starts) && p.mux.Done()
 }

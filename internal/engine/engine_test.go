@@ -236,6 +236,63 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	checkSteadyTickAllocs(t, "engine", p, now)
 }
 
+// recordMachine never decides and records every frame it is handed.
+type recordMachine struct {
+	idleMachine
+	got []proto.Incoming
+}
+
+func (r *recordMachine) Tick(_ types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	r.got = append(r.got, inbox...)
+	return outs
+}
+
+// TestQueuedAndRetiredSessionFrames pins what the stride schedule does
+// with frames that miss their session's slot, on a bare window-1
+// procMachine: a frame for queued s1 arriving before its start tick is
+// counted unrouted (Run rolls that into EngineLate) and never reaches
+// s1's machine; a frame for retired s0 is counted late; a frame inside
+// the slot is delivered with the session prefix stripped.
+func TestQueuedAndRetiredSessionFrames(t *testing.T) {
+	const slot = 4
+	machines := []*recordMachine{{}, {}}
+	p := &procMachine{
+		build:    func(k int, _ types.ProcessID) proto.Machine { return machines[k] },
+		starts:   []types.Tick{0, slot},
+		names:    []string{"s0", "s1"},
+		duration: slot,
+		mux:      proto.NewMux(),
+		children: make([]proto.Machine, 2),
+	}
+	p.Begin(0, nil)
+	if p.next != 1 {
+		t.Fatalf("window-1 Begin admitted %d sessions, want 1", p.next)
+	}
+	p.Tick(1, []proto.Incoming{{From: 3, Session: "s1/x"}}, nil)
+	if got := p.mux.Unrouted(); got != 1 {
+		t.Errorf("frame for queued s1: unrouted=%d, want 1", got)
+	}
+	for now := types.Tick(2); now <= slot; now++ {
+		p.Tick(now, nil, nil)
+	}
+	if p.next != 2 || p.retired != 1 {
+		t.Fatalf("at tick %d: next=%d retired=%d, want 2/1", slot, p.next, p.retired)
+	}
+	p.Tick(slot+1, []proto.Incoming{{From: 2, Session: "s0/y"}, {From: 1, Session: "s1/z"}}, nil)
+	if got := p.mux.Late(); got != 1 {
+		t.Errorf("frame for retired s0: late=%d, want 1", got)
+	}
+	if got := p.mux.Unrouted(); got != 1 {
+		t.Errorf("unrouted=%d after s1's admission, want still 1", got)
+	}
+	if got := machines[1].got; len(got) != 1 || got[0].Session != "z" || got[0].From != 1 {
+		t.Errorf("s1 received %v, want only the in-slot frame from 1", got)
+	}
+	if got := machines[0].got; len(got) != 0 {
+		t.Errorf("s0 received %v, want nothing", got)
+	}
+}
+
 // TestRunLogConvergence drives the pipelined log end to end: identical
 // entries, committed commands, and kv state hash at every window size,
 // fewer ticks when pipelined, and convergence under crashes.

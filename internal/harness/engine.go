@@ -89,6 +89,5 @@ func RunEngine(spec Spec, sessions, inflight, maxQueue int) (*engine.Report, err
 		Trace:       spec.Trace,
 		TickWorkers: spec.TickWorkers,
 		Halt:        spec.Halt,
-		Scheduler:   spec.Sched,
 	}, reqs)
 }

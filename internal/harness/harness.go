@@ -28,7 +28,6 @@ import (
 	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
-	"adaptiveba/internal/engine"
 	"adaptiveba/internal/fallback"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/oracle"
@@ -192,9 +191,6 @@ type Spec struct {
 	// Monitor attaches the wire-level invariant oracle (internal/oracle)
 	// to the run; violations land in Outcome.InvariantViolations.
 	Monitor bool
-	// Sched selects the engine's session scheduling policy for RunEngine
-	// (engine.Static or engine.Eager; nil = Static). Solo Run ignores it.
-	Sched engine.Scheduler
 }
 
 // Outcome summarizes one run.

@@ -45,18 +45,24 @@ type serverReq struct {
 
 // serverConn is the per-connection send side.
 type serverConn struct {
+	conn net.Conn
 	out  chan []byte // encoded response frames
 	quit chan struct{}
 }
 
-// send enqueues one encoded response, dropping it if the connection is
-// gone or its outbox is full (drop-not-block, like the mesh outboxes —
-// the client's retry path absorbs the loss).
+// send enqueues one encoded response without ever blocking the run loop.
+// A full outbox means the client is not draining its replies: dropping
+// this one would leave a hole in the stream (later replies still arrive,
+// and a pipelining client stalls on the missing seq), so the connection
+// is closed instead — the client sees a clean prefix of replies, then a
+// disconnect. Closing the socket ends the reader in serveConn, which
+// closes quit and frees the session.
 func (c *serverConn) send(body []byte) {
 	select {
 	case c.out <- body:
 	case <-c.quit:
 	default:
+		c.conn.Close()
 	}
 }
 
@@ -306,7 +312,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 
-	sc := &serverConn{out: make(chan []byte, 64), quit: make(chan struct{})}
+	sc := &serverConn{conn: conn, out: make(chan []byte, 64), quit: make(chan struct{})}
 	// On exit: close quit first (LIFO), then tell the run loop the
 	// session ended so its dedup window and inflight marks are freed —
 	// with quit already closed, any request of this session still in

@@ -81,8 +81,6 @@ type Config struct {
 	// MeasureBytes meters encoded payload bytes through the agreement
 	// rounds (Stats.Bytes); words alone weigh every value as 1.
 	MeasureBytes bool
-	// Scheduler picks the engine's admission policy ("" = static).
-	Scheduler engine.Scheduler
 }
 
 // Stats accumulates the service's agreement-side cost counters.
@@ -277,7 +275,6 @@ func (c *Core) Commit(ops []Op) (int, error) {
 		N: c.cfg.N, T: c.cfg.T, F: c.cfg.F,
 		Inflight:     c.cfg.Inflight,
 		Seed:         c.cfg.Seed + int64(c.stats.Rounds),
-		Scheduler:    c.cfg.Scheduler,
 		MeasureBytes: c.cfg.MeasureBytes,
 	}, queues, rounds, c.cfg.Batch)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -561,5 +562,79 @@ func TestServerStatsAccumulate(t *testing.T) {
 	st := s.Stats()
 	if st.Rounds == 0 || st.Committed == 0 || st.Words == 0 || st.Bytes == 0 {
 		t.Fatalf("stats not accumulating: %+v", st)
+	}
+}
+
+// TestPipelinedRepliesNeverGap pipelines far more writes than the
+// 64-frame per-connection outbox holds before reading a single reply.
+// The client must then see either every reply in seq order or a clean
+// prefix followed by a closed connection — never a reply lost out of
+// the stream while the connection stays open, which would leave a
+// pipelining client stalled on a reply that is never coming. Either
+// way the run loop must not have blocked on the slow client: a second
+// client is served afterwards.
+func TestPipelinedRepliesNeverGap(t *testing.T) {
+	const depth = 200
+	// One flush holds the whole pipeline, so its replies are produced
+	// back to back — faster than the connection's writer drains them.
+	s := startServer(t, func(cfg *ServerConfig) {
+		cfg.Core.Batch = 64
+		cfg.MaxBatch = 256
+	})
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var pipeline bytes.Buffer
+	for seq := 1; seq <= depth; seq++ {
+		req := EncodeRequest(&Request{
+			Client: c.ID(), Seq: seq, Op: ReqPut,
+			Key: []byte(fmt.Sprintf("k%03d", seq)), Value: []byte("v"),
+		})
+		if err := transport.WriteFrame(&pipeline, FrameRequest, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.conn.Write(pipeline.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+
+	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got := 0
+	for got < depth {
+		kind, body, err := c.fr.Read(c.conn)
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("connection open but stalled after %d of %d replies: the rest were dropped", got, depth)
+			}
+			break // disconnected after a clean prefix
+		}
+		if kind != FrameResponse {
+			t.Fatalf("unexpected frame kind %d", kind)
+		}
+		resp, err := DecodeResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Seq != got+1 {
+			t.Fatalf("reply %d carries seq %d: replies %d..%d were dropped", got+1, resp.Seq, got+1, resp.Seq-1)
+		}
+		if resp.Status != StatusOK {
+			t.Fatalf("seq %d: %+v", resp.Seq, resp)
+		}
+		got++
+	}
+	t.Logf("%d of %d replies before the stream ended", got, depth)
+
+	c2, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if err := c2.Put([]byte("after"), []byte("v")); err != nil {
+		t.Fatalf("server unusable after the overflowing client: %v", err)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"adaptiveba/internal/core/bb"
 	"adaptiveba/internal/core/bbviaba"
 	"adaptiveba/internal/core/strongba"
+	"adaptiveba/internal/core/valid"
 	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
@@ -53,6 +54,41 @@ func NewFullRegistry() *wire.Registry {
 	dolevstrong.RegisterWire(reg)
 	echobb.RegisterWire(reg)
 	return reg
+}
+
+// NewProtocolMachine builds process id's machine for one of the paper's
+// protocols by CLI name ("bb", "wba", "strongba") — the machines the
+// node and cluster commands host. Signatures are domain-separated under
+// tagPrefix + "/" + the protocol's short name; sender is the BB
+// designated sender; strong BA takes its binary input as "0" or "1".
+func NewProtocolMachine(tagPrefix, protocol string, params types.Params, crypto *proto.Crypto, id, sender types.ProcessID, input types.Value) (proto.Machine, error) {
+	switch protocol {
+	case "bb":
+		return bb.NewMachine(bb.Config{
+			Params: params, Crypto: crypto, ID: id,
+			Sender: sender, Input: input, Tag: tagPrefix + "/bb",
+		}), nil
+	case "wba":
+		return wba.NewMachine(wba.Config{
+			Params: params, Crypto: crypto, ID: id,
+			Input: input, Predicate: valid.NonBottom(), Tag: tagPrefix + "/wba",
+		}), nil
+	case "strongba":
+		var bit types.Value
+		switch string(input) {
+		case "0":
+			bit = types.Zero
+		case "1":
+			bit = types.One
+		default:
+			return nil, fmt.Errorf("strongba input must be 0 or 1, got %q", input)
+		}
+		return strongba.NewMachine(strongba.Config{
+			Params: params, Crypto: crypto, ID: id, Input: bit, Tag: tagPrefix + "/sba",
+		})
+	default:
+		return nil, fmt.Errorf("unknown protocol %q", protocol)
+	}
 }
 
 // Frame kinds on the stream.
@@ -115,19 +151,11 @@ type Config struct {
 	// SessionHookV2, if set, is consulted for every authenticated inbound
 	// message frame after the session path is parsed but before the
 	// payload is decoded, so a node does not pay payload decoding and
-	// signature checks for words it will never read. The verdict is
-	// tri-state: SessionAccept decodes the frame, SessionDrop sheds it (a
-	// net drop), and SessionDefer parks the raw frame — undecoded, so a
-	// deferred word costs no signature work — and re-offers it to the
-	// hook at each subsequent tick until it is accepted or dropped.
-	// Demuxing hosts running a decision-driven session schedule use
-	// Defer for sessions they have not admitted *yet* (the frame is
-	// early, not late), reserving Drop for retired sessions.
+	// signature checks for words it will never read: SessionAccept
+	// decodes the frame, SessionDrop sheds it (a net drop). Demuxing
+	// hosts use Drop for sessions they have not admitted or have
+	// already retired.
 	SessionHookV2 func(from types.ProcessID, session string) SessionVerdict
-	// DeferMax bounds the parked-frame buffer behind SessionDefer
-	// (default 1024). When full, the oldest parked frame is shed as a
-	// net drop — deferral degrades to dropping, never blocks.
-	DeferMax int
 	// Recorder, if set, accounts for sent messages.
 	Recorder *metrics.Recorder
 	// Logf, if set, receives debug lines.
@@ -153,19 +181,9 @@ type SessionVerdict int
 const (
 	// SessionAccept decodes the frame and delivers it to the machine.
 	SessionAccept SessionVerdict = iota
-	// SessionDrop sheds the frame as a net drop (retired sessions).
+	// SessionDrop sheds the frame as a net drop.
 	SessionDrop
-	// SessionDefer parks the raw frame and re-offers it every tick
-	// until the hook accepts or drops it (not-yet-admitted sessions).
-	SessionDefer
 )
-
-// parkedFrame is one deferred inbound frame, held undecoded.
-type parkedFrame struct {
-	from    types.ProcessID
-	session string
-	payload []byte
-}
 
 // Node runs one machine over TCP. Close may be called from any
 // goroutine, at any point of the lifecycle, any number of times.
@@ -173,10 +191,9 @@ type Node struct {
 	cfg     Config
 	machine proto.Machine
 
-	mu       sync.Mutex
-	inbox    []proto.Incoming
-	deferred []parkedFrame
-	readyCh  chan types.ProcessID
+	mu      sync.Mutex
+	inbox   []proto.Incoming
+	readyCh chan types.ProcessID
 
 	listener net.Listener
 	outbound []net.Conn
@@ -231,9 +248,6 @@ func NewNode(cfg Config, machine proto.Machine) (*Node, error) {
 	}
 	if cfg.FlushBytes <= 0 {
 		cfg.FlushBytes = 4 << 20
-	}
-	if cfg.DeferMax <= 0 {
-		cfg.DeferMax = 1024
 	}
 	if cfg.WriteDeadline <= 0 {
 		cfg.WriteDeadline = 10 * time.Second
@@ -420,14 +434,10 @@ func (n *Node) readLoop(ctx context.Context, conn net.Conn) {
 			if r.Close() != nil {
 				return
 			}
-			switch n.sessionVerdict(from, session) {
-			case SessionDrop:
+			if hook := n.cfg.SessionHookV2; hook != nil && hook(from, session) == SessionDrop {
 				if n.cfg.Recorder != nil {
 					n.cfg.Recorder.RecordNetDrop()
 				}
-				continue
-			case SessionDefer:
-				n.park(from, session, payloadFrame)
 				continue
 			}
 			payload, err := n.cfg.Registry.DecodePayload(payloadFrame)
@@ -576,7 +586,11 @@ func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 			n.closeOutbound()
 			return nil, ErrCrashed
 		}
-		outs = n.machine.Tick(now, n.collectInbox(), outs[:0])
+		n.mu.Lock()
+		inbox := n.inbox
+		n.inbox = nil
+		n.mu.Unlock()
+		outs = n.machine.Tick(now, inbox, outs[:0])
 		n.send(outs)
 		if n.machine.Done() {
 			extra++
@@ -586,81 +600,6 @@ func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 			}
 		}
 	}
-}
-
-// sessionVerdict runs the configured session hook for one
-// parsed-but-undecoded frame.
-func (n *Node) sessionVerdict(from types.ProcessID, session string) SessionVerdict {
-	if n.cfg.SessionHookV2 != nil {
-		return n.cfg.SessionHookV2(from, session)
-	}
-	return SessionAccept
-}
-
-// park defers one raw frame for later re-offering. The payload bytes are
-// copied: the reader's frame buffer is reused for the next frame. When
-// the buffer is at DeferMax the oldest parked frame is shed as a net
-// drop, so a hook that never accepts degrades to dropping.
-func (n *Node) park(from types.ProcessID, session string, payload []byte) {
-	n.mu.Lock()
-	if len(n.deferred) >= n.cfg.DeferMax {
-		n.deferred = n.deferred[1:]
-		if n.cfg.Recorder != nil {
-			n.cfg.Recorder.RecordNetDrop()
-		}
-	}
-	n.deferred = append(n.deferred, parkedFrame{
-		from:    from,
-		session: session,
-		payload: append([]byte(nil), payload...),
-	})
-	n.mu.Unlock()
-}
-
-// collectInbox takes this tick's inbox, first re-offering every parked
-// frame to the session hook: accepted frames decode and deliver ahead of
-// the tick's fresh arrivals (they are older), dropped ones shed, and
-// still-deferred ones stay parked for the next tick.
-func (n *Node) collectInbox() []proto.Incoming {
-	n.mu.Lock()
-	inbox := n.inbox
-	n.inbox = nil
-	parked := n.deferred
-	n.deferred = nil
-	n.mu.Unlock()
-	if len(parked) == 0 {
-		return inbox
-	}
-	var accepted []proto.Incoming
-	keep := parked[:0]
-	for _, p := range parked {
-		switch n.sessionVerdict(p.from, p.session) {
-		case SessionDrop:
-			if n.cfg.Recorder != nil {
-				n.cfg.Recorder.RecordNetDrop()
-			}
-		case SessionDefer:
-			keep = append(keep, p)
-		default:
-			payload, err := n.cfg.Registry.DecodePayload(p.payload)
-			if err != nil {
-				n.logf("bad deferred payload from %v: %v", p.from, err)
-				continue
-			}
-			accepted = append(accepted, proto.Incoming{From: p.from, Session: p.session, Payload: payload})
-		}
-	}
-	if len(keep) > 0 {
-		n.mu.Lock()
-		// Frames parked by readers since the swap above arrived later —
-		// they go behind the survivors to preserve arrival order.
-		n.deferred = append(keep, n.deferred...)
-		n.mu.Unlock()
-	}
-	if len(accepted) == 0 {
-		return inbox
-	}
-	return append(accepted, inbox...)
 }
 
 // payloadKey identifies one boxed payload instance: the interface's type

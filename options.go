@@ -29,7 +29,6 @@ type options struct {
 	threshold      int
 	inflight       int
 	batch          int
-	sched          Scheduler
 }
 
 // WithFaults corrupts f processes (0 ≤ f ≤ t).
@@ -54,40 +53,15 @@ func WithTrace(w io.Writer) Option { return func(o *options) { o.trace = w } }
 // fails with ErrNoQuorum.
 func WithThreshold(t int) Option { return func(o *options) { o.threshold = t } }
 
-// WithInflight bounds how many sessions a multi-session run (RunMany,
-// the pipelined replicated log) keeps in flight concurrently: 1 runs
-// them strictly serially, 0 (the default) pipelines as deeply as the
-// workload allows. Per-session decisions and word counts are identical
-// at every window size; only wall time and tick count change.
+// WithInflight bounds how many sessions a multi-session run keeps in
+// flight concurrently; 1 always runs them strictly serially. What 0 (the
+// default) means depends on the entry point: RunMany and
+// ReplicateBatchContext pipeline as deeply as the workload allows (the
+// engine's window is every session), while ReplicateLogContext stays
+// strictly sequential — one slot at a time, the same as 1 — and only
+// pipelines for w > 1. Per-session decisions and word counts are
+// identical at every window size; only wall time and tick count change.
 func WithInflight(w int) Option { return func(o *options) { o.inflight = w } }
-
-// Scheduler selects the session admission/retirement policy of a
-// multi-session run (RunMany, the replicated log). It re-exports
-// engine.Scheduler; the two policies are Static and Eager.
-type Scheduler = engine.Scheduler
-
-// Scheduling policies.
-var (
-	// Static is the stride schedule (the default): session k starts at
-	// tick k·ceil(D/W) and holds its slot for the full worst-case
-	// duration D regardless of when it decides.
-	Static = engine.Static
-	// Eager retires a session the tick after it decides and admits the
-	// next queued session into the freed slot immediately; ACS sessions
-	// additionally start each subset vote as soon as the corresponding
-	// broadcast delivers (early-stopping vote boundary). Decisions,
-	// words, and messages are byte-identical to Static — only the
-	// schedule, and hence the tick count, changes.
-	Eager = engine.Eager
-)
-
-// WithScheduler selects the session scheduling policy of a
-// multi-session run (Static or Eager; the default is Static).
-func WithScheduler(s Scheduler) Option { return func(o *options) { o.sched = s } }
-
-// WithEager is shorthand for WithScheduler(Eager): decision-driven
-// session retirement and the early-stopping ACS vote boundary.
-func WithEager() Option { return func(o *options) { o.sched = Eager } }
 
 // sentinel is a typed API error chained onto its broad class, so
 // errors.Is matches both the precise identity (ErrBadN) and the class
@@ -286,7 +260,7 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 		N: n, T: merged.threshold, F: merged.faults, LeaderFault: leader,
 		Inflight: merged.inflight, Seed: merged.seed,
 		Ed25519: merged.realSignatures, Trace: merged.trace,
-		Halt: haltFrom(ctx), Scheduler: merged.sched,
+		Halt: haltFrom(ctx),
 	}, ereqs)
 	if err != nil {
 		return nil, mapCanceled(ctx, err)

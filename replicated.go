@@ -47,10 +47,13 @@ type LogResult struct {
 // failure-free deployment commits each command for O(n) words instead
 // of Θ(n²).
 //
-// WithInflight(w) pipelines the log: slot s+1's broadcast starts while
-// slot s may still be running its fallback, multiplying commit
-// throughput by up to w without changing any committed entry. The
-// context cancels the run promptly with ErrCanceled.
+// WithInflight(w) with w > 1 pipelines the log: slot s+1's broadcast
+// starts while slot s may still be running its fallback, multiplying
+// commit throughput by up to w without changing any committed entry.
+// Unlike RunMany and ReplicateBatchContext, the default WithInflight(0)
+// here is strictly sequential (one slot at a time, the same as 1), not
+// "as deep as the workload allows". The context cancels the run promptly
+// with ErrCanceled.
 func ReplicateLogContext(ctx context.Context, n int, queues [][][]byte, slots int, opts ...Option) (*LogResult, error) {
 	merged := buildOptions(n, opts)
 	spec, err := baseSpec(merged)
