@@ -136,7 +136,10 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "messages    %d\n", o.Messages)
 	fmt.Fprintf(out, "ticks (δ)   %d\n", o.Ticks)
 	fmt.Fprintf(out, "fallback    %d processes\n", o.FallbackCount)
-	if !spec.NoVerifyCache {
+	// Only when the cache was consulted: the default HMAC ring with compact
+	// certificates verifies everything directly (nothing there costs more
+	// than a lookup), -ed25519 and -certmode aggregate go through the cache.
+	if o.CacheHits+o.CacheMisses+o.CacheWaits > 0 {
 		fmt.Fprintf(out, "verify $    %d hits / %d misses\n", o.CacheHits, o.CacheMisses)
 	}
 	if *layers && len(o.ByLayer) > 0 {

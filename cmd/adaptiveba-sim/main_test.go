@@ -49,6 +49,15 @@ func TestRunAggregateWithCacheStats(t *testing.T) {
 	if !strings.Contains(out.String(), "verify $") {
 		t.Errorf("cache stats missing:\n%s", out.String())
 	}
+	// The default scheme (HMAC ring, compact certificates) never consults
+	// the cache, so there is no line to print.
+	out.Reset()
+	if err := run([]string{"-protocol", "bb", "-n", "9"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "verify $") {
+		t.Errorf("cache stats printed for a run that made no lookup:\n%s", out.String())
+	}
 }
 
 func TestRunNoVerifyCacheMatchesDefault(t *testing.T) {

@@ -70,8 +70,6 @@ type Machine struct {
 
 	start    types.Tick
 	voteTick types.Tick
-	bbTicks  types.Tick
-	baTicks  types.Tick
 
 	batches   []types.Value // BB outputs captured at the vote boundary
 	committed *types.BitSet
@@ -91,29 +89,27 @@ var _ proto.Machine = (*Machine)(nil)
 // budget) is a pure function of Params, so every correct process
 // transitions in lockstep regardless of its batch.
 func NewMachine(cfg Config) *Machine {
-	m := &Machine{cfg: cfg, mux: proto.NewMux()}
-	m.bbTicks = bb.NewMachine(m.bbConfig(0)).MaxTicks()
-	probe, err := strongba.NewMachine(m.baConfig(0, types.Zero))
-	if err != nil {
-		// Unreachable: the input is canonical binary and leader 0 is
-		// always a valid process.
-		m.fail(err)
-		m.baTicks = m.bbTicks
-	} else {
-		m.baTicks = probe.MaxTicks()
-	}
-	return m
+	return &Machine{cfg: cfg, mux: proto.NewMux()}
 }
 
 // MaxTicks conservatively bounds a full round for scheduler budgets:
 // the broadcast stage runs to BB's worst case, the vote stage to strong
 // BA's (which already absorbs a crashed vote leader's fallback).
-func (m *Machine) MaxTicks() types.Tick { return m.bbTicks + m.baTicks + 4 }
+func MaxTicks(params types.Params) types.Tick {
+	return voteBoundary(params) + strongba.MaxTicks(params) + 4
+}
+
+// voteBoundary is BB's worst-case bound at the default phase counts —
+// the ones bbConfig leaves in place.
+func voteBoundary(params types.Params) types.Tick { return bb.MaxTicks(params, 0, 0) }
+
+// MaxTicks is the package-level MaxTicks of this machine's parameters.
+func (m *Machine) MaxTicks() types.Tick { return MaxTicks(m.cfg.Params) }
 
 // VoteBoundary returns the round-relative tick at which broadcasts are
 // closed out and the vote stage starts (for tests and adversaries that
 // target the retirement edge).
-func (m *Machine) VoteBoundary() types.Tick { return m.bbTicks }
+func (m *Machine) VoteBoundary() types.Tick { return voteBoundary(m.cfg.Params) }
 
 // Committed returns the decided subset as a bitmap of winning proposers
 // (nil until decided).
@@ -144,7 +140,7 @@ func (m *Machine) Failed() error { return m.err }
 // once, each under its own session ("b<i>") and signature domain.
 func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	m.start = now
-	m.voteTick = now + m.bbTicks
+	m.voteTick = now + voteBoundary(m.cfg.Params)
 	n := m.cfg.Params.N
 	m.bcasts = make([]*bb.Machine, n)
 	m.batches = make([]types.Value, n)

@@ -6,6 +6,7 @@ import (
 
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/sim"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -52,7 +53,8 @@ func runLockstep(t testing.TB, machines []*Machine, budget types.Tick) types.Tic
 // vote decided), further ticks — including ticks that deliver stale
 // traffic to retired broadcast sessions — must not allocate. This pins
 // the Mux's borrowed arena and the machine's own tick path; a regression
-// that allocates per live child costs ≥ 2n per tick here.
+// that allocates per live child costs ≥ 2n per tick here, and the ceiling
+// is the measured value, so one that allocates once per tick fails too.
 func TestACSAllocCeiling(t *testing.T) {
 	const n = 33
 	crypto, params := setup(t, n)
@@ -82,8 +84,15 @@ func TestACSAllocCeiling(t *testing.T) {
 		copy(frames, stale) // routing strips prefixes in place
 		m.Tick(now, frames, nil)
 	})
-	if allocs >= 2 {
-		t.Errorf("steady-state ACS tick allocates %.1f/op, want < 2", allocs)
+	// Measured 0; under the race detector sync.Pool drops a quarter of its
+	// Puts, so the borrowed routing arena is re-made now and then (1, as AllocsPerRun truncates).
+	ceiling := 0.0
+	if testenv.Race() {
+		ceiling = 1
+	}
+	t.Logf("steady-state ACS tick: %.1f allocs/op (ceiling %.1f, race %t)", allocs, ceiling, testenv.Race())
+	if allocs > ceiling {
+		t.Errorf("steady-state ACS tick allocates %.1f/op, ceiling %.1f", allocs, ceiling)
 	}
 	if m.Late() == 0 {
 		t.Error("stale traffic to retired broadcast sessions was not counted late")

@@ -1,0 +1,93 @@
+package acs
+
+import (
+	"testing"
+
+	"adaptiveba/internal/core/bb"
+	"adaptiveba/internal/core/bbviaba"
+	"adaptiveba/internal/core/strongba"
+	"adaptiveba/internal/core/valid"
+	"adaptiveba/internal/core/wba"
+	"adaptiveba/internal/smr"
+	"adaptiveba/internal/types"
+)
+
+// TestTickBoundsMatchProbeMachines pins every pure worst-case tick bound
+// to the number a probe machine used to be built to report (the literals
+// were read off such machines before the functions existed), and the
+// MaxTicks methods to the functions. A bound that moved would shift the
+// ACS vote boundary and every engine stride, i.e. every schedule.
+func TestTickBoundsMatchProbeMachines(t *testing.T) {
+	phases := []struct {
+		n, bbPhases, wbaPhases int
+		wba, bb                types.Tick
+	}{
+		{4, 0, 0, 27, 44}, {4, 2, 0, 27, 38}, {4, 0, 1, 22, 39}, {4, 3, 2, 27, 41},
+		{5, 0, 0, 34, 54}, {5, 2, 0, 34, 45}, {5, 0, 1, 24, 44}, {5, 3, 2, 29, 43},
+		{9, 0, 0, 48, 80}, {9, 2, 0, 48, 59}, {9, 0, 1, 28, 60}, {9, 3, 2, 33, 47},
+		{33, 0, 0, 132, 236}, {33, 2, 0, 132, 143}, {33, 0, 1, 52, 156}, {33, 3, 2, 57, 71},
+	}
+	for _, c := range phases {
+		crypto, params := setup(t, c.n)
+		if got := wba.MaxTicks(params, c.wbaPhases); got != c.wba {
+			t.Errorf("wba.MaxTicks(n=%d, phases=%d) = %d, want %d", c.n, c.wbaPhases, got, c.wba)
+		}
+		if got := bb.MaxTicks(params, c.bbPhases, c.wbaPhases); got != c.bb {
+			t.Errorf("bb.MaxTicks(n=%d, phases=%d, wbaPhases=%d) = %d, want %d", c.n, c.bbPhases, c.wbaPhases, got, c.bb)
+		}
+		w := wba.NewMachine(wba.Config{
+			Params: params, Crypto: crypto, Input: types.One,
+			Predicate: valid.NonBottom(), Phases: c.wbaPhases,
+		})
+		if got := w.MaxTicks(); got != c.wba {
+			t.Errorf("wba machine (n=%d, phases=%d): MaxTicks = %d, want %d", c.n, c.wbaPhases, got, c.wba)
+		}
+		b := bb.NewMachine(bb.Config{Params: params, Crypto: crypto, Phases: c.bbPhases, WBAPhases: c.wbaPhases})
+		if got := b.MaxTicks(); got != c.bb {
+			t.Errorf("bb machine (n=%d, phases=%d, wbaPhases=%d): MaxTicks = %d, want %d", c.n, c.bbPhases, c.wbaPhases, got, c.bb)
+		}
+	}
+
+	for _, c := range []struct {
+		n                                              int
+		sba, acs, vote, bbviaba, smrSlot, smrThreeSlot types.Tick
+	}{
+		{4, 21, 69, 44, 25, 44, 148},
+		{5, 23, 81, 54, 27, 54, 178},
+		{9, 27, 111, 80, 31, 80, 256},
+		{33, 51, 291, 236, 55, 236, 724},
+	} {
+		crypto, params := setup(t, c.n)
+		if got := strongba.MaxTicks(params); got != c.sba {
+			t.Errorf("strongba.MaxTicks(n=%d) = %d, want %d", c.n, got, c.sba)
+		}
+		if got := MaxTicks(params); got != c.acs {
+			t.Errorf("acs.MaxTicks(n=%d) = %d, want %d", c.n, got, c.acs)
+		}
+		s, err := strongba.NewMachine(strongba.Config{Params: params, Crypto: crypto, Input: types.One})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.MaxTicks(); got != c.sba {
+			t.Errorf("strongba machine (n=%d): MaxTicks = %d, want %d", c.n, got, c.sba)
+		}
+		a := NewMachine(Config{Params: params, Crypto: crypto})
+		if got, vote := a.MaxTicks(), a.VoteBoundary(); got != c.acs || vote != c.vote {
+			t.Errorf("acs machine (n=%d): MaxTicks = %d, VoteBoundary = %d, want %d, %d", c.n, got, vote, c.acs, c.vote)
+		}
+		r, err := bbviaba.NewMachine(bbviaba.Config{Params: params, Crypto: crypto, Input: types.One})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.MaxTicks(); got != c.bbviaba {
+			t.Errorf("bbviaba machine (n=%d): MaxTicks = %d, want %d", c.n, got, c.bbviaba)
+		}
+		m, err := smr.NewMachine(smr.Config{Params: params, Crypto: crypto, Slots: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slot, max := m.SlotTicks(), m.MaxTicks(); slot != c.smrSlot || max != c.smrThreeSlot {
+			t.Errorf("smr machine (n=%d, 3 slots): SlotTicks = %d, MaxTicks = %d, want %d, %d", c.n, slot, max, c.smrSlot, c.smrThreeSlot)
+		}
+	}
+}

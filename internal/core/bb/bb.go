@@ -174,10 +174,22 @@ func NewMachine(cfg Config) *Machine {
 // Rounds returns the number of vetting rounds before weak BA starts.
 func (m *Machine) Rounds() int { return 1 + m.phases*roundsPerPhase }
 
-// MaxTicks conservatively bounds a full run for simulator budgets.
+// MaxTicks conservatively bounds a full run — the vetting rounds, then the
+// nested weak BA's own bound — for simulator budgets and the schedules of
+// enclosing protocols. It is a function of the run parameters and the two
+// phase-count overrides alone (<= 0 is the default, as in Config.Phases
+// and Config.WBAPhases), so a schedule is sized without building a
+// machine.
+func MaxTicks(params types.Params, phases, wbaPhases int) types.Tick {
+	if phases <= 0 {
+		phases = params.N
+	}
+	return types.Tick(1+phases*roundsPerPhase) + wba.MaxTicks(params, wbaPhases) + 4
+}
+
+// MaxTicks is the package-level MaxTicks of this machine's configuration.
 func (m *Machine) MaxTicks() types.Tick {
-	inner := wba.NewMachine(m.wbaConfig())
-	return types.Tick(m.Rounds()) + inner.MaxTicks() + 4
+	return MaxTicks(m.cfg.Params, m.phases, m.cfg.WBAPhases)
 }
 
 // WBA exposes the nested weak BA machine for experiment introspection

@@ -1,6 +1,7 @@
 package bb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -115,15 +116,26 @@ func DecodeValue(v types.Value) (*SenderValue, *IDKCert, error) {
 //
 // A Validator belongs to one BB machine (and the weak BA nested in it) and,
 // like the machine, is not safe for concurrent use: it remembers the last
-// sign base it encoded, because a run validates the same envelope — the
-// sender's value, then the vetted value, then the weak BA proposal — many
-// times over.
+// envelope it validated and the last sign base it encoded, because a run
+// validates the same envelope — the sender's value, then the vetted value,
+// then the weak BA proposal — many times over. It is never shared between
+// processes, so a verdict is only ever reused by the process that computed
+// it.
 type Validator struct {
 	crypto *proto.Crypto
 	tag    string
 	sender types.ProcessID
 	phases int
 	small  *threshold.Scheme
+
+	// The last envelope validated — the validator's own copy of its bytes,
+	// so a caller changing the slice it passed gets a miss, never a stale
+	// verdict (the wire.LastEncoding idiom) — and the verdict, positive or
+	// negative: validation is a pure function of the bytes. nil until a
+	// non-empty envelope has been seen (an empty one is refused at its
+	// first byte, there is nothing to remember).
+	last   []byte
+	lastOK bool
 
 	lastSender wire.LastEncoding // senderBase, keyed by value
 	lastIDK    wire.LastEncoding // idkBase, keyed by phase
@@ -146,8 +158,19 @@ func NewValidator(crypto *proto.Crypto, tag string, sender types.ProcessID, phas
 // Name implements valid.Predicate.
 func (bv *Validator) Name() string { return "BB_valid" }
 
-// Validate implements valid.Predicate.
+// Validate implements valid.Predicate. An envelope byte-identical to the
+// previous call's gets that call's verdict; anything else is decoded and
+// verified.
 func (bv *Validator) Validate(v types.Value) bool {
+	if bv.last == nil || !bytes.Equal(bv.last, v) {
+		bv.lastOK = bv.validate(v)
+		bv.last = append(bv.last[:0], v...)
+	}
+	return bv.lastOK
+}
+
+// validate evaluates BB_valid on v from scratch.
+func (bv *Validator) validate(v types.Value) bool {
 	sv, idk, err := DecodeValue(v)
 	if err != nil {
 		return false

@@ -87,16 +87,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 }
 
 // MaxTicks bounds a full run.
-func (m *Machine) MaxTicks() types.Tick {
-	probe, err := strongba.NewMachine(strongba.Config{
-		Params: m.cfg.Params, Crypto: m.cfg.Crypto, ID: m.cfg.ID,
-		Input: types.Zero, Tag: m.cfg.Tag + "/probe",
-	})
-	if err != nil {
-		return 64
-	}
-	return probe.MaxTicks() + 4
-}
+func (m *Machine) MaxTicks() types.Tick { return strongba.MaxTicks(m.cfg.Params) + 4 }
 
 // RanFallback reports whether the inner strong BA used its fallback.
 func (m *Machine) RanFallback() bool { return m.ba != nil && m.ba.RanFallback() }

@@ -197,12 +197,18 @@ func (m *Machine) decideBase(v types.Value) []byte {
 	return m.decideBases.get(decideDomain, m.cfg.Tag, v)
 }
 
+// Validate reports what NewMachine would refuse: a non-binary input or a
+// leader outside the run.
+func (cfg Config) Validate() error {
+	if !cfg.Input.IsBinary() {
+		return fmt.Errorf("%w: %v", ErrNotBinary, cfg.Input)
+	}
+	return cfg.Params.CheckProcess(cfg.Leader)
+}
+
 // NewMachine builds the strong BA machine.
 func NewMachine(cfg Config) (*Machine, error) {
-	if !cfg.Input.IsBinary() {
-		return nil, fmt.Errorf("%w: %v", ErrNotBinary, cfg.Input)
-	}
-	if err := cfg.Params.CheckProcess(cfg.Leader); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return &Machine{
@@ -218,10 +224,15 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}, nil
 }
 
-// MaxTicks bounds a full run for simulator budgets.
-func (m *Machine) MaxTicks() types.Tick {
-	return types.Tick(preRounds) + 6 + types.Tick((m.cfg.Params.T+2)*2) + 4
+// MaxTicks bounds a full run, fallback included, for simulator budgets
+// and the schedules of enclosing protocols. It is a function of the run
+// parameters alone, so a schedule is sized without building a machine.
+func MaxTicks(params types.Params) types.Tick {
+	return types.Tick(preRounds) + 6 + types.Tick((params.T+2)*2) + 4
 }
+
+// MaxTicks is the package-level MaxTicks of this machine's parameters.
+func (m *Machine) MaxTicks() types.Tick { return MaxTicks(m.cfg.Params) }
 
 // RanFallback reports whether this process executed A_fallback.
 func (m *Machine) RanFallback() bool { return m.ranFallback }

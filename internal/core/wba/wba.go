@@ -185,11 +185,20 @@ func (m *Machine) helpReqBase() []byte {
 func (m *Machine) Rounds() int { return m.phases*roundsPerPhase + 3 }
 
 // MaxTicks conservatively bounds a full run including the fallback, for
-// sizing simulator budgets.
-func (m *Machine) MaxTicks() types.Tick {
-	fb := types.Tick((m.cfg.Params.T + 2) * 2)
-	return types.Tick(m.Rounds()) + 4 + fb + 4
+// sizing simulator budgets and the schedules of enclosing protocols. It
+// is a function of the run parameters and the phase-count override alone
+// (phases <= 0 is the default t+1, as in Config.Phases), so a schedule is
+// sized without building a machine.
+func MaxTicks(params types.Params, phases int) types.Tick {
+	if phases <= 0 {
+		phases = params.T + 1
+	}
+	fb := types.Tick((params.T + 2) * 2)
+	return types.Tick(phases*roundsPerPhase+3) + 4 + fb + 4
 }
+
+// MaxTicks is the package-level MaxTicks of this machine's configuration.
+func (m *Machine) MaxTicks() types.Tick { return MaxTicks(m.cfg.Params, m.phases) }
 
 // DecidedAtPhase reports the phase whose finalize certificate decided this
 // process (0 if the decision came from help or the fallback).

@@ -53,6 +53,18 @@ type Scheme interface {
 	SignatureSize() int
 }
 
+// CheapVerify reports whether s declares its Verify no more expensive than
+// hashing the bytes it is given, which is what a content-addressed memo of
+// verification results (internal/crypto/verifycache) must do before it can
+// even look a result up. Such a scheme is verified directly every time; any
+// other scheme — a public-key one, or one that does not say — is worth
+// memoizing. The scheme decides, not its user: a decorator answers for the
+// scheme it wraps.
+func CheapVerify(s Scheme) bool {
+	c, ok := s.(interface{ CheapVerify() bool })
+	return ok && c.CheapVerify()
+}
+
 // Errors returned by schemes.
 var (
 	ErrUnknownSigner = errors.New("sig: signer id out of range")
@@ -152,6 +164,11 @@ func (r *HMACRing) N() int { return len(r.macs) }
 
 // SignatureSize implements Scheme.
 func (r *HMACRing) SignatureSize() int { return hmacTagSize }
+
+// CheapVerify marks the ring's verification as one pooled, allocation-free
+// HMAC over the message — the same order of work as the SHA-256 a
+// verification-cache key costs, so memoizing it can only add to it.
+func (r *HMACRing) CheapVerify() bool { return true }
 
 // Sign implements Scheme. The tag has exactly hmacTagSize capacity.
 func (r *HMACRing) Sign(signer types.ProcessID, msg []byte) (Signature, error) {

@@ -215,7 +215,10 @@ func (s *Scheme) VerifyShare(msg []byte, sh Share) bool {
 // de-duplicated by signer; at least K valid unique shares are required.
 func (s *Scheme) Combine(msg []byte, shares []Share) (*Cert, error) {
 	signers := types.NewBitSet(s.n)
-	bySigner := make(map[types.ProcessID]sig.Signature, len(shares))
+	var bySigner map[types.ProcessID]sig.Signature // aggregate mode only: the certificate carries the shares
+	if s.mode == ModeAggregate {
+		bySigner = make(map[types.ProcessID]sig.Signature, len(shares))
+	}
 	for _, sh := range shares {
 		if signers.Has(sh.Signer) {
 			continue
@@ -224,7 +227,9 @@ func (s *Scheme) Combine(msg []byte, shares []Share) (*Cert, error) {
 			return nil, fmt.Errorf("%w: signer %v", ErrBadShare, sh.Signer)
 		}
 		signers.Add(sh.Signer)
-		bySigner[sh.Signer] = sh.Sig
+		if bySigner != nil {
+			bySigner[sh.Signer] = sh.Sig
+		}
 	}
 	if signers.Count() < s.k {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShares, signers.Count(), s.k)

@@ -8,6 +8,13 @@
 // signature bytes), its result can be cached under a key that commits to
 // that entire triple.
 //
+// A lookup costs a SHA-256 of that triple plus a lock and a map probe, so
+// it only pays for verifications dearer than that: public-key signatures
+// and aggregate certificates. A scheme whose verification is itself one
+// keyed hash (sig.CheapVerify — the HMAC ring) is not wrapped by
+// proto.NewCrypto, for the reason compact certificates are not memoized by
+// the threshold package.
+//
 // Forgery safety: a cache key is the SHA-256 of a domain-separated,
 // length-prefixed serialization of the signer identity, the full message,
 // and the full signature (or certificate) bytes. A cached positive can

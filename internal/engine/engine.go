@@ -552,22 +552,22 @@ func (b *builder) inputFor(k int, id types.ProcessID, binary bool) types.Value {
 }
 
 // duration returns session k's worst-case schedule length (its
-// machine's MaxTicks bound), validating the request.
+// protocol's MaxTicks bound at the default phase counts, which are the
+// ones the *Config methods below leave in place), validating the request.
 func (b *builder) duration(k int) (types.Tick, error) {
 	req := &b.reqs[k]
 	switch req.Kind {
 	case KindBB, "":
-		return bb.NewMachine(b.bbConfig(k, 0)).MaxTicks(), nil
+		return bb.MaxTicks(b.params, 0, 0), nil
 	case KindWBA:
-		return wba.NewMachine(b.wbaConfig(k, 0)).MaxTicks(), nil
+		return wba.MaxTicks(b.params, 0), nil
 	case KindStrongBA:
-		m, err := strongba.NewMachine(b.sbaConfig(k, 0))
-		if err != nil {
+		if err := b.sbaConfig(k, 0).Validate(); err != nil {
 			return 0, fmt.Errorf("%w: session %d: %v", ErrConfig, k, err)
 		}
-		return m.MaxTicks(), nil
+		return strongba.MaxTicks(b.params), nil
 	case KindACS:
-		return acs.NewMachine(b.acsConfig(k, 0)).MaxTicks(), nil
+		return acs.MaxTicks(b.params), nil
 	default:
 		return 0, fmt.Errorf("%w: session %d: unknown kind %q", ErrConfig, k, req.Kind)
 	}

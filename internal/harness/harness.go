@@ -382,8 +382,8 @@ func (r *runner) execute() (*Outcome, error) {
 	switch r.spec.Protocol {
 	case ProtocolBB:
 		r.bbMachines = make(map[types.ProcessID]*bb.Machine)
-		probe := bb.NewMachine(r.bbConfig(0))
-		maxTicks = probe.MaxTicks() * 2
+		cfg := r.bbConfig(0)
+		maxTicks = bb.MaxTicks(cfg.Params, cfg.Phases, cfg.WBAPhases) * 2
 		factory = func(id types.ProcessID) proto.Machine {
 			m := bb.NewMachine(r.bbConfig(id))
 			r.bbMachines[id] = m
@@ -391,8 +391,8 @@ func (r *runner) execute() (*Outcome, error) {
 		}
 	case ProtocolWBA:
 		r.wbaMachines = make(map[types.ProcessID]*wba.Machine)
-		probe := wba.NewMachine(r.wbaConfig(0))
-		maxTicks = probe.MaxTicks() * 2
+		cfg := r.wbaConfig(0)
+		maxTicks = wba.MaxTicks(cfg.Params, cfg.Phases) * 2
 		factory = func(id types.ProcessID) proto.Machine {
 			m := wba.NewMachine(r.wbaConfig(id))
 			r.wbaMachines[id] = m
@@ -400,11 +400,10 @@ func (r *runner) execute() (*Outcome, error) {
 		}
 	case ProtocolStrongBA:
 		r.sbaMachines = make(map[types.ProcessID]*strongba.Machine)
-		probe, err := strongba.NewMachine(r.sbaConfig(0))
-		if err != nil {
+		if err := r.sbaConfig(0).Validate(); err != nil {
 			return nil, err
 		}
-		maxTicks = probe.MaxTicks() * 2
+		maxTicks = strongba.MaxTicks(r.params) * 2
 		factory = func(id types.ProcessID) proto.Machine {
 			m, err := strongba.NewMachine(r.sbaConfig(id))
 			if err != nil {
@@ -470,8 +469,7 @@ func (r *runner) execute() (*Outcome, error) {
 		}
 	case ProtocolACS:
 		r.acsMachines = make(map[types.ProcessID]*acs.Machine)
-		probe := acs.NewMachine(r.acsConfig(0))
-		maxTicks = probe.MaxTicks() + 4
+		maxTicks = acs.MaxTicks(r.params) + 4
 		factory = func(id types.ProcessID) proto.Machine {
 			m := acs.NewMachine(r.acsConfig(id))
 			r.acsMachines[id] = m

@@ -319,9 +319,11 @@ func TestCountOps(t *testing.T) {
 	if o.VerifyOps < o.SignOps {
 		t.Errorf("expected verify-heavy workload: sign=%d verify=%d", o.SignOps, o.VerifyOps)
 	}
-	// The cache deduplicates exactly those repeats: the same run with the
-	// fast path on must compute strictly fewer verifications.
-	cached, err := Run(Spec{Protocol: ProtocolBB, N: 9, CountOps: true})
+	// The cache deduplicates exactly those repeats where a lookup is
+	// cheaper than the check (real signatures): the same run with the fast
+	// path on must compute strictly fewer verifications. The operation
+	// demand itself does not depend on the scheme.
+	cached, err := Run(Spec{Protocol: ProtocolBB, N: 9, CountOps: true, Ed25519: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,6 +335,19 @@ func TestCountOps(t *testing.T) {
 	}
 	if o.CacheHits != 0 || o.CacheMisses != 0 {
 		t.Errorf("uncached run reported cache stats: hits=%d misses=%d", o.CacheHits, o.CacheMisses)
+	}
+	// On the HMAC ring with compact certificates nothing is worth
+	// memoizing: fast path on, every verification is still a real one and
+	// the cache is never consulted.
+	direct, err := Run(Spec{Protocol: ProtocolBB, N: 9, CountOps: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.VerifyOps != o.VerifyOps {
+		t.Errorf("HMAC ring: %d verifications computed with the fast path on, %d with it off", direct.VerifyOps, o.VerifyOps)
+	}
+	if direct.CacheHits != 0 || direct.CacheMisses != 0 || direct.CacheWaits != 0 {
+		t.Errorf("HMAC ring consulted the cache: hits=%d misses=%d waits=%d", direct.CacheHits, direct.CacheMisses, direct.CacheWaits)
 	}
 	// Without CountOps the fields stay zero.
 	o2, err := Run(Spec{Protocol: ProtocolBB, N: 9})

@@ -141,7 +141,9 @@ func outcomeDiff(a, b Outcome) string {
 
 // TestVerifyCacheSavesWork pins the fast path's raison d'être: with the
 // cache on, the computed verification count (VerifyOps under CountOps)
-// drops strictly below the uncached protocol demand on an aggregate run.
+// drops strictly below the uncached protocol demand on an aggregate run
+// over real signatures (the scheme whose every Verify goes through the
+// cache; the HMAC ring's go straight to the ring — TestCountOps).
 func TestVerifyCacheSavesWork(t *testing.T) {
 	spec := Spec{
 		Protocol: ProtocolBB,
@@ -149,6 +151,7 @@ func TestVerifyCacheSavesWork(t *testing.T) {
 		Value:    types.Value("v"),
 		CertMode: threshold.ModeAggregate,
 		CountOps: true,
+		Ed25519:  true,
 	}
 	cached, err := Run(spec)
 	if err != nil {

@@ -16,11 +16,15 @@ import (
 // by all machines of a run; it is safe for concurrent use.
 //
 // Unless disabled with WithoutVerifyCache, Crypto layers the verification
-// fast path (internal/crypto/verifycache) under every machine: Scheme is
-// the cache-wrapped signature scheme, and threshold schemes memoize whole
-// certificates and fan aggregate share checks across cores. Caching is
-// shared across all machines of the run — the point is that n processes
-// verifying the same bytes should pay for one verification, not n.
+// fast path (internal/crypto/verifycache) under every machine, wherever a
+// lookup is cheaper than the check it saves: Scheme is the cache-wrapped
+// signature scheme unless the scheme declares its own verification no
+// dearer than the key hash (sig.CheapVerify — the HMAC ring), in which
+// case Scheme is the scheme passed in and every verification is a real
+// one; threshold schemes memoize whole aggregate certificates and fan
+// their share checks across cores. Caching is shared across all machines
+// of the run — the point is that n processes verifying the same bytes
+// should pay for one verification, not n.
 type Crypto struct {
 	Params types.Params
 	Scheme sig.Scheme
@@ -85,7 +89,9 @@ func NewCrypto(params types.Params, scheme sig.Scheme, mode threshold.Mode, deal
 	}
 	if !cfg.disableCache {
 		c.cache = verifycache.New(cfg.cacheCapacity)
-		c.Scheme = verifycache.WrapScheme(scheme, c.cache)
+		if !sig.CheapVerify(scheme) {
+			c.Scheme = verifycache.WrapScheme(scheme, c.cache)
+		}
 	}
 	c.signers = make([]sig.Signer, params.N+1)
 	for i := range c.signers[:params.N] {

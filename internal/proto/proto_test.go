@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"crypto/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -323,9 +324,14 @@ func TestCryptoThresholdPanicsOnInvalidK(t *testing.T) {
 	c.Threshold(0)
 }
 
+// TestCryptoVerifyCacheDefaultOn: a scheme that does not declare its
+// verification cheap (real signatures) is cache-wrapped by default.
 func TestCryptoVerifyCacheDefaultOn(t *testing.T) {
 	params, _ := types.NewParams(7)
-	ring, _ := sig.NewHMACRing(7, []byte("s"))
+	ring, err := sig.NewEd25519Ring(7, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := NewCrypto(params, ring, threshold.ModeAggregate, nil)
 	if !c.VerifyCacheEnabled() {
 		t.Fatal("verify cache not enabled by default")
@@ -346,6 +352,93 @@ func TestCryptoVerifyCacheDefaultOn(t *testing.T) {
 	st, ok := c.VerifyCacheStats()
 	if !ok || st.Misses != 1 || st.Hits != 2 {
 		t.Errorf("stats = %+v ok=%v, want 1 miss / 2 hits", st, ok)
+	}
+}
+
+// TestCryptoForgerySweep flips every single bit of the signer, the message
+// and the signature of a valid triple and expects each variant refused, on
+// both verification paths NewCrypto chooses between: the HMAC ring, which
+// declares its verification cheap, is Crypto.Scheme itself — every check a
+// real one, the cache never consulted, also behind the op counter, which
+// answers for the ring it wraps — and the Ed25519 ring is verified through
+// the cache, where a remembered positive must not vouch for other bytes.
+func TestCryptoForgerySweep(t *testing.T) {
+	const n = 7
+	params, _ := types.NewParams(n)
+	hm, _ := sig.NewHMACRing(n, []byte("s"))
+	ed, err := sig.NewEd25519Ring(n, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		scheme sig.Scheme
+		direct bool
+	}{
+		{"hmac", hm, true},
+		{"hmac+count", sig.NewCounting(hm), true},
+		{"ed25519", ed, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCrypto(params, tc.scheme, threshold.ModeCompact, []byte("d"))
+			if !c.VerifyCacheEnabled() {
+				t.Fatal("fast path off by default")
+			}
+			if got := c.Scheme == tc.scheme; got != tc.direct {
+				t.Fatalf("Scheme is the scheme passed in: %t, want %t", got, tc.direct)
+			}
+			const signer = types.ProcessID(2)
+			msg := []byte("transfer 10 coins to p2")
+			sg, err := c.Signer(signer).Sign(msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			valid := func(when string) {
+				t.Helper()
+				for i := 0; i < 3; i++ {
+					if !c.Scheme.Verify(signer, msg, sg) {
+						t.Fatalf("valid signature rejected %s (check %d)", when, i)
+					}
+				}
+			}
+			valid("before the sweep")
+			for bit := 0; bit < 64; bit++ {
+				if other := signer ^ types.ProcessID(1)<<bit; c.Scheme.Verify(other, msg, sg) {
+					t.Errorf("accepted for signer %d (bit %d flipped)", other, bit)
+				}
+			}
+			for i := range msg {
+				for bit := 0; bit < 8; bit++ {
+					forged := append([]byte(nil), msg...)
+					forged[i] ^= 1 << bit
+					if c.Scheme.Verify(signer, forged, sg) {
+						t.Errorf("accepted for a message with byte %d bit %d flipped", i, bit)
+					}
+				}
+			}
+			for i := range sg {
+				for bit := 0; bit < 8; bit++ {
+					forged := sg.Clone()
+					forged[i] ^= 1 << bit
+					if c.Scheme.Verify(signer, msg, forged) {
+						t.Errorf("accepted a signature with byte %d bit %d flipped", i, bit)
+					}
+				}
+			}
+			valid("after the sweep")
+
+			st, ok := c.VerifyCacheStats()
+			if !ok {
+				t.Fatal("no stats with the fast path on")
+			}
+			lookups := st.Hits + st.Misses + st.InflightWaits
+			if tc.direct && lookups != 0 {
+				t.Errorf("cheap-verify scheme consulted the cache: %+v", st)
+			}
+			if !tc.direct && (st.Hits < 5 || st.Misses < 1) {
+				t.Errorf("cached scheme: stats = %+v, want the six valid checks served by one miss", st)
+			}
+		})
 	}
 }
 

@@ -78,12 +78,15 @@ func (e *AuditEntry) computeHash() [32]byte {
 	return out
 }
 
-// Audit is an append-only, fsync'd, hash-chained log file.
+// Audit is an append-only, fsync'd, hash-chained log file. The chain
+// lives on disk; in memory the log keeps only what extending it needs —
+// the next sequence number and the tip — so a long-running server's
+// footprint does not grow with its history (ReloadFromDisk reads it back).
 type Audit struct {
-	path    string
-	f       *os.File
-	entries []AuditEntry
-	tip     [32]byte // hash of the last entry (zero when empty)
+	path string
+	f    *os.File
+	n    int      // entries chained so far
+	tip  [32]byte // hash of the last entry (zero when empty)
 }
 
 // OpenAudit opens (creating if needed) the audit log at path, loading
@@ -103,9 +106,8 @@ func OpenAudit(path string) (*Audit, error) {
 		if err := VerifyChain(entries); err != nil {
 			return nil, err
 		}
-		a.entries = entries
-		if n := len(entries); n > 0 {
-			a.tip = entries[n-1].Hash
+		if a.n = len(entries); a.n > 0 {
+			a.tip = entries[a.n-1].Hash
 		}
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
@@ -120,15 +122,12 @@ func OpenAudit(path string) (*Audit, error) {
 func (a *Audit) Close() error { return a.f.Close() }
 
 // Len returns the number of chained entries.
-func (a *Audit) Len() int { return len(a.entries) }
-
-// Entries returns the in-memory chain (callers must not mutate).
-func (a *Audit) Entries() []AuditEntry { return a.entries }
+func (a *Audit) Len() int { return a.n }
 
 // Append chains and durably appends one entry. Seq, Prev, and Hash are
 // assigned here; the caller fills the record fields.
 func (a *Audit) Append(e AuditEntry) (AuditEntry, error) {
-	e.Seq = len(a.entries)
+	e.Seq = a.n
 	e.Prev = a.tip
 	e.Hash = e.computeHash()
 	w := wire.NewWriter()
@@ -139,7 +138,7 @@ func (a *Audit) Append(e AuditEntry) (AuditEntry, error) {
 	if err := a.f.Sync(); err != nil {
 		return e, fmt.Errorf("service: audit append: %w", err)
 	}
-	a.entries = append(a.entries, e)
+	a.n++
 	a.tip = e.Hash
 	return e, nil
 }
@@ -187,7 +186,7 @@ func VerifyAgainst(entries []AuditEntry, blobs *blob.Store) (badBlobs []int, err
 
 // ReloadFromDisk re-reads and re-verifies the on-disk file — the
 // external auditor's view, used by Verify to catch tampering that
-// happened after entries were cached in memory.
+// happened after entries were appended.
 func (a *Audit) ReloadFromDisk() ([]AuditEntry, error) {
 	data, err := os.ReadFile(a.path)
 	if err != nil {

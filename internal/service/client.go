@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -51,6 +52,7 @@ type ClientConfig struct {
 type Client struct {
 	cfg  ClientConfig
 	conn net.Conn
+	br   *bufio.Reader // conn, buffered: one read per frame, not one per prefix and one per body
 	fr   transport.FrameReader
 	id   int
 	seq  int
@@ -69,13 +71,13 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: dial %s: %w", addr, err)
 	}
-	c := &Client{cfg: cfg, conn: conn}
+	c := &Client{cfg: cfg, conn: conn, br: bufio.NewReader(conn)}
 	if err := transport.WriteFrame(conn, FrameHello, nil); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("service: hello: %w", err)
 	}
 	conn.SetReadDeadline(time.Now().Add(cfg.Timeout))
-	kind, body, err := c.fr.Read(conn)
+	kind, body, err := c.fr.Read(c.br)
 	if err != nil || kind != FrameWelcome {
 		conn.Close()
 		return nil, fmt.Errorf("service: handshake failed: %v", err)
@@ -116,7 +118,7 @@ func (c *Client) Do(ctx context.Context, op byte, key, value []byte) (*Response,
 		}
 		for {
 			c.conn.SetReadDeadline(deadline)
-			kind, body, err := c.fr.Read(c.conn)
+			kind, body, err := c.fr.Read(c.br)
 			if err != nil {
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					if cerr := ctx.Err(); cerr != nil {

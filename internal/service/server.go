@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -301,8 +302,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	defer s.untrack(conn)
 
+	// Frames are read through one buffer: a frame is a 4-byte prefix and a
+	// body, two reads each if taken from the socket, and a pipelining
+	// client's whole burst usually arrives in one segment.
 	var fr transport.FrameReader
-	kind, _, err := fr.Read(conn)
+	br := bufio.NewReader(conn)
+	kind, _, err := fr.Read(br)
 	if err != nil || kind != FrameHello {
 		return
 	}
@@ -329,11 +334,21 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
+		// Replies queued behind one another leave in one write: the
+		// buffer is flushed whenever the outbox is found empty, so a
+		// lone reply is not delayed and a burst's replies share a
+		// segment.
+		bw := bufio.NewWriter(conn)
 		for {
 			select {
 			case body := <-sc.out:
-				if err := transport.WriteFrame(conn, FrameResponse, body); err != nil {
+				if err := transport.WriteFrame(bw, FrameResponse, body); err != nil {
 					return
+				}
+				if len(sc.out) == 0 {
+					if err := bw.Flush(); err != nil {
+						return
+					}
 				}
 			case <-sc.quit:
 				return
@@ -344,7 +359,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	for {
-		kind, body, err := fr.Read(conn)
+		kind, body, err := fr.Read(br)
 		if err != nil {
 			return
 		}

@@ -1,12 +1,16 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -390,7 +394,7 @@ func TestDedupReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	kind, body, err := c.fr.Read(c.conn)
+	kind, body, err := c.fr.Read(c.br)
 	if err != nil || kind != FrameResponse {
 		t.Fatalf("replay read: kind=%d err=%v", kind, err)
 	}
@@ -429,7 +433,7 @@ func TestDedupWindowEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	kind, body, err := c.fr.Read(c.conn)
+	kind, body, err := c.fr.Read(c.br)
 	if err != nil || kind != FrameResponse {
 		t.Fatalf("read: %v", err)
 	}
@@ -604,7 +608,7 @@ func TestPipelinedRepliesNeverGap(t *testing.T) {
 	c.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	got := 0
 	for got < depth {
-		kind, body, err := c.fr.Read(c.conn)
+		kind, body, err := c.fr.Read(c.br)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -637,4 +641,247 @@ func TestPipelinedRepliesNeverGap(t *testing.T) {
 	if err := c2.Put([]byte("after"), []byte("v")); err != nil {
 		t.Fatalf("server unusable after the overflowing client: %v", err)
 	}
+}
+
+// TestAuditMemoryBounded: the live audit log keeps a counter and the chain
+// tip, not the chain (ROADMAP 4(iii): every AuditEntry used to stay in
+// memory for good, ~170 B and a key per committed write). 10 000 appends
+// may grow the heap by a fixed amount only, across a Close/OpenAudit in
+// the middle, and the chain an auditor reads back is whole.
+func TestAuditMemoryBounded(t *testing.T) {
+	const total, heapBound = 10000, 256 << 10
+	dir := t.TempDir()
+	if shm, err := os.MkdirTemp("/dev/shm", "audit-test"); err == nil {
+		// 10 000 fsyncs: free on tmpfs, seconds on a disk.
+		t.Cleanup(func() { os.RemoveAll(shm) })
+		dir = shm
+	}
+	path := filepath.Join(dir, "audit.log")
+	a, err := OpenAudit(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := bytes.Repeat([]byte("k"), 32)
+	appendUpTo := func(n int) {
+		t.Helper()
+		for i := a.Len(); i < n; i++ {
+			e, err := a.Append(AuditEntry{Slot: i, Op: OpPut, Key: key, Anchor: blob.Sum(key)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Seq != i {
+				t.Fatalf("entry %d chained at seq %d", i, e.Seq)
+			}
+		}
+	}
+	appendUpTo(16) // first-use state (pooled writers) is not growth
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	appendUpTo(total / 2)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap grew %d B over %d appends (bound %d)", grew, total/2-16, heapBound)
+	if grew > heapBound {
+		t.Errorf("heap grew %d B over %d appends, bound %d", grew, total/2-16, heapBound)
+	}
+
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if a, err = OpenAudit(path); err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if a.Len() != total/2 {
+		t.Fatalf("reopened with %d entries, want %d", a.Len(), total/2)
+	}
+	appendUpTo(total)
+	if a.Len() != total {
+		t.Fatalf("Len = %d, want %d", a.Len(), total)
+	}
+	entries, err := a.ReloadFromDisk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != total {
+		t.Fatalf("auditor reads %d entries, want %d", len(entries), total)
+	}
+	if err := VerifyChain(entries); err != nil {
+		t.Fatalf("chain across the reopen: %v", err)
+	}
+}
+
+// gatedConn is the server's end of a connection with its Write calls
+// counted. The first Write (the welcome frame) goes through; the second
+// waits for release — a stand-in for a socket whose send takes a while,
+// which holds the connection's writer goroutine mid-flush so that what
+// the run loop queues meanwhile is in the outbox, deterministically, when
+// the writer comes back for it.
+type gatedConn struct {
+	net.Conn
+	writes  atomic.Int64
+	closed  atomic.Bool
+	gate    chan struct{}
+	release sync.Once
+}
+
+func (c *gatedConn) open() { c.release.Do(func() { close(c.gate) }) }
+
+func (c *gatedConn) Write(p []byte) (int, error) {
+	if c.writes.Add(1) == 2 {
+		<-c.gate
+	}
+	return c.Conn.Write(p)
+}
+
+func (c *gatedConn) Close() error {
+	c.closed.Store(true)
+	c.open()
+	return c.Conn.Close()
+}
+
+// serveGated hands s a connection whose server end is a gatedConn and
+// returns it with the client end, handshake done.
+func serveGated(t *testing.T, s *Server) (*gatedConn, net.Conn, *bufio.Reader, int) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cli, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	srv, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := &gatedConn{Conn: srv, gate: make(chan struct{})}
+	t.Cleanup(gc.open)
+	s.wg.Add(1)
+	go s.serveConn(gc)
+
+	if err := transport.WriteFrame(cli, FrameHello, nil); err != nil {
+		t.Fatal(err)
+	}
+	cli.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(cli)
+	var fr transport.FrameReader
+	kind, body, err := fr.Read(br)
+	if err != nil || kind != FrameWelcome {
+		t.Fatalf("handshake: kind %d, %v", kind, err)
+	}
+	id, err := decodeWelcome(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gc, cli, br, id
+}
+
+// pipelinePuts writes puts seq from..to in one TCP write.
+func pipelinePuts(t *testing.T, conn net.Conn, client, from, to int) {
+	t.Helper()
+	var pipeline bytes.Buffer
+	for seq := from; seq <= to; seq++ {
+		req := EncodeRequest(&Request{
+			Client: client, Seq: seq, Op: ReqPut,
+			Key: []byte(fmt.Sprintf("k%03d", seq)), Value: []byte("v"),
+		})
+		if err := transport.WriteFrame(&pipeline, FrameRequest, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(pipeline.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBurstRepliesShareWrites: the replies to a pipelined burst leave in
+// as many writes as the writer found its outbox empty, not one each. With
+// the writer held in its first flush until all 32 puts are committed and
+// answered, that is two writes (four allowed: the welcome is the gated
+// connection's first), the replies in seq order.
+func TestBurstRepliesShareWrites(t *testing.T) {
+	const burst = 32
+	s := startServer(t, nil)
+	gc, cli, br, id := serveGated(t, s)
+	pipelinePuts(t, cli, id, 1, burst)
+	// Audit entries appear inside a flush and Inspect runs between
+	// flushes, so seeing all of them means every reply is queued.
+	for deadline := time.Now().Add(5 * time.Second); coreAuditLen(s) < burst; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d puts committed", coreAuditLen(s), burst)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gc.open()
+
+	var fr transport.FrameReader
+	for seq := 1; seq <= burst; seq++ {
+		kind, body, err := fr.Read(br)
+		if err != nil || kind != FrameResponse {
+			t.Fatalf("reply %d: kind %d, %v", seq, kind, err)
+		}
+		resp, err := DecodeResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Seq != seq || resp.Status != StatusOK {
+			t.Fatalf("reply %d: %+v", seq, resp)
+		}
+	}
+	if w := gc.writes.Load() - 1; w > 4 {
+		t.Errorf("%d replies took %d writes, want at most 4", burst, w)
+	} else {
+		t.Logf("%d replies in %d writes", burst, w)
+	}
+}
+
+// TestFullOutboxStillDisconnects: buffering the writes must not turn the
+// full-outbox rule into a drop. With the writer stuck flushing the first
+// reply, the replies to 100 more puts overrun the 64-frame outbox and
+// close the connection; the client sees the stream end, not a gap.
+func TestFullOutboxStillDisconnects(t *testing.T) {
+	const depth = 101
+	s := startServer(t, func(cfg *ServerConfig) {
+		cfg.Core.Batch = 64
+		cfg.MaxBatch = 256
+	})
+	gc, cli, br, id := serveGated(t, s)
+	pipelinePuts(t, cli, id, 1, 1)
+	for deadline := time.Now().Add(5 * time.Second); gc.writes.Load() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("the first reply was never written")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	pipelinePuts(t, cli, id, 2, depth)
+
+	var fr transport.FrameReader
+	got := 0
+	for ; got <= depth; got++ {
+		kind, body, err := fr.Read(br)
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("connection open but stalled after %d replies", got)
+			}
+			break
+		}
+		resp, err := DecodeResponse(body)
+		if err != nil || kind != FrameResponse || resp.Seq != got+1 {
+			t.Fatalf("reply %d: kind %d, %+v, %v", got+1, kind, resp, err)
+		}
+	}
+	if got >= depth {
+		t.Fatalf("all %d replies arrived through a 64-frame outbox and a stuck writer", got)
+	}
+	if !gc.closed.Load() {
+		t.Error("stream ended but the server never closed the connection")
+	}
+	t.Logf("%d of %d replies, then a disconnect", got, depth)
 }

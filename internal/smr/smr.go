@@ -90,11 +90,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	}
 	slotTicks := cfg.SlotTicks
 	if slotTicks <= 0 {
-		probe := bb.NewMachine(bb.Config{
-			Params: cfg.Params, Crypto: cfg.Crypto, ID: cfg.ID,
-			Sender: 0, Tag: cfg.Tag + "/probe",
-		})
-		slotTicks = probe.MaxTicks()
+		slotTicks = bb.MaxTicks(cfg.Params, 0, 0)
 	}
 	stride := cfg.Stride
 	if stride <= 0 {
