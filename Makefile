@@ -152,7 +152,7 @@ race-guard:
 	guard ./internal/transport 'TestChaos' -race; \
 	guard './internal/engine ./internal/harness' 'TestEngineDeterminism|TestRunEngineMatchesSolo' -race; \
 	guard ./internal/acs 'TestACSDeterministicAcrossWorkers|TestACSLateBroadcastTraffic' -race; \
-	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract' -race; \
+	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract|TestReplicatedLogOverTCP|TestRunLogEmptyQueueCommitsBottom' -race; \
 	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity|TestCryptoForgerySweep' -race; \
 	guard ./internal/core/bb 'TestValidatorMemo' -race
 

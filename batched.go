@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"adaptiveba/internal/engine"
-	"adaptiveba/internal/types"
 )
 
 // WithBatch sets how many commands each proposer packs into its per-round
@@ -74,18 +73,9 @@ type BatchResult struct {
 // granularity) with ErrCanceled.
 func ReplicateBatchContext(ctx context.Context, n int, queues [][][]byte, rounds int, opts ...Option) (*BatchResult, error) {
 	merged := buildOptions(n, opts)
-	spec, err := baseSpec(merged)
+	cfg, err := engineConfig(ctx, merged)
 	if err != nil {
 		return nil, err
-	}
-	var leader bool
-	switch merged.pattern {
-	case "", FaultCrash:
-	case FaultCrashLeader:
-		leader = true
-	default:
-		return nil, fmt.Errorf("%w: pattern %q is not supported by batched runs (crash patterns only)",
-			ErrOptions, merged.pattern)
 	}
 	batch := merged.batch
 	if batch == 0 {
@@ -101,25 +91,13 @@ func ReplicateBatchContext(ctx context.Context, n int, queues [][][]byte, rounds
 		return nil, fmt.Errorf("%w: need at least one round", ErrInputs)
 	}
 
-	qs := make([][]types.Value, n)
-	for i, q := range queues {
-		qs[i] = make([]types.Value, 0, len(q))
-		for _, c := range q {
-			qs[i] = append(qs[i], types.Value(c).Clone())
-		}
-	}
-
-	rep, err := engine.RunACSLog(engine.Config{
-		N: n, T: merged.threshold, F: spec.F, LeaderFault: leader,
-		Inflight: merged.inflight, Seed: merged.seed,
-		Ed25519: merged.realSignatures, Trace: merged.trace,
-		Halt: haltFrom(ctx),
-	}, qs, rounds, batch)
+	rep, err := engine.RunACSLog(cfg, cloneQueues(queues), rounds, batch)
 	if err != nil {
 		return nil, mapCanceled(ctx, err)
 	}
 
 	out := &BatchResult{
+		Entries:   logEntries(rep.Entries),
 		Agreement: rep.Converged,
 		Committed: rep.Committed,
 		SubsetMin: rep.SubsetMin,
@@ -129,13 +107,6 @@ func ReplicateBatchContext(ctx context.Context, n int, queues [][][]byte, rounds
 	}
 	for _, r := range rep.Rounds {
 		out.Rounds = append(out.Rounds, BatchRound{Round: r.Round, Subset: r.Subset, Requests: r.Requests})
-	}
-	for _, e := range rep.Entries {
-		out.Entries = append(out.Entries, LogEntry{
-			Slot:     e.Slot,
-			Proposer: int(e.Proposer),
-			Command:  append([]byte(nil), e.Command...),
-		})
 	}
 	if out.Committed > 0 {
 		out.WordsPerCommit = float64(out.Words) / float64(out.Committed)

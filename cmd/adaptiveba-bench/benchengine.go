@@ -102,7 +102,7 @@ func runBenchEngineJSON(out io.Writer, path string, ns []int, slots int, windows
 				return fmt.Errorf("n=%d inflight=%d: %w", n, w, err)
 			}
 			er := lr.Engine
-			if !lr.Converged || er.TimedOut {
+			if !lr.Converged {
 				return fmt.Errorf("n=%d inflight=%d: log did not converge", n, w)
 			}
 			arm := engineBenchArm{

@@ -16,7 +16,6 @@ import (
 
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/kv"
-	"adaptiveba/internal/smr"
 	"adaptiveba/internal/types"
 )
 
@@ -30,28 +29,15 @@ type ACSRound struct {
 	Requests int
 }
 
-// ACSLogReport is the outcome of a batched (ACS) log run.
+// ACSLogReport is the outcome of a batched (ACS) log run. Its Entries
+// are the winning batches of every round, flattened one entry per
+// command in (round, proposer, position) order.
 type ACSLogReport struct {
-	Engine *Report
+	LogReport
 	Rounds []ACSRound
-	// Entries is the committed log: the winning batches of every round,
-	// flattened one entry per command in (round, proposer, position)
-	// order.
-	Entries []smr.Entry
-	// Committed counts the committed commands across all rounds.
-	Committed int
 	// SubsetMin is the smallest committed subset over all converged
 	// rounds (n+1 if no round converged).
 	SubsetMin int
-	// Converged reports that every round reached agreement with every
-	// honest process decided.
-	Converged bool
-	// StateHash is the canonical digest of the kv state machine after
-	// replaying the log — the cheap cross-run convergence check.
-	StateHash string
-	// RejectedCommands lists commands the kv state machine refused
-	// (deterministically, identically on every replica).
-	RejectedCommands []error
 }
 
 // RunACSLog drives a batched replicated log of `rounds` ACS rounds:
@@ -65,7 +51,7 @@ func RunACSLog(cfg Config, queues [][]types.Value, rounds, batch int) (*ACSLogRe
 	if batch < 1 {
 		return nil, fmt.Errorf("%w: batch must be >= 1, got %d", ErrConfig, batch)
 	}
-	if len(queues) > cfg.N {
+	if cfg.N < 1 || len(queues) > cfg.N {
 		return nil, fmt.Errorf("%w: %d queues for n=%d", ErrConfig, len(queues), cfg.N)
 	}
 	reqs := make([]Request, rounds)
@@ -88,45 +74,31 @@ func RunACSLog(cfg Config, queues [][]types.Value, rounds, batch int) (*ACSLogRe
 		reqs[r] = Request{Kind: KindACS, Inputs: inputs}
 	}
 
-	rep, err := Run(cfg, reqs)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &ACSLogReport{
-		Engine:    rep,
-		Rounds:    make([]ACSRound, rounds),
-		Converged: true,
-		SubsetMin: cfg.N + 1,
-	}
-	for r := range rep.Sessions {
-		sess := &rep.Sessions[r]
-		out.Rounds[r] = ACSRound{Round: r}
+	out := &ACSLogReport{Rounds: make([]ACSRound, rounds), SubsetMin: cfg.N + 1}
+	err := out.drive(cfg, reqs, func(r int, sess *SessionResult) error {
+		round := &out.Rounds[r]
+		round.Round = r
 		if !sess.Agreement || !sess.AllDecided {
-			out.Converged = false
-			continue
+			return nil
 		}
 		result, err := acs.DecodeResult(sess.Decision)
 		if err != nil {
-			return nil, fmt.Errorf("engine: round %d decided a malformed result: %w", r, err)
+			return fmt.Errorf("engine: round %d decided a malformed result: %w", r, err)
 		}
-		round := &out.Rounds[r]
 		round.Subset = result.Committed.Count()
-		if round.Subset < out.SubsetMin {
-			out.SubsetMin = round.Subset
-		}
+		out.SubsetMin = min(out.SubsetMin, round.Subset)
 		proposers := result.Committed.Members()
 		for bi, enc := range result.Batches {
 			b, err := acs.DecodeBatch(enc)
 			if err != nil {
-				return nil, fmt.Errorf("engine: round %d batch %d malformed: %w", r, bi, err)
+				return fmt.Errorf("engine: round %d batch %d malformed: %w", r, bi, err)
 			}
 			var proposer types.ProcessID
 			if bi < len(proposers) {
 				proposer = proposers[bi]
 			}
 			for _, cmd := range b.Cmds {
-				out.Entries = append(out.Entries, smr.Entry{
+				out.Entries = append(out.Entries, kv.Entry{
 					Slot:     len(out.Entries),
 					Proposer: proposer,
 					Command:  cmd.Clone(),
@@ -135,9 +107,10 @@ func RunACSLog(cfg Config, queues [][]types.Value, rounds, batch int) (*ACSLogRe
 			}
 		}
 		out.Committed += round.Requests
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	store, rejected := kv.Replay(out.Entries)
-	out.StateHash = store.Hash()
-	out.RejectedCommands = rejected
 	return out, nil
 }

@@ -160,7 +160,8 @@ func TestRunACSLogThroughput(t *testing.T) {
 	}
 }
 
-// TestRunACSLogRejectsBadConfig covers the argument validation.
+// TestRunACSLogRejectsBadConfig covers the argument validation of both
+// log drivers.
 func TestRunACSLogRejectsBadConfig(t *testing.T) {
 	if _, err := RunACSLog(Config{N: 5}, nil, 0, 1); err == nil {
 		t.Error("rounds=0 accepted")
@@ -170,6 +171,18 @@ func TestRunACSLogRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := RunACSLog(Config{N: 3}, make([][]types.Value, 9), 1, 1); err == nil {
 		t.Error("more queues than processes accepted")
+	}
+	if _, err := RunACSLog(Config{}, nil, 1, 1); err == nil {
+		t.Error("n=0 accepted")
+	}
+	if _, err := RunLog(Config{N: 5}, nil, 0); err == nil {
+		t.Error("log: slots=0 accepted")
+	}
+	if _, err := RunLog(Config{N: 3}, make([][]types.Value, 9), 1); err == nil {
+		t.Error("log: more queues than processes accepted")
+	}
+	if _, err := RunLog(Config{}, nil, 1); err == nil {
+		t.Error("log: n=0 accepted")
 	}
 }
 

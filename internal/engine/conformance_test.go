@@ -19,7 +19,6 @@ import (
 	"adaptiveba/internal/fallback"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/sim"
-	"adaptiveba/internal/smr"
 	"adaptiveba/internal/transport"
 	"adaptiveba/internal/types"
 )
@@ -194,7 +193,7 @@ func bit(alt bool) types.Value {
 }
 
 // procKind is engine.procMachine over four queued sessions, one of each
-// kind, through a window of two — built field by field as Run does.
+// kind, through a window of two — on the schedule Run would plan.
 var procKind = conformanceKind{"engine-static", "s2/fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
 	batch := func(p int) types.Value {
 		return acs.EncodeBatch([]types.Value{types.Value(fmt.Sprintf("SET k%d %s", p, pick(alt, "v", "w")))})
@@ -203,34 +202,16 @@ var procKind = conformanceKind{"engine-static", "s2/fb/i1", func(crypto *proto.C
 	for p := range inputs {
 		inputs[p] = batch(p)
 	}
-	b := &builder{params: params, crypto: crypto, tag: "c", reqs: []Request{
+	sched, err := plan(&builder{params: params, crypto: crypto, tag: "c", reqs: []Request{
 		{Kind: KindACS, Inputs: inputs},
 		{Kind: KindBB, Sender: 0, Value: pick(alt, "cmd", "dmc")},
 		{Kind: KindStrongBA, Value: bit(alt)},
 		{Kind: KindWBA, Value: pick(alt, "w", "x")},
-	}}
-	const window = 2
-	var slot types.Tick
-	names := make([]string, len(b.reqs))
-	for k := range b.reqs {
-		d, err := b.duration(k)
-		if err != nil {
-			panic(err)
-		}
-		if d > slot {
-			slot = d
-		}
-		names[k] = fmt.Sprintf("s%d", k)
+	}}, 2)
+	if err != nil {
+		panic(err)
 	}
-	stride := (slot + window - 1) / window
-	starts := make([]types.Tick, len(names))
-	for k := range starts {
-		starts[k] = types.Tick(k) * stride
-	}
-	return &procMachine{
-		id: id, build: b.machine, starts: starts, names: names, duration: slot,
-		mux: proto.NewMux(), children: make([]proto.Machine, len(names)),
-	}, starts[len(starts)-1] + 2*slot
+	return sched.root(id), sched.budget
 }}
 
 var conformanceKinds = []conformanceKind{
@@ -272,15 +253,16 @@ var conformanceKinds = []conformanceKind{
 		return m, m.MaxTicks()
 	}},
 	procKind,
+	// The replicated log RunLog drives: three BB slots with rotating
+	// proposers, one at a time; p2's queue is empty, so its slot
+	// broadcasts ⊥.
 	{"smr", "s0/wba/fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
-		m, err := smr.NewMachine(smr.Config{
-			Params: params, Crypto: crypto, ID: id, Tag: "c", Slots: 3,
-			Queue: []types.Value{pick(alt, "SET a 1", "SET a 2")},
-		})
+		cmd := pick(alt, "SET a 1", "SET a 2")
+		sched, err := plan(&builder{params: params, crypto: crypto, tag: "c", reqs: logRequests(params.N, [][]types.Value{{cmd}, {cmd}}, 3)}, 1)
 		if err != nil {
 			panic(err)
 		}
-		return m, m.MaxTicks()
+		return sched.root(id), sched.budget
 	}},
 }
 

@@ -77,8 +77,9 @@ type Request struct {
 	Kind Kind
 	// Sender is the BB designated sender (KindBB only).
 	Sender types.ProcessID
-	// Value is the BB broadcast value / unanimous agreement input
-	// (default "v"; binary protocols use 1).
+	// Value is the BB broadcast value / unanimous agreement input; nil
+	// is ⊥ (a sender with nothing to broadcast), and the binary protocols
+	// read anything but 0 or 1 as 1.
 	Value types.Value
 	// Inputs, when non-nil, assigns each process its own input (length
 	// N) and overrides Value for the agreement protocols.
@@ -288,48 +289,19 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	}
 
 	b := &builder{params: params, crypto: crypto, tag: tag, reqs: reqs[:accepted]}
-	var slotTicks types.Tick
-	for k := range b.reqs {
-		d, err := b.duration(k)
-		if err != nil {
-			return nil, err
-		}
-		if d > slotTicks {
-			slotTicks = d
-		}
+	sched, err := plan(b, window)
+	if err != nil {
+		return nil, err
 	}
-	names := make([]string, accepted)
-	for k := range names {
-		names[k] = "s" + strconv.Itoa(k)
-	}
-	stride := (slotTicks + types.Tick(window) - 1) / types.Tick(window)
-	if stride < 1 {
-		stride = 1
-	}
-	starts := make([]types.Tick, accepted)
-	for k := range starts {
-		starts[k] = types.Tick(k) * stride
-	}
-	maxTicks := starts[accepted-1] + 2*slotTicks
-
 	procs := make([]*procMachine, cfg.N)
 	factory := func(id types.ProcessID) proto.Machine {
-		p := &procMachine{
-			id:       id,
-			build:    b.machine,
-			starts:   starts,
-			names:    names,
-			duration: slotTicks,
-			mux:      proto.NewMux(),
-			children: make([]proto.Machine, accepted),
-		}
-		procs[id] = p
-		return p
+		procs[id] = sched.root(id)
+		return procs[id]
 	}
 
 	var adv sim.Adversary
 	if cfg.Adversary != nil {
-		adv = cfg.Adversary(maxTicks)
+		adv = cfg.Adversary(sched.budget)
 	} else if cfg.F > 0 {
 		ids := make([]types.ProcessID, 0, cfg.F)
 		start := 1
@@ -364,7 +336,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		Factory:   factory,
 		SizeOf:    sizeOf,
 		Adversary: adv,
-		MaxTicks:  maxTicks,
+		MaxTicks:  sched.budget,
 		Recorder:  rec,
 		Trace:     cfg.Trace,
 		Workers:   cfg.TickWorkers,
@@ -403,8 +375,8 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		Accepted:     accepted,
 		Rejected:     total - accepted,
 		Queued:       max(0, accepted-window),
-		Stride:       stride,
-		SessionTicks: slotTicks,
+		Stride:       sched.stride,
+		SessionTicks: sched.duration,
 		Ticks:        res.Ticks,
 		TimedOut:     res.TimedOut,
 		Metrics:      rec.Snapshot(),
@@ -421,7 +393,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 			continue
 		}
 		s.Queued = k >= window
-		s.Start = starts[k]
+		s.Start = sched.starts[k]
 		s.Decisions = make(map[types.ProcessID]types.Value)
 		s.AllDecided = true
 		for _, id := range res.Honest {
@@ -539,16 +511,10 @@ func (b *builder) inputFor(k int, id types.ProcessID, binary bool) types.Value {
 		}
 		return nil
 	}
-	if req.Value != nil {
-		if binary && !req.Value.IsBinary() {
-			return types.One
-		}
-		return req.Value
-	}
-	if binary {
+	if binary && !req.Value.IsBinary() {
 		return types.One
 	}
-	return types.Value("v")
+	return req.Value
 }
 
 // duration returns session k's worst-case schedule length (its
@@ -596,13 +562,9 @@ func (b *builder) machine(k int, id types.ProcessID) proto.Machine {
 
 func (b *builder) bbConfig(k int, id types.ProcessID) bb.Config {
 	req := &b.reqs[k]
-	value := req.Value
-	if value == nil {
-		value = types.Value("v")
-	}
 	return bb.Config{
 		Params: b.params, Crypto: b.crypto, ID: id,
-		Sender: req.Sender, Input: value, Tag: b.sessionTag(k),
+		Sender: req.Sender, Input: req.Value, Tag: b.sessionTag(k),
 	}
 }
 
@@ -641,16 +603,54 @@ func (b *builder) acsConfig(k int, id types.ProcessID) acs.Config {
 	}
 }
 
+// schedule is the static stride schedule of a run's sessions: with D the
+// worst-case duration of the longest session and W the window, session k
+// begins at k·ceil(D/W) and retires D ticks later, on every process.
+type schedule struct {
+	build    func(k int, id types.ProcessID) proto.Machine
+	names    []string
+	starts   []types.Tick
+	duration types.Tick // D
+	stride   types.Tick // ceil(D/W)
+	budget   types.Tick // the run's tick budget: the last start plus 2D
+}
+
+// plan validates b's requests and lays them out on the stride schedule of
+// a window of w ≥ 1 concurrent sessions.
+func plan(b *builder, w int) (*schedule, error) {
+	s := &schedule{
+		build:  b.machine,
+		names:  make([]string, len(b.reqs)),
+		starts: make([]types.Tick, len(b.reqs)),
+	}
+	for k := range b.reqs {
+		d, err := b.duration(k)
+		if err != nil {
+			return nil, err
+		}
+		s.duration = max(s.duration, d)
+		s.names[k] = "s" + strconv.Itoa(k)
+	}
+	s.stride = (s.duration + types.Tick(w) - 1) / types.Tick(w)
+	for k := range s.starts {
+		s.starts[k] = types.Tick(k) * s.stride
+	}
+	s.budget = s.starts[len(s.starts)-1] + 2*s.duration
+	return s, nil
+}
+
+// root builds process id's root machine on the schedule.
+func (s *schedule) root(id types.ProcessID) *procMachine {
+	return &procMachine{id: id, sched: s, mux: proto.NewMux(), children: make([]proto.Machine, len(s.starts))}
+}
+
 // procMachine is one process's root machine: a Mux of per-session
 // protocol machines on the stride schedule. Admission, service, and
 // retirement are pure functions of the tick, so all correct processes
 // transition in lockstep.
 type procMachine struct {
-	id       types.ProcessID
-	build    func(k int, id types.ProcessID) proto.Machine
-	starts   []types.Tick
-	names    []string
-	duration types.Tick
+	id    types.ProcessID
+	sched *schedule
 
 	mux      *proto.Mux
 	children []proto.Machine // retained past retirement for result extraction
@@ -667,12 +667,13 @@ func (p *procMachine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgo
 // admit opens every session scheduled at now, appending its Begin
 // traffic.
 func (p *procMachine) admit(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
-	for p.next < len(p.starts) && p.starts[p.next] == now {
+	s := p.sched
+	for p.next < len(s.starts) && s.starts[p.next] == now {
 		k := p.next
 		p.next++
-		m := p.build(k, p.id)
+		m := s.build(k, p.id)
 		p.children[k] = m
-		outs = p.mux.Add(p.names[k], m).Begin(now, outs)
+		outs = p.mux.Add(s.names[k], m).Begin(now, outs)
 	}
 	return outs
 }
@@ -682,8 +683,9 @@ func (p *procMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.
 	// out of budget), stragglers count as late. Newly admitted sessions
 	// Begin at now and are first stepped at now+1 — identical to a solo
 	// run beginning at that tick.
-	for p.retired < p.next && now >= p.starts[p.retired]+p.duration {
-		p.mux.Retire(p.names[p.retired])
+	s := p.sched
+	for p.retired < p.next && now >= s.starts[p.retired]+s.duration {
+		p.mux.Retire(s.names[p.retired])
 		p.retired++
 	}
 	return p.admit(now, p.mux.Tick(now, inbox, outs))
@@ -711,5 +713,5 @@ func (p *procMachine) Output() (types.Value, bool) {
 }
 
 func (p *procMachine) Done() bool {
-	return p.next == len(p.starts) && p.mux.Done()
+	return p.next == len(p.sched.starts) && p.mux.Done()
 }

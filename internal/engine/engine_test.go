@@ -219,15 +219,12 @@ func checkSteadyTickAllocs(t *testing.T, what string, p *procMachine, now types.
 // retirement scan, demux, child stepping — allocates nothing. CI runs
 // this as the engine alloc-guard.
 func TestEngineSteadyStateAllocs(t *testing.T) {
-	p := &procMachine{
-		id:       0,
+	p := (&schedule{
 		build:    func(int, types.ProcessID) proto.Machine { return idleMachine{} },
 		starts:   []types.Tick{0, 2, 4, 6},
 		names:    []string{"s0", "s1", "s2", "s3"},
 		duration: 1 << 30,
-		mux:      proto.NewMux(),
-		children: make([]proto.Machine, 4),
-	}
+	}).root(0)
 	p.Begin(0, nil)
 	var now types.Tick
 	for now = 1; now < 10; now++ {
@@ -256,14 +253,12 @@ func (r *recordMachine) Tick(_ types.Tick, inbox []proto.Incoming, outs []proto.
 func TestQueuedAndRetiredSessionFrames(t *testing.T) {
 	const slot = 4
 	machines := []*recordMachine{{}, {}}
-	p := &procMachine{
+	p := (&schedule{
 		build:    func(k int, _ types.ProcessID) proto.Machine { return machines[k] },
 		starts:   []types.Tick{0, slot},
 		names:    []string{"s0", "s1"},
 		duration: slot,
-		mux:      proto.NewMux(),
-		children: make([]proto.Machine, 2),
-	}
+	}).root(0)
 	p.Begin(0, nil)
 	if p.next != 1 {
 		t.Fatalf("window-1 Begin admitted %d sessions, want 1", p.next)

@@ -12,17 +12,16 @@ import (
 	"fmt"
 
 	"adaptiveba/internal/kv"
-	"adaptiveba/internal/smr"
 	"adaptiveba/internal/types"
 )
 
-// LogReport is the outcome of a pipelined log run.
+// LogReport is the outcome of a replicated-log run.
 type LogReport struct {
 	Engine *Report
 	// Entries is the committed log, in slot order (⊥ marks slots whose
 	// proposer was faulty or had nothing to propose).
-	Entries []smr.Entry
-	// Committed counts the non-skipped commands.
+	Entries []kv.Entry
+	// Committed counts the committed commands.
 	Committed int
 	// Converged reports that every slot reached agreement with every
 	// honest process decided.
@@ -42,47 +41,68 @@ func RunLog(cfg Config, queues [][]types.Value, slots int) (*LogReport, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("%w: need at least one slot, got %d", ErrConfig, slots)
 	}
-	if len(queues) > cfg.N {
+	if cfg.N < 1 || len(queues) > cfg.N {
 		return nil, fmt.Errorf("%w: %d queues for n=%d", ErrConfig, len(queues), cfg.N)
 	}
-	reqs := make([]Request, slots)
-	pos := make([]int, cfg.N)
-	for s := range reqs {
-		proposer := s % cfg.N
+	out := &LogReport{Entries: make([]kv.Entry, slots)}
+	err := out.drive(cfg, logRequests(cfg.N, queues, slots), func(k int, s *SessionResult) error {
 		var cmd types.Value
-		if proposer < len(queues) && pos[proposer] < len(queues[proposer]) {
-			cmd = queues[proposer][pos[proposer]]
-			pos[proposer]++
+		if s.Agreement {
+			cmd = s.Decision.Clone()
 		}
-		reqs[s] = Request{Kind: KindBB, Sender: types.ProcessID(proposer), Value: cmd}
-	}
-
-	rep, err := Run(cfg, reqs)
-	if err != nil {
-		return nil, err
-	}
-
-	out := &LogReport{
-		Engine:    rep,
-		Entries:   make([]smr.Entry, slots),
-		Converged: true,
-	}
-	for s := range rep.Sessions {
-		sess := &rep.Sessions[s]
-		if !sess.Agreement || !sess.AllDecided {
-			out.Converged = false
-		}
-		var cmd types.Value
-		if sess.Agreement {
-			cmd = sess.Decision.Clone()
-		}
-		out.Entries[s] = smr.Entry{Slot: s, Proposer: types.ProcessID(s % cfg.N), Command: cmd}
+		out.Entries[k] = kv.Entry{Slot: k, Proposer: types.ProcessID(k % cfg.N), Command: cmd}
 		if !cmd.IsBottom() {
 			out.Committed++
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// logRequests assigns slot s to proposer p_{s mod n}, which broadcasts its
+// next queued command, or ⊥ once its queue is drained.
+func logRequests(n int, queues [][]types.Value, slots int) []Request {
+	reqs := make([]Request, slots)
+	pos := make([]int, n)
+	for s := range reqs {
+		p := s % n
+		var cmd types.Value
+		if p < len(queues) && pos[p] < len(queues[p]) {
+			cmd = queues[p][pos[p]]
+			pos[p]++
+		}
+		reqs[s] = Request{Kind: KindBB, Sender: types.ProcessID(p), Value: cmd}
+	}
+	return reqs
+}
+
+// drive is the driver both logs share: it runs reqs on the engine, hands
+// every session to commit in slot order to append its entries, and
+// replays the entries through the kv state machine. A run that used up
+// its tick budget before the log converged is an error; one whose
+// adversary merely kept talking past a converged log is not.
+func (out *LogReport) drive(cfg Config, reqs []Request, commit func(k int, s *SessionResult) error) error {
+	rep, err := Run(cfg, reqs)
+	if err != nil {
+		return err
+	}
+	out.Engine, out.Converged = rep, true
+	for k := range rep.Sessions {
+		s := &rep.Sessions[k]
+		if !s.Agreement || !s.AllDecided {
+			out.Converged = false
+		}
+		if err := commit(k, s); err != nil {
+			return err
+		}
+	}
+	if rep.TimedOut && !out.Converged {
+		return fmt.Errorf("engine: log of %d slots did not converge within its %d-tick budget", len(reqs), rep.Ticks)
 	}
 	store, rejected := kv.Replay(out.Entries)
-	out.StateHash = store.Hash()
-	out.RejectedCommands = rejected
-	return out, nil
+	out.StateHash, out.RejectedCommands = store.Hash(), rejected
+	return nil
 }

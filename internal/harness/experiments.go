@@ -8,15 +8,14 @@ import (
 	"sort"
 	"strings"
 
-	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/core/valid"
 	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
+	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/sim"
-	"adaptiveba/internal/smr"
 	"adaptiveba/internal/types"
 )
 
@@ -497,88 +496,36 @@ func expResilience(pool Pool) (string, error) {
 }
 
 // expSMR measures the replicated log built on the adaptive BB: words per
-// committed command and wall-clock (ticks) per command, sequential vs
-// pipelined slots, failure-free vs one crashed proposer.
+// committed command and wall-clock (ticks) per command, sequential (W=1)
+// vs pipelined slots (W=9, every slot in flight at once: stride
+// ceil(D/9)), failure-free vs one crashed proposer.
 func expSMR(Pool) (string, error) {
+	const n, slots = 9, 9
 	var b strings.Builder
-	b.WriteString("replicated log over adaptive BB, n=9, 9 slots:\n")
+	fmt.Fprintf(&b, "replicated log over adaptive BB, n=%d, %d slots:\n", n, slots)
 	fmt.Fprintf(&b, "%-24s %4s %14s %14s %12s\n", "configuration", "f", "words/commit", "ticks/commit", "committed")
-	run := func(label string, f int, stride types.Tick) error {
-		params, err := types.NewParams(9)
-		if err != nil {
-			return err
+	queues := make([][]types.Value, n)
+	for p := range queues {
+		queues[p] = []types.Value{
+			types.Value(fmt.Sprintf("cmd-%d-0", p)),
+			types.Value(fmt.Sprintf("cmd-%d-1", p)),
 		}
-		ring, err := sig.NewHMACRing(9, []byte("exp-smr"))
-		if err != nil {
-			return err
-		}
-		crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
-		var adv sim.Adversary
-		if f > 0 {
-			ids := make([]types.ProcessID, f)
-			for i := range ids {
-				ids[i] = types.ProcessID(i + 1)
-			}
-			adv = adversary.NewCrash(ids...)
-		}
-		cfgFor := func(id types.ProcessID) smr.Config {
-			return smr.Config{
-				Params: params, Crypto: crypto, ID: id, Tag: "exp", Slots: 9,
-				Stride: stride,
-				Queue: []types.Value{
-					types.Value(fmt.Sprintf("cmd-%d-0", id)),
-					types.Value(fmt.Sprintf("cmd-%d-1", id)),
-				},
-			}
-		}
-		// The tick budget comes from a probe replica: the factory below
-		// only runs inside sim.Run, after the config has been read.
-		probe, err := smr.NewMachine(cfgFor(0))
-		if err != nil {
-			return err
-		}
-		machines := make(map[types.ProcessID]*smr.Machine)
-		res, err := sim.Run(sim.Config{
-			Params: params,
-			Crypto: crypto,
-			Factory: func(id types.ProcessID) proto.Machine {
-				m, err := smr.NewMachine(cfgFor(id))
-				if err != nil {
-					panic(err)
-				}
-				machines[id] = m
-				return m
-			},
-			Adversary: adv,
-			MaxTicks:  probe.MaxTicks() * 2,
-		})
-		if err != nil {
-			return err
-		}
-		committed := 0
-		for _, id := range res.Honest {
-			committed = len(machines[id].Committed())
-			break
-		}
-		if committed == 0 {
-			committed = 1
-		}
-		fmt.Fprintf(&b, "%-24s %4d %14.1f %14.1f %12d\n", label, f,
-			float64(res.Report.Honest.Words)/float64(committed),
-			float64(res.Ticks)/float64(committed), committed)
-		return nil
 	}
-	if err := run("sequential", 0, 0); err != nil {
-		return "", err
-	}
-	if err := run("pipelined (stride 8)", 0, 8); err != nil {
-		return "", err
-	}
-	if err := run("sequential", 1, 0); err != nil {
-		return "", err
-	}
-	if err := run("pipelined (stride 8)", 1, 8); err != nil {
-		return "", err
+	for _, row := range []struct {
+		label       string
+		f, inflight int
+	}{
+		{"sequential", 0, 1}, {"pipelined (W=9)", 0, slots},
+		{"sequential", 1, 1}, {"pipelined (W=9)", 1, slots},
+	} {
+		rep, err := engine.RunLog(engine.Config{N: n, F: row.f, Inflight: row.inflight}, queues, slots)
+		if err != nil {
+			return "", err
+		}
+		committed := max(rep.Committed, 1)
+		fmt.Fprintf(&b, "%-24s %4d %14.1f %14.1f %12d\n", row.label, row.f,
+			float64(rep.Engine.Metrics.Honest.Words)/float64(committed),
+			float64(rep.Engine.Ticks)/float64(committed), committed)
 	}
 	return b.String(), nil
 }

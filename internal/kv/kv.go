@@ -1,5 +1,5 @@
 // Package kv is a deterministic replicated key-value state machine driven
-// by the smr log: replicas apply committed commands in log order and,
+// by the replicated log: replicas apply committed commands in log order and,
 // because the log is totally ordered and identical everywhere, their
 // stores converge byte-for-byte. It is the smallest end-to-end
 // application of the paper's protocols — a BFT-replicated database whose
@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strings"
 
-	"adaptiveba/internal/smr"
 	"adaptiveba/internal/types"
 	"adaptiveba/internal/wire"
 )
@@ -36,6 +35,14 @@ var ErrBadCommand = errors.New("kv: malformed command")
 // ErrSnapshotMismatch reports a snapshot whose embedded state hash does
 // not match the state it decodes to — a corrupted or tampered snapshot.
 var ErrSnapshotMismatch = errors.New("kv: snapshot state hash mismatch")
+
+// Entry is one committed log position.
+type Entry struct {
+	Slot     int
+	Proposer types.ProcessID
+	// Command is the committed value; ⊥ (nil) marks a skipped slot.
+	Command types.Value
+}
 
 // Store is the deterministic state machine.
 type Store struct {
@@ -99,7 +106,7 @@ func (s *Store) Apply(cmd types.Value) error {
 }
 
 // Replay builds a store from a committed log prefix.
-func Replay(entries []smr.Entry) (*Store, []error) {
+func Replay(entries []Entry) (*Store, []error) {
 	s := NewStore()
 	var rejected []error
 	for _, e := range entries {

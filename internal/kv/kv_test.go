@@ -6,12 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"adaptiveba/internal/adversary"
-	"adaptiveba/internal/crypto/sig"
-	"adaptiveba/internal/crypto/threshold"
-	"adaptiveba/internal/proto"
-	"adaptiveba/internal/sim"
-	"adaptiveba/internal/smr"
 	"adaptiveba/internal/types"
 )
 
@@ -102,7 +96,7 @@ func TestSnapshotIsolated(t *testing.T) {
 }
 
 func TestReplayCollectsRejections(t *testing.T) {
-	entries := []smr.Entry{
+	entries := []Entry{
 		{Slot: 0, Command: types.Value("SET a 1")},
 		{Slot: 1, Command: types.Bottom},
 		{Slot: 2, Command: types.Value("garbage from byzantine proposer")},
@@ -141,7 +135,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // replay only the suffix on the decoded snapshot — same state hash as
 // replaying the whole log from genesis.
 func TestSnapshotTruncateReplay(t *testing.T) {
-	log := []smr.Entry{
+	log := []Entry{
 		{Slot: 0, Command: types.Value("SET a 1")},
 		{Slot: 1, Command: types.Value("SET b 2")},
 		{Slot: 2, Command: types.Value("CAS a 1 10")},
@@ -220,69 +214,5 @@ func TestQuickDeterminism(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestEndToEndReplication runs the whole stack: commands → smr log over
-// the adaptive BB → kv state machines, with a crashed replica, asserting
-// state convergence across replicas.
-func TestEndToEndReplication(t *testing.T) {
-	const n = 5
-	params, err := types.NewParams(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := sig.NewHMACRing(n, []byte("kv-test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
-
-	machines := make(map[types.ProcessID]*smr.Machine)
-	var budget types.Tick
-	res, err := sim.Run(sim.Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			m, err := smr.NewMachine(smr.Config{
-				Params: params, Crypto: crypto, ID: id, Tag: "kv", Slots: 10,
-				Queue: []types.Value{
-					types.Value(fmt.Sprintf("SET key%d %d", id, id)),
-					types.Value(fmt.Sprintf("CAS key%d %d updated", id, id)),
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			machines[id] = m
-			budget = m.MaxTicks()
-			return m
-		},
-		Adversary: adversary.NewCrash(4),
-		MaxTicks:  budget * 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllDecided() {
-		t.Fatal("not all decided")
-	}
-	var wantHash string
-	for _, id := range res.Honest {
-		store, _ := Replay(machines[id].Log())
-		if wantHash == "" {
-			wantHash = store.Hash()
-			// p4 crashed: its keys never appear; others do and were CASed.
-			if _, ok := store.Get("key4"); ok {
-				t.Error("crashed replica's key committed")
-			}
-			if v, _ := store.Get("key0"); v != "updated" {
-				t.Errorf("key0 = %q, want updated", v)
-			}
-			continue
-		}
-		if store.Hash() != wantHash {
-			t.Errorf("replica %v state diverged", id)
-		}
 	}
 }

@@ -10,8 +10,9 @@ import (
 // Mux hosts many child machines, each under its own session name, and
 // demultiplexes a shared inbox to them in a single pass. It is the
 // session-keyed machine lifecycle used by parents that run whole fleets
-// of concurrent sub-protocols (the smr log's slots, the multi-session
-// engine's agreement instances): children are Added when their session
+// of concurrent sub-protocols (the multi-session engine's agreement
+// instances and log slots, an ACS round's broadcasts and votes, the
+// fallback's broadcasts): children are Added when their session
 // is admitted, stepped every tick while live, and Retired when the
 // parent no longer owes them service.
 //

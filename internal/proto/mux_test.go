@@ -36,7 +36,7 @@ func muxInbox(sessions ...string) []Incoming {
 }
 
 // muxHost is a machine whose children live under a Mux — the shape of
-// acs, fallback, smr and the engine's per-process root.
+// acs, fallback and the engine's per-process root.
 type muxHost struct{ x *Mux }
 
 func (h muxHost) Begin(_ types.Tick, outs []Outgoing) []Outgoing { return outs }

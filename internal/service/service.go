@@ -29,7 +29,6 @@ import (
 	"adaptiveba/internal/blob"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/kv"
-	"adaptiveba/internal/smr"
 	"adaptiveba/internal/types"
 )
 
@@ -108,10 +107,10 @@ type Core struct {
 	blobs *blob.Store
 	audit *Audit
 
-	log      []smr.Entry // suffix since the last snapshot
-	snapshot []byte      // last kv.EncodeSnapshot (nil before the first)
-	slots    int         // global committed-entry count (log renumbering base)
-	honest   []int       // proposer IDs that are not in the crash set
+	log      []kv.Entry // suffix since the last snapshot
+	snapshot []byte     // last kv.EncodeSnapshot (nil before the first)
+	slots    int        // global committed-entry count (log renumbering base)
+	honest   []int      // proposer IDs that are not in the crash set
 	stats    Stats
 }
 
@@ -289,7 +288,7 @@ func (c *Core) Commit(ops []Op) (int, error) {
 
 	for _, e := range rep.Entries {
 		slot := c.slots
-		entry := smr.Entry{Slot: slot, Proposer: e.Proposer, Command: e.Command}
+		entry := kv.Entry{Slot: slot, Proposer: e.Proposer, Command: e.Command}
 		if err := c.applyEntry(entry); err != nil {
 			return 0, err
 		}
@@ -310,7 +309,7 @@ func (c *Core) Commit(ops []Op) (int, error) {
 // applyEntry applies one committed command to the kv store and appends
 // its audit record. Audit records derive purely from committed entries,
 // so replicas reconstruct identical chains.
-func (c *Core) applyEntry(e smr.Entry) error {
+func (c *Core) applyEntry(e kv.Entry) error {
 	_ = c.store.Apply(e.Command) // malformed commands skip deterministically
 	fields := strings.Fields(string(e.Command))
 	if len(fields) < 2 {

@@ -14,10 +14,8 @@ import (
 	"adaptiveba/internal/core/strongba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
-	"adaptiveba/internal/kv"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
-	"adaptiveba/internal/smr"
 	"adaptiveba/internal/types"
 	"adaptiveba/internal/wire"
 )
@@ -450,50 +448,6 @@ func TestCloseBeforeRun(t *testing.T) {
 	}
 	if _, err := node.Run(context.Background()); !errors.Is(err, ErrClosed) {
 		t.Errorf("Run after Close returned %v, want ErrClosed", err)
-	}
-}
-
-// TestReplicatedLogOverTCP runs the full application stack — KV commands
-// through the smr log over adaptive BB — on real TCP sockets.
-func TestReplicatedLogOverTCP(t *testing.T) {
-	crypto, params := setup(t, 3)
-	addrs := freeAddrs(t, 3)
-	decisions := runCluster(t, crypto, params, addrs, func(id types.ProcessID) proto.Machine {
-		m, err := smr.NewMachine(smr.Config{
-			Params: params, Crypto: crypto, ID: id, Tag: "tcp-log", Slots: 3,
-			Queue: []types.Value{types.Value(fmt.Sprintf("SET k%d %d", id, id))},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	})
-	if len(decisions) != 3 {
-		t.Fatalf("got %d decisions", len(decisions))
-	}
-	var wantLog types.Value
-	for id, enc := range decisions {
-		if wantLog == nil {
-			wantLog = enc
-			entries, err := smr.DecodeLog(enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(entries) != 3 {
-				t.Fatalf("log length %d", len(entries))
-			}
-			store, rejected := kv.Replay(entries)
-			if len(rejected) != 0 {
-				t.Fatalf("rejected commands: %v", rejected)
-			}
-			if v, ok := store.Get("k1"); !ok || v != "1" {
-				t.Errorf("k1 = %q, %v", v, ok)
-			}
-			continue
-		}
-		if !enc.Equal(wantLog) {
-			t.Errorf("node %v log diverged", id)
-		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"adaptiveba/internal/engine"
+	"adaptiveba/internal/harness"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -53,14 +54,12 @@ func WithTrace(w io.Writer) Option { return func(o *options) { o.trace = w } }
 // fails with ErrNoQuorum.
 func WithThreshold(t int) Option { return func(o *options) { o.threshold = t } }
 
-// WithInflight bounds how many sessions a multi-session run keeps in
-// flight concurrently; 1 always runs them strictly serially. What 0 (the
-// default) means depends on the entry point: RunMany and
-// ReplicateBatchContext pipeline as deeply as the workload allows (the
-// engine's window is every session), while ReplicateLogContext stays
-// strictly sequential — one slot at a time, the same as 1 — and only
-// pipelines for w > 1. Per-session decisions and word counts are
-// identical at every window size; only wall time and tick count change.
+// WithInflight bounds how many sessions a multi-session run (RunMany,
+// ReplicateLogContext, ReplicateBatchContext) keeps in flight
+// concurrently; 1 runs them strictly serially and 0 (the default)
+// pipelines as deeply as the workload allows. Per-session decisions and
+// word counts are identical at every window size; only wall time and
+// tick count change.
 func WithInflight(w int) Option { return func(o *options) { o.inflight = w } }
 
 // sentinel is a typed API error chained onto its broad class, so
@@ -123,6 +122,28 @@ func mapCanceled(ctx context.Context, err error) error {
 		return fmt.Errorf("%w: %w", ErrCanceled, ctx.Err())
 	}
 	return err
+}
+
+// engineConfig validates the options of a multi-session run into the
+// engine's configuration: the solo-run checks, so every sentinel behaves
+// identically across entry points, plus crash patterns only — the
+// sessions share one deployment, so the corrupted set persists across
+// all of them, as it would in production.
+func engineConfig(ctx context.Context, o options) (engine.Config, error) {
+	spec, err := baseSpec(o)
+	if err != nil {
+		return engine.Config{}, err
+	}
+	if spec.Fault != harness.FaultCrash && spec.Fault != harness.FaultCrashLeader {
+		return engine.Config{}, fmt.Errorf("%w: pattern %q is not supported by multi-session runs (crash patterns only)",
+			ErrOptions, o.pattern)
+	}
+	return engine.Config{
+		N: o.n, T: o.threshold, F: o.faults, LeaderFault: spec.Fault == harness.FaultCrashLeader,
+		Inflight: o.inflight, Seed: o.seed,
+		Ed25519: o.realSignatures, Trace: o.trace,
+		Halt: haltFrom(ctx),
+	}, nil
 }
 
 // Request describes one agreement instance for RunMany. Build requests
@@ -201,19 +222,9 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 			opt(&merged)
 		}
 	}
-	// Reuse the solo-run validation so every sentinel behaves identically
-	// across entry points.
-	if _, err := baseSpec(merged); err != nil {
+	cfg, err := engineConfig(ctx, merged)
+	if err != nil {
 		return nil, err
-	}
-	var leader bool
-	switch merged.pattern {
-	case "", FaultCrash:
-	case FaultCrashLeader:
-		leader = true
-	default:
-		return nil, fmt.Errorf("%w: pattern %q is not supported by multi-session runs (crash patterns only)",
-			ErrOptions, merged.pattern)
 	}
 
 	ereqs := make([]engine.Request, len(reqs))
@@ -224,8 +235,11 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 			if r.sender < 0 || r.sender >= n {
 				return nil, fmt.Errorf("%w: request %d sender %d out of range", ErrInputs, i, r.sender)
 			}
-			ereqs[i] = engine.Request{Kind: engine.KindBB,
-				Sender: types.ProcessID(r.sender), Value: types.Value(r.value)}
+			value := types.Value(r.value)
+			if value == nil {
+				value = types.Value("v") // BroadcastContext's default value
+			}
+			ereqs[i] = engine.Request{Kind: engine.KindBB, Sender: types.ProcessID(r.sender), Value: value}
 		case engine.KindWBA:
 			if len(r.inputs) != n {
 				return nil, fmt.Errorf("%w: request %d needs %d inputs, got %d", ErrInputs, i, n, len(r.inputs))
@@ -256,12 +270,7 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 		}
 	}
 
-	rep, err := engine.Run(engine.Config{
-		N: n, T: merged.threshold, F: merged.faults, LeaderFault: leader,
-		Inflight: merged.inflight, Seed: merged.seed,
-		Ed25519: merged.realSignatures, Trace: merged.trace,
-		Halt: haltFrom(ctx),
-	}, ereqs)
+	rep, err := engine.Run(cfg, ereqs)
 	if err != nil {
 		return nil, mapCanceled(ctx, err)
 	}

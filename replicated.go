@@ -2,17 +2,10 @@ package adaptiveba
 
 import (
 	"context"
-	"crypto/rand"
 	"fmt"
 
-	"adaptiveba/internal/adversary"
-	"adaptiveba/internal/crypto/sig"
-	"adaptiveba/internal/crypto/threshold"
-	"adaptiveba/internal/harness"
-	"adaptiveba/internal/metrics"
-	"adaptiveba/internal/proto"
-	"adaptiveba/internal/sim"
-	"adaptiveba/internal/smr"
+	"adaptiveba/internal/engine"
+	"adaptiveba/internal/kv"
 	"adaptiveba/internal/types"
 )
 
@@ -31,7 +24,8 @@ type LogEntry struct {
 type LogResult struct {
 	// Entries is the total order every correct replica committed.
 	Entries []LogEntry
-	// Agreement confirms all correct replicas built the identical log.
+	// Agreement confirms every slot reached agreement with every correct
+	// replica decided: all correct replicas built the identical log.
 	Agreement bool
 	// Words / Messages are the run's total communication cost.
 	Words    int64
@@ -47,16 +41,14 @@ type LogResult struct {
 // failure-free deployment commits each command for O(n) words instead
 // of Θ(n²).
 //
-// WithInflight(w) with w > 1 pipelines the log: slot s+1's broadcast
-// starts while slot s may still be running its fallback, multiplying
-// commit throughput by up to w without changing any committed entry.
-// Unlike RunMany and ReplicateBatchContext, the default WithInflight(0)
-// here is strictly sequential (one slot at a time, the same as 1), not
-// "as deep as the workload allows". The context cancels the run promptly
-// with ErrCanceled.
+// WithInflight(w) pipelines the slots through the engine's admission
+// window: slot s+1's broadcast starts while slot s may still be running
+// its fallback, without changing any committed entry or word count.
+// Only crash fault patterns are supported (FaultCrash,
+// FaultCrashLeader). The context cancels the run promptly with
+// ErrCanceled.
 func ReplicateLogContext(ctx context.Context, n int, queues [][][]byte, slots int, opts ...Option) (*LogResult, error) {
-	merged := buildOptions(n, opts)
-	spec, err := baseSpec(merged)
+	cfg, err := engineConfig(ctx, buildOptions(n, opts))
 	if err != nil {
 		return nil, err
 	}
@@ -67,122 +59,43 @@ func ReplicateLogContext(ctx context.Context, n int, queues [][][]byte, slots in
 		return nil, fmt.Errorf("%w: need at least one slot", ErrInputs)
 	}
 
-	var params types.Params
-	if spec.T > 0 {
-		params, err = types.Custom(n, spec.T)
-	} else {
-		params, err = types.NewParams(n)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrOptions, err)
-	}
-	var scheme sig.Scheme
-	if merged.realSignatures {
-		scheme, err = sig.NewEd25519Ring(n, rand.Reader)
-	} else {
-		scheme, err = sig.NewHMACRing(n, []byte(fmt.Sprintf("log-%d", merged.seed)))
-	}
-	if err != nil {
-		return nil, err
-	}
-	crypto := proto.NewCrypto(params, scheme, threshold.ModeCompact, []byte("log-dealer"))
-
-	stride, budget, err := logSchedule(params, crypto, slots, merged.inflight)
-	if err != nil {
-		return nil, err
-	}
-	rec := metrics.NewRecorder()
-	res, err := sim.Run(sim.Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			queue := make([]types.Value, 0, len(queues[id]))
-			for _, c := range queues[id] {
-				queue = append(queue, types.Value(c).Clone())
-			}
-			m, err := smr.NewMachine(smr.Config{
-				Params: params, Crypto: crypto, ID: id,
-				Tag: "log", Slots: slots, Queue: queue, Stride: stride,
-			})
-			if err != nil {
-				panic("adaptiveba: smr config validated above: " + err.Error())
-			}
-			return m
-		},
-		Adversary: logAdversary(spec),
-		MaxTicks:  budget,
-		Recorder:  rec,
-		Halt:      haltFrom(ctx),
-	})
+	rep, err := engine.RunLog(cfg, cloneQueues(queues), slots)
 	if err != nil {
 		return nil, mapCanceled(ctx, err)
 	}
-	if res.TimedOut {
-		return nil, fmt.Errorf("adaptiveba: replicated log of %d slots did not finish within its %d-tick budget", slots, budget)
-	}
-
-	logEnc, agreement := res.Agreement()
 	out := &LogResult{
-		Agreement: agreement,
-		Words:     res.Report.Honest.Words,
-		Messages:  res.Report.Honest.Messages,
+		Entries:   logEntries(rep.Entries),
+		Agreement: rep.Converged,
+		Words:     rep.Engine.Metrics.Honest.Words,
+		Messages:  rep.Engine.Metrics.Honest.Messages,
 	}
-	if agreement && !logEnc.IsBottom() {
-		entries, err := smr.DecodeLog(logEnc)
-		if err != nil {
-			return nil, fmt.Errorf("adaptiveba: decode committed log: %w", err)
-		}
-		committed := 0
-		for _, e := range entries {
-			le := LogEntry{Slot: e.Slot, Proposer: int(e.Proposer)}
-			if !e.Command.IsBottom() {
-				le.Command = append([]byte(nil), e.Command...)
-				committed++
-			}
-			out.Entries = append(out.Entries, le)
-		}
-		if committed > 0 {
-			out.WordsPerCommit = float64(out.Words) / float64(committed)
-		}
+	if rep.Committed > 0 {
+		out.WordsPerCommit = float64(out.Words) / float64(rep.Committed)
 	}
 	return out, nil
 }
 
-// logSchedule derives the slot stride and the simulator's tick budget
-// from a probe replica, before the run's sim.Config is built.
-// inflight = w > 0 pipelines the slots: consecutive broadcasts start
-// every ceil(SlotTicks/w) ticks instead of back to back, keeping up to w
-// instances live; 0 keeps the strictly sequential schedule (stride 0 is
-// the machine's default, one slot length). The budget is twice the
-// sequential log's worst case, which bounds every pipelined one too.
-func logSchedule(params types.Params, crypto *proto.Crypto, slots, inflight int) (stride, budget types.Tick, err error) {
-	probe, err := smr.NewMachine(smr.Config{
-		Params: params, Crypto: crypto, ID: 0, Tag: "log", Slots: slots,
-	})
-	if err != nil {
-		return 0, 0, fmt.Errorf("adaptiveba: %w", err)
+// cloneQueues copies the callers' command queues into protocol values.
+func cloneQueues(queues [][][]byte) [][]types.Value {
+	qs := make([][]types.Value, len(queues))
+	for i, q := range queues {
+		qs[i] = make([]types.Value, 0, len(q))
+		for _, c := range q {
+			qs[i] = append(qs[i], types.Value(c).Clone())
+		}
 	}
-	if inflight > 0 {
-		w := types.Tick(inflight)
-		stride = (probe.SlotTicks() + w - 1) / w
-	}
-	return stride, probe.MaxTicks() * 2, nil
+	return qs
 }
 
-// logAdversary converts the validated spec's fault settings into a crash
-// adversary for the log runner (crash patterns only; the richer attacks
-// stay in the harness).
-func logAdversary(spec harness.Spec) sim.Adversary {
-	if spec.F == 0 {
-		return nil
+// logEntries copies a committed log out of the engine.
+func logEntries(entries []kv.Entry) []LogEntry {
+	var out []LogEntry
+	for _, e := range entries {
+		out = append(out, LogEntry{
+			Slot:     e.Slot,
+			Proposer: int(e.Proposer),
+			Command:  append([]byte(nil), e.Command...),
+		})
 	}
-	start := 1
-	if spec.Fault == harness.FaultCrashLeader {
-		start = 0
-	}
-	ids := make([]types.ProcessID, 0, spec.F)
-	for i := 0; len(ids) < spec.F; i++ {
-		ids = append(ids, types.ProcessID((start+i)%spec.N))
-	}
-	return adversary.NewCrash(ids...)
+	return out
 }

@@ -5,13 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"adaptiveba/internal/crypto/sig"
-	"adaptiveba/internal/crypto/threshold"
-	"adaptiveba/internal/proto"
-	"adaptiveba/internal/sim"
-	"adaptiveba/internal/smr"
-	"adaptiveba/internal/types"
 )
 
 func queuesFor(n, perReplica int) [][][]byte {
@@ -82,45 +75,19 @@ func TestReplicateLogValidation(t *testing.T) {
 	}
 }
 
-// TestLogScheduleCoversLongLogs pins the tick budget of a log too long
-// for sim.DefaultMaxTicks — the bound a zero MaxTicks falls back to, and
-// what every run got while the budget was read before the factory set
-// it: 2 500 slots at n=4 then stopped at tick 100 000 and reported an
-// empty log with Agreement=true. (The real run takes about a minute, so
-// the derivation is tested, not the run.)
-func TestLogScheduleCoversLongLogs(t *testing.T) {
-	const n, slots = 4, 2500
-	params, err := types.NewParams(n)
-	if err != nil {
+// TestReplicateLogHonorsOptions pins two options the log once ignored: a
+// fault pattern the shared deployment cannot run fails with ErrOptions,
+// as it does for RunMany and ReplicateBatchContext, instead of silently
+// running a crash; and WithTrace streams the run's messages.
+func TestReplicateLogHonorsOptions(t *testing.T) {
+	if _, err := ReplicateLogContext(bg, 5, queuesFor(5, 1), 3, WithPattern(FaultReplay), WithFaults(1)); !errors.Is(err, ErrOptions) {
+		t.Errorf("replay pattern: err = %v, want ErrOptions", err)
+	}
+	var trace bytes.Buffer
+	if _, err := ReplicateLogContext(bg, 5, queuesFor(5, 1), 3, WithTrace(&trace)); err != nil {
 		t.Fatal(err)
 	}
-	ring, err := sig.NewHMACRing(n, []byte("log-0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("log-dealer"))
-	probe, err := smr.NewMachine(smr.Config{Params: params, Crypto: crypto, Tag: "log", Slots: slots})
-	if err != nil {
-		t.Fatal(err)
-	}
-	need := probe.SlotTicks() * slots
-	if need <= sim.DefaultMaxTicks {
-		t.Fatalf("%d slots need only %d ticks: not a long log", slots, need)
-	}
-	for _, inflight := range []int{0, 4} {
-		stride, budget, err := logSchedule(params, crypto, slots, inflight)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if budget < need {
-			t.Errorf("inflight=%d: budget %d ticks cannot hold %d sequential slots (%d ticks)", inflight, budget, slots, need)
-		}
-		want := types.Tick(0)
-		if inflight > 0 {
-			want = (probe.SlotTicks() + types.Tick(inflight) - 1) / types.Tick(inflight)
-		}
-		if stride != want {
-			t.Errorf("inflight=%d: stride %d, want %d", inflight, stride, want)
-		}
+	if trace.Len() == 0 {
+		t.Error("WithTrace wrote nothing")
 	}
 }
