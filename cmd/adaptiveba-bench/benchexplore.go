@@ -8,6 +8,7 @@ import (
 	"runtime"
 
 	"adaptiveba/internal/explore"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 )
 
@@ -82,7 +83,7 @@ func runBenchExploreJSON(out io.Writer, path string, protocol string, ns []int, 
 		}
 		for f := 0; f <= params.T; f++ {
 			res, err := explore.Explore(explore.Config{
-				Protocol:    explore.Protocol(protocol),
+				Protocol:    protocols.Kind(protocol),
 				N:           n,
 				F:           f,
 				Seed:        seed,

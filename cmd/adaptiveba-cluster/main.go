@@ -22,6 +22,7 @@ import (
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/transport"
 	"adaptiveba/internal/types"
 )
@@ -116,7 +117,7 @@ func run(args []string, out io.Writer) error {
 			Crypto:       crypto,
 			ID:           id,
 			Addrs:        addrs,
-			Registry:     transport.NewFullRegistry(),
+			Registry:     protocols.Registry(),
 			TickInterval: *tick,
 			DialTimeout:  *dial,
 			Recorder:     rec,

@@ -25,6 +25,7 @@ import (
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/transport"
 	"adaptiveba/internal/types"
 )
@@ -79,7 +80,7 @@ func run(args []string) error {
 		Crypto:       crypto,
 		ID:           types.ProcessID(*id),
 		Addrs:        addrs,
-		Registry:     transport.NewFullRegistry(),
+		Registry:     protocols.Registry(),
 		TickInterval: *tick,
 		Recorder:     rec,
 		FlushBytes:   *flushEvery,

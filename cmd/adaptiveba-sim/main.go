@@ -19,6 +19,7 @@ import (
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/explore"
 	"adaptiveba/internal/harness"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 )
 
@@ -86,7 +87,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *expl {
 		return runExplore(out, explore.Config{
-			Protocol:    explore.Protocol(*protocol),
+			Protocol:    protocols.Kind(*protocol),
 			N:           *n,
 			F:           *f,
 			Seed:        *seed,

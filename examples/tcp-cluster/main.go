@@ -13,11 +13,11 @@ import (
 	"sync"
 	"time"
 
-	"adaptiveba/internal/core/bb"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/transport"
 	"adaptiveba/internal/types"
 )
@@ -66,16 +66,16 @@ func run() error {
 	for i := 0; i < n; i++ {
 		id := types.ProcessID(i)
 		rec := metrics.NewRecorder()
-		machine := bb.NewMachine(bb.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Sender: 0, Input: types.Value("ship it"), Tag: "demo",
-		})
+		machine, err := protocols.BB.New(protocols.Config{Params: params, Crypto: crypto, Tag: "demo"}, id, types.Value("ship it"))
+		if err != nil {
+			return err
+		}
 		node, err := transport.NewNode(transport.Config{
 			Params:       params,
 			Crypto:       crypto,
 			ID:           id,
 			Addrs:        addrs,
-			Registry:     transport.NewFullRegistry(),
+			Registry:     protocols.Registry(),
 			TickInterval: 15 * time.Millisecond,
 			Recorder:     rec,
 		}, machine)

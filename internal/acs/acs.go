@@ -103,9 +103,6 @@ func MaxTicks(params types.Params) types.Tick {
 // the ones bbConfig leaves in place.
 func voteBoundary(params types.Params) types.Tick { return bb.MaxTicks(params, 0, 0) }
 
-// MaxTicks is the package-level MaxTicks of this machine's parameters.
-func (m *Machine) MaxTicks() types.Tick { return MaxTicks(m.cfg.Params) }
-
 // VoteBoundary returns the round-relative tick at which broadcasts are
 // closed out and the vote stage starts (for tests and adversaries that
 // target the retirement edge).

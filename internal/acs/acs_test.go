@@ -41,7 +41,6 @@ func run(t testing.TB, n, batch, workers int, adv sim.Adversary) (*sim.Result, m
 	t.Helper()
 	crypto, params := setup(t, n)
 	machines := make(map[types.ProcessID]*Machine)
-	probe := NewMachine(Config{Params: params, Crypto: crypto, ID: 0, Tag: "t"})
 	res, err := sim.Run(sim.Config{
 		Params: params,
 		Crypto: crypto,
@@ -57,7 +56,7 @@ func run(t testing.TB, n, batch, workers int, adv sim.Adversary) (*sim.Result, m
 			return m
 		},
 		Adversary: adv,
-		MaxTicks:  probe.MaxTicks() + 4,
+		MaxTicks:  MaxTicks(params) + 4,
 		Workers:   workers,
 	})
 	if err != nil {
@@ -155,7 +154,6 @@ func TestACSCrashedProposers(t *testing.T) {
 func TestACSEmptyBatch(t *testing.T) {
 	const n = 5
 	crypto, params := setup(t, n)
-	probe := NewMachine(Config{Params: params, Crypto: crypto, ID: 0, Tag: "t"})
 	res, err := sim.Run(sim.Config{
 		Params: params,
 		Crypto: crypto,
@@ -166,7 +164,7 @@ func TestACSEmptyBatch(t *testing.T) {
 			}
 			return NewMachine(Config{Params: params, Crypto: crypto, ID: id, Input: input, Tag: "t"})
 		},
-		MaxTicks: probe.MaxTicks() + 4,
+		MaxTicks: MaxTicks(params) + 4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +226,7 @@ func TestACSLateBroadcastTraffic(t *testing.T) {
 			return m
 		},
 		Adversary: adversary.NewReplay(42, horizon, 1),
-		MaxTicks:  probe.MaxTicks() + 4,
+		MaxTicks:  MaxTicks(params) + 4,
 	})
 	if err != nil {
 		t.Fatal(err)

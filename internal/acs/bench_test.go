@@ -65,7 +65,7 @@ func TestACSAllocCeiling(t *testing.T) {
 			Input: batchFor(types.ProcessID(i), 4), Tag: "t",
 		})
 	}
-	now := runLockstep(t, machines, machines[0].MaxTicks()+4)
+	now := runLockstep(t, machines, MaxTicks(params)+4)
 	for _, m := range machines {
 		if m.Failed() != nil {
 			t.Fatal(m.Failed())
@@ -107,8 +107,7 @@ func BenchmarkACSRound(b *testing.B) {
 		for _, batch := range []int{1, 64} {
 			b.Run(fmt.Sprintf("n=%d/batch=%d", n, batch), func(b *testing.B) {
 				crypto, params := setup(b, n)
-				probe := NewMachine(Config{Params: params, Crypto: crypto, ID: 0, Tag: "t"})
-				budget := probe.MaxTicks() + 4
+				budget := MaxTicks(params) + 4
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					res, err := sim.Run(sim.Config{

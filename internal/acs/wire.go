@@ -13,7 +13,7 @@
 //     byte-for-byte.
 //
 // Both are registered in the shared payload registry (see
-// transport.NewFullRegistry) so framing, sizing (Registry.SizeOf), and
+// protocols.Registry) so framing, sizing (Registry.SizeOf), and
 // the wire corpus/fuzz suite cover them like every other message type.
 package acs
 

@@ -131,6 +131,19 @@ func FirstProcesses(f int) []types.ProcessID {
 	return ids
 }
 
+// CrashSet is the repository's one rule for which f (≤ t) processes a
+// fault pattern corrupts. By default they are 1..f: the first f rotating
+// phase leaders, sparing p0 — the BB sender and the first strong-BA
+// leader — which maximizes the non-silent phases. With leader set they
+// are 0..f−1, p0 included. The harness's patterns, the engine's crash
+// set and the service's honest proposers all ask here.
+func CrashSet(f int, leader bool) []types.ProcessID {
+	if leader {
+		return FirstProcesses(f)
+	}
+	return FirstProcesses(f + 1)[1:]
+}
+
 // Mimic runs attacker-chosen machines for the corrupted processes. The
 // machines see exactly the messages addressed to their identity and their
 // sends are emitted from it — i.e. the corrupted processes follow the

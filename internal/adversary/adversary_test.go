@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"fmt"
 	"testing"
 
 	"adaptiveba/internal/crypto/sig"
@@ -75,6 +76,18 @@ func TestFirstProcesses(t *testing.T) {
 	}
 	if len(FirstProcesses(0)) != 0 {
 		t.Error("FirstProcesses(0) not empty")
+	}
+}
+
+func TestCrashSet(t *testing.T) {
+	if got := fmt.Sprint(CrashSet(3, false)); got != "[p1 p2 p3]" {
+		t.Errorf("CrashSet(3, false) = %s, want [p1 p2 p3]", got)
+	}
+	if got := fmt.Sprint(CrashSet(3, true)); got != "[p0 p1 p2]" {
+		t.Errorf("CrashSet(3, true) = %s, want [p0 p1 p2]", got)
+	}
+	if len(CrashSet(0, false)) != 0 || len(CrashSet(0, true)) != 0 {
+		t.Error("CrashSet(0, ·) not empty")
 	}
 }
 

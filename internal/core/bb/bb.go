@@ -187,14 +187,9 @@ func MaxTicks(params types.Params, phases, wbaPhases int) types.Tick {
 	return types.Tick(1+phases*roundsPerPhase) + wba.MaxTicks(params, wbaPhases) + 4
 }
 
-// MaxTicks is the package-level MaxTicks of this machine's configuration.
-func (m *Machine) MaxTicks() types.Tick {
-	return MaxTicks(m.cfg.Params, m.phases, m.cfg.WBAPhases)
-}
-
-// WBA exposes the nested weak BA machine for experiment introspection
-// (nil until the vetting part completes).
-func (m *Machine) WBA() *wba.Machine { return m.wbaMachine }
+// RanFallback reports whether this process's nested weak BA executed
+// A_fallback.
+func (m *Machine) RanFallback() bool { return m.wbaMachine != nil && m.wbaMachine.RanFallback() }
 
 // Failed returns the first internal error (for tests).
 func (m *Machine) Failed() error { return m.err }

@@ -29,7 +29,6 @@ func run(t *testing.T, n int, sender types.ProcessID, input types.Value, adv sim
 	t.Helper()
 	crypto, params := setup(t, n)
 	machines := make(map[types.ProcessID]*Machine)
-	var budget types.Tick
 	res, err := sim.Run(sim.Config{
 		Params: params,
 		Crypto: crypto,
@@ -43,11 +42,10 @@ func run(t *testing.T, n int, sender types.ProcessID, input types.Value, adv sim
 				Tag:    "t",
 			})
 			machines[id] = m
-			budget = m.MaxTicks()
 			return m
 		},
 		Adversary: adv,
-		MaxTicks:  budget * 2,
+		MaxTicks:  MaxTicks(params, 0, 0) * 2,
 	})
 	if err != nil {
 		t.Fatal(err)

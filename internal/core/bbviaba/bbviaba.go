@@ -75,19 +75,29 @@ type Machine struct {
 
 var _ proto.Machine = (*Machine)(nil)
 
-// NewMachine builds the reduction machine.
-func NewMachine(cfg Config) (*Machine, error) {
+// Validate reports what NewMachine would refuse: a sender outside the
+// run, or a non-binary input at the sender.
+func (cfg Config) Validate() error {
 	if cfg.ID == cfg.Sender && !cfg.Input.IsBinary() {
-		return nil, fmt.Errorf("bbviaba: %w", strongba.ErrNotBinary)
+		return fmt.Errorf("bbviaba: %w", strongba.ErrNotBinary)
 	}
 	if err := cfg.Params.CheckProcess(cfg.Sender); err != nil {
-		return nil, fmt.Errorf("bbviaba: %w", err)
+		return fmt.Errorf("bbviaba: %w", err)
+	}
+	return nil
+}
+
+// NewMachine builds the reduction machine.
+func NewMachine(cfg Config) (*Machine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	return &Machine{cfg: cfg, input: types.Zero}, nil
 }
 
-// MaxTicks bounds a full run.
-func (m *Machine) MaxTicks() types.Tick { return strongba.MaxTicks(m.cfg.Params) + 4 }
+// MaxTicks bounds a full run: the sender's round, then the strong BA. It
+// is a function of the run parameters alone.
+func MaxTicks(params types.Params) types.Tick { return strongba.MaxTicks(params) + 4 }
 
 // RanFallback reports whether the inner strong BA used its fallback.
 func (m *Machine) RanFallback() bool { return m.ba != nil && m.ba.RanFallback() }

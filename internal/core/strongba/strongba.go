@@ -231,9 +231,6 @@ func MaxTicks(params types.Params) types.Tick {
 	return types.Tick(preRounds) + 6 + types.Tick((params.T+2)*2) + 4
 }
 
-// MaxTicks is the package-level MaxTicks of this machine's parameters.
-func (m *Machine) MaxTicks() types.Tick { return MaxTicks(m.cfg.Params) }
-
 // RanFallback reports whether this process executed A_fallback.
 func (m *Machine) RanFallback() bool { return m.ranFallback }
 

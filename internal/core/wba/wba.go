@@ -197,9 +197,6 @@ func MaxTicks(params types.Params, phases int) types.Tick {
 	return types.Tick(phases*roundsPerPhase+3) + 4 + fb + 4
 }
 
-// MaxTicks is the package-level MaxTicks of this machine's configuration.
-func (m *Machine) MaxTicks() types.Tick { return MaxTicks(m.cfg.Params, m.phases) }
-
 // DecidedAtPhase reports the phase whose finalize certificate decided this
 // process (0 if the decision came from help or the fallback).
 func (m *Machine) DecidedAtPhase() int { return m.decidedAtPhase }

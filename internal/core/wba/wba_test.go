@@ -380,7 +380,7 @@ func TestMachineAccounting(t *testing.T) {
 	if m.Rounds() != (params.T+1)*5+3 {
 		t.Errorf("Rounds = %d", m.Rounds())
 	}
-	if m.MaxTicks() <= types.Tick(m.Rounds()) {
-		t.Errorf("MaxTicks = %d too small", m.MaxTicks())
+	if MaxTicks(params, 0) <= types.Tick(m.Rounds()) {
+		t.Errorf("MaxTicks = %d too small", MaxTicks(params, 0))
 	}
 }

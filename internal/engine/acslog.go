@@ -16,6 +16,7 @@ import (
 
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/kv"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 )
 
@@ -71,7 +72,7 @@ func RunACSLog(cfg Config, queues [][]types.Value, rounds, batch int) (*ACSLogRe
 			// keeps winning its vote instead of reading as faulty.
 			inputs[p] = acs.EncodeBatch(cmds)
 		}
-		reqs[r] = Request{Kind: KindACS, Inputs: inputs}
+		reqs[r] = Request{Kind: protocols.ACS, Inputs: inputs}
 	}
 
 	out := &ACSLogReport{Rounds: make([]ACSRound, rounds), SubsetMin: cfg.N + 1}

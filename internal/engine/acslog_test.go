@@ -6,6 +6,7 @@ import (
 
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -196,8 +197,8 @@ func TestEngineACSSessionKind(t *testing.T) {
 		inputs[i] = acs.EncodeBatch([]types.Value{types.Value(fmt.Sprintf("SET a%d 1", i))})
 	}
 	rep, err := Run(Config{N: n, Inflight: 2}, []Request{
-		{Kind: KindACS, Inputs: inputs},
-		{Kind: KindACS, Inputs: inputs},
+		{Kind: protocols.ACS, Inputs: inputs},
+		{Kind: protocols.ACS, Inputs: inputs},
 	})
 	if err != nil {
 		t.Fatal(err)

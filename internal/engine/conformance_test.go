@@ -9,17 +9,12 @@ import (
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/baseline/dolevstrong"
-	"adaptiveba/internal/core/bb"
-	"adaptiveba/internal/core/bbviaba"
-	"adaptiveba/internal/core/strongba"
-	"adaptiveba/internal/core/valid"
-	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/fallback"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
-	"adaptiveba/internal/transport"
 	"adaptiveba/internal/types"
 )
 
@@ -203,10 +198,10 @@ var procKind = conformanceKind{"engine-static", "s2/fb/i1", func(crypto *proto.C
 		inputs[p] = batch(p)
 	}
 	sched, err := plan(&builder{params: params, crypto: crypto, tag: "c", reqs: []Request{
-		{Kind: KindACS, Inputs: inputs},
-		{Kind: KindBB, Sender: 0, Value: pick(alt, "cmd", "dmc")},
-		{Kind: KindStrongBA, Value: bit(alt)},
-		{Kind: KindWBA, Value: pick(alt, "w", "x")},
+		{Kind: protocols.ACS, Inputs: inputs},
+		{Kind: protocols.BB, Sender: 0, Value: pick(alt, "cmd", "dmc")},
+		{Kind: protocols.StrongBA, Value: bit(alt)},
+		{Kind: protocols.WBA, Value: pick(alt, "w", "x")},
 	}}, 2)
 	if err != nil {
 		panic(err)
@@ -214,29 +209,32 @@ var procKind = conformanceKind{"engine-static", "s2/fb/i1", func(crypto *proto.C
 	return sched.root(id), sched.budget
 }}
 
+// tableKind is a row built through the protocol table, under the root tag
+// "c", with the table's tick bound as its budget.
+func tableKind(name string, kind protocols.Kind, fb string, input func(id types.ProcessID, alt bool) types.Value) conformanceKind {
+	return conformanceKind{name, fb, func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
+		cfg := protocols.Config{Params: params, Crypto: crypto, Tag: "c"}
+		m, err := kind.New(cfg, id, input(id, alt))
+		if err != nil {
+			panic(err)
+		}
+		return m, kind.MaxTicks(cfg)
+	}}
+}
+
+func word(honest, other string) func(types.ProcessID, bool) types.Value {
+	return func(_ types.ProcessID, alt bool) types.Value { return pick(alt, honest, other) }
+}
+
+func bits(_ types.ProcessID, alt bool) types.Value { return bit(alt) }
+
 var conformanceKinds = []conformanceKind{
-	{"bb", "wba/fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
-		m := bb.NewMachine(bb.Config{Params: params, Crypto: crypto, ID: id, Sender: 0, Input: pick(alt, "v", "w"), Tag: "c"})
-		return m, m.MaxTicks()
-	}},
-	{"bbviaba", "ba/fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
-		m, err := bbviaba.NewMachine(bbviaba.Config{Params: params, Crypto: crypto, ID: id, Sender: 0, Input: bit(alt), Tag: "c"})
-		if err != nil {
-			panic(err)
-		}
-		return m, m.MaxTicks()
-	}},
-	{"wba", "fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
-		m := wba.NewMachine(wba.Config{Params: params, Crypto: crypto, ID: id, Input: pick(alt, "v", "w"), Predicate: valid.NonBottom(), Tag: "c"})
-		return m, m.MaxTicks()
-	}},
-	{"strongba", "fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
-		m, err := strongba.NewMachine(strongba.Config{Params: params, Crypto: crypto, ID: id, Input: bit(alt), Tag: "c"})
-		if err != nil {
-			panic(err)
-		}
-		return m, m.MaxTicks()
-	}},
+	tableKind("bb", protocols.BB, "wba/fb/i1", word("v", "w")),
+	tableKind("bbviaba", protocols.BBViaBA, "ba/fb/i1", bits),
+	tableKind("wba", protocols.WBA, "fb/i1", word("v", "w")),
+	tableKind("strongba", protocols.StrongBA, "fb/i1", bits),
+	// The fallback and Dolev–Strong rows keep their own round durations and
+	// budgets, which are not the table's, so they are built by hand.
 	{"fallback", "i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
 		m := fallback.NewMachine(fallback.Config{Params: params, Crypto: crypto, ID: id, Input: pick(alt, "v", "w"), Tag: "c", RoundDur: 2})
 		return m, m.Duration() + 4
@@ -245,13 +243,9 @@ var conformanceKinds = []conformanceKind{
 		m := dolevstrong.NewMachine(dolevstrong.Config{Params: params, Crypto: crypto, ID: id, Sender: 0, Input: pick(alt, "v", "w"), Tag: "c", RoundDur: 1})
 		return m, m.Duration() + 4
 	}},
-	{"acs", "v1/fb/i1", func(crypto *proto.Crypto, params types.Params, id types.ProcessID, alt bool) (proto.Machine, types.Tick) {
-		m := acs.NewMachine(acs.Config{
-			Params: params, Crypto: crypto, ID: id, Tag: "c",
-			Input: acs.EncodeBatch([]types.Value{types.Value(fmt.Sprintf("SET k%d %s", id, pick(alt, "v", "w")))}),
-		})
-		return m, m.MaxTicks()
-	}},
+	tableKind("acs", protocols.ACS, "v1/fb/i1", func(id types.ProcessID, alt bool) types.Value {
+		return acs.EncodeBatch([]types.Value{types.Value(fmt.Sprintf("SET k%d %s", id, pick(alt, "v", "w")))})
+	}),
 	procKind,
 	// The replicated log RunLog drives: three BB slots with rotating
 	// proposers, one at a time; p2's queue is empty, so its slot
@@ -294,7 +288,7 @@ func lateFrames(m proto.Machine) int64 {
 // across a call that moved it sends something else, or nothing, in the
 // hostile run.
 func TestMachineBufferContract(t *testing.T) {
-	reg := transport.NewFullRegistry()
+	reg := protocols.Registry()
 	type run struct {
 		sends bytes.Buffer
 		res   *sim.Result
@@ -309,7 +303,7 @@ func TestMachineBufferContract(t *testing.T) {
 			// t faulty processes, so no quorum of n forms and every kind that
 			// has a fallback enters it; process 0 — sender and first leader —
 			// stays up, so there is traffic to look at.
-			faulty := adversary.FirstProcesses(params.T + 1)[1:]
+			faulty := adversary.CrashSet(params.T, false)
 			scenarios := []struct {
 				name string
 				adv  func(crypto *proto.Crypto, budget types.Tick) sim.Adversary

@@ -42,47 +42,30 @@ import (
 
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
-	"adaptiveba/internal/core/bb"
-	"adaptiveba/internal/core/strongba"
-	"adaptiveba/internal/core/valid"
-	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 	"adaptiveba/internal/wire"
 )
 
-// Kind selects the protocol an individual session runs.
-type Kind string
-
-// Session kinds.
-const (
-	// KindBB is the paper's adaptive Byzantine Broadcast (Alg. 1+2).
-	KindBB Kind = "bb"
-	// KindWBA is the paper's adaptive weak BA (Alg. 3+4).
-	KindWBA Kind = "wba"
-	// KindStrongBA is the paper's binary strong BA (Alg. 5).
-	KindStrongBA Kind = "strongba"
-	// KindACS is the BKR agreement-on-common-subset round: n concurrent
-	// BBs disseminate per-proposer batches, n binary strong-BA votes
-	// decide the committed subset (internal/acs).
-	KindACS Kind = "acs"
-)
-
 // Request describes one agreement instance to run.
 type Request struct {
-	Kind Kind
-	// Sender is the BB designated sender (KindBB only).
+	// Kind is the session's protocol: bb (the default), wba, strongba or
+	// acs (see Supports).
+	Kind protocols.Kind
+	// Sender is the BB designated sender (protocols.BB only).
 	Sender types.ProcessID
 	// Value is the BB broadcast value / unanimous agreement input; nil
-	// is ⊥ (a sender with nothing to broadcast), and the binary protocols
-	// read anything but 0 or 1 as 1.
+	// is ⊥ (a sender with nothing to broadcast, an ACS proposer with an
+	// empty batch), and the binary protocols read anything but 0 or 1 as
+	// 1.
 	Value types.Value
 	// Inputs, when non-nil, assigns each process its own input (length
-	// N) and overrides Value for the agreement protocols.
+	// N) and overrides Value.
 	Inputs []types.Value
 	// Predicate overrides weak BA's validity predicate (default: accept
 	// any non-⊥ value).
@@ -151,7 +134,7 @@ var (
 type SessionResult struct {
 	Index int
 	Name  string // session ID on the wire ("s<Index>")
-	Kind  Kind
+	Kind  protocols.Kind
 	// Rejected marks sessions shed by the admission policy; all result
 	// fields below are zero for them.
 	Rejected bool
@@ -303,24 +286,12 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	if cfg.Adversary != nil {
 		adv = cfg.Adversary(sched.budget)
 	} else if cfg.F > 0 {
-		ids := make([]types.ProcessID, 0, cfg.F)
-		start := 1
-		if cfg.LeaderFault {
-			start = 0
-		}
-		for i := 0; len(ids) < cfg.F; i++ {
-			ids = append(ids, types.ProcessID((start+i)%cfg.N))
-		}
-		adv = adversary.NewCrash(ids...)
+		adv = adversary.NewCrash(adversary.CrashSet(cfg.F, cfg.LeaderFault)...)
 	}
 
 	var sizeOf func(proto.Payload) int
 	if cfg.MeasureBytes {
-		reg := wire.NewRegistry()
-		acs.RegisterWire(reg)
-		bb.RegisterWire(reg)
-		wba.RegisterWire(reg)
-		strongba.RegisterWire(reg)
+		reg := protocols.Registry()
 		sizeOf = func(p proto.Payload) int {
 			n, err := reg.SizeOf(p)
 			if err != nil {
@@ -344,9 +315,6 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if b.err != nil {
-		return nil, b.err
 	}
 
 	// Demux losses: messages for already-retired sessions are discarded
@@ -384,10 +352,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	perLayer := splitLayers(rep.Metrics.ByLayer)
 	for k := range rep.Sessions {
 		s := &rep.Sessions[k]
-		s.Index, s.Name, s.Kind = k, "s"+strconv.Itoa(k), reqs[k].Kind
-		if s.Kind == "" {
-			s.Kind = KindBB
-		}
+		s.Index, s.Name, s.Kind = k, "s"+strconv.Itoa(k), reqs[k].kind()
 		if k >= accepted {
 			s.Rejected = true
 			continue
@@ -407,36 +372,11 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 			} else {
 				s.AllDecided = false
 			}
-			switch mm := m.(type) {
-			case *bb.Machine:
-				if mm.WBA() != nil && mm.WBA().RanFallback() {
-					s.FallbackProcs++
-				}
-				if dt := mm.DecidedAtTick(); dt > s.DecisionTick {
-					s.DecisionTick = dt
-				}
-			case *wba.Machine:
-				if mm.RanFallback() {
-					s.FallbackProcs++
-				}
-				if dt := mm.DecidedAtTick(); dt > s.DecisionTick {
-					s.DecisionTick = dt
-				}
-			case *strongba.Machine:
-				if mm.RanFallback() {
-					s.FallbackProcs++
-				}
-				if dt := mm.DecidedAtTick(); dt > s.DecisionTick {
-					s.DecisionTick = dt
-				}
-			case *acs.Machine:
-				if mm.RanFallback() {
-					s.FallbackProcs++
-				}
-				if dt := mm.DecidedAtTick(); dt > s.DecisionTick {
-					s.DecisionTick = dt
-				}
+			ranFallback, decidedAt := protocols.Progress(m)
+			if ranFallback {
+				s.FallbackProcs++
 			}
+			s.DecisionTick = max(s.DecisionTick, decidedAt)
 		}
 		s.Decision, s.Agreement = agreementOf(s.Decisions, res.Honest)
 		if ls := perLayer[s.Name]; ls != nil {
@@ -490,117 +430,53 @@ func splitLayers(byLayer map[string]metrics.Stats) map[string]map[string]metrics
 	return out
 }
 
-// builder constructs per-session protocol machines.
+// Supports reports whether a session can run kind: the paper's three
+// agreement cores and the ACS round.
+func Supports(kind protocols.Kind) bool {
+	switch kind {
+	case protocols.BB, protocols.WBA, protocols.StrongBA, protocols.ACS:
+		return true
+	}
+	return false
+}
+
+// kind is the request's protocol, BB when unset.
+func (r *Request) kind() protocols.Kind {
+	if r.Kind == "" {
+		return protocols.BB
+	}
+	return r.Kind
+}
+
+// builder constructs per-session protocol machines through the protocol
+// table.
 type builder struct {
 	params types.Params
 	crypto *proto.Crypto
 	tag    string
 	reqs   []Request
-	err    error
+	cfgs   []protocols.Config // per session, filled by plan
 }
 
-func (b *builder) sessionTag(k int) string {
-	return fmt.Sprintf("%s/s%d", b.tag, k)
-}
-
-func (b *builder) inputFor(k int, id types.ProcessID, binary bool) types.Value {
+// input is process id's input to session k: its entry of Inputs when
+// set, else Value, which strong BA reads as 1 unless it is 0 or 1.
+func (b *builder) input(k int, id types.ProcessID) types.Value {
 	req := &b.reqs[k]
-	if req.Inputs != nil {
+	switch {
+	case req.Inputs != nil:
 		if int(id) < len(req.Inputs) {
 			return req.Inputs[id]
 		}
 		return nil
-	}
-	if binary && !req.Value.IsBinary() {
+	case req.kind() == protocols.StrongBA && !req.Value.IsBinary():
 		return types.One
 	}
 	return req.Value
 }
 
-// duration returns session k's worst-case schedule length (its
-// protocol's MaxTicks bound at the default phase counts, which are the
-// ones the *Config methods below leave in place), validating the request.
-func (b *builder) duration(k int) (types.Tick, error) {
-	req := &b.reqs[k]
-	switch req.Kind {
-	case KindBB, "":
-		return bb.MaxTicks(b.params, 0, 0), nil
-	case KindWBA:
-		return wba.MaxTicks(b.params, 0), nil
-	case KindStrongBA:
-		if err := b.sbaConfig(k, 0).Validate(); err != nil {
-			return 0, fmt.Errorf("%w: session %d: %v", ErrConfig, k, err)
-		}
-		return strongba.MaxTicks(b.params), nil
-	case KindACS:
-		return acs.MaxTicks(b.params), nil
-	default:
-		return 0, fmt.Errorf("%w: session %d: unknown kind %q", ErrConfig, k, req.Kind)
-	}
-}
-
 // machine builds session k's machine for process id.
 func (b *builder) machine(k int, id types.ProcessID) proto.Machine {
-	switch b.reqs[k].Kind {
-	case KindWBA:
-		return wba.NewMachine(b.wbaConfig(k, id))
-	case KindStrongBA:
-		m, err := strongba.NewMachine(b.sbaConfig(k, id))
-		if err != nil {
-			if b.err == nil {
-				b.err = fmt.Errorf("%w: session %d process %v: %v", ErrConfig, k, id, err)
-			}
-			m, _ = strongba.NewMachine(b.sbaConfig(k, 0))
-		}
-		return m
-	case KindACS:
-		return acs.NewMachine(b.acsConfig(k, id))
-	default:
-		return bb.NewMachine(b.bbConfig(k, id))
-	}
-}
-
-func (b *builder) bbConfig(k int, id types.ProcessID) bb.Config {
-	req := &b.reqs[k]
-	return bb.Config{
-		Params: b.params, Crypto: b.crypto, ID: id,
-		Sender: req.Sender, Input: req.Value, Tag: b.sessionTag(k),
-	}
-}
-
-func (b *builder) wbaConfig(k int, id types.ProcessID) wba.Config {
-	req := &b.reqs[k]
-	pred := valid.NonBottom()
-	if req.Predicate != nil {
-		pred = valid.Func{PredicateName: "custom", Fn: req.Predicate}
-	}
-	return wba.Config{
-		Params: b.params, Crypto: b.crypto, ID: id,
-		Input: b.inputFor(k, id, false), Predicate: pred,
-		Tag: b.sessionTag(k),
-	}
-}
-
-func (b *builder) sbaConfig(k int, id types.ProcessID) strongba.Config {
-	return strongba.Config{
-		Params: b.params, Crypto: b.crypto, ID: id,
-		Input: b.inputFor(k, id, true), Tag: b.sessionTag(k),
-	}
-}
-
-// acsConfig assigns process id its proposed batch via Request.Inputs
-// (already EncodeBatch-framed by the caller); nil proposes an empty
-// batch.
-func (b *builder) acsConfig(k int, id types.ProcessID) acs.Config {
-	req := &b.reqs[k]
-	var input types.Value
-	if req.Inputs != nil && int(id) < len(req.Inputs) {
-		input = req.Inputs[id]
-	}
-	return acs.Config{
-		Params: b.params, Crypto: b.crypto, ID: id,
-		Input: input, Tag: b.sessionTag(k),
-	}
+	return b.reqs[k].kind().MustNew(b.cfgs[k], id, b.input(k, id))
 }
 
 // schedule is the static stride schedule of a run's sessions: with D the
@@ -615,20 +491,30 @@ type schedule struct {
 	budget   types.Tick // the run's tick budget: the last start plus 2D
 }
 
-// plan validates b's requests and lays them out on the stride schedule of
-// a window of w ≥ 1 concurrent sessions.
+// plan validates b's requests — every process's configuration of every
+// session, before any machine exists — and lays them out on the stride
+// schedule of a window of w ≥ 1 concurrent sessions.
 func plan(b *builder, w int) (*schedule, error) {
 	s := &schedule{
 		build:  b.machine,
 		names:  make([]string, len(b.reqs)),
 		starts: make([]types.Tick, len(b.reqs)),
 	}
+	b.cfgs = make([]protocols.Config, len(b.reqs))
 	for k := range b.reqs {
-		d, err := b.duration(k)
-		if err != nil {
-			return nil, err
+		req := &b.reqs[k]
+		kind := req.kind()
+		if !Supports(kind) {
+			return nil, fmt.Errorf("%w: session %d: unknown kind %q", ErrConfig, k, kind)
 		}
-		s.duration = max(s.duration, d)
+		b.cfgs[k] = protocols.Config{
+			Params: b.params, Crypto: b.crypto, Tag: fmt.Sprintf("%s/s%d", b.tag, k),
+			Sender: req.Sender, Predicate: req.Predicate,
+		}
+		if err := kind.Validate(b.cfgs[k], func(id types.ProcessID) types.Value { return b.input(k, id) }); err != nil {
+			return nil, fmt.Errorf("%w: session %d: %v", ErrConfig, k, err)
+		}
+		s.duration = max(s.duration, kind.MaxTicks(b.cfgs[k]))
 		s.names[k] = "s" + strconv.Itoa(k)
 	}
 	s.stride = (s.duration + types.Tick(w) - 1) / types.Tick(w)

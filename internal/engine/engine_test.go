@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
@@ -19,17 +20,17 @@ func mixedRequests(n, count int) []Request {
 	for k := range reqs {
 		switch k % 4 {
 		case 0:
-			reqs[k] = Request{Kind: KindBB, Sender: types.ProcessID(k % n), Value: types.Value(fmt.Sprintf("cmd%d", k))}
+			reqs[k] = Request{Kind: protocols.BB, Sender: types.ProcessID(k % n), Value: types.Value(fmt.Sprintf("cmd%d", k))}
 		case 1:
-			reqs[k] = Request{Kind: KindWBA, Value: types.Value(fmt.Sprintf("w%d", k))}
+			reqs[k] = Request{Kind: protocols.WBA, Value: types.Value(fmt.Sprintf("w%d", k))}
 		case 2:
 			inputs := make([]types.Value, n)
 			for i := range inputs {
 				inputs[i] = types.Value(fmt.Sprintf("v%d", i))
 			}
-			reqs[k] = Request{Kind: KindWBA, Inputs: inputs}
+			reqs[k] = Request{Kind: protocols.WBA, Inputs: inputs}
 		default:
-			reqs[k] = Request{Kind: KindStrongBA, Value: types.One}
+			reqs[k] = Request{Kind: protocols.StrongBA, Value: types.One}
 		}
 	}
 	return reqs
@@ -172,6 +173,24 @@ func TestEngineConfigErrors(t *testing.T) {
 		if _, err := Run(c.cfg, c.reqs); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
+	}
+}
+
+// TestBadInputRejectedBeforeRun: a session whose input is invalid at some
+// process — a non-binary strong-BA input at p2, not p0 — is refused as a
+// configuration error before the simulator polls Halt even once, and
+// before any earlier, valid session runs.
+func TestBadInputRejectedBeforeRun(t *testing.T) {
+	polls := 0
+	_, err := Run(Config{N: 4, Halt: func(types.Tick) bool { polls++; return false }}, []Request{
+		{Kind: protocols.BB, Value: types.Value("v")},
+		{Kind: protocols.StrongBA, Inputs: []types.Value{types.One, types.One, types.Value("x"), types.One}},
+	})
+	if !errors.Is(err, ErrConfig) {
+		t.Errorf("err = %v, want ErrConfig", err)
+	}
+	if polls != 0 {
+		t.Errorf("the run polled Halt %d times before rejecting the input", polls)
 	}
 }
 

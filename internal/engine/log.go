@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"adaptiveba/internal/kv"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 )
 
@@ -74,7 +75,7 @@ func logRequests(n int, queues [][]types.Value, slots int) []Request {
 			cmd = queues[p][pos[p]]
 			pos[p]++
 		}
-		reqs[s] = Request{Kind: KindBB, Sender: types.ProcessID(p), Value: cmd}
+		reqs[s] = Request{Kind: protocols.BB, Sender: types.ProcessID(p), Value: cmd}
 	}
 	return reqs
 }

@@ -13,6 +13,7 @@ import (
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/kv"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/transport"
 	"adaptiveba/internal/types"
@@ -136,7 +137,7 @@ func TestReplicatedLogOverTCP(t *testing.T) {
 		roots[i] = sched.root(types.ProcessID(i))
 		node, err := transport.NewNode(transport.Config{
 			Params: params, Crypto: crypto, ID: types.ProcessID(i), Addrs: addrs,
-			Registry: transport.NewFullRegistry(), TickInterval: 10 * time.Millisecond,
+			Registry: protocols.Registry(), TickInterval: 10 * time.Millisecond,
 		}, roots[i])
 		if err != nil {
 			t.Fatal(err)

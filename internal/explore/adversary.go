@@ -8,6 +8,7 @@ import (
 	"adaptiveba/internal/core/bb"
 	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -45,7 +46,7 @@ type Adversary struct {
 	adversary.Core
 
 	genome   Genome
-	protocol Protocol
+	protocol protocols.Kind
 	rng      *rand.Rand
 	maxTicks types.Tick
 
@@ -63,7 +64,7 @@ var _ sim.Adversary = (*Adversary)(nil)
 // harness passes it through Spec.Adversary) and bounds every compiled
 // tick so a schedule can never stall the run past its natural horizon.
 // A genome with no corruptions yields a nil adversary (failure-free run).
-func NewAdversary(g Genome, protocol Protocol, seed int64, maxTicks types.Tick) sim.Adversary {
+func NewAdversary(g Genome, protocol protocols.Kind, seed int64, maxTicks types.Tick) sim.Adversary {
 	if len(g.Corruptions) == 0 {
 		return nil
 	}
@@ -158,7 +159,7 @@ func (a *Adversary) compileMove(m Move, id types.ProcessID, at types.Tick, horiz
 	}
 
 	switch a.protocol {
-	case ProtocolWBA:
+	case protocols.WBA:
 		phases := p.T + 1
 		switch m.Op {
 		case OpSilence:
@@ -171,7 +172,7 @@ func (a *Adversary) compileMove(m Move, id types.ProcessID, at types.Tick, horiz
 		case OpReplay, OpFlood:
 			act.tick = clamp(types.Tick(m.Arg) % horizon)
 		}
-	case ProtocolBB:
+	case protocols.BB:
 		wbaStart := types.Tick(1 + bbRoundsPerPhase*p.N)
 		switch m.Op {
 		case OpSilence:
@@ -200,7 +201,7 @@ func (a *Adversary) compileMove(m Move, id types.ProcessID, at types.Tick, horiz
 // Observe implements sim.Adversary: BB runs capture the sender's signed
 // round-1 value, the raw material for BB_valid nested-weak-BA spam.
 func (a *Adversary) Observe(_ types.Tick, _ types.ProcessID, inbox []proto.Incoming) {
-	if a.protocol != ProtocolBB || a.sender != nil {
+	if a.protocol != protocols.BB || a.sender != nil {
 		return
 	}
 	for _, in := range inbox {
@@ -243,7 +244,7 @@ func (a *Adversary) emit(msgs []sim.Message, act action) []sim.Message {
 	n := a.Env.Params.N
 	switch act.op {
 	case OpProposeSpam:
-		if a.protocol == ProtocolBB {
+		if a.protocol == protocols.BB {
 			for i := 0; i < n; i++ {
 				msgs = append(msgs, sim.Message{
 					From: act.from, To: types.ProcessID(i),
@@ -259,7 +260,7 @@ func (a *Adversary) emit(msgs []sim.Message, act action) []sim.Message {
 			})
 		}
 	case OpEquivocate:
-		if a.protocol == ProtocolBB {
+		if a.protocol == protocols.BB {
 			// Selective release of the (valid) sender envelope: only the
 			// chosen half sees the nested proposal.
 			if a.sender == nil {
@@ -288,7 +289,7 @@ func (a *Adversary) emit(msgs []sim.Message, act action) []sim.Message {
 			})
 		}
 	case OpHelpSpam:
-		if a.protocol == ProtocolBB {
+		if a.protocol == protocols.BB {
 			if a.sender == nil {
 				return msgs
 			}

@@ -7,23 +7,16 @@ import (
 	"strings"
 
 	"adaptiveba/internal/harness"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
 
-// Protocol aliases the harness protocol selector; the explorer searches
-// the two adaptive protocols whose word bound the paper claims.
-type Protocol = harness.Protocol
-
-// Explorable protocols.
-const (
-	ProtocolWBA = harness.ProtocolWBA
-	ProtocolBB  = harness.ProtocolBB
-)
-
 // Config parameterizes one search.
 type Config struct {
-	Protocol Protocol // default ProtocolWBA
+	// Protocol is one of the two adaptive protocols whose word bound the
+	// paper claims: protocols.WBA (the default) or protocols.BB.
+	Protocol protocols.Kind
 	N        int
 	F        int // corruption budget of searched schedules (≤ t)
 	// Seed drives the whole search: population seeding, mutation, and
@@ -38,7 +31,7 @@ type Config struct {
 // withDefaults fills unset knobs.
 func (c Config) withDefaults() Config {
 	if c.Protocol == "" {
-		c.Protocol = ProtocolWBA
+		c.Protocol = protocols.WBA
 	}
 	if c.Generations <= 0 {
 		c.Generations = 4
@@ -200,7 +193,7 @@ func checkInvariants(cfg Config, t int, g Genome, o *harness.Outcome) []string {
 			o.FallbackCount, len(corrupted), FallbackThreshold(cfg.N, t)))
 	}
 	switch cfg.Protocol {
-	case ProtocolBB:
+	case protocols.BB:
 		senderCorrupt := false
 		for _, id := range corrupted {
 			if id == 0 {

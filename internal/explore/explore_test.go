@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -39,11 +40,11 @@ func dumpViolation(t *testing.T, cfg Config, c Candidate) {
 // dumped to testdata/ with its seed + genome for replay.
 func TestExploredSchedulesKeepInvariants(t *testing.T) {
 	grid := []Config{
-		{Protocol: ProtocolWBA, N: 5, F: 2, Seed: 1},
-		{Protocol: ProtocolWBA, N: 9, F: 4, Seed: 2},
-		{Protocol: ProtocolWBA, N: 9, F: 0, Seed: 3},
-		{Protocol: ProtocolBB, N: 5, F: 2, Seed: 4},
-		{Protocol: ProtocolBB, N: 9, F: 3, Seed: 5},
+		{Protocol: protocols.WBA, N: 5, F: 2, Seed: 1},
+		{Protocol: protocols.WBA, N: 9, F: 4, Seed: 2},
+		{Protocol: protocols.WBA, N: 9, F: 0, Seed: 3},
+		{Protocol: protocols.BB, N: 5, F: 2, Seed: 4},
+		{Protocol: protocols.BB, N: 9, F: 3, Seed: 5},
 	}
 	for _, cfg := range grid {
 		cfg.Generations, cfg.Population = 3, 6
@@ -69,7 +70,7 @@ func TestExploredSchedulesKeepInvariants(t *testing.T) {
 // Config produces a byte-identical Report at any worker count — two
 // independent explorers must converge on the identical worst schedule.
 func TestExploreDeterministic(t *testing.T) {
-	cfg := Config{Protocol: ProtocolWBA, N: 5, F: 2, Seed: 7, Generations: 3, Population: 6}
+	cfg := Config{Protocol: protocols.WBA, N: 5, F: 2, Seed: 7, Generations: 3, Population: 6}
 	var reports []string
 	for _, workers := range []int{1, 4} {
 		c := cfg
@@ -89,7 +90,7 @@ func TestExploreDeterministic(t *testing.T) {
 // and checks it reproduces the exact fitness the search recorded — the
 // genome dump really is a complete reproducer.
 func TestReplayWorstSchedule(t *testing.T) {
-	cfg := Config{Protocol: ProtocolWBA, N: 9, F: 4, Seed: 11, Generations: 3, Population: 6}
+	cfg := Config{Protocol: protocols.WBA, N: 9, F: 4, Seed: 11, Generations: 3, Population: 6}
 	res, err := Explore(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +113,7 @@ func TestReplayWorstSchedule(t *testing.T) {
 // must find schedules at least as bad as the seeded heuristic — the
 // final generation's best cannot be worse than the first's.
 func TestExploreSearchImproves(t *testing.T) {
-	res, err := Explore(Config{Protocol: ProtocolWBA, N: 9, F: 4, Seed: 3, Generations: 4, Population: 8})
+	res, err := Explore(Config{Protocol: protocols.WBA, N: 9, F: 4, Seed: 3, Generations: 4, Population: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestCorruptedIDsMatchesAdversary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := NewAdversary(g, ProtocolWBA, 1, 100)
+	adv := NewAdversary(g, protocols.WBA, 1, 100)
 	adv.Init(sim.Env{Params: params})
 	cs := adv.Corruptions()
 	if len(cs) != len(ids) {
@@ -189,7 +190,7 @@ func TestRandomGenomesAlwaysCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 10; i++ {
 		g := RandomGenome(rng, 2)
-		for _, p := range []Protocol{ProtocolWBA, ProtocolBB} {
+		for _, p := range []protocols.Kind{protocols.WBA, protocols.BB} {
 			o, err := ReplaySchedule(Config{Protocol: p, N: 5, F: 2, Seed: int64(i)}, g)
 			if err != nil {
 				t.Fatalf("genome %s on %s: %v", g.Hex(), p, err)

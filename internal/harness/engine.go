@@ -22,55 +22,23 @@ func RunEngine(spec Spec, sessions, inflight, maxQueue int) (*engine.Report, err
 	if sessions < 1 {
 		return nil, fmt.Errorf("%w: need at least one session, got %d", ErrSpec, sessions)
 	}
-	var kind engine.Kind
-	switch spec.Protocol {
-	case ProtocolBB:
-		kind = engine.KindBB
-	case ProtocolWBA:
-		kind = engine.KindWBA
-	case ProtocolStrongBA:
-		kind = engine.KindStrongBA
-	case ProtocolACS:
-		kind = engine.KindACS
-	default:
+	if !engine.Supports(spec.Protocol) {
 		return nil, fmt.Errorf("%w: engine runs bb, wba, strongba or acs, got %q", ErrSpec, spec.Protocol)
 	}
-	// Apply Run's spec defaults before deriving inputs, so inputFor sees
-	// the same spec a solo run would.
-	if spec.Fault == "" {
-		spec.Fault = FaultCrash
-	}
-	if spec.Inputs == "" {
-		spec.Inputs = InputsUnanimous
-	}
-	if spec.Value == nil {
-		spec.Value = types.Value("v")
-	}
+	// Run's defaults, so input sees the spec a solo run would.
+	spec = spec.withDefaults()
 	switch spec.Fault {
 	case FaultCrash, FaultCrashLeader:
 	default:
 		return nil, fmt.Errorf("%w: engine supports crash fault patterns, got %q", ErrSpec, spec.Fault)
 	}
 
-	req := engine.Request{Kind: kind, Sender: spec.Sender, Predicate: spec.Predicate}
-	switch kind {
-	case engine.KindBB:
-		req.Value = spec.Value
-	case engine.KindACS:
-		// Every process proposes its batch, exactly as a solo ProtocolACS
-		// run would build it.
-		r := &runner{spec: spec}
-		for id := 0; id < spec.N; id++ {
-			req.Inputs = append(req.Inputs, r.acsBatch(types.ProcessID(id)))
-		}
-	default:
-		// Materialize the spec's input policy (unanimous / distinct /
-		// per-process) exactly as a solo Run would assign it.
-		r := &runner{spec: spec}
-		binary := kind == engine.KindStrongBA
-		for id := 0; id < spec.N; id++ {
-			req.Inputs = append(req.Inputs, r.inputFor(types.ProcessID(id), binary))
-		}
+	// Materialize the spec's input policy exactly as a solo Run would
+	// assign it.
+	req := engine.Request{Kind: spec.Protocol, Sender: spec.Sender, Predicate: spec.Predicate}
+	r := &runner{spec: spec}
+	for id := 0; id < spec.N; id++ {
+		req.Inputs = append(req.Inputs, r.input(types.ProcessID(id)))
 	}
 	reqs := make([]engine.Request, sessions)
 	for i := range reqs {

@@ -9,12 +9,11 @@ import (
 	"strings"
 
 	"adaptiveba/internal/adversary/attacks"
-	"adaptiveba/internal/core/valid"
-	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -338,15 +337,12 @@ func expAblateQuorum(Pool) (string, error) {
 			ids = append(ids, types.ProcessID(i))
 		}
 		adv := attacks.NewWBASplitVote("q", quorum, types.Value("v1"), types.Value("v2"), ids...)
+		cfg := protocols.Config{Params: params, Crypto: crypto, Tag: "q", QuorumOverride: override}
 		res, err := sim.Run(sim.Config{
 			Params: params,
 			Crypto: crypto,
 			Factory: func(id types.ProcessID) proto.Machine {
-				return wba.NewMachine(wba.Config{
-					Params: params, Crypto: crypto, ID: id,
-					Input: types.Value("honest"), Predicate: valid.NonBottom(),
-					Tag: "q", QuorumOverride: override,
-				})
+				return ProtocolWBA.MustNew(cfg, id, types.Value("honest"))
 			},
 			Adversary: adv,
 			MaxTicks:  2000,

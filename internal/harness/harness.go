@@ -17,60 +17,34 @@ import (
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/adversary/attacks"
-	"adaptiveba/internal/baseline/committee"
-	"adaptiveba/internal/baseline/dolevstrong"
-	"adaptiveba/internal/baseline/echobb"
-	"adaptiveba/internal/baseline/floodset"
-	"adaptiveba/internal/core/bb"
-	"adaptiveba/internal/core/bbviaba"
-	"adaptiveba/internal/core/strongba"
-	"adaptiveba/internal/core/valid"
-	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
-	"adaptiveba/internal/fallback"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/oracle"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
-	"adaptiveba/internal/wire"
 )
 
-// Protocol selects the algorithm under test.
-type Protocol string
+// Protocol selects the algorithm under test: one kind of the protocol
+// table (internal/protocols documents each).
+type Protocol = protocols.Kind
 
-// Protocols known to the harness.
+// The harness's names for the table's kinds.
 const (
-	// ProtocolBB is the paper's adaptive Byzantine Broadcast (Alg. 1+2).
-	ProtocolBB Protocol = "bb"
-	// ProtocolWBA is the paper's adaptive weak BA (Alg. 3+4).
-	ProtocolWBA Protocol = "wba"
-	// ProtocolStrongBA is the paper's binary strong BA (Alg. 5).
-	ProtocolStrongBA Protocol = "strongba"
-	// ProtocolBBViaBA is the classic reduction BB-from-strong-BA that the
-	// paper recalls in Section 5 (binary values only).
-	ProtocolBBViaBA Protocol = "bb-via-ba"
-	// ProtocolDolevStrong is the classic BB baseline.
-	ProtocolDolevStrong Protocol = "dolev-strong"
-	// ProtocolEchoBB is the naive always-quadratic BB baseline.
-	ProtocolEchoBB Protocol = "echo-bb"
-	// ProtocolFallback is A_fallback run directly (the non-adaptive
-	// strong BA used as the quadratic-regime baseline).
-	ProtocolFallback Protocol = "fallback"
-	// ProtocolFloodSet is the early-stopping CRASH-fault consensus from
-	// the Section 4 related-work discussion: adaptive rounds, quadratic
-	// words — the mirror image of the paper's protocols.
-	ProtocolFloodSet Protocol = "floodset"
-	// ProtocolCommittee is the King–Saia-style Õ(√n)-words-per-process
-	// committee-sampling baseline (CRASH faults): the large-n rival the
-	// scale benchmark compares the adaptive protocol against.
-	ProtocolCommittee Protocol = "committee"
-	// ProtocolACS is the BKR agreement-on-common-subset round: every
-	// process proposes a batch of Spec.Batch commands, n concurrent BBs
-	// disseminate them, n binary strong-BA votes decide the committed
-	// subset (internal/acs).
-	ProtocolACS Protocol = "acs"
+	ProtocolBB          = protocols.BB
+	ProtocolWBA         = protocols.WBA
+	ProtocolStrongBA    = protocols.StrongBA
+	ProtocolBBViaBA     = protocols.BBViaBA
+	ProtocolDolevStrong = protocols.DolevStrong
+	ProtocolEchoBB      = protocols.EchoBB
+	ProtocolFallback    = protocols.Fallback
+	ProtocolFloodSet    = protocols.FloodSet
+	ProtocolCommittee   = protocols.Committee
+	// ProtocolACS runs one round in which every process proposes a batch
+	// of Spec.Batch commands.
+	ProtocolACS = protocols.ACS
 )
 
 // Fault selects the failure pattern applied to the run.
@@ -250,18 +224,7 @@ func Run(spec Spec) (*Outcome, error) {
 	if spec.F < 0 || spec.F > params.T {
 		return nil, fmt.Errorf("%w: f=%d with t=%d", ErrSpec, spec.F, params.T)
 	}
-	if spec.Fault == "" {
-		spec.Fault = FaultCrash
-	}
-	if spec.Inputs == "" {
-		spec.Inputs = InputsUnanimous
-	}
-	if spec.CertMode == 0 {
-		spec.CertMode = threshold.ModeCompact
-	}
-	if spec.Value == nil {
-		spec.Value = types.Value("v")
-	}
+	spec = spec.withDefaults()
 
 	var scheme sig.Scheme
 	if spec.Ed25519 {
@@ -291,31 +254,29 @@ func Run(spec Spec) (*Outcome, error) {
 	return run.execute()
 }
 
+// withDefaults fills the spec's unset fields with their documented
+// defaults.
+func (s Spec) withDefaults() Spec {
+	if s.Fault == "" {
+		s.Fault = FaultCrash
+	}
+	if s.Inputs == "" {
+		s.Inputs = InputsUnanimous
+	}
+	if s.CertMode == 0 {
+		s.CertMode = threshold.ModeCompact
+	}
+	if s.Value == nil {
+		s.Value = types.Value("v")
+	}
+	return s
+}
+
 type runner struct {
 	spec    Spec
 	params  types.Params
 	crypto  *proto.Crypto
 	counter *sig.Counting
-
-	wbaMachines map[types.ProcessID]*wba.Machine
-	sbaMachines map[types.ProcessID]*strongba.Machine
-	bbMachines  map[types.ProcessID]*bb.Machine
-	fsMachines  map[types.ProcessID]*floodset.Machine
-	cmMachines  map[types.ProcessID]*committee.Machine
-	acsMachines map[types.ProcessID]*acs.Machine
-}
-
-// crashSet derives the crashed process IDs from the fault pattern.
-func (r *runner) crashSet() []types.ProcessID {
-	ids := make([]types.ProcessID, 0, r.spec.F)
-	start := 1
-	if r.spec.Fault == FaultCrashLeader {
-		start = 0
-	}
-	for i := 0; len(ids) < r.spec.F; i++ {
-		ids = append(ids, types.ProcessID((start+i)%r.spec.N))
-	}
-	return ids
 }
 
 // adversaryFor builds the spec's adversary (nil when f=0).
@@ -326,7 +287,7 @@ func (r *runner) adversaryFor(maxTicks types.Tick) sim.Adversary {
 	if r.spec.F == 0 {
 		return nil
 	}
-	ids := r.crashSet()
+	ids := adversary.CrashSet(r.spec.F, r.spec.Fault == FaultCrashLeader)
 	switch r.spec.Fault {
 	case FaultStagger:
 		at := make(map[types.ProcessID]types.Tick, len(ids))
@@ -341,7 +302,7 @@ func (r *runner) adversaryFor(maxTicks types.Tick) sim.Adversary {
 		case ProtocolBB:
 			return attacks.NewBBPhaseSpam(ids...)
 		case ProtocolWBA:
-			return attacks.NewWBAPhaseSpam(r.inputFor(0, false), ids...)
+			return attacks.NewWBAPhaseSpam(r.input(0), ids...)
 		default:
 			return adversary.NewCrash(ids...)
 		}
@@ -350,141 +311,70 @@ func (r *runner) adversaryFor(maxTicks types.Tick) sim.Adversary {
 	}
 }
 
-// inputFor assigns process inputs.
-func (r *runner) inputFor(id types.ProcessID, binary bool) types.Value {
-	if r.spec.PerProcessInputs != nil {
-		if int(id) < len(r.spec.PerProcessInputs) {
-			return r.spec.PerProcessInputs[id]
+// input is process id's input under the spec's input policy. The
+// broadcast kinds send Value (bb-via-ba a bit: 1 unless Value is one);
+// otherwise PerProcessInputs, when set, assigns each process its own; an
+// ACS proposer proposes Batch synthetic commands, deterministic per
+// proposer; and the agreement kinds take Value (strong BA 1) or, under
+// InputsDistinct, one value per process (strong BA alternating bits).
+func (r *runner) input(id types.ProcessID) types.Value {
+	spec := &r.spec
+	binary := spec.Protocol == ProtocolStrongBA
+	switch {
+	case spec.Protocol == ProtocolBB, spec.Protocol == ProtocolDolevStrong, spec.Protocol == ProtocolEchoBB:
+		return spec.Value
+	case spec.Protocol == ProtocolBBViaBA && !spec.Value.IsBinary():
+		return types.One
+	case spec.Protocol == ProtocolBBViaBA:
+		return spec.Value
+	case spec.PerProcessInputs != nil:
+		if int(id) < len(spec.PerProcessInputs) {
+			return spec.PerProcessInputs[id]
 		}
 		return nil
-	}
-	switch r.spec.Inputs {
-	case InputsDistinct:
-		if binary {
-			return types.BinaryValue(int(id)%2 == 0)
+	case spec.Protocol == ProtocolACS:
+		cmds := make([]types.Value, max(spec.Batch, 1))
+		for j := range cmds {
+			cmds[j] = types.Value(fmt.Sprintf("SET a%d-%d v%d", int(id), j, j))
 		}
+		return acs.EncodeBatch(cmds)
+	case spec.Inputs == InputsDistinct && binary:
+		return types.BinaryValue(int(id)%2 == 0)
+	case spec.Inputs == InputsDistinct:
 		return types.Value(fmt.Sprintf("v%d", int(id)))
-	default:
-		if binary {
-			return types.One
-		}
-		return r.spec.Value
+	case binary:
+		return types.One
 	}
+	return spec.Value
 }
 
-// execute builds the factory and runs the simulation.
+// execute validates the spec's instance against the protocol table and
+// runs it in the simulator.
 func (r *runner) execute() (*Outcome, error) {
-	var (
-		factory  func(types.ProcessID) proto.Machine
-		maxTicks types.Tick
-		buildErr error
-	)
-	switch r.spec.Protocol {
-	case ProtocolBB:
-		r.bbMachines = make(map[types.ProcessID]*bb.Machine)
-		cfg := r.bbConfig(0)
-		maxTicks = bb.MaxTicks(cfg.Params, cfg.Phases, cfg.WBAPhases) * 2
-		factory = func(id types.ProcessID) proto.Machine {
-			m := bb.NewMachine(r.bbConfig(id))
-			r.bbMachines[id] = m
-			return m
-		}
-	case ProtocolWBA:
-		r.wbaMachines = make(map[types.ProcessID]*wba.Machine)
-		cfg := r.wbaConfig(0)
-		maxTicks = wba.MaxTicks(cfg.Params, cfg.Phases) * 2
-		factory = func(id types.ProcessID) proto.Machine {
-			m := wba.NewMachine(r.wbaConfig(id))
-			r.wbaMachines[id] = m
-			return m
-		}
-	case ProtocolStrongBA:
-		r.sbaMachines = make(map[types.ProcessID]*strongba.Machine)
-		if err := r.sbaConfig(0).Validate(); err != nil {
-			return nil, err
-		}
-		maxTicks = strongba.MaxTicks(r.params) * 2
-		factory = func(id types.ProcessID) proto.Machine {
-			m, err := strongba.NewMachine(r.sbaConfig(id))
-			if err != nil {
-				buildErr = err
-				m, _ = strongba.NewMachine(r.sbaConfig(0))
-			}
-			r.sbaMachines[id] = m
-			return m
-		}
-	case ProtocolBBViaBA:
-		probe, err := bbviaba.NewMachine(r.bbviabaConfig(r.spec.Sender))
-		if err != nil {
-			return nil, err
-		}
-		maxTicks = probe.MaxTicks() * 2
-		factory = func(id types.ProcessID) proto.Machine {
-			m, err := bbviaba.NewMachine(r.bbviabaConfig(id))
-			if err != nil {
-				buildErr = err
-				m, _ = bbviaba.NewMachine(r.bbviabaConfig(r.spec.Sender))
-			}
-			return m
-		}
-	case ProtocolDolevStrong:
-		maxTicks = types.Tick(r.params.T+4) * 2
-		factory = func(id types.ProcessID) proto.Machine {
-			return dolevstrong.NewMachine(dolevstrong.Config{
-				Params: r.params, Crypto: r.crypto, ID: id,
-				Sender: r.spec.Sender, Input: r.spec.Value, Tag: "h/ds",
-			})
-		}
-	case ProtocolEchoBB:
-		maxTicks = 20
-		factory = func(id types.ProcessID) proto.Machine {
-			return echobb.NewMachine(echobb.Config{
-				Params: r.params, Crypto: r.crypto, ID: id,
-				Sender: r.spec.Sender, Input: r.spec.Value, Tag: "h/echo",
-			})
-		}
-	case ProtocolFloodSet:
-		maxTicks = types.Tick(r.params.T+6) * 2
-		r.fsMachines = make(map[types.ProcessID]*floodset.Machine)
-		factory = func(id types.ProcessID) proto.Machine {
-			m := floodset.NewMachine(floodset.Config{
-				Params: r.params, ID: id, Input: r.inputFor(id, false),
-			})
-			r.fsMachines[id] = m
-			return m
-		}
-	case ProtocolCommittee:
-		maxTicks = types.Tick(2 * (committee.Size(r.spec.N) + 8))
-		r.cmMachines = make(map[types.ProcessID]*committee.Machine)
-		factory = func(id types.ProcessID) proto.Machine {
-			m := committee.NewMachine(committee.Config{
-				Params: r.params, ID: id, Input: r.inputFor(id, false),
-				// The sampling seed is public common randomness; every
-				// process must derive the same committee, so it comes
-				// from the spec, not the process.
-				Seed: uint64(r.spec.Seed) + 0x636d7465, // "cmte"
-			})
-			r.cmMachines[id] = m
-			return m
-		}
-	case ProtocolACS:
-		r.acsMachines = make(map[types.ProcessID]*acs.Machine)
-		maxTicks = acs.MaxTicks(r.params) + 4
-		factory = func(id types.ProcessID) proto.Machine {
-			m := acs.NewMachine(r.acsConfig(id))
-			r.acsMachines[id] = m
-			return m
-		}
-	case ProtocolFallback:
-		maxTicks = types.Tick(r.params.T+4) * 4
-		factory = func(id types.ProcessID) proto.Machine {
-			return fallback.NewMachine(fallback.Config{
-				Params: r.params, Crypto: r.crypto, ID: id,
-				Input: r.inputFor(id, false), Tag: "h/fb", RoundDur: 1,
-			})
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown protocol %q", ErrSpec, r.spec.Protocol)
+	kind := r.spec.Protocol
+	cfg := protocols.Config{
+		Params: r.params, Crypto: r.crypto, Tag: kind.Tag("h"),
+		Sender: r.spec.Sender, Predicate: r.spec.Predicate,
+		// The sampling seed is public common randomness; every process
+		// must derive the same committee, so it comes from the spec, not
+		// the process.
+		Seed:     uint64(r.spec.Seed) + 0x636d7465, // "cmte"
+		BBPhases: r.spec.BBPhases, WBAPhases: r.spec.WBAPhases,
+		DisableSilentPhases: r.spec.DisableSilentPhases,
+	}
+	if err := kind.Validate(cfg, r.input); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrSpec, err)
+	}
+	// A solo run gets twice its instance's bound — except an ACS round,
+	// whose schedule is already its exact length.
+	maxTicks := 2 * kind.MaxTicks(cfg)
+	if kind == ProtocolACS {
+		maxTicks = kind.MaxTicks(cfg) + 4
+	}
+	machines := make([]proto.Machine, r.params.N)
+	factory := func(id types.ProcessID) proto.Machine {
+		machines[id] = kind.MustNew(cfg, id, r.input(id))
+		return machines[id]
 	}
 
 	rec := metrics.NewRecorder()
@@ -495,17 +385,17 @@ func (r *runner) execute() (*Outcome, error) {
 		if user := onSend; user != nil {
 			hooks = append(hooks, user)
 		}
-		switch r.spec.Protocol {
+		switch kind {
 		case ProtocolWBA:
-			m := oracle.NewWBA(r.params, r.crypto, "h/wba", 0)
+			m := oracle.NewWBA(r.params, r.crypto, cfg.Tag, 0)
 			monitors = append(monitors, m)
 			hooks = append(hooks, m.OnSend)
 		case ProtocolBB:
-			m := oracle.NewWBA(r.params, r.crypto, "h/bb/wba", 0)
+			m := oracle.NewWBA(r.params, r.crypto, cfg.Tag+"/wba", 0)
 			monitors = append(monitors, m)
 			hooks = append(hooks, m.OnSend)
 		case ProtocolStrongBA:
-			m := oracle.NewStrongBA(r.params, r.crypto, "h/sba")
+			m := oracle.NewStrongBA(r.params, r.crypto, cfg.Tag)
 			monitors = append(monitors, m)
 			hooks = append(hooks, m.OnSend)
 		}
@@ -519,13 +409,7 @@ func (r *runner) execute() (*Outcome, error) {
 	}
 	var sizeOf func(proto.Payload) int
 	if r.spec.MeasureBytes {
-		reg := wire.NewRegistry()
-		acs.RegisterWire(reg)
-		bb.RegisterWire(reg)
-		wba.RegisterWire(reg)
-		strongba.RegisterWire(reg)
-		dolevstrong.RegisterWire(reg)
-		echobb.RegisterWire(reg)
+		reg := protocols.Registry()
 		sizeOf = func(p proto.Payload) int {
 			n, err := reg.SizeOf(p)
 			if err != nil {
@@ -551,28 +435,30 @@ func (r *runner) execute() (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if buildErr != nil {
-		return nil, buildErr
-	}
 
 	decision, agreement := res.Agreement()
 	out := &Outcome{
-		Spec:          r.spec,
-		Words:         res.Report.Honest.Words,
-		Messages:      res.Report.Honest.Messages,
-		Signatures:    res.Report.Honest.Signatures,
-		Bytes:         res.Report.Honest.Bytes,
-		Combines:      res.Report.Combines,
-		Ticks:         res.Ticks,
-		Decided:       res.AllDecided() && !res.TimedOut,
-		Agreement:     agreement,
-		Decision:      decision,
-		ByLayer:       res.Report.ByLayer,
-		FallbackCount: r.fallbackCount(res),
-		DecisionTick:  r.decisionTick(res),
-		CacheHits:     res.Report.CacheHits,
-		CacheMisses:   res.Report.CacheMisses,
-		CacheWaits:    res.Report.CacheWaits,
+		Spec:        r.spec,
+		Words:       res.Report.Honest.Words,
+		Messages:    res.Report.Honest.Messages,
+		Signatures:  res.Report.Honest.Signatures,
+		Bytes:       res.Report.Honest.Bytes,
+		Combines:    res.Report.Combines,
+		Ticks:       res.Ticks,
+		Decided:     res.AllDecided() && !res.TimedOut,
+		Agreement:   agreement,
+		Decision:    decision,
+		ByLayer:     res.Report.ByLayer,
+		CacheHits:   res.Report.CacheHits,
+		CacheMisses: res.Report.CacheMisses,
+		CacheWaits:  res.Report.CacheWaits,
+	}
+	for _, id := range res.Honest {
+		ranFallback, decidedAt := protocols.Progress(machines[id])
+		if ranFallback {
+			out.FallbackCount++
+		}
+		out.DecisionTick = max(out.DecisionTick, decidedAt)
 	}
 	if r.counter != nil {
 		out.SignOps = r.counter.Signs()
@@ -582,140 +468,6 @@ func (r *runner) execute() (*Outcome, error) {
 		out.InvariantViolations = append(out.InvariantViolations, m.Violations()...)
 	}
 	return out, nil
-}
-
-func (r *runner) bbConfig(id types.ProcessID) bb.Config {
-	return bb.Config{
-		Params: r.params, Crypto: r.crypto, ID: id,
-		Sender: r.spec.Sender, Input: r.spec.Value, Tag: "h/bb",
-		Phases: r.spec.BBPhases, WBAPhases: r.spec.WBAPhases,
-		DisableSilentPhases: r.spec.DisableSilentPhases,
-	}
-}
-
-func (r *runner) wbaConfig(id types.ProcessID) wba.Config {
-	pred := valid.NonBottom()
-	if r.spec.Predicate != nil {
-		pred = valid.Func{PredicateName: "custom", Fn: r.spec.Predicate}
-	}
-	return wba.Config{
-		Params: r.params, Crypto: r.crypto, ID: id,
-		Input: r.inputFor(id, false), Predicate: pred,
-		Tag: "h/wba", Phases: r.spec.WBAPhases,
-		DisableSilentPhases: r.spec.DisableSilentPhases,
-	}
-}
-
-func (r *runner) bbviabaConfig(id types.ProcessID) bbviaba.Config {
-	bit := r.spec.Value
-	if !bit.IsBinary() {
-		bit = types.One
-	}
-	return bbviaba.Config{
-		Params: r.params, Crypto: r.crypto, ID: id,
-		Sender: r.spec.Sender, Input: bit, Tag: "h/bbr",
-	}
-}
-
-func (r *runner) sbaConfig(id types.ProcessID) strongba.Config {
-	return strongba.Config{
-		Params: r.params, Crypto: r.crypto, ID: id,
-		Input: r.inputFor(id, true), Tag: "h/sba",
-	}
-}
-
-// acsBatch builds process id's proposed batch: Spec.Batch synthetic
-// commands (deterministic per proposer), unless PerProcessInputs
-// supplies a pre-framed batch.
-func (r *runner) acsBatch(id types.ProcessID) types.Value {
-	if r.spec.PerProcessInputs != nil {
-		if int(id) < len(r.spec.PerProcessInputs) {
-			return r.spec.PerProcessInputs[id]
-		}
-		return nil
-	}
-	size := r.spec.Batch
-	if size <= 0 {
-		size = 1
-	}
-	cmds := make([]types.Value, 0, size)
-	for j := 0; j < size; j++ {
-		cmds = append(cmds, types.Value(fmt.Sprintf("SET a%d-%d v%d", int(id), j, j)))
-	}
-	return acs.EncodeBatch(cmds)
-}
-
-func (r *runner) acsConfig(id types.ProcessID) acs.Config {
-	return acs.Config{
-		Params: r.params, Crypto: r.crypto, ID: id,
-		Input: r.acsBatch(id), Tag: "h/acs",
-	}
-}
-
-// fallbackCount counts honest processes that ran A_fallback.
-func (r *runner) fallbackCount(res *sim.Result) int {
-	count := 0
-	for _, id := range res.Honest {
-		switch {
-		case r.wbaMachines != nil:
-			if m := r.wbaMachines[id]; m != nil && m.RanFallback() {
-				count++
-			}
-		case r.sbaMachines != nil:
-			if m := r.sbaMachines[id]; m != nil && m.RanFallback() {
-				count++
-			}
-		case r.bbMachines != nil:
-			if m := r.bbMachines[id]; m != nil && m.WBA() != nil && m.WBA().RanFallback() {
-				count++
-			}
-		case r.acsMachines != nil:
-			if m := r.acsMachines[id]; m != nil && m.RanFallback() {
-				count++
-			}
-		}
-	}
-	return count
-}
-
-// decisionTick returns the latest honest decision tick (0 for protocols
-// without latency introspection).
-func (r *runner) decisionTick(res *sim.Result) types.Tick {
-	var latest types.Tick
-	note := func(t types.Tick) {
-		if t > latest {
-			latest = t
-		}
-	}
-	for _, id := range res.Honest {
-		switch {
-		case r.wbaMachines != nil:
-			if m := r.wbaMachines[id]; m != nil {
-				note(m.DecidedAtTick())
-			}
-		case r.sbaMachines != nil:
-			if m := r.sbaMachines[id]; m != nil {
-				note(m.DecidedAtTick())
-			}
-		case r.bbMachines != nil:
-			if m := r.bbMachines[id]; m != nil {
-				note(m.DecidedAtTick())
-			}
-		case r.fsMachines != nil:
-			if m := r.fsMachines[id]; m != nil {
-				note(types.Tick(m.Rounds()))
-			}
-		case r.cmMachines != nil:
-			if m := r.cmMachines[id]; m != nil {
-				note(types.Tick(m.Rounds()))
-			}
-		case r.acsMachines != nil:
-			if m := r.acsMachines[id]; m != nil {
-				note(m.DecidedAtTick())
-			}
-		}
-	}
-	return latest
 }
 
 // Sweep runs the spec across (n, f) combinations (skipping infeasible

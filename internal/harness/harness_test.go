@@ -5,14 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 )
 
 func TestRunEveryProtocolFailureFree(t *testing.T) {
-	for _, p := range []Protocol{
-		ProtocolBB, ProtocolWBA, ProtocolStrongBA,
-		ProtocolDolevStrong, ProtocolEchoBB, ProtocolFallback,
-	} {
+	for _, p := range protocols.Kinds() {
 		t.Run(string(p), func(t *testing.T) {
 			o, err := Run(Spec{Protocol: p, N: 5})
 			if err != nil {
@@ -82,6 +80,54 @@ func TestFallbackCountReported(t *testing.T) {
 	}
 	if o.FallbackCount != 0 {
 		t.Errorf("FallbackCount = %d, want 0", o.FallbackCount)
+	}
+	// bb-via-ba's strong BA falls back at its first crash (its layers
+	// carry the fallback's words); all 8 honest processes must be counted.
+	o, err = Run(Spec{Protocol: ProtocolBBViaBA, N: 9, F: 1, Value: types.One})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.FallbackCount != 8 {
+		t.Errorf("bb-via-ba FallbackCount = %d, want 8", o.FallbackCount)
+	}
+}
+
+// TestBadInputRejectedBeforeRun: a process's invalid input — here a
+// non-binary strong-BA input at p2, not p0 — is refused up front as a
+// spec error, before the simulator polls Halt even once.
+func TestBadInputRejectedBeforeRun(t *testing.T) {
+	polls := 0
+	_, err := Run(Spec{
+		Protocol:         ProtocolStrongBA,
+		N:                4,
+		PerProcessInputs: []types.Value{types.One, types.One, types.Value("x"), types.One},
+		Halt:             func(types.Tick) bool { polls++; return false },
+	})
+	if !errors.Is(err, ErrSpec) {
+		t.Errorf("err = %v, want ErrSpec", err)
+	}
+	if polls != 0 {
+		t.Errorf("the run polled Halt %d times before rejecting the input", polls)
+	}
+}
+
+// TestMeasureBytesCoversEveryLayer runs every kind of the protocol table
+// under MeasureBytes: a layer that carried words must have carried bytes,
+// or the registry is missing a codec.
+func TestMeasureBytesCoversEveryLayer(t *testing.T) {
+	for _, p := range protocols.Kinds() {
+		if p == ProtocolFloodSet || p == ProtocolCommittee {
+			continue // simulator-only: no wire codecs
+		}
+		o, err := Run(Spec{Protocol: p, N: 9, F: 1, MeasureBytes: true})
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		for layer, st := range o.ByLayer {
+			if st.Words > 0 && st.Bytes <= 0 {
+				t.Errorf("%s layer %s: %d words, %d bytes", p, layer, st.Words, st.Bytes)
+			}
+		}
 	}
 }
 

@@ -24,8 +24,10 @@ import (
 	"encoding/base64"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
+	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/blob"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/kv"
@@ -155,14 +157,14 @@ func NewCore(cfg Config) (*Core, error) {
 		return nil, err
 	}
 	c := &Core{cfg: cfg, store: kv.NewStore(), blobs: blobs, audit: audit}
-	// The engine's crash set is IDs 1..F; only honest proposers carry
-	// client commands, so every accepted command commits (a crashed
-	// proposer's batch is excluded from the round's subset).
+	// Only honest proposers carry client commands, so every accepted
+	// command commits: the engine crashes exactly the crash set, and a
+	// crashed proposer's batch is excluded from the round's subset.
+	crashed := adversary.CrashSet(cfg.F, false)
 	for id := 0; id < cfg.N; id++ {
-		if id >= 1 && id <= cfg.F {
-			continue
+		if !slices.Contains(crashed, types.ProcessID(id)) {
+			c.honest = append(c.honest, id)
 		}
-		c.honest = append(c.honest, id)
 	}
 	return c, nil
 }

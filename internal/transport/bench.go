@@ -9,12 +9,11 @@ import (
 	"time"
 
 	"adaptiveba/internal/core/bb"
-	"adaptiveba/internal/core/valid"
-	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 )
 
@@ -74,7 +73,7 @@ func NewSendBench(n int) (*SendBench, error) {
 		Crypto:   crypto,
 		ID:       0,
 		Addrs:    addrs,
-		Registry: NewFullRegistry(),
+		Registry: protocols.Registry(),
 		Recorder: rec,
 		// A large bound so the harness measures throughput, not the
 		// drop policy: every queued message must be delivered.
@@ -226,7 +225,7 @@ func RunCluster(opts ClusterOpts) (*ClusterResult, error) {
 			Crypto:       crypto,
 			ID:           id,
 			Addrs:        addrs,
-			Registry:     NewFullRegistry(),
+			Registry:     protocols.Registry(),
 			TickInterval: opts.Tick,
 			Recorder:     recs[i],
 			Chaos:        chaosCfg,
@@ -275,20 +274,15 @@ func clusterSetup(n int) (types.Params, *proto.Crypto, error) {
 	return params, proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("net-cluster-dealer")), nil
 }
 
-// clusterMachine builds process id's machine for a RunCluster protocol.
+// clusterMachine looks up process id's machine for a RunCluster protocol
+// in the protocol table.
 func clusterMachine(protocol string, params types.Params, crypto *proto.Crypto, id types.ProcessID) (proto.Machine, error) {
+	cfg := protocols.Config{Params: params, Crypto: crypto, Tag: "netbench"}
 	switch protocol {
 	case "", "bb":
-		return bb.NewMachine(bb.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Sender: 0, Input: types.Value("net-bench-broadcast"), Tag: "netbench",
-		}), nil
+		return protocols.BB.New(cfg, id, types.Value("net-bench-broadcast"))
 	case "wba":
-		return wba.NewMachine(wba.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Input: types.Value("net-bench-agree"), Predicate: valid.NonBottom(),
-			Tag: "netbench",
-		}), nil
+		return protocols.WBA.New(cfg, id, types.Value("net-bench-agree"))
 	default:
 		return nil, fmt.Errorf("transport: unknown cluster protocol %q", protocol)
 	}

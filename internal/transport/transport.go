@@ -28,67 +28,35 @@ import (
 	"time"
 	"unsafe"
 
-	"adaptiveba/internal/acs"
-	"adaptiveba/internal/baseline/dolevstrong"
-	"adaptiveba/internal/baseline/echobb"
-	"adaptiveba/internal/core/bb"
-	"adaptiveba/internal/core/bbviaba"
-	"adaptiveba/internal/core/strongba"
-	"adaptiveba/internal/core/valid"
-	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 	"adaptiveba/internal/wire"
 )
 
-// NewFullRegistry returns a registry with every protocol's payload codecs
-// registered — enough to frame any machine in this repository.
-func NewFullRegistry() *wire.Registry {
-	reg := wire.NewRegistry()
-	acs.RegisterWire(reg)
-	bb.RegisterWire(reg)
-	bbviaba.RegisterWire(reg)
-	wba.RegisterWire(reg)
-	strongba.RegisterWire(reg)
-	dolevstrong.RegisterWire(reg)
-	echobb.RegisterWire(reg)
-	return reg
-}
-
-// NewProtocolMachine builds process id's machine for one of the paper's
-// protocols by CLI name ("bb", "wba", "strongba") — the machines the
-// node and cluster commands host. Signatures are domain-separated under
-// tagPrefix + "/" + the protocol's short name; sender is the BB
+// NewProtocolMachine looks up process id's machine for one of the paper's
+// protocols by CLI name ("bb", "wba", "strongba") in the protocol table —
+// the machines the node and cluster commands host. Signatures are
+// domain-separated under the kind's tag below tagPrefix; sender is the BB
 // designated sender; strong BA takes its binary input as "0" or "1".
 func NewProtocolMachine(tagPrefix, protocol string, params types.Params, crypto *proto.Crypto, id, sender types.ProcessID, input types.Value) (proto.Machine, error) {
-	switch protocol {
-	case "bb":
-		return bb.NewMachine(bb.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Sender: sender, Input: input, Tag: tagPrefix + "/bb",
-		}), nil
-	case "wba":
-		return wba.NewMachine(wba.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Input: input, Predicate: valid.NonBottom(), Tag: tagPrefix + "/wba",
-		}), nil
-	case "strongba":
-		var bit types.Value
+	kind := protocols.Kind(protocol)
+	switch kind {
+	case protocols.BB, protocols.WBA:
+	case protocols.StrongBA:
 		switch string(input) {
 		case "0":
-			bit = types.Zero
+			input = types.Zero
 		case "1":
-			bit = types.One
+			input = types.One
 		default:
 			return nil, fmt.Errorf("strongba input must be 0 or 1, got %q", input)
 		}
-		return strongba.NewMachine(strongba.Config{
-			Params: params, Crypto: crypto, ID: id, Input: bit, Tag: tagPrefix + "/sba",
-		})
 	default:
-		return nil, fmt.Errorf("unknown protocol %q", protocol)
+		return nil, fmt.Errorf("%w %q", protocols.ErrUnknown, protocol)
 	}
+	return kind.New(protocols.Config{Params: params, Crypto: crypto, Tag: kind.Tag(tagPrefix), Sender: sender}, id, input)
 }
 
 // Frame kinds on the stream.
@@ -131,7 +99,7 @@ type Config struct {
 	ID     types.ProcessID
 	// Addrs[i] is process i's listen address (host:port).
 	Addrs []string
-	// Registry frames payloads; NewFullRegistry() covers all protocols.
+	// Registry frames payloads; protocols.Registry() covers all protocols.
 	Registry *wire.Registry
 	// TickInterval is the duration of one tick (δ). Default 25ms.
 	TickInterval time.Duration

@@ -16,6 +16,7 @@ import (
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 	"adaptiveba/internal/wire"
 )
@@ -72,7 +73,7 @@ func runCluster(t *testing.T, crypto *proto.Crypto, params types.Params, addrs [
 			Crypto:       crypto,
 			ID:           id,
 			Addrs:        addrs,
-			Registry:     NewFullRegistry(),
+			Registry:     protocols.Registry(),
 			TickInterval: 10 * time.Millisecond,
 		}, factory(id))
 		if err != nil {
@@ -156,7 +157,7 @@ func TestRecorderCountsBytes(t *testing.T) {
 		}
 		node, err := NewNode(Config{
 			Params: params, Crypto: crypto, ID: id, Addrs: addrs,
-			Registry:     NewFullRegistry(),
+			Registry:     protocols.Registry(),
 			TickInterval: 10 * time.Millisecond,
 			Recorder:     recs[i],
 		}, m)
@@ -189,10 +190,10 @@ func TestNodeConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewNode(Config{Params: params, Crypto: crypto, ID: 0, Addrs: []string{"a"}, Registry: NewFullRegistry()}, m); err == nil {
+	if _, err := NewNode(Config{Params: params, Crypto: crypto, ID: 0, Addrs: []string{"a"}, Registry: protocols.Registry()}, m); err == nil {
 		t.Error("wrong addr count accepted")
 	}
-	if _, err := NewNode(Config{Params: params, Crypto: crypto, ID: 9, Addrs: []string{"a", "b", "c"}, Registry: NewFullRegistry()}, m); err == nil {
+	if _, err := NewNode(Config{Params: params, Crypto: crypto, ID: 9, Addrs: []string{"a", "b", "c"}, Registry: protocols.Registry()}, m); err == nil {
 		t.Error("bad id accepted")
 	}
 	if _, err := NewNode(Config{Params: params, Crypto: crypto, ID: 0, Addrs: []string{"a", "b", "c"}}, m); err == nil {
@@ -201,7 +202,7 @@ func TestNodeConfigValidation(t *testing.T) {
 }
 
 func TestFullRegistryCoversAllProtocols(t *testing.T) {
-	reg := NewFullRegistry()
+	reg := protocols.Registry()
 	for _, p := range []proto.Payload{
 		bb.HelpReq{Phase: 1},
 		strongba.Fallback{},
@@ -237,7 +238,7 @@ func TestCrashInjectionOverTCP(t *testing.T) {
 		}
 		cfg := Config{
 			Params: params, Crypto: crypto, ID: id, Addrs: addrs,
-			Registry:     NewFullRegistry(),
+			Registry:     protocols.Registry(),
 			TickInterval: 10 * time.Millisecond,
 		}
 		if id == 4 {
@@ -306,7 +307,7 @@ func (m *chatterMachine) Output() (types.Value, bool) { return nil, false }
 func (m *chatterMachine) Done() bool                  { return false }
 
 func chatterRegistry() *wire.Registry {
-	reg := NewFullRegistry()
+	reg := protocols.Registry()
 	reg.MustRegister(wire.Codec{
 		Type: "test/chatter",
 		Encode: func(w *wire.Writer, p proto.Payload) error {
@@ -487,7 +488,7 @@ func TestSessionHookFiltersFrames(t *testing.T) {
 			Crypto:       crypto,
 			ID:           id,
 			Addrs:        addrs,
-			Registry:     NewFullRegistry(),
+			Registry:     protocols.Registry(),
 			TickInterval: 10 * time.Millisecond,
 		}
 		if id == 0 {

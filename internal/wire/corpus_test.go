@@ -18,8 +18,8 @@ import (
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/harness"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
-	"adaptiveba/internal/transport"
 	"adaptiveba/internal/types"
 	"adaptiveba/internal/wire"
 )
@@ -56,7 +56,7 @@ var (
 // of every payload type seen on the simulated network.
 func captureCorpus() (map[string][]byte, error) {
 	corpusOnce.Do(func() {
-		reg := transport.NewFullRegistry()
+		reg := protocols.Registry()
 		frames := make(map[string][]byte)
 		for i := range corpusRuns {
 			spec := corpusRuns[i]
@@ -184,7 +184,7 @@ func TestCorpusCoversEveryRegisteredType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := transport.NewFullRegistry()
+	reg := protocols.Registry()
 	for _, typ := range reg.Types() {
 		if _, ok := frames[typ]; !ok {
 			t.Errorf("no corpus run emits payload type %q — extend corpusRuns", typ)
@@ -209,7 +209,7 @@ func FuzzFullRegistryRoundTrip(f *testing.F) {
 		f.Add(buf)
 	}
 	f.Add([]byte{})
-	reg := transport.NewFullRegistry()
+	reg := protocols.Registry()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := reg.DecodePayload(data) // must not panic
 		if err != nil {

@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"adaptiveba/internal/proto"
-	"adaptiveba/internal/transport"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/wire"
 )
 
@@ -21,7 +21,7 @@ func corpusPayloads(t testing.TB) (*wire.Registry, map[string]proto.Payload) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := transport.NewFullRegistry()
+	reg := protocols.Registry()
 	payloads := make(map[string]proto.Payload, len(frames))
 	for typ, frame := range frames {
 		p, err := reg.DecodePayload(frame)

@@ -10,6 +10,7 @@ import (
 
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/harness"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -158,7 +159,7 @@ type Request struct {
 	// per-request).
 	Opts []Option
 
-	kind      engine.Kind
+	kind      protocols.Kind
 	sender    int
 	value     []byte
 	inputs    [][]byte
@@ -169,7 +170,7 @@ type Request struct {
 // BroadcastRequest asks for one adaptive BB instance with the given
 // designated sender broadcasting value.
 func BroadcastRequest(n, sender int, value []byte, opts ...Option) Request {
-	return Request{N: n, Opts: opts, kind: engine.KindBB, sender: sender,
+	return Request{N: n, Opts: opts, kind: protocols.BB, sender: sender,
 		value: append([]byte(nil), value...)}
 }
 
@@ -180,13 +181,13 @@ func WeakAgreeRequest(n int, inputs [][]byte, predicate func([]byte) bool, opts 
 	for i, in := range inputs {
 		cp[i] = append([]byte(nil), in...)
 	}
-	return Request{N: n, Opts: opts, kind: engine.KindWBA, inputs: cp, predicate: predicate}
+	return Request{N: n, Opts: opts, kind: protocols.WBA, inputs: cp, predicate: predicate}
 }
 
 // StrongAgreeBinaryRequest asks for one binary strong BA instance
 // (inputs[i] is process i's bit).
 func StrongAgreeBinaryRequest(n int, inputs []bool, opts ...Option) Request {
-	return Request{N: n, Opts: opts, kind: engine.KindStrongBA,
+	return Request{N: n, Opts: opts, kind: protocols.StrongBA,
 		bits: append([]bool(nil), inputs...)}
 }
 
@@ -231,7 +232,7 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 	for i := range reqs {
 		r := &reqs[i]
 		switch r.kind {
-		case engine.KindBB:
+		case protocols.BB:
 			if r.sender < 0 || r.sender >= n {
 				return nil, fmt.Errorf("%w: request %d sender %d out of range", ErrInputs, i, r.sender)
 			}
@@ -239,8 +240,8 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 			if value == nil {
 				value = types.Value("v") // BroadcastContext's default value
 			}
-			ereqs[i] = engine.Request{Kind: engine.KindBB, Sender: types.ProcessID(r.sender), Value: value}
-		case engine.KindWBA:
+			ereqs[i] = engine.Request{Kind: protocols.BB, Sender: types.ProcessID(r.sender), Value: value}
+		case protocols.WBA:
 			if len(r.inputs) != n {
 				return nil, fmt.Errorf("%w: request %d needs %d inputs, got %d", ErrInputs, i, n, len(r.inputs))
 			}
@@ -255,8 +256,8 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 			if user := r.predicate; user != nil {
 				pred = func(v types.Value) bool { return user([]byte(v)) }
 			}
-			ereqs[i] = engine.Request{Kind: engine.KindWBA, Inputs: inputs, Predicate: pred}
-		case engine.KindStrongBA:
+			ereqs[i] = engine.Request{Kind: protocols.WBA, Inputs: inputs, Predicate: pred}
+		case protocols.StrongBA:
 			if len(r.bits) != n {
 				return nil, fmt.Errorf("%w: request %d needs %d inputs, got %d", ErrInputs, i, n, len(r.bits))
 			}
@@ -264,7 +265,7 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 			for p, b := range r.bits {
 				inputs[p] = types.BinaryValue(b)
 			}
-			ereqs[i] = engine.Request{Kind: engine.KindStrongBA, Inputs: inputs}
+			ereqs[i] = engine.Request{Kind: protocols.StrongBA, Inputs: inputs}
 		default:
 			return nil, fmt.Errorf("%w: request %d was not built by a Request constructor", ErrInputs, i)
 		}
