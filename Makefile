@@ -139,7 +139,8 @@ alloc-guard:
 	guard ./internal/transport 'TestSendAllocCeiling'; \
 	guard ./internal/proto 'TestMuxSteadyStateAllocs'; \
 	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling'; \
-	guard ./internal/acs 'TestACSAllocCeiling'
+	guard ./internal/acs 'TestACSAllocCeiling'; \
+	guard './internal/core/wba ./internal/core/bb' 'TestIngestDropsOutOfRangePhases'
 
 # The named tests of CI's race job, under the race detector (its `go run
 # -race` smokes and whole-package runs stay in ci.yml). The lists live

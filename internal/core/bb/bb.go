@@ -26,7 +26,9 @@
 package bb
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
@@ -129,17 +131,15 @@ type Machine struct {
 	signer    *sig.Signer
 	clock     proto.RoundClock
 	phases    int
-	validator *Validator
+	validator Validator
 	small     *threshold.Scheme
 
 	vi       types.Value // current BB envelope value, ⊥ until adopted
 	decided  bool
 	decision types.Value
 
-	helpReqs  map[int]bool // phase -> leader asked
-	replies   map[int][]types.Value
-	idkShares map[int]map[types.ProcessID]sig.Signature
-	vetted    map[int]bool // phase -> already applied a vetted value
+	// Round-gated stashes of the vetting phases that have seen traffic.
+	stash proto.Phases[vetPhase]
 
 	wbaSub     *proto.Sub
 	wbaMachine *wba.Machine
@@ -152,6 +152,19 @@ type Machine struct {
 
 var _ proto.Machine = (*Machine)(nil)
 
+// vetPhase is the round-gated state of one vetting phase 1..P, made when
+// the phase first sees traffic (the phases after the first correct
+// leader's are silent).
+type vetPhase struct {
+	helpReq bool // the phase's leader asked for help
+	vetted  bool // a valid vetted value concluded the phase
+
+	// Leader only: the valid replies in arrival order, and the verified idk
+	// shares, one per signer, in ascending signer order.
+	replies []types.Value
+	idk     []threshold.Share
+}
+
 // NewMachine builds the BB machine.
 func NewMachine(cfg Config) *Machine {
 	phases := cfg.Phases
@@ -162,13 +175,30 @@ func NewMachine(cfg Config) *Machine {
 		cfg:       cfg,
 		signer:    cfg.Crypto.Signer(cfg.ID),
 		phases:    phases,
-		validator: NewValidator(cfg.Crypto, cfg.Tag, cfg.Sender, phases),
+		validator: newValidator(cfg.Crypto, cfg.Tag, cfg.Sender, phases),
 		small:     cfg.Crypto.Threshold(cfg.Params.SmallQuorum()),
-		helpReqs:  make(map[int]bool),
-		replies:   make(map[int][]types.Value),
-		idkShares: make(map[int]map[types.ProcessID]sig.Signature),
-		vetted:    make(map[int]bool),
 	}
+}
+
+// inRange reports whether j is one of the run's vetting phases 1..P.
+func (m *Machine) inRange(j int) bool { return j >= 1 && j <= m.phases }
+
+// leads reports whether this process leads phase j, which must be in range.
+func (m *Machine) leads(j int) bool {
+	return m.inRange(j) && m.cfg.Params.Leader(j) == m.cfg.ID
+}
+
+// addIdk records sh in signer order; a signer's later share replaces its
+// earlier one.
+func addIdk(list []threshold.Share, sh threshold.Share) []threshold.Share {
+	i, found := slices.BinarySearchFunc(list, sh.Signer, func(e threshold.Share, id types.ProcessID) int {
+		return cmp.Compare(e.Signer, id)
+	})
+	if found {
+		list[i] = sh
+		return list
+	}
+	return slices.Insert(list, i, sh)
 }
 
 // Rounds returns the number of vetting rounds before weak BA starts.
@@ -236,7 +266,9 @@ func (m *Machine) Done() bool {
 	return m.decided && m.wbaSub != nil && m.wbaSub.Done()
 }
 
-// ingest stashes or applies one incoming message.
+// ingest stashes or applies one incoming message. A message for a phase
+// outside 1..P is dropped before anything is encoded or verified: no
+// boundary would ever read it.
 func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 	switch p := in.Payload.(type) {
 	case SenderMsg:
@@ -253,37 +285,33 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 			m.vi = env
 		}
 	case HelpReq:
-		if p.Phase >= 1 && p.Phase <= m.phases && in.From == m.cfg.Params.Leader(p.Phase) {
-			m.helpReqs[p.Phase] = true
+		if m.inRange(p.Phase) && in.From == m.cfg.Params.Leader(p.Phase) {
+			m.stash.Make(p.Phase).helpReq = true
 		}
 	case Reply:
-		if m.cfg.Params.Leader(p.Phase) != m.cfg.ID {
-			return
-		}
-		if m.validator.Validate(p.Val) {
-			m.replies[p.Phase] = append(m.replies[p.Phase], p.Val)
+		if m.leads(p.Phase) && m.validator.Validate(p.Val) {
+			s := m.stash.Make(p.Phase)
+			s.replies = append(s.replies, p.Val)
 		}
 	case IdkShare:
-		if m.cfg.Params.Leader(p.Phase) != m.cfg.ID {
-			return
+		sh := threshold.Share{Signer: in.From, Sig: p.Share}
+		if m.leads(p.Phase) && m.small.VerifyShare(m.validator.idkBase(p.Phase), sh) {
+			s := m.stash.Make(p.Phase)
+			s.idk = addIdk(s.idk, sh)
 		}
-		if !m.small.VerifyShare(m.validator.idkBase(p.Phase), threshold.Share{Signer: in.From, Sig: p.Share}) {
-			return
-		}
-		if m.idkShares[p.Phase] == nil {
-			m.idkShares[p.Phase] = make(map[types.ProcessID]sig.Signature)
-		}
-		m.idkShares[p.Phase][in.From] = p.Share
 	case Vetted:
 		// Applied immediately: the value is certificate/signature-backed,
 		// so adopting it early is safe (line 28–29 and line 8). Only a
 		// VALID value concludes the phase — a Byzantine leader cannot
 		// block its own phase's valid conclusion with a garbage prefix.
-		if p.Phase < 1 || p.Phase > m.phases || in.From != m.cfg.Params.Leader(p.Phase) || m.vetted[p.Phase] {
+		if !m.inRange(p.Phase) || in.From != m.cfg.Params.Leader(p.Phase) {
+			return
+		}
+		if s := m.stash.Get(p.Phase); s != nil && s.vetted {
 			return
 		}
 		if m.validator.Validate(p.Val) {
-			m.vetted[p.Phase] = true
+			m.stash.Make(p.Phase).vetted = true
 			m.vi = p.Val.Clone()
 		}
 	}
@@ -312,7 +340,7 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 			return proto.AppendBroadcast(outs, m.cfg.Params, "", HelpReq{Phase: phase})
 		}
 	case 2:
-		if !m.helpReqs[phase] {
+		if s := m.stash.Get(phase); s == nil || !s.helpReq {
 			return outs
 		}
 		if m.vi != nil {
@@ -325,13 +353,14 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 		}
 		return proto.AppendUnicast(outs, leader, "", IdkShare{Phase: phase, Share: share})
 	case 3:
-		if !amLeader || !m.helpReqs[phase] {
+		s := m.stash.Get(phase)
+		if !amLeader || s == nil || !s.helpReq {
 			return outs
 		}
 		// Prefer a sender-signed reply (line 23), then any valid reply,
 		// then an idk certificate from t+1 fresh shares (line 25).
 		var fallbackVal types.Value
-		for _, val := range m.replies[phase] {
+		for _, val := range s.replies {
 			sv, _, err := DecodeValue(val)
 			if err != nil {
 				continue
@@ -346,17 +375,10 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 		if fallbackVal != nil {
 			return proto.AppendBroadcast(outs, m.cfg.Params, "", Vetted{Phase: phase, Val: fallbackVal})
 		}
-		shares := m.idkShares[phase]
-		if len(shares) < m.cfg.Params.SmallQuorum() {
+		if len(s.idk) < m.cfg.Params.SmallQuorum() {
 			return outs
 		}
-		list := make([]threshold.Share, 0, len(shares))
-		for _, id := range m.cfg.Params.AllProcesses() {
-			if s, ok := shares[id]; ok {
-				list = append(list, threshold.Share{Signer: id, Sig: s})
-			}
-		}
-		cert, err := m.small.Combine(m.validator.idkBase(phase), list)
+		cert, err := m.small.Combine(m.validator.idkBase(phase), s.idk)
 		if err != nil {
 			return outs
 		}
@@ -373,7 +395,7 @@ func (m *Machine) wbaConfig() wba.Config {
 		Crypto:              m.cfg.Crypto,
 		ID:                  m.cfg.ID,
 		Input:               m.vi,
-		Predicate:           m.validator,
+		Predicate:           &m.validator,
 		Tag:                 m.cfg.Tag + "/" + wbaSession,
 		Phases:              m.cfg.WBAPhases,
 		DisableSilentPhases: m.cfg.DisableSilentPhases,

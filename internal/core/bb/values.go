@@ -146,7 +146,13 @@ var _ valid.Predicate = (*Validator)(nil)
 // NewValidator builds the BB_valid predicate for one BB instance. phases
 // bounds the acceptable idk-certificate phase numbers.
 func NewValidator(crypto *proto.Crypto, tag string, sender types.ProcessID, phases int) *Validator {
-	return &Validator{
+	bv := newValidator(crypto, tag, sender, phases)
+	return &bv
+}
+
+// newValidator is NewValidator by value, for the machine that embeds it.
+func newValidator(crypto *proto.Crypto, tag string, sender types.ProcessID, phases int) Validator {
+	return Validator{
 		crypto: crypto,
 		tag:    tag,
 		sender: sender,

@@ -20,8 +20,9 @@
 package wba
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"adaptiveba/internal/core/valid"
 	"adaptiveba/internal/crypto/sig"
@@ -89,19 +90,14 @@ type Machine struct {
 	buProof      *threshold.Cert
 	buProofPhase int
 
-	// Per-phase round-gated stashes.
-	proposals    map[int]*Propose
-	commitMsgs   map[int][]Commit
-	votes        map[int]map[string][]threshold.Share
-	commitInfos  map[int][]CommitInfo
-	decideShares map[int]map[string][]threshold.Share
-	votedPhase   map[int]bool
-	decidedShare map[int]bool
+	// Round-gated stashes of the phases that have seen traffic.
+	stash proto.Phases[phaseState]
 
-	// Help round state.
-	helpReqShares map[types.ProcessID]sig.Signature
-	helpReqFrom   []types.ProcessID
-	helpDone      bool // past round C
+	// Help round state: the verified help requests in arrival order, and
+	// their signers (made with the first request).
+	helpReqs []threshold.Share
+	helpFrom *types.BitSet
+	helpDone bool // past round C
 
 	// Fallback state.
 	fallbackStart   types.Tick // -1 = ∞ (not scheduled)
@@ -128,6 +124,27 @@ type Machine struct {
 
 var _ proto.Machine = (*Machine)(nil)
 
+// phaseState is the round-gated state of one phase 1..P, made when the
+// phase first sees traffic.
+type phaseState struct {
+	proposal Propose // the leader's first proposal, if proposed
+	proposed bool
+	commits  []Commit // every commit the leader sent; one is picked in round 4
+	voted    bool     // this process voted in the phase
+	decided  bool     // this process sent its decide share in the phase
+
+	// Leader only: what the phase's followers sent it.
+	commitInfos []CommitInfo
+	votes       []valueShares
+	decides     []valueShares
+}
+
+// valueShares is the verified shares for one value, in arrival order.
+type valueShares struct {
+	v      types.Value // the machine's own copy
+	shares []threshold.Share
+}
+
 // NewMachine builds the weak BA machine.
 func NewMachine(cfg Config) *Machine {
 	phases := cfg.Phases
@@ -138,26 +155,45 @@ func NewMachine(cfg Config) *Machine {
 	if cfg.QuorumOverride > 0 {
 		quorumSize = cfg.QuorumOverride
 	}
-	m := &Machine{
+	// vi is never written in place and bu_decision is only ever replaced,
+	// so the two start on one copy of the input.
+	vi := cfg.Input.Clone()
+	return &Machine{
 		cfg:           cfg,
 		signer:        cfg.Crypto.Signer(cfg.ID),
 		phases:        phases,
 		quorumSize:    quorumSize,
 		quorum:        cfg.Crypto.Threshold(quorumSize),
 		small:         cfg.Crypto.Threshold(cfg.Params.SmallQuorum()),
-		vi:            cfg.Input.Clone(),
-		buDecision:    cfg.Input.Clone(),
+		vi:            vi,
+		buDecision:    vi,
 		fallbackStart: -1,
-		proposals:     make(map[int]*Propose),
-		commitMsgs:    make(map[int][]Commit),
-		votes:         make(map[int]map[string][]threshold.Share),
-		commitInfos:   make(map[int][]CommitInfo),
-		decideShares:  make(map[int]map[string][]threshold.Share),
-		votedPhase:    make(map[int]bool),
-		decidedShare:  make(map[int]bool),
-		helpReqShares: make(map[types.ProcessID]sig.Signature),
 	}
-	return m
+}
+
+// inRange reports whether j is one of the run's phases 1..P.
+func (m *Machine) inRange(j int) bool { return j >= 1 && j <= m.phases }
+
+// leads reports whether this process leads phase j, which must be in range.
+func (m *Machine) leads(j int) bool { return m.inRange(j) && m.leaderOf(j) == m.cfg.ID }
+
+// addShare appends sh to v's entry, making the entry (with its own copy of
+// v) on v's first share.
+func addShare(list []valueShares, v types.Value, sh threshold.Share) []valueShares {
+	for i := range list {
+		if bytes.Equal(list[i].v, v) {
+			list[i].shares = append(list[i].shares, sh)
+			return list
+		}
+	}
+	return append(list, valueShares{v: v.Clone(), shares: []threshold.Share{sh}})
+}
+
+// byValue orders list by value bytes, so a leader holding a quorum for two
+// values certifies the lower one.
+func byValue(list []valueShares) []valueShares {
+	slices.SortFunc(list, func(a, b valueShares) int { return bytes.Compare(a.v, b.v) })
+	return list
 }
 
 // voteBase returns voteBase(tag, phase, v), re-encoding only when
@@ -312,53 +348,46 @@ func (m *Machine) verifyCommit(v types.Value, level int, cert *threshold.Cert) b
 }
 
 // ingest handles one incoming message: certificate-backed messages take
-// effect immediately, round-gated ones are stashed for their boundary.
+// effect immediately, round-gated ones are stashed for their boundary. A
+// round-gated message for a phase outside 1..P is dropped before anything
+// is encoded or verified: no boundary would ever read it.
 func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 	switch p := in.Payload.(type) {
 	case Propose:
 		// Only the phase's leader's first proposal counts.
-		if in.From == m.leaderOf(p.Phase) && m.proposals[p.Phase] == nil {
-			cp := p
-			m.proposals[p.Phase] = &cp
+		if !m.inRange(p.Phase) || in.From != m.leaderOf(p.Phase) {
+			return
+		}
+		if s := m.stash.Make(p.Phase); !s.proposed {
+			s.proposal, s.proposed = p, true
 		}
 	case Vote:
-		if m.leaderOf(p.Phase) != m.cfg.ID {
+		sh := threshold.Share{Signer: in.From, Sig: p.Share}
+		if !m.leads(p.Phase) || !m.quorum.VerifyShare(m.voteBase(p.Phase, p.V), sh) {
 			return
 		}
-		if !m.quorum.VerifyShare(m.voteBase(p.Phase, p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
-			return
-		}
-		if m.votes[p.Phase] == nil {
-			m.votes[p.Phase] = make(map[string][]threshold.Share)
-		}
-		key := string(p.V)
-		m.votes[p.Phase][key] = append(m.votes[p.Phase][key], threshold.Share{Signer: in.From, Sig: p.Share})
+		s := m.stash.Make(p.Phase)
+		s.votes = addShare(s.votes, p.V, sh)
 	case CommitInfo:
-		if m.leaderOf(p.Phase) != m.cfg.ID {
+		if !m.leads(p.Phase) || !m.verifyCommit(p.V, p.Level, p.Cert) {
 			return
 		}
-		if !m.verifyCommit(p.V, p.Level, p.Cert) {
-			return
-		}
-		m.commitInfos[p.Phase] = append(m.commitInfos[p.Phase], p)
+		s := m.stash.Make(p.Phase)
+		s.commitInfos = append(s.commitInfos, p)
 	case Commit:
 		// Stashed; validated at the phase's round-4 boundary. A Byzantine
 		// leader may send several; keep them all and pick a valid one.
-		if in.From == m.leaderOf(p.Phase) {
-			m.commitMsgs[p.Phase] = append(m.commitMsgs[p.Phase], p)
+		if m.inRange(p.Phase) && in.From == m.leaderOf(p.Phase) {
+			s := m.stash.Make(p.Phase)
+			s.commits = append(s.commits, p)
 		}
 	case Decide:
-		if m.leaderOf(p.Phase) != m.cfg.ID {
+		sh := threshold.Share{Signer: in.From, Sig: p.Share}
+		if !m.leads(p.Phase) || !m.quorum.VerifyShare(m.decideBase(p.Phase, p.V), sh) {
 			return
 		}
-		if !m.quorum.VerifyShare(m.decideBase(p.Phase, p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
-			return
-		}
-		if m.decideShares[p.Phase] == nil {
-			m.decideShares[p.Phase] = make(map[string][]threshold.Share)
-		}
-		key := string(p.V)
-		m.decideShares[p.Phase][key] = append(m.decideShares[p.Phase][key], threshold.Share{Signer: in.From, Sig: p.Share})
+		s := m.stash.Make(p.Phase)
+		s.decides = addShare(s.decides, p.V, sh)
 	case Finalized:
 		if m.verifyFinalize(p.V, p.Phase, p.Cert) {
 			if !m.decided {
@@ -367,12 +396,16 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 			m.setDecision(p.V, p.Cert, p.Phase)
 		}
 	case HelpReq:
-		if !m.small.VerifyShare(m.helpReqBase(), threshold.Share{Signer: in.From, Sig: p.Share}) {
+		sh := threshold.Share{Signer: in.From, Sig: p.Share}
+		if !m.small.VerifyShare(m.helpReqBase(), sh) {
 			return
 		}
-		if _, seen := m.helpReqShares[in.From]; !seen {
-			m.helpReqShares[in.From] = p.Share
-			m.helpReqFrom = append(m.helpReqFrom, in.From)
+		if m.helpFrom == nil {
+			m.helpFrom = types.NewBitSet(m.cfg.Params.N)
+		}
+		if !m.helpFrom.Has(in.From) {
+			m.helpFrom.Add(in.From)
+			m.helpReqs = append(m.helpReqs, sh)
 		}
 	case Help:
 		if m.verifyFinalize(p.V, p.ProofPhase, p.Proof) {
@@ -443,8 +476,8 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 			return proto.AppendBroadcast(outs, m.cfg.Params, "", Propose{Phase: phase, V: m.vi})
 		}
 	case 2:
-		p := m.proposals[phase]
-		if p == nil {
+		s := m.stash.Get(phase)
+		if s == nil || !s.proposed {
 			return outs
 		}
 		if m.commit != nil && m.commitProof != nil {
@@ -452,21 +485,22 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 				Phase: phase, V: m.commit, Cert: m.commitProof, Level: m.commitLevel,
 			})
 		}
-		if !m.votedPhase[phase] && m.cfg.Predicate.Validate(p.V) {
-			m.votedPhase[phase] = true
-			share, err := m.signer.Sign(m.voteBase(phase, p.V))
+		if v := s.proposal.V; !s.voted && m.cfg.Predicate.Validate(v) {
+			s.voted = true
+			share, err := m.signer.Sign(m.voteBase(phase, v))
 			if err != nil {
 				m.fail(err)
 				return outs
 			}
-			return proto.AppendUnicast(outs, leader, "", Vote{Phase: phase, V: p.V, Share: share})
+			return proto.AppendUnicast(outs, leader, "", Vote{Phase: phase, V: v, Share: share})
 		}
 	case 3:
-		if !amLeader || !m.phaseActive(phase) {
+		s := m.active(phase)
+		if s == nil {
 			return outs
 		}
 		// Prefer relaying the highest-level commit heard of (line 39).
-		if infos := m.commitInfos[phase]; len(infos) > 0 {
+		if infos := s.commitInfos; len(infos) > 0 {
 			best := infos[0]
 			for _, ci := range infos[1:] {
 				if ci.Level > best.Level {
@@ -478,25 +512,24 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 			})
 		}
 		// Otherwise form a fresh commit certificate (lines 40–42).
-		for _, key := range sortedKeys(m.votes[phase]) {
-			shares := m.votes[phase][key]
-			if len(shares) < m.quorumSize {
+		for _, vs := range byValue(s.votes) {
+			if len(vs.shares) < m.quorumSize {
 				continue
 			}
-			v := types.Value(key)
-			cert, err := m.quorum.Combine(m.voteBase(phase, v), shares)
+			cert, err := m.quorum.Combine(m.voteBase(phase, vs.v), vs.shares)
 			if err != nil {
 				continue
 			}
-			return proto.AppendBroadcast(outs, m.cfg.Params, "", Commit{Phase: phase, V: v, Cert: cert, Level: phase})
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", Commit{Phase: phase, V: vs.v, Cert: cert, Level: phase})
 		}
 	case 4:
-		if m.decidedShare[phase] {
+		s := m.stash.Get(phase)
+		if s == nil || s.decided {
 			return outs
 		}
 		var best *Commit
-		for i := range m.commitMsgs[phase] {
-			c := &m.commitMsgs[phase][i]
+		for i := range s.commits {
+			c := &s.commits[i]
 			if !m.verifyCommit(c.V, c.Level, c.Cert) || c.Level > phase || c.Level < m.commitLevel {
 				continue
 			}
@@ -507,7 +540,7 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 		if best == nil {
 			return outs
 		}
-		m.decidedShare[phase] = true
+		s.decided = true
 		m.commit = best.V.Clone()
 		m.commitProof = best.Cert
 		m.commitLevel = best.Level
@@ -518,49 +551,50 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 		}
 		return proto.AppendUnicast(outs, leader, "", Decide{Phase: phase, V: best.V, Share: share})
 	case 5:
-		if !amLeader || !m.phaseActive(phase) {
+		s := m.active(phase)
+		if s == nil {
 			return outs
 		}
-		for _, key := range sortedKeys(m.decideShares[phase]) {
-			shares := m.decideShares[phase][key]
-			if len(shares) < m.quorumSize {
+		for _, vs := range byValue(s.decides) {
+			if len(vs.shares) < m.quorumSize {
 				continue
 			}
-			v := types.Value(key)
-			cert, err := m.quorum.Combine(m.decideBase(phase, v), shares)
+			cert, err := m.quorum.Combine(m.decideBase(phase, vs.v), vs.shares)
 			if err != nil {
 				continue
 			}
-			return proto.AppendBroadcast(outs, m.cfg.Params, "", Finalized{Phase: phase, V: v, Cert: cert})
+			return proto.AppendBroadcast(outs, m.cfg.Params, "", Finalized{Phase: phase, V: vs.v, Cert: cert})
 		}
 	}
 	return outs
 }
 
-// phaseActive reports whether this process initiated phase as leader (a
-// silent leader performs no aggregation either).
-func (m *Machine) phaseActive(phase int) bool {
-	return m.proposals[phase] != nil && m.leaderOf(phase) == m.cfg.ID
+// active returns phase's entry if this process initiated the phase as its
+// leader, nil otherwise (a silent leader performs no aggregation either).
+func (m *Machine) active(phase int) *phaseState {
+	if m.leaderOf(phase) != m.cfg.ID {
+		return nil
+	}
+	if s := m.stash.Get(phase); s != nil && s.proposed {
+		return s
+	}
+	return nil
 }
 
 // helpRoundB answers help requests and forms the fallback certificate.
 func (m *Machine) helpRoundB(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	if m.decided {
-		for _, from := range m.helpReqFrom {
-			if from == m.cfg.ID {
+		for _, req := range m.helpReqs {
+			if req.Signer == m.cfg.ID {
 				continue
 			}
-			outs = proto.AppendUnicast(outs, from, "", Help{
+			outs = proto.AppendUnicast(outs, req.Signer, "", Help{
 				V: m.decision, Proof: m.decideProof, ProofPhase: m.decidePhase,
 			})
 		}
 	}
-	if len(m.helpReqShares) >= m.cfg.Params.SmallQuorum() && m.fallbackStart < 0 {
-		shares := make([]threshold.Share, 0, len(m.helpReqShares))
-		for _, from := range m.helpReqFrom {
-			shares = append(shares, threshold.Share{Signer: from, Sig: m.helpReqShares[from]})
-		}
-		cert, err := m.small.Combine(m.helpReqBase(), shares)
+	if len(m.helpReqs) >= m.cfg.Params.SmallQuorum() && m.fallbackStart < 0 {
+		cert, err := m.small.Combine(m.helpReqBase(), m.helpReqs)
 		if err == nil {
 			m.fallbackStart = now + 2
 			var v types.Value
@@ -617,14 +651,4 @@ func (m *Machine) fail(err error) {
 	if m.err == nil {
 		m.err = fmt.Errorf("wba %v: %w", m.cfg.ID, err)
 	}
-}
-
-// sortedKeys returns map keys in deterministic order.
-func sortedKeys(mp map[string][]threshold.Share) []string {
-	keys := make([]string, 0, len(mp))
-	for k := range mp {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -32,14 +32,14 @@ var commitShapes = []struct {
 		queues: func() [][]types.Value {
 			return [][]types.Value{{types.Value("SET a2V5LTAwMDE i:dmFsdWU")}, nil, nil, nil}
 		},
-		committed: 1, allocCeiling: 2050, byteCeiling: 158e3,
-		raceAllocCeiling: 2400, raceByteCeiling: 195e3,
+		committed: 1, allocCeiling: 1670, byteCeiling: 128e3,
+		raceAllocCeiling: 1850, raceByteCeiling: 148e3,
 	},
 	{
 		name: "n9f1", cfg: Config{N: 9, F: 1}, rounds: 4, batch: 16,
 		queues:    func() [][]types.Value { return acsQueues(9, 4*16) },
-		committed: 8 * 4 * 16, allocCeiling: 82000, byteCeiling: 8.8e6,
-		raceAllocCeiling: 96000, raceByteCeiling: 13.0e6,
+		committed: 8 * 4 * 16, allocCeiling: 74500, byteCeiling: 8.0e6,
+		raceAllocCeiling: 84000, raceByteCeiling: 11.4e6,
 	},
 }
 
@@ -78,15 +78,14 @@ func BenchmarkRunACSLogCommit(b *testing.B) {
 // TestCommitAllocCeiling is the engine-level alloc guard on the real
 // crypto path at the default TickWorkers: whole-call allocation counts and
 // bytes of the two commit shapes, with about 10 % headroom over what this
-// test logs (with MAC verifications memoized under a SHA-256 key, BB
-// envelopes re-validated on every hand-over and schedules sized by probe
-// machines: 2 209 allocations / 176 kB and 79 900 / 8.5 MB; with each of
-// those done once: 1 866 / 144 kB and 74 750 / 8.0 MB — bytes as `go test
-// -bench` prints them, 1 kB = 1 000 B). Under the race detector sync.Pool
-// drops a quarter of its Puts, so pooled wire writers, MAC states and
-// routing arenas are re-made at random (measured there: 2 000–2 030 /
-// 159–162 kB and 83 300 / 10.8–11.2 MB); the guard still runs, with
-// 15–20 % headroom over those because the drops vary from run to run.
+// test logs (with weak BA and BB keeping their per-phase state in maps:
+// 1 866 / 144 kB and 74 750 / 8.0 MB; with one entry per phase that ran:
+// 1 515 / 116 kB and 67 650 / 7.2 MB — bytes as `go test -bench` prints
+// them, 1 kB = 1 000 B). Under the race detector sync.Pool drops a quarter
+// of its Puts, so pooled wire writers, MAC states and routing arenas are
+// re-made at random (measured there: 1 645–1 695 / 131–135 kB and
+// 75 700–76 150 / 10.2–10.5 MB); the guard still runs, with about 10 %
+// headroom over the highest of those.
 // It reads MemStats itself because testing.AllocsPerRun pins GOMAXPROCS to
 // 1, which would turn the default worker count into the serial engine.
 func TestCommitAllocCeiling(t *testing.T) {

@@ -21,7 +21,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"adaptiveba/internal/types"
@@ -135,11 +136,7 @@ func (s *Store) Snapshot() map[string]string {
 func (s *Store) EncodeSnapshot() []byte {
 	w := wire.NewWriter()
 	w.PutInt(s.applied)
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := s.sortedKeys()
 	w.PutInt(len(keys))
 	for _, k := range keys {
 		w.PutString(k)
@@ -186,16 +183,33 @@ func DecodeSnapshot(enc []byte) (*Store, error) {
 }
 
 // Hash returns a canonical digest of the state, for cheap cross-replica
-// convergence checks.
+// convergence checks: SHA-256 over "<len>:<key>=<len>:<value>;" for every
+// key in sorted order, truncated to 16 bytes.
 func (s *Store) Hash() string {
+	keys := s.sortedKeys()
+	h := sha256.New()
+	var buf []byte
+	for _, k := range keys {
+		v := s.data[k]
+		buf = strconv.AppendInt(buf[:0], int64(len(k)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, k...)
+		buf = append(buf, '=')
+		buf = strconv.AppendInt(buf, int64(len(v)), 10)
+		buf = append(buf, ':')
+		buf = append(buf, v...)
+		buf = append(buf, ';')
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// sortedKeys returns the live keys in ascending order.
+func (s *Store) sortedKeys() []string {
 	keys := make([]string, 0, len(s.data))
 	for k := range s.data {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	h := sha256.New()
-	for _, k := range keys {
-		fmt.Fprintf(h, "%d:%s=%d:%s;", len(k), k, len(s.data[k]), s.data[k])
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	slices.Sort(keys)
+	return keys
 }

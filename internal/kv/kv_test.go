@@ -1,8 +1,13 @@
 package kv
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -80,6 +85,52 @@ func TestHashCanonical(t *testing.T) {
 	}
 	if a.Hash() == b.Hash() {
 		t.Error("different states hash equal")
+	}
+}
+
+// fmtHash is Hash written with fmt, the reference its byte stream must
+// match.
+func fmtHash(s *Store) string {
+	keys := make([]string, 0, len(s.data))
+	for k := range s.data {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h := sha256.New()
+	for _, k := range keys {
+		fmt.Fprintf(h, "%d:%s=%d:%s;", len(k), k, len(s.data[k]), s.data[k])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+// TestHashMatchesReference pins Hash to the fmt reference over random
+// stores whose keys and values use the separator bytes and may be empty,
+// and to one recorded digest.
+func TestHashMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = ":=;ab9 \x00é"
+	str := func() string {
+		b := make([]byte, rng.Intn(12))
+		for i := range b {
+			b[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for i := 0; i < 200; i++ {
+		s := NewStore()
+		for k := rng.Intn(40); k > 0; k-- {
+			s.data[str()] = str()
+		}
+		if got, want := s.Hash(), fmtHash(s); got != want {
+			t.Fatalf("store %d (%q): Hash %s, reference %s", i, s.data, got, want)
+		}
+	}
+	s := NewStore()
+	s.data[""] = ""
+	s.data["a:b"] = "=;"
+	s.data["k"] = strings.Repeat("v", 300)
+	if got, want := s.Hash(), "ecd444f64287c8ff8a895725c9f3261f"; got != want {
+		t.Errorf("Hash = %s, recorded %s", got, want)
 	}
 }
 

@@ -251,11 +251,16 @@ func (c *Core) commandFor(op Op) (types.Value, error) {
 	}
 }
 
-// Commit drives one batch of writes through agreement: the ops spread
-// round-robin over the honest proposers' queues, as many ACS rounds as
-// the batch bound requires run in one engine call, committed entries
+// Commit drives one batch of writes through agreement: the ops are dealt
+// to the honest proposers' queues in chunks of Batch, as many ACS rounds
+// as the batch bound requires run in one engine call, committed entries
 // renumber into the global log, apply to the kv store, and append audit
 // records. Returns the committed entry count.
+//
+// The log flattens a round's batches in proposer order, so chunk k goes
+// to honest[k mod H] and lands in round k div H: the log holds the ops in
+// arrival order, and the later of two writes to one key is the one that
+// sticks.
 func (c *Core) Commit(ops []Op) (int, error) {
 	if len(ops) == 0 {
 		return 0, nil
@@ -266,7 +271,7 @@ func (c *Core) Commit(ops []Op) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		p := c.honest[i%len(c.honest)]
+		p := c.honest[(i/c.cfg.Batch)%len(c.honest)]
 		queues[p] = append(queues[p], cmd)
 	}
 	perRound := len(c.honest) * c.cfg.Batch

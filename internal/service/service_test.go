@@ -84,6 +84,46 @@ func TestCoreCommitGet(t *testing.T) {
 	}
 }
 
+// TestCommitKeepsArrivalOrder: a flush commits its ops in the order they
+// arrived, so of two pipelined writes to one key the later one sticks.
+// Ops 1 and 4 write key "k"; the shapes put the flush in one round, in
+// several rounds, and across a crashed proposer.
+func TestCommitKeepsArrivalOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		ops  int
+	}{
+		{"one round", nil, 5},
+		{"two rounds of batch 2", func(cfg *Config) { cfg.Batch = 2 }, 10},
+		{"crashed proposers", func(cfg *Config) { cfg.N, cfg.F, cfg.Batch = 5, 2, 2 }, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testCore(t, tc.mut)
+			var ops []Op
+			for i := 0; i < tc.ops; i++ {
+				ops = append(ops, Op{Op: OpPut, Key: []byte(fmt.Sprintf("key-%d", i)), Value: []byte(fmt.Sprintf("value-%d", i))})
+			}
+			ops[1].Key, ops[4].Key = []byte("k"), []byte("k")
+			if n, err := c.Commit(ops); err != nil || n != len(ops) {
+				t.Fatalf("committed %d of %d: %v", n, len(ops), err)
+			}
+			if v, err := c.Get([]byte("k")); err != nil || string(v) != "value-4" {
+				t.Fatalf("get k = %q (%v), want op 4's value-4", v, err)
+			}
+			for i, e := range c.log {
+				want, err := c.commandFor(ops[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(e.Command, want) {
+					t.Fatalf("log slot %d holds %q, want op %d's %q", i, e.Command, i, want)
+				}
+			}
+		})
+	}
+}
+
 func TestCoreCommitWithCrashFaults(t *testing.T) {
 	c := testCore(t, func(cfg *Config) { cfg.N = 5; cfg.F = 2 })
 	var ops []Op
