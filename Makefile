@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet bench bench-engine-json bench-acs-json bench-explore-json bench-scale-json bench-all profile profile-commit alloc-guard race-guard explore chaos-smoke svc-smoke experiments examples fuzz cover clean
+.PHONY: all build test test-short test-race vet bench bench-all profile-commit alloc-guard race-guard explore chaos-smoke svc-smoke experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -26,58 +26,16 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the multi-session engine A/B baseline (BENCH_engine.json):
-# a 64-slot replicated log over BB at n in {9,17,33}, run serially
-# (inflight=1) and pipelined (inflight 4/16/64), asserting per-session
-# decisions and word counts byte-identical across windows and recording
-# the commit-throughput multiple in simulated (δ-bound) time.
-bench-engine-json:
-	$(GO) run ./cmd/adaptiveba-bench -bench-engine-json BENCH_engine.json
-
-# Regenerate the batched-ACS A/B baseline (BENCH_acs.json): the n-proposer
-# batched log (one BKR ACS round per slot) vs the single-proposer pipelined
-# log over n in {9,17,33} x batch in {1,16,64} x f in {0,t}, asserting
-# byte-identical decisions across tick-worker counts and admission windows
-# and >= n/2x committed requests per slot at f=0.
-bench-acs-json:
-	$(GO) run ./cmd/adaptiveba-bench -bench-acs-json BENCH_acs.json
-
-# Regenerate the adversarial schedule-search baseline
-# (BENCH_explore.json): genetic search for the worst adversary schedule
-# at every (n, f) grid point, checked against the O(n(f+1)) word
-# envelope. Fails if any schedule beats the envelope or breaks a safety
-# invariant. Fully seeded: re-running reproduces the committed bytes.
-bench-explore-json:
-	$(GO) run ./cmd/adaptiveba-bench -bench-explore-json BENCH_explore.json
-
-# Regenerate the large-n scale baseline (BENCH_scale.json): adaptive BB
-# vs King–Saia committee sampling vs floodset over n in {64,256,1024,4096}
-# x f in {0,1,ceil(sqrt n),t} under crash faults, recording words/process,
-# allocs/tick, and wall clock per decision. Adaptive BB's fallback regime
-# (f >= (n-t-1)/2 at n >= 1024) is Theta(n^3) words and is reported as a
-# skipped cell carrying the analytic envelope instead of being executed.
-# Takes several minutes (the n=4096 cells dominate).
-bench-scale-json:
-	$(GO) run ./cmd/adaptiveba-bench -bench-scale-json BENCH_scale.json
-
-# Run every bench-*-json mode, then sweep the regenerated reports'
-# determinism flags in one pass: any decisions_identical=false or
-# csv_identical=false fails the target.
-bench-all: bench-engine-json bench-acs-json bench-explore-json bench-scale-json
-	@echo "— determinism flags across BENCH_*.json —"
-	@grep -c '"decisions_identical": true\|"csv_identical": true' BENCH_*.json || true
-	@if grep -l '"decisions_identical": false\|"csv_identical": false' BENCH_*.json; then \
-		echo "FAIL: a bench report recorded a determinism violation"; exit 1; \
-	fi
-	@echo "bench-all: every determinism flag is true"
-
-# CPU/heap-profile a deterministic bench (the batched-ACS A/B) and print
-# the hottest functions — flame-graph evidence for perf PRs. Profiles
-# land in cpu.pprof / mem.pprof for `go tool pprof -http`.
-profile:
-	$(GO) run ./cmd/adaptiveba-bench -bench-acs-json /tmp/BENCH_acs.profile.json \
-		-cpuprofile cpu.pprof -memprofile mem.pprof
-	$(GO) tool pprof -top -nodecount 15 cpu.pprof
+# Regenerate the four committed reports, one `-bench` run each, then
+# check every root BENCH_*.json mechanically: one schema, a revision,
+# every check true, and engine/explore reproduced field for field
+# (TestCommittedReports). What each bench measures is in EXPERIMENTS.md
+# (X-ENGINE, X-ACS, X-EXPLORE, X-SCALE). Takes about 70 s on a 2-CPU host;
+# the n = 4096 cells of scale dominate.
+BENCHES := engine acs explore scale
+bench-all:
+	for b in $(BENCHES); do $(GO) run ./cmd/adaptiveba-bench -bench $$b || exit 1; done
+	$(GO) test ./cmd/adaptiveba-bench -run TestCommittedReports -count=1 -v
 
 # Profile one commit on the real crypto path and print where its
 # allocations (count and bytes) and its CPU go. SHAPE picks the call:
@@ -205,5 +163,5 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt cpu.pprof mem.pprof
+	rm -f cover.out test_output.txt bench_output.txt
 	rm -rf $(PROFILE_DIR)

@@ -2,9 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,6 +35,9 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run(nil, &out); err == nil {
 		t.Error("no mode accepted")
+	}
+	if err := run([]string{"-bench", "missing"}, &out); err == nil {
+		t.Error("unknown bench accepted")
 	}
 }
 
@@ -83,51 +83,6 @@ func TestSweepPlot(t *testing.T) {
 	got := out.String()
 	if !strings.Contains(got, "bb: words vs f") || !strings.Contains(got, "legend: * n=11") {
 		t.Errorf("plot output:\n%s", got)
-	}
-}
-
-func TestBenchACSJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench_acs.json")
-	var out bytes.Buffer
-	err := run([]string{
-		"-bench-acs-json", path, "-ns", "5", "-batches", "1,4", "-sessions", "2",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep acsBench
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(rep.Results) != 1 || rep.Results[0].N != 5 {
-		t.Fatalf("results: %+v", rep.Results)
-	}
-	group := rep.Results[0]
-	if len(group.Baselines) != 2 || len(group.Arms) != 4 {
-		t.Fatalf("want 2 baselines and 4 arms, got %d and %d", len(group.Baselines), len(group.Arms))
-	}
-	for _, arm := range group.Arms {
-		if !arm.DecisionsIdentical {
-			t.Errorf("f=%d batch=%d: decisions not identical across workers/windows", arm.F, arm.Batch)
-		}
-		if arm.F == 0 {
-			if want := float64(group.N * arm.Batch); arm.RequestsPerSlot != want {
-				t.Errorf("f=0 batch=%d: %.1f requests/slot, want %.1f", arm.Batch, arm.RequestsPerSlot, want)
-			}
-			if arm.RatioVsSingleProposer < float64(group.N)/2 {
-				t.Errorf("f=0 batch=%d: ratio %.1f < n/2", arm.Batch, arm.RatioVsSingleProposer)
-			}
-		} else if arm.SubsetMin < group.N-group.T {
-			t.Errorf("f=%d batch=%d: subset %d < n-t", arm.F, arm.Batch, arm.SubsetMin)
-		}
-	}
-	// Larger batches amortize the per-request word cost.
-	if a, b := group.Arms[0], group.Arms[1]; b.WordsPerRequest >= a.WordsPerRequest {
-		t.Errorf("batch=4 words/request %.1f not below batch=1's %.1f", b.WordsPerRequest, a.WordsPerRequest)
 	}
 }
 

@@ -107,16 +107,13 @@ const (
 	FallbackWords = 4
 )
 
-// FallbackThreshold is the corruption count below which the fallback
-// never runs (Lemma 6): f < (n−t−1)/2.
-func FallbackThreshold(n, t int) int { return (n - t - 1) / 2 }
-
 // Envelope is the adversarial honest-word budget for an (n, f) grid
 // point: EnvelopeWords·n·(f+1), plus the fallback surcharge once f
-// reaches the threshold where the quadratic path may legally trigger.
+// reaches Lemma 6's threshold, where the quadratic path may legally
+// trigger.
 func Envelope(n, t, f int) int64 {
 	e := int64(EnvelopeWords) * int64(n) * int64(f+1)
-	if f >= FallbackThreshold(n, t) {
+	if f >= (types.Params{N: n, T: t}).FallbackThreshold() {
 		e += int64(FallbackWords) * int64(n) * int64(n) * int64(n)
 	}
 	return e
@@ -188,9 +185,9 @@ func checkInvariants(cfg Config, t int, g Genome, o *harness.Outcome) []string {
 	// Lemma 6: below the fallback threshold no schedule can assemble the
 	// (t+1)-share fallback certificate, so the quadratic path must stay
 	// off. A single fallback run down there is a falsification.
-	if len(corrupted) < FallbackThreshold(cfg.N, t) && o.FallbackCount > 0 {
+	if th := (types.Params{N: cfg.N, T: t}).FallbackThreshold(); len(corrupted) < th && o.FallbackCount > 0 {
 		v = append(v, fmt.Sprintf("lemma6: fallback ran in %d processes at f=%d < threshold %d",
-			o.FallbackCount, len(corrupted), FallbackThreshold(cfg.N, t)))
+			o.FallbackCount, len(corrupted), th))
 	}
 	switch cfg.Protocol {
 	case protocols.BB:

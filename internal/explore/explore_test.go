@@ -169,7 +169,7 @@ func TestEnvelopePiecewise(t *testing.T) {
 		t.Fatal(err)
 	}
 	n, tt := 17, params.T
-	th := FallbackThreshold(n, tt)
+	th := params.FallbackThreshold()
 	if th != 4 {
 		t.Fatalf("threshold(17, %d) = %d, want 4", tt, th)
 	}
