@@ -40,8 +40,10 @@ bench-all:
 # Profile one commit on the real crypto path and print where its
 # allocations (count and bytes) and its CPU go. SHAPE picks the call:
 # n4r1 (default) is the engine.RunACSLog call behind a serial put (one
-# command, n=4, one round), n9f1 the batched library call of
-# lib-acs-crash1 (n=9, one crashed proposer, 4 rounds x batch 16). The
+# command, n=4, one round), n4b32 the one behind a burst of 32 inline puts
+# (n=4, one round, 4 x batch 8 commands of about 100 B), n9f1 the batched
+# library call of lib-acs-crash1 (n=9, one crashed proposer, 4 rounds x
+# batch 16). The
 # first pass samples every allocation (-memprofilerate 1), which distorts
 # timing, so CPU is a second pass of ten times as many calls. This is the
 # command that regenerates
@@ -51,6 +53,7 @@ bench-all:
 PROFILE_DIR := profiles
 SHAPE ?= n4r1
 PROFILE_ITERS_n4r1 := 200
+PROFILE_ITERS_n4b32 := 100
 PROFILE_ITERS_n9f1 := 10
 profile-commit:
 	mkdir -p $(PROFILE_DIR)
@@ -98,7 +101,7 @@ alloc-guard:
 	guard ./internal/proto 'TestMuxSteadyStateAllocs'; \
 	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling'; \
 	guard ./internal/acs 'TestACSAllocCeiling'; \
-	guard './internal/core/wba ./internal/core/bb' 'TestIngestDropsOutOfRangePhases'
+	guard './internal/core/wba ./internal/core/bb' 'TestIngestDropsOutOfRangePhases|TestSignBasesAreExactSizeAndUnchanged'
 
 # The named tests of CI's race job, under the race detector (its `go run
 # -race` smokes and whole-package runs stay in ci.yml). The lists live

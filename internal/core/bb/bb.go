@@ -425,7 +425,7 @@ func (m *Machine) finish() {
 		// Guard against a Byzantine-crafted envelope that weak BA could
 		// only decide if it was valid; double-check the signature anyway.
 		if m.validator.Validate(baDecision) {
-			m.decision = sv.V.Clone()
+			m.decision = sv.V // DecodeValue's own copy
 			return
 		}
 	}

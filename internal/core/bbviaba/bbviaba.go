@@ -25,14 +25,10 @@ import (
 
 const baSession = "ba"
 
-// senderBase is what the sender signs over its bit.
+// senderBase is what the sender signs over its bit: (domain, tag, sender,
+// SHA-256(v)), the shape of bb's sender base.
 func senderBase(tag string, sender types.ProcessID, v types.Value) []byte {
-	w := wire.NewWriter()
-	w.PutString("bbviaba/sender")
-	w.PutString(tag)
-	w.PutProcess(sender)
-	w.PutValue(v)
-	return w.Bytes()
+	return wire.ValueBase("bbviaba/sender", tag, int(sender), wire.Sum(v))
 }
 
 // SenderBit is the round-1 dissemination ⟨v⟩_sender.

@@ -19,26 +19,18 @@ const (
 	helpReqDomain = "wba/help_req"
 )
 
-// phaseBase encodes (domain, tag, phase, v) in one exact-size allocation.
-func phaseBase(domain, tag string, phase int, v types.Value) []byte {
-	w := wire.NewWriterSize(wire.SizeBytes(len(domain)) + wire.SizeBytes(len(tag)) + wire.SizeInt + wire.SizeBytes(len(v)))
-	w.PutString(domain)
-	w.PutString(tag)
-	w.PutInt(phase)
-	w.PutValue(v)
-	return w.Bytes()
-}
-
 // voteBase is what vote shares sign: a commit certificate for (v, level j)
-// is a threshold certificate over voteBase(tag, j, v).
+// is a threshold certificate over voteBase(tag, j, v) = (domain, tag, j,
+// SHA-256(v)), the same length at any |v|.
 func voteBase(tag string, phase int, v types.Value) []byte {
-	return phaseBase(voteDomain, tag, phase, v)
+	return wire.ValueBase(voteDomain, tag, phase, wire.Sum(v))
 }
 
 // decideBase is what decide shares sign: a finalize certificate for (v, j)
-// is a threshold certificate over decideBase(tag, j, v).
+// is a threshold certificate over decideBase(tag, j, v), which commits to
+// v's digest as voteBase does.
 func decideBase(tag string, phase int, v types.Value) []byte {
-	return phaseBase(decideDomain, tag, phase, v)
+	return wire.ValueBase(decideDomain, tag, phase, wire.Sum(v))
 }
 
 // helpReqBase is what help_req shares sign: the fallback certificate is a

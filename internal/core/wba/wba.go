@@ -112,12 +112,14 @@ type Machine struct {
 	nowTick        types.Tick
 	ranFallback    bool
 
-	// Sign bases already encoded under cfg.Tag: the last vote and decide
-	// base (the n shares a leader ingests in one pass, the certificate it
-	// combines from them and the one every process then verifies all
-	// cover the same (phase, value)) and the constant help_req base.
-	lastVote, lastDecide wire.LastEncoding
-	helpBase             []byte
+	// Sign bases already encoded under cfg.Tag: the last value hashed, the
+	// last vote and decide base keyed on (phase, its digest) — the n shares
+	// a leader ingests in one pass, the certificate it combines from them
+	// and the one every process then verifies all cover the same (phase,
+	// value) — and the constant help_req base.
+	digest         wire.Digester
+	votes, decides wire.BaseMemo
+	helpBase       []byte
 
 	err error // first internal error (signing); surfaces via Failed
 }
@@ -196,15 +198,16 @@ func byValue(list []valueShares) []valueShares {
 	return list
 }
 
-// voteBase returns voteBase(tag, phase, v), re-encoding only when
-// (phase, v) differ from the previous call's.
+// voteBase returns voteBase(tag, phase, v), hashing only when v differs
+// from the previous value the machine hashed and encoding only when
+// (phase, digest) differ from the previous vote base's.
 func (m *Machine) voteBase(phase int, v types.Value) []byte {
-	return m.lastVote.Get(phase, v, func() []byte { return voteBase(m.cfg.Tag, phase, v) })
+	return m.votes.Get(voteDomain, m.cfg.Tag, phase, m.digest.Sum(v))
 }
 
 // decideBase is voteBase's counterpart for decide shares.
 func (m *Machine) decideBase(phase int, v types.Value) []byte {
-	return m.lastDecide.Get(phase, v, func() []byte { return decideBase(m.cfg.Tag, phase, v) })
+	return m.decides.Get(decideDomain, m.cfg.Tag, phase, m.digest.Sum(v))
 }
 
 // helpReqBase returns the instance's one help_req base, encoded on first

@@ -578,12 +578,21 @@ func (p *procMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.
 }
 
 // Output canonically encodes every session's (decided, value) pair, so
-// sim-level agreement checks cover the whole engine run at once.
+// sim-level agreement checks cover the whole engine run at once. The
+// encoding is sized first and written into one exact-size buffer.
 func (p *procMachine) Output() (types.Value, bool) {
 	if !p.Done() {
 		return nil, false
 	}
-	w := wire.NewWriter()
+	size := wire.SizeInt
+	for _, m := range p.children {
+		v, ok := m.Output()
+		if !ok {
+			v = nil
+		}
+		size += wire.SizeInt + wire.SizeBytes(len(v))
+	}
+	w := wire.NewWriterSize(size)
 	w.PutInt(len(p.children))
 	for _, m := range p.children {
 		v, ok := m.Output()

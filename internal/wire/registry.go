@@ -74,9 +74,14 @@ func (r *Registry) Types() []string {
 	return names
 }
 
-// EncodePayload frames a payload as (type, body).
+// EncodePayload frames a payload as (type, body) in one exact-size buffer:
+// SizeOf measures the frame without allocating, then the codec writes it.
 func (r *Registry) EncodePayload(p proto.Payload) ([]byte, error) {
-	w := NewWriter()
+	size, err := r.SizeOf(p)
+	if err != nil {
+		return nil, err
+	}
+	w := NewWriterSize(size)
 	if err := r.AppendPayload(w, p); err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -56,6 +55,15 @@ const SizeInt = 8
 // SizeBytes is the encoded size of an n-byte PutBytes, PutString, PutValue
 // or PutSig: the length prefix plus the bytes.
 func SizeBytes(n int) int { return SizeInt + n }
+
+// SizeCert is the encoded size of PutCert(c), measured by PutCert itself
+// on a counting writer, so it cannot drift from the format and does not
+// allocate.
+func SizeCert(c *threshold.Cert) int {
+	w := Writer{counting: true}
+	w.PutCert(c)
+	return w.count
+}
 
 // Reset clears the writer for reuse, retaining the buffer's capacity.
 func (w *Writer) Reset() {
@@ -186,35 +194,6 @@ func (w *Writer) PutCert(c *threshold.Cert) {
 		w.PutSig(s)
 	}
 	w.PutBytes(c.Tag)
-}
-
-// LastEncoding remembers the most recent encoding of one encoder whose
-// only varying arguments are an integer and a byte string — the shape of
-// every sign base (phase, value) under a fixed tag. Protocol machines see
-// the same arguments many times in a row: the n shares one ingest pass
-// checks, the certificate combined from them and the certificate every
-// process then verifies all cover one base, so a single entry turns those
-// encodings into one. The returned slice is shared: callers sign, verify
-// or hash it and must not modify or append to it. Not safe for concurrent
-// use (a machine is single-threaded).
-type LastEncoding struct {
-	n   int
-	v   []byte
-	enc []byte
-}
-
-// Get returns the encoding of (n, v): the remembered one if it was made
-// for these arguments, otherwise encode()'s, which replaces it. v is
-// copied into the memo's own buffer, so a caller that later changes the
-// bytes it passed (payload slices are shared by reference between a
-// sender and all its recipients) gets a miss, never a stale encoding.
-// encode is only called, never kept, so a closure passed here stays on
-// the caller's stack.
-func (l *LastEncoding) Get(n int, v []byte, encode func() []byte) []byte {
-	if l.enc == nil || l.n != n || !bytes.Equal(l.v, v) {
-		l.n, l.v, l.enc = n, append(l.v[:0], v...), encode()
-	}
-	return l.enc
 }
 
 // CountingWriter measures encodings without materializing them: it is a

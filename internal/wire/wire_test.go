@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -156,6 +155,9 @@ func TestCertRoundTrip(t *testing.T) {
 			}
 			w := NewWriter()
 			w.PutCert(cert)
+			if n := SizeCert(cert); n != w.Len() {
+				t.Errorf("SizeCert = %d, encoded %d bytes", n, w.Len())
+			}
 			r := NewReader(w.Bytes())
 			got := r.Cert()
 			if err := r.Close(); err != nil {
@@ -171,6 +173,9 @@ func TestCertRoundTrip(t *testing.T) {
 func TestNilCertRoundTrip(t *testing.T) {
 	w := NewWriter()
 	w.PutCert(nil)
+	if n := SizeCert(nil); n != w.Len() {
+		t.Errorf("SizeCert(nil) = %d, encoded %d bytes", n, w.Len())
+	}
 	r := NewReader(w.Bytes())
 	if got := r.Cert(); got != nil {
 		t.Errorf("got %+v", got)
@@ -299,47 +304,42 @@ func TestNewWriterSizeIsExact(t *testing.T) {
 	}
 }
 
-// TestLastEncoding: a hit needs both arguments equal (nil and empty byte
-// strings encode alike and compare alike); anything else re-encodes and
-// replaces the single entry.
-func TestLastEncoding(t *testing.T) {
-	var l LastEncoding
-	encodes := 0
-	get := func(n int, v []byte) string {
-		return string(l.Get(n, v, func() []byte {
-			encodes++
-			return []byte(fmt.Sprintf("enc-%d-%s", n, v))
-		}))
-	}
+// TestDigestMemos: a Digester hit needs an equal value (nil and empty
+// hash alike and compare alike) and a BaseMemo hit an equal (n, digest);
+// anything else re-hashes or re-encodes and replaces the single entry,
+// and what comes back always equals a fresh Sum / ValueBase.
+func TestDigestMemos(t *testing.T) {
+	var h Digester
+	var m BaseMemo
 	for i, c := range []struct {
-		n       int
-		v       []byte
-		encodes int // running total after this call
+		n   int
+		v   []byte
+		hit bool // the same encoding as the previous call
 	}{
-		{2, []byte("v"), 1}, {2, []byte("v"), 1}, // repeat: remembered
-		{3, []byte("v"), 2}, {3, []byte("w"), 3}, {3, nil, 4}, {3, []byte{}, 4}, // nil == empty
-		{3, []byte("ww"), 5}, {2, []byte("v"), 6}, // the first entry is long gone
+		{2, []byte("v"), false}, {2, []byte("v"), true},
+		{3, []byte("v"), false}, {3, []byte("w"), false}, {3, nil, false}, {3, []byte{}, true}, // nil == empty
+		{3, []byte("ww"), false}, {2, []byte("v"), false}, // the first entry is long gone
 	} {
-		if got, want := get(c.n, c.v), fmt.Sprintf("enc-%d-%s", c.n, c.v); got != want {
-			t.Errorf("call %d: Get(%d, %q) = %q, want %q", i, c.n, c.v, got, want)
+		prev := m.enc
+		d := h.Sum(c.v)
+		got := m.Get("dom", "tag", c.n, d)
+		if d != Sum(c.v) || !bytes.Equal(got, ValueBase("dom", "tag", c.n, Sum(c.v))) {
+			t.Errorf("call %d: (%d, %q) remembered digest or base differs from a fresh one", i, c.n, c.v)
 		}
-		if encodes != c.encodes {
-			t.Errorf("call %d: %d encodings so far, want %d", i, encodes, c.encodes)
+		if hit := prev != nil && &got[0] == &prev[0]; hit != c.hit {
+			t.Errorf("call %d: (%d, %q) hit=%t, want %t", i, c.n, c.v, hit, c.hit)
 		}
 	}
-	a := l.Get(2, []byte("v"), nil) // remembered: encode is not needed
-	if b := l.Get(2, []byte("v"), nil); &a[0] != &b[0] {
-		t.Error("a repeat returned a different slice")
+	if a := testing.AllocsPerRun(100, func() { m.Get("dom", "tag", 2, h.Sum([]byte("v"))) }); a > 0 {
+		t.Errorf("a repeat allocates %.0f, want 0", a)
 	}
 
-	// The memo keeps its own copy of v: a buffer changed after Get and
-	// passed again is a miss, not the encoding of what it used to hold.
+	// The digester keeps its own copy of v: a buffer changed after Sum and
+	// passed again is a miss, not the digest of what it used to hold.
 	buf := []byte("old")
-	if got := get(7, buf); got != "enc-7-old" {
-		t.Fatalf("Get(7, %q) = %q", buf, got)
-	}
+	h.Sum(buf)
 	copy(buf, "new")
-	if got := get(7, buf); got != "enc-7-new" {
-		t.Errorf("Get after the caller's buffer changed = %q, want enc-7-new", got)
+	if h.Sum(buf) != Sum([]byte("new")) {
+		t.Error("Sum after the caller's buffer changed returned the old value's digest")
 	}
 }
