@@ -101,7 +101,9 @@ alloc-guard:
 	guard ./internal/proto 'TestMuxSteadyStateAllocs'; \
 	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling'; \
 	guard ./internal/acs 'TestACSAllocCeiling'; \
-	guard './internal/core/wba ./internal/core/bb' 'TestIngestDropsOutOfRangePhases|TestSignBasesAreExactSizeAndUnchanged'
+	guard './internal/core/wba ./internal/core/bb' 'TestIngestDropsOutOfRangePhases|TestSignBasesAreExactSizeAndUnchanged'; \
+	guard ./internal/kv 'TestApplyAllocs'; \
+	guard ./internal/service 'TestAuditAppendZeroAllocs|TestFrameEncodeOneExactAlloc|TestAnchoredGetReplyOneCopy'
 
 # The named tests of CI's race job, under the race detector (its `go run
 # -race` smokes and whole-package runs stay in ci.yml). The lists live

@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,14 +30,18 @@ type Ref [32]byte
 // String returns the hex form of the ref (also its on-disk file name).
 func (r Ref) String() string { return hex.EncodeToString(r[:]) }
 
-// ParseRef parses the hex form produced by Ref.String.
-func ParseRef(s string) (Ref, error) {
+// ParseRef parses the hex form produced by Ref.String, from a string or
+// straight from the bytes of a committed command, without allocating.
+func ParseRef[S ~string | ~[]byte](s S) (Ref, error) {
 	var r Ref
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != len(r) {
+	var h [2 * len(r)]byte
+	if len(s) != len(h) {
 		return r, fmt.Errorf("blob: bad ref %q", s)
 	}
-	copy(r[:], b)
+	copy(h[:], s)
+	if _, err := hex.Decode(r[:], h[:]); err != nil {
+		return Ref{}, fmt.Errorf("blob: bad ref %q", s)
+	}
 	return r, nil
 }
 
@@ -131,18 +136,42 @@ func (s *Store) syncDir() error {
 // Get reads a payload back by ref, re-verifying the content address
 // before returning. A missing blob is ErrNotFound; a blob whose bytes
 // have changed on disk is ErrTampered.
-func (s *Store) Get(r Ref) ([]byte, error) {
-	data, err := os.ReadFile(s.path(r))
+func (s *Store) Get(r Ref) ([]byte, error) { return s.AppendGet(nil, r) }
+
+// AppendGet is Get appending the payload to dst: the file is sized
+// first, dst grows once to hold it (plus one byte, so a file that grew
+// since reads long instead of silently truncated), and the bytes are
+// read straight into it and re-hashed. On error it returns dst's
+// original prefix, intact.
+func (s *Store) AppendGet(dst []byte, r Ref) ([]byte, error) {
+	f, err := os.Open(s.path(r))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, r)
+		return dst, fmt.Errorf("%w: %s", ErrNotFound, r)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("blob: get %s: %w", r, err)
+		return dst, fmt.Errorf("blob: get %s: %w", r, err)
 	}
-	if Sum(data) != r {
-		return nil, fmt.Errorf("%w: %s", ErrTampered, r)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return dst, fmt.Errorf("blob: get %s: %w", r, err)
 	}
-	return data, nil
+	n0, size := len(dst), int(fi.Size())
+	if cap(dst)-n0 < size+1 {
+		grown := make([]byte, n0, n0+size+1)
+		copy(grown, dst)
+		dst = grown
+	}
+	n, err := io.ReadFull(f, dst[n0:n0+size+1])
+	switch {
+	case err != nil && err != io.ErrUnexpectedEOF && err != io.EOF:
+		return dst[:n0], fmt.Errorf("blob: get %s: %w", r, err)
+	case n != size:
+		return dst[:n0], fmt.Errorf("%w: %s changed size while read", ErrTampered, r)
+	case Sum(dst[n0:n0+size]) != r:
+		return dst[:n0], fmt.Errorf("%w: %s", ErrTampered, r)
+	}
+	return dst[:n0+size], nil
 }
 
 // Verify checks one stored blob against its content address without

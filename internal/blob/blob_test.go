@@ -170,3 +170,91 @@ func TestRefsSkipsForeignFiles(t *testing.T) {
 		t.Fatalf("want 1 ref, got %d", len(refs))
 	}
 }
+
+// TestAppendGetTamperMatrix gives AppendGet Get's tamper checks — a
+// flipped byte, a truncated file, a grown file, a missing file — and
+// requires every failure to hand back dst's prefix untouched, whether dst
+// had room for the payload or had to grow.
+func TestAppendGetTamperMatrix(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("append-get "), 40)
+	ref, err := s.Put(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ref.String())
+	prefix := []byte("header:")
+	dsts := map[string]func() []byte{
+		"nil":   func() []byte { return nil },
+		"tight": func() []byte { return append([]byte(nil), prefix...) },
+		"roomy": func() []byte { return append(make([]byte, 0, len(prefix)+2*len(payload)), prefix...) },
+	}
+	for name, dst := range dsts {
+		got, err := s.AppendGet(dst(), ref)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := append(dst(), payload...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: AppendGet returned %q", name, got)
+		}
+	}
+	if got, err := s.Get(ref); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("Get after AppendGet: %q, %v", got, err)
+	}
+
+	tampers := []struct {
+		name   string
+		mutate func(data []byte) []byte // nil: delete the file
+		want   error
+	}{
+		{"flipped", func(d []byte) []byte { d[5] ^= 0x01; return d }, ErrTampered},
+		{"truncated", func(d []byte) []byte { return d[:len(d)-1] }, ErrTampered},
+		{"grown", func(d []byte) []byte { return append(d, 'x') }, ErrTampered},
+		{"emptied", func(d []byte) []byte { return d[:0] }, ErrTampered},
+		{"missing", nil, ErrNotFound},
+	}
+	for _, tc := range tampers {
+		if tc.mutate == nil {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := os.WriteFile(path, tc.mutate(bytes.Clone(payload)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for name, dst := range dsts {
+			d := dst()
+			got, err := s.AppendGet(d, ref)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("%s/%s: want %v, got %v", tc.name, name, tc.want, err)
+			}
+			if !bytes.Equal(got, d) || !bytes.Equal(d, dst()) {
+				t.Fatalf("%s/%s: prefix %q came back as %q", tc.name, name, dst(), got)
+			}
+		}
+		if _, err := s.Get(ref); !errors.Is(err, tc.want) {
+			t.Fatalf("%s: Get wants %v, got %v", tc.name, tc.want, err)
+		}
+	}
+}
+
+// TestAppendGetEmptyBlob: a zero-length payload reads back as nothing
+// appended, not as a short read.
+func TestAppendGetEmptyBlob(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := s.Put(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.AppendGet([]byte("p"), ref)
+	if err != nil || string(got) != "p" {
+		t.Fatalf("AppendGet of an empty blob: %q, %v", got, err)
+	}
+}

@@ -86,6 +86,16 @@ func TestLogScheduleCoversLongLogs(t *testing.T) {
 	}
 }
 
+// tcpLogTick is the synchrony bound δ: a message sent in tick k must reach
+// its peer before the peer's tick k+1. The nodes' tickers start at
+// different instants after the ready barrier, so that skew plus a tick's
+// processing plus delivery must fit in one tick. At 10 ms, one run under a
+// full `go test ./...` on a 2-vCPU host lost a write (k2 missing), which
+// is what a slot deciding ⊥ after a late message looks like; it did not
+// recur in 55 loaded reruns. 25 ms is the transport's own default, which
+// its docs call generous on loopback.
+const tcpLogTick = 25 * time.Millisecond
+
 // TestReplicatedLogOverTCP hosts the engine's log on real sockets: four
 // nodes on loopback TCP each run their procMachine over three BB slots
 // through a window of two, and every node's output must equal, byte for
@@ -137,7 +147,7 @@ func TestReplicatedLogOverTCP(t *testing.T) {
 		roots[i] = sched.root(types.ProcessID(i))
 		node, err := transport.NewNode(transport.Config{
 			Params: params, Crypto: crypto, ID: types.ProcessID(i), Addrs: addrs,
-			Registry: protocols.Registry(), TickInterval: 10 * time.Millisecond,
+			Registry: protocols.Registry(), TickInterval: tcpLogTick,
 		}, roots[i])
 		if err != nil {
 			t.Fatal(err)

@@ -76,26 +76,36 @@ func (s *Store) Apply(cmd types.Value) error {
 	if cmd.IsBottom() {
 		return nil // skipped slot
 	}
-	fields := strings.Fields(string(cmd))
-	if len(fields) == 0 {
+	// One string for the whole command: the stored key and value are
+	// substrings of it. Fields past the fourth are only counted, so the
+	// split needs no slice; FieldsSeq splits exactly as strings.Fields.
+	var fields [4]string
+	n := 0
+	for f := range strings.FieldsSeq(string(cmd)) {
+		if n < len(fields) {
+			fields[n] = f
+		}
+		n++
+	}
+	if n == 0 {
 		return fmt.Errorf("%w: empty", ErrBadCommand)
 	}
 	switch fields[0] {
 	case "SET":
-		if len(fields) != 3 {
-			return fmt.Errorf("%w: SET wants 2 args, got %d", ErrBadCommand, len(fields)-1)
+		if n != 3 {
+			return fmt.Errorf("%w: SET wants 2 args, got %d", ErrBadCommand, n-1)
 		}
 		s.data[fields[1]] = fields[2]
 		return nil
 	case "DEL":
-		if len(fields) != 2 {
-			return fmt.Errorf("%w: DEL wants 1 arg, got %d", ErrBadCommand, len(fields)-1)
+		if n != 2 {
+			return fmt.Errorf("%w: DEL wants 1 arg, got %d", ErrBadCommand, n-1)
 		}
 		delete(s.data, fields[1])
 		return nil
 	case "CAS":
-		if len(fields) != 4 {
-			return fmt.Errorf("%w: CAS wants 3 args, got %d", ErrBadCommand, len(fields)-1)
+		if n != 4 {
+			return fmt.Errorf("%w: CAS wants 3 args, got %d", ErrBadCommand, n-1)
 		}
 		if s.data[fields[1]] == fields[2] {
 			s.data[fields[1]] = fields[3]

@@ -267,3 +267,119 @@ func TestQuickDeterminism(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fieldsApply is Apply as it was written over strings.Fields: the
+// reference the FieldsSeq split must match, state and error text alike.
+func fieldsApply(data map[string]string, cmd types.Value) error {
+	if cmd.IsBottom() {
+		return nil
+	}
+	fields := strings.Fields(string(cmd))
+	if len(fields) == 0 {
+		return fmt.Errorf("%w: empty", ErrBadCommand)
+	}
+	switch fields[0] {
+	case "SET":
+		if len(fields) != 3 {
+			return fmt.Errorf("%w: SET wants 2 args, got %d", ErrBadCommand, len(fields)-1)
+		}
+		data[fields[1]] = fields[2]
+		return nil
+	case "DEL":
+		if len(fields) != 2 {
+			return fmt.Errorf("%w: DEL wants 1 arg, got %d", ErrBadCommand, len(fields)-1)
+		}
+		delete(data, fields[1])
+		return nil
+	case "CAS":
+		if len(fields) != 4 {
+			return fmt.Errorf("%w: CAS wants 3 args, got %d", ErrBadCommand, len(fields)-1)
+		}
+		if data[fields[1]] == fields[2] {
+			data[fields[1]] = fields[3]
+		}
+		return nil
+	default:
+		return fmt.Errorf("%w: unknown op %q", ErrBadCommand, fields[0])
+	}
+}
+
+// TestApplySplitMatchesFields drives Apply and the strings.Fields
+// reference with the same random commands — every separator Fields
+// knows (tabs, newlines, runs of spaces, U+0085, U+00A0), empty input,
+// ⊥, and up to seven fields — and requires the same store and the same
+// rejected-command strings, slot for slot.
+func TestApplySplitMatchesFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	seps := []string{" ", "  ", "\t", "\n", " \t ", "\u0085", "\u00a0", "\v\f\r"}
+	words := []string{"SET", "DEL", "CAS", "set", "NOPE", "k", "k2", "v", "1", "é", "x\u200by"}
+	var entries []Entry
+	for slot := 0; slot < 4000; slot++ {
+		var b strings.Builder
+		switch rng.Intn(20) {
+		case 0: // ⊥: a skipped slot
+		case 1:
+			b.WriteString(seps[rng.Intn(len(seps))]) // whitespace only
+		case 2:
+			entries = append(entries, Entry{Slot: slot, Command: types.Value{}})
+			continue
+		default:
+			if rng.Intn(2) == 0 {
+				b.WriteString(seps[rng.Intn(len(seps))])
+			}
+			nf := 1 + rng.Intn(7)
+			for i := 0; i < nf; i++ {
+				if i > 0 {
+					b.WriteString(seps[rng.Intn(len(seps))])
+				}
+				b.WriteString(words[rng.Intn(len(words))])
+			}
+			if rng.Intn(3) == 0 {
+				b.WriteString(seps[rng.Intn(len(seps))])
+			}
+		}
+		var cmd types.Value
+		if b.Len() > 0 {
+			cmd = types.Value(b.String())
+		}
+		entries = append(entries, Entry{Slot: slot, Command: cmd})
+	}
+
+	got, rejected := Replay(entries)
+	want := make(map[string]string)
+	var wantRejected []string
+	for _, e := range entries {
+		if err := fieldsApply(want, e.Command); err != nil {
+			wantRejected = append(wantRejected, fmt.Errorf("slot %d: %w", e.Slot, err).Error())
+		}
+	}
+	if len(rejected) != len(wantRejected) {
+		t.Fatalf("%d rejected commands, reference rejects %d", len(rejected), len(wantRejected))
+	}
+	for i, err := range rejected {
+		if err.Error() != wantRejected[i] {
+			t.Errorf("rejection %d: %q, reference %q", i, err, wantRejected[i])
+		}
+	}
+	if len(wantRejected) == 0 || len(want) == 0 {
+		t.Fatalf("degenerate input: %d rejected, %d live keys", len(wantRejected), len(want))
+	}
+	if snap := got.Snapshot(); fmt.Sprint(snap) != fmt.Sprint(want) {
+		t.Errorf("store %v, reference %v", snap, want)
+	}
+	if got.Applied() != len(entries) {
+		t.Errorf("applied %d of %d entries", got.Applied(), len(entries))
+	}
+}
+
+// TestApplyAllocs pins Apply at one allocation per command: the string
+// the stored key and value are cut from.
+func TestApplyAllocs(t *testing.T) {
+	s := NewStore()
+	for _, cmd := range []string{"SET a2V5 i:dmFsdWU", "DEL a2V5"} {
+		v := types.Value(cmd)
+		if got := testing.AllocsPerRun(200, func() { _ = s.Apply(v) }); got > 1 {
+			t.Errorf("Apply(%q) allocates %.1f times, want ≤ 1", cmd, got)
+		}
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
+	"hash"
 	"os"
 
 	"adaptiveba/internal/blob"
@@ -34,6 +34,10 @@ const (
 // in the repo.
 const auditDomain = "adaptiveba/service/audit\x00"
 
+// auditDomainBytes is auditDomain as hash.Hash.Write takes it, converted
+// once rather than on every entry.
+var auditDomainBytes = []byte(auditDomain)
+
 // ErrAuditChain reports a broken audit chain: an entry whose recomputed
 // hash or Prev link does not match what is stored.
 var ErrAuditChain = errors.New("service: audit chain broken")
@@ -60,22 +64,20 @@ type AuditEntry struct {
 }
 
 // computeHash derives the entry hash over a domain-separated canonical
-// encoding of all fields except Hash itself.
+// encoding of all fields except Hash itself: auditDomain followed by the
+// record's prefix (putAuditFields), so it cannot drift from Append.
 func (e *AuditEntry) computeHash() [32]byte {
-	h := sha256.New()
-	io.WriteString(h, auditDomain)
-	w := wire.NewWriter()
-	w.PutInt(e.Seq)
-	w.PutInt(e.Slot)
-	w.PutByte(e.Op)
-	w.PutBytes(e.Key)
-	w.PutBytes(e.Anchor[:])
-	w.PutBool(e.Anchored)
-	w.PutBytes(e.Prev[:])
-	h.Write(w.Bytes())
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	w := wire.NewWriterSize(auditRecordSize(e))
+	putAuditFields(w, e)
+	return [32]byte(auditHash(sha256.New(), w.Bytes(), nil))
+}
+
+// auditHash appends SHA-256(auditDomain ‖ fields) to dst, reusing h.
+func auditHash(h hash.Hash, fields, dst []byte) []byte {
+	h.Reset()
+	h.Write(auditDomainBytes)
+	h.Write(fields)
+	return h.Sum(dst)
 }
 
 // Audit is an append-only, fsync'd, hash-chained log file. The chain
@@ -87,13 +89,20 @@ type Audit struct {
 	f    *os.File
 	n    int      // entries chained so far
 	tip  [32]byte // hash of the last entry (zero when empty)
+
+	// Append's reused state: the record being written, whose prefix is
+	// the hash preimage, and the SHA-256 state and sum that hash it. A
+	// steady-state Append allocates nothing.
+	rec wire.Writer
+	h   hash.Hash
+	sum []byte
 }
 
 // OpenAudit opens (creating if needed) the audit log at path, loading
 // and chain-verifying any existing entries. A corrupt existing file
 // fails here rather than silently extending a broken chain.
 func OpenAudit(path string) (*Audit, error) {
-	a := &Audit{path: path}
+	a := &Audit{path: path, h: sha256.New()}
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("service: open audit: %w", err)
@@ -125,14 +134,18 @@ func (a *Audit) Close() error { return a.f.Close() }
 func (a *Audit) Len() int { return a.n }
 
 // Append chains and durably appends one entry. Seq, Prev, and Hash are
-// assigned here; the caller fills the record fields.
+// assigned here; the caller fills the record fields. The fields are
+// encoded once: the record's prefix is hashed, then the hash is appended
+// to complete it. Append does not retain e.Key.
 func (a *Audit) Append(e AuditEntry) (AuditEntry, error) {
 	e.Seq = a.n
 	e.Prev = a.tip
-	e.Hash = e.computeHash()
-	w := wire.NewWriter()
-	encodeAuditEntry(w, &e)
-	if _, err := a.f.Write(w.Bytes()); err != nil {
+	a.rec.Reset()
+	putAuditFields(&a.rec, &e)
+	a.sum = auditHash(a.h, a.rec.Bytes(), a.sum[:0])
+	e.Hash = [32]byte(a.sum)
+	a.rec.PutBytes(e.Hash[:])
+	if _, err := a.f.Write(a.rec.Bytes()); err != nil {
 		return e, fmt.Errorf("service: audit append: %w", err)
 	}
 	if err := a.f.Sync(); err != nil {

@@ -481,12 +481,12 @@ func (s *Server) handle(r serverReq) {
 		s.pendingReqs = append(s.pendingReqs, r)
 	case ReqGet:
 		s.flush() // reads observe every write queued before them
-		v, err := s.core.Get(r.req.Key)
+		body, err := s.core.getResponse(r.req.Seq, r.req.Key)
 		if err != nil {
 			s.reply(r, errResponseFor(r.req.Seq, err))
 			return
 		}
-		s.reply(r, &Response{Seq: r.req.Seq, Status: StatusOK, Value: v})
+		s.send(r, body)
 	case ReqVerify:
 		s.flush()
 		rep, err := s.core.Verify()
@@ -538,8 +538,10 @@ func (s *Server) clearInflight(client, seq int) {
 }
 
 // reply encodes, records for dedup replay, and sends one response.
-func (s *Server) reply(r serverReq, resp *Response) {
-	body := EncodeResponse(resp)
+func (s *Server) reply(r serverReq, resp *Response) { s.send(r, EncodeResponse(resp)) }
+
+// send records one encoded response for dedup replay and sends it.
+func (s *Server) send(r serverReq, body []byte) {
 	if w := s.windows[r.req.Client]; w != nil {
 		w.put(r.req.Seq, body, s.cfg.DedupWindow)
 	}

@@ -21,7 +21,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/base64"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
@@ -32,6 +35,7 @@ import (
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/kv"
 	"adaptiveba/internal/types"
+	"adaptiveba/internal/wire"
 )
 
 // Typed sentinels; the public API chains these under its error tree.
@@ -114,6 +118,15 @@ type Core struct {
 	slots    int        // global committed-entry count (log renumbering base)
 	honest   []int      // proposer IDs that are not in the crash set
 	stats    Stats
+
+	// applyEntry's decode buffers, reused across entries: the audited
+	// key and the inline value it hashes (Audit.Append retains neither).
+	key, value []byte
+	// getHeader is where getResponse writes a reply's header. Its
+	// capacity is exactly the header, so appending the value always
+	// moves the reply into a fresh buffer sized for it: getHeader is
+	// never part of a reply.
+	getHeader [getHeaderSize]byte
 }
 
 // NewCore opens the stores and builds a core.
@@ -192,36 +205,44 @@ func (c *Core) Audit() *Audit { return c.audit }
 // Command encoding: kv commands are whitespace-split, so keys and values
 // travel base64url (no padding, no spaces). Values carry a one-byte
 // tag — i: inline payload, a: hex anchor into the blob store.
-func encKey(key []byte) string { return base64.RawURLEncoding.EncodeToString(key) }
+var b64 = base64.RawURLEncoding
 
-func encInline(value []byte) string {
-	return "i:" + base64.RawURLEncoding.EncodeToString(value)
+func encKey(key []byte) string { return b64.EncodeToString(key) }
+
+// keyCommand starts the kv command "<verb> <key>" in a buffer with room
+// for extra more bytes, so a whole command is one exact-size allocation.
+func keyCommand(verb string, key []byte, extra int) []byte {
+	cmd := make([]byte, 0, len(verb)+1+b64.EncodedLen(len(key))+extra)
+	cmd = append(cmd, verb...)
+	cmd = append(cmd, ' ')
+	return b64.AppendEncode(cmd, key)
 }
 
-func encAnchor(ref blob.Ref) string { return "a:" + ref.String() }
-
-// decodeStored resolves a stored kv value back to payload bytes,
-// fetching (and content-verifying) anchored values from the blob store.
-func (c *Core) decodeStored(stored string) ([]byte, bool, error) {
+// appendStored appends the payload of a stored kv value to dst, fetching
+// (and content-verifying) anchored values from the blob store. dst grows
+// once, with room for one byte more than the payload. On error dst's
+// prefix is returned intact.
+func (c *Core) appendStored(dst []byte, stored string) ([]byte, error) {
 	switch {
 	case strings.HasPrefix(stored, "i:"):
-		v, err := base64.RawURLEncoding.DecodeString(stored[2:])
+		enc := stored[2:]
+		out, err := b64.AppendDecode(slices.Grow(dst, b64.DecodedLen(len(enc))+1), []byte(enc))
 		if err != nil {
-			return nil, false, fmt.Errorf("%w: inline value corrupt: %v", ErrTampered, err)
+			return dst, fmt.Errorf("%w: inline value corrupt: %v", ErrTampered, err)
 		}
-		return v, false, nil
+		return out, nil
 	case strings.HasPrefix(stored, "a:"):
 		ref, err := blob.ParseRef(stored[2:])
 		if err != nil {
-			return nil, true, fmt.Errorf("%w: bad anchor: %v", ErrTampered, err)
+			return dst, fmt.Errorf("%w: bad anchor: %v", ErrTampered, err)
 		}
-		v, err := c.blobs.Get(ref)
+		out, err := c.blobs.AppendGet(dst, ref)
 		if errors.Is(err, blob.ErrTampered) || errors.Is(err, blob.ErrNotFound) {
-			return nil, true, fmt.Errorf("%w: %v", ErrTampered, err)
+			return out, fmt.Errorf("%w: %v", ErrTampered, err)
 		}
-		return v, true, err
+		return out, err
 	default:
-		return nil, false, fmt.Errorf("%w: unrecognized stored value", ErrTampered)
+		return dst, fmt.Errorf("%w: unrecognized stored value", ErrTampered)
 	}
 }
 
@@ -233,6 +254,7 @@ type Op struct {
 }
 
 // commandFor encodes one op as a kv command, anchoring large values.
+// The command is built in one exact-size buffer.
 func (c *Core) commandFor(op Op) (types.Value, error) {
 	switch op.Op {
 	case OpPut:
@@ -241,11 +263,13 @@ func (c *Core) commandFor(op Op) (types.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			return types.Value("SET " + encKey(op.Key) + " " + encAnchor(ref)), nil
+			cmd := append(keyCommand("SET", op.Key, len(" a:")+hex.EncodedLen(len(ref))), " a:"...)
+			return hex.AppendEncode(cmd, ref[:]), nil
 		}
-		return types.Value("SET " + encKey(op.Key) + " " + encInline(op.Value)), nil
+		cmd := append(keyCommand("SET", op.Key, len(" i:")+b64.EncodedLen(len(op.Value))), " i:"...)
+		return b64.AppendEncode(cmd, op.Value), nil
 	case OpDel:
-		return types.Value("DEL " + encKey(op.Key)), nil
+		return keyCommand("DEL", op.Key, 0), nil
 	default:
 		return nil, fmt.Errorf("%w: op %d", ErrConfig, op.Op)
 	}
@@ -315,33 +339,40 @@ func (c *Core) Commit(ops []Op) (int, error) {
 
 // applyEntry applies one committed command to the kv store and appends
 // its audit record. Audit records derive purely from committed entries,
-// so replicas reconstruct identical chains.
+// so replicas reconstruct identical chains. The command is split in
+// place and its key and inline value decode into reused Core buffers.
 func (c *Core) applyEntry(e kv.Entry) error {
 	_ = c.store.Apply(e.Command) // malformed commands skip deterministically
-	fields := strings.Fields(string(e.Command))
-	if len(fields) < 2 {
+	var fields [3][]byte
+	n := 0
+	for f := range bytes.FieldsSeq(e.Command) {
+		if n < len(fields) {
+			fields[n] = f
+		}
+		n++
+	}
+	if n < 2 {
 		return nil
 	}
-	key, err := base64.RawURLEncoding.DecodeString(fields[1])
-	if err != nil {
+	var err error
+	if c.key, err = b64.AppendDecode(c.key[:0], fields[1]); err != nil {
 		return nil // not a service-encoded command; nothing to audit
 	}
-	rec := AuditEntry{Slot: e.Slot, Key: key}
-	switch fields[0] {
+	rec := AuditEntry{Slot: e.Slot, Key: c.key}
+	switch string(fields[0]) {
 	case "SET":
-		if len(fields) != 3 {
+		if n != 3 {
 			return nil
 		}
 		rec.Op = OpPut
-		switch {
-		case strings.HasPrefix(fields[2], "i:"):
-			v, err := base64.RawURLEncoding.DecodeString(fields[2][2:])
-			if err != nil {
+		switch v := fields[2]; {
+		case bytes.HasPrefix(v, []byte("i:")):
+			if c.value, err = b64.AppendDecode(c.value[:0], v[2:]); err != nil {
 				return nil
 			}
-			rec.Anchor = anchorOf(v)
-		case strings.HasPrefix(fields[2], "a:"):
-			ref, err := blob.ParseRef(fields[2][2:])
+			rec.Anchor = anchorOf(c.value)
+		case bytes.HasPrefix(v, []byte("a:")):
+			ref, err := blob.ParseRef(v[2:])
 			if err != nil {
 				return nil
 			}
@@ -383,13 +414,36 @@ func (c *Core) SnapshotNow() error {
 
 // Get resolves a key from replicated state, fetching anchored values
 // from the blob store with content verification.
-func (c *Core) Get(key []byte) ([]byte, error) {
+func (c *Core) Get(key []byte) ([]byte, error) { return c.appendGet(nil, key) }
+
+// appendGet is Get appending the value to dst; see appendStored.
+func (c *Core) appendGet(dst, key []byte) ([]byte, error) {
 	stored, ok := c.store.Get(encKey(key))
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
+		return dst, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
-	v, _, err := c.decodeStored(stored)
-	return v, err
+	return c.appendStored(dst, stored)
+}
+
+// getResponse encodes the OK response to a Get of key with the value
+// copied once, from the store straight into the reply: the header, then
+// the value, then the trailing no-report flag, and last the value's
+// length prefix, backfilled. The bytes equal EncodeResponse of
+// Response{Seq: seq, Status: StatusOK, Value: value}.
+func (c *Core) getResponse(seq int, key []byte) ([]byte, error) {
+	// The header is PutInt(seq), PutByte twice, PutString(""), and the
+	// Value's length prefix: PutInt's big-endian words, written in place.
+	hdr := binary.BigEndian.AppendUint64(c.getHeader[:0], uint64(seq))
+	hdr = append(hdr, StatusOK, CodeNone)
+	hdr = binary.BigEndian.AppendUint64(hdr, 0) // empty Detail
+	hdr = binary.BigEndian.AppendUint64(hdr, 0) // Value's length, backfilled below
+	body, err := c.appendGet(hdr, key)
+	if err != nil {
+		return nil, err
+	}
+	body = append(body, 0) // no VerifyReport
+	binary.BigEndian.PutUint64(body[getHeaderSize-wire.SizeInt:], uint64(len(body)-getHeaderSize-1))
+	return body, nil
 }
 
 // Verify is the end-to-end tamper-evidence walk: re-read the audit file

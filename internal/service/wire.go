@@ -101,9 +101,9 @@ type VerifyReport struct {
 // OK reports a fully clean verification.
 func (r *VerifyReport) OK() bool { return r.ChainOK && r.BadBlobs == 0 }
 
-// EncodeRequest serializes a request.
+// EncodeRequest serializes a request into one exact-size buffer.
 func EncodeRequest(q *Request) []byte {
-	w := wire.NewWriter()
+	w := wire.NewWriterSize(2*wire.SizeInt + 1 + wire.SizeBytes(len(q.Key)) + wire.SizeBytes(len(q.Value)))
 	w.PutInt(q.Client)
 	w.PutInt(q.Seq)
 	w.PutByte(q.Op)
@@ -137,9 +137,18 @@ func DecodeRequest(b []byte) (*Request, error) {
 	return q, nil
 }
 
-// EncodeResponse serializes a response.
+// getHeaderSize is the length of an OK Get response ahead of its value:
+// Seq, Status, Code, the empty Detail's length, and the Value's length
+// (Core.getResponse).
+const getHeaderSize = 3*wire.SizeInt + 2
+
+// EncodeResponse serializes a response into one exact-size buffer.
 func EncodeResponse(p *Response) []byte {
-	w := wire.NewWriter()
+	size := wire.SizeInt + 2 + wire.SizeBytes(len(p.Detail)) + wire.SizeBytes(len(p.Value)) + 1
+	if rep := p.Report; rep != nil {
+		size += 4*wire.SizeInt + 1 + len(rep.BadSeqs)*wire.SizeInt + wire.SizeBytes(len(rep.StateHash))
+	}
+	w := wire.NewWriterSize(size)
 	w.PutInt(p.Seq)
 	w.PutByte(p.Status)
 	w.PutByte(p.Code)
@@ -198,8 +207,11 @@ func DecodeResponse(b []byte) (*Response, error) {
 	return p, nil
 }
 
-// encodeAuditEntry appends one on-disk audit record to w.
-func encodeAuditEntry(w *wire.Writer, e *AuditEntry) {
+// putAuditFields encodes every field of an audit record but its last,
+// Hash: the bytes the entry hash covers after auditDomain. The on-disk
+// record is these bytes followed by the hash, so its prefix is its own
+// hash preimage.
+func putAuditFields(w *wire.Writer, e *AuditEntry) {
 	w.PutInt(e.Seq)
 	w.PutInt(e.Slot)
 	w.PutByte(e.Op)
@@ -207,14 +219,20 @@ func encodeAuditEntry(w *wire.Writer, e *AuditEntry) {
 	w.PutBytes(e.Anchor[:])
 	w.PutBool(e.Anchored)
 	w.PutBytes(e.Prev[:])
-	w.PutBytes(e.Hash[:])
+}
+
+// auditRecordSize is the encoded size of e's on-disk record.
+func auditRecordSize(e *AuditEntry) int {
+	return 2*wire.SizeInt + 1 + wire.SizeBytes(len(e.Key)) + wire.SizeBytes(len(e.Anchor)) + 1 +
+		wire.SizeBytes(len(e.Prev)) + wire.SizeBytes(len(e.Hash))
 }
 
 // EncodeAuditEntry serializes one audit record (the on-disk format is a
 // plain concatenation of these).
 func EncodeAuditEntry(e *AuditEntry) []byte {
-	w := wire.NewWriter()
-	encodeAuditEntry(w, e)
+	w := wire.NewWriterSize(auditRecordSize(e))
+	putAuditFields(w, e)
+	w.PutBytes(e.Hash[:])
 	return w.Bytes()
 }
 
