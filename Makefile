@@ -112,8 +112,9 @@ race-guard:
 	@$(GUARD); \
 	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestStepGateDeterminism' -race; \
 	guard './internal/crypto/sig ./internal/crypto/keyedmac' 'Concurrent' -race -count=10; \
-	guard ./internal/transport 'TestClusterMatchesSimulator|TestSendBytesParity|TestOutboxBackpressure' -race; \
+	guard ./internal/transport 'TestClusterMatchesSimulator|TestSendBytesParity|TestOutboxBackpressure|TestRunClusterMachineErrorStartsNoNode|TestNewProtocolMachine' -race; \
 	guard ./internal/transport 'TestChaos' -race; \
+	guard ./cmd/adaptiveba-cluster 'TestCluster' -race; \
 	guard './internal/engine ./internal/harness' 'TestEngineDeterminism|TestRunEngineMatchesSolo' -race; \
 	guard ./internal/acs 'TestACSDeterministicAcrossWorkers|TestACSLateBroadcastTraffic' -race; \
 	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract|TestReplicatedLogOverTCP|TestRunLogEmptyQueueCommitsBottom' -race; \

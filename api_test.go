@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
+
+	"adaptiveba/internal/testenv"
 )
 
 // TestSentinelErrors pins the typed error identities — and that each
@@ -67,9 +67,9 @@ func TestSentinelErrors(t *testing.T) {
 // before the run starts, and one canceled mid-run (triggered from the
 // trace stream). Both must return ErrCanceled promptly — which also
 // matches context.Canceled — and leak no goroutines (the run is fully
-// synchronous, checked by goroutine counting).
+// synchronous, checked by testenv.NoLeaks).
 func TestContextCancellation(t *testing.T) {
-	before := runtime.NumGoroutine()
+	testenv.NoLeaks(t)
 
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -94,16 +94,6 @@ func TestContextCancellation(t *testing.T) {
 	// RunMany through the engine honors cancellation too.
 	if _, err := RunMany(pre, BroadcastRequest(5, 0, []byte("v"))); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("RunMany pre-canceled: err = %v, want ErrCanceled", err)
-	}
-
-	// goleak-style check: no goroutine outlives a canceled run.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutine leak: %d before, %d after canceled runs", before, after)
 	}
 }
 

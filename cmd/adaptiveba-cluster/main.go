@@ -12,17 +12,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
-	"sort"
-	"sync"
 	"time"
 
-	"adaptiveba/internal/crypto/sig"
-	"adaptiveba/internal/crypto/threshold"
-	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
-	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/transport"
 	"adaptiveba/internal/types"
 )
@@ -56,40 +49,14 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	params, err := types.NewParams(*n)
+	crypto, err := transport.Setup(*n, "cluster")
 	if err != nil {
 		return err
 	}
+	params := crypto.Params
 	if *crash < 0 || *crash > params.T {
 		return fmt.Errorf("crash count %d exceeds t=%d", *crash, params.T)
 	}
-
-	ring, err := sig.NewHMACRing(*n, []byte("cluster"))
-	if err != nil {
-		return err
-	}
-	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("cluster-dealer"))
-
-	// A crashed node must still own a port (peers dial it and time out on
-	// sends), so reserve addresses for everyone but only start n-crash.
-	addrs, err := reserveAddrs(*n)
-	if err != nil {
-		return err
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-
-	type lineOut struct {
-		id   types.ProcessID
-		line string
-	}
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		lines []lineOut
-		fail  error
-	)
 	chaos := transport.ChaosConfig{
 		Seed:           *chaosSeed,
 		DropRate:       *chaosDrop,
@@ -99,89 +66,39 @@ func run(args []string, out io.Writer) error {
 		FlapEvery:      types.Tick(*chaosFlap),
 	}
 
-	alive := *n - *crash
-	for i := 0; i < alive; i++ {
-		id := types.ProcessID(i)
-		machine, err := transport.NewProtocolMachine("cluster", *protocol, params, crypto, id, 0, types.Value(*value))
-		if err != nil {
-			return err
-		}
-		nodeChaos := chaos
-		if nodeChaos.Enabled() {
-			// Distinct per-node verdict streams from the one cluster seed.
-			nodeChaos.Seed = chaos.Seed + int64(i)*0x9e3779b9
-		}
-		rec := metrics.NewRecorder()
-		node, err := transport.NewNode(transport.Config{
+	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	defer cancel()
+	res, err := transport.RunCluster(ctx, transport.ClusterOpts{
+		Node: transport.Config{
 			Params:       params,
 			Crypto:       crypto,
-			ID:           id,
-			Addrs:        addrs,
-			Registry:     protocols.Registry(),
 			TickInterval: *tick,
 			DialTimeout:  *dial,
-			Recorder:     rec,
 			FlushBytes:   *flushEvery,
-			Chaos:        nodeChaos,
-			// The crashed peers never answer the barrier; nodes proceed
-			// when the live ones are ready.
-			Quorum: alive,
-		}, machine)
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			decision, err := node.Run(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if fail == nil {
-					fail = fmt.Errorf("node %v: %w", id, err)
-				}
-				return
-			}
-			rep := rec.Snapshot()
-			line := fmt.Sprintf(
-				"node %v @ %-21s decided %-12q  %4d msgs %5d words %7d bytes",
-				id, addrs[id], decision, rep.Honest.Messages, rep.Honest.Words, rep.Honest.Bytes)
-			if nodeChaos.Enabled() {
-				line += fmt.Sprintf("  chaos: %d dropped %d delayed", rep.ChaosDrops, rep.ChaosDelays)
-			}
-			lines = append(lines, lineOut{id: id, line: line})
-		}()
+			Chaos:        chaos,
+		},
+		Live: *n - *crash,
+		Machine: func(id types.ProcessID) (proto.Machine, error) {
+			return transport.NewProtocolMachine("cluster", *protocol, params, crypto, id, 0, types.Value(*value))
+		},
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	if fail != nil {
-		return fail
-	}
-	sort.Slice(lines, func(a, b int) bool { return lines[a].id < lines[b].id })
+
 	header := fmt.Sprintf("%s over TCP: n=%d, crashed=%d", *protocol, *n, *crash)
 	if chaos.Enabled() {
 		header += fmt.Sprintf(", chaos seed=%d drop=%.2f delay=%.2f", chaos.Seed, chaos.DropRate, chaos.DelayRate)
 	}
 	fmt.Fprintln(out, header)
-	for _, l := range lines {
-		fmt.Fprintln(out, " ", l.line)
+	for i, rep := range res.Reports {
+		line := fmt.Sprintf(
+			"node %v @ %-21s decided %-12q  %4d msgs %5d words %7d bytes",
+			types.ProcessID(i), res.Addrs[i], res.Decisions[i], rep.Honest.Messages, rep.Honest.Words, rep.Honest.Bytes)
+		if chaos.Enabled() {
+			line += fmt.Sprintf("  chaos: %d dropped %d delayed", rep.ChaosDrops, rep.ChaosDelays)
+		}
+		fmt.Fprintln(out, " ", line)
 	}
 	return nil
-}
-
-// reserveAddrs picks n free localhost ports.
-func reserveAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range listeners {
-		ln.Close()
-	}
-	return addrs, nil
 }

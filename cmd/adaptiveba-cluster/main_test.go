@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"adaptiveba/internal/testenv"
 )
 
 func TestClusterBB(t *testing.T) {
+	testenv.NoLeaks(t)
 	var out bytes.Buffer
 	if err := run([]string{"-protocol", "bb", "-n", "5", "-value", "hello", "-tick", "10ms"}, &out); err != nil {
 		t.Fatal(err)
@@ -18,6 +21,7 @@ func TestClusterBB(t *testing.T) {
 }
 
 func TestClusterStrongBAWithCrash(t *testing.T) {
+	testenv.NoLeaks(t)
 	var out bytes.Buffer
 	if err := run([]string{"-protocol", "strongba", "-n", "5", "-crash", "1", "-value", "1", "-tick", "10ms"}, &out); err != nil {
 		t.Fatal(err)
@@ -30,6 +34,7 @@ func TestClusterStrongBAWithCrash(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
+	testenv.NoLeaks(t)
 	var out bytes.Buffer
 	if err := run([]string{"-n", "2"}, &out); err == nil {
 		t.Error("tiny n accepted")

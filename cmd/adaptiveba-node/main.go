@@ -21,10 +21,7 @@ import (
 	"strings"
 	"time"
 
-	"adaptiveba/internal/crypto/sig"
-	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
-	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/transport"
 	"adaptiveba/internal/types"
@@ -55,21 +52,17 @@ func run(args []string) error {
 		return err
 	}
 
-	params, err := types.NewParams(*n)
+	crypto, err := transport.Setup(*n, *seed)
 	if err != nil {
 		return err
 	}
+	params := crypto.Params
 	addrs := strings.Split(*addrsCSV, ",")
 	if *addrsCSV == "" || len(addrs) != *n {
 		return fmt.Errorf("need -addrs with exactly %d entries", *n)
 	}
-	ring, err := sig.NewHMACRing(*n, []byte(*seed))
-	if err != nil {
-		return err
-	}
-	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte(*seed+"-dealer"))
 
-	machine, err := buildMachine(*protocol, params, crypto, types.ProcessID(*id), types.ProcessID(*sender), types.Value(*input))
+	machine, err := transport.NewProtocolMachine("node", *protocol, params, crypto, types.ProcessID(*id), types.ProcessID(*sender), types.Value(*input))
 	if err != nil {
 		return err
 	}
@@ -105,8 +98,4 @@ func run(args []string) error {
 	fmt.Printf("node %d decided: %s  (sent %d msgs, %d words, %d bytes)\n",
 		*id, decision, rep.Honest.Messages, rep.Honest.Words, rep.Honest.Bytes)
 	return nil
-}
-
-func buildMachine(protocol string, params types.Params, crypto *proto.Crypto, id, sender types.ProcessID, input types.Value) (proto.Machine, error) {
-	return transport.NewProtocolMachine("node", protocol, params, crypto, id, sender, input)
 }

@@ -1,44 +1,6 @@
 package main
 
-import (
-	"testing"
-
-	"adaptiveba/internal/crypto/sig"
-	"adaptiveba/internal/crypto/threshold"
-	"adaptiveba/internal/proto"
-	"adaptiveba/internal/types"
-)
-
-func testCrypto(t *testing.T) (*proto.Crypto, types.Params) {
-	t.Helper()
-	params, err := types.NewParams(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := sig.NewHMACRing(5, []byte("node-test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d")), params
-}
-
-func TestBuildMachine(t *testing.T) {
-	crypto, params := testCrypto(t)
-	for _, p := range []string{"bb", "wba"} {
-		if _, err := buildMachine(p, params, crypto, 1, 0, types.Value("v")); err != nil {
-			t.Errorf("%s: %v", p, err)
-		}
-	}
-	if _, err := buildMachine("strongba", params, crypto, 1, 0, types.Value("1")); err != nil {
-		t.Errorf("strongba: %v", err)
-	}
-	if _, err := buildMachine("strongba", params, crypto, 1, 0, types.Value("x")); err == nil {
-		t.Error("non-binary strongba input accepted")
-	}
-	if _, err := buildMachine("nope", params, crypto, 1, 0, nil); err == nil {
-		t.Error("unknown protocol accepted")
-	}
-}
+import "testing"
 
 func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-n", "5", "-addrs", "a,b"}); err == nil {

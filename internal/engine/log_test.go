@@ -3,18 +3,14 @@ package engine
 import (
 	"context"
 	"fmt"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"adaptiveba/internal/core/bb"
-	"adaptiveba/internal/crypto/sig"
-	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/kv"
 	"adaptiveba/internal/proto"
-	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/transport"
 	"adaptiveba/internal/types"
 )
@@ -102,16 +98,13 @@ const tcpLogTick = 25 * time.Millisecond
 // byte, what sim.Run produces for the same machines and crypto. The
 // committed commands then replay through the kv state machine.
 func TestReplicatedLogOverTCP(t *testing.T) {
+	testenv.NoLeaks(t)
 	const n, slots, window = 4, 3, 2
-	params, err := types.NewParams(n)
+	crypto, err := transport.Setup(n, "tcp-log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := sig.NewHMACRing(n, []byte("tcp-log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
+	params := crypto.Params
 	sched, err := plan(&builder{params: params, crypto: crypto, tag: "tcp-log", reqs: logRequests(n, oneCommandEach(n), slots)}, window)
 	if err != nil {
 		t.Fatal(err)
@@ -128,41 +121,20 @@ func TestReplicatedLogOverTCP(t *testing.T) {
 		t.Fatalf("simulator reference did not finish (timed out %t)", ref.TimedOut)
 	}
 
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	roots := make([]*procMachine, n)
-	outs := make([]types.Value, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range roots {
-		roots[i] = sched.root(types.ProcessID(i))
-		node, err := transport.NewNode(transport.Config{
-			Params: params, Crypto: crypto, ID: types.ProcessID(i), Addrs: addrs,
-			Registry: protocols.Registry(), TickInterval: tcpLogTick,
-		}, roots[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs[i], errs[i] = node.Run(ctx)
-		}()
+	res, err := transport.RunCluster(ctx, transport.ClusterOpts{
+		Node: transport.Config{Params: params, Crypto: crypto, TickInterval: tcpLogTick},
+		Machine: func(id types.ProcessID) (proto.Machine, error) {
+			roots[id] = sched.root(id)
+			return roots[id], nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, out := range outs {
-		if errs[i] != nil {
-			t.Fatalf("node %d: %v", i, errs[i])
-		}
+	for i, out := range res.Decisions {
 		if want := ref.Decisions[types.ProcessID(i)]; !out.Equal(want) {
 			t.Errorf("node %d output %x over TCP, %x on the simulator", i, out, want)
 		}

@@ -136,9 +136,6 @@ type Spec struct {
 	// cache affects CPU cost only: words, messages, decisions, and CSVs
 	// are byte-identical in both modes.
 	NoVerifyCache bool
-	// CertWorkers bounds the per-certificate share-verification fan-out
-	// (0 = one worker per CPU, 1 = serial).
-	CertWorkers int
 	// TickWorkers bounds the simulator's per-tick fan-out of honest
 	// machine stepping (0 = one worker per CPU, 1 = serial). Output is
 	// byte-identical at any value; see sim.Config.Workers.
@@ -244,9 +241,6 @@ func Run(spec Spec) (*Outcome, error) {
 	var copts []proto.CryptoOption
 	if spec.NoVerifyCache {
 		copts = append(copts, proto.WithoutVerifyCache())
-	}
-	if spec.CertWorkers > 0 {
-		copts = append(copts, proto.WithCertVerifyWorkers(spec.CertWorkers))
 	}
 	crypto := proto.NewCrypto(params, scheme, spec.CertMode, []byte("harness-dealer"), copts...)
 

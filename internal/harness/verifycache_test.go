@@ -94,7 +94,6 @@ func TestVerifyCacheDeterminism(t *testing.T) {
 // verifications actually computed, i.e. cache misses).
 func normalizeCacheFields(o Outcome) Outcome {
 	o.Spec.NoVerifyCache = false
-	o.Spec.CertWorkers = 0
 	o.CacheHits, o.CacheMisses, o.CacheWaits = 0, 0, 0
 	o.VerifyOps = 0
 	return o

@@ -29,11 +29,10 @@ type Crypto struct {
 	Params types.Params
 	Scheme sig.Scheme
 
-	mode        threshold.Mode
-	dealerSeed  []byte
-	cache       *verifycache.Cache
-	certWorkers int
-	signers     []sig.Signer // one per identity, then one for NilProcess; bound to Scheme
+	mode       threshold.Mode
+	dealerSeed []byte
+	cache      *verifycache.Cache
+	signers    []sig.Signer // one per identity, then one for NilProcess; bound to Scheme
 
 	mu  sync.RWMutex
 	byK map[int]*threshold.Scheme
@@ -41,9 +40,7 @@ type Crypto struct {
 
 // cryptoConfig collects option state for NewCrypto.
 type cryptoConfig struct {
-	disableCache  bool
-	cacheCapacity int
-	certWorkers   int
+	disableCache bool
 }
 
 // CryptoOption configures NewCrypto.
@@ -56,39 +53,22 @@ func WithoutVerifyCache() CryptoOption {
 	return func(c *cryptoConfig) { c.disableCache = true }
 }
 
-// WithVerifyCacheCapacity bounds the cache to at most entries results
-// (default verifycache.DefaultCapacity).
-func WithVerifyCacheCapacity(entries int) CryptoOption {
-	return func(c *cryptoConfig) { c.cacheCapacity = entries }
-}
-
-// WithCertVerifyWorkers bounds the per-certificate share-verification
-// fan-out (default one worker per CPU; 1 means serial).
-func WithCertVerifyWorkers(workers int) CryptoOption {
-	return func(c *cryptoConfig) {
-		if workers > 0 {
-			c.certWorkers = workers
-		}
-	}
-}
-
 // NewCrypto assembles the trusted setup. mode selects the certificate
 // encoding used by all threshold schemes in the run.
 func NewCrypto(params types.Params, scheme sig.Scheme, mode threshold.Mode, dealerSeed []byte, opts ...CryptoOption) *Crypto {
-	cfg := cryptoConfig{certWorkers: runtime.GOMAXPROCS(0)}
+	var cfg cryptoConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	c := &Crypto{
-		Params:      params,
-		Scheme:      scheme,
-		mode:        mode,
-		dealerSeed:  dealerSeed,
-		certWorkers: cfg.certWorkers,
-		byK:         make(map[int]*threshold.Scheme),
+		Params:     params,
+		Scheme:     scheme,
+		mode:       mode,
+		dealerSeed: dealerSeed,
+		byK:        make(map[int]*threshold.Scheme),
 	}
 	if !cfg.disableCache {
-		c.cache = verifycache.New(cfg.cacheCapacity)
+		c.cache = verifycache.New(verifycache.DefaultCapacity)
 		if !sig.CheapVerify(scheme) {
 			c.Scheme = verifycache.WrapScheme(scheme, c.cache)
 		}
@@ -120,7 +100,7 @@ func (c *Crypto) Threshold(k int) *threshold.Scheme {
 	if s, ok := c.byK[k]; ok {
 		return s
 	}
-	opts := []threshold.Option{threshold.WithParallelVerify(c.certWorkers)}
+	opts := []threshold.Option{threshold.WithParallelVerify(runtime.GOMAXPROCS(0))}
 	if c.cache != nil {
 		opts = append(opts, threshold.WithVerifyCache(c.cache))
 	}

@@ -13,6 +13,7 @@ import (
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/sim"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -26,9 +27,15 @@ func TestClusterMatchesSimulator(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full TCP cluster run")
 	}
+	testenv.NoLeaks(t)
 	const n = 5
+	crypto := mustSetup(t, n)
+	machines := protocolMachines(crypto, "bb")
 
-	cluster, err := RunCluster(ClusterOpts{N: n, Tick: 30 * time.Millisecond})
+	cluster, err := RunCluster(clusterCtx(t), ClusterOpts{
+		Node:    Config{Params: crypto.Params, Crypto: crypto, TickInterval: 30 * time.Millisecond},
+		Machine: machines,
+	})
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
@@ -36,20 +43,16 @@ func TestClusterMatchesSimulator(t *testing.T) {
 		t.Errorf("cluster dropped %d frames on a healthy loopback mesh", cluster.Drops)
 	}
 
-	params, crypto, err := clusterSetup(n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	type cell struct {
 		node  types.ProcessID
 		layer string
 	}
 	want := make(map[cell]metrics.Stats)
 	ref, err := sim.Run(sim.Config{
-		Params: params,
+		Params: crypto.Params,
 		Crypto: crypto,
 		Factory: func(id types.ProcessID) proto.Machine {
-			m, err := clusterMachine("bb", params, crypto, id)
+			m, err := machines(id)
 			if err != nil {
 				panic(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -17,14 +18,19 @@ import (
 
 // runBaselineAndChaos runs one fault-free cluster and one chaos
 // cluster with identical protocol inputs and asserts decisions match.
-func runBaselineAndChaos(t *testing.T, proto string, tick time.Duration, chaos ChaosConfig) (*ClusterResult, *ClusterResult) {
+func runBaselineAndChaos(t *testing.T, protocol string, tick time.Duration, chaos ChaosConfig) (*ClusterResult, *ClusterResult) {
 	t.Helper()
-	const n = 5
-	base, err := RunCluster(ClusterOpts{N: n, Tick: tick, Protocol: proto})
+	crypto := mustSetup(t, 5)
+	opts := ClusterOpts{
+		Node:    Config{Params: crypto.Params, Crypto: crypto, TickInterval: tick},
+		Machine: protocolMachines(crypto, protocol),
+	}
+	base, err := RunCluster(clusterCtx(t), opts)
 	if err != nil {
 		t.Fatalf("baseline cluster: %v", err)
 	}
-	got, err := RunCluster(ClusterOpts{N: n, Tick: tick, Protocol: proto, Chaos: chaos})
+	opts.Node.Chaos = chaos
+	got, err := RunCluster(clusterCtx(t), opts)
 	if err != nil {
 		t.Fatalf("chaos cluster: %v", err)
 	}
@@ -45,6 +51,7 @@ func TestChaosWBADecidesLikeBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback cluster in -short mode")
 	}
+	testenv.NoLeaks(t)
 	const tick = 40 * time.Millisecond
 	_, got := runBaselineAndChaos(t, "wba", tick, ChaosConfig{
 		Seed:      42,
@@ -70,6 +77,7 @@ func TestChaosBBJitterDecidesLikeBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loopback cluster in -short mode")
 	}
+	testenv.NoLeaks(t)
 	const tick = 40 * time.Millisecond
 	_, got := runBaselineAndChaos(t, "bb", tick, ChaosConfig{
 		Seed:      7,

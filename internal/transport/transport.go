@@ -30,34 +30,9 @@ import (
 
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
-	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 	"adaptiveba/internal/wire"
 )
-
-// NewProtocolMachine looks up process id's machine for one of the paper's
-// protocols by CLI name ("bb", "wba", "strongba") in the protocol table —
-// the machines the node and cluster commands host. Signatures are
-// domain-separated under the kind's tag below tagPrefix; sender is the BB
-// designated sender; strong BA takes its binary input as "0" or "1".
-func NewProtocolMachine(tagPrefix, protocol string, params types.Params, crypto *proto.Crypto, id, sender types.ProcessID, input types.Value) (proto.Machine, error) {
-	kind := protocols.Kind(protocol)
-	switch kind {
-	case protocols.BB, protocols.WBA:
-	case protocols.StrongBA:
-		switch string(input) {
-		case "0":
-			input = types.Zero
-		case "1":
-			input = types.One
-		default:
-			return nil, fmt.Errorf("strongba input must be 0 or 1, got %q", input)
-		}
-	default:
-		return nil, fmt.Errorf("%w %q", protocols.ErrUnknown, protocol)
-	}
-	return kind.New(protocols.Config{Params: params, Crypto: crypto, Tag: kind.Tag(tagPrefix), Sender: sender}, id, input)
-}
 
 // Frame kinds on the stream.
 const (

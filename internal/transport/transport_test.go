@@ -4,118 +4,74 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"adaptiveba/internal/core/bb"
 	"adaptiveba/internal/core/strongba"
-	"adaptiveba/internal/crypto/sig"
-	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 	"adaptiveba/internal/wire"
 )
 
-// freeAddrs reserves n distinct localhost ports and releases them so the
-// nodes can bind.
-func freeAddrs(t *testing.T, n int) []string {
+// mustSetup is the trusted setup of an n-process test cluster.
+func mustSetup(t *testing.T, n int) *proto.Crypto {
 	t.Helper()
-	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
+	crypto, err := Setup(n, "tcp-test")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ln := range listeners {
-		ln.Close()
+	return crypto
+}
+
+// mustAddrs reserves n loopback ports for a test that starts its own nodes.
+func mustAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs, err := reserveLoopbackAddrs(n)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return addrs
 }
 
-func setup(t *testing.T, n int) (*proto.Crypto, types.Params) {
-	t.Helper()
-	params, err := types.NewParams(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := sig.NewHMACRing(n, []byte("tcp-test"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d")), params
+// clusterCtx bounds one test's cluster runs.
+func clusterCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(t.Context(), 60*time.Second)
+	t.Cleanup(cancel)
+	return ctx
 }
 
-// runCluster starts one node per process and waits for all decisions.
-func runCluster(t *testing.T, crypto *proto.Crypto, params types.Params, addrs []string, factory func(id types.ProcessID) proto.Machine) map[types.ProcessID]types.Value {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	var (
-		mu        sync.Mutex
-		decisions = make(map[types.ProcessID]types.Value)
-		wg        sync.WaitGroup
-		firstErr  error
-	)
-	for i := 0; i < params.N; i++ {
-		id := types.ProcessID(i)
-		node, err := NewNode(Config{
-			Params:       params,
-			Crypto:       crypto,
-			ID:           id,
-			Addrs:        addrs,
-			Registry:     protocols.Registry(),
-			TickInterval: 10 * time.Millisecond,
-		}, factory(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, err := node.Run(ctx)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("node %v: %w", id, err)
-				return
-			}
-			decisions[id] = v
-		}()
+// protocolMachines hosts one of the CLI protocols on every process, with
+// process 0 as the BB sender and a unanimous input otherwise.
+func protocolMachines(crypto *proto.Crypto, protocol string) func(types.ProcessID) (proto.Machine, error) {
+	return func(id types.ProcessID) (proto.Machine, error) {
+		return NewProtocolMachine("netbench", protocol, crypto.Params, crypto, id, 0, types.Value("net-bench-"+protocol))
 	}
-	wg.Wait()
-	if firstErr != nil {
-		t.Fatal(firstErr)
-	}
-	return decisions
 }
 
 func TestStrongBAOverTCP(t *testing.T) {
-	crypto, params := setup(t, 5)
-	addrs := freeAddrs(t, 5)
-	decisions := runCluster(t, crypto, params, addrs, func(id types.ProcessID) proto.Machine {
-		m, err := strongba.NewMachine(strongba.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Input: types.One, Tag: "tcp",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	testenv.NoLeaks(t)
+	crypto := mustSetup(t, 5)
+	res, err := RunCluster(clusterCtx(t), ClusterOpts{
+		Node: Config{Params: crypto.Params, Crypto: crypto, TickInterval: 10 * time.Millisecond},
+		Machine: func(id types.ProcessID) (proto.Machine, error) {
+			return strongba.NewMachine(strongba.Config{
+				Params: crypto.Params, Crypto: crypto, ID: id,
+				Input: types.One, Tag: "tcp",
+			})
+		},
 	})
-	if len(decisions) != 5 {
-		t.Fatalf("got %d decisions", len(decisions))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id, v := range decisions {
+	if len(res.Decisions) != 5 {
+		t.Fatalf("got %d decisions", len(res.Decisions))
+	}
+	for id, v := range res.Decisions {
 		if !v.Equal(types.One) {
 			t.Errorf("node %v decided %v", id, v)
 		}
@@ -123,15 +79,21 @@ func TestStrongBAOverTCP(t *testing.T) {
 }
 
 func TestBBOverTCP(t *testing.T) {
-	crypto, params := setup(t, 5)
-	addrs := freeAddrs(t, 5)
-	decisions := runCluster(t, crypto, params, addrs, func(id types.ProcessID) proto.Machine {
-		return bb.NewMachine(bb.Config{
-			Params: params, Crypto: crypto, ID: id,
-			Sender: 0, Input: types.Value("over-tcp"), Tag: "tcp",
-		})
+	testenv.NoLeaks(t)
+	crypto := mustSetup(t, 5)
+	res, err := RunCluster(clusterCtx(t), ClusterOpts{
+		Node: Config{Params: crypto.Params, Crypto: crypto, TickInterval: 10 * time.Millisecond},
+		Machine: func(id types.ProcessID) (proto.Machine, error) {
+			return bb.NewMachine(bb.Config{
+				Params: crypto.Params, Crypto: crypto, ID: id,
+				Sender: 0, Input: types.Value("over-tcp"), Tag: "tcp",
+			}), nil
+		},
 	})
-	for id, v := range decisions {
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, v := range res.Decisions {
 		if !v.Equal(types.Value("over-tcp")) {
 			t.Errorf("node %v decided %v", id, v)
 		}
@@ -139,43 +101,21 @@ func TestBBOverTCP(t *testing.T) {
 }
 
 func TestRecorderCountsBytes(t *testing.T) {
-	crypto, params := setup(t, 3)
-	addrs := freeAddrs(t, 3)
-	recs := make([]*metrics.Recorder, 3)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		id := types.ProcessID(i)
-		recs[i] = metrics.NewRecorder()
-		m, err := strongba.NewMachine(strongba.Config{
-			Params: params, Crypto: crypto, ID: id, Input: types.Zero, Tag: "rec",
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		node, err := NewNode(Config{
-			Params: params, Crypto: crypto, ID: id, Addrs: addrs,
-			Registry:     protocols.Registry(),
-			TickInterval: 10 * time.Millisecond,
-			Recorder:     recs[i],
-		}, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := node.Run(ctx); err != nil {
-				t.Errorf("node %v: %v", id, err)
-			}
-		}()
+	testenv.NoLeaks(t)
+	crypto := mustSetup(t, 3)
+	res, err := RunCluster(clusterCtx(t), ClusterOpts{
+		Node: Config{Params: crypto.Params, Crypto: crypto, TickInterval: 10 * time.Millisecond},
+		Machine: func(id types.ProcessID) (proto.Machine, error) {
+			return strongba.NewMachine(strongba.Config{
+				Params: crypto.Params, Crypto: crypto, ID: id, Input: types.Zero, Tag: "rec",
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	var totalBytes, totalWords int64
-	for _, r := range recs {
-		s := r.Snapshot()
+	for _, s := range res.Reports {
 		totalBytes += s.Honest.Bytes
 		totalWords += s.Honest.Words
 	}
@@ -185,7 +125,8 @@ func TestRecorderCountsBytes(t *testing.T) {
 }
 
 func TestNodeConfigValidation(t *testing.T) {
-	crypto, params := setup(t, 3)
+	crypto := mustSetup(t, 3)
+	params := crypto.Params
 	m, err := strongba.NewMachine(strongba.Config{Params: params, Crypto: crypto, ID: 0, Input: types.One, Tag: "x"})
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +158,11 @@ func TestFullRegistryCoversAllProtocols(t *testing.T) {
 // must still decide via the fallback path — fault tolerance demonstrated
 // on the real network stack, not just the simulator.
 func TestCrashInjectionOverTCP(t *testing.T) {
-	crypto, params := setup(t, 5)
-	addrs := freeAddrs(t, 5)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	testenv.NoLeaks(t)
+	crypto := mustSetup(t, 5)
+	params := crypto.Params
+	addrs := mustAddrs(t, 5)
+	ctx := clusterCtx(t)
 
 	var (
 		mu        sync.Mutex
@@ -325,12 +267,14 @@ func chatterRegistry() *wire.Registry {
 // a machine that never decides, so the only way out of Run is Close.
 // Several goroutines per node race Close against live deliveries; every
 // Run must return ErrClosed promptly (no deadlock) and the reader,
-// acceptor, and tick goroutines must all drain (no leak).
+// acceptor, and tick goroutines must all drain (no leak, checked by
+// testenv.NoLeaks).
 func TestCloseUnblocksActiveCluster(t *testing.T) {
-	before := runtime.NumGoroutine()
+	testenv.NoLeaks(t)
 	const n = 5
-	crypto, params := setup(t, n)
-	addrs := freeAddrs(t, n)
+	crypto := mustSetup(t, n)
+	params := crypto.Params
+	addrs := mustAddrs(t, n)
 
 	nodes := make([]*Node, n)
 	errs := make(chan error, n)
@@ -381,26 +325,16 @@ func TestCloseUnblocksActiveCluster(t *testing.T) {
 	if err := nodes[0].Close(); err != nil {
 		t.Errorf("repeat Close: %v", err)
 	}
-
-	// Reader/acceptor goroutines unwind asynchronously after their
-	// connections die; poll with a deadline instead of a fixed sleep.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if g := runtime.NumGoroutine(); g <= before+2 {
-			break
-		} else if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after close", before, g)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 }
 
 // TestCloseDuringConnectAborts closes a node whose peers never come up:
 // the dial retry loops must notice and Run must return ErrClosed long
 // before the dial deadline.
 func TestCloseDuringConnectAborts(t *testing.T) {
-	crypto, params := setup(t, 3)
-	addrs := freeAddrs(t, 3) // nothing listens on the peer ports
+	testenv.NoLeaks(t)
+	crypto := mustSetup(t, 3)
+	params := crypto.Params
+	addrs := mustAddrs(t, 3) // nothing listens on the peer ports
 	node, err := NewNode(Config{
 		Params: params, Crypto: crypto, ID: 0, Addrs: addrs,
 		Registry:    chatterRegistry(),
@@ -432,8 +366,10 @@ func TestCloseDuringConnectAborts(t *testing.T) {
 
 // TestCloseBeforeRun: a node closed before Run starts must refuse to run.
 func TestCloseBeforeRun(t *testing.T) {
-	crypto, params := setup(t, 3)
-	addrs := freeAddrs(t, 3)
+	testenv.NoLeaks(t)
+	crypto := mustSetup(t, 3)
+	params := crypto.Params
+	addrs := mustAddrs(t, 3)
 	node, err := NewNode(Config{
 		Params: params, Crypto: crypto, ID: 0, Addrs: addrs,
 		Registry: chatterRegistry(),
@@ -466,10 +402,11 @@ func (s *spamMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.
 }
 
 func TestSessionHookFiltersFrames(t *testing.T) {
-	crypto, params := setup(t, 3)
-	addrs := freeAddrs(t, 3)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
+	testenv.NoLeaks(t)
+	crypto := mustSetup(t, 3)
+	params := crypto.Params
+	addrs := mustAddrs(t, 3)
+	ctx := clusterCtx(t)
 
 	var hookDrops, hookPassed int64 // node 0's hook counters (tick goroutine only after Run)
 	var hookMu sync.Mutex
