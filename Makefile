@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet bench bench-all profile-commit alloc-guard race-guard explore chaos-smoke svc-smoke experiments examples fuzz cover clean
+.PHONY: all build test test-short test-race vet bench bench-all profile-commit alloc-guard race-guard deps-guard explore chaos-smoke svc-smoke experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -116,10 +116,20 @@ race-guard:
 	guard ./internal/transport 'TestChaos' -race; \
 	guard ./cmd/adaptiveba-cluster 'TestCluster' -race; \
 	guard './internal/engine ./internal/harness' 'TestEngineDeterminism|TestRunEngineMatchesSolo' -race; \
+	guard . 'TestPublicResultPins|TestRunManyMatchesSolo' -race; \
 	guard ./internal/acs 'TestACSDeterministicAcrossWorkers|TestACSLateBroadcastTraffic' -race; \
 	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract|TestReplicatedLogOverTCP|TestRunLogEmptyQueueCommitsBottom' -race; \
 	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity|TestCryptoForgerySweep' -race; \
 	guard ./internal/core/bb 'TestValidatorMemo' -race
+
+# The public package has one runtime, the multi-session engine: fail if
+# the root package depends on internal/harness, directly or through
+# another package.
+deps-guard:
+	@deps=$$($(GO) list -deps .) || exit 1; \
+	if echo "$$deps" | grep -qx 'adaptiveba/internal/harness'; then \
+		echo "deps-guard: FAIL the root package depends on adaptiveba/internal/harness"; exit 1; \
+	fi
 
 # Interactive single-grid-point search with a full report.
 explore:

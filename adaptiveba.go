@@ -11,11 +11,12 @@
 // protocol run on the built-in deterministic synchronous simulator and
 // report the decision together with the paper's cost metrics (words
 // sent by correct processes); RunMany fans a whole batch of instances
-// out over the multi-session engine, pipelined up to the WithInflight
-// window. Fault injection and every other knob are functional Options
-// (WithFaults, WithPattern, WithSeed, WithRealSignatures, WithTrace,
-// WithThreshold, WithInflight); validation and cancellation failures
-// are typed sentinels (ErrBadN, ErrTooManyFaults, ErrNoQuorum,
+// out, pipelined up to the WithInflight window. Every call runs on one
+// runtime, the multi-session engine: a single-instance call is a
+// one-session run. Fault injection and every other knob are functional
+// Options (WithFaults, WithPattern, WithSeed, WithRealSignatures,
+// WithTrace, WithThreshold, WithInflight); validation and cancellation
+// failures are typed sentinels (ErrBadN, ErrTooManyFaults, ErrNoQuorum,
 // ErrCanceled) matched with errors.Is.
 //
 // For networked deployments, lower-level building blocks (the protocol
@@ -27,9 +28,9 @@ package adaptiveba
 import (
 	"context"
 	"errors"
-	"fmt"
 
-	"adaptiveba/internal/harness"
+	"adaptiveba/internal/engine"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 )
 
@@ -90,13 +91,7 @@ var (
 // value or ⊥. The context cancels the run promptly (at tick
 // granularity) with ErrCanceled.
 func BroadcastContext(ctx context.Context, n int, value []byte, opts ...Option) (*Result, error) {
-	spec, err := baseSpec(buildOptions(n, opts))
-	if err != nil {
-		return nil, err
-	}
-	spec.Protocol = harness.ProtocolBB
-	spec.Value = types.Value(value).Clone()
-	return runSpec(ctx, spec)
+	return runOne(ctx, BroadcastRequest(n, 0, value, opts...))
 }
 
 // WeakAgreeContext runs the adaptive weak Byzantine Agreement
@@ -106,18 +101,7 @@ func BroadcastContext(ctx context.Context, n int, value []byte, opts ...Option) 
 // the predicate or is ⊥, and ⊥ only when several valid values existed
 // in the run. The context cancels the run promptly with ErrCanceled.
 func WeakAgreeContext(ctx context.Context, n int, inputs [][]byte, predicate func([]byte) bool, opts ...Option) (*Result, error) {
-	spec, err := baseSpec(buildOptions(n, opts))
-	if err != nil {
-		return nil, err
-	}
-	spec.Protocol = harness.ProtocolWBA
-	if spec.PerProcessInputs, err = nonEmptyInputs(n, inputs); err != nil {
-		return nil, err
-	}
-	if predicate != nil {
-		spec.Predicate = func(v types.Value) bool { return predicate([]byte(v)) }
-	}
-	return runSpec(ctx, spec)
+	return runOne(ctx, WeakAgreeRequest(n, inputs, predicate, opts...))
 }
 
 // StrongAgreeBinaryContext runs the binary strong BA (Algorithm 5):
@@ -125,19 +109,7 @@ func WeakAgreeContext(ctx context.Context, n int, inputs [][]byte, predicate fun
 // same bit, that bit is the decision; the cost is O(n) words when no
 // process fails. The context cancels the run promptly with ErrCanceled.
 func StrongAgreeBinaryContext(ctx context.Context, n int, inputs []bool, opts ...Option) (*Result, error) {
-	spec, err := baseSpec(buildOptions(n, opts))
-	if err != nil {
-		return nil, err
-	}
-	if len(inputs) != n {
-		return nil, fmt.Errorf("%w: need %d inputs, got %d", ErrInputs, n, len(inputs))
-	}
-	spec.Protocol = harness.ProtocolStrongBA
-	spec.PerProcessInputs = make([]types.Value, len(inputs))
-	for i, b := range inputs {
-		spec.PerProcessInputs[i] = types.BinaryValue(b)
-	}
-	return runSpec(ctx, spec)
+	return runOne(ctx, StrongAgreeBinaryRequest(n, inputs, opts...))
 }
 
 // StrongAgreeContext runs multivalued strong Byzantine Agreement: if all
@@ -148,31 +120,7 @@ func StrongAgreeBinaryContext(ctx context.Context, n int, inputs []bool, opts ..
 // family (the paper's Table 1 cites Momose–Ren for this row). The
 // context cancels the run promptly with ErrCanceled.
 func StrongAgreeContext(ctx context.Context, n int, inputs [][]byte, opts ...Option) (*Result, error) {
-	spec, err := baseSpec(buildOptions(n, opts))
-	if err != nil {
-		return nil, err
-	}
-	spec.Protocol = harness.ProtocolFallback
-	if spec.PerProcessInputs, err = nonEmptyInputs(n, inputs); err != nil {
-		return nil, err
-	}
-	return runSpec(ctx, spec)
-}
-
-// nonEmptyInputs validates one non-empty input per process and clones
-// them into protocol values.
-func nonEmptyInputs(n int, inputs [][]byte) ([]types.Value, error) {
-	if len(inputs) != n {
-		return nil, fmt.Errorf("%w: need %d inputs, got %d", ErrInputs, n, len(inputs))
-	}
-	vals := make([]types.Value, len(inputs))
-	for i, in := range inputs {
-		if len(in) == 0 {
-			return nil, fmt.Errorf("%w: process %d has an empty input", ErrInputs, i)
-		}
-		vals[i] = types.Value(in).Clone()
-	}
-	return vals, nil
+	return runOne(ctx, agreeRequest(protocols.Fallback, n, inputs, nil, opts))
 }
 
 // Bit converts a binary decision back to a bool. ok is false for ⊥ or
@@ -185,70 +133,33 @@ func (r *Result) Bit() (bit, ok bool) {
 	return v.Equal(types.One), true
 }
 
-// baseSpec validates options into a harness spec. Failures carry the
-// typed sentinels (ErrBadN, ErrTooManyFaults, ErrNoQuorum), each of
-// which also matches the broad ErrOptions class.
-func baseSpec(opts options) (harness.Spec, error) {
-	if opts.n < 3 {
-		return harness.Spec{}, fmt.Errorf("%w: n=%d (need at least 3)", ErrBadN, opts.n)
+// runOne runs a single-instance call: a one-session engine run whose
+// Result.Ticks is the whole run's length.
+func runOne(ctx context.Context, req Request) (*Result, error) {
+	rep, err := run(ctx, true, []Request{req})
+	if err != nil {
+		return nil, err
 	}
-	var params types.Params
-	var err error
-	if opts.threshold != 0 {
-		params, err = types.Custom(opts.n, opts.threshold)
-		if err != nil {
-			return harness.Spec{}, fmt.Errorf("%w: n=%d cannot tolerate t=%d (%v)",
-				ErrNoQuorum, opts.n, opts.threshold, err)
-		}
-	} else if params, err = types.NewParams(opts.n); err != nil {
-		return harness.Spec{}, fmt.Errorf("%w: %v", ErrBadN, err)
-	}
-	if opts.faults < 0 || opts.faults > params.T {
-		return harness.Spec{}, fmt.Errorf("%w: f=%d with t=%d", ErrTooManyFaults, opts.faults, params.T)
-	}
-	spec := harness.Spec{
-		N:       opts.n,
-		T:       opts.threshold,
-		F:       opts.faults,
-		Seed:    opts.seed,
-		Ed25519: opts.realSignatures,
-		Trace:   opts.trace,
-	}
-	switch opts.pattern {
-	case "", FaultCrash:
-		spec.Fault = harness.FaultCrash
-	case FaultCrashLeader:
-		spec.Fault = harness.FaultCrashLeader
-	case FaultReplay:
-		spec.Fault = harness.FaultReplay
-	default:
-		return harness.Spec{}, fmt.Errorf("%w: unknown fault pattern %q", ErrOptions, opts.pattern)
-	}
-	return spec, nil
+	return result(&rep.Sessions[0], rep.Ticks), nil
 }
 
-// runSpec executes the spec under ctx and converts the outcome.
-func runSpec(ctx context.Context, spec harness.Spec) (*Result, error) {
-	spec.Halt = haltFrom(ctx)
-	o, err := harness.Run(spec)
-	if err != nil {
-		return nil, mapCanceled(ctx, err)
-	}
+// result converts one engine session into a Result reporting ticks.
+func result(s *engine.SessionResult, ticks types.Tick) *Result {
 	res := &Result{
-		Bottom:            o.Decision.IsBottom(),
-		Agreement:         o.Agreement,
-		AllDecided:        o.Decided,
-		Words:             o.Words,
-		Messages:          o.Messages,
-		Ticks:             int64(o.Ticks),
-		FallbackProcesses: o.FallbackCount,
-		LayerWords:        make(map[string]int64, len(o.ByLayer)),
+		Bottom:            s.Decision.IsBottom(),
+		Agreement:         s.Agreement,
+		AllDecided:        s.AllDecided,
+		Words:             s.Words,
+		Messages:          s.Messages,
+		Ticks:             int64(ticks),
+		FallbackProcesses: s.FallbackProcs,
+		LayerWords:        make(map[string]int64, len(s.ByLayer)),
 	}
-	if !o.Decision.IsBottom() {
-		res.Decision = append([]byte(nil), o.Decision...)
+	if !s.Decision.IsBottom() {
+		res.Decision = append([]byte(nil), s.Decision...)
 	}
-	for layer, s := range o.ByLayer {
-		res.LayerWords[layer] = s.Words
+	for layer, st := range s.ByLayer {
+		res.LayerWords[layer] = st.Words
 	}
-	return res, nil
+	return res
 }

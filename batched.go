@@ -73,7 +73,7 @@ type BatchResult struct {
 // granularity) with ErrCanceled.
 func ReplicateBatchContext(ctx context.Context, n int, queues [][][]byte, rounds int, opts ...Option) (*BatchResult, error) {
 	merged := buildOptions(n, opts)
-	cfg, err := engineConfig(ctx, merged)
+	cfg, err := engineConfig(ctx, merged, false)
 	if err != nil {
 		return nil, err
 	}

@@ -53,9 +53,9 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	pool := harness.Pool{Workers: *workers}
-	mode, err := parseCertMode(*certmode)
+	mode, err := threshold.ParseMode(*certmode)
 	if err != nil {
-		return err
+		return fmt.Errorf("-certmode: %w", err)
 	}
 	if *bench != "" {
 		path := *outPath
@@ -140,18 +140,6 @@ func renderSweep(protocol string, outcomes []harness.Outcome) string {
 		YLabel: "words",
 		LogY:   true,
 	}, series...)
-}
-
-// parseCertMode maps the -certmode flag to a threshold encoding.
-func parseCertMode(s string) (threshold.Mode, error) {
-	switch s {
-	case "compact":
-		return threshold.ModeCompact, nil
-	case "aggregate":
-		return threshold.ModeAggregate, nil
-	default:
-		return 0, fmt.Errorf("-certmode: unknown mode %q (compact | aggregate)", s)
-	}
 }
 
 // parseInts parses a comma-separated integer list.

@@ -23,18 +23,6 @@ import (
 	"adaptiveba/internal/types"
 )
 
-// parseCertMode maps the -certmode flag to a threshold encoding.
-func parseCertMode(s string) (threshold.Mode, error) {
-	switch s {
-	case "compact":
-		return threshold.ModeCompact, nil
-	case "aggregate":
-		return threshold.ModeAggregate, nil
-	default:
-		return 0, fmt.Errorf("-certmode: unknown mode %q (compact | aggregate)", s)
-	}
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "adaptiveba-sim:", err)
@@ -60,7 +48,7 @@ func run(args []string, out io.Writer) error {
 		reps     = fs.Int("reps", 1, "repetitions with derived seeds (> 1 prints a min/median/max summary)")
 		workers  = fs.Int("parallel", 0, "worker count for -reps runs (0 = one per CPU, 1 = sequential)")
 		tickW    = fs.Int("tick-workers", 0, "per-tick worker count inside one run (0 = one per CPU, 1 = serial); any value yields identical output")
-		sessions = fs.Int("sessions", 1, "run this many concurrent instances of the protocol through the multi-session engine (bb | wba | strongba | acs only)")
+		sessions = fs.Int("sessions", 1, "run this many concurrent instances of the protocol through the multi-session engine")
 		acsMode  = fs.Bool("acs", false, "run the batched replicated log: -sessions ACS rounds of n proposer batches each (uses -n, -f, -batch, -inflight, -tick-workers)")
 		batch    = fs.Int("batch", 1, "commands per proposer batch (-acs rounds and -protocol acs)")
 		inflight = fs.Int("inflight", 0, "engine admission window: max sessions in flight (0 = all at once, 1 = strictly serial)")
@@ -97,9 +85,9 @@ func run(args []string, out io.Writer) error {
 		})
 	}
 
-	mode, err := parseCertMode(*certmode)
+	mode, err := threshold.ParseMode(*certmode)
 	if err != nil {
-		return err
+		return fmt.Errorf("-certmode: %w", err)
 	}
 	spec := harness.Spec{
 		Protocol:      harness.Protocol(*protocol),

@@ -144,6 +144,34 @@ func CrashSet(f int, leader bool) []types.ProcessID {
 	return FirstProcesses(f + 1)[1:]
 }
 
+// ForPattern is the repository's one rule from a named fault pattern to
+// the adversary that corrupts f processes of a run. "crash-leader"
+// crashes CrashSet(f, true) at tick 0; "stagger" crashes CrashSet(f,
+// false) one per tick, the i-th at tick i+1; "replay" crashes CrashSet(f,
+// false) and replays stale honest traffic from them until half the run's
+// tick budget; any other name, "crash" included, crashes CrashSet(f,
+// false) at tick 0. The result builds the adversary against the run's
+// budget (nil when f = 0). Protocol-aware patterns live in attacks.
+func ForPattern(pattern string, f int, seed int64) func(maxTicks types.Tick) sim.Adversary {
+	return func(maxTicks types.Tick) sim.Adversary {
+		if f <= 0 {
+			return nil
+		}
+		ids := CrashSet(f, pattern == "crash-leader")
+		switch pattern {
+		case "stagger":
+			at := make(map[types.ProcessID]types.Tick, len(ids))
+			for i, id := range ids {
+				at[id] = types.Tick(i + 1)
+			}
+			return NewCrashAt(at)
+		case "replay":
+			return NewReplay(seed, maxTicks/2, ids...)
+		}
+		return NewCrash(ids...)
+	}
+}
+
 // Mimic runs attacker-chosen machines for the corrupted processes. The
 // machines see exactly the messages addressed to their identity and their
 // sends are emitted from it — i.e. the corrupted processes follow the

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"adaptiveba/internal/crypto/sig"
@@ -88,6 +89,32 @@ func TestCrashSet(t *testing.T) {
 	}
 	if len(CrashSet(0, false)) != 0 || len(CrashSet(0, true)) != 0 {
 		t.Error("CrashSet(0, ·) not empty")
+	}
+}
+
+func TestForPattern(t *testing.T) {
+	if adv := ForPattern("replay", 0, 1)(100); adv != nil {
+		t.Errorf("f=0 built %T, want no adversary", adv)
+	}
+	for _, c := range []struct {
+		pattern, want string
+	}{
+		{"crash", "[{p1 0} {p2 0}]"},
+		{"", "[{p1 0} {p2 0}]"},
+		{"spam", "[{p1 0} {p2 0}]"},
+		{"crash-leader", "[{p0 0} {p1 0}]"},
+		{"stagger", "[{p1 1} {p2 2}]"},
+		{"replay", "[{p1 0} {p2 0}]"},
+	} {
+		adv := ForPattern(c.pattern, 2, 1)(100)
+		cs := adv.Corruptions()
+		sort.Slice(cs, func(i, j int) bool { return cs[i].ID < cs[j].ID })
+		if got := fmt.Sprint(cs); got != c.want {
+			t.Errorf("%q: corruptions %s, want %s", c.pattern, got, c.want)
+		}
+		if r, ok := adv.(*Replay); ok != (c.pattern == "replay") || ok && r.Horizon != 50 {
+			t.Errorf("%q: built %T, want a replay with horizon 50 only for replay", c.pattern, adv)
+		}
 	}
 }
 

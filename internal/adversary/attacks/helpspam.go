@@ -131,10 +131,6 @@ func (a *LateCertRelease) Act(now types.Tick, _ []sim.Message) []sim.Message {
 	return msgs
 }
 
-// CertFormed reports whether the release actually produced a certificate
-// attempt (i.e. Act ran).
-func (a *LateCertRelease) CertFormed() bool { return a.sent }
-
 // Quiescent keeps the engine alive until the release (plus the fallback's
 // duration) has played out.
 func (a *LateCertRelease) Quiescent(now types.Tick) bool {

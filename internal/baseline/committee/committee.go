@@ -154,18 +154,11 @@ func NewMachine(cfg Config) *Machine {
 	return m
 }
 
-// IsMember reports whether this process sits on the sampled committee.
-func (m *Machine) IsMember() bool { return m.isMember }
-
 // Members exposes the sampled committee set (shared, do not mutate).
 func (m *Machine) Members() *types.BitSet { return m.members }
 
 // Rounds returns the round in which the process decided.
 func (m *Machine) Rounds() types.Round { return m.rounds }
-
-// MaxRounds bounds the run: input delivery + intra-committee flooding
-// capped at c+2 rounds + announcement propagation.
-func (m *Machine) MaxRounds() int { return Size(m.cfg.Params.N) + 6 }
 
 // learn records a value, tracking novelty for the next flood.
 func (m *Machine) learn(v types.Value) {

@@ -74,9 +74,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir}, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) path(r Ref) string { return filepath.Join(s.dir, r.String()) }
 
 // Put stores a payload and returns its content address. Storing the same

@@ -55,6 +55,18 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of String for the two encodings.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "compact":
+		return ModeCompact, nil
+	case "aggregate":
+		return ModeAggregate, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q (compact | aggregate)", s)
+	}
+}
+
 // Errors returned by the scheme.
 var (
 	ErrTooFewShares = errors.New("threshold: not enough valid unique shares")

@@ -373,3 +373,14 @@ func TestCompactVerifyAllocatesNothing(t *testing.T) {
 		t.Errorf("compact Scheme.Verify allocates %.0f, want 0", a)
 	}
 }
+
+func TestParseModeInvertsString(t *testing.T) {
+	for _, m := range []Mode{ModeCompact, ModeAggregate} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	if _, err := ParseMode("bogus"); err == nil || err.Error() != `unknown mode "bogus" (compact | aggregate)` {
+		t.Errorf("ParseMode(bogus) error = %v", err)
+	}
+}

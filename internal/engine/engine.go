@@ -1,7 +1,7 @@
-// Package engine runs many agreement instances — BB, weak BA, binary
-// strong BA, and SMR log slots — in flight simultaneously over one
-// shared simulator run and crypto suite. It is the multi-session
-// scheduler behind adaptiveba.RunMany and the pipelined replicated log:
+// Package engine runs many agreement instances — any kind of the
+// protocol table, SMR log slots included — in flight simultaneously over
+// one shared simulator run and crypto suite. It is the one runtime behind
+// the public adaptiveba calls and the pipelined replicated log:
 // each instance lives in its own session, inbound traffic is demuxed to
 // per-session protocol machines by session ID (proto.Mux), and the
 // per-engine report aggregates per-session word/message/round metrics.
@@ -54,10 +54,10 @@ import (
 
 // Request describes one agreement instance to run.
 type Request struct {
-	// Kind is the session's protocol: bb (the default), wba, strongba or
-	// acs (see Supports).
+	// Kind is the session's protocol, any kind of the protocol table (bb
+	// when unset).
 	Kind protocols.Kind
-	// Sender is the BB designated sender (protocols.BB only).
+	// Sender is the designated sender of the broadcast kinds.
 	Sender types.ProcessID
 	// Value is the BB broadcast value / unanimous agreement input; nil
 	// is ⊥ (a sender with nothing to broadcast, an ACS proposer with an
@@ -97,7 +97,8 @@ type Config struct {
 	// (drop-not-block; see Report.Rejected), and a negative value sheds
 	// everything beyond the window itself.
 	MaxQueue int
-	// Seed derives the HMAC key ring (ignored with Ed25519).
+	// Seed derives the HMAC key ring (ignored with Ed25519) and is every
+	// session's protocol seed (committee samples its committee from it).
 	Seed int64
 	// Ed25519 switches from the fast HMAC scheme to real signatures.
 	Ed25519 bool
@@ -157,7 +158,8 @@ type SessionResult struct {
 	FallbackProcs int
 	// DecisionTick is the latest tick at which an honest process decided
 	// this session (absolute; subtract Start for the session's decision
-	// latency in δ units).
+	// latency in δ units, which is 0 for the kinds that do not report
+	// it — see protocols.Progress).
 	DecisionTick types.Tick
 	// ByLayer is the session's word breakdown with the session prefix
 	// stripped, so it lines up with a solo run of the same protocol
@@ -271,7 +273,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		rec.RecordEngineReject()
 	}
 
-	b := &builder{params: params, crypto: crypto, tag: tag, reqs: reqs[:accepted]}
+	b := &builder{params: params, crypto: crypto, tag: tag, seed: uint64(cfg.Seed), reqs: reqs[:accepted]}
 	sched, err := plan(b, window)
 	if err != nil {
 		return nil, err
@@ -372,11 +374,11 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 			} else {
 				s.AllDecided = false
 			}
-			ranFallback, decidedAt := protocols.Progress(m)
+			ranFallback, decidedAt := protocols.Progress(m, s.Start)
 			if ranFallback {
 				s.FallbackProcs++
 			}
-			s.DecisionTick = max(s.DecisionTick, decidedAt)
+			s.DecisionTick = max(s.DecisionTick, s.Start+decidedAt)
 		}
 		s.Decision, s.Agreement = agreementOf(s.Decisions, res.Honest)
 		if ls := perLayer[s.Name]; ls != nil {
@@ -430,16 +432,6 @@ func splitLayers(byLayer map[string]metrics.Stats) map[string]map[string]metrics
 	return out
 }
 
-// Supports reports whether a session can run kind: the paper's three
-// agreement cores and the ACS round.
-func Supports(kind protocols.Kind) bool {
-	switch kind {
-	case protocols.BB, protocols.WBA, protocols.StrongBA, protocols.ACS:
-		return true
-	}
-	return false
-}
-
 // kind is the request's protocol, BB when unset.
 func (r *Request) kind() protocols.Kind {
 	if r.Kind == "" {
@@ -454,12 +446,14 @@ type builder struct {
 	params types.Params
 	crypto *proto.Crypto
 	tag    string
+	seed   uint64 // the protocols' run seed (committee's sampling)
 	reqs   []Request
 	cfgs   []protocols.Config // per session, filled by plan
 }
 
 // input is process id's input to session k: its entry of Inputs when
-// set, else Value, which strong BA reads as 1 unless it is 0 or 1.
+// set, else Value, which the binary kinds (strong BA, bb-via-ba) read as
+// 1 unless it is 0 or 1.
 func (b *builder) input(k int, id types.ProcessID) types.Value {
 	req := &b.reqs[k]
 	switch {
@@ -468,7 +462,7 @@ func (b *builder) input(k int, id types.ProcessID) types.Value {
 			return req.Inputs[id]
 		}
 		return nil
-	case req.kind() == protocols.StrongBA && !req.Value.IsBinary():
+	case (req.kind() == protocols.StrongBA || req.kind() == protocols.BBViaBA) && !req.Value.IsBinary():
 		return types.One
 	}
 	return req.Value
@@ -504,12 +498,9 @@ func plan(b *builder, w int) (*schedule, error) {
 	for k := range b.reqs {
 		req := &b.reqs[k]
 		kind := req.kind()
-		if !Supports(kind) {
-			return nil, fmt.Errorf("%w: session %d: unknown kind %q", ErrConfig, k, kind)
-		}
 		b.cfgs[k] = protocols.Config{
 			Params: b.params, Crypto: b.crypto, Tag: fmt.Sprintf("%s/s%d", b.tag, k),
-			Sender: req.Sender, Predicate: req.Predicate,
+			Sender: req.Sender, Predicate: req.Predicate, Seed: b.seed,
 		}
 		if err := kind.Validate(b.cfgs[k], func(id types.ProcessID) types.Value { return b.input(k, id) }); err != nil {
 			return nil, fmt.Errorf("%w: session %d: %v", ErrConfig, k, err)

@@ -176,6 +176,26 @@ func TestEngineConfigErrors(t *testing.T) {
 	}
 }
 
+// TestBinaryKindsReadValueAsOne: without per-process inputs, strong BA
+// and bb-via-ba read a non-binary Value as 1, so every kind of the table
+// runs from a bare Request.
+func TestBinaryKindsReadValueAsOne(t *testing.T) {
+	rep, err := Run(Config{N: 5, F: 1}, []Request{
+		{Kind: protocols.StrongBA, Value: types.Value("v")},
+		{Kind: protocols.BBViaBA, Value: types.Value("v")},
+		{Kind: protocols.BBViaBA, Value: types.Zero},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []types.Value{types.One, types.One, types.Zero} {
+		if s := &rep.Sessions[i]; !s.AllDecided || !s.Agreement || !s.Decision.Equal(want) {
+			t.Errorf("session %d (%s): decided=%t agree=%t decision %v, want %v",
+				i, s.Kind, s.AllDecided, s.Agreement, s.Decision, want)
+		}
+	}
+}
+
 // TestBadInputRejectedBeforeRun: a session whose input is invalid at some
 // process — a non-binary strong-BA input at p2, not p0 — is refused as a
 // configuration error before the simulator polls Halt even once, and

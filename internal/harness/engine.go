@@ -22,9 +22,6 @@ func RunEngine(spec Spec, sessions, inflight, maxQueue int) (*engine.Report, err
 	if sessions < 1 {
 		return nil, fmt.Errorf("%w: need at least one session, got %d", ErrSpec, sessions)
 	}
-	if !engine.Supports(spec.Protocol) {
-		return nil, fmt.Errorf("%w: engine runs bb, wba, strongba or acs, got %q", ErrSpec, spec.Protocol)
-	}
 	// Run's defaults, so input sees the spec a solo run would.
 	spec = spec.withDefaults()
 	switch spec.Fault {
@@ -35,7 +32,7 @@ func RunEngine(spec Spec, sessions, inflight, maxQueue int) (*engine.Report, err
 
 	// Materialize the spec's input policy exactly as a solo Run would
 	// assign it.
-	req := engine.Request{Kind: spec.Protocol, Sender: spec.Sender, Predicate: spec.Predicate}
+	req := engine.Request{Kind: spec.Protocol}
 	r := &runner{spec: spec}
 	for id := 0; id < spec.N; id++ {
 		req.Inputs = append(req.Inputs, r.input(types.ProcessID(id)))
@@ -56,6 +53,5 @@ func RunEngine(spec Spec, sessions, inflight, maxQueue int) (*engine.Report, err
 		Ed25519:     spec.Ed25519,
 		Trace:       spec.Trace,
 		TickWorkers: spec.TickWorkers,
-		Halt:        spec.Halt,
 	}, reqs)
 }

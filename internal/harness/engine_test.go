@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 )
 
@@ -12,14 +13,13 @@ import (
 // same agreement, same word/message counts, same fallback behavior, and
 // same decision latency — at every window size.
 func TestRunEngineMatchesSolo(t *testing.T) {
-	specs := []Spec{
-		{Protocol: ProtocolBB, N: 5, Value: types.Value("pin")},
-		{Protocol: ProtocolBB, N: 5, F: 1, Fault: FaultCrash, Value: types.Value("pin")},
-		{Protocol: ProtocolBB, N: 5, F: 2, Fault: FaultCrashLeader, Value: types.Value("pin")},
-		{Protocol: ProtocolWBA, N: 5, Inputs: InputsDistinct},
-		{Protocol: ProtocolWBA, N: 5, F: 1, Fault: FaultCrash},
-		{Protocol: ProtocolStrongBA, N: 5, Inputs: InputsDistinct},
-		{Protocol: ProtocolStrongBA, N: 5, F: 2, Fault: FaultCrash, Inputs: InputsDistinct},
+	var specs []Spec
+	for _, kind := range protocols.Kinds() {
+		specs = append(specs,
+			Spec{Protocol: kind, N: 5, Value: types.Value("pin"), Inputs: InputsDistinct},
+			Spec{Protocol: kind, N: 5, F: 1, Fault: FaultCrash, Value: types.Value("pin")},
+			Spec{Protocol: kind, N: 5, F: 2, Fault: FaultCrashLeader, Inputs: InputsDistinct},
+		)
 	}
 	const sessions = 6
 	for _, spec := range specs {
@@ -70,12 +70,9 @@ func TestRunEngineMatchesSolo(t *testing.T) {
 }
 
 // TestRunEngineRejectsUnsupportedSpecs keeps the engine's scope honest:
-// protocols and fault patterns outside its determinism argument are
-// refused up front rather than silently approximated.
+// fault patterns outside its determinism argument are refused up front
+// rather than silently approximated.
 func TestRunEngineRejectsUnsupportedSpecs(t *testing.T) {
-	if _, err := RunEngine(Spec{Protocol: ProtocolDolevStrong, N: 5}, 2, 0, 0); err == nil {
-		t.Error("dolev-strong accepted")
-	}
 	if _, err := RunEngine(Spec{Protocol: ProtocolBB, N: 5, F: 1, Fault: FaultReplay}, 2, 0, 0); err == nil {
 		t.Error("replay fault accepted")
 	}

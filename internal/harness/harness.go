@@ -98,19 +98,10 @@ type Spec struct {
 	// Value is the unanimous input / BB broadcast value (default "v";
 	// binary protocols use 1).
 	Value types.Value
-	// PerProcessInputs, when non-nil, assigns each process its own input
-	// (length N) and overrides Inputs/Value for the agreement protocols.
-	// For ProtocolACS the values must be acs.EncodeBatch frames.
-	PerProcessInputs []types.Value
 	// Batch is the per-proposer batch size for ProtocolACS (default 1):
 	// each process proposes that many synthetic commands, so one round
 	// commits up to N×Batch requests.
 	Batch int
-	// Predicate overrides weak BA's validity predicate (default:
-	// accept any non-⊥ value).
-	Predicate func(types.Value) bool
-	// Sender is the BB designated sender / echo & DS sender (default 0).
-	Sender types.ProcessID
 	// Seed drives randomized adversaries.
 	Seed int64
 	// ShuffleSeed permutes per-tick message delivery order (0 = natural
@@ -140,16 +131,12 @@ type Spec struct {
 	// machine stepping (0 = one worker per CPU, 1 = serial). Output is
 	// byte-identical at any value; see sim.Config.Workers.
 	TickWorkers int
-	// WBAPhases / BBPhases override phase counts (ablations).
+	// WBAPhases overrides weak BA's phase count (ablation).
 	WBAPhases int
-	BBPhases  int
 	// DisableSilentPhases removes the adaptivity mechanism (ablation).
 	DisableSilentPhases bool
 	// Trace, if set, receives the message trace.
 	Trace io.Writer
-	// Halt, if set, is polled every tick; returning true aborts the run
-	// with sim.ErrHalted (the public API's context-cancellation hook).
-	Halt func(now types.Tick) bool
 	// OnSend, if set, observes every sent message (structured tracing).
 	OnSend func(now types.Tick, m sim.Message, honest bool)
 	// Adversary, if set, overrides the Fault/F-derived adversary: the
@@ -172,7 +159,6 @@ type Outcome struct {
 	Messages   int64
 	Signatures int64
 	Bytes      int64 // only when Spec.MeasureBytes
-	Combines   int64
 	SignOps    int64 // only when Spec.CountOps
 	VerifyOps  int64 // only when Spec.CountOps
 	Ticks      types.Tick
@@ -273,41 +259,27 @@ type runner struct {
 	counter *sig.Counting
 }
 
-// adversaryFor builds the spec's adversary (nil when f=0).
+// adversaryFor builds the spec's adversary (nil when f=0): the
+// adversary package's pattern rule, plus the spam pattern, which needs
+// the protocol-aware attacks.
 func (r *runner) adversaryFor(maxTicks types.Tick) sim.Adversary {
 	if r.spec.Adversary != nil {
 		return r.spec.Adversary(maxTicks)
 	}
-	if r.spec.F == 0 {
-		return nil
-	}
-	ids := adversary.CrashSet(r.spec.F, r.spec.Fault == FaultCrashLeader)
-	switch r.spec.Fault {
-	case FaultStagger:
-		at := make(map[types.ProcessID]types.Tick, len(ids))
-		for i, id := range ids {
-			at[id] = types.Tick(i + 1)
-		}
-		return adversary.NewCrashAt(at)
-	case FaultReplay:
-		return adversary.NewReplay(r.spec.Seed, maxTicks/2, ids...)
-	case FaultSpam:
+	if r.spec.F > 0 && r.spec.Fault == FaultSpam {
+		ids := adversary.CrashSet(r.spec.F, false)
 		switch r.spec.Protocol {
 		case ProtocolBB:
 			return attacks.NewBBPhaseSpam(ids...)
 		case ProtocolWBA:
 			return attacks.NewWBAPhaseSpam(r.input(0), ids...)
-		default:
-			return adversary.NewCrash(ids...)
 		}
-	default:
-		return adversary.NewCrash(ids...)
 	}
+	return adversary.ForPattern(string(r.spec.Fault), r.spec.F, r.spec.Seed)(maxTicks)
 }
 
 // input is process id's input under the spec's input policy. The
-// broadcast kinds send Value (bb-via-ba a bit: 1 unless Value is one);
-// otherwise PerProcessInputs, when set, assigns each process its own; an
+// broadcast kinds send Value (bb-via-ba a bit: 1 unless Value is one); an
 // ACS proposer proposes Batch synthetic commands, deterministic per
 // proposer; and the agreement kinds take Value (strong BA 1) or, under
 // InputsDistinct, one value per process (strong BA alternating bits).
@@ -321,11 +293,6 @@ func (r *runner) input(id types.ProcessID) types.Value {
 		return types.One
 	case spec.Protocol == ProtocolBBViaBA:
 		return spec.Value
-	case spec.PerProcessInputs != nil:
-		if int(id) < len(spec.PerProcessInputs) {
-			return spec.PerProcessInputs[id]
-		}
-		return nil
 	case spec.Protocol == ProtocolACS:
 		cmds := make([]types.Value, max(spec.Batch, 1))
 		for j := range cmds {
@@ -347,14 +314,8 @@ func (r *runner) input(id types.ProcessID) types.Value {
 func (r *runner) execute() (*Outcome, error) {
 	kind := r.spec.Protocol
 	cfg := protocols.Config{
-		Params: r.params, Crypto: r.crypto, Tag: kind.Tag("h"),
-		Sender: r.spec.Sender, Predicate: r.spec.Predicate,
-		// The sampling seed is public common randomness; every process
-		// must derive the same committee, so it comes from the spec, not
-		// the process.
-		Seed:     uint64(r.spec.Seed) + 0x636d7465, // "cmte"
-		BBPhases: r.spec.BBPhases, WBAPhases: r.spec.WBAPhases,
-		DisableSilentPhases: r.spec.DisableSilentPhases,
+		Params: r.params, Crypto: r.crypto, Tag: kind.Tag("h"), Seed: uint64(r.spec.Seed),
+		WBAPhases: r.spec.WBAPhases, DisableSilentPhases: r.spec.DisableSilentPhases,
 	}
 	if err := kind.Validate(cfg, r.input); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrSpec, err)
@@ -424,7 +385,6 @@ func (r *runner) execute() (*Outcome, error) {
 		ShuffleSeed: r.spec.ShuffleSeed,
 		OnSend:      onSend,
 		Workers:     r.spec.TickWorkers,
-		Halt:        r.spec.Halt,
 	})
 	if err != nil {
 		return nil, err
@@ -437,7 +397,6 @@ func (r *runner) execute() (*Outcome, error) {
 		Messages:    res.Report.Honest.Messages,
 		Signatures:  res.Report.Honest.Signatures,
 		Bytes:       res.Report.Honest.Bytes,
-		Combines:    res.Report.Combines,
 		Ticks:       res.Ticks,
 		Decided:     res.AllDecided() && !res.TimedOut,
 		Agreement:   agreement,
@@ -448,7 +407,7 @@ func (r *runner) execute() (*Outcome, error) {
 		CacheWaits:  res.Report.CacheWaits,
 	}
 	for _, id := range res.Honest {
-		ranFallback, decidedAt := protocols.Progress(machines[id])
+		ranFallback, decidedAt := protocols.Progress(machines[id], 0)
 		if ranFallback {
 			out.FallbackCount++
 		}

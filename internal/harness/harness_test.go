@@ -92,25 +92,6 @@ func TestFallbackCountReported(t *testing.T) {
 	}
 }
 
-// TestBadInputRejectedBeforeRun: a process's invalid input — here a
-// non-binary strong-BA input at p2, not p0 — is refused up front as a
-// spec error, before the simulator polls Halt even once.
-func TestBadInputRejectedBeforeRun(t *testing.T) {
-	polls := 0
-	_, err := Run(Spec{
-		Protocol:         ProtocolStrongBA,
-		N:                4,
-		PerProcessInputs: []types.Value{types.One, types.One, types.Value("x"), types.One},
-		Halt:             func(types.Tick) bool { polls++; return false },
-	})
-	if !errors.Is(err, ErrSpec) {
-		t.Errorf("err = %v, want ErrSpec", err)
-	}
-	if polls != 0 {
-		t.Errorf("the run polled Halt %d times before rejecting the input", polls)
-	}
-}
-
 // TestMeasureBytesCoversEveryLayer runs every kind of the protocol table
 // under MeasureBytes: a layer that carried words must have carried bytes,
 // or the registry is missing a codec.

@@ -111,7 +111,6 @@ func outcomeDiff(a, b Outcome) string {
 		{"Words", a.Words, b.Words},
 		{"Messages", a.Messages, b.Messages},
 		{"Signatures", a.Signatures, b.Signatures},
-		{"Combines", a.Combines, b.Combines},
 		{"SignOps", a.SignOps, b.SignOps},
 		{"Ticks", a.Ticks, b.Ticks},
 		{"Decided", a.Decided, b.Decided},

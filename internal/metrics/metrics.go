@@ -72,9 +72,7 @@ type Recorder struct {
 	lastProc       types.ProcessID
 	lastProcStats  *Stats
 
-	combines     atomic.Int64 // threshold-certificate combine operations
-	certVerifies atomic.Int64
-	ticks        atomic.Int64
+	ticks atomic.Int64
 
 	// Verification fast-path counters (internal/crypto/verifycache),
 	// stored by the engine at snapshot time. CPU-cost instrumentation
@@ -195,12 +193,6 @@ func (r *Recorder) RecordSendN(ev SendEvent, count int) {
 	ps.add(s)
 }
 
-// RecordCombine notes one threshold combine operation.
-func (r *Recorder) RecordCombine() { r.combines.Add(1) }
-
-// RecordCertVerify notes one certificate verification.
-func (r *Recorder) RecordCertVerify() { r.certVerifies.Add(1) }
-
 // SetTicks records the run's duration in ticks (δ units).
 func (r *Recorder) SetTicks(t types.Tick) { r.ticks.Store(int64(t)) }
 
@@ -250,8 +242,6 @@ type Report struct {
 	Byzantine Stats            // sends by corrupted processes (informational)
 	ByLayer   map[string]Stats // honest words per protocol layer
 	ByProcess map[types.ProcessID]Stats
-	Combines  int64
-	CertVer   int64
 	Ticks     types.Tick
 	// Verification fast-path counters (0 when the cache is disabled).
 	CacheHits   int64
@@ -280,8 +270,6 @@ func (r *Recorder) Snapshot() Report {
 		Byzantine:        r.byzantine,
 		ByLayer:          make(map[string]Stats, len(r.byLayer)),
 		ByProcess:        make(map[types.ProcessID]Stats, len(r.byProc)),
-		Combines:         r.combines.Load(),
-		CertVer:          r.certVerifies.Load(),
 		Ticks:            types.Tick(r.ticks.Load()),
 		CacheHits:        r.cacheHits.Load(),
 		CacheMisses:      r.cacheMisses.Load(),
@@ -337,6 +325,6 @@ func (rep Report) LayerTable() string {
 
 // String summarises the report in one line.
 func (rep Report) String() string {
-	return fmt.Sprintf("words=%d msgs=%d sigs=%d combines=%d ticks=%d",
-		rep.Honest.Words, rep.Honest.Messages, rep.Honest.Signatures, rep.Combines, rep.Ticks)
+	return fmt.Sprintf("words=%d msgs=%d sigs=%d ticks=%d",
+		rep.Honest.Words, rep.Honest.Messages, rep.Honest.Signatures, rep.Ticks)
 }

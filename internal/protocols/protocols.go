@@ -87,13 +87,12 @@ type Config struct {
 	// Predicate overrides weak BA's validity predicate (default: accept
 	// any non-⊥ value).
 	Predicate func(types.Value) bool
-	// Seed is committee's sampling seed: public common randomness, the
-	// same at every process.
+	// Seed is the run's seed. Committee derives its sampling seed from it
+	// (public common randomness, the same at every process).
 	Seed uint64
-	// BBPhases, WBAPhases, DisableSilentPhases and QuorumOverride are the
-	// ablation knobs of bb and wba (see bb.Config and wba.Config); zero
-	// runs the paper's protocol.
-	BBPhases            int
+	// WBAPhases, DisableSilentPhases and QuorumOverride are the ablation
+	// knobs of bb and wba (see bb.Config and wba.Config); zero runs the
+	// paper's protocol.
 	WBAPhases           int
 	DisableSilentPhases bool
 	QuorumOverride      int
@@ -114,11 +113,11 @@ type entry struct {
 var table = [...]entry{
 	{
 		kind: BB, short: "bb",
-		maxTicks: func(c Config) types.Tick { return bb.MaxTicks(c.Params, c.BBPhases, c.WBAPhases) },
+		maxTicks: func(c Config) types.Tick { return bb.MaxTicks(c.Params, 0, c.WBAPhases) },
 		build: func(c Config, id types.ProcessID, input types.Value) (proto.Machine, error) {
 			return bb.NewMachine(bb.Config{
 				Params: c.Params, Crypto: c.Crypto, ID: id, Sender: c.Sender, Input: input, Tag: c.Tag,
-				Phases: c.BBPhases, WBAPhases: c.WBAPhases, DisableSilentPhases: c.DisableSilentPhases,
+				WBAPhases: c.WBAPhases, DisableSilentPhases: c.DisableSilentPhases,
 			}), nil
 		},
 	},
@@ -199,10 +198,14 @@ var table = [...]entry{
 		kind: Committee, short: "cm",
 		maxTicks: func(c Config) types.Tick { return types.Tick(committee.Size(c.Params.N) + 8) },
 		build: func(c Config, id types.ProcessID, input types.Value) (proto.Machine, error) {
-			return committee.NewMachine(committee.Config{Params: c.Params, ID: id, Input: input, Seed: c.Seed}), nil
+			return committee.NewMachine(committee.Config{Params: c.Params, ID: id, Input: input, Seed: c.Seed + committeeSalt}), nil
 		},
 	},
 }
+
+// committeeSalt separates committee's sampling seed from the run seed's
+// other uses ("cmte").
+const committeeSalt = 0x636d7465
 
 func (c Config) strongba(id types.ProcessID, input types.Value) strongba.Config {
 	return strongba.Config{Params: c.Params, Crypto: c.Crypto, ID: id, Input: input, Tag: c.Tag}
@@ -313,17 +316,20 @@ func Registry() *wire.Registry {
 	return reg
 }
 
-// Progress reports what a finished machine tells beyond its output:
-// whether it ran A_fallback, and when it decided — the tick for the
-// paper's protocols and acs, the round for the crash baselines, 0 for the
-// kinds that do not say.
-func Progress(m proto.Machine) (ranFallback bool, decidedAt types.Tick) {
+// Progress reports what a finished machine that began at tick begin tells
+// beyond its output: whether it ran A_fallback, and when it decided, in
+// ticks since begin — the paper's protocols and acs say at which tick, the
+// crash baselines in which of their one-tick rounds, and the kinds that do
+// not say report 0.
+func Progress(m proto.Machine, begin types.Tick) (ranFallback bool, decidedAt types.Tick) {
 	if fb, ok := m.(interface{ RanFallback() bool }); ok {
 		ranFallback = fb.RanFallback()
 	}
 	switch m := m.(type) {
 	case interface{ DecidedAtTick() types.Tick }:
-		decidedAt = m.DecidedAtTick()
+		if at := m.DecidedAtTick(); at > begin {
+			decidedAt = at - begin
+		}
 	case interface{ Rounds() types.Round }:
 		decidedAt = types.Tick(m.Rounds())
 	}

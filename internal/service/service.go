@@ -134,12 +134,18 @@ func NewCore(cfg Config) (*Core, error) {
 	if cfg.N == 0 {
 		cfg.N = 4
 	}
-	if cfg.N < 1 {
-		return nil, fmt.Errorf("%w: n=%d", ErrConfig, cfg.N)
+	// The engine's rule, so a configuration that passes here runs.
+	var params types.Params
+	var err error
+	if cfg.T > 0 {
+		params, err = types.Custom(cfg.N, cfg.T)
+	} else {
+		params, err = types.NewParams(cfg.N)
 	}
-	if cfg.T == 0 {
-		cfg.T = (cfg.N - 1) / 2
+	if err != nil {
+		return nil, fmt.Errorf("%w: n=%d t=%d: %v", ErrConfig, cfg.N, cfg.T, err)
 	}
+	cfg.T = params.T
 	if cfg.F < 0 || cfg.F > cfg.T {
 		return nil, fmt.Errorf("%w: f=%d with t=%d", ErrConfig, cfg.F, cfg.T)
 	}

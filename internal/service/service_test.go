@@ -52,6 +52,24 @@ func coreAuditLen(s *Server) int {
 	return n
 }
 
+// TestNewCoreRejectsUnrunnableParams: NewCore validates n and t by the
+// engine's rule, so a core that opens can commit.
+func TestNewCoreRejectsUnrunnableParams(t *testing.T) {
+	for _, c := range []struct{ n, t int }{{1, 0}, {2, 0}, {-1, 0}, {5, 3}} {
+		dir := t.TempDir()
+		core, err := NewCore(Config{
+			N: c.n, T: c.t,
+			BlobDir: filepath.Join(dir, "blobs"), AuditPath: filepath.Join(dir, "audit.log"),
+		})
+		if err == nil {
+			core.Close()
+		}
+		if !errors.Is(err, ErrConfig) {
+			t.Errorf("n=%d t=%d: want ErrConfig, got %v", c.n, c.t, err)
+		}
+	}
+}
+
 func TestCoreCommitGet(t *testing.T) {
 	c := testCore(t, nil)
 	small := []byte("small")

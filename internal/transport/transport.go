@@ -91,14 +91,14 @@ type Config struct {
 	// it closes every connection and returns ErrCrashed — fault injection
 	// for real-network runs.
 	CrashAfter types.Tick
-	// SessionHookV2, if set, is consulted for every authenticated inbound
+	// SessionHook, if set, is consulted for every authenticated inbound
 	// message frame after the session path is parsed but before the
 	// payload is decoded, so a node does not pay payload decoding and
-	// signature checks for words it will never read: SessionAccept
-	// decodes the frame, SessionDrop sheds it (a net drop). Demuxing
-	// hosts use Drop for sessions they have not admitted or have
+	// signature checks for words it will never read: returning drop sheds
+	// the frame (a net drop), otherwise it is decoded and delivered.
+	// Demuxing hosts drop sessions they have not admitted or have
 	// already retired.
-	SessionHookV2 func(from types.ProcessID, session string) SessionVerdict
+	SessionHook func(from types.ProcessID, session string) (drop bool)
 	// Recorder, if set, accounts for sent messages.
 	Recorder *metrics.Recorder
 	// Logf, if set, receives debug lines.
@@ -116,17 +116,6 @@ type Config struct {
 	// partitions, and peer flaps. See ChaosConfig.
 	Chaos ChaosConfig
 }
-
-// SessionVerdict is SessionHookV2's decision for one inbound frame.
-type SessionVerdict int
-
-// SessionHookV2 verdicts.
-const (
-	// SessionAccept decodes the frame and delivers it to the machine.
-	SessionAccept SessionVerdict = iota
-	// SessionDrop sheds the frame as a net drop.
-	SessionDrop
-)
 
 // Node runs one machine over TCP. Close may be called from any
 // goroutine, at any point of the lifecycle, any number of times.
@@ -377,7 +366,7 @@ func (n *Node) readLoop(ctx context.Context, conn net.Conn) {
 			if r.Close() != nil {
 				return
 			}
-			if hook := n.cfg.SessionHookV2; hook != nil && hook(from, session) == SessionDrop {
+			if hook := n.cfg.SessionHook; hook != nil && hook(from, session) {
 				if n.cfg.Recorder != nil {
 					n.cfg.Recorder.RecordNetDrop()
 				}

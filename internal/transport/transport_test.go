@@ -430,16 +430,16 @@ func TestSessionHookFiltersFrames(t *testing.T) {
 		}
 		if id == 0 {
 			cfg.Recorder = rec
-			cfg.SessionHookV2 = func(from types.ProcessID, session string) SessionVerdict {
+			cfg.SessionHook = func(from types.ProcessID, session string) bool {
 				head, _ := proto.SplitSession(session)
 				hookMu.Lock()
 				defer hookMu.Unlock()
 				if head == "spam" {
 					hookDrops++
-					return SessionDrop
+					return true
 				}
 				hookPassed++
-				return SessionAccept
+				return false
 			}
 		}
 		m := &spamMachine{

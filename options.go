@@ -1,5 +1,6 @@
 // Functional options, typed sentinel errors, context plumbing, and the
-// multi-session RunMany fan-out over the engine.
+// package's one run path over the multi-session engine (RunMany and the
+// single-instance calls).
 package adaptiveba
 
 import (
@@ -8,8 +9,8 @@ import (
 	"fmt"
 	"io"
 
+	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/engine"
-	"adaptiveba/internal/harness"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
@@ -125,23 +126,45 @@ func mapCanceled(ctx context.Context, err error) error {
 	return err
 }
 
-// engineConfig validates the options of a multi-session run into the
-// engine's configuration: the solo-run checks, so every sentinel behaves
-// identically across entry points, plus crash patterns only — the
-// sessions share one deployment, so the corrupted set persists across
+// engineConfig validates a run's options into the engine's
+// configuration. Failures carry the typed sentinels (ErrBadN,
+// ErrTooManyFaults, ErrNoQuorum), each of which also matches the broad
+// ErrOptions class. A single-instance run (solo) takes every
+// FaultPattern; a multi-instance run only the crash patterns, since its
+// instances share one deployment, so the corrupted set persists across
 // all of them, as it would in production.
-func engineConfig(ctx context.Context, o options) (engine.Config, error) {
-	spec, err := baseSpec(o)
-	if err != nil {
-		return engine.Config{}, err
+func engineConfig(ctx context.Context, o options, solo bool) (engine.Config, error) {
+	if o.n < 3 {
+		return engine.Config{}, fmt.Errorf("%w: n=%d (need at least 3)", ErrBadN, o.n)
 	}
-	if spec.Fault != harness.FaultCrash && spec.Fault != harness.FaultCrashLeader {
-		return engine.Config{}, fmt.Errorf("%w: pattern %q is not supported by multi-session runs (crash patterns only)",
-			ErrOptions, o.pattern)
+	var params types.Params
+	var err error
+	if o.threshold != 0 {
+		params, err = types.Custom(o.n, o.threshold)
+		if err != nil {
+			return engine.Config{}, fmt.Errorf("%w: n=%d cannot tolerate t=%d (%v)",
+				ErrNoQuorum, o.n, o.threshold, err)
+		}
+	} else if params, err = types.NewParams(o.n); err != nil {
+		return engine.Config{}, fmt.Errorf("%w: %v", ErrBadN, err)
+	}
+	if o.faults < 0 || o.faults > params.T {
+		return engine.Config{}, fmt.Errorf("%w: f=%d with t=%d", ErrTooManyFaults, o.faults, params.T)
+	}
+	switch o.pattern {
+	case "", FaultCrash, FaultCrashLeader:
+	case FaultReplay:
+		if !solo {
+			return engine.Config{}, fmt.Errorf("%w: pattern %q is not supported by multi-session runs (crash patterns only)",
+				ErrOptions, o.pattern)
+		}
+	default:
+		return engine.Config{}, fmt.Errorf("%w: unknown fault pattern %q", ErrOptions, o.pattern)
 	}
 	return engine.Config{
-		N: o.n, T: o.threshold, F: o.faults, LeaderFault: spec.Fault == harness.FaultCrashLeader,
-		Inflight: o.inflight, Seed: o.seed,
+		N: o.n, T: o.threshold, F: o.faults,
+		Adversary: adversary.ForPattern(string(o.pattern), o.faults, o.seed),
+		Inflight:  o.inflight, Seed: o.seed,
 		Ed25519: o.realSignatures, Trace: o.trace,
 		Halt: haltFrom(ctx),
 	}, nil
@@ -177,11 +200,17 @@ func BroadcastRequest(n, sender int, value []byte, opts ...Option) Request {
 // WeakAgreeRequest asks for one adaptive weak BA instance (inputs[i] is
 // process i's proposal; nil predicate accepts any non-empty value).
 func WeakAgreeRequest(n int, inputs [][]byte, predicate func([]byte) bool, opts ...Option) Request {
+	return agreeRequest(protocols.WBA, n, inputs, predicate, opts)
+}
+
+// agreeRequest asks for one instance of an agreement kind that takes one
+// non-empty input per process.
+func agreeRequest(kind protocols.Kind, n int, inputs [][]byte, predicate func([]byte) bool, opts []Option) Request {
 	cp := make([][]byte, len(inputs))
 	for i, in := range inputs {
 		cp[i] = append([]byte(nil), in...)
 	}
-	return Request{N: n, Opts: opts, kind: protocols.WBA, inputs: cp, predicate: predicate}
+	return Request{N: n, Opts: opts, kind: kind, inputs: cp, predicate: predicate}
 }
 
 // StrongAgreeBinaryRequest asks for one binary strong BA instance
@@ -189,6 +218,48 @@ func WeakAgreeRequest(n int, inputs [][]byte, predicate func([]byte) bool, opts 
 func StrongAgreeBinaryRequest(n int, inputs []bool, opts ...Option) Request {
 	return Request{N: n, Opts: opts, kind: protocols.StrongBA,
 		bits: append([]bool(nil), inputs...)}
+}
+
+// engineRequest validates the request's inputs for n processes into the
+// engine's request.
+func (r *Request) engineRequest(n int) (engine.Request, error) {
+	switch r.kind {
+	case protocols.BB:
+		if r.sender < 0 || r.sender >= n {
+			return engine.Request{}, fmt.Errorf("%w: sender %d out of range", ErrInputs, r.sender)
+		}
+		value := types.Value(r.value)
+		if value == nil {
+			value = types.Value("v") // an empty broadcast sends the default value
+		}
+		return engine.Request{Kind: protocols.BB, Sender: types.ProcessID(r.sender), Value: value}, nil
+	case protocols.WBA, protocols.Fallback:
+		if len(r.inputs) != n {
+			return engine.Request{}, fmt.Errorf("%w: need %d inputs, got %d", ErrInputs, n, len(r.inputs))
+		}
+		inputs := make([]types.Value, n)
+		for p, in := range r.inputs {
+			if len(in) == 0 {
+				return engine.Request{}, fmt.Errorf("%w: process %d has an empty input", ErrInputs, p)
+			}
+			inputs[p] = types.Value(in)
+		}
+		var pred func(types.Value) bool
+		if user := r.predicate; user != nil {
+			pred = func(v types.Value) bool { return user([]byte(v)) }
+		}
+		return engine.Request{Kind: r.kind, Inputs: inputs, Predicate: pred}, nil
+	case protocols.StrongBA:
+		if len(r.bits) != n {
+			return engine.Request{}, fmt.Errorf("%w: need %d inputs, got %d", ErrInputs, n, len(r.bits))
+		}
+		inputs := make([]types.Value, n)
+		for p, b := range r.bits {
+			inputs[p] = types.BinaryValue(b)
+		}
+		return engine.Request{Kind: protocols.StrongBA, Inputs: inputs}, nil
+	}
+	return engine.Request{}, fmt.Errorf("%w: not built by a Request constructor", ErrInputs)
 }
 
 // RunMany executes many agreement instances concurrently over one
@@ -203,6 +274,22 @@ func StrongAgreeBinaryRequest(n int, inputs []bool, opts ...Option) Request {
 // FaultCrashLeader): the batch shares one deployment, so the corrupted
 // set persists across all instances, as it would in production.
 func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
+	rep, err := run(ctx, false, reqs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(rep.Sessions))
+	for i := range rep.Sessions {
+		s := &rep.Sessions[i]
+		out[i] = result(s, max(s.DecisionTick-s.Start, 0))
+	}
+	return out, nil
+}
+
+// run is the package's one agreement path: it validates the requests
+// against their merged options and runs them as sessions of one engine
+// run, solo for a single-instance call (see engineConfig).
+func run(ctx context.Context, solo bool, reqs []Request) (*engine.Report, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("%w: no requests", ErrInputs)
 	}
@@ -223,81 +310,22 @@ func RunMany(ctx context.Context, reqs ...Request) ([]*Result, error) {
 			opt(&merged)
 		}
 	}
-	cfg, err := engineConfig(ctx, merged)
+	cfg, err := engineConfig(ctx, merged, solo)
 	if err != nil {
 		return nil, err
 	}
-
 	ereqs := make([]engine.Request, len(reqs))
 	for i := range reqs {
-		r := &reqs[i]
-		switch r.kind {
-		case protocols.BB:
-			if r.sender < 0 || r.sender >= n {
-				return nil, fmt.Errorf("%w: request %d sender %d out of range", ErrInputs, i, r.sender)
+		if ereqs[i], err = reqs[i].engineRequest(n); err != nil {
+			if solo {
+				return nil, err
 			}
-			value := types.Value(r.value)
-			if value == nil {
-				value = types.Value("v") // BroadcastContext's default value
-			}
-			ereqs[i] = engine.Request{Kind: protocols.BB, Sender: types.ProcessID(r.sender), Value: value}
-		case protocols.WBA:
-			if len(r.inputs) != n {
-				return nil, fmt.Errorf("%w: request %d needs %d inputs, got %d", ErrInputs, i, n, len(r.inputs))
-			}
-			inputs := make([]types.Value, n)
-			for p, in := range r.inputs {
-				if len(in) == 0 {
-					return nil, fmt.Errorf("%w: request %d process %d has an empty input", ErrInputs, i, p)
-				}
-				inputs[p] = types.Value(in)
-			}
-			var pred func(types.Value) bool
-			if user := r.predicate; user != nil {
-				pred = func(v types.Value) bool { return user([]byte(v)) }
-			}
-			ereqs[i] = engine.Request{Kind: protocols.WBA, Inputs: inputs, Predicate: pred}
-		case protocols.StrongBA:
-			if len(r.bits) != n {
-				return nil, fmt.Errorf("%w: request %d needs %d inputs, got %d", ErrInputs, i, n, len(r.bits))
-			}
-			inputs := make([]types.Value, n)
-			for p, b := range r.bits {
-				inputs[p] = types.BinaryValue(b)
-			}
-			ereqs[i] = engine.Request{Kind: protocols.StrongBA, Inputs: inputs}
-		default:
-			return nil, fmt.Errorf("%w: request %d was not built by a Request constructor", ErrInputs, i)
+			return nil, fmt.Errorf("request %d: %w", i, err)
 		}
 	}
-
 	rep, err := engine.Run(cfg, ereqs)
 	if err != nil {
 		return nil, mapCanceled(ctx, err)
 	}
-
-	out := make([]*Result, len(rep.Sessions))
-	for i := range rep.Sessions {
-		s := &rep.Sessions[i]
-		res := &Result{
-			Bottom:            s.Decision.IsBottom(),
-			Agreement:         s.Agreement,
-			AllDecided:        s.AllDecided,
-			Words:             s.Words,
-			Messages:          s.Messages,
-			FallbackProcesses: s.FallbackProcs,
-			LayerWords:        make(map[string]int64, len(s.ByLayer)),
-		}
-		if s.DecisionTick > s.Start {
-			res.Ticks = int64(s.DecisionTick - s.Start)
-		}
-		if !s.Decision.IsBottom() {
-			res.Decision = append([]byte(nil), s.Decision...)
-		}
-		for layer, st := range s.ByLayer {
-			res.LayerWords[layer] = st.Words
-		}
-		out[i] = res
-	}
-	return out, nil
+	return rep, nil
 }

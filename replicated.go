@@ -48,7 +48,7 @@ type LogResult struct {
 // FaultCrashLeader). The context cancels the run promptly with
 // ErrCanceled.
 func ReplicateLogContext(ctx context.Context, n int, queues [][][]byte, slots int, opts ...Option) (*LogResult, error) {
-	cfg, err := engineConfig(ctx, buildOptions(n, opts))
+	cfg, err := engineConfig(ctx, buildOptions(n, opts), false)
 	if err != nil {
 		return nil, err
 	}

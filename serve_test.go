@@ -139,6 +139,22 @@ func TestServeOptionValidation(t *testing.T) {
 	}
 }
 
+// TestServeRejectsUnusableReplicaCount: a replica count the agreement
+// rounds cannot run (n < 3) fails at ServeContext with ErrOptions, not at
+// the first Put.
+func TestServeRejectsUnusableReplicaCount(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		svc, err := ServeContext(context.Background(), "127.0.0.1:0",
+			WithBlobDir(filepath.Join(t.TempDir(), "b")), WithReplicas(n))
+		if err == nil {
+			svc.Close()
+		}
+		if !errors.Is(err, ErrOptions) {
+			t.Errorf("WithReplicas(%d): want ErrOptions, got %v", n, err)
+		}
+	}
+}
+
 func TestServeContextShutdown(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
