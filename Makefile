@@ -110,7 +110,7 @@ alloc-guard:
 # here so the same guard covers them.
 race-guard:
 	@$(GUARD); \
-	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestStepGateDeterminism' -race; \
+	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestStepGateDeterminism|TestObserversDoNotChangeTheCharge' -race; \
 	guard './internal/crypto/sig ./internal/crypto/keyedmac' 'Concurrent' -race -count=10; \
 	guard ./internal/transport 'TestClusterMatchesSimulator|TestSendBytesParity|TestOutboxBackpressure|TestRunClusterMachineErrorStartsNoNode|TestNewProtocolMachine' -race; \
 	guard ./internal/transport 'TestChaos' -race; \

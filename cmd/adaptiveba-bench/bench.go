@@ -252,7 +252,7 @@ func runEngine(out io.Writer, g grid) ([]row, map[string]bool, error) {
 		var first row
 		var firstFP string
 		for i, w := range g.Windows {
-			r, fp, err := measureLog(engine.Config{N: n, Inflight: w, Seed: 7, Tag: "bench"}, g.Rounds, 0)
+			r, fp, err := measureLog(engine.Config{N: n, Inflight: w, Seed: 7}, g.Rounds, 0)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -287,7 +287,7 @@ func runACS(out io.Writer, g grid) ([]row, map[string]bool, error) {
 		faults := []int{0, params.T}
 		baseCommits := make(map[int]int, len(faults))
 		for _, f := range faults {
-			r, _, err := measureLog(engine.Config{N: n, F: f, Inflight: 2, Seed: 7, Tag: "bench"}, g.Rounds, 0)
+			r, _, err := measureLog(engine.Config{N: n, F: f, Inflight: 2, Seed: 7}, g.Rounds, 0)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -298,7 +298,7 @@ func runACS(out io.Writer, g grid) ([]row, map[string]bool, error) {
 		}
 		for _, f := range faults {
 			for _, batch := range g.Batches {
-				cfg := engine.Config{N: n, F: f, Inflight: 2, Seed: 7, Tag: "bench"}
+				cfg := engine.Config{N: n, F: f, Inflight: 2, Seed: 7}
 				r, fp, err := measureLog(cfg, g.Rounds, batch)
 				if err != nil {
 					return nil, nil, err

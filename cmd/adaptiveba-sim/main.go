@@ -20,6 +20,7 @@ import (
 	"adaptiveba/internal/explore"
 	"adaptiveba/internal/harness"
 	"adaptiveba/internal/protocols"
+	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
 
@@ -52,7 +53,6 @@ func run(args []string, out io.Writer) error {
 		acsMode  = fs.Bool("acs", false, "run the batched replicated log: -sessions ACS rounds of n proposer batches each (uses -n, -f, -batch, -inflight, -tick-workers)")
 		batch    = fs.Int("batch", 1, "commands per proposer batch (-acs rounds and -protocol acs)")
 		inflight = fs.Int("inflight", 0, "engine admission window: max sessions in flight (0 = all at once, 1 = strictly serial)")
-		maxqueue = fs.Int("maxqueue", 0, "engine queue bound behind the window: 0 = unbounded, > 0 sheds requests beyond inflight+maxqueue, < 0 sheds everything beyond the window")
 		expl     = fs.Bool("explore", false, "search adversary schedules for the worst case instead of running one spec (bb | wba; uses -n, -f, -seed, -parallel)")
 		gens     = fs.Int("generations", 4, "explore: search generations")
 		popsize  = fs.Int("population", 8, "explore: schedules per generation")
@@ -104,10 +104,10 @@ func run(args []string, out io.Writer) error {
 		Batch:         *batch,
 	}
 	if *trace {
-		spec.Trace = out
+		spec.OnSend = sim.TraceTo(out)
 	}
 	if *sessions > 1 {
-		return runEngine(out, spec, *sessions, *inflight, *maxqueue)
+		return runEngine(out, spec, *sessions, *inflight)
 	}
 	if *reps > 1 {
 		return runReps(out, spec, *reps, *workers)
@@ -166,26 +166,21 @@ func runExplore(out io.Writer, cfg explore.Config) error {
 }
 
 // runEngine pushes the spec through the multi-session engine and prints
-// the admission outcome plus per-session results.
-func runEngine(out io.Writer, spec harness.Spec, sessions, inflight, maxqueue int) error {
-	rep, err := harness.RunEngine(spec, sessions, inflight, maxqueue)
+// the schedule plus per-session results.
+func runEngine(out io.Writer, spec harness.Spec, sessions, inflight int) error {
+	rep, err := harness.RunEngine(spec, sessions, inflight)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "protocol    %s × %d sessions\n", spec.Protocol, sessions)
 	fmt.Fprintf(out, "n, t, f     %d, %d, %d\n", rep.N, rep.T, rep.F)
-	fmt.Fprintf(out, "admission   %d accepted, %d queued, %d rejected (window %d)\n",
-		rep.Accepted, rep.Queued, rep.Rejected, inflight)
+	fmt.Fprintf(out, "admission   window %d\n", inflight)
 	fmt.Fprintf(out, "schedule    stride %d, session %d, total %d ticks (δ)\n",
 		rep.Stride, rep.SessionTicks, rep.Ticks)
 	fmt.Fprintf(out, "words       %d total\n", rep.Metrics.Honest.Words)
 	fmt.Fprintln(out, "\nper-session:")
 	violated := false
 	for _, s := range rep.Sessions {
-		if s.Rejected {
-			fmt.Fprintf(out, "  %-6s rejected (admission policy)\n", s.Name)
-			continue
-		}
 		fmt.Fprintf(out, "  %-6s start %-5d decision %-10q agree=%-5v words %-6d fallback %d\n",
 			s.Name, s.Start, []byte(s.Decision), s.Agreement, s.Words, s.FallbackProcs)
 		if !s.Agreement || !s.AllDecided {

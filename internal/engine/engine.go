@@ -6,14 +6,11 @@
 // per-session protocol machines by session ID (proto.Mux), and the
 // per-engine report aggregates per-session word/message/round metrics.
 //
-// # Admission and backpressure
+// # Admission
 //
 // In-flight sessions are bounded by an admission window of Inflight
-// concurrent instances. Requests beyond the window wait their turn
-// (surfaced as EngineQueued); when a queue bound is set, requests
-// beyond window+queue are shed outright rather than blocking the run —
-// the transport outbox's drop-not-block policy applied to admission —
-// and surfaced as EngineRejects.
+// concurrent instances. Every request is known up front, so requests
+// beyond the window simply wait their turn on the schedule below.
 //
 // # Scheduling and determinism
 //
@@ -35,7 +32,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,12 +73,9 @@ type Config struct {
 	N int
 	// T overrides the corruption threshold (default floor((n-1)/2)).
 	T int
-	// F crashes that many processes at tick 0 for the whole run (every
+	// F crashes processes 1..F at tick 0 for the whole run (every
 	// session sees the same failure pattern, as one deployment would).
 	F int
-	// LeaderFault crashes processes 0..F-1 (taking out the default BB
-	// sender) instead of the default 1..F.
-	LeaderFault bool
 	// Adversary, if set, overrides the F-derived crash adversary with a
 	// custom one built against the run's tick budget (e.g. a replay
 	// adversary whose horizon targets a session retirement edge).
@@ -91,23 +84,14 @@ type Config struct {
 	// admission window W). 0 admits as many as requested; 1 runs
 	// sessions strictly serially.
 	Inflight int
-	// MaxQueue bounds how many admitted sessions may wait behind the
-	// window: 0 means an unbounded queue (every request is eventually
-	// served), a positive value sheds requests beyond Inflight+MaxQueue
-	// (drop-not-block; see Report.Rejected), and a negative value sheds
-	// everything beyond the window itself.
-	MaxQueue int
 	// Seed derives the HMAC key ring (ignored with Ed25519) and is every
 	// session's protocol seed (committee samples its committee from it).
 	Seed int64
 	// Ed25519 switches from the fast HMAC scheme to real signatures.
 	Ed25519 bool
-	// Tag domain-separates this engine's signatures (default "eng");
-	// session k signs under Tag + "/sk", so instances cannot replay
-	// each other's certificates.
-	Tag string
-	// Trace, if set, receives the message trace.
-	Trace io.Writer
+	// OnSend, if set, observes every charged message of the run (see
+	// sim.Config.OnSend); sim.TraceTo builds the text trace on it.
+	OnSend func(now types.Tick, m sim.Message, honest bool)
 	// TickWorkers bounds the simulator's per-tick fan-out (0 = one per
 	// CPU, 1 = serial); output is byte-identical at any value.
 	TickWorkers int
@@ -120,9 +104,6 @@ type Config struct {
 	// Halt, if set, is polled every tick; returning true aborts the run
 	// with sim.ErrHalted (the cancellation hook for context callers).
 	Halt func(types.Tick) bool
-	// Recorder, if set, receives the run's metrics (a fresh one is
-	// created otherwise).
-	Recorder *metrics.Recorder
 }
 
 // Errors returned by Run.
@@ -136,11 +117,6 @@ type SessionResult struct {
 	Index int
 	Name  string // session ID on the wire ("s<Index>")
 	Kind  protocols.Kind
-	// Rejected marks sessions shed by the admission policy; all result
-	// fields below are zero for them.
-	Rejected bool
-	// Queued marks sessions that waited behind the in-flight window.
-	Queued bool
 	// Start is the tick the session began on every process.
 	Start types.Tick
 
@@ -171,9 +147,6 @@ type SessionResult struct {
 type Report struct {
 	N, T, F  int
 	Sessions []SessionResult
-	Accepted int
-	Rejected int
-	Queued   int
 	// Stride is the tick offset between consecutive session starts;
 	// SessionTicks is the per-session worst-case schedule length D.
 	Stride       types.Tick
@@ -190,10 +163,6 @@ func (r *Report) Fingerprint() string {
 	var b strings.Builder
 	for i := range r.Sessions {
 		s := &r.Sessions[i]
-		if s.Rejected {
-			fmt.Fprintf(&b, "%s rejected\n", s.Name)
-			continue
-		}
 		fmt.Fprintf(&b, "%s kind=%s words=%d msgs=%d decided=%t agree=%t:",
 			s.Name, s.Kind, s.Words, s.Messages, s.AllDecided, s.Agreement)
 		ids := make([]int, 0, len(s.Decisions))
@@ -217,22 +186,12 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	if cfg.N < 3 {
 		return nil, fmt.Errorf("%w: n=%d", ErrConfig, cfg.N)
 	}
-	var params types.Params
-	var err error
-	if cfg.T > 0 {
-		params, err = types.Custom(cfg.N, cfg.T)
-	} else {
-		params, err = types.NewParams(cfg.N)
-	}
+	params, err := types.ParamsFor(cfg.N, cfg.T)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	if cfg.F < 0 || cfg.F > params.T {
 		return nil, fmt.Errorf("%w: f=%d with t=%d", ErrConfig, cfg.F, params.T)
-	}
-	tag := cfg.Tag
-	if tag == "" {
-		tag = "eng"
 	}
 
 	var scheme sig.Scheme
@@ -246,34 +205,12 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	}
 	crypto := proto.NewCrypto(params, scheme, threshold.ModeCompact, []byte("engine-dealer"))
 
-	// Admission: window W, optional queue bound, drop-not-block beyond.
-	total := len(reqs)
 	window := cfg.Inflight
-	if window <= 0 || window > total {
-		window = total
-	}
-	accepted := total
-	switch {
-	case cfg.MaxQueue > 0:
-		if lim := window + cfg.MaxQueue; accepted > lim {
-			accepted = lim
-		}
-	case cfg.MaxQueue < 0:
-		accepted = window
+	if window <= 0 || window > len(reqs) {
+		window = len(reqs)
 	}
 
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = metrics.NewRecorder()
-	}
-	for k := window; k < accepted; k++ {
-		rec.RecordEngineQueued()
-	}
-	for k := accepted; k < total; k++ {
-		rec.RecordEngineReject()
-	}
-
-	b := &builder{params: params, crypto: crypto, tag: tag, seed: uint64(cfg.Seed), reqs: reqs[:accepted]}
+	b := &builder{params: params, crypto: crypto, tag: "eng", seed: uint64(cfg.Seed), reqs: reqs}
 	sched, err := plan(b, window)
 	if err != nil {
 		return nil, err
@@ -288,7 +225,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	if cfg.Adversary != nil {
 		adv = cfg.Adversary(sched.budget)
 	} else if cfg.F > 0 {
-		adv = adversary.NewCrash(adversary.CrashSet(cfg.F, cfg.LeaderFault)...)
+		adv = adversary.NewCrash(adversary.CrashSet(cfg.F, false)...)
 	}
 
 	var sizeOf func(proto.Payload) int
@@ -310,8 +247,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		SizeOf:    sizeOf,
 		Adversary: adv,
 		MaxTicks:  sched.budget,
-		Recorder:  rec,
-		Trace:     cfg.Trace,
+		OnSend:    cfg.OnSend,
 		Workers:   cfg.TickWorkers,
 		Halt:      cfg.Halt,
 	})
@@ -319,47 +255,34 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		return nil, err
 	}
 
-	// Demux losses: messages for already-retired sessions are discarded
-	// and counted, never silently dropped. ACS sessions retire their own
-	// broadcast children at the vote boundary, so their nested late
-	// counts roll up too.
-	var late int64
-	for _, p := range procs {
-		if p == nil || p.mux == nil {
-			continue
-		}
-		late += p.mux.Late() + p.mux.Unrouted()
-		for _, child := range p.children {
-			if m, ok := child.(*acs.Machine); ok && m != nil {
-				late += m.Late()
-			}
-		}
-	}
-	if late > 0 {
-		rec.RecordEngineLate(late)
-	}
-
 	rep := &Report{
 		N: cfg.N, T: params.T, F: cfg.F,
-		Sessions:     make([]SessionResult, total),
-		Accepted:     accepted,
-		Rejected:     total - accepted,
-		Queued:       max(0, accepted-window),
+		Sessions:     make([]SessionResult, len(reqs)),
 		Stride:       sched.stride,
 		SessionTicks: sched.duration,
 		Ticks:        res.Ticks,
 		TimedOut:     res.TimedOut,
-		Metrics:      rec.Snapshot(),
+		Metrics:      res.Report,
+	}
+	// Demux losses: messages for already-retired sessions are discarded
+	// and counted, never silently dropped. ACS sessions retire their own
+	// broadcast children at the vote boundary, so their nested late
+	// counts roll up too.
+	for _, p := range procs {
+		if p == nil || p.mux == nil {
+			continue
+		}
+		rep.Metrics.EngineLate += p.mux.Late() + p.mux.Unrouted()
+		for _, child := range p.children {
+			if m, ok := child.(*acs.Machine); ok && m != nil {
+				rep.Metrics.EngineLate += m.Late()
+			}
+		}
 	}
 	perLayer := splitLayers(rep.Metrics.ByLayer)
 	for k := range rep.Sessions {
 		s := &rep.Sessions[k]
 		s.Index, s.Name, s.Kind = k, "s"+strconv.Itoa(k), reqs[k].kind()
-		if k >= accepted {
-			s.Rejected = true
-			continue
-		}
-		s.Queued = k >= window
 		s.Start = sched.starts[k]
 		s.Decisions = make(map[types.ProcessID]types.Value)
 		s.AllDecided = true
@@ -445,7 +368,7 @@ func (r *Request) kind() protocols.Kind {
 type builder struct {
 	params types.Params
 	crypto *proto.Crypto
-	tag    string
+	tag    string // root signing tag; session k signs under tag + "/sk"
 	seed   uint64 // the protocols' run seed (committee's sampling)
 	reqs   []Request
 	cfgs   []protocols.Config // per session, filled by plan
@@ -498,8 +421,10 @@ func plan(b *builder, w int) (*schedule, error) {
 	for k := range b.reqs {
 		req := &b.reqs[k]
 		kind := req.kind()
+		// Session k signs under its own tag, so sessions cannot replay
+		// each other's certificates.
 		b.cfgs[k] = protocols.Config{
-			Params: b.params, Crypto: b.crypto, Tag: fmt.Sprintf("%s/s%d", b.tag, k),
+			Params: b.params, Crypto: b.crypto, Tag: b.tag + "/s" + strconv.Itoa(k),
 			Sender: req.Sender, Predicate: req.Predicate, Seed: b.seed,
 		}
 		if err := kind.Validate(b.cfgs[k], func(id types.ProcessID) types.Value { return b.input(k, id) }); err != nil {

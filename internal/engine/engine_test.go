@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
@@ -52,8 +53,12 @@ func TestEngineDeterminism(t *testing.T) {
 			reqs := mixedRequests(n, sessions)
 			var serial string
 			for _, w := range []int{1, 4, 16} {
+				pattern := "crash"
+				if f.leader {
+					pattern = "crash-leader"
+				}
 				rep, err := Run(Config{
-					N: n, F: f.f, LeaderFault: f.leader, Inflight: w, Seed: 7,
+					N: n, F: f.f, Adversary: adversary.ForPattern(pattern, f.f, 0), Inflight: w, Seed: 7,
 				}, reqs)
 				if err != nil {
 					t.Fatalf("W=%d: %v", w, err)
@@ -104,45 +109,6 @@ func TestEnginePipeliningSpeedup(t *testing.T) {
 	}
 }
 
-// TestEngineBackpressure pins the drop-not-block admission policy:
-// requests beyond window+queue are shed and surfaced, never blocked on.
-func TestEngineBackpressure(t *testing.T) {
-	reqs := mixedRequests(5, 8)
-	rep, err := Run(Config{N: 5, Inflight: 2, MaxQueue: 2}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Accepted != 4 || rep.Rejected != 4 || rep.Queued != 2 {
-		t.Fatalf("accepted/rejected/queued = %d/%d/%d, want 4/4/2",
-			rep.Accepted, rep.Rejected, rep.Queued)
-	}
-	if rep.Metrics.EngineRejects != 4 || rep.Metrics.EngineQueued != 2 {
-		t.Errorf("metrics rejects/queued = %d/%d, want 4/2",
-			rep.Metrics.EngineRejects, rep.Metrics.EngineQueued)
-	}
-	for i, s := range rep.Sessions {
-		if got, want := s.Rejected, i >= 4; got != want {
-			t.Errorf("session %d rejected=%t, want %t", i, got, want)
-		}
-		if got, want := s.Queued, i >= 2 && i < 4; got != want {
-			t.Errorf("session %d queued=%t, want %t", i, got, want)
-		}
-		if !s.Rejected && !s.AllDecided {
-			t.Errorf("accepted session %d did not decide", i)
-		}
-	}
-
-	// A negative MaxQueue sheds everything beyond the window itself.
-	rep, err = Run(Config{N: 5, Inflight: 2, MaxQueue: -1}, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Accepted != 2 || rep.Rejected != 6 || rep.Queued != 0 {
-		t.Fatalf("no-queue accepted/rejected/queued = %d/%d/%d, want 2/6/0",
-			rep.Accepted, rep.Rejected, rep.Queued)
-	}
-}
-
 // TestEngineHalt pins the cancellation hook: Halt aborts the run with
 // sim.ErrHalted before the halting tick's machines are stepped.
 func TestEngineHalt(t *testing.T) {
@@ -166,6 +132,7 @@ func TestEngineConfigErrors(t *testing.T) {
 	}{
 		{"no sessions", Config{N: 5}, nil, ErrNoSessions},
 		{"bad n", Config{N: 2}, reqs, ErrConfig},
+		{"negative t", Config{N: 5, T: -1}, reqs, ErrConfig},
 		{"too many faults", Config{N: 5, F: 3}, reqs, ErrConfig},
 		{"bad kind", Config{N: 5}, []Request{{Kind: "nope"}}, ErrConfig},
 	}

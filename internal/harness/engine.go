@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 
+	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/types"
 )
@@ -11,14 +12,13 @@ import (
 // multi-session engine run: all instances share a single deployment (one
 // process set, one failure pattern, one signature ring) and are
 // pipelined through the engine's admission window. inflight bounds the
-// concurrently live sessions (0 = unbounded, 1 = strictly serial) and
-// maxQueue is the engine's queue policy (see engine.Config.MaxQueue).
+// concurrently live sessions (0 = unbounded, 1 = strictly serial).
 //
 // The engine schedules sessions so that each one's schedule is
 // tick-for-tick the schedule a solo Run of the same spec would produce —
 // per-session decisions, words, and messages are byte-identical to
 // serial execution, which TestRunEngineMatchesSolo pins.
-func RunEngine(spec Spec, sessions, inflight, maxQueue int) (*engine.Report, error) {
+func RunEngine(spec Spec, sessions, inflight int) (*engine.Report, error) {
 	if sessions < 1 {
 		return nil, fmt.Errorf("%w: need at least one session, got %d", ErrSpec, sessions)
 	}
@@ -46,12 +46,11 @@ func RunEngine(spec Spec, sessions, inflight, maxQueue int) (*engine.Report, err
 		N:           spec.N,
 		T:           spec.T,
 		F:           spec.F,
-		LeaderFault: spec.Fault == FaultCrashLeader,
+		Adversary:   adversary.ForPattern(string(spec.Fault), spec.F, spec.Seed),
 		Inflight:    inflight,
-		MaxQueue:    maxQueue,
 		Seed:        spec.Seed,
 		Ed25519:     spec.Ed25519,
-		Trace:       spec.Trace,
+		OnSend:      spec.OnSend,
 		TickWorkers: spec.TickWorkers,
 	}, reqs)
 }

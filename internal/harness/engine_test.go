@@ -30,7 +30,7 @@ func TestRunEngineMatchesSolo(t *testing.T) {
 		}
 		var fingerprint string
 		for _, inflight := range []int{1, 3, sessions} {
-			rep, err := RunEngine(spec, sessions, inflight, 0)
+			rep, err := RunEngine(spec, sessions, inflight)
 			if err != nil {
 				t.Fatalf("%s f=%d W=%d: %v", spec.Protocol, spec.F, inflight, err)
 			}
@@ -73,10 +73,10 @@ func TestRunEngineMatchesSolo(t *testing.T) {
 // fault patterns outside its determinism argument are refused up front
 // rather than silently approximated.
 func TestRunEngineRejectsUnsupportedSpecs(t *testing.T) {
-	if _, err := RunEngine(Spec{Protocol: ProtocolBB, N: 5, F: 1, Fault: FaultReplay}, 2, 0, 0); err == nil {
+	if _, err := RunEngine(Spec{Protocol: ProtocolBB, N: 5, F: 1, Fault: FaultReplay}, 2, 0); err == nil {
 		t.Error("replay fault accepted")
 	}
-	if _, err := RunEngine(Spec{Protocol: ProtocolBB, N: 5}, 0, 0, 0); err == nil {
+	if _, err := RunEngine(Spec{Protocol: ProtocolBB, N: 5}, 0, 0); err == nil {
 		t.Error("zero sessions accepted")
 	}
 }

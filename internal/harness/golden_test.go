@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"adaptiveba/internal/sim"
 )
 
 // The golden trace in testdata/ was recorded from the pre-parallel
@@ -34,7 +36,7 @@ func TestGoldenProtocolTrace(t *testing.T) {
 	runTrace := func(tickWorkers int) []byte {
 		var trace bytes.Buffer
 		spec := goldenSpec(tickWorkers)
-		spec.Trace = &trace
+		spec.OnSend = sim.TraceTo(&trace)
 		o, err := Run(spec)
 		if err != nil {
 			t.Fatal(err)

@@ -135,9 +135,8 @@ type Spec struct {
 	WBAPhases int
 	// DisableSilentPhases removes the adaptivity mechanism (ablation).
 	DisableSilentPhases bool
-	// Trace, if set, receives the message trace.
-	Trace io.Writer
-	// OnSend, if set, observes every sent message (structured tracing).
+	// OnSend, if set, observes every charged message (structured
+	// tracing; sim.TraceTo builds the text trace on it).
 	OnSend func(now types.Tick, m sim.Message, honest bool)
 	// Adversary, if set, overrides the Fault/F-derived adversary: the
 	// factory is invoked once per run with the run's tick budget and must
@@ -194,13 +193,7 @@ func Run(spec Spec) (*Outcome, error) {
 	if spec.N < 3 {
 		return nil, fmt.Errorf("%w: n=%d", ErrSpec, spec.N)
 	}
-	var params types.Params
-	var err error
-	if spec.T > 0 {
-		params, err = types.Custom(spec.N, spec.T)
-	} else {
-		params, err = types.NewParams(spec.N)
-	}
+	params, err := types.ParamsFor(spec.N, spec.T)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrSpec, err)
 	}
@@ -332,7 +325,6 @@ func (r *runner) execute() (*Outcome, error) {
 		return machines[id]
 	}
 
-	rec := metrics.NewRecorder()
 	onSend := r.spec.OnSend
 	var monitors []interface{ Violations() []string }
 	if r.spec.Monitor {
@@ -379,8 +371,6 @@ func (r *runner) execute() (*Outcome, error) {
 		Factory:     factory,
 		Adversary:   r.adversaryFor(maxTicks),
 		MaxTicks:    maxTicks,
-		Recorder:    rec,
-		Trace:       r.spec.Trace,
 		SizeOf:      sizeOf,
 		ShuffleSeed: r.spec.ShuffleSeed,
 		OnSend:      onSend,

@@ -301,6 +301,9 @@ func TestCustomResilience(t *testing.T) {
 	if _, err := Run(Spec{Protocol: ProtocolBB, N: 7, T: 4}); !errors.Is(err, ErrSpec) {
 		t.Errorf("n < 2t+1 accepted: %v", err)
 	}
+	if _, err := Run(Spec{Protocol: ProtocolBB, N: 7, T: -1}); !errors.Is(err, ErrSpec) {
+		t.Errorf("negative t accepted: %v", err)
+	}
 }
 
 func TestBBViaBAProtocol(t *testing.T) {

@@ -58,6 +58,7 @@ func TestTickWorkersDeterminism(t *testing.T) {
 	run := func(c cell, tickWorkers int) (csv, trace []byte, perTick map[types.Tick]int) {
 		t.Helper()
 		var tr bytes.Buffer
+		traceTo := sim.TraceTo(&tr)
 		perTick = make(map[types.Tick]int)
 		spec := Spec{
 			Protocol:     c.protocol,
@@ -68,8 +69,10 @@ func TestTickWorkersDeterminism(t *testing.T) {
 			Ed25519:      c.ed25519,
 			MeasureBytes: true,
 			TickWorkers:  tickWorkers,
-			Trace:        &tr,
-			OnSend:       func(now types.Tick, _ sim.Message, _ bool) { perTick[now]++ },
+			OnSend: func(now types.Tick, m sim.Message, honest bool) {
+				traceTo(now, m, honest)
+				perTick[now]++
+			},
 		}
 		o, err := Run(spec)
 		if err != nil {

@@ -64,9 +64,6 @@ type Config struct {
 	F int
 	// Batch bounds commands per proposer per ACS round (default 8).
 	Batch int
-	// Inflight is the engine's admission window (default 1 — service
-	// rounds are already batched; pipelining is for multi-round calls).
-	Inflight int
 	// Seed drives the per-round engine seeds (round r runs with
 	// Seed+r), keeping long runs deterministic but not identical across
 	// rounds.
@@ -135,13 +132,7 @@ func NewCore(cfg Config) (*Core, error) {
 		cfg.N = 4
 	}
 	// The engine's rule, so a configuration that passes here runs.
-	var params types.Params
-	var err error
-	if cfg.T > 0 {
-		params, err = types.Custom(cfg.N, cfg.T)
-	} else {
-		params, err = types.NewParams(cfg.N)
-	}
+	params, err := types.ParamsFor(cfg.N, cfg.T)
 	if err != nil {
 		return nil, fmt.Errorf("%w: n=%d t=%d: %v", ErrConfig, cfg.N, cfg.T, err)
 	}
@@ -154,9 +145,6 @@ func NewCore(cfg Config) (*Core, error) {
 	}
 	if cfg.Batch < 1 {
 		return nil, fmt.Errorf("%w: batch=%d", ErrConfig, cfg.Batch)
-	}
-	if cfg.Inflight == 0 {
-		cfg.Inflight = 1
 	}
 	if cfg.InlineMax == 0 {
 		cfg.InlineMax = 256
@@ -308,8 +296,9 @@ func (c *Core) Commit(ops []Op) (int, error) {
 	rounds := (len(ops) + perRound - 1) / perRound
 
 	rep, err := engine.RunACSLog(engine.Config{
+		// Rounds run one at a time: a flush is already one batch.
 		N: c.cfg.N, T: c.cfg.T, F: c.cfg.F,
-		Inflight:     c.cfg.Inflight,
+		Inflight:     1,
 		Seed:         c.cfg.Seed + int64(c.stats.Rounds),
 		MeasureBytes: c.cfg.MeasureBytes,
 	}, queues, rounds, c.cfg.Batch)

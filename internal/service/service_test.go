@@ -55,7 +55,7 @@ func coreAuditLen(s *Server) int {
 // TestNewCoreRejectsUnrunnableParams: NewCore validates n and t by the
 // engine's rule, so a core that opens can commit.
 func TestNewCoreRejectsUnrunnableParams(t *testing.T) {
-	for _, c := range []struct{ n, t int }{{1, 0}, {2, 0}, {-1, 0}, {5, 3}} {
+	for _, c := range []struct{ n, t int }{{1, 0}, {2, 0}, {-1, 0}, {5, 3}, {5, -1}} {
 		dir := t.TempDir()
 		core, err := NewCore(Config{
 			N: c.n, T: c.t,

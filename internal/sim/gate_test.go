@@ -63,6 +63,7 @@ func TestStepGateDeterminism(t *testing.T) {
 		crypto, params := testCrypto(t, n)
 		var o outcome
 		var traffic, trace bytes.Buffer
+		traceTo := TraceTo(&trace)
 		o.perTick = make(map[types.Tick]int)
 		res, err := Run(Config{
 			Params: params,
@@ -72,10 +73,10 @@ func TestStepGateDeterminism(t *testing.T) {
 			},
 			Adversary:   &rushingRelay{silentAdversary: silentAdversary{ids: []types.ProcessID{3, 17}}},
 			MaxTicks:    64,
-			Trace:       &trace,
 			ShuffleSeed: 5,
 			Workers:     workers,
 			OnSend: func(now types.Tick, m Message, honest bool) {
+				traceTo(now, m, honest)
 				o.perTick[now]++
 				fmt.Fprintf(&traffic, "%d %v>%v %s %t\n", now, m.From, m.To, m.Session, honest)
 			},

@@ -149,7 +149,7 @@ func runGolden(t *testing.T, tc goldenCase, workers int) []byte {
 			return &echoer{params: params, horizon: 5}
 		},
 		MaxTicks:    64,
-		Trace:       &trace,
+		OnSend:      TraceTo(&trace),
 		ShuffleSeed: tc.shuffleSeed,
 		Workers:     workers,
 	}

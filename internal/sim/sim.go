@@ -10,8 +10,10 @@
 // enforces the reliable-link rule: the adversary cannot forge the sender
 // identity of a correct process.
 //
-// Every honest message send is charged to a metrics.Recorder using the
-// paper's word-cost model; self-addressed deliveries are free.
+// Every honest message send is charged to the run's metrics.Recorder
+// using the paper's word-cost model; self-addressed deliveries are free.
+// Observers (Config.OnSend, the TraceTo message trace) see each charged
+// send after the charge and cannot change it.
 //
 // # Concurrency model
 //
@@ -24,8 +26,8 @@
 // the observable schedule — honest traffic order, the rushing adversary's
 // view, metrics, traces — is byte-identical at every worker count,
 // including 1, which reduces to the strictly serial engine. All
-// engine-side observation (adversary calls, recording, tracing, OnSend)
-// happens post-join on the engine goroutine.
+// engine-side observation (adversary calls, recording, OnSend) happens
+// post-join on the engine goroutine.
 package sim
 
 import (
@@ -98,10 +100,8 @@ type Config struct {
 	Crypto  *proto.Crypto
 	Factory func(id types.ProcessID) proto.Machine
 
-	Adversary Adversary         // nil for failure-free runs
-	MaxTicks  types.Tick        // hard stop; DefaultMaxTicks if 0
-	Recorder  *metrics.Recorder // optional; a fresh one is created if nil
-	Trace     io.Writer         // optional message trace
+	Adversary Adversary  // nil for failure-free runs
+	MaxTicks  types.Tick // hard stop; DefaultMaxTicks if 0
 	// SizeOf, if set, reports each payload's encoded byte size for the
 	// recorder's byte counters (the harness wires the wire registry in).
 	// The engine memoizes it per boxed payload instance, so an n-way
@@ -112,8 +112,11 @@ type Config struct {
 	// order, so correct protocols must be insensitive to it. Tests sweep
 	// seeds to catch accidental order dependence.
 	ShuffleSeed int64
-	// OnSend, if set, observes every message (honest and Byzantine) as it
-	// is sent, with the sending tick — structured tracing for tools.
+	// OnSend, if set, observes every charged message (honest and
+	// Byzantine; self-deliveries are not network traffic and are not
+	// shown) with its sending tick, after the tick's traffic is charged.
+	// TraceTo builds the text trace on it; tools and monitors use it for
+	// structured tracing.
 	OnSend func(now types.Tick, m Message, honest bool)
 	// Workers bounds the per-tick fan-out of honest machine stepping:
 	// 0 derives one worker per CPU (GOMAXPROCS), 1 steps strictly
@@ -207,11 +210,6 @@ func Run(cfg Config) (*Result, error) {
 	if maxTicks <= 0 {
 		maxTicks = DefaultMaxTicks
 	}
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = metrics.NewRecorder()
-	}
-
 	n := cfg.Params.N
 	corruptAt := make(map[types.ProcessID]types.Tick)
 	var schedule []Corruption
@@ -254,7 +252,7 @@ func Run(cfg Config) (*Result, error) {
 
 	e := &engine{
 		cfg:       cfg,
-		rec:       rec,
+		rec:       metrics.NewRecorder(),
 		machines:  make([]proto.Machine, n),
 		corrupted: make([]bool, n),
 		schedule:  schedule,
@@ -277,8 +275,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 		e.machines[i] = cfg.Factory(id)
 	}
-	rec.DenseProcs(n)
-
 	return e.run(maxTicks)
 }
 
@@ -695,72 +691,14 @@ func keyOf(p proto.Payload) payloadKey {
 	return *(*payloadKey)(unsafe.Pointer(&p))
 }
 
-// record charges messages to the recorder. Self-addressed messages are
-// local deliveries, not network traffic, and are skipped. The per-message
-// cost (words, signatures, encoded size) is memoized per boxed payload
-// instance: a broadcast fans one payload out to n recipients, and its
-// cost — in particular the SizeOf encoding walk — is computed once.
-// When no per-message observer (Trace, OnSend) is attached, consecutive
-// messages sharing one payload instance, sender, and session collapse
-// into a single RecordSendN call, so an n-way broadcast costs one
-// recorder round-trip instead of n.
+// record charges msgs to the recorder, then shows each charged message to
+// OnSend. Self-addressed messages are local deliveries, not network
+// traffic, and are skipped by both. Runs of messages with one payload
+// instance, sender, and session — the shape proto.AppendBroadcast
+// produces — are charged with a single RecordSendN call, so the
+// per-message cost (words, signatures, and in particular the SizeOf
+// encoding walk) is computed once per broadcast, not once per recipient.
 func (e *engine) record(msgs []Message, honest bool, now types.Tick) {
-	if e.cfg.Trace == nil && e.cfg.OnSend == nil {
-		e.recordBatched(msgs, honest)
-		return
-	}
-	var (
-		last       payloadKey
-		haveMemo   bool
-		words      = 1
-		sigs, size int
-	)
-	for _, m := range msgs {
-		if m.From == m.To {
-			continue
-		}
-		if m.Payload == nil {
-			words, sigs, size = 1, 0, 0
-			haveMemo = false
-		} else if k := keyOf(m.Payload); !haveMemo || k != last {
-			words = m.Payload.Words()
-			sigs, size = 0, 0
-			if sc, ok := m.Payload.(proto.SigCarrier); ok {
-				sigs = sc.SigCount()
-			}
-			if e.cfg.SizeOf != nil {
-				size = e.cfg.SizeOf(m.Payload)
-			}
-			last, haveMemo = k, true
-		}
-		e.rec.RecordSend(metrics.SendEvent{
-			From:   m.From,
-			To:     m.To,
-			Words:  words,
-			Sigs:   sigs,
-			Bytes:  size,
-			Layer:  layerOf(m.Session),
-			Honest: honest,
-		})
-		if e.cfg.OnSend != nil {
-			e.cfg.OnSend(now, m, honest)
-		}
-		if e.cfg.Trace != nil {
-			typ := "?"
-			if m.Payload != nil {
-				typ = m.Payload.Type()
-			}
-			fmt.Fprintf(e.cfg.Trace, "t=%d %v->%v [%s] %s (%dw)\n", now, m.From, m.To, m.Session, typ, words)
-		}
-	}
-}
-
-// recordBatched is record's no-observer fast path: runs of messages with
-// one payload instance, sender, and session — the shape
-// proto.AppendBroadcast produces — are charged with a single batched
-// recorder call. The charge is identical to per-message recording because
-// the recorder never distinguishes recipients.
-func (e *engine) recordBatched(msgs []Message, honest bool) {
 	i := 0
 	for i < len(msgs) {
 		m := &msgs[i]
@@ -789,24 +727,35 @@ func (e *engine) recordBatched(msgs []Message, honest bool) {
 			}
 		}
 		e.rec.RecordSendN(metrics.SendEvent{
-			From:   m.From,
-			To:     m.To,
 			Words:  words,
 			Sigs:   sigs,
 			Bytes:  size,
-			Layer:  layerOf(m.Session),
+			Layer:  m.Session, // the recorder files "" under "(root)"
 			Honest: honest,
 		}, j-i)
 		i = j
 	}
+	if e.cfg.OnSend == nil {
+		return
+	}
+	for _, m := range msgs {
+		if m.From != m.To {
+			e.cfg.OnSend(now, m, honest)
+		}
+	}
 }
 
-// layerOf maps a session path to its metrics layer (the full path).
-func layerOf(session string) string {
-	if session == "" {
-		return "(root)"
+// TraceTo returns an OnSend hook that writes one line per message to w:
+// the sending tick, sender, recipient, session, payload type and word
+// cost, as in "t=2 p0->p1 [s0/bb] bb/reply (1w)".
+func TraceTo(w io.Writer) func(now types.Tick, m Message, honest bool) {
+	return func(now types.Tick, m Message, _ bool) {
+		typ, words := "?", 1
+		if m.Payload != nil {
+			typ, words = m.Payload.Type(), m.Payload.Words()
+		}
+		fmt.Fprintf(w, "t=%d %v->%v [%s] %s (%dw)\n", now, m.From, m.To, m.Session, typ, words)
 	}
-	return session
 }
 
 // quiesced reports whether the run can stop after tick now.

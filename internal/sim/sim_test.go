@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -372,13 +373,64 @@ func TestTrace(t *testing.T) {
 			return newFloodMax(params, types.Value{byte(id)})
 		},
 		MaxTicks: 100,
-		Trace:    &buf,
+		OnSend:   TraceTo(&buf),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "p0->p1") {
 		t.Errorf("trace missing sends:\n%s", buf.String())
+	}
+}
+
+// TestObserversDoNotChangeTheCharge: OnSend and the TraceTo trace only
+// observe a run. Under inbox shuffling and a rushing adversary, with the
+// step serial and fanned out, the observed run's metrics.Report equals the
+// unobserved run's, and the observers see exactly the charged messages.
+func TestObserversDoNotChangeTheCharge(t *testing.T) {
+	const n = 24
+	run := func(workers int, onSend func(types.Tick, Message, bool)) metrics.Report {
+		crypto, params := testCrypto(t, n)
+		res, err := Run(Config{
+			Params: params,
+			Crypto: crypto,
+			Factory: func(types.ProcessID) proto.Machine {
+				return &pulser{params: params, horizon: 7}
+			},
+			Adversary:   &rushingRelay{silentAdversary: silentAdversary{ids: []types.ProcessID{3, 17}}},
+			MaxTicks:    64,
+			ShuffleSeed: 5,
+			Workers:     workers,
+			SizeOf:      func(p proto.Payload) int { return len(p.Type()) },
+			OnSend:      onSend,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report
+	}
+	for _, workers := range []int{1, 4} {
+		var trace bytes.Buffer
+		var honest int64
+		traceTo := TraceTo(&trace)
+		bare := run(workers, nil)
+		observed := run(workers, func(now types.Tick, m Message, h bool) {
+			if h {
+				honest++
+			}
+			traceTo(now, m, h)
+		})
+		if bare.Honest.Messages == 0 || bare.Byzantine.Messages == 0 || len(bare.ByLayer) < 2 {
+			t.Fatalf("workers=%d: vacuous run: %+v", workers, bare)
+		}
+		if !reflect.DeepEqual(observed, bare) {
+			t.Errorf("workers=%d: observers changed the charge:\n observed %+v\n bare     %+v", workers, observed, bare)
+		}
+		lines := int64(bytes.Count(trace.Bytes(), []byte("\n")))
+		if honest != bare.Honest.Messages || lines != bare.Honest.Messages+bare.Byzantine.Messages {
+			t.Errorf("workers=%d: OnSend saw %d honest sends and traced %d, charged %d honest of %d",
+				workers, honest, lines, bare.Honest.Messages, bare.Honest.Messages+bare.Byzantine.Messages)
+		}
 	}
 }
 
@@ -402,25 +454,5 @@ func TestDeterminism(t *testing.T) {
 	a, b := run(), run()
 	if a.Ticks != b.Ticks || a.Report.Honest.Words != b.Report.Honest.Words {
 		t.Errorf("non-deterministic runs: %v vs %v", a.Report, b.Report)
-	}
-}
-
-func TestRecorderSharing(t *testing.T) {
-	crypto, params := testCrypto(t, 3)
-	rec := metrics.NewRecorder()
-	_, err := Run(Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			return newFloodMax(params, types.Value{byte(id)})
-		},
-		Recorder: rec,
-		MaxTicks: 100,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Snapshot().Honest.Messages == 0 {
-		t.Error("caller-provided recorder not used")
 	}
 }

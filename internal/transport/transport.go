@@ -583,33 +583,20 @@ func (n *Node) send(outs []proto.Outgoing) {
 			continue
 		}
 		body := s.frameW.Bytes()
-		if n.chaos != nil && n.chaos.apply(ob, o.To, body) {
-			// The frame was chaos-dropped or deferred. Either way the
-			// machine sent it, so it is metered like any send: the honest
-			// word count must not depend on what the network does next.
-			if n.cfg.Recorder != nil && o.To != n.cfg.ID {
-				n.cfg.Recorder.RecordSend(metrics.SendEvent{
-					From:   n.cfg.ID,
-					To:     o.To,
-					Words:  s.words,
-					Bytes:  len(body) + 5,
-					Layer:  o.Session,
-					Honest: true,
-				})
+		// A chaos-dropped or deferred frame was still sent by the machine,
+		// so it is metered like any send: the honest word count must not
+		// depend on what the network does next.
+		if n.chaos == nil || !n.chaos.apply(ob, o.To, body) {
+			if err := ob.enqueue(frameMsg, body); err != nil {
+				n.logf("send to %v: %v", o.To, err)
+				if n.cfg.Recorder != nil {
+					n.cfg.Recorder.RecordNetDrop()
+				}
+				continue
 			}
-			continue
-		}
-		if err := ob.enqueue(frameMsg, body); err != nil {
-			n.logf("send to %v: %v", o.To, err)
-			if n.cfg.Recorder != nil {
-				n.cfg.Recorder.RecordNetDrop()
-			}
-			continue
 		}
 		if n.cfg.Recorder != nil && o.To != n.cfg.ID {
 			n.cfg.Recorder.RecordSend(metrics.SendEvent{
-				From:   n.cfg.ID,
-				To:     o.To,
 				Words:  s.words,
 				Bytes:  len(body) + 5, // frame header counted once
 				Layer:  o.Session,

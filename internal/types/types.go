@@ -71,6 +71,17 @@ func Custom(n, t int) (Params, error) {
 	return Params{N: n, T: t}, nil
 }
 
+// ParamsFor is the one rule that turns a configured (n, t) into Params:
+// t = 0 selects the default floor((n-1)/2) (NewParams), any other t must
+// satisfy Custom's n >= 2t+1 — so a negative t is an error, never the
+// default.
+func ParamsFor(n, t int) (Params, error) {
+	if t == 0 {
+		return NewParams(n)
+	}
+	return Custom(n, t)
+}
+
 // Valid reports whether the parameters satisfy the model's constraints.
 func (p Params) Valid() bool {
 	return p.N >= 3 && p.T >= 0 && p.N >= 2*p.T+1

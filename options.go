@@ -161,13 +161,17 @@ func engineConfig(ctx context.Context, o options, solo bool) (engine.Config, err
 	default:
 		return engine.Config{}, fmt.Errorf("%w: unknown fault pattern %q", ErrOptions, o.pattern)
 	}
-	return engine.Config{
+	cfg := engine.Config{
 		N: o.n, T: o.threshold, F: o.faults,
 		Adversary: adversary.ForPattern(string(o.pattern), o.faults, o.seed),
 		Inflight:  o.inflight, Seed: o.seed,
-		Ed25519: o.realSignatures, Trace: o.trace,
-		Halt: haltFrom(ctx),
-	}, nil
+		Ed25519: o.realSignatures,
+		Halt:    haltFrom(ctx),
+	}
+	if o.trace != nil {
+		cfg.OnSend = sim.TraceTo(o.trace)
+	}
+	return cfg, nil
 }
 
 // Request describes one agreement instance for RunMany. Build requests
