@@ -103,7 +103,7 @@ alloc-guard:
 	guard ./internal/acs 'TestACSAllocCeiling'; \
 	guard './internal/core/wba ./internal/core/bb' 'TestIngestDropsOutOfRangePhases|TestSignBasesAreExactSizeAndUnchanged'; \
 	guard ./internal/kv 'TestApplyAllocs'; \
-	guard ./internal/service 'TestAuditAppendZeroAllocs|TestFrameEncodeOneExactAlloc|TestAnchoredGetReplyOneCopy'
+	guard ./internal/service 'TestAuditAppendZeroAllocs|TestFrameEncodeOneExactAlloc|TestAnchoredGetReplyOneCopy|TestGetResponseMatchesEncodeResponse'
 
 # The named tests of CI's race job, under the race detector (its `go run
 # -race` smokes and whole-package runs stay in ci.yml). The lists live
@@ -120,7 +120,8 @@ race-guard:
 	guard ./internal/acs 'TestACSDeterministicAcrossWorkers|TestACSLateBroadcastTraffic' -race; \
 	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract|TestReplicatedLogOverTCP|TestRunLogEmptyQueueCommitsBottom' -race; \
 	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity|TestCryptoForgerySweep' -race; \
-	guard ./internal/core/bb 'TestValidatorMemo' -race
+	guard ./internal/core/bb 'TestValidatorMemo' -race; \
+	guard ./internal/service 'TestConcurrentHistory|TestDisposedWriteNeverWedgesReads|TestPipelinedRepliesNeverGap' -race
 
 # The public package has one runtime, the multi-session engine: fail if
 # the root package depends on internal/harness, directly or through

@@ -42,7 +42,7 @@ func run(args []string, out io.Writer) error {
 		f           = fs.Int("f", 0, "crashed replicas for the agreement rounds (0 ≤ f ≤ t)")
 		batch       = fs.Int("batch", 8, "commands per proposer per agreement round")
 		snapEvery   = fs.Int("snapshot-every", 1024, "snapshot + truncate each time this many entries accumulate (negative disables)")
-		dedupWin    = fs.Int("dedup-window", 64, "responses retained per client session for duplicate replay")
+		dedupWin    = fs.Int("dedup-window", 64, "write responses retained per client session for duplicate replay")
 		blobDir     = fs.String("blob-dir", "", "content-addressed blob store root (required unless -smoke)")
 		auditPath   = fs.String("audit-path", "", "audit log file (default <blob-dir>/audit.log)")
 		inlineMax   = fs.Int("inline-max", 256, "largest value committed inline; larger values are anchored")

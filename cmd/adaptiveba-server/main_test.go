@@ -5,12 +5,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"adaptiveba/internal/testenv"
 )
 
 // TestSmoke runs the full smoke exercise: server + two concurrent
 // clients over loopback, mixed inline/anchored payloads, a snapshot
-// mid-run, and a verification walk at exit.
+// mid-run, and a verification walk at exit. The run leaves no goroutine
+// or descriptor behind.
 func TestSmoke(t *testing.T) {
+	testenv.NoLeaks(t)
 	var out bytes.Buffer
 	if err := run([]string{
 		"-smoke", "-smoke-writes", "4",

@@ -56,11 +56,12 @@ var (
 	ErrTampered = errors.New("blob: content does not match ref")
 )
 
-// Store is a content-addressed blob store rooted at one directory.
-// Methods are safe for concurrent use by multiple goroutines only in the
-// trivial sense that content addressing makes concurrent Puts of the
-// same payload idempotent; callers that share a Store across goroutines
-// should serialize externally (internal/service does).
+// Store is a content-addressed blob store rooted at one directory. Puts
+// must be serialized (they number their temp files). Get, AppendGet and
+// Verify only read the directory, so any number of them may run at once,
+// and alongside one Put: a blob appears whole, by rename
+// (internal/service reads on its connection goroutines while its run
+// loop writes).
 type Store struct {
 	dir string
 	seq int // temp-file counter, keeps names unique within the process

@@ -86,7 +86,7 @@ func auditHash(h hash.Hash, fields, dst []byte) []byte {
 // footprint does not grow with its history (ReloadFromDisk reads it back).
 type Audit struct {
 	path string
-	f    *os.File
+	f    auditFile
 	n    int      // entries chained so far
 	tip  [32]byte // hash of the last entry (zero when empty)
 
@@ -96,6 +96,14 @@ type Audit struct {
 	rec wire.Writer
 	h   hash.Hash
 	sum []byte
+}
+
+// auditFile is what an Audit appends through: the log's *os.File, or in
+// a test one that fails on demand.
+type auditFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
 }
 
 // OpenAudit opens (creating if needed) the audit log at path, loading

@@ -42,7 +42,7 @@ type ClientConfig struct {
 	Timeout time.Duration
 	// Retries is how many times a timed-out request is re-sent with the
 	// same sequence number (default 4). Retries are what make the
-	// server's dedup window observable: a request executed but whose
+	// server's dedup window observable: a write executed but whose
 	// response was lost is answered from the window, never re-executed.
 	Retries int
 }

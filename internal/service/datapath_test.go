@@ -164,8 +164,9 @@ func TestGetResponseMatchesEncodeResponse(t *testing.T) {
 	if _, err := c.Commit(ops); err != nil {
 		t.Fatal(err)
 	}
+	var hdr [getHeaderSize]byte
 	for k, v := range values {
-		got, err := c.getResponse(1<<40+3, []byte(k))
+		got, err := c.getResponse(&hdr, 1<<40+3, []byte(k))
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -177,7 +178,7 @@ func TestGetResponseMatchesEncodeResponse(t *testing.T) {
 			t.Fatalf("%s: Get %q, %v", k, v2, err)
 		}
 	}
-	if _, err := c.getResponse(1, []byte("absent")); err == nil {
+	if _, err := c.getResponse(&hdr, 1, []byte("absent")); err == nil {
 		t.Fatal("Get of an absent key succeeded")
 	}
 }
@@ -248,7 +249,8 @@ func TestAnchoredGetReplyOneCopy(t *testing.T) {
 	if _, err := c.Commit([]Op{{Op: OpPut, Key: key, Value: val}}); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := c.getResponse(1, key)
+	var hdr [getHeaderSize]byte
+	reply, err := c.getResponse(&hdr, 1, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +258,11 @@ func TestAnchoredGetReplyOneCopy(t *testing.T) {
 		t.Errorf("reply capacity %d is %d bytes over the value", cap(reply), extra)
 	}
 	const runs = 200
-	allocs := testing.AllocsPerRun(runs, func() { c.getResponse(1, key) })
+	allocs := testing.AllocsPerRun(runs, func() { c.getResponse(&hdr, 1, key) })
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		c.getResponse(1, key)
+		c.getResponse(&hdr, 1, key)
 	}
 	runtime.ReadMemStats(&after)
 	perGet := int(after.TotalAlloc-before.TotalAlloc) / runs

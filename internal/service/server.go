@@ -19,23 +19,25 @@ type ServerConfig struct {
 	Core Config
 	// Addr is the TCP listen address (use "127.0.0.1:0" for tests).
 	Addr string
-	// DedupWindow is how many responses per client are retained for
-	// replay (default 64; a retried (client, seq) inside the window gets
-	// its original response back, one behind the window gets
-	// ErrDuplicate).
+	// DedupWindow is how many write responses per client are retained
+	// for replay (default 64; a retried (client, seq) write inside the
+	// window gets its original response back, one behind the window gets
+	// ErrDuplicate). Reads are not retained: a retried Get or Verify runs
+	// again, which a read may do.
 	DedupWindow int
 	// MaxBatch bounds how many writes one flush commits together
 	// (default 4× the core's per-round capacity).
 	MaxBatch int
 	// Chaos, when enabled, injects the transport chaos schedule into the
 	// inbound request path: dropped requests get no response (the client
-	// retries into the dedup window), delayed responses are deferred.
+	// retries; a write's retry re-enters the dedup window), delayed
+	// responses are deferred.
 	Chaos transport.ChaosConfig
 	// Logf, if set, receives server diagnostics.
 	Logf func(format string, args ...any)
 }
 
-// serverReq is one decoded request paired with its connection's outbox.
+// serverReq is one decoded request paired with its connection.
 // A bye tombstone (bye != 0, req == nil) tells the run loop the session
 // ended so its dedup state can be dropped.
 type serverReq struct {
@@ -44,14 +46,44 @@ type serverReq struct {
 	bye  int
 }
 
-// serverConn is the per-connection send side.
+// outboxSize is how many replies the run loop may queue on one
+// connection ahead of its socket before it gives up on the client.
+const outboxSize = 64
+
+// serverConn is one client connection's server side. Its replies leave
+// through one buffered writer in the order they were made: the run loop
+// queues the replies to writes and Verify in out, which the writer
+// goroutine drains, and the reader goroutine answers a Get itself.
+// Whoever writes holds wmu and first writes out everything queued, so a
+// Get's reply never overtakes one queued before it.
 type serverConn struct {
 	conn net.Conn
-	out  chan []byte // encoded response frames
 	quit chan struct{}
+
+	// outMu guards out, the replies queued and not yet taken. ready (one
+	// slot) wakes the writer goroutine after out grows.
+	outMu sync.Mutex
+	out   [][]byte
+	ready chan struct{}
+
+	// wmu is held while bw is written. taken is out's spare slice,
+	// swapped with it under wmu.
+	wmu   sync.Mutex
+	bw    *bufio.Writer
+	taken [][]byte
+
+	// inRun counts the requests the reader handed to the run loop and
+	// the run loop has not yet disposed of; idle (one slot) is signalled
+	// each time it falls to zero. A Get waits for zero, so it reads every
+	// earlier write of its connection.
+	inRun atomic.Int64
+	idle  chan struct{}
+
+	// hdr is the reader's scratch for a Get reply's header.
+	hdr [getHeaderSize]byte
 }
 
-// send enqueues one encoded response without ever blocking the run loop.
+// send queues one encoded response without ever blocking the run loop.
 // A full outbox means the client is not draining its replies: dropping
 // this one would leave a hole in the stream (later replies still arrive,
 // and a pipelining client stalls on the missing seq), so the connection
@@ -59,12 +91,76 @@ type serverConn struct {
 // disconnect. Closing the socket ends the reader in serveConn, which
 // closes quit and frees the session.
 func (c *serverConn) send(body []byte) {
-	select {
-	case c.out <- body:
-	case <-c.quit:
-	default:
-		c.conn.Close()
+	c.outMu.Lock()
+	full := len(c.out) >= outboxSize
+	if !full {
+		c.out = append(c.out, body)
 	}
+	c.outMu.Unlock()
+	if full {
+		c.conn.Close()
+		return
+	}
+	select {
+	case c.ready <- struct{}{}:
+	default:
+	}
+}
+
+// write writes every queued reply, then body unless it is nil, and
+// flushes them as one write. Replies queued while it writes go in the
+// same flush: the buffer leaves once the queue is found empty, so a lone
+// reply is not delayed and a burst's replies share a segment.
+func (c *serverConn) write(body []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	for {
+		c.outMu.Lock()
+		c.out, c.taken = c.taken[:0], c.out
+		c.outMu.Unlock()
+		if len(c.taken) == 0 {
+			break
+		}
+		for i, b := range c.taken {
+			c.taken[i] = nil
+			if err := transport.WriteFrame(c.bw, FrameResponse, b); err != nil {
+				return err
+			}
+		}
+	}
+	if body != nil {
+		if err := transport.WriteFrame(c.bw, FrameResponse, body); err != nil {
+			return err
+		}
+	}
+	return c.bw.Flush()
+}
+
+// leave records that the run loop has disposed of one request the
+// reader handed it: replied to it, replayed or refused it, dropped it,
+// or ignored it as a retransmit of a write already queued.
+func (c *serverConn) leave() {
+	if c.inRun.Add(-1) == 0 {
+		select {
+		case c.idle <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// settle blocks the reader until the run loop has disposed of every
+// request it handed over; false if the server closes first. The reader
+// is the only goroutine that raises inRun, so while it waits inRun only
+// falls, and the idle signal sent when it reaches zero is never missed.
+func (c *serverConn) settle(done <-chan struct{}) bool {
+	for c.inRun.Load() > 0 {
+		select {
+		case <-c.idle:
+		case <-done:
+			return false
+		}
+	}
+	return true
 }
 
 // clientWindow retains the last DedupWindow responses of one client.
@@ -110,7 +206,10 @@ func (w *clientWindow) put(seq int, body []byte, limit int) {
 // Server runs the replicated KV service on one TCP listener: client
 // sessions with request dedup, writes batched across clients into ACS
 // commits, reads from replicated state, snapshots for unbounded uptime.
-// All core access is serialized through the run loop.
+// Writes and Verify go through the run loop, the Core's one writer. A
+// Get never leaves its connection: the reader goroutine that decoded it
+// waits for the connection's earlier writes, reads the Core (Core.Get's
+// shared lock) and writes the reply.
 type Server struct {
 	cfg  ServerConfig
 	core *Core
@@ -138,7 +237,10 @@ type Server struct {
 	// fast retransmit (chaos delay, eager client) cannot double-queue an
 	// op before its first copy flushes and its response lands in the
 	// dedup window.
-	inflight  map[int]map[int]bool
+	inflight map[int]map[int]bool
+	// chaosMu serializes the chaos verdict stream between the run loop
+	// and the readers serving Gets.
+	chaosMu   sync.Mutex
 	chaos     *transport.ChaosVerdicts
 	chaosTick types.Tick
 
@@ -193,10 +295,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Core exposes the replicated core for in-process inspection. The run
-// loop owns the core while the server is running, so direct access is
-// only race-free after Close returns; use Inspect or Stats on a live
-// server.
+// Core exposes the replicated core for in-process inspection. While the
+// server runs, the run loop is the core's one writer: Get is safe to call
+// at any time, anything else only after Close returns; use Inspect or
+// Stats on a live server.
 func (s *Server) Core() *Core { return s.core }
 
 // Inspect runs fn against the core with all mutation excluded: on a
@@ -292,8 +394,9 @@ func (s *Server) acceptLoop() {
 }
 
 // serveConn handles one client connection: hello handshake, then a
-// read loop feeding the run loop and a write goroutine draining the
-// connection's outbox.
+// read loop that answers Gets itself and feeds every other request to
+// the run loop, and a writer goroutine draining the replies the run loop
+// queues.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -317,7 +420,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 
-	sc := &serverConn{conn: conn, out: make(chan []byte, 64), quit: make(chan struct{})}
+	sc := &serverConn{
+		conn: conn, quit: make(chan struct{}), bw: bufio.NewWriter(conn),
+		ready: make(chan struct{}, 1), idle: make(chan struct{}, 1),
+	}
 	// On exit: close quit first (LIFO), then tell the run loop the
 	// session ended so its dedup window and inflight marks are freed —
 	// with quit already closed, any request of this session still in
@@ -334,21 +440,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		// Replies queued behind one another leave in one write: the
-		// buffer is flushed whenever the outbox is found empty, so a
-		// lone reply is not delayed and a burst's replies share a
-		// segment.
-		bw := bufio.NewWriter(conn)
 		for {
 			select {
-			case body := <-sc.out:
-				if err := transport.WriteFrame(bw, FrameResponse, body); err != nil {
+			case <-sc.ready:
+				if err := sc.write(nil); err != nil {
+					conn.Close() // ends the reader too
 					return
-				}
-				if len(sc.out) == 0 {
-					if err := bw.Flush(); err != nil {
-						return
-					}
 				}
 			case <-sc.quit:
 				return
@@ -374,6 +471,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		if req.Client != id {
 			continue // requests must carry the session's assigned ID
 		}
+		if req.Op == ReqGet {
+			if !s.serveGet(sc, req) {
+				return
+			}
+			continue
+		}
+		sc.inRun.Add(1)
 		select {
 		case s.reqCh <- serverReq{req: req, conn: sc}:
 		case <-s.done:
@@ -382,8 +486,51 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// runLoop serializes all core access: it drains whatever requests are
-// queued, buffers writes, and flushes them as one ACS commit.
+// serveGet answers a Get on its connection's reader goroutine, false
+// when the connection or the server is going away. The reader first
+// waits until the run loop has disposed of every request this connection
+// sent before the Get, so the Get reads the connection's own earlier
+// writes and its chaos verdict is drawn after theirs. Then it reads the
+// Core and writes the reply behind whatever the run loop had queued. A
+// Get is never in the dedup window: a retried one reads again.
+func (s *Server) serveGet(c *serverConn, req *Request) bool {
+	if !c.settle(s.done) {
+		return false
+	}
+	if drop, delay := s.verdict(req.Client); drop {
+		return true // no reply; the client retries
+	} else if delay > 0 {
+		t := time.NewTimer(delay)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-s.done:
+			return false
+		}
+	}
+	body, err := s.core.getResponse(&c.hdr, req.Seq, req.Key)
+	if err != nil {
+		body = EncodeResponse(errResponseFor(req.Seq, err))
+	}
+	return c.write(body) == nil
+}
+
+// verdict draws the chaos schedule's verdict for one request of client:
+// deliver (false, 0) when chaos is off.
+func (s *Server) verdict(client int) (drop bool, delay time.Duration) {
+	if s.chaos == nil {
+		return false, 0
+	}
+	s.chaosMu.Lock()
+	defer s.chaosMu.Unlock()
+	s.chaosTick++
+	s.chaos.Tick(s.chaosTick)
+	return s.chaos.Verdict(types.ProcessID(client % s.core.cfg.N))
+}
+
+// runLoop is the Core's one writer: it drains whatever requests are
+// queued, buffers writes, and flushes them as one ACS commit. Gets do not
+// pass through it.
 func (s *Server) runLoop() {
 	defer s.wg.Done()
 	defer close(s.runDone)
@@ -409,8 +556,9 @@ func (s *Server) runLoop() {
 	}
 }
 
-// handle routes one request: chaos verdict, dedup, then buffer (writes)
-// or serve (reads, verification).
+// handle takes one message from a reader: a session's end, or a request
+// it disposes of now or, when hold keeps it, at a later flush or after a
+// chaos delay.
 func (s *Server) handle(r serverReq) {
 	if r.bye != 0 {
 		// Session ended: free its dedup window and inflight marks. A
@@ -419,30 +567,33 @@ func (s *Server) handle(r serverReq) {
 		delete(s.inflight, r.bye)
 		return
 	}
+	if !s.hold(r) {
+		r.conn.leave()
+	}
+}
+
+// hold routes one write or Verify: chaos verdict, dedup, then buffer (a
+// write) or serve (Verify). It reports whether the request is still
+// held — buffered for the next flush, or deferred by chaos — and so not
+// yet disposed of.
+func (s *Server) hold(r serverReq) bool {
 	select {
 	case <-r.conn.quit:
-		return // session already gone; don't resurrect its dedup state
+		return false // session already gone; don't resurrect its dedup state
 	default:
 	}
-	if s.chaos != nil {
-		s.chaosTick++
-		s.chaos.Tick(s.chaosTick)
-		drop, delay := s.chaos.Verdict(types.ProcessID(r.req.Client % s.core.cfg.N))
-		if drop {
-			return // no response; the client's retry re-enters the dedup window
-		}
-		if delay > 0 {
-			// Defer the whole request, preserving dedup semantics when the
-			// retry arrives first.
-			req := r
-			time.AfterFunc(delay, func() {
-				select {
-				case s.reqCh <- req:
-				case <-s.done:
-				}
-			})
-			return
-		}
+	if drop, delay := s.verdict(r.req.Client); drop {
+		return false // no response; the client's retry re-enters the dedup window
+	} else if delay > 0 {
+		// Defer the whole request, preserving dedup semantics when the
+		// retry arrives first.
+		time.AfterFunc(delay, func() {
+			select {
+			case s.reqCh <- r:
+			case <-s.done:
+			}
+		})
+		return true
 	}
 
 	w := s.windows[r.req.Client]
@@ -452,41 +603,32 @@ func (s *Server) handle(r serverReq) {
 	}
 	if body, ok := w.get(r.req.Seq); ok {
 		r.conn.send(body) // replayed response, not re-executed
-		return
+		return false
 	}
 	if w.tooOld(r.req.Seq) {
 		s.reply(r, &Response{
 			Seq: r.req.Seq, Status: StatusError, Code: CodeDuplicate,
 			Detail: ErrDuplicate.Error(),
 		})
-		return
+		return false
 	}
 
 	switch r.req.Op {
 	case ReqPut:
-		if len(r.req.Value) > MaxValue {
-			s.reply(r, errResponse(r.req.Seq, CodeBadRequest, "value exceeds MaxValue"))
-			return
-		}
+		// DecodeRequest has bounded the value at MaxValue.
 		if !s.markInflight(r.req.Client, r.req.Seq) {
-			return // already queued; its flush response will cover the retry
+			return false // already queued; its flush response will cover the retry
 		}
 		s.pending = append(s.pending, Op{Op: OpPut, Key: r.req.Key, Value: r.req.Value})
 		s.pendingReqs = append(s.pendingReqs, r)
+		return true
 	case ReqDel:
 		if !s.markInflight(r.req.Client, r.req.Seq) {
-			return
+			return false
 		}
 		s.pending = append(s.pending, Op{Op: OpDel, Key: r.req.Key})
 		s.pendingReqs = append(s.pendingReqs, r)
-	case ReqGet:
-		s.flush() // reads observe every write queued before them
-		body, err := s.core.getResponse(r.req.Seq, r.req.Key)
-		if err != nil {
-			s.reply(r, errResponseFor(r.req.Seq, err))
-			return
-		}
-		s.send(r, body)
+		return true
 	case ReqVerify:
 		s.flush()
 		rep, err := s.core.Verify()
@@ -496,8 +638,9 @@ func (s *Server) handle(r serverReq) {
 			resp.Code = CodeTampered
 			resp.Detail = err.Error()
 		}
-		s.reply(r, resp)
+		r.conn.send(EncodeResponse(resp)) // a read: not kept for replay
 	}
+	return false
 }
 
 // flush commits the buffered writes as one batch and answers them.
@@ -512,9 +655,10 @@ func (s *Server) flush() {
 		s.clearInflight(r.req.Client, r.req.Seq)
 		if err != nil {
 			s.reply(r, errResponseFor(r.req.Seq, err))
-			continue
+		} else {
+			s.reply(r, &Response{Seq: r.req.Seq, Status: StatusOK})
 		}
-		s.reply(r, &Response{Seq: r.req.Seq, Status: StatusOK})
+		r.conn.leave()
 	}
 }
 
@@ -537,19 +681,14 @@ func (s *Server) clearInflight(client, seq int) {
 	delete(s.inflight[client], seq)
 }
 
-// reply encodes, records for dedup replay, and sends one response.
-func (s *Server) reply(r serverReq, resp *Response) { s.send(r, EncodeResponse(resp)) }
-
-// send records one encoded response for dedup replay and sends it.
-func (s *Server) send(r serverReq, body []byte) {
+// reply encodes one response to a write, records it for dedup replay,
+// and sends it.
+func (s *Server) reply(r serverReq, resp *Response) {
+	body := EncodeResponse(resp)
 	if w := s.windows[r.req.Client]; w != nil {
 		w.put(r.req.Seq, body, s.cfg.DedupWindow)
 	}
 	r.conn.send(body)
-}
-
-func errResponse(seq int, code byte, detail string) *Response {
-	return &Response{Seq: seq, Status: StatusError, Code: code, Detail: detail}
 }
 
 // errResponseFor maps a core error to its wire code so the typed
@@ -564,5 +703,5 @@ func errResponseFor(seq int, err error) *Response {
 	case errors.Is(err, ErrDuplicate):
 		code = CodeDuplicate
 	}
-	return errResponse(seq, code, err.Error())
+	return &Response{Seq: seq, Status: StatusError, Code: code, Detail: err.Error()}
 }

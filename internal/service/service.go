@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/blob"
@@ -102,13 +103,25 @@ type Stats struct {
 	Truncated int
 }
 
-// Core is the replicated service state. It is not goroutine-safe: the
-// server serializes all access through one goroutine.
+// Core is the replicated service state. One goroutine writes: Commit,
+// SnapshotNow, Verify, Restore and the accessors below run on it only
+// (the server's run loop). Get may run on any number of other goroutines
+// at the same time: it reads kv and blob state under mu, which Commit
+// holds for writing only while it applies a committed flush, never while
+// agreement runs.
 type Core struct {
 	cfg   Config
 	store *kv.Store
 	blobs *blob.Store
 	audit *Audit
+
+	// mu guards store against Get: readers hold it shared, and Commit
+	// holds it exclusively while it applies a flush.
+	mu sync.RWMutex
+	// failed is the storage error that stopped the Core, set under mu.
+	// Once a committed flush could not be audited, the Core fail-stops:
+	// every later Commit and Get returns failed.
+	failed error
 
 	log      []kv.Entry // suffix since the last snapshot
 	snapshot []byte     // last kv.EncodeSnapshot (nil before the first)
@@ -119,11 +132,6 @@ type Core struct {
 	// applyEntry's decode buffers, reused across entries: the audited
 	// key and the inline value it hashes (Audit.Append retains neither).
 	key, value []byte
-	// getHeader is where getResponse writes a reply's header. Its
-	// capacity is exactly the header, so appending the value always
-	// moves the reply into a fresh buffer sized for it: getHeader is
-	// never part of a reply.
-	getHeader [getHeaderSize]byte
 }
 
 // NewCore opens the stores and builds a core.
@@ -279,7 +287,17 @@ func (c *Core) commandFor(op Op) (types.Value, error) {
 // to honest[k mod H] and lands in round k div H: the log holds the ops in
 // arrival order, and the later of two writes to one key is the one that
 // sticks.
+//
+// Agreement runs without mu. The committed entries are then applied
+// under it, each one's audit record appended before the entry touches
+// the kv store, so a value the audit chain does not hold is never
+// served. A storage error there stops the Core for good (see failed):
+// the entries before the one that failed are audited, applied and
+// logged, that one is none of these, and no later entry runs.
 func (c *Core) Commit(ops []Op) (int, error) {
+	if c.failed != nil {
+		return 0, c.failed
+	}
 	if len(ops) == 0 {
 		return 0, nil
 	}
@@ -312,14 +330,19 @@ func (c *Core) Commit(ops []Op) (int, error) {
 		return 0, fmt.Errorf("%w: %d of %d commands committed", ErrNotConverged, rep.Committed, len(ops))
 	}
 
+	c.mu.Lock()
 	for _, e := range rep.Entries {
-		slot := c.slots
-		entry := kv.Entry{Slot: slot, Proposer: e.Proposer, Command: e.Command}
+		entry := kv.Entry{Slot: c.slots, Proposer: e.Proposer, Command: e.Command}
 		if err := c.applyEntry(entry); err != nil {
-			return 0, err
+			c.failed = fmt.Errorf("service: stopped after a storage error: %w", err)
+			break
 		}
 		c.log = append(c.log, entry)
 		c.slots++
+	}
+	c.mu.Unlock()
+	if c.failed != nil {
+		return 0, c.failed
 	}
 	c.stats.Rounds += len(rep.Rounds)
 	c.stats.Committed += rep.Committed
@@ -332,12 +355,23 @@ func (c *Core) Commit(ops []Op) (int, error) {
 	return rep.Committed, nil
 }
 
-// applyEntry applies one committed command to the kv store and appends
-// its audit record. Audit records derive purely from committed entries,
-// so replicas reconstruct identical chains. The command is split in
-// place and its key and inline value decode into reused Core buffers.
+// applyEntry appends one committed command's audit record, then applies
+// the command to the kv store; on an audit error the store is left as it
+// was.
 func (c *Core) applyEntry(e kv.Entry) error {
+	if err := c.auditEntry(e); err != nil {
+		return err
+	}
 	_ = c.store.Apply(e.Command) // malformed commands skip deterministically
+	return nil
+}
+
+// auditEntry appends the audit record of one committed command; a
+// command that is not a service write has none. Audit records derive
+// purely from committed entries, so replicas reconstruct identical
+// chains. The command is split in place and its key and inline value
+// decode into reused Core buffers.
+func (c *Core) auditEntry(e kv.Entry) error {
 	var fields [3][]byte
 	n := 0
 	for f := range bytes.FieldsSeq(e.Command) {
@@ -408,11 +442,17 @@ func (c *Core) SnapshotNow() error {
 }
 
 // Get resolves a key from replicated state, fetching anchored values
-// from the blob store with content verification.
+// from the blob store with content verification. It may run concurrently
+// with Commit and with other Gets.
 func (c *Core) Get(key []byte) ([]byte, error) { return c.appendGet(nil, key) }
 
 // appendGet is Get appending the value to dst; see appendStored.
 func (c *Core) appendGet(dst, key []byte) ([]byte, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if c.failed != nil {
+		return dst, c.failed
+	}
 	stored, ok := c.store.Get(encKey(key))
 	if !ok {
 		return dst, fmt.Errorf("%w: %q", ErrNotFound, key)
@@ -425,14 +465,19 @@ func (c *Core) appendGet(dst, key []byte) ([]byte, error) {
 // the value, then the trailing no-report flag, and last the value's
 // length prefix, backfilled. The bytes equal EncodeResponse of
 // Response{Seq: seq, Status: StatusOK, Value: value}.
-func (c *Core) getResponse(seq int, key []byte) ([]byte, error) {
+//
+// The header is written into hdr, the caller's scratch (one per
+// goroutine that serves Gets). Its capacity is exactly the header, so
+// appending the value always moves the reply into a fresh buffer sized
+// for it: hdr is never part of a reply.
+func (c *Core) getResponse(hdr *[getHeaderSize]byte, seq int, key []byte) ([]byte, error) {
 	// The header is PutInt(seq), PutByte twice, PutString(""), and the
 	// Value's length prefix: PutInt's big-endian words, written in place.
-	hdr := binary.BigEndian.AppendUint64(c.getHeader[:0], uint64(seq))
-	hdr = append(hdr, StatusOK, CodeNone)
-	hdr = binary.BigEndian.AppendUint64(hdr, 0) // empty Detail
-	hdr = binary.BigEndian.AppendUint64(hdr, 0) // Value's length, backfilled below
-	body, err := c.appendGet(hdr, key)
+	body := binary.BigEndian.AppendUint64(hdr[:0], uint64(seq))
+	body = append(body, StatusOK, CodeNone)
+	body = binary.BigEndian.AppendUint64(body, 0) // empty Detail
+	body = binary.BigEndian.AppendUint64(body, 0) // Value's length, backfilled below
+	body, err := c.appendGet(body, key)
 	if err != nil {
 		return nil, err
 	}

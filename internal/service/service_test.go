@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"adaptiveba/internal/blob"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/transport"
 )
 
@@ -326,8 +327,11 @@ func TestOpenAuditRejectsBrokenChain(t *testing.T) {
 	}
 }
 
+// startServer serves a test server, closed when the test ends, and
+// checks that closing it leaves no goroutine or descriptor behind.
 func startServer(t *testing.T, mut func(*ServerConfig)) *Server {
 	t.Helper()
+	testenv.NoLeaks(t)
 	dir := t.TempDir()
 	cfg := ServerConfig{
 		Core: Config{

@@ -43,8 +43,8 @@ const (
 const MaxValue = wire.MaxChunk
 
 // Request is one client request. Dedup identity is (Client, Seq): a
-// retried request reuses its Seq, and the server replays the recorded
-// response instead of re-executing.
+// retried request reuses its Seq, and the server replays a write's
+// recorded response instead of re-executing it (a read runs again).
 type Request struct {
 	Client int
 	Seq    int

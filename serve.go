@@ -90,10 +90,10 @@ func WithSnapshotEvery(k int) ServeOption {
 	return func(c *serveConfig) { c.core.SnapshotEvery = k }
 }
 
-// WithDedupWindow sets how many responses per client session the server
-// retains for replay (default 64). A retried request inside the window
-// gets its original response back without re-execution; one behind the
-// window fails with ErrDuplicate.
+// WithDedupWindow sets how many write responses per client session the
+// server retains for replay (default 64). A retried write inside the
+// window gets its original response back without re-execution; one
+// behind the window fails with ErrDuplicate. A retried read runs again.
 func WithDedupWindow(w int) ServeOption {
 	return func(c *serveConfig) { c.dedupWindow = w }
 }
@@ -228,7 +228,7 @@ type DialOption func(*service.ClientConfig)
 
 // WithRequestTimeout bounds one attempt's wait for a response (default
 // 2s); a timed-out request is retried with the same sequence number, so
-// the server's dedup window absorbs the loss without re-execution.
+// the server's dedup window absorbs a lost write without re-execution.
 func WithRequestTimeout(d time.Duration) DialOption {
 	return func(c *service.ClientConfig) { c.Timeout = d }
 }
