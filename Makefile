@@ -121,7 +121,8 @@ race-guard:
 	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract|TestReplicatedLogOverTCP|TestRunLogEmptyQueueCommitsBottom' -race; \
 	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity|TestCryptoForgerySweep' -race; \
 	guard ./internal/core/bb 'TestValidatorMemo' -race; \
-	guard ./internal/service 'TestConcurrentHistory|TestDisposedWriteNeverWedgesReads|TestPipelinedRepliesNeverGap' -race
+	guard ./internal/harness 'TestParallelDeterminism|TestExperimentReportsDeterministic' -race; \
+	guard ./internal/service 'TestConcurrentHistory|TestDisposedWriteNeverWedgesReads|TestPipelinedRepliesNeverGap|TestDedupWindowPassesQueuedWrite' -race
 
 # The public package has one runtime, the multi-session engine: fail if
 # the root package depends on internal/harness, directly or through

@@ -413,14 +413,6 @@ func (r *runner) execute() (*Outcome, error) {
 	return out, nil
 }
 
-// Sweep runs the spec across (n, f) combinations (skipping infeasible
-// f > t pairs), in parallel across CPU cores — runs are independent
-// simulations with private crypto suites. Results are identical to a
-// sequential sweep (see Pool's determinism contract in parallel.go).
-func Sweep(base Spec, ns, fs []int) ([]Outcome, error) {
-	return Parallel().Sweep(base, ns, fs)
-}
-
 // Table renders outcomes as an aligned text table.
 func Table(outcomes []Outcome) string {
 	var b strings.Builder
@@ -489,11 +481,4 @@ type Stats struct {
 	// Violations counts runs that failed termination or agreement
 	// (always 0 for a correct implementation).
 	Violations int
-}
-
-// RunStats executes the spec once per seed and aggregates. The
-// aggregation is order-independent, so any Pool produces the same
-// Stats; use Pool.Stats directly to spread the seeds across workers.
-func RunStats(spec Spec, seeds []int64) (*Stats, error) {
-	return Sequential().Stats(spec, seeds)
 }

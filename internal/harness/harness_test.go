@@ -176,7 +176,7 @@ func TestEd25519Spec(t *testing.T) {
 }
 
 func TestSweepAndTable(t *testing.T) {
-	outcomes, err := Sweep(Spec{Protocol: ProtocolWBA}, []int{5, 9}, []int{0, 1, 4})
+	outcomes, err := Pool{}.Sweep(Spec{Protocol: ProtocolWBA}, []int{5, 9}, []int{0, 1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestAllExperimentsRunnable(t *testing.T) {
 		// only check the cheap ones end to end.
 		switch e.ID {
 		case "ablate-quorum", "ablate-cert", "dr-sigs":
-			report, err := e.Run(Sequential())
+			report, err := e.Run(Pool{Workers: 1})
 			if err != nil {
 				t.Errorf("%s: %v", e.ID, err)
 			}
@@ -390,7 +390,7 @@ func TestCountOps(t *testing.T) {
 }
 
 func TestRunStats(t *testing.T) {
-	st, err := RunStats(Spec{Protocol: ProtocolWBA, N: 9, F: 2, Fault: FaultReplay}, []int64{1, 2, 3, 4, 5})
+	st, err := Pool{Workers: 1}.Stats(Spec{Protocol: ProtocolWBA, N: 9, F: 2, Fault: FaultReplay}, []int64{1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +400,7 @@ func TestRunStats(t *testing.T) {
 	if st.Words.Min > st.Words.Median || st.Words.Median > st.Words.Max || st.Words.Min <= 0 {
 		t.Errorf("word ordering: %+v", st.Words)
 	}
-	if _, err := RunStats(Spec{Protocol: ProtocolWBA, N: 9}, nil); !errors.Is(err, ErrSpec) {
+	if _, err := (Pool{Workers: 1}).Stats(Spec{Protocol: ProtocolWBA, N: 9}, nil); !errors.Is(err, ErrSpec) {
 		t.Errorf("no seeds: %v", err)
 	}
 }

@@ -1,20 +1,18 @@
-// Parallel experiment runner: a worker-pool scheduler that fans
-// independent grid points (one Spec each) out across workers, with
-// per-run isolated state, deterministic per-point seed derivation, and
-// streaming in-order result collection under a bounded reorder window.
+// Parallel experiment runner: a worker pool that maps independent grid
+// points (one Spec each) to their outcomes, with per-run isolated state
+// and deterministic per-point seed derivation.
 //
 // Determinism contract: Run(spec) depends only on the spec (every run
 // builds a private signature ring, crypto suite, simulator, and
-// recorder), and both Pool.Run and Pool.Stream deliver outcomes in grid
-// order. A sweep executed with any worker count therefore produces
-// byte-identical tables, CSVs, and reports; TestParallelDeterminism
-// enforces this.
+// recorder), and Pool.Run writes outcome i into slot i of its result. A
+// sweep executed with any worker count therefore produces byte-identical
+// tables, CSVs, and reports; TestParallelDeterminism enforces this.
 package harness
 
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -28,12 +26,6 @@ type Pool struct {
 	// strictly sequentially in the caller's goroutine.
 	Workers int
 }
-
-// Sequential returns a pool that runs points one at a time.
-func Sequential() Pool { return Pool{Workers: 1} }
-
-// Parallel returns a pool with one worker per CPU.
-func Parallel() Pool { return Pool{} }
 
 // workers resolves the effective worker count for a job list.
 func (p Pool) workers(jobs int) int {
@@ -55,125 +47,47 @@ func pointErr(i int, s Spec, err error) error {
 	return fmt.Errorf("point %d (%s n=%d f=%d seed=%d): %w", i, s.Protocol, s.N, s.F, s.Seed, err)
 }
 
-// Stream executes every spec and hands each outcome to emit in spec
-// order as soon as it is available. Memory stays bounded: at most
-// 2×workers outcomes exist at once (in flight or awaiting their turn in
-// the reorder window), so arbitrarily large grids can stream to disk.
-// The first run or emit error aborts the remaining points.
-func (p Pool) Stream(specs []Spec, emit func(i int, o *Outcome) error) error {
-	n := len(specs)
-	if n == 0 {
-		return nil
-	}
-	if p.workers(n) == 1 {
-		for i := range specs {
+// Run executes every spec and returns the outcomes in spec order. Each
+// worker claims the next index i and writes outcome i into slot i. The
+// first failed run stops further claims; points are claimed in order, so
+// every point before a failed one has run, and the error returned is the
+// one of the lowest failed point, whatever the worker count.
+func (p Pool) Run(specs []Spec) ([]Outcome, error) {
+	outs := make([]Outcome, len(specs))
+	errs := make([]error, len(specs))
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= len(specs) {
+				return
+			}
 			o, err := Run(specs[i])
 			if err != nil {
-				return pointErr(i, specs[i], err)
+				errs[i] = pointErr(i, specs[i], err)
+				failed.Store(true)
+				return
 			}
-			if emit != nil {
-				if err := emit(i, o); err != nil {
-					return err
-				}
-			}
+			outs[i] = *o
 		}
-		return nil
 	}
-	return p.stream(specs, emit)
-}
-
-// stream is the multi-worker path of Stream.
-func (p Pool) stream(specs []Spec, emit func(i int, o *Outcome) error) error {
-	n := len(specs)
-	w := p.workers(n)
-	// The window caps claimed-but-unemitted points: a ticket is taken
-	// when a worker claims a point and released when the collector emits
-	// it, so no worker races more than `window` points ahead of the
-	// in-order output cursor.
-	window := 2 * w
-
-	type slot struct {
-		i   int
-		o   *Outcome
-		err error
-	}
-	var (
-		next    atomic.Int64
-		quit    = make(chan struct{})
-		results = make(chan slot, window)
-		tickets = make(chan struct{}, window)
-		wg      sync.WaitGroup
-	)
-	for k := 0; k < w; k++ {
+	for k := 1; k < p.workers(len(specs)); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case tickets <- struct{}{}:
-				case <-quit:
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					<-tickets // return the unused claim
-					return
-				}
-				o, err := Run(specs[i])
-				if err != nil {
-					err = pointErr(i, specs[i], err)
-				}
-				// Never blocks: a held ticket guarantees buffer space.
-				select {
-				case results <- slot{i: i, o: o, err: err}:
-				case <-quit:
-					return
-				}
-			}
+			work()
 		}()
 	}
-
-	pending := make(map[int]*Outcome, window)
-	emitted := 0
-	var firstErr error
-collect:
-	for emitted < n {
-		s := <-results
-		if s.err != nil {
-			firstErr = s.err
-			break
-		}
-		pending[s.i] = s.o
-		for {
-			o, ok := pending[emitted]
-			if !ok {
-				continue collect
-			}
-			delete(pending, emitted)
-			if emit != nil {
-				if err := emit(emitted, o); err != nil {
-					firstErr = err
-					break collect
-				}
-			}
-			<-tickets // emitted: the output cursor advanced, admit a new claim
-			emitted++
-		}
-	}
-	close(quit)
+	work()
 	wg.Wait()
-	return firstErr
-}
-
-// Run executes every spec and returns the outcomes in spec order.
-func (p Pool) Run(specs []Spec) ([]Outcome, error) {
-	outs := make([]Outcome, 0, len(specs))
-	err := p.Stream(specs, func(_ int, o *Outcome) error {
-		outs = append(outs, *o)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return outs, nil
 }
@@ -202,10 +116,8 @@ func DeriveSeed(base int64, coords ...int64) int64 {
 }
 
 // Grid expands base across the (n, f) sweep lattice in row-major order,
-// skipping infeasible f > t points. reps > 1 repeats each point that
-// many times with DeriveSeed-assigned seeds; reps <= 1 keeps the base
-// seed (one point per cell).
-func Grid(base Spec, ns, fs []int, reps int) ([]Spec, error) {
+// skipping infeasible f > t points. Every point keeps base's seed.
+func Grid(base Spec, ns, fs []int) ([]Spec, error) {
 	var specs []Spec
 	for _, n := range ns {
 		var params types.Params
@@ -224,14 +136,7 @@ func Grid(base Spec, ns, fs []int, reps int) ([]Spec, error) {
 			}
 			s := base
 			s.N, s.F = n, f
-			if reps <= 1 {
-				specs = append(specs, s)
-				continue
-			}
-			for r := 0; r < reps; r++ {
-				s.Seed = DeriveSeed(base.Seed, int64(n), int64(f), int64(r))
-				specs = append(specs, s)
-			}
+			specs = append(specs, s)
 		}
 	}
 	return specs, nil
@@ -239,40 +144,41 @@ func Grid(base Spec, ns, fs []int, reps int) ([]Spec, error) {
 
 // Sweep runs the spec across (n, f) combinations on this pool.
 func (p Pool) Sweep(base Spec, ns, fs []int) ([]Outcome, error) {
-	specs, err := Grid(base, ns, fs, 1)
+	specs, err := Grid(base, ns, fs)
 	if err != nil {
 		return nil, err
 	}
 	return p.Run(specs)
 }
 
-// Stats executes the spec once per seed on this pool and aggregates.
+// Stats executes the spec once per seed on this pool and aggregates
+// the outcomes. The aggregation is order-independent, so any worker
+// count produces the same Stats.
 func (p Pool) Stats(spec Spec, seeds []int64) (*Stats, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("%w: no seeds", ErrSpec)
 	}
 	specs := make([]Spec, len(seeds))
 	for i, seed := range seeds {
-		s := spec
-		s.Seed = seed
-		specs[i] = s
+		specs[i] = spec
+		specs[i].Seed = seed
 	}
-	words := make([]int64, 0, len(seeds))
-	ticks := make([]types.Tick, 0, len(seeds))
-	st := &Stats{Spec: spec, Runs: len(seeds)}
-	err := p.Stream(specs, func(_ int, o *Outcome) error {
-		if !o.Decided || !o.Agreement {
-			st.Violations++
-		}
-		words = append(words, o.Words)
-		ticks = append(ticks, o.Ticks)
-		return nil
-	})
+	outs, err := p.Run(specs)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(words, func(a, b int) bool { return words[a] < words[b] })
-	sort.Slice(ticks, func(a, b int) bool { return ticks[a] < ticks[b] })
+	words := make([]int64, len(outs))
+	ticks := make([]types.Tick, len(outs))
+	st := &Stats{Spec: spec, Runs: len(seeds)}
+	for i := range outs {
+		o := &outs[i]
+		if !o.Decided || !o.Agreement {
+			st.Violations++
+		}
+		words[i], ticks[i] = o.Words, o.Ticks
+	}
+	slices.Sort(words)
+	slices.Sort(ticks)
 	st.Words.Min, st.Words.Median, st.Words.Max = words[0], words[len(words)/2], words[len(words)-1]
 	st.Ticks.Min, st.Ticks.Median, st.Ticks.Max = ticks[0], ticks[len(ticks)/2], ticks[len(ticks)-1]
 	return st, nil

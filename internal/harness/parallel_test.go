@@ -6,13 +6,9 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
-
-	"adaptiveba/internal/sim"
-	"adaptiveba/internal/types"
 )
 
 // determinismGrid is a mixed-protocol, mixed-adversary spec list: every
@@ -33,11 +29,16 @@ func determinismGrid(t *testing.T) []Spec {
 		{Protocol: ProtocolWBA, N: 9, F: 3, Fault: FaultReplay, Seed: 8},
 	}
 	if !testing.Short() {
-		more, err := Grid(Spec{Protocol: ProtocolBB}, []int{7, 11, 15}, []int{0, 1, 3, 5}, 2)
+		cells, err := Grid(Spec{Protocol: ProtocolBB}, []int{7, 11, 15}, []int{0, 1, 3, 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs = append(specs, more...)
+		for _, s := range cells {
+			for r := int64(0); r < 2; r++ {
+				s.Seed = DeriveSeed(0, int64(s.N), int64(s.F), r)
+				specs = append(specs, s)
+			}
+		}
 	}
 	return specs
 }
@@ -47,7 +48,7 @@ func determinismGrid(t *testing.T) []Spec {
 // per-point metrics, decisions, and CSV bytes.
 func TestParallelDeterminism(t *testing.T) {
 	specs := determinismGrid(t)
-	ref, err := Sequential().Run(specs)
+	ref, err := Pool{Workers: 1}.Run(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestExperimentReportsDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("f1 not registered")
 	}
-	ref, err := e.Run(Sequential())
+	ref, err := e.Run(Pool{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestDeriveSeed(t *testing.T) {
 
 func TestGrid(t *testing.T) {
 	t.Run("skips infeasible f", func(t *testing.T) {
-		specs, err := Grid(Spec{Protocol: ProtocolBB}, []int{7, 11}, []int{0, 3, 5}, 1)
+		specs, err := Grid(Spec{Protocol: ProtocolBB}, []int{7, 11}, []int{0, 3, 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,28 +147,8 @@ func TestGrid(t *testing.T) {
 			}
 		}
 	})
-	t.Run("reps derive distinct seeds", func(t *testing.T) {
-		specs, err := Grid(Spec{Protocol: ProtocolWBA, Seed: 3}, []int{9}, []int{0, 1}, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(specs) != 6 {
-			t.Fatalf("got %d specs, want 6", len(specs))
-		}
-		seeds := make(map[int64]bool)
-		for _, s := range specs {
-			if seeds[s.Seed] {
-				t.Errorf("duplicate derived seed %d", s.Seed)
-			}
-			seeds[s.Seed] = true
-		}
-		// Re-deriving must agree point-wise, independent of expansion order.
-		if specs[4].Seed != DeriveSeed(3, 9, 1, 1) {
-			t.Error("derived seed is not a pure function of (base, n, f, rep)")
-		}
-	})
 	t.Run("custom resilience", func(t *testing.T) {
-		specs, err := Grid(Spec{Protocol: ProtocolBB, T: 2}, []int{11}, []int{0, 2, 3}, 1)
+		specs, err := Grid(Spec{Protocol: ProtocolBB, T: 2}, []int{11}, []int{0, 2, 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,128 +158,37 @@ func TestGrid(t *testing.T) {
 		}
 	})
 	t.Run("rejects bad n", func(t *testing.T) {
-		if _, err := Grid(Spec{Protocol: ProtocolBB}, []int{2}, []int{0}, 1); err == nil {
+		if _, err := Grid(Spec{Protocol: ProtocolBB}, []int{2}, []int{0}); err == nil {
 			t.Error("Grid accepted n=2")
 		}
 	})
 }
 
-func TestStreamEmitsInOrder(t *testing.T) {
-	specs := make([]Spec, 12)
-	for i := range specs {
-		specs[i] = Spec{Protocol: ProtocolWBA, N: 7, F: i % 3}
-	}
-	for _, workers := range []int{1, 3, 5} {
-		nextWant := 0
-		err := Pool{Workers: workers}.Stream(specs, func(i int, o *Outcome) error {
-			if i != nextWant {
-				t.Fatalf("workers=%d: emitted point %d, want %d", workers, i, nextWant)
-			}
-			if o == nil || !o.Decided {
-				t.Fatalf("workers=%d point %d: bad outcome %+v", workers, i, o)
-			}
-			nextWant++
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if nextWant != len(specs) {
-			t.Fatalf("workers=%d: emitted %d points, want %d", workers, nextWant, len(specs))
-		}
-	}
-}
-
-func TestStreamBoundedWindow(t *testing.T) {
-	// With the emit callback blocked, workers may claim at most 2×w
-	// points (the reorder window) before stalling on tickets; the rest
-	// of the grid must stay untouched until emit unblocks. This is the
-	// bounded-memory half of the streaming contract.
-	const w = 2
-	const window = 2 * w
-	specs := make([]Spec, 40)
-	var started atomic.Int64
-	for i := range specs {
-		specs[i] = Spec{Protocol: ProtocolEchoBB, N: 7}
-		once := new(sync.Once)
-		specs[i].OnSend = func(types.Tick, sim.Message, bool) {
-			once.Do(func() { started.Add(1) })
-		}
-	}
-	release := make(chan struct{})
-	go func() {
-		// Wait until the started count stops growing (all workers are
-		// stalled on the window), then let the collector proceed.
-		prev := int64(-1)
-		for {
-			time.Sleep(20 * time.Millisecond)
-			cur := started.Load()
-			if cur == prev {
-				break
-			}
-			prev = cur
-		}
-		close(release)
-	}()
-	var peak int64
-	err := Pool{Workers: w}.Stream(specs, func(i int, o *Outcome) error {
-		if i == 0 {
-			<-release
-			peak = started.Load()
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peak > window {
-		t.Errorf("with emit blocked, %d points started; the window bound is %d", peak, window)
-	}
-	if got := started.Load(); got != int64(len(specs)) {
-		t.Errorf("%d points ran in total, want %d", got, len(specs))
-	}
-}
-
+// TestStreamPropagatesRunError: a failed point fails the whole run, and
+// the error reported is the lowest failed point's at every worker count.
 func TestStreamPropagatesRunError(t *testing.T) {
 	specs := []Spec{
 		{Protocol: ProtocolWBA, N: 7},
 		{Protocol: ProtocolWBA, N: 0}, // invalid: Run must fail
 		{Protocol: ProtocolWBA, N: 7},
+		{Protocol: ProtocolWBA, N: 1}, // invalid too, but later
 	}
 	for _, workers := range []int{1, 4} {
 		_, err := Pool{Workers: workers}.Run(specs)
 		if !errors.Is(err, ErrSpec) {
 			t.Errorf("workers=%d: error = %v, want ErrSpec", workers, err)
 		}
-	}
-}
-
-func TestStreamPropagatesEmitError(t *testing.T) {
-	specs := make([]Spec, 8)
-	for i := range specs {
-		specs[i] = Spec{Protocol: ProtocolEchoBB, N: 7}
-	}
-	sentinel := fmt.Errorf("stop after first point")
-	for _, workers := range []int{1, 4} {
-		calls := 0
-		err := Pool{Workers: workers}.Stream(specs, func(i int, o *Outcome) error {
-			calls++
-			return sentinel
-		})
-		if !errors.Is(err, sentinel) {
-			t.Errorf("workers=%d: error = %v, want sentinel", workers, err)
-		}
-		if calls != 1 {
-			t.Errorf("workers=%d: emit called %d times after error, want 1", workers, calls)
+		if err == nil || !strings.HasPrefix(err.Error(), "point 1 ") {
+			t.Errorf("workers=%d: error = %v, want point 1's", workers, err)
 		}
 	}
 }
 
-// TestPoolStatsMatchesSequential pins Pool.Stats to RunStats.
+// TestPoolStatsMatchesSequential pins Pool.Stats to its sequential run.
 func TestPoolStatsMatchesSequential(t *testing.T) {
 	spec := Spec{Protocol: ProtocolWBA, N: 9, F: 3, Fault: FaultReplay}
 	seeds := []int64{1, 2, 3, 4, 5}
-	ref, err := RunStats(spec, seeds)
+	ref, err := Pool{Workers: 1}.Stats(spec, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,6 +102,26 @@ func syncClient(h *history, conn int, c *Client, seed int64, n int, readOnly boo
 	return nil
 }
 
+// redialer runs n operations like syncClient, in bursts of eight over a
+// fresh connection each: it closes its client and dials again between
+// bursts, so each burst is a new session, with a new client ID and seqs
+// from 1 again. Burst b is recorded as connection conn+b.
+func redialer(h *history, conn int, addr string, cfg ClientConfig, seed int64, n int) error {
+	const burst = 8
+	for b := 0; b*burst < n; b++ {
+		c, err := Dial(addr, cfg)
+		if err != nil {
+			return err
+		}
+		err = syncClient(h, conn+b, c, seed+int64(b), min(burst, n-b*burst), false)
+		c.Close()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // pipeliner sends bursts of six requests over one raw connection, each
 // burst in one TCP write: a Put, a write, a Get of the first Put's key, a
 // Get of a random key, two more writes. Requests still unanswered after
@@ -306,11 +326,12 @@ func checkHistory(ops []histOp, ordered bool) error {
 	return nil
 }
 
-// TestConcurrentHistory records a history from four concurrent
-// connections — two synchronous clients mixing Put, Del and Get, a raw
-// pipelining writer with Gets in the middle of its bursts, and a client
-// that only reads — and checks it with checkHistory, plainly and with
-// requests dropped and delayed by the chaos schedule.
+// TestConcurrentHistory records a history from five concurrent clients —
+// two synchronous clients mixing Put, Del and Get, a raw pipelining
+// writer with Gets in the middle of its bursts, a client that only reads,
+// and one that mixes like the first two but redials between bursts — and
+// checks it with checkHistory, plainly and with requests dropped and
+// delayed by the chaos schedule.
 func TestConcurrentHistory(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -338,12 +359,13 @@ func TestConcurrentHistory(t *testing.T) {
 				clients[i] = c
 			}
 			h := &history{start: time.Now()}
-			errs := make(chan error, len(clients))
+			errs := make(chan error, len(clients)+1)
 			go func() { errs <- syncClient(h, 0, clients[0], 1, ops, false) }()
 			go func() { errs <- syncClient(h, 1, clients[1], 2, ops, false) }()
 			go func() { errs <- pipeliner(h, 2, clients[2], 3, ops/4, tc.timeout) }()
 			go func() { errs <- syncClient(h, 3, clients[3], 4, ops, true) }()
-			for range clients {
+			go func() { errs <- redialer(h, 4, s.Addr(), cfg, 5, ops) }()
+			for range len(clients) + 1 {
 				if err := <-errs; err != nil {
 					t.Fatal(err)
 				}
@@ -405,6 +427,26 @@ func sendFrames(t *testing.T, c *Client, reqs ...*Request) {
 	}
 	if _, err := c.conn.Write(frames.Bytes()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// holdRunLoop parks s's run loop in an Inspect. The function it returns
+// waits until queued requests sit in the run loop's queue, then lets the
+// loop go, so the requests sent in between reach it together and are
+// buffered for one flush.
+func holdRunLoop(t *testing.T, s *Server) (release func(queued int)) {
+	t.Helper()
+	held, done := make(chan struct{}), make(chan struct{})
+	go s.Inspect(func(*Core) { close(held); <-done })
+	<-held
+	return func(queued int) {
+		t.Helper()
+		defer close(done)
+		for deadline := time.Now().Add(5 * time.Second); len(s.reqCh) < queued; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d requests reached the run loop's queue", len(s.reqCh), queued)
+			}
+		}
 	}
 }
 
@@ -515,17 +557,9 @@ func TestDisposedWriteNeverWedgesReads(t *testing.T) {
 		// wait in its queue, so the second finds the first buffered.
 		s := startServer(t, nil)
 		c := dial(t, s)
-		held, release := make(chan struct{}), make(chan struct{})
-		go s.Inspect(func(*Core) { close(held); <-release })
-		<-held
+		release := holdRunLoop(t, s)
 		sendFrames(t, c, put(c, 1, val), put(c, 1, val), get(c, 2))
-		for deadline := time.Now().Add(5 * time.Second); len(s.reqCh) < 2; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				close(release)
-				t.Fatalf("%d of 2 copies reached the run loop's queue", len(s.reqCh))
-			}
-		}
-		close(release)
+		release(2)
 		if resp := awaitReply(t, c, 1); resp.Status != StatusOK {
 			t.Fatalf("put: %+v", resp)
 		}

@@ -25,9 +25,6 @@ type ServerConfig struct {
 	// ErrDuplicate). Reads are not retained: a retried Get or Verify runs
 	// again, which a read may do.
 	DedupWindow int
-	// MaxBatch bounds how many writes one flush commits together
-	// (default 4× the core's per-round capacity).
-	MaxBatch int
 	// Chaos, when enabled, injects the transport chaos schedule into the
 	// inbound request path: dropped requests get no response (the client
 	// retries; a write's retry re-enters the dedup window), delayed
@@ -38,12 +35,9 @@ type ServerConfig struct {
 }
 
 // serverReq is one decoded request paired with its connection.
-// A bye tombstone (bye != 0, req == nil) tells the run loop the session
-// ended so its dedup state can be dropped.
 type serverReq struct {
 	req  *Request
 	conn *serverConn
-	bye  int
 }
 
 // outboxSize is how many replies the run loop may queue on one
@@ -81,6 +75,16 @@ type serverConn struct {
 
 	// hdr is the reader's scratch for a Get reply's header.
 	hdr [getHeaderSize]byte
+
+	// The connection's client's write dedup window, touched only by the
+	// run loop: resp holds the response to each write in the window, or
+	// nil while the write is buffered for the next flush; order lists the
+	// answered seqs oldest first; evicted is the highest seq pushed out
+	// of the window (-1 when none). A client ID names one connection, so
+	// the window lives and dies with it.
+	resp    map[int][]byte
+	order   []int
+	evicted int
 }
 
 // send queues one encoded response without ever blocking the run loop.
@@ -163,43 +167,23 @@ func (c *serverConn) settle(done <-chan struct{}) bool {
 	return true
 }
 
-// clientWindow retains the last DedupWindow responses of one client.
-type clientWindow struct {
-	resp    map[int][]byte
-	order   []int // insertion order, oldest first
-	evicted int   // highest seq evicted so far (-1 when none)
-}
-
-func newClientWindow() *clientWindow {
-	return &clientWindow{resp: make(map[int][]byte), evicted: -1}
-}
-
-func (w *clientWindow) get(seq int) ([]byte, bool) {
-	b, ok := w.resp[seq]
-	return b, ok
-}
-
-func (w *clientWindow) tooOld(seq int) bool { return seq <= w.evicted }
-
-func (w *clientWindow) put(seq int, body []byte, limit int) {
-	if seq <= w.evicted {
-		// A retransmit of a seq already behind the window must not
-		// re-enter it: that would evict a fresher response a pending
-		// retry may still need.
+// keep records the response to write seq in the dedup window, evicting
+// the oldest beyond limit. A seq already behind the window does not
+// re-enter it, which would evict a fresher response a pending retry may
+// still need; if it was buffered, its mark goes, so its retry is refused
+// as a duplicate instead of ignored as a queued retransmit.
+func (c *serverConn) keep(seq int, body []byte, limit int) {
+	if seq <= c.evicted {
+		delete(c.resp, seq)
 		return
 	}
-	if _, ok := w.resp[seq]; ok {
-		return
-	}
-	w.resp[seq] = body
-	w.order = append(w.order, seq)
-	for len(w.order) > limit {
-		old := w.order[0]
-		w.order = w.order[1:]
-		delete(w.resp, old)
-		if old > w.evicted {
-			w.evicted = old
-		}
+	c.resp[seq] = body
+	c.order = append(c.order, seq)
+	for len(c.order) > limit {
+		old := c.order[0]
+		c.order = c.order[1:]
+		delete(c.resp, old)
+		c.evicted = max(c.evicted, old)
 	}
 }
 
@@ -226,18 +210,16 @@ type Server struct {
 	wg      sync.WaitGroup
 	// connMu guards conns and closed: every live client connection is
 	// tracked so Close can unblock their reader goroutines.
-	connMu     sync.Mutex
-	conns      map[net.Conn]struct{}
-	closed     bool
-	closeOnce  sync.Once
-	closeErr   error
+	connMu    sync.Mutex
+	conns     map[net.Conn]struct{}
+	closed    bool
+	closeOnce sync.Once
+	closeErr  error
+	// nextClient numbers connections: each gets a fresh client ID.
 	nextClient atomic.Int64
-	windows    map[int]*clientWindow
-	// inflight marks buffered-but-uncommitted (client, seq) writes, so a
-	// fast retransmit (chaos delay, eager client) cannot double-queue an
-	// op before its first copy flushes and its response lands in the
-	// dedup window.
-	inflight map[int]map[int]bool
+	// maxBatch bounds how many writes one flush commits together: 4× the
+	// core's per-round capacity.
+	maxBatch int
 	// chaosMu serializes the chaos verdict stream between the run loop
 	// and the readers serving Gets.
 	chaosMu   sync.Mutex
@@ -260,9 +242,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 4 * len(core.honest) * core.cfg.Batch
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		core.Close()
@@ -277,8 +256,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		done:      make(chan struct{}),
 		runDone:   make(chan struct{}),
 		conns:     make(map[net.Conn]struct{}),
-		windows:   make(map[int]*clientWindow),
-		inflight:  make(map[int]map[int]bool),
+		maxBatch:  4 * len(core.honest) * core.cfg.Batch,
 	}
 	if cfg.Chaos.Enabled() {
 		// The verdict population is the service's replica count; client
@@ -423,18 +401,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	sc := &serverConn{
 		conn: conn, quit: make(chan struct{}), bw: bufio.NewWriter(conn),
 		ready: make(chan struct{}, 1), idle: make(chan struct{}, 1),
+		resp: make(map[int][]byte), evicted: -1,
 	}
-	// On exit: close quit first (LIFO), then tell the run loop the
-	// session ended so its dedup window and inflight marks are freed —
-	// with quit already closed, any request of this session still in
-	// flight (chaos-delayed requeues included) is dropped rather than
-	// resurrecting the state.
-	defer func() {
-		select {
-		case s.reqCh <- serverReq{bye: id}:
-		case <-s.done:
-		}
-	}()
+	// Closing quit on exit makes the run loop drop any request of this
+	// connection still on its way (chaos-delayed requeues included).
 	defer close(sc.quit)
 
 	s.wg.Add(1)
@@ -544,7 +514,7 @@ func (s *Server) runLoop() {
 			return
 		}
 	drain:
-		for len(s.pending) < s.cfg.MaxBatch {
+		for len(s.pending) < s.maxBatch {
 			select {
 			case r := <-s.reqCh:
 				s.handle(r)
@@ -556,17 +526,9 @@ func (s *Server) runLoop() {
 	}
 }
 
-// handle takes one message from a reader: a session's end, or a request
-// it disposes of now or, when hold keeps it, at a later flush or after a
-// chaos delay.
+// handle takes one request from a reader and disposes of it now or, when
+// hold keeps it, at a later flush or after a chaos delay.
 func (s *Server) handle(r serverReq) {
-	if r.bye != 0 {
-		// Session ended: free its dedup window and inflight marks. A
-		// reconnect gets a fresh ID, so nothing can still need them.
-		delete(s.windows, r.bye)
-		delete(s.inflight, r.bye)
-		return
-	}
 	if !s.hold(r) {
 		r.conn.leave()
 	}
@@ -579,7 +541,7 @@ func (s *Server) handle(r serverReq) {
 func (s *Server) hold(r serverReq) bool {
 	select {
 	case <-r.conn.quit:
-		return false // session already gone; don't resurrect its dedup state
+		return false // connection gone: nobody is left to answer
 	default:
 	}
 	if drop, delay := s.verdict(r.req.Client); drop {
@@ -596,37 +558,30 @@ func (s *Server) hold(r serverReq) bool {
 		return true
 	}
 
-	w := s.windows[r.req.Client]
-	if w == nil {
-		w = newClientWindow()
-		s.windows[r.req.Client] = w
+	c, seq := r.conn, r.req.Seq
+	if body, ok := c.resp[seq]; ok {
+		if body != nil {
+			c.send(body) // replayed response, not re-executed
+		}
+		return false // nil: already buffered, its flush response covers the retry
 	}
-	if body, ok := w.get(r.req.Seq); ok {
-		r.conn.send(body) // replayed response, not re-executed
-		return false
-	}
-	if w.tooOld(r.req.Seq) {
-		s.reply(r, &Response{
-			Seq: r.req.Seq, Status: StatusError, Code: CodeDuplicate,
+	if seq <= c.evicted {
+		c.send(EncodeResponse(&Response{
+			Seq: seq, Status: StatusError, Code: CodeDuplicate,
 			Detail: ErrDuplicate.Error(),
-		})
+		}))
 		return false
 	}
 
 	switch r.req.Op {
-	case ReqPut:
-		// DecodeRequest has bounded the value at MaxValue.
-		if !s.markInflight(r.req.Client, r.req.Seq) {
-			return false // already queued; its flush response will cover the retry
+	case ReqPut, ReqDel:
+		// DecodeRequest has bounded a Put's value at MaxValue.
+		op := Op{Op: OpPut, Key: r.req.Key, Value: r.req.Value}
+		if r.req.Op == ReqDel {
+			op = Op{Op: OpDel, Key: r.req.Key}
 		}
-		s.pending = append(s.pending, Op{Op: OpPut, Key: r.req.Key, Value: r.req.Value})
-		s.pendingReqs = append(s.pendingReqs, r)
-		return true
-	case ReqDel:
-		if !s.markInflight(r.req.Client, r.req.Seq) {
-			return false
-		}
-		s.pending = append(s.pending, Op{Op: OpDel, Key: r.req.Key})
+		c.resp[seq] = nil // buffered until the flush answers it
+		s.pending = append(s.pending, op)
 		s.pendingReqs = append(s.pendingReqs, r)
 		return true
 	case ReqVerify:
@@ -652,7 +607,6 @@ func (s *Server) flush() {
 	s.pending, s.pendingReqs = nil, nil
 	_, err := s.core.Commit(ops)
 	for _, r := range reqs {
-		s.clearInflight(r.req.Client, r.req.Seq)
 		if err != nil {
 			s.reply(r, errResponseFor(r.req.Seq, err))
 		} else {
@@ -662,32 +616,11 @@ func (s *Server) flush() {
 	}
 }
 
-// markInflight records a buffered write; false means the seq is already
-// queued.
-func (s *Server) markInflight(client, seq int) bool {
-	m := s.inflight[client]
-	if m == nil {
-		m = make(map[int]bool)
-		s.inflight[client] = m
-	}
-	if m[seq] {
-		return false
-	}
-	m[seq] = true
-	return true
-}
-
-func (s *Server) clearInflight(client, seq int) {
-	delete(s.inflight[client], seq)
-}
-
 // reply encodes one response to a write, records it for dedup replay,
 // and sends it.
 func (s *Server) reply(r serverReq, resp *Response) {
 	body := EncodeResponse(resp)
-	if w := s.windows[r.req.Client]; w != nil {
-		w.put(r.req.Seq, body, s.cfg.DedupWindow)
-	}
+	r.conn.keep(r.req.Seq, body, s.cfg.DedupWindow)
 	r.conn.send(body)
 }
 

@@ -150,12 +150,12 @@ func TestSendAllocCeiling(t *testing.T) {
 }
 
 // TestFrameReaderBoundsAllocations: a hostile length prefix near
-// maxFrame with almost no body behind it must fail without committing
+// MaxFrame with almost no body behind it must fail without committing
 // memory for the claimed size — the reader grows in readChunk steps as
 // bytes actually arrive.
 func TestFrameReaderBoundsAllocations(t *testing.T) {
 	hostile := make([]byte, 4)
-	binary.BigEndian.PutUint32(hostile, maxFrame) // in-range, so only streaming bounds protect us
+	binary.BigEndian.PutUint32(hostile, MaxFrame) // in-range, so only streaming bounds protect us
 	hostile = append(hostile, frameMsg, 'h', 'i')
 
 	// MemStats is process-wide, and goroutines left winding down by the
@@ -178,23 +178,23 @@ func TestFrameReaderBoundsAllocations(t *testing.T) {
 	}
 
 	if grew := allocated(func() {
-		var fr frameReader
-		if _, _, err := fr.read(bytes.NewReader(hostile)); err == nil {
+		var fr FrameReader
+		if _, _, err := fr.Read(bytes.NewReader(hostile)); err == nil {
 			t.Fatal("truncated hostile frame did not error")
 		}
 	}); grew > 2*readChunk {
-		t.Errorf("truncated 7-byte frame allocated %d bytes (claimed %d)", grew, maxFrame)
+		t.Errorf("truncated 7-byte frame allocated %d bytes (claimed %d)", grew, MaxFrame)
 	}
 
 	// Oversize and zero-length prefixes fail before any body allocation:
 	// only the error value itself may allocate, never buffer memory.
-	for _, size := range []uint32{0, maxFrame + 1, 1<<32 - 1} {
+	for _, size := range []uint32{0, MaxFrame + 1, 1<<32 - 1} {
 		in := make([]byte, 4)
 		binary.BigEndian.PutUint32(in, size)
 		if grew := allocated(func() {
 			for i := 0; i < 10; i++ {
-				var r frameReader
-				if _, _, err := r.read(bytes.NewReader(in)); err == nil {
+				var r FrameReader
+				if _, _, err := r.Read(bytes.NewReader(in)); err == nil {
 					t.Fatalf("size %d accepted", size)
 				}
 			}
@@ -213,15 +213,15 @@ func TestFrameReaderReusesBuffer(t *testing.T) {
 	defer c2.Close()
 	go func() {
 		for i := 0; i < 120; i++ {
-			writeFrame(c1, frameMsg, body)
+			WriteFrame(c1, frameMsg, body)
 		}
 	}()
-	var fr frameReader
-	if _, _, err := fr.read(c2); err != nil { // warm the buffer
+	var fr FrameReader
+	if _, _, err := fr.Read(c2); err != nil { // warm the buffer
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		kind, got, err := fr.read(c2)
+		kind, got, err := fr.Read(c2)
 		if err != nil || kind != frameMsg || len(got) != len(body) {
 			t.Fatalf("read: kind=%d len=%d err=%v", kind, len(got), err)
 		}

@@ -11,7 +11,7 @@ import (
 // frame reader: it must never panic, must reject zero/oversize length
 // prefixes and truncated bodies with an error, and must never allocate
 // far beyond the bytes actually present in the input — a hostile prefix
-// claiming maxFrame backed by a 3-byte stream must not commit megabytes.
+// claiming MaxFrame backed by a 3-byte stream must not commit megabytes.
 func FuzzReadFrame(f *testing.F) {
 	valid := make([]byte, 4)
 	binary.BigEndian.PutUint32(valid, 6)
@@ -21,13 +21,13 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})                       // zero length
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, frameMsg}) // oversize
 	hostile := make([]byte, 4)
-	binary.BigEndian.PutUint32(hostile, maxFrame)
+	binary.BigEndian.PutUint32(hostile, MaxFrame)
 	f.Add(append(hostile, frameHello)) // in-range claim, truncated body
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		var fr frameReader
-		kind, body, err := fr.read(bytes.NewReader(data))
+		var fr FrameReader
+		kind, body, err := fr.Read(bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
 
 		// Allocation bound: the reader may hold about twice the received
@@ -44,7 +44,7 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("accepted a %d-byte stream", len(data))
 		}
 		size := binary.BigEndian.Uint32(data[:4])
-		if size == 0 || size > maxFrame {
+		if size == 0 || size > MaxFrame {
 			t.Fatalf("accepted frame size %d", size)
 		}
 		if kind != data[4] {
@@ -59,22 +59,22 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzReadFrameRoundTrip: every frame writeFrame emits must read back
+// FuzzReadFrameRoundTrip: every frame WriteFrame emits must read back
 // identically through the chunked reader.
 func FuzzReadFrameRoundTrip(f *testing.F) {
 	f.Add(byte(frameMsg), []byte("payload"))
 	f.Add(byte(frameHello), []byte{})
 	f.Add(byte(0xee), make([]byte, 3*readChunk+17)) // spans several chunks
 	f.Fuzz(func(t *testing.T, kind byte, body []byte) {
-		if len(body)+1 > maxFrame {
+		if len(body)+1 > MaxFrame {
 			t.Skip()
 		}
 		var buf bytes.Buffer
-		if err := writeFrame(&buf, kind, body); err != nil {
+		if err := WriteFrame(&buf, kind, body); err != nil {
 			t.Fatal(err)
 		}
-		var fr frameReader
-		gotKind, gotBody, err := fr.read(&buf)
+		var fr FrameReader
+		gotKind, gotBody, err := fr.Read(&buf)
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

@@ -19,10 +19,8 @@ package transport
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -41,18 +39,13 @@ const (
 	frameMsg   byte = 3
 )
 
-// maxFrame bounds a single frame read. It is sized consistently with
-// wire.MaxChunk (1 MiB per length-prefixed field): a message frame is a
-// session path plus a (type, body) payload frame, so 4 MiB leaves room
-// for a session, a type name, and two maximal fields. readFrame commits
-// memory incrementally (see readChunk), so a hostile length prefix near
-// this bound still cannot force a large allocation up front.
-const maxFrame = 4 << 20
+// extraTicks is how many ticks a node keeps running after its machine is
+// done, so that slower peers can still be served.
+const extraTicks = 10
 
-// readChunk bounds how far a frame reader's buffer grows ahead of bytes
-// that have actually arrived. Oversize prefixes fail before any
-// allocation; truncated frames allocate at most ~2x the bytes received.
-const readChunk = 64 << 10
+// writeDeadline bounds each coalesced flush write, so a dead link fails
+// fast.
+const writeDeadline = 10 * time.Second
 
 // Errors returned by the node.
 var (
@@ -80,9 +73,6 @@ type Config struct {
 	TickInterval time.Duration
 	// DialTimeout bounds the whole connection setup. Default 10s.
 	DialTimeout time.Duration
-	// ExtraTicks keeps the node alive after its machine is done, so that
-	// slower peers can still be served. Default 10.
-	ExtraTicks int
 	// Quorum is the number of peers (including self) that must be
 	// connected and ready before the run starts; the rest are treated as
 	// crashed. Default: all N (no tolerated absences at startup).
@@ -91,14 +81,6 @@ type Config struct {
 	// it closes every connection and returns ErrCrashed — fault injection
 	// for real-network runs.
 	CrashAfter types.Tick
-	// SessionHook, if set, is consulted for every authenticated inbound
-	// message frame after the session path is parsed but before the
-	// payload is decoded, so a node does not pay payload decoding and
-	// signature checks for words it will never read: returning drop sheds
-	// the frame (a net drop), otherwise it is decoded and delivered.
-	// Demuxing hosts drop sessions they have not admitted or have
-	// already retired.
-	SessionHook func(from types.ProcessID, session string) (drop bool)
 	// Recorder, if set, accounts for sent messages.
 	Recorder *metrics.Recorder
 	// Logf, if set, receives debug lines.
@@ -108,9 +90,6 @@ type Config struct {
 	// (ErrBackpressure, surfaced through metrics) instead of blocking
 	// the tick loop behind a slow peer. Default 4 MiB.
 	FlushBytes int
-	// WriteDeadline bounds each coalesced flush write, so a dead link
-	// fails fast. Default 10s.
-	WriteDeadline time.Duration
 	// Chaos, when any knob is set, injects seeded faults into the send
 	// path: per-frame drops, latency jitter (which reorders), parity
 	// partitions, and peer flaps. See ChaosConfig.
@@ -172,17 +151,11 @@ func NewNode(cfg Config, machine proto.Machine) (*Node, error) {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second
 	}
-	if cfg.ExtraTicks <= 0 {
-		cfg.ExtraTicks = 10
-	}
 	if cfg.Quorum <= 0 || cfg.Quorum > cfg.Params.N {
 		cfg.Quorum = cfg.Params.N
 	}
 	if cfg.FlushBytes <= 0 {
 		cfg.FlushBytes = 4 << 20
-	}
-	if cfg.WriteDeadline <= 0 {
-		cfg.WriteDeadline = 10 * time.Second
 	}
 	n := &Node{
 		cfg:     cfg,
@@ -281,7 +254,7 @@ func (n *Node) startOutboxes() {
 		if conn == nil {
 			continue
 		}
-		n.outboxes[i] = newPeerOutbox(conn, n.cfg.FlushBytes, n.cfg.WriteDeadline, n.cfg.Recorder)
+		n.outboxes[i] = newPeerOutbox(conn, n.cfg.FlushBytes, writeDeadline, n.cfg.Recorder)
 	}
 }
 
@@ -326,12 +299,12 @@ func (n *Node) readLoop(ctx context.Context, conn net.Conn) {
 	default:
 	}
 	from := types.NilProcess
-	var fr frameReader // reusable frame buffer: one allocation per conn, not per frame
+	var fr FrameReader // reusable frame buffer: one allocation per conn, not per frame
 	for {
 		if ctx.Err() != nil {
 			return
 		}
-		kind, body, err := fr.read(conn)
+		kind, body, err := fr.Read(conn)
 		if err != nil {
 			return
 		}
@@ -365,12 +338,6 @@ func (n *Node) readLoop(ctx context.Context, conn net.Conn) {
 			payloadFrame := r.Bytes()
 			if r.Close() != nil {
 				return
-			}
-			if hook := n.cfg.SessionHook; hook != nil && hook(from, session) {
-				if n.cfg.Recorder != nil {
-					n.cfg.Recorder.RecordNetDrop()
-				}
-				continue
 			}
 			payload, err := n.cfg.Registry.DecodePayload(payloadFrame)
 			if err != nil {
@@ -437,7 +404,7 @@ func (n *Node) connectAll(ctx context.Context) error {
 		if conn == nil {
 			continue
 		}
-		if err := writeFrame(conn, frameHello, hello.Bytes()); err != nil {
+		if err := WriteFrame(conn, frameHello, hello.Bytes()); err != nil {
 			conn.Close()
 			continue
 		}
@@ -467,7 +434,7 @@ func (n *Node) barrier(ctx context.Context) error {
 		if n.outbound[i] == nil {
 			continue
 		}
-		if err := writeFrame(n.outbound[i], frameReady, nil); err != nil {
+		if err := WriteFrame(n.outbound[i], frameReady, nil); err != nil {
 			return fmt.Errorf("transport: ready to %d: %w", i, err)
 		}
 	}
@@ -488,7 +455,7 @@ func (n *Node) barrier(ctx context.Context) error {
 	return nil
 }
 
-// tickLoop drives the machine until it is done (plus ExtraTicks) or the
+// tickLoop drives the machine until it is done (plus extraTicks) or the
 // context ends.
 func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 	ticker := time.NewTicker(n.cfg.TickInterval)
@@ -526,7 +493,7 @@ func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 		n.send(outs)
 		if n.machine.Done() {
 			extra++
-			if extra >= n.cfg.ExtraTicks {
+			if extra >= extraTicks {
 				v, _ := n.machine.Output()
 				return v, nil
 			}
@@ -621,90 +588,4 @@ func (n *Node) logf(format string, args ...any) {
 	if n.cfg.Logf != nil {
 		n.cfg.Logf("node %v: "+format, append([]any{n.cfg.ID}, args...)...)
 	}
-}
-
-// frameBufPool recycles the scratch buffers behind writeFrame, so the
-// synchronous framing path (hello/ready, service frames) stops
-// allocating per frame.
-var frameBufPool = sync.Pool{
-	New: func() any { return new([]byte) },
-}
-
-// writeFrame emits [len u32][kind][body] in one write from a pooled
-// buffer.
-func writeFrame(w io.Writer, kind byte, body []byte) error {
-	bp := frameBufPool.Get().(*[]byte)
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+1))
-	hdr[4] = kind
-	buf := append((*bp)[:0], hdr[:]...)
-	buf = append(buf, body...)
-	*bp = buf
-	_, err := w.Write(buf)
-	frameBufPool.Put(bp)
-	return err
-}
-
-// frameReader reads [len u32][kind][body] frames from one connection,
-// reusing a single grow-only buffer across frames. The length prefix is
-// read into a struct field rather than a local so that passing it to
-// io.ReadFull does not heap-allocate per frame.
-type frameReader struct {
-	buf    []byte
-	lenBuf [4]byte
-}
-
-// read returns the next frame's kind and body. The body aliases the
-// reader's internal buffer and is valid only until the next read call.
-//
-// Allocation is bounded against hostile length prefixes consistently
-// with wire.MaxChunk's philosophy: prefixes beyond maxFrame fail before
-// any allocation, and in-range frames commit buffer memory in readChunk
-// steps (doubling, capped at the frame size), so a truncated or
-// slow-trickling frame can pin at most about twice the bytes actually
-// received.
-func (fr *frameReader) read(r io.Reader) (byte, []byte, error) {
-	if _, err := io.ReadFull(r, fr.lenBuf[:]); err != nil {
-		return 0, nil, err
-	}
-	size := binary.BigEndian.Uint32(fr.lenBuf[:])
-	if size == 0 || size > maxFrame {
-		return 0, nil, fmt.Errorf("transport: bad frame size %d", size)
-	}
-	n := int(size)
-	buf := fr.buf[:0]
-	for got := 0; got < n; {
-		step := n - got
-		if step > readChunk {
-			step = readChunk
-		}
-		need := got + step
-		if cap(buf) < need {
-			newCap := 2 * cap(buf)
-			if newCap < need {
-				newCap = need
-			}
-			if newCap > n {
-				newCap = n
-			}
-			grown := make([]byte, got, newCap)
-			copy(grown, buf[:got])
-			buf = grown
-		}
-		buf = buf[:need]
-		if _, err := io.ReadFull(r, buf[got:need]); err != nil {
-			fr.buf = buf[:0]
-			return 0, nil, err
-		}
-		got = need
-	}
-	fr.buf = buf
-	return buf[0], buf[1:], nil
-}
-
-// readFrame reads one frame with a throwaway buffer (setup-time helper;
-// steady-state readers hold a frameReader).
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var fr frameReader
-	return fr.read(r)
 }
