@@ -126,11 +126,19 @@ race-guard:
 
 # The public package has one runtime, the multi-session engine: fail if
 # the root package depends on internal/harness, directly or through
-# another package.
+# another package. Every key comes from one trusted setup, proto.Setup:
+# also fail if a non-test file outside internal/proto, internal/crypto
+# and benchmark/ (which keeps its own copy of the engine's derivation)
+# builds a key ring, a dealer or a Crypto itself.
+KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \
 	if echo "$$deps" | grep -qx 'adaptiveba/internal/harness'; then \
 		echo "deps-guard: FAIL the root package depends on adaptiveba/internal/harness"; exit 1; \
+	fi; \
+	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' '$(KEYGEN)' . | grep -vE '^\./(internal/proto|internal/crypto|benchmark)/'); \
+	if [ -n "$$hits" ]; then \
+		echo "$$hits"; echo "deps-guard: FAIL key material built outside proto.Setup"; exit 1; \
 	fi
 
 # Interactive single-grid-point search with a full report.

@@ -46,7 +46,6 @@ func run(args []string, out io.Writer) error {
 		blobDir     = fs.String("blob-dir", "", "content-addressed blob store root (required unless -smoke)")
 		auditPath   = fs.String("audit-path", "", "audit log file (default <blob-dir>/audit.log)")
 		inlineMax   = fs.Int("inline-max", 256, "largest value committed inline; larger values are anchored")
-		seed        = fs.Int64("seed", 1, "agreement round seed")
 		measure     = fs.Bool("measure-bytes", false, "meter encoded payload bytes through the agreement rounds")
 		smoke       = fs.Bool("smoke", false, "run the self-contained smoke exercise and exit")
 		smokeWrites = fs.Int("smoke-writes", 8, "writes per client in -smoke")
@@ -62,7 +61,6 @@ func run(args []string, out io.Writer) error {
 		adaptiveba.WithSnapshotEvery(*snapEvery),
 		adaptiveba.WithDedupWindow(*dedupWin),
 		adaptiveba.WithInlineMax(*inlineMax),
-		adaptiveba.WithServeSeed(*seed),
 	}
 	if *measure {
 		opts = append(opts, adaptiveba.WithMeasuredBytes())

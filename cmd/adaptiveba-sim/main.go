@@ -19,6 +19,7 @@ import (
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/explore"
 	"adaptiveba/internal/harness"
+	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
@@ -68,10 +69,11 @@ func run(args []string, out io.Writer) error {
 		if rounds < 1 {
 			rounds = 1
 		}
-		return runACS(out, engine.Config{
-			N: *n, F: *f, Inflight: *inflight, Seed: *seed,
-			Ed25519: *ed25519, TickWorkers: *tickW,
-		}, rounds, *batch)
+		cfg := engine.Config{N: *n, F: *f, Inflight: *inflight, Seed: *seed, TickWorkers: *tickW}
+		if *ed25519 {
+			cfg.Keys = proto.Ed25519()
+		}
+		return runACS(out, cfg, rounds, *batch)
 	}
 	if *expl {
 		return runExplore(out, explore.Config{

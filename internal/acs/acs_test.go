@@ -2,6 +2,7 @@ package acs
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"adaptiveba/internal/adversary"
@@ -251,5 +252,60 @@ func TestACSLateBroadcastTraffic(t *testing.T) {
 	}
 	if late == 0 {
 		t.Error("replayed broadcast traffic past the vote boundary was not counted late")
+	}
+}
+
+// TestACSBoundarySubsetIsTheVotedSubset is the differential half of the
+// vote-free log: on every honest process, the proposers whose broadcast
+// delivered a batch by the vote boundary are exactly the voted subset,
+// and that set is the same on every honest process. So the votes decide
+// nothing the broadcasts had not already decided. It runs every crash
+// set up to t, with and without the leader of the first vote, and a
+// replay of stale broadcast traffic past the boundary at f = t.
+func TestACSBoundarySubsetIsTheVotedSubset(t *testing.T) {
+	for _, n := range []int{5, 7, 9} {
+		params, err := types.NewParams(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type scenario struct {
+			name string
+			adv  sim.Adversary
+		}
+		var scenarios []scenario
+		for f := 0; f <= params.T; f++ {
+			for _, leader := range []bool{false, true} {
+				scenarios = append(scenarios, scenario{fmt.Sprintf("crash f=%d leader=%t", f, leader), adversary.NewCrash(adversary.CrashSet(f, leader)...)})
+			}
+		}
+		horizon := voteBoundary(params) + 8 // replay well past BB retirement
+		scenarios = append(scenarios, scenario{fmt.Sprintf("replay f=%d", params.T), adversary.NewReplay(42, horizon, adversary.CrashSet(params.T, false)...)})
+		for _, sc := range scenarios {
+			t.Run(fmt.Sprintf("n=%d/%s", n, sc.name), func(t *testing.T) {
+				res, machines := run(t, n, 2, 1, sc.adv)
+				checkHonestClean(t, res, machines)
+				var first *types.BitSet
+				for _, id := range res.Honest {
+					m := machines[id]
+					if m.Committed() == nil {
+						t.Fatalf("p%d did not decide", id)
+					}
+					delivered := types.NewBitSet(n)
+					for i, b := range m.batches {
+						if b != nil {
+							delivered.Add(types.ProcessID(i))
+						}
+					}
+					if got, want := delivered.Members(), m.Committed().Members(); !slices.Equal(got, want) {
+						t.Errorf("p%d: delivered at the boundary %v, voted %v", id, got, want)
+					}
+					if first == nil {
+						first = delivered
+					} else if got, want := delivered.Members(), first.Members(); !slices.Equal(got, want) {
+						t.Errorf("p%d: delivered at the boundary %v, p%d delivered %v", id, got, res.Honest[0], want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -29,7 +29,6 @@
 package engine
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"sort"
@@ -38,7 +37,6 @@ import (
 
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
-	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
@@ -84,11 +82,14 @@ type Config struct {
 	// admission window W). 0 admits as many as requested; 1 runs
 	// sessions strictly serially.
 	Inflight int
-	// Seed derives the HMAC key ring (ignored with Ed25519) and is every
-	// session's protocol seed (committee samples its committee from it).
+	// Seed is every session's protocol seed (committee samples its
+	// committee from it) and, when Keys is unset, the label the key ring
+	// is derived from.
 	Seed int64
-	// Ed25519 switches from the fast HMAC scheme to real signatures.
-	Ed25519 bool
+	// Keys is the run's key source (proto.Setup). The zero value derives
+	// the ring from "engine-<Seed>" and the dealer from "engine-dealer",
+	// so a run's every byte follows from its Seed.
+	Keys proto.Keys
 	// OnSend, if set, observes every charged message of the run (see
 	// sim.Config.OnSend); sim.TraceTo builds the text trace on it.
 	OnSend func(now types.Tick, m sim.Message, honest bool)
@@ -194,16 +195,14 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		return nil, fmt.Errorf("%w: f=%d with t=%d", ErrConfig, cfg.F, params.T)
 	}
 
-	var scheme sig.Scheme
-	if cfg.Ed25519 {
-		scheme, err = sig.NewEd25519Ring(cfg.N, rand.Reader)
-	} else {
-		scheme, err = sig.NewHMACRing(cfg.N, []byte(fmt.Sprintf("engine-%d", cfg.Seed)))
+	keys := cfg.Keys
+	if keys == (proto.Keys{}) {
+		keys = proto.Derived(fmt.Sprintf("engine-%d", cfg.Seed), "engine-dealer")
 	}
+	crypto, err := proto.Setup(params, keys, threshold.ModeCompact)
 	if err != nil {
-		return nil, fmt.Errorf("engine: scheme: %w", err)
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-	crypto := proto.NewCrypto(params, scheme, threshold.ModeCompact, []byte("engine-dealer"))
 
 	window := cfg.Inflight
 	if window <= 0 || window > len(reqs) {

@@ -5,6 +5,7 @@ import (
 
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/engine"
+	"adaptiveba/internal/proto"
 	"adaptiveba/internal/types"
 )
 
@@ -42,15 +43,18 @@ func RunEngine(spec Spec, sessions, inflight int) (*engine.Report, error) {
 		reqs[i] = req
 	}
 
-	return engine.Run(engine.Config{
+	cfg := engine.Config{
 		N:           spec.N,
 		T:           spec.T,
 		F:           spec.F,
 		Adversary:   adversary.ForPattern(string(spec.Fault), spec.F, spec.Seed),
 		Inflight:    inflight,
 		Seed:        spec.Seed,
-		Ed25519:     spec.Ed25519,
 		OnSend:      spec.OnSend,
 		TickWorkers: spec.TickWorkers,
-	}, reqs)
+	}
+	if spec.Ed25519 {
+		cfg.Keys = proto.Ed25519()
+	}
+	return engine.Run(cfg, reqs)
 }

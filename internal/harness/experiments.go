@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"adaptiveba/internal/adversary/attacks"
-	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
@@ -318,11 +317,10 @@ func expAblateQuorum(Pool) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		ring, err := sig.NewHMACRing(9, []byte("ablate-quorum"))
+		crypto, err := proto.Setup(params, proto.Derived("ablate-quorum", "d"), threshold.ModeCompact)
 		if err != nil {
 			return "", err
 		}
-		crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
 
 		override := 0
 		quorum := params.Quorum()
@@ -579,17 +577,14 @@ func expAblateCert(pool Pool) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		ring, err := sig.NewHMACRing(n, []byte("ablate"))
-		if err != nil {
-			return "", err
-		}
 		q := params.Quorum()
 		sizes := make(map[threshold.Mode]int, 2)
 		for _, mode := range []threshold.Mode{threshold.ModeAggregate, threshold.ModeCompact} {
-			scheme, err := threshold.New(ring, q, mode, []byte("d"))
+			crypto, err := proto.Setup(params, proto.Derived("ablate", "d"), mode)
 			if err != nil {
 				return "", err
 			}
+			scheme := crypto.Threshold(q)
 			msg := []byte("bench")
 			shares := make([]threshold.Share, 0, q)
 			for i := 0; i < q; i++ {

@@ -6,7 +6,6 @@
 package harness
 
 import (
-	"crypto/rand"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -17,7 +16,6 @@ import (
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/adversary/attacks"
-	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/oracle"
@@ -202,28 +200,23 @@ func Run(spec Spec) (*Outcome, error) {
 	}
 	spec = spec.withDefaults()
 
-	var scheme sig.Scheme
+	keys := proto.Derived(fmt.Sprintf("harness-%d", spec.Seed), "harness-dealer")
 	if spec.Ed25519 {
-		scheme, err = sig.NewEd25519Ring(spec.N, rand.Reader)
-	} else {
-		seed := fmt.Sprintf("harness-%d", spec.Seed)
-		scheme, err = sig.NewHMACRing(spec.N, []byte(seed))
-	}
-	if err != nil {
-		return nil, fmt.Errorf("harness: scheme: %w", err)
-	}
-	var counter *sig.Counting
-	if spec.CountOps {
-		counter = sig.NewCounting(scheme)
-		scheme = counter
+		keys = proto.Ed25519()
 	}
 	var copts []proto.CryptoOption
+	if spec.CountOps {
+		copts = append(copts, proto.CountOps())
+	}
 	if spec.NoVerifyCache {
 		copts = append(copts, proto.WithoutVerifyCache())
 	}
-	crypto := proto.NewCrypto(params, scheme, spec.CertMode, []byte("harness-dealer"), copts...)
+	crypto, err := proto.Setup(params, keys, spec.CertMode, copts...)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %w", err)
+	}
 
-	run := &runner{spec: spec, params: params, crypto: crypto, counter: counter}
+	run := &runner{spec: spec, params: params, crypto: crypto}
 	return run.execute()
 }
 
@@ -246,10 +239,9 @@ func (s Spec) withDefaults() Spec {
 }
 
 type runner struct {
-	spec    Spec
-	params  types.Params
-	crypto  *proto.Crypto
-	counter *sig.Counting
+	spec   Spec
+	params types.Params
+	crypto *proto.Crypto
 }
 
 // adversaryFor builds the spec's adversary (nil when f=0): the
@@ -403,10 +395,7 @@ func (r *runner) execute() (*Outcome, error) {
 		}
 		out.DecisionTick = max(out.DecisionTick, decidedAt)
 	}
-	if r.counter != nil {
-		out.SignOps = r.counter.Signs()
-		out.VerifyOps = r.counter.Verifies()
-	}
+	out.SignOps, out.VerifyOps = r.crypto.Ops()
 	for _, m := range monitors {
 		out.InvariantViolations = append(out.InvariantViolations, m.Violations()...)
 	}

@@ -32,18 +32,20 @@ type Crypto struct {
 	mode       threshold.Mode
 	dealerSeed []byte
 	cache      *verifycache.Cache
-	signers    []sig.Signer // one per identity, then one for NilProcess; bound to Scheme
+	counter    *sig.Counting // nil unless CountOps
+	signers    []sig.Signer  // one per identity, then one for NilProcess; bound to Scheme
 
 	mu  sync.RWMutex
 	byK map[int]*threshold.Scheme
 }
 
-// cryptoConfig collects option state for NewCrypto.
+// cryptoConfig collects option state for NewCrypto and Setup.
 type cryptoConfig struct {
 	disableCache bool
+	countOps     bool
 }
 
-// CryptoOption configures NewCrypto.
+// CryptoOption configures NewCrypto and Setup.
 type CryptoOption func(*cryptoConfig)
 
 // WithoutVerifyCache disables the shared verification fast path: Scheme
@@ -53,8 +55,18 @@ func WithoutVerifyCache() CryptoOption {
 	return func(c *cryptoConfig) { c.disableCache = true }
 }
 
-// NewCrypto assembles the trusted setup. mode selects the certificate
-// encoding used by all threshold schemes in the run.
+// CountOps counts the signatures made and verified, read back through
+// Ops. The counter sits below the verification cache, so it counts only
+// the verifications actually computed: a repeat the cache answers is not
+// counted.
+func CountOps() CryptoOption {
+	return func(c *cryptoConfig) { c.countOps = true }
+}
+
+// NewCrypto assembles a trusted setup around a built scheme. mode selects
+// the certificate encoding used by all threshold schemes in the run.
+// Program code builds its Crypto through Setup; NewCrypto is for tests
+// that bring their own scheme.
 func NewCrypto(params types.Params, scheme sig.Scheme, mode threshold.Mode, dealerSeed []byte, opts ...CryptoOption) *Crypto {
 	var cfg cryptoConfig
 	for _, o := range opts {
@@ -62,11 +74,15 @@ func NewCrypto(params types.Params, scheme sig.Scheme, mode threshold.Mode, deal
 	}
 	c := &Crypto{
 		Params:     params,
-		Scheme:     scheme,
 		mode:       mode,
 		dealerSeed: dealerSeed,
 		byK:        make(map[int]*threshold.Scheme),
 	}
+	if cfg.countOps {
+		c.counter = sig.NewCounting(scheme)
+		scheme = c.counter
+	}
+	c.Scheme = scheme
 	if !cfg.disableCache {
 		c.cache = verifycache.New(verifycache.DefaultCapacity)
 		if !sig.CheapVerify(scheme) {
@@ -125,6 +141,15 @@ func (c *Crypto) Signer(id types.ProcessID) *sig.Signer {
 
 // Mode returns the certificate encoding used in this run.
 func (c *Crypto) Mode() threshold.Mode { return c.mode }
+
+// Ops reports the signatures made and verified so far (zero without
+// CountOps).
+func (c *Crypto) Ops() (signs, verifies int64) {
+	if c.counter == nil {
+		return 0, 0
+	}
+	return c.counter.Signs(), c.counter.Verifies()
+}
 
 // VerifyCacheEnabled reports whether the verification fast path is on.
 func (c *Crypto) VerifyCacheEnabled() bool { return c.cache != nil }

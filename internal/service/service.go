@@ -35,6 +35,7 @@ import (
 	"adaptiveba/internal/blob"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/kv"
+	"adaptiveba/internal/proto"
 	"adaptiveba/internal/types"
 	"adaptiveba/internal/wire"
 )
@@ -65,10 +66,6 @@ type Config struct {
 	F int
 	// Batch bounds commands per proposer per ACS round (default 8).
 	Batch int
-	// Seed drives the per-round engine seeds (round r runs with
-	// Seed+r), keeping long runs deterministic but not identical across
-	// rounds.
-	Seed int64
 	// InlineMax is the largest value committed inline through agreement
 	// (default 256 bytes); anything larger is anchored through the blob
 	// store.
@@ -111,6 +108,7 @@ type Stats struct {
 // agreement runs.
 type Core struct {
 	cfg   Config
+	keys  proto.Keys // drawn at NewCore; every flush runs under them
 	store *kv.Store
 	blobs *blob.Store
 	audit *Audit
@@ -171,7 +169,7 @@ func NewCore(cfg Config) (*Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Core{cfg: cfg, store: kv.NewStore(), blobs: blobs, audit: audit}
+	c := &Core{cfg: cfg, keys: proto.Generated(), store: kv.NewStore(), blobs: blobs, audit: audit}
 	// Only honest proposers carry client commands, so every accepted
 	// command commits: the engine crashes exactly the crash set, and a
 	// crashed proposer's batch is excluded from the round's subset.
@@ -317,7 +315,7 @@ func (c *Core) Commit(ops []Op) (int, error) {
 		// Rounds run one at a time: a flush is already one batch.
 		N: c.cfg.N, T: c.cfg.T, F: c.cfg.F,
 		Inflight:     1,
-		Seed:         c.cfg.Seed + int64(c.stats.Rounds),
+		Keys:         c.keys,
 		MeasureBytes: c.cfg.MeasureBytes,
 	}, queues, rounds, c.cfg.Batch)
 	if err != nil {

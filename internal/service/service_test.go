@@ -23,7 +23,7 @@ func testCore(t *testing.T, mut func(*Config)) *Core {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := Config{
-		N: 4, Seed: 7,
+		N:         4,
 		BlobDir:   filepath.Join(dir, "blobs"),
 		AuditPath: filepath.Join(dir, "audit.log"),
 		InlineMax: 32,
@@ -335,7 +335,7 @@ func startServer(t *testing.T, mut func(*ServerConfig)) *Server {
 	dir := t.TempDir()
 	cfg := ServerConfig{
 		Core: Config{
-			N: 4, Seed: 11,
+			N:         4,
 			BlobDir:   filepath.Join(dir, "blobs"),
 			AuditPath: filepath.Join(dir, "audit.log"),
 			InlineMax: 64,

@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 
-	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
@@ -18,20 +17,16 @@ import (
 // setup (Setup), the protocol machines they host (NewProtocolMachine),
 // and the one in-process loopback launcher (RunCluster).
 
-// Setup is the trusted setup of an n-process TCP cluster: the PKI ring
-// derived from seed and the compact-mode threshold dealer derived from
-// seed+"-dealer". Every process of a cluster must use the same seed; it
-// stands in for a key ceremony.
+// Setup is the trusted setup of an n-process TCP cluster: proto.Setup
+// with the PKI ring derived from seed and the compact-mode threshold
+// dealer derived from seed+"-dealer". Every process of a cluster must use
+// the same seed; it stands in for a key ceremony.
 func Setup(n int, seed string) (*proto.Crypto, error) {
 	params, err := types.NewParams(n)
 	if err != nil {
 		return nil, err
 	}
-	ring, err := sig.NewHMACRing(n, []byte(seed))
-	if err != nil {
-		return nil, err
-	}
-	return proto.NewCrypto(params, ring, threshold.ModeCompact, []byte(seed+"-dealer")), nil
+	return proto.Setup(params, proto.Derived(seed, seed+"-dealer"), threshold.ModeCompact)
 }
 
 // NewProtocolMachine looks up process id's machine for one of the paper's

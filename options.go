@@ -11,6 +11,7 @@ import (
 
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/engine"
+	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
@@ -165,8 +166,10 @@ func engineConfig(ctx context.Context, o options, solo bool) (engine.Config, err
 		N: o.n, T: o.threshold, F: o.faults,
 		Adversary: adversary.ForPattern(string(o.pattern), o.faults, o.seed),
 		Inflight:  o.inflight, Seed: o.seed,
-		Ed25519: o.realSignatures,
-		Halt:    haltFrom(ctx),
+		Halt: haltFrom(ctx),
+	}
+	if o.realSignatures {
+		cfg.Keys = proto.Ed25519()
 	}
 	if o.trace != nil {
 		cfg.OnSend = sim.TraceTo(o.trace)

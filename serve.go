@@ -122,12 +122,6 @@ func WithCommitBatch(b int) ServeOption {
 	return func(c *serveConfig) { c.core.Batch = b }
 }
 
-// WithServeSeed seeds the service's agreement rounds (round r runs with
-// seed+r).
-func WithServeSeed(seed int64) ServeOption {
-	return func(c *serveConfig) { c.core.Seed = seed }
-}
-
 // WithMeasuredBytes meters encoded payload bytes through the agreement
 // rounds (ServiceStats.Bytes); the words metric alone weighs every
 // value as one word regardless of size.

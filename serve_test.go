@@ -18,7 +18,7 @@ func startService(t *testing.T, opts ...ServeOption) (*Service, string) {
 	t.Helper()
 	dir := t.TempDir()
 	blobDir := filepath.Join(dir, "blobs")
-	opts = append([]ServeOption{WithBlobDir(blobDir), WithServeSeed(5), WithInlineMax(64)}, opts...)
+	opts = append([]ServeOption{WithBlobDir(blobDir), WithInlineMax(64)}, opts...)
 	svc, err := ServeContext(context.Background(), "127.0.0.1:0", opts...)
 	if err != nil {
 		t.Fatal(err)
