@@ -122,14 +122,17 @@ race-guard:
 	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity|TestCryptoForgerySweep' -race; \
 	guard ./internal/core/bb 'TestValidatorMemo' -race; \
 	guard ./internal/harness 'TestParallelDeterminism|TestExperimentReportsDeterministic' -race; \
-	guard ./internal/service 'TestConcurrentHistory|TestDisposedWriteNeverWedgesReads|TestPipelinedRepliesNeverGap|TestDedupWindowPassesQueuedWrite' -race
+	guard ./internal/service 'TestConcurrentHistory|TestDisconnectMidBurst|TestServerUnderLoss|TestDisposedWriteNeverWedgesReads|TestPipelinedRepliesNeverGap|TestDedupWindowPassesQueuedWrite' -race
 
 # The public package has one runtime, the multi-session engine: fail if
 # the root package depends on internal/harness, directly or through
 # another package. Every key comes from one trusted setup, proto.Setup:
 # also fail if a non-test file outside internal/proto, internal/crypto
 # and benchmark/ (which keeps its own copy of the engine's derivation)
-# builds a key ring, a dealer or a Crypto itself.
+# builds a key ring, a dealer or a Crypto itself. Faults are injected on
+# links, by the mesh's chaos layer or by a test's lossy proxy, never inside
+# a server: also fail if a non-test file outside internal/transport and
+# the cluster CLI names ChaosConfig.
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \
@@ -139,6 +142,10 @@ deps-guard:
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' '$(KEYGEN)' . | grep -vE '^\./(internal/proto|internal/crypto|benchmark)/'); \
 	if [ -n "$$hits" ]; then \
 		echo "$$hits"; echo "deps-guard: FAIL key material built outside proto.Setup"; exit 1; \
+	fi; \
+	hits=$$(grep -rnw --include='*.go' --exclude='*_test.go' 'ChaosConfig' . | grep -vE '^\./(internal/transport|cmd/adaptiveba-cluster)/'); \
+	if [ -n "$$hits" ]; then \
+		echo "$$hits"; echo "deps-guard: FAIL fault injection configured outside the mesh transport"; exit 1; \
 	fi
 
 # Interactive single-grid-point search with a full report.

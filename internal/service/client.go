@@ -13,7 +13,7 @@ import (
 )
 
 // ErrUnavailable reports a request that got no response within the
-// retry budget (the server is gone, or chaos ate every attempt).
+// retry budget (the server is gone, or the link lost every attempt).
 var ErrUnavailable = errors.New("service: no response within retry budget")
 
 // newWelcome encodes a FrameWelcome body.
@@ -98,8 +98,8 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) ID() int { return c.id }
 
 // Do sends one request and waits for its response, re-sending the same
-// sequence number on timeout. Stale responses (earlier seqs delayed by
-// chaos) are discarded by seq match. The context is honored at attempt
+// sequence number on timeout. Stale responses (to earlier attempts and
+// requests that timed out) are discarded by seq match. The context is honored at attempt
 // granularity: a context deadline caps each attempt's read deadline, and
 // cancellation is noticed between attempts (at worst one Timeout late).
 func (c *Client) Do(ctx context.Context, op byte, key, value []byte) (*Response, error) {

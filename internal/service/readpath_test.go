@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"adaptiveba/internal/blob"
 	"adaptiveba/internal/transport"
 )
 
@@ -122,99 +125,132 @@ func redialer(h *history, conn int, addr string, cfg ClientConfig, seed int64, n
 	return nil
 }
 
+// redialStride separates the sessions of one pipeliner in a history:
+// its session s is recorded as connection conn + s·redialStride.
+const redialStride = 1000
+
+// pending is the completion time recorded for a write whose session
+// broke before it was answered: it may take effect at any time after it
+// was invoked, or never.
+const pending = time.Duration(math.MaxInt64)
+
 // pipeliner sends bursts of six requests over one raw connection, each
 // burst in one TCP write: a Put, a write, a Get of the first Put's key, a
 // Get of a random key, two more writes. Requests still unanswered after
-// timeout are sent again, unchanged, in one write.
-func pipeliner(h *history, conn int, c *Client, seed int64, bursts int, timeout time.Duration) error {
+// the client timeout are sent again, unchanged, in one write. When the
+// connection breaks, it dials again and sends each unanswered request as
+// a new request of the new session, a Put with a new value; the writes
+// the broken session left unanswered are recorded as pending.
+func pipeliner(h *history, conn int, addr string, cfg ClientConfig, seed int64, bursts int) error {
+	c, err := Dial(addr, cfg)
+	if err != nil {
+		return err
+	}
+	defer func() { c.Close() }()
 	rng := rand.New(rand.NewSource(seed))
-	seq, pos := 0, 0
-	randomWrite := func(o *histOp) {
-		o.key = histKeys[rng.Intn(len(histKeys))]
-		if rng.Intn(5) == 0 {
-			o.op = ReqDel
-		} else {
-			o.op, o.value = ReqPut, histValue(conn, seq)
+	session, seq, pos := conn, 0, 0
+	burst := make([]histOp, 6)
+	reqs := make([]*Request, len(burst)) // burst[i]'s request; nil once answered
+	// request makes burst[i] the session's next request.
+	request := func(i int) {
+		o := &burst[i]
+		seq++
+		o.conn = session
+		if o.op == ReqPut {
+			o.value = histValue(session, seq)
 		}
+		reqs[i] = &Request{Client: c.ID(), Seq: seq, Op: o.op, Key: []byte(o.key), Value: []byte(o.value)}
 	}
 	for b := 0; b < bursts; b++ {
-		burst := make([]histOp, 6)
-		bySeq := make(map[int]*histOp)
-		reqs := make(map[*histOp]*Request)
 		for i := range burst {
 			o := &burst[i]
-			seq++
-			o.conn = conn
-			switch i {
-			case 0:
-				o.op, o.key, o.value = ReqPut, histKeys[rng.Intn(len(histKeys))], histValue(conn, seq)
-			case 2:
+			*o = histOp{key: histKeys[rng.Intn(len(histKeys))]}
+			switch {
+			case i == 0:
+				o.op = ReqPut
+			case i == 2:
 				o.op, o.key = ReqGet, burst[0].key
-			case 3:
-				o.op, o.key = ReqGet, histKeys[rng.Intn(len(histKeys))]
+			case i == 3:
+				o.op = ReqGet
+			case rng.Intn(5) == 0:
+				o.op = ReqDel
 			default:
-				randomWrite(o)
+				o.op = ReqPut
 			}
-			bySeq[seq] = o
-			reqs[o] = &Request{Client: c.ID(), Seq: seq, Op: o.op, Key: []byte(o.key), Value: []byte(o.value)}
+			request(i)
 		}
-		unanswered := len(burst)
+		unanswered, sent := len(burst), false
 		for attempt := 0; unanswered > 0; attempt++ {
 			if attempt == 40 {
 				return fmt.Errorf("connection %d: burst %d unanswered after %d attempts", conn, b, attempt)
 			}
 			var frames bytes.Buffer
 			now := h.now()
-			for i := range burst {
-				o := &burst[i]
-				if reqs[o] == nil {
+			for i, q := range reqs {
+				if q == nil {
 					continue // answered
 				}
-				if attempt == 0 {
-					o.invoke, o.first = now, pos
+				if !sent {
+					burst[i].invoke, burst[i].first = now, pos
 				}
-				o.last = pos
+				burst[i].last = pos
 				pos++
-				if err := transport.WriteFrame(&frames, FrameRequest, EncodeRequest(reqs[o])); err != nil {
+				if err := transport.WriteFrame(&frames, FrameRequest, EncodeRequest(q)); err != nil {
 					return err
 				}
 			}
-			if _, err := c.conn.Write(frames.Bytes()); err != nil {
-				return err
-			}
-			c.conn.SetReadDeadline(time.Now().Add(timeout))
-			for unanswered > 0 {
-				kind, body, err := c.fr.Read(c.br)
-				var ne net.Error
-				if errors.As(err, &ne) && ne.Timeout() {
-					break // send what is unanswered again
-				}
-				if err != nil {
-					return err
-				}
-				if kind != FrameResponse {
+			sent = true
+			_, err := c.conn.Write(frames.Bytes())
+			c.conn.SetReadDeadline(time.Now().Add(c.cfg.Timeout))
+			for err == nil && unanswered > 0 {
+				var kind byte
+				var body []byte
+				if kind, body, err = c.fr.Read(c.br); err != nil || kind != FrameResponse {
 					continue
 				}
-				resp, err := DecodeResponse(body)
-				if err != nil {
-					return err
+				resp, derr := DecodeResponse(body)
+				if derr != nil {
+					return derr
 				}
-				o := bySeq[resp.Seq]
-				if o == nil || reqs[o] == nil {
+				i := slices.IndexFunc(reqs, func(q *Request) bool { return q != nil && q.Seq == resp.Seq })
+				if i < 0 {
 					continue // a reply to a copy already answered
 				}
+				o := &burst[i]
 				o.complete = h.now()
-				err = ResponseErr(resp)
-				switch {
-				case o.op == ReqGet && err == nil:
+				switch rerr := ResponseErr(resp); {
+				case o.op == ReqGet && rerr == nil:
 					o.found, o.value = true, string(resp.Value)
-				case o.op == ReqGet && errors.Is(err, ErrNotFound):
-				case err != nil:
-					return fmt.Errorf("connection %d seq %d: %w", conn, resp.Seq, err)
+				case o.op == ReqGet && errors.Is(rerr, ErrNotFound):
+				case rerr != nil:
+					return fmt.Errorf("connection %d seq %d: %w", conn, resp.Seq, rerr)
 				}
-				reqs[o] = nil
+				reqs[i] = nil
 				unanswered--
 			}
+			var ne net.Error
+			if err == nil || errors.As(err, &ne) && ne.Timeout() {
+				continue // send what is unanswered again
+			}
+			// The connection broke.
+			for i, q := range reqs {
+				if q != nil && burst[i].op != ReqGet {
+					o := burst[i]
+					o.complete = pending
+					h.add(o)
+				}
+			}
+			c.Close()
+			if c, err = Dial(addr, cfg); err != nil {
+				return err
+			}
+			session += redialStride
+			for i, q := range reqs {
+				if q != nil {
+					request(i)
+				}
+			}
+			sent = false
 		}
 		h.add(burst...)
 	}
@@ -222,7 +258,8 @@ func pipeliner(h *history, conn int, c *Client, seed int64, bursts int, timeout 
 }
 
 // checkHistory checks every Get of a history in which each Put wrote a
-// unique value.
+// unique value. A write recorded as pending may take effect at any time
+// after it was invoked, or never.
 //
 //   - Per key: the Get returns the initial absence or the result of a
 //     write w to its key that began before the Get completed, and no other
@@ -231,13 +268,10 @@ func pipeliner(h *history, conn int, c *Client, seed int64, bursts int, timeout 
 //   - Per connection: let w be the connection's last write to the key
 //     whose every transmission precedes the Get's first. The Get does not
 //     return anything older than w: not the initial absence unless w is a
-//     Del, not a write that completed before w began, and, when ordered,
-//     not one of the connection's own writes before w.
-//
-// ordered says the server applies each connection's writes in the order
-// they were sent. It does unless chaos delays some of them: a delayed
-// write is applied after the pipelined writes behind it.
-func checkHistory(ops []histOp, ordered bool) error {
+//     Del, not a write that completed before w began, and not one of the
+//     connection's own writes whose every transmission precedes w's first.
+//     A write sent again after w was first sent may take effect after w.
+func checkHistory(ops []histOp) error {
 	byValue := make(map[string]*histOp)
 	writes := make(map[string][]*histOp)
 	for i := range ops {
@@ -308,7 +342,7 @@ func checkHistory(ops []histOp, ordered bool) error {
 			continue
 		}
 		older := func(src *histOp) bool {
-			return src == nil || src.complete < own.invoke || (ordered && src.conn == g.conn && src.first < own.first)
+			return src == nil || src.complete < own.invoke || (src.conn == g.conn && src.last < own.first)
 		}
 		switch {
 		case g.found && older(byValue[g.value]):
@@ -330,47 +364,57 @@ func checkHistory(ops []histOp, ordered bool) error {
 // two synchronous clients mixing Put, Del and Get, a raw pipelining
 // writer with Gets in the middle of its bursts, a client that only reads,
 // and one that mixes like the first two but redials between bursts — and
-// checks it with checkHistory, plainly and with requests dropped and
-// delayed by the chaos schedule.
+// checks it with checkHistory, plainly and over a link that drops and
+// delays requests and replies but keeps each connection's order.
 func TestConcurrentHistory(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		chaos   transport.ChaosConfig
+		loss    linkLoss
 		timeout time.Duration
 		ops     int // per synchronous client; the pipeliner sends ops/4 bursts
 	}{
-		{"plain", transport.ChaosConfig{}, 2 * time.Second, 160},
-		{"chaos", transport.ChaosConfig{Seed: 42, DropRate: 0.1, DelayRate: 0.2, MaxDelay: 5 * time.Millisecond}, 100 * time.Millisecond, 60},
+		{"plain", linkLoss{}, 2 * time.Second, 160},
+		{"chaos", linkLoss{seed: 42, drop: 0.1, delay: 0.2, maxDelay: 5 * time.Millisecond}, 100 * time.Millisecond, 60},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ops := tc.ops
 			if testing.Short() {
 				ops /= 4
 			}
-			s := startServer(t, func(cfg *ServerConfig) { cfg.Chaos = tc.chaos })
-			cfg := ClientConfig{Timeout: tc.timeout, Retries: 40}
-			clients := make([]*Client, 4)
-			for i := range clients {
-				c, err := Dial(s.Addr(), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer c.Close()
-				clients[i] = c
+			s := startServer(t, nil)
+			addr := s.Addr()
+			if tc.loss != (linkLoss{}) {
+				addr = lossyProxy(t, addr, tc.loss)
 			}
+			cfg := ClientConfig{Timeout: tc.timeout, Retries: 40}
 			h := &history{start: time.Now()}
-			errs := make(chan error, len(clients)+1)
-			go func() { errs <- syncClient(h, 0, clients[0], 1, ops, false) }()
-			go func() { errs <- syncClient(h, 1, clients[1], 2, ops, false) }()
-			go func() { errs <- pipeliner(h, 2, clients[2], 3, ops/4, tc.timeout) }()
-			go func() { errs <- syncClient(h, 3, clients[3], 4, ops, true) }()
-			go func() { errs <- redialer(h, 4, s.Addr(), cfg, 5, ops) }()
-			for range len(clients) + 1 {
+			synchronous := func(conn int, seed int64, readOnly bool) func() error {
+				return func() error {
+					c, err := Dial(addr, cfg)
+					if err != nil {
+						return err
+					}
+					defer c.Close()
+					return syncClient(h, conn, c, seed, ops, readOnly)
+				}
+			}
+			clients := []func() error{
+				synchronous(0, 1, false),
+				synchronous(1, 2, false),
+				func() error { return pipeliner(h, 2, addr, cfg, 3, ops/4) },
+				synchronous(3, 4, true),
+				func() error { return redialer(h, 4, addr, cfg, 5, ops) },
+			}
+			errs := make(chan error, len(clients))
+			for _, run := range clients {
+				go func() { errs <- run() }()
+			}
+			for range clients {
 				if err := <-errs; err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := checkHistory(h.ops, !tc.chaos.Enabled()); err != nil {
+			if err := checkHistory(h.ops); err != nil {
 				t.Fatal(err)
 			}
 			gets := 0
@@ -384,10 +428,91 @@ func TestConcurrentHistory(t *testing.T) {
 	}
 }
 
+// TestDisconnectMidBurst: the link is cut once some of a pipelined
+// burst's requests have reached the server, with the rest of the burst
+// and its replies in flight. Each of two pipeliners dials again and sends
+// what was unanswered as the new session's requests. The history, in
+// which every write a cut left unanswered may or may not have taken
+// effect, ends with a read of every key over an unbroken connection and
+// passes checkHistory; every acknowledged write is in the audit chain.
+func TestDisconnectMidBurst(t *testing.T) {
+	bursts := 40
+	if testing.Short() {
+		bursts = 10
+	}
+	s := startServer(t, nil)
+	addr := lossyProxy(t, s.Addr(), linkLoss{seed: 7, cutWithin: 20})
+	h := &history{start: time.Now()}
+	errs := make(chan error, 2)
+	for conn := range 2 {
+		go func() { errs <- pipeliner(h, conn, addr, ClientConfig{}, int64(conn+1), bursts) }()
+	}
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, key := range histKeys {
+		o := histOp{conn: -1, op: ReqGet, key: key, invoke: h.now(), first: i, last: i}
+		v, err := c.Get([]byte(key))
+		o.complete = h.now()
+		if err == nil {
+			o.found, o.value = true, string(v)
+		} else if !errors.Is(err, ErrNotFound) {
+			t.Fatal(err)
+		}
+		h.add(o)
+	}
+	if err := checkHistory(h.ops); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := s.core.audit.ReloadFromDisk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type record struct {
+		op     byte
+		key    string
+		anchor blob.Ref
+	}
+	committed := make(map[record]bool)
+	for _, e := range entries {
+		committed[record{e.Op, string(e.Key), e.Anchor}] = true
+	}
+	acked, cut := 0, 0
+	for _, o := range h.ops {
+		switch {
+		case o.op == ReqGet:
+		case o.complete == pending:
+			cut++
+		case o.op == ReqPut && !committed[record{OpPut, o.key, anchorOf([]byte(o.value))}],
+			o.op == ReqDel && !committed[record{OpDel, o.key, blob.Ref{}}]:
+			t.Fatalf("connection %d: acknowledged write at position %d to %s is not in the audit chain", o.conn, o.first, o.key)
+		default:
+			acked++
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no write was left unanswered by a cut")
+	}
+	t.Logf("%d writes acknowledged, all in the audit chain; %d left unanswered by a cut", acked, cut)
+}
+
 // TestCheckHistoryCatchesStaleReads: the checker refuses a read of an
 // overwritten value and a pipelined read that misses its own earlier
-// write, and it accepts a connection's pipelined writes applied out of
-// order only when chaos delays may have reordered them.
+// write. It accepts a connection's write taking effect after a later one
+// only when the earlier write was sent again after the later one, and a
+// pending write taking effect late.
 func TestCheckHistoryCatchesStaleReads(t *testing.T) {
 	put := func(conn int, v string, invoke, complete time.Duration, pos int) histOp {
 		return histOp{conn: conn, op: ReqPut, key: "k", value: v, invoke: invoke, complete: complete, first: pos, last: pos}
@@ -395,22 +520,23 @@ func TestCheckHistoryCatchesStaleReads(t *testing.T) {
 	get := func(conn int, v string, invoke, complete time.Duration, pos int) histOp {
 		return histOp{conn: conn, op: ReqGet, key: "k", value: v, found: v != "", invoke: invoke, complete: complete, first: pos, last: pos}
 	}
+	resent := func(o histOp, last int) histOp { o.last = last; return o }
 	for _, tc := range []struct {
-		name      string
-		ops       []histOp
-		stale     bool
-		unordered bool
+		name  string
+		ops   []histOp
+		stale bool
 	}{
-		{"fresh", []histOp{put(0, "a", 1, 2, 0), put(0, "b", 3, 4, 1), get(1, "b", 5, 6, 0)}, false, false},
-		{"concurrent write may be missed", []histOp{put(0, "a", 1, 2, 0), put(0, "b", 3, 6, 1), get(1, "a", 4, 5, 0)}, false, false},
-		{"overwritten", []histOp{put(0, "a", 1, 2, 0), put(0, "b", 3, 4, 1), get(1, "a", 5, 6, 0)}, true, false},
-		{"absent after a put", []histOp{put(0, "a", 1, 2, 0), get(1, "", 3, 4, 0)}, true, false},
-		{"pipelined own write missed", []histOp{put(0, "a", 1, 2, 0), put(1, "b", 3, 6, 0), get(1, "a", 3, 5, 1)}, true, false},
-		{"pipelined own write read", []histOp{put(0, "a", 1, 2, 0), put(1, "b", 3, 6, 0), get(1, "b", 3, 5, 1)}, false, false},
-		{"pipelined own writes reordered", []histOp{put(1, "a", 1, 4, 0), put(1, "b", 1, 4, 1), get(1, "a", 2, 5, 2)}, true, false},
-		{"pipelined own writes reordered by chaos", []histOp{put(1, "a", 1, 4, 0), put(1, "b", 1, 4, 1), get(1, "a", 2, 5, 2)}, false, true},
+		{"fresh", []histOp{put(0, "a", 1, 2, 0), put(0, "b", 3, 4, 1), get(1, "b", 5, 6, 0)}, false},
+		{"concurrent write may be missed", []histOp{put(0, "a", 1, 2, 0), put(0, "b", 3, 6, 1), get(1, "a", 4, 5, 0)}, false},
+		{"overwritten", []histOp{put(0, "a", 1, 2, 0), put(0, "b", 3, 4, 1), get(1, "a", 5, 6, 0)}, true},
+		{"absent after a put", []histOp{put(0, "a", 1, 2, 0), get(1, "", 3, 4, 0)}, true},
+		{"pipelined own write missed", []histOp{put(0, "a", 1, 2, 0), put(1, "b", 3, 6, 0), get(1, "a", 3, 5, 1)}, true},
+		{"pipelined own write read", []histOp{put(0, "a", 1, 2, 0), put(1, "b", 3, 6, 0), get(1, "b", 3, 5, 1)}, false},
+		{"pipelined own writes reordered", []histOp{put(1, "a", 1, 4, 0), put(1, "b", 1, 4, 1), get(1, "a", 2, 5, 2)}, true},
+		{"own write sent again after a later one", []histOp{resent(put(1, "a", 1, 6, 0), 2), put(1, "b", 1, 4, 1), get(1, "a", 5, 7, 3)}, false},
+		{"pending write takes effect late", []histOp{put(0, "a", 1, pending, 0), put(1, "b", 2, 3, 0), get(1, "a", 4, 5, 1)}, false},
 	} {
-		if err := checkHistory(tc.ops, !tc.unordered); (err != nil) != tc.stale {
+		if err := checkHistory(tc.ops); (err != nil) != tc.stale {
 			t.Errorf("%s: checkHistory = %v, want stale=%t", tc.name, err, tc.stale)
 		}
 	}
@@ -430,18 +556,52 @@ func sendFrames(t *testing.T, c *Client, reqs ...*Request) {
 	}
 }
 
-// holdRunLoop parks s's run loop in an Inspect. The function it returns
-// waits until queued requests sit in the run loop's queue, then lets the
-// loop go, so the requests sent in between reach it together and are
-// buffered for one flush.
+// gatedAudit is an audit file whose first write waits until open is
+// closed, with the run loop inside a flush.
+type gatedAudit struct {
+	auditFile
+	entered, open chan struct{}
+}
+
+func (g *gatedAudit) Write(p []byte) (int, error) {
+	select {
+	case <-g.entered:
+	default:
+		close(g.entered)
+		<-g.open
+	}
+	return g.auditFile.Write(p)
+}
+
+// holdRunLoop parks s's run loop inside a flush: over a connection of
+// its own it sends a Put whose audit write waits at a gate. The function
+// it returns waits until queued requests sit in the run loop's queue,
+// then opens the gate, so the requests sent in between reach the loop
+// together and are buffered for one flush. The held Put is one more
+// committed slot.
 func holdRunLoop(t *testing.T, s *Server) (release func(queued int)) {
 	t.Helper()
-	held, done := make(chan struct{}), make(chan struct{})
-	go s.Inspect(func(*Core) { close(held); <-done })
-	<-held
+	gate := &gatedAudit{entered: make(chan struct{}), open: make(chan struct{})}
+	s.core.mu.Lock()
+	gate.auditFile, s.core.audit.f = s.core.audit.f, gate
+	s.core.mu.Unlock()
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate.open) }) }
+	t.Cleanup(open) // lets the server close after a failure
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	sendFrames(t, c, &Request{Client: c.ID(), Seq: 1, Op: ReqPut, Key: []byte("held"), Value: val1})
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the held Put never reached its audit write")
+	}
 	return func(queued int) {
 		t.Helper()
-		defer close(done)
+		defer open()
 		for deadline := time.Now().Add(5 * time.Second); len(s.reqCh) < queued; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%d of %d requests reached the run loop's queue", len(s.reqCh), queued)
@@ -528,32 +688,8 @@ func TestDisposedWriteNeverWedgesReads(t *testing.T) {
 		wantAbsent(t, awaitReply(t, c, 2))
 	})
 
-	t.Run("dropped by chaos", func(t *testing.T) {
-		// A seed whose first verdict drops and whose second delivers: the
-		// Put's verdict is drawn first, because the Get waits for the Put
-		// before it draws its own.
-		cfg := transport.ChaosConfig{DropRate: 0.5}
-		for ; ; cfg.Seed++ {
-			v := transport.NewChaosVerdicts(cfg, 0, 4, time.Millisecond)
-			v.Tick(1)
-			drop1, _ := v.Verdict(1)
-			v.Tick(2)
-			drop2, _ := v.Verdict(1)
-			if drop1 && !drop2 {
-				break
-			}
-		}
-		s := startServer(t, func(sc *ServerConfig) { sc.Chaos = cfg })
-		c := dial(t, s)
-		if c.ID()%s.core.cfg.N != 1 {
-			t.Fatalf("client %d folds onto verdict target %d, not 1", c.ID(), c.ID()%s.core.cfg.N)
-		}
-		sendFrames(t, c, put(c, 1, val), get(c, 2))
-		wantAbsent(t, awaitReply(t, c, 2))
-	})
-
 	t.Run("ignored as a queued retransmit", func(t *testing.T) {
-		// The run loop is held in an Inspect until both copies of the Put
+		// The run loop is held in a flush until both copies of the Put
 		// wait in its queue, so the second finds the first buffered.
 		s := startServer(t, nil)
 		c := dial(t, s)
@@ -564,8 +700,8 @@ func TestDisposedWriteNeverWedgesReads(t *testing.T) {
 			t.Fatalf("put: %+v", resp)
 		}
 		wantValue(t, awaitReply(t, c, 2), val)
-		if n := coreSlots(s); n != 1 {
-			t.Fatalf("%d slots committed for one Put sent twice", n)
+		if n := coreSlots(s); n != 2 {
+			t.Fatalf("%d slots committed for the held Put and one Put sent twice", n)
 		}
 	})
 
@@ -659,7 +795,9 @@ func TestAuditFailureStopsCore(t *testing.T) {
 		if err := c.Put([]byte("k0"), val1); err != nil {
 			t.Fatal(err)
 		}
-		s.Inspect(func(core *Core) { core.audit.f = &failingAudit{auditFile: core.audit.f, left: 1} })
+		s.core.mu.Lock()
+		s.core.audit.f = &failingAudit{auditFile: s.core.audit.f, left: 1}
+		s.core.mu.Unlock()
 		var burst []*Request
 		for i, k := range keys {
 			burst = append(burst, &Request{Client: c.ID(), Seq: 2 + i, Op: ReqPut, Key: []byte(k), Value: []byte(histValue(0, i))})

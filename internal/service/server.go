@@ -7,10 +7,8 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"adaptiveba/internal/transport"
-	"adaptiveba/internal/types"
 )
 
 // ServerConfig parameterizes a Server.
@@ -25,11 +23,6 @@ type ServerConfig struct {
 	// ErrDuplicate). Reads are not retained: a retried Get or Verify runs
 	// again, which a read may do.
 	DedupWindow int
-	// Chaos, when enabled, injects the transport chaos schedule into the
-	// inbound request path: dropped requests get no response (the client
-	// retries; a write's retry re-enters the dedup window), delayed
-	// responses are deferred.
-	Chaos transport.ChaosConfig
 	// Logf, if set, receives server diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -141,8 +134,9 @@ func (c *serverConn) write(body []byte) error {
 }
 
 // leave records that the run loop has disposed of one request the
-// reader handed it: replied to it, replayed or refused it, dropped it,
-// or ignored it as a retransmit of a write already queued.
+// reader handed it: replied to it, replayed or refused it, dropped it
+// for a closed connection, or ignored it as a retransmit of a write
+// already queued.
 func (c *serverConn) leave() {
 	if c.inRun.Add(-1) == 0 {
 		select {
@@ -193,21 +187,15 @@ func (c *serverConn) keep(seq int, body []byte, limit int) {
 // Writes and Verify go through the run loop, the Core's one writer. A
 // Get never leaves its connection: the reader goroutine that decoded it
 // waits for the connection's earlier writes, reads the Core (Core.Get's
-// shared lock) and writes the reply.
+// shared lock) and writes the reply. Stats reads under the same lock.
 type Server struct {
 	cfg  ServerConfig
 	core *Core
 	ln   net.Listener
 
 	reqCh chan serverReq
-	// inspectCh carries read-only closures the run loop executes against
-	// the core, serializing external reads with all mutation.
-	inspectCh chan func(*Core)
-	done      chan struct{}
-	// runDone closes when the run loop exits; after that, direct core
-	// reads are race-free.
-	runDone chan struct{}
-	wg      sync.WaitGroup
+	done  chan struct{}
+	wg    sync.WaitGroup
 	// connMu guards conns and closed: every live client connection is
 	// tracked so Close can unblock their reader goroutines.
 	connMu    sync.Mutex
@@ -220,11 +208,6 @@ type Server struct {
 	// maxBatch bounds how many writes one flush commits together: 4× the
 	// core's per-round capacity.
 	maxBatch int
-	// chaosMu serializes the chaos verdict stream between the run loop
-	// and the readers serving Gets.
-	chaosMu   sync.Mutex
-	chaos     *transport.ChaosVerdicts
-	chaosTick types.Tick
 
 	pending     []Op
 	pendingReqs []serverReq
@@ -248,21 +231,13 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("service: listen %s: %w", cfg.Addr, err)
 	}
 	s := &Server{
-		cfg:       cfg,
-		core:      core,
-		ln:        ln,
-		reqCh:     make(chan serverReq, 256),
-		inspectCh: make(chan func(*Core)),
-		done:      make(chan struct{}),
-		runDone:   make(chan struct{}),
-		conns:     make(map[net.Conn]struct{}),
-		maxBatch:  4 * len(core.honest) * core.cfg.Batch,
-	}
-	if cfg.Chaos.Enabled() {
-		// The verdict population is the service's replica count; client
-		// IDs fold onto it so every knob (partition parity, flap victims)
-		// exercises the same schedule as the mesh.
-		s.chaos = transport.NewChaosVerdicts(cfg.Chaos, 0, core.cfg.N, time.Millisecond)
+		cfg:      cfg,
+		core:     core,
+		ln:       ln,
+		reqCh:    make(chan serverReq, 256),
+		done:     make(chan struct{}),
+		conns:    make(map[net.Conn]struct{}),
+		maxBatch: 4 * len(core.honest) * core.cfg.Batch,
 	}
 	s.wg.Add(2)
 	go s.acceptLoop()
@@ -273,42 +248,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Core exposes the replicated core for in-process inspection. While the
-// server runs, the run loop is the core's one writer: Get is safe to call
-// at any time, anything else only after Close returns; use Inspect or
-// Stats on a live server.
-func (s *Server) Core() *Core { return s.core }
-
-// Inspect runs fn against the core with all mutation excluded: on a
-// live server it executes on the run loop, after shutdown it runs
-// directly (the run loop has exited, so the access is ordered). fn must
-// only read.
-func (s *Server) Inspect(fn func(*Core)) {
-	ran := make(chan struct{})
-	select {
-	case s.inspectCh <- func(c *Core) { fn(c); close(ran) }:
-		select {
-		case <-ran:
-		case <-s.runDone:
-			// The run loop exited without executing fn (runDone closes
-			// only after the loop returns, so it cannot be mid-fn).
-			select {
-			case <-ran:
-			default:
-				fn(s.core)
-			}
-		}
-	case <-s.runDone:
-		fn(s.core)
-	}
-}
-
-// Stats returns the core's cost counters, serialized with the run loop.
-func (s *Server) Stats() Stats {
-	var st Stats
-	s.Inspect(func(c *Core) { st = c.Stats() })
-	return st
-}
+// Stats returns the core's cost counters (see Core.Stats).
+func (s *Server) Stats() Stats { return s.core.Stats() }
 
 // track registers a live client connection so Close can unblock its
 // reader; false means the server is already shutting down.
@@ -404,7 +345,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		resp: make(map[int][]byte), evicted: -1,
 	}
 	// Closing quit on exit makes the run loop drop any request of this
-	// connection still on its way (chaos-delayed requeues included).
+	// connection still in its queue.
 	defer close(sc.quit)
 
 	s.wg.Add(1)
@@ -460,23 +401,12 @@ func (s *Server) serveConn(conn net.Conn) {
 // when the connection or the server is going away. The reader first
 // waits until the run loop has disposed of every request this connection
 // sent before the Get, so the Get reads the connection's own earlier
-// writes and its chaos verdict is drawn after theirs. Then it reads the
-// Core and writes the reply behind whatever the run loop had queued. A
-// Get is never in the dedup window: a retried one reads again.
+// writes. Then it reads the Core and writes the reply behind whatever the
+// run loop had queued. A Get is never in the dedup window: a retried one
+// reads again.
 func (s *Server) serveGet(c *serverConn, req *Request) bool {
 	if !c.settle(s.done) {
 		return false
-	}
-	if drop, delay := s.verdict(req.Client); drop {
-		return true // no reply; the client retries
-	} else if delay > 0 {
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-s.done:
-			return false
-		}
 	}
 	body, err := s.core.getResponse(&c.hdr, req.Seq, req.Key)
 	if err != nil {
@@ -485,31 +415,15 @@ func (s *Server) serveGet(c *serverConn, req *Request) bool {
 	return c.write(body) == nil
 }
 
-// verdict draws the chaos schedule's verdict for one request of client:
-// deliver (false, 0) when chaos is off.
-func (s *Server) verdict(client int) (drop bool, delay time.Duration) {
-	if s.chaos == nil {
-		return false, 0
-	}
-	s.chaosMu.Lock()
-	defer s.chaosMu.Unlock()
-	s.chaosTick++
-	s.chaos.Tick(s.chaosTick)
-	return s.chaos.Verdict(types.ProcessID(client % s.core.cfg.N))
-}
-
 // runLoop is the Core's one writer: it drains whatever requests are
-// queued, buffers writes, and flushes them as one ACS commit. Gets do not
-// pass through it.
+// queued, buffers writes, and flushes them as one ACS commit. Gets and
+// Stats do not pass through it.
 func (s *Server) runLoop() {
 	defer s.wg.Done()
-	defer close(s.runDone)
 	for {
 		select {
 		case r := <-s.reqCh:
 			s.handle(r)
-		case fn := <-s.inspectCh:
-			fn(s.core)
 		case <-s.done:
 			return
 		}
@@ -526,55 +440,29 @@ func (s *Server) runLoop() {
 	}
 }
 
-// handle takes one request from a reader and disposes of it now or, when
-// hold keeps it, at a later flush or after a chaos delay.
+// handle routes one write or Verify from a reader: dedup, then buffer (a
+// write) or serve (Verify). A buffered write is disposed of by the flush
+// that answers it; every other request is disposed of here.
 func (s *Server) handle(r serverReq) {
-	if !s.hold(r) {
-		r.conn.leave()
-	}
-}
-
-// hold routes one write or Verify: chaos verdict, dedup, then buffer (a
-// write) or serve (Verify). It reports whether the request is still
-// held — buffered for the next flush, or deferred by chaos — and so not
-// yet disposed of.
-func (s *Server) hold(r serverReq) bool {
+	c, seq := r.conn, r.req.Seq
 	select {
-	case <-r.conn.quit:
-		return false // connection gone: nobody is left to answer
+	case <-c.quit:
+		c.leave() // connection gone: nobody is left to answer
+		return
 	default:
 	}
-	if drop, delay := s.verdict(r.req.Client); drop {
-		return false // no response; the client's retry re-enters the dedup window
-	} else if delay > 0 {
-		// Defer the whole request, preserving dedup semantics when the
-		// retry arrives first.
-		time.AfterFunc(delay, func() {
-			select {
-			case s.reqCh <- r:
-			case <-s.done:
-			}
-		})
-		return true
-	}
-
-	c, seq := r.conn, r.req.Seq
-	if body, ok := c.resp[seq]; ok {
+	switch body, seen := c.resp[seq]; {
+	case seen:
 		if body != nil {
 			c.send(body) // replayed response, not re-executed
 		}
-		return false // nil: already buffered, its flush response covers the retry
-	}
-	if seq <= c.evicted {
+		// nil: already buffered, its flush response covers the retry
+	case seq <= c.evicted:
 		c.send(EncodeResponse(&Response{
 			Seq: seq, Status: StatusError, Code: CodeDuplicate,
 			Detail: ErrDuplicate.Error(),
 		}))
-		return false
-	}
-
-	switch r.req.Op {
-	case ReqPut, ReqDel:
+	case r.req.Op == ReqPut || r.req.Op == ReqDel:
 		// DecodeRequest has bounded a Put's value at MaxValue.
 		op := Op{Op: OpPut, Key: r.req.Key, Value: r.req.Value}
 		if r.req.Op == ReqDel {
@@ -583,19 +471,19 @@ func (s *Server) hold(r serverReq) bool {
 		c.resp[seq] = nil // buffered until the flush answers it
 		s.pending = append(s.pending, op)
 		s.pendingReqs = append(s.pendingReqs, r)
-		return true
-	case ReqVerify:
+		return
+	case r.req.Op == ReqVerify:
 		s.flush()
 		rep, err := s.core.Verify()
-		resp := &Response{Seq: r.req.Seq, Status: StatusOK, Report: rep}
+		resp := &Response{Seq: seq, Status: StatusOK, Report: rep}
 		if err != nil {
 			resp.Status = StatusError
 			resp.Code = CodeTampered
 			resp.Detail = err.Error()
 		}
-		r.conn.send(EncodeResponse(resp)) // a read: not kept for replay
+		c.send(EncodeResponse(resp)) // a read: not kept for replay
 	}
-	return false
+	c.leave()
 }
 
 // flush commits the buffered writes as one batch and answers them.

@@ -101,11 +101,11 @@ type Stats struct {
 }
 
 // Core is the replicated service state. One goroutine writes: Commit,
-// SnapshotNow, Verify, Restore and the accessors below run on it only
-// (the server's run loop). Get may run on any number of other goroutines
-// at the same time: it reads kv and blob state under mu, which Commit
-// holds for writing only while it applies a committed flush, never while
-// agreement runs.
+// SnapshotNow, Verify, Restore and the other accessors below run on it
+// only (the server's run loop). Get and Stats may run on any number of
+// other goroutines at the same time: they read under mu, which the writer
+// holds exclusively only while it applies a committed flush or counts a
+// snapshot, never while agreement runs or a snapshot is encoded.
 type Core struct {
 	cfg   Config
 	keys  proto.Keys // drawn at NewCore; every flush runs under them
@@ -113,8 +113,9 @@ type Core struct {
 	blobs *blob.Store
 	audit *Audit
 
-	// mu guards store against Get: readers hold it shared, and Commit
-	// holds it exclusively while it applies a flush.
+	// mu guards store, slots, the audit log's appends and stats against
+	// Get and Stats: readers hold it shared, and the writer holds it
+	// exclusively while it changes them.
 	mu sync.RWMutex
 	// failed is the storage error that stopped the Core, set under mu.
 	// Once a committed flush could not be audited, the Core fail-stops:
@@ -185,8 +186,13 @@ func NewCore(cfg Config) (*Core, error) {
 // Close releases the audit file.
 func (c *Core) Close() error { return c.audit.Close() }
 
-// Stats returns the accumulated cost counters.
-func (c *Core) Stats() Stats { return c.stats }
+// Stats returns the accumulated cost counters, a consistent snapshot. It
+// may run concurrently with the writer.
+func (c *Core) Stats() Stats {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.stats
+}
 
 // StateHash returns the kv state digest.
 func (c *Core) StateHash() string { return c.store.Hash() }
@@ -287,11 +293,11 @@ func (c *Core) commandFor(op Op) (types.Value, error) {
 // sticks.
 //
 // Agreement runs without mu. The committed entries are then applied
-// under it, each one's audit record appended before the entry touches
-// the kv store, so a value the audit chain does not hold is never
-// served. A storage error there stops the Core for good (see failed):
-// the entries before the one that failed are audited, applied and
-// logged, that one is none of these, and no later entry runs.
+// and counted under it, each one's audit record appended before the
+// entry touches the kv store, so a value the audit chain does not hold
+// is never served. A storage error there stops the Core for good (see
+// failed): the entries before the one that failed are audited, applied
+// and logged, that one is none of these, and no later entry runs.
 func (c *Core) Commit(ops []Op) (int, error) {
 	if c.failed != nil {
 		return 0, c.failed
@@ -338,15 +344,17 @@ func (c *Core) Commit(ops []Op) (int, error) {
 		c.log = append(c.log, entry)
 		c.slots++
 	}
+	if c.failed == nil {
+		c.stats.Rounds += len(rep.Rounds)
+		c.stats.Committed += rep.Committed
+		c.stats.Words += rep.Engine.Metrics.Honest.Words
+		c.stats.Messages += rep.Engine.Metrics.Honest.Messages
+		c.stats.Bytes += rep.Engine.Metrics.Honest.Bytes
+	}
 	c.mu.Unlock()
 	if c.failed != nil {
 		return 0, c.failed
 	}
-	c.stats.Rounds += len(rep.Rounds)
-	c.stats.Committed += rep.Committed
-	c.stats.Words += rep.Engine.Metrics.Honest.Words
-	c.stats.Messages += rep.Engine.Metrics.Honest.Messages
-	c.stats.Bytes += rep.Engine.Metrics.Honest.Bytes
 	if err := c.maybeSnapshot(); err != nil {
 		return 0, err
 	}
@@ -433,8 +441,10 @@ func (c *Core) SnapshotNow() error {
 	if _, err := kv.DecodeSnapshot(c.snapshot); err != nil {
 		return err // never truncate on an unrestorable snapshot
 	}
+	c.mu.Lock()
 	c.stats.Snapshots++
 	c.stats.Truncated += len(c.log)
+	c.mu.Unlock()
 	c.log = nil
 	return nil
 }

@@ -39,18 +39,18 @@ func testCore(t *testing.T, mut func(*Config)) *Core {
 	return c
 }
 
-// coreSlots / coreAuditLen read a live server's core through Inspect so
-// the reads are serialized with the run loop (clean under -race).
+// coreSlots / coreAuditLen read a live server's core under Core.mu,
+// which the run loop holds while it commits.
 func coreSlots(s *Server) int {
-	var n int
-	s.Inspect(func(c *Core) { n = c.Slots() })
-	return n
+	s.core.mu.RLock()
+	defer s.core.mu.RUnlock()
+	return s.core.Slots()
 }
 
 func coreAuditLen(s *Server) int {
-	var n int
-	s.Inspect(func(c *Core) { n = c.Audit().Len() })
-	return n
+	s.core.mu.RLock()
+	defer s.core.mu.RUnlock()
+	return s.core.Audit().Len()
 }
 
 // TestNewCoreRejectsUnrunnableParams: NewCore validates n and t by the
@@ -508,37 +508,36 @@ func TestDedupWindowEviction(t *testing.T) {
 	}
 }
 
-// TestServerUnderChaos reuses the transport chaos schedule against the
-// service path: dropped requests are absorbed by client retries + the
-// dedup window, and the final state still verifies.
-func TestServerUnderChaos(t *testing.T) {
-	s := startServer(t, func(cfg *ServerConfig) {
-		cfg.Chaos = transport.ChaosConfig{Seed: 42, DropRate: 0.3, DelayRate: 0.2, MaxDelay: 5 * time.Millisecond}
-	})
-	c, err := Dial(s.Addr(), ClientConfig{Timeout: 300 * time.Millisecond, Retries: 20})
+// TestServerUnderLoss: over a link that drops and delays requests and
+// replies, client retries and the dedup window commit every Put exactly
+// once, and the final state still verifies.
+func TestServerUnderLoss(t *testing.T) {
+	s := startServer(t, nil)
+	addr := lossyProxy(t, s.Addr(), linkLoss{seed: 42, drop: 0.3, delay: 0.2, maxDelay: 5 * time.Millisecond})
+	c, err := Dial(addr, ClientConfig{Timeout: 100 * time.Millisecond, Retries: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	for i := 0; i < 8; i++ {
-		key := []byte(fmt.Sprintf("chaos-%d", i))
+		key := []byte(fmt.Sprintf("lossy-%d", i))
 		if err := c.Put(key, bytes.Repeat([]byte{byte(i)}, 200)); err != nil {
-			t.Fatalf("put %d under chaos: %v", i, err)
+			t.Fatalf("put %d over a lossy link: %v", i, err)
 		}
 		v, err := c.Get(key)
 		if err != nil {
-			t.Fatalf("get %d under chaos: %v", i, err)
+			t.Fatalf("get %d over a lossy link: %v", i, err)
 		}
 		if !bytes.Equal(v, bytes.Repeat([]byte{byte(i)}, 200)) {
-			t.Fatalf("value %d corrupted under chaos", i)
+			t.Fatalf("value %d corrupted over a lossy link", i)
 		}
 	}
 	// Every put must have committed exactly once despite retries.
 	if n := coreSlots(s); n != 8 {
-		t.Fatalf("slots = %d, want 8 (dedup failed under chaos)", n)
+		t.Fatalf("slots = %d, want 8 (dedup failed over a lossy link)", n)
 	}
 	if rep, err := c.Verify(); err != nil || !rep.OK() {
-		t.Fatalf("verify under chaos: %v", err)
+		t.Fatalf("verify over a lossy link: %v", err)
 	}
 }
 
@@ -565,7 +564,8 @@ func TestDedupWindowRejectsAncientSeq(t *testing.T) {
 // replies flushed ahead of it push the window past its seq is answered,
 // and a retry of it is then refused as a duplicate — not ignored as a
 // retransmit of a write still queued, which would leave the client
-// without a reply. Seqs 2..5 and then 1 are buffered for one flush.
+// without a reply. Seqs 2..5 and then 1 are buffered for one flush,
+// behind the Put that holds the run loop.
 func TestDedupWindowPassesQueuedWrite(t *testing.T) {
 	s := startServer(t, func(cfg *ServerConfig) { cfg.DedupWindow = 2 })
 	c, err := Dial(s.Addr(), ClientConfig{})
@@ -582,15 +582,15 @@ func TestDedupWindowPassesQueuedWrite(t *testing.T) {
 	if resp := awaitReply(t, c, 1); resp.Status != StatusOK {
 		t.Fatalf("put 1: %+v", resp)
 	}
-	if n := coreAuditLen(s); n != 5 {
-		t.Fatalf("%d puts committed, want 5", n)
+	if n := coreAuditLen(s); n != 6 {
+		t.Fatalf("%d puts committed, want 6", n)
 	}
 	sendFrames(t, c, put(1))
 	if resp := awaitReply(t, c, 1); resp.Code != CodeDuplicate {
 		t.Fatalf("retry of seq 1 behind the window: %+v, want CodeDuplicate", resp)
 	}
-	if n := coreAuditLen(s); n != 5 {
-		t.Fatalf("the retry re-executed: %d puts committed, want 5", n)
+	if n := coreAuditLen(s); n != 6 {
+		t.Fatalf("the retry re-executed: %d puts committed, want 6", n)
 	}
 }
 
@@ -616,18 +616,43 @@ func TestCloseWithIdleClient(t *testing.T) {
 	}
 }
 
+// TestServerStatsAccumulate reads Stats while the run loop commits: no
+// read sees fewer commands, rounds or words than the one before it, and
+// the last counts every Put.
 func TestServerStatsAccumulate(t *testing.T) {
+	const puts = 8
 	s := startServer(t, func(cfg *ServerConfig) { cfg.Core.MeasureBytes = true })
 	c, err := Dial(s.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
+	done := make(chan error, 1)
+	go func() {
+		for i := range puts {
+			if err := c.Put([]byte{byte(i)}, []byte("v")); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var st Stats
+	for running := true; running; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		default:
+		}
+		prev := st
+		if st = s.Stats(); st.Committed < prev.Committed || st.Rounds < prev.Rounds || st.Words < prev.Words {
+			t.Fatalf("stats went back from %+v to %+v", prev, st)
+		}
 	}
-	st := s.Stats()
-	if st.Rounds == 0 || st.Committed == 0 || st.Words == 0 || st.Bytes == 0 {
+	if st.Committed != puts || st.Rounds == 0 || st.Words == 0 || st.Bytes == 0 {
 		t.Fatalf("stats not accumulating: %+v", st)
 	}
 }
@@ -872,13 +897,23 @@ func TestBurstRepliesShareWrites(t *testing.T) {
 	s := startServer(t, nil)
 	gc, cli, br, id := serveGated(t, s)
 	pipelinePuts(t, cli, id, 1, burst)
-	// Audit entries appear inside a flush and Inspect runs between
-	// flushes, so seeing all of them means every reply is queued.
+	// Once every put's audit entry is in, the flush that appended the last
+	// ones is running or done, and it queues their replies before the run
+	// loop takes another request: a Put from a second connection, once
+	// answered, finds them all queued.
 	for deadline := time.Now().Add(5 * time.Second); coreAuditLen(s) < burst; {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d of %d puts committed", coreAuditLen(s), burst)
 		}
 		time.Sleep(time.Millisecond)
+	}
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Put([]byte("after"), []byte("v")); err != nil {
+		t.Fatal(err)
 	}
 	gc.open()
 

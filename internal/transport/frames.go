@@ -5,17 +5,13 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
-
-	"adaptiveba/internal/types"
 )
 
 // This file holds the transport's framing, which the mesh and every
 // other subsystem speaking the same wire format over its own connections
-// share, and exports the chaos-verdict primitives — concretely for
-// internal/service, whose client/server path reuses the
-// [len u32][kind u8][body] frame, the hostile-length bounds, and the
-// seeded chaos schedule without owning a full mesh Node.
+// share — concretely internal/service, whose client/server path reuses
+// the [len u32][kind u8][body] frame and the hostile-length bounds
+// without owning a full mesh Node.
 
 // ServiceFrameBase is the first frame kind available to non-mesh users.
 // Kinds below it are reserved for the mesh handshake and data plane
@@ -114,33 +110,4 @@ func (fr *FrameReader) Read(r io.Reader) (byte, []byte, error) {
 	}
 	fr.buf = buf
 	return buf[0], buf[1:], nil
-}
-
-// ChaosVerdicts exposes the chaos schedule's pure decision core to
-// non-mesh paths. Where the mesh's chaos layer both decides and applies
-// (deferring frames into peer outboxes), a ChaosVerdicts user asks for
-// the verdict and handles the drop or delay itself — the service's
-// server, for instance, drops or defers inbound client request frames.
-// Determinism matches the mesh layer: the verdict sequence is a pure
-// function of the seed.
-type ChaosVerdicts struct {
-	c *chaos
-}
-
-// NewChaosVerdicts builds a verdict stream for one endpoint. self/n give
-// the endpoint's identity and population (used by partition parity and
-// flap victim selection); tick is the interval MaxDelay defaults
-// against.
-func NewChaosVerdicts(cfg ChaosConfig, self types.ProcessID, n int, tick time.Duration) *ChaosVerdicts {
-	return &ChaosVerdicts{c: newChaos(cfg, self, n, tick, nil)}
-}
-
-// Tick advances the chaos clock; partition and flap windows are
-// tick-indexed.
-func (v *ChaosVerdicts) Tick(now types.Tick) { v.c.tick(now) }
-
-// Verdict decides one frame's fate: deliver (false, 0), drop (true, 0),
-// or deliver after the returned delay.
-func (v *ChaosVerdicts) Verdict(to types.ProcessID) (drop bool, delay time.Duration) {
-	return v.c.verdict(to)
 }

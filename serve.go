@@ -195,9 +195,9 @@ func ServeContext(ctx context.Context, addr string, opts ...ServeOption) (*Servi
 func (s *Service) Addr() string { return s.srv.Addr() }
 
 // Stats returns the service's accumulated agreement-side cost counters.
-// The read is serialized with the commit loop, so the numbers are a
-// consistent snapshot — though concurrent commits may move them the
-// moment it returns.
+// The read holds the lock the commit path counts under, so the numbers
+// are a consistent snapshot — though concurrent commits may move them
+// the moment it returns. It never waits behind a running agreement.
 func (s *Service) Stats() ServiceStats {
 	st := s.srv.Stats()
 	return ServiceStats{
