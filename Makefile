@@ -132,8 +132,12 @@ race-guard:
 # builds a key ring, a dealer or a Crypto itself. Faults are injected on
 # links, by the mesh's chaos layer or by a test's lossy proxy, never inside
 # a server: also fail if a non-test file outside internal/transport and
-# the cluster CLI names ChaosConfig.
+# the cluster CLI names ChaosConfig. GOMAXPROCS is the one control of
+# every worker pool, the verification cache has no off switch, and nodes
+# are crashed from outside: also fail if a non-test file names one of the
+# knobs that used to duplicate those (REMOVED_KNOBS).
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
+REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|CrashAfter|-tick-workers|-no-verify-cache
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \
 	if echo "$$deps" | grep -qx 'adaptiveba/internal/harness'; then \
@@ -146,6 +150,10 @@ deps-guard:
 	hits=$$(grep -rnw --include='*.go' --exclude='*_test.go' 'ChaosConfig' . | grep -vE '^\./(internal/transport|cmd/adaptiveba-cluster)/'); \
 	if [ -n "$$hits" ]; then \
 		echo "$$hits"; echo "deps-guard: FAIL fault injection configured outside the mesh transport"; exit 1; \
+	fi; \
+	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REMOVED_KNOBS)' .); \
+	if [ -n "$$hits" ]; then \
+		echo "$$hits"; echo "deps-guard: FAIL a removed knob is back (GOMAXPROCS sizes every pool; CountOps is the only uncached suite)"; exit 1; \
 	fi
 
 # Interactive single-grid-point search with a full report.

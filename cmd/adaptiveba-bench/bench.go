@@ -274,8 +274,9 @@ func runEngine(out io.Writer, g grid) ([]row, map[string]bool, error) {
 // n × f ∈ {0, t} × batch, both at window 2. Per slot the ACS round
 // commits an ≥ n−t subset of n proposer batches where the baseline
 // commits at most one command; at f = 0 it must commit at least n/2
-// times the baseline's requests. Every arm re-runs with 8 tick workers
-// and with window 1, and its fingerprint and state hash must not move.
+// times the baseline's requests. Every arm re-runs at GOMAXPROCS 8 (eight
+// per-tick workers) and with window 1, and its fingerprint and state hash
+// must not move.
 func runACS(out io.Writer, g grid) ([]row, map[string]bool, error) {
 	var rows []row
 	identical, ratioOK, subsetOK := true, true, true
@@ -303,11 +304,16 @@ func runACS(out io.Writer, g grid) ([]row, map[string]bool, error) {
 				if err != nil {
 					return nil, nil, err
 				}
-				workers, window := cfg, cfg
-				workers.TickWorkers, window.Inflight = 8, 1
+				window := cfg
+				window.Inflight = 1
 				same := true
-				for _, variant := range []engine.Config{workers, window} {
-					vr, vfp, err := measureLog(variant, g.Rounds, batch)
+				for _, arm := range []struct {
+					cfg   engine.Config
+					procs int // 0 keeps GOMAXPROCS as it is
+				}{{cfg, 8}, {window, 0}} {
+					prev := runtime.GOMAXPROCS(arm.procs)
+					vr, vfp, err := measureLog(arm.cfg, g.Rounds, batch)
+					runtime.GOMAXPROCS(prev)
 					if err != nil {
 						return nil, nil, err
 					}

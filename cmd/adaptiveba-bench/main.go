@@ -41,18 +41,14 @@ func run(args []string, out io.Writer) error {
 		fault    = fs.String("fault", "crash", "sweep fault pattern")
 		asCSV    = fs.Bool("csv", false, "emit the sweep as CSV")
 		asPlot   = fs.Bool("plot", false, "render the sweep as an ASCII chart (words vs f, one series per n)")
-		workers  = fs.Int("parallel", 0, "worker count for grid points (0 = one per CPU, 1 = sequential)")
 		ed25519  = fs.Bool("ed25519", false, "sweep with real Ed25519 signatures")
 		certmode = fs.String("certmode", "compact", "sweep threshold certificate encoding: compact | aggregate")
-		nocache  = fs.Bool("no-verify-cache", false, "sweep with the verification fast path disabled")
-		tickW    = fs.Int("tick-workers", 0, "per-tick worker count inside one run (0 = one per CPU, 1 = serial); any value yields identical output")
 		bench    = fs.String("bench", "", "run one committed bench over its fixed grid and write its JSON report: "+strings.Join(benchNames(), " | "))
 		outPath  = fs.String("o", "", "-bench report path (default BENCH_<name>.json)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	pool := harness.Pool{Workers: *workers}
 	mode, err := threshold.ParseMode(*certmode)
 	if err != nil {
 		return fmt.Errorf("-certmode: %w", err)
@@ -75,10 +71,10 @@ func run(args []string, out io.Writer) error {
 		if !ok {
 			return fmt.Errorf("unknown experiment %q (use -list)", *exp)
 		}
-		return runOne(out, e, pool)
+		return runOne(out, e)
 	case *all:
 		for _, e := range harness.Experiments() {
-			if err := runOne(out, e, pool); err != nil {
+			if err := runOne(out, e); err != nil {
 				return err
 			}
 		}
@@ -92,13 +88,11 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("-fs: %w", err)
 		}
-		outcomes, err := pool.Sweep(harness.Spec{
-			Protocol:      harness.Protocol(*protocol),
-			Fault:         harness.Fault(*fault),
-			Ed25519:       *ed25519,
-			CertMode:      mode,
-			NoVerifyCache: *nocache,
-			TickWorkers:   *tickW,
+		outcomes, err := harness.Sweep(harness.Spec{
+			Protocol: harness.Protocol(*protocol),
+			Fault:    harness.Fault(*fault),
+			Ed25519:  *ed25519,
+			CertMode: mode,
 		}, ns, fvals)
 		if err != nil {
 			return err
@@ -162,9 +156,9 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-func runOne(out io.Writer, e harness.Experiment, pool harness.Pool) error {
+func runOne(out io.Writer, e harness.Experiment) error {
 	fmt.Fprintf(out, "== %s — %s ==\n", e.ID, e.Title)
-	report, err := e.Run(pool)
+	report, err := e.Run()
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.ID, err)
 	}

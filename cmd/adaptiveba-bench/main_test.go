@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"adaptiveba/internal/testenv"
 )
 
 func TestList(t *testing.T) {
@@ -86,37 +88,23 @@ func TestSweepPlot(t *testing.T) {
 	}
 }
 
+// TestSweepTickWorkersMatchesDefault: the sweep CSV is the same whether
+// grid points and each run's ticks are stepped serially (GOMAXPROCS 1) or
+// by eight workers.
 func TestSweepTickWorkersMatchesDefault(t *testing.T) {
-	argsFor := func(extra ...string) []string {
-		return append([]string{"-sweep", "-protocol", "bb", "-ns", "5,9", "-fs", "0,1", "-csv"}, extra...)
-	}
+	args := []string{"-sweep", "-protocol", "bb", "-ns", "5,9", "-fs", "0,1", "-csv"}
 	var serial, parallel bytes.Buffer
-	if err := run(argsFor("-tick-workers", "1"), &serial); err != nil {
+	testenv.Procs(t, 1)
+	if err := run(args, &serial); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(argsFor("-tick-workers", "8"), &parallel); err != nil {
+	testenv.Procs(t, 8)
+	if err := run(args, &parallel); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {
-		t.Errorf("-tick-workers changed the sweep CSV:\n--- serial ---\n%s\n--- parallel ---\n%s",
+		t.Errorf("GOMAXPROCS changed the sweep CSV:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial.String(), parallel.String())
-	}
-}
-
-func TestSweepNoVerifyCacheMatchesDefault(t *testing.T) {
-	argsFor := func(extra ...string) []string {
-		return append([]string{"-sweep", "-protocol", "bb", "-ns", "5,9", "-fs", "0,1", "-certmode", "aggregate", "-csv"}, extra...)
-	}
-	var withCache, noCache bytes.Buffer
-	if err := run(argsFor(), &withCache); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(argsFor("-no-verify-cache"), &noCache); err != nil {
-		t.Fatal(err)
-	}
-	if withCache.String() != noCache.String() {
-		t.Errorf("-no-verify-cache changed the sweep CSV:\n--- cached ---\n%s\n--- uncached ---\n%s",
-			withCache.String(), noCache.String())
 	}
 }
 

@@ -44,17 +44,14 @@ func run(args []string, out io.Writer) error {
 		seed     = fs.Int64("seed", 1, "seed for randomized adversaries")
 		ed25519  = fs.Bool("ed25519", false, "use real Ed25519 signatures")
 		certmode = fs.String("certmode", "compact", "threshold certificate encoding: compact | aggregate")
-		nocache  = fs.Bool("no-verify-cache", false, "disable the shared verification fast path (A/B baseline; metrics are unaffected)")
 		trace    = fs.Bool("trace", false, "print the message trace")
 		layers   = fs.Bool("layers", true, "print the per-layer word breakdown")
 		reps     = fs.Int("reps", 1, "repetitions with derived seeds (> 1 prints a min/median/max summary)")
-		workers  = fs.Int("parallel", 0, "worker count for -reps runs (0 = one per CPU, 1 = sequential)")
-		tickW    = fs.Int("tick-workers", 0, "per-tick worker count inside one run (0 = one per CPU, 1 = serial); any value yields identical output")
 		sessions = fs.Int("sessions", 1, "run this many concurrent instances of the protocol through the multi-session engine")
-		acsMode  = fs.Bool("acs", false, "run the batched replicated log: -sessions ACS rounds of n proposer batches each (uses -n, -f, -batch, -inflight, -tick-workers)")
+		acsMode  = fs.Bool("acs", false, "run the batched replicated log: -sessions ACS rounds of n proposer batches each (uses -n, -f, -batch, -inflight)")
 		batch    = fs.Int("batch", 1, "commands per proposer batch (-acs rounds and -protocol acs)")
 		inflight = fs.Int("inflight", 0, "engine admission window: max sessions in flight (0 = all at once, 1 = strictly serial)")
-		expl     = fs.Bool("explore", false, "search adversary schedules for the worst case instead of running one spec (bb | wba; uses -n, -f, -seed, -parallel)")
+		expl     = fs.Bool("explore", false, "search adversary schedules for the worst case instead of running one spec (bb | wba; uses -n, -f, -seed)")
 		gens     = fs.Int("generations", 4, "explore: search generations")
 		popsize  = fs.Int("population", 8, "explore: schedules per generation")
 	)
@@ -69,7 +66,7 @@ func run(args []string, out io.Writer) error {
 		if rounds < 1 {
 			rounds = 1
 		}
-		cfg := engine.Config{N: *n, F: *f, Inflight: *inflight, Seed: *seed, TickWorkers: *tickW}
+		cfg := engine.Config{N: *n, F: *f, Inflight: *inflight, Seed: *seed}
 		if *ed25519 {
 			cfg.Keys = proto.Ed25519()
 		}
@@ -83,7 +80,6 @@ func run(args []string, out io.Writer) error {
 			Seed:        *seed,
 			Generations: *gens,
 			Population:  *popsize,
-			Workers:     *workers,
 		})
 	}
 
@@ -92,18 +88,16 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-certmode: %w", err)
 	}
 	spec := harness.Spec{
-		Protocol:      harness.Protocol(*protocol),
-		N:             *n,
-		F:             *f,
-		Fault:         harness.Fault(*fault),
-		Inputs:        harness.Inputs(*inputs),
-		Value:         types.Value(*value),
-		Seed:          *seed,
-		Ed25519:       *ed25519,
-		CertMode:      mode,
-		NoVerifyCache: *nocache,
-		TickWorkers:   *tickW,
-		Batch:         *batch,
+		Protocol: harness.Protocol(*protocol),
+		N:        *n,
+		F:        *f,
+		Fault:    harness.Fault(*fault),
+		Inputs:   harness.Inputs(*inputs),
+		Value:    types.Value(*value),
+		Seed:     *seed,
+		Ed25519:  *ed25519,
+		CertMode: mode,
+		Batch:    *batch,
 	}
 	if *trace {
 		spec.OnSend = sim.TraceTo(out)
@@ -112,7 +106,7 @@ func run(args []string, out io.Writer) error {
 		return runEngine(out, spec, *sessions, *inflight)
 	}
 	if *reps > 1 {
-		return runReps(out, spec, *reps, *workers)
+		return runReps(out, spec, *reps)
 	}
 	o, err := harness.Run(spec)
 	if err != nil {
@@ -237,15 +231,15 @@ func runACS(out io.Writer, cfg engine.Config, rounds, batch int) error {
 	return nil
 }
 
-// runReps executes the spec reps times with DeriveSeed-assigned seeds on
-// a worker pool and prints the aggregate. Output is identical for every
-// -parallel value (the runner's determinism guarantee).
-func runReps(out io.Writer, spec harness.Spec, reps, workers int) error {
+// runReps executes the spec reps times with DeriveSeed-assigned seeds,
+// one worker per CPU, and prints the aggregate. Output is identical at
+// every GOMAXPROCS (the runner's determinism guarantee).
+func runReps(out io.Writer, spec harness.Spec, reps int) error {
 	seeds := make([]int64, reps)
 	for r := range seeds {
 		seeds[r] = harness.DeriveSeed(spec.Seed, int64(spec.N), int64(spec.F), int64(r))
 	}
-	st, err := harness.Pool{Workers: workers}.Stats(spec, seeds)
+	st, err := harness.Repeat(spec, seeds)
 	if err != nil {
 		return err
 	}

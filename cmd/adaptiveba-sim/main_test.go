@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"adaptiveba/internal/testenv"
 )
 
 func TestRunBB(t *testing.T) {
@@ -60,37 +62,8 @@ func TestRunAggregateWithCacheStats(t *testing.T) {
 	}
 }
 
-func TestRunNoVerifyCacheMatchesDefault(t *testing.T) {
-	// The fast path must not perturb any reported metric; only the cache
-	// stat line itself may differ.
-	var cached, uncached bytes.Buffer
-	args := []string{"-protocol", "bb", "-n", "9", "-f", "1", "-certmode", "aggregate"}
-	if err := run(args, &cached); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(append(args, "-no-verify-cache"), &uncached); err != nil {
-		t.Fatal(err)
-	}
-	strip := func(s string) string {
-		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.HasPrefix(line, "verify $") {
-				continue
-			}
-			keep = append(keep, line)
-		}
-		return strings.Join(keep, "\n")
-	}
-	if strip(cached.String()) != strip(uncached.String()) {
-		t.Errorf("-no-verify-cache changed metrics:\n--- cached ---\n%s\n--- uncached ---\n%s",
-			cached.String(), uncached.String())
-	}
-	if strings.Contains(uncached.String(), "verify $") {
-		t.Error("cache stat line printed with cache off")
-	}
-}
-
 func TestRunACSMode(t *testing.T) {
+	testenv.Procs(t, 1)
 	var out bytes.Buffer
 	if err := run([]string{"-acs", "-n", "5", "-f", "1", "-sessions", "2", "-batch", "3", "-inflight", "2"}, &out); err != nil {
 		t.Fatal(err)
@@ -105,13 +78,14 @@ func TestRunACSMode(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
 	}
-	// -acs output is deterministic across tick-worker counts.
+	// -acs output is deterministic across tick-worker counts (GOMAXPROCS).
+	testenv.Procs(t, 4)
 	var par bytes.Buffer
-	if err := run([]string{"-acs", "-n", "5", "-f", "1", "-sessions", "2", "-batch", "3", "-inflight", "2", "-tick-workers", "4"}, &par); err != nil {
+	if err := run([]string{"-acs", "-n", "5", "-f", "1", "-sessions", "2", "-batch", "3", "-inflight", "2"}, &par); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != par.String() {
-		t.Errorf("-tick-workers changed -acs output:\n--- serial ---\n%s\n--- parallel ---\n%s", out.String(), par.String())
+		t.Errorf("GOMAXPROCS changed -acs output:\n--- serial ---\n%s\n--- parallel ---\n%s", out.String(), par.String())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/sim"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -38,7 +39,7 @@ func batchFor(id types.ProcessID, size int) types.Value {
 	return EncodeBatch(cmds)
 }
 
-func run(t testing.TB, n, batch, workers int, adv sim.Adversary) (*sim.Result, map[types.ProcessID]*Machine) {
+func run(t testing.TB, n, batch int, adv sim.Adversary) (*sim.Result, map[types.ProcessID]*Machine) {
 	t.Helper()
 	crypto, params := setup(t, n)
 	machines := make(map[types.ProcessID]*Machine)
@@ -58,7 +59,6 @@ func run(t testing.TB, n, batch, workers int, adv sim.Adversary) (*sim.Result, m
 		},
 		Adversary: adv,
 		MaxTicks:  MaxTicks(params) + 4,
-		Workers:   workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func checkHonestClean(t *testing.T, res *sim.Result, machines map[types.ProcessI
 func TestACSFailureFree(t *testing.T) {
 	for _, n := range []int{5, 9} {
 		const batch = 4
-		res, machines := run(t, n, batch, 1, nil)
+		res, machines := run(t, n, batch, nil)
 		checkHonestClean(t, res, machines)
 		if res.TimedOut {
 			t.Fatalf("n=%d: timed out after %d ticks", n, res.Ticks)
@@ -117,7 +117,7 @@ func TestACSFailureFree(t *testing.T) {
 func TestACSCrashedProposers(t *testing.T) {
 	const n, batch = 7, 3
 	crashed := []types.ProcessID{1, 2, 3} // t = 3 crashes
-	res, machines := run(t, n, batch, 1, adversary.NewCrash(crashed...))
+	res, machines := run(t, n, batch, adversary.NewCrash(crashed...))
 	checkHonestClean(t, res, machines)
 	if res.TimedOut {
 		t.Fatalf("timed out after %d ticks", res.Ticks)
@@ -188,12 +188,13 @@ func TestACSEmptyBatch(t *testing.T) {
 
 // TestACSDeterministicAcrossWorkers pins the CI determinism contract:
 // the decided result bytes are identical at every per-tick worker
-// count.
+// count (GOMAXPROCS).
 func TestACSDeterministicAcrossWorkers(t *testing.T) {
 	const n, batch = 9, 2
 	var base types.Value
 	for _, workers := range []int{1, 2, 8} {
-		res, machines := run(t, n, batch, workers, adversary.NewCrash(1))
+		testenv.Procs(t, workers)
+		res, machines := run(t, n, batch, adversary.NewCrash(1))
 		checkHonestClean(t, res, machines)
 		v, ok := res.Agreement()
 		if !ok {
@@ -282,7 +283,7 @@ func TestACSBoundarySubsetIsTheVotedSubset(t *testing.T) {
 		scenarios = append(scenarios, scenario{fmt.Sprintf("replay f=%d", params.T), adversary.NewReplay(42, horizon, adversary.CrashSet(params.T, false)...)})
 		for _, sc := range scenarios {
 			t.Run(fmt.Sprintf("n=%d/%s", n, sc.name), func(t *testing.T) {
-				res, machines := run(t, n, 2, 1, sc.adv)
+				res, machines := run(t, n, 2, sc.adv)
 				checkHonestClean(t, res, machines)
 				var first *types.BitSet
 				for _, id := range res.Honest {

@@ -144,12 +144,19 @@ func CrashSet(f int, leader bool) []types.ProcessID {
 	return FirstProcesses(f + 1)[1:]
 }
 
+// Horizon is the tick before which an adversary built against a run's
+// tick budget acts: half the budget, at least one tick. A solo run's
+// budget is twice its instance's bound, so the horizon keeps every move
+// inside the run's natural length — a late move delays the run, it never
+// stalls quiescence.
+func Horizon(maxTicks types.Tick) types.Tick { return max(maxTicks/2, 1) }
+
 // ForPattern is the repository's one rule from a named fault pattern to
 // the adversary that corrupts f processes of a run. "crash-leader"
 // crashes CrashSet(f, true) at tick 0; "stagger" crashes CrashSet(f,
 // false) one per tick, the i-th at tick i+1; "replay" crashes CrashSet(f,
-// false) and replays stale honest traffic from them until half the run's
-// tick budget; any other name, "crash" included, crashes CrashSet(f,
+// false) and replays stale honest traffic from them until the run's
+// Horizon; any other name, "crash" included, crashes CrashSet(f,
 // false) at tick 0. The result builds the adversary against the run's
 // budget (nil when f = 0). Protocol-aware patterns live in attacks.
 func ForPattern(pattern string, f int, seed int64) func(maxTicks types.Tick) sim.Adversary {
@@ -166,7 +173,7 @@ func ForPattern(pattern string, f int, seed int64) func(maxTicks types.Tick) sim
 			}
 			return NewCrashAt(at)
 		case "replay":
-			return NewReplay(seed, maxTicks/2, ids...)
+			return NewReplay(seed, Horizon(maxTicks), ids...)
 		}
 		return NewCrash(ids...)
 	}

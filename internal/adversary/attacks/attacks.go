@@ -56,7 +56,7 @@ func (a *WBAPhaseSpam) Act(now types.Tick, _ []sim.Message) []sim.Message {
 		if phase < 1 || phase > a.Env.Params.T+1 {
 			continue
 		}
-		if now != a.StartTick+types.Tick(5*(phase-1)) {
+		if now != a.StartTick+wba.PhaseStart(phase) {
 			continue
 		}
 		for i := 0; i < a.Env.Params.N; i++ {
@@ -107,13 +107,12 @@ func (a *BBPhaseSpam) Observe(_ types.Tick, _ types.ProcessID, inbox []proto.Inc
 // Act implements sim.Adversary.
 func (a *BBPhaseSpam) Act(now types.Tick, _ []sim.Message) []sim.Message {
 	params := a.Env.Params
-	wbaStart := types.Tick(1 + 3*params.N) // BB round 1 + n vetting phases
+	wbaStart := bb.PhaseStart(params.N + 1) // after BB round 1 and n vetting phases
 	var msgs []sim.Message
 	for _, c := range a.Schedule {
 		phase := int(c.ID)
-		// Vetting-phase spam: help_req in BB phase j (round 1 of the
-		// 3-round phase starting at tick 1 + 3(j-1)).
-		if phase >= 1 && phase <= params.N && now == types.Tick(1+3*(phase-1)) {
+		// Vetting-phase spam: help_req in the first round of BB phase j.
+		if phase >= 1 && phase <= params.N && now == bb.PhaseStart(phase) {
 			for i := 0; i < params.N; i++ {
 				msgs = append(msgs, sim.Message{
 					From: c.ID, To: types.ProcessID(i),
@@ -123,11 +122,11 @@ func (a *BBPhaseSpam) Act(now types.Tick, _ []sim.Message) []sim.Message {
 		}
 		// Nested weak BA spam with the captured valid envelope.
 		if a.senderEnv != nil && phase >= 1 && phase <= params.T+1 &&
-			now == wbaStart+types.Tick(5*(phase-1)) {
+			now == wbaStart+wba.PhaseStart(phase) {
 			for i := 0; i < params.N; i++ {
 				msgs = append(msgs, sim.Message{
 					From: c.ID, To: types.ProcessID(i),
-					Session: "wba",
+					Session: bb.WBASession,
 					Payload: wba.Propose{Phase: phase, V: a.senderEnv},
 				})
 			}

@@ -37,11 +37,19 @@ import (
 	"adaptiveba/internal/types"
 )
 
-// Session name of the nested weak BA.
-const wbaSession = "wba"
+// WBASession is the session name of the nested weak BA: its messages
+// travel under this segment below the BB instance's own session.
+const WBASession = "wba"
 
 // roundsPerPhase is the 3-round vetting phase structure (Algorithm 2).
 const roundsPerPhase = 3
+
+// PhaseStart is the tick, counted from the machine's Begin, of vetting
+// phase phase's first round; round 1 (tick 0) is the sender's
+// dissemination. PhaseStart(phases+1), the tick after the last vetting
+// phase, is the tick the nested weak BA begins. Adversaries that act on
+// BB's round layout read it here.
+func PhaseStart(phase int) types.Tick { return types.Tick(1 + roundsPerPhase*(phase-1)) }
 
 // Config parameterizes BB for one process.
 type Config struct {
@@ -214,7 +222,7 @@ func MaxTicks(params types.Params, phases, wbaPhases int) types.Tick {
 	if phases <= 0 {
 		phases = params.N
 	}
-	return types.Tick(1+phases*roundsPerPhase) + wba.MaxTicks(params, wbaPhases) + 4
+	return PhaseStart(phases+1) + wba.MaxTicks(params, wbaPhases) + 4
 }
 
 // RanFallback reports whether this process's nested weak BA executed
@@ -245,7 +253,7 @@ func (m *Machine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing 
 // Tick implements proto.Machine.
 func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
 	m.nowTick = now
-	wbaIn := proto.SplitChild(inbox, wbaSession, func(in proto.Incoming) { m.ingest(now, in) })
+	wbaIn := proto.SplitChild(inbox, WBASession, func(in proto.Incoming) { m.ingest(now, in) })
 
 	if r, ok := m.clock.BoundaryAt(now); ok {
 		outs = m.boundary(int(r), outs)
@@ -396,7 +404,7 @@ func (m *Machine) wbaConfig() wba.Config {
 		ID:                  m.cfg.ID,
 		Input:               m.vi,
 		Predicate:           &m.validator,
-		Tag:                 m.cfg.Tag + "/" + wbaSession,
+		Tag:                 m.cfg.Tag + "/" + WBASession,
 		Phases:              m.cfg.WBAPhases,
 		DisableSilentPhases: m.cfg.DisableSilentPhases,
 	}
@@ -406,7 +414,7 @@ func (m *Machine) wbaConfig() wba.Config {
 func (m *Machine) startWBA(outs []proto.Outgoing) []proto.Outgoing {
 	inner := wba.NewMachine(m.wbaConfig())
 	m.wbaMachine = inner
-	m.wbaSub = proto.NewSub(wbaSession, inner)
+	m.wbaSub = proto.NewSub(WBASession, inner)
 	return m.wbaSub.Begin(m.clock.StartOf(types.Round(m.Rounds()+1)), outs)
 }
 

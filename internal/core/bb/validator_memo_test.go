@@ -11,9 +11,9 @@ import (
 
 // TestValidatorMemo: the Validator answers a byte-identical repeat of the
 // last envelope from memory — positive or negative — and nothing else.
-// Verifications are counted below an uncached, aggregate-mode setup, so
-// every real check (a sender signature: 1, an idk certificate: t+1 shares)
-// is visible.
+// Verifications are counted by an aggregate-mode CountOps suite, which has
+// no cache, so every real check (a sender signature: 1, an idk
+// certificate: t+1 shares) is visible.
 func TestValidatorMemo(t *testing.T) {
 	const n = 5
 	params, err := types.NewParams(n)
@@ -24,8 +24,8 @@ func TestValidatorMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := sig.NewCounting(ring)
-	crypto := proto.NewCrypto(params, counter, threshold.ModeAggregate, nil, proto.WithoutVerifyCache())
+	crypto := proto.NewCrypto(params, ring, threshold.ModeAggregate, nil, proto.CountOps())
+	verifies := func() int64 { _, v := crypto.Ops(); return v }
 	const sender = types.ProcessID(3)
 	bv := NewValidator(crypto, "t", sender, params.N)
 
@@ -39,11 +39,11 @@ func TestValidatorMemo(t *testing.T) {
 	// check validates env and reports how many signatures that verified.
 	check := func(what string, env types.Value, want bool) int64 {
 		t.Helper()
-		before := counter.Verifies()
+		before := verifies()
 		if got := bv.Validate(env); got != want {
 			t.Fatalf("%s: Validate = %t, want %t", what, got, want)
 		}
-		return counter.Verifies() - before
+		return verifies() - before
 	}
 
 	x := senderEnv("x")
@@ -125,11 +125,11 @@ func TestValidatorMemo(t *testing.T) {
 	// Validators do not share verdicts: a second machine's validator
 	// checks the same bytes itself.
 	other := NewValidator(crypto, "t", sender, params.N)
-	before := counter.Verifies()
+	before := verifies()
 	if !other.Validate(x) {
 		t.Fatal("second validator rejected x")
 	}
-	if d := counter.Verifies() - before; d != 1 {
+	if d := verifies() - before; d != 1 {
 		t.Errorf("second validator verified %d signatures, want 1", d)
 	}
 }

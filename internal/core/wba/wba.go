@@ -64,6 +64,12 @@ const fbSession = "fb"
 // roundsPerPhase is the paper's 5-round phase structure (Algorithm 4).
 const roundsPerPhase = 5
 
+// PhaseStart is the tick, counted from the machine's Begin, of phase
+// phase's first round, in which its leader proposes. PhaseStart(phases+1),
+// the tick after the last phase, is the first help round. Adversaries
+// that act on weak BA's round layout read it here.
+func PhaseStart(phase int) types.Tick { return types.Tick(roundsPerPhase * (phase - 1)) }
+
 // Machine implements proto.Machine for weak BA.
 type Machine struct {
 	cfg    Config

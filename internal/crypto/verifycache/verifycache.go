@@ -237,16 +237,6 @@ func (c *Cache) Do(k Key, compute func() bool) bool {
 	return cl.ok
 }
 
-// Lookup reports a cached result without computing on miss.
-func (c *Cache) Lookup(k Key) (v, ok bool) {
-	if c == nil {
-		return false, false
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.lookupLocked(k)
-}
-
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
 	if c == nil {

@@ -8,6 +8,7 @@ import (
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -23,7 +24,7 @@ func acsQueues(n, perProc int) [][]types.Value {
 
 // TestRunACSLogConvergence drives the batched log end to end: identical
 // entries, committed counts, and kv state hash at every window size and
-// worker count; failure-free rounds commit all n batches.
+// GOMAXPROCS; failure-free rounds commit all n batches.
 func TestRunACSLogConvergence(t *testing.T) {
 	const n, rounds, batch = 5, 3, 2
 	var serial *ACSLogReport
@@ -31,8 +32,9 @@ func TestRunACSLogConvergence(t *testing.T) {
 	for _, run := range []struct {
 		window, workers int
 	}{{1, 1}, {2, 1}, {2, 8}} {
+		testenv.Procs(t, run.workers)
 		queues := acsQueues(n, rounds*batch)
-		rep, err := RunACSLog(Config{N: n, Inflight: run.window, TickWorkers: run.workers}, queues, rounds, batch)
+		rep, err := RunACSLog(Config{N: n, Inflight: run.window}, queues, rounds, batch)
 		if err != nil {
 			t.Fatalf("W=%d workers=%d: %v", run.window, run.workers, err)
 		}
@@ -102,15 +104,15 @@ func TestRunACSLogCrashFaults(t *testing.T) {
 // re-sending recorded broadcast-stage traffic past the round's vote
 // boundary hits retired "b<i>" sessions inside the ACS machines, which
 // must surface in EngineLate — and the round must still commit an
-// ≥ n−t subset with byte-identical decisions across worker counts.
+// ≥ n−t subset with byte-identical decisions across GOMAXPROCS.
 func TestACSEngineLate(t *testing.T) {
 	const n = 5
 	params, _ := types.NewParams(n)
 	var serialFP string
 	for _, workers := range []int{1, 4} {
+		testenv.Procs(t, workers)
 		rep, err := RunACSLog(Config{
-			N:           n,
-			TickWorkers: workers,
+			N: n,
 			Adversary: func(maxTicks types.Tick) sim.Adversary {
 				// Replay until the budget runs out: stale BB traffic keeps
 				// arriving long after the vote boundary retires the

@@ -16,9 +16,9 @@ import (
 // 32-command flush of a burst of inline puts (n=4, one round, every
 // proposer a full batch of 8 — the shape that pays for value bytes) and
 // the batched library call of lib-acs-crash1 (n=9, one crashed proposer,
-// four rounds of batch 16). TickWorkers stays at its default on purpose:
-// that is what the service runs, and what the older guards (Workers: 1,
-// idle ticks) never measured.
+// four rounds of batch 16). The worker count stays at GOMAXPROCS on
+// purpose: that is what the service runs, and what the older guards
+// (serial stepping, idle ticks) never measured.
 var commitShapes = []struct {
 	name          string
 	cfg           Config
@@ -105,7 +105,7 @@ func BenchmarkRunACSLogCommit(b *testing.B) {
 }
 
 // TestCommitAllocCeiling is the engine-level alloc guard on the real
-// crypto path at the default TickWorkers: whole-call allocation counts and
+// crypto path at GOMAXPROCS per-tick workers: whole-call allocation counts and
 // bytes of the three commit shapes, with about 10 % headroom over what
 // this test logs for n4r1, n4b32 and n9f1 (with weak BA and BB keeping
 // their per-phase state in maps: 1 866 / 144 kB, – and 74 750 / 8.0 MB;

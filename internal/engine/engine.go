@@ -93,9 +93,6 @@ type Config struct {
 	// OnSend, if set, observes every charged message of the run (see
 	// sim.Config.OnSend); sim.TraceTo builds the text trace on it.
 	OnSend func(now types.Tick, m sim.Message, honest bool)
-	// TickWorkers bounds the simulator's per-tick fan-out (0 = one per
-	// CPU, 1 = serial); output is byte-identical at any value.
-	TickWorkers int
 	// MeasureBytes additionally encodes every payload through the wire
 	// registry to count bytes on the wire (slower; off by default). The
 	// word metric weighs every value as one word regardless of size, so
@@ -247,7 +244,6 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		Adversary: adv,
 		MaxTicks:  sched.budget,
 		OnSend:    cfg.OnSend,
-		Workers:   cfg.TickWorkers,
 		Halt:      cfg.Halt,
 	})
 	if err != nil {
@@ -302,7 +298,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 			}
 			s.DecisionTick = max(s.DecisionTick, s.Start+decidedAt)
 		}
-		s.Decision, s.Agreement = agreementOf(s.Decisions, res.Honest)
+		s.Decision, s.Agreement = sim.Agreement(s.Decisions, res.Honest)
 		if ls := perLayer[s.Name]; ls != nil {
 			s.ByLayer = ls
 			for _, st := range ls {
@@ -312,26 +308,6 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// agreementOf mirrors sim.Result.Agreement for one session's decisions.
-func agreementOf(dec map[types.ProcessID]types.Value, honest []types.ProcessID) (types.Value, bool) {
-	var v types.Value
-	first := true
-	for _, id := range honest {
-		d, ok := dec[id]
-		if !ok {
-			continue
-		}
-		if first {
-			v, first = d, false
-			continue
-		}
-		if !d.Equal(v) {
-			return nil, false
-		}
-	}
-	return v, true
 }
 
 // splitLayers groups the engine-wide layer breakdown by leading session

@@ -7,20 +7,11 @@ import (
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/core/bb"
 	"adaptiveba/internal/core/wba"
+	"adaptiveba/internal/harness"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
-)
-
-// Protocol timing constants the compiler targets. They mirror the
-// machines' round layout (wba.Machine, bb.Machine) exactly as the fixed
-// attack library does: weak BA phases are 5 rounds, BB vetting phases
-// are 3 rounds, and BB's nested weak BA (session "wba") starts after
-// round 1 + n vetting phases.
-const (
-	wbaRoundsPerPhase = 5
-	bbRoundsPerPhase  = 3
 )
 
 // maxRecorded bounds the honest-traffic tape kept for replay/flood moves.
@@ -93,12 +84,9 @@ func (a *Adversary) compile() {
 	n, t := p.N, p.T
 
 	// The corruption horizon keeps every takeover inside the run's
-	// natural length (maxTicks is already the doubled probe budget), so
-	// a late-At gene delays corruption, never stalls quiescence.
-	horizon := a.maxTicks / 2
-	if horizon < 1 {
-		horizon = 1
-	}
+	// natural length, so a late-At gene delays corruption, never stalls
+	// quiescence.
+	horizon := adversary.Horizon(a.maxTicks)
 
 	// Slot→process: reduce modulo n, then linear-probe to the next free
 	// id, so corruption genes never collide (the simulator rejects
@@ -158,6 +146,9 @@ func (a *Adversary) compileMove(m Move, id types.ProcessID, at types.Tick, horiz
 		return tick
 	}
 
+	// Phase-driven ticks follow the protocols' own round layout
+	// (wba.PhaseStart, bb.PhaseStart); BB's nested weak BA begins after
+	// its n vetting phases.
 	switch a.protocol {
 	case protocols.WBA:
 		phases := p.T + 1
@@ -166,23 +157,23 @@ func (a *Adversary) compileMove(m Move, id types.ProcessID, at types.Tick, horiz
 			return act, false
 		case OpProposeSpam, OpEquivocate:
 			act.phase = 1 + int(m.Arg)%phases
-			act.tick = clamp(types.Tick(wbaRoundsPerPhase * (act.phase - 1)))
-		case OpHelpSpam:
-			act.tick = clamp(types.Tick(wbaRoundsPerPhase * phases))
+			act.tick = clamp(wba.PhaseStart(act.phase))
+		case OpHelpSpam: // the first help round, after the last phase
+			act.tick = clamp(wba.PhaseStart(phases + 1))
 		case OpReplay, OpFlood:
 			act.tick = clamp(types.Tick(m.Arg) % horizon)
 		}
 	case protocols.BB:
-		wbaStart := types.Tick(1 + bbRoundsPerPhase*p.N)
+		wbaStart := bb.PhaseStart(p.N + 1)
 		switch m.Op {
 		case OpSilence:
 			return act, false
 		case OpProposeSpam: // vetting-phase help request
 			act.phase = 1 + int(m.Arg)%p.N
-			act.tick = clamp(1 + types.Tick(bbRoundsPerPhase*(act.phase-1)))
+			act.tick = clamp(bb.PhaseStart(act.phase))
 		case OpEquivocate, OpHelpSpam: // nested weak BA spam with the captured envelope
 			act.phase = 1 + int(m.Arg)%(p.T+1)
-			act.tick = clamp(wbaStart + types.Tick(wbaRoundsPerPhase*(act.phase-1)))
+			act.tick = clamp(wbaStart + wba.PhaseStart(act.phase))
 		case OpReplay, OpFlood:
 			act.tick = clamp(types.Tick(m.Arg) % horizon)
 		}
@@ -271,7 +262,7 @@ func (a *Adversary) emit(msgs []sim.Message, act action) []sim.Message {
 					continue
 				}
 				msgs = append(msgs, sim.Message{
-					From: act.from, To: types.ProcessID(i), Session: "wba",
+					From: act.from, To: types.ProcessID(i), Session: bb.WBASession,
 					Payload: wba.Propose{Phase: act.phase, V: a.sender},
 				})
 			}
@@ -295,13 +286,13 @@ func (a *Adversary) emit(msgs []sim.Message, act action) []sim.Message {
 			}
 			for i := 0; i < n; i++ {
 				msgs = append(msgs, sim.Message{
-					From: act.from, To: types.ProcessID(i), Session: "wba",
+					From: act.from, To: types.ProcessID(i), Session: bb.WBASession,
 					Payload: wba.Propose{Phase: act.phase, V: a.sender},
 				})
 			}
 			return msgs
 		}
-		share, err := a.Env.Crypto.Signer(act.from).Sign(wba.HelpReqBase("h/wba"))
+		share, err := a.Env.Crypto.Signer(act.from).Sign(wba.HelpReqBase(harness.Tag(a.protocol)))
 		if err != nil {
 			return msgs
 		}

@@ -24,9 +24,11 @@ type Config struct {
 	Seed        int64
 	Generations int // default 4
 	Population  int // default 8
-	Elites      int // survivors copied verbatim per generation (default 2)
-	Workers     int // harness.Pool workers (0 = one per CPU)
 }
+
+// elites is the number of top-ranked schedules each generation carries
+// into the next verbatim.
+const elites = 2
 
 // withDefaults fills unset knobs.
 func (c Config) withDefaults() Config {
@@ -38,12 +40,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Population <= 0 {
 		c.Population = 8
-	}
-	if c.Elites <= 0 {
-		c.Elites = 2
-	}
-	if c.Elites > c.Population {
-		c.Elites = c.Population
 	}
 	return c
 }
@@ -251,11 +247,11 @@ func seedPopulation(rng *rand.Rand, cfg Config) []Genome {
 	return pop
 }
 
-// nextGen breeds the following population: Elites survive verbatim, the
+// nextGen breeds the following population: the elites survive verbatim, the
 // rest are mutants of tournament winners (binary tournament).
 func nextGen(rng *rand.Rand, cfg Config, ranked []Candidate) []Genome {
 	pop := make([]Genome, 0, cfg.Population)
-	for i := 0; i < cfg.Elites && i < len(ranked); i++ {
+	for i := 0; i < elites && i < len(ranked); i++ {
 		pop = append(pop, ranked[i].Genome.clone())
 	}
 	for len(pop) < cfg.Population {
@@ -274,7 +270,7 @@ func nextGen(rng *rand.Rand, cfg Config, ranked []Candidate) []Genome {
 // through the parallel harness, select, mutate, repeat. All randomness
 // (population seeding, mutation, tournament draws) happens on the
 // caller's goroutine from one seeded source; evaluation parallelism
-// cannot perturb it (harness.Pool returns outcomes in spec order), so
+// cannot perturb it (harness.RunAll returns outcomes in spec order), so
 // the whole Result is a pure function of Config.
 func Explore(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
@@ -288,7 +284,6 @@ func Explore(cfg Config) (*Result, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pop := seedPopulation(rng, cfg)
-	pool := harness.Pool{Workers: cfg.Workers}
 
 	res := &Result{Config: cfg, T: params.T, Envelope: Envelope(cfg.N, params.T, cfg.F)}
 	var best *Candidate
@@ -297,7 +292,7 @@ func Explore(cfg Config) (*Result, error) {
 		for i, g := range pop {
 			specs[i] = cfg.Spec(g)
 		}
-		outs, err := pool.Run(specs)
+		outs, err := harness.RunAll(specs)
 		if err != nil {
 			return nil, fmt.Errorf("explore: generation %d: %w", gen, err)
 		}

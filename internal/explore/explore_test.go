@@ -10,6 +10,7 @@ import (
 
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -67,15 +68,14 @@ func TestExploredSchedulesKeepInvariants(t *testing.T) {
 }
 
 // TestExploreDeterministic pins the reproducibility contract: the same
-// Config produces a byte-identical Report at any worker count — two
+// Config produces a byte-identical Report at any GOMAXPROCS — two
 // independent explorers must converge on the identical worst schedule.
 func TestExploreDeterministic(t *testing.T) {
 	cfg := Config{Protocol: protocols.WBA, N: 5, F: 2, Seed: 7, Generations: 3, Population: 6}
 	var reports []string
 	for _, workers := range []int{1, 4} {
-		c := cfg
-		c.Workers = workers
-		res, err := Explore(c)
+		testenv.Procs(t, workers)
+		res, err := Explore(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,14 +44,13 @@ func RunEngine(spec Spec, sessions, inflight int) (*engine.Report, error) {
 	}
 
 	cfg := engine.Config{
-		N:           spec.N,
-		T:           spec.T,
-		F:           spec.F,
-		Adversary:   adversary.ForPattern(string(spec.Fault), spec.F, spec.Seed),
-		Inflight:    inflight,
-		Seed:        spec.Seed,
-		OnSend:      spec.OnSend,
-		TickWorkers: spec.TickWorkers,
+		N:         spec.N,
+		T:         spec.T,
+		F:         spec.F,
+		Adversary: adversary.ForPattern(string(spec.Fault), spec.F, spec.Seed),
+		Inflight:  inflight,
+		Seed:      spec.Seed,
+		OnSend:    spec.OnSend,
 	}
 	if spec.Ed25519 {
 		cfg.Keys = proto.Ed25519()

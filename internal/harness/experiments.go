@@ -23,10 +23,10 @@ type Experiment struct {
 	ID string
 	// Title describes the reproduced artifact.
 	Title string
-	// Run executes the experiment on the given pool and returns a
-	// formatted report. The report is byte-identical for every worker
-	// count (Pool's determinism contract).
-	Run func(Pool) (string, error)
+	// Run executes the experiment and returns a formatted report. The
+	// report is byte-identical at every GOMAXPROCS (RunAll's determinism
+	// contract).
+	Run func() (string, error)
 }
 
 // Experiments lists every experiment in DESIGN.md order.
@@ -125,24 +125,24 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-func expT1BB(pool Pool) (string, error) {
+func expT1BB() (string, error) {
 	var b strings.Builder
 	b.WriteString("BB words, n sweep at f=0 (expected: linear in n):\n")
-	outs, err := pool.Sweep(Spec{Protocol: ProtocolBB}, []int{11, 21, 41, 81, 161}, []int{0})
+	outs, err := Sweep(Spec{Protocol: ProtocolBB}, []int{11, 21, 41, 81, 161}, []int{0})
 	if err != nil {
 		return "", err
 	}
 	b.WriteString(Table(outs))
 
 	b.WriteString("\nBB words, f sweep at n=41, crash-first-leaders (crashed leaders stay silent, so the cost is FLAT at O(n) below the fallback threshold (n-t-1)/2=10 and jumps to the quadratic regime beyond it):\n")
-	outs, err = pool.Sweep(Spec{Protocol: ProtocolBB}, []int{41}, []int{0, 2, 4, 6, 8, 10, 12, 16, 20})
+	outs, err = Sweep(Spec{Protocol: ProtocolBB}, []int{41}, []int{0, 2, 4, 6, 8, 10, 12, 16, 20})
 	if err != nil {
 		return "", err
 	}
 	b.WriteString(Table(outs))
 
 	b.WriteString("\nBB words, f sweep at n=41, phase-spamming Byzantine leaders (the O(n(f+1)) worst case: each Byzantine leader burns Θ(n) words):\n")
-	outs, err = pool.Sweep(Spec{Protocol: ProtocolBB, Fault: FaultSpam}, []int{41}, []int{0, 2, 4, 6, 8, 10})
+	outs, err = Sweep(Spec{Protocol: ProtocolBB, Fault: FaultSpam}, []int{41}, []int{0, 2, 4, 6, 8, 10})
 	if err != nil {
 		return "", err
 	}
@@ -150,17 +150,17 @@ func expT1BB(pool Pool) (string, error) {
 	return b.String(), nil
 }
 
-func expT1StrongBA(pool Pool) (string, error) {
+func expT1StrongBA() (string, error) {
 	var b strings.Builder
 	b.WriteString("strong BA words, n sweep at f=0 (expected: ~4n, Lemma 8):\n")
-	outs, err := pool.Sweep(Spec{Protocol: ProtocolStrongBA}, []int{11, 21, 41, 81, 161}, []int{0})
+	outs, err := Sweep(Spec{Protocol: ProtocolStrongBA}, []int{11, 21, 41, 81, 161}, []int{0})
 	if err != nil {
 		return "", err
 	}
 	b.WriteString(Table(outs))
 
 	b.WriteString("\nstrong BA words with failures at n=21 (expected: fallback, quadratic+):\n")
-	outs, err = pool.Sweep(Spec{Protocol: ProtocolStrongBA}, []int{21}, []int{1, 5, 10})
+	outs, err = Sweep(Spec{Protocol: ProtocolStrongBA}, []int{21}, []int{1, 5, 10})
 	if err != nil {
 		return "", err
 	}
@@ -168,24 +168,24 @@ func expT1StrongBA(pool Pool) (string, error) {
 	return b.String(), nil
 }
 
-func expT1WBA(pool Pool) (string, error) {
+func expT1WBA() (string, error) {
 	var b strings.Builder
 	b.WriteString("weak BA words, n sweep at f=0 (expected: linear in n):\n")
-	outs, err := pool.Sweep(Spec{Protocol: ProtocolWBA}, []int{11, 21, 41, 81, 161}, []int{0})
+	outs, err := Sweep(Spec{Protocol: ProtocolWBA}, []int{11, 21, 41, 81, 161}, []int{0})
 	if err != nil {
 		return "", err
 	}
 	b.WriteString(Table(outs))
 
 	b.WriteString("\nweak BA words, f sweep at n=41, crashes (threshold (n-t-1)/2 = 10; fb column = processes that ran the fallback):\n")
-	outs, err = pool.Sweep(Spec{Protocol: ProtocolWBA}, []int{41}, []int{0, 2, 4, 6, 8, 10, 11, 14, 20})
+	outs, err = Sweep(Spec{Protocol: ProtocolWBA}, []int{41}, []int{0, 2, 4, 6, 8, 10, 11, 14, 20})
 	if err != nil {
 		return "", err
 	}
 	b.WriteString(Table(outs))
 
 	b.WriteString("\nweak BA words, f sweep at n=41, phase-spamming Byzantine leaders (the O(n(f+1)) worst case):\n")
-	outs, err = pool.Sweep(Spec{Protocol: ProtocolWBA, Fault: FaultSpam}, []int{41}, []int{0, 2, 4, 6, 8, 10})
+	outs, err = Sweep(Spec{Protocol: ProtocolWBA, Fault: FaultSpam}, []int{41}, []int{0, 2, 4, 6, 8, 10})
 	if err != nil {
 		return "", err
 	}
@@ -193,14 +193,14 @@ func expT1WBA(pool Pool) (string, error) {
 	return b.String(), nil
 }
 
-func expFigure1(pool Pool) (string, error) {
+func expFigure1() (string, error) {
 	var b strings.Builder
 	fs := []int{0, 4, 12}
 	specs := make([]Spec, len(fs))
 	for i, f := range fs {
 		specs[i] = Spec{Protocol: ProtocolBB, N: 41, F: f}
 	}
-	outs, err := pool.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}
@@ -222,7 +222,7 @@ func expFigure1(pool Pool) (string, error) {
 	return b.String(), nil
 }
 
-func expAdapt(pool Pool) (string, error) {
+func expAdapt() (string, error) {
 	var b strings.Builder
 	fs := []int{0, 1, 2, 4, 6, 8, 10, 12, 16, 20}
 	b.WriteString("words vs f at n=41: adaptive BB (crash and worst-case spam adversaries) vs always-quadratic baselines. The spam column grows ~n per failure; the baselines stay quadratic; the adaptive protocol crosses them only in the fallback regime f > (n-t-1)/2 = 10:\n")
@@ -241,7 +241,7 @@ func expAdapt(pool Pool) (string, error) {
 		add(fmt.Sprintf("echo/%d", f), Spec{Protocol: ProtocolEchoBB, N: 41, F: f})
 		add(fmt.Sprintf("ds/%d", f), Spec{Protocol: ProtocolDolevStrong, N: 41, F: f})
 	}
-	outs, err := pool.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}
@@ -258,7 +258,7 @@ func expAdapt(pool Pool) (string, error) {
 	return b.String(), nil
 }
 
-func expDolevReischuk(pool Pool) (string, error) {
+func expDolevReischuk() (string, error) {
 	var b strings.Builder
 	b.WriteString("failure-free words, n sweep: Dolev–Strong pays Θ(n²)+, adaptive BB pays Θ(n):\n")
 	fmt.Fprintf(&b, "%6s %14s %14s %10s\n", "n", "dolev-strong", "adaptive-bb", "ratio")
@@ -269,7 +269,7 @@ func expDolevReischuk(pool Pool) (string, error) {
 			Spec{Protocol: ProtocolDolevStrong, N: n},
 			Spec{Protocol: ProtocolBB, N: n})
 	}
-	outs, err := pool.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}
@@ -286,7 +286,7 @@ func expDolevReischuk(pool Pool) (string, error) {
 // threshold certificates compact them into Θ(n) words. Signatures are
 // counted per delivery: a certificate sent to one recipient counts as its
 // signer-set size.
-func expDRSignatures(pool Pool) (string, error) {
+func expDRSignatures() (string, error) {
 	var b strings.Builder
 	b.WriteString("failure-free BB: delivered component signatures vs words (sigs/n² should be ~constant, words/n should be ~constant):\n")
 	fmt.Fprintf(&b, "%6s %12s %12s %10s %10s\n", "n", "signatures", "words", "sigs/n²", "words/n")
@@ -295,7 +295,7 @@ func expDRSignatures(pool Pool) (string, error) {
 	for i, n := range ns {
 		specs[i] = Spec{Protocol: ProtocolBB, N: n}
 	}
-	outs, err := pool.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}
@@ -309,7 +309,7 @@ func expDRSignatures(pool Pool) (string, error) {
 
 // expAblateQuorum runs the double-commit attack against both quorum
 // choices (the paper's Section 6 key observation).
-func expAblateQuorum(Pool) (string, error) {
+func expAblateQuorum() (string, error) {
 	var b strings.Builder
 	b.WriteString("split-vote attack on weak BA (n=9, t=4 corrupted incl. the phase-1 leader):\n")
 	for _, naive := range []bool{true, false} {
@@ -362,7 +362,7 @@ func expAblateQuorum(Pool) (string, error) {
 // signatures created and verified across all correct processes. Aggregate
 // certificates shift cost from the network to verification; the word
 // model hides this, so it is reported separately.
-func expCryptoOps(pool Pool) (string, error) {
+func expCryptoOps() (string, error) {
 	var b strings.Builder
 	b.WriteString("signature operations at n=21 (all correct processes combined):\n")
 	fmt.Fprintf(&b, "%-14s %4s %10s %12s %10s\n", "protocol", "f", "signs", "verifies", "words")
@@ -374,15 +374,16 @@ func expCryptoOps(pool Pool) (string, error) {
 		{ProtocolWBA, 0}, {ProtocolStrongBA, 0},
 		{ProtocolEchoBB, 0}, {ProtocolDolevStrong, 0},
 	}
-	// NoVerifyCache: this experiment documents the protocol's inherent
-	// verification demand (what ideal constant-size threshold signatures
-	// save); the runtime's memoization would hide exactly that number.
+	// CountOps runs without the verification cache: this experiment
+	// documents the protocol's inherent verification demand (what ideal
+	// constant-size threshold signatures save), which memoization would
+	// hide.
 	specs := make([]Spec, 0, len(rows)+1)
 	for _, row := range rows {
-		specs = append(specs, Spec{Protocol: row.p, N: 21, F: row.f, CountOps: true, NoVerifyCache: true})
+		specs = append(specs, Spec{Protocol: row.p, N: 21, F: row.f, CountOps: true})
 	}
-	specs = append(specs, Spec{Protocol: ProtocolBB, N: 21, CountOps: true, NoVerifyCache: true, CertMode: threshold.ModeAggregate})
-	outs, err := pool.Run(specs)
+	specs = append(specs, Spec{Protocol: ProtocolBB, N: 21, CountOps: true, CertMode: threshold.ModeAggregate})
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}
@@ -400,7 +401,7 @@ func expCryptoOps(pool Pool) (string, error) {
 // Crashing the first f rotating leaders delays the deciding phase — the
 // round-complexity analogue of early stopping [10]: latency grows with
 // the number of failed leaders, not with t.
-func expLatency(pool Pool) (string, error) {
+func expLatency() (string, error) {
 	var b strings.Builder
 	wbaFs := []int{0, 1, 2, 4, 8}
 	sbaFs := []int{0, 1}
@@ -411,7 +412,7 @@ func expLatency(pool Pool) (string, error) {
 	for _, f := range sbaFs {
 		specs = append(specs, Spec{Protocol: ProtocolStrongBA, N: 41, F: f})
 	}
-	outs, err := pool.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}
@@ -434,7 +435,7 @@ func expLatency(pool Pool) (string, error) {
 // its ROUND count to f but pays Θ(n²) words regardless, while this
 // paper's weak BA adapts its WORD count to f. Crash-at-start failures,
 // n = 21.
-func expTwoAdaptivities(pool Pool) (string, error) {
+func expTwoAdaptivities() (string, error) {
 	var b strings.Builder
 	b.WriteString("crash consensus, n=21, distinct inputs, one crash per round (staggered — the early-stopping worst case):\n")
 	fmt.Fprintf(&b, "%5s %16s %16s %16s %16s\n", "f", "floodset words", "floodset rounds", "wba words", "wba decide-tick")
@@ -445,7 +446,7 @@ func expTwoAdaptivities(pool Pool) (string, error) {
 			Spec{Protocol: ProtocolFloodSet, N: 21, F: f, Fault: FaultStagger, Inputs: InputsDistinct},
 			Spec{Protocol: ProtocolWBA, N: 21, F: f, Inputs: InputsDistinct})
 	}
-	outs, err := pool.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}
@@ -460,7 +461,7 @@ func expTwoAdaptivities(pool Pool) (string, error) {
 // expResilience exercises the Section 8 observation that the BB / weak BA
 // constructions tolerate any n >= 2t+1: fix t and grow n, checking the
 // quorum arithmetic, correctness, and the cost's linear growth in n.
-func expResilience(pool Pool) (string, error) {
+func expResilience() (string, error) {
 	var b strings.Builder
 	b.WriteString("BB at fixed t=5, growing n (n = 2t+1, 3t+1, 4t+1), f = t crashes:\n")
 	fmt.Fprintf(&b, "%6s %4s %4s %8s %10s %10s %5s\n", "n", "t", "f", "quorum", "words", "words/n", "ok")
@@ -469,7 +470,7 @@ func expResilience(pool Pool) (string, error) {
 	for i, n := range ns {
 		specs[i] = Spec{Protocol: ProtocolBB, N: n, T: 5, F: 5}
 	}
-	outs, err := pool.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}
@@ -493,7 +494,7 @@ func expResilience(pool Pool) (string, error) {
 // committed command and wall-clock (ticks) per command, sequential (W=1)
 // vs pipelined slots (W=9, every slot in flight at once: stride
 // ceil(D/9)), failure-free vs one crashed proposer.
-func expSMR(Pool) (string, error) {
+func expSMR() (string, error) {
 	const n, slots = 9, 9
 	var b strings.Builder
 	fmt.Fprintf(&b, "replicated log over adaptive BB, n=%d, %d slots:\n", n, slots)
@@ -524,7 +525,7 @@ func expSMR(Pool) (string, error) {
 	return b.String(), nil
 }
 
-func expAblatePhases(pool Pool) (string, error) {
+func expAblatePhases() (string, error) {
 	var b strings.Builder
 	b.WriteString("weak BA, t+1 phases (Alg. 3) vs n phases (Section 6 prose), n=41:\n")
 	fmt.Fprintf(&b, "%5s %16s %16s %12s %12s\n", "f", "words(t+1 ph)", "words(n ph)", "ticks(t+1)", "ticks(n)")
@@ -535,7 +536,7 @@ func expAblatePhases(pool Pool) (string, error) {
 			Spec{Protocol: ProtocolWBA, N: 41, F: f},
 			Spec{Protocol: ProtocolWBA, N: 41, F: f, WBAPhases: 41})
 	}
-	outs, err := pool.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}
@@ -546,7 +547,7 @@ func expAblatePhases(pool Pool) (string, error) {
 	return b.String(), nil
 }
 
-func expAblateSilent(pool Pool) (string, error) {
+func expAblateSilent() (string, error) {
 	var b strings.Builder
 	b.WriteString("weak BA with and without the silent-phase rule, n=41 (without it, every phase costs Θ(n): the adaptivity disappears):\n")
 	fmt.Fprintf(&b, "%5s %14s %16s\n", "f", "silent(on)", "silent(off)")
@@ -557,7 +558,7 @@ func expAblateSilent(pool Pool) (string, error) {
 			Spec{Protocol: ProtocolWBA, N: 41, F: f},
 			Spec{Protocol: ProtocolWBA, N: 41, F: f, DisableSilentPhases: true})
 	}
-	outs, err := pool.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}
@@ -568,7 +569,7 @@ func expAblateSilent(pool Pool) (string, error) {
 	return b.String(), nil
 }
 
-func expAblateCert(pool Pool) (string, error) {
+func expAblateCert() (string, error) {
 	var b strings.Builder
 	b.WriteString("certificate encodings at quorum ⌈(n+t+1)/2⌉ (identical word cost = 1; bytes differ):\n")
 	fmt.Fprintf(&b, "%6s %8s %16s %16s\n", "n", "quorum", "aggregate(B)", "compact(B)")
@@ -611,7 +612,7 @@ func expAblateCert(pool Pool) (string, error) {
 	for i, mode := range modes {
 		specs[i] = Spec{Protocol: ProtocolWBA, N: 21, F: 2, CertMode: mode, MeasureBytes: true}
 	}
-	outs, err := pool.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return "", err
 	}

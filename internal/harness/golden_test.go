@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adaptiveba/internal/sim"
+	"adaptiveba/internal/testenv"
 )
 
 // The golden trace in testdata/ was recorded from the pre-parallel
@@ -19,23 +20,21 @@ import (
 // Regenerate with: go test ./internal/harness -run TestGoldenProtocolTrace -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden trace files")
 
-// goldenSpec is the recorded configuration. TickWorkers varies per run;
+// goldenSpec is the recorded configuration. GOMAXPROCS varies per run;
 // everything else is fixed.
-func goldenSpec(tickWorkers int) Spec {
-	return Spec{
-		Protocol:    ProtocolBB,
-		N:           9,
-		F:           2,
-		Fault:       FaultSpam,
-		ShuffleSeed: 11,
-		TickWorkers: tickWorkers,
-	}
+var goldenSpec = Spec{
+	Protocol:    ProtocolBB,
+	N:           9,
+	F:           2,
+	Fault:       FaultSpam,
+	ShuffleSeed: 11,
 }
 
 func TestGoldenProtocolTrace(t *testing.T) {
-	runTrace := func(tickWorkers int) []byte {
+	runTrace := func(procs int) []byte {
+		testenv.Procs(t, procs)
 		var trace bytes.Buffer
-		spec := goldenSpec(tickWorkers)
+		spec := goldenSpec
 		spec.OnSend = sim.TraceTo(&trace)
 		o, err := Run(spec)
 		if err != nil {
@@ -62,11 +61,11 @@ func TestGoldenProtocolTrace(t *testing.T) {
 		t.Fatalf("missing golden (run with -update-golden): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Error("tick-workers=1 trace diverged from the recorded serial engine")
+		t.Error("GOMAXPROCS=1 trace diverged from the recorded serial engine")
 	}
-	for _, w := range []int{0, 2, 8} {
-		if !bytes.Equal(runTrace(w), want) {
-			t.Errorf("tick-workers=%d trace diverged from serial golden", w)
+	for _, procs := range []int{0, 2, 8} {
+		if !bytes.Equal(runTrace(procs), want) {
+			t.Errorf("GOMAXPROCS=%d trace diverged from serial golden", procs)
 		}
 	}
 }

@@ -114,21 +114,11 @@ type Spec struct {
 	// registry to count bytes on the wire (slower; off by default).
 	MeasureBytes bool
 	// CountOps wraps the signature scheme with operation counters and
-	// reports SignOps/VerifyOps in the outcome. The counter sits below
-	// the verification cache, so VerifyOps counts verifications actually
-	// computed — with the cache on, deduplicated repeats are not counted
-	// (that saving is the fast path's whole point; see CacheHits).
+	// reports SignOps/VerifyOps in the outcome. A counting run has no
+	// verification cache (see proto.CountOps), so VerifyOps is the
+	// protocol's inherent verification demand: every check a process
+	// asks for is computed and counted.
 	CountOps bool
-	// NoVerifyCache disables the run's verification fast path (shared
-	// content-addressed memoization of signature/certificate checks plus
-	// parallel aggregate-share verification) for A/B comparisons. The
-	// cache affects CPU cost only: words, messages, decisions, and CSVs
-	// are byte-identical in both modes.
-	NoVerifyCache bool
-	// TickWorkers bounds the simulator's per-tick fan-out of honest
-	// machine stepping (0 = one worker per CPU, 1 = serial). Output is
-	// byte-identical at any value; see sim.Config.Workers.
-	TickWorkers int
 	// WBAPhases overrides weak BA's phase count (ablation).
 	WBAPhases int
 	// DisableSilentPhases removes the adaptivity mechanism (ablation).
@@ -160,7 +150,7 @@ type Outcome struct {
 	VerifyOps  int64 // only when Spec.CountOps
 	Ticks      types.Tick
 
-	// Verification fast-path counters (zero when Spec.NoVerifyCache).
+	// Verification fast-path counters (zero when Spec.CountOps).
 	CacheHits   int64
 	CacheMisses int64
 	CacheWaits  int64
@@ -207,9 +197,6 @@ func Run(spec Spec) (*Outcome, error) {
 	var copts []proto.CryptoOption
 	if spec.CountOps {
 		copts = append(copts, proto.CountOps())
-	}
-	if spec.NoVerifyCache {
-		copts = append(copts, proto.WithoutVerifyCache())
 	}
 	crypto, err := proto.Setup(params, keys, spec.CertMode, copts...)
 	if err != nil {
@@ -294,12 +281,16 @@ func (r *runner) input(id types.ProcessID) types.Value {
 	return spec.Value
 }
 
+// Tag is the signing tag of a harness run's protocol instance; an
+// adversary that signs protocol messages itself signs under it.
+func Tag(kind Protocol) string { return kind.Tag("h") }
+
 // execute validates the spec's instance against the protocol table and
 // runs it in the simulator.
 func (r *runner) execute() (*Outcome, error) {
 	kind := r.spec.Protocol
 	cfg := protocols.Config{
-		Params: r.params, Crypto: r.crypto, Tag: kind.Tag("h"), Seed: uint64(r.spec.Seed),
+		Params: r.params, Crypto: r.crypto, Tag: Tag(kind), Seed: uint64(r.spec.Seed),
 		WBAPhases: r.spec.WBAPhases, DisableSilentPhases: r.spec.DisableSilentPhases,
 	}
 	if err := kind.Validate(cfg, r.input); err != nil {
@@ -366,7 +357,6 @@ func (r *runner) execute() (*Outcome, error) {
 		SizeOf:      sizeOf,
 		ShuffleSeed: r.spec.ShuffleSeed,
 		OnSend:      onSend,
-		Workers:     r.spec.TickWorkers,
 	})
 	if err != nil {
 		return nil, err

@@ -2,9 +2,11 @@ package harness
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 )
@@ -176,7 +178,7 @@ func TestEd25519Spec(t *testing.T) {
 }
 
 func TestSweepAndTable(t *testing.T) {
-	outcomes, err := Pool{}.Sweep(Spec{Protocol: ProtocolWBA}, []int{5, 9}, []int{0, 1, 4})
+	outcomes, err := Sweep(Spec{Protocol: ProtocolWBA}, []int{5, 9}, []int{0, 1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +265,7 @@ func TestAllExperimentsRunnable(t *testing.T) {
 		// only check the cheap ones end to end.
 		switch e.ID {
 		case "ablate-quorum", "ablate-cert", "dr-sigs":
-			report, err := e.Run(Pool{Workers: 1})
+			report, err := e.Run()
 			if err != nil {
 				t.Errorf("%s: %v", e.ID, err)
 			}
@@ -335,9 +337,7 @@ func TestBBViaBAProtocol(t *testing.T) {
 }
 
 func TestCountOps(t *testing.T) {
-	// NoVerifyCache: the counter sits below the verification cache, so
-	// this pins the protocol's raw operation demand.
-	o, err := Run(Spec{Protocol: ProtocolBB, N: 9, CountOps: true, NoVerifyCache: true})
+	o, err := Run(Spec{Protocol: ProtocolBB, N: 9, CountOps: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,48 +349,65 @@ func TestCountOps(t *testing.T) {
 	if o.VerifyOps < o.SignOps {
 		t.Errorf("expected verify-heavy workload: sign=%d verify=%d", o.SignOps, o.VerifyOps)
 	}
-	// The cache deduplicates exactly those repeats where a lookup is
-	// cheaper than the check (real signatures): the same run with the fast
-	// path on must compute strictly fewer verifications. The operation
-	// demand itself does not depend on the scheme.
-	cached, err := Run(Spec{Protocol: ProtocolBB, N: 9, CountOps: true, Ed25519: true})
+	// A counting run has no cache, so the demand does not depend on the
+	// scheme: real signatures, which the cache would otherwise memoize,
+	// are verified exactly as often as the HMAC ring.
+	ed, err := Run(Spec{Protocol: ProtocolBB, N: 9, CountOps: true, Ed25519: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached.VerifyOps >= o.VerifyOps {
-		t.Errorf("cache saved nothing: cached=%d uncached=%d", cached.VerifyOps, o.VerifyOps)
+	if ed.SignOps != o.SignOps || ed.VerifyOps != o.VerifyOps {
+		t.Errorf("Ed25519 demand %d/%d, HMAC demand %d/%d", ed.SignOps, ed.VerifyOps, o.SignOps, o.VerifyOps)
+	}
+	for _, c := range []*Outcome{o, ed} {
+		if c.CacheHits != 0 || c.CacheMisses != 0 || c.CacheWaits != 0 {
+			t.Errorf("counting run reported cache stats: hits=%d misses=%d waits=%d", c.CacheHits, c.CacheMisses, c.CacheWaits)
+		}
+	}
+	// Without CountOps the fields stay zero, and the cache that memoizes
+	// real signatures surfaces its counters.
+	cached, err := Run(Spec{Protocol: ProtocolBB, N: 9, Ed25519: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached.SignOps != 0 || cached.VerifyOps != 0 {
+		t.Error("ops counted without CountOps")
 	}
 	if cached.CacheHits <= 0 || cached.CacheMisses <= 0 {
 		t.Errorf("cache counters not surfaced: hits=%d misses=%d", cached.CacheHits, cached.CacheMisses)
 	}
-	if o.CacheHits != 0 || o.CacheMisses != 0 {
-		t.Errorf("uncached run reported cache stats: hits=%d misses=%d", o.CacheHits, o.CacheMisses)
-	}
-	// On the HMAC ring with compact certificates nothing is worth
-	// memoizing: fast path on, every verification is still a real one and
-	// the cache is never consulted.
-	direct, err := Run(Spec{Protocol: ProtocolBB, N: 9, CountOps: true})
+}
+
+// TestCountOpsCountsInherentDemand: CountOps alone measures what -exp
+// crypto-ops reports, the protocol's inherent verification demand. A BB
+// run at n = 21 with aggregate certificates, where every recipient
+// re-verifies each component signature, counts the 987 verifications of
+// that experiment's bb(aggregate) row (EXPERIMENTS.md X-OPS) — none of
+// them answered by the certificate cache.
+func TestCountOpsCountsInherentDemand(t *testing.T) {
+	o, err := Run(Spec{Protocol: ProtocolBB, N: 21, CountOps: true, CertMode: threshold.ModeAggregate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct.VerifyOps != o.VerifyOps {
-		t.Errorf("HMAC ring: %d verifications computed with the fast path on, %d with it off", direct.VerifyOps, o.VerifyOps)
+	if o.SignOps != 43 || o.VerifyOps != 987 {
+		t.Errorf("CountOps counted %d signs / %d verifies, want crypto-ops' 43 / 987", o.SignOps, o.VerifyOps)
 	}
-	if direct.CacheHits != 0 || direct.CacheMisses != 0 || direct.CacheWaits != 0 {
-		t.Errorf("HMAC ring consulted the cache: hits=%d misses=%d waits=%d", direct.CacheHits, direct.CacheMisses, direct.CacheWaits)
+	e, ok := ExperimentByID("crypto-ops")
+	if !ok {
+		t.Fatal("no crypto-ops experiment")
 	}
-	// Without CountOps the fields stay zero.
-	o2, err := Run(Spec{Protocol: ProtocolBB, N: 9})
+	report, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o2.SignOps != 0 || o2.VerifyOps != 0 {
-		t.Error("ops counted without CountOps")
+	row := fmt.Sprintf("%-14s %4d %10d %12d %10d\n", "bb(aggregate)", 0, o.SignOps, o.VerifyOps, o.Words)
+	if !strings.Contains(report, row) {
+		t.Errorf("crypto-ops has no row %q:\n%s", row, report)
 	}
 }
 
 func TestRunStats(t *testing.T) {
-	st, err := Pool{Workers: 1}.Stats(Spec{Protocol: ProtocolWBA, N: 9, F: 2, Fault: FaultReplay}, []int64{1, 2, 3, 4, 5})
+	st, err := Repeat(Spec{Protocol: ProtocolWBA, N: 9, F: 2, Fault: FaultReplay}, []int64{1, 2, 3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +417,7 @@ func TestRunStats(t *testing.T) {
 	if st.Words.Min > st.Words.Median || st.Words.Median > st.Words.Max || st.Words.Min <= 0 {
 		t.Errorf("word ordering: %+v", st.Words)
 	}
-	if _, err := (Pool{Workers: 1}).Stats(Spec{Protocol: ProtocolWBA, N: 9}, nil); !errors.Is(err, ErrSpec) {
+	if _, err := Repeat(Spec{Protocol: ProtocolWBA, N: 9}, nil); !errors.Is(err, ErrSpec) {
 		t.Errorf("no seeds: %v", err)
 	}
 }

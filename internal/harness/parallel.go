@@ -1,11 +1,11 @@
-// Parallel experiment runner: a worker pool that maps independent grid
-// points (one Spec each) to their outcomes, with per-run isolated state
-// and deterministic per-point seed derivation.
+// Parallel experiment runner: one worker per CPU (GOMAXPROCS) maps
+// independent grid points (one Spec each) to their outcomes, with per-run
+// isolated state and deterministic per-point seed derivation.
 //
 // Determinism contract: Run(spec) depends only on the spec (every run
 // builds a private signature ring, crypto suite, simulator, and
-// recorder), and Pool.Run writes outcome i into slot i of its result. A
-// sweep executed with any worker count therefore produces byte-identical
+// recorder), and RunAll writes outcome i into slot i of its result. A
+// sweep executed at any GOMAXPROCS therefore produces byte-identical
 // tables, CSVs, and reports; TestParallelDeterminism enforces this.
 package harness
 
@@ -19,40 +19,18 @@ import (
 	"adaptiveba/internal/types"
 )
 
-// Pool schedules independent harness runs across a fixed number of
-// workers. The zero value uses one worker per CPU (GOMAXPROCS).
-type Pool struct {
-	// Workers is the worker count: <= 0 means GOMAXPROCS(0), 1 runs
-	// strictly sequentially in the caller's goroutine.
-	Workers int
-}
-
-// workers resolves the effective worker count for a job list.
-func (p Pool) workers(jobs int) int {
-	w := p.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // pointErr labels a failed grid point with its coordinates.
 func pointErr(i int, s Spec, err error) error {
 	return fmt.Errorf("point %d (%s n=%d f=%d seed=%d): %w", i, s.Protocol, s.N, s.F, s.Seed, err)
 }
 
-// Run executes every spec and returns the outcomes in spec order. Each
-// worker claims the next index i and writes outcome i into slot i. The
-// first failed run stops further claims; points are claimed in order, so
-// every point before a failed one has run, and the error returned is the
-// one of the lowest failed point, whatever the worker count.
-func (p Pool) Run(specs []Spec) ([]Outcome, error) {
+// RunAll executes every spec, one worker per CPU, and returns the
+// outcomes in spec order. Each worker claims the next index i and writes
+// outcome i into slot i. The first failed run stops further claims;
+// points are claimed in order, so every point before a failed one has
+// run, and the error returned is the one of the lowest failed point,
+// whatever the worker count.
+func RunAll(specs []Spec) ([]Outcome, error) {
 	outs := make([]Outcome, len(specs))
 	errs := make([]error, len(specs))
 	var (
@@ -75,7 +53,7 @@ func (p Pool) Run(specs []Spec) ([]Outcome, error) {
 			outs[i] = *o
 		}
 	}
-	for k := 1; k < p.workers(len(specs)); k++ {
+	for k := 1; k < min(runtime.GOMAXPROCS(0), len(specs)); k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -142,19 +120,19 @@ func Grid(base Spec, ns, fs []int) ([]Spec, error) {
 	return specs, nil
 }
 
-// Sweep runs the spec across (n, f) combinations on this pool.
-func (p Pool) Sweep(base Spec, ns, fs []int) ([]Outcome, error) {
+// Sweep runs the spec across (n, f) combinations.
+func Sweep(base Spec, ns, fs []int) ([]Outcome, error) {
 	specs, err := Grid(base, ns, fs)
 	if err != nil {
 		return nil, err
 	}
-	return p.Run(specs)
+	return RunAll(specs)
 }
 
-// Stats executes the spec once per seed on this pool and aggregates
-// the outcomes. The aggregation is order-independent, so any worker
-// count produces the same Stats.
-func (p Pool) Stats(spec Spec, seeds []int64) (*Stats, error) {
+// Repeat executes the spec once per seed and aggregates the outcomes.
+// The aggregation is order-independent, so any worker count produces the
+// same Stats.
+func Repeat(spec Spec, seeds []int64) (*Stats, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("%w: no seeds", ErrSpec)
 	}
@@ -163,7 +141,7 @@ func (p Pool) Stats(spec Spec, seeds []int64) (*Stats, error) {
 		specs[i] = spec
 		specs[i].Seed = seed
 	}
-	outs, err := p.Run(specs)
+	outs, err := RunAll(specs)
 	if err != nil {
 		return nil, err
 	}

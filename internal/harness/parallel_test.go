@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"adaptiveba/internal/testenv"
 )
 
 // determinismGrid is a mixed-protocol, mixed-adversary spec list: every
@@ -44,11 +46,12 @@ func determinismGrid(t *testing.T) []Spec {
 }
 
 // TestParallelDeterminism is the runner's core guarantee: the same grid
-// run sequentially and at several worker counts yields identical
-// per-point metrics, decisions, and CSV bytes.
+// run sequentially and at several worker counts (GOMAXPROCS) yields
+// identical per-point metrics, decisions, and CSV bytes.
 func TestParallelDeterminism(t *testing.T) {
 	specs := determinismGrid(t)
-	ref, err := Pool{Workers: 1}.Run(specs)
+	testenv.Procs(t, 1)
+	ref, err := RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +59,9 @@ func TestParallelDeterminism(t *testing.T) {
 	if err := WriteCSV(&refCSV, ref); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		outs, err := Pool{Workers: workers}.Run(specs)
+	for _, workers := range []int{1, 4, runtime.NumCPU()} {
+		testenv.Procs(t, workers)
+		outs, err := RunAll(specs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,7 +71,7 @@ func TestParallelDeterminism(t *testing.T) {
 		for i := range outs {
 			// Whether a lookup hits the cache or joins an in-flight
 			// verification depends on thread timing (the tick engine
-			// fans out at TickWorkers 0); only the sum is deterministic.
+			// fans out above GOMAXPROCS 1); only the sum is deterministic.
 			got, want := outs[i], ref[i]
 			if got.CacheHits+got.CacheWaits != want.CacheHits+want.CacheWaits {
 				t.Errorf("workers=%d point %d: cache hits+waits = %d+%d, sequential %d+%d",
@@ -91,7 +95,7 @@ func TestParallelDeterminism(t *testing.T) {
 
 // TestExperimentReportsDeterministic checks a full experiment — the
 // layer-breakdown report with map-ordered sections — is byte-identical
-// across pools.
+// across worker counts.
 func TestExperimentReportsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment is slow")
@@ -100,11 +104,13 @@ func TestExperimentReportsDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("f1 not registered")
 	}
-	ref, err := e.Run(Pool{Workers: 1})
+	testenv.Procs(t, 1)
+	ref, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Run(Pool{Workers: 4})
+	testenv.Procs(t, 4)
+	got, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +180,8 @@ func TestStreamPropagatesRunError(t *testing.T) {
 		{Protocol: ProtocolWBA, N: 1}, // invalid too, but later
 	}
 	for _, workers := range []int{1, 4} {
-		_, err := Pool{Workers: workers}.Run(specs)
+		testenv.Procs(t, workers)
+		_, err := RunAll(specs)
 		if !errors.Is(err, ErrSpec) {
 			t.Errorf("workers=%d: error = %v, want ErrSpec", workers, err)
 		}
@@ -184,15 +191,18 @@ func TestStreamPropagatesRunError(t *testing.T) {
 	}
 }
 
-// TestPoolStatsMatchesSequential pins Pool.Stats to its sequential run.
+// TestPoolStatsMatchesSequential pins Repeat on a pool of workers to its
+// sequential run.
 func TestPoolStatsMatchesSequential(t *testing.T) {
 	spec := Spec{Protocol: ProtocolWBA, N: 9, F: 3, Fault: FaultReplay}
 	seeds := []int64{1, 2, 3, 4, 5}
-	ref, err := Pool{Workers: 1}.Stats(spec, seeds)
+	testenv.Procs(t, 1)
+	ref, err := Repeat(spec, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Pool{Workers: 4}.Stats(spec, seeds)
+	testenv.Procs(t, 4)
+	got, err := Repeat(spec, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +211,17 @@ func TestPoolStatsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentUse runs several sweeps on one pool value from
-// multiple goroutines — Pool must be stateless and reusable.
+// TestPoolConcurrentUse runs several sweeps from multiple goroutines at
+// once — each call's worker pool must be its own.
 func TestPoolConcurrentUse(t *testing.T) {
-	pool := Pool{Workers: 2}
+	testenv.Procs(t, 2)
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			outs, err := pool.Sweep(Spec{Protocol: ProtocolWBA}, []int{7, 9}, []int{0, 1})
+			outs, err := Sweep(Spec{Protocol: ProtocolWBA}, []int{7, 9}, []int{0, 1})
 			if err == nil && len(outs) != 4 {
 				err = fmt.Errorf("got %d outcomes, want 4", len(outs))
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptiveba/internal/sim"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -17,10 +18,11 @@ const crossGate = 256
 
 // TestTickWorkersDeterminism asserts the engine's concurrency contract at
 // the level users observe it: CSV rows and message traces are
-// byte-identical for every tick-worker count, across the EXPERIMENTS-grid
-// protocols, with and without delivery shuffling, with and without an
-// adversary (whose rushing view — the full tick's honest traffic in ID
-// order — must survive the parallel fan-out).
+// byte-identical for every tick-worker count (GOMAXPROCS 1, 2 and 8),
+// across the EXPERIMENTS-grid protocols, with and without delivery
+// shuffling, with and without an adversary (whose rushing view — the
+// full tick's honest traffic in ID order — must survive the parallel
+// fan-out).
 //
 // The simulator steps a light tick inline at any worker count, so a cell
 // whose ticks all stay under its gate compares serial against serial. The
@@ -55,7 +57,7 @@ func TestTickWorkersDeterminism(t *testing.T) {
 	if testing.Short() {
 		cells = cells[:4]
 	}
-	run := func(c cell, tickWorkers int) (csv, trace []byte, perTick map[types.Tick]int) {
+	run := func(c cell) (csv, trace []byte, perTick map[types.Tick]int) {
 		t.Helper()
 		var tr bytes.Buffer
 		traceTo := sim.TraceTo(&tr)
@@ -68,7 +70,6 @@ func TestTickWorkersDeterminism(t *testing.T) {
 			ShuffleSeed:  c.shuffle,
 			Ed25519:      c.ed25519,
 			MeasureBytes: true,
-			TickWorkers:  tickWorkers,
 			OnSend: func(now types.Tick, m sim.Message, honest bool) {
 				traceTo(now, m, honest)
 				perTick[now]++
@@ -87,7 +88,8 @@ func TestTickWorkersDeterminism(t *testing.T) {
 	for _, c := range cells {
 		name := fmt.Sprintf("%s-n%d-f%d-%s-shuffle%d", c.protocol, c.n, c.f, c.fault, c.shuffle)
 		t.Run(name, func(t *testing.T) {
-			wantCSV, wantTrace, perTick := run(c, 1)
+			testenv.Procs(t, 1)
+			wantCSV, wantTrace, perTick := run(c)
 			if c.heavy {
 				// OnSend skips self-addressed sends, so it can only
 				// undercount what a tick delivers.
@@ -102,12 +104,13 @@ func TestTickWorkersDeterminism(t *testing.T) {
 				}
 			}
 			for _, w := range []int{2, 8} {
-				gotCSV, gotTrace, _ := run(c, w)
+				testenv.Procs(t, w)
+				gotCSV, gotTrace, _ := run(c)
 				if !bytes.Equal(gotCSV, wantCSV) {
-					t.Errorf("tick-workers=%d CSV diverged from serial:\nserial: %s\ngot:    %s", w, wantCSV, gotCSV)
+					t.Errorf("GOMAXPROCS=%d CSV diverged from serial:\nserial: %s\ngot:    %s", w, wantCSV, gotCSV)
 				}
 				if !bytes.Equal(gotTrace, wantTrace) {
-					t.Errorf("tick-workers=%d trace diverged from serial (%d vs %d bytes)", w, len(gotTrace), len(wantTrace))
+					t.Errorf("GOMAXPROCS=%d trace diverged from serial (%d vs %d bytes)", w, len(gotTrace), len(wantTrace))
 				}
 			}
 		})

@@ -68,14 +68,9 @@ type Recorder struct {
 	cacheMisses atomic.Int64
 	cacheWaits  atomic.Int64
 
-	// Transport data-plane counters (internal/transport). Flushes are
-	// coalesced writer wakeups; drops are frames shed by the slow-peer
-	// backpressure policy. They are atomics because outbox writer
-	// goroutines record them concurrently with the tick loop's sends.
-	netFlushes       atomic.Int64
-	netFlushedFrames atomic.Int64
-	netFlushedBytes  atomic.Int64
-	netDrops         atomic.Int64
+	// Transport data-plane counter (internal/transport): frames shed by
+	// the slow-peer backpressure policy.
+	netDrops atomic.Int64
 
 	// Chaos-injection counters (internal/transport chaos layer): frames
 	// deliberately lost or deferred by the configured fault schedule —
@@ -146,14 +141,6 @@ func (r *Recorder) SetCacheStats(hits, misses, waits int64) {
 	r.cacheWaits.Store(waits)
 }
 
-// RecordNetFlush notes one coalesced transport flush carrying the given
-// number of frames and wire bytes (headers included).
-func (r *Recorder) RecordNetFlush(frames, bytes int) {
-	r.netFlushes.Add(1)
-	r.netFlushedFrames.Add(int64(frames))
-	r.netFlushedBytes.Add(int64(bytes))
-}
-
 // RecordNetDrop notes one frame dropped by the transport's backpressure
 // policy (the peer's outbox was full, or its connection already failed).
 func (r *Recorder) RecordNetDrop() { r.netDrops.Add(1) }
@@ -177,10 +164,7 @@ type Report struct {
 	CacheMisses int64
 	CacheWaits  int64
 	// Transport data-plane counters (0 on the simulator).
-	NetFlushes       int64
-	NetFlushedFrames int64
-	NetFlushedBytes  int64
-	NetDrops         int64
+	NetDrops int64
 	// Chaos-injection counters (0 unless the transport chaos layer is on).
 	ChaosDrops  int64
 	ChaosDelays int64
@@ -195,19 +179,16 @@ func (r *Recorder) Snapshot() Report {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rep := Report{
-		Honest:           r.honest,
-		Byzantine:        r.byzantine,
-		ByLayer:          make(map[string]Stats, len(r.byLayer)),
-		Ticks:            types.Tick(r.ticks.Load()),
-		CacheHits:        r.cacheHits.Load(),
-		CacheMisses:      r.cacheMisses.Load(),
-		CacheWaits:       r.cacheWaits.Load(),
-		NetFlushes:       r.netFlushes.Load(),
-		NetFlushedFrames: r.netFlushedFrames.Load(),
-		NetFlushedBytes:  r.netFlushedBytes.Load(),
-		NetDrops:         r.netDrops.Load(),
-		ChaosDrops:       r.chaosDrops.Load(),
-		ChaosDelays:      r.chaosDelays.Load(),
+		Honest:      r.honest,
+		Byzantine:   r.byzantine,
+		ByLayer:     make(map[string]Stats, len(r.byLayer)),
+		Ticks:       types.Tick(r.ticks.Load()),
+		CacheHits:   r.cacheHits.Load(),
+		CacheMisses: r.cacheMisses.Load(),
+		CacheWaits:  r.cacheWaits.Load(),
+		NetDrops:    r.netDrops.Load(),
+		ChaosDrops:  r.chaosDrops.Load(),
+		ChaosDelays: r.chaosDelays.Load(),
 	}
 	for k, v := range r.byLayer {
 		rep.ByLayer[k] = *v

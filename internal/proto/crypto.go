@@ -15,9 +15,9 @@ import (
 // whatever thresholds the protocols request. One Crypto instance is shared
 // by all machines of a run; it is safe for concurrent use.
 //
-// Unless disabled with WithoutVerifyCache, Crypto layers the verification
-// fast path (internal/crypto/verifycache) under every machine, wherever a
-// lookup is cheaper than the check it saves: Scheme is the cache-wrapped
+// Unless built with CountOps, Crypto layers the verification fast path
+// (internal/crypto/verifycache) under every machine, wherever a lookup is
+// cheaper than the check it saves: Scheme is the cache-wrapped
 // signature scheme unless the scheme declares its own verification no
 // dearer than the key hash (sig.CheapVerify — the HMAC ring), in which
 // case Scheme is the scheme passed in and every verification is a real
@@ -41,24 +41,16 @@ type Crypto struct {
 
 // cryptoConfig collects option state for NewCrypto and Setup.
 type cryptoConfig struct {
-	disableCache bool
-	countOps     bool
+	countOps bool
 }
 
 // CryptoOption configures NewCrypto and Setup.
 type CryptoOption func(*cryptoConfig)
 
-// WithoutVerifyCache disables the shared verification fast path: Scheme
-// stays exactly the scheme passed in and certificates are verified
-// serially from scratch every time. Used for A/B runs (-no-verify-cache).
-func WithoutVerifyCache() CryptoOption {
-	return func(c *cryptoConfig) { c.disableCache = true }
-}
-
 // CountOps counts the signatures made and verified, read back through
-// Ops. The counter sits below the verification cache, so it counts only
-// the verifications actually computed: a repeat the cache answers is not
-// counted.
+// Ops, and measures the protocol's inherent verification demand: a
+// counting suite has no verification cache, so Scheme is the counter
+// itself and every check a machine asks for is computed and counted.
 func CountOps() CryptoOption {
 	return func(c *cryptoConfig) { c.countOps = true }
 }
@@ -83,7 +75,7 @@ func NewCrypto(params types.Params, scheme sig.Scheme, mode threshold.Mode, deal
 		scheme = c.counter
 	}
 	c.Scheme = scheme
-	if !cfg.disableCache {
+	if !cfg.countOps {
 		c.cache = verifycache.New(verifycache.DefaultCapacity)
 		if !sig.CheapVerify(scheme) {
 			c.Scheme = verifycache.WrapScheme(scheme, c.cache)
@@ -151,11 +143,8 @@ func (c *Crypto) Ops() (signs, verifies int64) {
 	return c.counter.Signs(), c.counter.Verifies()
 }
 
-// VerifyCacheEnabled reports whether the verification fast path is on.
-func (c *Crypto) VerifyCacheEnabled() bool { return c.cache != nil }
-
 // VerifyCacheStats snapshots the fast-path counters; ok is false when the
-// cache is disabled.
+// suite has no cache (CountOps).
 func (c *Crypto) VerifyCacheStats() (st verifycache.Stats, ok bool) {
 	if c.cache == nil {
 		return verifycache.Stats{}, false

@@ -333,7 +333,7 @@ func TestCryptoVerifyCacheDefaultOn(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCrypto(params, ring, threshold.ModeAggregate, nil)
-	if !c.VerifyCacheEnabled() {
+	if c.cache == nil {
 		t.Fatal("verify cache not enabled by default")
 	}
 	if c.Scheme == sig.Scheme(ring) {
@@ -381,7 +381,7 @@ func TestCryptoForgerySweep(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCrypto(params, tc.scheme, threshold.ModeCompact, []byte("d"))
-			if !c.VerifyCacheEnabled() {
+			if c.cache == nil {
 				t.Fatal("fast path off by default")
 			}
 			if got := c.Scheme == tc.scheme; got != tc.direct {
@@ -442,18 +442,38 @@ func TestCryptoForgerySweep(t *testing.T) {
 	}
 }
 
+// TestCryptoWithoutVerifyCache: the one suite without the verification
+// cache is a counting one, which measures inherent demand — so even a
+// scheme the cache would wrap (Ed25519) is left unwrapped under the
+// counter, and every verification reaches the counter.
 func TestCryptoWithoutVerifyCache(t *testing.T) {
 	params, _ := types.NewParams(7)
-	ring, _ := sig.NewHMACRing(7, []byte("s"))
-	c := NewCrypto(params, ring, threshold.ModeAggregate, nil, WithoutVerifyCache())
-	if c.VerifyCacheEnabled() {
-		t.Fatal("cache enabled despite WithoutVerifyCache")
+	ring, err := sig.NewEd25519Ring(7, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if c.Scheme != sig.Scheme(ring) {
-		t.Error("Scheme wrapped despite WithoutVerifyCache")
+	c := NewCrypto(params, ring, threshold.ModeAggregate, nil, CountOps())
+	if c.cache != nil {
+		t.Fatal("CountOps suite has a verify cache")
+	}
+	if c.Scheme != sig.Scheme(c.counter) {
+		t.Error("Scheme is not the bare counter")
 	}
 	if _, ok := c.VerifyCacheStats(); ok {
-		t.Error("stats reported with cache off")
+		t.Error("stats reported without a cache")
+	}
+	msg := []byte("m")
+	sg, err := c.Signer(2).Sign(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if !c.Scheme.Verify(2, msg, sg) {
+			t.Fatal("valid signature rejected")
+		}
+	}
+	if signs, verifies := c.Ops(); signs != 1 || verifies != 3 {
+		t.Errorf("Ops = %d signs / %d verifies, want 1 / 3", signs, verifies)
 	}
 }
 

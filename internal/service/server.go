@@ -23,8 +23,6 @@ type ServerConfig struct {
 	// ErrDuplicate). Reads are not retained: a retried Get or Verify runs
 	// again, which a read may do.
 	DedupWindow int
-	// Logf, if set, receives server diagnostics.
-	Logf func(format string, args ...any)
 }
 
 // serverReq is one decoded request paired with its connection.
@@ -288,24 +286,12 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf("service: "+format, args...)
-	}
-}
-
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			select {
-			case <-s.done:
-				return
-			default:
-				s.logf("accept: %v", err)
-				return
-			}
+			return // Close, or a dead listener: either way no more clients
 		}
 		s.wg.Add(1)
 		go s.serveConn(conn)
@@ -376,7 +362,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		req, err := DecodeRequest(body)
 		if err != nil {
-			s.logf("client %d: %v", id, err)
 			continue
 		}
 		if req.Client != id {

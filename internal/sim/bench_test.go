@@ -51,51 +51,45 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // are the engine's own (inbox buckets, traffic slices, shuffle sources,
 // size metering) — the hot path this PR makes allocation-free. The
 // committed ceiling for the serial path lives in TestSimTickAllocCeiling.
+// Compare the serial step with the fan-out through -cpu (e.g. -cpu 1,4).
 func BenchmarkSimTick(b *testing.B) {
 	for _, n := range []int{11, 41} {
-		for _, workers := range []int{1, 0} {
-			name := fmt.Sprintf("n=%d/workers=serial", n)
-			if workers != 1 {
-				name = fmt.Sprintf("n=%d/workers=gomaxprocs", n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			params, err := types.NewParams(n)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(name, func(b *testing.B) {
-				params, err := types.NewParams(n)
+			ring, err := sig.NewHMACRing(n, []byte("bench"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
+			const horizon = 20
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(Config{
+					Params: params,
+					Crypto: crypto,
+					Factory: func(id types.ProcessID) proto.Machine {
+						return newQuietChatter(params, horizon)
+					},
+					MaxTicks:    64,
+					ShuffleSeed: 7,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				ring, err := sig.NewHMACRing(n, []byte("bench"))
-				if err != nil {
-					b.Fatal(err)
+				if res.TimedOut {
+					b.Fatal("timed out")
 				}
-				crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
-				const horizon = 20
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := Run(Config{
-						Params: params,
-						Crypto: crypto,
-						Factory: func(id types.ProcessID) proto.Machine {
-							return newQuietChatter(params, horizon)
-						},
-						MaxTicks:    64,
-						ShuffleSeed: 7,
-						Workers:     workers,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.TimedOut {
-						b.Fatal("timed out")
-					}
-				}
-				b.ReportMetric(float64(horizon*n*n), "msgs/run")
-			})
-		}
+			}
+			b.ReportMetric(float64(horizon*n*n), "msgs/run")
+		})
 	}
 }
 
 // TestSimTickAllocCeiling is the CI allocation guard for the serial hot
-// path. Setup (machine construction, engine scratch, recorder stats,
+// path (testing.AllocsPerRun runs at GOMAXPROCS 1, so the step is inline). Setup (machine construction, engine scratch, recorder stats,
 // first-tick bucket growth) legitimately allocates O(n log n) per Run, so
 // the guard differences two horizons: the extra ticks of the longer run
 // must be allocation-free — inbox buckets, traffic buffers, and shuffle
@@ -123,7 +117,6 @@ func TestSimTickAllocCeiling(t *testing.T) {
 				},
 				MaxTicks:    128,
 				ShuffleSeed: 7,
-				Workers:     1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -176,7 +169,6 @@ func TestSimTickAllocCeilingLargeN(t *testing.T) {
 				},
 				MaxTicks:    128,
 				ShuffleSeed: 7,
-				Workers:     1,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -51,7 +52,7 @@ var _ [256 - stepFanOutMin]struct{}
 // sides of stepFanOutMin — so a multi-worker run switches between the
 // inline and the fanned-out step from tick to tick — under inbox
 // shuffling and a rushing adversary, and requires traffic order, metrics
-// and trace to be byte-identical at Workers 1, 2 and 8.
+// and trace to be byte-identical at GOMAXPROCS 1, 2 and 8.
 func TestStepGateDeterminism(t *testing.T) {
 	const n = 24
 	type outcome struct {
@@ -60,6 +61,7 @@ func TestStepGateDeterminism(t *testing.T) {
 		perTick        map[types.Tick]int
 	}
 	run := func(workers int) outcome {
+		testenv.Procs(t, workers)
 		crypto, params := testCrypto(t, n)
 		var o outcome
 		var traffic, trace bytes.Buffer
@@ -74,7 +76,6 @@ func TestStepGateDeterminism(t *testing.T) {
 			Adversary:   &rushingRelay{silentAdversary: silentAdversary{ids: []types.ProcessID{3, 17}}},
 			MaxTicks:    64,
 			ShuffleSeed: 5,
-			Workers:     workers,
 			OnSend: func(now types.Tick, m Message, honest bool) {
 				traceTo(now, m, honest)
 				o.perTick[now]++

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -140,6 +141,7 @@ func goldenCases() []goldenCase {
 // runGolden executes one golden configuration and returns its trace.
 func runGolden(t *testing.T, tc goldenCase, workers int) []byte {
 	t.Helper()
+	testenv.Procs(t, workers)
 	crypto, params := testCrypto(t, tc.n)
 	var trace bytes.Buffer
 	cfg := Config{
@@ -151,7 +153,6 @@ func runGolden(t *testing.T, tc goldenCase, workers int) []byte {
 		MaxTicks:    64,
 		OnSend:      TraceTo(&trace),
 		ShuffleSeed: tc.shuffleSeed,
-		Workers:     workers,
 	}
 	if tc.adversary != nil {
 		cfg.Adversary = tc.adversary()

@@ -19,12 +19,12 @@
 //
 // Within one tick, honest machines share no mutable state (they interact
 // only through messages, which the engine delivers between ticks), so the
-// engine fans their Begin/Tick calls out across a bounded worker pool
-// (Config.Workers) on every tick heavy enough to repay the fan-out
+// engine fans their Begin/Tick calls out across one worker per CPU
+// (GOMAXPROCS, at most n) on every tick heavy enough to repay the fan-out
 // (stepFanOutMin) and steps them inline otherwise. Each machine's outputs
 // land in a per-machine slot and are joined in ID order afterwards, so
 // the observable schedule — honest traffic order, the rushing adversary's
-// view, metrics, traces — is byte-identical at every worker count,
+// view, metrics, traces — is byte-identical at every GOMAXPROCS,
 // including 1, which reduces to the strictly serial engine. All
 // engine-side observation (adversary calls, recording, OnSend) happens
 // post-join on the engine goroutine.
@@ -118,13 +118,6 @@ type Config struct {
 	// TraceTo builds the text trace on it; tools and monitors use it for
 	// structured tracing.
 	OnSend func(now types.Tick, m Message, honest bool)
-	// Workers bounds the per-tick fan-out of honest machine stepping:
-	// 0 derives one worker per CPU (GOMAXPROCS), 1 steps strictly
-	// serially in the engine's goroutine. Honest machines share no
-	// mutable state, so any worker count produces a byte-identical
-	// observable schedule (traffic order, adversary view, metrics,
-	// traces); the knob trades cores for wall clock only.
-	Workers int
 	// Halt, if set, is polled at the start of every tick; returning true
 	// aborts the run with ErrHalted before any machine is stepped at that
 	// tick. This is the cancellation hook: the run stays fully
@@ -166,13 +159,17 @@ func (r *Result) AllDecided() bool {
 	return true
 }
 
-// Agreement reports whether all honest decisions are identical, returning
-// the common value. Vacuously true (with ⊥) when nothing was decided.
-func (r *Result) Agreement() (types.Value, bool) {
+// Agreement applies the package's Agreement rule to the run's decisions.
+func (r *Result) Agreement() (types.Value, bool) { return Agreement(r.Decisions, r.Honest) }
+
+// Agreement reports whether the decisions of the honest processes are
+// identical, returning the common value; processes without a decision are
+// skipped. Vacuously true (with ⊥) when nothing was decided.
+func Agreement(decisions map[types.ProcessID]types.Value, honest []types.ProcessID) (types.Value, bool) {
 	var v types.Value
 	first := true
-	for _, id := range r.Honest {
-		d, ok := r.Decisions[id]
+	for _, id := range honest {
+		d, ok := decisions[id]
 		if !ok {
 			continue
 		}
@@ -242,13 +239,7 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 
 	e := &engine{
 		cfg:       cfg,

@@ -11,6 +11,7 @@ import (
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -390,6 +391,7 @@ func TestTrace(t *testing.T) {
 func TestObserversDoNotChangeTheCharge(t *testing.T) {
 	const n = 24
 	run := func(workers int, onSend func(types.Tick, Message, bool)) metrics.Report {
+		testenv.Procs(t, workers)
 		crypto, params := testCrypto(t, n)
 		res, err := Run(Config{
 			Params: params,
@@ -400,7 +402,6 @@ func TestObserversDoNotChangeTheCharge(t *testing.T) {
 			Adversary:   &rushingRelay{silentAdversary: silentAdversary{ids: []types.ProcessID{3, 17}}},
 			MaxTicks:    64,
 			ShuffleSeed: 5,
-			Workers:     workers,
 			SizeOf:      func(p proto.Payload) int { return len(p.Type()) },
 			OnSend:      onSend,
 		})

@@ -30,6 +30,19 @@ func Race() bool {
 	return false
 }
 
+// Procs sets GOMAXPROCS to k for the rest of the test and restores the
+// value it replaced when the test ends. Every worker pool of the
+// repository — grid points, per-tick machine stepping, aggregate-share
+// checks — sizes itself from GOMAXPROCS, so this is how a test runs the
+// same work at another worker count. A k below 1 leaves the setting as
+// it is, as runtime.GOMAXPROCS does. The setting is process-wide, so
+// Procs must not be used in a parallel test.
+func Procs(t testing.TB, k int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(k)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // leakWait bounds how long NoLeaks waits for goroutines and descriptors to
 // wind down: a closed connection's reader returns, and its socket is
 // released, a moment after the Close that ends a run.

@@ -3,6 +3,7 @@ package testenv
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -96,4 +97,23 @@ func TestNoLeaks(t *testing.T) {
 			t.Errorf("an open file: errors %v, want one", f.errs)
 		}
 	})
+}
+
+// TestProcsRestores checks that nested Procs calls unwind, in the
+// testing package's cleanup order, to the value the test started with.
+func TestProcsRestores(t *testing.T) {
+	start := runtime.GOMAXPROCS(0)
+	f := &fakeT{TB: t}
+	Procs(f, 1)
+	if got := runtime.GOMAXPROCS(0); got != 1 {
+		t.Errorf("GOMAXPROCS = %d after Procs(1)", got)
+	}
+	Procs(f, 3)
+	if got := runtime.GOMAXPROCS(0); got != 3 {
+		t.Errorf("GOMAXPROCS = %d after Procs(3)", got)
+	}
+	f.end()
+	if got := runtime.GOMAXPROCS(0); got != start {
+		t.Errorf("GOMAXPROCS = %d after the test, want %d restored", got, start)
+	}
 }

@@ -238,7 +238,7 @@ func TestFrameReaderReusesBuffer(t *testing.T) {
 func TestOutboxBackpressureDropsInsteadOfBlocking(t *testing.T) {
 	c1, c2 := net.Pipe() // nothing ever reads c2: the peer is stalled
 	defer c2.Close()
-	ob := newPeerOutbox(c1, 256, 50*time.Millisecond, nil)
+	ob := newPeerOutbox(c1, 256, 50*time.Millisecond)
 	defer func() {
 		ob.shutdown()
 		c1.Close()

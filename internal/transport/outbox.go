@@ -5,8 +5,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"adaptiveba/internal/metrics"
 )
 
 // peerOutbox is the bounded, coalescing send queue feeding one peer's
@@ -27,11 +25,9 @@ type peerOutbox struct {
 	conn     net.Conn
 	limit    int           // max buffered bytes; beyond it frames drop
 	deadline time.Duration // per-flush write deadline
-	rec      *metrics.Recorder
 
 	mu      sync.Mutex
 	pending []byte // frames queued since the last flush swap (reused)
-	frames  int    // frame count in pending
 	spare   []byte // writer-side buffer, exchanged with pending per flush
 	dead    bool   // the connection failed; enqueues drop from now on
 	err     error  // first write error, sticky
@@ -43,12 +39,11 @@ type peerOutbox struct {
 }
 
 // newPeerOutbox starts the writer goroutine for conn.
-func newPeerOutbox(conn net.Conn, limit int, deadline time.Duration, rec *metrics.Recorder) *peerOutbox {
+func newPeerOutbox(conn net.Conn, limit int, deadline time.Duration) *peerOutbox {
 	ob := &peerOutbox{
 		conn:     conn,
 		limit:    limit,
 		deadline: deadline,
-		rec:      rec,
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -79,7 +74,6 @@ func (ob *peerOutbox) enqueue(kind byte, body []byte) error {
 	hdr[4] = kind
 	ob.pending = append(ob.pending, hdr[:]...)
 	ob.pending = append(ob.pending, body...)
-	ob.frames++
 	ob.mu.Unlock()
 	select {
 	case ob.wake <- struct{}{}:
@@ -116,8 +110,8 @@ func (ob *peerOutbox) writeLoop() {
 // data plane allocates nothing.
 func (ob *peerOutbox) flush() {
 	ob.mu.Lock()
-	buf, frames := ob.pending, ob.frames
-	ob.pending, ob.frames = ob.spare[:0], 0
+	buf := ob.pending
+	ob.pending = ob.spare[:0]
 	ob.spare = buf
 	dead := ob.dead
 	ob.mu.Unlock()
@@ -135,10 +129,6 @@ func (ob *peerOutbox) flush() {
 		}
 		ob.mu.Unlock()
 		ob.conn.Close()
-		return
-	}
-	if ob.rec != nil {
-		ob.rec.RecordNetFlush(frames, len(buf))
 	}
 }
 

@@ -51,8 +51,6 @@ const writeDeadline = 10 * time.Second
 var (
 	ErrConfig  = errors.New("transport: invalid configuration")
 	ErrNoPeers = errors.New("transport: could not connect to all peers")
-	// ErrCrashed reports a CrashAfter fault injection firing.
-	ErrCrashed = errors.New("transport: node crashed by fault injection")
 	// ErrClosed reports that Close ended the run.
 	ErrClosed = errors.New("transport: node closed")
 	// ErrBackpressure reports a frame dropped because a peer's outbox was
@@ -77,10 +75,6 @@ type Config struct {
 	// connected and ready before the run starts; the rest are treated as
 	// crashed. Default: all N (no tolerated absences at startup).
 	Quorum int
-	// CrashAfter, if positive, fail-stops the node after that many ticks:
-	// it closes every connection and returns ErrCrashed — fault injection
-	// for real-network runs.
-	CrashAfter types.Tick
 	// Recorder, if set, accounts for sent messages.
 	Recorder *metrics.Recorder
 	// Logf, if set, receives debug lines.
@@ -254,7 +248,7 @@ func (n *Node) startOutboxes() {
 		if conn == nil {
 			continue
 		}
-		n.outboxes[i] = newPeerOutbox(conn, n.cfg.FlushBytes, writeDeadline, n.cfg.Recorder)
+		n.outboxes[i] = newPeerOutbox(conn, n.cfg.FlushBytes, writeDeadline)
 	}
 }
 
@@ -480,10 +474,6 @@ func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 		now++
 		if n.chaos != nil {
 			n.chaos.tick(now)
-		}
-		if n.cfg.CrashAfter > 0 && now >= n.cfg.CrashAfter {
-			n.closeOutbound()
-			return nil, ErrCrashed
 		}
 		n.mu.Lock()
 		inbox := n.inbox

@@ -152,6 +152,23 @@ func TestFullRegistryCoversAllProtocols(t *testing.T) {
 	}
 }
 
+// crashAt fail-stops its node at tick at: the machine closes the node
+// from inside its own step instead of stepping, so the node's run ends
+// with ErrClosed and its peers see every connection to it drop.
+type crashAt struct {
+	proto.Machine
+	at   types.Tick
+	node *Node
+}
+
+func (c *crashAt) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	if now >= c.at {
+		c.node.Close()
+		return outs
+	}
+	return c.Machine.Tick(now, inbox, outs)
+}
+
 // TestCrashInjectionOverTCP fail-stops one node mid-run; the survivors
 // must still decide via the fallback path — fault tolerance demonstrated
 // on the real network stack, not just the simulator.
@@ -170,23 +187,28 @@ func TestCrashInjectionOverTCP(t *testing.T) {
 	)
 	for i := 0; i < 5; i++ {
 		id := types.ProcessID(i)
-		m, err := strongba.NewMachine(strongba.Config{
+		sm, err := strongba.NewMachine(strongba.Config{
 			Params: params, Crypto: crypto, ID: id, Input: types.One, Tag: "ci",
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{
+		var m proto.Machine = sm
+		var crash *crashAt
+		if id == 4 {
+			crash = &crashAt{Machine: m, at: 2} // dies before the fast path can finish
+			m = crash
+		}
+		node, err := NewNode(Config{
 			Params: params, Crypto: crypto, ID: id, Addrs: addrs,
 			Registry:     protocols.Registry(),
 			TickInterval: 10 * time.Millisecond,
-		}
-		if id == 4 {
-			cfg.CrashAfter = 2 // dies before the fast path can finish
-		}
-		node, err := NewNode(cfg, m)
+		}, m)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if crash != nil {
+			crash.node = node
 		}
 		wg.Add(1)
 		go func() {
@@ -194,7 +216,7 @@ func TestCrashInjectionOverTCP(t *testing.T) {
 			v, err := node.Run(ctx)
 			mu.Lock()
 			defer mu.Unlock()
-			if errors.Is(err, ErrCrashed) {
+			if errors.Is(err, ErrClosed) {
 				crashed++
 				return
 			}

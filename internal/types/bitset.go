@@ -97,27 +97,6 @@ func (b *BitSet) Count() int {
 	return c
 }
 
-// Union merges o's members into b in place. Members of o beyond b's
-// capacity are ignored (b stays canonical: no bits at or above Cap).
-func (b *BitSet) Union(o *BitSet) {
-	if o == nil {
-		return
-	}
-	m := len(b.words)
-	if len(o.words) < m {
-		m = len(o.words)
-	}
-	for i := 0; i < m; i++ {
-		b.words[i] |= o.words[i]
-	}
-	// o may have capacity beyond b.n but canonical sets carry no stray
-	// bits; when o.n > b.n the shared last word can still hold o-members
-	// >= b.n, so mask b's last word back to its own capacity.
-	if rem := b.n % 64; rem != 0 && m == len(b.words) && m > 0 {
-		b.words[m-1] &= uint64(1)<<rem - 1
-	}
-}
-
 // ContainsAll reports whether every member of o is also in b (o ⊆ b).
 func (b *BitSet) ContainsAll(o *BitSet) bool {
 	if o == nil {
@@ -133,31 +112,6 @@ func (b *BitSet) ContainsAll(o *BitSet) bool {
 		}
 	}
 	return true
-}
-
-// PopcountRange counts the members in the half-open ID range [lo, hi).
-// Out-of-range bounds are clamped to [0, Cap].
-func (b *BitSet) PopcountRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > b.n {
-		hi = b.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	loW, hiW := lo/64, (hi-1)/64
-	loMask := ^uint64(0) << (uint(lo) % 64)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)%64)
-	if loW == hiW {
-		return bits.OnesCount64(b.words[loW] & loMask & hiMask)
-	}
-	c := bits.OnesCount64(b.words[loW] & loMask)
-	for i := loW + 1; i < hiW; i++ {
-		c += bits.OnesCount64(b.words[i])
-	}
-	return c + bits.OnesCount64(b.words[hiW]&hiMask)
 }
 
 // NextSet returns the smallest member >= from, or (NilProcess, false) if
@@ -219,20 +173,6 @@ func (b *BitSet) Equal(o *BitSet) bool {
 		}
 	}
 	return true
-}
-
-// Intersects reports whether the two sets share at least one member.
-func (b *BitSet) Intersects(o *BitSet) bool {
-	m := len(b.words)
-	if len(o.words) < m {
-		m = len(o.words)
-	}
-	for i := 0; i < m; i++ {
-		if b.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders the set as {p0,p3,...}.

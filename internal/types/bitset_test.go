@@ -90,19 +90,6 @@ func TestBitSetCloneEqual(t *testing.T) {
 	}
 }
 
-func TestBitSetIntersects(t *testing.T) {
-	a, b := NewBitSet(130), NewBitSet(130)
-	a.Add(128)
-	b.Add(127)
-	if a.Intersects(b) {
-		t.Error("disjoint sets intersect")
-	}
-	b.Add(128)
-	if !a.Intersects(b) {
-		t.Error("shared member not detected")
-	}
-}
-
 func TestBitSetRoundTripWords(t *testing.T) {
 	b := NewBitSet(67)
 	b.Add(0)
