@@ -122,7 +122,7 @@ race-guard:
 	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity|TestCryptoForgerySweep' -race; \
 	guard ./internal/core/bb 'TestValidatorMemo' -race; \
 	guard ./internal/harness 'TestParallelDeterminism|TestExperimentReportsDeterministic' -race; \
-	guard ./internal/service 'TestConcurrentHistory|TestDisconnectMidBurst|TestServerUnderLoss|TestDisposedWriteNeverWedgesReads|TestPipelinedRepliesNeverGap|TestDedupWindowPassesQueuedWrite' -race
+	guard ./internal/service 'TestConcurrentHistory|TestDisconnectMidBurst|TestServerUnderLoss|TestDisposedWriteNeverWedgesReads|TestPipelinedRepliesNeverGap|TestDedupWindowPassesQueuedWrite|TestBurstIsOneHandOff|TestAuditFailureStopsCore' -race
 
 # The public package has one runtime, the multi-session engine: fail if
 # the root package depends on internal/harness, directly or through

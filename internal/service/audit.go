@@ -82,27 +82,30 @@ func auditHash(h hash.Hash, fields, dst []byte) []byte {
 
 // Audit is an append-only, fsync'd, hash-chained log file. The chain
 // lives on disk; in memory the log keeps only what extending it needs —
-// the next sequence number and the tip — so a long-running server's
-// footprint does not grow with its history (ReloadFromDisk reads it back).
+// the next sequence number, the tip and the file's length — so a
+// long-running server's footprint does not grow with its history
+// (ReloadFromDisk reads it back).
 type Audit struct {
 	path string
 	f    auditFile
 	n    int      // entries chained so far
 	tip  [32]byte // hash of the last entry (zero when empty)
+	size int64    // bytes of the chained entries, the file's length
 
-	// Append's reused state: the record being written, whose prefix is
-	// the hash preimage, and the SHA-256 state and sum that hash it. A
-	// steady-state Append allocates nothing.
+	// AppendBatch's reused state: the records being written, each one's
+	// prefix its hash preimage, and the SHA-256 state and sum that hash
+	// them. A steady-state append allocates nothing.
 	rec wire.Writer
 	h   hash.Hash
 	sum []byte
 }
 
 // auditFile is what an Audit appends through: the log's *os.File, or in
-// a test one that fails on demand.
+// a test one that fails or counts on demand.
 type auditFile interface {
 	Write(p []byte) (int, error)
 	Sync() error
+	Truncate(size int64) error
 	Close() error
 }
 
@@ -126,6 +129,7 @@ func OpenAudit(path string) (*Audit, error) {
 		if a.n = len(entries); a.n > 0 {
 			a.tip = entries[a.n-1].Hash
 		}
+		a.size = int64(len(data))
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
@@ -141,27 +145,64 @@ func (a *Audit) Close() error { return a.f.Close() }
 // Len returns the number of chained entries.
 func (a *Audit) Len() int { return a.n }
 
-// Append chains and durably appends one entry. Seq, Prev, and Hash are
-// assigned here; the caller fills the record fields. The fields are
-// encoded once: the record's prefix is hashed, then the hash is appended
-// to complete it. Append does not retain e.Key.
+// Append chains and durably appends one entry: AppendBatch of e alone.
+// The returned entry carries the Seq, Prev and Hash assigned to it.
 func (a *Audit) Append(e AuditEntry) (AuditEntry, error) {
-	e.Seq = a.n
-	e.Prev = a.tip
+	one := [1]AuditEntry{e}
+	err := a.AppendBatch(one[:])
+	return one[0], err
+}
+
+// AppendBatch chains es after the tip and appends them durably: one
+// Write of every record, then one Sync. Seq, Prev and Hash are assigned
+// in place; the caller fills the other fields. Each record's fields are
+// encoded once: its prefix is hashed, then the hash is appended to
+// complete it. The file bytes are those of one Append per entry.
+//
+// Nothing advances until the Sync returns: on any error the file is
+// truncated back to its length before the batch, so no record of a
+// failed batch stays in it, and the chain's tip is unchanged.
+// AppendBatch does not retain es or the keys they hold.
+func (a *Audit) AppendBatch(es []AuditEntry) error {
+	if len(es) == 0 {
+		return nil
+	}
 	a.rec.Reset()
-	putAuditFields(&a.rec, &e)
-	a.sum = auditHash(a.h, a.rec.Bytes(), a.sum[:0])
-	e.Hash = [32]byte(a.sum)
-	a.rec.PutBytes(e.Hash[:])
-	if _, err := a.f.Write(a.rec.Bytes()); err != nil {
-		return e, fmt.Errorf("service: audit append: %w", err)
+	tip := a.tip
+	for i := range es {
+		e := &es[i]
+		e.Seq = a.n + i
+		e.Prev = tip
+		start := a.rec.Len()
+		putAuditFields(&a.rec, e)
+		a.sum = auditHash(a.h, a.rec.Bytes()[start:], a.sum[:0])
+		e.Hash = [32]byte(a.sum)
+		a.rec.PutBytes(e.Hash[:])
+		tip = e.Hash
 	}
-	if err := a.f.Sync(); err != nil {
-		return e, fmt.Errorf("service: audit append: %w", err)
+	if err := a.persist(a.rec.Bytes()); err != nil {
+		return fmt.Errorf("service: audit append: %w", err)
 	}
-	a.n++
-	a.tip = e.Hash
-	return e, nil
+	a.n += len(es)
+	a.tip = tip
+	a.size += int64(a.rec.Len())
+	return nil
+}
+
+// persist writes records and syncs them. If either step fails, the file
+// is cut back to the chained entries: a record that was written but not
+// synced would otherwise sit on disk as a committed one.
+func (a *Audit) persist(records []byte) error {
+	_, err := a.f.Write(records)
+	if err == nil {
+		err = a.f.Sync()
+	}
+	if err != nil {
+		if terr := a.f.Truncate(a.size); terr != nil {
+			err = errors.Join(err, terr)
+		}
+	}
+	return err
 }
 
 // VerifyChain walks a chain end to end: every entry's hash must recompute

@@ -183,9 +183,10 @@ func TestGetResponseMatchesEncodeResponse(t *testing.T) {
 	}
 }
 
-// TestAuditAppendZeroAllocs guards Append's steady state: the record
+// TestAuditAppendZeroAllocs guards the append's steady state: the record
 // writer, SHA-256 state and sum are the Audit's own, so a warmed-up
-// Append allocates nothing.
+// Append, and a warmed-up AppendBatch of a 32-write flush's records,
+// allocate nothing.
 func TestAuditAppendZeroAllocs(t *testing.T) {
 	a, err := OpenAudit(filepath.Join(t.TempDir(), "audit.log"))
 	if err != nil {
@@ -201,6 +202,130 @@ func TestAuditAppendZeroAllocs(t *testing.T) {
 	t.Logf("Audit.Append: %.1f allocs/op (ceiling 0)", allocs)
 	if allocs != 0 {
 		t.Errorf("Audit.Append allocates %.1f times per entry, want 0", allocs)
+	}
+
+	batch := make([]AuditEntry, 32)
+	for i := range batch {
+		batch[i] = threeEntryChain[i%len(threeEntryChain)]
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if err := a.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Audit.AppendBatch of %d records: %.1f allocs/op (ceiling 0)", len(batch), allocs)
+	if allocs != 0 {
+		t.Errorf("Audit.AppendBatch allocates %.1f times per %d records, want 0", allocs, len(batch))
+	}
+}
+
+// BenchmarkAuditFlush persists one 32-write flush's audit records in a
+// file under the temp directory: as 32 single Appends, one Write and
+// one Sync each, and as one AppendBatch. tmpfs makes a Sync nearly free;
+// with TMPDIR on a disk the gap is what the group commit saves.
+func BenchmarkAuditFlush(b *testing.B) {
+	batch := make([]AuditEntry, 32)
+	for i := range batch {
+		batch[i] = threeEntryChain[i%len(threeEntryChain)]
+	}
+	open := func(b *testing.B) *Audit {
+		a, err := OpenAudit(filepath.Join(b.TempDir(), "audit.log"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { a.Close() })
+		return a
+	}
+	b.Run("append32", func(b *testing.B) {
+		a := open(b)
+		for b.Loop() {
+			for _, e := range batch {
+				if _, err := a.Append(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("batch32", func(b *testing.B) {
+		a := open(b)
+		for b.Loop() {
+			if err := a.AppendBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// countingAudit is an audit file that records how many audit records each
+// Write carries, and counts its Syncs.
+type countingAudit struct {
+	auditFile
+	records []int
+	syncs   int
+}
+
+func (f *countingAudit) Write(p []byte) (int, error) {
+	entries, err := DecodeAuditLog(p)
+	if err != nil {
+		return 0, err
+	}
+	f.records = append(f.records, len(entries))
+	return f.auditFile.Write(p)
+}
+
+func (f *countingAudit) Sync() error {
+	f.syncs++
+	return f.auditFile.Sync()
+}
+
+// TestFlushIsOneAuditWrite: a 32-write flush reaches the audit file as
+// one Write of its 32 records and one Sync, and the file holds the bytes
+// that 32 single Appends of the same records write.
+func TestFlushIsOneAuditWrite(t *testing.T) {
+	const writes = 32
+	c := testCore(t, nil)
+	count := &countingAudit{auditFile: c.audit.f}
+	c.audit.f = count
+	var ops []Op
+	for i := range writes {
+		// Values past testCore's InlineMax of 32 are anchored.
+		ops = append(ops, Op{Op: OpPut, Key: []byte{byte(i)}, Value: bytes.Repeat([]byte{byte(i)}, 1+2*i)})
+	}
+	ops[writes-1] = Op{Op: OpDel, Key: []byte{0}}
+	if _, err := c.Commit(ops); err != nil {
+		t.Fatal(err)
+	}
+	if len(count.records) != 1 || count.records[0] != writes || count.syncs != 1 {
+		t.Fatalf("a %d-write flush: Writes of %v records and %d Syncs; want one Write of %d and one Sync",
+			writes, count.records, count.syncs, writes)
+	}
+
+	got, err := os.ReadFile(c.cfg.AuditPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := DecodeAuditLog(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "single.log")
+	single, err := OpenAudit(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	for _, e := range entries {
+		if _, err := single.Append(AuditEntry{Slot: e.Slot, Op: e.Op, Key: e.Key, Anchor: e.Anchor, Anchored: e.Anchored}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != writes || !bytes.Equal(got, want) {
+		t.Fatalf("flush wrote %d records in %d bytes; %d single Appends write %d bytes, equal %t",
+			len(entries), len(got), len(entries), len(want), bytes.Equal(got, want))
 	}
 }
 

@@ -573,12 +573,24 @@ func (g *gatedAudit) Write(p []byte) (int, error) {
 	return g.auditFile.Write(p)
 }
 
+// handedOff counts the requests s's connections have handed the run loop
+// and it has not yet disposed of.
+func handedOff(s *Server) int {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	n := 0
+	for c := range s.conns {
+		n += int(c.inRun.Load())
+	}
+	return n
+}
+
 // holdRunLoop parks s's run loop inside a flush: over a connection of
 // its own it sends a Put whose audit write waits at a gate. The function
-// it returns waits until queued requests sit in the run loop's queue,
-// then opens the gate, so the requests sent in between reach the loop
-// together and are buffered for one flush. The held Put is one more
-// committed slot.
+// it returns waits until queued requests besides the held Put have been
+// handed to the run loop, then opens the gate, so the requests sent in
+// between reach the loop together and are buffered for one flush. The
+// held Put is one more committed slot.
 func holdRunLoop(t *testing.T, s *Server) (release func(queued int)) {
 	t.Helper()
 	gate := &gatedAudit{entered: make(chan struct{}), open: make(chan struct{})}
@@ -602,9 +614,9 @@ func holdRunLoop(t *testing.T, s *Server) (release func(queued int)) {
 	return func(queued int) {
 		t.Helper()
 		defer open()
-		for deadline := time.Now().Add(5 * time.Second); len(s.reqCh) < queued; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(5 * time.Second); handedOff(s) < 1+queued; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("%d of %d requests reached the run loop's queue", len(s.reqCh), queued)
+				t.Fatalf("%d of %d requests reached the run loop", handedOff(s)-1, queued)
 			}
 		}
 	}
@@ -721,29 +733,52 @@ var errAuditFull = errors.New("audit device full")
 
 var val1 = []byte("v1")
 
-// failingAudit is an audit file whose writes fail once left reaches zero.
+// failingAudit is an audit file whose writes fail once left reaches
+// zero, or with failSync, whose syncs do (the write before it lands).
 type failingAudit struct {
 	auditFile
-	left int
+	left     int
+	failSync bool
+}
+
+func (f *failingAudit) fails() bool {
+	if f.left == 0 {
+		return true
+	}
+	f.left--
+	return false
 }
 
 func (f *failingAudit) Write(p []byte) (int, error) {
-	if f.left == 0 {
+	if !f.failSync && f.fails() {
 		return 0, errAuditFull
 	}
-	f.left--
 	return f.auditFile.Write(p)
 }
 
-// TestAuditFailureStopsCore: when the audit file fails in the middle of a
-// flush, the kv store holds exactly the audited entries — Restore, which
-// replays the retained log, agrees with StateHash — and the Core stops:
-// every later Commit and Get returns the storage error, so no value the
-// audit chain lacks is ever served.
+func (f *failingAudit) Sync() error {
+	if f.failSync && f.fails() {
+		return errAuditFull
+	}
+	return f.auditFile.Sync()
+}
+
+// TestAuditFailureStopsCore: a flush is audited whole or not at all.
+// When the audit file fails on a flush, none of it is applied: the kv
+// store holds exactly the audited entries — Restore, which replays the
+// retained log, agrees with StateHash — and the audit file holds no
+// record of the failed flush, even one that was written but not synced.
+// The Core then stops: every later Commit and Get returns the storage
+// error, so no value the audit chain lacks is ever served.
 func TestAuditFailureStopsCore(t *testing.T) {
 	keys := []string{"k1", "k2", "k3", "k4"}
 	checkStopped := func(t *testing.T, c *Core, audited int) {
 		t.Helper()
+		for _, k := range keys {
+			if _, ok := c.store.Get(encKey([]byte(k))); ok {
+				t.Fatalf("%s of the failed flush was applied", k)
+			}
+		}
 		if got, err := c.Restore(); err != nil || got != c.StateHash() {
 			t.Fatalf("Restore %s (%v), StateHash %s", got, err, c.StateHash())
 		}
@@ -760,16 +795,16 @@ func TestAuditFailureStopsCore(t *testing.T) {
 		}
 		entries, err := c.Audit().ReloadFromDisk()
 		if err != nil || len(entries) != audited || VerifyChain(entries) != nil {
-			t.Fatalf("audit file: %d entries, %v", len(entries), err)
+			t.Fatalf("audit file: %d entries, %v; want %d", len(entries), err, audited)
 		}
 	}
-
-	t.Run("core", func(t *testing.T) {
+	commitAcross := func(t *testing.T, failing *failingAudit) *Core {
+		t.Helper()
 		c := testCore(t, nil)
 		if _, err := c.Commit([]Op{{Op: OpPut, Key: []byte("k0"), Value: val1}}); err != nil {
 			t.Fatal(err)
 		}
-		c.audit.f = &failingAudit{auditFile: c.audit.f, left: 2}
+		failing.auditFile, c.audit.f = c.audit.f, failing
 		var ops []Op
 		for i, k := range keys {
 			ops = append(ops, Op{Op: OpPut, Key: []byte(k), Value: []byte(histValue(0, i))})
@@ -777,12 +812,15 @@ func TestAuditFailureStopsCore(t *testing.T) {
 		if _, err := c.Commit(ops); !errors.Is(err, errAuditFull) {
 			t.Fatalf("Commit across the failure: %v, want the storage error", err)
 		}
-		for _, k := range keys[2:] {
-			if _, ok := c.store.Get(encKey([]byte(k))); ok {
-				t.Fatalf("%s was applied without its audit record", k)
-			}
-		}
-		checkStopped(t, c, 3)
+		return c
+	}
+
+	t.Run("core", func(t *testing.T) {
+		checkStopped(t, commitAcross(t, &failingAudit{}), 1)
+	})
+
+	t.Run("sync fails after the write", func(t *testing.T) {
+		checkStopped(t, commitAcross(t, &failingAudit{failSync: true}), 1)
 	})
 
 	t.Run("server", func(t *testing.T) {
@@ -796,7 +834,7 @@ func TestAuditFailureStopsCore(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.core.mu.Lock()
-		s.core.audit.f = &failingAudit{auditFile: s.core.audit.f, left: 1}
+		s.core.audit.f = &failingAudit{auditFile: s.core.audit.f}
 		s.core.mu.Unlock()
 		var burst []*Request
 		for i, k := range keys {
@@ -804,8 +842,10 @@ func TestAuditFailureStopsCore(t *testing.T) {
 		}
 		burst = append(burst, &Request{Client: c.ID(), Seq: 6, Op: ReqGet, Key: []byte("k3")})
 		sendFrames(t, c, burst...)
-		if resp := awaitReply(t, c, 6); resp.Status == StatusOK {
-			t.Fatalf("Get of a key written across the failure served %q", resp.Value)
+		for seq := 2; seq <= 6; seq++ {
+			if resp := awaitReply(t, c, seq); resp.Status == StatusOK {
+				t.Fatalf("seq %d, written or read across the failure: %+v", seq, resp)
+			}
 		}
 		for _, k := range append(keys, "k0") {
 			if v, err := c.Get([]byte(k)); err == nil {
@@ -815,8 +855,8 @@ func TestAuditFailureStopsCore(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		// k0, then k1 on the one write left, whether or not k1 shared
-		// a flush with the rest of the burst.
-		checkStopped(t, s.core, 2)
+		// The burst's own flush was the first write to fail: only k0 is
+		// audited, however the burst was cut into flushes.
+		checkStopped(t, s.core, 1)
 	})
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -31,6 +32,18 @@ type serverReq struct {
 	conn *serverConn
 }
 
+// serverBatch is what a connection's reader hands the run loop at once:
+// the writes and Verifys it decoded from one read, in order.
+type serverBatch struct {
+	reqs []*Request
+	conn *serverConn
+}
+
+// readerSize is a connection's read buffer: large enough that a
+// pipelined burst of 32 writes with two 4 KiB values (about 12 KiB)
+// arrives in one fill and so reaches the run loop as one batch.
+const readerSize = 16 << 10
+
 // outboxSize is how many replies the run loop may queue on one
 // connection ahead of its socket before it gives up on the client.
 const outboxSize = 64
@@ -58,9 +71,10 @@ type serverConn struct {
 	taken [][]byte
 
 	// inRun counts the requests the reader handed to the run loop and
-	// the run loop has not yet disposed of; idle (one slot) is signalled
-	// each time it falls to zero. A Get waits for zero, so it reads every
-	// earlier write of its connection.
+	// the run loop has not yet disposed of; it rises by a batch's length
+	// at the hand-off. idle (one slot) is signalled each time it falls to
+	// zero. A Get waits for zero, so it reads every earlier write of its
+	// connection.
 	inRun atomic.Int64
 	idle  chan struct{}
 
@@ -191,20 +205,24 @@ type Server struct {
 	core *Core
 	ln   net.Listener
 
-	reqCh chan serverReq
+	// reqCh carries the readers' batches to the run loop. Up to 256 wait
+	// while a flush runs, so a reader goes on decoding instead of waiting
+	// for the commit.
+	reqCh chan serverBatch
 	done  chan struct{}
 	wg    sync.WaitGroup
 	// connMu guards conns and closed: every live client connection is
 	// tracked so Close can unblock their reader goroutines.
 	connMu    sync.Mutex
-	conns     map[net.Conn]struct{}
+	conns     map[*serverConn]struct{}
 	closed    bool
 	closeOnce sync.Once
 	closeErr  error
 	// nextClient numbers connections: each gets a fresh client ID.
 	nextClient atomic.Int64
-	// maxBatch bounds how many writes one flush commits together: 4× the
-	// core's per-round capacity.
+	// maxBatch bounds how many requests a reader hands over at once and
+	// how many writes one flush commits together: 4× the core's per-round
+	// capacity.
 	maxBatch int
 
 	pending     []Op
@@ -232,9 +250,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:      cfg,
 		core:     core,
 		ln:       ln,
-		reqCh:    make(chan serverReq, 256),
+		reqCh:    make(chan serverBatch, 256),
 		done:     make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
+		conns:    make(map[*serverConn]struct{}),
 		maxBatch: 4 * len(core.honest) * core.cfg.Batch,
 	}
 	s.wg.Add(2)
@@ -251,19 +269,19 @@ func (s *Server) Stats() Stats { return s.core.Stats() }
 
 // track registers a live client connection so Close can unblock its
 // reader; false means the server is already shutting down.
-func (s *Server) track(conn net.Conn) bool {
+func (s *Server) track(c *serverConn) bool {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
 	if s.closed {
 		return false
 	}
-	s.conns[conn] = struct{}{}
+	s.conns[c] = struct{}{}
 	return true
 }
 
-func (s *Server) untrack(conn net.Conn) {
+func (s *Server) untrack(c *serverConn) {
 	s.connMu.Lock()
-	delete(s.conns, conn)
+	delete(s.conns, c)
 	s.connMu.Unlock()
 }
 
@@ -276,8 +294,8 @@ func (s *Server) Close() error {
 		s.ln.Close()
 		s.connMu.Lock()
 		s.closed = true
-		for conn := range s.conns {
-			conn.Close()
+		for c := range s.conns {
+			c.conn.Close()
 		}
 		s.connMu.Unlock()
 		s.wg.Wait()
@@ -305,16 +323,21 @@ func (s *Server) acceptLoop() {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	if !s.track(conn) {
+	sc := &serverConn{
+		conn: conn, quit: make(chan struct{}), bw: bufio.NewWriter(conn),
+		ready: make(chan struct{}, 1), idle: make(chan struct{}, 1),
+		resp: make(map[int][]byte), evicted: -1,
+	}
+	if !s.track(sc) {
 		return // lost the race with Close
 	}
-	defer s.untrack(conn)
+	defer s.untrack(sc)
 
 	// Frames are read through one buffer: a frame is a 4-byte prefix and a
 	// body, two reads each if taken from the socket, and a pipelining
-	// client's whole burst usually arrives in one segment.
+	// client's whole burst arrives in one fill.
 	var fr transport.FrameReader
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, readerSize)
 	kind, _, err := fr.Read(br)
 	if err != nil || kind != FrameHello {
 		return
@@ -323,12 +346,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	w := newWelcome(id)
 	if err := transport.WriteFrame(conn, FrameWelcome, w); err != nil {
 		return
-	}
-
-	sc := &serverConn{
-		conn: conn, quit: make(chan struct{}), bw: bufio.NewWriter(conn),
-		ready: make(chan struct{}, 1), idle: make(chan struct{}, 1),
-		resp: make(map[int][]byte), evicted: -1,
 	}
 	// Closing quit on exit makes the run loop drop any request of this
 	// connection still in its queue.
@@ -352,33 +369,70 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 
+	// What arrived together is handed over together: the reader keeps
+	// decoding while another whole frame is buffered, and hands the run
+	// loop the writes and Verifys it decoded as one batch. A batch ends at
+	// maxBatch requests, at a Verify (which flushes), at a Get (which first
+	// waits for the batch), and where the buffered bytes stop holding a
+	// whole frame, so a partial frame still arriving never holds back
+	// requests already decoded.
+	var batch []*Request
 	for {
 		kind, body, err := fr.Read(br)
 		if err != nil {
+			s.handOff(sc, batch)
 			return
 		}
-		if kind != FrameRequest {
-			continue
+		var req *Request
+		if kind == FrameRequest {
+			if req, err = DecodeRequest(body); err != nil || req.Client != id {
+				req = nil // undecodable, or not the session's assigned ID
+			}
 		}
-		req, err := DecodeRequest(body)
-		if err != nil {
-			continue
-		}
-		if req.Client != id {
-			continue // requests must carry the session's assigned ID
-		}
-		if req.Op == ReqGet {
-			if !s.serveGet(sc, req) {
+		cut := !frameBuffered(br)
+		switch {
+		case req == nil:
+		case req.Op == ReqGet:
+			if !s.handOff(sc, batch) || !s.serveGet(sc, req) {
 				return
 			}
-			continue
+			batch = nil
+		default:
+			batch = append(batch, req)
+			cut = cut || req.Op == ReqVerify || len(batch) == s.maxBatch
 		}
-		sc.inRun.Add(1)
-		select {
-		case s.reqCh <- serverReq{req: req, conn: sc}:
-		case <-s.done:
-			return
+		if cut {
+			if !s.handOff(sc, batch) {
+				return
+			}
+			batch = nil
 		}
+	}
+}
+
+// frameBuffered reports whether br already holds the whole next frame,
+// looking only at buffered bytes: its length prefix, then that many more.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	prefix, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(prefix))
+}
+
+// handOff gives the run loop one batch of c's requests, false if the
+// server closes first. inRun rises by the batch's length before the
+// batch can be disposed of.
+func (s *Server) handOff(c *serverConn, reqs []*Request) bool {
+	if len(reqs) == 0 {
+		return true
+	}
+	c.inRun.Add(int64(len(reqs)))
+	select {
+	case s.reqCh <- serverBatch{reqs: reqs, conn: c}:
+		return true
+	case <-s.done:
+		return false
 	}
 }
 
@@ -400,28 +454,40 @@ func (s *Server) serveGet(c *serverConn, req *Request) bool {
 	return c.write(body) == nil
 }
 
-// runLoop is the Core's one writer: it drains whatever requests are
-// queued, buffers writes, and flushes them as one ACS commit. Gets and
-// Stats do not pass through it.
+// runLoop is the Core's one writer: it drains whatever batches are
+// queued, buffers their writes, and flushes them as one ACS commit. Gets
+// and Stats do not pass through it.
 func (s *Server) runLoop() {
 	defer s.wg.Done()
 	for {
 		select {
-		case r := <-s.reqCh:
-			s.handle(r)
+		case b := <-s.reqCh:
+			s.admit(b)
 		case <-s.done:
 			return
 		}
 	drain:
 		for len(s.pending) < s.maxBatch {
 			select {
-			case r := <-s.reqCh:
-				s.handle(r)
+			case b := <-s.reqCh:
+				s.admit(b)
 			default:
 				break drain
 			}
 		}
 		s.flush()
+	}
+}
+
+// admit handles one batch. A batch never straddles two flushes: one that
+// would take the buffered writes past maxBatch first flushes them, and
+// then waits whole for the next flush.
+func (s *Server) admit(b serverBatch) {
+	if len(s.pending)+len(b.reqs) > s.maxBatch {
+		s.flush()
+	}
+	for _, req := range b.reqs {
+		s.handle(serverReq{req: req, conn: b.conn})
 	}
 }
 

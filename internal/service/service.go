@@ -105,7 +105,8 @@ type Stats struct {
 // only (the server's run loop). Get and Stats may run on any number of
 // other goroutines at the same time: they read under mu, which the writer
 // holds exclusively only while it applies a committed flush or counts a
-// snapshot, never while agreement runs or a snapshot is encoded.
+// snapshot, never while agreement runs, the audit log syncs or a
+// snapshot is encoded.
 type Core struct {
 	cfg   Config
 	keys  proto.Keys // drawn at NewCore; every flush runs under them
@@ -113,9 +114,9 @@ type Core struct {
 	blobs *blob.Store
 	audit *Audit
 
-	// mu guards store, slots, the audit log's appends and stats against
-	// Get and Stats: readers hold it shared, and the writer holds it
-	// exclusively while it changes them.
+	// mu guards store, slots and stats against Get and Stats: readers
+	// hold it shared, and the writer holds it exclusively while it changes
+	// them. The audit log is the writer's alone.
 	mu sync.RWMutex
 	// failed is the storage error that stopped the Core, set under mu.
 	// Once a committed flush could not be audited, the Core fail-stops:
@@ -128,9 +129,11 @@ type Core struct {
 	honest   []int      // proposer IDs that are not in the crash set
 	stats    Stats
 
-	// applyEntry's decode buffers, reused across entries: the audited
-	// key and the inline value it hashes (Audit.Append retains neither).
-	key, value []byte
+	// Commit's audit scratch, reused across flushes: the flush's records,
+	// the decoded keys they point into, and the inline value a record
+	// hashes (Audit.AppendBatch retains none of them).
+	recs           []AuditEntry
+	recKeys, value []byte
 }
 
 // NewCore opens the stores and builds a core.
@@ -284,20 +287,20 @@ func (c *Core) commandFor(op Op) (types.Value, error) {
 // Commit drives one batch of writes through agreement: the ops are dealt
 // to the honest proposers' queues in chunks of Batch, as many ACS rounds
 // as the batch bound requires run in one engine call, committed entries
-// renumber into the global log, apply to the kv store, and append audit
-// records. Returns the committed entry count.
+// renumber into the global log, their audit records are appended, and
+// the entries apply to the kv store. Returns the committed entry count.
 //
 // The log flattens a round's batches in proposer order, so chunk k goes
 // to honest[k mod H] and lands in round k div H: the log holds the ops in
 // arrival order, and the later of two writes to one key is the one that
 // sticks.
 //
-// Agreement runs without mu. The committed entries are then applied
-// and counted under it, each one's audit record appended before the
-// entry touches the kv store, so a value the audit chain does not hold
-// is never served. A storage error there stops the Core for good (see
-// failed): the entries before the one that failed are audited, applied
-// and logged, that one is none of these, and no later entry runs.
+// Agreement and the audit append run without mu: every committed
+// entry's record is built with no I/O, and the whole flush's records go
+// to the audit log in one write and one sync. Only then are the entries
+// applied and counted, under mu, so a Get never waits on an fsync and a
+// value the audit chain does not hold is never served. A storage error
+// stops the Core for good (see failed) with none of the flush applied.
 func (c *Core) Commit(ops []Op) (int, error) {
 	if c.failed != nil {
 		return 0, c.failed
@@ -334,95 +337,88 @@ func (c *Core) Commit(ops []Op) (int, error) {
 		return 0, fmt.Errorf("%w: %d of %d commands committed", ErrNotConverged, rep.Committed, len(ops))
 	}
 
-	c.mu.Lock()
-	for _, e := range rep.Entries {
-		entry := kv.Entry{Slot: c.slots, Proposer: e.Proposer, Command: e.Command}
-		if err := c.applyEntry(entry); err != nil {
-			c.failed = fmt.Errorf("service: stopped after a storage error: %w", err)
-			break
-		}
-		c.log = append(c.log, entry)
-		c.slots++
+	c.recs, c.recKeys = c.recs[:0], c.recKeys[:0]
+	for i, e := range rep.Entries {
+		c.auditRecord(c.slots+i, e.Command)
 	}
-	if c.failed == nil {
-		c.stats.Rounds += len(rep.Rounds)
-		c.stats.Committed += rep.Committed
-		c.stats.Words += rep.Engine.Metrics.Honest.Words
-		c.stats.Messages += rep.Engine.Metrics.Honest.Messages
-		c.stats.Bytes += rep.Engine.Metrics.Honest.Bytes
-	}
-	c.mu.Unlock()
-	if c.failed != nil {
+	if err := c.audit.AppendBatch(c.recs); err != nil {
+		c.mu.Lock()
+		c.failed = fmt.Errorf("service: stopped after a storage error: %w", err)
+		c.mu.Unlock()
 		return 0, c.failed
 	}
+
+	c.mu.Lock()
+	for _, e := range rep.Entries {
+		_ = c.store.Apply(e.Command) // malformed commands skip deterministically
+		c.log = append(c.log, kv.Entry{Slot: c.slots, Proposer: e.Proposer, Command: e.Command})
+		c.slots++
+	}
+	c.stats.Rounds += len(rep.Rounds)
+	c.stats.Committed += rep.Committed
+	c.stats.Words += rep.Engine.Metrics.Honest.Words
+	c.stats.Messages += rep.Engine.Metrics.Honest.Messages
+	c.stats.Bytes += rep.Engine.Metrics.Honest.Bytes
+	c.mu.Unlock()
 	if err := c.maybeSnapshot(); err != nil {
 		return 0, err
 	}
 	return rep.Committed, nil
 }
 
-// applyEntry appends one committed command's audit record, then applies
-// the command to the kv store; on an audit error the store is left as it
-// was.
-func (c *Core) applyEntry(e kv.Entry) error {
-	if err := c.auditEntry(e); err != nil {
-		return err
-	}
-	_ = c.store.Apply(e.Command) // malformed commands skip deterministically
-	return nil
-}
-
-// auditEntry appends the audit record of one committed command; a
-// command that is not a service write has none. Audit records derive
-// purely from committed entries, so replicas reconstruct identical
-// chains. The command is split in place and its key and inline value
-// decode into reused Core buffers.
-func (c *Core) auditEntry(e kv.Entry) error {
+// auditRecord adds the audit record of the command committed at slot to
+// c.recs; a command that is not a service write has none. Audit records
+// derive purely from committed entries, so replicas reconstruct
+// identical chains. The command is split in place, its key decodes into
+// c.recKeys, which the record points into, and its inline value into
+// reused scratch.
+func (c *Core) auditRecord(slot int, cmd []byte) {
 	var fields [3][]byte
 	n := 0
-	for f := range bytes.FieldsSeq(e.Command) {
+	for f := range bytes.FieldsSeq(cmd) {
 		if n < len(fields) {
 			fields[n] = f
 		}
 		n++
 	}
 	if n < 2 {
-		return nil
+		return
 	}
-	var err error
-	if c.key, err = b64.AppendDecode(c.key[:0], fields[1]); err != nil {
-		return nil // not a service-encoded command; nothing to audit
+	start := len(c.recKeys)
+	keys, err := b64.AppendDecode(c.recKeys, fields[1])
+	if err != nil {
+		return // not a service-encoded command; nothing to audit
 	}
-	rec := AuditEntry{Slot: e.Slot, Key: c.key}
+	rec := AuditEntry{Slot: slot, Key: keys[start:]}
 	switch string(fields[0]) {
 	case "SET":
 		if n != 3 {
-			return nil
+			return
 		}
 		rec.Op = OpPut
 		switch v := fields[2]; {
 		case bytes.HasPrefix(v, []byte("i:")):
 			if c.value, err = b64.AppendDecode(c.value[:0], v[2:]); err != nil {
-				return nil
+				return
 			}
 			rec.Anchor = anchorOf(c.value)
 		case bytes.HasPrefix(v, []byte("a:")):
 			ref, err := blob.ParseRef(v[2:])
 			if err != nil {
-				return nil
+				return
 			}
 			rec.Anchor = ref
 			rec.Anchored = true
 		default:
-			return nil
+			return
 		}
 	case "DEL":
 		rec.Op = OpDel
 	default:
-		return nil
+		return
 	}
-	_, err = c.audit.Append(rec)
-	return err
+	c.recKeys = keys
+	c.recs = append(c.recs, rec)
 }
 
 // maybeSnapshot snapshots and truncates once enough entries accumulate.

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,18 +40,24 @@ func testCore(t *testing.T, mut func(*Config)) *Core {
 	return c
 }
 
-// coreSlots / coreAuditLen read a live server's core under Core.mu,
-// which the run loop holds while it commits.
+// coreSlots reads a live server's committed slots under Core.mu, which
+// the run loop holds while it applies a flush.
 func coreSlots(s *Server) int {
 	s.core.mu.RLock()
 	defer s.core.mu.RUnlock()
 	return s.core.Slots()
 }
 
-func coreAuditLen(s *Server) int {
-	s.core.mu.RLock()
-	defer s.core.mu.RUnlock()
-	return s.core.Audit().Len()
+// coreAuditLen counts the records in a live server's audit file. The run
+// loop appends them without Core.mu, so this reads them back from disk,
+// as an auditor would; call it once the flushes in question are answered.
+func coreAuditLen(t *testing.T, s *Server) int {
+	t.Helper()
+	entries, err := s.core.Audit().ReloadFromDisk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(entries)
 }
 
 // TestNewCoreRejectsUnrunnableParams: NewCore validates n and t by the
@@ -447,7 +454,7 @@ func TestDedupReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	slotsAfter := coreSlots(s)
-	auditAfter := coreAuditLen(s)
+	auditAfter := coreAuditLen(t, s)
 
 	// Re-send the exact same (client, seq) request over the raw frame
 	// path — what a retrying client does after a lost response.
@@ -470,7 +477,7 @@ func TestDedupReplay(t *testing.T) {
 	if n := coreSlots(s); n != slotsAfter {
 		t.Fatalf("duplicate re-executed: slots %d → %d", slotsAfter, n)
 	}
-	if n := coreAuditLen(s); n != auditAfter {
+	if n := coreAuditLen(t, s); n != auditAfter {
 		t.Fatalf("duplicate re-appended audit: %d → %d", auditAfter, n)
 	}
 }
@@ -582,14 +589,14 @@ func TestDedupWindowPassesQueuedWrite(t *testing.T) {
 	if resp := awaitReply(t, c, 1); resp.Status != StatusOK {
 		t.Fatalf("put 1: %+v", resp)
 	}
-	if n := coreAuditLen(s); n != 6 {
+	if n := coreAuditLen(t, s); n != 6 {
 		t.Fatalf("%d puts committed, want 6", n)
 	}
 	sendFrames(t, c, put(1))
 	if resp := awaitReply(t, c, 1); resp.Code != CodeDuplicate {
 		t.Fatalf("retry of seq 1 behind the window: %+v, want CodeDuplicate", resp)
 	}
-	if n := coreAuditLen(s); n != 6 {
+	if n := coreAuditLen(t, s); n != 6 {
 		t.Fatalf("the retry re-executed: %d puts committed, want 6", n)
 	}
 }
@@ -849,8 +856,29 @@ func serveGated(t *testing.T, s *Server) (*gatedConn, net.Conn, *bufio.Reader, i
 	}
 	gc := &gatedConn{Conn: srv, gate: make(chan struct{})}
 	t.Cleanup(gc.open)
+	br, id := serveOn(t, s, gc, cli)
+	return gc, cli, br, id
+}
+
+// servePipe hands s the server end of an in-memory connection and
+// returns the client end, handshake done. A write to a net.Pipe returns
+// once the other end has read all of it, and the server's reads take up
+// to its whole buffer, so one write of at most readerSize bytes reaches
+// the server in one fill.
+func servePipe(t *testing.T, s *Server) (net.Conn, *bufio.Reader, int) {
+	t.Helper()
+	srv, cli := net.Pipe()
+	t.Cleanup(func() { cli.Close() })
+	br, id := serveOn(t, s, srv, cli)
+	return cli, br, id
+}
+
+// serveOn has s serve srv and does the hello handshake on its client end
+// cli.
+func serveOn(t *testing.T, s *Server, srv, cli net.Conn) (*bufio.Reader, int) {
+	t.Helper()
 	s.wg.Add(1)
-	go s.serveConn(gc)
+	go s.serveConn(srv)
 
 	if err := transport.WriteFrame(cli, FrameHello, nil); err != nil {
 		t.Fatal(err)
@@ -866,25 +894,33 @@ func serveGated(t *testing.T, s *Server) (*gatedConn, net.Conn, *bufio.Reader, i
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gc, cli, br, id
+	return br, id
 }
 
 // pipelinePuts writes puts seq from..to in one TCP write.
 func pipelinePuts(t *testing.T, conn net.Conn, client, from, to int) {
 	t.Helper()
-	var pipeline bytes.Buffer
+	frames := putFrames(t, client, from, to, func(int) []byte { return []byte("v") })
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// putFrames encodes puts seq from..to, of key kNNN and value value(seq),
+// as one stream of request frames.
+func putFrames(t *testing.T, client, from, to int, value func(seq int) []byte) []byte {
+	t.Helper()
+	var frames bytes.Buffer
 	for seq := from; seq <= to; seq++ {
 		req := EncodeRequest(&Request{
 			Client: client, Seq: seq, Op: ReqPut,
-			Key: []byte(fmt.Sprintf("k%03d", seq)), Value: []byte("v"),
+			Key: []byte(fmt.Sprintf("k%03d", seq)), Value: value(seq),
 		})
-		if err := transport.WriteFrame(&pipeline, FrameRequest, req); err != nil {
+		if err := transport.WriteFrame(&frames, FrameRequest, req); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := conn.Write(pipeline.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	return frames.Bytes()
 }
 
 // TestBurstRepliesShareWrites: the replies to a pipelined burst leave in
@@ -897,13 +933,13 @@ func TestBurstRepliesShareWrites(t *testing.T) {
 	s := startServer(t, nil)
 	gc, cli, br, id := serveGated(t, s)
 	pipelinePuts(t, cli, id, 1, burst)
-	// Once every put's audit entry is in, the flush that appended the last
-	// ones is running or done, and it queues their replies before the run
-	// loop takes another request: a Put from a second connection, once
+	// Once every put is applied, the flush that applied the last ones is
+	// running or done, and it queues their replies before the run loop
+	// takes another request: a Put from a second connection, once
 	// answered, finds them all queued.
-	for deadline := time.Now().Add(5 * time.Second); coreAuditLen(s) < burst; {
+	for deadline := time.Now().Add(5 * time.Second); coreSlots(s) < burst; {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d puts committed", coreAuditLen(s), burst)
+			t.Fatalf("%d of %d puts committed", coreSlots(s), burst)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -917,25 +953,117 @@ func TestBurstRepliesShareWrites(t *testing.T) {
 	}
 	gc.open()
 
-	var fr transport.FrameReader
-	for seq := 1; seq <= burst; seq++ {
-		kind, body, err := fr.Read(br)
-		if err != nil || kind != FrameResponse {
-			t.Fatalf("reply %d: kind %d, %v", seq, kind, err)
-		}
-		resp, err := DecodeResponse(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Seq != seq || resp.Status != StatusOK {
-			t.Fatalf("reply %d: %+v", seq, resp)
-		}
-	}
+	readReplies(t, br, 1, burst)
 	if w := gc.writes.Load() - 1; w > 4 {
 		t.Errorf("%d replies took %d writes, want at most 4", burst, w)
 	} else {
 		t.Logf("%d replies in %d writes", burst, w)
 	}
+}
+
+// burstValue is the benchmark's burst shape: every 16th value 4 KiB
+// (anchored), the rest 64 B.
+func burstValue(seq int) []byte {
+	if seq%16 == 0 {
+		return bytes.Repeat([]byte{byte(seq)}, 4<<10)
+	}
+	return bytes.Repeat([]byte{byte(seq)}, 64)
+}
+
+// readReplies reads the OK replies to seq from..to, in order.
+func readReplies(t *testing.T, br *bufio.Reader, from, to int) {
+	t.Helper()
+	var fr transport.FrameReader
+	for seq := from; seq <= to; seq++ {
+		kind, body, err := fr.Read(br)
+		if err != nil || kind != FrameResponse {
+			t.Fatalf("reply %d: kind %d, %v", seq, kind, err)
+		}
+		if resp, err := DecodeResponse(body); err != nil || resp.Seq != seq || resp.Status != StatusOK {
+			t.Fatalf("reply %d: %+v, %v", seq, resp, err)
+		}
+	}
+}
+
+// TestBurstIsOneHandOff: what arrives together commits together. With
+// the run loop held in a flush, the batches a connection hands over wait
+// in its queue, where the test takes them out to see them and puts them
+// back in order. A 32-put burst read in one fill is one batch, one ACS
+// round and one audit write. Requests pipelined past maxBatch are handed
+// over in batches of at most maxBatch, and each batch commits whole: a
+// batch that would take a flush past maxBatch waits for the next flush
+// instead of being split.
+func TestBurstIsOneHandOff(t *testing.T) {
+	// handOffs starts a server with mut and holds its run loop; then one
+	// in-memory connection per entry of bursts pipelines that many puts in
+	// one write. Once every reply is in, it returns the sizes of the
+	// batches handed over, the records of each audit write, the Syncs and
+	// the rounds, the last three without the held Put's.
+	handOffs := func(t *testing.T, mut func(*ServerConfig), bursts ...int) (batches, flushes []int, syncs, rounds int) {
+		t.Helper()
+		s := startServer(t, mut)
+		count := &countingAudit{}
+		s.core.mu.Lock()
+		count.auditFile, s.core.audit.f = s.core.audit.f, count
+		s.core.mu.Unlock()
+		release := holdRunLoop(t, s)
+		before := s.Stats()
+		var taken []serverBatch
+		var replies []*bufio.Reader
+		total := 0
+		for _, n := range bursts {
+			total += n
+			cli, br, id := servePipe(t, s)
+			replies = append(replies, br)
+			frames := putFrames(t, id, 1, n, burstValue)
+			if len(frames) > readerSize {
+				t.Fatalf("a %d-byte burst does not fit the %d-byte read buffer", len(frames), readerSize)
+			}
+			if _, err := cli.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			for got := 0; got < n; {
+				select {
+				case b := <-s.reqCh:
+					taken = append(taken, b)
+					batches = append(batches, len(b.reqs))
+					got += len(b.reqs)
+				case <-time.After(5 * time.Second):
+					t.Fatalf("%d of %d requests handed off", got, n)
+				}
+			}
+		}
+		for _, b := range taken {
+			s.reqCh <- b
+		}
+		release(total)
+		for i, n := range bursts {
+			readReplies(t, replies[i], 1, n)
+		}
+		// The held Put, one write, is one round and the first audit write.
+		return batches, count.records[1:], count.syncs - 1, s.Stats().Rounds - before.Rounds - 1
+	}
+
+	t.Run("one fill is one round", func(t *testing.T) {
+		const burst = 32
+		batches, flushes, syncs, rounds := handOffs(t, nil, burst)
+		if !slices.Equal(batches, []int{burst}) || rounds != 1 {
+			t.Fatalf("a %d-put burst was handed over as %v and took %d rounds, want one batch and one round", burst, batches, rounds)
+		}
+		if !slices.Equal(flushes, []int{burst}) || syncs != 1 {
+			t.Fatalf("audit Writes of %v records and %d Syncs, want one of %d and one Sync", flushes, syncs, burst)
+		}
+	})
+
+	t.Run("past maxBatch", func(t *testing.T) {
+		// Batch 1 makes maxBatch 16. One connection pipelines 2.5 maxBatch
+		// puts, another then 10: their batch cannot join the first's last 8.
+		batches, flushes, _, _ := handOffs(t, func(cfg *ServerConfig) { cfg.Core.Batch = 1 }, 40, 10)
+		want := []int{16, 16, 8, 10}
+		if !slices.Equal(batches, want) || !slices.Equal(flushes, want) {
+			t.Fatalf("hand-offs %v and flushes %v, want %v for both", batches, flushes, want)
+		}
+	})
 }
 
 // TestFullOutboxStillDisconnects: buffering the writes must not turn the
