@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet bench bench-all profile-commit alloc-guard race-guard deps-guard explore chaos-smoke svc-smoke experiments examples fuzz cover clean
+.PHONY: all build test test-short test-race vet bench bench-all profile-commit alloc-guard race-guard deps-guard explore svc-smoke experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -113,7 +113,8 @@ race-guard:
 	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestStepGateDeterminism|TestObserversDoNotChangeTheCharge' -race; \
 	guard './internal/crypto/sig ./internal/crypto/keyedmac' 'Concurrent' -race -count=10; \
 	guard ./internal/transport 'TestClusterMatchesSimulator|TestSendBytesParity|TestOutboxBackpressure|TestRunClusterMachineErrorStartsNoNode|TestNewProtocolMachine' -race; \
-	guard ./internal/transport 'TestChaos' -race; \
+	guard ./internal/transport 'TestChaosWBADecidesLikeBaseline|TestChaosBBJitterDecidesLikeBaseline' -race; \
+	guard ./internal/testenv 'TestLinkScheduleIsDeterministic|TestLinkWindows' -race; \
 	guard ./cmd/adaptiveba-cluster 'TestCluster' -race; \
 	guard './internal/engine ./internal/harness' 'TestEngineDeterminism|TestRunEngineMatchesSolo' -race; \
 	guard . 'TestPublicResultPins|TestRunManyMatchesSolo' -race; \
@@ -129,15 +130,14 @@ race-guard:
 # another package. Every key comes from one trusted setup, proto.Setup:
 # also fail if a non-test file outside internal/proto, internal/crypto
 # and benchmark/ (which keeps its own copy of the engine's derivation)
-# builds a key ring, a dealer or a Crypto itself. Faults are injected on
-# links, by the mesh's chaos layer or by a test's lossy proxy, never inside
-# a server: also fail if a non-test file outside internal/transport and
-# the cluster CLI names ChaosConfig. GOMAXPROCS is the one control of
-# every worker pool, the verification cache has no off switch, and nodes
-# are crashed from outside: also fail if a non-test file names one of the
-# knobs that used to duplicate those (REMOVED_KNOBS).
+# builds a key ring, a dealer or a Crypto itself. GOMAXPROCS is the one
+# control of every worker pool, the verification cache has no off switch,
+# nodes are crashed from outside, and faults are injected on links by a
+# test's proxy (internal/testenv), never inside a node or a server: also
+# fail if a non-test file names one of the knobs that used to duplicate
+# those (REMOVED_KNOBS).
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
-REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|CrashAfter|-tick-workers|-no-verify-cache
+REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \
 	if echo "$$deps" | grep -qx 'adaptiveba/internal/harness'; then \
@@ -147,24 +147,14 @@ deps-guard:
 	if [ -n "$$hits" ]; then \
 		echo "$$hits"; echo "deps-guard: FAIL key material built outside proto.Setup"; exit 1; \
 	fi; \
-	hits=$$(grep -rnw --include='*.go' --exclude='*_test.go' 'ChaosConfig' . | grep -vE '^\./(internal/transport|cmd/adaptiveba-cluster)/'); \
-	if [ -n "$$hits" ]; then \
-		echo "$$hits"; echo "deps-guard: FAIL fault injection configured outside the mesh transport"; exit 1; \
-	fi; \
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REMOVED_KNOBS)' .); \
 	if [ -n "$$hits" ]; then \
-		echo "$$hits"; echo "deps-guard: FAIL a removed knob is back (GOMAXPROCS sizes every pool; CountOps is the only uncached suite)"; exit 1; \
+		echo "$$hits"; echo "deps-guard: FAIL a removed knob is back (GOMAXPROCS sizes every pool; CountOps is the only uncached suite; faults belong to the link)"; exit 1; \
 	fi
 
 # Interactive single-grid-point search with a full report.
 explore:
 	$(GO) run ./cmd/adaptiveba-sim -explore -protocol wba -n 9 -f 4 -generations 4 -population 8
-
-# A TCP cluster under seeded fault injection (drops + jitter + a
-# flapping peer); nodes must still decide the common value.
-chaos-smoke:
-	$(GO) run ./cmd/adaptiveba-cluster -protocol wba -n 5 -tick 40ms \
-		-chaos-seed 42 -chaos-drop 0.05 -chaos-delay 0.2 -chaos-flap-every 7
 
 # The replicated KV service under the race detector: server + two
 # concurrent client sessions over loopback, mixed inline/anchored

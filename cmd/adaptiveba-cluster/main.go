@@ -38,13 +38,6 @@ func run(args []string, out io.Writer) error {
 		dial       = fs.Duration("dial", 3*time.Second, "per-peer connection deadline (crashed peers are written off after it)")
 		timeout    = fs.Duration("timeout", 60*time.Second, "overall deadline")
 		flushEvery = fs.Int("flush-every", 0, "per-peer outbox bound in bytes before backpressure drops (0 = default 4MiB)")
-
-		chaosSeed      = fs.Int64("chaos-seed", 1, "seed for the chaos fault schedule (per-node streams are derived from it)")
-		chaosDrop      = fs.Float64("chaos-drop", 0, "per-frame chaos loss probability (0..1); enables chaos injection")
-		chaosDelay     = fs.Float64("chaos-delay", 0, "per-frame chaos jitter probability (0..1); enables chaos injection")
-		chaosMaxDelay  = fs.Duration("chaos-max-delay", 0, "chaos jitter bound (0 = tick/4); past the tick interval it violates the δ-bound")
-		chaosPartition = fs.Int("chaos-partition-every", 0, "open a 1-tick parity-cut partition every N ticks (0 = off)")
-		chaosFlap      = fs.Int("chaos-flap-every", 0, "flap one seeded-chosen peer for 1 tick every N ticks (0 = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -57,15 +50,6 @@ func run(args []string, out io.Writer) error {
 	if *crash < 0 || *crash > params.T {
 		return fmt.Errorf("crash count %d exceeds t=%d", *crash, params.T)
 	}
-	chaos := transport.ChaosConfig{
-		Seed:           *chaosSeed,
-		DropRate:       *chaosDrop,
-		DelayRate:      *chaosDelay,
-		MaxDelay:       *chaosMaxDelay,
-		PartitionEvery: types.Tick(*chaosPartition),
-		FlapEvery:      types.Tick(*chaosFlap),
-	}
-
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 	res, err := transport.RunCluster(ctx, transport.ClusterOpts{
@@ -75,7 +59,6 @@ func run(args []string, out io.Writer) error {
 			TickInterval: *tick,
 			DialTimeout:  *dial,
 			FlushBytes:   *flushEvery,
-			Chaos:        chaos,
 		},
 		Live: *n - *crash,
 		Machine: func(id types.ProcessID) (proto.Machine, error) {
@@ -86,19 +69,10 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	header := fmt.Sprintf("%s over TCP: n=%d, crashed=%d", *protocol, *n, *crash)
-	if chaos.Enabled() {
-		header += fmt.Sprintf(", chaos seed=%d drop=%.2f delay=%.2f", chaos.Seed, chaos.DropRate, chaos.DelayRate)
-	}
-	fmt.Fprintln(out, header)
+	fmt.Fprintf(out, "%s over TCP: n=%d, crashed=%d\n", *protocol, *n, *crash)
 	for i, rep := range res.Reports {
-		line := fmt.Sprintf(
-			"node %v @ %-21s decided %-12q  %4d msgs %5d words %7d bytes",
+		fmt.Fprintf(out, "  node %v @ %-21s decided %-12q  %4d msgs %5d words %7d bytes\n",
 			types.ProcessID(i), res.Addrs[i], res.Decisions[i], rep.Honest.Messages, rep.Honest.Words, rep.Honest.Bytes)
-		if chaos.Enabled() {
-			line += fmt.Sprintf("  chaos: %d dropped %d delayed", rep.ChaosDrops, rep.ChaosDelays)
-		}
-		fmt.Fprintln(out, " ", line)
 	}
 	return nil
 }

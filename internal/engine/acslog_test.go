@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/testenv"
@@ -69,6 +71,45 @@ func TestRunACSLogConvergence(t *testing.T) {
 				t.Errorf("W=%d workers=%d: entry %d differs", run.window, run.workers, i)
 			}
 		}
+	}
+}
+
+// TestSeedIsTheSigningDomain: two runs under one key set that differ
+// only in Seed sign in different domains, so one run's signatures and
+// certificates do not verify in the other: their first BB sender step
+// differs on the wire. The tag enters only signature bytes, so the runs
+// decide, cost and commit the same. A service Core runs every flush under
+// its one key set, with the flush's first slot as the seed.
+func TestSeedIsTheSigningDomain(t *testing.T) {
+	const n = 4
+	keys := proto.Derived("domain-ring", "domain-dealer")
+	reg := protocols.Registry()
+	run := func(seed int64) ([]byte, *ACSLogReport) {
+		var sender []byte
+		var encErr error
+		rep, err := RunACSLog(Config{
+			N: n, Inflight: 1, Seed: seed, Keys: keys,
+			OnSend: func(_ types.Tick, m sim.Message, _ bool) {
+				if sender == nil && m.Payload.Type() == "bb/sender" {
+					sender, encErr = reg.EncodePayload(m.Payload)
+				}
+			},
+		}, acsQueues(n, 1), 1, 1)
+		if err != nil || encErr != nil {
+			t.Fatalf("seed %d: %v %v", seed, err, encErr)
+		}
+		if sender == nil {
+			t.Fatalf("seed %d: no BB sender step was sent", seed)
+		}
+		return sender, rep
+	}
+	a, ra := run(1)
+	b, rb := run(2)
+	if bytes.Equal(a, b) {
+		t.Errorf("seeds 1 and 2 sign the BB sender step identically (%x): one run's signatures verify in the other", a)
+	}
+	if ra.Engine.Fingerprint() != rb.Engine.Fingerprint() || ra.StateHash != rb.StateHash {
+		t.Errorf("the seed moved more than signatures:\n%s\n%s", ra.Engine.Fingerprint(), rb.Engine.Fingerprint())
 	}
 }
 

@@ -83,8 +83,8 @@ type Config struct {
 	// sessions strictly serially.
 	Inflight int
 	// Seed is every session's protocol seed (committee samples its
-	// committee from it) and, when Keys is unset, the label the key ring
-	// is derived from.
+	// committee from it), the run's signing domain (its root tag) and,
+	// when Keys is unset, the label the key ring is derived from.
 	Seed int64
 	// Keys is the run's key source (proto.Setup). The zero value derives
 	// the ring from "engine-<Seed>" and the dealer from "engine-dealer",
@@ -206,7 +206,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		window = len(reqs)
 	}
 
-	b := &builder{params: params, crypto: crypto, tag: "eng", seed: uint64(cfg.Seed), reqs: reqs}
+	b := &builder{params: params, crypto: crypto, tag: "eng/" + strconv.FormatInt(cfg.Seed, 10), seed: uint64(cfg.Seed), reqs: reqs}
 	sched, err := plan(b, window)
 	if err != nil {
 		return nil, err
@@ -343,7 +343,7 @@ func (r *Request) kind() protocols.Kind {
 type builder struct {
 	params types.Params
 	crypto *proto.Crypto
-	tag    string // root signing tag; session k signs under tag + "/sk"
+	tag    string // root signing tag "eng/<seed>"; session k signs under tag + "/sk"
 	seed   uint64 // the protocols' run seed (committee's sampling)
 	reqs   []Request
 	cfgs   []protocols.Config // per session, filled by plan

@@ -71,13 +71,6 @@ type Recorder struct {
 	// Transport data-plane counter (internal/transport): frames shed by
 	// the slow-peer backpressure policy.
 	netDrops atomic.Int64
-
-	// Chaos-injection counters (internal/transport chaos layer): frames
-	// deliberately lost or deferred by the configured fault schedule —
-	// distinct from netDrops, which are genuine backpressure sheds.
-	// Atomics because delayed-frame timers fire off the tick goroutine.
-	chaosDrops  atomic.Int64
-	chaosDelays atomic.Int64
 }
 
 // NewRecorder returns an empty recorder.
@@ -145,14 +138,6 @@ func (r *Recorder) SetCacheStats(hits, misses, waits int64) {
 // policy (the peer's outbox was full, or its connection already failed).
 func (r *Recorder) RecordNetDrop() { r.netDrops.Add(1) }
 
-// RecordChaosDrop notes one frame deliberately lost by the transport's
-// chaos layer (drop verdict, partition window, or peer flap).
-func (r *Recorder) RecordChaosDrop() { r.chaosDrops.Add(1) }
-
-// RecordChaosDelay notes one frame deferred by chaos-injected latency
-// jitter (delayed frames may overtake their successors: reordering).
-func (r *Recorder) RecordChaosDelay() { r.chaosDelays.Add(1) }
-
 // Report is an immutable snapshot of a recorder.
 type Report struct {
 	Honest    Stats            // sends by correct processes (the paper's measure)
@@ -165,9 +150,6 @@ type Report struct {
 	CacheWaits  int64
 	// Transport data-plane counters (0 on the simulator).
 	NetDrops int64
-	// Chaos-injection counters (0 unless the transport chaos layer is on).
-	ChaosDrops  int64
-	ChaosDelays int64
 	// EngineLate counts messages the multi-session engine's demux
 	// discarded because their session had already retired (0 outside
 	// engine runs; the engine writes it onto its snapshot).
@@ -187,8 +169,6 @@ func (r *Recorder) Snapshot() Report {
 		CacheMisses: r.cacheMisses.Load(),
 		CacheWaits:  r.cacheWaits.Load(),
 		NetDrops:    r.netDrops.Load(),
-		ChaosDrops:  r.chaosDrops.Load(),
-		ChaosDelays: r.chaosDelays.Load(),
 	}
 	for k, v := range r.byLayer {
 		rep.ByLayer[k] = *v

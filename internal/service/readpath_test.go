@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"adaptiveba/internal/blob"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/transport"
 )
 
@@ -369,12 +370,12 @@ func checkHistory(ops []histOp) error {
 func TestConcurrentHistory(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		loss    linkLoss
+		loss    *testenv.Faults
 		timeout time.Duration
 		ops     int // per synchronous client; the pipeliner sends ops/4 bursts
 	}{
-		{"plain", linkLoss{}, 2 * time.Second, 160},
-		{"chaos", linkLoss{seed: 42, drop: 0.1, delay: 0.2, maxDelay: 5 * time.Millisecond}, 100 * time.Millisecond, 60},
+		{"plain", nil, 2 * time.Second, 160},
+		{"chaos", &testenv.Faults{Seed: 42, Kinds: dataFrames, Drop: 0.1, Delay: 0.2, MaxDelay: 5 * time.Millisecond}, 100 * time.Millisecond, 60},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ops := tc.ops
@@ -383,8 +384,8 @@ func TestConcurrentHistory(t *testing.T) {
 			}
 			s := startServer(t, nil)
 			addr := s.Addr()
-			if tc.loss != (linkLoss{}) {
-				addr = lossyProxy(t, addr, tc.loss)
+			if tc.loss != nil {
+				addr = tc.loss.Proxy(t, addr)
 			}
 			cfg := ClientConfig{Timeout: tc.timeout, Retries: 40}
 			h := &history{start: time.Now()}
@@ -441,7 +442,7 @@ func TestDisconnectMidBurst(t *testing.T) {
 		bursts = 10
 	}
 	s := startServer(t, nil)
-	addr := lossyProxy(t, s.Addr(), linkLoss{seed: 7, cutWithin: 20})
+	addr := (&testenv.Faults{Seed: 7, Kinds: dataFrames, CutWithin: 20}).Proxy(t, s.Addr())
 	h := &history{start: time.Now()}
 	errs := make(chan error, 2)
 	for conn := range 2 {

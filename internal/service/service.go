@@ -323,7 +323,10 @@ func (c *Core) Commit(ops []Op) (int, error) {
 	rep, err := engine.RunACSLog(engine.Config{
 		// Rounds run one at a time: a flush is already one batch.
 		N: c.cfg.N, T: c.cfg.T, F: c.cfg.F,
-		Inflight:     1,
+		Inflight: 1,
+		// One key set signs every flush, each in its own domain: its
+		// first slot, which the audit chain holds.
+		Seed:         int64(c.slots),
 		Keys:         c.keys,
 		MeasureBytes: c.cfg.MeasureBytes,
 	}, queues, rounds, c.cfg.Batch)

@@ -515,12 +515,17 @@ func TestDedupWindowEviction(t *testing.T) {
 	}
 }
 
+// dataFrames are the frames a lossy link between clients and a server
+// drops and delays: requests and replies. The hello and the welcome pass
+// untouched.
+var dataFrames = []byte{FrameRequest, FrameResponse}
+
 // TestServerUnderLoss: over a link that drops and delays requests and
 // replies, client retries and the dedup window commit every Put exactly
 // once, and the final state still verifies.
 func TestServerUnderLoss(t *testing.T) {
 	s := startServer(t, nil)
-	addr := lossyProxy(t, s.Addr(), linkLoss{seed: 42, drop: 0.3, delay: 0.2, maxDelay: 5 * time.Millisecond})
+	addr := (&testenv.Faults{Seed: 42, Kinds: dataFrames, Drop: 0.3, Delay: 0.2, MaxDelay: 5 * time.Millisecond}).Proxy(t, s.Addr())
 	c, err := Dial(addr, ClientConfig{Timeout: 100 * time.Millisecond, Retries: 20})
 	if err != nil {
 		t.Fatal(err)

@@ -1,5 +1,6 @@
-// Package testenv tells a test what kind of binary it is running in, and
-// what the test left running when it ended.
+// Package testenv tells a test what kind of binary it is running in and
+// what the test left running when it ended, and puts seeded faults on the
+// TCP links a test dials (Faults).
 package testenv
 
 import (

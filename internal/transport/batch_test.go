@@ -39,8 +39,10 @@ func TestClusterMatchesSimulator(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
-	if cluster.Drops != 0 {
-		t.Errorf("cluster dropped %d frames on a healthy loopback mesh", cluster.Drops)
+	for i, rep := range cluster.Reports {
+		if rep.NetDrops != 0 {
+			t.Errorf("node %d dropped %d frames on a healthy loopback mesh", i, rep.NetDrops)
+		}
 	}
 
 	type cell struct {

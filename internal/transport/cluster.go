@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 
 	"adaptiveba/internal/crypto/threshold"
@@ -56,10 +57,9 @@ func NewProtocolMachine(tagPrefix, protocol string, params types.Params, crypto 
 // ClusterOpts configures one in-process loopback cluster run.
 type ClusterOpts struct {
 	// Node is the template of every node's Config: Params, Crypto,
-	// TickInterval, DialTimeout, FlushBytes, Chaos and the rest are copied
-	// as given. RunCluster sets ID, Addrs, Registry, Recorder and Quorum
-	// per node and, with chaos enabled, a distinct per-node seed
-	// Chaos.Seed + id·0x9e3779b9.
+	// TickInterval, DialTimeout, FlushBytes and the rest are copied as
+	// given. RunCluster sets ID, Addrs, Registry, Recorder and Quorum per
+	// node.
 	Node Config
 	// Live is the number of processes that run: processes Live..n-1 own a
 	// port that peers dial, but never start (crashed from the beginning).
@@ -67,6 +67,10 @@ type ClusterOpts struct {
 	Live int
 	// Machine builds process id's machine.
 	Machine func(id types.ProcessID) (proto.Machine, error)
+	// Link, if set, returns the address process from dials to reach live
+	// process to, whose listen address is addr: a test's fault-injecting
+	// proxy. A process reaches itself directly.
+	Link func(from, to types.ProcessID, addr string) string
 }
 
 // ClusterResult is one loopback cluster run.
@@ -79,12 +83,6 @@ type ClusterResult struct {
 	// words (totals and per layer) are network-independent: they must
 	// equal what the simulator charges the same machines.
 	Reports []metrics.Report
-	// Drops is the backpressure total across nodes (0 on healthy runs).
-	Drops int64
-	// ChaosDrops / ChaosDelays total the chaos layer's injections across
-	// nodes (0 with chaos off).
-	ChaosDrops  int64
-	ChaosDelays int64
 }
 
 // RunCluster runs an in-process loopback cluster per opts: the live
@@ -111,31 +109,35 @@ func RunCluster(ctx context.Context, opts ClusterOpts) (*ClusterResult, error) {
 		machines[i] = m
 	}
 	// A crashed process still owns a port: peers dial it until their
-	// DialTimeout and then write it off.
-	addrs, err := reserveLoopbackAddrs(n)
+	// DialTimeout and then write it off. The ports stay held until every
+	// link is routed, so that no link's proxy can take one.
+	addrs, release, err := reserveLoopbackAddrs(n)
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	nodes := make([]*Node, live)
 	recs := make([]*metrics.Recorder, live)
 	for i := range nodes {
 		cfg := opts.Node
 		cfg.ID = types.ProcessID(i)
-		cfg.Addrs = addrs
+		cfg.Addrs = slices.Clone(addrs)
+		for j := 0; j < live && opts.Link != nil; j++ {
+			if j != i {
+				cfg.Addrs[j] = opts.Link(cfg.ID, types.ProcessID(j), addrs[j])
+			}
+		}
 		cfg.Registry = protocols.Registry()
 		recs[i] = metrics.NewRecorder()
 		cfg.Recorder = recs[i]
 		// The crashed processes never answer the start barrier.
 		cfg.Quorum = live
-		if cfg.Chaos.Enabled() {
-			// Distinct per-node verdict streams from one cluster seed.
-			cfg.Chaos.Seed += int64(i) * 0x9e3779b9
-		}
 		if nodes[i], err = NewNode(cfg, machines[i]); err != nil {
 			return nil, fmt.Errorf("node %v: %w", cfg.ID, err)
 		}
 	}
 
+	release()
 	res := &ClusterResult{Addrs: addrs, Decisions: make([]types.Value, live), Reports: make([]metrics.Report, live)}
 	errs := make([]error, live)
 	var wg sync.WaitGroup
@@ -153,32 +155,30 @@ func RunCluster(ctx context.Context, opts ClusterOpts) (*ClusterResult, error) {
 		}
 	}
 	for i, r := range recs {
-		rep := r.Snapshot()
-		res.Reports[i] = rep
-		res.Drops += rep.NetDrops
-		res.ChaosDrops += rep.ChaosDrops
-		res.ChaosDelays += rep.ChaosDelays
+		res.Reports[i] = r.Snapshot()
 	}
 	return res, nil
 }
 
-// reserveLoopbackAddrs picks n free localhost ports and releases them for
-// the nodes to bind.
-func reserveLoopbackAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
+// reserveLoopbackAddrs picks n free localhost ports and holds them until
+// release, which frees them for the nodes to bind and may be called any
+// number of times.
+func reserveLoopbackAddrs(n int) (addrs []string, release func(), err error) {
+	addrs = make([]string, n)
 	listeners := make([]net.Listener, 0, n)
-	defer func() {
+	release = sync.OnceFunc(func() {
 		for _, ln := range listeners {
 			ln.Close()
 		}
-	}()
+	})
 	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			release()
+			return nil, nil, err
 		}
 		listeners = append(listeners, ln)
 		addrs[i] = ln.Addr().String()
 	}
-	return addrs, nil
+	return addrs, release, nil
 }

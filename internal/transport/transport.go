@@ -84,10 +84,6 @@ type Config struct {
 	// (ErrBackpressure, surfaced through metrics) instead of blocking
 	// the tick loop behind a slow peer. Default 4 MiB.
 	FlushBytes int
-	// Chaos, when any knob is set, injects seeded faults into the send
-	// path: per-frame drops, latency jitter (which reorders), parity
-	// partitions, and peer flaps. See ChaosConfig.
-	Chaos ChaosConfig
 }
 
 // Node runs one machine over TCP. Close may be called from any
@@ -109,7 +105,6 @@ type Node struct {
 	// by the tick goroutine thereafter.
 	outboxes []*peerOutbox
 	scratch  sendScratch
-	chaos    *chaos // nil unless Config.Chaos is enabled
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -151,18 +146,14 @@ func NewNode(cfg Config, machine proto.Machine) (*Node, error) {
 	if cfg.FlushBytes <= 0 {
 		cfg.FlushBytes = 4 << 20
 	}
-	n := &Node{
+	return &Node{
 		cfg:     cfg,
 		machine: machine,
 		readyCh: make(chan types.ProcessID, cfg.Params.N*2),
 		inbound: make(map[net.Conn]struct{}),
 		closed:  make(chan struct{}),
 		scratch: sendScratch{payloadW: wire.NewWriter(), frameW: wire.NewWriter()},
-	}
-	if cfg.Chaos.Enabled() {
-		n.chaos = newChaos(cfg.Chaos, cfg.ID, cfg.Params.N, cfg.TickInterval, cfg.Recorder)
-	}
-	return n, nil
+	}, nil
 }
 
 // Close shuts the node down: it stops accepting, closes every inbound
@@ -472,9 +463,6 @@ func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 		case <-ticker.C:
 		}
 		now++
-		if n.chaos != nil {
-			n.chaos.tick(now)
-		}
 		n.mu.Lock()
 		inbox := n.inbox
 		n.inbox = nil
@@ -540,17 +528,12 @@ func (n *Node) send(outs []proto.Outgoing) {
 			continue
 		}
 		body := s.frameW.Bytes()
-		// A chaos-dropped or deferred frame was still sent by the machine,
-		// so it is metered like any send: the honest word count must not
-		// depend on what the network does next.
-		if n.chaos == nil || !n.chaos.apply(ob, o.To, body) {
-			if err := ob.enqueue(frameMsg, body); err != nil {
-				n.logf("send to %v: %v", o.To, err)
-				if n.cfg.Recorder != nil {
-					n.cfg.Recorder.RecordNetDrop()
-				}
-				continue
+		if err := ob.enqueue(frameMsg, body); err != nil {
+			n.logf("send to %v: %v", o.To, err)
+			if n.cfg.Recorder != nil {
+				n.cfg.Recorder.RecordNetDrop()
 			}
+			continue
 		}
 		if n.cfg.Recorder != nil && o.To != n.cfg.ID {
 			n.cfg.Recorder.RecordSend(metrics.SendEvent{

@@ -29,10 +29,11 @@ func mustSetup(t *testing.T, n int) *proto.Crypto {
 // mustAddrs reserves n loopback ports for a test that starts its own nodes.
 func mustAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	addrs, err := reserveLoopbackAddrs(n)
+	addrs, release, err := reserveLoopbackAddrs(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	release()
 	return addrs
 }
 
