@@ -180,6 +180,12 @@ func TestHelpSpamCostsLinearAndNoFallback(t *testing.T) {
 	if helps < int64(3*(params.N-3)) {
 		t.Errorf("help answers missing: %d root messages", helps)
 	}
+	// Exact cost of this run, pinned so a change to how the spam is built
+	// cannot move it.
+	if got := res.Report.Honest; got.Words != 148 || got.Messages != 148 || res.Ticks != 57 {
+		t.Errorf("help spam run: words=%d messages=%d ticks=%d, pinned 148, 148, 57",
+			got.Words, got.Messages, res.Ticks)
+	}
 }
 
 func TestLateCertReleaseReactivatesSafely(t *testing.T) {
