@@ -135,9 +135,12 @@ race-guard:
 # nodes are crashed from outside, and faults are injected on links by a
 # test's proxy (internal/testenv), never inside a node or a server: also
 # fail if a non-test file names one of the knobs that used to duplicate
-# those (REMOVED_KNOBS).
+# those (REMOVED_KNOBS). Phase spam and help spam are genomes compiled by
+# internal/adversary/attacks: fail if a non-test file names one of the
+# hand-written copies they replaced (GENOME_ATTACKS).
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
 REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-
+GENOME_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \
 	if echo "$$deps" | grep -qx 'adaptiveba/internal/harness'; then \
@@ -150,6 +153,10 @@ deps-guard:
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REMOVED_KNOBS)' .); \
 	if [ -n "$$hits" ]; then \
 		echo "$$hits"; echo "deps-guard: FAIL a removed knob is back (GOMAXPROCS sizes every pool; CountOps is the only uncached suite; faults belong to the link)"; exit 1; \
+	fi; \
+	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(GENOME_ATTACKS)' .); \
+	if [ -n "$$hits" ]; then \
+		echo "$$hits"; echo "deps-guard: FAIL a hand-written copy of a genome attack is back (attacks.PhaseSpam and OpHelpSpam genes replace it)"; exit 1; \
 	fi
 
 # Interactive single-grid-point search with a full report.
@@ -184,7 +191,7 @@ fuzz:
 	$(GO) test ./internal/crypto/verifycache -fuzz FuzzCachedVerifyMatchesDirect -fuzztime 30s
 	$(GO) test ./internal/transport -fuzz FuzzReadFrame$$ -fuzztime 30s
 	$(GO) test ./internal/transport -fuzz FuzzReadFrameRoundTrip -fuzztime 30s
-	$(GO) test ./internal/explore -fuzz FuzzScheduleGenome -fuzztime 30s
+	$(GO) test ./internal/adversary/attacks -fuzz FuzzScheduleGenome -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzDecodeRequest -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzDecodeResponse -fuzztime 30s
 	$(GO) test ./internal/service -fuzz FuzzDecodeAuditLog -fuzztime 30s

@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 		protocol = fs.String("protocol", "bb", "sweep protocol")
 		nsFlag   = fs.String("ns", "11,21,41", "sweep n values (comma-separated)")
 		fsFlag   = fs.String("fs", "0,1,2,4", "sweep f values (comma-separated)")
-		fault    = fs.String("fault", "crash", "sweep fault pattern")
+		fault    = fs.String("fault", "crash", "sweep fault pattern: crash | crash-leader | replay | spam | stagger")
 		asCSV    = fs.Bool("csv", false, "emit the sweep as CSV")
 		asPlot   = fs.Bool("plot", false, "render the sweep as an ASCII chart (words vs f, one series per n)")
 		ed25519  = fs.Bool("ed25519", false, "sweep with real Ed25519 signatures")

@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 		protocol = fs.String("protocol", "bb", "protocol: bb | wba | strongba | acs | dolev-strong | echo-bb | fallback | floodset | committee")
 		n        = fs.Int("n", 9, "number of processes")
 		f        = fs.Int("f", 0, "number of corrupted processes")
-		fault    = fs.String("fault", "crash", "fault pattern: crash | crash-leader | replay")
+		fault    = fs.String("fault", "crash", "fault pattern: crash | crash-leader | replay | spam | stagger")
 		inputs   = fs.String("inputs", "unanimous", "input assignment: unanimous | distinct")
 		value    = fs.String("value", "v", "broadcast / unanimous input value")
 		seed     = fs.Int64("seed", 1, "seed for randomized adversaries")

@@ -44,7 +44,7 @@ func run(args []string, out io.Writer) error {
 		protocol = fs.String("protocol", "wba", "protocol: bb | wba | strongba | bb-via-ba | dolev-strong | echo-bb | fallback | floodset")
 		n        = fs.Int("n", 9, "number of processes")
 		f        = fs.Int("f", 0, "number of corrupted processes")
-		fault    = fs.String("fault", "crash", "fault pattern")
+		fault    = fs.String("fault", "crash", "fault pattern: crash | crash-leader | replay | spam | stagger")
 		expand   = fs.Bool("expand", false, "print every message instead of per-tick summaries")
 		maxTicks = fs.Int("max-ticks", 0, "only render the first N ticks (0 = all)")
 	)

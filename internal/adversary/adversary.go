@@ -43,7 +43,7 @@ import (
 //  3. Per tick, the Observer hook: Observe(now, id, inbox) once per
 //     currently-corrupted id, exposing the messages that identity
 //     received. Core's default discards them — a behaviour that acts on
-//     what it sees (Mimic, the explorer's schedule adversary) overrides
+//     what it sees (Mimic, a compiled attacks.Genome) overrides
 //     this; pure crash behaviours keep the no-op.
 //  4. Per tick, the Actor hook: Act(now, honest) after ALL honest
 //     machines produced their tick-now traffic — the adversary is

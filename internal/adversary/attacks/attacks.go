@@ -2,6 +2,15 @@
 // apart from the generic package adversary because they import the
 // protocol packages (the generic behaviours are protocol-agnostic).
 //
+// Most attacks are data: a Genome encodes corruption timing,
+// equivocation and selective targets, help-spam patterns, replay/flood
+// choices, and the message-delivery order in a compact byte form, and
+// Compile turns it into a sim.Adversary for one run. The schedule
+// explorer (internal/explore) searches genomes; the fixed attacks the
+// harness and the tests run are genomes too (PhaseSpam). Behaviours the
+// genes cannot express (vetting equivocation, selective finalize, split
+// votes, flood chains, late certificate release) are hand-written.
+//
 // The headline attack is phase spam: corrupted processes initiate their
 // rotating-leader phases — asking every correct process for help or votes
 // — and then ignore the answers, so each corrupted leader burns Θ(n)
@@ -12,125 +21,26 @@
 package attacks
 
 import (
-	"adaptiveba/internal/adversary"
-	"adaptiveba/internal/core/bb"
-	"adaptiveba/internal/core/wba"
-	"adaptiveba/internal/proto"
-	"adaptiveba/internal/sim"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/types"
 )
 
-// WBAPhaseSpam corrupts the given processes for a standalone weak BA run
-// (session root ""). Each corrupted process p_j initiates weak BA phase j
-// with a proposal and ignores the votes.
-type WBAPhaseSpam struct {
-	adversary.Core
-	// Value is the spammed proposal; it must satisfy the run's validity
-	// predicate for honest processes to vote (and thus pay words).
-	Value types.Value
-	// Session prefixes the spammed messages (empty for standalone runs).
-	Session string
-	// StartTick is the tick at which weak BA round 1 begins (0 for
-	// standalone runs).
-	StartTick types.Tick
-}
-
-var _ sim.Adversary = (*WBAPhaseSpam)(nil)
-
-// NewWBAPhaseSpam corrupts ids (each id should be ≤ t+1 so that it leads
-// a weak BA phase).
-func NewWBAPhaseSpam(value types.Value, ids ...types.ProcessID) *WBAPhaseSpam {
-	a := &WBAPhaseSpam{Value: value}
+// PhaseSpam is the phase-spam genome for a BB or weak BA run: each
+// corrupted p_j (corrupted from tick 0) opens the rotating-leader phase
+// it leads and ignores the answers. Weak BA: p_j proposes "v" in phase j.
+// BB: p_j sends a help request in vetting phase j and, once it has seen
+// the sender's signed value, proposes that (BB_valid) envelope in phase j
+// of the nested weak BA. A p_j with j = 0 or past the protocol's phases
+// reduces modulo them like any gene; slots and phases are bytes, so ids
+// above 255 cannot be expressed.
+func PhaseSpam(protocol protocols.Kind, ids ...types.ProcessID) Genome {
+	var g Genome
 	for _, id := range ids {
-		a.Schedule = append(a.Schedule, sim.Corruption{ID: id})
-	}
-	return a
-}
-
-// Act implements sim.Adversary: at the first tick of phase j (led by p_j),
-// broadcast a proposal from the corrupted leader.
-func (a *WBAPhaseSpam) Act(now types.Tick, _ []sim.Message) []sim.Message {
-	var msgs []sim.Message
-	for _, c := range a.Schedule {
-		phase := int(c.ID) // p_j leads phase j
-		if phase < 1 || phase > a.Env.Params.T+1 {
-			continue
+		moves := []Move{{Op: OpProposeSpam, Arg: uint8(id - 1)}}
+		if protocol == protocols.BB {
+			moves = append(moves, Move{Op: OpHelpSpam, Arg: uint8(id - 1)})
 		}
-		if now != a.StartTick+wba.PhaseStart(phase) {
-			continue
-		}
-		for i := 0; i < a.Env.Params.N; i++ {
-			msgs = append(msgs, sim.Message{
-				From:    c.ID,
-				To:      types.ProcessID(i),
-				Session: a.Session,
-				Payload: wba.Propose{Phase: phase, V: a.Value},
-			})
-		}
+		g.Corruptions = append(g.Corruptions, Corrupt{Slot: uint8(id), Moves: moves})
 	}
-	return msgs
-}
-
-// BBPhaseSpam corrupts processes for a BB run: each corrupted p_j spams
-// the BB vetting phase j with a help request, and — once it has observed
-// the sender's signed value — spams its nested weak BA phase with that
-// (BB_valid) envelope, making the correct processes vote.
-type BBPhaseSpam struct {
-	adversary.Core
-	senderEnv types.Value // captured ⟨v⟩_sender envelope
-}
-
-var _ sim.Adversary = (*BBPhaseSpam)(nil)
-
-// NewBBPhaseSpam corrupts ids.
-func NewBBPhaseSpam(ids ...types.ProcessID) *BBPhaseSpam {
-	a := &BBPhaseSpam{}
-	for _, id := range ids {
-		a.Schedule = append(a.Schedule, sim.Corruption{ID: id})
-	}
-	return a
-}
-
-// Observe captures the sender's round-1 value for later (valid!) spam.
-func (a *BBPhaseSpam) Observe(_ types.Tick, _ types.ProcessID, inbox []proto.Incoming) {
-	if a.senderEnv != nil {
-		return
-	}
-	for _, in := range inbox {
-		if sm, ok := in.Payload.(bb.SenderMsg); ok {
-			a.senderEnv = bb.EncodeSenderValue(bb.SenderValue{V: sm.V, Sig: sm.Sig})
-			return
-		}
-	}
-}
-
-// Act implements sim.Adversary.
-func (a *BBPhaseSpam) Act(now types.Tick, _ []sim.Message) []sim.Message {
-	params := a.Env.Params
-	wbaStart := bb.PhaseStart(params.N + 1) // after BB round 1 and n vetting phases
-	var msgs []sim.Message
-	for _, c := range a.Schedule {
-		phase := int(c.ID)
-		// Vetting-phase spam: help_req in the first round of BB phase j.
-		if phase >= 1 && phase <= params.N && now == bb.PhaseStart(phase) {
-			for i := 0; i < params.N; i++ {
-				msgs = append(msgs, sim.Message{
-					From: c.ID, To: types.ProcessID(i),
-					Payload: bb.HelpReq{Phase: phase},
-				})
-			}
-		}
-		// Nested weak BA spam with the captured valid envelope.
-		if a.senderEnv != nil && phase >= 1 && phase <= params.T+1 &&
-			now == wbaStart+wba.PhaseStart(phase) {
-			for i := 0; i < params.N; i++ {
-				msgs = append(msgs, sim.Message{
-					From: c.ID, To: types.ProcessID(i),
-					Session: bb.WBASession,
-					Payload: wba.Propose{Phase: phase, V: a.senderEnv},
-				})
-			}
-		}
-	}
-	return msgs
+	return g
 }

@@ -12,6 +12,7 @@ import (
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -103,7 +104,7 @@ func TestWBAPhaseSpamCostsLinearPerFailure(t *testing.T) {
 			for i := range ids {
 				ids[i] = types.ProcessID(i + 1)
 			}
-			adv = NewWBAPhaseSpam(types.Value("v"), ids...)
+			adv = Compile(PhaseSpam(protocols.WBA, ids...), protocols.WBA, "h/wba", 1, 2000)
 		}
 		res, err := sim.Run(sim.Config{
 			Params: params,
@@ -137,14 +138,24 @@ func TestWBAPhaseSpamCostsLinearPerFailure(t *testing.T) {
 	}
 }
 
+// helpSpam is the help-spam genome: each of ids signs and broadcasts a
+// help request in weak BA's first help round (round A after the last
+// phase), even though it could decide.
+func helpSpam(ids ...types.ProcessID) Genome {
+	var g Genome
+	for _, id := range ids {
+		g.Corruptions = append(g.Corruptions, Corrupt{Slot: uint8(id), Moves: []Move{{Op: OpHelpSpam}}})
+	}
+	return g
+}
+
 func TestHelpSpamCostsLinearAndNoFallback(t *testing.T) {
 	// n=21, t=10: f=3 Byzantine help-requesters force the decided correct
 	// processes to answer (O(nf) helps) but cannot reach the t+1
 	// certificate threshold alone — the fallback must stay off.
 	crypto, params := setup(t, 21)
-	helpRound := types.Tick((params.T + 1) * 5) // round A of the default t+1 phases
 	machines := make(map[types.ProcessID]*wba.Machine)
-	adv := NewWBAHelpSpam("h", helpRound, 18, 19, 20)
+	adv := Compile(helpSpam(18, 19, 20), protocols.WBA, "h", 1, 2000)
 	res, err := sim.Run(sim.Config{
 		Params: params,
 		Crypto: crypto,

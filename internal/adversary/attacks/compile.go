@@ -1,4 +1,4 @@
-package explore
+package attacks
 
 import (
 	"math/rand"
@@ -7,7 +7,6 @@ import (
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/core/bb"
 	"adaptiveba/internal/core/wba"
-	"adaptiveba/internal/harness"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
@@ -30,14 +29,15 @@ type action struct {
 	count int         // replay burst size
 }
 
-// Adversary executes a compiled Genome inside the simulator. One value
-// drives one run; the harness factory builds a fresh Adversary per run,
-// so searches can evaluate the same genome many times deterministically.
-type Adversary struct {
+// genomeAdversary executes a compiled Genome inside the simulator. One
+// value drives one run, so a genome can be evaluated many times
+// deterministically by compiling it afresh for each run.
+type genomeAdversary struct {
 	adversary.Core
 
 	genome   Genome
 	protocol protocols.Kind
+	tag      string
 	rng      *rand.Rand
 	maxTicks types.Tick
 
@@ -48,20 +48,20 @@ type Adversary struct {
 	sender   types.Value // captured BB ⟨v⟩_sender envelope
 }
 
-var _ sim.Adversary = (*Adversary)(nil)
-
-// NewAdversary builds the executable adversary for a genome. seed drives
-// the replay-target choices; maxTicks is the run's tick budget (the
-// harness passes it through Spec.Adversary) and bounds every compiled
-// tick so a schedule can never stall the run past its natural horizon.
-// A genome with no corruptions yields a nil adversary (failure-free run).
-func NewAdversary(g Genome, protocol protocols.Kind, seed int64, maxTicks types.Tick) sim.Adversary {
+// Compile builds the executable adversary for a genome against a run of
+// protocol under signing tag (the instance tag its help requests are
+// signed for). seed drives the replay-target choices; maxTicks is the
+// run's tick budget and bounds every compiled tick so a schedule can
+// never stall the run past its natural horizon. A genome with no
+// corruptions yields a nil adversary (failure-free run).
+func Compile(g Genome, protocol protocols.Kind, tag string, seed int64, maxTicks types.Tick) sim.Adversary {
 	if len(g.Corruptions) == 0 {
 		return nil
 	}
-	return &Adversary{
+	return &genomeAdversary{
 		genome:   g,
 		protocol: protocol,
+		tag:      tag,
 		rng:      rand.New(rand.NewSource(seed)),
 		maxTicks: maxTicks,
 	}
@@ -70,38 +70,48 @@ func NewAdversary(g Genome, protocol protocols.Kind, seed int64, maxTicks types.
 // Init implements sim.Adversary: capture the environment, then compile
 // the genome against it (slot→process mapping and tick resolution need
 // n and t, which only the Env provides).
-func (a *Adversary) Init(env sim.Env) {
+func (a *genomeAdversary) Init(env sim.Env) {
 	a.Core.Init(env)
 	a.compile()
 }
 
-// compile resolves the genome into the corruption schedule and the
-// sorted action list. Every byte pattern compiles: fields are reduced
-// modulo the run's parameters, ops that do not apply to the protocol
-// become silent genes.
-func (a *Adversary) compile() {
-	p := a.Env.Params
-	n, t := p.N, p.T
-
-	// The corruption horizon keeps every takeover inside the run's
-	// natural length, so a late-At gene delays corruption, never stalls
-	// quiescence.
-	horizon := adversary.Horizon(a.maxTicks)
-
-	// Slot→process: reduce modulo n, then linear-probe to the next free
-	// id, so corruption genes never collide (the simulator rejects
-	// duplicate corruption of one process).
-	taken := make(map[types.ProcessID]bool, len(a.genome.Corruptions))
-	a.Schedule = a.Schedule[:0]
-	for _, c := range a.genome.Corruptions {
-		if len(a.Schedule) >= t {
-			break // decode allows up to 64 genes; the run allows t
+// CorruptedIDs returns the process ids a genome corrupts in an (n, t)
+// run, in gene order: each slot reduced modulo n, then linear-probed to
+// the next free id, so corruption genes never collide (the simulator
+// rejects duplicate corruption of one process); genes past the t-th are
+// dropped (decode allows up to 64, the run allows t).
+func CorruptedIDs(g Genome, n, t int) []types.ProcessID {
+	taken := make(map[types.ProcessID]bool, len(g.Corruptions))
+	var ids []types.ProcessID
+	for _, c := range g.Corruptions {
+		if len(ids) >= t {
+			break
 		}
 		id := types.ProcessID(int(c.Slot) % n)
 		for taken[id] {
 			id = types.ProcessID((int(id) + 1) % n)
 		}
 		taken[id] = true
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// compile resolves the genome into the corruption schedule and the
+// sorted action list. Every byte pattern compiles: fields are reduced
+// modulo the run's parameters, ops that do not apply to the protocol
+// become silent genes.
+func (a *genomeAdversary) compile() {
+	p := a.Env.Params
+
+	// The corruption horizon keeps every takeover inside the run's
+	// natural length, so a late-At gene delays corruption, never stalls
+	// quiescence.
+	horizon := adversary.Horizon(a.maxTicks)
+
+	a.Schedule = a.Schedule[:0]
+	for i, id := range CorruptedIDs(a.genome, p.N, p.T) {
+		c := a.genome.Corruptions[i]
 		at := types.Tick(c.At) % horizon
 		a.Schedule = append(a.Schedule, sim.Corruption{ID: id, At: at})
 
@@ -112,17 +122,14 @@ func (a *Adversary) compile() {
 		}
 	}
 	sort.SliceStable(a.actions, func(i, j int) bool { return a.actions[i].tick < a.actions[j].tick })
-	a.horizon = 0
-	for _, act := range a.actions {
-		if act.tick > a.horizon {
-			a.horizon = act.tick
-		}
+	if len(a.actions) > 0 {
+		a.horizon = a.actions[len(a.actions)-1].tick
 	}
 }
 
 // compileMove resolves one move gene for corrupted process id (taken
 // over at tick `at`). Returns ok=false for silent genes.
-func (a *Adversary) compileMove(m Move, id types.ProcessID, at types.Tick, horizon types.Tick) (action, bool) {
+func (a *genomeAdversary) compileMove(m Move, id types.ProcessID, at types.Tick, horizon types.Tick) (action, bool) {
 	p := a.Env.Params
 	act := action{
 		from:  id,
@@ -191,7 +198,7 @@ func (a *Adversary) compileMove(m Move, id types.ProcessID, at types.Tick, horiz
 
 // Observe implements sim.Adversary: BB runs capture the sender's signed
 // round-1 value, the raw material for BB_valid nested-weak-BA spam.
-func (a *Adversary) Observe(_ types.Tick, _ types.ProcessID, inbox []proto.Incoming) {
+func (a *genomeAdversary) Observe(_ types.Tick, _ types.ProcessID, inbox []proto.Incoming) {
 	if a.protocol != protocols.BB || a.sender != nil {
 		return
 	}
@@ -205,7 +212,7 @@ func (a *Adversary) Observe(_ types.Tick, _ types.ProcessID, inbox []proto.Incom
 
 // Act implements sim.Adversary: record the rushing view for replay
 // moves, then emit every action scheduled for this tick.
-func (a *Adversary) Act(now types.Tick, honest []sim.Message) []sim.Message {
+func (a *genomeAdversary) Act(now types.Tick, honest []sim.Message) []sim.Message {
 	a.record(honest)
 	var msgs []sim.Message
 	for _, act := range a.actions {
@@ -219,7 +226,7 @@ func (a *Adversary) Act(now types.Tick, honest []sim.Message) []sim.Message {
 
 // record appends honest traffic to the bounded tape (ring overwrite once
 // full, so late traffic stays observable).
-func (a *Adversary) record(honest []sim.Message) {
+func (a *genomeAdversary) record(honest []sim.Message) {
 	for _, m := range honest {
 		if len(a.recorded) < maxRecorded {
 			a.recorded = append(a.recorded, m)
@@ -231,7 +238,7 @@ func (a *Adversary) record(honest []sim.Message) {
 }
 
 // emit appends the messages of one action.
-func (a *Adversary) emit(msgs []sim.Message, act action) []sim.Message {
+func (a *genomeAdversary) emit(msgs []sim.Message, act action) []sim.Message {
 	n := a.Env.Params.N
 	switch act.op {
 	case OpProposeSpam:
@@ -292,7 +299,7 @@ func (a *Adversary) emit(msgs []sim.Message, act action) []sim.Message {
 			}
 			return msgs
 		}
-		share, err := a.Env.Crypto.Signer(act.from).Sign(wba.HelpReqBase(harness.Tag(a.protocol)))
+		share, err := a.Env.Crypto.Signer(act.from).Sign(wba.HelpReqBase(a.tag))
 		if err != nil {
 			return msgs
 		}
@@ -330,4 +337,4 @@ func (a *Adversary) emit(msgs []sim.Message, act action) []sim.Message {
 
 // Quiescent implements sim.Adversary: no actions remain past the last
 // compiled tick (pending corruptions are tracked by the engine itself).
-func (a *Adversary) Quiescent(now types.Tick) bool { return now > a.horizon }
+func (a *genomeAdversary) Quiescent(now types.Tick) bool { return now > a.horizon }

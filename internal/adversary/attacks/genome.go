@@ -1,19 +1,4 @@
-// Package explore is a reproducible mutation-search engine over
-// adversary schedules: it encodes corruption timing, equivocation and
-// selective targets, help-spam patterns, replay/flood choices, and
-// message-delivery order as a compact genome, runs candidate schedules
-// through the experiment harness, and hill-climbs/tournament-selects to
-// maximize the honest words and rounds a schedule extracts per (n, f).
-//
-// The paper's O(n(f+1)) word bound is an adversarial worst-case claim.
-// The fixed attack library (internal/adversary/attacks) checks a handful
-// of hand-written strategies; the explorer instead *searches* the
-// schedule space and reports the worst schedule found against the
-// envelope — turning the test suite from "known attacks pass" into an
-// active falsifier. Every run is deterministic in its seed: the same
-// seed produces a byte-identical report, and any schedule (including a
-// safety violation) is replayable from its seed + genome dump.
-package explore
+package attacks
 
 import (
 	"encoding/binary"
@@ -134,7 +119,7 @@ const (
 )
 
 // ErrGenome reports a malformed genome encoding.
-var ErrGenome = errors.New("explore: malformed genome")
+var ErrGenome = errors.New("attacks: malformed genome")
 
 // Encode serializes the genome to its canonical byte form.
 func (g Genome) Encode() []byte {

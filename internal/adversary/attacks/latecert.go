@@ -9,56 +9,6 @@ import (
 	"adaptiveba/internal/types"
 )
 
-// WBAHelpSpam makes the corrupted processes send signed help requests in
-// the weak BA help round even though they could have decided. The paper
-// (Section 6) prices this precisely: decided correct processes answer
-// each request, so f Byzantine requesters cost O(nf) words — and f < t+1
-// Byzantine requesters alone can never assemble the (t+1) fallback
-// certificate, so the quadratic fallback stays off.
-type WBAHelpSpam struct {
-	adversary.Core
-	// Tag must match the weak BA instance's tag.
-	Tag string
-	// HelpRound is the tick of the weak BA's help round A (phases*5 with
-	// default phases; StartTick offsets nested instances).
-	HelpRound types.Tick
-
-	sent bool
-}
-
-var _ sim.Adversary = (*WBAHelpSpam)(nil)
-
-// NewWBAHelpSpam corrupts ids and spams help requests at helpRound.
-func NewWBAHelpSpam(tag string, helpRound types.Tick, ids ...types.ProcessID) *WBAHelpSpam {
-	a := &WBAHelpSpam{Tag: tag, HelpRound: helpRound}
-	for _, id := range ids {
-		a.Schedule = append(a.Schedule, sim.Corruption{ID: id})
-	}
-	return a
-}
-
-// Act implements sim.Adversary.
-func (a *WBAHelpSpam) Act(now types.Tick, _ []sim.Message) []sim.Message {
-	if a.sent || now != a.HelpRound {
-		return nil
-	}
-	a.sent = true
-	var msgs []sim.Message
-	for _, c := range a.Schedule {
-		share, err := a.Env.Crypto.Signer(c.ID).Sign(wba.HelpReqBase(a.Tag))
-		if err != nil {
-			continue
-		}
-		for i := 0; i < a.Env.Params.N; i++ {
-			msgs = append(msgs, sim.Message{
-				From: c.ID, To: types.ProcessID(i),
-				Payload: wba.HelpReq{Share: share},
-			})
-		}
-	}
-	return msgs
-}
-
 // LateCertRelease is a freshness attack on the weak BA fallback path: the
 // adversary passively collects help-request shares during the run and, if
 // it ever holds t+1, releases the fallback certificate long after every

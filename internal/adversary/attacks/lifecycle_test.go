@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -15,11 +16,9 @@ import (
 // longer shadows Core's no-op) fails here at build time, not at the
 // first simulation that happens to exercise it.
 var (
-	_ sim.Adversary = (*WBAPhaseSpam)(nil)
-	_ sim.Adversary = (*BBPhaseSpam)(nil)
+	_ sim.Adversary = (*genomeAdversary)(nil)
 	_ sim.Adversary = (*BBVettingEquivocator)(nil)
 	_ sim.Adversary = (*FloodChain)(nil)
-	_ sim.Adversary = (*WBAHelpSpam)(nil)
 	_ sim.Adversary = (*LateCertRelease)(nil)
 	_ sim.Adversary = (*SelectivePhaseLeader)(nil)
 	_ sim.Adversary = (*WBASplitVote)(nil)
@@ -37,11 +36,11 @@ func TestEveryAttackFollowsTheCoreLifecycle(t *testing.T) {
 	}
 	ids := []types.ProcessID{1, 2}
 	builds := map[string]sim.Adversary{
-		"wba-phase-spam":     NewWBAPhaseSpam(types.Value("w"), ids...),
-		"bb-phase-spam":      NewBBPhaseSpam(ids...),
+		"wba-phase-spam":     Compile(PhaseSpam(protocols.WBA, ids...), protocols.WBA, "tag", 1, 100),
+		"bb-phase-spam":      Compile(PhaseSpam(protocols.BB, ids...), protocols.BB, "tag", 1, 100),
 		"bb-vetting-equiv":   NewBBVettingEquivocator("tag", types.Value("a"), types.Value("b")),
 		"flood-chain":        NewFloodChain(types.Value("m"), ids...),
-		"wba-help-spam":      NewWBAHelpSpam("tag", 25, ids...),
+		"wba-help-spam":      Compile(helpSpam(ids...), protocols.WBA, "tag", 1, 100),
 		"late-cert-release":  NewLateCertRelease("tag", 25, ids...),
 		"selective-phase":    NewSelectivePhaseLeader("tag", 3, types.Value("v"), ids...),
 		"wba-split-vote":     NewWBASplitVote("tag", params.Quorum(), types.Value("a"), types.Value("b"), ids...),

@@ -1,3 +1,18 @@
+// Package explore is a reproducible mutation-search engine over
+// adversary schedules: it runs candidate genomes (attacks.Genome:
+// corruption timing, equivocation and selective targets, help-spam
+// patterns, replay/flood choices, and message-delivery order) through
+// the experiment harness, and hill-climbs/tournament-selects to
+// maximize the honest words and rounds a schedule extracts per (n, f).
+//
+// The paper's O(n(f+1)) word bound is an adversarial worst-case claim.
+// The fixed attack library (internal/adversary/attacks) checks a handful
+// of known strategies; the explorer instead *searches* the schedule
+// space and reports the worst schedule found against the envelope —
+// turning the test suite from "known attacks pass" into an active
+// falsifier. Every run is deterministic in its seed: the same seed
+// produces a byte-identical report, and any schedule (including a
+// safety violation) is replayable from its seed + genome dump.
 package explore
 
 import (
@@ -6,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/harness"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
@@ -46,7 +62,7 @@ func (c Config) withDefaults() Config {
 
 // Candidate is one evaluated schedule.
 type Candidate struct {
-	Genome    Genome
+	Genome    attacks.Genome
 	Words     int64 // honest words — the quantity the envelope bounds
 	Ticks     types.Tick
 	Fallbacks int
@@ -66,7 +82,7 @@ type GenerationStat struct {
 	BestTicks types.Tick
 	BestFB    int
 	MeanWords int64
-	Best      Genome
+	Best      attacks.Genome
 }
 
 // Result is one complete search outcome.
@@ -119,7 +135,7 @@ func Envelope(n, t, f int) int64 {
 // configuration. The spec is a pure function of (Config, g): the
 // adversary's replay randomness is seeded from the genome itself, so a
 // genome's fitness is identical wherever and whenever it is evaluated.
-func (c Config) Spec(g Genome) harness.Spec {
+func (c Config) Spec(g attacks.Genome) harness.Spec {
 	advSeed := harness.DeriveSeed(c.Seed, g.ShuffleSeed)
 	return harness.Spec{
 		Protocol:    c.Protocol,
@@ -128,36 +144,16 @@ func (c Config) Spec(g Genome) harness.Spec {
 		Seed:        c.Seed,
 		ShuffleSeed: g.ShuffleSeed,
 		Adversary: func(maxTicks types.Tick) sim.Adversary {
-			return NewAdversary(g, c.Protocol, advSeed, maxTicks)
+			return attacks.Compile(g, c.Protocol, harness.Tag(c.Protocol), advSeed, maxTicks)
 		},
 	}
 }
 
 // ReplaySchedule re-runs one schedule outside a search — the reproducer
 // for any reported worst schedule or violation dump.
-func ReplaySchedule(cfg Config, g Genome) (*harness.Outcome, error) {
+func ReplaySchedule(cfg Config, g attacks.Genome) (*harness.Outcome, error) {
 	cfg = cfg.withDefaults()
 	return harness.Run(cfg.Spec(g))
-}
-
-// CorruptedIDs returns the process ids a genome corrupts in an (n, t)
-// run, in gene order — the same slot→id mapping the adversary compiles
-// (modulo n, linear probe past collisions, truncated at t genes).
-func CorruptedIDs(g Genome, n, t int) []types.ProcessID {
-	taken := make(map[types.ProcessID]bool, len(g.Corruptions))
-	var ids []types.ProcessID
-	for _, c := range g.Corruptions {
-		if len(ids) >= t {
-			break
-		}
-		id := types.ProcessID(int(c.Slot) % n)
-		for taken[id] {
-			id = types.ProcessID((int(id) + 1) % n)
-		}
-		taken[id] = true
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // checkInvariants derives the violation list for one evaluated schedule.
@@ -166,7 +162,7 @@ func CorruptedIDs(g Genome, n, t int) []types.ProcessID {
 // value a phase leader proposed — honest "v" or the adversary's "w"/"u"
 // — but nothing else, and must decide exactly "v" in corruption-free
 // runs; BB must decide the sender's value whenever the sender is honest.
-func checkInvariants(cfg Config, t int, g Genome, o *harness.Outcome) []string {
+func checkInvariants(cfg Config, t int, g attacks.Genome, o *harness.Outcome) []string {
 	var v []string
 	if !o.Decided {
 		v = append(v, "termination: not every honest process decided")
@@ -177,7 +173,7 @@ func checkInvariants(cfg Config, t int, g Genome, o *harness.Outcome) []string {
 	if !o.Decided || !o.Agreement {
 		return v
 	}
-	corrupted := CorruptedIDs(g, cfg.N, t)
+	corrupted := attacks.CorruptedIDs(g, cfg.N, t)
 	// Lemma 6: below the fallback threshold no schedule can assemble the
 	// (t+1)-share fallback certificate, so the quadratic path must stay
 	// off. A single fallback run down there is a falsification.
@@ -231,28 +227,30 @@ func better(a, b *Candidate) bool {
 // worst-case heuristic — all F corruptions spam their rotating-leader
 // phases from tick 0 (the paper's own lower-bound run family) — so the
 // search starts at the theory's floor and can only climb from there.
-func seedPopulation(rng *rand.Rand, cfg Config) []Genome {
-	pop := make([]Genome, cfg.Population)
-	spam := Genome{}
+func seedPopulation(rng *rand.Rand, cfg Config) []attacks.Genome {
+	pop := make([]attacks.Genome, cfg.Population)
+	spam := attacks.Genome{}
 	for i := 0; i < cfg.F; i++ {
-		spam.Corruptions = append(spam.Corruptions, Corrupt{
+		spam.Corruptions = append(spam.Corruptions, attacks.Corrupt{
 			Slot:  uint8((i + 1) % 256),
-			Moves: []Move{{Op: OpProposeSpam, Arg: uint8(i)}, {Op: OpHelpSpam}},
+			Moves: []attacks.Move{{Op: attacks.OpProposeSpam, Arg: uint8(i)}, {Op: attacks.OpHelpSpam}},
 		})
 	}
 	pop[0] = spam
 	for i := 1; i < cfg.Population; i++ {
-		pop[i] = RandomGenome(rng, cfg.F)
+		pop[i] = attacks.RandomGenome(rng, cfg.F)
 	}
 	return pop
 }
 
 // nextGen breeds the following population: the elites survive verbatim, the
-// rest are mutants of tournament winners (binary tournament).
-func nextGen(rng *rand.Rand, cfg Config, ranked []Candidate) []Genome {
-	pop := make([]Genome, 0, cfg.Population)
+// rest are mutants of tournament winners (binary tournament). Mutate
+// copies, so no genome is ever changed in place and survivors may share
+// storage with their parents.
+func nextGen(rng *rand.Rand, cfg Config, ranked []Candidate) []attacks.Genome {
+	pop := make([]attacks.Genome, 0, cfg.Population)
 	for i := 0; i < elites && i < len(ranked); i++ {
-		pop = append(pop, ranked[i].Genome.clone())
+		pop = append(pop, ranked[i].Genome)
 	}
 	for len(pop) < cfg.Population {
 		a := &ranked[rng.Intn(len(ranked))]
@@ -261,7 +259,7 @@ func nextGen(rng *rand.Rand, cfg Config, ranked []Candidate) []Genome {
 		if better(b, a) {
 			winner = b
 		}
-		pop = append(pop, Mutate(rng, winner.Genome))
+		pop = append(pop, attacks.Mutate(rng, winner.Genome))
 	}
 	return pop
 }
@@ -325,11 +323,10 @@ func Explore(cfg Config) (*Result, error) {
 			BestTicks: ranked[0].Ticks,
 			BestFB:    ranked[0].Fallbacks,
 			MeanWords: sum / int64(len(ranked)),
-			Best:      ranked[0].Genome.clone(),
+			Best:      ranked[0].Genome,
 		})
 		if best == nil || better(&ranked[0], best) {
 			c := ranked[0]
-			c.Genome = c.Genome.clone()
 			best = &c
 		}
 		if gen < cfg.Generations {

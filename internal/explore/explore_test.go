@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/testenv"
@@ -18,7 +20,7 @@ import (
 // an invariant to testdata/, so a failing CI run leaves the exact seed +
 // genome behind. Replay with:
 //
-//	g, _ := explore.DecodeHex(<genome line>)
+//	g, _ := attacks.DecodeHex(<genome line>)
 //	explore.ReplaySchedule(cfg, g)
 func dumpViolation(t *testing.T, cfg Config, c Candidate) {
 	t.Helper()
@@ -95,7 +97,7 @@ func TestReplayWorstSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := DecodeHex(res.Best.Genome.Hex())
+	g, err := attacks.DecodeHex(res.Best.Genome.Hex())
 	if err != nil {
 		t.Fatalf("worst genome does not round-trip: %v", err)
 	}
@@ -127,37 +129,33 @@ func TestExploreSearchImproves(t *testing.T) {
 	}
 }
 
-// TestCorruptedIDsMatchesAdversary: the exported slot→id mapping and the
-// compiled adversary must corrupt the same processes, including slot
+// TestCorruptedIDsMatchesAdversary: the processes the invariant check
+// treats as corrupted (attacks.CorruptedIDs) and the processes the
+// compiled adversary corrupts must be the same, including slot
 // collisions (probing) and budget truncation.
 func TestCorruptedIDsMatchesAdversary(t *testing.T) {
-	g := Genome{Corruptions: []Corrupt{
+	g := attacks.Genome{Corruptions: []attacks.Corrupt{
 		{Slot: 3}, {Slot: 3}, {Slot: 12}, {Slot: 4}, {Slot: 200},
 	}}
 	const n, tt = 9, 4
-	ids := CorruptedIDs(g, n, tt)
-	if len(ids) != tt {
-		t.Fatalf("CorruptedIDs returned %d ids, want truncation at t=%d", len(ids), tt)
+	ids := attacks.CorruptedIDs(g, n, tt)
+	if want := []types.ProcessID{3, 4, 5, 6}; !slices.Equal(ids, want) {
+		t.Fatalf("CorruptedIDs = %v, want %v (probe past collisions, truncate at t=%d)", ids, want, tt)
 	}
 	params, err := types.NewParams(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	adv := NewAdversary(g, protocols.WBA, 1, 100)
+	adv := attacks.Compile(g, protocols.WBA, "tag", 1, 100)
 	adv.Init(sim.Env{Params: params})
 	cs := adv.Corruptions()
 	if len(cs) != len(ids) {
 		t.Fatalf("adversary corrupts %d processes, mapping says %d", len(cs), len(ids))
 	}
-	seen := make(map[types.ProcessID]bool)
 	for i, c := range cs {
 		if c.ID != ids[i] {
 			t.Errorf("corruption %d: adversary id %v, mapping id %v", i, c.ID, ids[i])
 		}
-		if seen[c.ID] {
-			t.Errorf("duplicate corrupted id %v", c.ID)
-		}
-		seen[c.ID] = true
 	}
 }
 
@@ -189,7 +187,7 @@ func TestEnvelopePiecewise(t *testing.T) {
 func TestRandomGenomesAlwaysCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 10; i++ {
-		g := RandomGenome(rng, 2)
+		g := attacks.RandomGenome(rng, 2)
 		for _, p := range []protocols.Kind{protocols.WBA, protocols.BB} {
 			o, err := ReplaySchedule(Config{Protocol: p, N: 5, F: 2, Seed: int64(i)}, g)
 			if err != nil {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -61,8 +62,9 @@ const (
 	FaultReplay Fault = "replay"
 	// FaultSpam makes the corrupted processes wastefully initiate their
 	// rotating-leader phases and ignore the answers — the worst-case run
-	// family behind the O(n(f+1)) bound (BB and weak BA only; other
-	// protocols fall back to FaultCrash).
+	// family behind the O(n(f+1)) bound: attacks.PhaseSpam over
+	// processes 1..F, F ≤ 255 (BB and weak BA only; other protocols fall
+	// back to FaultCrash).
 	FaultSpam Fault = "spam"
 	// FaultStagger crashes one process per tick (process i at tick i+1) —
 	// the classic worst case for early-stopping round complexity.
@@ -189,6 +191,19 @@ func Run(spec Spec) (*Outcome, error) {
 		return nil, fmt.Errorf("%w: f=%d with t=%d", ErrSpec, spec.F, params.T)
 	}
 	spec = spec.withDefaults()
+	switch spec.Fault {
+	case FaultCrash, FaultCrashLeader, FaultReplay, FaultStagger:
+	case FaultSpam:
+		// The phase-spam genome addresses processes and phases by byte.
+		if spec.F > math.MaxUint8 {
+			return nil, fmt.Errorf("%w: spam corrupts at most %d processes, f=%d", ErrSpec, math.MaxUint8, spec.F)
+		}
+	default:
+		return nil, fmt.Errorf("%w: unknown fault pattern %q", ErrSpec, spec.Fault)
+	}
+	if spec.Inputs != InputsUnanimous && spec.Inputs != InputsDistinct {
+		return nil, fmt.Errorf("%w: unknown input policy %q", ErrSpec, spec.Inputs)
+	}
 
 	keys := proto.Derived(fmt.Sprintf("harness-%d", spec.Seed), "harness-dealer")
 	if spec.Ed25519 {
@@ -232,20 +247,15 @@ type runner struct {
 }
 
 // adversaryFor builds the spec's adversary (nil when f=0): the
-// adversary package's pattern rule, plus the spam pattern, which needs
-// the protocol-aware attacks.
+// adversary package's pattern rule, plus the spam pattern, which is the
+// attacks package's phase-spam genome.
 func (r *runner) adversaryFor(maxTicks types.Tick) sim.Adversary {
 	if r.spec.Adversary != nil {
 		return r.spec.Adversary(maxTicks)
 	}
-	if r.spec.F > 0 && r.spec.Fault == FaultSpam {
-		ids := adversary.CrashSet(r.spec.F, false)
-		switch r.spec.Protocol {
-		case ProtocolBB:
-			return attacks.NewBBPhaseSpam(ids...)
-		case ProtocolWBA:
-			return attacks.NewWBAPhaseSpam(r.input(0), ids...)
-		}
+	if kind := r.spec.Protocol; r.spec.F > 0 && r.spec.Fault == FaultSpam && (kind == ProtocolBB || kind == ProtocolWBA) {
+		g := attacks.PhaseSpam(kind, adversary.CrashSet(r.spec.F, false)...)
+		return attacks.Compile(g, kind, Tag(kind), r.spec.Seed, maxTicks)
 	}
 	return adversary.ForPattern(string(r.spec.Fault), r.spec.F, r.spec.Seed)(maxTicks)
 }

@@ -124,6 +124,26 @@ func TestSpecValidation(t *testing.T) {
 	if _, err := Run(Spec{Protocol: "nope", N: 5}); !errors.Is(err, ErrSpec) {
 		t.Errorf("unknown protocol: %v", err)
 	}
+	// A misspelled fault or input policy is an error, not a silent crash
+	// or unanimous run.
+	for _, spec := range []Spec{
+		{Protocol: ProtocolBB, N: 9, F: 2, Fault: "bogus"},
+		{Protocol: ProtocolBB, N: 9, F: 0, Fault: "spma"},
+		{Protocol: ProtocolWBA, N: 9, Inputs: "distnct"},
+	} {
+		if _, err := Run(spec); !errors.Is(err, ErrSpec) {
+			t.Errorf("fault %q inputs %q: err = %v, want ErrSpec", spec.Fault, spec.Inputs, err)
+		}
+	}
+}
+
+// TestSpamFaultCapsF: the phase-spam genome addresses processes by byte,
+// so a spam run corrupting more than 255 processes is rejected before
+// it runs.
+func TestSpamFaultCapsF(t *testing.T) {
+	if _, err := Run(Spec{Protocol: ProtocolBB, N: 513, F: 256, Fault: FaultSpam}); !errors.Is(err, ErrSpec) {
+		t.Errorf("bb spam f=256: err = %v, want ErrSpec", err)
+	}
 }
 
 func TestCrashLeaderFault(t *testing.T) {

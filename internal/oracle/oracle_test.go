@@ -12,6 +12,7 @@ import (
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -71,7 +72,7 @@ func TestAdversarialRunsStayInvariantClean(t *testing.T) {
 	advs := map[string]sim.Adversary{
 		"crash":  adversary.NewCrash(1, 2, 3),
 		"replay": adversary.NewReplay(3, 300, 2, 6),
-		"spam":   attacks.NewWBAPhaseSpam(types.Value("v"), 1, 2),
+		"spam":   attacks.Compile(attacks.PhaseSpam(protocols.WBA, 1, 2), protocols.WBA, "o", 1, 4000),
 	}
 	for name, adv := range advs {
 		t.Run(name, func(t *testing.T) {
