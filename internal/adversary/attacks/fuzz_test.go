@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// FuzzScheduleGenome pins the genome codec's two contracts:
+// FuzzScheduleGenome pins the genome codec's three contracts:
 //
 //  1. Round-trip: every byte string Decode accepts re-encodes to the
 //     identical bytes — the hex dump in a report or violation file IS
@@ -14,6 +14,8 @@ import (
 //  2. Mutate determinism: mutating any decoded genome with two
 //     identically-seeded rngs yields identical offspring — the whole
 //     search replays from its seed.
+//  3. Mutate copies: the parent is unchanged, so the explorer's
+//     survivors may share storage with their offspring.
 func FuzzScheduleGenome(f *testing.F) {
 	// Corpus: empty schedule, the heuristic spam shape, a random draw,
 	// and a mutated descendant.
@@ -46,6 +48,9 @@ func FuzzScheduleGenome(f *testing.F) {
 		m2 := Mutate(rand.New(rand.NewSource(42)), g)
 		if !bytes.Equal(m1.Encode(), m2.Encode()) {
 			t.Fatalf("same-seed mutation diverged:\n %x\n %x", m1.Encode(), m2.Encode())
+		}
+		if got := g.Encode(); !bytes.Equal(got, data) {
+			t.Fatalf("Mutate changed its parent:\n was %x\n now %x", data, got)
 		}
 		// Mutation output must itself round-trip (offspring stay encodable).
 		if _, err := Decode(m1.Encode()); err != nil {
