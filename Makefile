@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet bench bench-all profile-commit alloc-guard race-guard deps-guard explore svc-smoke experiments examples fuzz cover clean
+.PHONY: all build test test-short test-race vet bench bench-all profile-commit profile-serve alloc-guard race-guard deps-guard explore svc-smoke experiments examples fuzz cover clean
 
 all: build vet test
 
@@ -65,6 +65,26 @@ profile-commit:
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.mem.pprof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.cpu.pprof
 
+# Profile the serving path the same way: client Puts through a Server over
+# loopback TCP at n = 4 (BenchmarkServePut in internal/service), where
+# profile-commit sees only the engine call behind them. SERVE picks the
+# shape: serial (default), one Put per round trip, or burst32, 32
+# pipelined Puts per operation. Client, server and engine share the
+# process, so the profiles cover decode, commit, reply writes and the
+# client's side of each round trip.
+SERVE ?= serial
+PROFILE_ITERS_serial := 2000
+PROFILE_ITERS_burst32 := 200
+profile-serve:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test ./internal/service -run '^$$' -bench 'BenchmarkServePut/$(SERVE)$$' -benchtime $(PROFILE_ITERS_$(SERVE))x \
+		-memprofile $(PROFILE_DIR)/serve.mem.pprof -memprofilerate 1 -o $(PROFILE_DIR)/service.test
+	$(GO) test ./internal/service -run '^$$' -bench 'BenchmarkServePut/$(SERVE)$$' -benchtime $(PROFILE_ITERS_$(SERVE))0x \
+		-cpuprofile $(PROFILE_DIR)/serve.cpu.pprof -o $(PROFILE_DIR)/service.test
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(PROFILE_DIR)/service.test $(PROFILE_DIR)/serve.mem.pprof
+	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFILE_DIR)/service.test $(PROFILE_DIR)/serve.mem.pprof
+	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/service.test $(PROFILE_DIR)/serve.cpu.pprof
+
 # guard <packages> <-run alternation> [go test flags]: run the named
 # tests verbosely and fail the target if they fail, if one skips itself,
 # or if the pattern matches no test — SKIP and "no tests to run" exit 0,
@@ -123,7 +143,7 @@ race-guard:
 	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity|TestCryptoForgerySweep' -race; \
 	guard ./internal/core/bb 'TestValidatorMemo' -race; \
 	guard ./internal/harness 'TestParallelDeterminism|TestExperimentReportsDeterministic' -race; \
-	guard ./internal/service 'TestConcurrentHistory|TestDisconnectMidBurst|TestServerUnderLoss|TestDisposedWriteNeverWedgesReads|TestPipelinedRepliesNeverGap|TestDedupWindowPassesQueuedWrite|TestBurstIsOneHandOff|TestAuditFailureStopsCore' -race
+	guard ./internal/service 'TestConcurrentHistory|TestDisconnectMidBurst|TestServerUnderLoss|TestDisposedWriteNeverWedgesReads|TestPipelinedRepliesNeverGap|TestDedupWindowPassesQueuedWrite|TestBurstIsOneHandOff|TestAuditFailureStopsCore|TestRepliesNeverWakeTheWriter|TestFullSocketHandsOffToWriter|TestCloseDuringCommit' -race
 
 # The public package has one runtime, the multi-session engine: fail if
 # the root package depends on internal/harness, directly or through

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"adaptiveba/internal/transport"
 )
@@ -32,8 +34,8 @@ type serverReq struct {
 	conn *serverConn
 }
 
-// serverBatch is what a connection's reader hands the run loop at once:
-// the writes and Verifys it decoded from one read, in order.
+// serverBatch is what a connection's reader queues for the Core's writer
+// at once: the writes and Verifys it decoded from one read, in order.
 type serverBatch struct {
 	reqs []*Request
 	conn *serverConn
@@ -41,37 +43,46 @@ type serverBatch struct {
 
 // readerSize is a connection's read buffer: large enough that a
 // pipelined burst of 32 writes with two 4 KiB values (about 12 KiB)
-// arrives in one fill and so reaches the run loop as one batch.
+// arrives in one fill and so is queued as one batch.
 const readerSize = 16 << 10
 
-// outboxSize is how many replies the run loop may queue on one
+// outboxSize is how many replies the Core's writer may queue on one
 // connection ahead of its socket before it gives up on the client.
 const outboxSize = 64
 
 // serverConn is one client connection's server side. Its replies leave
-// through one buffered writer in the order they were made: the run loop
-// queues the replies to writes and Verify in out, which the writer
-// goroutine drains, and the reader goroutine answers a Get itself.
-// Whoever writes holds wmu and first writes out everything queued, so a
-// Get's reply never overtakes one queued before it.
+// through one buffered writer in the order they were made: the Core's
+// writer queues the replies to writes and Verify in out and pushes them
+// to the socket itself, the writer goroutine takes what the socket would
+// not, and the reader goroutine answers a Get itself. Whoever writes
+// holds wmu and first writes out everything queued, so a Get's reply
+// never overtakes one queued before it.
 type serverConn struct {
 	conn net.Conn
-	quit chan struct{}
+	// raw is conn's socket when conn is TCP (nil otherwise), for push's
+	// write that never waits: attempt, bound once to nb, is its callback.
+	raw     syscall.RawConn
+	nb      nbWrite
+	attempt func(fd uintptr) bool
+	quit    chan struct{}
 
 	// outMu guards out, the replies queued and not yet taken. ready (one
-	// slot) wakes the writer goroutine after out grows.
+	// slot) wakes the writer goroutine; wakes counts the times wake was
+	// called.
 	outMu sync.Mutex
 	out   [][]byte
 	ready chan struct{}
+	wakes atomic.Int64
 
 	// wmu is held while bw is written. taken is out's spare slice,
-	// swapped with it under wmu.
+	// swapped with it under wmu. Between writes bw holds only what push's
+	// write left over, for the writer goroutine.
 	wmu   sync.Mutex
 	bw    *bufio.Writer
 	taken [][]byte
 
-	// inRun counts the requests the reader handed to the run loop and
-	// the run loop has not yet disposed of; it rises by a batch's length
+	// inRun counts the requests the reader queued for the Core's writer
+	// and the writer has not yet disposed of; it rises by a batch's length
 	// at the hand-off. idle (one slot) is signalled each time it falls to
 	// zero. A Get waits for zero, so it reads every earlier write of its
 	// connection.
@@ -82,38 +93,113 @@ type serverConn struct {
 	hdr [getHeaderSize]byte
 
 	// The connection's client's write dedup window, touched only by the
-	// run loop: resp holds the response to each write in the window, or
-	// nil while the write is buffered for the next flush; order lists the
-	// answered seqs oldest first; evicted is the highest seq pushed out
-	// of the window (-1 when none). A client ID names one connection, so
-	// the window lives and dies with it.
+	// Core's writer: resp holds the response to each write in the window,
+	// or nil while the write is buffered for the next flush; order lists
+	// the answered seqs oldest first; evicted is the highest seq pushed
+	// out of the window (-1 when none). A client ID names one connection,
+	// so the window lives and dies with it.
 	resp    map[int][]byte
 	order   []int
 	evicted int
+	// answered marks the connection as listed in Server.answered, also
+	// the writer's alone.
+	answered bool
 }
 
-// send queues one encoded response without ever blocking the run loop.
-// A full outbox means the client is not draining its replies: dropping
-// this one would leave a hole in the stream (later replies still arrive,
-// and a pipelining client stalls on the missing seq), so the connection
-// is closed instead — the client sees a clean prefix of replies, then a
-// disconnect. Closing the socket ends the reader in serveConn, which
-// closes quit and frees the session.
-func (c *serverConn) send(body []byte) {
-	c.outMu.Lock()
-	full := len(c.out) >= outboxSize
-	if !full {
-		c.out = append(c.out, body)
-	}
-	c.outMu.Unlock()
-	if full {
-		c.conn.Close()
-		return
-	}
+// wake hands the writer goroutine whatever is queued on c.
+func (c *serverConn) wake() {
+	c.wakes.Add(1)
 	select {
 	case c.ready <- struct{}{}:
 	default:
 	}
+}
+
+// push gives the socket c's queued replies without waiting for it: as
+// many as fit bw's free buffer, framed in place, in one write attempt
+// that never waits for the socket to become writable. What the socket
+// does not take stays in bw, behind nothing, and the rest of the outbox
+// stays queued; both go to the writer goroutine. So does everything when
+// c is not TCP, when another goroutine is writing, or when an earlier
+// remainder is still waiting.
+func (c *serverConn) push() {
+	if c.raw == nil || !c.wmu.TryLock() {
+		c.wake()
+		return
+	}
+	left := c.bw.Buffered() > 0
+	if !left {
+		// bw's empty buffer is the scratch: a remainder is copied down
+		// within it, and bw.Write moves overlapping bytes correctly.
+		buf := c.bw.AvailableBuffer()
+		c.outMu.Lock()
+		k := 0
+		for _, b := range c.out {
+			if len(buf)+frameHeader+len(b) > cap(buf) {
+				break
+			}
+			buf = appendFrame(buf, FrameResponse, b)
+			k++
+		}
+		c.out = slices.Delete(c.out, 0, k)
+		left = len(c.out) > 0
+		c.outMu.Unlock()
+		if n, ok := c.writeNow(buf); !ok {
+			left = false // the connection is closing; nobody reads the rest
+		} else if n < len(buf) {
+			// It fits, so it cannot fail unless an earlier write did,
+			// and that write closed the connection.
+			_, _ = c.bw.Write(buf[n:])
+			left = true
+		}
+	}
+	c.wmu.Unlock()
+	if left {
+		c.wake()
+	}
+}
+
+// writeNow makes one write(2) of p on c's socket, which the runtime keeps
+// non-blocking, and returns how much it took. A full socket takes less or
+// nothing. Any other error closes the connection, and ok is false.
+func (c *serverConn) writeNow(p []byte) (n int, ok bool) {
+	if len(p) == 0 {
+		return 0, true
+	}
+	c.nb = nbWrite{p: p}
+	err := c.raw.Write(c.attempt)
+	if err == nil {
+		err = c.nb.err
+	}
+	n = max(c.nb.n, 0)
+	if err != nil && err != syscall.EAGAIN && err != syscall.EINTR {
+		c.conn.Close() // ends the reader too, as a failed write does
+		return n, false
+	}
+	return n, true
+}
+
+// nbWrite is one write(2) attempt on a socket, as a RawConn.Write
+// callback that never waits for the socket to drain.
+type nbWrite struct {
+	p   []byte
+	n   int
+	err error
+}
+
+func (w *nbWrite) do(fd uintptr) bool {
+	w.n, w.err = syscall.Write(int(fd), w.p)
+	return true
+}
+
+// frameHeader is a frame's length prefix and kind byte (transport.WriteFrame).
+const frameHeader = 5
+
+// appendFrame appends the frame transport.WriteFrame writes.
+func appendFrame(buf []byte, kind byte, body []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)+1))
+	buf = append(buf, kind)
+	return append(buf, body...)
 }
 
 // write writes every queued reply, then body unless it is nil, and
@@ -145,10 +231,10 @@ func (c *serverConn) write(body []byte) error {
 	return c.bw.Flush()
 }
 
-// leave records that the run loop has disposed of one request the
-// reader handed it: replied to it, replayed or refused it, dropped it
-// for a closed connection, or ignored it as a retransmit of a write
-// already queued.
+// leave records that the Core's writer has disposed of one request the
+// reader queued: replied to it, replayed or refused it, dropped it for a
+// closed connection, or ignored it as a retransmit of a write already
+// buffered. The reply, if any, is queued on c first.
 func (c *serverConn) leave() {
 	if c.inRun.Add(-1) == 0 {
 		select {
@@ -158,10 +244,10 @@ func (c *serverConn) leave() {
 	}
 }
 
-// settle blocks the reader until the run loop has disposed of every
-// request it handed over; false if the server closes first. The reader
-// is the only goroutine that raises inRun, so while it waits inRun only
-// falls, and the idle signal sent when it reaches zero is never missed.
+// settle blocks the reader until the Core's writer has disposed of every
+// request it queued; false if the server closes first. The reader is the
+// only goroutine that raises inRun, so while it waits inRun only falls,
+// and the idle signal sent when it reaches zero is never missed.
 func (c *serverConn) settle(done <-chan struct{}) bool {
 	for c.inRun.Load() > 0 {
 		select {
@@ -196,21 +282,27 @@ func (c *serverConn) keep(seq int, body []byte, limit int) {
 // Server runs the replicated KV service on one TCP listener: client
 // sessions with request dedup, writes batched across clients into ACS
 // commits, reads from replicated state, snapshots for unbounded uptime.
-// Writes and Verify go through the run loop, the Core's one writer. A
-// Get never leaves its connection: the reader goroutine that decoded it
-// waits for the connection's earlier writes, reads the Core (Core.Get's
-// shared lock) and writes the reply. Stats reads under the same lock.
+// No request leaves its connection's reader goroutine. Writes and Verify
+// are queued, and the reader that takes commitMu is the Core's one
+// writer until the queue is empty: it commits every queued batch, its own
+// and other connections', and writes their replies. A Get waits for the
+// connection's earlier writes, reads the Core (Core.Get's shared lock)
+// and writes the reply. Stats reads under the same lock.
 type Server struct {
 	cfg  ServerConfig
 	core *Core
 	ln   net.Listener
 
-	// reqCh carries the readers' batches to the run loop. Up to 256 wait
-	// while a flush runs, so a reader goes on decoding instead of waiting
-	// for the commit.
+	// reqCh queues the readers' batches for the Core's writer. Up to 256
+	// wait while a flush runs, so a reader goes on decoding instead of
+	// waiting for the commit.
 	reqCh chan serverBatch
-	done  chan struct{}
-	wg    sync.WaitGroup
+	// commitMu is the Core's writer role, taken only with TryLock. pending,
+	// pendingReqs and answered, and each connection's dedup window, are
+	// its holder's.
+	commitMu sync.Mutex
+	done     chan struct{}
+	wg       sync.WaitGroup
 	// connMu guards conns and closed: every live client connection is
 	// tracked so Close can unblock their reader goroutines.
 	connMu    sync.Mutex
@@ -227,6 +319,9 @@ type Server struct {
 
 	pending     []Op
 	pendingReqs []serverReq
+	// answered lists the connections replies were queued on since the
+	// last push.
+	answered []*serverConn
 }
 
 // NewServer builds the core, binds the listener, and starts serving.
@@ -255,9 +350,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		conns:    make(map[*serverConn]struct{}),
 		maxBatch: 4 * len(core.honest) * core.cfg.Batch,
 	}
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go s.acceptLoop()
-	go s.runLoop()
 	return s, nil
 }
 
@@ -317,9 +411,9 @@ func (s *Server) acceptLoop() {
 }
 
 // serveConn handles one client connection: hello handshake, then a
-// read loop that answers Gets itself and feeds every other request to
-// the run loop, and a writer goroutine draining the replies the run loop
-// queues.
+// read loop that answers Gets itself and queues every other request for
+// the Core's writer, taking that role when it is free, and a writer
+// goroutine for the replies the socket would not take at once.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
@@ -327,6 +421,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn: conn, quit: make(chan struct{}), bw: bufio.NewWriter(conn),
 		ready: make(chan struct{}, 1), idle: make(chan struct{}, 1),
 		resp: make(map[int][]byte), evicted: -1,
+	}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		if raw, err := tc.SyscallConn(); err == nil { // else the writer goroutine writes every reply
+			sc.raw, sc.attempt = raw, sc.nb.do
+		}
 	}
 	if !s.track(sc) {
 		return // lost the race with Close
@@ -347,8 +446,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err := transport.WriteFrame(conn, FrameWelcome, w); err != nil {
 		return
 	}
-	// Closing quit on exit makes the run loop drop any request of this
-	// connection still in its queue.
+	// Closing quit on exit makes the Core's writer drop any request of
+	// this connection still in its queue.
 	defer close(sc.quit)
 
 	s.wg.Add(1)
@@ -370,8 +469,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	// What arrived together is handed over together: the reader keeps
-	// decoding while another whole frame is buffered, and hands the run
-	// loop the writes and Verifys it decoded as one batch. A batch ends at
+	// decoding while another whole frame is buffered, and queues the
+	// writes and Verifys it decoded as one batch. A batch ends at
 	// maxBatch requests, at a Verify (which flushes), at a Get (which first
 	// waits for the batch), and where the buffered bytes stop holding a
 	// whole frame, so a partial frame still arriving never holds back
@@ -420,9 +519,9 @@ func frameBuffered(br *bufio.Reader) bool {
 	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(prefix))
 }
 
-// handOff gives the run loop one batch of c's requests, false if the
-// server closes first. inRun rises by the batch's length before the
-// batch can be disposed of.
+// handOff queues one batch of c's requests and commits the queue if no
+// other reader is committing; false if the server closes first. inRun
+// rises by the batch's length before the batch can be disposed of.
 func (s *Server) handOff(c *serverConn, reqs []*Request) bool {
 	if len(reqs) == 0 {
 		return true
@@ -430,19 +529,20 @@ func (s *Server) handOff(c *serverConn, reqs []*Request) bool {
 	c.inRun.Add(int64(len(reqs)))
 	select {
 	case s.reqCh <- serverBatch{reqs: reqs, conn: c}:
-		return true
 	case <-s.done:
 		return false
 	}
+	s.commit()
+	return true
 }
 
 // serveGet answers a Get on its connection's reader goroutine, false
 // when the connection or the server is going away. The reader first
-// waits until the run loop has disposed of every request this connection
-// sent before the Get, so the Get reads the connection's own earlier
-// writes. Then it reads the Core and writes the reply behind whatever the
-// run loop had queued. A Get is never in the dedup window: a retried one
-// reads again.
+// waits until the Core's writer has disposed of every request this
+// connection sent before the Get, so the Get reads the connection's own
+// earlier writes. Then it reads the Core and writes the reply behind
+// whatever the writer had queued. A Get is never in the dedup window: a
+// retried one reads again.
 func (s *Server) serveGet(c *serverConn, req *Request) bool {
 	if !c.settle(s.done) {
 		return false
@@ -454,25 +554,47 @@ func (s *Server) serveGet(c *serverConn, req *Request) bool {
 	return c.write(body) == nil
 }
 
-// runLoop is the Core's one writer: it drains whatever batches are
-// queued, buffers their writes, and flushes them as one ACS commit. Gets
-// and Stats do not pass through it.
-func (s *Server) runLoop() {
-	defer s.wg.Done()
+// commit makes the calling reader the Core's one writer while batches
+// are queued and no other reader is: it takes commitMu with TryLock and
+// drains the queue. A reader that loses the TryLock goes on decoding, as
+// the holder drains its batch too. A holder checks the queue again after
+// letting go of commitMu, so a batch queued by a reader that lost the
+// TryLock just before is not stranded. Gets and Stats do not pass through
+// commit.
+func (s *Server) commit() {
+	for len(s.reqCh) > 0 && s.commitMu.TryLock() {
+		open := s.drain()
+		s.commitMu.Unlock()
+		if !open {
+			return
+		}
+	}
+}
+
+// drain takes whatever batches are queued, buffers their writes, and
+// flushes them as one ACS commit, until the queue is empty, or until
+// Close has begun, when it returns false: batches queued behind Close
+// never commit.
+func (s *Server) drain() (open bool) {
 	for {
+		select {
+		case <-s.done:
+			return false
+		default:
+		}
 		select {
 		case b := <-s.reqCh:
 			s.admit(b)
-		case <-s.done:
-			return
+		default:
+			return true
 		}
-	drain:
+	fill:
 		for len(s.pending) < s.maxBatch {
 			select {
 			case b := <-s.reqCh:
 				s.admit(b)
 			default:
-				break drain
+				break fill
 			}
 		}
 		s.flush()
@@ -505,11 +627,11 @@ func (s *Server) handle(r serverReq) {
 	switch body, seen := c.resp[seq]; {
 	case seen:
 		if body != nil {
-			c.send(body) // replayed response, not re-executed
+			s.send(c, body) // replayed response, not re-executed
 		}
 		// nil: already buffered, its flush response covers the retry
 	case seq <= c.evicted:
-		c.send(EncodeResponse(&Response{
+		s.send(c, EncodeResponse(&Response{
 			Seq: seq, Status: StatusError, Code: CodeDuplicate,
 			Detail: ErrDuplicate.Error(),
 		}))
@@ -532,27 +654,34 @@ func (s *Server) handle(r serverReq) {
 			resp.Code = CodeTampered
 			resp.Detail = err.Error()
 		}
-		c.send(EncodeResponse(resp)) // a read: not kept for replay
+		s.send(c, EncodeResponse(resp)) // a read: not kept for replay
 	}
 	c.leave()
 }
 
-// flush commits the buffered writes as one batch and answers them.
+// flush commits the buffered writes as one batch and answers them, then
+// pushes every reply queued since the last push: one write attempt per
+// answered connection.
 func (s *Server) flush() {
-	if len(s.pending) == 0 {
-		return
-	}
-	ops, reqs := s.pending, s.pendingReqs
-	s.pending, s.pendingReqs = nil, nil
-	_, err := s.core.Commit(ops)
-	for _, r := range reqs {
-		if err != nil {
-			s.reply(r, errResponseFor(r.req.Seq, err))
-		} else {
-			s.reply(r, &Response{Seq: r.req.Seq, Status: StatusOK})
+	if len(s.pending) > 0 {
+		ops, reqs := s.pending, s.pendingReqs
+		s.pending, s.pendingReqs = nil, nil
+		_, err := s.core.Commit(ops)
+		for _, r := range reqs {
+			if err != nil {
+				s.reply(r, errResponseFor(r.req.Seq, err))
+			} else {
+				s.reply(r, &Response{Seq: r.req.Seq, Status: StatusOK})
+			}
+			r.conn.leave()
 		}
-		r.conn.leave()
 	}
+	for _, c := range s.answered {
+		c.push()
+		c.answered = false
+	}
+	clear(s.answered)
+	s.answered = s.answered[:0]
 }
 
 // reply encodes one response to a write, records it for dedup replay,
@@ -560,7 +689,36 @@ func (s *Server) flush() {
 func (s *Server) reply(r serverReq, resp *Response) {
 	body := EncodeResponse(resp)
 	r.conn.keep(r.req.Seq, body, s.cfg.DedupWindow)
-	r.conn.send(body)
+	s.send(r.conn, body)
+}
+
+// send queues one encoded response on c for the next push, never
+// blocking the Core's writer. A full outbox is first pushed: the socket
+// may take it at once. One still full means the client is not draining
+// its replies: dropping this one would leave a hole in the stream (later
+// replies still arrive, and a pipelining client stalls on the missing
+// seq), so the connection is closed instead — the client sees a clean
+// prefix of replies, then a disconnect. Closing the socket ends the
+// reader in serveConn, which closes quit and frees the session.
+func (s *Server) send(c *serverConn, body []byte) {
+	if !c.answered {
+		c.answered = true
+		s.answered = append(s.answered, c)
+	}
+	c.outMu.Lock()
+	if len(c.out) >= outboxSize {
+		c.outMu.Unlock()
+		c.push()
+		c.outMu.Lock()
+	}
+	full := len(c.out) >= outboxSize
+	if !full {
+		c.out = append(c.out, body)
+	}
+	c.outMu.Unlock()
+	if full {
+		c.conn.Close()
+	}
 }
 
 // errResponseFor maps a core error to its wire code so the typed

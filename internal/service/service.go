@@ -100,13 +100,13 @@ type Stats struct {
 	Truncated int
 }
 
-// Core is the replicated service state. One goroutine writes: Commit,
-// SnapshotNow, Verify, Restore and the other accessors below run on it
-// only (the server's run loop). Get and Stats may run on any number of
-// other goroutines at the same time: they read under mu, which the writer
-// holds exclusively only while it applies a committed flush or counts a
-// snapshot, never while agreement runs, the audit log syncs or a
-// snapshot is encoded.
+// Core is the replicated service state. One goroutine at a time writes:
+// Commit, SnapshotNow, Verify, Restore and the other accessors below run
+// only on it (in a Server, whichever connection reader holds the commit
+// lock). Get and Stats may run on any number of other goroutines at the
+// same time: they read under mu, which the writer holds exclusively only
+// while it applies a committed flush or counts a snapshot, never while
+// agreement runs, the audit log syncs or a snapshot is encoded.
 type Core struct {
 	cfg   Config
 	keys  proto.Keys // drawn at NewCore; every flush runs under them
