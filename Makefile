@@ -117,6 +117,7 @@ alloc-guard:
 	@$(GUARD); \
 	guard ./internal/sim 'TestSimTickAllocCeiling'; \
 	guard ./internal/wire 'TestSizeOfZeroAllocs|TestAppendPayloadZeroAllocs'; \
+	guard ./internal/protocols 'TestSizeOfAllocatesNothing'; \
 	guard ./internal/transport 'TestSendAllocCeiling'; \
 	guard ./internal/proto 'TestMuxSteadyStateAllocs'; \
 	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling'; \
@@ -152,14 +153,15 @@ race-guard:
 # and benchmark/ (which keeps its own copy of the engine's derivation)
 # builds a key ring, a dealer or a Crypto itself. GOMAXPROCS is the one
 # control of every worker pool, the verification cache has no off switch,
-# nodes are crashed from outside, and faults are injected on links by a
-# test's proxy (internal/testenv), never inside a node or a server: also
-# fail if a non-test file names one of the knobs that used to duplicate
-# those (REMOVED_KNOBS). Phase spam and help spam are genomes compiled by
+# nodes are crashed from outside, faults are injected on links by a
+# test's proxy (internal/testenv), never inside a node or a server, and
+# every run meters its wire bytes (protocols.SizeOf): also fail if a
+# non-test file names one of the knobs that used to duplicate those
+# (REMOVED_KNOBS). Phase spam and help spam are genomes compiled by
 # internal/adversary/attacks: fail if a non-test file names one of the
 # hand-written copies they replaced (GENOME_ATTACKS).
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
-REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-
+REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-|MeasureBytes|WithMeasuredBytes|-measure-bytes
 GENOME_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \
@@ -172,7 +174,7 @@ deps-guard:
 	fi; \
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REMOVED_KNOBS)' .); \
 	if [ -n "$$hits" ]; then \
-		echo "$$hits"; echo "deps-guard: FAIL a removed knob is back (GOMAXPROCS sizes every pool; CountOps is the only uncached suite; faults belong to the link)"; exit 1; \
+		echo "$$hits"; echo "deps-guard: FAIL a removed knob is back (GOMAXPROCS sizes every pool; CountOps is the only uncached suite; faults belong to the link; every run meters bytes)"; exit 1; \
 	fi; \
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(GENOME_ATTACKS)' .); \
 	if [ -n "$$hits" ]; then \

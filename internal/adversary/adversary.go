@@ -11,7 +11,6 @@
 //     corrupted identities to random targets at random later ticks; a
 //     generic freshness attack that certificates and phase tags must
 //     withstand.
-//   - Compose: runs several behaviours side by side.
 //
 // Protocol-aware attacks (phase spam, split votes, selective finalize,
 // help spam, late certificate release, flood chains) live in the attacks
@@ -282,61 +281,3 @@ func (r *Replay) Act(now types.Tick, honest []sim.Message) []sim.Message {
 
 // Quiescent implements sim.Adversary.
 func (r *Replay) Quiescent(now types.Tick) bool { return now > r.Horizon }
-
-// Compose runs several behaviours as one adversary; their corruption
-// schedules must be disjoint.
-type Compose struct {
-	parts []sim.Adversary
-}
-
-var _ sim.Adversary = (*Compose)(nil)
-
-// NewCompose combines behaviours.
-func NewCompose(parts ...sim.Adversary) *Compose { return &Compose{parts: parts} }
-
-// Init implements sim.Adversary.
-func (c *Compose) Init(env sim.Env) {
-	for _, p := range c.parts {
-		p.Init(env)
-	}
-}
-
-// Corruptions implements sim.Adversary.
-func (c *Compose) Corruptions() []sim.Corruption {
-	var out []sim.Corruption
-	for _, p := range c.parts {
-		out = append(out, p.Corruptions()...)
-	}
-	return out
-}
-
-// Observe implements sim.Adversary: routed to the part that owns the id.
-func (c *Compose) Observe(now types.Tick, to types.ProcessID, inbox []proto.Incoming) {
-	for _, p := range c.parts {
-		for _, cor := range p.Corruptions() {
-			if cor.ID == to {
-				p.Observe(now, to, inbox)
-				return
-			}
-		}
-	}
-}
-
-// Act implements sim.Adversary.
-func (c *Compose) Act(now types.Tick, honest []sim.Message) []sim.Message {
-	var out []sim.Message
-	for _, p := range c.parts {
-		out = append(out, p.Act(now, honest)...)
-	}
-	return out
-}
-
-// Quiescent implements sim.Adversary.
-func (c *Compose) Quiescent(now types.Tick) bool {
-	for _, p := range c.parts {
-		if !p.Quiescent(now) {
-			return false
-		}
-	}
-	return true
-}

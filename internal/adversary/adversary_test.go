@@ -170,29 +170,3 @@ func TestReplayDeterministicAndBounded(t *testing.T) {
 		t.Error("replay kept the run alive past its horizon")
 	}
 }
-
-func TestComposeRoutesAndMerges(t *testing.T) {
-	crypto, params := env(t, 7)
-	comp := NewCompose(NewCrash(1), NewReplay(3, 20, 4))
-	res, err := sim.Run(sim.Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			return &countMachine{params: params}
-		},
-		Adversary: comp,
-		MaxTicks:  200,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.F() != 2 {
-		t.Fatalf("F = %d", res.F())
-	}
-	if res.Report.Byzantine.Messages == 0 {
-		t.Error("composed replay silent")
-	}
-	if !res.AllDecided() {
-		t.Error("honest machines blocked")
-	}
-}

@@ -93,12 +93,6 @@ type Config struct {
 	// OnSend, if set, observes every charged message of the run (see
 	// sim.Config.OnSend); sim.TraceTo builds the text trace on it.
 	OnSend func(now types.Tick, m sim.Message, honest bool)
-	// MeasureBytes additionally encodes every payload through the wire
-	// registry to count bytes on the wire (slower; off by default). The
-	// word metric weighs every value as one word regardless of size, so
-	// byte metering is what makes payload-size effects (inline values vs
-	// constant-size anchors) visible in Metrics.Honest.Bytes.
-	MeasureBytes bool
 	// Halt, if set, is polled every tick; returning true aborts the run
 	// with sim.ErrHalted (the cancellation hook for context callers).
 	Halt func(types.Tick) bool
@@ -151,7 +145,11 @@ type Report struct {
 	SessionTicks types.Tick
 	Ticks        types.Tick
 	TimedOut     bool
-	Metrics      metrics.Report
+	// Metrics.Honest.Bytes meters every payload's encoded size
+	// (protocols.SizeOf). Words weigh every value as one word, so bytes
+	// are what show payload-size effects (inline values against
+	// constant-size anchors).
+	Metrics metrics.Report
 }
 
 // Fingerprint canonically renders per-session observables — decisions
@@ -224,23 +222,11 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		adv = adversary.NewCrash(adversary.CrashSet(cfg.F, false)...)
 	}
 
-	var sizeOf func(proto.Payload) int
-	if cfg.MeasureBytes {
-		reg := protocols.Registry()
-		sizeOf = func(p proto.Payload) int {
-			n, err := reg.SizeOf(p)
-			if err != nil {
-				return 0
-			}
-			return n
-		}
-	}
-
 	res, err := sim.Run(sim.Config{
 		Params:    params,
 		Crypto:    crypto,
 		Factory:   factory,
-		SizeOf:    sizeOf,
+		SizeOf:    protocols.SizeOf,
 		Adversary: adv,
 		MaxTicks:  sched.budget,
 		OnSend:    cfg.OnSend,

@@ -610,7 +610,7 @@ func expAblateCert() (string, error) {
 	modes := []threshold.Mode{threshold.ModeAggregate, threshold.ModeCompact}
 	specs := make([]Spec, len(modes))
 	for i, mode := range modes {
-		specs[i] = Spec{Protocol: ProtocolWBA, N: 21, F: 2, CertMode: mode, MeasureBytes: true}
+		specs[i] = Spec{Protocol: ProtocolWBA, N: 21, F: 2, CertMode: mode}
 	}
 	outs, err := RunAll(specs)
 	if err != nil {

@@ -112,9 +112,6 @@ type Spec struct {
 	CertMode threshold.Mode
 	// Ed25519 switches from the fast HMAC scheme to real signatures.
 	Ed25519 bool
-	// MeasureBytes additionally encodes every payload through the wire
-	// registry to count bytes on the wire (slower; off by default).
-	MeasureBytes bool
 	// CountOps wraps the signature scheme with operation counters and
 	// reports SignOps/VerifyOps in the outcome. A counting run has no
 	// verification cache (see proto.CountOps), so VerifyOps is the
@@ -147,7 +144,7 @@ type Outcome struct {
 	Words      int64
 	Messages   int64
 	Signatures int64
-	Bytes      int64 // only when Spec.MeasureBytes
+	Bytes      int64
 	SignOps    int64 // only when Spec.CountOps
 	VerifyOps  int64 // only when Spec.CountOps
 	Ticks      types.Tick
@@ -347,24 +344,13 @@ func (r *runner) execute() (*Outcome, error) {
 			}
 		}
 	}
-	var sizeOf func(proto.Payload) int
-	if r.spec.MeasureBytes {
-		reg := protocols.Registry()
-		sizeOf = func(p proto.Payload) int {
-			n, err := reg.SizeOf(p)
-			if err != nil {
-				return 0
-			}
-			return n
-		}
-	}
 	res, err := sim.Run(sim.Config{
 		Params:      r.params,
 		Crypto:      r.crypto,
 		Factory:     factory,
 		Adversary:   r.adversaryFor(maxTicks),
 		MaxTicks:    maxTicks,
-		SizeOf:      sizeOf,
+		SizeOf:      protocols.SizeOf,
 		ShuffleSeed: r.spec.ShuffleSeed,
 		OnSend:      onSend,
 	})

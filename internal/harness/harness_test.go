@@ -94,15 +94,15 @@ func TestFallbackCountReported(t *testing.T) {
 	}
 }
 
-// TestMeasureBytesCoversEveryLayer runs every kind of the protocol table
-// under MeasureBytes: a layer that carried words must have carried bytes,
-// or the registry is missing a codec.
-func TestMeasureBytesCoversEveryLayer(t *testing.T) {
+// TestBytesCoverEveryLayer runs every kind of the protocol table: a
+// layer that carried words must have carried bytes, or the registry is
+// missing a codec.
+func TestBytesCoverEveryLayer(t *testing.T) {
 	for _, p := range protocols.Kinds() {
 		if p == ProtocolFloodSet || p == ProtocolCommittee {
 			continue // simulator-only: no wire codecs
 		}
-		o, err := Run(Spec{Protocol: p, N: 9, F: 1, MeasureBytes: true})
+		o, err := Run(Spec{Protocol: p, N: 9, F: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}

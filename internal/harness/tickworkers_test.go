@@ -63,13 +63,12 @@ func TestTickWorkersDeterminism(t *testing.T) {
 		traceTo := sim.TraceTo(&tr)
 		perTick = make(map[types.Tick]int)
 		spec := Spec{
-			Protocol:     c.protocol,
-			N:            c.n,
-			F:            c.f,
-			Fault:        c.fault,
-			ShuffleSeed:  c.shuffle,
-			Ed25519:      c.ed25519,
-			MeasureBytes: true,
+			Protocol:    c.protocol,
+			N:           c.n,
+			F:           c.f,
+			Fault:       c.fault,
+			ShuffleSeed: c.shuffle,
+			Ed25519:     c.ed25519,
 			OnSend: func(now types.Tick, m sim.Message, honest bool) {
 				traceTo(now, m, honest)
 				perTick[now]++

@@ -41,8 +41,8 @@ type SendEvent struct {
 }
 
 // Recorder accumulates events. It is safe for concurrent use: the
-// scalar operation counters are atomics (they are the hottest path —
-// every certificate combine/verify in a run lands here), while the
+// scalar counters (ticks, verification-cache statistics, transport
+// drops) are atomics that are set without the lock, while the
 // map-touching send path shares one mutex. The simulator's parallel tick
 // engine keeps that mutex contention-free by construction: it records all
 // of a tick's sends post-join on the engine goroutine.

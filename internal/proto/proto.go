@@ -23,6 +23,7 @@ package proto
 
 import (
 	"strings"
+	"unsafe"
 
 	"adaptiveba/internal/types"
 )
@@ -105,6 +106,20 @@ func AppendBroadcast(outs []Outgoing, params types.Params, session string, p Pay
 		outs = append(outs, Outgoing{To: types.ProcessID(i), Session: session, Payload: p})
 	}
 	return outs
+}
+
+// PayloadKey identifies one boxed payload instance: the interface's type
+// and data words, read without dereferencing. The messages AppendBroadcast
+// appends share one key, so a runtime can price or encode a broadcast
+// once. Compare keys only between payloads reachable from the same
+// slice, so that address reuse cannot alias two distinct live payloads.
+// Interface equality (==) would be wrong here: payloads legitimately
+// contain slices (values, signatures), which makes them non-comparable.
+type PayloadKey [2]uintptr
+
+// KeyOf returns p's PayloadKey.
+func KeyOf(p Payload) PayloadKey {
+	return *(*PayloadKey)(unsafe.Pointer(&p))
 }
 
 // AppendUnicast appends a single send.

@@ -19,10 +19,11 @@ import (
 )
 
 // A Get is served on its connection's reader goroutine, concurrently with
-// the run loop's commits. The tests here are that read path's license:
-// recorded concurrent histories checked for stale reads, every way the run
-// loop disposes of a write checked not to wedge the reads behind it, and
-// the Core's fail-stop on a storage error.
+// the commits of the committer, the reader that holds Server.commitMu.
+// The tests here are that read path's license: recorded concurrent
+// histories checked for stale reads, every way the committer disposes of
+// a write checked not to wedge the reads behind it, and the Core's
+// fail-stop on a storage error.
 
 // histOp is one completed operation of a recorded client history.
 type histOp struct {
@@ -558,7 +559,7 @@ func sendFrames(t *testing.T, c *Client, reqs ...*Request) {
 }
 
 // gatedAudit is an audit file whose first write waits until open is
-// closed, with the run loop inside a flush.
+// closed, with the committer inside a flush.
 type gatedAudit struct {
 	auditFile
 	entered, open chan struct{}
@@ -574,8 +575,8 @@ func (g *gatedAudit) Write(p []byte) (int, error) {
 	return g.auditFile.Write(p)
 }
 
-// handedOff counts the requests s's connections have handed the run loop
-// and it has not yet disposed of.
+// handedOff counts the requests s's connections have queued for the
+// committer and it has not yet disposed of.
 func handedOff(s *Server) int {
 	s.connMu.Lock()
 	defer s.connMu.Unlock()
@@ -586,13 +587,13 @@ func handedOff(s *Server) int {
 	return n
 }
 
-// holdRunLoop parks s's run loop inside a flush: over a connection of
+// holdCommitter parks s's committer inside a flush: over a connection of
 // its own it sends a Put whose audit write waits at a gate. The function
 // it returns waits until queued requests besides the held Put have been
-// handed to the run loop, then opens the gate, so the requests sent in
-// between reach the loop together and are buffered for one flush. The
-// held Put is one more committed slot.
-func holdRunLoop(t *testing.T, s *Server) (release func(queued int)) {
+// handed over, then opens the gate, so the requests sent in between
+// reach the committer together and are buffered for one flush. The held
+// Put is one more committed slot.
+func holdCommitter(t *testing.T, s *Server) (release func(queued int)) {
 	t.Helper()
 	gate := &gatedAudit{entered: make(chan struct{}), open: make(chan struct{})}
 	s.core.mu.Lock()
@@ -617,7 +618,7 @@ func holdRunLoop(t *testing.T, s *Server) (release func(queued int)) {
 		defer open()
 		for deadline := time.Now().Add(5 * time.Second); handedOff(s) < 1+queued; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
-				t.Fatalf("%d of %d requests reached the run loop", handedOff(s)-1, queued)
+				t.Fatalf("%d of %d requests reached the committer", handedOff(s)-1, queued)
 			}
 		}
 	}
@@ -693,8 +694,8 @@ func TestDisposedWriteNeverWedgesReads(t *testing.T) {
 	})
 
 	t.Run("refused for exceeding MaxValue", func(t *testing.T) {
-		// DecodeRequest refuses the value on the reader, so the run loop
-		// never sees it and nothing is waited for.
+		// DecodeRequest refuses the value on the reader, so the
+		// committer never sees it and nothing is waited for.
 		s := startServer(t, nil)
 		c := dial(t, s)
 		sendFrames(t, c, put(c, 1, make([]byte, MaxValue+1)), get(c, 2))
@@ -702,11 +703,11 @@ func TestDisposedWriteNeverWedgesReads(t *testing.T) {
 	})
 
 	t.Run("ignored as a queued retransmit", func(t *testing.T) {
-		// The run loop is held in a flush until both copies of the Put
-		// wait in its queue, so the second finds the first buffered.
+		// The committer is held in a flush until both copies of the Put
+		// wait in the queue, so the second finds the first buffered.
 		s := startServer(t, nil)
 		c := dial(t, s)
-		release := holdRunLoop(t, s)
+		release := holdCommitter(t, s)
 		sendFrames(t, c, put(c, 1, val), put(c, 1, val), get(c, 2))
 		release(2)
 		if resp := awaitReply(t, c, 1); resp.Status != StatusOK {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -135,10 +134,10 @@ func (c *serverConn) push() {
 		c.outMu.Lock()
 		k := 0
 		for _, b := range c.out {
-			if len(buf)+frameHeader+len(b) > cap(buf) {
+			if len(buf)+transport.FrameHeader+len(b) > cap(buf) {
 				break
 			}
-			buf = appendFrame(buf, FrameResponse, b)
+			buf = transport.AppendFrame(buf, FrameResponse, b)
 			k++
 		}
 		c.out = slices.Delete(c.out, 0, k)
@@ -190,16 +189,6 @@ type nbWrite struct {
 func (w *nbWrite) do(fd uintptr) bool {
 	w.n, w.err = syscall.Write(int(fd), w.p)
 	return true
-}
-
-// frameHeader is a frame's length prefix and kind byte (transport.WriteFrame).
-const frameHeader = 5
-
-// appendFrame appends the frame transport.WriteFrame writes.
-func appendFrame(buf []byte, kind byte, body []byte) []byte {
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)+1))
-	buf = append(buf, kind)
-	return append(buf, body...)
 }
 
 // write writes every queued reply, then body unless it is nil, and
@@ -488,7 +477,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				req = nil // undecodable, or not the session's assigned ID
 			}
 		}
-		cut := !frameBuffered(br)
+		cut := !transport.FrameBuffered(br)
 		switch {
 		case req == nil:
 		case req.Op == ReqGet:
@@ -507,16 +496,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			batch = nil
 		}
 	}
-}
-
-// frameBuffered reports whether br already holds the whole next frame,
-// looking only at buffered bytes: its length prefix, then that many more.
-func frameBuffered(br *bufio.Reader) bool {
-	if br.Buffered() < 4 {
-		return false
-	}
-	prefix, _ := br.Peek(4)
-	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(prefix))
 }
 
 // handOff queues one batch of c's requests and commits the queue if no

@@ -78,9 +78,6 @@ type Config struct {
 	BlobDir string
 	// AuditPath locates the audit log file (required).
 	AuditPath string
-	// MeasureBytes meters encoded payload bytes through the agreement
-	// rounds (Stats.Bytes); words alone weigh every value as 1.
-	MeasureBytes bool
 }
 
 // Stats accumulates the service's agreement-side cost counters.
@@ -89,8 +86,8 @@ type Stats struct {
 	Rounds int
 	// Committed counts committed commands.
 	Committed int
-	// Words / Messages / Bytes are honest-send totals across all rounds
-	// (Bytes only when MeasureBytes).
+	// Words / Messages / Bytes are honest-send totals across all rounds;
+	// words weigh every value as 1, bytes as its encoding.
 	Words    int64
 	Messages int64
 	Bytes    int64
@@ -326,9 +323,8 @@ func (c *Core) Commit(ops []Op) (int, error) {
 		Inflight: 1,
 		// One key set signs every flush, each in its own domain: its
 		// first slot, which the audit chain holds.
-		Seed:         int64(c.slots),
-		Keys:         c.keys,
-		MeasureBytes: c.cfg.MeasureBytes,
+		Seed: int64(c.slots),
+		Keys: c.keys,
 	}, queues, rounds, c.cfg.Batch)
 	if err != nil {
 		return 0, err

@@ -41,7 +41,7 @@ func testCore(t *testing.T, mut func(*Config)) *Core {
 }
 
 // coreSlots reads a live server's committed slots under Core.mu, which
-// the run loop holds while it applies a flush.
+// the committer holds while it applies a flush.
 func coreSlots(s *Server) int {
 	s.core.mu.RLock()
 	defer s.core.mu.RUnlock()
@@ -577,7 +577,7 @@ func TestDedupWindowRejectsAncientSeq(t *testing.T) {
 // and a retry of it is then refused as a duplicate — not ignored as a
 // retransmit of a write still queued, which would leave the client
 // without a reply. Seqs 2..5 and then 1 are buffered for one flush,
-// behind the Put that holds the run loop.
+// behind the Put that holds the committer.
 func TestDedupWindowPassesQueuedWrite(t *testing.T) {
 	s := startServer(t, func(cfg *ServerConfig) { cfg.DedupWindow = 2 })
 	c, err := Dial(s.Addr(), ClientConfig{})
@@ -588,7 +588,7 @@ func TestDedupWindowPassesQueuedWrite(t *testing.T) {
 	put := func(seq int) *Request {
 		return &Request{Client: c.ID(), Seq: seq, Op: ReqPut, Key: []byte{byte(seq)}, Value: []byte("v")}
 	}
-	release := holdRunLoop(t, s)
+	release := holdCommitter(t, s)
 	sendFrames(t, c, put(2), put(3), put(4), put(5), put(1))
 	release(5)
 	if resp := awaitReply(t, c, 1); resp.Status != StatusOK {
@@ -628,12 +628,12 @@ func TestCloseWithIdleClient(t *testing.T) {
 	}
 }
 
-// TestServerStatsAccumulate reads Stats while the run loop commits: no
-// read sees fewer commands, rounds or words than the one before it, and
-// the last counts every Put.
+// TestServerStatsAccumulate reads Stats while Puts commit: no read sees
+// fewer commands, rounds or words than the one before it, and the last
+// counts every Put and, on a default config, their bytes.
 func TestServerStatsAccumulate(t *testing.T) {
 	const puts = 8
-	s := startServer(t, func(cfg *ServerConfig) { cfg.Core.MeasureBytes = true })
+	s := startServer(t, nil)
 	c, err := Dial(s.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -675,7 +675,7 @@ func TestServerStatsAccumulate(t *testing.T) {
 // prefix followed by a closed connection — never a reply lost out of
 // the stream while the connection stays open, which would leave a
 // pipelining client stalled on a reply that is never coming. Either
-// way the run loop must not have blocked on the slow client: a second
+// way the committer must not have blocked on the slow client: a second
 // client is served afterwards.
 func TestPipelinedRepliesNeverGap(t *testing.T) {
 	const depth = 200
@@ -816,7 +816,7 @@ func TestAuditMemoryBounded(t *testing.T) {
 // counted. The first Write (the welcome frame) goes through; the second
 // waits for release — a stand-in for a socket whose send takes a while,
 // which holds the connection's writer goroutine mid-flush so that what
-// the run loop queues meanwhile is in the outbox, deterministically, when
+// the committer queues meanwhile is in the outbox, deterministically, when
 // the writer comes back for it.
 type gatedConn struct {
 	net.Conn
@@ -939,7 +939,7 @@ func TestBurstRepliesShareWrites(t *testing.T) {
 	gc, cli, br, id := serveGated(t, s)
 	pipelinePuts(t, cli, id, 1, burst)
 	// Once every put is applied, the flush that applied the last ones is
-	// running or done, and it queues their replies before the run loop
+	// running or done, and it queues their replies before the committer
 	// takes another request: a Put from a second connection, once
 	// answered, finds them all queued.
 	for deadline := time.Now().Add(5 * time.Second); coreSlots(s) < burst; {
@@ -991,7 +991,7 @@ func readReplies(t *testing.T, br *bufio.Reader, from, to int) {
 }
 
 // TestBurstIsOneHandOff: what arrives together commits together. With
-// the run loop held in a flush, the batches a connection hands over wait
+// the committer held in a flush, the batches a connection hands over wait
 // in its queue, where the test takes them out to see them and puts them
 // back in order. A 32-put burst read in one fill is one batch, one ACS
 // round and one audit write. Requests pipelined past maxBatch are handed
@@ -999,7 +999,7 @@ func readReplies(t *testing.T, br *bufio.Reader, from, to int) {
 // batch that would take a flush past maxBatch waits for the next flush
 // instead of being split.
 func TestBurstIsOneHandOff(t *testing.T) {
-	// handOffs starts a server with mut and holds its run loop; then one
+	// handOffs starts a server with mut and holds its committer; then one
 	// in-memory connection per entry of bursts pipelines that many puts in
 	// one write. Once every reply is in, it returns the sizes of the
 	// batches handed over, the records of each audit write, the Syncs and
@@ -1011,7 +1011,7 @@ func TestBurstIsOneHandOff(t *testing.T) {
 		s.core.mu.Lock()
 		count.auditFile, s.core.audit.f = s.core.audit.f, count
 		s.core.mu.Unlock()
-		release := holdRunLoop(t, s)
+		release := holdCommitter(t, s)
 		before := s.Stats()
 		var taken []serverBatch
 		var replies []*bufio.Reader

@@ -39,7 +39,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
@@ -103,7 +102,8 @@ type Config struct {
 	Adversary Adversary  // nil for failure-free runs
 	MaxTicks  types.Tick // hard stop; DefaultMaxTicks if 0
 	// SizeOf, if set, reports each payload's encoded byte size for the
-	// recorder's byte counters (the harness wires the wire registry in).
+	// recorder's byte counters (engine and harness runs pass
+	// protocols.SizeOf).
 	// The engine memoizes it per boxed payload instance, so an n-way
 	// broadcast of one payload is measured once, not n times.
 	SizeOf func(proto.Payload) int
@@ -670,18 +670,6 @@ func fanOut(w int, fn func(k int)) {
 	}
 }
 
-// payloadKey identifies one boxed payload instance: the interface's type
-// and data words, read without dereferencing. Keys are only ever compared
-// between payloads simultaneously reachable from the same traffic slice,
-// so address reuse cannot alias two distinct live payloads. Interface
-// equality (==) would be wrong here: payloads legitimately contain slices
-// (values, signatures), which makes them non-comparable.
-type payloadKey [2]uintptr
-
-func keyOf(p proto.Payload) payloadKey {
-	return *(*payloadKey)(unsafe.Pointer(&p))
-}
-
 // record charges msgs to the recorder, then shows each charged message to
 // OnSend. Self-addressed messages are local deliveries, not network
 // traffic, and are skipped by both. Runs of messages with one payload
@@ -707,11 +695,11 @@ func (e *engine) record(msgs []Message, honest bool, now types.Tick) {
 			if e.cfg.SizeOf != nil {
 				size = e.cfg.SizeOf(m.Payload)
 			}
-			k := keyOf(m.Payload)
+			k := proto.KeyOf(m.Payload)
 			for j < len(msgs) {
 				nm := &msgs[j]
 				if nm.From != m.From || nm.From == nm.To || nm.Session != m.Session ||
-					nm.Payload == nil || keyOf(nm.Payload) != k {
+					nm.Payload == nil || proto.KeyOf(nm.Payload) != k {
 					break
 				}
 				j++

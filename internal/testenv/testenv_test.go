@@ -71,6 +71,7 @@ func TestNoLeaks(t *testing.T) {
 	})
 	t.Run("goroutine", func(t *testing.T) {
 		f := &fakeT{TB: t}
+		settle()
 		NoLeaks(f)
 		stop := make(chan struct{})
 		go func() { <-stop }()
@@ -86,6 +87,7 @@ func TestNoLeaks(t *testing.T) {
 			t.Skip("no /proc/self/fd")
 		}
 		f := &fakeT{TB: t}
+		settle()
 		NoLeaks(f)
 		file, err := os.Open(os.Args[0])
 		if err != nil {
@@ -97,6 +99,21 @@ func TestNoLeaks(t *testing.T) {
 			t.Errorf("an open file: errors %v, want one", f.errs)
 		}
 	})
+}
+
+// settle waits until the goroutine count has held still for ten polls a
+// millisecond apart. A leaking case calls it before NoLeaks, so that the
+// snapshot holds no goroutine that is still exiting: the previous
+// subtest's own, or the one the clean case released. One that exited
+// during the check would offset the planted leak and hide it.
+func settle() {
+	for n, still := runtime.NumGoroutine(), 0; still < 10; time.Sleep(time.Millisecond) {
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
 }
 
 // TestProcsRestores checks that nested Procs calls unwind, in the

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -39,17 +40,23 @@ var frameBufPool = sync.Pool{
 	New: func() any { return new([]byte) },
 }
 
-// WriteFrame emits one [len u32][kind][body] frame in a single write
-// from a pooled buffer — the same frame format the mesh speaks.
+// FrameHeader is the size of a frame's header: a big-endian u32 length
+// that counts the kind byte and the body, then the kind byte.
+const FrameHeader = 5
+
+// AppendFrame appends one [len u32][kind][body] frame to buf: the one
+// spelling of the frame format, which the mesh and the service speak.
+func AppendFrame(buf []byte, kind byte, body []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)+1))
+	buf = append(buf, kind)
+	return append(buf, body...)
+}
+
+// WriteFrame emits one frame in a single write from a pooled buffer.
 func WriteFrame(w io.Writer, kind byte, body []byte) error {
 	bp := frameBufPool.Get().(*[]byte)
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+1))
-	hdr[4] = kind
-	buf := append((*bp)[:0], hdr[:]...)
-	buf = append(buf, body...)
-	*bp = buf
-	_, err := w.Write(buf)
+	*bp = AppendFrame((*bp)[:0], kind, body)
+	_, err := w.Write(*bp)
 	frameBufPool.Put(bp)
 	return err
 }
@@ -110,4 +117,14 @@ func (fr *FrameReader) Read(r io.Reader) (byte, []byte, error) {
 	}
 	fr.buf = buf
 	return buf[0], buf[1:], nil
+}
+
+// FrameBuffered reports whether br already holds the whole next frame,
+// looking only at buffered bytes: its length prefix, then that many more.
+func FrameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	prefix, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(prefix))
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"net"
 	"sync"
 	"time"
@@ -58,7 +57,7 @@ func newPeerOutbox(conn net.Conn, limit int, deadline time.Duration) *peerOutbox
 // connection error for a dead peer and ErrBackpressure for a full outbox;
 // in both cases the frame is dropped, never blocked on.
 func (ob *peerOutbox) enqueue(kind byte, body []byte) error {
-	frameLen := 5 + len(body)
+	frameLen := FrameHeader + len(body)
 	ob.mu.Lock()
 	if ob.dead {
 		err := ob.err
@@ -69,11 +68,7 @@ func (ob *peerOutbox) enqueue(kind byte, body []byte) error {
 		ob.mu.Unlock()
 		return ErrBackpressure
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)+1))
-	hdr[4] = kind
-	ob.pending = append(ob.pending, hdr[:]...)
-	ob.pending = append(ob.pending, body...)
+	ob.pending = AppendFrame(ob.pending, kind, body)
 	ob.mu.Unlock()
 	select {
 	case ob.wake <- struct{}{}:

@@ -24,7 +24,6 @@ import (
 	"net"
 	"sync"
 	"time"
-	"unsafe"
 
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
@@ -116,7 +115,7 @@ type Node struct {
 type sendScratch struct {
 	payloadW *wire.Writer // registry (type, body) frame of the payload
 	frameW   *wire.Writer // message body: session + framed payload
-	key      payloadKey
+	key      proto.PayloadKey
 	session  string
 	valid    bool
 	failed   bool // the memoized payload failed to encode
@@ -479,19 +478,6 @@ func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 	}
 }
 
-// payloadKey identifies one boxed payload instance: the interface's type
-// and data words, read without dereferencing (the same trick as the sim
-// engine's cost memo). Keys are only compared between payloads reachable
-// from the same outs slice, so address reuse cannot alias two distinct
-// live payloads. Interface equality (==) would be wrong here: payloads
-// legitimately contain slices (values, signatures), which makes them
-// non-comparable.
-type payloadKey [2]uintptr
-
-func keyOf(p proto.Payload) payloadKey {
-	return *(*payloadKey)(unsafe.Pointer(&p))
-}
-
 // send is the encode-once data plane: each distinct (session, payload)
 // is framed exactly once into the node's scratch writers and the
 // resulting bytes are enqueued on every recipient's outbox. A broadcast —
@@ -510,7 +496,7 @@ func (n *Node) send(outs []proto.Outgoing) {
 		if ob == nil {
 			continue // crashed peer: skipped before any encoding work
 		}
-		if k := keyOf(o.Payload); !s.valid || k != s.key || o.Session != s.session {
+		if k := proto.KeyOf(o.Payload); !s.valid || k != s.key || o.Session != s.session {
 			s.key, s.session, s.valid = k, o.Session, true
 			s.failed = false
 			s.payloadW.Reset()
@@ -538,7 +524,7 @@ func (n *Node) send(outs []proto.Outgoing) {
 		if n.cfg.Recorder != nil && o.To != n.cfg.ID {
 			n.cfg.Recorder.RecordSend(metrics.SendEvent{
 				Words:  s.words,
-				Bytes:  len(body) + 5, // frame header counted once
+				Bytes:  len(body) + FrameHeader,
 				Layer:  o.Session,
 				Honest: true,
 			})

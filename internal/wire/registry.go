@@ -95,9 +95,7 @@ func (r *Registry) EncodePayload(p proto.Payload) ([]byte, error) {
 // On error the writer may hold a partial frame; callers must Reset before
 // reuse.
 func (r *Registry) AppendPayload(w *Writer, p proto.Payload) error {
-	r.mu.RLock()
-	c, ok := r.codecs[p.Type()]
-	r.mu.RUnlock()
+	c, ok := r.lookup(p.Type())
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownType, p.Type())
 	}
@@ -119,22 +117,48 @@ var countingPool = sync.Pool{
 // runs against a pooled counting writer, so the hot byte-metering path
 // (the simulator charges every send) performs zero allocations.
 func (r *Registry) SizeOf(p proto.Payload) (int, error) {
-	r.mu.RLock()
-	c, ok := r.codecs[p.Type()]
-	r.mu.RUnlock()
+	c, ok := r.lookup(p.Type())
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownType, p.Type())
 	}
+	n, err := sizeOf(c, p)
+	if err != nil {
+		return 0, fmt.Errorf("wire: size %q: %w", p.Type(), err)
+	}
+	return n, nil
+}
+
+// Size is SizeOf for a byte meter: a payload without a codec, or one its
+// codec refuses, weighs 0. Size builds no error, so a payload without a
+// codec costs no allocation either.
+func (r *Registry) Size(p proto.Payload) int {
+	c, ok := r.lookup(p.Type())
+	if !ok {
+		return 0
+	}
+	n, err := sizeOf(c, p)
+	if err != nil {
+		return 0
+	}
+	return n
+}
+
+func (r *Registry) lookup(typ string) (Codec, bool) {
+	r.mu.RLock()
+	c, ok := r.codecs[typ]
+	r.mu.RUnlock()
+	return c, ok
+}
+
+// sizeOf runs c against a pooled counting writer.
+func sizeOf(c Codec, p proto.Payload) (int, error) {
 	cw := countingPool.Get().(*CountingWriter)
 	cw.Reset()
 	cw.PutString(p.Type())
 	err := c.Encode(&cw.Writer, p)
 	n := cw.Size()
 	countingPool.Put(cw)
-	if err != nil {
-		return 0, fmt.Errorf("wire: size %q: %w", p.Type(), err)
-	}
-	return n, nil
+	return n, err
 }
 
 // DecodePayload parses a frame produced by EncodePayload.
@@ -144,9 +168,7 @@ func (r *Registry) DecodePayload(b []byte) (proto.Payload, error) {
 	if err := rd.Err(); err != nil {
 		return nil, err
 	}
-	r.mu.RLock()
-	c, ok := r.codecs[typ]
-	r.mu.RUnlock()
+	c, ok := r.lookup(typ)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownType, typ)
 	}

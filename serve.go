@@ -122,21 +122,15 @@ func WithCommitBatch(b int) ServeOption {
 	return func(c *serveConfig) { c.core.Batch = b }
 }
 
-// WithMeasuredBytes meters encoded payload bytes through the agreement
-// rounds (ServiceStats.Bytes); the words metric alone weighs every
-// value as one word regardless of size.
-func WithMeasuredBytes() ServeOption {
-	return func(c *serveConfig) { c.core.MeasureBytes = true }
-}
-
 // ServiceStats reports the service's accumulated agreement-side costs.
 type ServiceStats struct {
 	// Rounds is the number of committed agreement rounds; Committed the
 	// number of committed commands.
 	Rounds    int
 	Committed int
-	// Words / Messages / Bytes are honest-send totals across all rounds
-	// (Bytes only with WithMeasuredBytes).
+	// Words / Messages / Bytes are honest-send totals across all rounds.
+	// Words weigh every value as one word regardless of size; Bytes
+	// meter each payload's encoding.
 	Words    int64
 	Messages int64
 	Bytes    int64
