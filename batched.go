@@ -96,12 +96,13 @@ func ReplicateBatchContext(ctx context.Context, n int, queues [][][]byte, rounds
 		return nil, mapCanceled(ctx, err)
 	}
 
+	stateHash, _ := rep.Replay()
 	out := &BatchResult{
 		Entries:   logEntries(rep.Entries),
 		Agreement: rep.Converged,
 		Committed: rep.Committed,
 		SubsetMin: rep.SubsetMin,
-		StateHash: rep.StateHash,
+		StateHash: stateHash,
 		Words:     rep.Engine.Metrics.Honest.Words,
 		Messages:  rep.Engine.Metrics.Honest.Messages,
 	}

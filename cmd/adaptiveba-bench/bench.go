@@ -236,7 +236,7 @@ func measureLog(cfg engine.Config, rounds, batch int) (row, string, error) {
 	r.SessionTicks = int64(lr.Engine.SessionTicks)
 	r.Stride = int64(lr.Engine.Stride)
 	r.Commits = lr.Committed
-	r.StateHash = lr.StateHash
+	r.StateHash, _ = lr.Replay()
 	return r, lr.Engine.Fingerprint(), nil
 }
 

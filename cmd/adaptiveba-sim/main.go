@@ -68,7 +68,12 @@ func run(args []string, out io.Writer) error {
 		}
 		cfg := engine.Config{N: *n, F: *f, Inflight: *inflight, Seed: *seed}
 		if *ed25519 {
-			cfg.Keys = proto.Ed25519()
+			// Bad parameters build no suite; engine.Run reports them.
+			if params, err := types.ParamsFor(*n, 0); err == nil {
+				if cfg.Crypto, err = proto.Setup(params, proto.Ed25519(), threshold.ModeCompact); err != nil {
+					return err
+				}
+			}
 		}
 		return runACS(out, cfg, rounds, *batch)
 	}
@@ -221,9 +226,10 @@ func runACS(out io.Writer, cfg engine.Config, rounds, batch int) error {
 		fmt.Fprintf(out, "   (%.1f per committed command)", float64(words)/float64(rep.Committed))
 	}
 	fmt.Fprintln(out)
-	fmt.Fprintf(out, "state hash  %s\n", rep.StateHash)
-	if len(rep.RejectedCommands) > 0 {
-		fmt.Fprintf(out, "rejected    %d commands\n", len(rep.RejectedCommands))
+	hash, rejected := rep.Replay()
+	fmt.Fprintf(out, "state hash  %s\n", hash)
+	if len(rejected) > 0 {
+		fmt.Fprintf(out, "rejected    %d commands\n", len(rejected))
 	}
 	if !rep.Converged {
 		return fmt.Errorf("acs log violated agreement or termination")

@@ -193,9 +193,10 @@ func EncodeBatch(cmds []types.Value) types.Value {
 
 // DecodeBatch parses an EncodeBatch frame. Hostile frames (a Byzantine
 // proposer controls these bytes end to end) fail cleanly without large
-// allocations.
+// allocations. The commands are capped views into v, which stays
+// immutable: a command kept past v's use must be cloned.
 func DecodeBatch(v types.Value) (*Batch, error) {
-	p, err := selfReg.DecodePayload(v)
+	p, err := selfReg.DecodeView(v)
 	if err != nil {
 		return nil, fmt.Errorf("acs: decode batch: %w", err)
 	}
@@ -216,9 +217,10 @@ func EncodeResult(res *Result) types.Value {
 	return types.Value(buf)
 }
 
-// DecodeResult parses an EncodeResult frame.
+// DecodeResult parses an EncodeResult frame. Like DecodeBatch's
+// commands, the batches are capped views into v.
 func DecodeResult(v types.Value) (*Result, error) {
-	p, err := selfReg.DecodePayload(v)
+	p, err := selfReg.DecodeView(v)
 	if err != nil {
 		return nil, fmt.Errorf("acs: decode result: %w", err)
 	}

@@ -136,3 +136,50 @@ func FuzzDecodeResult(f *testing.F) {
 		r.Requests() // must not panic on arbitrary inner batches
 	})
 }
+
+// TestDecodedBatchesStayInsideTheirValue: DecodeBatch and DecodeResult
+// read in place, and every command or batch they return ends its
+// capacity where it ends, so appending to one reallocates and the
+// decided value never changes.
+func TestDecodedBatchesStayInsideTheirValue(t *testing.T) {
+	batch := EncodeBatch([]types.Value{types.Value("SET a 1"), types.Value("DEL b")})
+	committed := types.NewBitSet(4)
+	committed.Add(0)
+	committed.Add(2)
+	result := EncodeResult(&Result{Committed: committed, Batches: []types.Value{batch, EncodeBatch(nil)}})
+	for _, tc := range []struct {
+		name  string
+		v     types.Value
+		views func(types.Value) ([]types.Value, error)
+	}{
+		{"batch command", batch, func(v types.Value) ([]types.Value, error) {
+			b, err := DecodeBatch(v)
+			if err != nil {
+				return nil, err
+			}
+			return b.Cmds, nil
+		}},
+		{"result batch", result, func(v types.Value) ([]types.Value, error) {
+			r, err := DecodeResult(v)
+			if err != nil {
+				return nil, err
+			}
+			return r.Batches, nil
+		}},
+	} {
+		want := tc.v.Clone()
+		views, err := tc.views(tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range views {
+			if cap(c) != len(c) {
+				t.Errorf("%s: len %d, cap %d; want cap == len", tc.name, len(c), cap(c))
+			}
+			_ = append(c, "overwritten"...)
+		}
+		if !tc.v.Equal(want) {
+			t.Errorf("appending to a decoded %s changed the value: %x, want %x", tc.name, []byte(tc.v), []byte(want))
+		}
+	}
+}

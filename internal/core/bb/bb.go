@@ -433,7 +433,7 @@ func (m *Machine) finish() {
 		// Guard against a Byzantine-crafted envelope that weak BA could
 		// only decide if it was valid; double-check the signature anyway.
 		if m.validator.Validate(baDecision) {
-			m.decision = sv.V // DecodeValue's own copy
+			m.decision = sv.V // a capped view into the decided envelope
 			return
 		}
 	}

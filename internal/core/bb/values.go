@@ -85,12 +85,13 @@ func EncodeIDKCert(c IDKCert) types.Value {
 }
 
 // DecodeValue parses a BB envelope. Exactly one of the returns is non-nil
-// on success.
+// on success. Its value, signature and certificate bytes are capped views
+// into v (wire.NewViewReader), which is immutable like every value.
 func DecodeValue(v types.Value) (*SenderValue, *IDKCert, error) {
 	if v.IsBottom() {
 		return nil, nil, fmt.Errorf("%w: bottom", ErrBadBBValue)
 	}
-	r := wire.NewReader(v)
+	r := wire.NewViewReader(v)
 	switch kind := r.Byte(); kind {
 	case kindSenderValue:
 		sv := &SenderValue{V: r.Value(), Sig: r.Sig()}

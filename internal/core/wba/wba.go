@@ -331,7 +331,9 @@ func (m *Machine) setDecision(v types.Value, proof *threshold.Cert, phase int) {
 		return
 	}
 	m.decided = true
-	m.decision = v.Clone()
+	// v is a payload's or an input's bytes, never written again; the
+	// capped view keeps an append to the decision from reaching them.
+	m.decision = v[:len(v):len(v)]
 	m.decideProof = proof
 	m.decidePhase = phase
 	m.decidedAtTick = m.nowTick

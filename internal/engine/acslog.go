@@ -43,8 +43,9 @@ type ACSLogReport struct {
 
 // RunACSLog drives a batched replicated log of `rounds` ACS rounds:
 // in round r every process proposes its next `batch` commands from
-// queues[proposer], the round commits a ≥ n−t subset of the n proposals,
-// and committed commands replay through the kv state machine.
+// queues[proposer], and the round commits a ≥ n−t subset of the n
+// proposals (Replay runs the committed commands through the kv state
+// machine).
 func RunACSLog(cfg Config, queues [][]types.Value, rounds, batch int) (*ACSLogReport, error) {
 	if rounds < 1 {
 		return nil, fmt.Errorf("%w: need at least one round, got %d", ErrConfig, rounds)
@@ -57,10 +58,13 @@ func RunACSLog(cfg Config, queues [][]types.Value, rounds, batch int) (*ACSLogRe
 	}
 	reqs := make([]Request, rounds)
 	pos := make([]int, cfg.N)
+	proposed := 0
+	// cmds is every batch's scratch: EncodeBatch copies what it frames.
+	cmds := make([]types.Value, 0, batch)
 	for r := range reqs {
 		inputs := make([]types.Value, cfg.N)
 		for p := 0; p < cfg.N; p++ {
-			var cmds []types.Value
+			cmds = cmds[:0]
 			if p < len(queues) {
 				q := queues[p]
 				for len(cmds) < batch && pos[p] < len(q) {
@@ -68,6 +72,7 @@ func RunACSLog(cfg Config, queues [][]types.Value, rounds, batch int) (*ACSLogRe
 					pos[p]++
 				}
 			}
+			proposed += len(cmds)
 			// An empty batch still encodes non-⊥, so a drained proposer
 			// keeps winning its vote instead of reading as faulty.
 			inputs[p] = acs.EncodeBatch(cmds)
@@ -76,6 +81,8 @@ func RunACSLog(cfg Config, queues [][]types.Value, rounds, batch int) (*ACSLogRe
 	}
 
 	out := &ACSLogReport{Rounds: make([]ACSRound, rounds), SubsetMin: cfg.N + 1}
+	// Sized for every proposed command to commit, as all do without faults.
+	out.Entries = make([]kv.Entry, 0, proposed)
 	err := out.drive(cfg, reqs, func(r int, sess *SessionResult) error {
 		round := &out.Rounds[r]
 		round.Round = r

@@ -7,6 +7,7 @@ import (
 
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
@@ -30,7 +31,7 @@ func acsQueues(n, perProc int) [][]types.Value {
 func TestRunACSLogConvergence(t *testing.T) {
 	const n, rounds, batch = 5, 3, 2
 	var serial *ACSLogReport
-	var serialFP string
+	var serialFP, serialHash string
 	for _, run := range []struct {
 		window, workers int
 	}{{1, 1}, {2, 1}, {2, 8}} {
@@ -49,16 +50,17 @@ func TestRunACSLogConvergence(t *testing.T) {
 		if rep.SubsetMin != n {
 			t.Errorf("W=%d workers=%d: min subset %d, want %d (failure-free)", run.window, run.workers, rep.SubsetMin, n)
 		}
-		if len(rep.RejectedCommands) != 0 {
-			t.Errorf("W=%d workers=%d: kv rejected %v", run.window, run.workers, rep.RejectedCommands)
+		hash, rejected := rep.Replay()
+		if len(rejected) != 0 {
+			t.Errorf("W=%d workers=%d: kv rejected %v", run.window, run.workers, rejected)
 		}
 		fp := rep.Engine.Fingerprint()
 		if serial == nil {
-			serial, serialFP = rep, fp
+			serial, serialFP, serialHash = rep, fp, hash
 			continue
 		}
-		if rep.StateHash != serial.StateHash {
-			t.Errorf("W=%d workers=%d: state hash %s != serial %s", run.window, run.workers, rep.StateHash, serial.StateHash)
+		if hash != serialHash {
+			t.Errorf("W=%d workers=%d: state hash %s != serial %s", run.window, run.workers, hash, serialHash)
 		}
 		if fp != serialFP {
 			t.Errorf("W=%d workers=%d: fingerprint differs from serial run", run.window, run.workers)
@@ -78,17 +80,30 @@ func TestRunACSLogConvergence(t *testing.T) {
 // only in Seed sign in different domains, so one run's signatures and
 // certificates do not verify in the other: their first BB sender step
 // differs on the wire. The tag enters only signature bytes, so the runs
-// decide, cost and commit the same. A service Core runs every flush under
-// its one key set, with the flush's first slot as the seed.
+// decide, cost and commit the same. That holds whether each run builds
+// its own suite from the keys or both share one built suite, as a
+// service Core's flushes do (each with its first slot as the seed), and
+// sharing the suite changes no byte a run sends.
 func TestSeedIsTheSigningDomain(t *testing.T) {
 	const n = 4
+	params, err := types.NewParams(n)
+	if err != nil {
+		t.Fatal(err)
+	}
 	keys := proto.Derived("domain-ring", "domain-dealer")
+	suite := func() *proto.Crypto {
+		c, err := proto.Setup(params, keys, threshold.ModeCompact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	reg := protocols.Registry()
-	run := func(seed int64) ([]byte, *ACSLogReport) {
+	run := func(seed int64, crypto *proto.Crypto) ([]byte, *ACSLogReport) {
 		var sender []byte
 		var encErr error
 		rep, err := RunACSLog(Config{
-			N: n, Inflight: 1, Seed: seed, Keys: keys,
+			N: n, Inflight: 1, Seed: seed, Crypto: crypto,
 			OnSend: func(_ types.Tick, m sim.Message, _ bool) {
 				if sender == nil && m.Payload.Type() == "bb/sender" {
 					sender, encErr = reg.EncodePayload(m.Payload)
@@ -103,13 +118,27 @@ func TestSeedIsTheSigningDomain(t *testing.T) {
 		}
 		return sender, rep
 	}
-	a, ra := run(1)
-	b, rb := run(2)
-	if bytes.Equal(a, b) {
-		t.Errorf("seeds 1 and 2 sign the BB sender step identically (%x): one run's signatures verify in the other", a)
-	}
-	if ra.Engine.Fingerprint() != rb.Engine.Fingerprint() || ra.StateHash != rb.StateHash {
-		t.Errorf("the seed moved more than signatures:\n%s\n%s", ra.Engine.Fingerprint(), rb.Engine.Fingerprint())
+	shared := suite()
+	for _, tc := range []struct {
+		name   string
+		crypto func() *proto.Crypto
+	}{
+		{"a suite per run", suite},
+		{"one shared suite", func() *proto.Crypto { return shared }},
+	} {
+		a, ra := run(1, tc.crypto())
+		b, rb := run(2, tc.crypto())
+		if bytes.Equal(a, b) {
+			t.Errorf("%s: seeds 1 and 2 sign the BB sender step identically (%x): one run's signatures verify in the other", tc.name, a)
+		}
+		ha, _ := ra.Replay()
+		hb, _ := rb.Replay()
+		if ra.Engine.Fingerprint() != rb.Engine.Fingerprint() || ha != hb {
+			t.Errorf("%s: the seed moved more than signatures:\n%s\n%s", tc.name, ra.Engine.Fingerprint(), rb.Engine.Fingerprint())
+		}
+		if own, _ := run(1, suite()); !bytes.Equal(a, own) {
+			t.Errorf("%s: seed 1 sends %x, a fresh suite of the same keys %x", tc.name, a, own)
+		}
 	}
 }
 

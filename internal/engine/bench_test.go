@@ -36,20 +36,20 @@ var commitShapes = []struct {
 		queues: func() [][]types.Value {
 			return [][]types.Value{{types.Value("SET a2V5LTAwMDE i:dmFsdWU")}, nil, nil, nil}
 		},
-		committed: 1, allocCeiling: 1520, byteCeiling: 121e3,
-		raceAllocCeiling: 1710, raceByteCeiling: 141e3,
+		committed: 1, allocCeiling: 1390, byteCeiling: 113e3,
+		raceAllocCeiling: 1620, raceByteCeiling: 136e3,
 	},
 	{
 		name: "n4b32", cfg: Config{N: 4, T: 1, Inflight: 1}, rounds: 1, batch: 8,
 		queues:    func() [][]types.Value { return burstQueues(4, 8) },
-		committed: 32, allocCeiling: 1700, byteCeiling: 331e3,
-		raceAllocCeiling: 1900, raceByteCeiling: 351e3,
+		committed: 32, allocCeiling: 1430, byteCeiling: 233e3,
+		raceAllocCeiling: 1640, raceByteCeiling: 253e3,
 	},
 	{
 		name: "n9f1", cfg: Config{N: 9, F: 1}, rounds: 4, batch: 16,
 		queues:    func() [][]types.Value { return acsQueues(9, 4*16) },
-		committed: 8 * 4 * 16, allocCeiling: 72500, byteCeiling: 7.0e6,
-		raceAllocCeiling: 81500, raceByteCeiling: 10.4e6,
+		committed: 8 * 4 * 16, allocCeiling: 68800, byteCeiling: 6.3e6,
+		raceAllocCeiling: 79800, raceByteCeiling: 9.9e6,
 	},
 }
 
@@ -112,11 +112,14 @@ func BenchmarkRunACSLogCommit(b *testing.B) {
 // with one entry per phase that ran: 1 515 / 116 kB, 1 680 / 411 kB and
 // 67 650 / 7.2 MB; with sign bases over a value's digest and exact-size
 // value frames: 1 378 / 110 kB, 1 539 / 301 kB and 65 600–65 900 /
-// 6.2–6.4 MB — bytes as `go test -bench` prints them, 1 kB = 1 000 B).
-// Under the race detector sync.Pool drops a quarter of its Puts, so pooled
-// wire writers, MAC states and routing arenas are re-made at random
-// (measured there: 1 519–1 551 / 125–128 kB, 1 665–1 728 / 316–320 kB and
-// 73 950–74 050 / 9.1–9.5 MB); the guard still runs, with about 10 %
+// 6.2–6.4 MB; with BB envelopes, weak BA decisions and ACS batches read
+// in place, no whole-run output and a presized log, at GOMAXPROCS 2:
+// 1 265 / 103 kB, 1 301 / 211 kB and 62 540–62 560 / 5.7 MB — bytes as
+// `go test -bench` prints them, 1 kB = 1 000 B). Under the race detector
+// sync.Pool drops a quarter of its Puts, so pooled wire writers, MAC
+// states and routing arenas are re-made at random (measured there over
+// five runs: 1 444–1 472 / 121–123 kB, 1 462–1 493 / 228–230 kB and
+// 72 150–72 560 / 8.8–9.0 MB); the guard still runs, with about 10 %
 // headroom over the highest of those.
 // It reads MemStats itself because testing.AllocsPerRun pins GOMAXPROCS to
 // 1, which would turn the default worker count into the serial engine.

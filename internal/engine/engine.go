@@ -84,12 +84,14 @@ type Config struct {
 	Inflight int
 	// Seed is every session's protocol seed (committee samples its
 	// committee from it), the run's signing domain (its root tag) and,
-	// when Keys is unset, the label the key ring is derived from.
+	// when Crypto is nil, the label the key ring is derived from.
 	Seed int64
-	// Keys is the run's key source (proto.Setup). The zero value derives
+	// Crypto is the run's trusted setup, built by proto.Setup with
+	// threshold.ModeCompact at the run's Params. Nil derives one per run,
 	// the ring from "engine-<Seed>" and the dealer from "engine-dealer",
-	// so a run's every byte follows from its Seed.
-	Keys proto.Keys
+	// so a run's every byte follows from its Seed. One suite may serve
+	// any number of runs: each still signs in its own Seed's domain.
+	Crypto *proto.Crypto
 	// OnSend, if set, observes every charged message of the run (see
 	// sim.Config.OnSend); sim.TraceTo builds the text trace on it.
 	OnSend func(now types.Tick, m sim.Message, honest bool)
@@ -190,13 +192,14 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		return nil, fmt.Errorf("%w: f=%d with t=%d", ErrConfig, cfg.F, params.T)
 	}
 
-	keys := cfg.Keys
-	if keys == (proto.Keys{}) {
-		keys = proto.Derived(fmt.Sprintf("engine-%d", cfg.Seed), "engine-dealer")
-	}
-	crypto, err := proto.Setup(params, keys, threshold.ModeCompact)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+	crypto := cfg.Crypto
+	if crypto == nil {
+		keys := proto.Derived(fmt.Sprintf("engine-%d", cfg.Seed), "engine-dealer")
+		if crypto, err = proto.Setup(params, keys, threshold.ModeCompact); err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+	} else if crypto.Params != params {
+		return nil, fmt.Errorf("%w: suite built for n=%d t=%d, run has n=%d t=%d", ErrConfig, crypto.Params.N, crypto.Params.T, params.N, params.T)
 	}
 
 	window := cfg.Inflight
@@ -212,7 +215,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	procs := make([]*procMachine, cfg.N)
 	factory := func(id types.ProcessID) proto.Machine {
 		procs[id] = sched.root(id)
-		return procs[id]
+		return runRoot{procs[id]}
 	}
 
 	var adv sim.Adversary
@@ -455,8 +458,9 @@ func (p *procMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.
 }
 
 // Output canonically encodes every session's (decided, value) pair, so
-// sim-level agreement checks cover the whole engine run at once. The
-// encoding is sized first and written into one exact-size buffer.
+// a runtime that sees only the root (a transport node) can compare whole
+// runs at once. The encoding is sized first and written into one
+// exact-size buffer.
 func (p *procMachine) Output() (types.Value, bool) {
 	if !p.Done() {
 		return nil, false
@@ -487,3 +491,11 @@ func (p *procMachine) Output() (types.Value, bool) {
 func (p *procMachine) Done() bool {
 	return p.next == len(p.sched.starts) && p.mux.Done()
 }
+
+// runRoot is a root machine as Run hands it to the simulator. Run reads
+// every session's output from the children, so the whole-run encoding
+// sim.Run asks of each root at the end would be built for nobody: a
+// runRoot reports none.
+type runRoot struct{ *procMachine }
+
+func (runRoot) Output() (types.Value, bool) { return nil, false }

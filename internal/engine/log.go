@@ -27,17 +27,22 @@ type LogReport struct {
 	// Converged reports that every slot reached agreement with every
 	// honest process decided.
 	Converged bool
-	// StateHash is the canonical digest of the kv state machine after
-	// replaying the log — the cheap cross-run convergence check.
-	StateHash string
-	// RejectedCommands lists commands the kv state machine refused
-	// (deterministically, identically on every replica).
-	RejectedCommands []error
+}
+
+// Replay replays the committed log through the kv state machine. It
+// returns the state's canonical digest, the cheap cross-run convergence
+// check, and the commands the state machine refused (deterministically,
+// identically on every replica). A run does not replay its own log, so a
+// caller that applies the entries itself (the service's Core) never pays
+// for a second store.
+func (r *LogReport) Replay() (stateHash string, rejected []error) {
+	store, rejected := kv.Replay(r.Entries)
+	return store.Hash(), rejected
 }
 
 // RunLog drives a pipelined replicated log: slots BB sessions with
 // rotating proposers drawing commands from queues[proposer], committed
-// in slot order and replayed through the kv state machine.
+// in slot order (Replay runs them through the kv state machine).
 func RunLog(cfg Config, queues [][]types.Value, slots int) (*LogReport, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("%w: need at least one slot, got %d", ErrConfig, slots)
@@ -80,11 +85,10 @@ func logRequests(n int, queues [][]types.Value, slots int) []Request {
 	return reqs
 }
 
-// drive is the driver both logs share: it runs reqs on the engine, hands
-// every session to commit in slot order to append its entries, and
-// replays the entries through the kv state machine. A run that used up
-// its tick budget before the log converged is an error; one whose
-// adversary merely kept talking past a converged log is not.
+// drive is the driver both logs share: it runs reqs on the engine and
+// hands every session to commit in slot order to append its entries. A
+// run that used up its tick budget before the log converged is an error;
+// one whose adversary merely kept talking past a converged log is not.
 func (out *LogReport) drive(cfg Config, reqs []Request, commit func(k int, s *SessionResult) error) error {
 	rep, err := Run(cfg, reqs)
 	if err != nil {
@@ -103,7 +107,5 @@ func (out *LogReport) drive(cfg Config, reqs []Request, commit func(k int, s *Se
 	if rep.TimedOut && !out.Converged {
 		return fmt.Errorf("engine: log of %d slots did not converge within its %d-tick budget", len(reqs), rep.Ticks)
 	}
-	store, rejected := kv.Replay(out.Entries)
-	out.StateHash, out.RejectedCommands = store.Hash(), rejected
 	return nil
 }

@@ -44,8 +44,8 @@ func TestRunLogEmptyQueueCommitsBottom(t *testing.T) {
 			t.Errorf("slot %d (proposer %v, queue drained %t) committed %v", s, e.Proposer, drained, e.Command)
 		}
 	}
-	if len(rep.RejectedCommands) != 0 {
-		t.Errorf("kv rejected %v", rep.RejectedCommands)
+	if _, rejected := rep.Replay(); len(rejected) != 0 {
+		t.Errorf("kv rejected %v", rejected)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/types"
@@ -53,7 +54,12 @@ func RunEngine(spec Spec, sessions, inflight int) (*engine.Report, error) {
 		OnSend:    spec.OnSend,
 	}
 	if spec.Ed25519 {
-		cfg.Keys = proto.Ed25519()
+		// Bad parameters build no suite; engine.Run reports them.
+		if params, err := types.ParamsFor(spec.N, spec.T); err == nil {
+			if cfg.Crypto, err = proto.Setup(params, proto.Ed25519(), threshold.ModeCompact); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return engine.Run(cfg, reqs)
 }

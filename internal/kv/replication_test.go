@@ -34,8 +34,9 @@ func TestEndToEndReplication(t *testing.T) {
 	if !rep.Converged {
 		t.Fatal("log did not converge")
 	}
-	if len(rep.RejectedCommands) != 0 {
-		t.Errorf("kv rejected %v", rep.RejectedCommands)
+	stateHash, rejected := rep.Replay()
+	if len(rejected) != 0 {
+		t.Errorf("kv rejected %v", rejected)
 	}
 	want, _ := kv.Replay(rep.Entries)
 	// p4 crashed: its keys never appear; the others' do and were CASed.
@@ -47,15 +48,15 @@ func TestEndToEndReplication(t *testing.T) {
 			t.Errorf("key%d = %q, want updated", id, v)
 		}
 	}
-	if want.Hash() != rep.StateHash {
-		t.Errorf("StateHash %s, replayed entries hash to %s", rep.StateHash, want.Hash())
+	if want.Hash() != stateHash {
+		t.Errorf("state hash %s, replayed entries hash to %s", stateHash, want.Hash())
 	}
 	for id := types.ProcessID(0); id < 4; id++ {
 		entries := make([]kv.Entry, slots)
 		for k, s := range rep.Engine.Sessions {
 			entries[k] = kv.Entry{Slot: k, Command: s.Decisions[id]}
 		}
-		if store, _ := kv.Replay(entries); store.Hash() != rep.StateHash {
+		if store, _ := kv.Replay(entries); store.Hash() != stateHash {
 			t.Errorf("replica %v's state diverged", id)
 		}
 	}

@@ -5,10 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"adaptiveba/internal/testenv"
 )
 
 // The data path's byte formats — audit records, committed commands, Get
@@ -396,5 +399,53 @@ func TestAnchoredGetReplyOneCopy(t *testing.T) {
 	t.Logf("anchored 8 KiB Get reply: %.1f allocs, %d B per Get (ceilings %d, %d)", allocs, perGet, allocCeiling, byteCeiling)
 	if allocs > allocCeiling || perGet > byteCeiling {
 		t.Errorf("anchored Get: %.1f allocs, %d B; want ≤ %d, ≤ %d B (one copy of the value)", allocs, perGet, allocCeiling, byteCeiling)
+	}
+}
+
+// TestCoreCommitAllocCeiling guards the flush behind a burst of 32 writes:
+// one Core.Commit of 32 inline Puts of 64-byte values at n = 4, which is
+// one ACS round of four full batches of 8, with its audit append and
+// kv apply. It is the only shape where the per-Core suite shows, since
+// engine.RunACSLog without a suite builds its own. The writes overwrite
+// the same keys and snapshots are off, so a warmed-up Core is in steady
+// state. The ceilings are about 10 % over what the test logs (1 242
+// allocs and 212 kB at GOMAXPROCS 2; with a suite built per flush and
+// values copied out of their envelopes: 1 580 and 309 kB), and under the
+// race detector, where sync.Pool drops Puts at random, about 10 % over
+// the highest of five runs (1 407–1 419 and 229–230 kB). It reads
+// MemStats itself because testing.AllocsPerRun pins GOMAXPROCS to 1,
+// which would turn the default tick workers into the serial engine.
+func TestCoreCommitAllocCeiling(t *testing.T) {
+	allocCeiling, byteCeiling := 1370.0, 233e3
+	if testenv.Race() {
+		allocCeiling, byteCeiling = 1560.0, 253e3
+	}
+	c := testCore(t, func(cfg *Config) { cfg.InlineMax, cfg.SnapshotEvery = 256, -1 })
+	ops := make([]Op, 32)
+	for i := range ops {
+		ops[i] = Op{Op: OpPut, Key: fmt.Appendf(nil, "key-%04d", i), Value: bytes.Repeat([]byte{byte(i)}, 64)}
+	}
+	commit := func() {
+		if n, err := c.Commit(ops); err != nil || n != len(ops) {
+			t.Fatalf("Commit: %d of %d committed, %v", n, len(ops), err)
+		}
+	}
+	commit() // warm the lazily built package state and the store's keys
+	const runs = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		commit()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("Core.Commit of %d writes: %.0f allocs, %.0f kB (ceilings %.0f, %.0f kB; GOMAXPROCS %d, race %t)",
+		len(ops), allocs, bytes/1e3, allocCeiling, byteCeiling/1e3, runtime.GOMAXPROCS(0), testenv.Race())
+	if allocs > allocCeiling {
+		t.Errorf("%.0f allocs per 32-write Commit, ceiling %.0f", allocs, allocCeiling)
+	}
+	if bytes > byteCeiling {
+		t.Errorf("%.0f kB allocated per 32-write Commit, ceiling %.0f kB", bytes/1e3, byteCeiling/1e3)
 	}
 }

@@ -10,36 +10,26 @@ import (
 )
 
 // TestCoreKeysAreNotDerivable: a quorum certificate minted under a
-// Core's keys does not verify under any suite derived from the engine's
+// Core's suite does not verify under any suite derived from the engine's
 // labels for rounds 0..1023 — the suite each flush ran under when the
 // service keyed round r with "engine-<Seed+r>" and the constant
-// "engine-dealer". The keys are drawn once and kept across flushes, and
+// "engine-dealer". The suite is built once and kept across flushes, and
 // two Cores built from one Config hold different keys.
 func TestCoreKeysAreNotDerivable(t *testing.T) {
 	c := testCore(t, nil)
-	keys := c.keys
+	crypto := c.crypto
 	if _, err := c.Commit([]Op{{Op: OpPut, Key: []byte("k"), Value: []byte("v")}}); err != nil {
 		t.Fatal(err)
 	}
-	if c.keys != keys {
-		t.Fatal("a flush changed the Core's keys")
-	}
-	if other := testCore(t, nil); other.keys == c.keys {
-		t.Fatal("two Cores from one Config hold the same keys")
+	if c.crypto != crypto {
+		t.Fatal("a flush changed the Core's suite")
 	}
 
 	params, err := types.ParamsFor(c.cfg.N, c.cfg.T)
 	if err != nil {
 		t.Fatal(err)
 	}
-	setup := func(keys proto.Keys) *threshold.Scheme {
-		crypto, err := proto.Setup(params, keys, threshold.ModeCompact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return crypto.Threshold(params.Quorum())
-	}
-	th := setup(c.keys)
+	th := c.crypto.Threshold(params.Quorum())
 	msg := []byte("committed")
 	shares := make([]threshold.Share, th.K())
 	for i := range shares {
@@ -52,10 +42,17 @@ func TestCoreKeysAreNotDerivable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !th.Verify(msg, cert) {
-		t.Fatal("certificate rejected under the keys that minted it")
+		t.Fatal("certificate rejected under the suite that minted it")
+	}
+	if other := testCore(t, nil); other.crypto.Threshold(params.Quorum()).Verify(msg, cert) {
+		t.Fatal("two Cores from one Config hold the same keys")
 	}
 	for r := 0; r < 1024; r++ {
-		if setup(proto.Derived(fmt.Sprintf("engine-%d", r), "engine-dealer")).Verify(msg, cert) {
+		derived, err := proto.Setup(params, proto.Derived(fmt.Sprintf("engine-%d", r), "engine-dealer"), threshold.ModeCompact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if derived.Threshold(params.Quorum()).Verify(msg, cert) {
 			t.Fatalf("certificate verifies under the suite derived for round %d", r)
 		}
 	}

@@ -862,3 +862,117 @@ func TestAuditFailureStopsCore(t *testing.T) {
 		checkStopped(t, s.core, 1)
 	})
 }
+
+// flushGate is an audit file whose every write is shown to the test and
+// then waits for a step, with the committer inside a flush, until done
+// is closed.
+type flushGate struct {
+	auditFile
+	writes     chan []byte
+	step, done chan struct{}
+}
+
+func (g *flushGate) Write(p []byte) (int, error) {
+	select {
+	case g.writes <- bytes.Clone(p):
+		select {
+		case <-g.step:
+		case <-g.done:
+		}
+	case <-g.done:
+	}
+	return g.auditFile.Write(p)
+}
+
+// TestCommitterTenureIsOneFlush: the reader that holds the committer role
+// does not read its own socket while it drains the other connections'
+// batches. Each flush is held at its audit write while another
+// connection queues one more write, so the queue is never empty after a
+// flush. The holder's client sends its next write during the first
+// flush; it must commit in the very next flush, because the holder goes
+// back to its reader as soon as its own client has a request waiting.
+func TestCommitterTenureIsOneFlush(t *testing.T) {
+	s := startServer(t, nil)
+	gate := &flushGate{writes: make(chan []byte), step: make(chan struct{}), done: make(chan struct{})}
+	s.core.mu.Lock()
+	gate.auditFile, s.core.audit.f = s.core.audit.f, gate
+	s.core.mu.Unlock()
+	t.Cleanup(func() { close(gate.done) }) // before the server closes
+	dial := func() *Client {
+		c, err := Dial(s.Addr(), ClientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	nextFlush := func() []byte {
+		t.Helper()
+		select {
+		case p := <-gate.writes:
+			return p
+		case <-time.After(5 * time.Second):
+			t.Fatal("no flush reached its audit write")
+			return nil
+		}
+	}
+	within := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+		}
+	}
+	connOf := func(inRun int64) *serverConn {
+		s.connMu.Lock()
+		defer s.connMu.Unlock()
+		for c := range s.conns {
+			if c.inRun.Load() == inRun {
+				return c
+			}
+		}
+		return nil
+	}
+
+	holder, other := dial(), dial()
+	own := []byte("the holder's own next write")
+	sendFrames(t, holder, &Request{Client: holder.ID(), Seq: 1, Op: ReqPut, Key: []byte("held"), Value: val1})
+	nextFlush() // flush 1, committed by the holder's reader
+	hc, oc := connOf(1), connOf(0)
+	if hc == nil || oc == nil {
+		t.Fatal("cannot tell the holder's connection from the other")
+	}
+	sendFrames(t, holder, &Request{Client: holder.ID(), Seq: 2, Op: ReqPut, Key: own, Value: val1})
+	within("the holder's next write never reached its socket", func() bool { return s.waiting(hc) })
+	// queue sends the other connection's next write and waits until its
+	// reader has queued it, when inFlight of that connection's writes
+	// are in the held flush or queued.
+	seq := 0
+	queue := func(inFlight int64) {
+		t.Helper()
+		seq++
+		sendFrames(t, other, &Request{Client: other.ID(), Seq: seq, Op: ReqPut, Key: []byte(fmt.Sprintf("other-%d", seq)), Value: val1})
+		within("the other connection's write was not queued", func() bool { return oc.inRun.Load() == inFlight })
+	}
+	queue(1)
+	committedIn := 0
+	for flush := 2; flush <= 4 && committedIn == 0; flush++ {
+		gate.step <- struct{}{} // the previous flush goes on
+		if bytes.Contains(nextFlush(), own) {
+			committedIn = flush
+		}
+		queue(2)
+	}
+	close(gate.step)
+	switch committedIn {
+	case 2:
+	case 0:
+		t.Fatal("the holder's own write did not commit in flushes 2 to 4: its reader kept draining the others' batches")
+	default:
+		t.Fatalf("the holder's own write committed in flush %d, want 2", committedIn)
+	}
+	if resp := awaitReply(t, holder, 2); resp.Status != StatusOK {
+		t.Fatalf("the holder's own write: %+v", resp)
+	}
+}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -103,6 +104,15 @@ type serverConn struct {
 	// answered marks the connection as listed in Server.answered, also
 	// the writer's alone.
 	answered bool
+
+	// br is the reader's read buffer. resume is set when the reader gave
+	// up the Core's writer role with batches still queued, because its
+	// own client had a request waiting: its next hand-off commits the
+	// queue even if it hands over nothing. Both belong to the reader
+	// goroutine, which looks at br from drain only while it holds the role
+	// and so is not reading.
+	br     *bufio.Reader
+	resume bool
 }
 
 // wake hands the writer goroutine whatever is queued on c.
@@ -311,6 +321,9 @@ type Server struct {
 	// answered lists the connections replies were queued on since the
 	// last push.
 	answered []*serverConn
+	// peek is the holder's scratch for looking at its own socket (see
+	// waiting), made on first use.
+	peek []byte
 }
 
 // NewServer builds the core, binds the listener, and starts serving.
@@ -426,6 +439,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// client's whole burst arrives in one fill.
 	var fr transport.FrameReader
 	br := bufio.NewReaderSize(conn, readerSize)
+	sc.br = br
 	kind, _, err := fr.Read(br)
 	if err != nil || kind != FrameHello {
 		return
@@ -500,18 +514,22 @@ func (s *Server) serveConn(conn net.Conn) {
 
 // handOff queues one batch of c's requests and commits the queue if no
 // other reader is committing; false if the server closes first. inRun
-// rises by the batch's length before the batch can be disposed of.
+// rises by the batch's length before the batch can be disposed of. An
+// empty batch commits only when c's reader owes the queue a resume.
 func (s *Server) handOff(c *serverConn, reqs []*Request) bool {
-	if len(reqs) == 0 {
+	if len(reqs) == 0 && !c.resume {
 		return true
 	}
-	c.inRun.Add(int64(len(reqs)))
-	select {
-	case s.reqCh <- serverBatch{reqs: reqs, conn: c}:
-	case <-s.done:
-		return false
+	if len(reqs) > 0 {
+		c.inRun.Add(int64(len(reqs)))
+		select {
+		case s.reqCh <- serverBatch{reqs: reqs, conn: c}:
+		case <-s.done:
+			return false
+		}
 	}
-	s.commit()
+	c.resume = false
+	s.commit(c)
 	return true
 }
 
@@ -533,39 +551,42 @@ func (s *Server) serveGet(c *serverConn, req *Request) bool {
 	return c.write(body) == nil
 }
 
-// commit makes the calling reader the Core's one writer while batches
-// are queued and no other reader is: it takes commitMu with TryLock and
-// drains the queue. A reader that loses the TryLock goes on decoding, as
-// the holder drains its batch too. A holder checks the queue again after
-// letting go of commitMu, so a batch queued by a reader that lost the
-// TryLock just before is not stranded. Gets and Stats do not pass through
-// commit.
-func (s *Server) commit() {
+// commit makes c's reader the Core's one writer while batches are queued
+// and no other reader is: it takes commitMu with TryLock and drains the
+// queue. A reader that loses the TryLock goes on decoding, as the holder
+// drains its batch too. A holder checks the queue again after letting go
+// of commitMu, so a batch queued by a reader that lost the TryLock just
+// before is not stranded. Gets and Stats do not pass through commit.
+func (s *Server) commit(c *serverConn) {
 	for len(s.reqCh) > 0 && s.commitMu.TryLock() {
-		open := s.drain()
+		stop := s.drain(c)
 		s.commitMu.Unlock()
-		if !open {
+		if stop {
 			return
 		}
 	}
 }
 
 // drain takes whatever batches are queued, buffers their writes, and
-// flushes them as one ACS commit, until the queue is empty, or until
-// Close has begun, when it returns false: batches queued behind Close
-// never commit.
-func (s *Server) drain() (open bool) {
+// flushes them as one ACS commit, until the queue is empty. It returns
+// true, for the holder to stop committing, in two cases. Close has
+// begun: batches queued behind Close never commit. Or the holder's own
+// client has a request waiting after a flush while batches are still
+// queued: a holder that kept draining would leave its own client
+// waiting for as long as the others keep the queue full, so it goes back
+// to its reader, and that reader's next hand-off resumes the queue.
+func (s *Server) drain(holder *serverConn) (stop bool) {
 	for {
 		select {
 		case <-s.done:
-			return false
+			return true
 		default:
 		}
 		select {
 		case b := <-s.reqCh:
 			s.admit(b)
 		default:
-			return true
+			return false
 		}
 	fill:
 		for len(s.pending) < s.maxBatch {
@@ -577,7 +598,41 @@ func (s *Server) drain() (open bool) {
 			}
 		}
 		s.flush()
+		if len(s.reqCh) > 0 && s.waiting(holder) {
+			holder.resume = true
+			return true
+		}
 	}
+}
+
+// waiting reports whether the holder's client has a whole frame waiting
+// that its reader has not taken, in the read buffer or in the socket, so
+// that the reader takes it without blocking. A frame that does not fit
+// readerSize counts as not waiting, as does anything still in the socket
+// of a connection that is not TCP.
+func (s *Server) waiting(c *serverConn) bool {
+	if transport.FrameBuffered(c.br) {
+		return true
+	}
+	if c.raw == nil {
+		return false
+	}
+	if s.peek == nil {
+		s.peek = make([]byte, readerSize)
+	}
+	buffered, _ := c.br.Peek(c.br.Buffered())
+	n := copy(s.peek, buffered)
+	// Any error, EAGAIN on an empty socket included, peeks nothing (got
+	// is then -1); the reader meets a real one when it reads.
+	var got int
+	if err := c.raw.Read(func(fd uintptr) bool {
+		got, _, _ = syscall.Recvfrom(int(fd), s.peek[n:], syscall.MSG_PEEK|syscall.MSG_DONTWAIT)
+		return true
+	}); err != nil {
+		return false
+	}
+	n += max(got, 0)
+	return n >= 4 && n-4 >= int(binary.BigEndian.Uint32(s.peek[:4]))
 }
 
 // admit handles one batch. A batch never straddles two flushes: one that

@@ -33,6 +33,7 @@ import (
 
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/blob"
+	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/kv"
 	"adaptiveba/internal/proto"
@@ -97,7 +98,14 @@ type Stats struct {
 	Truncated int
 }
 
-// Core is the replicated service state. One goroutine at a time writes:
+// Core is the replicated service state. Its trusted setup is per Core:
+// NewCore draws the keys (proto.Generated) and builds the suite from
+// them once, and every flush runs on that suite. The signing domain is
+// per flush: each signs under its own root tag, seeded by the flush's
+// first slot, so no flush's signatures or certificates verify in
+// another.
+//
+// One goroutine at a time writes:
 // Commit, SnapshotNow, Verify, Restore and the other accessors below run
 // only on it (in a Server, whichever connection reader holds the commit
 // lock). Get and Stats may run on any number of other goroutines at the
@@ -105,11 +113,11 @@ type Stats struct {
 // while it applies a committed flush or counts a snapshot, never while
 // agreement runs, the audit log syncs or a snapshot is encoded.
 type Core struct {
-	cfg   Config
-	keys  proto.Keys // drawn at NewCore; every flush runs under them
-	store *kv.Store
-	blobs *blob.Store
-	audit *Audit
+	cfg    Config
+	crypto *proto.Crypto // built at NewCore; every flush runs on it
+	store  *kv.Store
+	blobs  *blob.Store
+	audit  *Audit
 
 	// mu guards store, slots and stats against Get and Stats: readers
 	// hold it shared, and the writer holds it exclusively while it changes
@@ -162,6 +170,10 @@ func NewCore(cfg Config) (*Core, error) {
 	if cfg.BlobDir == "" || cfg.AuditPath == "" {
 		return nil, fmt.Errorf("%w: BlobDir and AuditPath are required", ErrConfig)
 	}
+	crypto, err := proto.Setup(params, proto.Generated(), threshold.ModeCompact)
+	if err != nil {
+		return nil, err
+	}
 	blobs, err := blob.Open(cfg.BlobDir)
 	if err != nil {
 		return nil, err
@@ -170,7 +182,7 @@ func NewCore(cfg Config) (*Core, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Core{cfg: cfg, keys: proto.Generated(), store: kv.NewStore(), blobs: blobs, audit: audit}
+	c := &Core{cfg: cfg, crypto: crypto, store: kv.NewStore(), blobs: blobs, audit: audit}
 	// Only honest proposers carry client commands, so every accepted
 	// command commits: the engine crashes exactly the crash set, and a
 	// crashed proposer's batch is excluded from the round's subset.
@@ -321,10 +333,10 @@ func (c *Core) Commit(ops []Op) (int, error) {
 		// Rounds run one at a time: a flush is already one batch.
 		N: c.cfg.N, T: c.cfg.T, F: c.cfg.F,
 		Inflight: 1,
-		// One key set signs every flush, each in its own domain: its
+		// One suite signs every flush, each in its own domain: its
 		// first slot, which the audit chain holds.
-		Seed: int64(c.slots),
-		Keys: c.keys,
+		Seed:   int64(c.slots),
+		Crypto: c.crypto,
 	}, queues, rounds, c.cfg.Batch)
 	if err != nil {
 		return 0, err

@@ -40,6 +40,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"adaptiveba/internal/crypto/verifycache"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/types"
@@ -243,6 +244,7 @@ func Run(cfg Config) (*Result, error) {
 
 	e := &engine{
 		cfg:       cfg,
+		cache0:    cacheStats(cfg.Crypto),
 		rec:       metrics.NewRecorder(),
 		machines:  make([]proto.Machine, n),
 		corrupted: make([]bool, n),
@@ -269,8 +271,17 @@ func Run(cfg Config) (*Result, error) {
 	return e.run(maxTicks)
 }
 
+// cacheStats is c's verification-cache counters, zero without a cache.
+func cacheStats(c *proto.Crypto) verifycache.Stats {
+	st, _ := c.VerifyCacheStats()
+	return st
+}
+
 type engine struct {
-	cfg       Config
+	cfg Config
+	// cache0 is the suite's verification-cache counters when the run
+	// began: a suite may serve many runs, and a run reports its own share.
+	cache0    verifycache.Stats
 	rec       *metrics.Recorder
 	machines  []proto.Machine
 	corrupted []bool
@@ -410,7 +421,7 @@ func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 		}
 	}
 	if st, ok := e.cfg.Crypto.VerifyCacheStats(); ok {
-		e.rec.SetCacheStats(st.Hits, st.Misses, st.InflightWaits)
+		e.rec.SetCacheStats(st.Hits-e.cache0.Hits, st.Misses-e.cache0.Misses, st.InflightWaits-e.cache0.InflightWaits)
 	}
 	e.rec.SetTicks(now)
 	res.Report = e.rec.Snapshot()

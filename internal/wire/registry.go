@@ -161,9 +161,20 @@ func sizeOf(c Codec, p proto.Payload) (int, error) {
 	return n, err
 }
 
-// DecodePayload parses a frame produced by EncodePayload.
+// DecodePayload parses a frame produced by EncodePayload. The payload
+// holds copies of the frame's byte strings, so b may be reused.
 func (r *Registry) DecodePayload(b []byte) (proto.Payload, error) {
-	rd := NewReader(b)
+	return r.decode(NewReader(b))
+}
+
+// DecodeView is DecodePayload for a frame that is never written again
+// (a types.Value): the payload's byte strings are capped views into b
+// (NewViewReader).
+func (r *Registry) DecodeView(b []byte) (proto.Payload, error) {
+	return r.decode(NewViewReader(b))
+}
+
+func (r *Registry) decode(rd *Reader) (proto.Payload, error) {
 	typ := rd.String()
 	if err := rd.Err(); err != nil {
 		return nil, err

@@ -218,13 +218,22 @@ func (c *CountingWriter) Reset() { c.count = 0 }
 // Reader decodes a buffer produced by Writer. The first error sticks; all
 // subsequent reads return zero values. Callers check Err (or Close) once.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	view bool // byte strings are read in place (NewViewReader)
 }
 
-// NewReader wraps an encoded buffer.
+// NewReader wraps an encoded buffer. Every byte string it reads (Bytes,
+// Value, Sig, and the shares and tag of a Cert) is a copy, so b may be
+// reused as soon as decoding is done: a transport frame's pooled buffer.
 func NewReader(b []byte) *Reader { return &Reader{buf: b} }
+
+// NewViewReader wraps an encoded buffer that is never written again,
+// such as a types.Value. Every byte string it reads is a view into b
+// whose capacity ends where the string does, so an append to one
+// reallocates instead of writing into b. A view keeps all of b alive.
+func NewViewReader(b []byte) *Reader { return &Reader{buf: b, view: true} }
 
 // Err returns the sticky decode error, if any.
 func (r *Reader) Err() error { return r.err }
@@ -283,16 +292,25 @@ func (r *Reader) Byte() byte {
 // Bool reads a boolean.
 func (r *Reader) Bool() bool { return r.Byte() != 0 }
 
-// Bytes reads a length-prefixed byte string (copied).
-func (r *Reader) Bytes() []byte {
+// chunk reads a length-prefixed byte string in place.
+func (r *Reader) chunk() []byte {
 	n := r.Uint64()
 	if n > MaxChunk {
 		r.fail(ErrOversize)
 		return nil
 	}
-	b := r.take(int(n))
+	return r.take(int(n))
+}
+
+// Bytes reads a length-prefixed byte string: a copy, or a capped view
+// from a NewViewReader.
+func (r *Reader) Bytes() []byte {
+	b := r.chunk()
 	if b == nil {
 		return nil
+	}
+	if r.view {
+		return b[:len(b):len(b)]
 	}
 	out := make([]byte, len(b))
 	copy(out, b)
@@ -300,7 +318,7 @@ func (r *Reader) Bytes() []byte {
 }
 
 // String reads a length-prefixed string.
-func (r *Reader) String() string { return string(r.Bytes()) }
+func (r *Reader) String() string { return string(r.chunk()) }
 
 // Value reads a protocol value; empty decodes to ⊥ (nil).
 func (r *Reader) Value() types.Value {

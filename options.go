@@ -10,6 +10,7 @@ import (
 	"io"
 
 	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
@@ -169,7 +170,9 @@ func engineConfig(ctx context.Context, o options, solo bool) (engine.Config, err
 		Halt: haltFrom(ctx),
 	}
 	if o.realSignatures {
-		cfg.Keys = proto.Ed25519()
+		if cfg.Crypto, err = proto.Setup(params, proto.Ed25519(), threshold.ModeCompact); err != nil {
+			return engine.Config{}, err
+		}
 	}
 	if o.trace != nil {
 		cfg.OnSend = sim.TraceTo(o.trace)
