@@ -68,11 +68,9 @@ func run(args []string, out io.Writer) error {
 		}
 		cfg := engine.Config{N: *n, F: *f, Inflight: *inflight, Seed: *seed}
 		if *ed25519 {
-			// Bad parameters build no suite; engine.Run reports them.
-			if params, err := types.ParamsFor(*n, 0); err == nil {
-				if cfg.Crypto, err = proto.Setup(params, proto.Ed25519(), threshold.ModeCompact); err != nil {
-					return err
-				}
+			var err error
+			if cfg.Crypto, err = engine.NewCrypto(*n, 0, proto.Ed25519()); err != nil {
+				return err
 			}
 		}
 		return runACS(out, cfg, rounds, *batch)

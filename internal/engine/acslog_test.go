@@ -7,7 +7,6 @@ import (
 
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
-	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
@@ -86,13 +85,9 @@ func TestRunACSLogConvergence(t *testing.T) {
 // sharing the suite changes no byte a run sends.
 func TestSeedIsTheSigningDomain(t *testing.T) {
 	const n = 4
-	params, err := types.NewParams(n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	keys := proto.Derived("domain-ring", "domain-dealer")
 	suite := func() *proto.Crypto {
-		c, err := proto.Setup(params, keys, threshold.ModeCompact)
+		c, err := NewCrypto(n, 0, keys)
 		if err != nil {
 			t.Fatal(err)
 		}

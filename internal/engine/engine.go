@@ -86,11 +86,13 @@ type Config struct {
 	// committee from it), the run's signing domain (its root tag) and,
 	// when Crypto is nil, the label the key ring is derived from.
 	Seed int64
-	// Crypto is the run's trusted setup, built by proto.Setup with
-	// threshold.ModeCompact at the run's Params. Nil derives one per run,
-	// the ring from "engine-<Seed>" and the dealer from "engine-dealer",
-	// so a run's every byte follows from its Seed. One suite may serve
-	// any number of runs: each still signs in its own Seed's domain.
+	// Crypto is the run's trusted setup, built by NewCrypto for the run's
+	// N and T. Nil derives one per run, the ring from "engine-<Seed>" and
+	// the dealer from "engine-dealer", so a run's every byte follows from
+	// its Seed. One suite may serve any number of runs: each still signs
+	// in its own Seed's domain. The suite's verification cache is shared
+	// too, so a run's cache counters (sim.Result's) are its own only when
+	// the runs on one suite take turns, as a service's flushes do.
 	Crypto *proto.Crypto
 	// OnSend, if set, observes every charged message of the run (see
 	// sim.Config.OnSend); sim.TraceTo builds the text trace on it.
@@ -105,6 +107,34 @@ var (
 	ErrConfig     = errors.New("engine: invalid configuration")
 	ErrNoSessions = errors.New("engine: no sessions requested")
 )
+
+// paramsFor is Run's rule for a configured (n, t).
+func paramsFor(n, t int) (types.Params, error) {
+	if n < 3 {
+		return types.Params{}, fmt.Errorf("%w: n=%d", ErrConfig, n)
+	}
+	params, err := types.ParamsFor(n, t)
+	if err != nil {
+		return types.Params{}, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
+	return params, nil
+}
+
+// NewCrypto is the trusted setup of runs with n processes and threshold
+// t (0 is the default, as in Config): the suite keys build, with compact
+// certificates and a verification cache. Config.Crypto takes only a
+// suite built here; bad parameters are ErrConfig, as in Run.
+func NewCrypto(n, t int, keys proto.Keys) (*proto.Crypto, error) {
+	params, err := paramsFor(n, t)
+	if err != nil {
+		return nil, err
+	}
+	crypto, err := proto.Setup(params, keys, threshold.ModeCompact)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %w", err)
+	}
+	return crypto, nil
+}
 
 // SessionResult is the outcome of one session.
 type SessionResult struct {
@@ -181,12 +211,9 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	if len(reqs) == 0 {
 		return nil, ErrNoSessions
 	}
-	if cfg.N < 3 {
-		return nil, fmt.Errorf("%w: n=%d", ErrConfig, cfg.N)
-	}
-	params, err := types.ParamsFor(cfg.N, cfg.T)
+	params, err := paramsFor(cfg.N, cfg.T)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+		return nil, err
 	}
 	if cfg.F < 0 || cfg.F > params.T {
 		return nil, fmt.Errorf("%w: f=%d with t=%d", ErrConfig, cfg.F, params.T)
@@ -194,12 +221,13 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 
 	crypto := cfg.Crypto
 	if crypto == nil {
-		keys := proto.Derived(fmt.Sprintf("engine-%d", cfg.Seed), "engine-dealer")
-		if crypto, err = proto.Setup(params, keys, threshold.ModeCompact); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+		if crypto, err = NewCrypto(cfg.N, cfg.T, proto.Derived(fmt.Sprintf("engine-%d", cfg.Seed), "engine-dealer")); err != nil {
+			return nil, err
 		}
 	} else if crypto.Params != params {
 		return nil, fmt.Errorf("%w: suite built for n=%d t=%d, run has n=%d t=%d", ErrConfig, crypto.Params.N, crypto.Params.T, params.N, params.T)
+	} else if _, cached := crypto.VerifyCacheStats(); crypto.Mode() != threshold.ModeCompact || !cached {
+		return nil, fmt.Errorf("%w: suite not built by NewCrypto", ErrConfig)
 	}
 
 	window := cfg.Inflight

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
@@ -121,9 +122,29 @@ func TestEngineHalt(t *testing.T) {
 	}
 }
 
-// TestEngineConfigErrors pins the validation surface.
+// TestEngineConfigErrors pins the validation surface, a suite not built
+// by NewCrypto for the run's n and t included.
 func TestEngineConfigErrors(t *testing.T) {
 	reqs := mixedRequests(5, 2)
+	keys := proto.Derived("config-ring", "config-dealer")
+	params, err := types.NewParams(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup := func(mode threshold.Mode, opts ...proto.CryptoOption) *proto.Crypto {
+		c, err := proto.Setup(params, keys, mode, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	four, err := NewCrypto(4, 0, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCrypto(2, 0, keys); !errors.Is(err, ErrConfig) {
+		t.Errorf("NewCrypto n=2: err = %v, want ErrConfig", err)
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -135,6 +156,9 @@ func TestEngineConfigErrors(t *testing.T) {
 		{"negative t", Config{N: 5, T: -1}, reqs, ErrConfig},
 		{"too many faults", Config{N: 5, F: 3}, reqs, ErrConfig},
 		{"bad kind", Config{N: 5}, []Request{{Kind: "nope"}}, ErrConfig},
+		{"suite for another n", Config{N: 5, Crypto: four}, reqs, ErrConfig},
+		{"aggregate certificates", Config{N: 5, Crypto: setup(threshold.ModeAggregate)}, reqs, ErrConfig},
+		{"suite without a verification cache", Config{N: 5, Crypto: setup(threshold.ModeCompact, proto.CountOps())}, reqs, ErrConfig},
 	}
 	for _, c := range cases {
 		if _, err := Run(c.cfg, c.reqs); !errors.Is(err, c.want) {

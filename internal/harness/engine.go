@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"adaptiveba/internal/adversary"
-	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/types"
@@ -54,11 +53,9 @@ func RunEngine(spec Spec, sessions, inflight int) (*engine.Report, error) {
 		OnSend:    spec.OnSend,
 	}
 	if spec.Ed25519 {
-		// Bad parameters build no suite; engine.Run reports them.
-		if params, err := types.ParamsFor(spec.N, spec.T); err == nil {
-			if cfg.Crypto, err = proto.Setup(params, proto.Ed25519(), threshold.ModeCompact); err != nil {
-				return nil, err
-			}
+		var err error
+		if cfg.Crypto, err = engine.NewCrypto(spec.N, spec.T, proto.Ed25519()); err != nil {
+			return nil, err
 		}
 	}
 	return engine.Run(cfg, reqs)

@@ -976,3 +976,77 @@ func TestCommitterTenureIsOneFlush(t *testing.T) {
 		t.Fatalf("the holder's own write: %+v", resp)
 	}
 }
+
+// TestFullQueueIsAlwaysDrained: a holder that gives up the committer role
+// for its own client leaves the queue to its reader's next hand-off, and
+// that hand-off may itself wait on a full queue. The committer is held in
+// a flush while another connection hands off more one-request batches
+// (Verifys) than the queue holds, so the queue fills and that
+// connection's reader waits on it, and the holder's client has a write
+// waiting. Once the flush goes on, every request must still be answered.
+func TestFullQueueIsAlwaysDrained(t *testing.T) {
+	s := startServer(t, nil)
+	gate := &gatedAudit{entered: make(chan struct{}), open: make(chan struct{})}
+	s.core.mu.Lock()
+	gate.auditFile, s.core.audit.f = s.core.audit.f, gate
+	s.core.mu.Unlock()
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate.open) }) }
+	t.Cleanup(open) // lets the server close after a failure
+	dial := func() *Client {
+		c, err := Dial(s.Addr(), ClientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	within := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal(what)
+			}
+		}
+	}
+
+	holder, other := dial(), dial()
+	sendFrames(t, holder, &Request{Client: holder.ID(), Seq: 1, Op: ReqPut, Key: []byte("held"), Value: val1})
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the held Put never reached its audit write")
+	}
+	var hc *serverConn
+	within("cannot find the holder's connection", func() bool {
+		s.connMu.Lock()
+		defer s.connMu.Unlock()
+		for c := range s.conns {
+			if c.inRun.Load() == 1 {
+				hc = c
+			}
+		}
+		return hc != nil
+	})
+	sendFrames(t, holder, &Request{Client: holder.ID(), Seq: 2, Op: ReqPut, Key: []byte("own"), Value: val1})
+	within("the holder's next write never reached its socket", func() bool { return s.waiting(hc) })
+
+	verifys := cap(s.reqCh) + 8
+	var reqs []*Request
+	for seq := 1; seq <= verifys; seq++ {
+		reqs = append(reqs, &Request{Client: other.ID(), Seq: seq, Op: ReqVerify})
+	}
+	sendFrames(t, other, reqs...)
+	// The held Put, a full queue, and one more batch waiting on it.
+	within("the queue never filled", func() bool { return handedOff(s) == 1+cap(s.reqCh)+1 })
+	open()
+
+	for seq := 1; seq <= verifys; seq++ {
+		if resp := awaitReply(t, other, seq); resp.Status != StatusOK {
+			t.Fatalf("Verify %d: %+v", seq, resp)
+		}
+	}
+	if resp := awaitReply(t, holder, 2); resp.Status != StatusOK {
+		t.Fatalf("the holder's own write: %+v", resp)
+	}
+}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -283,8 +282,9 @@ func (c *serverConn) keep(seq int, body []byte, limit int) {
 // commits, reads from replicated state, snapshots for unbounded uptime.
 // No request leaves its connection's reader goroutine. Writes and Verify
 // are queued, and the reader that takes commitMu is the Core's one
-// writer until the queue is empty: it commits every queued batch, its own
-// and other connections', and writes their replies. A Get waits for the
+// writer until the queue is empty or its own client has another request
+// waiting (see drain): it commits the queued batches, its own and other
+// connections', and writes their replies. A Get waits for the
 // connection's earlier writes, reads the Core (Core.Get's shared lock)
 // and writes the reply. Stats reads under the same lock.
 type Server struct {
@@ -556,14 +556,20 @@ func (s *Server) serveGet(c *serverConn, req *Request) bool {
 // queue. A reader that loses the TryLock goes on decoding, as the holder
 // drains its batch too. A holder checks the queue again after letting go
 // of commitMu, so a batch queued by a reader that lost the TryLock just
-// before is not stranded. Gets and Stats do not pass through commit.
+// before is not stranded. A holder that gave up the role for its own
+// client (see drain) still goes on while it finds the queue full: every
+// reader's next hand-off might then wait on the queue before committing,
+// its own reader's too, and nobody would drain it. Below full, the next
+// hand-off queues its batch and commits. Gets and Stats do not pass
+// through commit.
 func (s *Server) commit(c *serverConn) {
 	for len(s.reqCh) > 0 && s.commitMu.TryLock() {
 		stop := s.drain(c)
 		s.commitMu.Unlock()
-		if stop {
+		if stop && !(c.resume && len(s.reqCh) == cap(s.reqCh)) {
 			return
 		}
+		c.resume = false
 	}
 }
 
@@ -573,8 +579,9 @@ func (s *Server) commit(c *serverConn) {
 // begun: batches queued behind Close never commit. Or the holder's own
 // client has a request waiting after a flush while batches are still
 // queued: a holder that kept draining would leave its own client
-// waiting for as long as the others keep the queue full, so it goes back
-// to its reader, and that reader's next hand-off resumes the queue.
+// waiting for as long as the others keep queueing, so it goes back to its
+// reader, and that reader's next hand-off resumes the queue (unless
+// commit finds the queue full and keeps the holder on).
 func (s *Server) drain(holder *serverConn) (stop bool) {
 	for {
 		select {
@@ -631,8 +638,7 @@ func (s *Server) waiting(c *serverConn) bool {
 	}); err != nil {
 		return false
 	}
-	n += max(got, 0)
-	return n >= 4 && n-4 >= int(binary.BigEndian.Uint32(s.peek[:4]))
+	return transport.FrameWhole(s.peek[:n+max(got, 0)])
 }
 
 // admit handles one batch. A batch never straddles two flushes: one that

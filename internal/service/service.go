@@ -33,7 +33,6 @@ import (
 
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/blob"
-	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/kv"
 	"adaptiveba/internal/proto"
@@ -170,7 +169,7 @@ func NewCore(cfg Config) (*Core, error) {
 	if cfg.BlobDir == "" || cfg.AuditPath == "" {
 		return nil, fmt.Errorf("%w: BlobDir and AuditPath are required", ErrConfig)
 	}
-	crypto, err := proto.Setup(params, proto.Generated(), threshold.ModeCompact)
+	crypto, err := engine.NewCrypto(cfg.N, cfg.T, proto.Generated())
 	if err != nil {
 		return nil, err
 	}

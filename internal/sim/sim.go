@@ -280,7 +280,8 @@ func cacheStats(c *proto.Crypto) verifycache.Stats {
 type engine struct {
 	cfg Config
 	// cache0 is the suite's verification-cache counters when the run
-	// began: a suite may serve many runs, and a run reports its own share.
+	// began: a suite may serve many runs, and a run reports its own share
+	// when those runs take turns (concurrent runs count each other's).
 	cache0    verifycache.Stats
 	rec       *metrics.Recorder
 	machines  []proto.Machine

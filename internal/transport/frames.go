@@ -120,11 +120,14 @@ func (fr *FrameReader) Read(r io.Reader) (byte, []byte, error) {
 }
 
 // FrameBuffered reports whether br already holds the whole next frame,
-// looking only at buffered bytes: its length prefix, then that many more.
+// looking only at buffered bytes.
 func FrameBuffered(br *bufio.Reader) bool {
-	if br.Buffered() < 4 {
-		return false
-	}
-	prefix, _ := br.Peek(4)
-	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(prefix))
+	buffered, _ := br.Peek(br.Buffered())
+	return FrameWhole(buffered)
+}
+
+// FrameWhole reports whether b starts with a whole frame: its length
+// prefix, then that many more bytes.
+func FrameWhole(b []byte) bool {
+	return len(b) >= 4 && len(b)-4 >= int(binary.BigEndian.Uint32(b))
 }

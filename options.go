@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"adaptiveba/internal/adversary"
-	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
@@ -170,7 +169,7 @@ func engineConfig(ctx context.Context, o options, solo bool) (engine.Config, err
 		Halt: haltFrom(ctx),
 	}
 	if o.realSignatures {
-		if cfg.Crypto, err = proto.Setup(params, proto.Ed25519(), threshold.ModeCompact); err != nil {
+		if cfg.Crypto, err = engine.NewCrypto(o.n, o.threshold, proto.Ed25519()); err != nil {
 			return engine.Config{}, err
 		}
 	}
