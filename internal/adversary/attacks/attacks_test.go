@@ -274,16 +274,16 @@ func TestSelectiveFinalizeVictimHealedByHelpRound(t *testing.T) {
 	}
 }
 
-func TestSelectiveFinalizePlusLateCertForcesFallback(t *testing.T) {
-	// Same leader attack, extended with a late certificate release: the
-	// victim's help-request share plus the t corrupted shares form a
-	// valid fallback certificate that the adversary withholds and
-	// releases after everything went quiet. All correct processes must
-	// re-activate, echo the certificate, run A_fallback — and re-confirm
-	// the SAME decision (Lemma 19).
+// runLateRelease runs the selective-finalize attack with a fallback
+// certificate released at tick 150 to lateTo (every process if empty),
+// and requires every correct process to decide the leader's value and to
+// have run the fallback.
+func runLateRelease(t *testing.T, lateTo ...types.ProcessID) {
+	t.Helper()
 	crypto, params := setup(t, 9)
 	adv := NewSelectivePhaseLeader("s", 3, types.Value("v"), corruptSet(params)...)
 	adv.LateRelease = 150
+	adv.LateTo = lateTo
 	machines := make(map[types.ProcessID]*wba.Machine)
 	res, err := sim.Run(sim.Config{
 		Params: params,
@@ -302,6 +302,9 @@ func TestSelectiveFinalizePlusLateCertForcesFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !adv.released {
+		t.Fatal("the late certificate was never released")
+	}
 	if !res.AllDecided() {
 		t.Fatal("not all decided")
 	}
@@ -311,14 +314,34 @@ func TestSelectiveFinalizePlusLateCertForcesFallback(t *testing.T) {
 	}
 	// The certificate really was released and the fallback really ran.
 	ran := 0
-	for _, m := range machines {
-		if m.RanFallback() {
+	for _, id := range res.Honest {
+		if machines[id].RanFallback() {
 			ran++
 		}
 	}
 	if ran != len(res.Honest) {
 		t.Errorf("%d/%d honest processes ran the late fallback", ran, len(res.Honest))
 	}
+}
+
+func TestSelectiveFinalizePlusLateCertForcesFallback(t *testing.T) {
+	// Same leader attack, extended with a late certificate release: the
+	// victim's help-request share plus the t corrupted shares form a
+	// valid fallback certificate that the adversary withholds and
+	// releases after everything went quiet. All correct processes must
+	// re-activate, echo the certificate, run A_fallback — and re-confirm
+	// the SAME decision (Lemma 19).
+	runLateRelease(t)
+}
+
+// TestLateCertToOneProcessReachesAll is Lemma 17's test: the fallback
+// certificate reaches everyone within δ of one correct process learning
+// it. The late certificate goes to p0 alone, a correct process that
+// decided in phase 1; only p0's echo (wba.Machine.onFallbackCert) can
+// carry it to the other correct processes, and every one of them must
+// still run the fallback and decide the same value.
+func TestLateCertToOneProcessReachesAll(t *testing.T) {
+	runLateRelease(t, 0)
 }
 
 // TestAdaptiveMidPhaseCorruption exercises the model's ADAPTIVE adversary:

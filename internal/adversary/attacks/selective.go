@@ -1,6 +1,8 @@
 package attacks
 
 import (
+	"slices"
+
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/threshold"
@@ -30,6 +32,9 @@ type SelectivePhaseLeader struct {
 	// request and releases a fallback certificate at the given tick —
 	// long after every correct process decided and went quiet.
 	LateRelease types.Tick
+	// LateTo, if non-empty, lists the only recipients of the late
+	// certificate; it reaches the others, if at all, by their echo.
+	LateTo []types.ProcessID
 
 	votes    []threshold.Share
 	helpReqs []threshold.Share
@@ -100,7 +105,11 @@ func (a *SelectivePhaseLeader) Act(now types.Tick, _ []sim.Message) []sim.Messag
 		if err != nil {
 			return nil
 		}
-		return a.broadcast(wba.FallbackCert{Cert: cert}, types.NilProcess)
+		msgs := a.broadcast(wba.FallbackCert{Cert: cert}, types.NilProcess)
+		if len(a.LateTo) > 0 {
+			msgs = slices.DeleteFunc(msgs, func(m sim.Message) bool { return !slices.Contains(a.LateTo, m.To) })
+		}
+		return msgs
 	}
 	return nil
 }

@@ -26,9 +26,7 @@
 package bb
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
@@ -167,10 +165,10 @@ type vetPhase struct {
 	helpReq bool // the phase's leader asked for help
 	vetted  bool // a valid vetted value concluded the phase
 
-	// Leader only: the valid replies in arrival order, and the verified idk
-	// shares, one per signer, in ascending signer order.
+	// Leader only: the valid replies in arrival order, and the idk shares
+	// (made with the first one).
 	replies []types.Value
-	idk     []threshold.Share
+	idk     *threshold.Collector
 }
 
 // NewMachine builds the BB machine.
@@ -194,19 +192,6 @@ func (m *Machine) inRange(j int) bool { return j >= 1 && j <= m.phases }
 // leads reports whether this process leads phase j, which must be in range.
 func (m *Machine) leads(j int) bool {
 	return m.inRange(j) && m.cfg.Params.Leader(j) == m.cfg.ID
-}
-
-// addIdk records sh in signer order; a signer's later share replaces its
-// earlier one.
-func addIdk(list []threshold.Share, sh threshold.Share) []threshold.Share {
-	i, found := slices.BinarySearchFunc(list, sh.Signer, func(e threshold.Share, id types.ProcessID) int {
-		return cmp.Compare(e.Signer, id)
-	})
-	if found {
-		list[i] = sh
-		return list
-	}
-	return slices.Insert(list, i, sh)
 }
 
 // Rounds returns the number of vetting rounds before weak BA starts.
@@ -302,11 +287,14 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 			s.replies = append(s.replies, p.Val)
 		}
 	case IdkShare:
-		sh := threshold.Share{Signer: in.From, Sig: p.Share}
-		if m.leads(p.Phase) && m.small.VerifyShare(m.validator.idkBase(p.Phase), sh) {
-			s := m.stash.Make(p.Phase)
-			s.idk = addIdk(s.idk, sh)
+		if !m.leads(p.Phase) {
+			return
 		}
+		s := m.stash.Make(p.Phase)
+		if s.idk == nil {
+			s.idk = m.small.NewCollector(m.validator.idkBase(p.Phase))
+		}
+		s.idk.Add(threshold.Share{Signer: in.From, Sig: p.Share})
 	case Vetted:
 		// Applied immediately: the value is certificate/signature-backed,
 		// so adopting it early is safe (line 28–29 and line 8). Only a
@@ -383,10 +371,10 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 		if fallbackVal != nil {
 			return proto.AppendBroadcast(outs, m.cfg.Params, "", Vetted{Phase: phase, Val: fallbackVal})
 		}
-		if len(s.idk) < m.cfg.Params.SmallQuorum() {
+		if s.idk == nil {
 			return outs
 		}
-		cert, err := m.small.Combine(m.validator.idkBase(phase), s.idk)
+		cert, err := s.idk.Cert()
 		if err != nil {
 			return outs
 		}

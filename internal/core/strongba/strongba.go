@@ -169,8 +169,8 @@ type Machine struct {
 	buDecision types.Value
 	buProof    *threshold.Cert
 
-	inputShares  map[string]map[types.ProcessID]sig.Signature
-	decideShares map[string]map[types.ProcessID]sig.Signature
+	inputShares  map[string]*threshold.Collector
+	decideShares map[string]*threshold.Collector
 	proposal     *Propose
 
 	fallbackStart   types.Tick
@@ -218,8 +218,8 @@ func NewMachine(cfg Config) (*Machine, error) {
 		small:         cfg.Crypto.Threshold(cfg.Params.SmallQuorum()),
 		full:          cfg.Crypto.Threshold(cfg.Params.N),
 		buDecision:    cfg.Input.Clone(),
-		inputShares:   make(map[string]map[types.ProcessID]sig.Signature),
-		decideShares:  make(map[string]map[types.ProcessID]sig.Signature),
+		inputShares:   make(map[string]*threshold.Collector),
+		decideShares:  make(map[string]*threshold.Collector),
 		fallbackStart: -1,
 	}, nil
 }
@@ -300,14 +300,11 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 		if m.cfg.ID != m.leader || !p.V.IsBinary() {
 			return
 		}
-		if !m.small.VerifyShare(m.inputBase(p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
-			return
-		}
 		key := string(p.V)
 		if m.inputShares[key] == nil {
-			m.inputShares[key] = make(map[types.ProcessID]sig.Signature)
+			m.inputShares[key] = m.small.NewCollector(m.inputBase(p.V))
 		}
-		m.inputShares[key][in.From] = p.Share
+		m.inputShares[key].Add(threshold.Share{Signer: in.From, Sig: p.Share})
 	case Propose:
 		if in.From != m.leader || m.proposal != nil {
 			return
@@ -321,14 +318,11 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 		if m.cfg.ID != m.leader || !p.V.IsBinary() {
 			return
 		}
-		if !m.full.VerifyShare(m.decideBase(p.V), threshold.Share{Signer: in.From, Sig: p.Share}) {
-			return
-		}
 		key := string(p.V)
 		if m.decideShares[key] == nil {
-			m.decideShares[key] = make(map[types.ProcessID]sig.Signature)
+			m.decideShares[key] = m.full.NewCollector(m.decideBase(p.V))
 		}
-		m.decideShares[key][in.From] = p.Share
+		m.decideShares[key].Add(threshold.Share{Signer: in.From, Sig: p.Share})
 	case DecideMsg:
 		// Certificate-backed: accept whenever it arrives.
 		if !p.V.IsBinary() || !m.full.Verify(m.decideBase(p.V), p.Cert) {
@@ -364,11 +358,11 @@ func (m *Machine) boundary(now types.Tick, r int, outs []proto.Outgoing) []proto
 		}
 		for _, key := range []string{string(types.Zero), string(types.One)} {
 			shares := m.inputShares[key]
-			if len(shares) < m.cfg.Params.SmallQuorum() {
+			if shares == nil {
 				continue
 			}
 			v := types.Value(key)
-			cert, err := m.small.Combine(m.inputBase(v), m.shareList(shares))
+			cert, err := shares.Cert()
 			if err != nil {
 				continue
 			}
@@ -390,11 +384,11 @@ func (m *Machine) boundary(now types.Tick, r int, outs []proto.Outgoing) []proto
 		}
 		for _, key := range []string{string(types.Zero), string(types.One)} {
 			shares := m.decideShares[key]
-			if len(shares) < m.cfg.Params.N {
+			if shares == nil {
 				continue
 			}
 			v := types.Value(key)
-			cert, err := m.full.Combine(m.decideBase(v), m.shareList(shares))
+			cert, err := shares.Cert()
 			if err != nil {
 				continue
 			}
@@ -409,17 +403,6 @@ func (m *Machine) boundary(now types.Tick, r int, outs []proto.Outgoing) []proto
 		}
 	}
 	return outs
-}
-
-// shareList converts a signer-keyed share map to a deterministic slice.
-func (m *Machine) shareList(shares map[types.ProcessID]sig.Signature) []threshold.Share {
-	list := make([]threshold.Share, 0, len(shares))
-	for _, id := range m.cfg.Params.AllProcesses() {
-		if s, ok := shares[id]; ok {
-			list = append(list, threshold.Share{Signer: id, Sig: s})
-		}
-	}
-	return list
 }
 
 // setDecision records the decision once.

@@ -77,9 +77,8 @@ type Machine struct {
 	clock  proto.RoundClock
 	phases int
 
-	quorumSize int
-	quorum     *threshold.Scheme // commit/finalize scheme (⌈(n+t+1)/2⌉ by default)
-	small      *threshold.Scheme // t+1 scheme for the fallback certificate
+	quorum *threshold.Scheme // commit/finalize scheme (⌈(n+t+1)/2⌉ by default)
+	small  *threshold.Scheme // t+1 scheme for the fallback certificate
 
 	// Algorithm state.
 	vi          types.Value
@@ -99,10 +98,10 @@ type Machine struct {
 	// Round-gated stashes of the phases that have seen traffic.
 	stash proto.Phases[phaseState]
 
-	// Help round state: the verified help requests in arrival order, and
-	// their signers (made with the first request).
-	helpReqs []threshold.Share
-	helpFrom *types.BitSet
+	// Help round state: the help requests (made with the first one), and
+	// their signers in arrival order, whom round B answers.
+	helpReqs *threshold.Collector
+	helpers  []types.ProcessID
 	helpDone bool // past round C
 
 	// Fallback state.
@@ -147,10 +146,10 @@ type phaseState struct {
 	decides     []valueShares
 }
 
-// valueShares is the verified shares for one value, in arrival order.
+// valueShares collects the shares on one value.
 type valueShares struct {
 	v      types.Value // the machine's own copy
-	shares []threshold.Share
+	shares *threshold.Collector
 }
 
 // NewMachine builds the weak BA machine.
@@ -170,7 +169,6 @@ func NewMachine(cfg Config) *Machine {
 		cfg:           cfg,
 		signer:        cfg.Crypto.Signer(cfg.ID),
 		phases:        phases,
-		quorumSize:    quorumSize,
 		quorum:        cfg.Crypto.Threshold(quorumSize),
 		small:         cfg.Crypto.Threshold(cfg.Params.SmallQuorum()),
 		vi:            vi,
@@ -185,16 +183,20 @@ func (m *Machine) inRange(j int) bool { return j >= 1 && j <= m.phases }
 // leads reports whether this process leads phase j, which must be in range.
 func (m *Machine) leads(j int) bool { return m.inRange(j) && m.leaderOf(j) == m.cfg.ID }
 
-// addShare appends sh to v's entry, making the entry (with its own copy of
-// v) on v's first share.
-func addShare(list []valueShares, v types.Value, sh threshold.Share) []valueShares {
+// addShare hands sh to v's collector, whose message is base. v's entry
+// (with its own copy of v) is made on v's first valid share.
+func (m *Machine) addShare(list []valueShares, v types.Value, base []byte, sh threshold.Share) []valueShares {
 	for i := range list {
 		if bytes.Equal(list[i].v, v) {
-			list[i].shares = append(list[i].shares, sh)
+			list[i].shares.Add(sh)
 			return list
 		}
 	}
-	return append(list, valueShares{v: v.Clone(), shares: []threshold.Share{sh}})
+	c := m.quorum.NewCollector(base)
+	if !c.Add(sh) {
+		return list
+	}
+	return append(list, valueShares{v: v.Clone(), shares: c})
 }
 
 // byValue orders list by value bytes, so a leader holding a quorum for two
@@ -373,12 +375,11 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 			s.proposal, s.proposed = p, true
 		}
 	case Vote:
-		sh := threshold.Share{Signer: in.From, Sig: p.Share}
-		if !m.leads(p.Phase) || !m.quorum.VerifyShare(m.voteBase(p.Phase, p.V), sh) {
+		if !m.leads(p.Phase) {
 			return
 		}
 		s := m.stash.Make(p.Phase)
-		s.votes = addShare(s.votes, p.V, sh)
+		s.votes = m.addShare(s.votes, p.V, m.voteBase(p.Phase, p.V), threshold.Share{Signer: in.From, Sig: p.Share})
 	case CommitInfo:
 		if !m.leads(p.Phase) || !m.verifyCommit(p.V, p.Level, p.Cert) {
 			return
@@ -393,12 +394,11 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 			s.commits = append(s.commits, p)
 		}
 	case Decide:
-		sh := threshold.Share{Signer: in.From, Sig: p.Share}
-		if !m.leads(p.Phase) || !m.quorum.VerifyShare(m.decideBase(p.Phase, p.V), sh) {
+		if !m.leads(p.Phase) {
 			return
 		}
 		s := m.stash.Make(p.Phase)
-		s.decides = addShare(s.decides, p.V, sh)
+		s.decides = m.addShare(s.decides, p.V, m.decideBase(p.Phase, p.V), threshold.Share{Signer: in.From, Sig: p.Share})
 	case Finalized:
 		if m.verifyFinalize(p.V, p.Phase, p.Cert) {
 			if !m.decided {
@@ -407,16 +407,11 @@ func (m *Machine) ingest(now types.Tick, in proto.Incoming) {
 			m.setDecision(p.V, p.Cert, p.Phase)
 		}
 	case HelpReq:
-		sh := threshold.Share{Signer: in.From, Sig: p.Share}
-		if !m.small.VerifyShare(m.helpReqBase(), sh) {
-			return
+		if m.helpReqs == nil {
+			m.helpReqs = m.small.NewCollector(m.helpReqBase())
 		}
-		if m.helpFrom == nil {
-			m.helpFrom = types.NewBitSet(m.cfg.Params.N)
-		}
-		if !m.helpFrom.Has(in.From) {
-			m.helpFrom.Add(in.From)
-			m.helpReqs = append(m.helpReqs, sh)
+		if m.helpReqs.Add(threshold.Share{Signer: in.From, Sig: p.Share}) {
+			m.helpers = append(m.helpers, in.From)
 		}
 	case Help:
 		if m.verifyFinalize(p.V, p.ProofPhase, p.Proof) {
@@ -524,10 +519,7 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 		}
 		// Otherwise form a fresh commit certificate (lines 40–42).
 		for _, vs := range byValue(s.votes) {
-			if len(vs.shares) < m.quorumSize {
-				continue
-			}
-			cert, err := m.quorum.Combine(m.voteBase(phase, vs.v), vs.shares)
+			cert, err := vs.shares.Cert()
 			if err != nil {
 				continue
 			}
@@ -567,10 +559,7 @@ func (m *Machine) phaseRound(phase, w int, outs []proto.Outgoing) []proto.Outgoi
 			return outs
 		}
 		for _, vs := range byValue(s.decides) {
-			if len(vs.shares) < m.quorumSize {
-				continue
-			}
-			cert, err := m.quorum.Combine(m.decideBase(phase, vs.v), vs.shares)
+			cert, err := vs.shares.Cert()
 			if err != nil {
 				continue
 			}
@@ -595,17 +584,17 @@ func (m *Machine) active(phase int) *phaseState {
 // helpRoundB answers help requests and forms the fallback certificate.
 func (m *Machine) helpRoundB(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	if m.decided {
-		for _, req := range m.helpReqs {
-			if req.Signer == m.cfg.ID {
+		for _, id := range m.helpers {
+			if id == m.cfg.ID {
 				continue
 			}
-			outs = proto.AppendUnicast(outs, req.Signer, "", Help{
+			outs = proto.AppendUnicast(outs, id, "", Help{
 				V: m.decision, Proof: m.decideProof, ProofPhase: m.decidePhase,
 			})
 		}
 	}
-	if len(m.helpReqs) >= m.cfg.Params.SmallQuorum() && m.fallbackStart < 0 {
-		cert, err := m.small.Combine(m.helpReqBase(), m.helpReqs)
+	if m.helpReqs != nil && m.fallbackStart < 0 {
+		cert, err := m.helpReqs.Cert()
 		if err == nil {
 			m.fallbackStart = now + 2
 			var v types.Value

@@ -18,13 +18,20 @@
 //
 // Both encodings count as exactly one word (Cert.Words), so every
 // complexity measurement in this repository is encoding-independent.
+//
+// Every certificate is minted by a Collector: its Add verifies a share
+// once, when it arrives, and its Cert mints from exactly the shares Add
+// accepted, without verifying them again. Scheme.Combine is a loop over a
+// Collector for callers holding a list of unchecked shares.
 package threshold
 
 import (
+	"cmp"
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -223,39 +230,79 @@ func (s *Scheme) VerifyShare(msg []byte, sh Share) bool {
 	return s.base.Verify(sh.Signer, msg, sh.Sig)
 }
 
-// Combine batches shares into a certificate. Shares are verified and
-// de-duplicated by signer; at least K valid unique shares are required.
+// Combine batches shares into a certificate: it verifies every share it
+// is handed, de-duplicates by signer, and needs at least K valid unique
+// shares. It is a loop over a Collector, the one way to a certificate; a
+// machine that checks each share as it arrives keeps the Collector itself
+// instead, so no share is verified twice.
 func (s *Scheme) Combine(msg []byte, shares []Share) (*Cert, error) {
-	signers := types.NewBitSet(s.n)
-	var bySigner map[types.ProcessID]sig.Signature // aggregate mode only: the certificate carries the shares
-	if s.mode == ModeAggregate {
-		bySigner = make(map[types.ProcessID]sig.Signature, len(shares))
-	}
+	c := s.NewCollector(msg)
 	for _, sh := range shares {
-		if signers.Has(sh.Signer) {
-			continue
-		}
-		if !s.VerifyShare(msg, sh) {
+		// A repeated signer is skipped; any other share Add refuses is bad.
+		if !c.Add(sh) && !c.signers.Has(sh.Signer) {
 			return nil, fmt.Errorf("%w: signer %v", ErrBadShare, sh.Signer)
 		}
-		signers.Add(sh.Signer)
-		if bySigner != nil {
-			bySigner[sh.Signer] = sh.Sig
-		}
 	}
-	if signers.Count() < s.k {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShares, signers.Count(), s.k)
+	return c.Cert()
+}
+
+// Collector gathers the shares of distinct signers on one message. Add
+// verifies a share once, when it is handed in, and Cert mints from
+// exactly the shares Add accepted without verifying them again: nothing
+// unverified is ever minted, and nothing is verified twice.
+type Collector struct {
+	s       *Scheme
+	msg     []byte
+	signers types.BitSet
+	shares  []Share // aggregate mode only: the accepted shares (the certificate carries them)
+}
+
+// NewCollector returns an empty collector for shares on msg. msg is kept,
+// not copied: the caller must not modify it while the collector is in use.
+func (s *Scheme) NewCollector(msg []byte) *Collector {
+	return &Collector{s: s, msg: msg, signers: *types.NewBitSet(s.n)}
+}
+
+// Add verifies sh on the collector's message and records its signer. It
+// reports whether sh was recorded: a share from a signer outside the ring
+// or already recorded is ignored without a check, and an invalid share is
+// rejected.
+func (c *Collector) Add(sh Share) bool {
+	if sh.Signer < 0 || int(sh.Signer) >= c.s.n || c.signers.Has(sh.Signer) {
+		return false
 	}
-	cert := &Cert{K: s.k, Signers: signers}
+	if !c.s.VerifyShare(c.msg, sh) {
+		return false
+	}
+	c.signers.Add(sh.Signer)
+	if c.s.mode == ModeAggregate {
+		c.shares = append(c.shares, sh)
+	}
+	return true
+}
+
+// Count returns the number of distinct signers whose valid share was
+// recorded.
+func (c *Collector) Count() int { return c.signers.Count() }
+
+// Cert mints a certificate over every recorded signer; it needs at least
+// K of them. The certificate is the collector's snapshot: later Adds do
+// not change it.
+func (c *Collector) Cert() (*Cert, error) {
+	s := c.s
+	if have := c.signers.Count(); have < s.k {
+		return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewShares, have, s.k)
+	}
+	cert := &Cert{K: s.k, Signers: c.signers.Clone()}
 	switch s.mode {
 	case ModeAggregate:
-		members := signers.Members()
-		cert.Shares = make([]sig.Signature, len(members))
-		for i, id := range members {
-			cert.Shares[i] = bySigner[id].Clone()
+		slices.SortFunc(c.shares, func(a, b Share) int { return cmp.Compare(a.Signer, b.Signer) })
+		cert.Shares = make([]sig.Signature, len(c.shares))
+		for i, sh := range c.shares {
+			cert.Shares[i] = sh.Sig.Clone()
 		}
 	case ModeCompact:
-		st := s.dealerMAC(msg, signers)
+		st := s.dealerMAC(c.msg, cert.Signers)
 		cert.Tag = st.Tag(compactTagSize)
 		s.dealer.Put(st)
 	}

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"adaptiveba/internal/proto"
 	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
@@ -16,15 +17,19 @@ import (
 // 32-command flush of a burst of inline puts (n=4, one round, every
 // proposer a full batch of 8 — the shape that pays for value bytes) and
 // the batched library call of lib-acs-crash1 (n=9, one crashed proposer,
-// four rounds of batch 16). The worker count stays at GOMAXPROCS on
-// purpose: that is what the service runs, and what the older guards
-// (serial stepping, idle ticks) never measured.
+// four rounds of batch 16). The two n = 4 flushes run on one suite from
+// NewCrypto, each call in its own signing domain, as a service.Core
+// builds its suite once and reuses it for every flush; n9f1 derives its
+// keys per call, as the library call does. The worker count stays at
+// GOMAXPROCS on purpose: that is what the service runs, and what the
+// older guards (serial stepping, idle ticks) never measured.
 var commitShapes = []struct {
 	name          string
 	cfg           Config
 	rounds, batch int
 	queues        func() [][]types.Value
 	committed     int
+	shareSuite    bool // run every call on one suite, as service.Core does
 	// Ceilings on one call's allocations and bytes; the race pair is the
 	// wider one the guard holds the call to under the race detector (see
 	// TestCommitAllocCeiling).
@@ -36,14 +41,14 @@ var commitShapes = []struct {
 		queues: func() [][]types.Value {
 			return [][]types.Value{{types.Value("SET a2V5LTAwMDE i:dmFsdWU")}, nil, nil, nil}
 		},
-		committed: 1, allocCeiling: 1390, byteCeiling: 113e3,
-		raceAllocCeiling: 1620, raceByteCeiling: 136e3,
+		committed: 1, shareSuite: true, allocCeiling: 1210, byteCeiling: 97e3,
+		raceAllocCeiling: 1410, raceByteCeiling: 117e3,
 	},
 	{
 		name: "n4b32", cfg: Config{N: 4, T: 1, Inflight: 1}, rounds: 1, batch: 8,
 		queues:    func() [][]types.Value { return burstQueues(4, 8) },
-		committed: 32, allocCeiling: 1430, byteCeiling: 233e3,
-		raceAllocCeiling: 1640, raceByteCeiling: 253e3,
+		committed: 32, shareSuite: true, allocCeiling: 1250, byteCeiling: 217e3,
+		raceAllocCeiling: 1430, raceByteCeiling: 236e3,
 	},
 	{
 		name: "n9f1", cfg: Config{N: 9, F: 1}, rounds: 4, batch: 16,
@@ -72,12 +77,28 @@ func burstQueues(n, perProc int) [][]types.Value {
 	return queues
 }
 
-// runCommitShape makes shape i's call. queues is s.queues(), built by the
-// caller outside whatever it measures (RunACSLog only reads it).
-func runCommitShape(tb testing.TB, i int, queues [][]types.Value, seed int64) {
+// commitSuite is the suite shape i's calls share, built by the caller
+// outside whatever it measures: nil, a suite per call, unless the shape
+// shares one.
+func commitSuite(tb testing.TB, i int) *proto.Crypto {
+	s := &commitShapes[i]
+	if !s.shareSuite {
+		return nil
+	}
+	crypto, err := NewCrypto(s.cfg.N, s.cfg.T, proto.Generated())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return crypto
+}
+
+// runCommitShape makes shape i's call on crypto (commitSuite(i)). queues is
+// s.queues(), built by the caller outside whatever it measures (RunACSLog
+// only reads it); seed is the call's signing domain.
+func runCommitShape(tb testing.TB, i int, queues [][]types.Value, crypto *proto.Crypto, seed int64) {
 	s := &commitShapes[i]
 	cfg := s.cfg
-	cfg.Seed = seed
+	cfg.Seed, cfg.Crypto = seed, crypto
 	rep, err := RunACSLog(cfg, queues, s.rounds, s.batch)
 	if err != nil {
 		tb.Fatal(err)
@@ -94,11 +115,11 @@ func runCommitShape(tb testing.TB, i int, queues [][]types.Value, seed int64) {
 func BenchmarkRunACSLogCommit(b *testing.B) {
 	for i := range commitShapes {
 		b.Run(commitShapes[i].name, func(b *testing.B) {
-			queues := commitShapes[i].queues()
+			queues, crypto := commitShapes[i].queues(), commitSuite(b, i)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
-				runCommitShape(b, i, queues, int64(k))
+				runCommitShape(b, i, queues, crypto, int64(k))
 			}
 		})
 	}
@@ -114,13 +135,17 @@ func BenchmarkRunACSLogCommit(b *testing.B) {
 // value frames: 1 378 / 110 kB, 1 539 / 301 kB and 65 600–65 900 /
 // 6.2–6.4 MB; with BB envelopes, weak BA decisions and ACS batches read
 // in place, no whole-run output and a presized log, at GOMAXPROCS 2:
-// 1 265 / 103 kB, 1 301 / 211 kB and 62 540–62 560 / 5.7 MB — bytes as
+// 1 265 / 103 kB, 1 301 / 211 kB and 62 540–62 560 / 5.7 MB; with the n = 4
+// shapes on one shared suite, as the service runs them: 1 124 / 92 kB and
+// 1 160 / 201 kB; with leaders minting from the shares they collected:
+// 1 100 / 88 kB, 1 136 / 197 kB and 62 390 / 5.6 MB — bytes as
 // `go test -bench` prints them, 1 kB = 1 000 B). Under the race detector
 // sync.Pool drops a quarter of its Puts, so pooled wire writers, MAC
 // states and routing arenas are re-made at random (measured there over
-// five runs: 1 444–1 472 / 121–123 kB, 1 462–1 493 / 228–230 kB and
-// 72 150–72 560 / 8.8–9.0 MB); the guard still runs, with about 10 %
-// headroom over the highest of those.
+// five runs: 1 266–1 281 / 105–106 kB and 1 285–1 300 / 213–214 kB
+// for the n = 4 shapes now, 72 150–72 560 / 8.8–9.0 MB for n9f1 before
+// the collectors); the guard still runs, with about 10 % headroom over
+// the highest of those.
 // It reads MemStats itself because testing.AllocsPerRun pins GOMAXPROCS to
 // 1, which would turn the default worker count into the serial engine.
 func TestCommitAllocCeiling(t *testing.T) {
@@ -131,12 +156,12 @@ func TestCommitAllocCeiling(t *testing.T) {
 			allocCeiling, byteCeiling = s.raceAllocCeiling, s.raceByteCeiling
 		}
 		const runs = 3
-		queues := s.queues()
-		runCommitShape(t, i, queues, 0) // warm the lazily built package state
+		queues, crypto := s.queues(), commitSuite(t, i)
+		runCommitShape(t, i, queues, crypto, 0) // warm the lazily built package (and shared suite) state
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for k := 1; k <= runs; k++ {
-			runCommitShape(t, i, queues, int64(k))
+			runCommitShape(t, i, queues, crypto, int64(k))
 		}
 		runtime.ReadMemStats(&after)
 		allocs := float64(after.Mallocs-before.Mallocs) / runs

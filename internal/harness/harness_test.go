@@ -401,16 +401,21 @@ func TestCountOps(t *testing.T) {
 // TestCountOpsCountsInherentDemand: CountOps alone measures what -exp
 // crypto-ops reports, the protocol's inherent verification demand. A BB
 // run at n = 21 with aggregate certificates, where every recipient
-// re-verifies each component signature, counts the 987 verifications of
+// re-verifies each component signature, counts the 945 verifications of
 // that experiment's bb(aggregate) row (EXPERIMENTS.md X-OPS) — none of
-// them answered by the certificate cache.
+// them answered by the certificate cache. The weak and strong BA rows
+// count one check per share, made where the share arrives (21 votes and
+// 21 decides, 21 inputs and 21 decide shares): a leader mints its
+// certificates from the shares it checked then, so none is checked
+// twice. An ACS round pins the same rule for the stack every service
+// flush runs.
 func TestCountOpsCountsInherentDemand(t *testing.T) {
 	o, err := Run(Spec{Protocol: ProtocolBB, N: 21, CountOps: true, CertMode: threshold.ModeAggregate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.SignOps != 43 || o.VerifyOps != 987 {
-		t.Errorf("CountOps counted %d signs / %d verifies, want crypto-ops' 43 / 987", o.SignOps, o.VerifyOps)
+	if o.SignOps != 43 || o.VerifyOps != 945 {
+		t.Errorf("CountOps counted %d signs / %d verifies, want crypto-ops' 43 / 945", o.SignOps, o.VerifyOps)
 	}
 	e, ok := ExperimentByID("crypto-ops")
 	if !ok {
@@ -420,9 +425,28 @@ func TestCountOpsCountsInherentDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := fmt.Sprintf("%-14s %4d %10d %12d %10d\n", "bb(aggregate)", 0, o.SignOps, o.VerifyOps, o.Words)
-	if !strings.Contains(report, row) {
-		t.Errorf("crypto-ops has no row %q:\n%s", row, report)
+	rows := []string{
+		fmt.Sprintf("%-14s %4d %10d %12d %10d\n", "bb(aggregate)", 0, o.SignOps, o.VerifyOps, o.Words),
+		fmt.Sprintf("%-14s %4d %10d %12d %10d\n", ProtocolWBA, 0, 42, 42, 100),
+		fmt.Sprintf("%-14s %4d %10d %12d %10d\n", ProtocolStrongBA, 0, 42, 42, 80),
+	}
+	for _, row := range rows {
+		if !strings.Contains(report, row) {
+			t.Errorf("crypto-ops has no row %q:\n%s", row, report)
+		}
+	}
+	for _, c := range []struct {
+		n               int
+		signs, verifies int64
+	}{{4, 68, 80}, {9, 333, 405}} {
+		o, err := Run(Spec{Protocol: ProtocolACS, N: c.n, CountOps: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.SignOps != c.signs || o.VerifyOps != c.verifies {
+			t.Errorf("acs n=%d: CountOps counted %d signs / %d verifies, want %d / %d",
+				c.n, o.SignOps, o.VerifyOps, c.signs, c.verifies)
+		}
 	}
 }
 

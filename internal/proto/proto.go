@@ -195,6 +195,9 @@ func (c RoundClock) BoundaryAt(now types.Tick) (types.Round, bool) {
 		return 0, false
 	}
 	off := now - c.Start
+	if c.Dur == 1 { // every tick starts a round; BB and weak BA ask every tick
+		return types.Round(off) + 1, true
+	}
 	if off%types.Tick(c.Dur) != 0 {
 		return 0, false
 	}

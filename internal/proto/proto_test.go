@@ -156,6 +156,27 @@ func TestRoundClockDoubleDuration(t *testing.T) {
 	}
 }
 
+// TestRoundClockBoundaryMatchesDivision holds BoundaryAt, whose Dur = 1
+// case divides nothing, to the division rule for Dur 1, 2 and 3, on the
+// ticks around Start (before it, at it, and across several rounds).
+func TestRoundClockBoundaryMatchesDivision(t *testing.T) {
+	for _, dur := range []int{1, 2, 3} {
+		for _, start := range []types.Tick{0, 1, 7} {
+			c := NewRoundClock(start, dur)
+			for now := start - 4; now <= start+4*types.Tick(dur)+1; now++ {
+				var want types.Round
+				wantOK := false
+				if off := now - start; off >= 0 && off%types.Tick(dur) == 0 {
+					want, wantOK = types.Round(off/types.Tick(dur))+1, true
+				}
+				if r, ok := c.BoundaryAt(now); r != want || ok != wantOK {
+					t.Errorf("Dur %d, Start %d: BoundaryAt(%d) = %d, %t; want %d, %t", dur, start, now, r, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
 func TestRoundClockClampsDuration(t *testing.T) {
 	c := NewRoundClock(0, 0)
 	if c.Dur != 1 {
@@ -356,8 +377,10 @@ func TestCryptoVerifyCacheDefaultOn(t *testing.T) {
 }
 
 // TestCryptoForgerySweep flips every single bit of the signer, the message
-// and the signature of a valid triple and expects each variant refused, on
-// both verification paths NewCrypto chooses between: the HMAC ring, which
+// and the signature of a valid triple and expects each variant refused,
+// both as a signature and as a threshold share handed to a collector (the
+// one check a share gets before a certificate is minted from it), on both
+// verification paths NewCrypto chooses between: the HMAC ring, which
 // declares its verification cheap, is Crypto.Scheme itself — every check a
 // real one, the cache never consulted, also behind the op counter, which
 // answers for the ring it wraps — and the Ed25519 ring is verified through
@@ -393,17 +416,23 @@ func TestCryptoForgerySweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			share := func(id types.ProcessID, m []byte, s sig.Signature) bool {
+				return c.Threshold(1).NewCollector(m).Add(threshold.Share{Signer: id, Sig: s})
+			}
+			accepted := func(id types.ProcessID, m []byte, s sig.Signature) bool {
+				return c.Scheme.Verify(id, m, s) || share(id, m, s)
+			}
 			valid := func(when string) {
 				t.Helper()
 				for i := 0; i < 3; i++ {
-					if !c.Scheme.Verify(signer, msg, sg) {
+					if !c.Scheme.Verify(signer, msg, sg) || !share(signer, msg, sg) {
 						t.Fatalf("valid signature rejected %s (check %d)", when, i)
 					}
 				}
 			}
 			valid("before the sweep")
 			for bit := 0; bit < 64; bit++ {
-				if other := signer ^ types.ProcessID(1)<<bit; c.Scheme.Verify(other, msg, sg) {
+				if other := signer ^ types.ProcessID(1)<<bit; accepted(other, msg, sg) {
 					t.Errorf("accepted for signer %d (bit %d flipped)", other, bit)
 				}
 			}
@@ -411,7 +440,7 @@ func TestCryptoForgerySweep(t *testing.T) {
 				for bit := 0; bit < 8; bit++ {
 					forged := append([]byte(nil), msg...)
 					forged[i] ^= 1 << bit
-					if c.Scheme.Verify(signer, forged, sg) {
+					if accepted(signer, forged, sg) {
 						t.Errorf("accepted for a message with byte %d bit %d flipped", i, bit)
 					}
 				}
@@ -420,7 +449,7 @@ func TestCryptoForgerySweep(t *testing.T) {
 				for bit := 0; bit < 8; bit++ {
 					forged := sg.Clone()
 					forged[i] ^= 1 << bit
-					if c.Scheme.Verify(signer, msg, forged) {
+					if accepted(signer, msg, forged) {
 						t.Errorf("accepted a signature with byte %d bit %d flipped", i, bit)
 					}
 				}
