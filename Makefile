@@ -119,11 +119,11 @@ endef
 # with race-aware bounds — see internal/testenv).
 alloc-guard:
 	@$(GUARD); \
-	guard ./internal/sim 'TestSimTickAllocCeiling'; \
+	guard ./internal/sim 'TestSimTickAllocCeiling|TestRunReusesScratch'; \
 	guard ./internal/wire 'TestSizeOfZeroAllocs|TestAppendPayloadZeroAllocs'; \
 	guard ./internal/protocols 'TestSizeOfAllocatesNothing'; \
 	guard ./internal/transport 'TestSendAllocCeiling'; \
-	guard ./internal/proto 'TestMuxSteadyStateAllocs'; \
+	guard ./internal/proto 'TestMuxSteadyStateAllocs|TestSubJoinsEachPathOnce'; \
 	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling'; \
 	guard ./internal/acs 'TestACSAllocCeiling'; \
 	guard './internal/core/wba ./internal/core/bb' 'TestIngestDropsOutOfRangePhases|TestSignBasesAreExactSizeAndUnchanged'; \
@@ -141,8 +141,8 @@ race-guard:
 	guard ./internal/transport 'TestChaosWBADecidesLikeBaseline|TestChaosBBJitterDecidesLikeBaseline' -race; \
 	guard ./internal/testenv 'TestLinkScheduleIsDeterministic|TestLinkWindows' -race; \
 	guard ./cmd/adaptiveba-cluster 'TestCluster' -race; \
-	guard './internal/engine ./internal/harness' 'TestEngineDeterminism|TestRunEngineMatchesSolo' -race; \
-	guard . 'TestPublicResultPins|TestRunManyMatchesSolo' -race; \
+	guard './internal/engine ./internal/harness' 'TestEngineDeterminism|TestRunEngineMatchesSolo|TestSessionGroupsMatchOneSimulation' -race; \
+	guard . 'TestPublicResultPins|TestRunManyMatchesSolo|TestSessionGroupsCountTheCallsCacheLookups' -race; \
 	guard ./internal/acs 'TestACSDeterministicAcrossWorkers|TestACSLateBroadcastTraffic' -race; \
 	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract|TestReplicatedLogOverTCP|TestRunLogEmptyQueueCommitsBottom' -race; \
 	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity|TestCryptoForgerySweep' -race; \

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/testenv"
 )
 
@@ -201,5 +202,45 @@ func TestReplicateLogInflight(t *testing.T) {
 	}
 	if serial.Words != piped.Words {
 		t.Errorf("pipelining changed the cost: serial %d words, piped %d", serial.Words, piped.Words)
+	}
+}
+
+// TestSessionGroupsCountTheCallsCacheLookups pins the verification-cache
+// counters of a RunMany call on real signatures whose sessions run as
+// concurrent simulations: they count the call's lookups once, the same
+// at GOMAXPROCS 2 (two groups on one suite) as at 1. A lookup that
+// finds another worker computing the same check counts as a wait, not a
+// hit, so hits and waits are compared together.
+func TestSessionGroupsCountTheCallsCacheLookups(t *testing.T) {
+	const n = 4
+	inputs := make([][]byte, n)
+	for i := range inputs {
+		inputs[i] = []byte("w")
+	}
+	reqs := []Request{
+		BroadcastRequest(n, 0, []byte("cmd"), WithFaults(1), WithRealSignatures()),
+		WeakAgreeRequest(n, inputs, nil),
+		BroadcastRequest(n, 2, []byte("cmd2")),
+		StrongAgreeBinaryRequest(n, []bool{true, false, true, true}),
+	}
+	var want metrics.Report
+	for _, procs := range []int{1, 2} {
+		testenv.Procs(t, procs)
+		rep, err := run(bg, false, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rep.Metrics
+		t.Logf("GOMAXPROCS %d: %d hits, %d misses, %d waits", procs, got.CacheHits, got.CacheMisses, got.CacheWaits)
+		if procs == 1 {
+			if want = got; want.CacheMisses == 0 {
+				t.Fatal("the run verified nothing through the cache")
+			}
+			continue
+		}
+		if got.CacheMisses != want.CacheMisses || got.CacheHits+got.CacheWaits != want.CacheHits+want.CacheWaits {
+			t.Errorf("GOMAXPROCS %d: %d hits + %d waits, %d misses; GOMAXPROCS 1: %d + %d, %d",
+				procs, got.CacheHits, got.CacheWaits, got.CacheMisses, want.CacheHits, want.CacheWaits, want.CacheMisses)
+		}
 	}
 }

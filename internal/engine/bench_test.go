@@ -41,20 +41,20 @@ var commitShapes = []struct {
 		queues: func() [][]types.Value {
 			return [][]types.Value{{types.Value("SET a2V5LTAwMDE i:dmFsdWU")}, nil, nil, nil}
 		},
-		committed: 1, shareSuite: true, allocCeiling: 1210, byteCeiling: 97e3,
-		raceAllocCeiling: 1410, raceByteCeiling: 117e3,
+		committed: 1, shareSuite: true, allocCeiling: 1160, byteCeiling: 87e3,
+		raceAllocCeiling: 1400, raceByteCeiling: 116e3,
 	},
 	{
 		name: "n4b32", cfg: Config{N: 4, T: 1, Inflight: 1}, rounds: 1, batch: 8,
 		queues:    func() [][]types.Value { return burstQueues(4, 8) },
-		committed: 32, shareSuite: true, allocCeiling: 1250, byteCeiling: 217e3,
-		raceAllocCeiling: 1430, raceByteCeiling: 236e3,
+		committed: 32, shareSuite: true, allocCeiling: 1200, byteCeiling: 207e3,
+		raceAllocCeiling: 1410, raceByteCeiling: 230e3,
 	},
 	{
 		name: "n9f1", cfg: Config{N: 9, F: 1}, rounds: 4, batch: 16,
 		queues:    func() [][]types.Value { return acsQueues(9, 4*16) },
-		committed: 8 * 4 * 16, allocCeiling: 68800, byteCeiling: 6.3e6,
-		raceAllocCeiling: 79800, raceByteCeiling: 9.9e6,
+		committed: 8 * 4 * 16, allocCeiling: 68600, byteCeiling: 5.1e6,
+		raceAllocCeiling: 79500, raceByteCeiling: 9.1e6,
 	},
 }
 
@@ -138,14 +138,17 @@ func BenchmarkRunACSLogCommit(b *testing.B) {
 // 1 265 / 103 kB, 1 301 / 211 kB and 62 540–62 560 / 5.7 MB; with the n = 4
 // shapes on one shared suite, as the service runs them: 1 124 / 92 kB and
 // 1 160 / 201 kB; with leaders minting from the shares they collected:
-// 1 100 / 88 kB, 1 136 / 197 kB and 62 390 / 5.6 MB — bytes as
-// `go test -bench` prints them, 1 kB = 1 000 B). Under the race detector
-// sync.Pool drops a quarter of its Puts, so pooled wire writers, MAC
-// states and routing arenas are re-made at random (measured there over
-// five runs: 1 266–1 281 / 105–106 kB and 1 285–1 300 / 213–214 kB
-// for the n = 4 shapes now, 72 150–72 560 / 8.8–9.0 MB for n9f1 before
-// the collectors); the guard still runs, with about 10 % headroom over
-// the highest of those.
+// 1 100 / 88 kB, 1 136 / 197 kB and 62 390 / 5.6 MB; with the
+// simulator's per-run buffers pooled, n9f1's four rounds in two
+// concurrent session groups and sessions' nested paths joined once:
+// 1 055 / 79 kB, 1 092 / 188 kB and 62 310–62 370 / 4.1–4.6 MB, the
+// high end a run whose second group found no pooled buffers on its P —
+// bytes as `go test -bench` prints them, 1 kB = 1 000 B). Under the race
+// detector sync.Pool drops a quarter of its Puts, so pooled wire
+// writers, MAC states, routing arenas and simulator buffers are re-made
+// at random (measured there over five runs: 1 226–1 269 / 97–105 kB,
+// 1 240–1 281 / 203–209 kB and 72 050–72 260 / 7.6–8.3 MB); the guard
+// still runs, with about 10 % headroom over the highest of those.
 // It reads MemStats itself because testing.AllocsPerRun pins GOMAXPROCS to
 // 1, which would turn the default worker count into the serial engine.
 func TestCommitAllocCeiling(t *testing.T) {

@@ -1,10 +1,11 @@
 // Package engine runs many agreement instances — any kind of the
 // protocol table, SMR log slots included — in flight simultaneously over
-// one shared simulator run and crypto suite. It is the one runtime behind
-// the public adaptiveba calls and the pipelined replicated log:
-// each instance lives in its own session, inbound traffic is demuxed to
-// per-session protocol machines by session ID (proto.Mux), and the
-// per-engine report aggregates per-session word/message/round metrics.
+// one crypto suite and one simulation per session group (see Session
+// groups). It is the one runtime behind the public adaptiveba calls and
+// the pipelined replicated log: each instance lives in its own session,
+// inbound traffic is demuxed to per-session protocol machines by session
+// ID (proto.Mux), and the per-engine report aggregates per-session
+// word/message/round metrics.
 //
 // # Admission
 //
@@ -26,14 +27,30 @@
 // ID and machines are tick-offset invariant (their round clocks anchor
 // at Begin), per-session decisions and word counts are byte-identical
 // at every window size.
+//
+// # Session groups
+//
+// Sessions share nothing but the deployment: the process set, the suite
+// and the failure pattern. When that pattern is a crash (silent and
+// stateless) or nothing, and no OnSend observes the run as a whole, Run
+// deals the sessions to one group per CPU (GOMAXPROCS, at most one per
+// session), session k to group k mod G, and simulates each group on its
+// own goroutine over the same stride schedule with a fresh adversary of
+// the same crash set. Every session keeps its index, name, signing tag
+// and start tick, so its result is the one a single simulation gives;
+// the report merges the groups' (sums of words, messages and late
+// frames, the latest group's tick count). Any other run, and any run at
+// GOMAXPROCS 1, is one group: one simulation.
 package engine
 
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
@@ -76,7 +93,10 @@ type Config struct {
 	F int
 	// Adversary, if set, overrides the F-derived crash adversary with a
 	// custom one built against the run's tick budget (e.g. a replay
-	// adversary whose horizon targets a session retirement edge).
+	// adversary whose horizon targets a session retirement edge). It is
+	// called once per session group, and each call must return a new
+	// adversary: groups run at once. Any adversary but a crash makes the
+	// run one group.
 	Adversary func(maxTicks types.Tick) sim.Adversary
 	// Inflight bounds the number of concurrently live sessions (the
 	// admission window W). 0 admits as many as requested; 1 runs
@@ -91,14 +111,17 @@ type Config struct {
 	// the dealer from "engine-dealer", so a run's every byte follows from
 	// its Seed. One suite may serve any number of runs: each still signs
 	// in its own Seed's domain. The suite's verification cache is shared
-	// too, so a run's cache counters (sim.Result's) are its own only when
-	// the runs on one suite take turns, as a service's flushes do.
+	// too: Report.Metrics counts the lookups made while the run's session
+	// groups ran, its own only when the runs on one suite take turns, as a
+	// service's flushes do.
 	Crypto *proto.Crypto
 	// OnSend, if set, observes every charged message of the run (see
-	// sim.Config.OnSend); sim.TraceTo builds the text trace on it.
+	// sim.Config.OnSend); sim.TraceTo builds the text trace on it. It sees
+	// the run as a whole, so the run is one group.
 	OnSend func(now types.Tick, m sim.Message, honest bool)
-	// Halt, if set, is polled every tick; returning true aborts the run
-	// with sim.ErrHalted (the cancellation hook for context callers).
+	// Halt, if set, is polled every tick of every session group, from the
+	// group's goroutine; returning true aborts the run with sim.ErrHalted
+	// (the cancellation hook for context callers).
 	Halt func(types.Tick) bool
 }
 
@@ -240,31 +263,58 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	procs := make([]*procMachine, cfg.N)
-	factory := func(id types.ProcessID) proto.Machine {
-		procs[id] = sched.root(id)
-		return runRoot{procs[id]}
-	}
 
-	var adv sim.Adversary
-	if cfg.Adversary != nil {
-		adv = cfg.Adversary(sched.budget)
-	} else if cfg.F > 0 {
-		adv = adversary.NewCrash(adversary.CrashSet(cfg.F, false)...)
+	// Deal the sessions to their groups, one simulation each: session k
+	// runs in group k mod G. Groups share the suite, so the run's cache
+	// counters are read around all of them at once.
+	adv := cfg.adversary(sched.budget)
+	groups := make([]group, sessionGroups(&cfg, adv, len(reqs)))
+	simulate := func(g int, adv sim.Adversary) {
+		gr := &groups[g]
+		gr.procs = make([]*procMachine, cfg.N)
+		gr.res, gr.err = sim.Run(sim.Config{
+			Params: params,
+			Crypto: crypto,
+			Factory: func(id types.ProcessID) proto.Machine {
+				p := sched.root(id)
+				p.group, p.groups = g, len(groups)
+				gr.procs[id] = p
+				return runRoot{p}
+			},
+			SizeOf:    protocols.SizeOf,
+			Adversary: adv,
+			MaxTicks:  sched.budget,
+			OnSend:    cfg.OnSend,
+			Halt:      cfg.Halt,
+		})
 	}
-
-	res, err := sim.Run(sim.Config{
-		Params:    params,
-		Crypto:    crypto,
-		Factory:   factory,
-		SizeOf:    protocols.SizeOf,
-		Adversary: adv,
-		MaxTicks:  sched.budget,
-		OnSend:    cfg.OnSend,
-		Halt:      cfg.Halt,
-	})
-	if err != nil {
-		return nil, err
+	cache0, _ := crypto.VerifyCacheStats()
+	if len(groups) == 1 {
+		simulate(0, adv)
+	} else {
+		var wg sync.WaitGroup
+		for g := range groups {
+			if g > 0 {
+				adv = cfg.adversary(sched.budget)
+			}
+			wg.Add(1)
+			go func(g int, adv sim.Adversary) {
+				defer wg.Done()
+				defer func() { groups[g].panicked = recover() }()
+				simulate(g, adv)
+			}(g, adv)
+		}
+		wg.Wait()
+	}
+	for g := range groups {
+		if p := groups[g].panicked; p != nil {
+			panic(p)
+		}
+	}
+	for g := range groups {
+		if err := groups[g].err; err != nil {
+			return nil, err
+		}
 	}
 
 	rep := &Report{
@@ -272,34 +322,51 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		Sessions:     make([]SessionResult, len(reqs)),
 		Stride:       sched.stride,
 		SessionTicks: sched.duration,
-		Ticks:        res.Ticks,
-		TimedOut:     res.TimedOut,
-		Metrics:      res.Report,
+		Metrics:      metrics.Report{ByLayer: make(map[string]metrics.Stats)},
 	}
-	// Demux losses: messages for already-retired sessions are discarded
-	// and counted, never silently dropped. ACS sessions retire their own
-	// broadcast children at the vote boundary, so their nested late
-	// counts roll up too.
-	for _, p := range procs {
-		if p == nil || p.mux == nil {
-			continue
+	for g := range groups {
+		res := groups[g].res
+		rep.Ticks = max(rep.Ticks, res.Ticks)
+		rep.TimedOut = rep.TimedOut || res.TimedOut
+		rep.Metrics.Honest.Add(res.Report.Honest)
+		rep.Metrics.Byzantine.Add(res.Report.Byzantine)
+		for layer, st := range res.Report.ByLayer {
+			sum := rep.Metrics.ByLayer[layer]
+			sum.Add(st)
+			rep.Metrics.ByLayer[layer] = sum
 		}
-		rep.Metrics.EngineLate += p.mux.Late() + p.mux.Unrouted()
-		for _, child := range p.children {
-			if m, ok := child.(*acs.Machine); ok && m != nil {
-				rep.Metrics.EngineLate += m.Late()
+		// Demux losses: messages for already-retired sessions are
+		// discarded and counted, never silently dropped. ACS sessions
+		// retire their own broadcast children at the vote boundary, so
+		// their nested late counts roll up too.
+		for _, p := range groups[g].procs {
+			if p == nil || p.mux == nil {
+				continue
+			}
+			rep.Metrics.EngineLate += p.mux.Late() + p.mux.Unrouted()
+			for _, child := range p.children {
+				if m, ok := child.(*acs.Machine); ok && m != nil {
+					rep.Metrics.EngineLate += m.Late()
+				}
 			}
 		}
+	}
+	rep.Metrics.Ticks = rep.Ticks
+	if st, ok := crypto.VerifyCacheStats(); ok {
+		rep.Metrics.CacheHits = st.Hits - cache0.Hits
+		rep.Metrics.CacheMisses = st.Misses - cache0.Misses
+		rep.Metrics.CacheWaits = st.InflightWaits - cache0.InflightWaits
 	}
 	perLayer := splitLayers(rep.Metrics.ByLayer)
 	for k := range rep.Sessions {
 		s := &rep.Sessions[k]
+		gr := &groups[k%len(groups)]
 		s.Index, s.Name, s.Kind = k, "s"+strconv.Itoa(k), reqs[k].kind()
 		s.Start = sched.starts[k]
 		s.Decisions = make(map[types.ProcessID]types.Value)
 		s.AllDecided = true
-		for _, id := range res.Honest {
-			m := procs[id].children[k]
+		for _, id := range gr.res.Honest {
+			m := gr.procs[id].children[k]
 			if m == nil {
 				s.AllDecided = false
 				continue
@@ -315,7 +382,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 			}
 			s.DecisionTick = max(s.DecisionTick, s.Start+decidedAt)
 		}
-		s.Decision, s.Agreement = sim.Agreement(s.Decisions, res.Honest)
+		s.Decision, s.Agreement = sim.Agreement(s.Decisions, gr.res.Honest)
 		if ls := perLayer[s.Name]; ls != nil {
 			s.ByLayer = ls
 			for _, st := range ls {
@@ -325,6 +392,41 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// adversary builds a fresh adversary for a run of the given tick budget:
+// Adversary's when set, else a crash of the F-process crash set, nil
+// when neither corrupts anyone.
+func (cfg *Config) adversary(budget types.Tick) sim.Adversary {
+	if cfg.Adversary != nil {
+		return cfg.Adversary(budget)
+	}
+	if cfg.F > 0 {
+		return adversary.NewCrash(adversary.CrashSet(cfg.F, false)...)
+	}
+	return nil
+}
+
+// sessionGroups is how many simulations a run of the given sessions is
+// dealt to. A run that nothing observes as a whole — no OnSend, and an
+// adversary (adv, as cfg builds it) that is nil or a crash — gets one per
+// CPU, at most one per session: a crash adversary is silent and
+// stateless, so its sessions share only the crash set. Any other run is
+// one simulation.
+func sessionGroups(cfg *Config, adv sim.Adversary, sessions int) int {
+	if _, crash := adv.(*adversary.Crash); cfg.OnSend != nil || (adv != nil && !crash) {
+		return 1
+	}
+	return min(runtime.GOMAXPROCS(0), sessions)
+}
+
+// group is one simulation of a run, hosting the sessions k ≡ g (mod G)
+// of group g of G on every process.
+type group struct {
+	procs    []*procMachine // every process's root, nil for the crashed
+	res      *sim.Result
+	err      error
+	panicked any // a machine's panic, re-raised on Run's goroutine
 }
 
 // splitLayers groups the engine-wide layer breakdown by leading session
@@ -450,6 +552,11 @@ type procMachine struct {
 	children []proto.Machine // retained past retirement for result extraction
 	next     int             // next session index to admit
 	retired  int             // next session index to retire (FIFO)
+
+	// group and groups deal the sessions among a run's simulations: with
+	// groups > 1 this root hosts session k only if k mod groups = group
+	// and passes over the others' admissions (every session otherwise).
+	group, groups int
 }
 
 var _ proto.Machine = (*procMachine)(nil)
@@ -465,6 +572,9 @@ func (p *procMachine) admit(now types.Tick, outs []proto.Outgoing) []proto.Outgo
 	for p.next < len(s.starts) && s.starts[p.next] == now {
 		k := p.next
 		p.next++
+		if p.groups > 1 && k%p.groups != p.group {
+			continue // another group's simulation hosts session k
+		}
 		m := s.build(k, p.id)
 		p.children[k] = m
 		outs = p.mux.Add(s.names[k], m).Begin(now, outs)

@@ -23,7 +23,8 @@ type Stats struct {
 	Signatures int64 // individual signatures created for these messages
 }
 
-func (s *Stats) add(o Stats) {
+// Add adds o's counters to s.
+func (s *Stats) Add(o Stats) {
 	s.Messages += o.Messages
 	s.Words += o.Words
 	s.Bytes += o.Bytes
@@ -103,10 +104,10 @@ func (r *Recorder) RecordSendN(ev SendEvent, count int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !ev.Honest {
-		r.byzantine.add(s)
+		r.byzantine.Add(s)
 		return
 	}
-	r.honest.add(s)
+	r.honest.Add(s)
 	layer := ev.Layer
 	if layer == "" {
 		layer = "(root)"
@@ -120,7 +121,7 @@ func (r *Recorder) RecordSendN(ev SendEvent, count int) {
 		}
 		r.lastLayer, r.lastLayerStats = layer, ls
 	}
-	ls.add(s)
+	ls.Add(s)
 }
 
 // SetTicks records the run's duration in ticks (δ units).

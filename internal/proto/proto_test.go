@@ -2,6 +2,7 @@ package proto
 
 import (
 	"crypto/rand"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -533,6 +534,51 @@ func TestCryptoThresholdConcurrentAccess(t *testing.T) {
 		for i := range got[g] {
 			if got[g][i] != got[0][i] {
 				t.Fatalf("goroutine %d saw a different scheme instance at %d", g, i)
+			}
+		}
+	}
+}
+
+// TestSubJoinsEachPathOnce: a child that keeps switching among a handful
+// of paths stops paying a join per switch once it has switched more than
+// maxPaths times; a child that uses each of its paths once (a broadcast's
+// phases) never gets the cache; and a child with more paths than the Sub
+// keeps joined still gets every send prefixed as JoinSession would.
+func TestSubJoinsEachPathOnce(t *testing.T) {
+	sub := NewSub("s0", &echoMachine{})
+	sub.Begin(0, nil)
+	rests := []string{"b0/wba", "", "b1", "b0/wba", "b2/wba/fallback", "b1", "", "b0/wba"}
+	outs := make([]Outgoing, len(rests))
+	wrap := func() {
+		for i, r := range rests {
+			outs[i] = Outgoing{Session: r}
+		}
+		sub.wrap(0, outs)
+	}
+	for pass := 0; pass < 3; pass++ {
+		wrap()
+	}
+	if a := testing.AllocsPerRun(1, wrap); a != 0 {
+		t.Errorf("switching among four joined paths allocates %.0f per pass, want 0", a)
+	}
+
+	once := NewSub("s1", &echoMachine{})
+	once.Begin(0, nil)
+	for i := 0; i < maxPaths; i++ {
+		once.wrap(0, []Outgoing{{Session: fmt.Sprintf("wba/p%d", i)}})
+	}
+	if once.others != nil {
+		t.Error("a child that used each of its paths once got the path cache")
+	}
+
+	many := NewSub("s2", &echoMachine{})
+	many.Begin(0, nil)
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < 3*maxPaths; i++ {
+			rest := fmt.Sprintf("b%d/wba", i%(2*maxPaths))
+			out := many.wrap(0, []Outgoing{{Session: rest}})
+			if want := JoinSession("s2", rest); out[0].Session != want {
+				t.Fatalf("pass %d send %d: session %q, want %q", pass, i, out[0].Session, want)
 			}
 		}
 	}

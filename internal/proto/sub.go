@@ -1,6 +1,10 @@
 package proto
 
-import "adaptiveba/internal/types"
+import (
+	"slices"
+
+	"adaptiveba/internal/types"
+)
 
 // Sub hosts a child machine under a named session. Parents create a Sub,
 // feed it the child-addressed slice of their inbox every tick, and start
@@ -11,14 +15,22 @@ type Sub struct {
 	name    string
 	machine Machine
 	started bool
-	begun   bool
+	joins   uint8 // paths joined, counted up to maxPaths + 1
 	buffer  []Incoming
 
-	// The last child-relative session path wrap prefixed, and the result:
-	// a broadcast is n consecutive sends on one path, and a child mostly
-	// keeps to one path from tick to tick.
-	lastRest, lastJoined string
+	// lastJoined is the session path wrap produced last, name/rest (name
+	// alone for an empty rest): a broadcast is n consecutive sends on one
+	// path. A child that has switched paths more than maxPaths times
+	// also gets others, the joined forms of up to maxPaths more of its
+	// paths, so switching among a handful of them joins none again. A
+	// child that does not revisit its paths allocates none of it.
+	lastJoined string
+	others     *[maxPaths]string // filled from the front; "" is free
 }
+
+// maxPaths bounds Sub.others: every path of a nested protocol child fits,
+// and a search of a full one costs less than the join it saves.
+const maxPaths = 8
 
 // NewSub wraps machine under the session segment name.
 func NewSub(name string, machine Machine) *Sub {
@@ -84,14 +96,47 @@ func (s *Sub) Done() bool {
 
 // wrap prefixes the sends the child just appended — outs[n0:] of the
 // slice it returned; what lies before belongs to the caller — with the
-// session segment, joining each distinct path once per run of equal paths
-// rather than once per send.
+// session segment. A path is joined only when it is neither the last
+// one nor among others.
 func (s *Sub) wrap(n0 int, outs []Outgoing) []Outgoing {
 	for i := n0; i < len(outs); i++ {
-		if rest := outs[i].Session; s.lastJoined == "" || rest != s.lastRest {
-			s.lastRest, s.lastJoined = rest, JoinSession(s.name, rest)
-		}
-		outs[i].Session = s.lastJoined
+		outs[i].Session = s.join(outs[i].Session)
 	}
 	return outs
+}
+
+// join returns rest below the Sub's segment, joining it unless it is
+// the last path or one of others.
+func (s *Sub) join(rest string) string {
+	if s.lastJoined != "" && s.restOf(s.lastJoined) == rest {
+		return s.lastJoined
+	}
+	if s.others != nil {
+		for i, p := range s.others {
+			if p == "" {
+				break
+			}
+			if s.restOf(p) == rest {
+				s.others[i], s.lastJoined = s.lastJoined, p
+				return p
+			}
+		}
+	}
+	if s.joins <= maxPaths {
+		s.joins++
+	} else if s.lastJoined != "" {
+		if s.others == nil {
+			s.others = new([maxPaths]string)
+		}
+		if i := slices.Index(s.others[:], ""); i >= 0 {
+			s.others[i] = s.lastJoined
+		}
+	}
+	s.lastJoined = JoinSession(s.name, rest)
+	return s.lastJoined
+}
+
+// restOf is the child-relative path a joined path of the Sub came from.
+func (s *Sub) restOf(joined string) string {
+	return joined[min(len(joined), len(s.name)+1):]
 }

@@ -2,11 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -138,6 +140,104 @@ func TestSimTickAllocCeiling(t *testing.T) {
 	const runCeiling = 12*n + 120
 	if long > runCeiling {
 		t.Errorf("Run allocates %.0f, above committed ceiling %d", long, runCeiling)
+	}
+}
+
+// TestRunReusesScratch is the guard on the pooled per-run buffers: a
+// second Run of the same shape takes the first's scratch from the pool
+// and grows none of it — pending, arena, outs, inbox offsets and counts
+// keep their capacity — and a scratch back in the pool holds no message.
+// One P keeps the pool's per-P cache in one place, and the collector is
+// off so that it cannot empty the pool between the runs. (The sharded
+// delivery's chunk counts need two workers; they are not covered.) Under
+// the race detector sync.Pool drops a quarter of its Puts, so a run may
+// get a fresh scratch there (about two runs in three did, measured): the
+// guard checks every run that reused one and needs one reuse in forty.
+func TestRunReusesScratch(t *testing.T) {
+	testenv.Procs(t, 1)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const n = 41
+	params, err := types.NewParams(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := sig.NewHMACRing(n, []byte("bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
+	run := func() {
+		if _, err := Run(Config{
+			Params:   params,
+			Crypto:   crypto,
+			Factory:  func(types.ProcessID) proto.Machine { return newQuietChatter(params, 10) },
+			MaxTicks: 128,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type caps struct{ pending, arena, inboxOff, counts, outs, sends int }
+	capsOf := func(s *scratch) caps {
+		c := caps{cap(s.pending), cap(s.arena), cap(s.inboxOff), cap(s.counts), cap(s.outs), 0}
+		for _, o := range s.outs {
+			c.sends += cap(o)
+		}
+		return c
+	}
+	holds := func(s *scratch) bool {
+		for _, m := range s.pending[:cap(s.pending)] {
+			if m != (Message{}) {
+				return true
+			}
+		}
+		for _, in := range s.arena[:cap(s.arena)] {
+			if in != (proto.Incoming{}) {
+				return true
+			}
+		}
+		for _, o := range s.outs {
+			for _, out := range o[:cap(o)] {
+				if out != (proto.Outgoing{}) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	pooled := func() *scratch {
+		s := scratchPool.Get().(*scratch)
+		scratchPool.Put(s)
+		return s
+	}
+
+	runs := 10
+	if testenv.Race() {
+		runs = 40
+	}
+	run()
+	reused := 0
+	for i := 0; i < runs; i++ {
+		before := pooled()
+		want := capsOf(before)
+		run()
+		after := pooled()
+		if want == (caps{}) || after != before { // a Put the pool dropped
+			if !testenv.Race() {
+				t.Fatalf("run %d: the second Run did not reuse the first's scratch", i)
+			}
+			continue
+		}
+		reused++
+		if got := capsOf(after); got != want {
+			t.Errorf("run %d: the scratch grew from %+v to %+v", i, want, got)
+		}
+		if holds(after) {
+			t.Errorf("run %d: the pooled scratch still holds messages", i)
+		}
+	}
+	t.Logf("%d of %d runs reused the pooled scratch (race %t)", reused, runs, testenv.Race())
+	if reused == 0 {
+		t.Error("no run reused the pooled scratch")
 	}
 }
 

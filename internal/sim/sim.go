@@ -28,6 +28,12 @@
 // including 1, which reduces to the strictly serial engine. All
 // engine-side observation (adversary calls, recording, OnSend) happens
 // post-join on the engine goroutine.
+//
+// Runs are independent of each other: the multi-session engine runs one
+// simulation per session group, several at once, and they share only
+// the crypto suite, whose verification cache is safe for concurrent use,
+// and a pool of per-run buffers (scratch) that each run takes whole and
+// returns cleared.
 package sim
 
 import (
@@ -36,6 +42,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -250,10 +257,9 @@ func Run(cfg Config) (*Result, error) {
 		corrupted: make([]bool, n),
 		schedule:  schedule,
 		workers:   workers,
-		inboxOff:  make([]int32, n+1),
-		counts:    make([]int32, n),
-		outs:      make([][]proto.Outgoing, n),
+		scratch:   takeScratch(n),
 	}
+	defer e.scratch.release()
 	if cfg.ShuffleSeed != 0 {
 		e.shufflers = make([]*shuffler, workers)
 		for w := range e.shufflers {
@@ -281,7 +287,9 @@ type engine struct {
 	cfg Config
 	// cache0 is the suite's verification-cache counters when the run
 	// began: a suite may serve many runs, and a run reports its own share
-	// when those runs take turns (concurrent runs count each other's).
+	// when those runs take turns. Concurrent runs count each other's, so
+	// an engine run whose session groups share a suite reads the counters
+	// around all of its groups instead.
 	cache0    verifycache.Stats
 	rec       *metrics.Recorder
 	machines  []proto.Machine
@@ -294,6 +302,15 @@ type engine struct {
 	schedule    []Corruption
 	nextCorrupt int
 
+	*scratch
+	shufflers []*shuffler // one reusable shuffle source per worker; nil unless ShuffleSeed != 0
+}
+
+// scratch is a run's delivery and send buffers. A run takes one from
+// scratchPool and gives it back cleared, so back-to-back runs (a
+// service's flushes) and concurrent ones (an engine run's session groups)
+// reuse buffers already grown instead of each regrowing its own.
+type scratch struct {
 	// pending holds the in-flight traffic due at the current tick. Every
 	// message is delivered exactly one tick after it is sent, so a single
 	// buffer suffices: it is drained into the inbox arena at tick start
@@ -314,15 +331,43 @@ type engine struct {
 	counts   []int32 // per-recipient counts, doubling as scatter cursors
 	// chunkCounts[w][r] is worker w's count of chunk-local messages for
 	// recipient r during sharded delivery, then w's scatter cursor for r
-	// after the merge. Allocated on first sharded tick.
+	// after the merge. Grown on the first sharded tick.
 	chunkCounts [][]int32
 
-	// Per-tick scratch, sized once from n and reused for the whole run so
-	// the steady-state tick loop allocates nothing. outs[i] is the one
-	// send buffer machine i's whole session tree appends to: handed over
-	// empty every tick, joined in ID order, kept for the next.
-	outs      [][]proto.Outgoing
-	shufflers []*shuffler // one reusable shuffle source per worker; nil unless ShuffleSeed != 0
+	// outs[i] is the one send buffer machine i's whole session tree
+	// appends to: handed over empty every tick, joined in ID order, kept
+	// for the next.
+	outs [][]proto.Outgoing
+
+	// The longest prefix of pending, arena and any outs[i] the run wrote:
+	// all that release must clear to drop the run's payloads.
+	pendingHW, arenaHW, outsHW int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// takeScratch returns a pooled scratch fitted to n processes. Only its
+// buffers' capacity carries over: every user overwrites before it reads.
+func takeScratch(n int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	s.inboxOff = slices.Grow(s.inboxOff[:0], n+1)[:n+1]
+	s.counts = slices.Grow(s.counts[:0], n)[:n]
+	s.outs = slices.Grow(s.outs[:0], n)[:n]
+	return s
+}
+
+// release clears the payloads the run left in s and returns it to the
+// pool.
+func (s *scratch) release() {
+	clear(s.pending[:s.pendingHW])
+	clear(s.arena[:s.arenaHW])
+	for i, o := range s.outs {
+		s.outs[i] = o[:0]
+		clear(o[:min(s.outsHW, cap(o))])
+	}
+	s.pending, s.arena = s.pending[:0], s.arena[:0]
+	s.pendingHW, s.arenaHW, s.outsHW = 0, 0, 0
+	scratchPool.Put(s)
 }
 
 // inbox returns machine i's delivery view for the current tick. The
@@ -360,6 +405,7 @@ func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 				continue
 			}
 			id := types.ProcessID(i)
+			e.outsHW = max(e.outsHW, len(e.outs[i]))
 			for _, o := range e.outs[i] {
 				if err := e.cfg.Params.CheckProcess(o.To); err != nil {
 					return nil, fmt.Errorf("sim: %v sent to invalid recipient: %w", id, err)
@@ -396,6 +442,7 @@ func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 		e.record(honestTraffic, true, now)
 		e.record(advTraffic, false, now)
 		e.pending = append(traffic, advTraffic...)
+		e.pendingHW = max(e.pendingHW, len(e.pending))
 
 		if e.quiesced(now) {
 			timedOut = false
@@ -574,6 +621,7 @@ func (e *engine) deliver() {
 		e.arena = make([]proto.Incoming, p)
 	}
 	e.arena = e.arena[:p]
+	e.arenaHW = max(e.arenaHW, p)
 
 	w := e.workers
 	if w > 1 && p >= parallelDeliveryMin {
@@ -608,13 +656,11 @@ func (e *engine) deliver() {
 func (e *engine) deliverSharded(w int) {
 	n := len(e.counts)
 	p := len(e.pending)
-	if len(e.chunkCounts) < w {
-		cc := make([][]int32, w)
-		copy(cc, e.chunkCounts)
-		for i := len(e.chunkCounts); i < w; i++ {
-			cc[i] = make([]int32, n)
-		}
-		e.chunkCounts = cc
+	for len(e.chunkCounts) < w {
+		e.chunkCounts = append(e.chunkCounts, nil)
+	}
+	for k := 0; k < w; k++ {
+		e.chunkCounts[k] = slices.Grow(e.chunkCounts[k][:0], n)[:n]
 	}
 	chunk := func(k int) (int, int) {
 		return k * p / w, (k + 1) * p / w
