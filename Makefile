@@ -119,12 +119,13 @@ endef
 # with race-aware bounds — see internal/testenv).
 alloc-guard:
 	@$(GUARD); \
-	guard ./internal/sim 'TestSimTickAllocCeiling|TestRunReusesScratch'; \
+	guard ./internal/sim 'TestSimTickAllocCeiling|TestRunReusesScratch|TestConcurrentRunsFindEverySpare|TestSparesLastOneCollection'; \
+	guard ./internal/crypto/threshold 'TestMintedCertVerifyAllocs'; \
 	guard ./internal/wire 'TestSizeOfZeroAllocs|TestAppendPayloadZeroAllocs'; \
 	guard ./internal/protocols 'TestSizeOfAllocatesNothing'; \
 	guard ./internal/transport 'TestSendAllocCeiling'; \
 	guard ./internal/proto 'TestMuxSteadyStateAllocs|TestSubJoinsEachPathOnce'; \
-	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling'; \
+	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling|TestCommitDealerMACs'; \
 	guard ./internal/acs 'TestACSAllocCeiling'; \
 	guard './internal/core/wba ./internal/core/bb' 'TestIngestDropsOutOfRangePhases|TestSignBasesAreExactSizeAndUnchanged'; \
 	guard ./internal/kv 'TestApplyAllocs'; \
@@ -135,13 +136,14 @@ alloc-guard:
 # here so the same guard covers them.
 race-guard:
 	@$(GUARD); \
-	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestStepGateDeterminism|TestObserversDoNotChangeTheCharge' -race; \
+	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestStepGateDeterminism|TestObserversDoNotChangeTheCharge|TestConcurrentRunsFindEverySpare' -race; \
 	guard './internal/crypto/sig ./internal/crypto/keyedmac' 'Concurrent' -race -count=10; \
+	guard ./internal/crypto/threshold 'TestMintedCertConcurrentVerify' -race -count=10; \
 	guard ./internal/transport 'TestClusterMatchesSimulator|TestSendBytesParity|TestOutboxBackpressure|TestRunClusterMachineErrorStartsNoNode|TestNewProtocolMachine' -race; \
 	guard ./internal/transport 'TestChaosWBADecidesLikeBaseline|TestChaosBBJitterDecidesLikeBaseline' -race; \
 	guard ./internal/testenv 'TestLinkScheduleIsDeterministic|TestLinkWindows' -race; \
 	guard ./cmd/adaptiveba-cluster 'TestCluster' -race; \
-	guard './internal/engine ./internal/harness' 'TestEngineDeterminism|TestRunEngineMatchesSolo|TestSessionGroupsMatchOneSimulation' -race; \
+	guard './internal/engine ./internal/harness' 'TestEngineDeterminism|TestRunEngineMatchesSolo|TestSessionGroupsMatchOneSimulation|TestSessionGroupsVerifyMintedCertsOnce' -race; \
 	guard . 'TestPublicResultPins|TestRunManyMatchesSolo|TestSessionGroupsCountTheCallsCacheLookups' -race; \
 	guard ./internal/acs 'TestACSDeterministicAcrossWorkers|TestACSLateBroadcastTraffic' -race; \
 	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract|TestReplicatedLogOverTCP|TestRunLogEmptyQueueCommitsBottom' -race; \

@@ -86,10 +86,17 @@ func (s *State) finish() {
 // fresh slice of exactly that capacity: nothing of the untruncated MAC
 // hides behind the tag, and appending to it cannot write into the state.
 func (s *State) Tag(n int) []byte {
-	s.finish()
 	tag := make([]byte, n)
-	copy(tag, s.sum[:n])
+	s.TagTo(tag)
 	return tag
+}
+
+// TagTo finishes the MAC and writes its first len(dst) bytes (len(dst) <=
+// Size) into dst: Tag for a caller that lays the tag out in a buffer of
+// its own.
+func (s *State) TagTo(dst []byte) {
+	s.finish()
+	copy(dst, s.sum[:len(dst)])
 }
 
 // Equal finishes the MAC and reports, in constant time and without

@@ -22,7 +22,7 @@ func fresh(key []byte, parts ...[]byte) []byte {
 // reuse invariant: whatever a state MACed before, after Reset it computes
 // exactly what a fresh hmac.New over the same key would — over random
 // keys (shorter and longer than the block size), message lengths on both
-// sides of the 64-byte block boundary, and both finishers.
+// sides of the 64-byte block boundary, and every finisher.
 func TestReusedStateMatchesFreshHMAC(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, keyLen := range []int{0, 1, 31, 32, 64, 65, 200} {
@@ -42,11 +42,18 @@ func TestReusedStateMatchesFreshHMAC(t *testing.T) {
 			st.WriteUint64(num)
 			st.Write(msg)
 			n := 1 + rng.Intn(Size)
-			if i%2 == 0 {
+			switch i % 3 {
+			case 0:
 				if got := st.Tag(n); !bytes.Equal(got, want[:n]) {
 					t.Fatalf("key %d B, use %d: reused state tag %x, fresh hmac %x", keyLen, i, got, want[:n])
 				}
-			} else {
+			case 1:
+				got := bytes.Repeat([]byte{0xa5}, n+1)
+				st.TagTo(got[:n])
+				if !bytes.Equal(got[:n], want[:n]) || got[n] != 0xa5 {
+					t.Fatalf("key %d B, use %d: reused state wrote %x, fresh hmac %x", keyLen, i, got, want[:n])
+				}
+			default:
 				if !st.Equal(want[:n], n) {
 					t.Fatalf("key %d B, use %d: reused state rejects the fresh hmac's tag", keyLen, i)
 				}
@@ -106,7 +113,8 @@ func TestTagIsExactCapacity(t *testing.T) {
 }
 
 // TestSteadyStateAllocs: once a state exists, a MAC allocates only the
-// tag it returns, and a comparison allocates nothing.
+// tag it returns, and one written into a caller's buffer or compared
+// allocates nothing.
 func TestSteadyStateAllocs(t *testing.T) {
 	var p Pool
 	p.Init([]byte("key"))
@@ -124,6 +132,15 @@ func TestSteadyStateAllocs(t *testing.T) {
 		p.Put(st)
 	}); a > 1 {
 		t.Errorf("Get/Write/Tag/Put allocates %.0f, want 1 (the tag)", a)
+	}
+	var buf [16]byte
+	if a := testing.AllocsPerRun(200, func() {
+		st := p.Get()
+		st.Write(msg)
+		st.TagTo(buf[:])
+		p.Put(st)
+	}); a > 0 || !bytes.Equal(buf[:], tag) {
+		t.Errorf("Get/Write/TagTo/Put allocates %.0f (want 0) and writes %x (want %x)", a, buf, tag)
 	}
 	if a := testing.AllocsPerRun(200, func() {
 		st := p.Get()

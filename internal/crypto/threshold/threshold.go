@@ -23,12 +23,23 @@
 // once, when it arrives, and its Cert mints from exactly the shares Add
 // accepted, without verifying them again. Scheme.Combine is a loop over a
 // Collector for callers holding a list of unchecked shares.
+//
+// A compact certificate is verified once per scheme, at its mint: Cert
+// records on the certificate private copies of exactly the inputs its tag
+// covers, and Scheme.Verify answers from that record, without a MAC, when
+// the same scheme is asked about the same message, signer words and tag
+// byte for byte. The MAC is a deterministic function of those inputs and
+// the scheme's key, so the answer is the one the MAC would give. Anything
+// else — another message, another signer set or tag, another scheme, a
+// certificate decoded from the wire — computes the MAC.
 package threshold
 
 import (
+	"bytes"
 	"cmp"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -100,6 +111,14 @@ type Cert struct {
 	Shares []sig.Signature
 	// Tag is the dealer's constant-size tag (compact mode only).
 	Tag []byte
+
+	// minter and minted are the record a compact mint leaves (nil on a
+	// certificate built any other way): the minting scheme, and private
+	// copies of the tag, the signer words and the message its dealer tag
+	// covers, laid out in that order in the buffer Tag is sliced from.
+	// See Scheme.Verify.
+	minter *Scheme
+	minted []byte
 }
 
 // Words returns the certificate's cost in the paper's model: one word.
@@ -118,14 +137,15 @@ func (c *Cert) Bytes() int {
 	if c == nil {
 		return 0
 	}
-	n := 8 + len(c.Signers.Words())*8 + len(c.Tag)
+	n := 8 + c.Signers.NumWords()*8 + len(c.Tag)
 	for _, s := range c.Shares {
 		n += len(s)
 	}
 	return n
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy. The copy carries no mint record: Verify
+// checks it with a MAC.
 func (c *Cert) Clone() *Cert {
 	if c == nil {
 		return nil
@@ -302,14 +322,59 @@ func (c *Collector) Cert() (*Cert, error) {
 			cert.Shares[i] = sh.Sig.Clone()
 		}
 	case ModeCompact:
-		st := s.dealerMAC(c.msg, cert.Signers)
-		cert.Tag = st.Tag(compactTagSize)
-		s.dealer.Put(st)
+		s.mintTag(cert, c.msg)
 	}
 	return cert, nil
 }
 
+// mintTag sets cert.Tag to the dealer's tag over (msg, cert.Signers) and
+// records on cert what the tag covers. One buffer holds both: the tag at
+// capacity compactTagSize, so appending to Tag cannot reach the record,
+// then the record — a tag copy, the signer words, a message copy — which
+// shares no memory with Tag, Signers or msg.
+func (s *Scheme) mintTag(cert *Cert, msg []byte) {
+	nw := cert.Signers.NumWords()
+	buf := make([]byte, 2*compactTagSize+8*nw+len(msg))
+	st := s.dealerMAC(msg, cert.Signers)
+	st.TagTo(buf[:compactTagSize])
+	s.dealer.Put(st)
+	cert.Tag = buf[:compactTagSize:compactTagSize]
+	rec := buf[compactTagSize:]
+	copy(rec, cert.Tag)
+	for i := 0; i < nw; i++ {
+		binary.LittleEndian.PutUint64(rec[compactTagSize+8*i:], cert.Signers.Word(i))
+	}
+	copy(rec[compactTagSize+8*nw:], msg)
+	cert.minter, cert.minted = s, rec
+}
+
+// mintedBy reports whether c carries s's mint record of exactly
+// (msg, c.Signers, c.Tag): then s's dealer computed c.Tag over these very
+// inputs, and the MAC would accept it. The record has one reading: the
+// signer word count is fixed by s's ring size, which Verify has checked.
+func (c *Cert) mintedBy(s *Scheme, msg []byte) bool {
+	rec := c.minted
+	nw := c.Signers.NumWords()
+	if c.minter != s || len(rec) < compactTagSize+8*nw {
+		return false
+	}
+	if !bytes.Equal(rec[:compactTagSize], c.Tag) {
+		return false
+	}
+	for i := 0; i < nw; i++ {
+		if binary.LittleEndian.Uint64(rec[compactTagSize+8*i:]) != c.Signers.Word(i) {
+			return false
+		}
+	}
+	return bytes.Equal(rec[compactTagSize+8*nw:], msg)
+}
+
 // Verify reports whether cert proves that K distinct processes signed msg.
+//
+// A compact certificate minted by s and carrying exactly the message,
+// signer words and tag s's dealer covered at the mint is accepted without
+// a MAC (see the package comment); every other compact certificate is
+// checked with one. The answer is the MAC's either way.
 //
 // With WithVerifyCache, aggregate-mode results are memoized under a key
 // committing to the entire certificate content, so the n-th machine
@@ -322,6 +387,9 @@ func (s *Scheme) Verify(msg []byte, cert *Cert) bool {
 	}
 	if cert.Count() < s.k {
 		return false
+	}
+	if s.mode == ModeCompact && cert.mintedBy(s, msg) {
+		return true
 	}
 	if s.cache == nil || s.mode != ModeAggregate {
 		return s.verifyCert(msg, cert)
@@ -413,10 +481,20 @@ func (s *Scheme) verifySharesParallel(msg []byte, members []types.ProcessID, sha
 // compactTagSize is the truncated length of the dealer's tag.
 const compactTagSize = 16
 
+// dealerMACs counts the dealer MACs computed by every scheme in the
+// process, at mint and at verification; see DealerMACs.
+var dealerMACs atomic.Uint64
+
+// DealerMACs returns the number of dealer MACs every compact scheme in
+// the process has computed so far, minting and verifying. Tests pin a
+// run's cryptographic work with the difference across it.
+func DealerMACs() uint64 { return dealerMACs.Load() }
+
 // dealerMAC feeds (k, msg, signer set) to one of the dealer's keyed MAC
-// states. The caller takes the tag (Tag to mint, Equal to check) and
+// states. The caller takes the tag (TagTo to mint, Equal to check) and
 // returns the state with s.dealer.Put.
 func (s *Scheme) dealerMAC(msg []byte, signers *types.BitSet) *keyedmac.State {
+	dealerMACs.Add(1)
 	st := s.dealer.Get()
 	st.WriteUint64(uint64(s.k))
 	st.WriteUint64(uint64(len(msg)))

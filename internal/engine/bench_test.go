@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
@@ -35,6 +36,10 @@ var commitShapes = []struct {
 	// TestCommitAllocCeiling).
 	allocCeiling, byteCeiling         float64
 	raceAllocCeiling, raceByteCeiling float64
+	// dealerMACs is the number of dealer MACs one call computes: one per
+	// certificate minted, plus one per check of a certificate that did
+	// not come straight from its mint (see TestCommitDealerMACs).
+	dealerMACs uint64
 }{
 	{
 		name: "n4r1", cfg: Config{N: 4, T: 1, Inflight: 1}, rounds: 1, batch: 8,
@@ -42,19 +47,19 @@ var commitShapes = []struct {
 			return [][]types.Value{{types.Value("SET a2V5LTAwMDE i:dmFsdWU")}, nil, nil, nil}
 		},
 		committed: 1, shareSuite: true, allocCeiling: 1160, byteCeiling: 87e3,
-		raceAllocCeiling: 1400, raceByteCeiling: 116e3,
+		raceAllocCeiling: 1400, raceByteCeiling: 116e3, dealerMACs: 16,
 	},
 	{
 		name: "n4b32", cfg: Config{N: 4, T: 1, Inflight: 1}, rounds: 1, batch: 8,
 		queues:    func() [][]types.Value { return burstQueues(4, 8) },
 		committed: 32, shareSuite: true, allocCeiling: 1200, byteCeiling: 207e3,
-		raceAllocCeiling: 1410, raceByteCeiling: 230e3,
+		raceAllocCeiling: 1410, raceByteCeiling: 230e3, dealerMACs: 16,
 	},
 	{
 		name: "n9f1", cfg: Config{N: 9, F: 1}, rounds: 4, batch: 16,
 		queues:    func() [][]types.Value { return acsQueues(9, 4*16) },
-		committed: 8 * 4 * 16, allocCeiling: 68600, byteCeiling: 5.1e6,
-		raceAllocCeiling: 79500, raceByteCeiling: 9.1e6,
+		committed: 8 * 4 * 16, allocCeiling: 68600, byteCeiling: 4.5e6,
+		raceAllocCeiling: 79500, raceByteCeiling: 8.5e6, dealerMACs: 140,
 	},
 }
 
@@ -142,13 +147,16 @@ func BenchmarkRunACSLogCommit(b *testing.B) {
 // simulator's per-run buffers pooled, n9f1's four rounds in two
 // concurrent session groups and sessions' nested paths joined once:
 // 1 055 / 79 kB, 1 092 / 188 kB and 62 310–62 370 / 4.1–4.6 MB, the
-// high end a run whose second group found no pooled buffers on its P —
-// bytes as `go test -bench` prints them, 1 kB = 1 000 B). Under the race
-// detector sync.Pool drops a quarter of its Puts, so pooled wire
-// writers, MAC states, routing arenas and simulator buffers are re-made
-// at random (measured there over five runs: 1 226–1 269 / 97–105 kB,
-// 1 240–1 281 / 203–209 kB and 72 050–72 260 / 7.6–8.3 MB); the guard
-// still runs, with about 10 % headroom over the highest of those.
+// high end a run whose second group found no pooled buffers on its P;
+// with minted certificates carrying their mint record and spare
+// simulator buffers found from every P: 1 055 / 81 kB, 1 092 / 190 kB
+// and 62 300–62 330 / 4.10–4.14 MB over 20 runs — bytes as `go test
+// -bench` prints them, 1 kB = 1 000 B). Under the race detector
+// sync.Pool drops a quarter of its Puts, so pooled wire writers, routing
+// arenas and the like are re-made at random (measured there over ten
+// runs: 1 214–1 242 / 98–100 kB and 1 238–1 277 / 206–209 kB; over
+// twenty: 71 920–72 320 / 7.0–7.8 MB); the guard still runs, with about
+// 10 % headroom over the highest of those.
 // It reads MemStats itself because testing.AllocsPerRun pins GOMAXPROCS to
 // 1, which would turn the default worker count into the serial engine.
 func TestCommitAllocCeiling(t *testing.T) {
@@ -176,6 +184,26 @@ func TestCommitAllocCeiling(t *testing.T) {
 		}
 		if bytes > byteCeiling {
 			t.Errorf("%s: %.0f kB allocated per call, ceiling %.0f kB", s.name, bytes/1e3, byteCeiling/1e3)
+		}
+	}
+}
+
+// TestCommitDealerMACs pins the dealer work of each commit shape's call:
+// every certificate is verified once, at its mint, by the suite that
+// minted it. At n = 4 the 16 certificates a round mints are each checked
+// by all four processes, which cost 64 MACs more before those checks were
+// answered from the mint record; the n9f1 call's 108 mints were checked
+// 864 times, and the 32 MACs left beyond the mints are certificates the
+// BB validator decodes out of vetted values, which carry no record.
+func TestCommitDealerMACs(t *testing.T) {
+	for i := range commitShapes {
+		s := &commitShapes[i]
+		queues, crypto := s.queues(), commitSuite(t, i)
+		runCommitShape(t, i, queues, crypto, 0)
+		before := threshold.DealerMACs()
+		runCommitShape(t, i, queues, crypto, 1)
+		if got := threshold.DealerMACs() - before; got != s.dealerMACs {
+			t.Errorf("%s: %d dealer MACs per call, want %d", s.name, got, s.dealerMACs)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
@@ -166,3 +167,40 @@ func TestSessionGroupsMatchOneSimulation(t *testing.T) {
 
 // groupPanic is the value the panic case's predicate panics with.
 type groupPanic struct{}
+
+// TestSessionGroupsVerifyMintedCertsOnce runs a crash-only multi-session
+// run whose session groups mint and verify certificates at once on the
+// schemes of one suite; CI runs it under -race. At 1, 2 and 3 CPUs the
+// run computes the same number of dealer MACs and reports the same
+// outcome: a certificate is checked from its mint record whichever group
+// minted it and whatever the other groups do meanwhile. The count is
+// pinned: 14, where checking every certificate with a MAC costs 112.
+func TestSessionGroupsVerifyMintedCertsOnce(t *testing.T) {
+	const n, sessions, f = 9, 8, 2
+	reqs := mixedRequests(n, sessions)
+	cfg := Config{N: n, F: f, Adversary: adversary.ForPattern("crash", f, 0), Inflight: 4, Seed: 3}
+	var want groupOutcome
+	var wantMACs uint64
+	for _, procs := range []int{1, 2, 3} {
+		testenv.Procs(t, procs)
+		before := threshold.DealerMACs()
+		rep, err := Run(cfg, reqs)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		macs, got := threshold.DealerMACs()-before, outcomeOf(rep)
+		if procs == 1 {
+			want, wantMACs = got, macs
+			if macs != 14 {
+				t.Errorf("%d dealer MACs per run, want 14", macs)
+			}
+			continue
+		}
+		if macs != wantMACs {
+			t.Errorf("GOMAXPROCS %d: %d dealer MACs, want the one simulation's %d", procs, macs, wantMACs)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("GOMAXPROCS %d: outcome differs from one simulation:\n got %+v\nwant %+v", procs, got, want)
+		}
+	}
+}

@@ -386,6 +386,11 @@ func TestCryptoVerifyCacheDefaultOn(t *testing.T) {
 // real one, the cache never consulted, also behind the op counter, which
 // answers for the ring it wraps — and the Ed25519 ring is verified through
 // the cache, where a remembered positive must not vouch for other bytes.
+// Then it mints a certificate from a quorum of shares and flips every
+// bit of its message, signer set and tag — in the certificate itself and
+// in a copy of its fields — and expects each variant refused by the
+// suite's threshold scheme, which answers a certificate exactly as minted
+// without a MAC.
 func TestCryptoForgerySweep(t *testing.T) {
 	const n = 7
 	params, _ := types.NewParams(n)
@@ -468,6 +473,73 @@ func TestCryptoForgerySweep(t *testing.T) {
 			if !tc.direct && (st.Hits < 5 || st.Misses < 1) {
 				t.Errorf("cached scheme: stats = %+v, want the six valid checks served by one miss", st)
 			}
+
+			th := c.Threshold(params.Quorum())
+			col := th.NewCollector(msg)
+			for id := types.ProcessID(0); int(id) < th.K(); id++ {
+				sh, err := th.SignShare(id, msg)
+				if err != nil || !col.Add(sh) {
+					t.Fatalf("share %d refused: %v", id, err)
+				}
+			}
+			cert, err := col.Cert()
+			if err != nil {
+				t.Fatal(err)
+			}
+			certValid := func(when string) {
+				t.Helper()
+				for i := 0; i < 3; i++ {
+					if !th.Verify(msg, cert) {
+						t.Fatalf("minted certificate rejected %s (check %d)", when, i)
+					}
+				}
+			}
+			certValid("before the sweep")
+			for i := range msg {
+				for bit := 0; bit < 8; bit++ {
+					forged := append([]byte(nil), msg...)
+					forged[i] ^= 1 << bit
+					if th.Verify(forged, cert) {
+						t.Errorf("certificate accepted for a message with byte %d bit %d flipped", i, bit)
+					}
+				}
+			}
+			flip := func(b *types.BitSet, id types.ProcessID) {
+				if b.Has(id) {
+					b.Remove(id)
+				} else {
+					b.Add(id)
+				}
+			}
+			for id := types.ProcessID(0); int(id) < n; id++ {
+				flip(cert.Signers, id)
+				if th.Verify(msg, cert) {
+					t.Errorf("certificate accepted with signer %d flipped in place", id)
+				}
+				flip(cert.Signers, id)
+				forged := *cert
+				forged.Signers = cert.Signers.Clone()
+				flip(forged.Signers, id)
+				if th.Verify(msg, &forged) {
+					t.Errorf("certificate accepted with signer %d flipped in a copy", id)
+				}
+			}
+			for i := range cert.Tag {
+				for bit := 0; bit < 8; bit++ {
+					cert.Tag[i] ^= 1 << bit
+					if th.Verify(msg, cert) {
+						t.Errorf("certificate accepted with tag byte %d bit %d flipped in place", i, bit)
+					}
+					cert.Tag[i] ^= 1 << bit
+					forged := *cert
+					forged.Tag = append([]byte(nil), cert.Tag...)
+					forged.Tag[i] ^= 1 << bit
+					if th.Verify(msg, &forged) {
+						t.Errorf("certificate accepted with tag byte %d bit %d flipped in a copy", i, bit)
+					}
+				}
+			}
+			certValid("after the sweep")
 		})
 	}
 }

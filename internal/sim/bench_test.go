@@ -2,8 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
+	"sync"
 	"testing"
+	"weak"
 
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
@@ -143,39 +146,17 @@ func TestSimTickAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestRunReusesScratch is the guard on the pooled per-run buffers: a
-// second Run of the same shape takes the first's scratch from the pool
-// and grows none of it — pending, arena, outs, inbox offsets and counts
-// keep their capacity — and a scratch back in the pool holds no message.
-// One P keeps the pool's per-P cache in one place, and the collector is
-// off so that it cannot empty the pool between the runs. (The sharded
-// delivery's chunk counts need two workers; they are not covered.) Under
-// the race detector sync.Pool drops a quarter of its Puts, so a run may
-// get a fresh scratch there (about two runs in three did, measured): the
-// guard checks every run that reused one and needs one reuse in forty.
+// TestRunReusesScratch is the guard on the recycled per-run buffers: a
+// second Run of the same shape takes the first's scratch from spares and
+// grows none of it — pending, arena, outs, inbox offsets and counts keep
+// their capacity — and a spare scratch holds no message. The collector is
+// off so that it cannot free the spare between the runs. (The sharded
+// delivery's chunk counts need two workers; they are not covered.)
 func TestRunReusesScratch(t *testing.T) {
 	testenv.Procs(t, 1)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 41
-	params, err := types.NewParams(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring, err := sig.NewHMACRing(n, []byte("bench"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
-	run := func() {
-		if _, err := Run(Config{
-			Params:   params,
-			Crypto:   crypto,
-			Factory:  func(types.ProcessID) proto.Machine { return newQuietChatter(params, 10) },
-			MaxTicks: 128,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	run := quietRun(t, n)
 	type caps struct{ pending, arena, inboxOff, counts, outs, sends int }
 	capsOf := func(s *scratch) caps {
 		c := caps{cap(s.pending), cap(s.arena), cap(s.inboxOff), cap(s.counts), cap(s.outs), 0}
@@ -204,41 +185,115 @@ func TestRunReusesScratch(t *testing.T) {
 		}
 		return false
 	}
-	pooled := func() *scratch {
-		s := scratchPool.Get().(*scratch)
-		scratchPool.Put(s)
-		return s
-	}
 
-	runs := 10
-	if testenv.Race() {
-		runs = 40
-	}
 	run()
-	reused := 0
-	for i := 0; i < runs; i++ {
-		before := pooled()
+	for i := 0; i < 10; i++ {
+		before := latestSpare()
 		want := capsOf(before)
 		run()
-		after := pooled()
-		if want == (caps{}) || after != before { // a Put the pool dropped
-			if !testenv.Race() {
-				t.Fatalf("run %d: the second Run did not reuse the first's scratch", i)
-			}
-			continue
+		after := latestSpare()
+		if want == (caps{}) || after != before {
+			t.Fatalf("run %d: the second Run did not reuse the first's scratch", i)
 		}
-		reused++
 		if got := capsOf(after); got != want {
 			t.Errorf("run %d: the scratch grew from %+v to %+v", i, want, got)
 		}
 		if holds(after) {
-			t.Errorf("run %d: the pooled scratch still holds messages", i)
+			t.Errorf("run %d: the spare scratch still holds messages", i)
 		}
 	}
-	t.Logf("%d of %d runs reused the pooled scratch (race %t)", reused, runs, testenv.Race())
-	if reused == 0 {
-		t.Error("no run reused the pooled scratch")
+}
+
+// TestConcurrentRunsFindEverySpare is the guard behind spares: runs that
+// overlap, as an engine run's session groups do, find the scratches the
+// previous round released whichever P each lands on, so after the first
+// round no run makes a scratch of its own. Two runs at a time on two Ps;
+// the collector is off so that it cannot free a spare between rounds.
+func TestConcurrentRunsFindEverySpare(t *testing.T) {
+	testenv.Procs(t, 2)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := quietRun(t, 41)
+	round := func() map[*scratch]bool {
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run()
+			}()
+		}
+		wg.Wait()
+		seen := map[*scratch]bool{}
+		spares.mu.Lock()
+		defer spares.mu.Unlock()
+		for _, s := range spares.list.Value().free {
+			seen[s] = true
+		}
+		return seen
 	}
+	want := round()
+	for i := 0; i < 20; i++ {
+		got := round()
+		for s := range got {
+			if !want[s] {
+				t.Fatalf("round %d: a run made a new scratch with %d spares released before it", i, len(want))
+			}
+		}
+	}
+}
+
+// TestSparesLastOneCollection pins the lifetime of the spare scratches:
+// one collection after their run leaves them reusable, as it leaves an
+// object in a sync.Pool, and a second with no run between frees them,
+// so nothing is kept alive that a heap measured after two collections
+// would count.
+func TestSparesLastOneCollection(t *testing.T) {
+	run := quietRun(t, 41)
+	run()
+	spare := weak.Make(latestSpare())
+	runtime.GC()
+	if spare.Value() == nil && !testenv.Race() { // the race detector's sync.Pool drops Puts at random
+		t.Fatal("one collection freed the spare scratch")
+	}
+	runtime.GC()
+	if spare.Value() != nil {
+		t.Error("the spare scratch outlived two collections with no run")
+	}
+}
+
+// quietRun returns a Run of n quiet chatters on one suite, the shape the
+// scratch guards repeat.
+func quietRun(t *testing.T, n int) func() {
+	params, err := types.NewParams(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, err := sig.NewHMACRing(n, []byte("bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
+	return func() {
+		if _, err := Run(Config{
+			Params:   params,
+			Crypto:   crypto,
+			Factory:  func(types.ProcessID) proto.Machine { return newQuietChatter(params, 10) },
+			MaxTicks: 128,
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// latestSpare is the scratch the next run will take, or nil.
+func latestSpare() *scratch {
+	spares.mu.Lock()
+	defer spares.mu.Unlock()
+	l := spares.list.Value()
+	if l == nil || len(l.free) == 0 {
+		return nil
+	}
+	return l.free[len(l.free)-1]
 }
 
 // TestSimTickAllocCeilingLargeN pins the dense-state engine at scale: at

@@ -46,6 +46,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"weak"
 
 	"adaptiveba/internal/crypto/verifycache"
 	"adaptiveba/internal/metrics"
@@ -307,9 +308,9 @@ type engine struct {
 }
 
 // scratch is a run's delivery and send buffers. A run takes one from
-// scratchPool and gives it back cleared, so back-to-back runs (a
-// service's flushes) and concurrent ones (an engine run's session groups)
-// reuse buffers already grown instead of each regrowing its own.
+// spares and gives it back cleared, so back-to-back runs (a service's
+// flushes) and concurrent ones (an engine run's session groups) reuse
+// buffers already grown instead of each regrowing its own.
 type scratch struct {
 	// pending holds the in-flight traffic due at the current tick. Every
 	// message is delivered exactly one tick after it is sent, so a single
@@ -344,20 +345,60 @@ type scratch struct {
 	pendingHW, arenaHW, outsHW int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// spares is where finished runs leave their scratch for the next run,
+// on whichever P each lands. (A sync.Pool finds a Put only on the Put's
+// own P or in another P's shared queue, never in another P's private
+// slot, so a session group that landed on a P of its own used to regrow
+// every buffer.) The list is reached through a weak pointer and kept
+// alive only by keepSpares, a sync.Pool used for its lifetime alone: the
+// first releases after each collection put the list back there, so
+// spares last through the collection after their run as a pooled object
+// does, and two collections with no run between free them.
+var spares struct {
+	mu   sync.Mutex
+	list weak.Pointer[spareList]
+	// epoch points weakly at an object nothing else holds: it reads nil
+	// once a collection has run since it was made. kept counts the times
+	// the list was put in keepSpares since then.
+	epoch weak.Pointer[epochMark]
+	kept  int
+}
 
-// takeScratch returns a pooled scratch fitted to n processes. Only its
-// buffers' capacity carries over: every user overwrites before it reads.
+type spareList struct{ free []*scratch }
+
+type epochMark struct{ _ *byte } // pointerful: a tiny object could share a block that outlives it
+
+var keepSpares sync.Pool
+
+// keepCopies is how many times the list is put in keepSpares per
+// collection. One would do, but under the race detector a sync.Pool
+// drops a quarter of its Puts at random; four leave the list unkept once
+// in 256 collections there.
+const keepCopies = 4
+
+// takeScratch returns a spare scratch fitted to n processes, or a new
+// one. Only its buffers' capacity carries over: every user overwrites
+// before it reads.
 func takeScratch(n int) *scratch {
-	s := scratchPool.Get().(*scratch)
+	var s *scratch
+	spares.mu.Lock()
+	if l := spares.list.Value(); l != nil && len(l.free) > 0 {
+		last := len(l.free) - 1
+		s, l.free[last] = l.free[last], nil
+		l.free = l.free[:last]
+	}
+	spares.mu.Unlock()
+	if s == nil {
+		s = new(scratch)
+	}
 	s.inboxOff = slices.Grow(s.inboxOff[:0], n+1)[:n+1]
 	s.counts = slices.Grow(s.counts[:0], n)[:n]
 	s.outs = slices.Grow(s.outs[:0], n)[:n]
 	return s
 }
 
-// release clears the payloads the run left in s and returns it to the
-// pool.
+// release clears the payloads the run left in s and hands it back to
+// spares.
 func (s *scratch) release() {
 	clear(s.pending[:s.pendingHW])
 	clear(s.arena[:s.arenaHW])
@@ -367,7 +408,21 @@ func (s *scratch) release() {
 	}
 	s.pending, s.arena = s.pending[:0], s.arena[:0]
 	s.pendingHW, s.arenaHW, s.outsHW = 0, 0, 0
-	scratchPool.Put(s)
+	spares.mu.Lock()
+	l := spares.list.Value()
+	if l == nil || spares.epoch.Value() == nil {
+		if l == nil {
+			l = new(spareList)
+			spares.list = weak.Make(l)
+		}
+		spares.epoch, spares.kept = weak.Make(new(epochMark)), 0
+	}
+	if spares.kept < keepCopies {
+		keepSpares.Put(l)
+		spares.kept++
+	}
+	l.free = append(l.free, s)
+	spares.mu.Unlock()
 }
 
 // inbox returns machine i's delivery view for the current tick. The
