@@ -19,7 +19,8 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Race detector over the concurrent paths (parallel harness, transport).
+# Race detector over the concurrent paths (parallel harness, session
+# groups, transport).
 test-race:
 	$(GO) test -race -short ./...
 
@@ -136,7 +137,7 @@ alloc-guard:
 # here so the same guard covers them.
 race-guard:
 	@$(GUARD); \
-	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestStepGateDeterminism|TestObserversDoNotChangeTheCharge|TestConcurrentRunsFindEverySpare' -race; \
+	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestObserversDoNotChangeTheCharge|TestConcurrentRunsFindEverySpare' -race; \
 	guard './internal/crypto/sig ./internal/crypto/keyedmac' 'Concurrent' -race -count=10; \
 	guard ./internal/crypto/threshold 'TestMintedCertConcurrentVerify' -race -count=10; \
 	guard ./internal/transport 'TestClusterMatchesSimulator|TestSendBytesParity|TestOutboxBackpressure|TestRunClusterMachineErrorStartsNoNode|TestNewProtocolMachine' -race; \
@@ -167,7 +168,7 @@ race-guard:
 # internal/adversary/attacks: fail if a non-test file names one of the
 # hand-written copies they replaced (GENOME_ATTACKS).
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
-REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-|MeasureBytes|WithMeasuredBytes|-measure-bytes
+REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|WithParallelVerify|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-|MeasureBytes|WithMeasuredBytes|-measure-bytes
 GENOME_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \

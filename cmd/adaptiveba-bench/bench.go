@@ -274,9 +274,8 @@ func runEngine(out io.Writer, g grid) ([]row, map[string]bool, error) {
 // n × f ∈ {0, t} × batch, both at window 2. Per slot the ACS round
 // commits an ≥ n−t subset of n proposer batches where the baseline
 // commits at most one command; at f = 0 it must commit at least n/2
-// times the baseline's requests. Every arm re-runs at GOMAXPROCS 8 (eight
-// per-tick workers) and with window 1, and its fingerprint and state hash
-// must not move.
+// times the baseline's requests. Every arm re-runs at GOMAXPROCS 8 and
+// with window 1, and its fingerprint and state hash must not move.
 func runACS(out io.Writer, g grid) ([]row, map[string]bool, error) {
 	var rows []row
 	identical, ratioOK, subsetOK := true, true, true

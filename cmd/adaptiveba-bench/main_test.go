@@ -89,8 +89,7 @@ func TestSweepPlot(t *testing.T) {
 }
 
 // TestSweepTickWorkersMatchesDefault: the sweep CSV is the same whether
-// grid points and each run's ticks are stepped serially (GOMAXPROCS 1) or
-// by eight workers.
+// grid points run one at a time (GOMAXPROCS 1) or on eight workers.
 func TestSweepTickWorkersMatchesDefault(t *testing.T) {
 	args := []string{"-sweep", "-protocol", "bb", "-ns", "5,9", "-fs", "0,1", "-csv"}
 	var serial, parallel bytes.Buffer

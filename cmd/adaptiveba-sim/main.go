@@ -127,7 +127,7 @@ func run(args []string, out io.Writer) error {
 	// Only when the cache was consulted: the default HMAC ring with compact
 	// certificates verifies everything directly (nothing there costs more
 	// than a lookup), -ed25519 and -certmode aggregate go through the cache.
-	if o.CacheHits+o.CacheMisses+o.CacheWaits > 0 {
+	if o.CacheHits+o.CacheMisses > 0 {
 		fmt.Fprintf(out, "verify $    %d hits / %d misses\n", o.CacheHits, o.CacheMisses)
 	}
 	if *layers && len(o.ByLayer) > 0 {

@@ -78,7 +78,7 @@ func TestRunACSMode(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
 	}
-	// -acs output is deterministic across tick-worker counts (GOMAXPROCS).
+	// -acs output is deterministic across GOMAXPROCS.
 	testenv.Procs(t, 4)
 	var par bytes.Buffer
 	if err := run([]string{"-acs", "-n", "5", "-f", "1", "-sessions", "2", "-batch", "3", "-inflight", "2"}, &par); err != nil {

@@ -187,8 +187,7 @@ func TestACSEmptyBatch(t *testing.T) {
 }
 
 // TestACSDeterministicAcrossWorkers pins the CI determinism contract:
-// the decided result bytes are identical at every per-tick worker
-// count (GOMAXPROCS).
+// the decided result bytes are identical at every GOMAXPROCS.
 func TestACSDeterministicAcrossWorkers(t *testing.T) {
 	const n, batch = 9, 2
 	var base types.Value

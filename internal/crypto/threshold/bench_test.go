@@ -3,7 +3,6 @@ package threshold
 import (
 	"crypto/rand"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"adaptiveba/internal/crypto/sig"
@@ -61,9 +60,9 @@ func BenchmarkQuorumCert(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregateVerifyFastPath compares the plain serial aggregate
-// verify against the parallel fan-out and the content-addressed cache,
-// over an Ed25519 base where share verification dominates.
+// BenchmarkAggregateVerifyFastPath compares the plain aggregate verify
+// against the content-addressed cache, over an Ed25519 base where share
+// verification dominates.
 func BenchmarkAggregateVerifyFastPath(b *testing.B) {
 	for _, n := range []int{21, 41} {
 		base, err := sig.NewEd25519Ring(n, rand.Reader)
@@ -97,13 +96,6 @@ func BenchmarkAggregateVerifyFastPath(b *testing.B) {
 			}
 		}
 		b.Run(fmt.Sprintf("n=%d/serial", n), func(b *testing.B) { run(b, plain) })
-		b.Run(fmt.Sprintf("n=%d/parallel", n), func(b *testing.B) {
-			s, err := New(base, k, ModeAggregate, nil, WithParallelVerify(runtime.GOMAXPROCS(0)))
-			if err != nil {
-				b.Fatal(err)
-			}
-			run(b, s)
-		})
 		b.Run(fmt.Sprintf("n=%d/cached", n), func(b *testing.B) {
 			s, err := New(base, k, ModeAggregate, nil, WithVerifyCache(verifycache.New(verifycache.DefaultCapacity)))
 			if err != nil {

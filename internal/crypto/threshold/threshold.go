@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"adaptiveba/internal/crypto/keyedmac"
@@ -164,7 +163,8 @@ func (c *Cert) Clone() *Cert {
 }
 
 // Scheme batches and verifies threshold certificates at one fixed
-// threshold K over a base signature scheme.
+// threshold K over a base signature scheme. It is safe for concurrent
+// use, and every check runs on its caller's goroutine.
 type Scheme struct {
 	n      int
 	k      int
@@ -172,11 +172,9 @@ type Scheme struct {
 	base   sig.Scheme
 	dealer keyedmac.Pool // compact mode only: reusable states keyed with the dealer key
 
-	// Verification fast path (see internal/crypto/verifycache): an
-	// optional content-addressed memo for whole-certificate checks and a
-	// worker bound for fanning aggregate share verification across cores.
-	cache   *verifycache.Cache
-	workers int
+	// cache is the optional content-addressed memo for whole-certificate
+	// checks (see internal/crypto/verifycache).
+	cache *verifycache.Cache
 }
 
 // Option configures optional Scheme behavior at construction.
@@ -189,17 +187,6 @@ type Option func(*Scheme)
 func WithVerifyCache(c *verifycache.Cache) Option {
 	return func(s *Scheme) { s.cache = c }
 }
-
-// WithParallelVerify fans aggregate share verification across up to
-// workers goroutines (early-cancelling on the first invalid share).
-// workers <= 1 keeps verification serial.
-func WithParallelVerify(workers int) Option {
-	return func(s *Scheme) { s.workers = workers }
-}
-
-// minParallelShares is the smallest share count worth the goroutine
-// fan-out; below it the spawn overhead exceeds the win even for Ed25519.
-const minParallelShares = 4
 
 // New creates a (k, n)-threshold scheme over base. For ModeCompact,
 // dealerSeed keys the trusted dealer; same seed, same dealer.
@@ -379,8 +366,7 @@ func (c *Cert) mintedBy(s *Scheme, msg []byte) bool {
 // With WithVerifyCache, aggregate-mode results are memoized under a key
 // committing to the entire certificate content, so the n-th machine
 // checking the same certificate pays a hash instead of k public-key
-// operations. With WithParallelVerify, a miss fans the k share checks
-// across cores, cancelling early on the first invalid share.
+// operations.
 func (s *Scheme) Verify(msg []byte, cert *Cert) bool {
 	if cert == nil || cert.Signers == nil || cert.K != s.k || cert.Signers.Cap() != s.n {
 		return false
@@ -429,9 +415,6 @@ func (s *Scheme) verifyCert(msg []byte, cert *Cert) bool {
 		if len(cert.Shares) != len(members) {
 			return false
 		}
-		if s.workers > 1 && len(members) >= minParallelShares {
-			return s.verifySharesParallel(msg, members, cert.Shares)
-		}
 		for i, id := range members {
 			if !s.base.Verify(id, msg, cert.Shares[i]) {
 				return false
@@ -446,36 +429,6 @@ func (s *Scheme) verifyCert(msg []byte, cert *Cert) bool {
 	default:
 		return false
 	}
-}
-
-// verifySharesParallel checks shares across up to s.workers goroutines in
-// strided slices. The first failure flips a shared flag so the remaining
-// workers stop starting new verifications (the result — valid iff every
-// share is valid — is identical to the serial path either way).
-func (s *Scheme) verifySharesParallel(msg []byte, members []types.ProcessID, shares []sig.Signature) bool {
-	w := s.workers
-	if w > len(members) {
-		w = len(members)
-	}
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := g; i < len(members); i += w {
-				if failed.Load() {
-					return
-				}
-				if !s.base.Verify(members[i], msg, shares[i]) {
-					failed.Store(true)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	return !failed.Load()
 }
 
 // compactTagSize is the truncated length of the dealer's tag.

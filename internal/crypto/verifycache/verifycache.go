@@ -23,11 +23,13 @@
 // cacheable because verification is deterministic. The cache changes CPU
 // cost only — never message contents, word counts, or protocol decisions.
 //
-// Concurrency: lookups take a read lock; misses are deduplicated with
-// single-flight, so concurrent machines verifying the same certificate
-// compute it once and the rest wait for that result. Memory is bounded by
-// a two-generation table (at most Capacity entries live at once); the
-// cache has per-run lifetime.
+// Concurrency: a simulation verifies on its one goroutine; runs that
+// share a suite (an engine run's session groups) or a TCP node's
+// connections may look up at once. Lookups take a read lock and a miss
+// computes on its caller's goroutine, then stores under the write lock:
+// two concurrent misses on one key both compute the same answer. Memory
+// is bounded by a two-generation table (at most Capacity entries live at
+// once); the cache lives as long as its suite.
 package verifycache
 
 import (
@@ -117,11 +119,10 @@ const DefaultCapacity = 1 << 16
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
-	Hits          int64 // lookups answered from the table
-	Misses        int64 // lookups that computed the verification
-	InflightWaits int64 // lookups that waited on a concurrent computation
-	Evictions     int64 // entries dropped by generation rotation
-	Entries       int64 // entries currently resident
+	Hits      int64 // lookups answered from the table
+	Misses    int64 // lookups that computed the verification
+	Evictions int64 // entries dropped by generation rotation
+	Entries   int64 // entries currently resident
 }
 
 // Cache memoizes boolean verification results under content-addressed
@@ -130,21 +131,13 @@ type Stats struct {
 type Cache struct {
 	half int // per-generation entry bound (capacity / 2)
 
-	mu       sync.RWMutex
-	cur      map[Key]bool
-	prev     map[Key]bool
-	inflight map[Key]*call
+	mu   sync.RWMutex
+	cur  map[Key]bool
+	prev map[Key]bool
 
 	hits      atomic.Int64
 	misses    atomic.Int64
-	waits     atomic.Int64
 	evictions atomic.Int64
-}
-
-// call is one in-flight computation other verifiers can wait on.
-type call struct {
-	done chan struct{}
-	ok   bool
 }
 
 // New creates a cache holding at most capacity entries (DefaultCapacity
@@ -159,14 +152,10 @@ func New(capacity int) *Cache {
 	if half < 1 {
 		half = 1
 	}
-	return &Cache{
-		half:     half,
-		cur:      make(map[Key]bool),
-		inflight: make(map[Key]*call),
-	}
+	return &Cache{half: half, cur: make(map[Key]bool)}
 }
 
-// lookupLocked checks both generations. Callers hold c.mu (read or write).
+// lookupLocked checks both generations. Callers hold c.mu for reading.
 func (c *Cache) lookupLocked(k Key) (v, ok bool) {
 	if v, ok = c.cur[k]; ok {
 		return v, true
@@ -186,10 +175,9 @@ func (c *Cache) storeLocked(k Key, v bool) {
 	c.cur[k] = v
 }
 
-// Do returns the memoized verification result for k, calling compute at
-// most once per cached lifetime of the key. Concurrent calls for the same
-// key are coalesced: one computes, the others wait for its result. A nil
-// cache computes directly.
+// Do returns the memoized verification result for k, or calls compute
+// and stores its result. A nil cache computes directly. Every call counts
+// as one hit or one miss.
 func (c *Cache) Do(k Key, compute func() bool) bool {
 	if c == nil {
 		return compute()
@@ -201,40 +189,12 @@ func (c *Cache) Do(k Key, compute func() bool) bool {
 		c.hits.Add(1)
 		return v
 	}
-
-	c.mu.Lock()
-	if v, ok := c.lookupLocked(k); ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return v
-	}
-	if cl, ok := c.inflight[k]; ok {
-		c.mu.Unlock()
-		<-cl.done
-		c.waits.Add(1)
-		return cl.ok
-	}
-	cl := &call{done: make(chan struct{})}
-	c.inflight[k] = cl
-	c.mu.Unlock()
-
 	c.misses.Add(1)
-	completed := false
-	defer func() {
-		// Runs on panic too: waiters must never deadlock. If compute
-		// panicked, the result is not stored and waiters see false —
-		// the conservative answer for a verification.
-		c.mu.Lock()
-		delete(c.inflight, k)
-		if completed {
-			c.storeLocked(k, cl.ok)
-		}
-		c.mu.Unlock()
-		close(cl.done)
-	}()
-	cl.ok = compute()
-	completed = true
-	return cl.ok
+	v = compute()
+	c.mu.Lock()
+	c.storeLocked(k, v)
+	c.mu.Unlock()
+	return v
 }
 
 // Stats snapshots the counters.
@@ -246,11 +206,10 @@ func (c *Cache) Stats() Stats {
 	entries := int64(len(c.cur) + len(c.prev))
 	c.mu.RUnlock()
 	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		InflightWaits: c.waits.Load(),
-		Evictions:     c.evictions.Load(),
-		Entries:       entries,
+		Hits:      c.hits.Load(),
+		Misses:    c.misses.Load(),
+		Evictions: c.evictions.Load(),
+		Entries:   entries,
 	}
 }
 

@@ -21,9 +21,8 @@ import (
 // four rounds of batch 16). The two n = 4 flushes run on one suite from
 // NewCrypto, each call in its own signing domain, as a service.Core
 // builds its suite once and reuses it for every flush; n9f1 derives its
-// keys per call, as the library call does. The worker count stays at
-// GOMAXPROCS on purpose: that is what the service runs, and what the
-// older guards (serial stepping, idle ticks) never measured.
+// keys per call, as the library call does. GOMAXPROCS stays as it is on
+// purpose: that is what the service and the library run.
 var commitShapes = []struct {
 	name          string
 	cfg           Config
@@ -131,7 +130,7 @@ func BenchmarkRunACSLogCommit(b *testing.B) {
 }
 
 // TestCommitAllocCeiling is the engine-level alloc guard on the real
-// crypto path at GOMAXPROCS per-tick workers: whole-call allocation counts and
+// crypto path at GOMAXPROCS session groups: whole-call allocation counts and
 // bytes of the three commit shapes, with about 10 % headroom over what
 // this test logs for n4r1, n4b32 and n9f1 (with weak BA and BB keeping
 // their per-phase state in maps: 1 866 / 144 kB, – and 74 750 / 8.0 MB;
@@ -158,7 +157,7 @@ func BenchmarkRunACSLogCommit(b *testing.B) {
 // twenty: 71 920–72 320 / 7.0–7.8 MB); the guard still runs, with about
 // 10 % headroom over the highest of those.
 // It reads MemStats itself because testing.AllocsPerRun pins GOMAXPROCS to
-// 1, which would turn the default worker count into the serial engine.
+// 1, which would run n9f1 as one simulation instead of session groups.
 func TestCommitAllocCeiling(t *testing.T) {
 	for i := range commitShapes {
 		s := &commitShapes[i]

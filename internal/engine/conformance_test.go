@@ -352,10 +352,6 @@ func TestMachineBufferContract(t *testing.T) {
 						for _, id := range r.res.Honest {
 							r.late = append(r.late, lateFrames(machines[id]))
 						}
-						// Whether a verification that another worker has in flight
-						// is counted a hit or a wait is thread timing, not schedule.
-						r.res.Report.CacheHits += r.res.Report.CacheWaits
-						r.res.Report.CacheWaits = 0
 						return r
 					}
 					want := play(func(m proto.Machine) proto.Machine { return lenient{m} })

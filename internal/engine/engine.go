@@ -355,7 +355,6 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 	if st, ok := crypto.VerifyCacheStats(); ok {
 		rep.Metrics.CacheHits = st.Hits - cache0.Hits
 		rep.Metrics.CacheMisses = st.Misses - cache0.Misses
-		rep.Metrics.CacheWaits = st.InflightWaits - cache0.InflightWaits
 	}
 	perLayer := splitLayers(rep.Metrics.ByLayer)
 	for k := range rep.Sessions {

@@ -152,7 +152,6 @@ type Outcome struct {
 	// Verification fast-path counters (zero when Spec.CountOps).
 	CacheHits   int64
 	CacheMisses int64
-	CacheWaits  int64
 
 	Decided   bool // every honest process decided
 	Agreement bool
@@ -372,7 +371,6 @@ func (r *runner) execute() (*Outcome, error) {
 		ByLayer:     res.Report.ByLayer,
 		CacheHits:   res.Report.CacheHits,
 		CacheMisses: res.Report.CacheMisses,
-		CacheWaits:  res.Report.CacheWaits,
 	}
 	for _, id := range res.Honest {
 		ranFallback, decidedAt := protocols.Progress(machines[id], 0)

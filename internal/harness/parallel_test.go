@@ -69,15 +69,9 @@ func TestParallelDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d: %d outcomes, want %d", workers, len(outs), len(ref))
 		}
 		for i := range outs {
-			// Whether a lookup hits the cache or joins an in-flight
-			// verification depends on thread timing (the tick engine
-			// fans out above GOMAXPROCS 1); only the sum is deterministic.
+			// Every point is one simulation on one goroutine with a suite
+			// of its own, so its cache hits and misses are exact too.
 			got, want := outs[i], ref[i]
-			if got.CacheHits+got.CacheWaits != want.CacheHits+want.CacheWaits {
-				t.Errorf("workers=%d point %d: cache hits+waits = %d+%d, sequential %d+%d",
-					workers, i, got.CacheHits, got.CacheWaits, want.CacheHits, want.CacheWaits)
-			}
-			got.CacheHits, got.CacheWaits, want.CacheHits, want.CacheWaits = 0, 0, 0, 0
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("workers=%d point %d (%s n=%d f=%d): parallel outcome differs from sequential\n got %+v\nwant %+v",
 					workers, i, specs[i].Protocol, specs[i].N, specs[i].F, got, want)

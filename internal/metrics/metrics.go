@@ -44,9 +44,8 @@ type SendEvent struct {
 // Recorder accumulates events. It is safe for concurrent use: the
 // scalar counters (ticks, verification-cache statistics, transport
 // drops) are atomics that are set without the lock, while the
-// map-touching send path shares one mutex. The simulator's parallel tick
-// engine keeps that mutex contention-free by construction: it records all
-// of a tick's sends post-join on the engine goroutine.
+// map-touching send path shares one mutex. A simulation records from its
+// one goroutine; a TCP node records from its connection goroutines.
 type Recorder struct {
 	mu sync.Mutex
 
@@ -67,7 +66,6 @@ type Recorder struct {
 	// only: the cache never changes messages or words.
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
-	cacheWaits  atomic.Int64
 
 	// Transport data-plane counter (internal/transport): frames shed by
 	// the slow-peer backpressure policy.
@@ -127,12 +125,10 @@ func (r *Recorder) RecordSendN(ev SendEvent, count int) {
 // SetTicks records the run's duration in ticks (δ units).
 func (r *Recorder) SetTicks(t types.Tick) { r.ticks.Store(int64(t)) }
 
-// SetCacheStats records the run's verification-cache counters (hits,
-// misses, single-flight waits).
-func (r *Recorder) SetCacheStats(hits, misses, waits int64) {
+// SetCacheStats records the run's verification-cache counters.
+func (r *Recorder) SetCacheStats(hits, misses int64) {
 	r.cacheHits.Store(hits)
 	r.cacheMisses.Store(misses)
-	r.cacheWaits.Store(waits)
 }
 
 // RecordNetDrop notes one frame dropped by the transport's backpressure
@@ -148,7 +144,6 @@ type Report struct {
 	// Verification fast-path counters (0 when the cache is disabled).
 	CacheHits   int64
 	CacheMisses int64
-	CacheWaits  int64
 	// Transport data-plane counters (0 on the simulator).
 	NetDrops int64
 	// EngineLate counts messages the multi-session engine's demux
@@ -168,7 +163,6 @@ func (r *Recorder) Snapshot() Report {
 		Ticks:       types.Tick(r.ticks.Load()),
 		CacheHits:   r.cacheHits.Load(),
 		CacheMisses: r.cacheMisses.Load(),
-		CacheWaits:  r.cacheWaits.Load(),
 		NetDrops:    r.netDrops.Load(),
 	}
 	for k, v := range r.byLayer {

@@ -1,7 +1,6 @@
 package proto
 
 import (
-	"runtime"
 	"sync"
 
 	"adaptiveba/internal/crypto/sig"
@@ -21,10 +20,10 @@ import (
 // signature scheme unless the scheme declares its own verification no
 // dearer than the key hash (sig.CheapVerify — the HMAC ring), in which
 // case Scheme is the scheme passed in and every verification is a real
-// one; threshold schemes memoize whole aggregate certificates and fan
-// their share checks across cores. Caching is shared across all machines
-// of the run — the point is that n processes verifying the same bytes
-// should pay for one verification, not n.
+// one; threshold schemes memoize whole aggregate certificates. Caching is
+// shared across all machines of the run — the point is that n processes
+// verifying the same bytes should pay for one verification, not n. Every
+// check runs on its caller's goroutine.
 type Crypto struct {
 	Params types.Params
 	Scheme sig.Scheme
@@ -108,11 +107,7 @@ func (c *Crypto) Threshold(k int) *threshold.Scheme {
 	if s, ok := c.byK[k]; ok {
 		return s
 	}
-	opts := []threshold.Option{threshold.WithParallelVerify(runtime.GOMAXPROCS(0))}
-	if c.cache != nil {
-		opts = append(opts, threshold.WithVerifyCache(c.cache))
-	}
-	s, err := threshold.New(c.Scheme, k, c.mode, c.dealerSeed, opts...)
+	s, err := threshold.New(c.Scheme, k, c.mode, c.dealerSeed, threshold.WithVerifyCache(c.cache))
 	if err != nil {
 		panic("proto: invalid threshold requested: " + err.Error())
 	}

@@ -413,8 +413,8 @@ func TestAnchoredGetReplyOneCopy(t *testing.T) {
 // values copied out of their envelopes: 1 580 and 309 kB), and under the
 // race detector, where sync.Pool drops Puts at random, about 10 % over
 // the highest of five runs (1 407–1 419 and 229–230 kB). It reads
-// MemStats itself because testing.AllocsPerRun pins GOMAXPROCS to 1,
-// which would turn the default tick workers into the serial engine.
+// MemStats itself so that the flush runs at the GOMAXPROCS the service
+// runs at; testing.AllocsPerRun pins it to 1.
 func TestCoreCommitAllocCeiling(t *testing.T) {
 	allocCeiling, byteCeiling := 1370.0, 233e3
 	if testenv.Race() {

@@ -54,9 +54,8 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // BenchmarkSimTick isolates the engine's per-tick overhead: quiet
 // machines precompute their broadcast once, so allocations measured here
 // are the engine's own (inbox buckets, traffic slices, shuffle sources,
-// size metering) — the hot path this PR makes allocation-free. The
-// committed ceiling for the serial path lives in TestSimTickAllocCeiling.
-// Compare the serial step with the fan-out through -cpu (e.g. -cpu 1,4).
+// size metering), the hot path that must stay allocation-free. The
+// committed ceiling lives in TestSimTickAllocCeiling.
 func BenchmarkSimTick(b *testing.B) {
 	for _, n := range []int{11, 41} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -93,8 +92,8 @@ func BenchmarkSimTick(b *testing.B) {
 	}
 }
 
-// TestSimTickAllocCeiling is the CI allocation guard for the serial hot
-// path (testing.AllocsPerRun runs at GOMAXPROCS 1, so the step is inline). Setup (machine construction, engine scratch, recorder stats,
+// TestSimTickAllocCeiling is the CI allocation guard for the tick loop.
+// Setup (machine construction, engine scratch, recorder stats,
 // first-tick bucket growth) legitimately allocates O(n log n) per Run, so
 // the guard differences two horizons: the extra ticks of the longer run
 // must be allocation-free — inbox buckets, traffic buffers, and shuffle
@@ -150,10 +149,8 @@ func TestSimTickAllocCeiling(t *testing.T) {
 // second Run of the same shape takes the first's scratch from spares and
 // grows none of it — pending, arena, outs, inbox offsets and counts keep
 // their capacity — and a spare scratch holds no message. The collector is
-// off so that it cannot free the spare between the runs. (The sharded
-// delivery's chunk counts need two workers; they are not covered.)
+// off so that it cannot free the spare between the runs.
 func TestRunReusesScratch(t *testing.T) {
-	testenv.Procs(t, 1)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 41
 	run := quietRun(t, n)
@@ -207,19 +204,32 @@ func TestRunReusesScratch(t *testing.T) {
 // TestConcurrentRunsFindEverySpare is the guard behind spares: runs that
 // overlap, as an engine run's session groups do, find the scratches the
 // previous round released whichever P each lands on, so after the first
-// round no run makes a scratch of its own. Two runs at a time on two Ps;
-// the collector is off so that it cannot free a spare between rounds.
+// round no run makes a scratch of its own. Two runs at a time on two Ps,
+// made to overlap: a run takes its scratch before it builds a machine,
+// and neither builds process 0 until both hold theirs. The collector is
+// off so that it cannot free a spare between rounds.
 func TestConcurrentRunsFindEverySpare(t *testing.T) {
 	testenv.Procs(t, 2)
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	run := quietRun(t, 41)
+	cfg := quietConfig(t, 41)
 	round := func() map[*scratch]bool {
-		var wg sync.WaitGroup
+		var held, wg sync.WaitGroup
+		held.Add(2)
 		for g := 0; g < 2; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				run()
+				c := cfg
+				c.Factory = func(id types.ProcessID) proto.Machine {
+					if id == 0 {
+						held.Done()
+						held.Wait()
+					}
+					return cfg.Factory(id)
+				}
+				if _, err := Run(c); err != nil {
+					t.Error(err)
+				}
 			}()
 		}
 		wg.Wait()
@@ -261,9 +271,9 @@ func TestSparesLastOneCollection(t *testing.T) {
 	}
 }
 
-// quietRun returns a Run of n quiet chatters on one suite, the shape the
+// quietConfig is a run of n quiet chatters on one suite, the shape the
 // scratch guards repeat.
-func quietRun(t *testing.T, n int) func() {
+func quietConfig(t *testing.T, n int) Config {
 	params, err := types.NewParams(n)
 	if err != nil {
 		t.Fatal(err)
@@ -272,14 +282,19 @@ func quietRun(t *testing.T, n int) func() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
+	return Config{
+		Params:   params,
+		Crypto:   proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d")),
+		Factory:  func(types.ProcessID) proto.Machine { return newQuietChatter(params, 10) },
+		MaxTicks: 128,
+	}
+}
+
+// quietRun returns a Run of quietConfig(t, n).
+func quietRun(t *testing.T, n int) func() {
+	cfg := quietConfig(t, n)
 	return func() {
-		if _, err := Run(Config{
-			Params:   params,
-			Crypto:   crypto,
-			Factory:  func(types.ProcessID) proto.Machine { return newQuietChatter(params, 10) },
-			MaxTicks: 128,
-		}); err != nil {
+		if _, err := Run(cfg); err != nil {
 			t.Error(err)
 		}
 	}
@@ -300,9 +315,8 @@ func latestSpare() *scratch {
 // n = 1024 the steady-state tick loop must stay within 4x the n = 41
 // ceiling (ISSUE acceptance). Before the arena/BitSet rewrite the
 // engine's per-tick cost included O(n) map and slice churn, so this bound
-// was unreachable at this n. Machines unicast to 8 ring neighbors — the
-// per-tick pending count (8n = 8192) still crosses the sharded-delivery
-// gate while keeping the test fast on one core.
+// was unreachable at this n. Machines unicast to 8 ring neighbors, 8n =
+// 8192 messages per tick, which keeps the test fast on one core.
 func TestSimTickAllocCeilingLargeN(t *testing.T) {
 	const n = 1024
 	params, err := types.NewParams(n)

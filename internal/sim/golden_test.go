@@ -13,13 +13,13 @@ import (
 	"adaptiveba/internal/types"
 )
 
-// The golden traces in testdata/ were recorded from the pre-parallel
-// serial engine. Every engine change — worker fan-out, scratch reuse,
-// the shuffle-source rewrite — must reproduce them byte for byte: the
-// trace encodes the delivery permutations (the echoer answers its inbox
-// in arrival order), the honest traffic order (machines in ID order),
-// and the rushing adversary's view (its relays mirror the order in
-// which it saw this tick's honest sends).
+// The golden traces in testdata/ were recorded from the first serial
+// engine. Every engine change — scratch reuse, the shuffle-source
+// rewrite, the counting-sort delivery — must reproduce them byte for
+// byte: the trace encodes the delivery permutations (the echoer answers
+// its inbox in arrival order), the honest traffic order (machines in ID
+// order), and the rushing adversary's view (its relays mirror the order
+// in which it saw this tick's honest sends).
 //
 // Regenerate with: go test ./internal/sim -run TestGoldenTraces -update-golden
 // (only legitimate when the observable schedule intentionally changes).
@@ -127,10 +127,8 @@ func goldenCases() []goldenCase {
 			adversary: func() Adversary { return &rushingRelay{silentAdversary: silentAdversary{ids: []types.ProcessID{5, 6}}} }},
 		{name: "adversary-shuffle-seed7", n: 7, shuffleSeed: 7,
 			adversary: func() Adversary { return &rushingRelay{silentAdversary: silentAdversary{ids: []types.ProcessID{5, 6}}} }},
-		// scale-n64 pins the sharded delivery/merge path: at n=64 the
-		// engine exercises multi-chunk inbox partitioning, and the trace
-		// (recorded from the pre-shard serial engine) must stay
-		// byte-identical at every worker count.
+		// scale-n64 pins the counting-sort delivery at a larger n, with
+		// both adversary ids near the top of the ID range.
 		{name: "scale-n64-shuffle-seed11", n: 64, shuffleSeed: 11,
 			adversary: func() Adversary {
 				return &rushingRelay{silentAdversary: silentAdversary{ids: []types.ProcessID{60, 62}}}

@@ -17,21 +17,13 @@
 //
 // # Concurrency model
 //
-// Within one tick, honest machines share no mutable state (they interact
-// only through messages, which the engine delivers between ticks), so the
-// engine fans their Begin/Tick calls out across one worker per CPU
-// (GOMAXPROCS, at most n) on every tick heavy enough to repay the fan-out
-// (stepFanOutMin) and steps them inline otherwise. Each machine's outputs
-// land in a per-machine slot and are joined in ID order afterwards, so
-// the observable schedule — honest traffic order, the rushing adversary's
-// view, metrics, traces — is byte-identical at every GOMAXPROCS,
-// including 1, which reduces to the strictly serial engine. All
-// engine-side observation (adversary calls, recording, OnSend) happens
-// post-join on the engine goroutine.
-//
-// Runs are independent of each other: the multi-session engine runs one
-// simulation per session group, several at once, and they share only
-// the crypto suite, whose verification cache is safe for concurrent use,
+// A run is single-goroutine: every tick steps the honest machines in ID
+// order on the caller's goroutine, so the schedule — honest traffic
+// order, the rushing adversary's view, metrics, traces — does not depend
+// on GOMAXPROCS. The cores go to whole runs instead: the multi-session
+// engine runs one simulation per session group, several at once, and
+// the harness runs grid points at once. Concurrent runs share only the
+// crypto suite, whose verification cache is safe for concurrent use,
 // and a pool of per-run buffers (scratch) that each run takes whole and
 // returns cleared.
 package sim
@@ -41,11 +33,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"weak"
 
 	"adaptiveba/internal/crypto/verifycache"
@@ -130,7 +120,7 @@ type Config struct {
 	// Halt, if set, is polled at the start of every tick; returning true
 	// aborts the run with ErrHalted before any machine is stepped at that
 	// tick. This is the cancellation hook: the run stays fully
-	// synchronous (no goroutines outlive Run), so a caller-side
+	// synchronous (Run starts no goroutine), so a caller-side
 	// context.Done check here makes cancellation prompt and leak-free.
 	Halt func(now types.Tick) bool
 }
@@ -248,8 +238,6 @@ func Run(cfg Config) (*Result, error) {
 		})
 	}
 
-	workers := min(runtime.GOMAXPROCS(0), n)
-
 	e := &engine{
 		cfg:       cfg,
 		cache0:    cacheStats(cfg.Crypto),
@@ -257,15 +245,11 @@ func Run(cfg Config) (*Result, error) {
 		machines:  make([]proto.Machine, n),
 		corrupted: make([]bool, n),
 		schedule:  schedule,
-		workers:   workers,
 		scratch:   takeScratch(n),
 	}
 	defer e.scratch.release()
 	if cfg.ShuffleSeed != 0 {
-		e.shufflers = make([]*shuffler, workers)
-		for w := range e.shufflers {
-			e.shufflers[w] = newShuffler()
-		}
+		e.shuffler = newShuffler()
 	}
 	for i := 0; i < n; i++ {
 		id := types.ProcessID(i)
@@ -295,7 +279,6 @@ type engine struct {
 	rec       *metrics.Recorder
 	machines  []proto.Machine
 	corrupted []bool
-	workers   int
 
 	// schedule is the corruption schedule sorted by (At, ID); nextCorrupt
 	// is the cursor of the first entry not yet applied. Together they make
@@ -304,7 +287,7 @@ type engine struct {
 	nextCorrupt int
 
 	*scratch
-	shufflers []*shuffler // one reusable shuffle source per worker; nil unless ShuffleSeed != 0
+	shuffler *shuffler // the reusable shuffle source; nil unless ShuffleSeed != 0
 }
 
 // scratch is a run's delivery and send buffers. A run takes one from
@@ -325,15 +308,10 @@ type scratch struct {
 	// recipient: machine i's inbox is arena[inboxOff[i]:inboxOff[i+1]].
 	// The scatter is a counting sort on the recipient — stable, so each
 	// inbox preserves exactly the per-recipient arrival order the
-	// append-bucket engine produced — and it shards across workers when
-	// the tick is heavy (see deliver).
+	// append-bucket engine produced (see deliver).
 	arena    []proto.Incoming
 	inboxOff []int32 // n+1 prefix offsets into arena
 	counts   []int32 // per-recipient counts, doubling as scatter cursors
-	// chunkCounts[w][r] is worker w's count of chunk-local messages for
-	// recipient r during sharded delivery, then w's scatter cursor for r
-	// after the merge. Grown on the first sharded tick.
-	chunkCounts [][]int32
 
 	// outs[i] is the one send buffer machine i's whole session tree
 	// appends to: handed over empty every tick, joined in ID order, kept
@@ -447,13 +425,13 @@ func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 		// Deliver: scatter the in-flight traffic into the inbox arena.
 		e.deliver()
 
-		// Step: shuffle inboxes and run the honest machines, fanned out
-		// across the worker pool; outputs land per-machine in e.outs.
+		// Step: shuffle inboxes and run the honest machines in ID order;
+		// outputs land per-machine in e.outs.
 		e.step(now)
 
 		// Join: concatenate honest outputs in ID order (the canonical
 		// honest traffic order) into the recycled pending buffer, and
-		// validate recipients in the same order the serial engine did.
+		// validate recipients in the same order.
 		traffic := e.pending[:0]
 		for i := 0; i < n; i++ {
 			if e.corrupted[i] {
@@ -524,97 +502,37 @@ func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 		}
 	}
 	if st, ok := e.cfg.Crypto.VerifyCacheStats(); ok {
-		e.rec.SetCacheStats(st.Hits-e.cache0.Hits, st.Misses-e.cache0.Misses, st.InflightWaits-e.cache0.InflightWaits)
+		e.rec.SetCacheStats(st.Hits-e.cache0.Hits, st.Misses-e.cache0.Misses)
 	}
 	e.rec.SetTicks(now)
 	res.Report = e.rec.Snapshot()
 	return res, nil
 }
 
-// stepFanOutMin is the delivered-message count below which a tick steps
-// its machines inline on the engine goroutine: the sibling of
-// parallelDeliveryMin, keyed on the same observable, len(e.pending).
-// Spawning and joining the workers costs a fixed 5–100 µs of scheduler
-// and futex traffic per tick, and most ticks of any run are idle or
-// nearly so (886 of the 892 ticks of a failure-free BB at n=161 deliver
-// nothing) — there that overhead is the whole tick. Both paths fill
-// e.outs per machine and join in ID order, so the gate is invisible to
-// the observable schedule. A message count is a coarse proxy for step
-// work: a delivered Ed25519 message costs ~100× an HMAC one, so no one
-// value is the crossover of both. Below 128 messages inline won every
-// HMAC tick measured (1.05–2.2×); the Ed25519 ticks the fan-out wins
-// (every process signing, 0.53–0.68 at n ≥ 81) deliver n or 2n messages,
-// and 256 already gave most of that back at n=161. DESIGN.md, "Engine
-// concurrency model", has the method, the tables, the host and what the
-// gate forgoes.
-const stepFanOutMin = 128
-
-// step shuffles every inbox and runs each honest machine's Begin/Tick,
-// filling e.outs. With one worker, or on a tick lighter than
-// stepFanOutMin, it runs serially in the engine's goroutine; otherwise
-// the machine indices are work-stolen by e.workers goroutines. Machine
-// panics are re-raised on the engine goroutine.
+// step shuffles every inbox and runs each honest machine's Begin/Tick in
+// ID order, filling e.outs. The shuffle covers corrupted inboxes too: the
+// adversary observes them in permuted order.
 func (e *engine) step(now types.Tick) {
-	n := e.cfg.Params.N
-	if e.workers == 1 || len(e.pending) < stepFanOutMin {
-		for i := 0; i < n; i++ {
-			e.stepOne(now, i, 0)
+	for i := range e.machines {
+		box := e.inbox(i)
+		if e.shuffler != nil {
+			e.shuffler.shuffle(e.cfg.ShuffleSeed, now, types.ProcessID(i), box)
 		}
-		return
-	}
-	var (
-		next      atomic.Int64
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicked  any
-	)
-	for w := 0; w < e.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				e.stepOne(now, i, w)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
-// stepOne, run by worker w, shuffles machine i's inbox and, if i is
-// honest, steps it. The shuffle covers corrupted inboxes too: the
-// adversary observes them in permuted order, exactly as the serial engine
-// delivered them.
-func (e *engine) stepOne(now types.Tick, i, w int) {
-	box := e.inbox(i)
-	if e.cfg.ShuffleSeed != 0 {
-		e.shufflers[w].shuffle(e.cfg.ShuffleSeed, now, types.ProcessID(i), box)
-	}
-	if e.corrupted[i] {
-		return
-	}
-	if now == 0 {
-		e.outs[i] = e.machines[i].Begin(0, e.outs[i][:0])
-	} else {
-		e.outs[i] = e.machines[i].Tick(now, box, e.outs[i][:0])
+		if e.corrupted[i] {
+			continue
+		}
+		if now == 0 {
+			e.outs[i] = e.machines[i].Begin(0, e.outs[i][:0])
+		} else {
+			e.outs[i] = e.machines[i].Tick(now, box, e.outs[i][:0])
+		}
 	}
 }
 
 // shuffler deterministically permutes inboxes from (seed, tick, id). The
 // source is allocated once and re-seeded per inbox, which yields the
-// exact permutation rand.New(rand.NewSource(k)) would — without the
-// per-inbox generator allocation the pre-parallel engine paid.
+// exact permutation rand.New(rand.NewSource(k)) would, without a
+// generator allocation per inbox.
 type shuffler struct {
 	src rand.Source
 	rng *rand.Rand
@@ -647,22 +565,9 @@ func (e *engine) applyCorruptions(now types.Tick) {
 	}
 }
 
-// parallelDeliveryMin is the in-flight message count below which sharded
-// delivery is not worth the O(workers·n) merge; light ticks take the
-// serial counting sort. Both paths produce an identical arena layout, so
-// the crossover is invisible to the observable schedule.
-const parallelDeliveryMin = 4096
-
 // deliver scatters e.pending into the inbox arena, grouped by recipient
-// with per-recipient arrival order preserved (a stable counting sort on
-// To). Heavy ticks shard the sort: the pending buffer is cut into one
-// contiguous chunk per worker (chunk order = position order), each worker
-// counts its chunk's per-recipient messages, a serial merge turns the
-// (recipient-major, chunk-minor) counts into scatter cursors, and the
-// workers then place their chunks independently. Because every message's
-// final slot is (recipient base) + (messages for that recipient in
-// earlier chunks) + (chunk-local rank), the sharded layout is byte-for-
-// byte the serial one at any worker count.
+// with per-recipient arrival order preserved: a stable counting sort on
+// To.
 func (e *engine) deliver() {
 	n := len(e.counts)
 	p := len(e.pending)
@@ -677,12 +582,6 @@ func (e *engine) deliver() {
 	}
 	e.arena = e.arena[:p]
 	e.arenaHW = max(e.arenaHW, p)
-
-	w := e.workers
-	if w > 1 && p >= parallelDeliveryMin {
-		e.deliverSharded(w)
-		return
-	}
 
 	for i := range e.counts {
 		e.counts[i] = 0
@@ -703,83 +602,6 @@ func (e *engine) deliver() {
 		pos := e.counts[m.To]
 		e.counts[m.To] = pos + 1
 		e.arena[pos] = proto.Incoming{From: m.From, Session: m.Session, Payload: m.Payload}
-	}
-}
-
-// deliverSharded is deliver's heavy-tick path: count and scatter fan out
-// across w workers over contiguous pending chunks.
-func (e *engine) deliverSharded(w int) {
-	n := len(e.counts)
-	p := len(e.pending)
-	for len(e.chunkCounts) < w {
-		e.chunkCounts = append(e.chunkCounts, nil)
-	}
-	for k := 0; k < w; k++ {
-		e.chunkCounts[k] = slices.Grow(e.chunkCounts[k][:0], n)[:n]
-	}
-	chunk := func(k int) (int, int) {
-		return k * p / w, (k + 1) * p / w
-	}
-
-	fanOut(w, func(k int) {
-		counts := e.chunkCounts[k]
-		for i := range counts {
-			counts[i] = 0
-		}
-		lo, hi := chunk(k)
-		for i := lo; i < hi; i++ {
-			counts[e.pending[i].To]++
-		}
-	})
-
-	// Merge: recipient-major, chunk-minor prefix sum. chunkCounts[k][r]
-	// becomes worker k's scatter cursor for recipient r.
-	var off int32
-	for r := 0; r < n; r++ {
-		e.inboxOff[r] = off
-		for k := 0; k < w; k++ {
-			c := e.chunkCounts[k][r]
-			e.chunkCounts[k][r] = off
-			off += c
-		}
-	}
-	e.inboxOff[n] = off
-
-	fanOut(w, func(k int) {
-		cursors := e.chunkCounts[k]
-		lo, hi := chunk(k)
-		for i := lo; i < hi; i++ {
-			m := &e.pending[i]
-			pos := cursors[m.To]
-			cursors[m.To] = pos + 1
-			e.arena[pos] = proto.Incoming{From: m.From, Session: m.Session, Payload: m.Payload}
-		}
-	})
-}
-
-// fanOut runs fn(0..w-1) on w goroutines and waits; panics are re-raised
-// on the caller's goroutine.
-func fanOut(w int, fn func(k int)) {
-	var (
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicked  any
-	)
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-				}
-			}()
-			fn(k)
-		}(k)
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
 	}
 }
 

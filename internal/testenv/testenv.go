@@ -33,9 +33,9 @@ func Race() bool {
 
 // Procs sets GOMAXPROCS to k for the rest of the test and restores the
 // value it replaced when the test ends. Every worker pool of the
-// repository — grid points, per-tick machine stepping, aggregate-share
-// checks — sizes itself from GOMAXPROCS, so this is how a test runs the
-// same work at another worker count. A k below 1 leaves the setting as
+// repository — grid points and an engine run's session groups — sizes
+// itself from GOMAXPROCS, so this is how a test runs the same work at
+// another worker count. A k below 1 leaves the setting as
 // it is, as runtime.GOMAXPROCS does. The setting is process-wide, so
 // Procs must not be used in a parallel test.
 func Procs(t testing.TB, k int) {
