@@ -2,6 +2,8 @@ package attacks
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"adaptiveba/internal/adversary"
@@ -480,5 +482,115 @@ func TestFloodChainForcesLinearRounds(t *testing.T) {
 	}
 	if rounds[3] <= rounds[0] || rounds[6] <= rounds[3] {
 		t.Errorf("rounds did not grow with the chain: %v", rounds)
+	}
+}
+
+// runWBA runs weak BA at n under adv, every correct process starting from
+// input, and returns the result with every correct process's machine.
+// onSend, if not nil, sees every send.
+func runWBA(t *testing.T, n int, tag string, input types.Value, quorumOverride int, adv sim.Adversary,
+	onSend func(types.Tick, sim.Message, bool)) (*sim.Result, map[types.ProcessID]*wba.Machine) {
+	t.Helper()
+	crypto, params := setup(t, n)
+	machines := make(map[types.ProcessID]*wba.Machine)
+	res, err := sim.Run(sim.Config{
+		Params: params,
+		Crypto: crypto,
+		Factory: func(id types.ProcessID) proto.Machine {
+			m := wba.NewMachine(wba.Config{
+				Params: params, Crypto: crypto, ID: id,
+				Input: input, Predicate: valid.NonBottom(),
+				Tag: tag, QuorumOverride: quorumOverride,
+			})
+			machines[id] = m
+			return m
+		},
+		Adversary: adv,
+		MaxTicks:  2000,
+		OnSend:    onSend,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range machines {
+		if !slices.Contains(res.Honest, id) {
+			delete(machines, id)
+		}
+	}
+	return res, machines
+}
+
+// TestWBALeaderPins pins the honest cost and outcome of every corrupted
+// phase-1 leader scenario this file runs at n = 9: honest words,
+// messages, ticks, each correct process's decision and how many correct
+// processes ran the fallback. A change to how the coalition is built
+// must not move any of them.
+func TestWBALeaderPins(t *testing.T) {
+	params, _ := types.NewParams(9)
+	ids := corruptSet(params)
+	selective := func(release types.Tick, to ...types.ProcessID) sim.Adversary {
+		a := NewSelectivePhaseLeader("s", 3, types.Value("v"), ids...)
+		a.LateRelease, a.LateTo = release, to
+		return a
+	}
+	cases := []struct {
+		name            string
+		tag, input      string
+		quorumOverride  int
+		adv             func() sim.Adversary
+		words, messages int64
+		ticks           types.Tick
+		decisions       string
+		fallbacks       int
+	}{
+		{name: "split-vote-naive-quorum", tag: "q", input: "honest", quorumOverride: params.SmallQuorum(),
+			adv: func() sim.Adversary {
+				return NewWBASplitVote("q", params.SmallQuorum(), types.Value("v1"), types.Value("v2"), ids...)
+			},
+			words: 10, messages: 10, ticks: 27, decisions: "p0:v1 p2:v2 p3:v1 p4:v2 p5:v1"},
+		{name: "split-vote-paper-quorum", tag: "q", input: "honest",
+			adv: func() sim.Adversary {
+				return NewWBASplitVote("q", params.Quorum(), types.Value("v1"), types.Value("v2"), ids...)
+			},
+			words: 78, messages: 78, ticks: 27, decisions: "p0:v1 p2:v1 p3:v1 p4:v1 p5:v1"},
+		{name: "selective-finalize", tag: "s", input: "v",
+			adv:   func() sim.Adversary { return selective(0) },
+			words: 46, messages: 46, ticks: 27, decisions: "p0:v p2:v p3:v p4:v p5:v"},
+		{name: "selective-late-release-to-all", tag: "s", input: "v",
+			adv:   func() sim.Adversary { return selective(150) },
+			words: 686, messages: 286, ticks: 223, decisions: "p0:v p2:v p3:v p4:v p5:v", fallbacks: 5},
+		{name: "selective-late-release-to-p0", tag: "s", input: "v",
+			adv:   func() sim.Adversary { return selective(150, 0) },
+			words: 686, messages: 286, ticks: 223, decisions: "p0:v p2:v p3:v p4:v p5:v", fallbacks: 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, machines := runWBA(t, 9, tc.tag, types.Value(tc.input), tc.quorumOverride, tc.adv(), nil)
+			var decisions []string
+			fallbacks := 0
+			for _, id := range res.Honest {
+				d, ok := res.Decisions[id]
+				if !ok {
+					decisions = append(decisions, fmt.Sprintf("p%d:-", id))
+				} else {
+					decisions = append(decisions, fmt.Sprintf("p%d:%s", id, d))
+				}
+				if machines[id].RanFallback() {
+					fallbacks++
+				}
+			}
+			got := strings.Join(decisions, " ")
+			h := res.Report.Honest
+			if h.Words != tc.words || h.Messages != tc.messages || res.Ticks != tc.ticks {
+				t.Errorf("words=%d messages=%d ticks=%d, pinned %d, %d, %d",
+					h.Words, h.Messages, res.Ticks, tc.words, tc.messages, tc.ticks)
+			}
+			if got != tc.decisions {
+				t.Errorf("decisions %q, pinned %q", got, tc.decisions)
+			}
+			if fallbacks != tc.fallbacks {
+				t.Errorf("%d correct processes ran the fallback, pinned %d", fallbacks, tc.fallbacks)
+			}
+		})
 	}
 }
