@@ -165,11 +165,13 @@ race-guard:
 # every run meters its wire bytes (protocols.SizeOf): also fail if a
 # non-test file names one of the knobs that used to duplicate those
 # (REMOVED_KNOBS). Phase spam and help spam are genomes compiled by
-# internal/adversary/attacks: fail if a non-test file names one of the
-# hand-written copies they replaced (GENOME_ATTACKS).
+# internal/adversary/attacks, and the split vote, selective finalize and
+# late certificate release are one coalition there (attacks.WBALeader):
+# fail if a non-test file names one of the attacks they replaced
+# (REPLACED_ATTACKS).
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
 REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|WithParallelVerify|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-|MeasureBytes|WithMeasuredBytes|-measure-bytes
-GENOME_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam
+REPLACED_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam|WBASplitVote|SelectivePhaseLeader|LateCertRelease
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \
 	if echo "$$deps" | grep -qx 'adaptiveba/internal/harness'; then \
@@ -183,9 +185,9 @@ deps-guard:
 	if [ -n "$$hits" ]; then \
 		echo "$$hits"; echo "deps-guard: FAIL a removed knob is back (GOMAXPROCS sizes every pool; CountOps is the only uncached suite; faults belong to the link; every run meters bytes)"; exit 1; \
 	fi; \
-	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(GENOME_ATTACKS)' .); \
+	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REPLACED_ATTACKS)' .); \
 	if [ -n "$$hits" ]; then \
-		echo "$$hits"; echo "deps-guard: FAIL a hand-written copy of a genome attack is back (attacks.PhaseSpam and OpHelpSpam genes replace it)"; exit 1; \
+		echo "$$hits"; echo "deps-guard: FAIL a replaced attack is back (phase and help spam are attacks.PhaseSpam and OpHelpSpam genes; split vote, selective finalize and late certificate release are attacks.WBALeader)"; exit 1; \
 	fi
 
 # Interactive single-grid-point search with a full report.

@@ -12,9 +12,10 @@
 //     generic freshness attack that certificates and phase tags must
 //     withstand.
 //
-// Protocol-aware attacks (phase spam, split votes, selective finalize,
-// help spam, late certificate release, flood chains) live in the attacks
-// subpackage, which may import the protocol packages.
+// Protocol-aware attacks live in the attacks subpackage, which may import
+// the protocol packages: phase and help spam as compiled genomes, and the
+// hand-written BB vetting equivocation, flood chains and weak BA leader
+// coalition (split vote, selective finalize, late certificate release).
 package adversary
 
 import (

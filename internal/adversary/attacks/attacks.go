@@ -8,8 +8,11 @@
 // Compile turns it into a sim.Adversary for one run. The schedule
 // explorer (internal/explore) searches genomes; the fixed attacks the
 // harness and the tests run are genomes too (PhaseSpam). Behaviours the
-// genes cannot express (vetting equivocation, selective finalize, split
-// votes, flood chains, late certificate release) are hand-written.
+// genes cannot express are hand-written: BB vetting equivocation, flood
+// chains, and one weak BA coalition, WBALeader, whose corrupted phase-1
+// leader mints certificates from the shares it collects (the split vote
+// and the selective finalize) and which can release a fallback
+// certificate late.
 //
 // The headline attack is phase spam: corrupted processes initiate their
 // rotating-leader phases — asking every correct process for help or votes

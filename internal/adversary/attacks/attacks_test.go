@@ -42,30 +42,18 @@ func corruptSet(params types.Params) []types.ProcessID {
 	return ids
 }
 
+// splitVote is the two-faced phase-1 leader against the given quorum (0:
+// the paper's), with t corrupted processes.
+func splitVote(params types.Params, quorum int) *WBALeader {
+	a := NewWBALeader("q", corruptSet(params)...)
+	a.Faces, a.Quorum = []types.Value{types.Value("v1"), types.Value("v2")}, quorum
+	return a
+}
+
 func runSplitVote(t *testing.T, quorumOverride int) *sim.Result {
 	t.Helper()
-	crypto, params := setup(t, 9)
-	quorum := params.Quorum()
-	if quorumOverride > 0 {
-		quorum = quorumOverride
-	}
-	adv := NewWBASplitVote("q", quorum, types.Value("v1"), types.Value("v2"), corruptSet(params)...)
-	res, err := sim.Run(sim.Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			return wba.NewMachine(wba.Config{
-				Params: params, Crypto: crypto, ID: id,
-				Input: types.Value("honest"), Predicate: valid.NonBottom(),
-				Tag: "q", QuorumOverride: quorumOverride,
-			})
-		},
-		Adversary: adv,
-		MaxTicks:  2000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	params, _ := types.NewParams(9)
+	res, _ := runWBA(t, 9, "q", types.Value("honest"), quorumOverride, splitVote(params, quorumOverride), nil)
 	return res
 }
 
@@ -201,34 +189,33 @@ func TestHelpSpamCostsLinearAndNoFallback(t *testing.T) {
 	}
 }
 
-func TestLateCertReleaseReactivatesSafely(t *testing.T) {
-	// n=9, t=4: every correct process decides in phase 1, so no correct
-	// help request ever exists and the adversary's own t shares cannot
-	// reach the t+1 certificate threshold — the late release must fizzle
-	// and the decision must stand.
-	crypto, params := setup(t, 9)
-	adv := NewLateCertRelease("h", 200, 5, 6, 7, 8)
-	res, err := sim.Run(sim.Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			return wba.NewMachine(wba.Config{
-				Params: params, Crypto: crypto, ID: id,
-				Input: types.Value("v"), Predicate: valid.NonBottom(), Tag: "h",
-			})
-		},
-		Adversary: adv,
-		MaxTicks:  1000,
+func TestLateCertWithoutHelpRequestsFizzles(t *testing.T) {
+	// n=9, t=4, f=2: the 7 correct processes reach the paper's quorum and
+	// decide in phase 1, so no correct help request ever exists, and the
+	// coalition's own 2 shares cannot reach the t+1 = 5 certificate
+	// threshold — the late release must fizzle and the decisions stand.
+	adv := NewWBALeader("h", 7, 8)
+	adv.Release = 200
+	certs := 0
+	res, machines := runWBA(t, 9, "h", types.Value("v"), 0, adv, func(_ types.Tick, m sim.Message, honest bool) {
+		if _, ok := m.Payload.(wba.FallbackCert); ok && !honest {
+			certs++
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
+	if !adv.released {
+		t.Fatal("the release tick never came")
 	}
-	if !res.AllDecided() {
-		t.Fatal("not all decided")
+	if certs != 0 {
+		t.Errorf("the coalition sent %d fallback certificates from 2 shares", certs)
 	}
 	v, ok := res.Agreement()
-	if !ok || !v.Equal(types.Value("v")) {
-		t.Fatalf("late cert release broke safety: %v %v", v, ok)
+	if !res.AllDecided() || !ok || !v.Equal(types.Value("v")) {
+		t.Fatalf("late cert release broke the run: all decided %v, agreement %v %v", res.AllDecided(), v, ok)
+	}
+	for id, m := range machines {
+		if m.DecidedAtPhase() != 1 || m.RanFallback() {
+			t.Errorf("%v decided in phase %d, ran fallback %v; want phase 1, no fallback", id, m.DecidedAtPhase(), m.RanFallback())
+		}
 	}
 }
 
@@ -237,26 +224,8 @@ func TestSelectiveFinalizeVictimHealedByHelpRound(t *testing.T) {
 	// is the only undecided correct process after the phases: it asks for
 	// help, the decided processes answer with the finalize certificate,
 	// and it adopts the same decision — no fallback.
-	crypto, params := setup(t, 9)
-	machines := make(map[types.ProcessID]*wba.Machine)
-	adv := NewSelectivePhaseLeader("s", 3, types.Value("v"), corruptSet(params)...)
-	res, err := sim.Run(sim.Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			m := wba.NewMachine(wba.Config{
-				Params: params, Crypto: crypto, ID: id,
-				Input: types.Value("v"), Predicate: valid.NonBottom(), Tag: "s",
-			})
-			machines[id] = m
-			return m
-		},
-		Adversary: adv,
-		MaxTicks:  2000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	params, _ := types.NewParams(9)
+	res, machines := runWBA(t, 9, "s", types.Value("v"), 0, selective(params, 0), nil)
 	if !res.AllDecided() {
 		t.Fatal("not all decided — the help round failed the victim")
 	}
@@ -276,34 +245,26 @@ func TestSelectiveFinalizeVictimHealedByHelpRound(t *testing.T) {
 	}
 }
 
+// selective is the phase-1 leader that withholds the finalize
+// certificate from p3, with t corrupted processes and, if release is
+// positive, a late fallback certificate to releaseTo (every correct
+// process if empty).
+func selective(params types.Params, release types.Tick, releaseTo ...types.ProcessID) *WBALeader {
+	a := NewWBALeader("s", corruptSet(params)...)
+	a.Faces, a.Deny = []types.Value{types.Value("v")}, []types.ProcessID{3}
+	a.Release, a.ReleaseTo = release, releaseTo
+	return a
+}
+
 // runLateRelease runs the selective-finalize attack with a fallback
-// certificate released at tick 150 to lateTo (every process if empty),
-// and requires every correct process to decide the leader's value and to
-// have run the fallback.
+// certificate released at tick 150 to lateTo (every correct process if
+// empty), and requires every correct process to decide the leader's
+// value and to have run the fallback.
 func runLateRelease(t *testing.T, lateTo ...types.ProcessID) {
 	t.Helper()
-	crypto, params := setup(t, 9)
-	adv := NewSelectivePhaseLeader("s", 3, types.Value("v"), corruptSet(params)...)
-	adv.LateRelease = 150
-	adv.LateTo = lateTo
-	machines := make(map[types.ProcessID]*wba.Machine)
-	res, err := sim.Run(sim.Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			m := wba.NewMachine(wba.Config{
-				Params: params, Crypto: crypto, ID: id,
-				Input: types.Value("v"), Predicate: valid.NonBottom(), Tag: "s",
-			})
-			machines[id] = m
-			return m
-		},
-		Adversary: adv,
-		MaxTicks:  2000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	params, _ := types.NewParams(9)
+	adv := selective(params, 150, lateTo...)
+	res, machines := runWBA(t, 9, "s", types.Value("v"), 0, adv, nil)
 	if !adv.released {
 		t.Fatal("the late certificate was never released")
 	}
@@ -351,28 +312,10 @@ func TestLateCertToOneProcessReachesAll(t *testing.T) {
 // collecting votes, before finalizing) and goes silent. No certificate
 // completes in phase 1; phase 2's correct leader heals the run.
 func TestAdaptiveMidPhaseCorruption(t *testing.T) {
-	crypto, params := setup(t, 9)
-	machines := make(map[types.ProcessID]*wba.Machine)
-	res, err := sim.Run(sim.Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			m := wba.NewMachine(wba.Config{
-				Params: params, Crypto: crypto, ID: id,
-				Input: types.Value("v"), Predicate: valid.NonBottom(), Tag: "mid",
-			})
-			machines[id] = m
-			return m
-		},
-		// p1 proposes at tick 0, receives votes at tick 2, would commit at
-		// tick 2 and finalize at tick 4 — corrupting at tick 3 kills the
-		// phase after the commit broadcast but before the finalize.
-		Adversary: adversaryWithLateCorruption(3),
-		MaxTicks:  2000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// p1 proposes at tick 0, receives votes at tick 2, would commit at
+	// tick 2 and finalize at tick 4 — corrupting at tick 3 kills the
+	// phase after the commit broadcast but before the finalize.
+	res, machines := runWBA(t, 9, "mid", types.Value("v"), 0, adversaryWithLateCorruption(3), nil)
 	if !res.AllDecided() {
 		t.Fatal("not all decided after mid-phase corruption")
 	}
@@ -527,12 +470,6 @@ func runWBA(t *testing.T, n int, tag string, input types.Value, quorumOverride i
 // must not move any of them.
 func TestWBALeaderPins(t *testing.T) {
 	params, _ := types.NewParams(9)
-	ids := corruptSet(params)
-	selective := func(release types.Tick, to ...types.ProcessID) sim.Adversary {
-		a := NewSelectivePhaseLeader("s", 3, types.Value("v"), ids...)
-		a.LateRelease, a.LateTo = release, to
-		return a
-	}
 	cases := []struct {
 		name            string
 		tag, input      string
@@ -544,23 +481,19 @@ func TestWBALeaderPins(t *testing.T) {
 		fallbacks       int
 	}{
 		{name: "split-vote-naive-quorum", tag: "q", input: "honest", quorumOverride: params.SmallQuorum(),
-			adv: func() sim.Adversary {
-				return NewWBASplitVote("q", params.SmallQuorum(), types.Value("v1"), types.Value("v2"), ids...)
-			},
+			adv:   func() sim.Adversary { return splitVote(params, params.SmallQuorum()) },
 			words: 10, messages: 10, ticks: 27, decisions: "p0:v1 p2:v2 p3:v1 p4:v2 p5:v1"},
 		{name: "split-vote-paper-quorum", tag: "q", input: "honest",
-			adv: func() sim.Adversary {
-				return NewWBASplitVote("q", params.Quorum(), types.Value("v1"), types.Value("v2"), ids...)
-			},
+			adv:   func() sim.Adversary { return splitVote(params, 0) },
 			words: 78, messages: 78, ticks: 27, decisions: "p0:v1 p2:v1 p3:v1 p4:v1 p5:v1"},
 		{name: "selective-finalize", tag: "s", input: "v",
-			adv:   func() sim.Adversary { return selective(0) },
+			adv:   func() sim.Adversary { return selective(params, 0) },
 			words: 46, messages: 46, ticks: 27, decisions: "p0:v p2:v p3:v p4:v p5:v"},
 		{name: "selective-late-release-to-all", tag: "s", input: "v",
-			adv:   func() sim.Adversary { return selective(150) },
+			adv:   func() sim.Adversary { return selective(params, 150) },
 			words: 686, messages: 286, ticks: 223, decisions: "p0:v p2:v p3:v p4:v p5:v", fallbacks: 5},
 		{name: "selective-late-release-to-p0", tag: "s", input: "v",
-			adv:   func() sim.Adversary { return selective(150, 0) },
+			adv:   func() sim.Adversary { return selective(params, 150, 0) },
 			words: 686, messages: 286, ticks: 223, decisions: "p0:v p2:v p3:v p4:v p5:v", fallbacks: 5},
 	}
 	for _, tc := range cases {

@@ -19,9 +19,7 @@ var (
 	_ sim.Adversary = (*genomeAdversary)(nil)
 	_ sim.Adversary = (*BBVettingEquivocator)(nil)
 	_ sim.Adversary = (*FloodChain)(nil)
-	_ sim.Adversary = (*LateCertRelease)(nil)
-	_ sim.Adversary = (*SelectivePhaseLeader)(nil)
-	_ sim.Adversary = (*WBASplitVote)(nil)
+	_ sim.Adversary = (*WBALeader)(nil)
 )
 
 // TestEveryAttackFollowsTheCoreLifecycle drives each attack through the
@@ -35,15 +33,20 @@ func TestEveryAttackFollowsTheCoreLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []types.ProcessID{1, 2}
+	leader := func(set func(*WBALeader)) *WBALeader {
+		a := NewWBALeader("tag", ids...)
+		set(a)
+		return a
+	}
 	builds := map[string]sim.Adversary{
 		"wba-phase-spam":     Compile(PhaseSpam(protocols.WBA, ids...), protocols.WBA, "tag", 1, 100),
 		"bb-phase-spam":      Compile(PhaseSpam(protocols.BB, ids...), protocols.BB, "tag", 1, 100),
 		"bb-vetting-equiv":   NewBBVettingEquivocator("tag", types.Value("a"), types.Value("b")),
 		"flood-chain":        NewFloodChain(types.Value("m"), ids...),
 		"wba-help-spam":      Compile(helpSpam(ids...), protocols.WBA, "tag", 1, 100),
-		"late-cert-release":  NewLateCertRelease("tag", 25, ids...),
-		"selective-phase":    NewSelectivePhaseLeader("tag", 3, types.Value("v"), ids...),
-		"wba-split-vote":     NewWBASplitVote("tag", params.Quorum(), types.Value("a"), types.Value("b"), ids...),
+		"late-cert-release":  leader(func(a *WBALeader) { a.Release = 25 }),
+		"selective-phase":    leader(func(a *WBALeader) { a.Faces, a.Deny = []types.Value{types.Value("v")}, []types.ProcessID{3} }),
+		"wba-split-vote":     leader(func(a *WBALeader) { a.Faces = []types.Value{types.Value("a"), types.Value("b")} }),
 		"core-only-is-crash": adversary.NewCrash(ids...),
 	}
 	for name, adv := range builds {

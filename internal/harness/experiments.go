@@ -334,7 +334,8 @@ func expAblateQuorum() (string, error) {
 		for i := params.N - 1; len(ids) < params.T; i-- {
 			ids = append(ids, types.ProcessID(i))
 		}
-		adv := attacks.NewWBASplitVote("q", quorum, types.Value("v1"), types.Value("v2"), ids...)
+		adv := attacks.NewWBALeader("q", ids...)
+		adv.Faces, adv.Quorum = []types.Value{types.Value("v1"), types.Value("v2")}, override
 		cfg := protocols.Config{Params: params, Crypto: crypto, Tag: "q", QuorumOverride: override}
 		res, err := sim.Run(sim.Config{
 			Params: params,

