@@ -32,7 +32,7 @@ bench:
 # every check true, and engine/explore reproduced field for field
 # (TestCommittedReports). What each bench measures is in EXPERIMENTS.md
 # (X-ENGINE, X-ACS, X-EXPLORE, X-SCALE). Takes about 70 s on a 2-CPU host;
-# the n = 4096 cells of scale dominate.
+# the floodset cells of scale at n = 4096 dominate.
 BENCHES := engine acs explore scale
 bench-all:
 	for b in $(BENCHES); do $(GO) run ./cmd/adaptiveba-bench -bench $$b || exit 1; done
@@ -117,7 +117,8 @@ endef
 # Every allocation guard, one package at a time, numbers printed (CI's
 # "Alloc guard" step, and again under the race detector as
 # `GOFLAGS=-race make alloc-guard`, where the guards on pooled paths run
-# with race-aware bounds — see internal/testenv).
+# with race-aware bounds — see internal/testenv). TestMuxSteadyStateAllocs
+# also holds a Mux whose children all sleep to no step and no allocation.
 alloc-guard:
 	@$(GUARD); \
 	guard ./internal/sim 'TestSimTickAllocCeiling|TestRunReusesScratch|TestConcurrentRunsFindEverySpare|TestSparesLastOneCollection'; \
@@ -134,7 +135,9 @@ alloc-guard:
 
 # The named tests of CI's race job, under the race detector (its `go run
 # -race` smokes and whole-package runs stay in ci.yml). The lists live
-# here so the same guard covers them.
+# here so the same guard covers them. TestWakesAreExact sits on the engine
+# line: its commit shapes and explorer runs step concurrent simulations
+# under the exactness check.
 race-guard:
 	@$(GUARD); \
 	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestObserversDoNotChangeTheCharge|TestConcurrentRunsFindEverySpare' -race; \
@@ -144,7 +147,7 @@ race-guard:
 	guard ./internal/transport 'TestChaosWBADecidesLikeBaseline|TestChaosBBJitterDecidesLikeBaseline' -race; \
 	guard ./internal/testenv 'TestLinkScheduleIsDeterministic|TestLinkWindows' -race; \
 	guard ./cmd/adaptiveba-cluster 'TestCluster' -race; \
-	guard './internal/engine ./internal/harness' 'TestEngineDeterminism|TestRunEngineMatchesSolo|TestSessionGroupsMatchOneSimulation|TestSessionGroupsVerifyMintedCertsOnce' -race; \
+	guard './internal/engine ./internal/harness ./internal/proto' 'TestEngineDeterminism|TestRunEngineMatchesSolo|TestSessionGroupsMatchOneSimulation|TestSessionGroupsVerifyMintedCertsOnce|TestWakesAreExact' -race; \
 	guard . 'TestPublicResultPins|TestRunManyMatchesSolo|TestSessionGroupsCountTheCallsCacheLookups' -race; \
 	guard ./internal/acs 'TestACSDeterministicAcrossWorkers|TestACSLateBroadcastTraffic' -race; \
 	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract|TestReplicatedLogOverTCP|TestRunLogEmptyQueueCommitsBottom' -race; \

@@ -71,6 +71,7 @@ type row struct {
 	Words        int64  `json:"words"`
 	Messages     int64  `json:"messages,omitempty"`
 	Ticks        int64  `json:"ticks"`
+	Steps        int64  `json:"steps,omitempty"` // simulator Begin/Tick calls on the honest roots (scale only)
 	SessionTicks int64  `json:"session_ticks,omitempty"`
 	Stride       int64  `json:"stride,omitempty"`
 	DecisionTick int64  `json:"decision_tick,omitempty"`
@@ -109,7 +110,7 @@ var benches = map[string]struct {
 	"engine":  {grid{Ns: []int{9, 17, 33}, Rounds: 64, Windows: []int{1, 4, 16, 64}}, runEngine},
 	"acs":     {grid{Ns: []int{9, 17, 33}, Rounds: 4, Batches: []int{1, 16, 64}}, runACS},
 	"explore": {grid{Protocols: []string{"wba"}, Ns: []int{9, 17, 33}, Seed: 1, Generations: 3, Population: 6}, runExplore},
-	"scale":   {grid{Protocols: []string{"bb", "committee", "floodset"}, Fault: "crash", Ns: []int{64, 256, 1024, 4096}}, runScale},
+	"scale":   {grid{Protocols: []string{"bb", "committee", "floodset"}, Fault: "crash", Ns: []int{64, 256, 1024, 4096, 16384}}, runScale},
 }
 
 func benchNames() []string {
@@ -390,6 +391,12 @@ func runExplore(out io.Writer, g grid) ([]row, map[string]bool, error) {
 // Dolev–Strong instances send Θ(n³) words, billions from n = 1024 on.
 const scaleSkipFromN = 1024
 
+// scaleBBOnlyFromN is the smallest n at which only adaptive BB runs, and
+// only at f ∈ {0, 1}: the baselines send Θ(n²) messages a round, more
+// than a host's memory holds there, while a failure-free BB steps each
+// process about seven times.
+const scaleBBOnlyFromN = 16384
+
 // isqrt returns ⌈√n⌉.
 func isqrt(n int) int { return int(math.Ceil(math.Sqrt(float64(n)))) }
 
@@ -404,8 +411,9 @@ func scaleFs(p types.Params) []int {
 	return fs
 }
 
-// runScale sweeps n × f ∈ {0, 1, ⌈√n⌉, t} × protocol, one cell at a time
-// so that a cell's wall clock and allocation rate are its own.
+// runScale sweeps n × f ∈ {0, 1, ⌈√n⌉, t} × protocol (adaptive BB at
+// f ∈ {0, 1} alone from scaleBBOnlyFromN), one cell at a time so that a
+// cell's wall clock and allocation rate are its own.
 func runScale(out io.Writer, g grid) ([]row, map[string]bool, error) {
 	var rows []row
 	for _, n := range g.Ns {
@@ -413,8 +421,12 @@ func runScale(out io.Writer, g grid) ([]row, map[string]bool, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, f := range scaleFs(params) {
-			for _, protocol := range g.Protocols {
+		fs, protocols := scaleFs(params), g.Protocols
+		if n >= scaleBBOnlyFromN {
+			fs, protocols = []int{0, 1}, []string{string(harness.ProtocolBB)}
+		}
+		for _, f := range fs {
+			for _, protocol := range protocols {
 				r, err := runScaleCell(protocol, harness.Fault(g.Fault), params, f)
 				if err != nil {
 					return nil, nil, err
@@ -426,8 +438,8 @@ func runScale(out io.Writer, g grid) ([]row, map[string]bool, error) {
 				} else if !r.Decided || !r.Agreement {
 					status = "NO DECISION"
 				}
-				fmt.Fprintf(out, "%-10s n=%-5d f=%-5d %12d words %8.1f w/proc %7.2fs  %s\n",
-					protocol, n, f, r.Words, float64(r.Words)/float64(n), r.WallSeconds, status)
+				fmt.Fprintf(out, "%-10s n=%-5d f=%-5d %12d words %8.1f w/proc %10d steps %7.2fs  %s\n",
+					protocol, n, f, r.Words, float64(r.Words)/float64(n), r.Steps, r.WallSeconds, status)
 			}
 		}
 	}
@@ -456,6 +468,7 @@ func runScaleCell(protocol string, fault harness.Fault, p types.Params, f int) (
 	r.Words = o.Words
 	r.Messages = o.Messages
 	r.Ticks = int64(o.Ticks)
+	r.Steps = o.Steps
 	r.DecisionTick = int64(o.DecisionTick)
 	r.Decided = o.Decided
 	r.Agreement = o.Agreement
@@ -468,7 +481,8 @@ func runScaleCell(protocol string, fault harness.Fault, p types.Params, f int) (
 
 // scaleChecks derives the scale claims from the rows, counting a cell as
 // decided only if its honest processes decided and agree: adaptive BB
-// sends fewer words than committee sampling at every f ≤ ⌈√n⌉
+// sends fewer words than committee sampling at every f ≤ ⌈√n⌉ below
+// scaleBBOnlyFromN, where committee sampling runs
 // (adaptive_wins_few_fault), and every protocol decides at f = 0.
 func scaleChecks(rows []row) map[string]bool {
 	type cell struct {
@@ -486,7 +500,7 @@ func scaleChecks(rows []row) map[string]bool {
 		if _, ok := decided[cell{r.Protocol, r.N, r.F}]; r.F == 0 && !ok {
 			f0 = false
 		}
-		if r.F <= isqrt(r.N) {
+		if r.F <= isqrt(r.N) && r.N < scaleBBOnlyFromN {
 			a, okA := decided[cell{string(harness.ProtocolBB), r.N, r.F}]
 			c, okC := decided[cell{string(harness.ProtocolCommittee), r.N, r.F}]
 			wins = wins && okA && okC && a.Words < c.Words

@@ -181,7 +181,7 @@ func TestScaleChecksNeedAgreement(t *testing.T) {
 // was run over its bench's fixed grid, and holds every check. Outside
 // -short every bench re-runs and must reproduce every deterministic
 // field; scale re-runs only its cells up to n = 256, about 3 s of its
-// minute (the n = 1024 and 4096 cells are the rest).
+// minute (the cells from n = 1024 on are the rest).
 func TestCommittedReports(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
 	if err != nil {

@@ -123,6 +123,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "words       %d   (%.1f per process)\n", o.Words, float64(o.Words)/float64(o.Spec.N))
 	fmt.Fprintf(out, "messages    %d\n", o.Messages)
 	fmt.Fprintf(out, "ticks (δ)   %d\n", o.Ticks)
+	fmt.Fprintf(out, "steps       %d   (machine Begin/Tick calls)\n", o.Steps)
 	fmt.Fprintf(out, "fallback    %d processes\n", o.FallbackCount)
 	// Only when the cache was consulted: the default HMAC ring with compact
 	// certificates verifies everything directly (nothing there costs more

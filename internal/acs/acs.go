@@ -83,7 +83,10 @@ type Machine struct {
 	err           error
 }
 
-var _ proto.Machine = (*Machine)(nil)
+var (
+	_ proto.Machine = (*Machine)(nil)
+	_ proto.Waker   = (*Machine)(nil)
+)
 
 // NewMachine builds the ACS machine. The schedule (vote boundary, total
 // budget) is a pure function of Params, so every correct process
@@ -241,6 +244,15 @@ func (m *Machine) finish(now types.Tick) {
 	m.decision = EncodeResult(&Result{Committed: committed, Batches: batches})
 	m.decided = true
 	m.decidedAtTick = now
+}
+
+// Wake implements proto.Waker: the children's wake, and the vote
+// boundary until it has passed.
+func (m *Machine) Wake() types.Tick {
+	if m.voting {
+		return m.mux.Wake()
+	}
+	return min(m.mux.Wake(), m.voteTick)
 }
 
 // Output implements proto.Machine: the EncodeResult frame of the

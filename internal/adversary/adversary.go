@@ -192,9 +192,13 @@ type Mimic struct {
 	inboxes  map[types.ProcessID][]proto.Incoming
 	order    []types.ProcessID
 	outs     []proto.Outgoing // the puppets' send buffer, reused every tick
+	wake     types.Tick       // the puppets' earliest wake after the last Act
 }
 
-var _ sim.Adversary = (*Mimic)(nil)
+var (
+	_ sim.Adversary = (*Mimic)(nil)
+	_ proto.Waker   = (*Mimic)(nil)
+)
 
 // NewMimic corrupts ids and drives them with factory's machines.
 func NewMimic(factory func(id types.ProcessID) proto.Machine, ids ...types.ProcessID) *Mimic {
@@ -215,6 +219,7 @@ func (m *Mimic) Observe(_ types.Tick, to types.ProcessID, inbox []proto.Incoming
 // Act implements sim.Adversary.
 func (m *Mimic) Act(now types.Tick, _ []sim.Message) []sim.Message {
 	var msgs []sim.Message
+	m.wake = proto.Never
 	for _, id := range m.order {
 		mach, ok := m.machines[id]
 		if !ok {
@@ -225,12 +230,19 @@ func (m *Mimic) Act(now types.Tick, _ []sim.Message) []sim.Message {
 			m.outs = mach.Tick(now, m.inboxes[id], m.outs[:0])
 		}
 		m.inboxes[id] = m.inboxes[id][:0]
+		m.wake = min(m.wake, proto.WakeOf(mach, now))
 		for _, o := range m.outs {
 			msgs = append(msgs, sim.Message{From: id, To: o.To, Session: o.Session, Payload: o.Payload})
 		}
 	}
 	return msgs
 }
+
+// Wake implements proto.Waker: the puppets' earliest wake. Mimic reports
+// itself quiescent whatever its puppets still mean to do, so a run that
+// skips the ticks at which nothing is in flight skips no further than
+// this (sim.Adversary).
+func (m *Mimic) Wake() types.Tick { return m.wake }
 
 // Replay records honest traffic and re-sends stale payloads from corrupted
 // identities to random recipients at random later ticks. Deterministic

@@ -142,6 +142,65 @@ func TestMimicRunsMachinesFromCorruptIdentities(t *testing.T) {
 	}
 }
 
+// TestMimicPuppetsActAtSilentTicks: the honest processes sleep until
+// mail arrives and nothing is in flight, which lets a run skip ticks;
+// the Mimic reports itself quiescent, yet its puppet acts at tick 5, and
+// the run must not skip that tick (Mimic.Wake).
+func TestMimicPuppetsActAtSilentTicks(t *testing.T) {
+	crypto, params := env(t, 5)
+	honest := make(map[types.ProcessID]*inboxWaiter)
+	res, err := sim.Run(sim.Config{
+		Params: params,
+		Crypto: crypto,
+		Factory: func(id types.ProcessID) proto.Machine {
+			honest[id] = &inboxWaiter{}
+			return honest[id]
+		},
+		Adversary: NewMimic(func(types.ProcessID) proto.Machine { return &alarm{params: params, at: 5} }, 4),
+		MaxTicks:  50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TimedOut || res.Ticks != 6 {
+		t.Fatalf("timed out %t at tick %d, want the run to end at tick 6", res.TimedOut, res.Ticks)
+	}
+	for id, m := range honest {
+		if m.received != 1 {
+			t.Errorf("p%d received %d messages, want the puppet's one", id, m.received)
+		}
+	}
+}
+
+// inboxWaiter sends nothing and is done once it has mail; only mail
+// wakes it.
+type inboxWaiter struct{ received int }
+
+func (m *inboxWaiter) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing { return outs }
+func (m *inboxWaiter) Tick(_ types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	m.received += len(inbox)
+	return outs
+}
+func (m *inboxWaiter) Wake() types.Tick            { return proto.Never }
+func (m *inboxWaiter) Output() (types.Value, bool) { return nil, m.received > 0 }
+func (m *inboxWaiter) Done() bool                  { return m.received > 0 }
+
+// alarm broadcasts once, at tick at; it is stepped at every tick.
+type alarm struct {
+	params types.Params
+	at     types.Tick
+}
+
+func (m *alarm) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing { return outs }
+func (m *alarm) Tick(now types.Tick, _ []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	if now == m.at {
+		return proto.AppendBroadcast(outs, m.params, "", notePayload{n: 2})
+	}
+	return outs
+}
+func (m *alarm) Output() (types.Value, bool) { return nil, false }
+func (m *alarm) Done() bool                  { return false }
+
 func TestReplayDeterministicAndBounded(t *testing.T) {
 	crypto, params := env(t, 5)
 	run := func() *sim.Result {

@@ -3,7 +3,6 @@ package attacks
 import (
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"adaptiveba/internal/adversary"
@@ -461,69 +460,4 @@ func runWBA(t *testing.T, n int, tag string, input types.Value, quorumOverride i
 		}
 	}
 	return res, machines
-}
-
-// TestWBALeaderPins pins the honest cost and outcome of every corrupted
-// phase-1 leader scenario this file runs at n = 9: honest words,
-// messages, ticks, each correct process's decision and how many correct
-// processes ran the fallback. A change to how the coalition is built
-// must not move any of them.
-func TestWBALeaderPins(t *testing.T) {
-	params, _ := types.NewParams(9)
-	cases := []struct {
-		name            string
-		tag, input      string
-		quorumOverride  int
-		adv             func() sim.Adversary
-		words, messages int64
-		ticks           types.Tick
-		decisions       string
-		fallbacks       int
-	}{
-		{name: "split-vote-naive-quorum", tag: "q", input: "honest", quorumOverride: params.SmallQuorum(),
-			adv:   func() sim.Adversary { return splitVote(params, params.SmallQuorum()) },
-			words: 10, messages: 10, ticks: 27, decisions: "p0:v1 p2:v2 p3:v1 p4:v2 p5:v1"},
-		{name: "split-vote-paper-quorum", tag: "q", input: "honest",
-			adv:   func() sim.Adversary { return splitVote(params, 0) },
-			words: 78, messages: 78, ticks: 27, decisions: "p0:v1 p2:v1 p3:v1 p4:v1 p5:v1"},
-		{name: "selective-finalize", tag: "s", input: "v",
-			adv:   func() sim.Adversary { return selective(params, 0) },
-			words: 46, messages: 46, ticks: 27, decisions: "p0:v p2:v p3:v p4:v p5:v"},
-		{name: "selective-late-release-to-all", tag: "s", input: "v",
-			adv:   func() sim.Adversary { return selective(params, 150) },
-			words: 686, messages: 286, ticks: 223, decisions: "p0:v p2:v p3:v p4:v p5:v", fallbacks: 5},
-		{name: "selective-late-release-to-p0", tag: "s", input: "v",
-			adv:   func() sim.Adversary { return selective(params, 150, 0) },
-			words: 686, messages: 286, ticks: 223, decisions: "p0:v p2:v p3:v p4:v p5:v", fallbacks: 5},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			res, machines := runWBA(t, 9, tc.tag, types.Value(tc.input), tc.quorumOverride, tc.adv(), nil)
-			var decisions []string
-			fallbacks := 0
-			for _, id := range res.Honest {
-				d, ok := res.Decisions[id]
-				if !ok {
-					decisions = append(decisions, fmt.Sprintf("p%d:-", id))
-				} else {
-					decisions = append(decisions, fmt.Sprintf("p%d:%s", id, d))
-				}
-				if machines[id].RanFallback() {
-					fallbacks++
-				}
-			}
-			got := strings.Join(decisions, " ")
-			h := res.Report.Honest
-			if h.Words != tc.words || h.Messages != tc.messages || res.Ticks != tc.ticks {
-				t.Errorf("words=%d messages=%d ticks=%d, pinned %d, %d, %d",
-					h.Words, h.Messages, res.Ticks, tc.words, tc.messages, tc.ticks)
-			}
-			if got != tc.decisions {
-				t.Errorf("decisions %q, pinned %q", got, tc.decisions)
-			}
-			if fallbacks != tc.fallbacks {
-				t.Errorf("%d correct processes ran the fallback, pinned %d", fallbacks, tc.fallbacks)
-			}
-		})
-	}
 }

@@ -88,3 +88,7 @@ func (a *BBVettingEquivocator) Act(now types.Tick, _ []sim.Message) []sim.Messag
 	}
 	return nil
 }
+
+// Quiescent implements sim.Adversary: the last push is at tick 3, and a
+// run must not skip the ticks before it (sim.Adversary).
+func (a *BBVettingEquivocator) Quiescent(now types.Tick) bool { return now >= 3 }

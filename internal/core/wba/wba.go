@@ -129,7 +129,10 @@ type Machine struct {
 	err error // first internal error (signing); surfaces via Failed
 }
 
-var _ proto.Machine = (*Machine)(nil)
+var (
+	_ proto.Machine = (*Machine)(nil)
+	_ proto.Waker   = (*Machine)(nil)
+)
 
 // phaseState is the round-gated state of one phase 1..P, made when the
 // phase first sees traffic.
@@ -305,6 +308,62 @@ func (m *Machine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outg
 
 // Output implements proto.Machine.
 func (m *Machine) Output() (types.Value, bool) { return m.decision, m.decided }
+
+// Wake implements proto.Waker: the next round at which an empty step
+// acts. That is the next phase this process leads while undecided (its
+// proposal); rounds 2, 3 and 5 of each proposed phase (vote, commit,
+// finalize; 3 and 5 only as its leader); round 4 of a phase whose commits
+// wait (decide); help round A while undecided, B when it would answer or
+// certify help requests, and C until it has run (it closes the help
+// phase); and then the fallback's start, or the fallback's own wake.
+func (m *Machine) Wake() types.Tick {
+	now := m.nowTick
+	next := proto.Never
+	at := func(t types.Tick) {
+		if t > now && t < next {
+			next = t
+		}
+	}
+	due := func(phase, w int) { at(m.clock.Start + PhaseStart(phase) + types.Tick(w-1)) }
+	if !m.decided || m.cfg.DisableSilentPhases {
+		// The first phase whose round 1 is after now, then the first such
+		// phase this process leads.
+		first := int(now-m.clock.Start)/roundsPerPhase + 2
+		if j := m.cfg.Params.NextLed(m.cfg.ID, first); m.inRange(j) {
+			due(j, 1)
+		}
+	}
+	for i := range m.stash.Len() {
+		j, s := m.stash.At(i)
+		if s.proposed {
+			due(j, 2)
+			if m.leads(j) {
+				due(j, 3)
+				due(j, 5)
+			}
+		}
+		if len(s.commits) > 0 && !s.decided {
+			due(j, 4)
+		}
+	}
+	help := m.clock.Start + PhaseStart(m.phases+1)
+	if !m.decided {
+		at(help)
+	}
+	if (m.decided && len(m.helpers) > 0) || (m.helpReqs != nil && m.fallbackStart < 0) {
+		at(help + 1)
+	}
+	if !m.helpDone {
+		at(help + 2)
+	}
+	switch {
+	case m.fbSub != nil:
+		next = min(next, m.fbSub.Wake())
+	case m.fallbackStart >= 0:
+		next = min(next, m.fallbackStart)
+	}
+	return next
+}
 
 // Done implements proto.Machine.
 func (m *Machine) Done() bool {

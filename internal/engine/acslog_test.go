@@ -11,18 +11,9 @@ import (
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/testenv"
+	"adaptiveba/internal/testenv/scenarios"
 	"adaptiveba/internal/types"
 )
-
-func acsQueues(n, perProc int) [][]types.Value {
-	queues := make([][]types.Value, n)
-	for i := range queues {
-		for j := 0; j < perProc; j++ {
-			queues[i] = append(queues[i], types.Value(fmt.Sprintf("SET k%d-%d p%d", i, j, i)))
-		}
-	}
-	return queues
-}
 
 // TestRunACSLogConvergence drives the batched log end to end: identical
 // entries, committed counts, and kv state hash at every window size and
@@ -35,7 +26,7 @@ func TestRunACSLogConvergence(t *testing.T) {
 		window, workers int
 	}{{1, 1}, {2, 1}, {2, 8}} {
 		testenv.Procs(t, run.workers)
-		queues := acsQueues(n, rounds*batch)
+		queues := scenarios.ACSQueues(n, rounds*batch)
 		rep, err := RunACSLog(Config{N: n, Inflight: run.window}, queues, rounds, batch)
 		if err != nil {
 			t.Fatalf("W=%d workers=%d: %v", run.window, run.workers, err)
@@ -104,7 +95,7 @@ func TestSeedIsTheSigningDomain(t *testing.T) {
 					sender, encErr = reg.EncodePayload(m.Payload)
 				}
 			},
-		}, acsQueues(n, 1), 1, 1)
+		}, scenarios.ACSQueues(n, 1), 1, 1)
 		if err != nil || encErr != nil {
 			t.Fatalf("seed %d: %v %v", seed, err, encErr)
 		}
@@ -142,7 +133,7 @@ func TestSeedIsTheSigningDomain(t *testing.T) {
 // exactly the crashed proposers.
 func TestRunACSLogCrashFaults(t *testing.T) {
 	const n, rounds, batch = 5, 2, 2
-	rep, err := RunACSLog(Config{N: n, F: 2, Inflight: 2}, acsQueues(n, rounds*batch), rounds, batch)
+	rep, err := RunACSLog(Config{N: n, F: 2, Inflight: 2}, scenarios.ACSQueues(n, rounds*batch), rounds, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +175,7 @@ func TestACSEngineLate(t *testing.T) {
 				// broadcast sessions.
 				return adversary.NewReplay(7, maxTicks, 1)
 			},
-		}, acsQueues(n, 2), 1, 2)
+		}, scenarios.ACSQueues(n, 2), 1, 2)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -211,12 +202,12 @@ func TestACSEngineLate(t *testing.T) {
 // commits one.
 func TestRunACSLogThroughput(t *testing.T) {
 	const n, batch = 5, 4
-	queues := acsQueues(n, batch)
+	queues := scenarios.ACSQueues(n, batch)
 	acsRep, err := RunACSLog(Config{N: n}, queues, 1, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bbRep, err := RunLog(Config{N: n}, acsQueues(n, 1), 1)
+	bbRep, err := RunLog(Config{N: n}, scenarios.ACSQueues(n, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,24 @@
 package engine
 
 import (
-	"encoding/base64"
-	"fmt"
 	"runtime"
 	"testing"
 
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/testenv"
+	"adaptiveba/internal/testenv/scenarios"
 	"adaptiveba/internal/types"
 )
 
 // commitShapes are the RunACSLog calls the repo benchmark's write paths
-// reduce to: the one-command flush service.Core.Commit issues for a
-// serial put (n=4, one round — `engine.allocs_per_call.n4r1`), the
-// 32-command flush of a burst of inline puts (n=4, one round, every
-// proposer a full batch of 8 — the shape that pays for value bytes) and
-// the batched library call of lib-acs-crash1 (n=9, one crashed proposer,
-// four rounds of batch 16). The two n = 4 flushes run on one suite from
-// NewCrypto, each call in its own signing domain, as a service.Core
-// builds its suite once and reuses it for every flush; n9f1 derives its
-// keys per call, as the library call does. GOMAXPROCS stays as it is on
-// purpose: that is what the service and the library run.
+// reduce to (scenarios.CommitShapes: a serial put's flush n4r1 —
+// `engine.allocs_per_call.n4r1` —, a 32-put burst's flush n4b32 and
+// lib-acs-crash1's batched call n9f1), with what each call may cost.
+// GOMAXPROCS stays as it is on purpose: that is what the service and the
+// library run.
 var commitShapes = []struct {
-	name          string
-	cfg           Config
-	rounds, batch int
-	queues        func() [][]types.Value
-	committed     int
-	shareSuite    bool // run every call on one suite, as service.Core does
+	scenarios.CommitShape
 	// Ceilings on one call's allocations and bytes; the race pair is the
 	// wider one the guard holds the call to under the race detector (see
 	// TestCommitAllocCeiling).
@@ -39,46 +28,35 @@ var commitShapes = []struct {
 	// certificate minted, plus one per check of a certificate that did
 	// not come straight from its mint (see TestCommitDealerMACs).
 	dealerMACs uint64
+	// ticks, run and steps are the call's logical ticks, the ticks the
+	// simulator ran and its Begin/Tick calls on the roots, as one
+	// simulation (see TestCommitSteps).
+	ticks, run types.Tick
+	steps      int64
 }{
 	{
-		name: "n4r1", cfg: Config{N: 4, T: 1, Inflight: 1}, rounds: 1, batch: 8,
-		queues: func() [][]types.Value {
-			return [][]types.Value{{types.Value("SET a2V5LTAwMDE i:dmFsdWU")}, nil, nil, nil}
-		},
-		committed: 1, shareSuite: true, allocCeiling: 1160, byteCeiling: 87e3,
+		CommitShape:  scenarios.CommitShapes()[0],
+		allocCeiling: 1160, byteCeiling: 87e3,
 		raceAllocCeiling: 1400, raceByteCeiling: 116e3, dealerMACs: 16,
+		ticks: 48, run: 14, steps: 50,
 	},
 	{
-		name: "n4b32", cfg: Config{N: 4, T: 1, Inflight: 1}, rounds: 1, batch: 8,
-		queues:    func() [][]types.Value { return burstQueues(4, 8) },
-		committed: 32, shareSuite: true, allocCeiling: 1200, byteCeiling: 207e3,
+		CommitShape:  scenarios.CommitShapes()[1],
+		allocCeiling: 1200, byteCeiling: 207e3,
 		raceAllocCeiling: 1410, raceByteCeiling: 230e3, dealerMACs: 16,
+		ticks: 48, run: 14, steps: 50,
 	},
 	{
-		name: "n9f1", cfg: Config{N: 9, F: 1}, rounds: 4, batch: 16,
-		queues:    func() [][]types.Value { return acsQueues(9, 4*16) },
-		committed: 8 * 4 * 16, allocCeiling: 68600, byteCeiling: 4.5e6,
+		CommitShape:  scenarios.CommitShapes()[2],
+		allocCeiling: 68600, byteCeiling: 4.5e6,
 		raceAllocCeiling: 79500, raceByteCeiling: 8.5e6, dealerMACs: 140,
+		ticks: 180, run: 126, steps: 966,
 	},
 }
 
-// burstQueues gives n proposers perProc inline puts each, in the form
-// service.Core.Commit hands the log: "SET <key> i:<value>", key and a
-// 64-byte value in unpadded URL base64 — about 100 B a command.
-func burstQueues(n, perProc int) [][]types.Value {
-	queues := make([][]types.Value, n)
-	for i := range queues {
-		for j := 0; j < perProc; j++ {
-			key := []byte(fmt.Sprintf("key-%04d", i*perProc+j))
-			value := make([]byte, 64)
-			for k := range value {
-				value[k] = byte(i*perProc + j + k)
-			}
-			queues[i] = append(queues[i], types.Value("SET "+base64.RawURLEncoding.EncodeToString(key)+
-				" i:"+base64.RawURLEncoding.EncodeToString(value)))
-		}
-	}
-	return queues
+// commitConfig is shape s's engine configuration.
+func commitConfig(s *scenarios.CommitShape) Config {
+	return Config{N: s.N, T: s.T, F: s.F, Inflight: s.Inflight}
 }
 
 // commitSuite is the suite shape i's calls share, built by the caller
@@ -86,10 +64,10 @@ func burstQueues(n, perProc int) [][]types.Value {
 // shares one.
 func commitSuite(tb testing.TB, i int) *proto.Crypto {
 	s := &commitShapes[i]
-	if !s.shareSuite {
+	if !s.ShareSuite {
 		return nil
 	}
-	crypto, err := NewCrypto(s.cfg.N, s.cfg.T, proto.Generated())
+	crypto, err := NewCrypto(s.N, s.T, proto.Generated())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -97,18 +75,18 @@ func commitSuite(tb testing.TB, i int) *proto.Crypto {
 }
 
 // runCommitShape makes shape i's call on crypto (commitSuite(i)). queues is
-// s.queues(), built by the caller outside whatever it measures (RunACSLog
+// s.Queues(), built by the caller outside whatever it measures (RunACSLog
 // only reads it); seed is the call's signing domain.
 func runCommitShape(tb testing.TB, i int, queues [][]types.Value, crypto *proto.Crypto, seed int64) {
 	s := &commitShapes[i]
-	cfg := s.cfg
+	cfg := commitConfig(&s.CommitShape)
 	cfg.Seed, cfg.Crypto = seed, crypto
-	rep, err := RunACSLog(cfg, queues, s.rounds, s.batch)
+	rep, err := RunACSLog(cfg, queues, s.Rounds, s.Batch)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if !rep.Converged || rep.Committed != s.committed {
-		tb.Fatalf("%s: converged=%t committed=%d, want %d", s.name, rep.Converged, rep.Committed, s.committed)
+	if !rep.Converged || rep.Committed != s.Committed {
+		tb.Fatalf("%s: converged=%t committed=%d, want %d", s.Name, rep.Converged, rep.Committed, s.Committed)
 	}
 }
 
@@ -118,8 +96,8 @@ func runCommitShape(tb testing.TB, i int, queues [][]types.Value, crypto *proto.
 // service around it.
 func BenchmarkRunACSLogCommit(b *testing.B) {
 	for i := range commitShapes {
-		b.Run(commitShapes[i].name, func(b *testing.B) {
-			queues, crypto := commitShapes[i].queues(), commitSuite(b, i)
+		b.Run(commitShapes[i].Name, func(b *testing.B) {
+			queues, crypto := commitShapes[i].Queues(), commitSuite(b, i)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for k := 0; k < b.N; k++ {
@@ -166,7 +144,7 @@ func TestCommitAllocCeiling(t *testing.T) {
 			allocCeiling, byteCeiling = s.raceAllocCeiling, s.raceByteCeiling
 		}
 		const runs = 3
-		queues, crypto := s.queues(), commitSuite(t, i)
+		queues, crypto := s.Queues(), commitSuite(t, i)
 		runCommitShape(t, i, queues, crypto, 0) // warm the lazily built package (and shared suite) state
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -177,12 +155,12 @@ func TestCommitAllocCeiling(t *testing.T) {
 		allocs := float64(after.Mallocs-before.Mallocs) / runs
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
 		t.Logf("%s: %.0f allocs, %.0f kB per RunACSLog call (ceilings %.0f, %.0f kB; GOMAXPROCS %d, race %t)",
-			s.name, allocs, bytes/1e3, allocCeiling, byteCeiling/1e3, runtime.GOMAXPROCS(0), testenv.Race())
+			s.Name, allocs, bytes/1e3, allocCeiling, byteCeiling/1e3, runtime.GOMAXPROCS(0), testenv.Race())
 		if allocs > allocCeiling {
-			t.Errorf("%s: %.0f allocs per call, ceiling %.0f", s.name, allocs, allocCeiling)
+			t.Errorf("%s: %.0f allocs per call, ceiling %.0f", s.Name, allocs, allocCeiling)
 		}
 		if bytes > byteCeiling {
-			t.Errorf("%s: %.0f kB allocated per call, ceiling %.0f kB", s.name, bytes/1e3, byteCeiling/1e3)
+			t.Errorf("%s: %.0f kB allocated per call, ceiling %.0f kB", s.Name, bytes/1e3, byteCeiling/1e3)
 		}
 	}
 }
@@ -197,12 +175,37 @@ func TestCommitAllocCeiling(t *testing.T) {
 func TestCommitDealerMACs(t *testing.T) {
 	for i := range commitShapes {
 		s := &commitShapes[i]
-		queues, crypto := s.queues(), commitSuite(t, i)
+		queues, crypto := s.Queues(), commitSuite(t, i)
 		runCommitShape(t, i, queues, crypto, 0)
 		before := threshold.DealerMACs()
 		runCommitShape(t, i, queues, crypto, 1)
 		if got := threshold.DealerMACs() - before; got != s.dealerMACs {
-			t.Errorf("%s: %d dealer MACs per call, want %d", s.name, got, s.dealerMACs)
+			t.Errorf("%s: %d dealer MACs per call, want %d", s.Name, got, s.dealerMACs)
+		}
+	}
+}
+
+// TestCommitSteps pins how much of each commit shape's call the simulator
+// steps, as one simulation (GOMAXPROCS 1: session groups would each run
+// the whole tick range). Stepping every root at every tick, an n = 4
+// flush ran all 49 of its ticks and made 196 steps, n9f1 181 ticks and
+// 1 448 steps; a machine without mail is now stepped only when it is due,
+// and ticks at which nobody is due are skipped. Logical ticks do not move.
+func TestCommitSteps(t *testing.T) {
+	testenv.Procs(t, 1)
+	for i := range commitShapes {
+		s := &commitShapes[i]
+		cfg := commitConfig(&s.CommitShape)
+		cfg.Crypto = commitSuite(t, i)
+		var run types.Tick
+		cfg.Halt = func(types.Tick) bool { run++; return false }
+		rep, err := RunACSLog(cfg, s.Queues(), s.Rounds, s.Batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Engine.Ticks; got != s.ticks || run != s.run || rep.Engine.Metrics.Steps != s.steps {
+			t.Errorf("%s: ticks %d, ran %d, steps %d; pinned %d, %d, %d",
+				s.Name, got, run, rep.Engine.Metrics.Steps, s.ticks, s.run, s.steps)
 		}
 	}
 }

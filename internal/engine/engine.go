@@ -119,9 +119,11 @@ type Config struct {
 	// sim.Config.OnSend); sim.TraceTo builds the text trace on it. It sees
 	// the run as a whole, so the run is one group.
 	OnSend func(now types.Tick, m sim.Message, honest bool)
-	// Halt, if set, is polled every tick of every session group, from the
-	// group's goroutine; returning true aborts the run with sim.ErrHalted
-	// (the cancellation hook for context callers).
+	// Halt, if set, is polled at every tick that runs in each session
+	// group (a tick at which no machine is due and nothing is in flight
+	// is skipped: see sim's Wakes), from the group's goroutine; returning
+	// true aborts the run with sim.ErrHalted (the cancellation hook for
+	// context callers).
 	Halt func(types.Tick) bool
 }
 
@@ -328,6 +330,7 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 		res := groups[g].res
 		rep.Ticks = max(rep.Ticks, res.Ticks)
 		rep.TimedOut = rep.TimedOut || res.TimedOut
+		rep.Metrics.Steps += res.Report.Steps
 		rep.Metrics.Honest.Add(res.Report.Honest)
 		rep.Metrics.Byzantine.Add(res.Report.Byzantine)
 		for layer, st := range res.Report.ByLayer {
@@ -558,7 +561,10 @@ type procMachine struct {
 	group, groups int
 }
 
-var _ proto.Machine = (*procMachine)(nil)
+var (
+	_ proto.Machine = (*procMachine)(nil)
+	_ proto.Waker   = (*procMachine)(nil)
+)
 
 func (p *procMachine) Begin(now types.Tick, outs []proto.Outgoing) []proto.Outgoing {
 	return p.admit(now, outs)
@@ -592,6 +598,20 @@ func (p *procMachine) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.
 		p.retired++
 	}
 	return p.admit(now, p.mux.Tick(now, inbox, outs))
+}
+
+// Wake implements proto.Waker: the sessions' wake, the next admission
+// and the next retirement.
+func (p *procMachine) Wake() types.Tick {
+	s := p.sched
+	w := p.mux.Wake()
+	if p.next < len(s.starts) {
+		w = min(w, s.starts[p.next])
+	}
+	if p.retired < p.next {
+		w = min(w, s.starts[p.retired]+s.duration)
+	}
+	return w
 }
 
 // Output canonically encodes every session's (decided, value) pair, so

@@ -148,6 +148,9 @@ type Outcome struct {
 	SignOps    int64 // only when Spec.CountOps
 	VerifyOps  int64 // only when Spec.CountOps
 	Ticks      types.Tick
+	// Steps counts the simulator's Begin and Tick calls on the honest
+	// roots (metrics.Report.Steps).
+	Steps int64
 
 	// Verification fast-path counters (zero when Spec.CountOps).
 	CacheHits   int64
@@ -365,6 +368,7 @@ func (r *runner) execute() (*Outcome, error) {
 		Signatures:  res.Report.Honest.Signatures,
 		Bytes:       res.Report.Honest.Bytes,
 		Ticks:       res.Ticks,
+		Steps:       res.Report.Steps,
 		Decided:     res.AllDecided() && !res.TimedOut,
 		Agreement:   agreement,
 		Decision:    decision,

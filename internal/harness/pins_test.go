@@ -66,6 +66,29 @@ func TestOutcomePins(t *testing.T) {
 	}
 }
 
+// TestLargeBBSteps pins the simulator's work on a failure-free BB at
+// n = 4 096: 28 665 words in 22 531 ticks. Stepping every machine at every
+// tick made 92 291 072 steps; stepping a machine only with mail or when it
+// is due makes about seven per process. The bound is ROADMAP item 25's,
+// 10·(n + honest messages).
+func TestLargeBBSteps(t *testing.T) {
+	const n = 4096
+	o, err := Run(Spec{Protocol: ProtocolBB, N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Words != 28665 || o.Ticks != 22531 || !o.Decided || !o.Agreement {
+		t.Fatalf("words %d, ticks %d, decided %t, agreement %t; pinned 28665, 22531, true, true",
+			o.Words, o.Ticks, o.Decided, o.Agreement)
+	}
+	if bound := 10 * (n + o.Messages); o.Steps > bound {
+		t.Errorf("%d steps, bound %d", o.Steps, bound)
+	}
+	if o.Steps != 28674 {
+		t.Errorf("%d steps, pinned 28674", o.Steps)
+	}
+}
+
 // pinDecision is a decision as its pin spells it: the value itself, or a
 // digest prefix of an ACS round's long result frame.
 func pinDecision(v types.Value) string {

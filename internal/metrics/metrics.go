@@ -141,6 +141,10 @@ type Report struct {
 	Byzantine Stats            // sends by corrupted processes (informational)
 	ByLayer   map[string]Stats // honest words per protocol layer
 	Ticks     types.Tick
+	// Steps counts the Begin and Tick calls the simulator made on the
+	// honest processes' root machines: a machine with no mail is stepped
+	// only when it is due (proto.Waker). 0 on the transport.
+	Steps int64
 	// Verification fast-path counters (0 when the cache is disabled).
 	CacheHits   int64
 	CacheMisses int64

@@ -13,8 +13,9 @@ import (
 // of concurrent sub-protocols (the multi-session engine's agreement
 // instances and log slots, an ACS round's broadcasts and votes, the
 // fallback's broadcasts): children are Added when their session
-// is admitted, stepped every tick while live, and Retired when the
-// parent no longer owes them service.
+// is admitted, stepped while live whenever they have mail or are due
+// (Sub), and Retired when the parent no longer owes them service. A Mux
+// is a Waker: its wake is its earliest live child's.
 //
 // Compared to calling Sub.Route once per child — O(children × inbox) —
 // Mux groups the whole inbox by leading session segment with one stable
@@ -94,9 +95,10 @@ func (x *Mux) Unrouted() int64 { return x.unrouted }
 func (x *Mux) Late() int64 { return x.late }
 
 // Tick groups inbox by leading session segment (stripped in place: the
-// inbox is the callee's scratch), then steps every live child in
-// insertion order with its group, threading outs through them. An empty
-// inbox skips the sort and the arena.
+// inbox is the callee's scratch), then hands every live child its group
+// in insertion order, threading outs through them; a child without mail
+// is stepped only if it is due. An empty inbox skips the sort and the
+// arena.
 func (x *Mux) Tick(now types.Tick, inbox []Incoming, outs []Outgoing) []Outgoing {
 	if len(inbox) == 0 {
 		for _, sub := range x.subs {
@@ -151,6 +153,18 @@ func (x *Mux) Tick(now types.Tick, inbox []Incoming, outs []Outgoing) []Outgoing
 	a.frames, a.child, a.end = frames, child, end
 	routeArenas.Put(a)
 	return outs
+}
+
+// Wake implements Waker: the minimum of the live children's wakes, Never
+// without one.
+func (x *Mux) Wake() types.Tick {
+	w := Never
+	for _, sub := range x.subs {
+		if sub != nil {
+			w = min(w, sub.wake)
+		}
+	}
+	return w
 }
 
 // Done reports whether every child ever added is either retired or done.

@@ -237,7 +237,50 @@ func TestMuxSteadyStateAllocs(t *testing.T) {
 			t.Errorf("steady-state Mux.Tick (%s) allocates %.1f/op, want at most %.0f", name, allocs, ceiling)
 		}
 	}
+
+	// A Mux whose children all sleep, nested ones included, steps none of
+	// them once their Begin tick has passed, and allocates nothing.
+	var steps int
+	asleep, inner := NewMux(), NewMux()
+	for i := 0; i < 4; i++ {
+		asleep.Add(fmt.Sprintf("s%d", i), &sleeper{wake: 100, steps: &steps}).Begin(0, nil)
+		inner.Add(fmt.Sprintf("s%d", i), &sleeper{wake: 100, steps: &steps}).Begin(0, nil)
+	}
+	asleep.Add("n", wakingHost{muxHost{inner}}).Begin(0, nil)
+	asleep.Tick(0, nil, nil) // a Sub is due in its Begin tick
+	if steps != 8 {
+		t.Fatalf("the Begin tick stepped %d sleepers, want 8", steps)
+	}
+	steps = 0
+	allocs := testing.AllocsPerRun(100, func() { asleep.Tick(2, nil, nil) })
+	t.Logf("asleep: %.0f allocs/op, %d children stepped", allocs, steps)
+	if allocs != 0 || steps != 0 {
+		t.Errorf("a Mux of sleeping children allocates %.1f/op and stepped %d of them, want none", allocs, steps)
+	}
+	if w := asleep.Wake(); w != 100 {
+		t.Errorf("Mux wake %d, want its children's 100", w)
+	}
 }
+
+// sleeper sends nothing and is due only at its wake; it counts its steps.
+type sleeper struct {
+	wake  types.Tick
+	steps *int
+}
+
+func (s *sleeper) Begin(_ types.Tick, outs []Outgoing) []Outgoing { return outs }
+func (s *sleeper) Tick(_ types.Tick, _ []Incoming, outs []Outgoing) []Outgoing {
+	*s.steps++
+	return outs
+}
+func (s *sleeper) Wake() types.Tick            { return s.wake }
+func (s *sleeper) Output() (types.Value, bool) { return nil, false }
+func (s *sleeper) Done() bool                  { return false }
+
+// wakingHost is a muxHost that reports its children's wake.
+type wakingHost struct{ muxHost }
+
+func (h wakingHost) Wake() types.Tick { return h.x.Wake() }
 
 // quietMachine consumes everything and sends nothing.
 type quietMachine struct{}

@@ -36,5 +36,10 @@ func (p *Phases[S]) Make(j int) *S {
 	return &p.ran[len(p.ran)-1].state
 }
 
+// At returns the i-th phase with state, 0 <= i < Len, and that state.
+func (p *Phases[S]) At(i int) (int, *S) {
+	return p.ran[i].phase, &p.ran[i].state
+}
+
 // Len returns the number of phases that have state.
 func (p *Phases[S]) Len() int { return len(p.ran) }

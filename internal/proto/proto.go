@@ -64,8 +64,9 @@ type Outgoing struct {
 }
 
 // Machine is a deterministic, single-threaded protocol instance for one
-// process. The runtime calls Begin exactly once, then Tick once per tick
-// in increasing tick order. Machines never block and never spawn
+// process. The runtime calls Begin exactly once, then Tick in increasing
+// tick order: at every tick, or — for a Waker — only at the ticks at which
+// it has mail or is due. Machines never block and never spawn
 // goroutines; all state transitions happen inside these calls. Distinct
 // machines may be stepped concurrently (they share no state), but no
 // single machine ever sees overlapping calls.

@@ -11,9 +11,16 @@ import (
 // it whenever the protocol dictates (possibly mid-run, as with the
 // fallback). Messages that arrive before the child starts are buffered and
 // replayed on the first tick after Begin.
+//
+// A Sub is a Waker: it steps its child only when the child has mail or is
+// due (see Waker), and reports the child's wake to its parent. It is due
+// in its own Begin tick whatever the child reports, so a parent that
+// begins a child and ticks it in the same tick steps it twice, as it
+// would without wakes.
 type Sub struct {
 	name    string
 	machine Machine
+	wake    types.Tick // the child's wake, kept from its last step
 	started bool
 	joins   uint8 // paths joined, counted up to maxPaths + 1
 	buffer  []Incoming
@@ -34,7 +41,7 @@ const maxPaths = 8
 
 // NewSub wraps machine under the session segment name.
 func NewSub(name string, machine Machine) *Sub {
-	return &Sub{name: name, machine: machine}
+	return &Sub{name: name, machine: machine, wake: Never}
 }
 
 // Name returns the session segment.
@@ -65,13 +72,14 @@ func (s *Sub) Begin(now types.Tick, outs []Outgoing) []Outgoing {
 	if s.started {
 		return outs
 	}
-	s.started = true
+	s.started, s.wake = true, now
 	return s.wrap(len(outs), s.machine.Begin(now, outs))
 }
 
 // Tick forwards child-addressed messages. Before the child starts, the
 // messages are buffered (copied: mine is the caller's scratch); the
-// buffered backlog is replayed in the first Tick after Begin.
+// buffered backlog is replayed in the first Tick after Begin. A started
+// child with no mail is stepped only if it is due.
 func (s *Sub) Tick(now types.Tick, mine []Incoming, outs []Outgoing) []Outgoing {
 	if !s.started {
 		s.buffer = append(s.buffer, mine...)
@@ -81,8 +89,15 @@ func (s *Sub) Tick(now types.Tick, mine []Incoming, outs []Outgoing) []Outgoing 
 		mine = append(s.buffer, mine...)
 		s.buffer = nil
 	}
-	return s.wrap(len(outs), s.machine.Tick(now, mine, outs))
+	n0 := len(outs)
+	outs, s.wake, _ = Step(s.machine, s.wake, now, mine, outs)
+	return s.wrap(n0, outs)
 }
+
+// Wake implements Waker: the child's wake, Never before Begin (the
+// parent decides when to start it). A child that is not a Waker is due
+// at every tick after its last step (WakeOf).
+func (s *Sub) Wake() types.Tick { return s.wake }
 
 // Output proxies the child's decision.
 func (s *Sub) Output() (types.Value, bool) {

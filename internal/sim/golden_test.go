@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"bytes"
@@ -6,168 +6,35 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/sim"
+	"adaptiveba/internal/testenv/scenarios"
 	"adaptiveba/internal/types"
 )
 
 // The golden traces in testdata/ were recorded from the first serial
 // engine. Every engine change — scratch reuse, the shuffle-source
-// rewrite, the counting-sort delivery — must reproduce them byte for
-// byte: the trace encodes the delivery permutations (the echoer answers
-// its inbox in arrival order), the honest traffic order (machines in ID
-// order), and the rushing adversary's view (its relays mirror the order
-// in which it saw this tick's honest sends).
+// rewrite, the counting-sort delivery, skipping the ticks at which no
+// machine is due — must reproduce them byte for byte: the trace encodes
+// the delivery permutations (the echoer answers its inbox in arrival
+// order), the honest traffic order (machines in ID order), and the
+// rushing adversary's view (its relays mirror the order in which it saw
+// this tick's honest sends). The schedules are scenarios.SimGoldens,
+// which internal/proto TestWakesAreExact replays too.
 //
 // Regenerate with: go test ./internal/sim -run TestGoldenTraces -update-golden
 // (only legitimate when the observable schedule intentionally changes).
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden trace files")
 
-// echoPayload is a one-word payload; the trace records its type.
-type echoPayload struct{}
-
-func (echoPayload) Type() string { return "golden/echo" }
-func (echoPayload) Words() int   { return 1 }
-
-// echoer broadcasts at Begin and then, until its horizon, answers every
-// inbox message in arrival order — so the trace is a faithful transcript
-// of each tick's delivery permutation.
-type echoer struct {
-	params  types.Params
-	horizon types.Tick
-	now     types.Tick
-}
-
-func (e *echoer) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing {
-	return proto.AppendBroadcast(outs, e.params, "", echoPayload{})
-}
-
-func (e *echoer) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
-	e.now = now
-	if now >= e.horizon {
-		return outs
-	}
-	for _, in := range inbox {
-		outs = proto.AppendUnicast(outs, in.From, "", echoPayload{})
-	}
-	return outs
-}
-
-func (e *echoer) Output() (types.Value, bool) { return nil, e.now >= e.horizon }
-func (e *echoer) Done() bool                  { return e.now >= e.horizon }
-
-// relayPayload marks adversary relays in the trace.
-type relayPayload struct{}
-
-func (relayPayload) Type() string { return "golden/relay" }
-func (relayPayload) Words() int   { return 1 }
-
-// rushingRelay exercises the rushing-adversary contract: its sends are a
-// function of the ORDER of the honest traffic it just saw (every third
-// honest message is answered) and of the ORDER of its observed inboxes,
-// so any reordering of either shows up in the golden trace.
-type rushingRelay struct {
-	silentAdversary
-	observed []types.ProcessID // senders seen in corrupted inboxes, in order
-}
-
-func (a *rushingRelay) Observe(_ types.Tick, _ types.ProcessID, inbox []proto.Incoming) {
-	for _, in := range inbox {
-		a.observed = append(a.observed, in.From)
-	}
-}
-
-func (a *rushingRelay) Act(now types.Tick, honest []Message) []Message {
-	if now >= 4 {
-		return nil
-	}
-	from := a.ids[0]
-	var msgs []Message
-	for i, m := range honest {
-		if i%3 == 0 {
-			msgs = append(msgs, Message{From: from, To: m.From, Payload: relayPayload{}})
-		}
-	}
-	for i, sender := range a.observed {
-		if i%2 == 0 && !a.corrupted(sender) {
-			msgs = append(msgs, Message{From: from, To: sender, Payload: relayPayload{}})
-		}
-	}
-	a.observed = a.observed[:0]
-	return msgs
-}
-
-func (a *rushingRelay) Quiescent(now types.Tick) bool { return now >= 4 }
-
-func (a *rushingRelay) corrupted(id types.ProcessID) bool {
-	for _, c := range a.ids {
-		if c == id {
-			return true
-		}
-	}
-	return false
-}
-
-// goldenCase is one recorded engine schedule.
-type goldenCase struct {
-	name        string
-	n           int
-	shuffleSeed int64
-	adversary   func() Adversary
-}
-
-func goldenCases() []goldenCase {
-	return []goldenCase{
-		{name: "noshuffle", n: 7, shuffleSeed: 0},
-		{name: "shuffle-seed7", n: 7, shuffleSeed: 7},
-		{name: "shuffle-seed13", n: 9, shuffleSeed: 13},
-		{name: "adversary-noshuffle", n: 7, shuffleSeed: 0,
-			adversary: func() Adversary { return &rushingRelay{silentAdversary: silentAdversary{ids: []types.ProcessID{5, 6}}} }},
-		{name: "adversary-shuffle-seed7", n: 7, shuffleSeed: 7,
-			adversary: func() Adversary { return &rushingRelay{silentAdversary: silentAdversary{ids: []types.ProcessID{5, 6}}} }},
-		// scale-n64 pins the counting-sort delivery at a larger n, with
-		// both adversary ids near the top of the ID range.
-		{name: "scale-n64-shuffle-seed11", n: 64, shuffleSeed: 11,
-			adversary: func() Adversary {
-				return &rushingRelay{silentAdversary: silentAdversary{ids: []types.ProcessID{60, 62}}}
-			}},
-	}
-}
-
-// runGolden executes one golden configuration and returns its trace.
-func runGolden(t *testing.T, tc goldenCase) []byte {
-	t.Helper()
-	crypto, params := testCrypto(t, tc.n)
-	var trace bytes.Buffer
-	cfg := Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			return &echoer{params: params, horizon: 5}
-		},
-		MaxTicks:    64,
-		OnSend:      TraceTo(&trace),
-		ShuffleSeed: tc.shuffleSeed,
-	}
-	if tc.adversary != nil {
-		cfg.Adversary = tc.adversary()
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TimedOut {
-		t.Fatal("golden run timed out")
-	}
-	return trace.Bytes()
-}
-
 func TestGoldenTraces(t *testing.T) {
-	for _, tc := range goldenCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			got := runGolden(t, tc)
-			path := filepath.Join("testdata", tc.name+".trace")
+	for _, g := range scenarios.SimGoldens() {
+		t.Run(g.Name, func(t *testing.T) {
+			got := scenarios.RunSimGolden(t, g)
+			path := filepath.Join("testdata", g.Name+".trace")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -198,3 +65,79 @@ func diffHint(want, got []byte) string {
 	}
 	return fmt.Sprintf("length differs: want %d lines, got %d", len(wl), len(gl))
 }
+
+// TestObserversDoNotChangeTheCharge: OnSend and the TraceTo trace only
+// observe a run. Under inbox shuffling and a rushing adversary, the
+// observed run's metrics.Report equals the unobserved run's, and the
+// observers see exactly the charged messages.
+func TestObserversDoNotChangeTheCharge(t *testing.T) {
+	const n = 24
+	run := func(onSend func(types.Tick, sim.Message, bool)) metrics.Report {
+		crypto, params := scenarios.Suite(t, n)
+		res, err := sim.Run(sim.Config{
+			Params: params,
+			Crypto: crypto,
+			Factory: func(types.ProcessID) proto.Machine {
+				return &pulser{params: params, horizon: 7}
+			},
+			Adversary:   &scenarios.RushingRelay{IDs: []types.ProcessID{3, 17}},
+			MaxTicks:    64,
+			ShuffleSeed: 5,
+			SizeOf:      func(p proto.Payload) int { return len(p.Type()) },
+			OnSend:      onSend,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Report
+	}
+	var trace bytes.Buffer
+	var honest int64
+	traceTo := sim.TraceTo(&trace)
+	bare := run(nil)
+	observed := run(func(now types.Tick, m sim.Message, h bool) {
+		if h {
+			honest++
+		}
+		traceTo(now, m, h)
+	})
+	if bare.Honest.Messages == 0 || bare.Byzantine.Messages == 0 || len(bare.ByLayer) < 2 {
+		t.Fatalf("vacuous run: %+v", bare)
+	}
+	if !reflect.DeepEqual(observed, bare) {
+		t.Errorf("observers changed the charge:\n observed %+v\n bare     %+v", observed, bare)
+	}
+	lines := int64(bytes.Count(trace.Bytes(), []byte("\n")))
+	if honest != bare.Honest.Messages || lines != bare.Honest.Messages+bare.Byzantine.Messages {
+		t.Errorf("OnSend saw %d honest sends and traced %d, charged %d honest of %d",
+			honest, lines, bare.Honest.Messages, bare.Honest.Messages+bare.Byzantine.Messages)
+	}
+}
+
+// pulser alternates heavy and light ticks: at Begin and on even ticks it
+// broadcasts, on odd ticks it answers only the first message of its
+// inbox. Which message is first depends on the tick's shuffled delivery
+// permutation, so a transcript pins that too.
+type pulser struct {
+	params  types.Params
+	horizon types.Tick
+	now     types.Tick
+}
+
+func (p *pulser) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing {
+	return proto.AppendBroadcast(outs, p.params, "pulse", scenarios.EchoPayload{})
+}
+
+func (p *pulser) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
+	p.now = now
+	if now >= p.horizon || len(inbox) == 0 {
+		return outs
+	}
+	if now%2 == 1 {
+		return proto.AppendUnicast(outs, inbox[0].From, "reply", scenarios.EchoPayload{})
+	}
+	return proto.AppendBroadcast(outs, p.params, "pulse", scenarios.EchoPayload{})
+}
+
+func (p *pulser) Output() (types.Value, bool) { return nil, p.now >= p.horizon }
+func (p *pulser) Done() bool                  { return p.now >= p.horizon }

@@ -17,15 +17,25 @@
 //
 // # Concurrency model
 //
-// A run is single-goroutine: every tick steps the honest machines in ID
-// order on the caller's goroutine, so the schedule — honest traffic
-// order, the rushing adversary's view, metrics, traces — does not depend
-// on GOMAXPROCS. The cores go to whole runs instead: the multi-session
-// engine runs one simulation per session group, several at once, and
-// the harness runs grid points at once. Concurrent runs share only the
-// crypto suite, whose verification cache is safe for concurrent use,
-// and a pool of per-run buffers (scratch) that each run takes whole and
-// returns cleared.
+// A run is single-goroutine: every tick steps the honest machines that
+// are due (see Wakes) in ID order on the caller's goroutine, so the
+// schedule — honest traffic order, the rushing adversary's view,
+// metrics, traces — does not depend on GOMAXPROCS. The cores go to whole
+// runs instead: the multi-session engine runs one simulation per session
+// group, several at once, and the harness runs grid points at once.
+// Concurrent runs share only the crypto suite, whose verification cache
+// is safe for concurrent use, and a pool of per-run buffers (scratch)
+// that each run takes whole and returns cleared.
+//
+// # Wakes
+//
+// A tick steps only the machines that have mail or are due (proto.Waker;
+// a machine that is not a Waker is due at every tick). When nothing is in
+// flight and the adversary is absent or quiescent, the run jumps to the
+// earliest wake or scheduled corruption: the ticks in between would step
+// nothing. Logical ticks, and every count of them, are those of a run
+// that stepped every machine at every tick; Report.Steps counts the
+// Begin and Tick calls actually made on the honest roots.
 package sim
 
 import (
@@ -88,7 +98,11 @@ type Adversary interface {
 	Act(now types.Tick, honestTraffic []Message) []Message
 	// Quiescent reports that the adversary has no future actions pending;
 	// the engine only halts early when honest machines are done, no
-	// messages are in flight, and the adversary is quiescent.
+	// messages are in flight, and the adversary is quiescent. A quiescent
+	// adversary is also not called at the ticks the run skips because no
+	// machine is due and nothing is in flight (see Wakes), so it must not
+	// mean to act at them — or it is a proto.Waker as well, and the run
+	// skips no further than its wake.
 	Quiescent(now types.Tick) bool
 }
 
@@ -117,7 +131,8 @@ type Config struct {
 	// TraceTo builds the text trace on it; tools and monitors use it for
 	// structured tracing.
 	OnSend func(now types.Tick, m Message, honest bool)
-	// Halt, if set, is polled at the start of every tick; returning true
+	// Halt, if set, is polled at the start of every tick that runs (a
+	// tick at which nothing is due is skipped, see Wakes); returning true
 	// aborts the run with ErrHalted before any machine is stepped at that
 	// tick. This is the cancellation hook: the run stays fully
 	// synchronous (Run starts no goroutine), so a caller-side
@@ -318,6 +333,9 @@ type scratch struct {
 	// for the next.
 	outs [][]proto.Outgoing
 
+	// wakes[i] is machine i's wake after its last step (proto.Waker).
+	wakes []types.Tick
+
 	// The longest prefix of pending, arena and any outs[i] the run wrote:
 	// all that release must clear to drop the run's payloads.
 	pendingHW, arenaHW, outsHW int
@@ -372,6 +390,7 @@ func takeScratch(n int) *scratch {
 	s.inboxOff = slices.Grow(s.inboxOff[:0], n+1)[:n+1]
 	s.counts = slices.Grow(s.counts[:0], n)[:n]
 	s.outs = slices.Grow(s.outs[:0], n)[:n]
+	s.wakes = slices.Grow(s.wakes[:0], n)[:n]
 	return s
 }
 
@@ -414,6 +433,7 @@ func (e *engine) inbox(i int) []proto.Incoming {
 func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 	n := e.cfg.Params.N
 	var now types.Tick
+	var steps int64 // Begin and Tick calls on the honest machines
 	timedOut := true
 
 	for now = 0; now <= maxTicks; now++ {
@@ -425,9 +445,10 @@ func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 		// Deliver: scatter the in-flight traffic into the inbox arena.
 		e.deliver()
 
-		// Step: shuffle inboxes and run the honest machines in ID order;
-		// outputs land per-machine in e.outs.
-		e.step(now)
+		// Step: shuffle inboxes and run the honest machines that are due
+		// in ID order; outputs land per-machine in e.outs.
+		wake, stepped := e.step(now)
+		steps += stepped
 
 		// Join: concatenate honest outputs in ID order (the canonical
 		// honest traffic order) into the recycled pending buffer, and
@@ -481,6 +502,22 @@ func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 			timedOut = false
 			break
 		}
+		// Nothing in flight and no adversary left to act: skip to the
+		// earliest tick at which a machine (or a waking adversary) is due
+		// or a process is corrupted (past maxTicks, if there is none: the
+		// run times out).
+		if len(e.pending) == 0 && (e.cfg.Adversary == nil || e.cfg.Adversary.Quiescent(now)) {
+			next := wake
+			if e.nextCorrupt < len(e.schedule) {
+				next = min(next, e.schedule[e.nextCorrupt].At)
+			}
+			if w, ok := e.cfg.Adversary.(proto.Waker); ok {
+				next = min(next, w.Wake())
+			}
+			if proto.Asleep(next, now+1) {
+				now = min(next, maxTicks+1) - 1
+			}
+		}
 	}
 
 	res := &Result{
@@ -506,14 +543,18 @@ func (e *engine) run(maxTicks types.Tick) (*Result, error) {
 	}
 	e.rec.SetTicks(now)
 	res.Report = e.rec.Snapshot()
+	res.Report.Steps = steps
 	return res, nil
 }
 
-// step shuffles every inbox and runs each honest machine's Begin/Tick in
-// ID order, filling e.outs. The shuffle covers corrupted inboxes too: the
-// adversary observes them in permuted order.
-func (e *engine) step(now types.Tick) {
-	for i := range e.machines {
+// step shuffles every inbox and, in ID order, begins each honest machine
+// at tick 0 and later ticks it if it has mail or is due, filling e.outs
+// and e.wakes. It returns the machines' earliest wake and how many it
+// stepped. The shuffle covers corrupted inboxes too: the adversary
+// observes them in permuted order.
+func (e *engine) step(now types.Tick) (wake types.Tick, steps int64) {
+	wake = proto.Never
+	for i, m := range e.machines {
 		box := e.inbox(i)
 		if e.shuffler != nil {
 			e.shuffler.shuffle(e.cfg.ShuffleSeed, now, types.ProcessID(i), box)
@@ -521,12 +562,19 @@ func (e *engine) step(now types.Tick) {
 		if e.corrupted[i] {
 			continue
 		}
+		ran := true
 		if now == 0 {
-			e.outs[i] = e.machines[i].Begin(0, e.outs[i][:0])
+			e.outs[i] = m.Begin(0, e.outs[i][:0])
+			e.wakes[i] = proto.WakeOf(m, 0)
 		} else {
-			e.outs[i] = e.machines[i].Tick(now, box, e.outs[i][:0])
+			e.outs[i], e.wakes[i], ran = proto.Step(m, e.wakes[i], now, box, e.outs[i][:0])
 		}
+		if ran {
+			steps++
+		}
+		wake = min(wake, e.wakes[i])
 	}
+	return wake, steps
 }
 
 // shuffler deterministically permutes inboxes from (seed, tick, id). The

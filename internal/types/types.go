@@ -123,6 +123,11 @@ func (p Params) Leader(phase int) ProcessID {
 	return ProcessID(m)
 }
 
+// NextLed returns the first phase j >= from that id leads.
+func (p Params) NextLed(id ProcessID, from int) int {
+	return from + ((int(id)-from)%p.N+p.N)%p.N
+}
+
 // AllProcesses returns the dense ID list [0, n).
 func (p Params) AllProcesses() []ProcessID {
 	ids := make([]ProcessID, p.N)

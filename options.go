@@ -101,9 +101,10 @@ func buildOptions(n int, opts []Option) options {
 	return o
 }
 
-// haltFrom adapts a context into the simulator's per-tick halt poll.
-// The run is fully synchronous — no goroutines outlive it — so polling
-// at tick granularity makes cancellation prompt and leak-free.
+// haltFrom adapts a context into the simulator's halt poll, made at
+// every tick that runs. The run is fully synchronous — no goroutines
+// outlive it — so polling at tick granularity makes cancellation prompt
+// and leak-free.
 func haltFrom(ctx context.Context) func(types.Tick) bool {
 	if ctx == nil || ctx.Done() == nil {
 		return nil
