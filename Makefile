@@ -135,12 +135,14 @@ alloc-guard:
 
 # The named tests of CI's race job, under the race detector (its `go run
 # -race` smokes and whole-package runs stay in ci.yml). The lists live
-# here so the same guard covers them. TestWakesAreExact sits on the engine
-# line: its commit shapes and explorer runs step concurrent simulations
-# under the exactness check.
+# here so the same guard covers them. TestEquivalence runs every scenario
+# of the equivalence corpus at GOMAXPROCS 1 and 8. TestWakesAreExact sits
+# on the engine line: its explorer searches and experiment reports step
+# concurrent simulations under the exactness check.
 race-guard:
 	@$(GUARD); \
-	guard './internal/sim ./internal/harness' 'TestGolden|TestTickWorkers|TestObserversDoNotChangeTheCharge|TestConcurrentRunsFindEverySpare' -race; \
+	guard ./internal/sim 'TestObserversDoNotChangeTheCharge|TestConcurrentRunsFindEverySpare' -race; \
+	guard ./internal/testenv/scenarios 'TestEquivalence' -race; \
 	guard './internal/crypto/sig ./internal/crypto/keyedmac' 'Concurrent' -race -count=10; \
 	guard ./internal/crypto/threshold 'TestMintedCertConcurrentVerify' -race -count=10; \
 	guard ./internal/transport 'TestClusterMatchesSimulator|TestSendBytesParity|TestOutboxBackpressure|TestRunClusterMachineErrorStartsNoNode|TestNewProtocolMachine' -race; \
@@ -149,7 +151,7 @@ race-guard:
 	guard ./cmd/adaptiveba-cluster 'TestCluster' -race; \
 	guard './internal/engine ./internal/harness ./internal/proto' 'TestEngineDeterminism|TestRunEngineMatchesSolo|TestSessionGroupsMatchOneSimulation|TestSessionGroupsVerifyMintedCertsOnce|TestWakesAreExact' -race; \
 	guard . 'TestPublicResultPins|TestRunManyMatchesSolo|TestSessionGroupsCountTheCallsCacheLookups' -race; \
-	guard ./internal/acs 'TestACSDeterministicAcrossWorkers|TestACSLateBroadcastTraffic' -race; \
+	guard ./internal/acs 'TestACSLateBroadcastTraffic' -race; \
 	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract|TestReplicatedLogOverTCP|TestRunLogEmptyQueueCommitsBottom' -race; \
 	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity|TestCryptoForgerySweep' -race; \
 	guard ./internal/core/bb 'TestValidatorMemo' -race; \

@@ -10,7 +10,6 @@ import (
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/sim"
-	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
 
@@ -183,29 +182,6 @@ func TestACSEmptyBatch(t *testing.T) {
 	}
 	if got, want := result.Requests(), (n-1)*2; got != want {
 		t.Errorf("committed %d requests, want %d", got, want)
-	}
-}
-
-// TestACSDeterministicAcrossWorkers pins the CI determinism contract:
-// the decided result bytes are identical at every GOMAXPROCS.
-func TestACSDeterministicAcrossWorkers(t *testing.T) {
-	const n, batch = 9, 2
-	var base types.Value
-	for _, workers := range []int{1, 2, 8} {
-		testenv.Procs(t, workers)
-		res, machines := run(t, n, batch, adversary.NewCrash(1))
-		checkHonestClean(t, res, machines)
-		v, ok := res.Agreement()
-		if !ok {
-			t.Fatalf("workers=%d: honest decisions disagree", workers)
-		}
-		if workers == 1 {
-			base = v
-			continue
-		}
-		if !v.Equal(base) {
-			t.Errorf("workers=%d: decision differs from serial run", workers)
-		}
 	}
 }
 

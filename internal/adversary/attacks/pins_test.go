@@ -6,8 +6,8 @@ import (
 	"adaptiveba/internal/testenv/scenarios"
 )
 
-// TestWBALeaderPins pins the honest cost and outcome of every corrupted
-// phase-1 leader scenario at n = 9 (scenarios.WBALeaderScenarios): honest
+// TestWBALeaderPins pins the honest cost and outcome of every weak BA
+// leader coalition scenario (scenarios.WBALeaderScenarios): honest
 // words, messages, ticks, each correct process's decision and how many
 // correct processes ran the fallback. A change to how the coalition is
 // built must not move any of them.

@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"bytes"
@@ -7,6 +7,7 @@ import (
 
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
@@ -20,14 +21,14 @@ import (
 // GOMAXPROCS; failure-free rounds commit all n batches.
 func TestRunACSLogConvergence(t *testing.T) {
 	const n, rounds, batch = 5, 3, 2
-	var serial *ACSLogReport
+	var serial *engine.ACSLogReport
 	var serialFP, serialHash string
 	for _, run := range []struct {
 		window, workers int
 	}{{1, 1}, {2, 1}, {2, 8}} {
 		testenv.Procs(t, run.workers)
 		queues := scenarios.ACSQueues(n, rounds*batch)
-		rep, err := RunACSLog(Config{N: n, Inflight: run.window}, queues, rounds, batch)
+		rep, err := engine.RunACSLog(engine.Config{N: n, Inflight: run.window}, queues, rounds, batch)
 		if err != nil {
 			t.Fatalf("W=%d workers=%d: %v", run.window, run.workers, err)
 		}
@@ -78,17 +79,17 @@ func TestSeedIsTheSigningDomain(t *testing.T) {
 	const n = 4
 	keys := proto.Derived("domain-ring", "domain-dealer")
 	suite := func() *proto.Crypto {
-		c, err := NewCrypto(n, 0, keys)
+		c, err := engine.NewCrypto(n, 0, keys)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
 	reg := protocols.Registry()
-	run := func(seed int64, crypto *proto.Crypto) ([]byte, *ACSLogReport) {
+	run := func(seed int64, crypto *proto.Crypto) ([]byte, *engine.ACSLogReport) {
 		var sender []byte
 		var encErr error
-		rep, err := RunACSLog(Config{
+		rep, err := engine.RunACSLog(engine.Config{
 			N: n, Inflight: 1, Seed: seed, Crypto: crypto,
 			OnSend: func(_ types.Tick, m sim.Message, _ bool) {
 				if sender == nil && m.Payload.Type() == "bb/sender" {
@@ -133,7 +134,7 @@ func TestSeedIsTheSigningDomain(t *testing.T) {
 // exactly the crashed proposers.
 func TestRunACSLogCrashFaults(t *testing.T) {
 	const n, rounds, batch = 5, 2, 2
-	rep, err := RunACSLog(Config{N: n, F: 2, Inflight: 2}, scenarios.ACSQueues(n, rounds*batch), rounds, batch)
+	rep, err := engine.RunACSLog(engine.Config{N: n, F: 2, Inflight: 2}, scenarios.ACSQueues(n, rounds*batch), rounds, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestACSEngineLate(t *testing.T) {
 	var serialFP string
 	for _, workers := range []int{1, 4} {
 		testenv.Procs(t, workers)
-		rep, err := RunACSLog(Config{
+		rep, err := engine.RunACSLog(engine.Config{
 			N: n,
 			Adversary: func(maxTicks types.Tick) sim.Adversary {
 				// Replay until the budget runs out: stale BB traffic keeps
@@ -203,11 +204,11 @@ func TestACSEngineLate(t *testing.T) {
 func TestRunACSLogThroughput(t *testing.T) {
 	const n, batch = 5, 4
 	queues := scenarios.ACSQueues(n, batch)
-	acsRep, err := RunACSLog(Config{N: n}, queues, 1, batch)
+	acsRep, err := engine.RunACSLog(engine.Config{N: n}, queues, 1, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bbRep, err := RunLog(Config{N: n}, scenarios.ACSQueues(n, 1), 1)
+	bbRep, err := engine.RunLog(engine.Config{N: n}, scenarios.ACSQueues(n, 1), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,25 +223,25 @@ func TestRunACSLogThroughput(t *testing.T) {
 // TestRunACSLogRejectsBadConfig covers the argument validation of both
 // log drivers.
 func TestRunACSLogRejectsBadConfig(t *testing.T) {
-	if _, err := RunACSLog(Config{N: 5}, nil, 0, 1); err == nil {
+	if _, err := engine.RunACSLog(engine.Config{N: 5}, nil, 0, 1); err == nil {
 		t.Error("rounds=0 accepted")
 	}
-	if _, err := RunACSLog(Config{N: 5}, nil, 1, 0); err == nil {
+	if _, err := engine.RunACSLog(engine.Config{N: 5}, nil, 1, 0); err == nil {
 		t.Error("batch=0 accepted")
 	}
-	if _, err := RunACSLog(Config{N: 3}, make([][]types.Value, 9), 1, 1); err == nil {
+	if _, err := engine.RunACSLog(engine.Config{N: 3}, make([][]types.Value, 9), 1, 1); err == nil {
 		t.Error("more queues than processes accepted")
 	}
-	if _, err := RunACSLog(Config{}, nil, 1, 1); err == nil {
+	if _, err := engine.RunACSLog(engine.Config{}, nil, 1, 1); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := RunLog(Config{N: 5}, nil, 0); err == nil {
+	if _, err := engine.RunLog(engine.Config{N: 5}, nil, 0); err == nil {
 		t.Error("log: slots=0 accepted")
 	}
-	if _, err := RunLog(Config{N: 3}, make([][]types.Value, 9), 1); err == nil {
+	if _, err := engine.RunLog(engine.Config{N: 3}, make([][]types.Value, 9), 1); err == nil {
 		t.Error("log: more queues than processes accepted")
 	}
-	if _, err := RunLog(Config{}, nil, 1); err == nil {
+	if _, err := engine.RunLog(engine.Config{}, nil, 1); err == nil {
 		t.Error("log: n=0 accepted")
 	}
 }
@@ -254,7 +255,7 @@ func TestEngineACSSessionKind(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = acs.EncodeBatch([]types.Value{types.Value(fmt.Sprintf("SET a%d 1", i))})
 	}
-	rep, err := Run(Config{N: n, Inflight: 2}, []Request{
+	rep, err := engine.Run(engine.Config{N: n, Inflight: 2}, []engine.Request{
 		{Kind: protocols.ACS, Inputs: inputs},
 		{Kind: protocols.ACS, Inputs: inputs},
 	})

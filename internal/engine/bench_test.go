@@ -1,10 +1,11 @@
-package engine
+package engine_test
 
 import (
 	"runtime"
 	"testing"
 
 	"adaptiveba/internal/crypto/threshold"
+	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/testenv/scenarios"
@@ -55,8 +56,8 @@ var commitShapes = []struct {
 }
 
 // commitConfig is shape s's engine configuration.
-func commitConfig(s *scenarios.CommitShape) Config {
-	return Config{N: s.N, T: s.T, F: s.F, Inflight: s.Inflight}
+func commitConfig(s *scenarios.CommitShape) engine.Config {
+	return engine.Config{N: s.N, T: s.T, F: s.F, Inflight: s.Inflight}
 }
 
 // commitSuite is the suite shape i's calls share, built by the caller
@@ -67,7 +68,7 @@ func commitSuite(tb testing.TB, i int) *proto.Crypto {
 	if !s.ShareSuite {
 		return nil
 	}
-	crypto, err := NewCrypto(s.N, s.T, proto.Generated())
+	crypto, err := engine.NewCrypto(s.N, s.T, proto.Generated())
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func runCommitShape(tb testing.TB, i int, queues [][]types.Value, crypto *proto.
 	s := &commitShapes[i]
 	cfg := commitConfig(&s.CommitShape)
 	cfg.Seed, cfg.Crypto = seed, crypto
-	rep, err := RunACSLog(cfg, queues, s.Rounds, s.Batch)
+	rep, err := engine.RunACSLog(cfg, queues, s.Rounds, s.Batch)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestCommitSteps(t *testing.T) {
 		cfg.Crypto = commitSuite(t, i)
 		var run types.Tick
 		cfg.Halt = func(types.Tick) bool { run++; return false }
-		rep, err := RunACSLog(cfg, s.Queues(), s.Rounds, s.Batch)
+		rep, err := engine.RunACSLog(cfg, s.Queues(), s.Rounds, s.Batch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,10 +2,6 @@ package sim_test
 
 import (
 	"bytes"
-	"flag"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -15,56 +11,6 @@ import (
 	"adaptiveba/internal/testenv/scenarios"
 	"adaptiveba/internal/types"
 )
-
-// The golden traces in testdata/ were recorded from the first serial
-// engine. Every engine change — scratch reuse, the shuffle-source
-// rewrite, the counting-sort delivery, skipping the ticks at which no
-// machine is due — must reproduce them byte for byte: the trace encodes
-// the delivery permutations (the echoer answers its inbox in arrival
-// order), the honest traffic order (machines in ID order), and the
-// rushing adversary's view (its relays mirror the order in which it saw
-// this tick's honest sends). The schedules are scenarios.SimGoldens,
-// which internal/proto TestWakesAreExact replays too.
-//
-// Regenerate with: go test ./internal/sim -run TestGoldenTraces -update-golden
-// (only legitimate when the observable schedule intentionally changes).
-var updateGolden = flag.Bool("update-golden", false, "rewrite golden trace files")
-
-func TestGoldenTraces(t *testing.T) {
-	for _, g := range scenarios.SimGoldens() {
-		t.Run(g.Name, func(t *testing.T) {
-			got := scenarios.RunSimGolden(t, g)
-			path := filepath.Join("testdata", g.Name+".trace")
-			if *updateGolden {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (run with -update-golden): %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("trace diverged from the recorded serial engine:\n%s", diffHint(want, got))
-			}
-		})
-	}
-}
-
-// diffHint locates the first differing line for a readable failure.
-func diffHint(want, got []byte) string {
-	wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
-	for i := 0; i < len(wl) && i < len(gl); i++ {
-		if !bytes.Equal(wl[i], gl[i]) {
-			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, wl[i], gl[i])
-		}
-	}
-	return fmt.Sprintf("length differs: want %d lines, got %d", len(wl), len(gl))
-}
 
 // TestObserversDoNotChangeTheCharge: OnSend and the TraceTo trace only
 // observe a run. Under inbox shuffling and a rushing adversary, the

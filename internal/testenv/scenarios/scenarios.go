@@ -1,18 +1,28 @@
-// Package scenarios holds the runs that tests in more than one package
-// replay: the simulator's golden schedules, the corrupted phase-1 leader
-// runs of weak BA, and the engine calls behind the repo benchmark's
-// writes. The tests that pin their results and the wake exactness check
-// (internal/proto TestWakesAreExact), which replays them stepping every
-// machine at every tick, build them from this one copy.
+// Package scenarios is the equivalence corpus: one table of named runs
+// (Corpus) — the simulator's schedules, protocol runs under crashes,
+// replays and attacks, explorer searches, ACS rounds, the engine calls
+// behind the repo benchmark's writes and every experiment's report — each
+// reduced to one line of testdata/equiv.txt that hashes every honest and
+// every Byzantine send apart, digests the decisions and outputs, and
+// counts words, ticks and steps.
 //
-// It imports the simulator, the attacks and the protocol machines, so it
-// is not part of internal/testenv, which the in-package tests of those
-// packages import; the tests that use it are external test packages, or
-// in packages it does not import (internal/engine).
+// A change that must not move behaviour leaves the file as it is:
+//
+//	go test ./internal/testenv/scenarios -run TestEquivalence
+//
+// A change that does move it rewrites the file with -update and says
+// which lines moved. The wake exactness check (internal/proto
+// TestWakesAreExact) requires the same lines, steps excepted, of runs
+// that step every machine at every tick, and the tests that pin the weak
+// BA coalition and the commit shapes build them from this one copy.
+//
+// It imports the simulator, the harness, the engine and the protocol
+// machines, so it is not part of internal/testenv, which the in-package
+// tests of those packages import; the tests that use it are external
+// test packages.
 package scenarios
 
 import (
-	"bytes"
 	"encoding/base64"
 	"fmt"
 	"slices"
@@ -42,9 +52,8 @@ func Suite(tb testing.TB, n int) (*proto.Crypto, types.Params) {
 	return crypto, params
 }
 
-// SimGolden is one of the simulator's recorded schedules
-// (internal/sim/testdata/<Name>.trace): Echoers at n processes under
-// ShuffleSeed, with a RushingRelay corrupting Relay if it is set.
+// SimGolden is one of the simulator's schedules: Echoers at n processes
+// under ShuffleSeed, with a RushingRelay corrupting Relay if it is set.
 type SimGolden struct {
 	Name        string
 	N           int
@@ -52,7 +61,7 @@ type SimGolden struct {
 	Relay       []types.ProcessID
 }
 
-// SimGoldens are the recorded schedules. scale-n64 pins the
+// SimGoldens are the simulator's schedules. scale-n64 pins the
 // counting-sort delivery at a larger n, with both adversary ids near the
 // top of the ID range.
 func SimGoldens() []SimGolden {
@@ -64,34 +73,6 @@ func SimGoldens() []SimGolden {
 		{Name: "adversary-shuffle-seed7", N: 7, ShuffleSeed: 7, Relay: []types.ProcessID{5, 6}},
 		{Name: "scale-n64-shuffle-seed11", N: 64, ShuffleSeed: 11, Relay: []types.ProcessID{60, 62}},
 	}
-}
-
-// RunSimGolden runs g and returns its text trace (sim.TraceTo).
-func RunSimGolden(tb testing.TB, g SimGolden) []byte {
-	tb.Helper()
-	crypto, params := Suite(tb, g.N)
-	var trace bytes.Buffer
-	cfg := sim.Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(types.ProcessID) proto.Machine {
-			return &Echoer{Params: params, Horizon: 5}
-		},
-		MaxTicks:    64,
-		OnSend:      sim.TraceTo(&trace),
-		ShuffleSeed: g.ShuffleSeed,
-	}
-	if g.Relay != nil {
-		cfg.Adversary = &RushingRelay{IDs: g.Relay}
-	}
-	res, err := sim.Run(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if res.TimedOut {
-		tb.Fatal("golden run timed out")
-	}
-	return trace.Bytes()
 }
 
 // EchoPayload is a one-word payload; a trace records its type.
@@ -192,11 +173,13 @@ func (a *RushingRelay) Act(now types.Tick, honest []sim.Message) []sim.Message {
 
 func (a *RushingRelay) Quiescent(now types.Tick) bool { return now >= 4 }
 
-// WBALeaderScenario is a weak BA run at n = 9 against attacks.WBALeader
-// corrupting p1 (the phase-1 leader) and the top t − 1 ids, with Want its
-// pinned outcome.
+// WBALeaderScenario is a weak BA run at N processes (9 if 0) against
+// attacks.WBALeader corrupting IDs (if nil, p1 — the phase-1 leader —
+// and the top t − 1 ids), with Want its pinned outcome.
 type WBALeaderScenario struct {
 	Name, Tag, Input string
+	N                int
+	IDs              []types.ProcessID
 	QuorumOverride   int // the correct processes' quorum too; 0 = the paper's
 	Faces            []string
 	Deny             []types.ProcessID
@@ -218,9 +201,13 @@ type WBALeaderOutcome struct {
 // WBALeaderScenarios are the split vote at the naive t + 1 quorum (which
 // breaks agreement) and the paper's, the selective finalize that denies
 // p3 the certificate, and that finalize with a fallback certificate
-// released late to every correct process or to p0 only.
+// released late to every correct process or to p0 only, all at n = 9;
+// the split votes and the selective finalize again at n = 7; and a late
+// release with no phase-1 proposal, from t corrupted processes at n = 9
+// and n = 7 and from p7 and p8 alone.
 func WBALeaderScenarios() []WBALeaderScenario {
 	params, _ := types.NewParams(9)
+	params7, _ := types.NewParams(7)
 	return []WBALeaderScenario{
 		{Name: "split-vote-naive-quorum", Tag: "q", Input: "honest", QuorumOverride: params.SmallQuorum(), Faces: []string{"v1", "v2"},
 			Want: WBALeaderOutcome{Words: 10, Messages: 10, Ticks: 27, Decisions: "p0:v1 p2:v2 p3:v1 p4:v2 p5:v1"}},
@@ -232,16 +219,42 @@ func WBALeaderScenarios() []WBALeaderScenario {
 			Want: WBALeaderOutcome{Words: 686, Messages: 286, Ticks: 223, Decisions: "p0:v p2:v p3:v p4:v p5:v", Fallbacks: 5}},
 		{Name: "selective-late-release-to-p0", Tag: "s", Input: "v", Faces: []string{"v"}, Deny: []types.ProcessID{3}, Release: 150, ReleaseTo: []types.ProcessID{0},
 			Want: WBALeaderOutcome{Words: 686, Messages: 286, Ticks: 223, Decisions: "p0:v p2:v p3:v p4:v p5:v", Fallbacks: 5}},
+		{Name: "split-vote-naive-quorum-n7", Tag: "q", Input: "honest", N: 7, QuorumOverride: params7.SmallQuorum(), Faces: []string{"v1", "v2"},
+			Want: WBALeaderOutcome{Words: 8, Messages: 8, Ticks: 22, Decisions: "p0:v1 p2:v2 p3:v1 p4:v2"}},
+		{Name: "split-vote-paper-quorum-n7", Tag: "q", Input: "honest", N: 7, Faces: []string{"v1", "v2"},
+			Want: WBALeaderOutcome{Words: 367, Messages: 175, Ticks: 31, Decisions: "p0:honest p2:honest p3:honest p4:honest", Fallbacks: 4}},
+		{Name: "selective-finalize-n7", Tag: "s", Input: "v", N: 7, Faces: []string{"v"}, Deny: []types.ProcessID{3},
+			Want: WBALeaderOutcome{Words: 35, Messages: 35, Ticks: 22, Decisions: "p0:v p2:v p3:v p4:v"}},
+		{Name: "late-release", Tag: "h", Input: "v", Release: 150,
+			Want: WBALeaderOutcome{Words: 728, Messages: 328, Ticks: 223, Decisions: "p0:v p2:v p3:v p4:v p5:v", Fallbacks: 5}},
+		{Name: "late-release-n7", Tag: "h", Input: "v", N: 7, Release: 150,
+			Want: WBALeaderOutcome{Words: 363, Messages: 171, Ticks: 215, Decisions: "p0:v p2:v p3:v p4:v", Fallbacks: 4}},
+		{Name: "late-release-p7-p8", Tag: "h", Input: "v", IDs: []types.ProcessID{7, 8}, Release: 200,
+			Want: WBALeaderOutcome{Words: 36, Messages: 36, Ticks: 273, Decisions: "p0:v p1:v p2:v p3:v p4:v p5:v p6:v"}},
 	}
 }
 
 // Run runs the scenario and returns its outcome.
 func (sc WBALeaderScenario) Run(tb testing.TB) WBALeaderOutcome {
 	tb.Helper()
-	crypto, params := Suite(tb, 9)
-	ids := []types.ProcessID{1}
-	for i := params.N - 1; len(ids) < params.T; i-- {
-		ids = append(ids, types.ProcessID(i))
+	out, _ := sc.run(tb, nil)
+	return out
+}
+
+// run runs the scenario with onSend observing every send.
+func (sc WBALeaderScenario) run(tb testing.TB, onSend func(types.Tick, sim.Message, bool)) (WBALeaderOutcome, *sim.Result) {
+	tb.Helper()
+	n := sc.N
+	if n == 0 {
+		n = 9
+	}
+	crypto, params := Suite(tb, n)
+	ids := sc.IDs
+	if ids == nil {
+		ids = []types.ProcessID{1}
+		for i := params.N - 1; len(ids) < params.T; i-- {
+			ids = append(ids, types.ProcessID(i))
+		}
 	}
 	adv := attacks.NewWBALeader(sc.Tag, ids...)
 	for _, f := range sc.Faces {
@@ -263,6 +276,7 @@ func (sc WBALeaderScenario) Run(tb testing.TB) WBALeaderOutcome {
 		},
 		Adversary: adv,
 		MaxTicks:  2000,
+		OnSend:    onSend,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -280,7 +294,7 @@ func (sc WBALeaderScenario) Run(tb testing.TB) WBALeaderOutcome {
 		}
 	}
 	out.Decisions = strings.Join(decisions, " ")
-	return out
+	return out, res
 }
 
 // CommitShape is one engine.RunACSLog call: N, T, F and Inflight are its
