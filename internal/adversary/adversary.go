@@ -27,8 +27,9 @@ import (
 )
 
 // Core provides the boilerplate of a sim.Adversary: a corruption schedule
-// and access to the environment. Behaviours embed it by pointer and
-// override only the hooks they need.
+// and access to the environment. Behaviours embed it and override only the
+// hooks they need, and each states its own horizon: Core has no Quiescent,
+// so a behaviour without one is not a sim.Adversary.
 //
 // # Lifecycle
 //
@@ -55,9 +56,12 @@ import (
 //     unoverridden Core + schedule exactly a crash adversary.
 //  5. Quiescent(now) — polled when every honest machine is done; the
 //     run ends only when the adversary also reports quiescent (and no
-//     scheduled corruption is still pending). Core's default is true;
-//     behaviours that act at future ticks (Replay, the attack library)
-//     must override it to keep the run alive until their horizon.
+//     scheduled corruption is still pending). A quiescent adversary is
+//     also not called at the ticks a run skips because no machine is due
+//     and nothing is in flight. So every behaviour reports quiescent only
+//     once it has no action left at a later tick: Crash at once, Replay
+//     and the attack library after their horizon. Mimic reports quiescent
+//     at once and bounds the skip with its puppets' wake (proto.Waker).
 //
 // Observe and Act receive slices the engine reuses across ticks:
 // implementations that retain messages must copy them.
@@ -77,9 +81,6 @@ func (c *Core) Observe(types.Tick, types.ProcessID, []proto.Incoming) {}
 
 // Act implements sim.Adversary (default Actor: stay silent).
 func (c *Core) Act(types.Tick, []sim.Message) []sim.Message { return nil }
-
-// Quiescent implements sim.Adversary (default: no pending actions).
-func (c *Core) Quiescent(types.Tick) bool { return true }
 
 // Corrupted reports whether id is in the schedule.
 func (c *Core) Corrupted(id types.ProcessID) bool {
@@ -106,6 +107,9 @@ type Crash struct {
 }
 
 var _ sim.Adversary = (*Crash)(nil)
+
+// Quiescent implements sim.Adversary: crashed processes never act.
+func (c *Crash) Quiescent(types.Tick) bool { return true }
 
 // NewCrash crashes ids at tick 0.
 func NewCrash(ids ...types.ProcessID) *Crash {
@@ -238,10 +242,13 @@ func (m *Mimic) Act(now types.Tick, _ []sim.Message) []sim.Message {
 	return msgs
 }
 
-// Wake implements proto.Waker: the puppets' earliest wake. Mimic reports
-// itself quiescent whatever its puppets still mean to do, so a run that
-// skips the ticks at which nothing is in flight skips no further than
-// this (sim.Adversary).
+// Quiescent implements sim.Adversary: Mimic is quiescent whatever its
+// puppets still mean to do, and Wake keeps a run that skips the ticks at
+// which nothing is in flight from skipping past their next action.
+func (m *Mimic) Quiescent(types.Tick) bool { return true }
+
+// Wake implements proto.Waker: the puppets' earliest wake, which bounds
+// how far a run skips.
 func (m *Mimic) Wake() types.Tick { return m.wake }
 
 // Replay records honest traffic and re-sends stale payloads from corrupted

@@ -11,10 +11,10 @@ import (
 
 // Compile-time interface satisfaction for every attack in this package:
 // each must be a full sim.Adversary (the adversary.Core lifecycle —
-// Init, Corruptions, the Observe/Act hooks, Quiescent). A behaviour
-// that loses one of the methods (e.g. by renaming an override so it no
-// longer shadows Core's no-op) fails here at build time, not at the
-// first simulation that happens to exercise it.
+// Init, Corruptions, the Observe/Act hooks, Quiescent). Core has no
+// Quiescent, so an attack that does not state its own horizon (or loses
+// it to a rename) fails here at build time, not at the first simulation
+// whose skipped ticks drop one of its actions.
 var (
 	_ sim.Adversary = (*genomeAdversary)(nil)
 	_ sim.Adversary = (*BBVettingEquivocator)(nil)

@@ -143,6 +143,9 @@ func (a *equivSender) Corruptions() []sim.Corruption {
 	return []sim.Corruption{{ID: 0}}
 }
 
+// Quiescent implements sim.Adversary: its one action is its first Act.
+func (a *equivSender) Quiescent(types.Tick) bool { return a.sent }
+
 func (a *equivSender) Act(now types.Tick, _ []sim.Message) []sim.Message {
 	if a.sent {
 		return nil
@@ -192,6 +195,9 @@ type stingySender struct {
 func (a *stingySender) Corruptions() []sim.Corruption {
 	return []sim.Corruption{{ID: 0}}
 }
+
+// Quiescent implements sim.Adversary: its one action is its first Act.
+func (a *stingySender) Quiescent(types.Tick) bool { return a.sent }
 
 func (a *stingySender) Act(now types.Tick, _ []sim.Message) []sim.Message {
 	if a.sent {

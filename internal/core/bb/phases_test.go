@@ -87,6 +87,9 @@ type sprayAdversary struct {
 
 func (a *sprayAdversary) Act(types.Tick, []sim.Message) []sim.Message { return a.msgs }
 
+// Quiescent implements sim.Adversary: the spray never ends.
+func (a *sprayAdversary) Quiescent(types.Tick) bool { return false }
+
 // runTraffic runs BB from sender p0 with input "v" under adv and returns
 // the honest traffic (tick, route and encoded payload) followed by every
 // honest decision.

@@ -187,6 +187,9 @@ func (a *partialLeader) Observe(_ types.Tick, _ types.ProcessID, inbox []proto.I
 	a.inbox = append(a.inbox, inbox...)
 }
 
+// Quiescent implements sim.Adversary: its last action is at tick 3.
+func (a *partialLeader) Quiescent(now types.Tick) bool { return now >= 3 }
+
 func (a *partialLeader) Act(now types.Tick, _ []sim.Message) []sim.Message {
 	params := a.Env.Params
 	small := a.Env.Crypto.Threshold(params.SmallQuorum())

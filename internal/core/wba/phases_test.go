@@ -122,6 +122,9 @@ type sprayAdversary struct {
 
 func (a *sprayAdversary) Act(types.Tick, []sim.Message) []sim.Message { return a.msgs }
 
+// Quiescent implements sim.Adversary: the spray never ends.
+func (a *sprayAdversary) Quiescent(types.Tick) bool { return false }
+
 // runTraffic runs weak BA with valid input "v" everywhere under adv and
 // returns the honest traffic (tick, route and encoded payload) followed by
 // every honest decision.
