@@ -44,8 +44,11 @@ type Scenario struct {
 	typesOnly bool
 	// run runs the scenario once, every send observed by onSend, and
 	// fails tb unless the run did what the scenario expects of it.
-	run func(tb testing.TB, onSend func(types.Tick, sim.Message, bool)) outcome
+	run func(tb testing.TB, onSend observer) outcome
 }
+
+// observer sees every send of a run (sim.Config.OnSend).
+type observer = func(now types.Tick, m sim.Message, honest bool)
 
 // outcome is what a run shows beside its sends: its decisions and outputs
 // as text, and its counters. A scenario that is not one observed run (an
@@ -267,10 +270,11 @@ func Corpus() []Scenario {
 // outputs are every Outcome field a run's steps must not move (the
 // verification cache's counters may).
 func spec(name string, short bool, s harness.Spec) Scenario {
-	return Scenario{Name: name, Short: short, typesOnly: s.Ed25519, run: func(tb testing.TB, onSend func(types.Tick, sim.Message, bool)) outcome {
+	return Scenario{Name: name, Short: short, typesOnly: s.Ed25519, run: func(tb testing.TB, onSend observer) outcome {
 		tb.Helper()
-		s.OnSend = onSend
-		o, err := harness.Run(s)
+		observed := s
+		observed.OnSend = onSend
+		o, err := harness.Run(observed)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -308,7 +312,7 @@ func simOutcome(res *sim.Result, extra string) outcome {
 
 // simGolden runs g, whose every Echoer must reach its horizon.
 func simGolden(g SimGolden) Scenario {
-	return Scenario{Name: "sim-goldens/" + g.Name, Short: true, run: func(tb testing.TB, onSend func(types.Tick, sim.Message, bool)) outcome {
+	return Scenario{Name: "sim-goldens/" + g.Name, Short: true, run: func(tb testing.TB, onSend observer) outcome {
 		tb.Helper()
 		crypto, params := Suite(tb, g.N)
 		cfg := sim.Config{
@@ -338,7 +342,7 @@ func simGolden(g SimGolden) Scenario {
 // wbaLeader runs sc, which must give its pinned outcome: for the split
 // vote at the naive quorum, decisions that disagree.
 func wbaLeader(sc WBALeaderScenario) Scenario {
-	return Scenario{Name: "wba-leader-pins/" + sc.Name, Short: sc.Release == 0, run: func(tb testing.TB, onSend func(types.Tick, sim.Message, bool)) outcome {
+	return Scenario{Name: "wba-leader-pins/" + sc.Name, Short: sc.Release == 0, run: func(tb testing.TB, onSend observer) outcome {
 		tb.Helper()
 		got, res := sc.run(tb, onSend)
 		if got != sc.Want {
@@ -353,7 +357,7 @@ func wbaLeader(sc WBALeaderScenario) Scenario {
 // word envelope.
 func explorerSeeds(kind protocols.Kind, n int) Scenario {
 	cfg := explore.Config{Protocol: kind, N: n, F: (n - 1) / 2, Seed: 1}
-	return Scenario{Name: fmt.Sprintf("explorer-seeds/%s/n=%d", kind, n), Short: n == 5, run: func(tb testing.TB, _ func(types.Tick, sim.Message, bool)) outcome {
+	return Scenario{Name: fmt.Sprintf("explorer-seeds/%s/n=%d", kind, n), Short: n == 5, run: func(tb testing.TB, _ observer) outcome {
 		tb.Helper()
 		res, err := explore.Explore(cfg)
 		if err != nil {
@@ -370,7 +374,7 @@ func explorerSeeds(kind protocols.Kind, n int) Scenario {
 // s.Committed commands. A shared suite is built on derived keys, so its
 // signatures are the same bytes every run.
 func commitShape(s CommitShape) Scenario {
-	return Scenario{Name: "commit-shapes/" + s.Name, Short: true, run: func(tb testing.TB, onSend func(types.Tick, sim.Message, bool)) outcome {
+	return Scenario{Name: "commit-shapes/" + s.Name, Short: true, run: func(tb testing.TB, onSend observer) outcome {
 		tb.Helper()
 		cfg := engine.Config{N: s.N, T: s.T, F: s.F, Inflight: s.Inflight, OnSend: onSend}
 		if s.ShareSuite {
@@ -400,7 +404,7 @@ func commitShape(s CommitShape) Scenario {
 // batch of two commands: every correct process must decide, agree and
 // not fail.
 func acsRound() Scenario {
-	return Scenario{Name: "acs-round/n=9/batch=2/p1-crashed", Short: true, run: func(tb testing.TB, onSend func(types.Tick, sim.Message, bool)) outcome {
+	return Scenario{Name: "acs-round/n=9/batch=2/p1-crashed", Short: true, run: func(tb testing.TB, onSend observer) outcome {
 		tb.Helper()
 		crypto, params := Suite(tb, 9)
 		machines := make(map[types.ProcessID]*acs.Machine)
@@ -434,7 +438,7 @@ func acsRound() Scenario {
 
 // experiment is e's report, which must build without error.
 func experiment(e harness.Experiment) Scenario {
-	return Scenario{Name: "exp/" + e.ID, Short: true, run: func(tb testing.TB, _ func(types.Tick, sim.Message, bool)) outcome {
+	return Scenario{Name: "exp/" + e.ID, Short: true, run: func(tb testing.TB, _ observer) outcome {
 		tb.Helper()
 		report, err := e.Run()
 		if err != nil {

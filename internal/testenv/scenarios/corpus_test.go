@@ -75,7 +75,7 @@ func TestLineHasTeeth(t *testing.T) {
 		{false, sim.Message{From: 3, To: 0, Session: "s0/wba", Payload: propose("b")}},
 	}
 	line := func(edit func(i int, honest bool, m sim.Message) sim.Message) []string {
-		sc := Scenario{Name: "teeth", run: func(_ testing.TB, onSend func(types.Tick, sim.Message, bool)) outcome {
+		sc := Scenario{Name: "teeth", run: func(_ testing.TB, onSend observer) outcome {
 			for i, s := range base {
 				onSend(2, edit(i, s.honest, s.m), s.honest)
 			}

@@ -242,7 +242,7 @@ func (sc WBALeaderScenario) Run(tb testing.TB) WBALeaderOutcome {
 }
 
 // run runs the scenario with onSend observing every send.
-func (sc WBALeaderScenario) run(tb testing.TB, onSend func(types.Tick, sim.Message, bool)) (WBALeaderOutcome, *sim.Result) {
+func (sc WBALeaderScenario) run(tb testing.TB, onSend observer) (WBALeaderOutcome, *sim.Result) {
 	tb.Helper()
 	n := sc.N
 	if n == 0 {
