@@ -4,15 +4,14 @@
 //
 // Most attacks are data: a Genome encodes corruption timing,
 // equivocation and selective targets, help-spam patterns, replay/flood
-// choices, and the message-delivery order in a compact byte form, and
-// Compile turns it into a sim.Adversary for one run. The schedule
-// explorer (internal/explore) searches genomes; the fixed attacks the
-// harness and the tests run are genomes too (PhaseSpam). Behaviours the
-// genes cannot express are hand-written: BB vetting equivocation, flood
-// chains, and one weak BA coalition, WBALeader, whose corrupted phase-1
-// leader mints certificates from the shares it collects (the split vote
-// and the selective finalize) and which can release a fallback
-// certificate late.
+// choices, a corrupted weak BA phase leader that mints certificates from
+// the shares it collects (the split vote and the selective finalize), a
+// late fallback certificate release, and the message-delivery order in a
+// compact byte form, and Compile turns it into a sim.Adversary for one
+// run. The schedule explorer (internal/explore) searches genomes; the
+// fixed attacks the harness and the tests run are genomes too (PhaseSpam,
+// Coalition). Behaviours the genes cannot express are hand-written: BB
+// vetting equivocation and flood chains.
 //
 // The headline attack is phase spam: corrupted processes initiate their
 // rotating-leader phases — asking every correct process for help or votes
@@ -44,6 +43,18 @@ func PhaseSpam(protocol protocols.Kind, ids ...types.ProcessID) Genome {
 			moves = append(moves, Move{Op: OpHelpSpam, Arg: uint8(id - 1)})
 		}
 		g.Corruptions = append(g.Corruptions, Corrupt{Slot: uint8(id), Moves: moves})
+	}
+	return g
+}
+
+// Coalition is the weak BA coalition genome at n with f ≥ 1 corruptions
+// from tick 0: p1, the phase-1 leader, making moves (OpLead, OpRelease),
+// and the top f − 1 ids, silent but signing every certificate the
+// coalition mints. Slots are bytes, so n above 256 is not expressed.
+func Coalition(n, f int, moves ...Move) Genome {
+	g := Genome{Corruptions: []Corrupt{{Slot: 1, Moves: moves}}}
+	for id := n - 1; len(g.Corruptions) < f; id-- {
+		g.Corruptions = append(g.Corruptions, Corrupt{Slot: uint8(id)})
 	}
 	return g
 }

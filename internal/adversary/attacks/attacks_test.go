@@ -31,28 +31,18 @@ func setup(t *testing.T, n int) (*proto.Crypto, types.Params) {
 	return proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d")), params
 }
 
-// corruptSet returns {1} ∪ {n-1, n-2, ...} of size t: the phase-1 leader
-// plus fillers.
-func corruptSet(params types.Params) []types.ProcessID {
-	ids := []types.ProcessID{1}
-	for i := params.N - 1; len(ids) < params.T; i-- {
-		ids = append(ids, types.ProcessID(i))
-	}
-	return ids
-}
-
-// splitVote is the two-faced phase-1 leader against the given quorum (0:
-// the paper's), with t corrupted processes.
-func splitVote(params types.Params, quorum int) *WBALeader {
-	a := NewWBALeader("q", corruptSet(params)...)
-	a.Faces, a.Quorum = []types.Value{types.Value("v1"), types.Value("v2")}, quorum
-	return a
-}
-
+// runSplitVote runs the two-faced phase-1 leader of a t-process
+// coalition, denying nobody (the target is p1 itself), against the
+// correct processes' quorum (0: the paper's), at which it mints too.
 func runSplitVote(t *testing.T, quorumOverride int) *sim.Result {
 	t.Helper()
 	params, _ := types.NewParams(9)
-	res, _ := runWBA(t, 9, "q", types.Value("honest"), quorumOverride, splitVote(params, quorumOverride), nil)
+	split := Move{Op: OpLead, Count: 1, Target: 1}
+	if quorumOverride != 0 {
+		split.Arg = 1 // mint at t+1
+	}
+	adv := Compile(Coalition(9, params.T, split), protocols.WBA, "q", 1, 2000)
+	res, _ := runWBA(t, 9, "q", types.Value("honest"), quorumOverride, adv, nil)
 	return res
 }
 
@@ -193,16 +183,11 @@ func TestLateCertWithoutHelpRequestsFizzles(t *testing.T) {
 	// decide in phase 1, so no correct help request ever exists, and the
 	// coalition's own 2 shares cannot reach the t+1 = 5 certificate
 	// threshold — the late release must fizzle and the decisions stand.
-	adv := NewWBALeader("h", 7, 8)
-	adv.Release = 200
-	certs := 0
-	res, machines := runWBA(t, 9, "h", types.Value("v"), 0, adv, func(_ types.Tick, m sim.Message, honest bool) {
-		if _, ok := m.Payload.(wba.FallbackCert); ok && !honest {
-			certs++
-		}
-	})
-	if !adv.released {
-		t.Fatal("the release tick never came")
+	late := Genome{Corruptions: []Corrupt{{Slot: 7, Moves: []Move{{Op: OpRelease, Arg: 200}}}, {Slot: 8}}}
+	var certs int
+	res, machines := runWBA(t, 9, "h", types.Value("v"), 0, Compile(late, protocols.WBA, "h", 1, 2000), countCerts(&certs))
+	if res.Ticks <= 200 {
+		t.Fatalf("the run ended at tick %d, before the release tick", res.Ticks)
 	}
 	if certs != 0 {
 		t.Errorf("the coalition sent %d fallback certificates from 2 shares", certs)
@@ -223,8 +208,7 @@ func TestSelectiveFinalizeVictimHealedByHelpRound(t *testing.T) {
 	// is the only undecided correct process after the phases: it asks for
 	// help, the decided processes answer with the finalize certificate,
 	// and it adopts the same decision — no fallback.
-	params, _ := types.NewParams(9)
-	res, machines := runWBA(t, 9, "s", types.Value("v"), 0, selective(params, 0), nil)
+	res, machines := runWBA(t, 9, "s", types.Value("v"), 0, Compile(selective(), protocols.WBA, "s", 1, 2000), nil)
 	if !res.AllDecided() {
 		t.Fatal("not all decided — the help round failed the victim")
 	}
@@ -244,28 +228,32 @@ func TestSelectiveFinalizeVictimHealedByHelpRound(t *testing.T) {
 	}
 }
 
-// selective is the phase-1 leader that withholds the finalize
-// certificate from p3, with t corrupted processes and, if release is
-// positive, a late fallback certificate to releaseTo (every correct
-// process if empty).
-func selective(params types.Params, release types.Tick, releaseTo ...types.ProcessID) *WBALeader {
-	a := NewWBALeader("s", corruptSet(params)...)
-	a.Faces, a.Deny = []types.Value{types.Value("v")}, []types.ProcessID{3}
-	a.Release, a.ReleaseTo = release, releaseTo
-	return a
+// selective is the n = 9 coalition genome whose phase-1 leader proposes
+// "v" and withholds the finalize certificate from p3, followed by moves.
+func selective(moves ...Move) Genome {
+	return Coalition(9, 4, append([]Move{{Op: OpLead, Target: 3}}, moves...)...)
+}
+
+// countCerts returns an OnSend hook counting the Byzantine fallback
+// certificate sends into certs.
+func countCerts(certs *int) func(types.Tick, sim.Message, bool) {
+	return func(_ types.Tick, m sim.Message, honest bool) {
+		if _, ok := m.Payload.(wba.FallbackCert); ok && !honest {
+			*certs++
+		}
+	}
 }
 
 // runLateRelease runs the selective-finalize attack with a fallback
-// certificate released at tick 150 to lateTo (every correct process if
-// empty), and requires every correct process to decide the leader's
-// value and to have run the fallback.
-func runLateRelease(t *testing.T, lateTo ...types.ProcessID) {
+// certificate released at tick 150 by release, and requires the
+// coalition to send it want times, and every correct process to decide
+// the leader's value and to have run the fallback.
+func runLateRelease(t *testing.T, release Move, want int) {
 	t.Helper()
-	params, _ := types.NewParams(9)
-	adv := selective(params, 150, lateTo...)
-	res, machines := runWBA(t, 9, "s", types.Value("v"), 0, adv, nil)
-	if !adv.released {
-		t.Fatal("the late certificate was never released")
+	var certs int
+	res, machines := runWBA(t, 9, "s", types.Value("v"), 0, Compile(selective(release), protocols.WBA, "s", 1, 2000), countCerts(&certs))
+	if certs != want {
+		t.Fatalf("the coalition sent the late certificate %d times, want %d", certs, want)
 	}
 	if !res.AllDecided() {
 		t.Fatal("not all decided")
@@ -292,8 +280,8 @@ func TestSelectiveFinalizePlusLateCertForcesFallback(t *testing.T) {
 	// valid fallback certificate that the adversary withholds and
 	// releases after everything went quiet. All correct processes must
 	// re-activate, echo the certificate, run A_fallback — and re-confirm
-	// the SAME decision (Lemma 19).
-	runLateRelease(t)
+	// the SAME decision (Lemma 19). It goes to the 5 correct processes.
+	runLateRelease(t, Move{Op: OpRelease, Arg: 150}, 5)
 }
 
 // TestLateCertToOneProcessReachesAll is Lemma 17's test: the fallback
@@ -303,7 +291,7 @@ func TestSelectiveFinalizePlusLateCertForcesFallback(t *testing.T) {
 // carry it to the other correct processes, and every one of them must
 // still run the fallback and decide the same value.
 func TestLateCertToOneProcessReachesAll(t *testing.T) {
-	runLateRelease(t, 0)
+	runLateRelease(t, Move{Op: OpRelease, Arg: 150, Count: 1, Target: 0}, 1)
 }
 
 // TestAdaptiveMidPhaseCorruption exercises the model's ADAPTIVE adversary:

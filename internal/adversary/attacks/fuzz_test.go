@@ -32,6 +32,10 @@ func FuzzScheduleGenome(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 255})
+	// The weak BA coalition's genes: the split vote at t+1, and a late
+	// release to one process.
+	f.Add(Coalition(9, 4, Move{Op: OpLead, Arg: 1, Target: 1, Count: 1}).Encode())
+	f.Add(Coalition(7, 3, Move{Op: OpRelease, Arg: 150, Target: 0, Count: 1}).Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := Decode(data)

@@ -19,7 +19,6 @@ var (
 	_ sim.Adversary = (*genomeAdversary)(nil)
 	_ sim.Adversary = (*BBVettingEquivocator)(nil)
 	_ sim.Adversary = (*FloodChain)(nil)
-	_ sim.Adversary = (*WBALeader)(nil)
 )
 
 // TestEveryAttackFollowsTheCoreLifecycle drives each attack through the
@@ -33,10 +32,8 @@ func TestEveryAttackFollowsTheCoreLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ids := []types.ProcessID{1, 2}
-	leader := func(set func(*WBALeader)) *WBALeader {
-		a := NewWBALeader("tag", ids...)
-		set(a)
-		return a
+	coalition := func(moves ...Move) sim.Adversary {
+		return Compile(Coalition(params.N, len(ids), moves...), protocols.WBA, "tag", 1, 100)
 	}
 	builds := map[string]sim.Adversary{
 		"wba-phase-spam":     Compile(PhaseSpam(protocols.WBA, ids...), protocols.WBA, "tag", 1, 100),
@@ -44,9 +41,9 @@ func TestEveryAttackFollowsTheCoreLifecycle(t *testing.T) {
 		"bb-vetting-equiv":   NewBBVettingEquivocator("tag", types.Value("a"), types.Value("b")),
 		"flood-chain":        NewFloodChain(types.Value("m"), ids...),
 		"wba-help-spam":      Compile(helpSpam(ids...), protocols.WBA, "tag", 1, 100),
-		"late-cert-release":  leader(func(a *WBALeader) { a.Release = 25 }),
-		"selective-phase":    leader(func(a *WBALeader) { a.Faces, a.Deny = []types.Value{types.Value("v")}, []types.ProcessID{3} }),
-		"wba-split-vote":     leader(func(a *WBALeader) { a.Faces = []types.Value{types.Value("a"), types.Value("b")} }),
+		"late-cert-release":  coalition(Move{Op: OpRelease, Arg: 25}),
+		"selective-phase":    coalition(Move{Op: OpLead, Target: 3}),
+		"wba-split-vote":     coalition(Move{Op: OpLead, Count: 1, Target: 1}),
 		"core-only-is-crash": adversary.NewCrash(ids...),
 	}
 	for name, adv := range builds {

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"adaptiveba/internal/adversary/attacks"
+	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/harness"
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
@@ -226,8 +227,12 @@ func better(a, b *Candidate) bool {
 // seedPopulation draws the initial genomes. The first slot is the known
 // worst-case heuristic — all F corruptions spam their rotating-leader
 // phases from tick 0 (the paper's own lower-bound run family) — so the
-// search starts at the theory's floor and can only climb from there.
-func seedPopulation(rng *rand.Rand, cfg Config) []attacks.Genome {
+// search starts at the theory's floor and can only climb from there. A
+// weak BA search with F ≥ 1 seeds the second slot with the coalition
+// that attacks both of weak BA's defences: p1 leads phase 1 with two
+// faces at the paper's quorum (the split vote), and the coalition
+// releases the fallback certificate after the first help round.
+func seedPopulation(rng *rand.Rand, cfg Config, t int) []attacks.Genome {
 	pop := make([]attacks.Genome, cfg.Population)
 	spam := attacks.Genome{}
 	for i := 0; i < cfg.F; i++ {
@@ -237,7 +242,14 @@ func seedPopulation(rng *rand.Rand, cfg Config) []attacks.Genome {
 		})
 	}
 	pop[0] = spam
-	for i := 1; i < cfg.Population; i++ {
+	i := 1
+	if cfg.Protocol == protocols.WBA && cfg.F >= 1 && cfg.Population > 1 {
+		split := attacks.Move{Op: attacks.OpLead, Count: 1, Target: 1}
+		release := attacks.Move{Op: attacks.OpRelease, Arg: uint8(min(wba.PhaseStart(t+3), 255))}
+		pop[1] = attacks.Coalition(cfg.N, cfg.F, split, release)
+		i = 2
+	}
+	for ; i < cfg.Population; i++ {
 		pop[i] = attacks.RandomGenome(rng, cfg.F)
 	}
 	return pop
@@ -281,7 +293,7 @@ func Explore(cfg Config) (*Result, error) {
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	pop := seedPopulation(rng, cfg)
+	pop := seedPopulation(rng, cfg, params.T)
 
 	res := &Result{Config: cfg, T: params.T, Envelope: Envelope(cfg.N, params.T, cfg.F)}
 	var best *Candidate

@@ -322,6 +322,9 @@ func expAblateQuorum() (string, error) {
 			return "", err
 		}
 
+		// p1 leads two faces, denying nobody (the target is p1 itself),
+		// and mints at the quorum the correct processes use.
+		split := attacks.Move{Op: attacks.OpLead, Count: 1, Target: 1}
 		override := 0
 		quorum := params.Quorum()
 		label := fmt.Sprintf("paper quorum ⌈(n+t+1)/2⌉ = %d", quorum)
@@ -329,13 +332,8 @@ func expAblateQuorum() (string, error) {
 			override = params.SmallQuorum()
 			quorum = override
 			label = fmt.Sprintf("naive quorum t+1 = %d", quorum)
+			split.Arg = 1
 		}
-		ids := []types.ProcessID{1}
-		for i := params.N - 1; len(ids) < params.T; i-- {
-			ids = append(ids, types.ProcessID(i))
-		}
-		adv := attacks.NewWBALeader("q", ids...)
-		adv.Faces, adv.Quorum = []types.Value{types.Value("v1"), types.Value("v2")}, override
 		cfg := protocols.Config{Params: params, Crypto: crypto, Tag: "q", QuorumOverride: override}
 		res, err := sim.Run(sim.Config{
 			Params: params,
@@ -343,7 +341,7 @@ func expAblateQuorum() (string, error) {
 			Factory: func(id types.ProcessID) proto.Machine {
 				return ProtocolWBA.MustNew(cfg, id, types.Value("honest"))
 			},
-			Adversary: adv,
+			Adversary: attacks.Compile(attacks.Coalition(params.N, params.T, split), ProtocolWBA, "q", 1, 2000),
 			MaxTicks:  2000,
 		})
 		if err != nil {

@@ -92,12 +92,9 @@ func TestAdversarialRunsStayInvariantClean(t *testing.T) {
 // certificates, and the monitor must catch it on the wire.
 func TestOracleDetectsSplitBrain(t *testing.T) {
 	params, _ := types.NewParams(9)
-	ids := []types.ProcessID{1}
-	for i := params.N - 1; len(ids) < params.T; i-- {
-		ids = append(ids, types.ProcessID(i))
-	}
-	adv := attacks.NewWBALeader("o", ids...)
-	adv.Faces, adv.Quorum = []types.Value{types.Value("v1"), types.Value("v2")}, params.SmallQuorum()
+	// p1 leads two faces at t+1, denying nobody (the target is p1 itself).
+	split := attacks.Move{Op: attacks.OpLead, Count: 1, Arg: 1, Target: 1}
+	adv := attacks.Compile(attacks.Coalition(9, params.T, split), protocols.WBA, "o", 1, 2000)
 	_, mon := runMonitored(t, 9, params.SmallQuorum(), adv)
 	violations := mon.Violations()
 	found := false

@@ -173,7 +173,7 @@ func (r *recorder) line(name string, o outcome) string {
 //     with shuffled delivery;
 //   - outcome-pins: every protocol kind at n = 9, f = 1 under crash,
 //     crash-leader, replay and stagger;
-//   - wba-leader-pins: WBALeaderScenarios;
+//   - wba-leader-pins: CoalitionScenarios;
 //   - bb-vetting-equivocation: attacks.BBVettingEquivocator at n = 5, 9;
 //   - early-leader: a later phase's leader sending its opening message
 //     early, which correct processes stash and must wake for;
@@ -201,8 +201,8 @@ func Corpus() []Scenario {
 				harness.Spec{Protocol: harness.Protocol(kind), N: 9, F: 1, Fault: fault}))
 		}
 	}
-	for _, sc := range WBALeaderScenarios() {
-		scs = append(scs, wbaLeader(sc))
+	for _, sc := range CoalitionScenarios() {
+		scs = append(scs, coalition(sc))
 	}
 	for _, n := range []int{5, 9} {
 		scs = append(scs, spec(fmt.Sprintf("bb-vetting-equivocation/n=%d", n), true, harness.Spec{Protocol: harness.ProtocolBB, N: n, F: 2,
@@ -339,10 +339,11 @@ func simGolden(g SimGolden) Scenario {
 	}}
 }
 
-// wbaLeader runs sc, which must give its pinned outcome: for the split
+// coalition runs sc, which must give its pinned outcome: for the split
 // vote at the naive quorum, decisions that disagree.
-func wbaLeader(sc WBALeaderScenario) Scenario {
-	return Scenario{Name: "wba-leader-pins/" + sc.Name, Short: sc.Release == 0, run: func(tb testing.TB, onSend observer) outcome {
+func coalition(sc CoalitionScenario) Scenario {
+	// The late releases keep their runs up past tick 200: not in -short.
+	return Scenario{Name: "wba-leader-pins/" + sc.Name, Short: sc.Want.Ticks < 200, run: func(tb testing.TB, onSend observer) outcome {
 		tb.Helper()
 		got, res := sc.run(tb, onSend)
 		if got != sc.Want {

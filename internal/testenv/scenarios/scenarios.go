@@ -34,6 +34,7 @@ import (
 	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -173,94 +174,86 @@ func (a *RushingRelay) Act(now types.Tick, honest []sim.Message) []sim.Message {
 
 func (a *RushingRelay) Quiescent(now types.Tick) bool { return now >= 4 }
 
-// WBALeaderScenario is a weak BA run at N processes (9 if 0) against
-// attacks.WBALeader corrupting IDs (if nil, p1 — the phase-1 leader —
-// and the top t − 1 ids), with Want its pinned outcome.
-type WBALeaderScenario struct {
+// CoalitionScenario is a weak BA run at N processes (9 if 0) against the
+// compiled Genome, with Want its pinned outcome.
+type CoalitionScenario struct {
 	Name, Tag, Input string
 	N                int
-	IDs              []types.ProcessID
-	QuorumOverride   int // the correct processes' quorum too; 0 = the paper's
-	Faces            []string
-	Deny             []types.ProcessID
-	Release          types.Tick
-	ReleaseTo        []types.ProcessID
-	Want             WBALeaderOutcome
+	QuorumOverride   int // the correct processes' quorum; 0 = the paper's
+	Genome           attacks.Genome
+	Want             CoalitionOutcome
 }
 
-// WBALeaderOutcome is what a WBALeaderScenario pins: the honest words,
+// CoalitionOutcome is what a CoalitionScenario pins: the honest words,
 // messages and ticks, each correct process's decision ("p0:v", "p3:-"
 // undecided) and how many correct processes ran the fallback.
-type WBALeaderOutcome struct {
+type CoalitionOutcome struct {
 	Words, Messages int64
 	Ticks           types.Tick
 	Decisions       string
 	Fallbacks       int
 }
 
-// WBALeaderScenarios are the split vote at the naive t + 1 quorum (which
-// breaks agreement) and the paper's, the selective finalize that denies
-// p3 the certificate, and that finalize with a fallback certificate
-// released late to every correct process or to p0 only, all at n = 9;
-// the split votes and the selective finalize again at n = 7; and a late
-// release with no phase-1 proposal, from t corrupted processes at n = 9
-// and n = 7 and from p7 and p8 alone.
-func WBALeaderScenarios() []WBALeaderScenario {
+// CoalitionScenarios are attacks.Coalition genomes, p1 and the top t − 1
+// ids corrupted: the split vote at the naive t + 1 quorum (which breaks
+// agreement) and at the paper's, the selective finalize that denies p3
+// the certificate, and that finalize with a fallback certificate released
+// late to every correct process or to p0 only, all at n = 9; the split
+// votes and the selective finalize again at n = 7; and a late release
+// with no phase-1 proposal, from the t corrupted processes at n = 9 and
+// n = 7 and from p7 and p8 alone.
+func CoalitionScenarios() []CoalitionScenario {
 	params, _ := types.NewParams(9)
 	params7, _ := types.NewParams(7)
-	return []WBALeaderScenario{
-		{Name: "split-vote-naive-quorum", Tag: "q", Input: "honest", QuorumOverride: params.SmallQuorum(), Faces: []string{"v1", "v2"},
-			Want: WBALeaderOutcome{Words: 10, Messages: 10, Ticks: 27, Decisions: "p0:v1 p2:v2 p3:v1 p4:v2 p5:v1"}},
-		{Name: "split-vote-paper-quorum", Tag: "q", Input: "honest", Faces: []string{"v1", "v2"},
-			Want: WBALeaderOutcome{Words: 78, Messages: 78, Ticks: 27, Decisions: "p0:v1 p2:v1 p3:v1 p4:v1 p5:v1"}},
-		{Name: "selective-finalize", Tag: "s", Input: "v", Faces: []string{"v"}, Deny: []types.ProcessID{3},
-			Want: WBALeaderOutcome{Words: 46, Messages: 46, Ticks: 27, Decisions: "p0:v p2:v p3:v p4:v p5:v"}},
-		{Name: "selective-late-release-to-all", Tag: "s", Input: "v", Faces: []string{"v"}, Deny: []types.ProcessID{3}, Release: 150,
-			Want: WBALeaderOutcome{Words: 686, Messages: 286, Ticks: 223, Decisions: "p0:v p2:v p3:v p4:v p5:v", Fallbacks: 5}},
-		{Name: "selective-late-release-to-p0", Tag: "s", Input: "v", Faces: []string{"v"}, Deny: []types.ProcessID{3}, Release: 150, ReleaseTo: []types.ProcessID{0},
-			Want: WBALeaderOutcome{Words: 686, Messages: 286, Ticks: 223, Decisions: "p0:v p2:v p3:v p4:v p5:v", Fallbacks: 5}},
-		{Name: "split-vote-naive-quorum-n7", Tag: "q", Input: "honest", N: 7, QuorumOverride: params7.SmallQuorum(), Faces: []string{"v1", "v2"},
-			Want: WBALeaderOutcome{Words: 8, Messages: 8, Ticks: 22, Decisions: "p0:v1 p2:v2 p3:v1 p4:v2"}},
-		{Name: "split-vote-paper-quorum-n7", Tag: "q", Input: "honest", N: 7, Faces: []string{"v1", "v2"},
-			Want: WBALeaderOutcome{Words: 367, Messages: 175, Ticks: 31, Decisions: "p0:honest p2:honest p3:honest p4:honest", Fallbacks: 4}},
-		{Name: "selective-finalize-n7", Tag: "s", Input: "v", N: 7, Faces: []string{"v"}, Deny: []types.ProcessID{3},
-			Want: WBALeaderOutcome{Words: 35, Messages: 35, Ticks: 22, Decisions: "p0:v p2:v p3:v p4:v"}},
-		{Name: "late-release", Tag: "h", Input: "v", Release: 150,
-			Want: WBALeaderOutcome{Words: 728, Messages: 328, Ticks: 223, Decisions: "p0:v p2:v p3:v p4:v p5:v", Fallbacks: 5}},
-		{Name: "late-release-n7", Tag: "h", Input: "v", N: 7, Release: 150,
-			Want: WBALeaderOutcome{Words: 363, Messages: 171, Ticks: 215, Decisions: "p0:v p2:v p3:v p4:v", Fallbacks: 4}},
-		{Name: "late-release-p7-p8", Tag: "h", Input: "v", IDs: []types.ProcessID{7, 8}, Release: 200,
-			Want: WBALeaderOutcome{Words: 36, Messages: 36, Ticks: 273, Decisions: "p0:v p1:v p2:v p3:v p4:v p5:v p6:v"}},
+	// Leads of p1: two faces ("v", "w") denying nobody (the target is p1
+	// itself), at t + 1 or the paper's quorum; one face "v" denying p3.
+	naiveSplit := attacks.Move{Op: attacks.OpLead, Count: 1, Arg: 1, Target: 1}
+	paperSplit := attacks.Move{Op: attacks.OpLead, Count: 1, Target: 1}
+	selective := attacks.Move{Op: attacks.OpLead, Target: 3}
+	release := func(tick uint8) attacks.Move { return attacks.Move{Op: attacks.OpRelease, Arg: tick} }
+	toP0 := attacks.Move{Op: attacks.OpRelease, Arg: 150, Count: 1, Target: 0}
+	p7p8 := attacks.Genome{Corruptions: []attacks.Corrupt{{Slot: 7, Moves: []attacks.Move{release(200)}}, {Slot: 8}}}
+	return []CoalitionScenario{
+		{Name: "split-vote-naive-quorum", Tag: "q", Input: "honest", QuorumOverride: params.SmallQuorum(), Genome: attacks.Coalition(9, params.T, naiveSplit),
+			Want: CoalitionOutcome{Words: 10, Messages: 10, Ticks: 27, Decisions: "p0:v p2:w p3:v p4:w p5:v"}},
+		{Name: "split-vote-paper-quorum", Tag: "q", Input: "honest", Genome: attacks.Coalition(9, params.T, paperSplit),
+			Want: CoalitionOutcome{Words: 78, Messages: 78, Ticks: 27, Decisions: "p0:v p2:v p3:v p4:v p5:v"}},
+		{Name: "selective-finalize", Tag: "s", Input: "v", Genome: attacks.Coalition(9, params.T, selective),
+			Want: CoalitionOutcome{Words: 46, Messages: 46, Ticks: 27, Decisions: "p0:v p2:v p3:v p4:v p5:v"}},
+		{Name: "selective-late-release-to-all", Tag: "s", Input: "v", Genome: attacks.Coalition(9, params.T, selective, release(150)),
+			Want: CoalitionOutcome{Words: 686, Messages: 286, Ticks: 223, Decisions: "p0:v p2:v p3:v p4:v p5:v", Fallbacks: 5}},
+		{Name: "selective-late-release-to-p0", Tag: "s", Input: "v", Genome: attacks.Coalition(9, params.T, selective, toP0),
+			Want: CoalitionOutcome{Words: 686, Messages: 286, Ticks: 223, Decisions: "p0:v p2:v p3:v p4:v p5:v", Fallbacks: 5}},
+		{Name: "split-vote-naive-quorum-n7", Tag: "q", Input: "honest", N: 7, QuorumOverride: params7.SmallQuorum(), Genome: attacks.Coalition(7, params7.T, naiveSplit),
+			Want: CoalitionOutcome{Words: 8, Messages: 8, Ticks: 22, Decisions: "p0:v p2:w p3:v p4:w"}},
+		{Name: "split-vote-paper-quorum-n7", Tag: "q", Input: "honest", N: 7, Genome: attacks.Coalition(7, params7.T, paperSplit),
+			Want: CoalitionOutcome{Words: 367, Messages: 175, Ticks: 31, Decisions: "p0:honest p2:honest p3:honest p4:honest", Fallbacks: 4}},
+		{Name: "selective-finalize-n7", Tag: "s", Input: "v", N: 7, Genome: attacks.Coalition(7, params7.T, selective),
+			Want: CoalitionOutcome{Words: 35, Messages: 35, Ticks: 22, Decisions: "p0:v p2:v p3:v p4:v"}},
+		{Name: "late-release", Tag: "h", Input: "v", Genome: attacks.Coalition(9, params.T, release(150)),
+			Want: CoalitionOutcome{Words: 728, Messages: 328, Ticks: 223, Decisions: "p0:v p2:v p3:v p4:v p5:v", Fallbacks: 5}},
+		{Name: "late-release-n7", Tag: "h", Input: "v", N: 7, Genome: attacks.Coalition(7, params7.T, release(150)),
+			Want: CoalitionOutcome{Words: 363, Messages: 171, Ticks: 215, Decisions: "p0:v p2:v p3:v p4:v", Fallbacks: 4}},
+		{Name: "late-release-p7-p8", Tag: "h", Input: "v", Genome: p7p8,
+			Want: CoalitionOutcome{Words: 36, Messages: 36, Ticks: 273, Decisions: "p0:v p1:v p2:v p3:v p4:v p5:v p6:v"}},
 	}
 }
 
 // Run runs the scenario and returns its outcome.
-func (sc WBALeaderScenario) Run(tb testing.TB) WBALeaderOutcome {
+func (sc CoalitionScenario) Run(tb testing.TB) CoalitionOutcome {
 	tb.Helper()
 	out, _ := sc.run(tb, nil)
 	return out
 }
 
 // run runs the scenario with onSend observing every send.
-func (sc WBALeaderScenario) run(tb testing.TB, onSend observer) (WBALeaderOutcome, *sim.Result) {
+func (sc CoalitionScenario) run(tb testing.TB, onSend observer) (CoalitionOutcome, *sim.Result) {
 	tb.Helper()
 	n := sc.N
 	if n == 0 {
 		n = 9
 	}
 	crypto, params := Suite(tb, n)
-	ids := sc.IDs
-	if ids == nil {
-		ids = []types.ProcessID{1}
-		for i := params.N - 1; len(ids) < params.T; i-- {
-			ids = append(ids, types.ProcessID(i))
-		}
-	}
-	adv := attacks.NewWBALeader(sc.Tag, ids...)
-	for _, f := range sc.Faces {
-		adv.Faces = append(adv.Faces, types.Value(f))
-	}
-	adv.Quorum, adv.Deny, adv.Release, adv.ReleaseTo = sc.QuorumOverride, sc.Deny, sc.Release, sc.ReleaseTo
 	machines := make(map[types.ProcessID]*wba.Machine)
 	res, err := sim.Run(sim.Config{
 		Params: params,
@@ -274,14 +267,14 @@ func (sc WBALeaderScenario) run(tb testing.TB, onSend observer) (WBALeaderOutcom
 			machines[id] = m
 			return m
 		},
-		Adversary: adv,
+		Adversary: attacks.Compile(sc.Genome, protocols.WBA, sc.Tag, 1, 2000),
 		MaxTicks:  2000,
 		OnSend:    onSend,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	out := WBALeaderOutcome{Words: res.Report.Honest.Words, Messages: res.Report.Honest.Messages, Ticks: res.Ticks}
+	out := CoalitionOutcome{Words: res.Report.Honest.Words, Messages: res.Report.Honest.Messages, Ticks: res.Ticks}
 	decisions := make([]string, 0, len(res.Honest))
 	for _, id := range res.Honest {
 		if d, ok := res.Decisions[id]; ok {

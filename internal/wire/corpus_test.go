@@ -140,12 +140,8 @@ func captureHelpRun(reg *wire.Registry, frames map[string][]byte) error {
 		return err
 	}
 	crypto := proto.NewCrypto(params, ring, threshold.ModeCompact, []byte("d"))
-	corrupt := []types.ProcessID{1}
-	for id := types.ProcessID(params.N - 1); len(corrupt) < params.T; id-- {
-		corrupt = append(corrupt, id)
-	}
-	adv := attacks.NewWBALeader("s", corrupt...)
-	adv.Faces, adv.Deny = []types.Value{types.Value("v")}, []types.ProcessID{3}
+	// p1 leads one face, "v", and denies p3 the finalize.
+	adv := attacks.Compile(attacks.Coalition(params.N, params.T, attacks.Move{Op: attacks.OpLead, Target: 3}), protocols.WBA, "s", 1, 2000)
 	var encodeErr error
 	_, err = sim.Run(sim.Config{
 		Params: params,
