@@ -169,14 +169,13 @@ race-guard:
 # test's proxy (internal/testenv), never inside a node or a server, and
 # every run meters its wire bytes (protocols.SizeOf): also fail if a
 # non-test file names one of the knobs that used to duplicate those
-# (REMOVED_KNOBS). Phase spam and help spam are genomes compiled by
-# internal/adversary/attacks, and the split vote, selective finalize and
-# late certificate release are one coalition there (attacks.WBALeader):
-# fail if a non-test file names one of the attacks they replaced
-# (REPLACED_ATTACKS).
+# (REMOVED_KNOBS). Phase spam, help spam, the split vote, the selective
+# finalize and the late certificate release are genomes compiled by
+# internal/adversary/attacks: fail if a non-test file names one of the
+# attacks they replaced (REPLACED_ATTACKS).
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
 REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|WithParallelVerify|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-|MeasureBytes|WithMeasuredBytes|-measure-bytes
-REPLACED_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam|WBASplitVote|SelectivePhaseLeader|LateCertRelease
+REPLACED_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam|WBASplitVote|SelectivePhaseLeader|LateCertRelease|WBALeader
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \
 	if echo "$$deps" | grep -qx 'adaptiveba/internal/harness'; then \
@@ -192,7 +191,7 @@ deps-guard:
 	fi; \
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REPLACED_ATTACKS)' .); \
 	if [ -n "$$hits" ]; then \
-		echo "$$hits"; echo "deps-guard: FAIL a replaced attack is back (phase and help spam are attacks.PhaseSpam and OpHelpSpam genes; split vote, selective finalize and late certificate release are attacks.WBALeader)"; exit 1; \
+		echo "$$hits"; echo "deps-guard: FAIL a replaced attack is back (phase and help spam are attacks.PhaseSpam and OpHelpSpam genes; the split vote and selective finalize are OpLead genes and the late certificate release an OpRelease gene, see attacks.Coalition)"; exit 1; \
 	fi
 
 # Interactive single-grid-point search with a full report.
@@ -217,20 +216,25 @@ examples:
 	$(GO) run ./examples/replicated-log
 	$(GO) run ./examples/tcp-cluster
 
+# Every fuzz target, FUZZTIME each (CI runs make fuzz FUZZTIME=20s).
+FUZZTIME ?= 30s
 fuzz:
-	$(GO) test ./internal/wire -fuzz FuzzDecodePayload -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzCertRoundTrip -fuzztime 30s
-	$(GO) test ./internal/wire -fuzz FuzzFullRegistryRoundTrip -fuzztime 30s
-	$(GO) test ./internal/core/bb -fuzz FuzzDecodeValue -fuzztime 30s
-	$(GO) test ./internal/acs -fuzz FuzzDecodeBatch -fuzztime 30s
-	$(GO) test ./internal/acs -fuzz FuzzDecodeResult -fuzztime 30s
-	$(GO) test ./internal/crypto/verifycache -fuzz FuzzCachedVerifyMatchesDirect -fuzztime 30s
-	$(GO) test ./internal/transport -fuzz FuzzReadFrame$$ -fuzztime 30s
-	$(GO) test ./internal/transport -fuzz FuzzReadFrameRoundTrip -fuzztime 30s
-	$(GO) test ./internal/adversary/attacks -fuzz FuzzScheduleGenome -fuzztime 30s
-	$(GO) test ./internal/service -fuzz FuzzDecodeRequest -fuzztime 30s
-	$(GO) test ./internal/service -fuzz FuzzDecodeResponse -fuzztime 30s
-	$(GO) test ./internal/service -fuzz FuzzDecodeAuditLog -fuzztime 30s
+	$(GO) test ./internal/wire -fuzz FuzzDecodePayload -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -fuzz FuzzCertRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -fuzz FuzzReaderPrimitives -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wire -fuzz FuzzFullRegistryRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/bb -fuzz FuzzDecodeValue -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/wba -fuzz FuzzMachineIngest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/types -fuzz FuzzBitSetOps -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/acs -fuzz FuzzDecodeBatch -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/acs -fuzz FuzzDecodeResult -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/crypto/verifycache -fuzz FuzzCachedVerifyMatchesDirect -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -fuzz FuzzReadFrame$$ -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -fuzz FuzzReadFrameRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/adversary/attacks -fuzz FuzzScheduleGenome -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -fuzz FuzzDecodeRequest -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -fuzz FuzzDecodeResponse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/service -fuzz FuzzDecodeAuditLog -fuzztime $(FUZZTIME)
 
 cover:
 	$(GO) test ./... -coverprofile=cover.out
