@@ -13,9 +13,10 @@
 //     withstand.
 //
 // Protocol-aware attacks live in the attacks subpackage, which may import
-// the protocol packages: phase and help spam as compiled genomes, and the
-// hand-written BB vetting equivocation, flood chains and weak BA leader
-// coalition (split vote, selective finalize, late certificate release).
+// the protocol packages: phase and help spam and the weak BA leader
+// coalition (split vote, selective finalize, late certificate release) as
+// compiled genomes, and the hand-written BB vetting equivocation and
+// flood chains.
 package adversary
 
 import (
