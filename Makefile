@@ -169,13 +169,14 @@ race-guard:
 # test's proxy (internal/testenv), never inside a node or a server, and
 # every run meters its wire bytes (protocols.SizeOf): also fail if a
 # non-test file names one of the knobs that used to duplicate those
-# (REMOVED_KNOBS). Phase spam, help spam, the split vote, the selective
-# finalize and the late certificate release are genomes compiled by
-# internal/adversary/attacks: fail if a non-test file names one of the
-# attacks they replaced (REPLACED_ATTACKS).
+# (REMOVED_KNOBS). Every attack is a genome compiled by
+# internal/adversary/attacks (phase spam, help spam, the split vote, the
+# selective finalize, the late certificate release, BB vetting
+# equivocation and the flood chain): fail if a non-test file names one of
+# the hand-written attacks they replaced (REPLACED_ATTACKS).
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
 REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|WithParallelVerify|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-|MeasureBytes|WithMeasuredBytes|-measure-bytes
-REPLACED_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam|WBASplitVote|SelectivePhaseLeader|LateCertRelease|WBALeader
+REPLACED_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam|WBASplitVote|SelectivePhaseLeader|LateCertRelease|WBALeader|BBVettingEquivocator|FloodChain
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \
 	if echo "$$deps" | grep -qx 'adaptiveba/internal/harness'; then \
@@ -191,7 +192,7 @@ deps-guard:
 	fi; \
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REPLACED_ATTACKS)' .); \
 	if [ -n "$$hits" ]; then \
-		echo "$$hits"; echo "deps-guard: FAIL a replaced attack is back (phase and help spam are attacks.PhaseSpam and OpHelpSpam genes; the split vote and selective finalize are OpLead genes and the late certificate release an OpRelease gene, see attacks.Coalition)"; exit 1; \
+		echo "$$hits"; echo "deps-guard: FAIL a replaced attack is back (phase and help spam are attacks.PhaseSpam and OpHelpSpam genes; the split vote and selective finalize are OpLead genes and the late certificate release an OpRelease gene, see attacks.Coalition; BB vetting equivocation is OpLead genes on BB, see attacks.Vetting; the flood chain is OpEquivocate genes on FloodSet, see attacks.WhisperChain)"; exit 1; \
 	fi
 
 # Interactive single-grid-point search with a full report.

@@ -2,16 +2,17 @@
 // apart from the generic package adversary because they import the
 // protocol packages (the generic behaviours are protocol-agnostic).
 //
-// Most attacks are data: a Genome encodes corruption timing,
+// Every attack is data: a Genome encodes corruption timing,
 // equivocation and selective targets, help-spam patterns, replay/flood
 // choices, a corrupted weak BA phase leader that mints certificates from
 // the shares it collects (the split vote and the selective finalize), a
-// late fallback certificate release, and the message-delivery order in a
-// compact byte form, and Compile turns it into a sim.Adversary for one
-// run. The schedule explorer (internal/explore) searches genomes; the
-// fixed attacks the harness and the tests run are genomes too (PhaseSpam,
-// Coalition). Behaviours the genes cannot express are hand-written: BB
-// vetting equivocation and flood chains.
+// late fallback certificate release, BB's sender and vetting leaders
+// handing out two valid values, FloodSet's mid-broadcast crashes, and
+// the message-delivery order in a compact byte form, and Compile turns
+// it into a sim.Adversary for one run. The schedule explorer
+// (internal/explore) searches genomes; the fixed attacks the harness and
+// the tests run are genomes too (PhaseSpam, Coalition, Vetting,
+// WhisperChain).
 //
 // The headline attack is phase spam: corrupted processes initiate their
 // rotating-leader phases — asking every correct process for help or votes
@@ -55,6 +56,33 @@ func Coalition(n, f int, moves ...Move) Genome {
 	g := Genome{Corruptions: []Corrupt{{Slot: 1, Moves: moves}}}
 	for id := n - 1; len(g.Corruptions) < f; id-- {
 		g.Corruptions = append(g.Corruptions, Corrupt{Slot: uint8(id)})
+	}
+	return g
+}
+
+// Vetting is the BB vetting coalition genome from tick 0: the sender p0
+// and p1, the leader of vetting phase 1, each making lead (an OpLead
+// move). With two faces (odd Count) the correct processes enter the
+// weak BA with two different sender-signed values, the case unique
+// validity (Definition 3) must absorb: the run may decide either face or
+// ⊥, but never split.
+func Vetting(lead Move) Genome {
+	return Genome{Corruptions: []Corrupt{{Slot: 0, Moves: []Move{lead}}, {Slot: 1, Moves: []Move{lead}}}}
+}
+
+// WhisperChain is FloodSet's Θ(f)-round chain, the classic lower bound
+// for early-stopping crash consensus: link k = p_k (1 ≤ k ≤ f) runs
+// correctly until round k (tick k − 1), then crashes mid-broadcast, its
+// last flood carrying the face "v" to link k+1 alone, and the last
+// link's to p0.
+// Every round exposes one fresh failure, so the clean-round rule cannot
+// fire before round f+1; only then does "v", the minimum if the honest
+// inputs sort above it, surface at a correct process and spread.
+func WhisperChain(f int) Genome {
+	var g Genome
+	for k := 1; k <= f; k++ {
+		g.Corruptions = append(g.Corruptions, Corrupt{Slot: uint8(k), At: uint8(k - 1),
+			Moves: []Move{{Op: OpEquivocate, Target: uint8((k + 1) % (f + 1))}}})
 	}
 	return g
 }

@@ -2,6 +2,7 @@ package attacks
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -325,28 +326,12 @@ func adversaryWithLateCorruption(at types.Tick) sim.Adversary {
 	return a
 }
 
-// TestBBVettingEquivocation: a Byzantine sender + Byzantine vetting leader
-// seed the correct processes with two different sender-signed values. Both
-// are BB_valid, so unique validity permits deciding either (or ⊥) — but
-// never disagreement.
+// TestBBVettingEquivocation: the vetting coalition, a Byzantine sender
+// and a Byzantine vetting leader, seeds the correct processes with two
+// different sender-signed values. Both are BB_valid, so unique validity
+// permits deciding either (or ⊥), but never disagreement.
 func TestBBVettingEquivocation(t *testing.T) {
-	crypto, params := setup(t, 9)
-	adv := NewBBVettingEquivocator("vt", types.Value("v1"), types.Value("v2"))
-	res, err := sim.Run(sim.Config{
-		Params: params,
-		Crypto: crypto,
-		Factory: func(id types.ProcessID) proto.Machine {
-			return bb.NewMachine(bb.Config{
-				Params: params, Crypto: crypto, ID: id,
-				Sender: 0, Tag: "vt",
-			})
-		},
-		Adversary: adv,
-		MaxTicks:  4000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, byz := runBB(t, 9, Vetting(Move{Op: OpLead, Count: 1}))
 	if !res.AllDecided() {
 		t.Fatal("not all decided")
 	}
@@ -354,9 +339,70 @@ func TestBBVettingEquivocation(t *testing.T) {
 	if !ok {
 		t.Fatal("vetting equivocation broke agreement")
 	}
-	if !v.IsBottom() && !v.Equal(types.Value("v1")) && !v.Equal(types.Value("v2")) {
+	if !v.IsBottom() && !v.Equal(types.Value("v")) && !v.Equal(types.Value("w")) {
 		t.Errorf("decided out-of-run value %v", v)
 	}
+	// The sender's face reaches the even-ranked p2, the leader's other
+	// face the odd-ranked p3.
+	var sent, pushed bool
+	for _, m := range byz {
+		switch p := m.Payload.(type) {
+		case bb.SenderMsg:
+			sent = sent || m.From == 0 && m.To == 2 && p.V.Equal(types.Value("v"))
+		case bb.Vetted:
+			pushed = pushed || m.From == 1 && m.To == 3 && p.Phase == 1
+		}
+	}
+	if !sent || !pushed {
+		t.Errorf("sender's face to p2 %t, leader's push to p3 %t; want both (%d Byzantine sends)", sent, pushed, len(byz))
+	}
+}
+
+// TestVettingLeaderCannotSignForACorrectSender: with the sender correct
+// the coalition has no sender signature, so the leader asks for help but
+// pushes nothing, and BB decides the sender's value (Lemma 10).
+func TestVettingLeaderCannotSignForACorrectSender(t *testing.T) {
+	res, byz := runBB(t, 9, Genome{Corruptions: []Corrupt{{Slot: 1, Moves: []Move{{Op: OpLead, Count: 1}}}}})
+	if v, ok := res.Agreement(); !res.AllDecided() || !ok || !v.Equal(types.Value("v")) {
+		t.Fatalf("all decided %t, agreement %v %t; want the sender's v", res.AllDecided(), v, ok)
+	}
+	if len(byz) == 0 {
+		t.Fatal("the leader sent no help request")
+	}
+	for _, m := range byz {
+		if _, ok := m.Payload.(bb.HelpReq); !ok {
+			t.Errorf("Byzantine %s from p%d to p%d: the leader signed as a correct sender", m.Payload.Type(), m.From, m.To)
+		}
+	}
+}
+
+// runBB runs BB at n under genome g with p0 the sender of "v", and
+// returns the result and every Byzantine send.
+func runBB(t *testing.T, n int, g Genome) (*sim.Result, []sim.Message) {
+	t.Helper()
+	crypto, params := setup(t, n)
+	var byz []sim.Message
+	res, err := sim.Run(sim.Config{
+		Params: params,
+		Crypto: crypto,
+		Factory: func(id types.ProcessID) proto.Machine {
+			return bb.NewMachine(bb.Config{
+				Params: params, Crypto: crypto, ID: id,
+				Sender: 0, Input: types.Value("v"), Tag: "vt",
+			})
+		},
+		Adversary: Compile(g, protocols.BB, "vt", 1, 4000),
+		MaxTicks:  4000,
+		OnSend: func(_ types.Tick, m sim.Message, honest bool) {
+			if !honest {
+				byz = append(byz, m)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, byz
 }
 
 // TestFloodChainForcesLinearRounds: the whisper chain delays FloodSet's
@@ -367,26 +413,18 @@ func TestFloodChainForcesLinearRounds(t *testing.T) {
 	rounds := make(map[int]types.Round)
 	for _, f := range []int{0, 3, 6} {
 		machines := make(map[types.ProcessID]*floodset.Machine)
-		var adv sim.Adversary
-		if f > 0 {
-			ids := make([]types.ProcessID, f)
-			for i := range ids {
-				ids[i] = types.ProcessID(i + 1)
-			}
-			adv = NewFloodChain(types.Value("0-hidden-min"), ids...)
-		}
 		res, err := sim.Run(sim.Config{
 			Params: params,
 			Crypto: crypto,
 			Factory: func(id types.ProcessID) proto.Machine {
 				m := floodset.NewMachine(floodset.Config{
 					Params: params, ID: id,
-					Input: types.Value(fmt.Sprintf("5-v%02d", id)),
+					Input: types.Value(fmt.Sprintf("x-%02d", id)),
 				})
 				machines[id] = m
 				return m
 			},
-			Adversary: adv,
+			Adversary: Compile(WhisperChain(f), protocols.FloodSet, "fs", 1, 200),
 			MaxTicks:  200,
 		})
 		if err != nil {
@@ -399,8 +437,8 @@ func TestFloodChainForcesLinearRounds(t *testing.T) {
 		if !ok {
 			t.Fatalf("f=%d: disagreement", f)
 		}
-		if f > 0 && !v.Equal(types.Value("0-hidden-min")) {
-			t.Fatalf("f=%d: hidden minimum lost, decided %v", f, v)
+		if f > 0 && !v.Equal(types.Value("v")) {
+			t.Fatalf("f=%d: the chain's face was lost, decided %v", f, v)
 		}
 		var max types.Round
 		for _, id := range res.Honest {
@@ -410,8 +448,9 @@ func TestFloodChainForcesLinearRounds(t *testing.T) {
 		}
 		rounds[f] = max
 	}
-	if rounds[3] <= rounds[0] || rounds[6] <= rounds[3] {
-		t.Errorf("rounds did not grow with the chain: %v", rounds)
+	// One round per link on top of the failure-free two.
+	if want := map[int]types.Round{0: 2, 3: 4, 6: 7}; !maps.Equal(rounds, want) {
+		t.Errorf("rounds by chain length %v, want %v", rounds, want)
 	}
 }
 

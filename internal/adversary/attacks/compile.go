@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/baseline/floodset"
 	"adaptiveba/internal/core/bb"
 	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
@@ -18,6 +19,11 @@ import (
 // maxRecorded bounds the honest-traffic tape kept for replay/flood moves.
 const maxRecorded = 4096
 
+// bbSender is the BB sender a lead gene on BB plays and signs as:
+// protocols.Config.Sender's zero value, which every run Compile serves
+// uses.
+const bbSender types.ProcessID = 0
+
 // action is one compiled, executable move: the genome's symbolic fields
 // resolved against the run's protocol and parameters.
 type action struct {
@@ -30,7 +36,8 @@ type action struct {
 	half  uint8       // equivocation/selective target half selector
 	count int         // replay burst size; lead: its faces, 1 or 2
 	// quorum is the threshold a lead mints at; to is the process a lead
-	// denies the finalize, or a release's one recipient (-1: all).
+	// denies the finalize, a release's one recipient (-1: all) or a
+	// FloodSet equivocation's one recipient.
 	quorum int
 	to     types.ProcessID
 }
@@ -48,6 +55,7 @@ type genomeAdversary struct {
 	maxTicks types.Tick
 
 	actions  []action
+	correct  []types.ProcessID // the processes never corrupted, in id (rank) order
 	horizon  types.Tick
 	recorded []sim.Message
 	recIdx   int
@@ -130,6 +138,11 @@ func (a *genomeAdversary) compile() {
 		}
 	}
 	sort.SliceStable(a.actions, func(i, j int) bool { return a.actions[i].tick < a.actions[j].tick })
+	for i := 0; i < p.N; i++ {
+		if id := types.ProcessID(i); !a.Corrupted(id) {
+			a.correct = append(a.correct, id)
+		}
+	}
 	// The adversary acts until its last action, and a release keeps the
 	// run up through the fallback it may start, within the run's budget.
 	for _, act := range a.actions {
@@ -168,6 +181,12 @@ func (a *genomeAdversary) compileMove(m Move, id types.ProcessID, at types.Tick,
 		return tick
 	}
 
+	if m.Op == OpReplay || m.Op == OpFlood { // every protocol
+		act.tick = clamp(types.Tick(m.Arg) % horizon)
+		a.actions = append(a.actions, act)
+		return
+	}
+
 	// Phase-driven ticks follow the protocols' own round layout
 	// (wba.PhaseStart, bb.PhaseStart); BB's nested weak BA begins after
 	// its n vetting phases.
@@ -182,8 +201,6 @@ func (a *genomeAdversary) compileMove(m Move, id types.ProcessID, at types.Tick,
 			act.tick = clamp(wba.PhaseStart(act.phase))
 		case OpHelpSpam: // the first help round, after the last phase
 			act.tick = clamp(wba.PhaseStart(phases + 1))
-		case OpReplay, OpFlood:
-			act.tick = clamp(types.Tick(m.Arg) % horizon)
 		case OpLead: // the phase id leads, if any, in three steps
 			act.phase = int(id)
 			if act.phase < 1 || act.phase > phases {
@@ -194,12 +211,7 @@ func (a *genomeAdversary) compileMove(m Move, id types.ProcessID, at types.Tick,
 				act.quorum = p.SmallQuorum()
 			}
 			a.shares = make(map[string][]threshold.Share)
-			for _, step := range []types.Tick{0, 2, 4} {
-				// A step before the takeover is dropped: the honest machine ran it.
-				if act.tick = wba.PhaseStart(act.phase) + step; act.tick >= at {
-					a.actions = append(a.actions, act)
-				}
-			}
+			a.steps(act, at, wba.PhaseStart(act.phase), 0, 2, 4)
 			return
 		case OpRelease:
 			act.tick = clamp(types.Tick(m.Arg) % horizon)
@@ -211,7 +223,18 @@ func (a *genomeAdversary) compileMove(m Move, id types.ProcessID, at types.Tick,
 	case protocols.BB:
 		wbaStart := bb.PhaseStart(p.N + 1)
 		switch m.Op {
-		case OpSilence, OpLead, OpRelease:
+		case OpSilence, OpRelease:
+			return
+		case OpLead: // the sender's round 1 on p0, else the vetting phase id leads
+			act.count, act.phase = 1+int(m.Count)%2, int(id)
+			if id == bbSender {
+				a.steps(act, at, 0, 0)
+				return
+			}
+			help := act // the phase's help request, as OpProposeSpam sends it
+			help.op = OpProposeSpam
+			a.steps(help, at, bb.PhaseStart(act.phase), 0)
+			a.steps(act, at, bb.PhaseStart(act.phase), 2)
 			return
 		case OpProposeSpam: // vetting-phase help request
 			act.phase = 1 + int(m.Arg)%p.N
@@ -219,19 +242,27 @@ func (a *genomeAdversary) compileMove(m Move, id types.ProcessID, at types.Tick,
 		case OpEquivocate, OpHelpSpam: // nested weak BA spam with the captured envelope
 			act.phase = 1 + int(m.Arg)%(p.T+1)
 			act.tick = clamp(wbaStart + wba.PhaseStart(act.phase))
-		case OpReplay, OpFlood:
-			act.tick = clamp(types.Tick(m.Arg) % horizon)
 		}
-	default:
-		// Other protocols get the protocol-agnostic subset only.
-		switch m.Op {
-		case OpReplay, OpFlood:
-			act.tick = clamp(types.Tick(m.Arg) % horizon)
-		default:
+	case protocols.FloodSet:
+		if m.Op != OpEquivocate {
 			return
 		}
+		act.tick, act.to = at, types.ProcessID(int(m.Target)%p.N)
+	default:
+		// Other protocols get the protocol-agnostic ops only.
+		return
 	}
 	a.actions = append(a.actions, act)
+}
+
+// steps appends act at start plus each offset; a step before the
+// takeover at is dropped, since the honest machine ran it.
+func (a *genomeAdversary) steps(act action, at, start types.Tick, offsets ...types.Tick) {
+	for _, off := range offsets {
+		if act.tick = start + off; act.tick >= at {
+			a.actions = append(a.actions, act)
+		}
+	}
 }
 
 // Observe implements sim.Adversary: BB runs capture the sender's signed
@@ -343,6 +374,10 @@ func (a *genomeAdversary) emit(msgs []sim.Message, act action) []sim.Message {
 			})
 		}
 	case OpEquivocate:
+		if a.protocol == protocols.FloodSet {
+			// The mid-broadcast crash: the last flood reaches one process.
+			return append(msgs, sim.Message{From: act.from, To: act.to, Payload: floodset.Flood{Values: []types.Value{act.value}}})
+		}
 		if a.protocol == protocols.BB {
 			// Selective release of the (valid) sender envelope: only the
 			// chosen half sees the nested proposal.
@@ -406,6 +441,9 @@ func (a *genomeAdversary) emit(msgs []sim.Message, act action) []sim.Message {
 			})
 		}
 	case OpLead:
+		if a.protocol == protocols.BB {
+			return a.vetStep(msgs, act)
+		}
 		return a.leadStep(msgs, act)
 	case OpRelease:
 		cert := a.mint(a.Env.Params.SmallQuorum(), wba.HelpReqBase(a.tag), act.tick)
@@ -457,17 +495,55 @@ func (a *genomeAdversary) leadStep(msgs []sim.Message, act action) []sim.Message
 		if p == nil {
 			continue
 		}
-		rank := 0
-		for j := 0; j < a.Env.Params.N; j++ {
-			if id := types.ProcessID(j); !a.Corrupted(id) {
-				if rank%act.count == i && (step != 4 || id != act.to) {
-					msgs = append(msgs, sim.Message{From: act.from, To: id, Payload: p})
-				}
-				rank++
+		for rank, id := range a.correct {
+			if rank%act.count == i && (step != 4 || id != act.to) {
+				msgs = append(msgs, sim.Message{From: act.from, To: id, Payload: p})
 			}
 		}
 	}
 	return msgs
+}
+
+// vetStep appends the signed step of an OpLead gene on BB. The sender
+// sends its first face to the even-ranked correct processes in round 1.
+// Vetting phase j's leader, having asked for help at the phase's start
+// (so the processes without a value answer idk), pushes its last face,
+// signed as the sender, to the odd-ranked correct processes at +2. A
+// face is signed only if the sender is corrupted by then.
+func (a *genomeAdversary) vetStep(msgs []sim.Message, act action) []sim.Message {
+	if !a.corruptedBy(bbSender, act.tick) {
+		return msgs
+	}
+	leader := act.from != bbSender
+	face := act.value
+	if leader {
+		face = []types.Value{act.value, act.alt}[act.count-1]
+	}
+	sg, err := a.Env.Crypto.Signer(bbSender).Sign(bb.SenderBase(a.tag, bbSender, face))
+	if err != nil {
+		return msgs
+	}
+	var p proto.Payload = bb.SenderMsg{V: face, Sig: sg}
+	parity := 0
+	if leader {
+		p, parity = bb.Vetted{Phase: act.phase, Val: bb.EncodeSenderValue(bb.SenderValue{V: face, Sig: sg})}, 1
+	}
+	for rank, id := range a.correct {
+		if rank%2 == parity {
+			msgs = append(msgs, sim.Message{From: act.from, To: id, Payload: p})
+		}
+	}
+	return msgs
+}
+
+// corruptedBy reports whether the coalition has taken id over by now.
+func (a *genomeAdversary) corruptedBy(id types.ProcessID, now types.Tick) bool {
+	for _, c := range a.Schedule {
+		if c.ID == id {
+			return c.At <= now
+		}
+	}
+	return false
 }
 
 // Quiescent implements sim.Adversary: no actions remain past the last

@@ -36,6 +36,9 @@ func FuzzScheduleGenome(f *testing.F) {
 	// release to one process.
 	f.Add(Coalition(9, 4, Move{Op: OpLead, Arg: 1, Target: 1, Count: 1}).Encode())
 	f.Add(Coalition(7, 3, Move{Op: OpRelease, Arg: 150, Target: 0, Count: 1}).Encode())
+	// BB's vetting coalition with two faces, and FloodSet's chain.
+	f.Add(Vetting(Move{Op: OpLead, Count: 1}).Encode())
+	f.Add(WhisperChain(6).Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := Decode(data)

@@ -28,7 +28,11 @@ const (
 	// OpEquivocate plays a phase leader two-faced: proposal v1 to the
 	// even-ranked correct processes, v2 to the odd-ranked (WBA), or the
 	// captured sender envelope to only half the processes (BB) — the
-	// split/selective target family.
+	// split/selective target family. On FloodSet it is the mid-broadcast
+	// crash: at its corruption tick the process floods the move's value
+	// to process Target mod n alone. A chain of such links, each
+	// corrupted a tick after the one before and whispering to the next,
+	// exposes one fresh failure a round (WhisperChain).
 	OpEquivocate
 	// OpHelpSpam spends the help path: WBA corrupted processes sign and
 	// broadcast help requests even though they could decide (each decided
@@ -54,6 +58,16 @@ const (
 	// mod n is denied the finalize (a corrupted one denies nobody). Two
 	// faces are the split vote, one face with a correct target the
 	// selective finalize.
+	//
+	// On BB the process plays its BB role, with the same faces. The
+	// sender p0 (protocols.Config.Sender's zero value, which every
+	// Compile caller uses) sends its first face, signed, to the
+	// even-ranked correct processes in round 1. Vetting phase j's leader
+	// p_j (1 ≤ j < n) asks every process for help at bb.PhaseStart(j) and
+	// at +2 pushes its last face, signed as p0, to the odd-ranked correct
+	// processes: two BB_valid values reach the weak BA (Vetting). The
+	// coalition signs as p0 only once it has corrupted p0. A step before
+	// the takeover is dropped, on either protocol.
 	OpLead
 	// OpRelease holds back the fallback certificate: at tick Arg it sends
 	// the certificate that the help-request shares the coalition received

@@ -9,17 +9,14 @@ import (
 	"adaptiveba/internal/types"
 )
 
-// Compile-time interface satisfaction for every attack in this package:
-// each must be a full sim.Adversary (the adversary.Core lifecycle —
-// Init, Corruptions, the Observe/Act hooks, Quiescent). Core has no
-// Quiescent, so an attack that does not state its own horizon (or loses
-// it to a rename) fails here at build time, not at the first simulation
-// whose skipped ticks drop one of its actions.
-var (
-	_ sim.Adversary = (*genomeAdversary)(nil)
-	_ sim.Adversary = (*BBVettingEquivocator)(nil)
-	_ sim.Adversary = (*FloodChain)(nil)
-)
+// Compile-time interface satisfaction for the package's one adversary,
+// which runs every attack: it must be a full sim.Adversary (the
+// adversary.Core lifecycle — Init, Corruptions, the Observe/Act hooks,
+// Quiescent). Core has no Quiescent, so an adversary that does not state
+// its own horizon (or loses it to a rename) fails here at build time,
+// not at the first simulation whose skipped ticks drop one of its
+// actions.
+var _ sim.Adversary = (*genomeAdversary)(nil)
 
 // TestEveryAttackFollowsTheCoreLifecycle drives each attack through the
 // engine's call order without a simulation: Init then Corruptions must
@@ -38,8 +35,8 @@ func TestEveryAttackFollowsTheCoreLifecycle(t *testing.T) {
 	builds := map[string]sim.Adversary{
 		"wba-phase-spam":     Compile(PhaseSpam(protocols.WBA, ids...), protocols.WBA, "tag", 1, 100),
 		"bb-phase-spam":      Compile(PhaseSpam(protocols.BB, ids...), protocols.BB, "tag", 1, 100),
-		"bb-vetting-equiv":   NewBBVettingEquivocator("tag", types.Value("a"), types.Value("b")),
-		"flood-chain":        NewFloodChain(types.Value("m"), ids...),
+		"bb-vetting-equiv":   Compile(Vetting(Move{Op: OpLead, Count: 1}), protocols.BB, "tag", 1, 100),
+		"flood-chain":        Compile(WhisperChain(len(ids)), protocols.FloodSet, "tag", 1, 100),
 		"wba-help-spam":      Compile(helpSpam(ids...), protocols.WBA, "tag", 1, 100),
 		"late-cert-release":  coalition(Move{Op: OpRelease, Arg: 25}),
 		"selective-phase":    coalition(Move{Op: OpLead, Target: 3}),

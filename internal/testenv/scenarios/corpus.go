@@ -174,7 +174,10 @@ func (r *recorder) line(name string, o outcome) string {
 //   - outcome-pins: every protocol kind at n = 9, f = 1 under crash,
 //     crash-leader, replay and stagger;
 //   - wba-leader-pins: CoalitionScenarios;
-//   - bb-vetting-equivocation: attacks.BBVettingEquivocator at n = 5, 9;
+//   - bb-vetting-equivocation: the attacks.Vetting genome, two faces, at
+//     n = 5, 9;
+//   - flood-chain: FloodSet at n = 13 with distinct inputs under the
+//     attacks.WhisperChain genome of f = 3, 6 links;
 //   - early-leader: a later phase's leader sending its opening message
 //     early, which correct processes stash and must wake for;
 //   - explorer-seeds: the explorer's seeded search for BB and weak BA at
@@ -204,11 +207,13 @@ func Corpus() []Scenario {
 	for _, sc := range CoalitionScenarios() {
 		scs = append(scs, coalition(sc))
 	}
+	vetting := attacks.Vetting(attacks.Move{Op: attacks.OpLead, Count: 1})
 	for _, n := range []int{5, 9} {
-		scs = append(scs, spec(fmt.Sprintf("bb-vetting-equivocation/n=%d", n), true, harness.Spec{Protocol: harness.ProtocolBB, N: n, F: 2,
-			Adversary: func(types.Tick) sim.Adversary {
-				return attacks.NewBBVettingEquivocator(harness.Tag(harness.ProtocolBB), types.Value("v1"), types.Value("v2"))
-			}}))
+		scs = append(scs, genome(fmt.Sprintf("bb-vetting-equivocation/n=%d", n), harness.Spec{Protocol: harness.ProtocolBB, N: n, F: 2}, vetting))
+	}
+	for _, f := range []int{3, 6} {
+		scs = append(scs, genome(fmt.Sprintf("flood-chain/n=13/f=%d", f),
+			harness.Spec{Protocol: harness.ProtocolFloodSet, N: 13, F: f, Inputs: harness.InputsDistinct}, attacks.WhisperChain(f)))
 	}
 	for _, n := range []int{5, 9} {
 		for _, e := range []struct {
@@ -293,6 +298,15 @@ func spec(name string, short bool, s harness.Spec) Scenario {
 			sends: true, words: o.Words, ticks: o.Ticks, steps: o.Steps,
 		}
 	}}
+}
+
+// genome is the harness run of s under g, compiled for s's protocol and
+// tag.
+func genome(name string, s harness.Spec, g attacks.Genome) Scenario {
+	s.Adversary = func(maxTicks types.Tick) sim.Adversary {
+		return attacks.Compile(g, s.Protocol, harness.Tag(s.Protocol), 1, maxTicks)
+	}
+	return spec(name, true, s)
 }
 
 // simOutcome is a simulator run's outcome: each correct process's
