@@ -63,8 +63,11 @@ func (c Config) withDefaults() Config {
 
 // Candidate is one evaluated schedule.
 type Candidate struct {
-	Genome    attacks.Genome
-	Words     int64 // honest words — the quantity the envelope bounds
+	Genome attacks.Genome
+	Words  int64 // honest words — the quantity the envelope bounds
+	// Ticks is the latest honest decision tick (harness.Outcome.
+	// DecisionTick): the protocol's latency under the schedule, not how
+	// long the adversary kept the run up.
 	Ticks     types.Tick
 	Fallbacks int
 	Decided   bool
@@ -92,7 +95,7 @@ type Result struct {
 	T           int // resolved corruption threshold
 	Generations []GenerationStat
 	// Best is the worst schedule found: the candidate extracting the most
-	// honest words (ties: most ticks).
+	// honest words (ties: the latest decision).
 	Best Candidate
 	// Violating collects every evaluated candidate that broke an
 	// invariant, each replayable from its genome.
@@ -211,8 +214,8 @@ func checkInvariants(cfg Config, t int, g attacks.Genome, o *harness.Outcome) []
 	return v
 }
 
-// better orders candidates by fitness: more honest words, then more
-// ticks, then (for a stable total order at any worker count) smaller
+// better orders candidates by fitness: more honest words, then a later
+// decision, then (for a stable total order at any worker count) smaller
 // genome encoding.
 func better(a, b *Candidate) bool {
 	if a.Words != b.Words {
@@ -231,7 +234,10 @@ func better(a, b *Candidate) bool {
 // weak BA search with F ≥ 1 seeds the second slot with the coalition
 // that attacks both of weak BA's defences: p1 leads phase 1 with two
 // faces at the paper's quorum (the split vote), and the coalition
-// releases the fallback certificate after the first help round.
+// releases the fallback certificate after the first help round. A BB
+// search with F ≥ 2 seeds it with the vetting coalition: the sender p0
+// and vetting leader p1 hand the correct processes two faces, and the
+// other F − 2 corruptions spam as in the first slot.
 func seedPopulation(rng *rand.Rand, cfg Config, t int) []attacks.Genome {
 	pop := make([]attacks.Genome, cfg.Population)
 	spam := attacks.Genome{}
@@ -243,11 +249,15 @@ func seedPopulation(rng *rand.Rand, cfg Config, t int) []attacks.Genome {
 	}
 	pop[0] = spam
 	i := 1
-	if cfg.Protocol == protocols.WBA && cfg.F >= 1 && cfg.Population > 1 {
+	switch {
+	case cfg.Population < 2:
+	case cfg.Protocol == protocols.WBA && cfg.F >= 1:
 		split := attacks.Move{Op: attacks.OpLead, Count: 1, Target: 1}
 		release := attacks.Move{Op: attacks.OpRelease, Arg: uint8(min(wba.PhaseStart(t+3), 255))}
-		pop[1] = attacks.Coalition(cfg.N, cfg.F, split, release)
-		i = 2
+		pop[1], i = attacks.Coalition(cfg.N, cfg.F, split, release), 2
+	case cfg.Protocol == protocols.BB && cfg.F >= 2:
+		pop[1], i = attacks.Vetting(attacks.Move{Op: attacks.OpLead, Count: 1}), 2
+		pop[1].Corruptions = append(pop[1].Corruptions, spam.Corruptions[1:cfg.F-1]...)
 	}
 	for ; i < cfg.Population; i++ {
 		pop[i] = attacks.RandomGenome(rng, cfg.F)
@@ -314,7 +324,7 @@ func Explore(cfg Config) (*Result, error) {
 			ranked[i] = Candidate{
 				Genome:     pop[i],
 				Words:      o.Words,
-				Ticks:      o.Ticks,
+				Ticks:      o.DecisionTick,
 				Fallbacks:  o.FallbackCount,
 				Decided:    o.Decided,
 				Agreement:  o.Agreement,

@@ -105,9 +105,9 @@ func TestReplayWorstSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Words != res.Best.Words || o.Ticks != res.Best.Ticks {
-		t.Errorf("replay: words=%d ticks=%d, search recorded words=%d ticks=%d",
-			o.Words, o.Ticks, res.Best.Words, res.Best.Ticks)
+	if o.Words != res.Best.Words || o.DecisionTick != res.Best.Ticks {
+		t.Errorf("replay: words=%d decision tick=%d, search recorded words=%d ticks=%d",
+			o.Words, o.DecisionTick, res.Best.Words, res.Best.Ticks)
 	}
 }
 
