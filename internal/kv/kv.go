@@ -17,6 +17,7 @@
 package kv
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -143,75 +144,135 @@ func (s *Store) Snapshot() map[string]string {
 // a long-running service truncate its committed log: replaying the
 // suffix on top of the snapshot yields the same state hash as replaying
 // the full log from genesis.
+//
+// The keys are sorted once and the encoding is written in one pass into
+// an exact-size buffer: the state hash is Hash's byte stream, fed record
+// by record as each key and value is written.
 func (s *Store) EncodeSnapshot() []byte {
-	w := wire.NewWriter()
-	w.PutInt(s.applied)
-	keys := s.sortedKeys()
-	w.PutInt(len(keys))
-	for _, k := range keys {
-		w.PutString(k)
-		w.PutString(s.data[k])
+	keys := make([]string, 0, len(s.data))
+	size, longest := 2*wire.SizeInt+wire.SizeBytes(hashHexLen), 0
+	for k, v := range s.data {
+		keys = append(keys, k)
+		size += wire.SizeBytes(len(k)) + wire.SizeBytes(len(v))
+		longest = max(longest, len(k)+len(v))
 	}
-	w.PutString(s.Hash())
+	slices.Sort(keys)
+	w := wire.NewWriterSize(size)
+	w.PutInt(s.applied)
+	w.PutInt(len(keys))
+	h := sha256.New()
+	rec := make([]byte, 0, longest+maxRecordFrame)
+	for _, k := range keys {
+		v := s.data[k]
+		w.PutString(k)
+		w.PutString(v)
+		rec = appendRecord(rec[:0], k, v)
+		h.Write(rec)
+	}
+	w.PutString(hex.EncodeToString(h.Sum(nil)[:hashLen]))
 	return w.Bytes()
 }
 
 // DecodeSnapshot reconstructs a store from EncodeSnapshot output. The
 // embedded state hash is re-verified against the decoded state; any
-// corruption — hostile lengths, truncation, or a flipped byte that
-// changes a value — fails with ErrSnapshotMismatch or a wire error, never
-// a silently wrong store.
+// corruption — hostile lengths, truncation, keys out of order, or a
+// flipped byte that changes a value — fails with ErrSnapshotMismatch or a
+// wire error, never a silently wrong store.
 func DecodeSnapshot(enc []byte) (*Store, error) {
-	r := wire.NewReader(enc)
+	s := &Store{}
+	if err := readSnapshot(enc, s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// CheckSnapshot reports whether DecodeSnapshot would accept enc, with the
+// same parse and hash comparison but without building the store.
+func CheckSnapshot(enc []byte) error { return readSnapshot(enc, nil) }
+
+// readSnapshot parses and verifies enc in one pass, filling s unless s is
+// nil. A valid snapshot lists its keys in strictly ascending order, as
+// EncodeSnapshot writes them, so the records are hashed in stream order
+// and nothing is sorted.
+func readSnapshot(enc []byte, s *Store) error {
+	r := wire.NewViewReader(enc)
 	applied := r.Int()
 	n := r.Int()
 	if err := r.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if applied < 0 || n < 0 || n > wire.MaxChunk/8 {
-		return nil, fmt.Errorf("%w: implausible snapshot header (applied=%d keys=%d)",
+	// A record is at least its two length prefixes, so n is also bounded
+	// by the bytes left: a hostile count cannot presize a large map.
+	if applied < 0 || n < 0 || n > wire.MaxChunk/8 || n > len(enc)/(2*wire.SizeInt) {
+		return fmt.Errorf("%w: implausible snapshot header (applied=%d keys=%d)",
 			ErrSnapshotMismatch, applied, n)
 	}
-	s := NewStore()
-	s.applied = applied
+	if s != nil {
+		s.applied, s.data = applied, make(map[string]string, n)
+	}
+	h := sha256.New()
+	var rec, prev []byte
 	for i := 0; i < n; i++ {
-		k := r.String()
-		v := r.String()
+		k := r.Bytes()
+		v := r.Bytes()
 		if r.Err() != nil {
 			break
 		}
-		s.data[k] = v
+		if i > 0 && bytes.Compare(prev, k) >= 0 {
+			return fmt.Errorf("%w: key %d is not above key %d", ErrSnapshotMismatch, i, i-1)
+		}
+		prev = k
+		rec = appendRecord(rec[:0], k, v)
+		h.Write(rec)
+		if s != nil {
+			s.data[string(k)] = string(v)
+		}
 	}
-	want := r.String()
+	want := r.Bytes()
 	if err := r.Close(); err != nil {
-		return nil, err
+		return err
 	}
-	if got := s.Hash(); got != want {
-		return nil, fmt.Errorf("%w: decoded %s, snapshot claims %s", ErrSnapshotMismatch, got, want)
+	var got [hashHexLen]byte
+	hex.Encode(got[:], h.Sum(nil)[:hashLen])
+	if !bytes.Equal(got[:], want) {
+		return fmt.Errorf("%w: decoded %s, snapshot claims %s", ErrSnapshotMismatch, got[:], want)
 	}
-	return s, nil
+	return nil
 }
 
 // Hash returns a canonical digest of the state, for cheap cross-replica
 // convergence checks: SHA-256 over "<len>:<key>=<len>:<value>;" for every
 // key in sorted order, truncated to 16 bytes.
 func (s *Store) Hash() string {
-	keys := s.sortedKeys()
 	h := sha256.New()
-	var buf []byte
-	for _, k := range keys {
-		v := s.data[k]
-		buf = strconv.AppendInt(buf[:0], int64(len(k)), 10)
-		buf = append(buf, ':')
-		buf = append(buf, k...)
-		buf = append(buf, '=')
-		buf = strconv.AppendInt(buf, int64(len(v)), 10)
-		buf = append(buf, ':')
-		buf = append(buf, v...)
-		buf = append(buf, ';')
-		h.Write(buf)
+	var rec []byte
+	for _, k := range s.sortedKeys() {
+		rec = appendRecord(rec[:0], k, s.data[k])
+		h.Write(rec)
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	return hex.EncodeToString(h.Sum(nil)[:hashLen])
+}
+
+// The state hash is the first hashLen bytes of the SHA-256, written in
+// hex; a record "<len>:<key>=<len>:<value>;" adds at most maxRecordFrame
+// bytes to its key and value (two decimal lengths and four separators).
+const (
+	hashLen        = 16
+	hashHexLen     = 2 * hashLen
+	maxRecordFrame = 2*20 + 4
+)
+
+// appendRecord appends the record "<len>:<key>=<len>:<value>;" that the
+// state hash covers for one key, the one writer of that byte stream.
+func appendRecord[T string | []byte](buf []byte, k, v T) []byte {
+	buf = strconv.AppendInt(buf, int64(len(k)), 10)
+	buf = append(buf, ':')
+	buf = append(buf, k...)
+	buf = append(buf, '=')
+	buf = strconv.AppendInt(buf, int64(len(v)), 10)
+	buf = append(buf, ':')
+	buf = append(buf, v...)
+	return append(buf, ';')
 }
 
 // sortedKeys returns the live keys in ascending order.

@@ -444,7 +444,7 @@ func (c *Core) maybeSnapshot() error {
 // later restore is self-verifying (kv.ErrSnapshotMismatch).
 func (c *Core) SnapshotNow() error {
 	c.snapshot = c.store.EncodeSnapshot()
-	if _, err := kv.DecodeSnapshot(c.snapshot); err != nil {
+	if err := kv.CheckSnapshot(c.snapshot); err != nil {
 		return err // never truncate on an unrestorable snapshot
 	}
 	c.mu.Lock()
