@@ -447,7 +447,11 @@ func runScale(out io.Writer, g grid) ([]row, map[string]bool, error) {
 }
 
 // runScaleCell runs one scale cell and measures its words, wall clock and
-// allocation rate.
+// allocation rate. The cell runs once unmeasured first, so the timed run
+// finds the heap and the pooled buffers in the state its own kind of run
+// leaves, not whatever the cells before it left: without it the first
+// floodset cell at n = 4 096 read 14.5–16.7 s and the three after it
+// 3.5–8.8 s. The runs are deterministic, so only the timing differs.
 func runScaleCell(protocol string, fault harness.Fault, p types.Params, f int) (row, error) {
 	r := row{Protocol: protocol, N: p.N, F: f}
 	if protocol == string(harness.ProtocolBB) && p.N >= scaleSkipFromN && f >= p.FallbackThreshold() {
@@ -455,11 +459,15 @@ func runScaleCell(protocol string, fault harness.Fault, p types.Params, f int) (
 		r.EstimatedWords = explore.Envelope(p.N, p.T, f)
 		return r, nil
 	}
+	spec := harness.Spec{Protocol: harness.Protocol(protocol), N: p.N, F: f, Fault: fault}
+	if _, err := harness.Run(spec); err != nil {
+		return r, fmt.Errorf("%s n=%d f=%d: warm-up: %w", protocol, p.N, f, err)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	o, err := harness.Run(harness.Spec{Protocol: harness.Protocol(protocol), N: p.N, F: f, Fault: fault})
+	o, err := harness.Run(spec)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {
