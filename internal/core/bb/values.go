@@ -75,8 +75,11 @@ func EncodeSenderValue(sv SenderValue) types.Value {
 }
 
 // EncodeIDKCert serializes QC_idk into an opaque weak-BA value, in one
-// exact-size allocation.
+// exact-size allocation. The certificate is forwarded (threshold
+// Cert.Forward): the copies the receivers' validators decode out of the
+// value are then checked against its mint record, not with a MAC.
 func EncodeIDKCert(c IDKCert) types.Value {
+	c.Cert.Forward()
 	w := wire.NewWriterSize(1 + wire.SizeInt + wire.SizeCert(c.Cert))
 	w.PutByte(kindIDKCert)
 	w.PutInt(c.Phase)
