@@ -174,10 +174,14 @@ race-guard:
 # internal/adversary/attacks (phase spam, help spam, the split vote, the
 # selective finalize, the late certificate release, BB vetting
 # equivocation and the flood chain): fail if a non-test file names one of
-# the hand-written attacks they replaced (REPLACED_ATTACKS).
+# the hand-written attacks they replaced (REPLACED_ATTACKS). Every named
+# fault pattern is built by the one pattern table, attacks.Patterns: fail
+# if a non-test file names one of the pattern rules it replaced
+# (REPLACED_PATTERNS).
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
 REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|WithParallelVerify|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-|MeasureBytes|WithMeasuredBytes|-measure-bytes
 REPLACED_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam|WBASplitVote|SelectivePhaseLeader|LateCertRelease|WBALeader|BBVettingEquivocator|FloodChain
+REPLACED_PATTERNS := adversary\.ForPattern|FirstProcesses
 deps-guard:
 	@deps=$$($(GO) list -deps .) || exit 1; \
 	if echo "$$deps" | grep -qx 'adaptiveba/internal/harness'; then \
@@ -194,6 +198,10 @@ deps-guard:
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REPLACED_ATTACKS)' .); \
 	if [ -n "$$hits" ]; then \
 		echo "$$hits"; echo "deps-guard: FAIL a replaced attack is back (phase and help spam are attacks.PhaseSpam and OpHelpSpam genes; the split vote and selective finalize are OpLead genes and the late certificate release an OpRelease gene, see attacks.Coalition; BB vetting equivocation is OpLead genes on BB, see attacks.Vetting; the flood chain is OpEquivocate genes on FloodSet, see attacks.WhisperChain)"; exit 1; \
+	fi; \
+	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REPLACED_PATTERNS)' .); \
+	if [ -n "$$hits" ]; then \
+		echo "$$hits"; echo "deps-guard: FAIL a replaced pattern rule is back (every named fault pattern is an entry of the one table attacks.Patterns, in internal/adversary/attacks/patterns.go; look names up with attacks.PatternNamed, and take crash sets from adversary.CrashSet)"; exit 1; \
 	fi
 
 # Interactive single-grid-point search with a full report.

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 
+	"adaptiveba/internal/adversary/attacks"
+	"adaptiveba/internal/harness"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/testenv"
 )
@@ -241,6 +243,44 @@ func TestSessionGroupsCountTheCallsCacheLookups(t *testing.T) {
 		if got.CacheMisses != want.CacheMisses || got.CacheHits != want.CacheHits {
 			t.Errorf("GOMAXPROCS %d: %d hits, %d misses; GOMAXPROCS 1: %d hits, %d misses",
 				procs, got.CacheHits, got.CacheMisses, want.CacheHits, want.CacheMisses)
+		}
+	}
+}
+
+// TestFaultPatternTable holds every surface that takes a fault pattern
+// name to the one table, attacks.Patterns: the harness runs every entry
+// and refuses a name outside it; the public API accepts exactly its
+// three FaultPattern constants; and the multi-session paths, RunMany and
+// harness.RunEngine, accept exactly the entries marked as tick-0
+// crashes. (Each command's -fault help lists the table too, which its
+// own TestHelpLists* test holds.)
+func TestFaultPatternTable(t *testing.T) {
+	ctx := context.Background()
+	public := map[string]bool{string(FaultCrash): true, string(FaultCrashLeader): true, string(FaultReplay): true}
+	names := []string{"crash-all"}
+	for _, p := range attacks.Patterns {
+		names = append(names, p.Name)
+	}
+	for _, name := range names {
+		p, inTable := attacks.PatternNamed(name)
+		spec := harness.Spec{Protocol: harness.ProtocolBB, N: 5, F: 1, Fault: harness.Fault(name)}
+		if _, err := harness.Run(spec); (err == nil) != inTable {
+			t.Errorf("%q: harness.Run error %v, in the table %t", name, err, inTable)
+		}
+		if _, err := harness.RunEngine(spec, 2, 0); (err == nil) != p.Crash {
+			t.Errorf("%q: harness.RunEngine error %v, tick-0 crash %t", name, err, p.Crash)
+		}
+		opts := []Option{WithFaults(1), WithPattern(FaultPattern(name))}
+		if _, err := BroadcastContext(ctx, 5, []byte("v"), opts...); (err == nil) != public[name] {
+			t.Errorf("%q: BroadcastContext error %v, public %t", name, err, public[name])
+		}
+		if _, err := RunMany(ctx, BroadcastRequest(5, 0, []byte("v"), opts...)); (err == nil) != p.Crash {
+			t.Errorf("%q: RunMany error %v, tick-0 crash %t", name, err, p.Crash)
+		}
+	}
+	for name := range public {
+		if _, ok := attacks.PatternNamed(name); !ok {
+			t.Errorf("public pattern %q is not in the table", name)
 		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 
+	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/harness"
 	"adaptiveba/internal/plot"
@@ -30,6 +31,10 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("adaptiveba-bench", flag.ContinueOnError)
+	var faults []string
+	for _, p := range attacks.Patterns {
+		faults = append(faults, p.Name)
+	}
 	var (
 		list     = fs.Bool("list", false, "list experiments")
 		exp      = fs.String("exp", "", "run one experiment by id")
@@ -38,7 +43,7 @@ func run(args []string, out io.Writer) error {
 		protocol = fs.String("protocol", "bb", "sweep protocol")
 		nsFlag   = fs.String("ns", "11,21,41", "sweep n values (comma-separated)")
 		fsFlag   = fs.String("fs", "0,1,2,4", "sweep f values (comma-separated)")
-		fault    = fs.String("fault", "crash", "sweep fault pattern: crash | crash-leader | replay | spam | stagger")
+		fault    = fs.String("fault", "crash", "sweep fault pattern: "+strings.Join(faults, " | "))
 		asCSV    = fs.Bool("csv", false, "emit the sweep as CSV")
 		asPlot   = fs.Bool("plot", false, "render the sweep as an ASCII chart (words vs f, one series per n)")
 		ed25519  = fs.Bool("ed25519", false, "sweep with real Ed25519 signatures")

@@ -2,9 +2,15 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"io"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
+	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/testenv"
 )
 
@@ -112,4 +118,41 @@ func TestBadCertMode(t *testing.T) {
 	if err := run([]string{"-sweep", "-ns", "5", "-fs", "0", "-certmode", "bogus"}, &out); err == nil {
 		t.Error("bogus certmode accepted")
 	}
+}
+
+// TestHelpListsEveryPattern: -fault lists every fault pattern of the
+// pattern table, in table order.
+func TestHelpListsEveryPattern(t *testing.T) {
+	var faults []string
+	for _, p := range attacks.Patterns {
+		faults = append(faults, p.Name)
+	}
+	if got := helpList(t, "sweep fault pattern: "); !slices.Equal(got, faults) {
+		t.Errorf("-fault lists %q, the pattern table %q", got, faults)
+	}
+}
+
+// helpList runs the command with -h and returns the " | "-separated
+// names its usage gives after prefix, up to the flag's default.
+func helpList(t *testing.T, prefix string) []string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	usage, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, _ := strings.Cut(string(usage), prefix)
+	list, _, _ = strings.Cut(list, " (default")
+	return strings.Split(list, " | ")
 }

@@ -14,7 +14,9 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strings"
 
+	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/explore"
@@ -34,11 +36,18 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("adaptiveba-sim", flag.ContinueOnError)
+	var kinds, faults []string
+	for _, k := range protocols.Kinds() {
+		kinds = append(kinds, string(k))
+	}
+	for _, p := range attacks.Patterns {
+		faults = append(faults, p.Name)
+	}
 	var (
-		protocol = fs.String("protocol", "bb", "protocol: bb | wba | strongba | acs | dolev-strong | echo-bb | fallback | floodset | committee")
+		protocol = fs.String("protocol", "bb", "protocol: "+strings.Join(kinds, " | "))
 		n        = fs.Int("n", 9, "number of processes")
 		f        = fs.Int("f", 0, "number of corrupted processes")
-		fault    = fs.String("fault", "crash", "fault pattern: crash | crash-leader | replay | spam | stagger")
+		fault    = fs.String("fault", "crash", "fault pattern: "+strings.Join(faults, " | "))
 		inputs   = fs.String("inputs", "unanimous", "input assignment: unanimous | distinct")
 		value    = fs.String("value", "v", "broadcast / unanimous input value")
 		seed     = fs.Int64("seed", 1, "seed for randomized adversaries")

@@ -2,9 +2,16 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
+	"io"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
+	"adaptiveba/internal/adversary/attacks"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/testenv"
 )
 
@@ -109,4 +116,48 @@ func TestRunRejectsBadCertMode(t *testing.T) {
 	if err := run([]string{"-n", "5", "-certmode", "bogus"}, &out); err == nil {
 		t.Error("bogus certmode accepted")
 	}
+}
+
+// TestHelpListsEveryKindAndPattern: -protocol lists every kind of the
+// protocol table and -fault every fault pattern of the pattern table, in
+// table order.
+func TestHelpListsEveryKindAndPattern(t *testing.T) {
+	var kinds, faults []string
+	for _, k := range protocols.Kinds() {
+		kinds = append(kinds, string(k))
+	}
+	for _, p := range attacks.Patterns {
+		faults = append(faults, p.Name)
+	}
+	if got := helpList(t, "protocol: "); !slices.Equal(got, kinds) {
+		t.Errorf("-protocol lists %q, the protocol table %q", got, kinds)
+	}
+	if got := helpList(t, "fault pattern: "); !slices.Equal(got, faults) {
+		t.Errorf("-fault lists %q, the pattern table %q", got, faults)
+	}
+}
+
+// helpList runs the command with -h and returns the " | "-separated
+// names its usage gives after prefix, up to the flag's default.
+func helpList(t *testing.T, prefix string) []string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	err = run([]string{"-h"}, io.Discard)
+	os.Stderr = stderr
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h: %v", err)
+	}
+	usage, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, _ := strings.Cut(string(usage), prefix)
+	list, _, _ = strings.Cut(list, " (default")
+	return strings.Split(list, " | ")
 }

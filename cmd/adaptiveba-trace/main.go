@@ -16,7 +16,9 @@ import (
 	"sort"
 	"strings"
 
+	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/harness"
+	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
@@ -40,11 +42,18 @@ type event struct {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("adaptiveba-trace", flag.ContinueOnError)
+	var kinds, faults []string
+	for _, k := range protocols.Kinds() {
+		kinds = append(kinds, string(k))
+	}
+	for _, p := range attacks.Patterns {
+		faults = append(faults, p.Name)
+	}
 	var (
-		protocol = fs.String("protocol", "wba", "protocol: bb | wba | strongba | bb-via-ba | dolev-strong | echo-bb | fallback | floodset")
+		protocol = fs.String("protocol", "wba", "protocol: "+strings.Join(kinds, " | "))
 		n        = fs.Int("n", 9, "number of processes")
 		f        = fs.Int("f", 0, "number of corrupted processes")
-		fault    = fs.String("fault", "crash", "fault pattern: crash | crash-leader | replay | spam | stagger")
+		fault    = fs.String("fault", "crash", "fault pattern: "+strings.Join(faults, " | "))
 		expand   = fs.Bool("expand", false, "print every message instead of per-tick summaries")
 		maxTicks = fs.Int("max-ticks", 0, "only render the first N ticks (0 = all)")
 	)

@@ -13,10 +13,11 @@
 //     withstand.
 //
 // Protocol-aware attacks live in the attacks subpackage, which may import
-// the protocol packages: phase and help spam and the weak BA leader
-// coalition (split vote, selective finalize, late certificate release) as
-// compiled genomes, and the hand-written BB vetting equivocation and
-// flood chains.
+// the protocol packages: every attack there is a compiled genome (phase
+// and help spam, the weak BA leader coalition, BB vetting equivocation,
+// the flood chain). It also holds the table of named fault patterns
+// (attacks.Patterns), which builds each name from the behaviours here or
+// from a genome.
 package adversary
 
 import (
@@ -126,27 +127,22 @@ func NewCrashAt(at map[types.ProcessID]types.Tick) *Crash {
 	return &Crash{Core: Core{Schedule: cs}}
 }
 
-// FirstProcesses returns the ids 0..f-1, a convenient crash set that takes
-// out the first f rotating leaders.
-func FirstProcesses(f int) []types.ProcessID {
-	ids := make([]types.ProcessID, f)
-	for i := range ids {
-		ids[i] = types.ProcessID(i)
-	}
-	return ids
-}
-
 // CrashSet is the repository's one rule for which f (≤ t) processes a
 // fault pattern corrupts. By default they are 1..f: the first f rotating
 // phase leaders, sparing p0 — the BB sender and the first strong-BA
 // leader — which maximizes the non-silent phases. With leader set they
-// are 0..f−1, p0 included. The harness's patterns, the engine's crash
-// set and the service's honest proposers all ask here.
+// are 0..f−1, p0 included. The named fault patterns (attacks.Patterns),
+// the engine's crash set and the service's honest proposers all ask here.
 func CrashSet(f int, leader bool) []types.ProcessID {
+	first := 1
 	if leader {
-		return FirstProcesses(f)
+		first = 0
 	}
-	return FirstProcesses(f + 1)[1:]
+	ids := make([]types.ProcessID, f)
+	for i := range ids {
+		ids[i] = types.ProcessID(first + i)
+	}
+	return ids
 }
 
 // Horizon is the tick before which an adversary built against a run's
@@ -155,34 +151,6 @@ func CrashSet(f int, leader bool) []types.ProcessID {
 // inside the run's natural length — a late move delays the run, it never
 // stalls quiescence.
 func Horizon(maxTicks types.Tick) types.Tick { return max(maxTicks/2, 1) }
-
-// ForPattern is the repository's one rule from a named fault pattern to
-// the adversary that corrupts f processes of a run. "crash-leader"
-// crashes CrashSet(f, true) at tick 0; "stagger" crashes CrashSet(f,
-// false) one per tick, the i-th at tick i+1; "replay" crashes CrashSet(f,
-// false) and replays stale honest traffic from them until the run's
-// Horizon; any other name, "crash" included, crashes CrashSet(f,
-// false) at tick 0. The result builds the adversary against the run's
-// budget (nil when f = 0). Protocol-aware patterns live in attacks.
-func ForPattern(pattern string, f int, seed int64) func(maxTicks types.Tick) sim.Adversary {
-	return func(maxTicks types.Tick) sim.Adversary {
-		if f <= 0 {
-			return nil
-		}
-		ids := CrashSet(f, pattern == "crash-leader")
-		switch pattern {
-		case "stagger":
-			at := make(map[types.ProcessID]types.Tick, len(ids))
-			for i, id := range ids {
-				at[id] = types.Tick(i + 1)
-			}
-			return NewCrashAt(at)
-		case "replay":
-			return NewReplay(seed, Horizon(maxTicks), ids...)
-		}
-		return NewCrash(ids...)
-	}
-}
 
 // Mimic runs attacker-chosen machines for the corrupted processes. The
 // machines see exactly the messages addressed to their identity and their

@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"adaptiveba/internal/crypto/sig"
@@ -70,16 +69,6 @@ func TestCrashSchedules(t *testing.T) {
 	}
 }
 
-func TestFirstProcesses(t *testing.T) {
-	ids := FirstProcesses(3)
-	if len(ids) != 3 || ids[0] != 0 || ids[2] != 2 {
-		t.Errorf("FirstProcesses(3) = %v", ids)
-	}
-	if len(FirstProcesses(0)) != 0 {
-		t.Error("FirstProcesses(0) not empty")
-	}
-}
-
 func TestCrashSet(t *testing.T) {
 	if got := fmt.Sprint(CrashSet(3, false)); got != "[p1 p2 p3]" {
 		t.Errorf("CrashSet(3, false) = %s, want [p1 p2 p3]", got)
@@ -89,32 +78,6 @@ func TestCrashSet(t *testing.T) {
 	}
 	if len(CrashSet(0, false)) != 0 || len(CrashSet(0, true)) != 0 {
 		t.Error("CrashSet(0, ·) not empty")
-	}
-}
-
-func TestForPattern(t *testing.T) {
-	if adv := ForPattern("replay", 0, 1)(100); adv != nil {
-		t.Errorf("f=0 built %T, want no adversary", adv)
-	}
-	for _, c := range []struct {
-		pattern, want string
-	}{
-		{"crash", "[{p1 0} {p2 0}]"},
-		{"", "[{p1 0} {p2 0}]"},
-		{"spam", "[{p1 0} {p2 0}]"},
-		{"crash-leader", "[{p0 0} {p1 0}]"},
-		{"stagger", "[{p1 1} {p2 2}]"},
-		{"replay", "[{p1 0} {p2 0}]"},
-	} {
-		adv := ForPattern(c.pattern, 2, 1)(100)
-		cs := adv.Corruptions()
-		sort.Slice(cs, func(i, j int) bool { return cs[i].ID < cs[j].ID })
-		if got := fmt.Sprint(cs); got != c.want {
-			t.Errorf("%q: corruptions %s, want %s", c.pattern, got, c.want)
-		}
-		if r, ok := adv.(*Replay); ok != (c.pattern == "replay") || ok && r.Horizon != 50 {
-			t.Errorf("%q: built %T, want a replay with horizon 50 only for replay", c.pattern, adv)
-		}
 	}
 }
 

@@ -22,7 +22,8 @@ var _ sim.Adversary = (*genomeAdversary)(nil)
 // engine's call order without a simulation: Init then Corruptions must
 // be safe before any tick, the corruption schedule must be within the
 // declared ids, and every attack must eventually report quiescent (a
-// never-quiescent adversary deadlocks the run-termination check).
+// never-quiescent adversary deadlocks the run-termination check). Every
+// named fault pattern of the table runs too.
 func TestEveryAttackFollowsTheCoreLifecycle(t *testing.T) {
 	params, err := types.NewParams(7)
 	if err != nil {
@@ -42,6 +43,13 @@ func TestEveryAttackFollowsTheCoreLifecycle(t *testing.T) {
 		"selective-phase":    coalition(Move{Op: OpLead, Target: 3}),
 		"wba-split-vote":     coalition(Move{Op: OpLead, Count: 1, Target: 1}),
 		"core-only-is-crash": adversary.NewCrash(ids...),
+	}
+	for _, p := range Patterns {
+		build, err := p.Build(protocols.WBA, "tag", len(ids), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		builds["pattern-"+p.Name] = build(100)
 	}
 	for name, adv := range builds {
 		t.Run(name, func(t *testing.T) {

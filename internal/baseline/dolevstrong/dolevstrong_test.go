@@ -3,6 +3,7 @@ package dolevstrong
 import (
 	"testing"
 
+	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
@@ -76,30 +77,13 @@ func TestHonestSenderDoubleDuration(t *testing.T) {
 	}
 }
 
-type crashAdv struct {
-	ids []types.ProcessID
-	env sim.Env
-}
-
-func (a *crashAdv) Init(env sim.Env) { a.env = env }
-func (a *crashAdv) Corruptions() []sim.Corruption {
-	cs := make([]sim.Corruption, len(a.ids))
-	for i, id := range a.ids {
-		cs[i] = sim.Corruption{ID: id}
-	}
-	return cs
-}
-func (a *crashAdv) Observe(types.Tick, types.ProcessID, []proto.Incoming) {}
-func (a *crashAdv) Act(types.Tick, []sim.Message) []sim.Message           { return nil }
-func (a *crashAdv) Quiescent(types.Tick) bool                             { return true }
-
 func TestCrashedSenderDecidesBottom(t *testing.T) {
 	crypto, params := setup(t, 5)
 	res, err := sim.Run(sim.Config{
 		Params:    params,
 		Crypto:    crypto,
 		Factory:   factory(crypto, params, 0, types.Value("v"), 1),
-		Adversary: &crashAdv{ids: []types.ProcessID{0}},
+		Adversary: adversary.NewCrash(0),
 		MaxTicks:  1000,
 	})
 	if err != nil {
@@ -117,12 +101,8 @@ func TestCrashedSenderDecidesBottom(t *testing.T) {
 // equivocator is a Byzantine sender that sends "a" to the first half and
 // "b" to the second half in round 1.
 type equivocator struct {
-	crashAdv
+	*adversary.Crash
 	sent bool
-}
-
-func (a *equivocator) Corruptions() []sim.Corruption {
-	return []sim.Corruption{{ID: 0}}
 }
 
 func (a *equivocator) Act(now types.Tick, _ []sim.Message) []sim.Message {
@@ -130,7 +110,7 @@ func (a *equivocator) Act(now types.Tick, _ []sim.Message) []sim.Message {
 		return nil
 	}
 	a.sent = true
-	signer := a.env.Crypto.Signer(0)
+	signer := a.Env.Crypto.Signer(0)
 	va, vb := types.Value("a"), types.Value("b")
 	ca, err := NewChain(signer, "test", va)
 	if err != nil {
@@ -141,7 +121,7 @@ func (a *equivocator) Act(now types.Tick, _ []sim.Message) []sim.Message {
 		return nil
 	}
 	var msgs []sim.Message
-	for i := 1; i < a.env.Params.N; i++ {
+	for i := 1; i < a.Env.Params.N; i++ {
 		v, c := va, ca
 		if i%2 == 0 {
 			v, c = vb, cb
@@ -160,7 +140,7 @@ func TestEquivocatingSenderAgreementHolds(t *testing.T) {
 		Params:    params,
 		Crypto:    crypto,
 		Factory:   factory(crypto, params, 0, nil, 1),
-		Adversary: &equivocator{},
+		Adversary: &equivocator{Crash: adversary.NewCrash(0)},
 		MaxTicks:  1000,
 	})
 	if err != nil {
@@ -182,22 +162,18 @@ func TestEquivocatingSenderAgreementHolds(t *testing.T) {
 // then sends a fresh 1-signature chain to a single process. The chain is
 // too short for that round, so no honest process may extract it.
 type lateInjector struct {
-	crashAdv
+	*adversary.Crash
 	params types.Params
 	sent   bool
 }
 
-func (a *lateInjector) Corruptions() []sim.Corruption {
-	return []sim.Corruption{{ID: 0}}
-}
-
 func (a *lateInjector) Act(now types.Tick, _ []sim.Message) []sim.Message {
-	last := types.Tick(a.env.Params.T) // sending round t+1 starts at tick t
+	last := types.Tick(a.Env.Params.T) // sending round t+1 starts at tick t
 	if a.sent || now < last {
 		return nil
 	}
 	a.sent = true
-	c, err := NewChain(a.env.Crypto.Signer(0), "test", types.Value("late"))
+	c, err := NewChain(a.Env.Crypto.Signer(0), "test", types.Value("late"))
 	if err != nil {
 		return nil
 	}
@@ -213,7 +189,7 @@ func TestLateShortChainRejected(t *testing.T) {
 		Params:    params,
 		Crypto:    crypto,
 		Factory:   factory(crypto, params, 0, nil, 1),
-		Adversary: &lateInjector{params: params},
+		Adversary: &lateInjector{Crash: adversary.NewCrash(0), params: params},
 		MaxTicks:  1000,
 	})
 	if err != nil {

@@ -362,7 +362,7 @@ func TestAdaptiveWordsVsCrashes(t *testing.T) {
 	// roughly one non-silent phase (3n words) per crash.
 	n := 21
 	for _, f := range []int{1, 2, 3} {
-		res, _ := run(t, n, 0, types.Value("v"), adversary.NewCrash(adversary.FirstProcesses(f)...))
+		res, _ := run(t, n, 0, types.Value("v"), adversary.NewCrash(adversary.CrashSet(f, true)...))
 		if !res.AllDecided() {
 			t.Fatalf("f=%d: not all decided", f)
 		}

@@ -293,7 +293,7 @@ func TestAdaptivityWordsGrowWithF(t *testing.T) {
 	n := 21 // t=10, threshold (n-t-1)/2 = 5
 	var prev int64
 	for f := 0; f <= 4; f++ {
-		res, machines := run(t, n, adversary.NewCrash(adversary.FirstProcesses(f)...), constInput(types.Value("v")))
+		res, machines := run(t, n, adversary.NewCrash(adversary.CrashSet(f, true)...), constInput(types.Value("v")))
 		if !res.AllDecided() {
 			t.Fatalf("f=%d: not all decided", f)
 		}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"testing"
 
-	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
@@ -13,6 +13,18 @@ import (
 	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
 )
+
+// faultPattern builds the named fault pattern of the pattern table for f
+// corrupted processes.
+func faultPattern(t testing.TB, name string, f int, seed int64) func(types.Tick) sim.Adversary {
+	t.Helper()
+	p, ok := attacks.PatternNamed(name)
+	build, err := p.Build("", "", f, seed)
+	if !ok || err != nil {
+		t.Fatalf("pattern %q: in the table %t, %v", name, ok, err)
+	}
+	return build
+}
 
 // mixedRequests builds a workload that exercises every session kind,
 // ⊥-deciding slots (senders that get crashed), and wba fallback
@@ -59,7 +71,7 @@ func TestEngineDeterminism(t *testing.T) {
 					pattern = "crash-leader"
 				}
 				rep, err := Run(Config{
-					N: n, F: f.f, Adversary: adversary.ForPattern(pattern, f.f, 0), Inflight: w, Seed: 7,
+					N: n, F: f.f, Adversary: faultPattern(t, pattern, f.f, 0), Inflight: w, Seed: 7,
 				}, reqs)
 				if err != nil {
 					t.Fatalf("W=%d: %v", w, err)

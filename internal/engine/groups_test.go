@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/protocols"
@@ -52,7 +51,7 @@ func TestSessionGroupsMatchOneSimulation(t *testing.T) {
 			for _, w := range []int{0, 1, 4} {
 				t.Run(fmt.Sprintf("n%d/%s/W%d", n, pattern, w), func(t *testing.T) {
 					reqs := mixedRequests(n, sessions)
-					cfg := Config{N: n, F: f, Adversary: adversary.ForPattern(pattern, f, 0), Inflight: w, Seed: 11}
+					cfg := Config{N: n, F: f, Adversary: faultPattern(t, pattern, f, 0), Inflight: w, Seed: 11}
 					var want groupOutcome
 					for _, procs := range []int{1, 2, 3} {
 						testenv.Procs(t, procs)
@@ -91,8 +90,8 @@ func TestSessionGroupsMatchOneSimulation(t *testing.T) {
 		cfg    Config
 		traced bool
 	}{
-		{"OnSend", Config{N: 5, F: f, Adversary: adversary.ForPattern("crash", f, 0), Inflight: 2, Seed: 5}, true},
-		{"replay", Config{N: 5, F: f, Adversary: adversary.ForPattern("replay", f, 9), Inflight: 2, Seed: 5}, false},
+		{"OnSend", Config{N: 5, F: f, Adversary: faultPattern(t, "crash", f, 0), Inflight: 2, Seed: 5}, true},
+		{"replay", Config{N: 5, F: f, Adversary: faultPattern(t, "replay", f, 9), Inflight: 2, Seed: 5}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reqs := mixedRequests(5, sessions)
@@ -178,7 +177,7 @@ type groupPanic struct{}
 func TestSessionGroupsVerifyMintedCertsOnce(t *testing.T) {
 	const n, sessions, f = 9, 8, 2
 	reqs := mixedRequests(n, sessions)
-	cfg := Config{N: n, F: f, Adversary: adversary.ForPattern("crash", f, 0), Inflight: 4, Seed: 3}
+	cfg := Config{N: n, F: f, Adversary: faultPattern(t, "crash", f, 0), Inflight: 4, Seed: 3}
 	var want groupOutcome
 	var wantMACs uint64
 	for _, procs := range []int{1, 2, 3} {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/baseline/dolevstrong"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
@@ -89,30 +90,13 @@ func TestSplitInputsStillAgree(t *testing.T) {
 	}
 }
 
-type crashAdv struct {
-	ids []types.ProcessID
-	env sim.Env
-}
-
-func (a *crashAdv) Init(env sim.Env) { a.env = env }
-func (a *crashAdv) Corruptions() []sim.Corruption {
-	cs := make([]sim.Corruption, len(a.ids))
-	for i, id := range a.ids {
-		cs[i] = sim.Corruption{ID: id}
-	}
-	return cs
-}
-func (a *crashAdv) Observe(types.Tick, types.ProcessID, []proto.Incoming) {}
-func (a *crashAdv) Act(types.Tick, []sim.Message) []sim.Message           { return nil }
-func (a *crashAdv) Quiescent(types.Tick) bool                             { return true }
-
 func TestStrongUnanimityWithCrashes(t *testing.T) {
 	crypto, params := setup(t, 7) // t = 3
 	res, err := sim.Run(sim.Config{
 		Params:    params,
 		Crypto:    crypto,
 		Factory:   factory(crypto, params, 1, func(types.ProcessID) types.Value { return types.Value("u") }),
-		Adversary: &crashAdv{ids: []types.ProcessID{0, 3, 6}},
+		Adversary: adversary.NewCrash(0, 3, 6),
 		MaxTicks:  2000,
 	})
 	if err != nil {
@@ -131,7 +115,7 @@ func TestStrongUnanimityWithCrashes(t *testing.T) {
 // with a conflicting input value: strong unanimity must still force the
 // correct processes' common value.
 type byzInputAdv struct {
-	crashAdv
+	*adversary.Crash
 	machines map[types.ProcessID]proto.Machine
 	inboxes  map[types.ProcessID][]proto.Incoming
 	begun    bool
@@ -139,7 +123,7 @@ type byzInputAdv struct {
 
 func newByzInputAdv(ids []types.ProcessID) *byzInputAdv {
 	return &byzInputAdv{
-		crashAdv: crashAdv{ids: ids},
+		Crash:    adversary.NewCrash(ids...),
 		machines: make(map[types.ProcessID]proto.Machine),
 		inboxes:  make(map[types.ProcessID][]proto.Incoming),
 	}
@@ -152,10 +136,11 @@ func (a *byzInputAdv) Observe(now types.Tick, to types.ProcessID, inbox []proto.
 func (a *byzInputAdv) Act(now types.Tick, _ []sim.Message) []sim.Message {
 	if !a.begun {
 		a.begun = true
-		for _, id := range a.ids {
+		for _, c := range a.Schedule {
+			id := c.ID
 			a.machines[id] = NewMachine(Config{
-				Params:   a.env.Params,
-				Crypto:   a.env.Crypto,
+				Params:   a.Env.Params,
+				Crypto:   a.Env.Crypto,
 				ID:       id,
 				Input:    types.Value("evil"),
 				Tag:      "fb",
@@ -164,7 +149,8 @@ func (a *byzInputAdv) Act(now types.Tick, _ []sim.Message) []sim.Message {
 		}
 	}
 	var msgs []sim.Message
-	for _, id := range a.ids {
+	for _, c := range a.Schedule {
+		id := c.ID
 		m := a.machines[id]
 		var outs []proto.Outgoing
 		if now == 0 {
@@ -273,7 +259,7 @@ func TestSkewedStartsWithDoubleRounds(t *testing.T) {
 // other process, where the chain is one signature short of the
 // acceptance threshold min(b-1, t+1) and is rejected.
 type equivSkewAdv struct {
-	crashAdv
+	*adversary.Crash
 	sent bool
 }
 
@@ -282,7 +268,7 @@ func (a *equivSkewAdv) Act(now types.Tick, _ []sim.Message) []sim.Message {
 		return nil
 	}
 	a.sent = true
-	signer := a.env.Crypto.Signer(0)
+	signer := a.Env.Crypto.Signer(0)
 	var msgs []sim.Message
 	for _, half := range []struct {
 		to types.ProcessID
@@ -396,7 +382,7 @@ func TestSkewTableLemma18(t *testing.T) {
 						}
 						return &skewedMachine{inner: inner, delay: delay}
 					},
-					Adversary:   &equivSkewAdv{crashAdv: crashAdv{ids: []types.ProcessID{0}}},
+					Adversary:   &equivSkewAdv{Crash: adversary.NewCrash(0)},
 					MaxTicks:    200,
 					ShuffleSeed: shuffle,
 				})
@@ -428,7 +414,7 @@ func TestAllBottomWhenEverythingCrashes(t *testing.T) {
 		Factory: factory(crypto, params, 1, func(id types.ProcessID) types.Value {
 			return types.Value{byte('a' + id)}
 		}),
-		Adversary: &crashAdv{ids: []types.ProcessID{0, 1}},
+		Adversary: adversary.NewCrash(0, 1),
 		MaxTicks:  2000,
 	})
 	if err != nil {
@@ -461,7 +447,7 @@ func TestDurationMatchesDecisionTick(t *testing.T) {
 // processes and "b" toward the odd ones — and stays silent afterwards, so
 // every honest process relays, extracts and holds two values there.
 type equivAdv struct {
-	crashAdv
+	*adversary.Crash
 	sent bool
 }
 
@@ -471,11 +457,12 @@ func (a *equivAdv) Act(types.Tick, []sim.Message) []sim.Message {
 	}
 	a.sent = true
 	var msgs []sim.Message
-	for _, id := range a.ids {
+	for _, c := range a.Schedule {
+		id := c.ID
 		name := instanceName(id)
-		for to := 0; to < a.env.Params.N; to++ {
+		for to := 0; to < a.Env.Params.N; to++ {
 			v := types.Value([]string{"a", "b"}[to%2])
-			chain, err := dolevstrong.NewChain(a.env.Crypto.Signer(id), "fb/"+name, v)
+			chain, err := dolevstrong.NewChain(a.Env.Crypto.Signer(id), "fb/"+name, v)
 			if err != nil {
 				panic(err)
 			}
@@ -524,7 +511,7 @@ func TestIngestFilterLeavesRunsUnchanged(t *testing.T) {
 				ids[i] = types.ProcessID(2*i + 1)
 			}
 			for name, adv := range map[string]sim.Adversary{
-				"crash": &crashAdv{ids: ids}, "equivocate": &equivAdv{crashAdv: crashAdv{ids: ids}},
+				"crash": adversary.NewCrash(ids...), "equivocate": &equivAdv{Crash: adversary.NewCrash(ids...)},
 			} {
 				cell := fmt.Sprintf("n%d/f%d/%s", n, f, name)
 				res, err := sim.Run(sim.Config{

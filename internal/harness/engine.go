@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/types"
@@ -25,9 +24,8 @@ func RunEngine(spec Spec, sessions, inflight int) (*engine.Report, error) {
 	}
 	// Run's defaults, so input sees the spec a solo run would.
 	spec = spec.withDefaults()
-	switch spec.Fault {
-	case FaultCrash, FaultCrashLeader:
-	default:
+	pattern, adv, err := spec.pattern()
+	if err != nil || !pattern.Crash {
 		return nil, fmt.Errorf("%w: engine supports crash fault patterns, got %q", ErrSpec, spec.Fault)
 	}
 
@@ -47,13 +45,12 @@ func RunEngine(spec Spec, sessions, inflight int) (*engine.Report, error) {
 		N:         spec.N,
 		T:         spec.T,
 		F:         spec.F,
-		Adversary: adversary.ForPattern(string(spec.Fault), spec.F, spec.Seed),
+		Adversary: adv,
 		Inflight:  inflight,
 		Seed:      spec.Seed,
 		OnSend:    spec.OnSend,
 	}
 	if spec.Ed25519 {
-		var err error
 		if cfg.Crypto, err = engine.NewCrypto(spec.N, spec.T, proto.Ed25519()); err != nil {
 			return nil, err
 		}

@@ -10,12 +10,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 	"strings"
 
 	"adaptiveba/internal/acs"
-	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/metrics"
@@ -46,29 +44,17 @@ const (
 	ProtocolACS = protocols.ACS
 )
 
-// Fault selects the failure pattern applied to the run.
+// Fault selects the failure pattern applied to the run: a name of the
+// pattern table, attacks.Patterns, which builds and documents each one.
 type Fault string
 
-// Fault patterns.
+// The harness's names for the table's patterns.
 const (
-	// FaultCrash crashes processes 1..F at tick 0: it takes out the first
-	// F rotating phase leaders while sparing p0 (the BB sender and the
-	// strong BA leader), the pattern that maximizes non-silent phases.
-	FaultCrash Fault = "crash"
-	// FaultCrashLeader crashes processes 0..F-1, including p0.
+	FaultCrash       Fault = "crash"
 	FaultCrashLeader Fault = "crash-leader"
-	// FaultReplay crashes ⌈F/1⌉ processes and replays stale honest
-	// traffic from them (freshness attack).
-	FaultReplay Fault = "replay"
-	// FaultSpam makes the corrupted processes wastefully initiate their
-	// rotating-leader phases and ignore the answers — the worst-case run
-	// family behind the O(n(f+1)) bound: attacks.PhaseSpam over
-	// processes 1..F, F ≤ 255 (BB and weak BA only; other protocols fall
-	// back to FaultCrash).
-	FaultSpam Fault = "spam"
-	// FaultStagger crashes one process per tick (process i at tick i+1) —
-	// the classic worst case for early-stopping round complexity.
-	FaultStagger Fault = "stagger"
+	FaultReplay      Fault = "replay"
+	FaultSpam        Fault = "spam"
+	FaultStagger     Fault = "stagger"
 )
 
 // Inputs selects how process inputs are assigned.
@@ -190,15 +176,12 @@ func Run(spec Spec) (*Outcome, error) {
 		return nil, fmt.Errorf("%w: f=%d with t=%d", ErrSpec, spec.F, params.T)
 	}
 	spec = spec.withDefaults()
-	switch spec.Fault {
-	case FaultCrash, FaultCrashLeader, FaultReplay, FaultStagger:
-	case FaultSpam:
-		// The phase-spam genome addresses processes and phases by byte.
-		if spec.F > math.MaxUint8 {
-			return nil, fmt.Errorf("%w: spam corrupts at most %d processes, f=%d", ErrSpec, math.MaxUint8, spec.F)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown fault pattern %q", ErrSpec, spec.Fault)
+	_, adv, err := spec.pattern()
+	if err != nil {
+		return nil, err
+	}
+	if spec.Adversary != nil {
+		adv = spec.Adversary
 	}
 	if spec.Inputs != InputsUnanimous && spec.Inputs != InputsDistinct {
 		return nil, fmt.Errorf("%w: unknown input policy %q", ErrSpec, spec.Inputs)
@@ -217,8 +200,22 @@ func Run(spec Spec) (*Outcome, error) {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
 
-	run := &runner{spec: spec, params: params, crypto: crypto}
+	run := &runner{spec: spec, params: params, crypto: crypto, adversary: adv}
 	return run.execute()
+}
+
+// pattern looks the spec's fault pattern up in the pattern table and
+// builds its adversary for the spec's run.
+func (s Spec) pattern() (attacks.Pattern, func(maxTicks types.Tick) sim.Adversary, error) {
+	p, ok := attacks.PatternNamed(string(s.Fault))
+	if !ok {
+		return p, nil, fmt.Errorf("%w: unknown fault pattern %q", ErrSpec, s.Fault)
+	}
+	adv, err := p.Build(s.Protocol, Tag(s.Protocol), s.F, s.Seed)
+	if err != nil {
+		return p, nil, fmt.Errorf("%w: %v", ErrSpec, err)
+	}
+	return p, adv, nil
 }
 
 // withDefaults fills the spec's unset fields with their documented
@@ -240,23 +237,10 @@ func (s Spec) withDefaults() Spec {
 }
 
 type runner struct {
-	spec   Spec
-	params types.Params
-	crypto *proto.Crypto
-}
-
-// adversaryFor builds the spec's adversary (nil when f=0): the
-// adversary package's pattern rule, plus the spam pattern, which is the
-// attacks package's phase-spam genome.
-func (r *runner) adversaryFor(maxTicks types.Tick) sim.Adversary {
-	if r.spec.Adversary != nil {
-		return r.spec.Adversary(maxTicks)
-	}
-	if kind := r.spec.Protocol; r.spec.F > 0 && r.spec.Fault == FaultSpam && (kind == ProtocolBB || kind == ProtocolWBA) {
-		g := attacks.PhaseSpam(kind, adversary.CrashSet(r.spec.F, false)...)
-		return attacks.Compile(g, kind, Tag(kind), r.spec.Seed, maxTicks)
-	}
-	return adversary.ForPattern(string(r.spec.Fault), r.spec.F, r.spec.Seed)(maxTicks)
+	spec      Spec
+	params    types.Params
+	crypto    *proto.Crypto
+	adversary func(maxTicks types.Tick) sim.Adversary
 }
 
 // input is process id's input under the spec's input policy. The
@@ -350,7 +334,7 @@ func (r *runner) execute() (*Outcome, error) {
 		Params:      r.params,
 		Crypto:      r.crypto,
 		Factory:     factory,
-		Adversary:   r.adversaryFor(maxTicks),
+		Adversary:   r.adversary(maxTicks),
 		MaxTicks:    maxTicks,
 		SizeOf:      protocols.SizeOf,
 		ShuffleSeed: r.spec.ShuffleSeed,

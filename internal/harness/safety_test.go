@@ -4,21 +4,23 @@ import (
 	"fmt"
 	"testing"
 
+	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/types"
 )
 
 // TestSafetySweep is the X-SAFE gate from DESIGN.md §3: agreement,
 // termination, and the protocol-specific validity property must hold for
-// every protocol under every fault pattern, fault count, and seed in the
-// matrix. Any violation here invalidates every measured number.
+// every protocol under every fault pattern of the pattern table, fault
+// count, and seed in the matrix. Any violation here invalidates every
+// measured number.
 func TestSafetySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("safety sweep is slow")
 	}
 	protocols := []Protocol{ProtocolBB, ProtocolWBA, ProtocolStrongBA}
-	faults := []Fault{FaultCrash, FaultCrashLeader, FaultReplay, FaultSpam}
 	for _, p := range protocols {
-		for _, fault := range faults {
+		for _, pattern := range attacks.Patterns {
+			fault := Fault(pattern.Name)
 			for _, n := range []int{3, 5, 9} {
 				params, err := types.NewParams(n)
 				if err != nil {

@@ -34,8 +34,9 @@ import (
 // deterministic and identical on every replica.
 var ErrBadCommand = errors.New("kv: malformed command")
 
-// ErrSnapshotMismatch reports a snapshot whose embedded state hash does
-// not match the state it decodes to — a corrupted or tampered snapshot.
+// ErrSnapshotMismatch reports a snapshot whose embedded digest does not
+// match the applied count and the state it decodes to — a corrupted or
+// tampered snapshot.
 var ErrSnapshotMismatch = errors.New("kv: snapshot state hash mismatch")
 
 // Entry is one committed log position.
@@ -138,16 +139,18 @@ func (s *Store) Snapshot() map[string]string {
 	return out
 }
 
-// EncodeSnapshot serializes the store canonically (sorted keys, the
-// applied-entry count, and the state hash). A snapshot plus the log
+// EncodeSnapshot serializes the store canonically (the applied-entry
+// count, sorted keys, and a digest over both). A snapshot plus the log
 // suffix after Applied() reconstructs the exact store, which is what lets
 // a long-running service truncate its committed log: replaying the
 // suffix on top of the snapshot yields the same state hash as replaying
 // the full log from genesis.
 //
 // The keys are sorted once and the encoding is written in one pass into
-// an exact-size buffer: the state hash is Hash's byte stream, fed record
-// by record as each key and value is written.
+// an exact-size buffer. The digest is SHA-256 over the count's eight
+// encoded bytes followed by Hash's byte stream, fed record by record as
+// each key and value is written, cut and written in hex as Hash is. It is
+// not the state hash: it covers the count too.
 func (s *Store) EncodeSnapshot() []byte {
 	keys := make([]string, 0, len(s.data))
 	size, longest := 2*wire.SizeInt+wire.SizeBytes(hashHexLen), 0
@@ -159,8 +162,9 @@ func (s *Store) EncodeSnapshot() []byte {
 	slices.Sort(keys)
 	w := wire.NewWriterSize(size)
 	w.PutInt(s.applied)
-	w.PutInt(len(keys))
 	h := sha256.New()
+	h.Write(w.Bytes())
+	w.PutInt(len(keys))
 	rec := make([]byte, 0, longest+maxRecordFrame)
 	for _, k := range keys {
 		v := s.data[k]
@@ -174,10 +178,10 @@ func (s *Store) EncodeSnapshot() []byte {
 }
 
 // DecodeSnapshot reconstructs a store from EncodeSnapshot output. The
-// embedded state hash is re-verified against the decoded state; any
-// corruption — hostile lengths, truncation, keys out of order, or a
-// flipped byte that changes a value — fails with ErrSnapshotMismatch or a
-// wire error, never a silently wrong store.
+// embedded digest is re-verified against the decoded count and state;
+// any corruption — hostile lengths, truncation, keys out of order, or a
+// flipped byte that changes the count or a value — fails with
+// ErrSnapshotMismatch or a wire error, never a silently wrong store.
 func DecodeSnapshot(enc []byte) (*Store, error) {
 	s := &Store{}
 	if err := readSnapshot(enc, s); err != nil {
@@ -211,6 +215,7 @@ func readSnapshot(enc []byte, s *Store) error {
 		s.applied, s.data = applied, make(map[string]string, n)
 	}
 	h := sha256.New()
+	h.Write(enc[:wire.SizeInt])
 	var rec, prev []byte
 	for i := 0; i < n; i++ {
 		k := r.Bytes()

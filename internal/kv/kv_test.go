@@ -224,8 +224,9 @@ func TestSnapshotTamperDetected(t *testing.T) {
 		}
 	}
 	enc := s.EncodeSnapshot()
-	// Flip one byte inside a stored value (past the 16-byte header).
-	for i := 20; i < len(enc)-50; i++ {
+	// Flip one byte anywhere: the applied count, the key count, a length
+	// prefix, a key, a value or the digest.
+	for i := 0; i < len(enc); i++ {
 		mutated := append([]byte(nil), enc...)
 		mutated[i] ^= 0x01
 		if _, err := DecodeSnapshot(mutated); err == nil {

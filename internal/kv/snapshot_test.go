@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -15,9 +16,9 @@ import (
 	"adaptiveba/internal/wire"
 )
 
-// refEncodeSnapshot is EncodeSnapshot as it was written in two passes, a
-// growing writer and a separate Hash (the fmt reference): the bytes the
-// one-pass encoder must reproduce.
+// refEncodeSnapshot is EncodeSnapshot written in two passes, a growing
+// writer and a separate digest over the applied count and the fmt
+// reference's records: the bytes the one-pass encoder must reproduce.
 func refEncodeSnapshot(s *Store) []byte {
 	w := wire.NewWriter()
 	w.PutInt(s.applied)
@@ -27,13 +28,25 @@ func refEncodeSnapshot(s *Store) []byte {
 		w.PutString(k)
 		w.PutString(s.data[k])
 	}
-	w.PutString(fmtHash(s))
+	w.PutString(fmtDigest(s))
 	return w.Bytes()
+}
+
+// fmtDigest is the snapshot digest written with fmt: SHA-256 over the
+// applied count as eight big-endian bytes, then fmtHash's records, cut to
+// 16 bytes in hex.
+func fmtDigest(s *Store) string {
+	h := sha256.New()
+	h.Write(binary.BigEndian.AppendUint64(nil, uint64(s.applied)))
+	for _, k := range slices.Sorted(maps.Keys(s.data)) {
+		fmt.Fprintf(h, "%d:%s=%d:%s;", len(k), k, len(s.data[k]), s.data[k])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
 // refDecodeSnapshot is DecodeSnapshot as it was written over a map: it
 // accepts the records in any order, duplicates included, as long as the
-// map they build hashes to the embedded hash.
+// count and the map they build digest to the embedded digest.
 func refDecodeSnapshot(enc []byte) (*Store, error) {
 	r := wire.NewReader(enc)
 	applied := r.Int()
@@ -58,7 +71,7 @@ func refDecodeSnapshot(enc []byte) (*Store, error) {
 	if err := r.Close(); err != nil {
 		return nil, err
 	}
-	if fmtHash(s) != want {
+	if fmtDigest(s) != want {
 		return nil, ErrSnapshotMismatch
 	}
 	return s, nil
@@ -117,11 +130,12 @@ func withRecords(head []byte, recs [][]byte, tail []byte) []byte {
 	return append(b, tail...)
 }
 
-// streamHash is the hash field a forger would write for recs: the state
-// hash of the records in the order given, as a walk that did not require
-// ascending keys would compute it.
-func streamHash(recs [][]byte) []byte {
+// streamHash is the digest field a forger would write for head and recs:
+// the digest of the count and the records in the order given, as a walk
+// that did not require ascending keys would compute it.
+func streamHash(head []byte, recs [][]byte) []byte {
 	h := sha256.New()
+	h.Write(head[:wire.SizeInt])
 	for _, rec := range recs {
 		r := wire.NewViewReader(rec)
 		h.Write(appendRecord(nil, r.Bytes(), r.Bytes()))
@@ -145,9 +159,10 @@ func decodeVerdicts(b []byte) (check, decode, ref error) {
 // and may be empty. On every truncation and every single-byte flip of
 // each snapshot CheckSnapshot, DecodeSnapshot and the reference agree. A
 // swapped pair of records or a duplicated record is refused by both with
-// ErrSnapshotMismatch: under the original hash field, which the reference
-// accepted, and under a hash field recomputed over the new record order,
-// which only the ascending-key rule refuses.
+// ErrSnapshotMismatch: under the original digest field, which the
+// reference accepted, and under a digest field recomputed over the new
+// record order, which only the ascending-key rule refuses. A flip in the
+// applied count, the first eight bytes, is refused by all three.
 func TestSnapshotMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	agree := func(i int, what string, b []byte) {
@@ -192,6 +207,9 @@ func TestSnapshotMatchesReference(t *testing.T) {
 				copy(flipped, enc)
 				flipped[off] ^= mask
 				agree(i, fmt.Sprintf("byte %d ^ %#x", off, mask), flipped)
+				if err := CheckSnapshot(flipped); off < wire.SizeInt && !errors.Is(err, ErrSnapshotMismatch) {
+					t.Fatalf("store %d: applied count byte %d ^ %#x: CheckSnapshot %v, want ErrSnapshotMismatch", i, off, mask, err)
+				}
 			}
 		}
 
@@ -203,7 +221,7 @@ func TestSnapshotMatchesReference(t *testing.T) {
 				t.Fatalf("store %d, %s: CheckSnapshot %v, DecodeSnapshot %v (want ErrSnapshotMismatch), reference %v (want nil)",
 					i, what, check, decode, ref)
 			}
-			check, decode, _ = decodeVerdicts(withRecords(head, recs, streamHash(recs)))
+			check, decode, _ = decodeVerdicts(withRecords(head, recs, streamHash(head, recs)))
 			if !errors.Is(check, ErrSnapshotMismatch) || !errors.Is(decode, ErrSnapshotMismatch) {
 				t.Fatalf("store %d, %s, hash recomputed: CheckSnapshot %v, DecodeSnapshot %v (want ErrSnapshotMismatch)",
 					i, what, check, decode)

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"io"
 
-	"adaptiveba/internal/adversary"
+	"adaptiveba/internal/adversary/attacks"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
@@ -132,9 +132,10 @@ func mapCanceled(ctx context.Context, err error) error {
 // configuration. Failures carry the typed sentinels (ErrBadN,
 // ErrTooManyFaults, ErrNoQuorum), each of which also matches the broad
 // ErrOptions class. A single-instance run (solo) takes every
-// FaultPattern; a multi-instance run only the crash patterns, since its
-// instances share one deployment, so the corrupted set persists across
-// all of them, as it would in production.
+// FaultPattern; a multi-instance run only the patterns the pattern table
+// (attacks.Patterns) marks as tick-0 crashes, since its instances share
+// one deployment, so the corrupted set persists across all of them, as
+// it would in production.
 func engineConfig(ctx context.Context, o options, solo bool) (engine.Config, error) {
 	if o.n < 3 {
 		return engine.Config{}, fmt.Errorf("%w: n=%d (need at least 3)", ErrBadN, o.n)
@@ -154,18 +155,22 @@ func engineConfig(ctx context.Context, o options, solo bool) (engine.Config, err
 		return engine.Config{}, fmt.Errorf("%w: f=%d with t=%d", ErrTooManyFaults, o.faults, params.T)
 	}
 	switch o.pattern {
-	case "", FaultCrash, FaultCrashLeader:
-	case FaultReplay:
-		if !solo {
-			return engine.Config{}, fmt.Errorf("%w: pattern %q is not supported by multi-session runs (crash patterns only)",
-				ErrOptions, o.pattern)
-		}
+	case "", FaultCrash, FaultCrashLeader, FaultReplay:
 	default:
 		return engine.Config{}, fmt.Errorf("%w: unknown fault pattern %q", ErrOptions, o.pattern)
 	}
+	pattern, _ := attacks.PatternNamed(string(o.pattern))
+	if !solo && !pattern.Crash {
+		return engine.Config{}, fmt.Errorf("%w: pattern %q is not supported by multi-session runs (crash patterns only)",
+			ErrOptions, o.pattern)
+	}
+	adv, err := pattern.Build("", "", o.faults, o.seed)
+	if err != nil {
+		return engine.Config{}, fmt.Errorf("%w: %v", ErrOptions, err)
+	}
 	cfg := engine.Config{
 		N: o.n, T: o.threshold, F: o.faults,
-		Adversary: adversary.ForPattern(string(o.pattern), o.faults, o.seed),
+		Adversary: adv,
 		Inflight:  o.inflight, Seed: o.seed,
 		Halt: haltFrom(ctx),
 	}
