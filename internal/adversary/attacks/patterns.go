@@ -48,11 +48,11 @@ var Patterns = []Pattern{
 	// The corrupted processes stop one per tick, the first at tick 1: the
 	// worst case for early-stopping round complexity.
 	{Name: "stagger", build: func(_ protocols.Kind, _ string, ids []types.ProcessID, _ int64, _ types.Tick) sim.Adversary {
-		c := adversary.NewCrash(ids...)
-		for i := range c.Schedule {
-			c.Schedule[i].At = types.Tick(i + 1)
+		at := make(map[types.ProcessID]types.Tick, len(ids))
+		for i, id := range ids {
+			at[id] = types.Tick(i + 1)
 		}
-		return c
+		return adversary.NewCrashAt(at)
 	}},
 }
 
