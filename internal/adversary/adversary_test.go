@@ -69,6 +69,25 @@ func TestCrashSchedules(t *testing.T) {
 	}
 }
 
+// TestFirstProcesses: the leader form of CrashSet is the ids 0..f-1, the
+// first f rotating leaders, for every f.
+func TestFirstProcesses(t *testing.T) {
+	ids := CrashSet(3, true)
+	if len(ids) != 3 || ids[0] != 0 || ids[2] != 2 {
+		t.Errorf("CrashSet(3, true) = %v", ids)
+	}
+	if len(CrashSet(0, true)) != 0 {
+		t.Error("CrashSet(0, true) not empty")
+	}
+	for f := 1; f <= 16; f++ {
+		for i, id := range CrashSet(f, true) {
+			if id != types.ProcessID(i) {
+				t.Fatalf("CrashSet(%d, true)[%d] = %v, want p%d", f, i, id, i)
+			}
+		}
+	}
+}
+
 func TestCrashSet(t *testing.T) {
 	if got := fmt.Sprint(CrashSet(3, false)); got != "[p1 p2 p3]" {
 		t.Errorf("CrashSet(3, false) = %s, want [p1 p2 p3]", got)
