@@ -15,7 +15,8 @@ vet:
 test:
 	$(GO) test ./...
 
-# Short mode skips the heavyweight safety sweeps.
+# Short mode skips the experiment reports and some TCP cluster runs, and
+# keeps one corner of each long grid; the safety sweeps always run.
 test-short:
 	$(GO) test -short ./...
 
@@ -137,7 +138,8 @@ alloc-guard:
 # The named tests of CI's race job, under the race detector (its `go run
 # -race` smokes and whole-package runs stay in ci.yml). The lists live
 # here so the same guard covers them. TestEquivalence runs every scenario
-# of the equivalence corpus at GOMAXPROCS 1 and 8. TestWakesAreExact sits
+# of the equivalence corpus at GOMAXPROCS 1 and 8, the public API's
+# single-instance calls included. TestWakesAreExact sits
 # on the engine line: its explorer searches and experiment reports step
 # concurrent simulations under the exactness check.
 race-guard:
@@ -151,7 +153,7 @@ race-guard:
 	guard ./internal/testenv 'TestLinkScheduleIsDeterministic|TestLinkWindows' -race; \
 	guard ./cmd/adaptiveba-cluster 'TestCluster' -race; \
 	guard './internal/engine ./internal/harness ./internal/proto' 'TestEngineDeterminism|TestRunEngineMatchesSolo|TestSessionGroupsMatchOneSimulation|TestSessionGroupsVerifyMintedCertsOnce|TestWakesAreExact' -race; \
-	guard . 'TestPublicResultPins|TestRunManyMatchesSolo|TestSessionGroupsCountTheCallsCacheLookups' -race; \
+	guard . 'TestRunManyMatchesSolo|TestSessionGroupsCountTheCallsCacheLookups' -race; \
 	guard ./internal/acs 'TestACSLateBroadcastTraffic' -race; \
 	guard ./internal/engine 'TestRunACSLogConvergence|TestACSEngineLate|TestMachineBufferContract|TestReplicatedLogOverTCP|TestRunLogEmptyQueueCommitsBottom' -race; \
 	guard ./internal/proto 'TestMuxMatchesSerialRouting|TestCryptoSignerIsOnePerIdentity|TestCryptoForgerySweep' -race; \
@@ -167,8 +169,9 @@ race-guard:
 # builds a key ring, a dealer or a Crypto itself. GOMAXPROCS is the one
 # control of every worker pool, the verification cache has no off switch,
 # nodes are crashed from outside, faults are injected on links by a
-# test's proxy (internal/testenv), never inside a node or a server, and
-# every run meters its wire bytes (protocols.SizeOf): also fail if a
+# test's proxy (internal/testenv), never inside a node or a server,
+# every run meters its wire bytes (protocols.SizeOf), and a node's
+# per-peer outbox bound is the transport's default: also fail if a
 # non-test file names one of the knobs that used to duplicate those
 # (REMOVED_KNOBS). Every attack is a genome compiled by
 # internal/adversary/attacks (phase spam, help spam, the split vote, the
@@ -179,7 +182,7 @@ race-guard:
 # if a non-test file names one of the pattern rules it replaced
 # (REPLACED_PATTERNS).
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
-REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|WithParallelVerify|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-|MeasureBytes|WithMeasuredBytes|-measure-bytes
+REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|WithParallelVerify|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-|MeasureBytes|WithMeasuredBytes|-measure-bytes|flush-every
 REPLACED_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam|WBASplitVote|SelectivePhaseLeader|LateCertRelease|WBALeader|BBVettingEquivocator|FloodChain
 REPLACED_PATTERNS := adversary\.ForPattern|FirstProcesses
 deps-guard:
@@ -193,7 +196,7 @@ deps-guard:
 	fi; \
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REMOVED_KNOBS)' .); \
 	if [ -n "$$hits" ]; then \
-		echo "$$hits"; echo "deps-guard: FAIL a removed knob is back (GOMAXPROCS sizes every pool; CountOps is the only uncached suite; faults belong to the link; every run meters bytes)"; exit 1; \
+		echo "$$hits"; echo "deps-guard: FAIL a removed knob is back (GOMAXPROCS sizes every pool; CountOps is the only uncached suite; faults belong to the link; every run meters bytes; the outbox bound is fixed)"; exit 1; \
 	fi; \
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REPLACED_ATTACKS)' .); \
 	if [ -n "$$hits" ]; then \

@@ -30,14 +30,13 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("adaptiveba-cluster", flag.ContinueOnError)
 	var (
-		protocol   = fs.String("protocol", "bb", "protocol: bb | wba | strongba")
-		n          = fs.Int("n", 5, "number of processes")
-		crash      = fs.Int("crash", 0, "number of crashed (never-started) processes, taken from the highest ids")
-		value      = fs.String("value", "1", "broadcast / unanimous input value (strongba: 0 or 1)")
-		tick       = fs.Duration("tick", 15*time.Millisecond, "tick interval (δ)")
-		dial       = fs.Duration("dial", 3*time.Second, "per-peer connection deadline (crashed peers are written off after it)")
-		timeout    = fs.Duration("timeout", 60*time.Second, "overall deadline")
-		flushEvery = fs.Int("flush-every", 0, "per-peer outbox bound in bytes before backpressure drops (0 = default 4MiB)")
+		protocol = fs.String("protocol", "bb", "protocol: bb | wba | strongba")
+		n        = fs.Int("n", 5, "number of processes")
+		crash    = fs.Int("crash", 0, "number of crashed (never-started) processes, taken from the highest ids")
+		value    = fs.String("value", "1", "broadcast / unanimous input value (strongba: 0 or 1)")
+		tick     = fs.Duration("tick", 15*time.Millisecond, "tick interval (δ)")
+		dial     = fs.Duration("dial", 3*time.Second, "per-peer connection deadline (crashed peers are written off after it)")
+		timeout  = fs.Duration("timeout", 60*time.Second, "overall deadline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,7 +57,6 @@ func run(args []string, out io.Writer) error {
 			Crypto:       crypto,
 			TickInterval: *tick,
 			DialTimeout:  *dial,
-			FlushBytes:   *flushEvery,
 		},
 		Live: *n - *crash,
 		Machine: func(id types.ProcessID) (proto.Machine, error) {

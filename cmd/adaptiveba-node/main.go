@@ -37,16 +37,15 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("adaptiveba-node", flag.ContinueOnError)
 	var (
-		id         = fs.Int("id", 0, "this process's id (0..n-1)")
-		n          = fs.Int("n", 5, "number of processes")
-		addrsCSV   = fs.String("addrs", "", "comma-separated host:port list, one per process")
-		protocol   = fs.String("protocol", "strongba", "protocol: bb | wba | strongba")
-		input      = fs.String("input", "1", "input value (strongba: 0 or 1)")
-		sender     = fs.Int("sender", 0, "designated sender (bb only)")
-		seed       = fs.String("seed", "cluster-seed", "shared trusted-setup seed")
-		tick       = fs.Duration("tick", 25*time.Millisecond, "tick interval (δ)")
-		flushEvery = fs.Int("flush-every", 0, "per-peer outbox bound in bytes before backpressure drops (0 = default 4MiB)")
-		verbose    = fs.Bool("v", false, "verbose transport logging")
+		id       = fs.Int("id", 0, "this process's id (0..n-1)")
+		n        = fs.Int("n", 5, "number of processes")
+		addrsCSV = fs.String("addrs", "", "comma-separated host:port list, one per process")
+		protocol = fs.String("protocol", "strongba", "protocol: bb | wba | strongba")
+		input    = fs.String("input", "1", "input value (strongba: 0 or 1)")
+		sender   = fs.Int("sender", 0, "designated sender (bb only)")
+		seed     = fs.String("seed", "cluster-seed", "shared trusted-setup seed")
+		tick     = fs.Duration("tick", 25*time.Millisecond, "tick interval (δ)")
+		verbose  = fs.Bool("v", false, "verbose transport logging")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,7 +75,6 @@ func run(args []string) error {
 		Registry:     protocols.Registry(),
 		TickInterval: *tick,
 		Recorder:     rec,
-		FlushBytes:   *flushEvery,
 	}
 	if *verbose {
 		cfg.Logf = func(format string, a ...any) {

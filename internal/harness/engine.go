@@ -12,7 +12,9 @@ import (
 // multi-session engine run: all instances share a single deployment (one
 // process set, one failure pattern, one signature ring) and are
 // pipelined through the engine's admission window. inflight bounds the
-// concurrently live sessions (0 = unbounded, 1 = strictly serial).
+// concurrently live sessions (0 = unbounded, 1 = strictly serial). The
+// failure pattern is spec's named tick-0 crash pattern; a spec with
+// Adversary set is refused.
 //
 // The engine schedules sessions so that each one's schedule is
 // tick-for-tick the schedule a solo Run of the same spec would produce —
@@ -21,6 +23,9 @@ import (
 func RunEngine(spec Spec, sessions, inflight int) (*engine.Report, error) {
 	if sessions < 1 {
 		return nil, fmt.Errorf("%w: need at least one session, got %d", ErrSpec, sessions)
+	}
+	if spec.Adversary != nil {
+		return nil, fmt.Errorf("%w: engine runs take a named fault pattern, not Spec.Adversary, which is built for a solo run's tag and sessions (ROADMAP item 3(a))", ErrSpec)
 	}
 	// Run's defaults, so input sees the spec a solo run would.
 	spec = spec.withDefaults()

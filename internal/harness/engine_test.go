@@ -1,9 +1,12 @@
 package harness
 
 import (
+	"errors"
 	"testing"
 
+	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/protocols"
+	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
 )
 
@@ -70,13 +73,17 @@ func TestRunEngineMatchesSolo(t *testing.T) {
 }
 
 // TestRunEngineRejectsUnsupportedSpecs keeps the engine's scope honest:
-// fault patterns outside its determinism argument are refused up front
-// rather than silently approximated.
+// fault patterns outside its determinism argument, and an adversary built
+// for a solo run, are refused up front rather than silently approximated.
 func TestRunEngineRejectsUnsupportedSpecs(t *testing.T) {
 	if _, err := RunEngine(Spec{Protocol: ProtocolBB, N: 5, F: 1, Fault: FaultReplay}, 2, 0); err == nil {
 		t.Error("replay fault accepted")
 	}
 	if _, err := RunEngine(Spec{Protocol: ProtocolBB, N: 5}, 0, 0); err == nil {
 		t.Error("zero sessions accepted")
+	}
+	explored := Spec{Protocol: ProtocolBB, N: 5, F: 1, Adversary: func(types.Tick) sim.Adversary { return adversary.NewCrash(1) }}
+	if _, err := RunEngine(explored, 2, 0); !errors.Is(err, ErrSpec) {
+		t.Errorf("Spec.Adversary: err %v, want ErrSpec", err)
 	}
 }

@@ -14,9 +14,6 @@ import (
 // count, and seed in the matrix. Any violation here invalidates every
 // measured number.
 func TestSafetySweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("safety sweep is slow")
-	}
 	protocols := []Protocol{ProtocolBB, ProtocolWBA, ProtocolStrongBA}
 	for _, p := range protocols {
 		for _, pattern := range attacks.Patterns {
@@ -83,9 +80,6 @@ func checkValidity(t *testing.T, name string, o *Outcome) {
 // distinct inputs, where only agreement/termination (and binary-ness for
 // strong BA) are required.
 func TestSafetySweepDistinctInputs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("safety sweep is slow")
-	}
 	for _, p := range []Protocol{ProtocolWBA, ProtocolStrongBA, ProtocolFallback} {
 		for _, f := range []int{0, 2, 4} {
 			for seed := int64(1); seed <= 2; seed++ {

@@ -1,6 +1,7 @@
 package scenarios
 
 import (
+	"context"
 	"crypto/sha256"
 	_ "embed"
 	"encoding/binary"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"adaptiveba"
 	"adaptiveba/internal/acs"
 	"adaptiveba/internal/adversary"
 	"adaptiveba/internal/adversary/attacks"
@@ -52,12 +54,14 @@ type observer = func(now types.Tick, m sim.Message, honest bool)
 
 // outcome is what a run shows beside its sends: its decisions and outputs
 // as text, and its counters. A scenario that is not one observed run (an
-// explorer search, an experiment's report) has no sends and no counters.
+// explorer search, an experiment's report) has no sends and no counters;
+// a public API call, which has no send observer, is counted but has no
+// sends and no steps.
 type outcome struct {
-	out          string
-	sends        bool
-	words, steps int64
-	ticks        types.Tick
+	out            string
+	sends, counted bool
+	words, steps   int64
+	ticks          types.Tick
 }
 
 // Line runs the scenario and returns its line of testdata/equiv.txt: the
@@ -65,7 +69,8 @@ type outcome struct {
 // the payload's protocols.Registry encoding, or type and words alone for
 // a payload the registry does not know), the same of every Byzantine
 // send, the SHA-256 of its decisions and outputs, then its honest words,
-// ticks and steps. A scenario without sends has the outputs' hash alone.
+// ticks and steps. A scenario without sends has the outputs' hash alone,
+// and its words and ticks if it is counted.
 // It fails tb first if the run is not what the scenario expects.
 func (sc Scenario) Line(tb testing.TB) string {
 	tb.Helper()
@@ -160,11 +165,14 @@ func appendString(b []byte, s string) []byte {
 
 func (r *recorder) line(name string, o outcome) string {
 	out := sha256.Sum256([]byte(o.out))
-	if !o.sends {
-		return fmt.Sprintf("%s out=%x", name, out)
+	switch {
+	case o.sends:
+		return fmt.Sprintf("%s honest=%x byz=%x out=%x words=%d ticks=%d steps=%d",
+			name, r.honest.Sum(nil), r.byz.Sum(nil), out, o.words, o.ticks, o.steps)
+	case o.counted:
+		return fmt.Sprintf("%s out=%x words=%d ticks=%d", name, out, o.words, o.ticks)
 	}
-	return fmt.Sprintf("%s honest=%x byz=%x out=%x words=%d ticks=%d steps=%d",
-		name, r.honest.Sum(nil), r.byz.Sum(nil), out, o.words, o.ticks, o.steps)
+	return fmt.Sprintf("%s out=%x", name, out)
 }
 
 // Corpus is every scenario of the equivalence corpus, in file order:
@@ -173,6 +181,8 @@ func (r *recorder) line(name string, o outcome) string {
 //     with shuffled delivery;
 //   - outcome-pins: every protocol kind at n = 9, f = 1 under crash,
 //     crash-leader, replay and stagger;
+//   - public: the four single-instance calls of the public API at
+//     n = 5, 9, f = 0, 1, t under crash, crash-leader and replay;
 //   - wba-leader-pins: CoalitionScenarios;
 //   - bb-vetting-equivocation: the attacks.Vetting genome, two faces, at
 //     n = 5, 9;
@@ -202,6 +212,17 @@ func Corpus() []Scenario {
 		for _, fault := range []harness.Fault{harness.FaultCrash, harness.FaultCrashLeader, harness.FaultReplay, harness.FaultStagger} {
 			scs = append(scs, spec("outcome-pins/"+string(kind)+"/"+string(fault), fault != harness.FaultStagger,
 				harness.Spec{Protocol: harness.Protocol(kind), N: 9, F: 1, Fault: fault}))
+		}
+	}
+	for _, n := range []int{5, 9} {
+		for _, c := range publicCalls(n) {
+			for _, f := range []int{0, 1, (n - 1) / 2} {
+				for _, p := range []adaptiveba.FaultPattern{adaptiveba.FaultCrash, adaptiveba.FaultCrashLeader, adaptiveba.FaultReplay} {
+					scs = append(scs, public(fmt.Sprintf("public/%s/n=%d/f=%d/%s", c.name, n, f, p), n == 5, func() (*adaptiveba.Result, error) {
+						return c.run(adaptiveba.WithFaults(f), adaptiveba.WithPattern(p), adaptiveba.WithSeed(3))
+					}))
+				}
+			}
 		}
 	}
 	for _, sc := range CoalitionScenarios() {
@@ -296,6 +317,71 @@ func spec(name string, short bool, s harness.Spec) Scenario {
 				o.Words, o.Messages, o.Signatures, o.Bytes, o.Ticks, o.Decided, o.Agreement, o.Decision,
 				o.FallbackCount, o.DecisionTick, strings.Join(layers, " ")),
 			sends: true, words: o.Words, ticks: o.Ticks, steps: o.Steps,
+		}
+	}}
+}
+
+// publicCall is one single-instance call of the public API on fixed
+// inputs.
+type publicCall struct {
+	name string
+	run  func(opts ...adaptiveba.Option) (*adaptiveba.Result, error)
+}
+
+// publicCalls are the four single-instance calls at n processes: BB of
+// "pin" from p0, weak BA and strong BA on inputs "a" and "b" alternating,
+// and binary strong BA with every third process from p0 proposing false.
+func publicCalls(n int) []publicCall {
+	ctx := context.Background()
+	inputs := make([][]byte, n)
+	bits := make([]bool, n)
+	for i := range inputs {
+		inputs[i] = []byte{'a' + byte(i%2)}
+		bits[i] = i%3 != 0
+	}
+	return []publicCall{
+		{"bb", func(opts ...adaptiveba.Option) (*adaptiveba.Result, error) {
+			return adaptiveba.BroadcastContext(ctx, n, []byte("pin"), opts...)
+		}},
+		{"wba", func(opts ...adaptiveba.Option) (*adaptiveba.Result, error) {
+			return adaptiveba.WeakAgreeContext(ctx, n, inputs, nil, opts...)
+		}},
+		{"strongba", func(opts ...adaptiveba.Option) (*adaptiveba.Result, error) {
+			return adaptiveba.StrongAgreeBinaryContext(ctx, n, bits, opts...)
+		}},
+		{"strong", func(opts ...adaptiveba.Option) (*adaptiveba.Result, error) {
+			return adaptiveba.StrongAgreeContext(ctx, n, inputs, opts...)
+		}},
+	}
+}
+
+// public is one public API call, which must decide with agreement. Its
+// outputs are every Result field: the decision (%q, "-" for ⊥), Bottom,
+// Agreement, AllDecided, Words, Messages, Ticks, FallbackProcesses and
+// LayerWords.
+func public(name string, short bool, call func() (*adaptiveba.Result, error)) Scenario {
+	return Scenario{Name: name, Short: short, run: func(tb testing.TB, _ observer) outcome {
+		tb.Helper()
+		r, err := call()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if !r.AllDecided || !r.Agreement {
+			tb.Fatalf("%s: decided=%t agreement=%t, want both", name, r.AllDecided, r.Agreement)
+		}
+		decision := "-"
+		if r.Decision != nil {
+			decision = fmt.Sprintf("%q", r.Decision)
+		}
+		layers := make([]string, 0, len(r.LayerWords))
+		for layer, words := range r.LayerWords {
+			layers = append(layers, fmt.Sprintf("%s=%d", layer, words))
+		}
+		sort.Strings(layers)
+		return outcome{
+			out: fmt.Sprintf("%s %t %t %t %d %d %d %d %s", decision, r.Bottom, r.Agreement, r.AllDecided,
+				r.Words, r.Messages, r.Ticks, r.FallbackProcesses, strings.Join(layers, ",")),
+			counted: true, words: r.Words, ticks: types.Tick(r.Ticks),
 		}
 	}}
 }

@@ -1,10 +1,12 @@
 // Package scenarios is the equivalence corpus: one table of named runs
 // (Corpus) — the simulator's schedules, protocol runs under crashes,
-// replays and attacks, explorer searches, ACS rounds, the engine calls
-// behind the repo benchmark's writes and every experiment's report — each
-// reduced to one line of testdata/equiv.txt that hashes every honest and
-// every Byzantine send apart, digests the decisions and outputs, and
-// counts words, ticks and steps.
+// replays and attacks, the public API's single-instance calls, explorer
+// searches, ACS rounds, the engine calls behind the repo benchmark's
+// writes and every experiment's report — each reduced to one line of
+// testdata/equiv.txt that hashes every honest and every Byzantine send
+// apart, digests the decisions and outputs, and counts words, ticks and
+// steps. A public call has no send observer: its line digests every
+// Result field and counts words and ticks.
 //
 // A change that must not move behaviour leaves the file as it is:
 //

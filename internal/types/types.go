@@ -128,15 +128,6 @@ func (p Params) NextLed(id ProcessID, from int) int {
 	return from + ((int(id)-from)%p.N+p.N)%p.N
 }
 
-// AllProcesses returns the dense ID list [0, n).
-func (p Params) AllProcesses() []ProcessID {
-	ids := make([]ProcessID, p.N)
-	for i := range ids {
-		ids[i] = ProcessID(i)
-	}
-	return ids
-}
-
 // Value is a protocol value from the application domain. A nil Value is the
 // distinguished ⊥ (bottom). Values are treated as immutable: callers must
 // Clone before mutating shared bytes.
