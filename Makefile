@@ -68,25 +68,34 @@ profile-commit:
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.mem.pprof
 	$(GO) tool pprof -top -nodecount 25 $(PROFILE_DIR)/engine.test $(PROFILE_DIR)/commit.cpu.pprof
 
-# Profile the serving path the same way: client Puts through a Server over
-# loopback TCP at n = 4 (BenchmarkServePut in internal/service), where
-# profile-commit sees only the engine call behind them. SERVE picks the
-# shape: serial (default), one Put per round trip, or burst32, 32
-# pipelined Puts per operation. Client, server and engine share the
-# process, so the profiles cover decode, commit, reply writes and the
-# client's side of each round trip. The stores live where the repo
-# benchmark keeps them: on tmpfs in /dev/shm when it exists (SERVE_TMPDIR),
-# since on a disk the audit log's fsync alone takes a visible share of a
-# serial Put's CPU samples, which the benchmark never pays.
+# Profile the serving path the same way: client requests through a Server
+# over loopback TCP at n = 4 (BenchmarkServePut and BenchmarkServeGet in
+# internal/service), where profile-commit sees only the engine call behind
+# the Puts. SERVE picks the shape: serial (default), one Put per round
+# trip; burst32, 32 pipelined Puts per operation; get-inline, one Get of a
+# 64-byte inline value per round trip; or get-anchored, one Get of an
+# 8 KiB anchored value (blob read and re-hash). Client, server and engine
+# share the process, so the profiles cover decode, commit or read, reply
+# writes and the client's side of each round trip. The stores live where
+# the repo benchmark keeps them: on tmpfs in /dev/shm when it exists
+# (SERVE_TMPDIR), since on a disk the audit log's fsync alone takes a
+# visible share of a serial Put's CPU samples, which the benchmark never
+# pays.
 SERVE ?= serial
+SERVE_BENCH_serial := BenchmarkServePut/serial
+SERVE_BENCH_burst32 := BenchmarkServePut/burst32
+SERVE_BENCH_get-inline := BenchmarkServeGet/inline
+SERVE_BENCH_get-anchored := BenchmarkServeGet/anchored
 PROFILE_ITERS_serial := 2000
 PROFILE_ITERS_burst32 := 200
+PROFILE_ITERS_get-inline := 20000
+PROFILE_ITERS_get-anchored := 20000
 SERVE_TMPDIR := $(if $(wildcard /dev/shm),/dev/shm,$(TMPDIR))
 profile-serve:
 	mkdir -p $(PROFILE_DIR)
-	TMPDIR=$(SERVE_TMPDIR) $(GO) test ./internal/service -run '^$$' -bench 'BenchmarkServePut/$(SERVE)$$' -benchtime $(PROFILE_ITERS_$(SERVE))x \
+	TMPDIR=$(SERVE_TMPDIR) $(GO) test ./internal/service -run '^$$' -bench '$(SERVE_BENCH_$(SERVE))$$' -benchtime $(PROFILE_ITERS_$(SERVE))x \
 		-memprofile $(PROFILE_DIR)/serve.mem.pprof -memprofilerate 1 -o $(PROFILE_DIR)/service.test
-	TMPDIR=$(SERVE_TMPDIR) $(GO) test ./internal/service -run '^$$' -bench 'BenchmarkServePut/$(SERVE)$$' -benchtime $(PROFILE_ITERS_$(SERVE))0x \
+	TMPDIR=$(SERVE_TMPDIR) $(GO) test ./internal/service -run '^$$' -bench '$(SERVE_BENCH_$(SERVE))$$' -benchtime $(PROFILE_ITERS_$(SERVE))0x \
 		-cpuprofile $(PROFILE_DIR)/serve.cpu.pprof -o $(PROFILE_DIR)/service.test
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 25 $(PROFILE_DIR)/service.test $(PROFILE_DIR)/serve.mem.pprof
 	$(GO) tool pprof -sample_index=alloc_space -top -nodecount 25 $(PROFILE_DIR)/service.test $(PROFILE_DIR)/serve.mem.pprof
@@ -133,7 +142,7 @@ alloc-guard:
 	guard ./internal/acs 'TestACSAllocCeiling'; \
 	guard './internal/core/wba ./internal/core/bb' 'TestIngestDropsOutOfRangePhases|TestSignBasesAreExactSizeAndUnchanged'; \
 	guard ./internal/kv 'TestApplyAllocs|TestSnapshotAllocs'; \
-	guard ./internal/service 'TestAuditAppendZeroAllocs|TestFrameEncodeOneExactAlloc|TestAnchoredGetReplyOneCopy|TestGetResponseMatchesEncodeResponse|TestCoreCommitAllocCeiling'
+	guard ./internal/service 'TestAuditAppendZeroAllocs|TestFrameEncodeOneExactAlloc|TestAnchoredGetReplyOneCopy|TestGetReplyBufferIsBounded|TestGetResponseMatchesEncodeResponse|TestCoreCommitAllocCeiling'
 
 # The named tests of CI's race job, under the race detector (its `go run
 # -race` smokes and whole-package runs stay in ci.yml). The lists live

@@ -14,14 +14,15 @@
 package blob
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"syscall"
 )
 
 // Ref is a content address: the SHA-256 digest of the payload.
@@ -45,8 +46,18 @@ func ParseRef[S ~string | ~[]byte](s S) (Ref, error) {
 	return r, nil
 }
 
+// Compare orders refs by their bytes, which is also the order of their
+// hex forms.
+func (r Ref) Compare(o Ref) int { return bytes.Compare(r[:], o[:]) }
+
 // Sum returns the content address of a payload without storing it.
 func Sum(data []byte) Ref { return Ref(sha256.Sum256(data)) }
+
+// MaxSize bounds a stored payload: the largest value the service accepts
+// (service.MaxValue, which is wire.MaxChunk). Put refuses a larger
+// payload, and a read refuses a larger file before it allocates for it,
+// as transport.FrameReader refuses a length prefix past its bound.
+const MaxSize = 1 << 20
 
 var (
 	// ErrNotFound reports a ref with no stored payload.
@@ -57,8 +68,8 @@ var (
 )
 
 // Store is a content-addressed blob store rooted at one directory. Puts
-// must be serialized (they number their temp files). Get, AppendGet and
-// Verify only read the directory, so any number of them may run at once,
+// must be serialized (they number their temp files). Get, AppendGet,
+// Verify and VerifyAll only read the directory, so any number of them may run at once,
 // and alongside one Put: a blob appears whole, by rename
 // (internal/service reads on its connection goroutines while its run
 // loop writes).
@@ -85,7 +96,10 @@ func (s *Store) path(r Ref) string { return filepath.Join(s.dir, r.String()) }
 // survives a crash.
 func (s *Store) Put(data []byte) (Ref, error) {
 	r := Sum(data)
-	if prev, err := os.ReadFile(s.path(r)); err == nil && Sum(prev) == r {
+	if len(data) > MaxSize {
+		return r, fmt.Errorf("blob: put: %d bytes exceeds MaxSize", len(data))
+	}
+	if _, err := s.read(nil, r); err == nil {
 		return r, nil // dedup: intact copy already stored
 	}
 	// Missing or corrupt: write via temp+rename, which is idempotent and
@@ -136,40 +150,86 @@ func (s *Store) syncDir() error {
 // have changed on disk is ErrTampered.
 func (s *Store) Get(r Ref) ([]byte, error) { return s.AppendGet(nil, r) }
 
-// AppendGet is Get appending the payload to dst: the file is sized
-// first, dst grows once to hold it (plus one byte, so a file that grew
-// since reads long instead of silently truncated), and the bytes are
-// read straight into it and re-hashed. On error it returns dst's
-// original prefix, intact.
+// AppendGet is Get appending the payload to dst. On error it returns
+// dst's original prefix, intact.
 func (s *Store) AppendGet(dst []byte, r Ref) ([]byte, error) {
-	f, err := os.Open(s.path(r))
-	if errors.Is(err, os.ErrNotExist) {
-		return dst, fmt.Errorf("%w: %s", ErrNotFound, r)
-	}
-	if err != nil {
-		return dst, fmt.Errorf("blob: get %s: %w", r, err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return dst, fmt.Errorf("blob: get %s: %w", r, err)
-	}
-	n0, size := len(dst), int(fi.Size())
-	if cap(dst)-n0 < size+1 {
-		grown := make([]byte, n0, n0+size+1)
-		copy(grown, dst)
-		dst = grown
-	}
-	n, err := io.ReadFull(f, dst[n0:n0+size+1])
+	out, err := s.read(dst, r)
 	switch {
-	case err != nil && err != io.ErrUnexpectedEOF && err != io.EOF:
-		return dst[:n0], fmt.Errorf("blob: get %s: %w", r, err)
+	case err == nil:
+		return out, nil
+	case errors.Is(err, ErrNotFound), errors.Is(err, ErrTampered):
+		return out, fmt.Errorf("%w: %s", err, r)
+	default:
+		return out, fmt.Errorf("blob: get %s: %w", r, err)
+	}
+}
+
+var (
+	errResized  = fmt.Errorf("%w: file changed size while read", ErrTampered)
+	errOversize = fmt.Errorf("%w: file over MaxSize", ErrTampered)
+)
+
+// read is the one read path: AppendGet, Put's dedup check and VerifyAll
+// all take it. It appends the payload stored under r to dst and checks
+// it against r, with four or five system calls: a plain open(2), which
+// leaves the runtime's network poller out (a regular file cannot wait in
+// it anyway), one fstat(2) to size dst, read(2) into dst until end of
+// file, and close(2). dst grows once, to one byte more than the file, so
+// a file that grew since the fstat reads long instead of silently
+// truncated. A file larger than MaxSize is refused before anything is
+// allocated for it. Its errors carry no detail, so a miss costs no
+// formatting: ErrNotFound, ErrTampered (or an error wrapping it), or the
+// system call's error. On error it returns dst's original prefix.
+func (s *Store) read(dst []byte, r Ref) ([]byte, error) {
+	var fd int
+	err := retry(func() (err error) {
+		fd, err = syscall.Open(s.path(r), syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		return err
+	})
+	if errors.Is(err, os.ErrNotExist) {
+		return dst, ErrNotFound
+	}
+	if err != nil {
+		return dst, err
+	}
+	defer syscall.Close(fd)
+	var st syscall.Stat_t
+	if err := retry(func() error { return syscall.Fstat(fd, &st) }); err != nil {
+		return dst, err
+	}
+	if st.Size > MaxSize {
+		return dst, errOversize
+	}
+	n0, size := len(dst), int(st.Size)
+	dst = slices.Grow(dst, size+1)
+	buf := dst[n0 : n0+size+1]
+	n := 0
+	for n < len(buf) {
+		var k int
+		if err := retry(func() (err error) { k, err = syscall.Read(fd, buf[n:]); return err }); err != nil {
+			return dst[:n0], err
+		}
+		if k == 0 {
+			break
+		}
+		n += k
+	}
+	switch {
 	case n != size:
-		return dst[:n0], fmt.Errorf("%w: %s changed size while read", ErrTampered, r)
-	case Sum(dst[n0:n0+size]) != r:
-		return dst[:n0], fmt.Errorf("%w: %s", ErrTampered, r)
+		return dst[:n0], errResized
+	case Sum(buf[:size]) != r:
+		return dst[:n0], ErrTampered
 	}
 	return dst[:n0+size], nil
+}
+
+// retry runs a system call again for as long as a signal interrupts it.
+func retry(call func() error) error {
+	for {
+		if err := call(); err != syscall.EINTR {
+			return err
+		}
+	}
 }
 
 // Verify checks one stored blob against its content address without
@@ -197,20 +257,22 @@ func (s *Store) Refs() ([]Ref, error) {
 		}
 		refs = append(refs, r)
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].String() < refs[j].String() })
+	slices.SortFunc(refs, Ref.Compare)
 	return refs, nil
 }
 
-// VerifyAll checks every stored blob, returning the refs that failed.
-func (s *Store) VerifyAll() (bad []Ref, err error) {
-	refs, err := s.Refs()
-	if err != nil {
-		return nil, err
+// VerifyAll checks every stored blob once: one listing, then each blob
+// read through one reused buffer and re-hashed. It returns every stored
+// ref in sorted order and the ones that failed, also sorted.
+func (s *Store) VerifyAll() (refs, bad []Ref, err error) {
+	if refs, err = s.Refs(); err != nil {
+		return nil, nil, err
 	}
+	var buf []byte
 	for _, r := range refs {
-		if s.Verify(r) != nil {
+		if buf, err = s.read(buf[:0], r); err != nil {
 			bad = append(bad, r)
 		}
 	}
-	return bad, nil
+	return refs, bad, nil
 }

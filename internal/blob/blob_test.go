@@ -5,7 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+
+	"adaptiveba/internal/testenv"
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -92,7 +95,7 @@ func TestTamperedBlobDetected(t *testing.T) {
 	if _, err := s.Get(ref); !errors.Is(err, ErrTampered) {
 		t.Fatalf("want ErrTampered, got %v", err)
 	}
-	bad, err := s.VerifyAll()
+	_, bad, err := s.VerifyAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +175,8 @@ func TestRefsSkipsForeignFiles(t *testing.T) {
 }
 
 // TestAppendGetTamperMatrix gives AppendGet Get's tamper checks — a
-// flipped byte, a truncated file, a grown file, a missing file — and
+// flipped byte, a truncated file, a grown file, a file over MaxSize, a
+// missing file — and
 // requires every failure to hand back dst's prefix untouched, whether dst
 // had room for the payload or had to grow.
 func TestAppendGetTamperMatrix(t *testing.T) {
@@ -216,6 +220,7 @@ func TestAppendGetTamperMatrix(t *testing.T) {
 		{"truncated", func(d []byte) []byte { return d[:len(d)-1] }, ErrTampered},
 		{"grown", func(d []byte) []byte { return append(d, 'x') }, ErrTampered},
 		{"emptied", func(d []byte) []byte { return d[:0] }, ErrTampered},
+		{"oversize", func([]byte) []byte { return make([]byte, MaxSize+1) }, ErrTampered},
 		{"missing", nil, ErrNotFound},
 	}
 	for _, tc := range tampers {
@@ -256,5 +261,118 @@ func TestAppendGetEmptyBlob(t *testing.T) {
 	got, err := s.AppendGet([]byte("p"), ref)
 	if err != nil || string(got) != "p" {
 		t.Fatalf("AppendGet of an empty blob: %q, %v", got, err)
+	}
+}
+
+// TestOversizeRefusedBeforeAllocating: the store holds no payload over
+// MaxSize. Put refuses one and stores nothing, one of exactly MaxSize
+// round-trips, and a stored file one byte over the bound reads as
+// ErrTampered without an allocation sized by it: the read checks the
+// fstat size before it grows dst, so a corrupted or replaced file of any
+// length costs no memory.
+func TestOversizeRefusedBeforeAllocating(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	over := make([]byte, MaxSize+1)
+	if _, err := s.Put(over); err == nil {
+		t.Fatal("Put of MaxSize+1 bytes succeeded")
+	}
+	if refs, err := s.Refs(); err != nil || len(refs) != 0 {
+		t.Fatalf("a refused Put left %v behind (%v)", refs, err)
+	}
+	full := bytes.Repeat([]byte{7}, MaxSize)
+	ref, err := s.Put(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get(ref); err != nil || !bytes.Equal(got, full) {
+		t.Fatalf("Get of a MaxSize blob: %d bytes, %v", len(got), err)
+	}
+
+	ref = Sum(over)
+	if err := os.WriteFile(filepath.Join(dir, ref.String()), over, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = s.AppendGet(nil, ref)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTampered) {
+		t.Fatalf("AppendGet of a MaxSize+1 file: want ErrTampered, got %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<10 {
+		t.Fatalf("refusing a MaxSize+1 file allocated %d bytes", grew)
+	}
+	if _, bad, err := s.VerifyAll(); err != nil || len(bad) != 1 || bad[0] != ref {
+		t.Fatalf("VerifyAll: bad %v, %v; want the oversize blob", bad, err)
+	}
+}
+
+// TestReadPathLeaksNoDescriptor: every way a read ends closes the file it
+// opened. Reads that succeed, and reads of a missing, flipped, truncated,
+// grown, empty, oversize blob and of a directory in a blob's place (the
+// open succeeds and the read fails), each many times, leave the
+// process's descriptor count where it was.
+func TestReadPathLeaksNoDescriptor(t *testing.T) {
+	testenv.NoLeaks(t)
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("fd "), 100)
+	ref, err := s.Put(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := s.Put(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ref.String())
+	read := func(name string, want error) {
+		t.Helper()
+		for range 64 {
+			if _, err := s.Get(ref); !errors.Is(err, want) {
+				t.Fatalf("%s: want %v, got %v", name, want, err)
+			}
+		}
+		if _, _, err := s.VerifyAll(); err != nil {
+			t.Fatalf("%s: VerifyAll: %v", name, err)
+		}
+	}
+	read("intact", nil)
+	if _, err := s.Get(empty); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"flipped", append([]byte{payload[0] ^ 1}, payload[1:]...)},
+		{"truncated", payload[:len(payload)-1]},
+		{"grown", append(bytes.Clone(payload), '!')},
+		{"emptied", nil},
+		{"oversize", make([]byte, MaxSize+1)},
+	} {
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		read(tc.name, ErrTampered)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	read("missing", ErrNotFound)
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for range 64 {
+		if _, err := s.Get(ref); err == nil {
+			t.Fatal("Get of a directory succeeded")
+		}
 	}
 }

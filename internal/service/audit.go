@@ -225,27 +225,6 @@ func VerifyChain(entries []AuditEntry) error {
 	return nil
 }
 
-// VerifyAgainst walks the chain and additionally checks every anchored
-// entry's blob: present in the store and hashing to its anchor. It
-// returns the seqs of entries whose blob check failed (chain breaks
-// still error immediately — a broken chain invalidates everything after
-// the break, not one entry).
-func VerifyAgainst(entries []AuditEntry, blobs *blob.Store) (badBlobs []int, err error) {
-	if err := VerifyChain(entries); err != nil {
-		return nil, err
-	}
-	for i := range entries {
-		e := &entries[i]
-		if e.Op != OpPut || !e.Anchored {
-			continue
-		}
-		if blobs.Verify(e.Anchor) != nil {
-			badBlobs = append(badBlobs, e.Seq)
-		}
-	}
-	return badBlobs, nil
-}
-
 // ReloadFromDisk re-reads and re-verifies the on-disk file — the
 // external auditor's view, used by Verify to catch tampering that
 // happened after entries were appended.

@@ -52,7 +52,7 @@ type ClientConfig struct {
 type Client struct {
 	cfg  ClientConfig
 	conn net.Conn
-	br   *bufio.Reader // conn, buffered: one read per frame, not one per prefix and one per body
+	br   *bufio.Reader // conn, buffered as the server's readers are: one read per reply up to readerSize
 	fr   transport.FrameReader
 	id   int
 	seq  int
@@ -71,7 +71,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: dial %s: %w", addr, err)
 	}
-	c := &Client{cfg: cfg, conn: conn, br: bufio.NewReader(conn)}
+	c := &Client{cfg: cfg, conn: conn, br: bufio.NewReaderSize(conn, readerSize)}
 	if err := transport.WriteFrame(conn, FrameHello, nil); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("service: hello: %w", err)

@@ -1,17 +1,23 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
+	"adaptiveba/internal/blob"
 	"adaptiveba/internal/testenv"
+	"adaptiveba/internal/transport"
 )
 
 // The data path's byte formats — audit records, committed commands, Get
@@ -167,9 +173,8 @@ func TestGetResponseMatchesEncodeResponse(t *testing.T) {
 	if _, err := c.Commit(ops); err != nil {
 		t.Fatal(err)
 	}
-	var hdr [getHeaderSize]byte
 	for k, v := range values {
-		got, err := c.getResponse(&hdr, 1<<40+3, []byte(k))
+		got, err := c.getResponse(nil, 1<<40+3, []byte(k))
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
@@ -181,8 +186,177 @@ func TestGetResponseMatchesEncodeResponse(t *testing.T) {
 			t.Fatalf("%s: Get %q, %v", k, v2, err)
 		}
 	}
-	if _, err := c.getResponse(&hdr, 1, []byte("absent")); err == nil {
+	if _, err := c.getResponse(nil, 1, []byte("absent")); err == nil {
 		t.Fatal("Get of an absent key succeeded")
+	}
+	// Appended behind a prefix, into one reused buffer: the same reply
+	// after the prefix, and a failed Get hands the prefix back.
+	buf := []byte("prefix")
+	for k, v := range values {
+		got, err := c.getResponse(buf[:6], 5, []byte(k))
+		if err != nil {
+			t.Fatalf("%s: %v", k, err)
+		}
+		want := append([]byte("prefix"), EncodeResponse(&Response{Seq: 5, Status: StatusOK, Value: v})...)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s behind a prefix: reply %x, want %x", k, got, want)
+		}
+		buf = got
+		if got, err := c.getResponse(buf[:6], 6, []byte("absent")); err == nil || string(got) != "prefix" {
+			t.Fatalf("absent key behind a prefix: %q, %v", got, err)
+		}
+	}
+}
+
+// getSizes are the reply shapes of one connection's Gets: inline,
+// anchored below readerSize, anchored above it (so its buffer is not
+// kept), and a missing key.
+var getSizes = map[string]int{"inline": 40, "8k": 8 << 10, "64k": 64 << 10, "absent": -1}
+
+// putGetSizes stores getSizes' values through c and returns them by key.
+func putGetSizes(t *testing.T, c *Client) map[string][]byte {
+	t.Helper()
+	values := map[string][]byte{}
+	for k, n := range getSizes {
+		if n < 0 {
+			continue
+		}
+		values[k] = bytes.Repeat([]byte(k[:1]), n)
+		if err := c.Put([]byte(k), values[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return values
+}
+
+// wantGetReply is the reply EncodeResponse gives to Get seq of key.
+func wantGetReply(s *Server, seq int, key string) []byte {
+	v, err := s.core.Get([]byte(key))
+	if err != nil {
+		return EncodeResponse(errResponseFor(seq, err))
+	}
+	return EncodeResponse(&Response{Seq: seq, Status: StatusOK, Value: v})
+}
+
+// getOrder mixes getSizes' shapes so that every shape follows every
+// other, a longer reply before a shorter one included.
+var getOrder = []string{"64k", "inline", "8k", "absent", "8k", "64k", "absent", "inline", "8k", "8k", "64k", "8k", "inline", "inline", "absent"}
+
+// TestGetRepliesOnOneConnection: pipelined on one connection, Gets of
+// every reply shape in mixed order each get the reply EncodeResponse
+// gives, byte for byte. The connection builds them all in one reply
+// buffer, so a shorter reply behind a longer one must carry none of the
+// longer one's bytes.
+func TestGetRepliesOnOneConnection(t *testing.T) {
+	s := startServer(t, nil)
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	putGetSizes(t, c)
+	var reqs []*Request
+	for i, k := range getOrder {
+		reqs = append(reqs, &Request{Client: c.ID(), Seq: 100 + i, Op: ReqGet, Key: []byte(k)})
+	}
+	sendFrames(t, c, reqs...)
+	c.conn.SetReadDeadline(time.Now().Add(c.cfg.Timeout))
+	for i, k := range getOrder {
+		kind, body, err := c.fr.Read(c.br)
+		if err != nil || kind != FrameResponse {
+			t.Fatalf("reply %d (%s): kind %d, %v", i, k, kind, err)
+		}
+		if want := wantGetReply(s, 100+i, k); !bytes.Equal(body, want) {
+			t.Fatalf("reply %d (%s): %d bytes, not the %d EncodeResponse gives", i, k, len(body), len(want))
+		}
+	}
+}
+
+// TestGetReplyBufferIsBounded drives serveGet on one connection in
+// getOrder: each reply is EncodeResponse's, a reply that fits readerSize
+// leaves its buffer for the next Get (two 8 KiB Gets in a row share
+// one), and a larger one's buffer is dropped once written, so the
+// connection never holds more than readerSize bytes of it.
+func TestGetReplyBufferIsBounded(t *testing.T) {
+	s := startServer(t, nil)
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	putGetSizes(t, c)
+
+	srv, cli := net.Pipe()
+	defer srv.Close()
+	defer cli.Close()
+	replies := make(chan []byte)
+	go func() {
+		defer close(replies)
+		var fr transport.FrameReader
+		br := bufio.NewReader(cli)
+		for {
+			_, body, err := fr.Read(br)
+			if err != nil {
+				return
+			}
+			replies <- bytes.Clone(body)
+		}
+	}()
+	sc := &serverConn{conn: srv, bw: bufio.NewWriter(srv), idle: make(chan struct{}, 1)}
+	var kept []byte // the buffer the last Get left
+	for i, k := range getOrder {
+		if !s.serveGet(sc, &Request{Seq: i, Op: ReqGet, Key: []byte(k)}) {
+			t.Fatalf("Get %d (%s) failed to write", i, k)
+		}
+		if got, want := <-replies, wantGetReply(s, i, k); !bytes.Equal(got, want) {
+			t.Fatalf("Get %d (%s): %d bytes, not the %d EncodeResponse gives", i, k, len(got), len(want))
+		}
+		switch {
+		case cap(sc.reply) > readerSize:
+			t.Fatalf("Get %d (%s) left a %d-byte reply buffer, over readerSize", i, k, cap(sc.reply))
+		case k == "64k" && sc.reply != nil:
+			t.Fatalf("Get %d kept a buffer after a reply over readerSize", i)
+		case k == "8k" && cap(sc.reply) <= getHeaderSize+8<<10:
+			t.Fatalf("Get %d left no buffer with room for its reply", i)
+		case k == "8k" && cap(kept) > getHeaderSize+8<<10 && &sc.reply[:1][0] != &kept[:1][0]:
+			t.Fatalf("Get %d made a new buffer although the last one had room", i)
+		}
+		kept = sc.reply
+	}
+}
+
+// TestTamperAfterGetIsCaught: an anchored Get re-reads and re-hashes its
+// blob every time. A byte flipped on disk after a successful Get makes
+// the next Get on the same connection ErrTampered, and the blob's
+// restored bytes read back again.
+func TestTamperAfterGetIsCaught(t *testing.T) {
+	s := startServer(t, nil)
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	key, val := []byte("big"), bytes.Repeat([]byte("t"), 8<<10)
+	if err := c.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Get(key); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("first Get: %d bytes, %v", len(got), err)
+	}
+	path := filepath.Join(s.cfg.Core.BlobDir, blob.Sum(val).String())
+	flipped := bytes.Clone(val)
+	flipped[4096] ^= 1
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Get(key); !errors.Is(err, ErrTampered) {
+		t.Fatalf("Get after a flipped byte: %d bytes, %v; want ErrTampered", len(got), err)
+	}
+	if err := os.WriteFile(path, val, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Get(key); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("Get after the restore: %d bytes, %v", len(got), err)
 	}
 }
 
@@ -365,11 +539,11 @@ func TestFrameEncodeOneExactAlloc(t *testing.T) {
 	}
 }
 
-// TestAnchoredGetReplyOneCopy guards the server's anchored Get: the 8 KiB
-// value is read from its blob straight into the reply, whose capacity is
-// at most the value plus 64 bytes, and no second value-sized buffer is
-// made. The rest — opening, stat'ing and naming the file, encoding the
-// key — is a fixed overhead of about 0.7 KiB.
+// TestAnchoredGetReplyOneCopy guards the server's anchored Get in its
+// steady state: the 8 KiB value is read from its blob straight into the
+// connection's reply buffer, and once that buffer has grown to hold one
+// reply, a Get allocates no value-sized buffer at all. What is left is a
+// fixed overhead: the blob's path and the key's encoding.
 func TestAnchoredGetReplyOneCopy(t *testing.T) {
 	c := testCore(t, nil)
 	val := bytes.Repeat([]byte("q"), 8<<10)
@@ -377,28 +551,32 @@ func TestAnchoredGetReplyOneCopy(t *testing.T) {
 	if _, err := c.Commit([]Op{{Op: OpPut, Key: key, Value: val}}); err != nil {
 		t.Fatal(err)
 	}
-	var hdr [getHeaderSize]byte
-	reply, err := c.getResponse(&hdr, 1, key)
+	reply, err := c.getResponse(nil, 1, key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if extra := cap(reply) - len(val); extra > 64 {
-		t.Errorf("reply capacity %d is %d bytes over the value", cap(reply), extra)
+	warm := cap(reply)
+	get := func() {
+		if reply, err = c.getResponse(reply[:0], 1, key); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const runs = 200
-	allocs := testing.AllocsPerRun(runs, func() { c.getResponse(&hdr, 1, key) })
+	allocs := testing.AllocsPerRun(runs, get)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		c.getResponse(&hdr, 1, key)
+	for range runs {
+		get()
 	}
 	runtime.ReadMemStats(&after)
+	if cap(reply) != warm {
+		t.Errorf("the reply buffer moved from capacity %d to %d", warm, cap(reply))
+	}
 	perGet := int(after.TotalAlloc-before.TotalAlloc) / runs
-	// The reply's size class rounds 8 KiB + 36 B up to 9 472 B.
-	const allocCeiling, byteCeiling = 11, 9472 + 2048
-	t.Logf("anchored 8 KiB Get reply: %.1f allocs, %d B per Get (ceilings %d, %d)", allocs, perGet, allocCeiling, byteCeiling)
+	const allocCeiling, byteCeiling = 8, 1024
+	t.Logf("warmed anchored 8 KiB Get reply: %.1f allocs, %d B per Get (ceilings %d, %d)", allocs, perGet, allocCeiling, byteCeiling)
 	if allocs > allocCeiling || perGet > byteCeiling {
-		t.Errorf("anchored Get: %.1f allocs, %d B; want ≤ %d, ≤ %d B (one copy of the value)", allocs, perGet, allocCeiling, byteCeiling)
+		t.Errorf("warmed anchored Get: %.1f allocs, %d B; want ≤ %d, ≤ %d B (no value-sized buffer)", allocs, perGet, allocCeiling, byteCeiling)
 	}
 }
 
@@ -447,5 +625,23 @@ func TestCoreCommitAllocCeiling(t *testing.T) {
 	}
 	if bytes > byteCeiling {
 		t.Errorf("%.0f kB allocated per 32-write Commit, ceiling %.0f kB", bytes/1e3, byteCeiling/1e3)
+	}
+}
+
+// TestMaxValueIsTheBlobBound: every value the service accepts is one the
+// blob store stores and reads back. A value of MaxValue bytes commits
+// and reads back whole; one byte more is refused by the blob store
+// before agreement runs.
+func TestMaxValueIsTheBlobBound(t *testing.T) {
+	c := testCore(t, nil)
+	val := bytes.Repeat([]byte("m"), MaxValue)
+	if _, err := c.Commit([]Op{{Op: OpPut, Key: []byte("max"), Value: val}}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := c.Get([]byte("max")); err != nil || !bytes.Equal(got, val) {
+		t.Fatalf("Get of a MaxValue value: %d bytes, %v", len(got), err)
+	}
+	if _, err := c.Commit([]Op{{Op: OpPut, Key: []byte("over"), Value: append(val, 'm')}}); err == nil {
+		t.Fatal("a MaxValue+1 value committed")
 	}
 }

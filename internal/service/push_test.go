@@ -222,6 +222,31 @@ func TestCloseDuringCommit(t *testing.T) {
 	}
 }
 
+// serveBench starts a Server at n = 4 on loopback TCP, values over 64
+// bytes anchored, and returns a client of it.
+func serveBench(b *testing.B) *Client {
+	dir := b.TempDir()
+	s, err := NewServer(ServerConfig{
+		Core: Config{
+			N:         4,
+			BlobDir:   filepath.Join(dir, "blobs"),
+			AuditPath: filepath.Join(dir, "audit.log"),
+			InlineMax: 64,
+		},
+		Addr: "127.0.0.1:0",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	c, err := Dial(s.Addr(), ClientConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	return c
+}
+
 // BenchmarkServePut times client Puts through a Server over loopback TCP
 // at n = 4: serial, one Put per round trip, and burst32, 32 pipelined
 // Puts shaped like the repo benchmark's (every 16th value 4 KiB) per
@@ -229,31 +254,8 @@ func TestCloseDuringCommit(t *testing.T) {
 // included, that BenchmarkRunACSLogCommit leaves out; `make
 // profile-serve` profiles it.
 func BenchmarkServePut(b *testing.B) {
-	serve := func(b *testing.B) *Client {
-		dir := b.TempDir()
-		s, err := NewServer(ServerConfig{
-			Core: Config{
-				N:         4,
-				BlobDir:   filepath.Join(dir, "blobs"),
-				AuditPath: filepath.Join(dir, "audit.log"),
-				InlineMax: 64,
-			},
-			Addr: "127.0.0.1:0",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { s.Close() })
-		c, err := Dial(s.Addr(), ClientConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { c.Close() })
-		return c
-	}
-
 	b.Run("serial", func(b *testing.B) {
-		c := serve(b)
+		c := serveBench(b)
 		key, val := []byte("k"), []byte("v")
 		b.ReportAllocs()
 		for b.Loop() {
@@ -265,7 +267,7 @@ func BenchmarkServePut(b *testing.B) {
 
 	b.Run("burst32", func(b *testing.B) {
 		const burst = 32
-		c := serve(b)
+		c := serveBench(b)
 		var frames bytes.Buffer
 		seq := 0
 		b.ReportAllocs()
@@ -294,4 +296,30 @@ func BenchmarkServePut(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkServeGet times client Gets through a Server over loopback TCP
+// at n = 4, the read half of svc-read-mostly's stride: inline, a 64-byte
+// value decoded from the kv store, and anchored, an 8 KiB value read
+// from its blob and re-hashed. `make profile-serve SERVE=get-inline` and
+// `SERVE=get-anchored` profile it.
+func BenchmarkServeGet(b *testing.B) {
+	for _, shape := range []struct {
+		name string
+		size int
+	}{{"inline", 64}, {"anchored", 8 << 10}} {
+		b.Run(shape.name, func(b *testing.B) {
+			c := serveBench(b)
+			key := []byte("k")
+			if err := c.Put(key, bytes.Repeat([]byte("v"), shape.size)); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := c.Get(key); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

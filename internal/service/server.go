@@ -88,8 +88,9 @@ type serverConn struct {
 	inRun atomic.Int64
 	idle  chan struct{}
 
-	// hdr is the reader's scratch for a Get reply's header.
-	hdr [getHeaderSize]byte
+	// reply is the reader's buffer for Get replies, grow-only up to
+	// readerSize (see serveGet).
+	reply []byte
 
 	// The connection's client's write dedup window, touched only by the
 	// Core's writer: resp holds the response to each write in the window,
@@ -540,13 +541,22 @@ func (s *Server) handOff(c *serverConn, reqs []*Request) bool {
 // earlier writes. Then it reads the Core and writes the reply behind
 // whatever the writer had queued. A Get is never in the dedup window: a
 // retried one reads again.
+//
+// The reply is built in c.reply, which the next Get reuses, so a warmed
+// connection allocates no value-sized buffer per Get. A buffer grown past
+// readerSize is dropped once its reply is written: an idle connection
+// holds at most readerSize bytes of it.
 func (s *Server) serveGet(c *serverConn, req *Request) bool {
 	if !c.settle(s.done) {
 		return false
 	}
-	body, err := s.core.getResponse(&c.hdr, req.Seq, req.Key)
+	body, err := s.core.getResponse(c.reply[:0], req.Seq, req.Key)
 	if err != nil {
 		body = EncodeResponse(errResponseFor(req.Seq, err))
+	} else if cap(body) <= readerSize {
+		c.reply = body
+	} else {
+		c.reply = nil
 	}
 	return c.write(body) == nil
 }

@@ -11,7 +11,7 @@
 // regardless of payload size — the paper's word-complexity story held
 // intact under a large-payload workload. Every committed write also
 // appends one record to the hash-chained audit log; Verify walks the
-// chain end to end and re-hashes every anchored blob, so a single
+// chain end to end and re-hashes every stored blob, so a single
 // flipped byte anywhere in the blob store or the audit file is detected.
 //
 // Snapshots bound memory for unbounded uptime: every SnapshotEvery
@@ -474,35 +474,36 @@ func (c *Core) appendGet(dst, key []byte) ([]byte, error) {
 	return c.appendStored(dst, stored)
 }
 
-// getResponse encodes the OK response to a Get of key with the value
-// copied once, from the store straight into the reply: the header, then
-// the value, then the trailing no-report flag, and last the value's
-// length prefix, backfilled. The bytes equal EncodeResponse of
-// Response{Seq: seq, Status: StatusOK, Value: value}.
-//
-// The header is written into hdr, the caller's scratch (one per
-// goroutine that serves Gets). Its capacity is exactly the header, so
-// appending the value always moves the reply into a fresh buffer sized
-// for it: hdr is never part of a reply.
-func (c *Core) getResponse(hdr *[getHeaderSize]byte, seq int, key []byte) ([]byte, error) {
+// getResponse appends the OK response to a Get of key to dst, with the
+// value copied once, from the store straight into the reply: the header,
+// then the value, then the trailing no-report flag, and last the value's
+// length prefix, backfilled. The bytes appended equal EncodeResponse of
+// Response{Seq: seq, Status: StatusOK, Value: value}. dst is the
+// caller's reply buffer (one per goroutine that serves Gets): once it has
+// room for a value, a Get of one no larger allocates no value-sized
+// buffer. On error dst's prefix is returned intact.
+func (c *Core) getResponse(dst []byte, seq int, key []byte) ([]byte, error) {
 	// The header is PutInt(seq), PutByte twice, PutString(""), and the
 	// Value's length prefix: PutInt's big-endian words, written in place.
-	body := binary.BigEndian.AppendUint64(hdr[:0], uint64(seq))
+	n0 := len(dst)
+	body := binary.BigEndian.AppendUint64(dst, uint64(seq))
 	body = append(body, StatusOK, CodeNone)
 	body = binary.BigEndian.AppendUint64(body, 0) // empty Detail
 	body = binary.BigEndian.AppendUint64(body, 0) // Value's length, backfilled below
 	body, err := c.appendGet(body, key)
 	if err != nil {
-		return nil, err
+		return body[:n0], err
 	}
 	body = append(body, 0) // no VerifyReport
-	binary.BigEndian.PutUint64(body[getHeaderSize-wire.SizeInt:], uint64(len(body)-getHeaderSize-1))
+	binary.BigEndian.PutUint64(body[n0+getHeaderSize-wire.SizeInt:], uint64(len(body)-n0-getHeaderSize-1))
 	return body, nil
 }
 
 // Verify is the end-to-end tamper-evidence walk: re-read the audit file
-// from disk, recompute the whole hash chain, and re-hash every anchored
-// blob. Any flipped byte in either store surfaces here.
+// from disk, recompute the whole hash chain, and re-hash every stored
+// blob once. An anchored entry whose blob is missing or failed its hash
+// is listed in BadSeqs; a bad blob no entry anchors still fails the walk.
+// Any flipped byte in either store surfaces here.
 func (c *Core) Verify() (*VerifyReport, error) {
 	rep := &VerifyReport{StateHash: c.store.Hash()}
 	entries, err := c.audit.ReloadFromDisk()
@@ -510,25 +511,34 @@ func (c *Core) Verify() (*VerifyReport, error) {
 		return rep, fmt.Errorf("%w: %v", ErrTampered, err)
 	}
 	rep.Entries = len(entries)
-	refs, err := c.blobs.Refs()
+	refs, bad, err := c.blobs.VerifyAll()
 	if err != nil {
 		return rep, err
 	}
 	rep.Blobs = len(refs)
-	badSeqs, err := VerifyAgainst(entries, c.blobs)
-	if err != nil {
+	// A broken chain invalidates everything after the break, not one
+	// entry, so it fails the walk before any anchor is looked at.
+	if err := VerifyChain(entries); err != nil {
 		return rep, fmt.Errorf("%w: %v", ErrTampered, err)
 	}
 	rep.ChainOK = true
-	rep.BadSeqs = badSeqs
-	rep.BadBlobs = len(badSeqs)
+	for i := range entries {
+		e := &entries[i]
+		if e.Op != OpPut || !e.Anchored {
+			continue
+		}
+		_, stored := slices.BinarySearchFunc(refs, e.Anchor, blob.Ref.Compare)
+		_, failed := slices.BinarySearchFunc(bad, e.Anchor, blob.Ref.Compare)
+		if !stored || failed {
+			rep.BadSeqs = append(rep.BadSeqs, e.Seq)
+		}
+	}
+	rep.BadBlobs = len(rep.BadSeqs)
 	if rep.BadBlobs > 0 {
 		return rep, fmt.Errorf("%w: %d anchored blobs failed verification", ErrTampered, rep.BadBlobs)
 	}
-	// Chain and anchors are clean; also sweep unreferenced blobs.
-	if bad, err := c.blobs.VerifyAll(); err != nil {
-		return rep, err
-	} else if len(bad) > 0 {
+	// Chain and anchors are clean, so every bad blob is unreferenced.
+	if len(bad) > 0 {
 		return rep, fmt.Errorf("%w: %d stored blobs failed verification", ErrTampered, len(bad))
 	}
 	return rep, nil

@@ -275,6 +275,72 @@ func TestEndToEndTamperEvidence(t *testing.T) {
 	}
 }
 
+// TestVerifyReportCases pins Verify's report and error for the blob
+// cases its walk tells apart: a ref anchored by two entries whose blob
+// is flipped (both entries blamed), a deleted anchored blob (its entry
+// blamed, one blob fewer), and a tampered blob that no entry anchors
+// (the chain and anchors clean, the walk still failing).
+func TestVerifyReportCases(t *testing.T) {
+	dir := t.TempDir()
+	blobDir := filepath.Join(dir, "blobs")
+	c, err := NewCore(Config{N: 4, BlobDir: blobDir, AuditPath: filepath.Join(dir, "audit.log"), InlineMax: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	shared, own := bytes.Repeat([]byte("shared "), 64), bytes.Repeat([]byte("own "), 64)
+	if _, err := c.Commit([]Op{
+		{Op: OpPut, Key: []byte("a"), Value: shared},
+		{Op: OpPut, Key: []byte("b"), Value: shared},
+		{Op: OpPut, Key: []byte("c"), Value: own},
+		{Op: OpPut, Key: []byte("d"), Value: []byte("inline")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	path := func(v []byte) string { return filepath.Join(blobDir, blob.Sum(v).String()) }
+	write := func(p string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flip := func(v []byte) []byte { f := bytes.Clone(v); f[3] ^= 1; return f }
+	check := func(name string, blobs int, badSeqs []int, wantErr string) {
+		t.Helper()
+		rep, err := c.Verify()
+		got := ""
+		if err != nil {
+			got = err.Error()
+		}
+		if got != wantErr {
+			t.Errorf("%s: error %q, want %q", name, got, wantErr)
+		}
+		if wantErr != "" && !errors.Is(err, ErrTampered) {
+			t.Errorf("%s: %v is not ErrTampered", name, err)
+		}
+		want := VerifyReport{Entries: 4, Blobs: blobs, ChainOK: true, BadBlobs: len(badSeqs), BadSeqs: badSeqs, StateHash: c.StateHash()}
+		if rep.Entries != want.Entries || rep.Blobs != want.Blobs || rep.ChainOK != want.ChainOK ||
+			rep.BadBlobs != want.BadBlobs || !slices.Equal(rep.BadSeqs, want.BadSeqs) || rep.StateHash != want.StateHash {
+			t.Errorf("%s: report %+v, want %+v", name, *rep, want)
+		}
+	}
+	check("clean", 2, nil, "")
+
+	write(path(shared), flip(shared))
+	check("shared ref flipped", 2, []int{0, 1}, "service: tamper detected: 2 anchored blobs failed verification")
+	write(path(shared), shared)
+
+	if err := os.Remove(path(own)); err != nil {
+		t.Fatal(err)
+	}
+	check("anchored blob deleted", 1, []int{2}, "service: tamper detected: 1 anchored blobs failed verification")
+	write(path(own), own)
+
+	loose := bytes.Repeat([]byte("loose "), 64)
+	write(path(loose), flip(loose))
+	check("unreferenced blob tampered", 3, nil, "service: tamper detected: 1 stored blobs failed verification")
+}
+
 // TestAuditEveryByteTamperEvident flips EVERY byte of the audit file in
 // turn; each flip must be detected (by chain walk or record parse).
 func TestAuditEveryByteTamperEvident(t *testing.T) {
