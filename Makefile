@@ -135,7 +135,6 @@ alloc-guard:
 	guard ./internal/sim 'TestSimTickAllocCeiling|TestRunReusesScratch|TestConcurrentRunsFindEverySpare|TestSparesLastOneCollection'; \
 	guard ./internal/crypto/threshold 'TestMintedCertVerifyAllocs'; \
 	guard ./internal/wire 'TestSizeOfZeroAllocs|TestAppendPayloadZeroAllocs'; \
-	guard ./internal/protocols 'TestSizeOfAllocatesNothing'; \
 	guard ./internal/transport 'TestSendAllocCeiling'; \
 	guard ./internal/proto 'TestMuxSteadyStateAllocs|TestSubJoinsEachPathOnce'; \
 	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling|TestCommitDealerMACs'; \
@@ -179,7 +178,7 @@ race-guard:
 # control of every worker pool, the verification cache has no off switch,
 # nodes are crashed from outside, faults are injected on links by a
 # test's proxy (internal/testenv), never inside a node or a server,
-# every run meters its wire bytes (protocols.SizeOf), and a node's
+# every run meters its wire bytes (wire.Size), and a node's
 # per-peer outbox bound is the transport's default: also fail if a
 # non-test file names one of the knobs that used to duplicate those
 # (REMOVED_KNOBS). Every attack is a genome compiled by
@@ -189,7 +188,10 @@ race-guard:
 # the hand-written attacks they replaced (REPLACED_ATTACKS). Every named
 # fault pattern is built by the one pattern table, attacks.Patterns: fail
 # if a non-test file names one of the pattern rules it replaced
-# (REPLACED_PATTERNS).
+# (REPLACED_PATTERNS). A payload frames itself (wire.Body) and the
+# simulator meters bytes through wire.Size: fail if a wire.Codec literal
+# sets an Encode field, or if wire.Codec or sim.Config declares Encode or
+# SizeOf again.
 KEYGEN := sig\.NewHMACRing|sig\.NewEd25519Ring|sig\.NewCounting|proto\.NewCrypto|threshold\.New\(
 REMOVED_KNOBS := TickWorkers|NoVerifyCache|WithoutVerifyCache|WithParallelVerify|CrashAfter|-tick-workers|-no-verify-cache|ChaosConfig|RecordChaos|-chaos-|MeasureBytes|WithMeasuredBytes|-measure-bytes|flush-every
 REPLACED_ATTACKS := WBAPhaseSpam|BBPhaseSpam|WBAHelpSpam|WBASplitVote|SelectivePhaseLeader|LateCertRelease|WBALeader|BBVettingEquivocator|FloodChain
@@ -214,6 +216,11 @@ deps-guard:
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -- '$(REPLACED_PATTERNS)' .); \
 	if [ -n "$$hits" ]; then \
 		echo "$$hits"; echo "deps-guard: FAIL a replaced pattern rule is back (every named fault pattern is an entry of the one table attacks.Patterns, in internal/adversary/attacks/patterns.go; look names up with attacks.PatternNamed, and take crash sets from adversary.CrashSet)"; exit 1; \
+	fi; \
+	doc=$$($(GO) doc ./internal/wire Codec && $(GO) doc ./internal/sim Config) || exit 1; \
+	hits=$$(echo "$$doc" | grep -E '^\s+(Encode|SizeOf)\b'; grep -rnE --include='*.go' 'Encode:' .); \
+	if [ -n "$$hits" ]; then \
+		echo "$$hits"; echo "deps-guard: FAIL an encoder or a byte meter is back beside its payload (a payload encodes itself through its PutBody method, wire.Body; wire.Codec holds only Decode; the simulator meters bytes with wire.Size)"; exit 1; \
 	fi
 
 # Interactive single-grid-point search with a full report.

@@ -54,7 +54,7 @@ func run(args []string, out io.Writer) error {
 		ed25519  = fs.Bool("ed25519", false, "use real Ed25519 signatures")
 		certmode = fs.String("certmode", "compact", "threshold certificate encoding: compact | aggregate")
 		trace    = fs.Bool("trace", false, "print the message trace")
-		layers   = fs.Bool("layers", true, "print the per-layer word breakdown")
+		layers   = fs.Bool("layers", true, "print the per-layer word and byte breakdown")
 		reps     = fs.Int("reps", 1, "repetitions with derived seeds (> 1 prints a min/median/max summary)")
 		sessions = fs.Int("sessions", 1, "run this many concurrent instances of the protocol through the multi-session engine")
 		acsMode  = fs.Bool("acs", false, "run the batched replicated log: -sessions ACS rounds of n proposer batches each (uses -n, -f, -batch, -inflight)")
@@ -130,6 +130,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "decision    %s\n", o.Decision)
 	fmt.Fprintf(out, "agreement   %v (all decided: %v)\n", o.Agreement, o.Decided)
 	fmt.Fprintf(out, "words       %d   (%.1f per process)\n", o.Words, float64(o.Words)/float64(o.Spec.N))
+	fmt.Fprintf(out, "bytes       %d   (wire encoding)\n", o.Bytes)
 	fmt.Fprintf(out, "messages    %d\n", o.Messages)
 	fmt.Fprintf(out, "ticks (δ)   %d\n", o.Ticks)
 	fmt.Fprintf(out, "steps       %d   (machine Begin/Tick calls)\n", o.Steps)
@@ -141,7 +142,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "verify $    %d hits / %d misses\n", o.CacheHits, o.CacheMisses)
 	}
 	if *layers && len(o.ByLayer) > 0 {
-		fmt.Fprintln(out, "\nper-layer words (Figure 1 composition):")
+		fmt.Fprintln(out, "\nper-layer words and bytes (Figure 1 composition):")
 		names := make([]string, 0, len(o.ByLayer))
 		for l := range o.ByLayer {
 			names = append(names, l)
@@ -149,7 +150,7 @@ func run(args []string, out io.Writer) error {
 		sort.Strings(names)
 		for _, l := range names {
 			s := o.ByLayer[l]
-			fmt.Fprintf(out, "  %-24s %8d words %8d msgs\n", l, s.Words, s.Messages)
+			fmt.Fprintf(out, "  %-24s %8d words %8d msgs %10d bytes\n", l, s.Words, s.Messages, s.Bytes)
 		}
 	}
 	if !o.Agreement || !o.Decided {
@@ -206,7 +207,8 @@ func runEngine(out io.Writer, spec harness.Spec, sessions, inflight int) error {
 // each committing a ≥ n−t subset of n proposer batches, flattened into
 // one total order and replayed through the kv state machine. The
 // per-round table shows the committed subset and request count; the
-// footer gives the amortized word cost per committed command.
+// footer gives the amortized word cost per committed command and the
+// total wire bytes.
 func runACS(out io.Writer, cfg engine.Config, rounds, batch int) error {
 	queues := make([][]types.Value, cfg.N)
 	for p := range queues {
@@ -234,6 +236,7 @@ func runACS(out io.Writer, cfg engine.Config, rounds, batch int) error {
 		fmt.Fprintf(out, "   (%.1f per committed command)", float64(words)/float64(rep.Committed))
 	}
 	fmt.Fprintln(out)
+	fmt.Fprintf(out, "bytes       %d total\n", rep.Engine.Metrics.Honest.Bytes)
 	hash, rejected := rep.Replay()
 	fmt.Fprintf(out, "state hash  %s\n", hash)
 	if len(rejected) > 0 {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"io"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -23,6 +24,12 @@ func TestRunBB(t *testing.T) {
 	for _, want := range []string{"protocol    bb", "decision    v", "agreement   true", "per-layer"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
+		}
+	}
+	// Bytes are metered beside words: a total, and a column per layer.
+	for _, want := range []string{`(?m)^bytes +[1-9][0-9]* `, `(?m)^  wba +.* [1-9][0-9]* bytes$`} {
+		if !regexp.MustCompile(want).MatchString(out.String()) {
+			t.Errorf("output does not match %q:\n%s", want, out.String())
 		}
 	}
 }
@@ -79,6 +86,7 @@ func TestRunACSMode(t *testing.T) {
 		"protocol    acs × 2 rounds, batch 3",
 		"subset 4/5",
 		"committed   24 commands",
+		"bytes       ",
 		"state hash  ",
 	} {
 		if !strings.Contains(out.String(), want) {

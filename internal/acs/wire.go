@@ -12,9 +12,10 @@
 //     decodes and what the sim's cross-process agreement check compares
 //     byte-for-byte.
 //
-// Both are registered in the shared payload registry (see
-// protocols.Registry) so framing, sizing (Registry.SizeOf), and
-// the wire corpus/fuzz suite cover them like every other message type.
+// Both frame themselves (wire.Body) and are registered in the shared
+// payload registry (see protocols.Registry), so framing, sizing
+// (wire.Size), and the wire corpus/fuzz suite cover them like every
+// other message type.
 package acs
 
 import (
@@ -90,17 +91,6 @@ func RegisterWire(reg *wire.Registry) {
 	reg.MustRegister(
 		wire.Codec{
 			Type: Batch{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Batch)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(len(m.Cmds))
-				for _, c := range m.Cmds {
-					w.PutValue(c)
-				}
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				n := r.Int()
 				if err := r.Err(); err != nil {
@@ -124,18 +114,6 @@ func RegisterWire(reg *wire.Registry) {
 		},
 		wire.Codec{
 			Type: Result{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Result)
-				if !ok {
-					return badType(p)
-				}
-				w.PutBitSet(m.Committed)
-				w.PutInt(len(m.Batches))
-				for _, b := range m.Batches {
-					w.PutValue(b)
-				}
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				committed := r.BitSet()
 				n := r.Int()
@@ -161,6 +139,23 @@ func RegisterWire(reg *wire.Registry) {
 	)
 }
 
+// PutBody implements wire.Body.
+func (b Batch) PutBody(w *wire.Writer) {
+	w.PutInt(len(b.Cmds))
+	for _, c := range b.Cmds {
+		w.PutValue(c)
+	}
+}
+
+// PutBody implements wire.Body.
+func (r Result) PutBody(w *wire.Writer) {
+	w.PutBitSet(r.Committed)
+	w.PutInt(len(r.Batches))
+	for _, b := range r.Batches {
+		w.PutValue(b)
+	}
+}
+
 // clampCap keeps a hostile element count from pre-allocating more than a
 // small constant number of slots; append grows the slice only as far as
 // the frame's real bytes allow.
@@ -172,7 +167,7 @@ func clampCap(n int) int {
 	return n
 }
 
-// selfReg frames this package's own payloads for value-level encoding.
+// selfReg decodes this package's own payloads from values.
 var selfReg = func() *wire.Registry {
 	r := wire.NewRegistry()
 	RegisterWire(r)
@@ -184,10 +179,7 @@ var selfReg = func() *wire.Registry {
 // proposer with nothing to propose still wins its vote (and contributes
 // zero requests) instead of being mistaken for a faulty one.
 func EncodeBatch(cmds []types.Value) types.Value {
-	buf, err := selfReg.EncodePayload(Batch{Cmds: cmds})
-	if err != nil {
-		panic("acs: batch encoding cannot fail: " + err.Error())
-	}
+	buf, _ := wire.EncodePayload(Batch{Cmds: cmds}) // a Body: cannot fail
 	return types.Value(buf)
 }
 
@@ -210,10 +202,7 @@ func DecodeBatch(v types.Value) (*Batch, error) {
 // EncodeResult frames the round's committed subset as an acs/result
 // value — the ACS machine's canonical Output.
 func EncodeResult(res *Result) types.Value {
-	buf, err := selfReg.EncodePayload(*res)
-	if err != nil {
-		panic("acs: result encoding cannot fail: " + err.Error())
-	}
+	buf, _ := wire.EncodePayload(*res) // a Body: cannot fail
 	return types.Value(buf)
 }
 
@@ -229,8 +218,4 @@ func DecodeResult(v types.Value) (*Result, error) {
 		return nil, fmt.Errorf("acs: decode result: unexpected payload type %q", p.Type())
 	}
 	return &r, nil
-}
-
-func badType(p proto.Payload) error {
-	return fmt.Errorf("acs: unexpected payload %T", p)
 }

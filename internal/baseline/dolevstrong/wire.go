@@ -10,24 +10,10 @@ import (
 )
 
 // RegisterWire registers this package's payload codecs so the TCP
-// transport can frame them.
+// transport can decode them.
 func RegisterWire(reg *wire.Registry) {
 	reg.MustRegister(wire.Codec{
 		Type: Relay{}.Type(),
-		Encode: func(w *wire.Writer, p proto.Payload) error {
-			r, ok := p.(Relay)
-			if !ok {
-				return fmt.Errorf("dolevstrong: unexpected payload %T", p)
-			}
-			w.PutProcess(r.Sender)
-			w.PutValue(r.V)
-			w.PutInt(r.Chain.Len())
-			for i := range r.Chain.Signers {
-				w.PutProcess(r.Chain.Signers[i])
-				w.PutSig(r.Chain.Sigs[i])
-			}
-			return nil
-		},
 		Decode: func(r *wire.Reader) (proto.Payload, error) {
 			out := Relay{Sender: r.Process(), V: r.Value()}
 			n := r.Int()
@@ -48,4 +34,15 @@ func RegisterWire(reg *wire.Registry) {
 			return out, r.Err()
 		},
 	})
+}
+
+// PutBody implements wire.Body.
+func (r Relay) PutBody(w *wire.Writer) {
+	w.PutProcess(r.Sender)
+	w.PutValue(r.V)
+	w.PutInt(r.Chain.Len())
+	for i := range r.Chain.Signers {
+		w.PutProcess(r.Chain.Signers[i])
+		w.PutSig(r.Chain.Sigs[i])
+	}
 }

@@ -28,7 +28,7 @@ func TestWireRoundTrip(t *testing.T) {
 		{Sender: 0, V: types.Value("v"), Chain: c},
 		{Sender: 0, V: types.Value("v"), Chain: c2},
 	} {
-		b1, err := reg.EncodePayload(p)
+		b1, err := wire.EncodePayload(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if !got.Chain.Valid(ring, "tag", 0, types.Value("v"), got.Chain.Len()) {
 			t.Error("decoded chain no longer valid")
 		}
-		b2, err := reg.EncodePayload(got)
+		b2, err := wire.EncodePayload(got)
 		if err != nil {
 			t.Fatal(err)
 		}

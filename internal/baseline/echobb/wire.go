@@ -1,8 +1,6 @@
 package echobb
 
 import (
-	"fmt"
-
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/wire"
 )
@@ -11,17 +9,14 @@ import (
 func RegisterWire(reg *wire.Registry) {
 	reg.MustRegister(wire.Codec{
 		Type: Echo{}.Type(),
-		Encode: func(w *wire.Writer, p proto.Payload) error {
-			m, ok := p.(Echo)
-			if !ok {
-				return fmt.Errorf("echobb: unexpected payload %T", p)
-			}
-			w.PutValue(m.V)
-			w.PutSig(m.Sig)
-			return nil
-		},
 		Decode: func(r *wire.Reader) (proto.Payload, error) {
 			return Echo{V: r.Value(), Sig: r.Sig()}, r.Err()
 		},
 	})
+}
+
+// PutBody implements wire.Body.
+func (m Echo) PutBody(w *wire.Writer) {
+	w.PutValue(m.V)
+	w.PutSig(m.Sig)
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"adaptiveba/internal/adversary"
-	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
@@ -95,9 +94,6 @@ func (a *sprayAdversary) Quiescent(types.Tick) bool { return false }
 // honest decision.
 func runTraffic(t *testing.T, crypto *proto.Crypto, params types.Params, adv sim.Adversary) []string {
 	t.Helper()
-	reg := wire.NewRegistry()
-	RegisterWire(reg)
-	wba.RegisterWire(reg)
 	var lines []string
 	machines := make([]*Machine, params.N)
 	res, err := sim.Run(sim.Config{
@@ -113,7 +109,7 @@ func runTraffic(t *testing.T, crypto *proto.Crypto, params types.Params, adv sim
 			if !honest {
 				return
 			}
-			frame, err := reg.EncodePayload(m.Payload)
+			frame, err := wire.EncodePayload(m.Payload)
 			if err != nil {
 				t.Error(err)
 			}

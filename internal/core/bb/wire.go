@@ -1,8 +1,6 @@
 package bb
 
 import (
-	"fmt"
-
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/wire"
 )
@@ -13,74 +11,30 @@ func RegisterWire(reg *wire.Registry) {
 	reg.MustRegister(
 		wire.Codec{
 			Type: SenderMsg{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(SenderMsg)
-				if !ok {
-					return badType(p)
-				}
-				w.PutValue(m.V)
-				w.PutSig(m.Sig)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return SenderMsg{V: r.Value(), Sig: r.Sig()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: HelpReq{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(HelpReq)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(m.Phase)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return HelpReq{Phase: r.Int()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: Reply{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Reply)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(m.Phase)
-				w.PutValue(m.Val)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return Reply{Phase: r.Int(), Val: r.Value()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: IdkShare{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(IdkShare)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(m.Phase)
-				w.PutSig(m.Share)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return IdkShare{Phase: r.Int(), Share: r.Sig()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: Vetted{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Vetted)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(m.Phase)
-				w.PutValue(m.Val)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return Vetted{Phase: r.Int(), Val: r.Value()}, r.Err()
 			},
@@ -88,6 +42,31 @@ func RegisterWire(reg *wire.Registry) {
 	)
 }
 
-func badType(p proto.Payload) error {
-	return fmt.Errorf("bb: unexpected payload %T", p)
+// PutBody implements wire.Body.
+func (m SenderMsg) PutBody(w *wire.Writer) {
+	w.PutValue(m.V)
+	w.PutSig(m.Sig)
+}
+
+// PutBody implements wire.Body.
+func (m HelpReq) PutBody(w *wire.Writer) {
+	w.PutInt(m.Phase)
+}
+
+// PutBody implements wire.Body.
+func (m Reply) PutBody(w *wire.Writer) {
+	w.PutInt(m.Phase)
+	w.PutValue(m.Val)
+}
+
+// PutBody implements wire.Body.
+func (m IdkShare) PutBody(w *wire.Writer) {
+	w.PutInt(m.Phase)
+	w.PutSig(m.Share)
+}
+
+// PutBody implements wire.Body.
+func (m Vetted) PutBody(w *wire.Writer) {
+	w.PutInt(m.Phase)
+	w.PutValue(m.Val)
 }

@@ -1,8 +1,6 @@
 package bbviaba
 
 import (
-	"fmt"
-
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/wire"
 )
@@ -12,17 +10,14 @@ import (
 func RegisterWire(reg *wire.Registry) {
 	reg.MustRegister(wire.Codec{
 		Type: SenderBit{}.Type(),
-		Encode: func(w *wire.Writer, p proto.Payload) error {
-			m, ok := p.(SenderBit)
-			if !ok {
-				return fmt.Errorf("bbviaba: unexpected payload %T", p)
-			}
-			w.PutValue(m.V)
-			w.PutSig(m.Sig)
-			return nil
-		},
 		Decode: func(r *wire.Reader) (proto.Payload, error) {
 			return SenderBit{V: r.Value(), Sig: r.Sig()}, r.Err()
 		},
 	})
+}
+
+// PutBody implements wire.Body.
+func (m SenderBit) PutBody(w *wire.Writer) {
+	w.PutValue(m.V)
+	w.PutSig(m.Sig)
 }

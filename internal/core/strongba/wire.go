@@ -1,8 +1,6 @@
 package strongba
 
 import (
-	"fmt"
-
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/wire"
 )
@@ -12,75 +10,30 @@ func RegisterWire(reg *wire.Registry) {
 	reg.MustRegister(
 		wire.Codec{
 			Type: InputShare{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(InputShare)
-				if !ok {
-					return badType(p)
-				}
-				w.PutValue(m.V)
-				w.PutSig(m.Share)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return InputShare{V: r.Value(), Share: r.Sig()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: Propose{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Propose)
-				if !ok {
-					return badType(p)
-				}
-				w.PutValue(m.V)
-				w.PutCert(m.Cert)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return Propose{V: r.Value(), Cert: r.Cert()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: DecideShare{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(DecideShare)
-				if !ok {
-					return badType(p)
-				}
-				w.PutValue(m.V)
-				w.PutSig(m.Share)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return DecideShare{V: r.Value(), Share: r.Sig()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: DecideMsg{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(DecideMsg)
-				if !ok {
-					return badType(p)
-				}
-				w.PutValue(m.V)
-				w.PutCert(m.Cert)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return DecideMsg{V: r.Value(), Cert: r.Cert()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: Fallback{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Fallback)
-				if !ok {
-					return badType(p)
-				}
-				w.PutValue(m.V)
-				w.PutCert(m.Proof)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return Fallback{V: r.Value(), Proof: r.Cert()}, r.Err()
 			},
@@ -88,6 +41,32 @@ func RegisterWire(reg *wire.Registry) {
 	)
 }
 
-func badType(p proto.Payload) error {
-	return fmt.Errorf("strongba: unexpected payload %T", p)
+// PutBody implements wire.Body.
+func (m InputShare) PutBody(w *wire.Writer) {
+	w.PutValue(m.V)
+	w.PutSig(m.Share)
+}
+
+// PutBody implements wire.Body.
+func (m Propose) PutBody(w *wire.Writer) {
+	w.PutValue(m.V)
+	w.PutCert(m.Cert)
+}
+
+// PutBody implements wire.Body.
+func (m DecideShare) PutBody(w *wire.Writer) {
+	w.PutValue(m.V)
+	w.PutSig(m.Share)
+}
+
+// PutBody implements wire.Body.
+func (m DecideMsg) PutBody(w *wire.Writer) {
+	w.PutValue(m.V)
+	w.PutCert(m.Cert)
+}
+
+// PutBody implements wire.Body.
+func (m Fallback) PutBody(w *wire.Writer) {
+	w.PutValue(m.V)
+	w.PutCert(m.Proof)
 }

@@ -49,7 +49,7 @@ func TestWireRoundTrip(t *testing.T) {
 		Fallback{}, // the bare ⟨fallback, ⊥, ⊥⟩ announcement
 	}
 	for _, p := range payloads {
-		b1, err := reg.EncodePayload(p)
+		b1, err := wire.EncodePayload(p)
 		if err != nil {
 			t.Fatalf("encode %s: %v", p.Type(), err)
 		}
@@ -57,7 +57,7 @@ func TestWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %s: %v", p.Type(), err)
 		}
-		b2, err := reg.EncodePayload(got)
+		b2, err := wire.EncodePayload(got)
 		if err != nil {
 			t.Fatalf("re-encode %s: %v", p.Type(), err)
 		}

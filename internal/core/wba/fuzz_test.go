@@ -44,7 +44,7 @@ func FuzzMachineIngest(f *testing.F) {
 		FallbackCert{V: types.Value("v")},
 	}
 	for _, p := range seeds {
-		frame, err := reg.EncodePayload(p)
+		frame, err := wire.EncodePayload(p)
 		if err != nil {
 			f.Fatal(err)
 		}

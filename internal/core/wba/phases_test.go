@@ -130,8 +130,6 @@ func (a *sprayAdversary) Quiescent(types.Tick) bool { return false }
 // every honest decision.
 func runTraffic(t *testing.T, crypto *proto.Crypto, params types.Params, adv sim.Adversary) []string {
 	t.Helper()
-	reg := wire.NewRegistry()
-	RegisterWire(reg)
 	var lines []string
 	machines := make([]*Machine, params.N)
 	res, err := sim.Run(sim.Config{
@@ -150,7 +148,7 @@ func runTraffic(t *testing.T, crypto *proto.Crypto, params types.Params, adv sim
 			if !honest {
 				return
 			}
-			frame, err := reg.EncodePayload(m.Payload)
+			frame, err := wire.EncodePayload(m.Payload)
 			if err != nil {
 				t.Error(err)
 			}

@@ -1,8 +1,6 @@
 package wba
 
 import (
-	"fmt"
-
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/wire"
 )
@@ -14,144 +12,54 @@ func RegisterWire(reg *wire.Registry) {
 	reg.MustRegister(
 		wire.Codec{
 			Type: Propose{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Propose)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(m.Phase)
-				w.PutValue(m.V)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return Propose{Phase: r.Int(), V: r.Value()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: Vote{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Vote)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(m.Phase)
-				w.PutValue(m.V)
-				w.PutSig(m.Share)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return Vote{Phase: r.Int(), V: r.Value(), Share: r.Sig()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: CommitInfo{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(CommitInfo)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(m.Phase)
-				w.PutValue(m.V)
-				w.PutCert(m.Cert)
-				w.PutInt(m.Level)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return CommitInfo{Phase: r.Int(), V: r.Value(), Cert: r.Cert(), Level: r.Int()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: Commit{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Commit)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(m.Phase)
-				w.PutValue(m.V)
-				w.PutCert(m.Cert)
-				w.PutInt(m.Level)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return Commit{Phase: r.Int(), V: r.Value(), Cert: r.Cert(), Level: r.Int()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: Decide{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Decide)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(m.Phase)
-				w.PutValue(m.V)
-				w.PutSig(m.Share)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return Decide{Phase: r.Int(), V: r.Value(), Share: r.Sig()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: Finalized{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Finalized)
-				if !ok {
-					return badType(p)
-				}
-				w.PutInt(m.Phase)
-				w.PutValue(m.V)
-				w.PutCert(m.Cert)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return Finalized{Phase: r.Int(), V: r.Value(), Cert: r.Cert()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: HelpReq{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(HelpReq)
-				if !ok {
-					return badType(p)
-				}
-				w.PutSig(m.Share)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return HelpReq{Share: r.Sig()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: Help{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(Help)
-				if !ok {
-					return badType(p)
-				}
-				w.PutValue(m.V)
-				w.PutCert(m.Proof)
-				w.PutInt(m.ProofPhase)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return Help{V: r.Value(), Proof: r.Cert(), ProofPhase: r.Int()}, r.Err()
 			},
 		},
 		wire.Codec{
 			Type: FallbackCert{}.Type(),
-			Encode: func(w *wire.Writer, p proto.Payload) error {
-				m, ok := p.(FallbackCert)
-				if !ok {
-					return badType(p)
-				}
-				w.PutCert(m.Cert)
-				w.PutValue(m.V)
-				w.PutCert(m.Proof)
-				w.PutInt(m.ProofPhase)
-				return nil
-			},
 			Decode: func(r *wire.Reader) (proto.Payload, error) {
 				return FallbackCert{Cert: r.Cert(), V: r.Value(), Proof: r.Cert(), ProofPhase: r.Int()}, r.Err()
 			},
@@ -159,6 +67,65 @@ func RegisterWire(reg *wire.Registry) {
 	)
 }
 
-func badType(p proto.Payload) error {
-	return fmt.Errorf("wba: unexpected payload %T", p)
+// PutBody implements wire.Body.
+func (m Propose) PutBody(w *wire.Writer) {
+	w.PutInt(m.Phase)
+	w.PutValue(m.V)
+}
+
+// PutBody implements wire.Body.
+func (m Vote) PutBody(w *wire.Writer) {
+	w.PutInt(m.Phase)
+	w.PutValue(m.V)
+	w.PutSig(m.Share)
+}
+
+// PutBody implements wire.Body.
+func (m CommitInfo) PutBody(w *wire.Writer) {
+	w.PutInt(m.Phase)
+	w.PutValue(m.V)
+	w.PutCert(m.Cert)
+	w.PutInt(m.Level)
+}
+
+// PutBody implements wire.Body.
+func (m Commit) PutBody(w *wire.Writer) {
+	w.PutInt(m.Phase)
+	w.PutValue(m.V)
+	w.PutCert(m.Cert)
+	w.PutInt(m.Level)
+}
+
+// PutBody implements wire.Body.
+func (m Decide) PutBody(w *wire.Writer) {
+	w.PutInt(m.Phase)
+	w.PutValue(m.V)
+	w.PutSig(m.Share)
+}
+
+// PutBody implements wire.Body.
+func (m Finalized) PutBody(w *wire.Writer) {
+	w.PutInt(m.Phase)
+	w.PutValue(m.V)
+	w.PutCert(m.Cert)
+}
+
+// PutBody implements wire.Body.
+func (m HelpReq) PutBody(w *wire.Writer) {
+	w.PutSig(m.Share)
+}
+
+// PutBody implements wire.Body.
+func (m Help) PutBody(w *wire.Writer) {
+	w.PutValue(m.V)
+	w.PutCert(m.Proof)
+	w.PutInt(m.ProofPhase)
+}
+
+// PutBody implements wire.Body.
+func (m FallbackCert) PutBody(w *wire.Writer) {
+	w.PutCert(m.Cert)
+	w.PutValue(m.V)
+	w.PutCert(m.Proof)
+	w.PutInt(m.ProofPhase)
 }

@@ -15,7 +15,7 @@ import (
 // a strong determinism + fidelity check.
 func roundTrip(t *testing.T, reg *wire.Registry, p proto.Payload) proto.Payload {
 	t.Helper()
-	b1, err := reg.EncodePayload(p)
+	b1, err := wire.EncodePayload(p)
 	if err != nil {
 		t.Fatalf("encode %s: %v", p.Type(), err)
 	}
@@ -23,7 +23,7 @@ func roundTrip(t *testing.T, reg *wire.Registry, p proto.Payload) proto.Payload 
 	if err != nil {
 		t.Fatalf("decode %s: %v", p.Type(), err)
 	}
-	b2, err := reg.EncodePayload(got)
+	b2, err := wire.EncodePayload(got)
 	if err != nil {
 		t.Fatalf("re-encode %s: %v", p.Type(), err)
 	}

@@ -14,6 +14,7 @@ import (
 	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/testenv/scenarios"
 	"adaptiveba/internal/types"
+	"adaptiveba/internal/wire"
 )
 
 // TestRunACSLogConvergence drives the batched log end to end: identical
@@ -85,7 +86,6 @@ func TestSeedIsTheSigningDomain(t *testing.T) {
 		}
 		return c
 	}
-	reg := protocols.Registry()
 	run := func(seed int64, crypto *proto.Crypto) ([]byte, *engine.ACSLogReport) {
 		var sender []byte
 		var encErr error
@@ -93,7 +93,7 @@ func TestSeedIsTheSigningDomain(t *testing.T) {
 			N: n, Inflight: 1, Seed: seed, Crypto: crypto,
 			OnSend: func(_ types.Tick, m sim.Message, _ bool) {
 				if sender == nil && m.Payload.Type() == "bb/sender" {
-					sender, encErr = reg.EncodePayload(m.Payload)
+					sender, encErr = wire.EncodePayload(m.Payload)
 				}
 			},
 		}, scenarios.ACSQueues(n, 1), 1, 1)

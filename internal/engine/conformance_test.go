@@ -16,6 +16,7 @@ import (
 	"adaptiveba/internal/protocols"
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/types"
+	"adaptiveba/internal/wire"
 )
 
 // poison is what the hostile runtime leaves wherever a machine has no
@@ -288,7 +289,6 @@ func lateFrames(m proto.Machine) int64 {
 // across a call that moved it sends something else, or nothing, in the
 // hostile run.
 func TestMachineBufferContract(t *testing.T) {
-	reg := protocols.Registry()
 	type run struct {
 		sends bytes.Buffer
 		res   *sim.Result
@@ -342,7 +342,7 @@ func TestMachineBufferContract(t *testing.T) {
 							},
 							Adversary: sc.adv(crypto, budget),
 							OnSend: func(now types.Tick, m sim.Message, honest bool) {
-								body, err := reg.EncodePayload(m.Payload)
+								body, err := wire.EncodePayload(m.Payload)
 								fmt.Fprintf(&r.sends, "t=%d honest=%t %v>%v [%s] %x %v\n", now, honest, m.From, m.To, m.Session, body, err)
 							},
 						})

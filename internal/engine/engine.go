@@ -203,7 +203,7 @@ type Report struct {
 	Ticks        types.Tick
 	TimedOut     bool
 	// Metrics.Honest.Bytes meters every payload's encoded size
-	// (protocols.SizeOf). Words weigh every value as one word, so bytes
+	// (wire.Size). Words weigh every value as one word, so bytes
 	// are what show payload-size effects (inline values against
 	// constant-size anchors).
 	Metrics metrics.Report
@@ -283,7 +283,6 @@ func Run(cfg Config, reqs []Request) (*Report, error) {
 				gr.procs[id] = p
 				return runRoot{p}
 			},
-			SizeOf:    protocols.SizeOf,
 			Adversary: adv,
 			MaxTicks:  sched.budget,
 			OnSend:    cfg.OnSend,

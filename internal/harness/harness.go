@@ -336,7 +336,6 @@ func (r *runner) execute() (*Outcome, error) {
 		Factory:     factory,
 		Adversary:   r.adversary(maxTicks),
 		MaxTicks:    maxTicks,
-		SizeOf:      protocols.SizeOf,
 		ShuffleSeed: r.spec.ShuffleSeed,
 		OnSend:      onSend,
 	})

@@ -5,9 +5,8 @@
 // Validate checks every process's configuration before a run starts,
 // MaxTicks bounds the instance's length without building a machine, and
 // New builds one process's machine. The package also owns the one wire
-// registry that frames every kind's payloads, its byte meter (SizeOf),
-// and the one accessor for what a finished machine reports beyond its
-// output (Progress).
+// registry that decodes every kind's payloads, and the one accessor for
+// what a finished machine reports beyond its output (Progress).
 //
 // The table holds the compositions of Figure 1 as their top-level kinds
 // only: a kind that nests another (acs over bb and strongba, bb over wba,
@@ -302,7 +301,7 @@ func (k Kind) MustNew(cfg Config, id types.ProcessID, input types.Value) proto.M
 	return m
 }
 
-// Registry returns a registry framing every kind's payloads, nested
+// Registry returns a registry decoding every kind's payloads, nested
 // layers included. floodset and committee are simulator-only and have
 // none.
 func Registry() *wire.Registry {
@@ -316,15 +315,6 @@ func Registry() *wire.Registry {
 	echobb.RegisterWire(reg)
 	return reg
 }
-
-// sizes is the registry SizeOf meters with, built once.
-var sizes = Registry()
-
-// SizeOf is the encoded size of p's (type, body) frame: the byte meter
-// every engine and harness run charges through sim.Config.SizeOf. A
-// payload without a codec (floodset's, committee's) weighs 0. SizeOf
-// never allocates.
-func SizeOf(p proto.Payload) int { return sizes.Size(p) }
 
 // Progress reports what a finished machine that began at tick begin tells
 // beyond its output: whether it ran A_fallback, and when it decided, in

@@ -5,9 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"adaptiveba/internal/baseline/floodset"
 	"adaptiveba/internal/core/strongba"
-	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
@@ -67,28 +65,5 @@ func TestValidateChecksEveryProcess(t *testing.T) {
 	}
 	if _, err := Kind("nope").New(cfg, 0, nil); !errors.Is(err, ErrUnknown) {
 		t.Errorf("unknown kind: %v", err)
-	}
-}
-
-// TestSizeOfAllocatesNothing: the byte meter every run charges allocates
-// nothing, for a payload with a codec (its exact frame size) and for one
-// without (0 bytes, and no error built for the unknown type).
-func TestSizeOfAllocatesNothing(t *testing.T) {
-	vote := proto.Payload(wba.Vote{Phase: 1, V: types.Value("v"), Share: make(sig.Signature, 32)})
-	frame, err := Registry().EncodePayload(vote)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flood := proto.Payload(floodset.Flood{Values: []types.Value{types.One}})
-	for _, c := range []struct {
-		p    proto.Payload
-		want int
-	}{{vote, len(frame)}, {flood, 0}} {
-		if got := SizeOf(c.p); got != c.want {
-			t.Errorf("%s: SizeOf = %d, want %d", c.p.Type(), got, c.want)
-		}
-		if allocs := testing.AllocsPerRun(100, func() { SizeOf(c.p) }); allocs != 0 {
-			t.Errorf("%s: SizeOf allocates %.1f per call, want 0", c.p.Type(), allocs)
-		}
 	}
 }

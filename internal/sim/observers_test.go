@@ -10,6 +10,7 @@ import (
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/testenv/scenarios"
 	"adaptiveba/internal/types"
+	"adaptiveba/internal/wire"
 )
 
 // TestObserversDoNotChangeTheCharge: OnSend and the TraceTo trace only
@@ -29,7 +30,6 @@ func TestObserversDoNotChangeTheCharge(t *testing.T) {
 			Adversary:   &scenarios.RushingRelay{IDs: []types.ProcessID{3, 17}},
 			MaxTicks:    64,
 			ShuffleSeed: 5,
-			SizeOf:      func(p proto.Payload) int { return len(p.Type()) },
 			OnSend:      onSend,
 		})
 		if err != nil {
@@ -47,7 +47,7 @@ func TestObserversDoNotChangeTheCharge(t *testing.T) {
 		}
 		traceTo(now, m, h)
 	})
-	if bare.Honest.Messages == 0 || bare.Byzantine.Messages == 0 || len(bare.ByLayer) < 2 {
+	if bare.Honest.Messages == 0 || bare.Byzantine.Messages == 0 || bare.Honest.Bytes == 0 || len(bare.ByLayer) < 2 {
 		t.Fatalf("vacuous run: %+v", bare)
 	}
 	if !reflect.DeepEqual(observed, bare) {
@@ -63,7 +63,8 @@ func TestObserversDoNotChangeTheCharge(t *testing.T) {
 // pulser alternates heavy and light ticks: at Begin and on even ticks it
 // broadcasts, on odd ticks it answers only the first message of its
 // inbox. Which message is first depends on the tick's shuffled delivery
-// permutation, so a transcript pins that too.
+// permutation, so a transcript pins that too. Its payload frames itself,
+// so every send is charged bytes as well as words.
 type pulser struct {
 	params  types.Params
 	horizon types.Tick
@@ -71,7 +72,7 @@ type pulser struct {
 }
 
 func (p *pulser) Begin(_ types.Tick, outs []proto.Outgoing) []proto.Outgoing {
-	return proto.AppendBroadcast(outs, p.params, "pulse", scenarios.EchoPayload{})
+	return proto.AppendBroadcast(outs, p.params, "pulse", pulse{now: p.now})
 }
 
 func (p *pulser) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgoing) []proto.Outgoing {
@@ -80,10 +81,17 @@ func (p *pulser) Tick(now types.Tick, inbox []proto.Incoming, outs []proto.Outgo
 		return outs
 	}
 	if now%2 == 1 {
-		return proto.AppendUnicast(outs, inbox[0].From, "reply", scenarios.EchoPayload{})
+		return proto.AppendUnicast(outs, inbox[0].From, "reply", pulse{now: now})
 	}
-	return proto.AppendBroadcast(outs, p.params, "pulse", scenarios.EchoPayload{})
+	return proto.AppendBroadcast(outs, p.params, "pulse", pulse{now: p.now})
 }
 
 func (p *pulser) Output() (types.Value, bool) { return nil, p.now >= p.horizon }
 func (p *pulser) Done() bool                  { return p.now >= p.horizon }
+
+// pulse is the pulser's payload: a wire.Body carrying its sending tick.
+type pulse struct{ now types.Tick }
+
+func (pulse) Type() string             { return "test/pulse" }
+func (pulse) Words() int               { return 1 }
+func (p pulse) PutBody(w *wire.Writer) { w.PutInt(int(p.now)) }

@@ -52,6 +52,7 @@ import (
 	"adaptiveba/internal/metrics"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/types"
+	"adaptiveba/internal/wire"
 )
 
 // Message is an addressed payload traveling through the simulated network.
@@ -114,12 +115,6 @@ type Config struct {
 
 	Adversary Adversary  // nil for failure-free runs
 	MaxTicks  types.Tick // hard stop; DefaultMaxTicks if 0
-	// SizeOf, if set, reports each payload's encoded byte size for the
-	// recorder's byte counters (engine and harness runs pass
-	// protocols.SizeOf).
-	// The engine memoizes it per boxed payload instance, so an n-way
-	// broadcast of one payload is measured once, not n times.
-	SizeOf func(proto.Payload) int
 	// ShuffleSeed, if non-zero, deterministically permutes every inbox
 	// before delivery: within one tick the adversary controls arrival
 	// order, so correct protocols must be insensitive to it. Tests sweep
@@ -658,7 +653,7 @@ func (e *engine) deliver() {
 // traffic, and are skipped by both. Runs of messages with one payload
 // instance, sender, and session — the shape proto.AppendBroadcast
 // produces — are charged with a single RecordSendN call, so the
-// per-message cost (words, signatures, and in particular the SizeOf
+// per-message cost (words, signatures, and in particular the wire.Size
 // encoding walk) is computed once per broadcast, not once per recipient.
 func (e *engine) record(msgs []Message, honest bool, now types.Tick) {
 	i := 0
@@ -675,9 +670,7 @@ func (e *engine) record(msgs []Message, honest bool, now types.Tick) {
 			if sc, ok := m.Payload.(proto.SigCarrier); ok {
 				sigs = sc.SigCount()
 			}
-			if e.cfg.SizeOf != nil {
-				size = e.cfg.SizeOf(m.Payload)
-			}
+			size = wire.Size(m.Payload)
 			k := proto.KeyOf(m.Payload)
 			for j < len(msgs) {
 				nm := &msgs[j]

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	_ "embed"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash"
 	"sort"
@@ -66,8 +65,8 @@ type outcome struct {
 
 // Line runs the scenario and returns its line of testdata/equiv.txt: the
 // SHA-256 of every honest send (tick, from, to, session, type, words and
-// the payload's protocols.Registry encoding, or type and words alone for
-// a payload the registry does not know), the same of every Byzantine
+// the payload's wire encoding, or type and words alone for a payload
+// that is not a wire.Body), the same of every Byzantine
 // send, the SHA-256 of its decisions and outputs, then its honest words,
 // ticks and steps. A scenario without sends has the outputs' hash alone,
 // and its words and ticks if it is counted.
@@ -75,11 +74,7 @@ type outcome struct {
 func (sc Scenario) Line(tb testing.TB) string {
 	tb.Helper()
 	rec := recorder{honest: sha256.New(), byz: sha256.New(), bytes: !sc.typesOnly}
-	o := sc.run(tb, rec.observe)
-	if rec.err != nil {
-		tb.Fatalf("%s: %v", sc.Name, rec.err)
-	}
-	return rec.line(sc.Name, o)
+	return rec.line(sc.Name, sc.run(tb, rec.observe))
 }
 
 // Committed returns testdata/equiv.txt's line of each scenario, by name.
@@ -119,16 +114,12 @@ func Each(t *testing.T, scs []Scenario, f func(t *testing.T, sc Scenario)) {
 	}
 }
 
-// registry frames every protocol payload a send is hashed with.
-var registry = protocols.Registry()
-
 // recorder is the one OnSend observer of a scenario: it hashes the honest
 // and the Byzantine sends apart, in charge order.
 type recorder struct {
 	honest, byz hash.Hash
 	bytes       bool // hash payload encodings, not only types and words
 	buf         []byte
-	err         error
 }
 
 func (r *recorder) observe(now types.Tick, m sim.Message, honest bool) {
@@ -143,12 +134,8 @@ func (r *recorder) observe(now types.Tick, m sim.Message, honest bool) {
 	b = appendString(b, typ)
 	b = binary.AppendVarint(b, int64(words))
 	if r.bytes && m.Payload != nil {
-		frame, err := registry.EncodePayload(m.Payload)
-		switch {
-		case err == nil:
+		if frame, err := wire.EncodePayload(m.Payload); err == nil {
 			b = appendString(b, string(frame))
-		case !errors.Is(err, wire.ErrUnknownType) && r.err == nil:
-			r.err = err
 		}
 	}
 	if honest {

@@ -15,6 +15,7 @@ import (
 	"adaptiveba/internal/sim"
 	"adaptiveba/internal/testenv"
 	"adaptiveba/internal/types"
+	"adaptiveba/internal/wire"
 )
 
 // TestClusterMatchesSimulator pins the TCP runtime against the repo's
@@ -111,7 +112,7 @@ func TestSendBytesParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sb.Close()
-	payloadFrame, err := sb.node.cfg.Registry.EncodePayload(sb.outs[0].Payload)
+	payloadFrame, err := wire.EncodePayload(sb.outs[0].Payload)
 	if err != nil {
 		t.Fatal(err)
 	}

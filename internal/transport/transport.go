@@ -64,7 +64,7 @@ type Config struct {
 	ID     types.ProcessID
 	// Addrs[i] is process i's listen address (host:port).
 	Addrs []string
-	// Registry frames payloads; protocols.Registry() covers all protocols.
+	// Registry decodes payloads; protocols.Registry() covers all protocols.
 	Registry *wire.Registry
 	// TickInterval is the duration of one tick (δ). Default 25ms.
 	TickInterval time.Duration
@@ -482,8 +482,8 @@ func (n *Node) tickLoop(ctx context.Context) (types.Value, error) {
 // is framed exactly once into the node's scratch writers and the
 // resulting bytes are enqueued on every recipient's outbox. A broadcast —
 // n copies of one boxed payload, as proto.AppendBroadcast emits — costs one
-// registry encoding and n buffer appends; the steady-state path performs
-// zero allocations (guarded by TestSendAllocCeiling).
+// encoding (wire.AppendPayload) and n buffer appends; the steady-state
+// path performs zero allocations (guarded by TestSendAllocCeiling).
 func (n *Node) send(outs []proto.Outgoing) {
 	s := &n.scratch
 	s.valid = false // keys are only meaningful within one outs slice
@@ -500,7 +500,7 @@ func (n *Node) send(outs []proto.Outgoing) {
 			s.key, s.session, s.valid = k, o.Session, true
 			s.failed = false
 			s.payloadW.Reset()
-			if err := n.cfg.Registry.AppendPayload(s.payloadW, o.Payload); err != nil {
+			if err := wire.AppendPayload(s.payloadW, o.Payload); err != nil {
 				n.logf("encode %s: %v", o.Payload.Type(), err)
 				s.failed = true
 			} else {

@@ -61,18 +61,7 @@ func captureCorpus() (map[string][]byte, error) {
 		for i := range corpusRuns {
 			spec := corpusRuns[i]
 			var encodeErr error
-			spec.OnSend = func(_ types.Tick, m sim.Message, _ bool) {
-				typ := m.Payload.Type()
-				if _, seen := frames[typ]; seen || encodeErr != nil {
-					return
-				}
-				buf, err := reg.EncodePayload(m.Payload)
-				if err != nil {
-					encodeErr = err
-					return
-				}
-				frames[typ] = buf
-			}
+			spec.OnSend = captureSends(reg, frames, &encodeErr)
 			if _, err := harness.Run(spec); err != nil {
 				corpusErr = err
 				return
@@ -93,6 +82,27 @@ func captureCorpus() (map[string][]byte, error) {
 		corpusFrames = frames
 	})
 	return corpusFrames, corpusErr
+}
+
+// captureSends returns an OnSend observer that keeps the first frame of
+// every payload type sent. A sent payload that does not frame itself
+// (wire.ErrNoBody), or whose frame reg does not decode, sets *errp.
+func captureSends(reg *wire.Registry, frames map[string][]byte, errp *error) func(types.Tick, sim.Message, bool) {
+	return func(_ types.Tick, m sim.Message, _ bool) {
+		typ := m.Payload.Type()
+		if _, seen := frames[typ]; seen || *errp != nil {
+			return
+		}
+		buf, err := wire.EncodePayload(m.Payload)
+		if err == nil {
+			_, err = reg.DecodePayload(buf)
+		}
+		if err != nil {
+			*errp = err
+			return
+		}
+		frames[typ] = buf
+	}
 }
 
 // captureACSRun covers the ACS payload types. They never appear as
@@ -154,18 +164,7 @@ func captureHelpRun(reg *wire.Registry, frames map[string][]byte) error {
 		},
 		Adversary: adv,
 		MaxTicks:  2000,
-		OnSend: func(_ types.Tick, m sim.Message, _ bool) {
-			typ := m.Payload.Type()
-			if _, seen := frames[typ]; seen || encodeErr != nil {
-				return
-			}
-			buf, err := reg.EncodePayload(m.Payload)
-			if err != nil {
-				encodeErr = err
-				return
-			}
-			frames[typ] = buf
-		},
+		OnSend:    captureSends(reg, frames, &encodeErr),
 	})
 	if err != nil {
 		return err
@@ -212,7 +211,7 @@ func FuzzFullRegistryRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		buf, err := reg.EncodePayload(p)
+		buf, err := wire.EncodePayload(p)
 		if err != nil {
 			t.Fatalf("decoded %q payload does not re-encode: %v", p.Type(), err)
 		}

@@ -1,6 +1,6 @@
-// CountingWriter / Registry.SizeOf coverage: the size-only path must
-// agree byte-for-byte with the materializing encoder on every registered
-// payload type, and must not allocate — the simulator calls SizeOf for
+// CountingWriter / Size coverage: the size-only path must agree
+// byte-for-byte with the materializing encoder on every registered
+// payload type, and must not allocate — the simulator calls Size for
 // every send it charges. Lives in package wire_test to reuse the captured
 // payload corpus.
 package wire_test
@@ -8,8 +8,10 @@ package wire_test
 import (
 	"testing"
 
+	"adaptiveba/internal/baseline/floodset"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/protocols"
+	"adaptiveba/internal/types"
 	"adaptiveba/internal/wire"
 )
 
@@ -34,46 +36,31 @@ func corpusPayloads(t testing.TB) (*wire.Registry, map[string]proto.Payload) {
 }
 
 func TestSizeOfMatchesEncodedLength(t *testing.T) {
-	reg, payloads := corpusPayloads(t)
+	_, payloads := corpusPayloads(t)
 	for typ, p := range payloads {
-		buf, err := reg.EncodePayload(p)
+		buf, err := wire.EncodePayload(p)
 		if err != nil {
 			t.Fatalf("encode %q: %v", typ, err)
 		}
-		n, err := reg.SizeOf(p)
-		if err != nil {
-			t.Fatalf("size %q: %v", typ, err)
+		if n := wire.Size(p); n != len(buf) {
+			t.Errorf("%q: Size=%d, encoded length=%d", typ, n, len(buf))
 		}
-		if n != len(buf) {
-			t.Errorf("%q: SizeOf=%d, encoded length=%d", typ, n, len(buf))
-		}
-	}
-}
-
-func TestSizeOfUnknownType(t *testing.T) {
-	reg := wire.NewRegistry()
-	_, payloads := corpusPayloads(t)
-	for _, p := range payloads {
-		if _, err := reg.SizeOf(p); err == nil {
-			t.Fatalf("SizeOf on empty registry accepted %q", p.Type())
-		}
-		break
 	}
 }
 
 // TestSizeOfZeroAllocs guards the whole point of the counting writer: a
-// size query allocates nothing, for every registered payload type.
+// size query allocates nothing, for every registered payload type, and
+// for a payload that is not a Body (floodset's), which weighs 0.
 func TestSizeOfZeroAllocs(t *testing.T) {
-	reg, payloads := corpusPayloads(t)
+	_, payloads := corpusPayloads(t)
+	flood := proto.Payload(floodset.Flood{Values: []types.Value{types.One}})
+	if n := wire.Size(flood); n != 0 {
+		t.Errorf("%q: Size = %d, want 0", flood.Type(), n)
+	}
+	payloads[flood.Type()] = flood
 	for typ, p := range payloads {
-		p := p
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := reg.SizeOf(p); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%q: SizeOf allocates %.1f per call, want 0", typ, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { wire.Size(p) }); allocs != 0 {
+			t.Errorf("%q: Size allocates %.1f per call, want 0", typ, allocs)
 		}
 	}
 }
@@ -114,27 +101,25 @@ func TestCountingWriterMatchesWriter(t *testing.T) {
 	}
 }
 
-func BenchmarkRegistrySizeOf(b *testing.B) {
-	reg, payloads := corpusPayloads(b)
+func BenchmarkSize(b *testing.B) {
+	_, payloads := corpusPayloads(b)
 	for typ, p := range payloads {
 		b.Run(typ, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := reg.SizeOf(p); err != nil {
-					b.Fatal(err)
-				}
+			for b.Loop() {
+				wire.Size(p)
 			}
 		})
 	}
 }
 
-func BenchmarkRegistryEncodePayload(b *testing.B) {
-	reg, payloads := corpusPayloads(b)
+func BenchmarkEncodePayload(b *testing.B) {
+	_, payloads := corpusPayloads(b)
 	for typ, p := range payloads {
 		b.Run(typ, func(b *testing.B) {
 			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := reg.EncodePayload(p); err != nil {
+			for b.Loop() {
+				if _, err := wire.EncodePayload(p); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -3,6 +3,8 @@ package wire_test
 import (
 	"bytes"
 	"testing"
+
+	"adaptiveba/internal/wire"
 )
 
 // TestDecodePayloadOutlivesItsFrame: a transport decodes every frame out
@@ -25,7 +27,7 @@ func TestDecodePayloadOutlivesItsFrame(t *testing.T) {
 		for i := range buf {
 			buf[i] = 0xA5
 		}
-		got, err := reg.EncodePayload(p)
+		got, err := wire.EncodePayload(p)
 		if err != nil {
 			t.Fatalf("re-encode %q: %v", typ, err)
 		}

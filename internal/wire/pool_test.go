@@ -53,7 +53,7 @@ func TestWriterPoolRoundTrip(t *testing.T) {
 }
 
 // TestPutWriterRejectsCountingWriter: counting writers belong to the
-// SizeOf pool and must not leak into the materializing pool, where a
+// Size pool and must not leak into the materializing pool, where a
 // later GetWriter user would silently encode nothing.
 func TestPutWriterRejectsCountingWriter(t *testing.T) {
 	cw := NewCountingWriter()
@@ -69,11 +69,10 @@ func TestPutWriterRejectsCountingWriter(t *testing.T) {
 }
 
 // TestAppendPayloadMatchesEncodePayload: the in-place framing must be
-// byte-identical to the allocating path for every registered type.
+// byte-identical to the allocating path.
 func TestAppendPayloadMatchesEncodePayload(t *testing.T) {
-	reg := fuzzRegistry()
 	p := fuzzPayload{A: -3, B: []byte("hello"), C: true}
-	want, err := reg.EncodePayload(p)
+	want, err := EncodePayload(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestAppendPayloadMatchesEncodePayload(t *testing.T) {
 	defer PutWriter(w)
 	w.PutString("prefix") // AppendPayload must append, not clobber
 	prefixLen := w.Len()
-	if err := reg.AppendPayload(w, p); err != nil {
+	if err := AppendPayload(w, p); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(w.Bytes()[prefixLen:], want) {
@@ -93,17 +92,16 @@ func TestAppendPayloadMatchesEncodePayload(t *testing.T) {
 // performs no allocations — the contract the transport's encode-once
 // send path relies on.
 func TestAppendPayloadZeroAllocs(t *testing.T) {
-	reg := fuzzRegistry()
 	// Pre-boxed: the transport's payloads arrive as interfaces already, so
 	// the measurement must not charge the test's own boxing.
 	var p proto.Payload = fuzzPayload{A: 9, B: bytes.Repeat([]byte("v"), 64), C: true}
 	w := NewWriter()
-	if err := reg.AppendPayload(w, p); err != nil { // warm the buffer
+	if err := AppendPayload(w, p); err != nil { // warm the buffer
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		w.Reset()
-		if err := reg.AppendPayload(w, p); err != nil {
+		if err := AppendPayload(w, p); err != nil {
 			t.Fatal(err)
 		}
 	})

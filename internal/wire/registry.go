@@ -9,28 +9,37 @@ import (
 	"adaptiveba/internal/proto"
 )
 
-// Codec encodes and decodes one payload type.
+// Body is a payload that frames itself: PutBody appends the payload's
+// body to w, and the frame is its Type() then its body. Each codec'd
+// payload type implements it beside its decoder, in its package's
+// wire.go, so each format lives in one place and encoding cannot fail.
+type Body interface {
+	proto.Payload
+	PutBody(w *Writer)
+}
+
+// Codec decodes one payload type.
 type Codec struct {
 	// Type must match Payload.Type() of the payloads it handles.
 	Type string
-	// Encode appends the payload body to w.
-	Encode func(w *Writer, p proto.Payload) error
 	// Decode reconstructs a payload from r.
 	Decode func(r *Reader) (proto.Payload, error)
 }
 
-// Registry maps payload type names to codecs. Protocol packages expose a
-// RegisterWire(reg) function; runtimes that need framing (the TCP
-// transport) call them explicitly — no init() magic.
+// Registry maps payload type names to decoders. Protocol packages expose
+// a RegisterWire(reg) function; runtimes that decode frames (the TCP
+// transport) call them explicitly — no init() magic. Encoding needs no
+// registry: a Body frames itself (EncodePayload, AppendPayload, Size).
 type Registry struct {
 	mu     sync.RWMutex
 	codecs map[string]Codec
 }
 
-// Errors returned by the registry.
+// Errors returned by the registry and the framing functions.
 var (
 	ErrUnknownType = errors.New("wire: unknown payload type")
 	ErrDupType     = errors.New("wire: duplicate payload type")
+	ErrNoBody      = errors.New("wire: payload has no body encoding")
 )
 
 // NewRegistry returns an empty registry.
@@ -41,7 +50,7 @@ func NewRegistry() *Registry {
 // Register adds a codec. Registering the same type twice is a programming
 // error and is reported.
 func (r *Registry) Register(c Codec) error {
-	if c.Type == "" || c.Encode == nil || c.Decode == nil {
+	if c.Type == "" || c.Decode == nil {
 		return fmt.Errorf("wire: incomplete codec for %q", c.Type)
 	}
 	r.mu.Lock()
@@ -74,91 +83,11 @@ func (r *Registry) Types() []string {
 	return names
 }
 
-// EncodePayload frames a payload as (type, body) in one exact-size buffer:
-// SizeOf measures the frame without allocating, then the codec writes it.
-func (r *Registry) EncodePayload(p proto.Payload) ([]byte, error) {
-	size, err := r.SizeOf(p)
-	if err != nil {
-		return nil, err
-	}
-	w := NewWriterSize(size)
-	if err := r.AppendPayload(w, p); err != nil {
-		return nil, err
-	}
-	return w.Bytes(), nil
-}
-
-// AppendPayload appends the (type, body) frame of p to w. It is the
-// allocation-free sibling of EncodePayload: callers that reuse a pooled
-// writer (GetWriter/PutWriter, or a per-connection scratch writer) encode
-// into grown capacity without materializing a fresh buffer per message.
-// On error the writer may hold a partial frame; callers must Reset before
-// reuse.
-func (r *Registry) AppendPayload(w *Writer, p proto.Payload) error {
-	c, ok := r.lookup(p.Type())
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownType, p.Type())
-	}
-	w.PutString(p.Type())
-	if err := c.Encode(w, p); err != nil {
-		return fmt.Errorf("wire: encode %q: %w", p.Type(), err)
-	}
-	return nil
-}
-
-// countingPool recycles CountingWriters so SizeOf stays allocation-free
-// and safe under concurrent use.
-var countingPool = sync.Pool{
-	New: func() any { return NewCountingWriter() },
-}
-
-// SizeOf reports the framed encoded size of p — exactly
-// len(EncodePayload(p)) — without materializing the encoding: the codec
-// runs against a pooled counting writer, so the hot byte-metering path
-// (the simulator charges every send) performs zero allocations.
-func (r *Registry) SizeOf(p proto.Payload) (int, error) {
-	c, ok := r.lookup(p.Type())
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownType, p.Type())
-	}
-	n, err := sizeOf(c, p)
-	if err != nil {
-		return 0, fmt.Errorf("wire: size %q: %w", p.Type(), err)
-	}
-	return n, nil
-}
-
-// Size is SizeOf for a byte meter: a payload without a codec, or one its
-// codec refuses, weighs 0. Size builds no error, so a payload without a
-// codec costs no allocation either.
-func (r *Registry) Size(p proto.Payload) int {
-	c, ok := r.lookup(p.Type())
-	if !ok {
-		return 0
-	}
-	n, err := sizeOf(c, p)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
 func (r *Registry) lookup(typ string) (Codec, bool) {
 	r.mu.RLock()
 	c, ok := r.codecs[typ]
 	r.mu.RUnlock()
 	return c, ok
-}
-
-// sizeOf runs c against a pooled counting writer.
-func sizeOf(c Codec, p proto.Payload) (int, error) {
-	cw := countingPool.Get().(*CountingWriter)
-	cw.Reset()
-	cw.PutString(p.Type())
-	err := c.Encode(&cw.Writer, p)
-	n := cw.Size()
-	countingPool.Put(cw)
-	return n, err
 }
 
 // DecodePayload parses a frame produced by EncodePayload. The payload
@@ -191,4 +120,53 @@ func (r *Registry) decode(rd *Reader) (proto.Payload, error) {
 		return nil, fmt.Errorf("wire: decode %q: %w", typ, err)
 	}
 	return p, nil
+}
+
+// EncodePayload frames p as (type, body) in one exact-size buffer: Size
+// measures the frame without allocating, then p writes it. A payload
+// that is not a Body has no frame (ErrNoBody).
+func EncodePayload(p proto.Payload) ([]byte, error) {
+	w := NewWriterSize(Size(p))
+	if err := AppendPayload(w, p); err != nil {
+		return nil, err
+	}
+	return w.Bytes(), nil
+}
+
+// AppendPayload appends the (type, body) frame of p to w. It is the
+// allocation-free sibling of EncodePayload: callers that reuse a pooled
+// writer (GetWriter/PutWriter, or a per-connection scratch writer) encode
+// into grown capacity without materializing a fresh buffer per message.
+func AppendPayload(w *Writer, p proto.Payload) error {
+	b, ok := p.(Body)
+	if !ok {
+		return fmt.Errorf("%w: %q", ErrNoBody, p.Type())
+	}
+	w.PutString(b.Type())
+	b.PutBody(w)
+	return nil
+}
+
+// countingPool recycles CountingWriters so Size stays allocation-free
+// and safe under concurrent use.
+var countingPool = sync.Pool{
+	New: func() any { return NewCountingWriter() },
+}
+
+// Size is the byte meter: the framed size of p, exactly
+// len(EncodePayload(p)), measured on a pooled counting writer without
+// materializing the encoding, so the simulator can charge every send
+// with zero allocations. A payload that is not a Body weighs 0.
+func Size(p proto.Payload) int {
+	b, ok := p.(Body)
+	if !ok {
+		return 0
+	}
+	cw := countingPool.Get().(*CountingWriter)
+	cw.Reset()
+	cw.PutString(b.Type())
+	b.PutBody(&cw.Writer)
+	n := cw.Size()
+	countingPool.Put(cw)
+	return n
 }

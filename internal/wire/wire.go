@@ -90,7 +90,7 @@ func GetWriter() *Writer {
 // the buffer will be overwritten by the next GetWriter user.
 func PutWriter(w *Writer) {
 	if w == nil || w.counting {
-		return // counting writers have their own pool (Registry.SizeOf)
+		return // counting writers have their own pool (Size)
 	}
 	writerPool.Put(w)
 }
@@ -199,7 +199,7 @@ func (w *Writer) PutCert(c *threshold.Cert) {
 // CountingWriter measures encodings without materializing them: it is a
 // Writer permanently in counting mode, so any codec written against
 // *Writer runs unchanged while every Put costs an integer add — no buffer
-// ever grows. Use it (via Registry.SizeOf) on hot byte-metering paths.
+// ever grows. Size meters every send through a pooled one.
 type CountingWriter struct {
 	Writer
 }

@@ -214,20 +214,19 @@ type testPayload struct {
 	N int
 }
 
-func (p testPayload) Type() string { return "test/pay" }
-func (p testPayload) Words() int   { return 1 }
+func (p testPayload) Type() string      { return "test/pay" }
+func (p testPayload) Words() int        { return 1 }
+func (p testPayload) PutBody(w *Writer) { w.PutInt(p.N) }
+
+// bodyless is a payload that is not a Body, as floodset's are.
+type bodyless struct{}
+
+func (bodyless) Type() string { return "test/bodyless" }
+func (bodyless) Words() int   { return 1 }
 
 func testCodec() Codec {
 	return Codec{
 		Type: "test/pay",
-		Encode: func(w *Writer, p proto.Payload) error {
-			tp, ok := p.(testPayload)
-			if !ok {
-				return errors.New("wrong type")
-			}
-			w.PutInt(tp.N)
-			return nil
-		},
 		Decode: func(r *Reader) (proto.Payload, error) {
 			return testPayload{N: r.Int()}, r.Err()
 		},
@@ -237,7 +236,7 @@ func testCodec() Codec {
 func TestRegistryRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.MustRegister(testCodec())
-	b, err := reg.EncodePayload(testPayload{N: 17})
+	b, err := EncodePayload(testPayload{N: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +251,24 @@ func TestRegistryRoundTrip(t *testing.T) {
 }
 
 func TestRegistryErrors(t *testing.T) {
+	// A payload that is not a Body has no frame and weighs 0.
+	var bare proto.Payload = bodyless{}
+	if _, err := EncodePayload(bare); !errors.Is(err, ErrNoBody) {
+		t.Errorf("encode bodyless: %v", err)
+	}
+	if err := AppendPayload(NewWriter(), bare); !errors.Is(err, ErrNoBody) {
+		t.Errorf("append bodyless: %v", err)
+	}
+	if n := Size(bare); n != 0 {
+		t.Errorf("Size(bodyless) = %d, want 0", n)
+	}
 	reg := NewRegistry()
-	if _, err := reg.EncodePayload(testPayload{}); !errors.Is(err, ErrUnknownType) {
-		t.Errorf("encode unknown: %v", err)
+	frame, err := EncodePayload(testPayload{N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.DecodePayload(frame); !errors.Is(err, ErrUnknownType) {
+		t.Errorf("decode unregistered: %v", err)
 	}
 	reg.MustRegister(testCodec())
 	if err := reg.Register(testCodec()); !errors.Is(err, ErrDupType) {
@@ -272,7 +286,7 @@ func TestRegistryErrors(t *testing.T) {
 		t.Errorf("decode unknown: %v", err)
 	}
 	// Trailing bytes after a valid body must be rejected.
-	b, _ := reg.EncodePayload(testPayload{N: 1})
+	b, _ := EncodePayload(testPayload{N: 1})
 	if _, err := reg.DecodePayload(append(b, 0x00)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
