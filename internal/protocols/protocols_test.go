@@ -5,11 +5,14 @@ import (
 	"strings"
 	"testing"
 
+	"adaptiveba/internal/baseline/floodset"
 	"adaptiveba/internal/core/strongba"
+	"adaptiveba/internal/core/wba"
 	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/proto"
 	"adaptiveba/internal/types"
+	"adaptiveba/internal/wire"
 )
 
 // TestTagsStable pins every kind's signing tag: a tag is part of every
@@ -65,5 +68,31 @@ func TestValidateChecksEveryProcess(t *testing.T) {
 	}
 	if _, err := Kind("nope").New(cfg, 0, nil); !errors.Is(err, ErrUnknown) {
 		t.Errorf("unknown kind: %v", err)
+	}
+}
+
+// TestSizeOfAllocatesNothing: the byte meter every run charges
+// (wire.Size) allocates nothing, for a payload with a codec (its exact
+// frame size) and for one without (0 bytes).
+func TestSizeOfAllocatesNothing(t *testing.T) {
+	vote := proto.Payload(wba.Vote{Phase: 1, V: types.Value("v"), Share: make(sig.Signature, 32)})
+	frame, err := wire.EncodePayload(vote)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Registry().DecodePayload(frame); err != nil {
+		t.Fatalf("registry does not decode %s: %v", vote.Type(), err)
+	}
+	flood := proto.Payload(floodset.Flood{Values: []types.Value{types.One}})
+	for _, c := range []struct {
+		p    proto.Payload
+		want int
+	}{{vote, len(frame)}, {flood, 0}} {
+		if got := wire.Size(c.p); got != c.want {
+			t.Errorf("%s: Size = %d, want %d", c.p.Type(), got, c.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { wire.Size(c.p) }); allocs != 0 {
+			t.Errorf("%s: Size allocates %.1f per call, want 0", c.p.Type(), allocs)
+		}
 	}
 }

@@ -6,6 +6,7 @@
 package wire_test
 
 import (
+	"errors"
 	"testing"
 
 	"adaptiveba/internal/baseline/floodset"
@@ -48,16 +49,25 @@ func TestSizeOfMatchesEncodedLength(t *testing.T) {
 	}
 }
 
-// TestSizeOfZeroAllocs guards the whole point of the counting writer: a
-// size query allocates nothing, for every registered payload type, and
-// for a payload that is not a Body (floodset's), which weighs 0.
-func TestSizeOfZeroAllocs(t *testing.T) {
-	_, payloads := corpusPayloads(t)
+// TestSizeOfUnknownType: a payload the wire has no frame for (floodset's,
+// which is not a Body) weighs 0, and encoding it fails with ErrNoBody.
+func TestSizeOfUnknownType(t *testing.T) {
 	flood := proto.Payload(floodset.Flood{Values: []types.Value{types.One}})
 	if n := wire.Size(flood); n != 0 {
 		t.Errorf("%q: Size = %d, want 0", flood.Type(), n)
 	}
-	payloads[flood.Type()] = flood
+	if _, err := wire.EncodePayload(flood); !errors.Is(err, wire.ErrNoBody) {
+		t.Errorf("%q: EncodePayload: %v, want ErrNoBody", flood.Type(), err)
+	}
+	if err := wire.AppendPayload(wire.NewWriter(), flood); !errors.Is(err, wire.ErrNoBody) {
+		t.Errorf("%q: AppendPayload: %v, want ErrNoBody", flood.Type(), err)
+	}
+}
+
+// TestSizeOfZeroAllocs guards the whole point of the counting writer: a
+// size query allocates nothing, for every registered payload type.
+func TestSizeOfZeroAllocs(t *testing.T) {
+	_, payloads := corpusPayloads(t)
 	for typ, p := range payloads {
 		if allocs := testing.AllocsPerRun(100, func() { wire.Size(p) }); allocs != 0 {
 			t.Errorf("%q: Size allocates %.1f per call, want 0", typ, allocs)

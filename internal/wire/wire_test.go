@@ -218,12 +218,6 @@ func (p testPayload) Type() string      { return "test/pay" }
 func (p testPayload) Words() int        { return 1 }
 func (p testPayload) PutBody(w *Writer) { w.PutInt(p.N) }
 
-// bodyless is a payload that is not a Body, as floodset's are.
-type bodyless struct{}
-
-func (bodyless) Type() string { return "test/bodyless" }
-func (bodyless) Words() int   { return 1 }
-
 func testCodec() Codec {
 	return Codec{
 		Type: "test/pay",
@@ -251,17 +245,6 @@ func TestRegistryRoundTrip(t *testing.T) {
 }
 
 func TestRegistryErrors(t *testing.T) {
-	// A payload that is not a Body has no frame and weighs 0.
-	var bare proto.Payload = bodyless{}
-	if _, err := EncodePayload(bare); !errors.Is(err, ErrNoBody) {
-		t.Errorf("encode bodyless: %v", err)
-	}
-	if err := AppendPayload(NewWriter(), bare); !errors.Is(err, ErrNoBody) {
-		t.Errorf("append bodyless: %v", err)
-	}
-	if n := Size(bare); n != 0 {
-		t.Errorf("Size(bodyless) = %d, want 0", n)
-	}
 	reg := NewRegistry()
 	frame, err := EncodePayload(testPayload{N: 2})
 	if err != nil {
