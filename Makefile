@@ -134,11 +134,12 @@ alloc-guard:
 	@$(GUARD); \
 	guard ./internal/sim 'TestSimTickAllocCeiling|TestRunReusesScratch|TestConcurrentRunsFindEverySpare|TestSparesLastOneCollection'; \
 	guard ./internal/crypto/threshold 'TestMintedCertVerifyAllocs'; \
+	guard './internal/crypto/sig ./internal/crypto/keyedmac' 'TestHMACAllocCeilings|TestSteadyStateAllocs'; \
 	guard ./internal/wire 'TestSizeOfZeroAllocs|TestAppendPayloadZeroAllocs'; \
 	guard ./internal/protocols 'TestSizeOfAllocatesNothing'; \
 	guard ./internal/transport 'TestSendAllocCeiling'; \
 	guard ./internal/proto 'TestMuxSteadyStateAllocs|TestSubJoinsEachPathOnce'; \
-	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling|TestCommitDealerMACs'; \
+	guard ./internal/engine 'TestEngineSteadyStateAllocs|TestCommitAllocCeiling|TestCommitDealerMACs|TestCommitRingMACs'; \
 	guard ./internal/acs 'TestACSAllocCeiling'; \
 	guard './internal/core/wba ./internal/core/bb' 'TestIngestDropsOutOfRangePhases|TestSignBasesAreExactSizeAndUnchanged'; \
 	guard ./internal/kv 'TestApplyAllocs|TestSnapshotAllocs'; \
@@ -155,7 +156,7 @@ race-guard:
 	@$(GUARD); \
 	guard ./internal/sim 'TestObserversDoNotChangeTheCharge|TestConcurrentRunsFindEverySpare' -race; \
 	guard ./internal/testenv/scenarios 'TestEquivalence' -race; \
-	guard './internal/crypto/sig ./internal/crypto/keyedmac' 'Concurrent' -race -count=10; \
+	guard './internal/crypto/sig ./internal/crypto/keyedmac' 'TestHMACRingConcurrent|TestPoolConcurrent|TestSignRecordConcurrent' -race -count=10; \
 	guard ./internal/crypto/threshold 'TestMintedCertConcurrentVerify' -race -count=10; \
 	guard ./internal/transport 'TestClusterMatchesSimulator|TestSendBytesParity|TestOutboxBackpressure|TestRunClusterMachineErrorStartsNoNode|TestNewProtocolMachine' -race; \
 	guard ./internal/transport 'TestChaosWBADecidesLikeBaseline|TestChaosBBJitterDecidesLikeBaseline' -race; \

@@ -114,7 +114,8 @@ func TestTagIsExactCapacity(t *testing.T) {
 
 // TestSteadyStateAllocs: once a state exists, a MAC allocates only the
 // tag it returns, and one written into a caller's buffer or compared
-// allocates nothing.
+// allocates nothing. Once the sign record exists, Sign allocates only its
+// tag, and Check nothing, whether the record answers or a MAC does.
 func TestSteadyStateAllocs(t *testing.T) {
 	var p Pool
 	p.Init([]byte("key"))
@@ -152,6 +153,21 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}); a > 0 {
 		t.Errorf("Get/Write/Equal/Put allocates %.0f, want 0", a)
 	}
+	if a := testing.AllocsPerRun(200, func() { _ = p.Sign(msg, 16) }); a > 1 {
+		t.Errorf("Sign allocates %.0f, want 1 (the tag)", a)
+	}
+	long := bytes.Repeat([]byte("m"), RecordMsgCap+1)
+	longTag := p.Sign(long, 16)
+	if a := testing.AllocsPerRun(200, func() {
+		if ok, mac := p.Check(msg, tag, 16); !ok || mac {
+			t.Fatal("recorded tag not answered from the record")
+		}
+		if ok, mac := p.Check(long, longTag, 16); !ok || !mac {
+			t.Fatal("unrecorded tag not MACed")
+		}
+	}); a > 0 {
+		t.Errorf("Check allocates %.0f, want 0", a)
+	}
 }
 
 // TestPoolConcurrent MACs through one pool from 8 goroutines at once; run
@@ -185,4 +201,109 @@ func TestPoolConcurrent(t *testing.T) {
 	if n := len(p.free); n < 1 || n > goroutines {
 		t.Errorf("pool holds %d states after %d concurrent users", n, goroutines)
 	}
+}
+
+// TestSignRecordMatchesMAC is the differential check of the sign record:
+// over random keys and messages on both sides of RecordMsgCap, Sign's tag
+// is the fresh hmac's, and Check gives the fresh hmac's answer for the
+// signed pair, a flipped tag, a flipped message, another tag length and a
+// pair the record has evicted — from the record exactly when the record
+// holds the pair, by MAC otherwise.
+func TestSignRecordMatchesMAC(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	check := func(p *Pool, msg, tag []byte, n int, wantOK, wantMAC bool, what string) {
+		t.Helper()
+		if ok, mac := p.Check(msg, tag, n); ok != wantOK || mac != wantMAC {
+			t.Fatalf("%s: Check = (ok %t, mac %t), want (%t, %t)", what, ok, mac, wantOK, wantMAC)
+		}
+	}
+	for _, keyLen := range []int{0, 16, 65} {
+		key := make([]byte, keyLen)
+		rng.Read(key)
+		var p Pool
+		p.Init(key)
+		for i := 0; i < 300; i++ {
+			msg := make([]byte, rng.Intn(2*RecordMsgCap))
+			rng.Read(msg)
+			want := fresh(key, msg)
+			n := 1 + rng.Intn(Size)
+			tag := p.Sign(msg, n)
+			if !bytes.Equal(tag, want[:n]) || cap(tag) != n {
+				t.Fatalf("key %d B, use %d: Sign gave %x (cap %d), fresh hmac %x", keyLen, i, tag, cap(tag), want[:n])
+			}
+			recorded := len(msg) <= RecordMsgCap
+			check(&p, msg, tag, n, true, !recorded, "signed pair")
+			m := 1 + rng.Intn(Size)
+			check(&p, msg, want[:m], m, true, !recorded, "signed message, other tag length")
+			bad := append([]byte(nil), tag...)
+			bad[rng.Intn(n)] ^= 1 << rng.Intn(8)
+			check(&p, msg, bad, n, false, true, "flipped tag")
+			if len(msg) > 0 {
+				other := append([]byte(nil), msg...)
+				other[rng.Intn(len(other))] ^= 1 << rng.Intn(8)
+				check(&p, other, tag, n, false, true, "flipped message")
+			}
+		}
+
+		// A pair signed RecordEntries signatures ago has been overwritten.
+		old := []byte("evicted")
+		tag := p.Sign(old, 16)
+		for i := 0; i < RecordEntries; i++ {
+			p.Sign([]byte{byte(i)}, 16)
+		}
+		check(&p, old, tag, 16, true, true, "evicted pair")
+	}
+}
+
+// TestSignRecordEmptySlots: a slot nothing was signed into answers for
+// nothing, not even the empty message with an all-zero tag.
+func TestSignRecordEmptySlots(t *testing.T) {
+	var p Pool
+	p.Init([]byte("k"))
+	zero := make([]byte, 16)
+	if ok, _ := p.Check(nil, zero, 16); ok {
+		t.Fatal("a pool that never signed accepted a zero tag")
+	}
+	p.Sign([]byte("m"), 16)
+	if ok, mac := p.Check(nil, zero, 16); ok || !mac {
+		t.Errorf("after one Sign: Check(empty, zero tag) = (ok %t, mac %t), want a computed refusal", ok, mac)
+	}
+}
+
+// TestSignRecordConcurrent signs and checks through one pool from 8
+// goroutines at once, each with messages on both sides of RecordMsgCap;
+// run under -race. Every tag equals the fresh-hmac reference, and every
+// check gives the fresh hmac's answer.
+func TestSignRecordConcurrent(t *testing.T) {
+	key := []byte("shared-key")
+	var p Pool
+	p.Init(key)
+	const goroutines, iters = 8, 300
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < iters; i++ {
+				msg := make([]byte, 1+rng.Intn(2*RecordMsgCap))
+				rng.Read(msg)
+				tag := p.Sign(msg, 16)
+				if !bytes.Equal(tag, fresh(key, msg)[:16]) {
+					t.Errorf("goroutine %d iter %d: tag differs from fresh hmac", g, i)
+					return
+				}
+				if ok, _ := p.Check(msg, tag, 16); !ok {
+					t.Errorf("goroutine %d iter %d: own tag rejected", g, i)
+					return
+				}
+				msg[0] ^= 1
+				if ok, _ := p.Check(msg, tag, 16); ok {
+					t.Errorf("goroutine %d iter %d: tag accepted for another message", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

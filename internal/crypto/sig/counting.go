@@ -25,7 +25,9 @@ func NewCounting(inner Scheme) *Counting {
 // Signs returns the number of Sign calls so far.
 func (c *Counting) Signs() int64 { return c.signs.Load() }
 
-// Verifies returns the number of Verify calls so far.
+// Verifies returns the number of Verify calls so far: the checks asked
+// for, whether the inner scheme computed them or answered them from a
+// record (HMACRing's sign record).
 func (c *Counting) Verifies() int64 { return c.verifies.Load() }
 
 // Name implements Scheme.

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"adaptiveba/internal/crypto/keyedmac"
 	"adaptiveba/internal/types"
 )
 
@@ -89,9 +90,9 @@ func TestHMACTagIsExactCapacity(t *testing.T) {
 	}
 }
 
-// TestHMACAllocCeilings: with the identity's keyed state built, Sign
-// allocates only the returned tag and Verify — accepting or rejecting —
-// allocates nothing.
+// TestHMACAllocCeilings: with the identity's keyed state and sign record
+// built, Sign allocates only the returned tag and Verify — accepting or
+// rejecting, answered from the record or by MAC — allocates nothing.
 func TestHMACAllocCeilings(t *testing.T) {
 	ring, _ := NewHMACRing(4, []byte("seed"))
 	msg := bytes.Repeat([]byte("sign base "), 9)
@@ -112,10 +113,22 @@ func TestHMACAllocCeilings(t *testing.T) {
 	}); a > 0 {
 		t.Errorf("HMACRing.Verify allocates %.0f, want 0", a)
 	}
+	var macs uint64
+	if a := testing.AllocsPerRun(200, func() {
+		macs -= RingMACs()
+		if !ring.Verify(2, msg, s) {
+			t.Fatal("recorded signature rejected")
+		}
+		macs += RingMACs()
+	}); a > 0 || macs != 0 {
+		t.Errorf("a check answered from the record allocates %.0f and costs %d MACs, want 0 and 0", a, macs)
+	}
 }
 
 // TestHMACRingConcurrent signs and verifies through one ring from 8
-// goroutines at once, all identities shared (run under -race -count=10).
+// goroutines at once, all identities shared, with messages on both sides
+// of a sign record slot, so that checks answered from the records and by
+// MAC interleave with signs overwriting them (run under -race -count=10).
 func TestHMACRingConcurrent(t *testing.T) {
 	seed := []byte("concurrent")
 	const n, goroutines, iters = 3, 8, 200
@@ -128,7 +141,7 @@ func TestHMACRingConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iters; i++ {
 				id := types.ProcessID(rng.Intn(n))
-				msg := make([]byte, 1+rng.Intn(150))
+				msg := make([]byte, 1+rng.Intn(2*keyedmac.RecordMsgCap))
 				rng.Read(msg)
 				s, err := ring.Sign(id, msg)
 				if err != nil {

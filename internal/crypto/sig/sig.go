@@ -9,8 +9,10 @@
 //   - HMACRing: HMAC-SHA256 tags with per-process keys. Verification needs
 //     the signing key, so the ring object itself is the trusted party; it
 //     models the paper's "ideal" scheme and is an order of magnitude faster,
-//     which matters for large simulated sweeps. Honest processes only sign
-//     through a Signer bound to their own identity.
+//     which matters for large simulated sweeps. Like the ideal
+//     functionality, it answers a check of a signature it made lately from
+//     its record of what was signed, and MACs only the rest. Honest
+//     processes only sign through a Signer bound to their own identity.
 package sig
 
 import (
@@ -21,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"adaptiveba/internal/crypto/keyedmac"
 	"adaptiveba/internal/types"
@@ -54,7 +57,8 @@ type Scheme interface {
 }
 
 // CheapVerify reports whether s declares its Verify no more expensive than
-// hashing the bytes it is given, which is what a content-addressed memo of
+// hashing the bytes it is given — a byte compare against a sign record, or
+// at worst one MAC — which is what a content-addressed memo of
 // verification results (internal/crypto/verifycache) must do before it can
 // even look a result up. Such a scheme is verified directly every time; any
 // other scheme — a public-key one, or one that does not say — is worth
@@ -128,7 +132,13 @@ func (r *Ed25519Ring) Verify(signer types.ProcessID, msg []byte, s Signature) bo
 //
 // Each identity's keyed MAC states are owned by the ring (one
 // keyedmac.Pool per identity) and reused across calls, so Sign allocates
-// only the tag it returns and Verify allocates nothing.
+// only the tag it returns and Verify allocates nothing. The pool also
+// keeps the identity's sign record: the last keyedmac.RecordEntries
+// messages it signed, copied, with their MACs. Verify answers a signature
+// that matches one of them byte for byte — signer, whole message and
+// whole tag — with that compare, and computes the MAC for any other; the
+// answer is the same either way. The record's slab is allocated on an
+// identity's first Sign.
 type HMACRing struct {
 	macs []keyedmac.Pool
 }
@@ -165,34 +175,41 @@ func (r *HMACRing) N() int { return len(r.macs) }
 // SignatureSize implements Scheme.
 func (r *HMACRing) SignatureSize() int { return hmacTagSize }
 
-// CheapVerify marks the ring's verification as one pooled, allocation-free
-// HMAC over the message — the same order of work as the SHA-256 a
+// CheapVerify marks the ring's verification as a compare against its sign
+// record or, failing that, one pooled, allocation-free HMAC over the
+// message — at most the same order of work as the SHA-256 a
 // verification-cache key costs, so memoizing it can only add to it.
 func (r *HMACRing) CheapVerify() bool { return true }
+
+// ringMACs counts the HMACs computed by every HMACRing in the process;
+// see RingMACs.
+var ringMACs atomic.Uint64
+
+// RingMACs returns the number of HMACs every HMACRing in the process has
+// computed so far: one per Sign, plus one per Verify its sign record did
+// not answer. Tests pin a run's cryptographic work with the difference
+// across it.
+func RingMACs() uint64 { return ringMACs.Load() }
 
 // Sign implements Scheme. The tag has exactly hmacTagSize capacity.
 func (r *HMACRing) Sign(signer types.ProcessID, msg []byte) (Signature, error) {
 	if signer < 0 || int(signer) >= len(r.macs) {
 		return nil, fmt.Errorf("%w: %v", ErrUnknownSigner, signer)
 	}
-	pool := &r.macs[signer]
-	st := pool.Get()
-	st.Write(msg)
-	tag := st.Tag(hmacTagSize)
-	pool.Put(st)
-	return tag, nil
+	ringMACs.Add(1)
+	return r.macs[signer].Sign(msg, hmacTagSize), nil
 }
 
-// Verify implements Scheme.
+// Verify implements Scheme: from the signer's sign record when it holds
+// (msg, s), by MAC otherwise.
 func (r *HMACRing) Verify(signer types.ProcessID, msg []byte, s Signature) bool {
 	if signer < 0 || int(signer) >= len(r.macs) {
 		return false
 	}
-	pool := &r.macs[signer]
-	st := pool.Get()
-	st.Write(msg)
-	ok := st.Equal(s, hmacTagSize)
-	pool.Put(st)
+	ok, mac := r.macs[signer].Check(msg, s, hmacTagSize)
+	if mac {
+		ringMACs.Add(1)
+	}
 	return ok
 }
 

@@ -10,10 +10,12 @@
 //
 // A lookup costs a SHA-256 of that triple plus a lock and a map probe, so
 // it only pays for verifications dearer than that: public-key signatures
-// and aggregate certificates. A scheme whose verification is itself one
-// keyed hash (sig.CheapVerify — the HMAC ring) is not wrapped by
-// proto.NewCrypto, for the reason compact certificates are not memoized by
-// the threshold package.
+// and aggregate certificates. A scheme whose verification is at most one
+// keyed hash (sig.CheapVerify — the HMAC ring, which answers its own
+// recent signatures by compare from its sign record and MACs the rest) is
+// not wrapped by proto.NewCrypto, for the reason compact certificates are
+// not memoized by the threshold package: they are answered from their
+// mint record, or by one dealer MAC.
 //
 // Forgery safety: a cache key is the SHA-256 of a domain-separated,
 // length-prefixed serialization of the signer identity, the full message,

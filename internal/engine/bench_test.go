@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"adaptiveba/internal/crypto/sig"
 	"adaptiveba/internal/crypto/threshold"
 	"adaptiveba/internal/engine"
 	"adaptiveba/internal/proto"
@@ -29,6 +30,10 @@ var commitShapes = []struct {
 	// certificate minted, plus one per check of bytes its scheme did not
 	// mint and forward lately (see TestCommitDealerMACs).
 	dealerMACs uint64
+	// ringMACs is the number of HMACs the signature ring computes in one
+	// call at GOMAXPROCS 1: one per signature, plus one per check its sign
+	// record did not answer (see TestCommitRingMACs).
+	ringMACs uint64
 	// ticks, run and steps are the call's logical ticks, the ticks the
 	// simulator ran and its Begin/Tick calls on the roots, as one
 	// simulation (see TestCommitSteps).
@@ -38,19 +43,19 @@ var commitShapes = []struct {
 	{
 		CommitShape:  scenarios.CommitShapes()[0],
 		allocCeiling: 1160, byteCeiling: 87e3,
-		raceAllocCeiling: 1400, raceByteCeiling: 116e3, dealerMACs: 16,
+		raceAllocCeiling: 1400, raceByteCeiling: 116e3, dealerMACs: 16, ringMACs: 68,
 		ticks: 48, run: 14, steps: 50,
 	},
 	{
 		CommitShape:  scenarios.CommitShapes()[1],
 		allocCeiling: 1200, byteCeiling: 207e3,
-		raceAllocCeiling: 1410, raceByteCeiling: 230e3, dealerMACs: 16,
+		raceAllocCeiling: 1410, raceByteCeiling: 230e3, dealerMACs: 16, ringMACs: 68,
 		ticks: 48, run: 14, steps: 50,
 	},
 	{
 		CommitShape:  scenarios.CommitShapes()[2],
 		allocCeiling: 68600, byteCeiling: 4.5e6,
-		raceAllocCeiling: 79500, raceByteCeiling: 8.5e6, dealerMACs: 108,
+		raceAllocCeiling: 79500, raceByteCeiling: 8.5e6, dealerMACs: 108, ringMACs: 4710,
 		ticks: 180, run: 126, steps: 966,
 	},
 }
@@ -184,6 +189,28 @@ func TestCommitDealerMACs(t *testing.T) {
 		runCommitShape(t, i, queues, crypto, 1)
 		if got := threshold.DealerMACs() - before; got != s.dealerMACs {
 			t.Errorf("%s: %d dealer MACs per call, want %d", s.Name, got, s.dealerMACs)
+		}
+	}
+}
+
+// TestCommitRingMACs pins the signature ring's work in each commit shape's
+// call: an n = 4 flush makes 68 signatures and 80 checks, and every check
+// is of a signature the same ring made a tick or two earlier, so its sign
+// record answers all 80 (148 MACs before it had one). The n9f1 call makes
+// 3 488 signatures and 3 392 checks (6 880 MACs before); a process signs
+// more per tick there than its record keeps, so most checks are MACed.
+// The count is taken at GOMAXPROCS 1, as one simulation: concurrent
+// session groups would sign into the shared records in a varying order.
+func TestCommitRingMACs(t *testing.T) {
+	testenv.Procs(t, 1)
+	for i := range commitShapes {
+		s := &commitShapes[i]
+		queues, crypto := s.Queues(), commitSuite(t, i)
+		runCommitShape(t, i, queues, crypto, 0)
+		before := sig.RingMACs()
+		runCommitShape(t, i, queues, crypto, 1)
+		if got := sig.RingMACs() - before; got != s.ringMACs {
+			t.Errorf("%s: %d ring MACs per call, want %d", s.Name, got, s.ringMACs)
 		}
 	}
 }

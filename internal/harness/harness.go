@@ -102,7 +102,8 @@ type Spec struct {
 	// reports SignOps/VerifyOps in the outcome. A counting run has no
 	// verification cache (see proto.CountOps), so VerifyOps is the
 	// protocol's inherent verification demand: every check a process
-	// asks for is computed and counted.
+	// asks for is counted, whether the scheme computes it or answers it
+	// from a record.
 	CountOps bool
 	// WBAPhases overrides weak BA's phase count (ablation).
 	WBAPhases int

@@ -19,11 +19,12 @@ import (
 // cheaper than the check it saves: Scheme is the cache-wrapped
 // signature scheme unless the scheme declares its own verification no
 // dearer than the key hash (sig.CheapVerify — the HMAC ring), in which
-// case Scheme is the scheme passed in and every verification is a real
-// one; threshold schemes memoize whole aggregate certificates. Caching is
-// shared across all machines of the run — the point is that n processes
-// verifying the same bytes should pay for one verification, not n. Every
-// check runs on its caller's goroutine.
+// case Scheme is the scheme passed in and every verification goes to it:
+// the ring answers a signature it made lately from its sign record and
+// MACs any other; threshold schemes memoize whole aggregate certificates.
+// Caching is shared across all machines of the run — the point is that n
+// processes verifying the same bytes should pay for one verification, not
+// n. Every check runs on its caller's goroutine.
 type Crypto struct {
 	Params types.Params
 	Scheme sig.Scheme
@@ -49,7 +50,9 @@ type CryptoOption func(*cryptoConfig)
 // CountOps counts the signatures made and verified, read back through
 // Ops, and measures the protocol's inherent verification demand: a
 // counting suite has no verification cache, so Scheme is the counter
-// itself and every check a machine asks for is computed and counted.
+// itself and every check a machine asks for reaches the scheme and is
+// counted, whether the scheme then computes it or (the HMAC ring's sign
+// record) answers it by compare.
 func CountOps() CryptoOption {
 	return func(c *cryptoConfig) { c.countOps = true }
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net"
 	"reflect"
 	"runtime"
@@ -134,7 +135,10 @@ func TestSendBytesParity(t *testing.T) {
 // path, mirroring the sim engine's TestSimTickAllocCeiling: once the
 // scratch writers and outbox buffers are warm, a steady-state broadcast
 // through Node.send must not allocate (a per-recipient allocation shows
-// up as allocs >= n).
+// up as allocs >= n). testing.AllocsPerRun counts the whole process's
+// mallocs, the outbox writer goroutines' among them, and that noise only
+// ever adds: the least of three windows, each begun with the outboxes
+// drained, is the bound on what Broadcast itself allocates.
 func TestSendAllocCeiling(t *testing.T) {
 	sb, err := NewSendBench(9)
 	if err != nil {
@@ -144,8 +148,11 @@ func TestSendAllocCeiling(t *testing.T) {
 	for i := 0; i < 200; i++ { // warm buffers and pools
 		sb.Broadcast()
 	}
-	sb.Drain()
-	allocs := testing.AllocsPerRun(100, sb.Broadcast)
+	allocs := math.Inf(1)
+	for try := 0; try < 3; try++ {
+		sb.Drain()
+		allocs = min(allocs, testing.AllocsPerRun(100, sb.Broadcast))
+	}
 	sb.Drain()
 	if allocs > 0.5 {
 		t.Errorf("steady-state Broadcast allocates %.2f times per call, want 0", allocs)
